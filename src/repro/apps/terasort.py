@@ -54,10 +54,11 @@ def terasort_mimir(env: RankEnv, input_path: str, output_path: str,
                    batch: bool = False) -> TeraSortResult:
     """Sort ``input_path`` into one globally ordered ``output_path``.
 
-    The on-PFS record format *is* the fixed/fixed KV encoding, so the
-    batch map wraps each input chunk in a :class:`KVBatch` and routes
-    the records as arena slices - no per-record slicing at all.  The
-    output file is byte-identical in both modes.
+    The on-PFS record format *is* the fixed/fixed KV encoding, so with
+    ``batch=True`` the map wraps each input chunk in a :class:`KVBatch`
+    and routes the records as arena slices instead of slicing and
+    emitting them one by one.  The output file is byte-identical
+    either way.
     """
     config = (config or MimirConfig()).with_layout(TS_LAYOUT)
     mimir = Mimir(env, config)
@@ -73,7 +74,7 @@ def terasort_mimir(env: RankEnv, input_path: str, output_path: str,
 
     kvs = mimir.map_binary_file(input_path, RECORD_SIZE, map_fn,
                                 layout=TS_LAYOUT)
-    ordered = mimir.global_sort(kvs, batch=batch)
+    ordered = mimir.global_sort(kvs)
     nlocal = len(ordered)
     mimir.write_output_global(ordered, output_path,
                               render=lambda k, v: k + v)

@@ -51,17 +51,6 @@ class RankEnv:
         """Advance this rank's clock for processing ``nbytes`` of records."""
         self.comm.advance(nbytes / self.platform.compute_rate)
 
-    def charge_ops(self, nops: int) -> None:
-        """Advance this rank's clock for ``nops`` framework dispatches.
-
-        Free when the platform's ``record_overhead`` is 0.0 (the
-        default bandwidth-only cost model); otherwise this is where the
-        per-record vs. per-batch dispatch gap shows up in virtual time.
-        """
-        overhead = self.platform.record_overhead
-        if overhead and nops:
-            self.comm.advance(nops * overhead)
-
     def storage_for(self, spec: str | None) -> StorageBackend:
         """The backend a job's spill should use (``MimirConfig.storage``).
 

@@ -11,9 +11,9 @@ allocates no per-record objects until the caller explicitly asks for
 ``bytes``.
 
 Kernels opt into whole-batch processing with the
-:func:`batch_kernel` decorator; drivers check :func:`is_batch_kernel`
-and fall back to the per-record path for plain callables, so user
-code never has to change.
+:func:`batch_kernel` decorator; the drivers always walk their input
+batch by batch and call a plain (per-record) kernel from an inline
+loop over the batch, so user code never has to change.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ class KVBatch:
 
     @property
     def payload_bytes(self) -> int:
-        """Key plus value bytes, headers excluded - what the
-        per-record paths charge compute for, kept chargeable here
-        without touching any record."""
+        """Key plus value bytes, headers excluded - what the drivers
+        charge compute for, without touching any record."""
         return (sum(self.kend) - sum(self.koff) +
                 sum(self.vend) - sum(self.voff))
 

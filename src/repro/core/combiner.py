@@ -15,6 +15,7 @@ high enough.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable
 
 from repro.cluster import RankEnv
@@ -45,19 +46,12 @@ class Combiner:
         self.records_in = 0
         self.records_merged = 0
         self.partial_flushes = 0
-        self._ops = 0
         self.batch_records = 0
         self.batch_calls = 0
-
-    @property
-    def ops(self) -> int:
-        """Framework dispatches including the downstream shuffle's."""
-        return self._ops + self.shuffler.ops
 
     def emit(self, key: bytes, value: bytes) -> None:
         """Insert one KV, merging with any bucketed duplicate."""
         self.records_in += 1
-        self._ops += 1
         self._merge(key, value)
         if self.bucket_budget is not None and \
                 self.bucket.accounted_bytes > self.bucket_budget:
@@ -72,40 +66,29 @@ class Combiner:
             self.bucket.set(key, merged)
             self.records_merged += 1
 
-    # -------------------------------------------------------- batch emits
+    # --------------------------------------------------------- bulk emits
 
-    def emit_run(self, keys, value: bytes) -> None:
-        """Merge ``(key, value)`` for every key in one dispatch."""
-        count = 0
-        for key in keys:
-            self._merge(key, value)
-            count += 1
-        self._note_batch(count)
+    def emit_run(self, keys, value: bytes) -> int:
+        """Merge ``(key, value)`` for every key, sharing one value."""
+        return self.emit_pairs(zip(keys, repeat(value)))
 
-    def emit_pairs(self, pairs) -> None:
-        """Merge ``(key, value)`` pairs in one dispatch."""
+    def emit_pairs(self, pairs) -> int:
+        """Merge an iterable of ``(key, value)`` pairs; returns its length."""
         count = 0
         for key, value in pairs:
             self._merge(key, value)
             count += 1
-        self._note_batch(count)
-
-    def emit_batch(self, batch) -> None:
-        """Merge every record of a :class:`~repro.core.batch.KVBatch`."""
-        count = 0
-        for key, value in batch.pairs_bytes():
-            self._merge(key, value)
-            count += 1
-        self._note_batch(count)
-
-    def _note_batch(self, count: int) -> None:
         self.records_in += count
-        self._ops += 1
         self.batch_records += count
         self.batch_calls += 1
         if self.bucket_budget is not None and \
                 self.bucket.accounted_bytes > self.bucket_budget:
             self._partial_flush()
+        return count
+
+    def emit_batch(self, batch) -> None:
+        """Merge every record of a :class:`~repro.core.batch.KVBatch`."""
+        self.emit_pairs(batch.pairs_bytes())
 
     def _partial_flush(self) -> None:
         """Drain the bucket mid-map, bounding its memory footprint.
@@ -117,34 +100,20 @@ class Combiner:
         self.partial_flushes += 1
 
     def _drain_to_shuffler(self) -> int:
-        """Drain the bucket; returns the merged payload bytes moved.
-
-        In batch mode the survivors flow out through one
-        ``emit_pairs`` dispatch; the records, bytes, and exchange
-        trigger points are identical to the per-record drain.
-        """
-        merged_bytes = 0
-        if self.batch_calls:
-            def _accounted():
-                nonlocal merged_bytes
-                for key, value in self.bucket.drain():
-                    merged_bytes += len(key) + len(value)
-                    yield key, value
-
-            self.shuffler.emit_pairs(_accounted())
-        else:
-            for key, value in self.bucket.drain():
-                self.shuffler.emit(key, value)
-                merged_bytes += len(key) + len(value)
+        """Drain the bucket; returns the merged payload bytes moved."""
+        bucket = self.bucket
+        # Every entry is accounted as key + value + entry_overhead bytes.
+        merged_bytes = (bucket.accounted_bytes
+                        - len(bucket) * bucket.entry_overhead)
+        self.shuffler.emit_pairs(bucket.drain())
         return merged_bytes
 
     @property
     def compression_ratio(self) -> float:
         """Input records per unique record (>= 1)."""
-        unique = len(self.bucket) + self.records_merged * 0  # current uniques
-        if unique == 0:
+        if not len(self.bucket):
             return 1.0
-        return self.records_in / max(len(self.bucket), 1)
+        return self.records_in / len(self.bucket)
 
     def finish(self) -> None:
         """Drain the bucket into the shuffler and run the aggregate."""

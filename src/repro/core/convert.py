@@ -47,9 +47,10 @@ def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     return kmvc
 
 
-def iter_grouped(env: RankEnv, kvc: KVContainer, config: MimirConfig,
-                 ) -> "Iterator[tuple[bytes, list[bytes]]]":
-    """Stream ``(key, values)`` groups of ``kvc`` (consumed).
+def iter_grouped_batches(env: RankEnv, kvc: KVContainer, config: MimirConfig,
+                         ) -> "Iterator[list[tuple[bytes, list[bytes]]]]":
+    """Stream the ``(key, values)`` groups of ``kvc`` (consumed), one
+    group-list per KMV page.
 
     The in-memory path materialises a KMV container (the paper's
     convert) and drains it.  With ``config.out_of_core`` and a KV set
@@ -60,23 +61,17 @@ def iter_grouped(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     """
     if config.out_of_core and _needs_partitioned_convert(env, kvc):
         for groups in _iter_partition_dicts(env, kvc, config):
-            yield from groups.items()
-        return
-    kmvc = convert_to_kmv(env, kvc, config)
-    yield from kmvc.consume()
-
-
-def iter_grouped_batches(env: RankEnv, kvc: KVContainer, config: MimirConfig,
-                         ) -> "Iterator[list[tuple[bytes, list[bytes]]]]":
-    """Batch variant of :func:`iter_grouped`: one group-list per KMV
-    page (or per out-of-core partition), same groups in the same order.
-    """
-    if config.out_of_core and _needs_partitioned_convert(env, kvc):
-        for groups in _iter_partition_dicts(env, kvc, config):
             yield list(groups.items())
         return
     kmvc = convert_to_kmv(env, kvc, config)
     yield from kmvc.consume_batches()
+
+
+def iter_grouped(env: RankEnv, kvc: KVContainer, config: MimirConfig,
+                 ) -> "Iterator[tuple[bytes, list[bytes]]]":
+    """:func:`iter_grouped_batches`, flattened to one group at a time."""
+    for groups in iter_grouped_batches(env, kvc, config):
+        yield from groups
 
 
 def _needs_partitioned_convert(env: RankEnv, kvc: KVContainer) -> bool:

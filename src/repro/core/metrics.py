@@ -32,7 +32,7 @@ class PhaseRecord:
     #: Records that moved through whole-batch kernel dispatches.
     batch_records: int = 0
     #: Whole-batch dispatches (one per page or chunk); 0 means the
-    #: phase ran entirely on the per-record path.
+    #: phase ran plain per-record kernels only.
     batch_pages: int = 0
 
     @property

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.cluster import RankEnv
+from repro.core.batch import is_batch_kernel
 from repro.core.bucket import AccountedBucket
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
@@ -36,60 +37,52 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
     or, when marked with :func:`~repro.core.batch.batch_kernel`, a
     whole-batch fold called as ``pr_fn(bucket, batch)`` once per
     container page.  Both forms produce the same bucket contents (and
-    so the same output), but the batch form costs one framework
-    dispatch per page instead of one per record.
+    so the same output).
 
     ``seed`` pre-loads the bucket from an existing aggregate *before*
     any new record folds in, so an incremental window fold (seed = the
     running aggregate, ``kvc`` = the new micro-batch) folds in the same
     old-then-new order as one uninterrupted pass over all records.
     """
-    from repro.core.batch import is_batch_kernel
-
+    batch_fn = is_batch_kernel(pr_fn)
     bucket = AccountedBucket(env.tracker, config.bucket_entry_overhead,
                              tag="pr_bucket")
     scanned = 0
-    ops = 0
     batch_records = 0
     batch_pages = 0
     if seed is not None:
-        records = seed.consume() if seed_consume else seed.records()
-        for key, value in records:
-            scanned += len(key) + len(value)
-            existing = bucket.get(key)
-            if existing is None:
-                bucket.set(key, value)
-            elif is_batch_kernel(pr_fn):
-                raise ValueError(
-                    "seed container has duplicate keys; batch-kernel "
-                    "folds need a unique-key (already reduced) seed")
-            else:
-                bucket.set(key, pr_fn(key, existing, value))
-            ops += 1
-    if is_batch_kernel(pr_fn):
-        for batch in kvc.consume_batches():
+        for batch in (seed.consume_batches() if seed_consume
+                      else seed.batches()):
             scanned += batch.payload_bytes
+            for key, value in batch.pairs_bytes():
+                existing = bucket.get(key)
+                if existing is None:
+                    bucket.set(key, value)
+                elif batch_fn:
+                    raise ValueError(
+                        "seed container has duplicate keys; batch-kernel "
+                        "folds need a unique-key (already reduced) seed")
+                else:
+                    bucket.set(key, pr_fn(key, existing, value))
+    for batch in kvc.consume_batches():
+        scanned += batch.payload_bytes
+        if batch_fn:
             pr_fn(bucket, batch)
-            ops += 1
             batch_records += len(batch)
             batch_pages += 1
-    else:
-        for key, value in kvc.consume():
-            scanned += len(key) + len(value)
-            existing = bucket.get(key)
-            if existing is None:
-                bucket.set(key, value)
-            else:
-                bucket.set(key, pr_fn(key, existing, value))
-            ops += 1
+        else:
+            for key, value in batch.pairs_bytes():
+                existing = bucket.get(key)
+                if existing is None:
+                    bucket.set(key, value)
+                else:
+                    bucket.set(key, pr_fn(key, existing, value))
 
     out = KVContainer(env.tracker, out_layout or kvc.layout,
                       config.page_size, tag=out_tag)
     for key, value in bucket.drain():
         out.add(key, value)
     env.charge_compute(scanned + out.nbytes)
-    env.charge_ops(ops)
     if stats is not None:
-        stats.update(ops=ops, batch_records=batch_records,
-                     batch_pages=batch_pages)
+        stats.update(batch_records=batch_records, batch_pages=batch_pages)
     return out

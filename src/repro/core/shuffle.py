@@ -20,6 +20,7 @@ of done-flags decides whether the aggregate phase is over.
 from __future__ import annotations
 
 import zlib
+from itertools import repeat
 from typing import Callable
 
 from repro.cluster import RankEnv
@@ -61,11 +62,7 @@ class Shuffler:
         self.rounds = 0
         self.records_sent = 0
         self.bytes_sent = 0
-        #: Framework dispatches performed (one per emit call, whether
-        #: that call carried one record or a whole batch); charged by
-        #: the driver through :meth:`RankEnv.charge_ops`.
-        self.ops = 0
-        #: Records and calls that arrived through the batch emits.
+        #: Records and calls that arrived through the bulk emits.
         self.batch_records = 0
         self.batch_calls = 0
         self._closed = False
@@ -90,14 +87,9 @@ class Shuffler:
         self._fill[dest] += n
         self.records_sent += 1
         self.bytes_sent += n
-        self.ops += 1
 
     def emit_record(self, record: bytes | memoryview, dest: int) -> None:
         """Insert a pre-encoded record bound for rank ``dest``."""
-        self._put_record(record, dest)
-        self.ops += 1
-
-    def _put_record(self, record: bytes | memoryview, dest: int) -> None:
         n = len(record)
         if n > self.part_size:
             raise RecordTooLargeError(n, self.part_size,
@@ -111,43 +103,17 @@ class Shuffler:
         self.records_sent += 1
         self.bytes_sent += n
 
-    # -------------------------------------------------------- batch emits
+    # --------------------------------------------------------- bulk emits
     #
-    # One framework dispatch (one ``ops``) per *call* instead of per
-    # record.  Partition fills, exchange trigger points, and the
-    # resulting byte streams are identical to repeated single emits.
+    # Partition fills, exchange trigger points, and the resulting byte
+    # streams are identical to repeated single emits.
 
-    def emit_run(self, keys, value: bytes) -> None:
-        """Emit ``(key, value)`` for every key of a batch, same value."""
-        layout = self.layout
-        partitioner = self.partitioner
-        nprocs = self.nprocs
-        part_size = self.part_size
-        fill = self._fill
-        send = self._send
-        count = 0
-        nbytes = 0
-        for key in keys:
-            n = layout.encoded_size(key, value)
-            dest = partitioner(key, nprocs)
-            if n > part_size:
-                raise RecordTooLargeError(n, part_size,
-                                          "send-buffer partition")
-            if fill[dest] + n > part_size:
-                self.exchange(done=False)
-            base = dest * part_size + fill[dest]
-            layout.encode_into(send, base, key, value)
-            fill[dest] += n
-            count += 1
-            nbytes += n
-        self.records_sent += count
-        self.bytes_sent += nbytes
-        self.ops += 1
-        self.batch_records += count
-        self.batch_calls += 1
+    def emit_run(self, keys, value: bytes) -> int:
+        """Emit ``(key, value)`` for every key, sharing one value."""
+        return self.emit_pairs(zip(keys, repeat(value)))
 
-    def emit_pairs(self, pairs) -> None:
-        """Emit ``(key, value)`` pairs in one framework dispatch."""
+    def emit_pairs(self, pairs) -> int:
+        """Emit an iterable of ``(key, value)`` pairs; returns its length."""
         layout = self.layout
         partitioner = self.partitioner
         nprocs = self.nprocs
@@ -171,9 +137,9 @@ class Shuffler:
             nbytes += n
         self.records_sent += count
         self.bytes_sent += nbytes
-        self.ops += 1
         self.batch_records += count
         self.batch_calls += 1
+        return count
 
     def emit_batch(self, batch: KVBatch) -> None:
         """Route every record of a :class:`KVBatch` by its key hash.
@@ -188,8 +154,7 @@ class Shuffler:
         roff = batch.roff
         for i, (ks, ke) in enumerate(zip(batch.koff, batch.kend)):
             dest = partitioner(arena[ks:ke], nprocs)
-            self._put_record(arena[roff[i] : roff[i + 1]], dest)
-        self.ops += 1
+            self.emit_record(arena[roff[i] : roff[i + 1]], dest)
         self.batch_records += len(batch)
         self.batch_calls += 1
 
@@ -203,8 +168,7 @@ class Shuffler:
         roff = batch.roff
         for i, (ks, ke) in enumerate(zip(batch.koff, batch.kend)):
             dest = dest_for(bytes(arena[ks:ke]))
-            self._put_record(arena[roff[i] : roff[i + 1]], dest)
-        self.ops += 1
+            self.emit_record(arena[roff[i] : roff[i + 1]], dest)
         self.batch_records += len(batch)
         self.batch_calls += 1
 

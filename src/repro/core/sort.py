@@ -14,6 +14,7 @@ bisection per record), and each rank sorts what it received.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 
 from repro.cluster import RankEnv
 from repro.core.config import MimirConfig
@@ -48,75 +49,43 @@ def range_partitioner(splitters: list[bytes]):
 def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
                 by_value: bool = False,
                 oversample: int = DEFAULT_OVERSAMPLE,
-                batch: bool = False,
                 out_tag: str = "kv_gsorted") -> KVContainer:
     """Globally sort ``kvc`` (consumed) across all ranks.
 
     Returns this rank's slice of the total order.  Duplicate keys may
     land on either side of a splitter boundary but the global order is
-    still correct (splitters compare with ``<=``).
-
-    With ``batch=True`` records move through the columnar batch path:
-    records are copied as arena slices (one dispatch per page) instead
-    of being re-encoded one by one.  The sample keys - and therefore
-    the splitters - are computed from the same materialised key list
-    in both modes, so the output is byte-identical.
+    still correct (splitters compare with ``<=``).  Records move as
+    arena slices of their container pages, never re-encoded.
     """
     comm = env.comm
-    field = (lambda k, v: v) if by_value else (lambda k, v: k)
-    if by_value:
-        batch = False  # value routing stays per-record
 
-    # Sample this rank's sort keys at regular strides.
-    if batch:
-        local = [k for b in kvc.batches() for k in b.keys_bytes()]
+    # Sample this rank's sort fields at regular strides.
+    if by_value:
+        local = [bytes(v) for b in kvc.batches() for v in b.values()]
     else:
-        local = [field(k, v) for k, v in kvc.records()]
+        local = [k for b in kvc.batches() for k in b.keys_bytes()]
     want = max(1, comm.size * oversample)
     stride = max(1, len(local) // want)
     sample = sorted(local)[::stride][:want] if local else []
 
     pooled = [key for part in comm.allgather(sample) for key in part]
-    splitters = choose_splitters(pooled, comm.size)
-
-    if by_value:
-        partition_value = range_partitioner(splitters)
-
-        def partitioner(key: bytes, nprocs: int) -> int:
-            # The shuffle hashes keys; for value sorting we wrap the
-            # record so the partitioner sees the value.
-            return partition_value(key, nprocs)
-    else:
-        partitioner = range_partitioner(splitters)
+    partition = range_partitioner(choose_splitters(pooled, comm.size))
+    dest_for = lambda field: partition(field, comm.size)  # noqa: E731
 
     # Range-shuffle, then order locally.
     out = KVContainer(env.tracker, kvc.layout, config.page_size,
                       tag=out_tag)
-    shuffler = Shuffler(env, config, out,
-                        partitioner if not by_value else None)
-    if by_value:
-        # Route by value: emit with an explicit destination.
-        for key, value in kvc.consume():
-            record = kvc.layout.encode(key, value)
-            shuffler.emit_record(record,
-                                 partition_value(value, comm.size))
-    elif batch:
-        dest_for = lambda key: partitioner(key, comm.size)  # noqa: E731
-        for kvbatch in kvc.consume_batches():
-            shuffler.emit_keyed_batch(kvbatch, dest_for)
-    else:
-        for key, value in kvc.consume():
-            shuffler.emit(key, value)
+    shuffler = Shuffler(env, config, out)
+    for batch in kvc.consume_batches():
+        if by_value:
+            for i, value in enumerate(batch.values()):
+                shuffler.emit_record(batch.record(i), dest_for(bytes(value)))
+        else:
+            shuffler.emit_keyed_batch(batch, dest_for)
     shuffler.finish()
     env.charge_compute(shuffler.bytes_sent)
-    env.charge_ops(shuffler.ops)
 
-    if batch:
-        received = (kv for b in out.consume_batches()
-                    for kv in b.pairs_bytes())
-    else:
-        received = out.consume()
-    records = sorted(received, key=lambda kv: field(*kv))
+    records = sorted(out.consume(), key=itemgetter(1 if by_value else 0))
     result = KVContainer(env.tracker, out.layout, config.page_size,
                          tag=out_tag)
     for key, value in records:

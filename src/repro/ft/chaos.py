@@ -18,8 +18,9 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 
+from repro.apps.wordcount import wc_combine, wc_map
 from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import Mimir, MimirConfig, unpack_u64
 from repro.ft.injection import ChaosPlan
 from repro.ft.runner import FTResult, run_with_recovery
 from repro.mpi import COMET
@@ -34,16 +35,6 @@ TEXT = b"oak elm ash fir oak elm oak yew ash oak pine fir cedar yew " * 40
 INPUT_PATH = "input/chaos_words.txt"
 
 
-def _wc_map(ctx, chunk: bytes) -> None:
-    one = pack_u64(1)
-    for word in chunk.split():
-        ctx.emit(word, one)
-
-
-def _wc_combine(key: bytes, a: bytes, b: bytes) -> bytes:
-    return pack_u64(unpack_u64(a) + unpack_u64(b))
-
-
 def chaos_wordcount(env, ckpt, faults):
     """Two-phase checkpointed WordCount used as the chaos target."""
     mimir = Mimir(env, CFG)
@@ -52,11 +43,11 @@ def chaos_wordcount(env, ckpt, faults):
     if ckpt.has("shuffle"):
         kvs = ckpt.load_kvc("shuffle", CFG.layout, CFG.page_size)
     else:
-        kvs = mimir.map_text_file(INPUT_PATH, _wc_map)
+        kvs = mimir.map_text_file(INPUT_PATH, wc_map)
         ckpt.save_kvc("shuffle", kvs)
     faults.check("after_shuffle", env.comm.rank)
 
-    out = mimir.partial_reduce(kvs, _wc_combine)
+    out = mimir.partial_reduce(kvs, wc_combine)
     faults.check("after_reduce", env.comm.rank)
     counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
     out.free()

@@ -50,6 +50,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.apps.wordcount import wc_combine, wc_map
 from repro.cluster import Cluster, RankEnv
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
@@ -897,18 +898,6 @@ def _elastic_cfg():
     return ELASTIC_CFG
 
 
-def _wc_map(ctx, chunk: bytes) -> None:
-    from repro.core import pack_u64
-    one = pack_u64(1)
-    for word in chunk.split():
-        ctx.emit(word, one)
-
-
-def _wc_combine(key: bytes, a: bytes, b: bytes) -> bytes:
-    from repro.core import pack_u64, unpack_u64
-    return pack_u64(unpack_u64(a) + unpack_u64(b))
-
-
 def make_elastic_cluster(nprocs: int = 4) -> Cluster:
     """A fresh cluster with the harness input staged (one per run)."""
     from repro.mpi import COMET
@@ -932,14 +921,14 @@ def elastic_wordcount(env: RankEnv, ckpt: CheckpointManager,
     kvs = restore_rebalanced(env, ckpt, "shuffle", layout=cfg.layout,
                              page_size=cfg.page_size)
     if kvs is None:
-        kvs = speculative_map(env, ELASTIC_INPUT, _wc_map, config=cfg,
+        kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=cfg,
                               policy=ctx.policy, stage_key="map",
-                              combine_fn=_wc_combine, ctx=ctx)
+                              combine_fn=wc_combine, ctx=ctx)
         ckpt.save_kvc("shuffle", kvs)
         ctx.probe(env, "after_shuffle")
         ctx.maybe_evict(env, "post-map")
 
-    out = Mimir(env, cfg).partial_reduce(kvs, _wc_combine)
+    out = Mimir(env, cfg).partial_reduce(kvs, wc_combine)
     ctx.probe(env, "after_reduce")
     counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
     out.free()
@@ -958,10 +947,10 @@ def sweep_wordcount(env: RankEnv, ckpt: CheckpointManager,
     from repro.core import Mimir, unpack_u64
     cfg = _elastic_cfg()
     ctx.probe(env, "start")
-    kvs = speculative_map(env, ELASTIC_INPUT, _wc_map, config=cfg,
+    kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=cfg,
                           policy=ctx.policy, stage_key="map",
-                          combine_fn=_wc_combine, ctx=ctx)
-    out = Mimir(env, cfg).partial_reduce(kvs, _wc_combine)
+                          combine_fn=wc_combine, ctx=ctx)
+    out = Mimir(env, cfg).partial_reduce(kvs, wc_combine)
     ctx.probe(env, "after_reduce")
     counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
     out.free()

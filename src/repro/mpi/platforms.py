@@ -41,12 +41,6 @@ class Platform:
     compute_rate: float           # bytes/sec of record processing per proc (scaled)
     default_page_size: int        # MR-MPI default page (scaled: 64K)
     max_page_size: int            # largest MR-MPI page the node supports
-    #: Seconds of fixed dispatch overhead per record-level framework
-    #: operation (one emit, one reduce-call, ...).  The default 0.0
-    #: models bandwidth-only costs, matching all pre-batch virtual
-    #: times exactly; benchmarks set it to expose the per-record vs.
-    #: batch dispatch gap the columnar path removes.
-    record_overhead: float = 0.0
 
     @property
     def memory_per_proc(self) -> int:
@@ -81,9 +75,6 @@ class Platform:
             compute_rate=self.compute_rate / f,
             default_page_size=max(1, self.default_page_size // f),
             max_page_size=max(1, self.max_page_size // f),
-            # Record counts do not shrink under byte rescaling, so the
-            # per-record dispatch cost carries over unchanged.
-            record_overhead=self.record_overhead,
         )
 
     def describe(self) -> str:

@@ -421,6 +421,15 @@ class MetricsRegistry:
         """Aggregate across every shard (driver-side convenience)."""
         return aggregate([s.snapshot() for s in self.shards])
 
+    def histograms(self) -> dict[str, Histogram]:
+        """Every histogram merged across shards, buckets included
+        (``totals()`` carries only the bucket-less summaries)."""
+        merged: dict[str, Histogram] = {}
+        for shard in self.shards:
+            for name, hist in list(shard.histograms.items()):
+                merged.setdefault(name, Histogram()).merge(hist)
+        return merged
+
     def by_rank(self, name: str) -> dict[int, Any]:
         """One metric's per-rank values (load-imbalance view)."""
         return {s.rank: s.value(name) for s in self.shards

@@ -40,37 +40,21 @@ def make_job(app: str, paths: dict[str, str], *,
              priority: int = 0, footprint=None,
              iterations: int = 5) -> SchedJob:
     """A :class:`SchedJob` adapter for one demo application."""
-    if app == "wordcount":
-        from repro.apps.wordcount import wordcount_plan
+    # Plan-driven apps run through the service catalog:
+    # app -> (catalog params, payload field the job returns).
+    catalog_jobs = {
+        "wordcount": ({"hint": True, "partial": True}, "unique"),
+        "pagerank": ({"hint": True, "iterations": iterations}, "iterations"),
+        "kmeans": ({"k": 4, "iterations": iterations}, "iterations"),
+        "bfs": ({}, "levels"),
+    }
+    if app in catalog_jobs:
+        params, field = catalog_jobs[app]
 
-        def run_wc(env, ctx):
-            result = wordcount_plan(env, paths["wordcount"], ctx=ctx,
-                                    hint=True, partial=True)
-            return result.unique_words
-        fn = run_wc
-    elif app == "pagerank":
-        from repro.apps.pagerank import pagerank_plan
+        def fn(env, ctx):
+            from repro.serve.catalog import run_app
 
-        def run_pr(env, ctx):
-            result = pagerank_plan(env, paths["pagerank"], ctx=ctx,
-                                   hint=True, iterations=iterations)
-            return result.iterations
-        fn = run_pr
-    elif app == "kmeans":
-        from repro.apps.kmeans import kmeans_plan
-
-        def run_km(env, ctx):
-            result = kmeans_plan(env, paths["kmeans"], 4, ctx=ctx,
-                                 max_iterations=iterations)
-            return result.iterations
-        fn = run_km
-    elif app == "bfs":
-        from repro.apps.bfs import bfs_plan
-
-        def run_bfs(env, ctx):
-            result = bfs_plan(env, paths["bfs"], ctx=ctx)
-            return result.levels
-        fn = run_bfs
+            return run_app(app, env, paths[app], params, ctx=ctx)[field]
     elif app == "insitu":
         from repro.insitu.pipeline import InSituAnalytics
         from repro.insitu.simulation import ParticleSimulation

@@ -17,7 +17,7 @@ GET     ``/jobs/<id>/output``       the merged output artifact (bytes)
 GET     ``/jobs/<id>/log``          the job's service-side log
 GET     ``/jobs/<id>/log?offset=N`` incremental: JSON lines from ``N``
 GET     ``/healthz``                daemon health (no tenant needed)
-GET     ``/metrics``                ``serve.*`` / ``sched.*`` totals
+GET     ``/metrics``                totals of the whole metric registry
 ======  ==========================  =======================================
 
 Error bodies are structured JSON; a quota rejection is HTTP 429 with
@@ -134,9 +134,11 @@ def _make_handler(daemon: ServeDaemon):
             if method == "GET" and parts == ["healthz"]:
                 return 200, daemon.health(), js
             if method == "GET" and parts == ["metrics"]:
-                totals = daemon.cluster.metrics.totals()
-                served = {name: value for name, value in totals.items()
-                          if name.startswith(("serve.", "sched."))}
+                registry = daemon.cluster.metrics
+                served = registry.totals()
+                for name, hist in registry.histograms().items():
+                    served[name] = {"count": hist.count, "sum": hist.total,
+                                    "buckets": hist.buckets}
                 return 200, {"metrics": served}, js
 
             if method == "PUT" and len(parts) == 2 and parts[0] == "input":

@@ -1,10 +1,19 @@
 """Batch arenas, the shuffle/spill codec, and batch/per-record identity."""
 
 import random
-from dataclasses import replace
+from itertools import product
 
 import pytest
 
+from repro.apps.pagerank import pagerank_mimir
+from repro.apps.terasort import generate_records, terasort_mimir
+from repro.apps.wordcount import (
+    wc_combine,
+    wc_fold_batch,
+    wc_map,
+    wc_map_batch,
+    wordcount_mimir,
+)
 from repro.cluster import Cluster
 from repro.core import (
     CSTRING,
@@ -21,8 +30,8 @@ from repro.core import (
     batch_kernel,
     get_codec,
     pack_u64,
-    unpack_u64,
 )
+from repro.datasets import edges_to_bytes, kronecker_edges, zipf_text
 from repro.memory import MemoryTracker
 from repro.mpi import COMET
 
@@ -243,116 +252,133 @@ class TestContainerCodec:
         assert env.tracker.current == 0
 
 
-# ---------------------------------------------- batch/per-record identity
+# ------------------------------------------------- kernel-form identity
+# A scenario is ``(input bytes, job)``: ``job(env, batch, config)`` runs with
+# plain kernels or their ``@batch_kernel`` forms and returns one dict per rank.
 
-WC_TEXT_SEED = 21
+def run(data, job, batch, codec=None, nprocs=2, **knobs):
+    """One run -> (rank-merged output, (elapsed, node peak, metric totals))."""
+    cluster = Cluster(COMET, nprocs=nprocs)
+    cluster.pfs.store("eq/in", data)
+    config = MimirConfig(page_size=2048, codec=codec, **knobs)
+    result = cluster.run(lambda env: job(env, batch, config))
+    merged = {}
+    for part in result.returns:
+        merged.update(part)
+    totals = {name: value for name, value in cluster.metrics.totals().items()
+              if not name.startswith("core.batch.")}
+    return merged, (result.elapsed, result.node_peak_bytes, totals)
 
 
-def wc_text(nbytes=6000):
-    from repro.datasets.words import zipf_text
-    return zipf_text(nbytes, seed=WC_TEXT_SEED)
+def wc_job(**flags):
+    return lambda env, batch, config: wordcount_mimir(
+        env, "eq/in", config, batch=batch, collect=True, **flags).counts
 
 
-SWEEP = [(batch, codec, nprocs)
-         for batch in (False, True)
-         for codec in (None, "dedup+zlib")
-         for nprocs in (1, 4)]
+def pagerank_job(env, batch, config):
+    result = pagerank_mimir(env, "eq/in", config, iterations=2, batch=batch)
+    return {v: score.hex() for v, score in result.ranks.items()}  # exact bits
+
+
+def terasort_job(env, batch, config):
+    terasort_mimir(env, "eq/in", "eq/out", config, batch=batch)
+    return {"file": env.pfs.fetch("eq/out")}
+
+
+PAIRS = [(random.Random(17 + i).randbytes(1 + i % 10), pack_u64(i))
+         for i in range(300)]
+
+
+def payload_job(env, batch, config):
+    """Random KV stream through map_items: per-rank shuffled bytes."""
+    def per_record(ctx, item):
+        for k, v in PAIRS:
+            ctx.emit(k, v)
+
+    @batch_kernel
+    def batched(ctx, item):
+        ctx.emit_pairs(iter(PAIRS))
+
+    mimir = Mimir(env, config)
+    kvs = mimir.map_items([None], batched if batch else per_record)
+    return {env.comm.rank: b"".join(kvs.layout.encode(k, v)
+                                    for k, v in kvs.consume()),
+            ("map", env.comm.rank): mimir.last_map_stats}
+
+
+def remap_job(env, batch, config):
+    """``map_kvs(consume=False)`` over a kept container."""
+    mimir = Mimir(env, config)
+    kvs = mimir.map_text_file("eq/in", wc_map_batch if batch else wc_map)
+    resend = batch_kernel(lambda ctx, page: ctx.emit_batch(page)) if batch \
+        else (lambda ctx, k, v: ctx.emit(k, v))
+    out = mimir.map_kvs(kvs, resend, consume=False, combine_fn=wc_combine)
+    return {env.comm.rank: (len(kvs), sorted(out.consume())),
+            ("map", env.comm.rank): mimir.last_map_stats}
+
+
+def seeded_fold_job(env, batch, config):
+    """``partial_reduce(seed=)``: a second pass folded onto the first."""
+    mimir = Mimir(env, config)
+    mapper, fold = (wc_map_batch, wc_fold_batch) if batch \
+        else (wc_map, wc_combine)
+    seed = mimir.partial_reduce(mimir.map_text_file("eq/in", mapper), fold)
+    out = mimir.partial_reduce(mimir.map_text_file("eq/in", mapper), fold,
+                               seed=seed)
+    return dict(out.consume(), **{f"map{env.comm.rank}": mimir.last_map_stats})
+
+
+WORDS = zipf_text(6000, seed=21)
+WC = (WORDS, wc_job())
+PAGERANK = (edges_to_bytes(kronecker_edges(scale=4, edgefactor=6, seed=2)),
+            pagerank_job)
+TERASORT = (generate_records(200, seed=4), terasort_job)
+PAYLOAD = (b"", payload_job)
+FORMS_X_CODECS = list(product((False, True), (None, "dedup+zlib")))
 
 
 class TestAppEquivalence:
-    def wordcount(self, batch, codec, nprocs):
-        from repro.apps.wordcount import wordcount_mimir
-        cluster = Cluster(COMET, nprocs=nprocs)
-        cluster.pfs.store("eq/words.txt", wc_text())
-        config = MimirConfig(page_size=2048, codec=codec)
-        result = cluster.run(lambda env: wordcount_mimir(
-            env, "eq/words.txt", config, batch=batch, collect=True))
-        counts = {}
-        for r in result.returns:
-            counts.update(r.counts)
-        return counts
+    @pytest.mark.parametrize("data, job", [
+        *[(WORDS, wc_job(hint=h, compress=c, partial=p))
+          for h, c, p in product((False, True), repeat=3)],
+        PAGERANK, TERASORT, PAYLOAD, (WORDS, remap_job),
+        (WORDS, seeded_fold_job)])
+    def test_kernel_forms_cost_and_produce_the_same(self, data, job):
+        """Output, virtual time, tracked peak, shuffle rounds and every
+        other metric are those of the plain-kernel run."""
+        plain = run(data, job, False)
+        assert plain[0]
+        assert run(data, job, True) == plain
 
-    def test_wordcount_counts_identical(self):
-        baseline = self.wordcount(False, None, 1)
+    def test_bucket_budget_flush_keeps_counts(self):
+        # The budget is checked once per emit *call*, so a bulk emit
+        # flushes at coarser points than the same records emitted one
+        # by one: counts match, the shuffle traffic need not.
+        job = wc_job(compress=True, partial=True)
+        unbounded = run(WORDS, job, False)[0]
+        for batch in (False, True):
+            counts, stats = run(WORDS, job, batch, combiner_bucket_budget=512)
+            assert counts == unbounded
+            assert stats[2]["core.combine.flushes"] > 0
+
+    @pytest.mark.parametrize("data, job", [WC, TERASORT])
+    def test_output_identical_across_forms_codecs_and_ranks(self, data, job):
+        baseline = run(data, job, False, None, 1)[0]
         assert baseline
-        for batch, codec, nprocs in SWEEP:
-            assert self.wordcount(batch, codec, nprocs) == baseline, \
+        for (batch, codec), nprocs in product(FORMS_X_CODECS, (1, 4)):
+            assert run(data, job, batch, codec, nprocs)[0] == baseline, \
                 (batch, codec, nprocs)
 
-    def pagerank(self, batch, codec, nprocs):
-        from repro.apps.pagerank import pagerank_mimir
-        from repro.datasets import edges_to_bytes, kronecker_edges
-        cluster = Cluster(COMET, nprocs=nprocs)
-        edges = kronecker_edges(scale=4, edgefactor=6, seed=2)
-        cluster.pfs.store("eq/graph.bin", edges_to_bytes(edges))
-        config = MimirConfig(page_size=2048, codec=codec)
-        result = cluster.run(lambda env: pagerank_mimir(
-            env, "eq/graph.bin", config, iterations=2, batch=batch))
-        scores = {}
-        for r in result.returns:
-            scores.update(r.ranks)
-        return {v: s.hex() for v, s in scores.items()}   # exact bits
-
     @pytest.mark.parametrize("nprocs", [1, 4])
-    def test_pagerank_scores_bitwise_identical(self, nprocs):
-        # Partitioning changes float summation order, so the bitwise
-        # guarantee is per rank count: every (batch, codec) cell must
-        # match the per-record/raw run on the same cluster size.
-        baseline = self.pagerank(False, None, nprocs)
+    @pytest.mark.parametrize("data, job", [PAGERANK, PAYLOAD])
+    def test_bitwise_identical_per_rank_count(self, data, job, nprocs):
+        # Partitioning changes float summation order and rank-local
+        # byte streams, so the bitwise guarantee is per rank count.
+        baseline = run(data, job, False, None, nprocs)[0]
         assert baseline
-        for batch in (False, True):
-            for codec in (None, "dedup+zlib"):
-                assert self.pagerank(batch, codec, nprocs) == baseline, \
-                    (batch, codec)
-
-    def terasort(self, batch, codec, nprocs):
-        from repro.apps.terasort import generate_records, terasort_mimir
-        cluster = Cluster(COMET, nprocs=nprocs)
-        cluster.pfs.store("eq/tera.in", generate_records(200, seed=4))
-        config = MimirConfig(page_size=2048, codec=codec)
-        cluster.run(lambda env: terasort_mimir(
-            env, "eq/tera.in", "eq/tera.out", config, batch=batch))
-        return cluster.pfs.fetch("eq/tera.out")
-
-    def test_terasort_output_bytes_identical(self):
-        baseline = self.terasort(False, None, 1)
-        assert baseline
-        for batch, codec, nprocs in SWEEP:
-            assert self.terasort(batch, codec, nprocs) == baseline, \
-                (batch, codec, nprocs)
-
-    def shuffle_payload(self, batch, codec, nprocs):
-        """Random KV stream through map_items: per-rank shuffled bytes."""
-        rng = random.Random(17)
-        pairs = [(rng.randbytes(rng.randint(1, 10)), pack_u64(i))
-                 for i in range(300)]
-
-        def per_record(ctx, item):
-            for k, v in pairs:
-                ctx.emit(k, v)
-
-        @batch_kernel
-        def batched(ctx, item):
-            ctx.emit_pairs(iter(pairs))
-
-        config = MimirConfig(page_size=1024, codec=codec)
-        cluster = Cluster(COMET, nprocs=nprocs)
-
-        def rank_fn(env):
-            mimir = Mimir(env, config)
-            kvs = mimir.map_items([None], batched if batch else per_record)
-            return b"".join(kvs.layout.encode(k, v)
-                            for k, v in kvs.consume())
-
-        return cluster.run(rank_fn).returns
-
-    @pytest.mark.parametrize("nprocs", [1, 4])
-    def test_shuffle_payloads_byte_identical(self, nprocs):
-        baseline = self.shuffle_payload(False, None, nprocs)
-        for batch in (False, True):
-            for codec in (None, "dedup+zlib"):
-                assert self.shuffle_payload(batch, codec, nprocs) \
-                    == baseline, (batch, codec)
+        for batch, codec in FORMS_X_CODECS:
+            assert run(data, job, batch, codec, nprocs)[0] == baseline, \
+                (batch, codec)
 
 
 # ------------------------------------------------------- streaming output
@@ -378,31 +404,3 @@ class TestStreamingOutput:
         kvc = KVContainer(env.tracker, None, page_size=256)
         mimir.write_output(kvc, "out/empty")
         assert cluster.pfs.fetch("out/empty.0") == b""
-
-
-# ------------------------------------------------------- dispatch costing
-
-class TestRecordOverhead:
-    def elapsed(self, batch, platform):
-        from repro.apps.wordcount import wordcount_mimir
-        cluster = Cluster(platform, nprocs=2)
-        cluster.pfs.store("rc/words.txt", wc_text(3000))
-        config = MimirConfig(page_size=2048)
-        result = cluster.run(lambda env: wordcount_mimir(
-            env, "rc/words.txt", config, batch=batch))
-        return result.elapsed
-
-    def test_zero_overhead_keeps_times_identical(self):
-        assert self.elapsed(False, COMET) == self.elapsed(True, COMET)
-
-    def test_overhead_rewards_batch_dispatch(self):
-        costed = replace(COMET, record_overhead=1e-4)
-        per_record = self.elapsed(False, costed)
-        batch = self.elapsed(True, costed)
-        assert batch < per_record
-        # The byte charges are identical; only dispatch count differs.
-        assert self.elapsed(False, COMET) < batch < per_record
-
-    def test_rescale_preserves_record_overhead(self):
-        costed = replace(COMET, record_overhead=1e-4)
-        assert costed.rescaled(3).record_overhead == 1e-4

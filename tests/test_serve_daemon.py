@@ -141,6 +141,8 @@ class TestHTTPEndToEnd:
         metrics = client.metrics()
         assert metrics["serve.submissions"] >= 1
         assert metrics["serve.completions"] >= 1
+        phases = metrics["core.phase.seconds"]  # engine metrics are served too
+        assert sum(phases["buckets"]) == phases["count"] > 0
         log = client.job_log(sub["job_id"])
         assert "submitted by alice" in log
         assert "done" in log
