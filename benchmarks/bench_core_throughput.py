@@ -272,25 +272,22 @@ def check_regression(path: Path, entry: dict, *,
 
 def write_batch_trace(path: str, *, nbytes: int) -> None:
     """One batch WordCount with spans attached, exported for Perfetto."""
-    from repro.apps.wordcount import wc_map_batch, wc_reduce_batch
-    from repro.core import Mimir
+    from functools import partial
+
+    from repro.apps.wordcount import wordcount_plan
     from repro.obs import write_chrome_trace
+    from repro.sched import PlanRunner
     from repro.tools.trace import Trace
 
     cluster = Cluster(COMET, nprocs=NPROCS)
     cluster.pfs.store("bench/words.txt", uniform_text(nbytes, seed=7))
     trace = Trace()
-    config = bench_config(None)
 
     def rank_fn(env):
-        mimir = Mimir(env, config, trace=trace)
         with trace.span(env, "wordcount-batch", rank=env.comm.rank):
-            kvs = mimir.map_text_file("bench/words.txt", wc_map_batch)
-            out = mimir.reduce(kvs, wc_reduce_batch,
-                               out_layout=config.layout)
-            unique = len(out)
-            out.free()
-        return unique
+            return wordcount_plan(
+                env, "bench/words.txt", bench_config(None), batch=True,
+                runner=partial(PlanRunner, env, trace=trace)).unique_words
 
     cluster.run(rank_fn)
     write_chrome_trace(trace, path)

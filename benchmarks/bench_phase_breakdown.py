@@ -6,12 +6,16 @@ shifts it (partial reduction removes the convert; compression shrinks
 the aggregate; hints shave every byte-proportional stage).
 """
 
+from functools import partial
+
 from figutils import BCOMET, SCALE
-from repro.apps.wordcount import WC_HINT_LAYOUT, wc_combine, wc_map, wc_reduce
+from repro.apps.wordcount import wordcount_plan
 from repro.bench.runner import ExperimentSpec, stage_dataset
 from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig
-from repro.core.metrics import PhaseProfile
+from repro.core import MimirConfig
+from repro.obs.report import phase_rows
+from repro.sched import PlanRunner
+from repro.tools.trace import Trace
 
 DATASET = "2G"
 
@@ -34,30 +38,13 @@ def _run(opts):
     page = BCOMET.default_page_size
     config = MimirConfig(page_size=page, comm_buffer_size=page,
                          input_chunk_size=page)
-    if opts.get("hint"):
-        config = config.with_layout(WC_HINT_LAYOUT)
-
-    def job(env):
-        profile = PhaseProfile(env)
-        mimir = Mimir(env, config, profile=profile)
-        kvs = mimir.map_text_file(
-            path, wc_map,
-            combine_fn=wc_combine if opts.get("compress") else None)
-        if opts.get("partial"):
-            out = mimir.partial_reduce(kvs, wc_combine,
-                                       out_layout=config.layout)
-        else:
-            out = mimir.reduce(kvs, wc_reduce)
-        out.free()
-        return profile.by_name()
-
-    result = cluster.run(job)
-    # Merge per-rank breakdowns: slowest rank per phase (critical path).
-    merged: dict[str, float] = {}
-    for part in result.returns:
-        for phase, duration in part.items():
-            merged[phase] = max(merged.get(phase, 0.0), duration)
-    return merged, result.elapsed
+    trace = Trace()
+    result = cluster.run(lambda env: wordcount_plan(
+        env, path, config, runner=partial(PlanRunner, env, trace=trace),
+        **opts))
+    # Slowest rank per phase (critical path); no phase repeats on a rank.
+    return {row.name: row.slowest for row in phase_rows(trace)}, \
+        result.elapsed
 
 
 def test_phase_breakdown(benchmark):

@@ -18,12 +18,13 @@ standalone (``python benchmarks/bench_pipeline_reuse.py [--smoke]``).
 
 import argparse
 import sys
+from functools import partial
 
 from repro.cluster import Cluster
 from repro.datasets.graph500 import edges_to_bytes, kronecker_edges
 from repro.memory.limits import format_size
 from repro.mpi.platforms import PLATFORMS
-from repro.sched import Scheduler, StageCache
+from repro.sched import PlanRunner, Scheduler, StageCache
 from repro.sched.demo import make_job, stage_inputs
 from repro.tools.timeline import render_job_lanes
 from repro.tools.trace import Trace
@@ -41,14 +42,15 @@ def run_pagerank(*, reuse: bool, scale: int = GRAPH_SCALE,
     cluster = Cluster(PLATFORMS["comet"], NPROCS, memory_limit=None)
     cluster.pfs.store("bench/graph.bin", edges_to_bytes(
         kronecker_edges(scale, edgefactor=8, seed=0)))
-    caches = [StageCache(rank) for rank in range(NPROCS)]
 
     def job(env):
         from repro.apps.pagerank import pagerank_plan
 
+        # The only difference between the two runs: a stage cache.
+        cache = StageCache(env.comm.rank) if reuse else None
         return pagerank_plan(
             env, "bench/graph.bin", hint=True, iterations=iterations,
-            reuse=reuse, cache=caches[env.comm.rank] if reuse else None)
+            runner=partial(PlanRunner, env, cache=cache))
 
     return cluster.run(job)
 

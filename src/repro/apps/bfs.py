@@ -22,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core import KVLayout, Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import KVLayout, MimirConfig, pack_u64, unpack_u64
 from repro.datasets.graph500 import EDGE_RECORD_SIZE
 from repro.mrmpi import MRMPI, MRMPIConfig
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Plan
 
 #: KV-hint layout for BFS: fixed 8-byte vertex ids on both sides.
 BFS_HINT_LAYOUT = KVLayout(key_len=8, val_len=8)
@@ -153,82 +155,32 @@ def _traverse(env: RankEnv, adj: _Adjacency, root: int,
     return levels, visited
 
 
-def bfs_mimir(env: RankEnv, path: str,
-              config: MimirConfig | None = None, *,
-              hint: bool = False, compress: bool = False,
-              keep_parents: bool = False) -> BFSResult:
-    """Run BFS through Mimir."""
-    config = config or MimirConfig()
-    if hint:
-        config = config.with_layout(BFS_HINT_LAYOUT)
-    mimir = Mimir(env, config)
-
-    # Phase 1: graph partitioning (the memory peak).
-    edge_kvs = mimir.map_binary_file(path, EDGE_RECORD_SIZE, _emit_edges,
-                                     partitioner=vertex_partitioner)
-    adj = _Adjacency(env)
-    for key, value in edge_kvs.consume():
-        adj.add(unpack_u64(key), unpack_u64(value))
-
-    root = _pick_root(env, adj)
-
-    # Phase 2: map-only traversal.
-    def run_level(frontier: list[int]):
-        def expand(ctx, vertex: int):
-            vb = pack_u64(vertex)
-            for nbr in adj.neighbours(vertex):
-                ctx.emit(pack_u64(nbr), vb)
-
-        kvs = mimir.map_items(frontier, expand,
-                              partitioner=vertex_partitioner,
-                              combine_fn=bfs_combine if compress else None)
-        yield from kvs.consume()
-
-    levels, visited = _traverse(env, adj, root, run_level)
-    result = BFSResult(root, levels, len(visited.parents),
-                       dict(visited.parents) if keep_parents else None)
-    visited.free()
-    adj.free()
-    return result
-
-
 def bfs_plan(env: RankEnv, path: str,
              config: MimirConfig | None = None, *,
              hint: bool = False, compress: bool = False,
-             keep_parents: bool = False, reuse: bool = True,
-             ctx=None, cache=None, trace=None,
-             checkpoint=None, profile=None) -> BFSResult:
-    """BFS on the dataflow Plan API; identical traversal to
-    :func:`bfs_mimir`.
+             keep_parents: bool = False, runner=None) -> BFSResult:
+    """BFS as a dataflow Plan: the app's one pipeline.
 
-    The partitioned edge list (the memory peak) becomes a cacheable
-    plan stage: with ``reuse`` a repeated traversal - or another job
-    over the same graph - streams the materialized container instead
-    of re-shuffling every edge.  Each level's frontier expansion is a
-    per-level salted source stage.
+    The partitioned edge list (the memory peak) is a cacheable plan
+    stage: when the runner carries a stage cache, a repeated traversal
+    - or another job over the same graph - streams the materialized
+    container instead of re-shuffling every edge; without one it is
+    drained page by page as the adjacency table grows.  Each level's
+    frontier expansion is a per-level salted source stage.
+    ``runner(plan)`` builds the :class:`PlanRunner` (see
+    :func:`repro.apps.wordcount.wordcount_plan`).
     """
-    from repro.sched.executor import PlanRunner
-    from repro.sched.plan import Plan
-
-    if ctx is not None:
-        config = config or ctx.config
     config = config or MimirConfig()
     if hint:
         config = config.with_layout(BFS_HINT_LAYOUT)
     plan = Plan("bfs", config)
-    if ctx is not None:
-        runner = ctx.runner(plan, profile=profile, checkpoint=checkpoint)
-    else:
-        runner = PlanRunner(env, plan, cache=cache, profile=profile,
-                            trace=trace, checkpoint=checkpoint)
-
-    edges_ds = plan.read_binary(path, EDGE_RECORD_SIZE, name="edges")
-    adj_ds = edges_ds.map(_emit_edges, partitioner=vertex_partitioner,
-                          name="partition")
-    if reuse:
-        adj_ds.cache()
+    runner = runner(plan) if runner else PlanRunner(env, plan)
 
     # Phase 1: graph partitioning (the memory peak).
+    adj_ds = (plan.read_binary(path, EDGE_RECORD_SIZE, name="edges")
+              .map(_emit_edges, partitioner=vertex_partitioner,
+                   name="partition")
+              .cache())
     adj = _Adjacency(env)
     for key, value in runner.stream(adj_ds):
         adj.add(unpack_u64(key), unpack_u64(value))
@@ -259,6 +211,15 @@ def bfs_plan(env: RankEnv, path: str,
     visited.free()
     adj.free()
     return result
+
+
+def bfs_mimir(env: RankEnv, path: str,
+              config: MimirConfig | None = None, *,
+              hint: bool = False, compress: bool = False,
+              keep_parents: bool = False) -> BFSResult:
+    """BFS through Mimir: :func:`bfs_plan`, no services."""
+    return bfs_plan(env, path, config, hint=hint, compress=compress,
+                    keep_parents=keep_parents)
 
 
 def bfs_mrmpi(env: RankEnv, path: str,

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core import KVLayout, Mimir, MimirConfig
+from repro.core import KVLayout, MimirConfig
 from repro.datasets.points import POINT_RECORD_SIZE
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Plan
 
 #: Value layout: three float64 coordinate sums + one u64 count.
 _AGG = struct.Struct("<dddQ")
@@ -121,91 +123,28 @@ def _update_centroids(env: RankEnv, records, centroids: np.ndarray,
     return new_centroids, sizes, shift
 
 
-def kmeans_mimir(env: RankEnv, path: str, k: int,
-                 config: MimirConfig | None = None, *,
-                 max_iterations: int = 50, tolerance: float = 1e-6,
-                 hint: bool = True, compress: bool = True,
-                 seed: int = 0) -> KMeansResult:
-    """Cluster the points in a binary PFS file into ``k`` groups."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    config = config or MimirConfig()
-    if hint:
-        config = config.with_layout(KM_HINT_LAYOUT)
-    mimir = Mimir(env, config)
-    comm = env.comm
-
-    # Load this rank's block of points once (iterative jobs re-read
-    # from memory, like the paper's multistage inputs).
-    points = _load_points(env, path, config)
-
-    total = comm.allsum(len(points))
-    if total < k:
-        env.tracker.free(points.nbytes, "kmeans_points")
-        raise ValueError(f"k={k} exceeds the {total} available points")
-
-    centroids = _init_centroids(env, points, k, seed)
-
-    iterations = 0
-    sizes: list[int] = []
-    for iterations in range(1, max_iterations + 1):
-        assignment = _assign(points, centroids) if len(points) else \
-            np.zeros(0, dtype=np.int64)
-
-        def map_fn(ctx, _item):
-            for cid in range(k):
-                mask = assignment == cid
-                count = int(mask.sum())
-                if count:
-                    ctx.emit(_U32.pack(cid),
-                             pack_agg(points[mask].sum(axis=0), count))
-
-        kvs = mimir.map_items([None], map_fn,
-                              combine_fn=km_combine if compress else None)
-        summed = mimir.partial_reduce(kvs, km_combine,
-                                      out_layout=config.layout)
-
-        centroids, sizes, shift = _update_centroids(
-            env, summed.consume(), centroids, k)
-        if shift <= tolerance:
-            break
-
-    assignment = _assign(points, centroids) if len(points) else \
-        np.zeros(0, dtype=np.int64)
-    local_inertia = float(
-        ((points - centroids[assignment]) ** 2).sum()) if len(points) else 0.0
-    inertia = comm.allsum(local_inertia)
-    env.tracker.free(points.nbytes, "kmeans_points")
-    return KMeansResult(centroids, iterations, sizes, inertia)
-
-
 def kmeans_plan(env: RankEnv, path: str, k: int,
                 config: MimirConfig | None = None, *,
                 max_iterations: int = 50, tolerance: float = 1e-6,
                 hint: bool = True, compress: bool = True, seed: int = 0,
-                ctx=None, cache=None, trace=None,
-                checkpoint=None, profile=None) -> KMeansResult:
-    """k-means on the dataflow Plan API; numerically identical to
-    :func:`kmeans_mimir` (shared load/init/update helpers, identical
-    per-iteration MapReduce lowering)."""
-    from repro.sched.executor import PlanRunner
-    from repro.sched.plan import Plan
+                runner=None) -> KMeansResult:
+    """Cluster the points in a binary PFS file into ``k`` groups.
 
+    The app's one pipeline, as a dataflow Plan; ``runner(plan)`` builds
+    the :class:`PlanRunner` (see
+    :func:`repro.apps.wordcount.wordcount_plan`).
+    """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if ctx is not None:
-        config = config or ctx.config
     config = config or MimirConfig()
     if hint:
         config = config.with_layout(KM_HINT_LAYOUT)
     comm = env.comm
     plan = Plan("kmeans", config)
-    if ctx is not None:
-        runner = ctx.runner(plan, profile=profile, checkpoint=checkpoint)
-    else:
-        runner = PlanRunner(env, plan, cache=cache, profile=profile,
-                            trace=trace, checkpoint=checkpoint)
+    runner = runner(plan) if runner else PlanRunner(env, plan)
 
+    # Load this rank's block of points once (iterative jobs re-read
+    # from memory, like the paper's multistage inputs).
     points = _load_points(env, path, config)
     total = comm.allsum(len(points))
     if total < k:
@@ -245,3 +184,14 @@ def kmeans_plan(env: RankEnv, path: str, k: int,
     inertia = comm.allsum(local_inertia)
     env.tracker.free(points.nbytes, "kmeans_points")
     return KMeansResult(centroids, iterations, sizes, inertia)
+
+
+def kmeans_mimir(env: RankEnv, path: str, k: int,
+                 config: MimirConfig | None = None, *,
+                 max_iterations: int = 50, tolerance: float = 1e-6,
+                 hint: bool = True, compress: bool = True,
+                 seed: int = 0) -> KMeansResult:
+    """k-means through Mimir: :func:`kmeans_plan`, no services."""
+    return kmeans_plan(env, path, k, config, max_iterations=max_iterations,
+                       tolerance=tolerance, hint=hint, compress=compress,
+                       seed=seed)

@@ -28,6 +28,8 @@ from repro.core import (
     unpack_u64,
 )
 from repro.datasets.graph500 import EDGE_RECORD_SIZE
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Plan
 
 #: KV-hint for PageRank: fixed 8-byte vertex id and 8-byte float64.
 PR_HINT_LAYOUT = KVLayout(key_len=8, val_len=8)
@@ -78,15 +80,23 @@ class PageRankResult:
     final_delta: float
 
 
+def _emit_edges(ctx, chunk: bytes) -> None:
+    """Map callback: one ``(source, target)`` record per directed edge."""
+    edges = np.frombuffer(chunk, dtype="<u8").reshape(-1, 2)
+    for u, v in edges.tolist():
+        ctx.emit(pack_u64(u), pack_u64(v))
+
+
+def _emit_vertices(ctx, chunk: bytes) -> None:
+    """Map callback: every id that appears as a source or a target."""
+    edges = np.frombuffer(chunk, dtype="<u8").reshape(-1, 2)
+    for v in np.unique(edges).tolist():
+        ctx.emit(pack_u64(v), b"\x00" * 8)
+
+
 def _build_adjacency(mimir: Mimir, path: str) -> dict[int, list[int]]:
     """Partition the directed edge list by source-vertex owner."""
-
-    def emit_edges(ctx, chunk: bytes) -> None:
-        edges = np.frombuffer(chunk, dtype="<u8").reshape(-1, 2)
-        for u, v in edges.tolist():
-            ctx.emit(pack_u64(u), pack_u64(v))
-
-    edge_kvs = mimir.map_binary_file(path, EDGE_RECORD_SIZE, emit_edges,
+    edge_kvs = mimir.map_binary_file(path, EDGE_RECORD_SIZE, _emit_edges,
                                      partitioner=vertex_partitioner)
     collected: dict[int, set[int]] = {}
     for key, value in edge_kvs.consume():
@@ -120,13 +130,8 @@ def pagerank_mimir(env: RankEnv, path: str,
                for v, targets in adjacency.items()} if batch else None)
 
     # Vertex universe: sources are local; targets may be unowned here.
-    def emit_vertices(ctx, chunk: bytes) -> None:
-        edges = np.frombuffer(chunk, dtype="<u8").reshape(-1, 2)
-        for v in np.unique(edges).tolist():
-            ctx.emit(pack_u64(v), b"\x00" * 8)
-
     vertex_kvs = mimir.map_binary_file(
-        path, EDGE_RECORD_SIZE, emit_vertices,
+        path, EDGE_RECORD_SIZE, _emit_vertices,
         partitioner=vertex_partitioner,
         combine_fn=lambda k, a, b: a)  # dedup
     vertices = sorted({unpack_u64(k) for k, _ in vertex_kvs.consume()})
@@ -187,36 +192,25 @@ def pagerank_plan(env: RankEnv, path: str,
                   config: MimirConfig | None = None, *,
                   damping: float = 0.85, iterations: int = 20,
                   tolerance: float = 1e-9, hint: bool = False,
-                  compress: bool = False, reuse: bool = True,
-                  ctx=None, cache=None, trace=None,
-                  checkpoint=None, profile=None) -> PageRankResult:
+                  compress: bool = False, runner=None) -> PageRankResult:
     """PageRank on the dataflow Plan API; results match
     :func:`pagerank_mimir` bit for bit.
 
     The adjacency list becomes a plan stage, numerically sorted so the
     per-iteration contribution map emits in exactly the order the
-    dict-driven original does (bitwise-identical float sums), and -
-    with ``reuse`` - cached: iterations (and later jobs building the
-    same stage) reread the materialized container instead of
-    re-shuffling the edge list.  ``ctx`` wires the runner into a
-    :class:`~repro.sched.scheduler.Scheduler`'s cache/trace; standalone
-    callers may pass ``cache``/``trace``/``checkpoint`` directly.
+    dict-driven original does (bitwise-identical float sums), and
+    cacheable: when the runner carries a stage cache, iterations (and
+    later jobs building the same stage) reread the materialized
+    container instead of re-shuffling the edge list.  ``runner(plan)``
+    builds the :class:`PlanRunner` that carries the services, e.g. a
+    :class:`~repro.sched.scheduler.Scheduler`'s ``ctx.runner`` or
+    ``functools.partial(PlanRunner, env, cache=c)``.
     """
-    from repro.sched.executor import PlanRunner
-    from repro.sched.plan import Plan
-
-    if ctx is not None:
-        config = config or ctx.config
     config = config or MimirConfig()
     if hint:
         config = config.with_layout(PR_HINT_LAYOUT)
     comm = env.comm
     plan = Plan("pagerank", config)
-
-    def emit_edges(pctx, chunk: bytes) -> None:
-        edges = np.frombuffer(chunk, dtype="<u8").reshape(-1, 2)
-        for u, v in edges.tolist():
-            pctx.emit(pack_u64(u), pack_u64(v))
 
     def dedup_targets(rctx, key: bytes, values: list[bytes]) -> None:
         targets = sorted({unpack_u64(v) for v in values})
@@ -224,28 +218,17 @@ def pagerank_plan(env: RankEnv, path: str,
 
     edges = plan.read_binary(path, EDGE_RECORD_SIZE, name="edges")
     adjacency = (edges
-                 .map(emit_edges, partitioner=vertex_partitioner,
+                 .map(_emit_edges, partitioner=vertex_partitioner,
                       name="edge-shuffle")
                  .reduce(dedup_targets, out_layout=KVLayout(),
                          name="adjacency")
                  .sort_local(key_fn=lambda k, v: unpack_u64(k),
-                             name="adjacency-sorted"))
-    if reuse:
-        adjacency.cache()
-
-    def emit_vertices(pctx, chunk: bytes) -> None:
-        edges = np.frombuffer(chunk, dtype="<u8").reshape(-1, 2)
-        for v in np.unique(edges).tolist():
-            pctx.emit(pack_u64(v), b"\x00" * 8)
-
-    vertex_ds = edges.map(emit_vertices, partitioner=vertex_partitioner,
+                             name="adjacency-sorted")
+                 .cache())
+    vertex_ds = edges.map(_emit_vertices, partitioner=vertex_partitioner,
                           combine_fn=lambda k, a, b: a, name="vertices")
 
-    if ctx is not None:
-        runner = ctx.runner(plan, profile=profile, checkpoint=checkpoint)
-    else:
-        runner = PlanRunner(env, plan, cache=cache, profile=profile,
-                            trace=trace, checkpoint=checkpoint)
+    runner = runner(plan) if runner else PlanRunner(env, plan)
 
     vertices = sorted({unpack_u64(k) for k, _ in runner.stream(vertex_ds)})
     nvertices = comm.allsum(len(vertices))

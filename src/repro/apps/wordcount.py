@@ -15,13 +15,14 @@ from repro.cluster import RankEnv
 from repro.core import (
     CSTRING,
     KVLayout,
-    Mimir,
     MimirConfig,
     batch_kernel,
     pack_u64,
     unpack_u64,
 )
 from repro.mrmpi import MRMPI, MRMPIConfig
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Plan
 
 #: The paper's WordCount KV-hint: NUL-terminated key, 8-byte value.
 WC_HINT_LAYOUT = KVLayout(key_len=CSTRING, val_len=8)
@@ -86,69 +87,34 @@ class WordCountResult:
     kv_bytes: int = 0
 
 
-def wordcount_mimir(env: RankEnv, path: str,
-                    config: MimirConfig | None = None, *,
-                    hint: bool = False, compress: bool = False,
-                    partial: bool = False, batch: bool = False,
-                    collect: bool = False) -> WordCountResult:
-    """Run WordCount through Mimir with the selected optimizations.
-
-    ``batch=True`` swaps every kernel for its whole-page form; counts
-    and intermediate byte streams are identical either way.
-    """
-    config = config or MimirConfig()
-    if hint:
-        config = config.with_layout(WC_HINT_LAYOUT)
-    mimir = Mimir(env, config)
-    kvs = mimir.map_text_file(path, wc_map_batch if batch else wc_map,
-                              combine_fn=wc_combine if compress else None)
-    if partial:
-        out = mimir.partial_reduce(kvs,
-                                   wc_fold_batch if batch else wc_combine,
-                                   out_layout=config.layout)
-    else:
-        out = mimir.reduce(kvs, wc_reduce_batch if batch else wc_reduce,
-                           out_layout=config.layout)
-    unique = len(out)
-    total = sum(unpack_u64(v) for _, v in out.records())
-    counts = ({k: unpack_u64(v) for k, v in out.records()}
-              if collect else None)
-    out.free()
-    return WordCountResult(unique, total, counts,
-                           kv_bytes=mimir.last_map_stats.get("kv_bytes", 0))
-
-
 def wordcount_plan(env: RankEnv, path: str,
                    config: MimirConfig | None = None, *,
                    hint: bool = False, compress: bool = False,
-                   partial: bool = False, collect: bool = False,
-                   ctx=None, cache=None, trace=None,
-                   checkpoint=None, profile=None) -> WordCountResult:
-    """WordCount on the dataflow Plan API; identical counts to
-    :func:`wordcount_mimir`."""
-    from repro.sched.executor import PlanRunner
-    from repro.sched.plan import Plan
+                   partial: bool = False, batch: bool = False,
+                   collect: bool = False, runner=None) -> WordCountResult:
+    """WordCount as a dataflow Plan: the app's one pipeline.
 
-    if ctx is not None:
-        config = config or ctx.config
+    ``batch=True`` swaps every kernel for its whole-page form; counts
+    and intermediate byte streams are identical either way.
+    ``runner(plan)`` builds the :class:`PlanRunner` that carries the
+    services (stage cache, trace, checkpoint, scheduler context), e.g.
+    ``ctx.runner`` or ``functools.partial(PlanRunner, env, cache=c)``;
+    without it the plan runs bare.
+    """
     config = config or MimirConfig()
     if hint:
         config = config.with_layout(WC_HINT_LAYOUT)
     plan = Plan("wordcount", config)
     words = plan.read_text(path, name="input").map(
-        wc_map, combine_fn=wc_combine if compress else None,
-        name="count-map")
+        wc_map_batch if batch else wc_map,
+        combine_fn=wc_combine if compress else None, name="count-map")
     if partial:
-        out = words.partial_reduce(wc_combine, out_layout=config.layout,
-                                   name="counts")
+        out = words.partial_reduce(wc_fold_batch if batch else wc_combine,
+                                   out_layout=config.layout, name="counts")
     else:
-        out = words.reduce(wc_reduce, out_layout=config.layout,
-                           name="counts")
-    if ctx is not None:
-        runner = ctx.runner(plan, profile=profile, checkpoint=checkpoint)
-    else:
-        runner = PlanRunner(env, plan, cache=cache, profile=profile,
-                            trace=trace, checkpoint=checkpoint)
+        out = words.reduce(wc_reduce_batch if batch else wc_reduce,
+                           out_layout=config.layout, name="counts")
+    runner = runner(plan) if runner else PlanRunner(env, plan)
     pairs = runner.collect(out)
     unique = len(pairs)
     total = sum(unpack_u64(v) for _, v in pairs)
@@ -156,6 +122,16 @@ def wordcount_plan(env: RankEnv, path: str,
     return WordCountResult(unique, total, counts,
                            kv_bytes=runner.mimir.last_map_stats.get(
                                "kv_bytes", 0))
+
+
+def wordcount_mimir(env: RankEnv, path: str,
+                    config: MimirConfig | None = None, *,
+                    hint: bool = False, compress: bool = False,
+                    partial: bool = False, batch: bool = False,
+                    collect: bool = False) -> WordCountResult:
+    """WordCount through Mimir: :func:`wordcount_plan`, no services."""
+    return wordcount_plan(env, path, config, hint=hint, compress=compress,
+                          partial=partial, batch=batch, collect=collect)
 
 
 def wordcount_mrmpi(env: RankEnv, path: str,

@@ -16,13 +16,10 @@ in-situ sources).
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster import RankEnv
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from repro.core.metrics import PhaseProfile
 from repro.core.batch import is_batch_kernel
 from repro.core.codec import get_codec
 from repro.core.combiner import CombineFn, Combiner
@@ -91,7 +88,7 @@ class Mimir:
     """MapReduce driver for one rank of a simulated job."""
 
     def __init__(self, env: RankEnv, config: MimirConfig | None = None, *,
-                 profile: "PhaseProfile | None" = None, trace=None):
+                 trace=None):
         self.env = env
         self.config = config or MimirConfig()
         #: Backend this job's spill traffic lands on: the cluster
@@ -100,9 +97,8 @@ class Mimir:
         #: substrate).
         self._spill_store = (env.storage_for(self.config.storage)
                              if self.config.storage else None)
-        #: Optional per-phase profiler (see :mod:`repro.core.metrics`).
-        self.profile = profile
-        #: Optional structured event sink (see :mod:`repro.tools.trace`).
+        #: Optional structured event sink (see :mod:`repro.tools.trace`),
+        #: the one recorder of per-phase time and memory.
         self.trace = trace
         #: Statistics of the most recent map/aggregate phase:
         #: ``{"records", "kv_bytes", "rounds"}``.  ``kv_bytes`` is the
@@ -116,19 +112,30 @@ class Mimir:
     def _phase(self, name: str) -> Iterator[dict[str, Any]]:
         """Time, trace and record one phase.
 
-        The body fills the yielded dict: ``out`` (the phase's output
-        container), ``counters`` (registry counters to add), ``end``
-        (fields of the trace's ``:end`` event) and, where they apply,
-        ``rounds``, ``batch_records`` and ``batch_pages``.
+        The body fills the yielded dict: ``out`` (the output container),
+        ``counters`` (registry counters to add), ``end`` (fields of the
+        trace's ``:end`` event) and, where they apply, ``batch_records``
+        and ``batch_pages``.  The ``:end`` event adds the rank's memory
+        around the phase and its peak so far, even if the body raises.
         """
-        stats: dict[str, Any] = {"counters": {}, "end": {}, "rounds": 0,
+        stats: dict[str, Any] = {"counters": {}, "end": {},
                                  "batch_records": 0, "batch_pages": 0}
-        started = self.env.comm.clock.time
+        tracker = self.env.tracker
+        started, mem_before = self.env.comm.clock.time, tracker.current
+        spilled_bytes = 0
         if self.trace is not None:
             self.trace.emit(self.env, "phase", f"{name}:start")
-        with self.profile.phase(name) if self.profile else nullcontext():
+        try:
             yield stats
-        spilled_bytes = stats["out"].spilled_bytes
+            spilled_bytes = stats["out"].spilled_bytes
+        finally:
+            if self.trace is not None:
+                self.trace.emit(
+                    self.env, "phase", f"{name}:end", **stats["end"],
+                    mem_before=mem_before, mem_after=tracker.current,
+                    peak=tracker.peak, spilled_bytes=spilled_bytes,
+                    batch_records=stats["batch_records"],
+                    batch_pages=stats["batch_pages"])
         metrics = self.env.metrics
         for counter, value in stats["counters"].items():
             metrics.inc(counter, value)
@@ -139,13 +146,6 @@ class Mimir:
             metrics.inc("core.spill.bytes", spilled_bytes)
         metrics.observe("core.phase.seconds",
                         self.env.comm.clock.time - started)
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", f"{name}:end", **stats["end"])
-        if self.profile is not None:
-            self.profile.annotate_last(rounds=stats["rounds"],
-                                       spilled_bytes=spilled_bytes,
-                                       batch_records=stats["batch_records"],
-                                       batch_pages=stats["batch_pages"])
 
     def _run_map(self, feed: Callable[[MapContext], None], *,
                  combine_fn: CombineFn | None,
@@ -174,13 +174,12 @@ class Mimir:
                 "kv_bytes": shuffler.bytes_sent,
                 "rounds": shuffler.rounds,
             }
-            phase.update(
-                out=out, rounds=shuffler.rounds, end=self.last_map_stats,
-                batch_records=sink.batch_records,
-                batch_pages=sink.batch_calls,
-                counters={"core.map.records": shuffler.records_sent,
-                          "core.map.kv_bytes": shuffler.bytes_sent,
-                          "core.map.rounds": shuffler.rounds})
+            phase.update(out=out, end=self.last_map_stats,
+                         batch_records=sink.batch_records,
+                         batch_pages=sink.batch_calls,
+                         counters={"core.map.records": shuffler.records_sent,
+                                   "core.map.kv_bytes": shuffler.bytes_sent,
+                                   "core.map.rounds": shuffler.rounds})
         return out
 
     def _reusable(self, kvc: KVContainer, consume: bool,

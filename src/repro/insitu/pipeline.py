@@ -1,8 +1,8 @@
 """Coupling a simulation to Mimir analyses, in-situ or post-hoc.
 
-In-situ: each timestep's particle positions flow straight into
-``Mimir.map_items`` from memory - no file system involvement; this is
-the input source the paper's Section III-A explicitly supports.
+In-situ: each timestep's particle positions flow straight into a map
+stage from memory - no file system involvement; this is the input
+source the paper's Section III-A explicitly supports.
 
 Post-hoc: each timestep is first written to the parallel file system
 (as the producing application would normally do) and later analysed by
@@ -18,9 +18,12 @@ import numpy as np
 
 from repro.apps.octree import OC_HINT_LAYOUT, make_key, morton_codes, oc_combine
 from repro.cluster import RankEnv
-from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import MimirConfig, pack_u64, unpack_u64
 from repro.datasets.points import POINT_RECORD_SIZE
 from repro.insitu.simulation import ParticleSimulation
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Plan
+from repro.stream.source import StreamSource
 
 
 @dataclass
@@ -34,12 +37,21 @@ class StepSummary:
 
 
 class InSituAnalytics:
-    """Per-timestep density analysis over a running simulation."""
+    """Per-timestep density analysis over a running simulation.
+
+    The simulation is a *live* producer: each analysed step pushes one
+    micro-batch onto a persistent :class:`~repro.stream.source.
+    StreamSource`, and the analysis stages derive from
+    ``Plan.source_stream`` - so their identities follow the stream
+    name + batch index discipline every other stream client uses, and
+    a timestep is schedulable next to other jobs.  ``runner(plan)``
+    builds the :class:`PlanRunner` that carries the services (e.g. a
+    scheduler's ``ctx.runner``); without it the plan runs bare.
+    """
 
     def __init__(self, env: RankEnv, sim: ParticleSimulation, *,
                  config: MimirConfig | None = None, level: int = 2,
-                 density: float = 0.01, use_plan: bool = False,
-                 cache=None, trace=None):
+                 density: float = 0.01, runner=None):
         if not 1 <= level <= 21:
             raise ValueError(f"level must be in 1..21, got {level}")
         if not 0 < density <= 1:
@@ -47,22 +59,13 @@ class InSituAnalytics:
         self.env = env
         self.sim = sim
         self.config = (config or MimirConfig()).with_layout(OC_HINT_LAYOUT)
-        self.mimir = Mimir(env, self.config)
         self.level = level
         self.density = density
         self.threshold = max(1, int(density * sim.total_particles))
-        #: With ``use_plan`` each timestep's analysis is one
-        #: micro-batch on a live stream ingested through
-        #: ``Plan.source_stream`` - identical numbers, but the
-        #: timestep stages carry stream lineage keys (name + batch
-        #: index), schedulable next to other jobs and cacheable like
-        #: any :mod:`repro.stream` client.
-        self.use_plan = use_plan
-        self._plan_cache = cache
-        self._plan_trace = trace
-        self._stream = None
-        self._plan = None
-        self._runner = None
+        self._stream = StreamSource("insitu")
+        self._plan = Plan("insitu", self.config)
+        self._runner = runner(self._plan) if runner else \
+            PlanRunner(env, self._plan)
 
     # ------------------------------------------------------------ in-situ
 
@@ -80,41 +83,6 @@ class InSituAnalytics:
             for code in _codes.tolist():
                 ctx.emit(make_key(self.level, code), one)
 
-        if self.use_plan:
-            arrivals = self._analyse_plan(map_fn, timestep)
-        else:
-            kvs = self.mimir.map_items([None], map_fn)
-            counts = self.mimir.partial_reduce(kvs, oc_combine,
-                                               out_layout=self.config.layout)
-            arrivals = counts.consume()
-        dense = {}
-        for key, value in arrivals:
-            count = unpack_u64(value)
-            if count >= self.threshold:
-                code = int.from_bytes(key[1:9], "little")
-                dense[code] = count
-        return StepSummary(timestep, dense)
-
-    def _analyse_plan(self, map_fn, timestep: int):
-        """One timestep as a micro-batch on a live stream.
-
-        The simulation is a *live* producer: each analysed step pushes
-        one micro-batch onto a persistent :class:`~repro.stream.
-        source.StreamSource`, and the analysis stages derive from
-        ``Plan.source_stream`` - so their identities follow the stream
-        name + batch index discipline every other stream client uses
-        (same numbers as the direct path either way).
-        """
-        from repro.sched.executor import PlanRunner
-        from repro.sched.plan import Plan
-        from repro.stream.source import StreamSource
-
-        if self._runner is None:
-            self._stream = StreamSource("insitu")
-            self._plan = Plan("insitu", self.config)
-            self._runner = PlanRunner(self.env, self._plan,
-                                      cache=self._plan_cache,
-                                      trace=self._plan_trace, job="insitu")
         batch = self._stream.push([None], arrival=float(timestep))
         counts = (self._plan
                   .source_stream(self._stream, batch.index,
@@ -122,7 +90,13 @@ class InSituAnalytics:
                   .map(map_fn, name="bin")
                   .partial_reduce(oc_combine, out_layout=self.config.layout,
                                   name="density"))
-        return self._runner.stream(counts)
+        dense = {}
+        for key, value in self._runner.stream(counts):
+            count = unpack_u64(value)
+            if count >= self.threshold:
+                code = int.from_bytes(key[1:9], "little")
+                dense[code] = count
+        return StepSummary(timestep, dense)
 
     # ----------------------------------------------------------- post-hoc
 

@@ -9,8 +9,7 @@ tools.trace.Trace` behind them, ready for Perfetto export.
 Three entry points:
 
 - :func:`run_wordcount_report` runs the paper's WordCount benchmark
-  on a small simulated cluster with profiling, tracing, and metrics
-  all attached.
+  on a small simulated cluster with tracing and metrics attached.
 - :func:`run_pipeline_report` drains the multi-job scheduler demo
   (WordCount + PageRank by default) the same way.
 - :func:`load_trace_report` rebuilds the trace-derived views from a
@@ -23,6 +22,7 @@ re-exported from ``repro.obs`` (which the harness itself imports).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.cluster import Cluster
@@ -50,29 +50,12 @@ class PhaseRow:
         return self.total / self.count if self.count else 0.0
 
 
-def phase_rows_from_profiles(profiles) -> list[PhaseRow]:
-    """Fold per-rank :class:`~repro.core.metrics.PhaseProfile` records."""
-    rows: dict[str, PhaseRow] = {}
-    for profile in profiles:
-        for record in profile.records:
-            row = rows.get(record.name)
-            if row is None:
-                row = rows[record.name] = PhaseRow(record.name, 0, 0.0, 0.0)
-            row.count += 1
-            row.total += record.duration
-            row.slowest = max(row.slowest, record.duration)
-            row.batch_records += getattr(record, "batch_records", 0)
-            row.batch_pages += getattr(record, "batch_pages", 0)
-    return list(rows.values())
+def phase_rows(trace: Trace) -> list[PhaseRow]:
+    """Phase timings, read off the trace's ``phase`` events.
 
-
-def phase_rows_from_trace(trace: Trace) -> list[PhaseRow]:
-    """Reconstruct phase timings by pairing ``:start``/``:end`` events.
-
-    The fallback for jobs run without a :class:`PhaseProfile` (the
-    scheduler's, for instance): per rank, each ``phase`` event whose
-    label ends in ``:start`` opens the phase and the matching ``:end``
-    closes it.  Unpaired halves are ignored.
+    Per rank, each ``phase`` event whose label ends in ``:start`` opens
+    the phase and the matching ``:end`` - which carries the phase's
+    batch counts - closes it.  Unpaired halves are ignored.
     """
     rows: dict[str, PhaseRow] = {}
     open_at: dict[tuple[int, str], list[float]] = {}
@@ -94,6 +77,8 @@ def phase_rows_from_trace(trace: Trace) -> list[PhaseRow]:
             row.count += 1
             row.total += duration
             row.slowest = max(row.slowest, duration)
+            row.batch_records += event.data.get("batch_records", 0)
+            row.batch_pages += event.data.get("batch_pages", 0)
     return list(rows.values())
 
 
@@ -159,31 +144,22 @@ class RunReport:
 def run_wordcount_report(*, nprocs: int = 4, platform: str = "comet",
                          input_bytes: int = 1 << 15,
                          seed: int = 0) -> RunReport:
-    """WordCount with profiling, tracing, and metrics all attached."""
-    from repro.apps.wordcount import wc_map, wc_reduce
-    from repro.core import Mimir, MimirConfig, unpack_u64
-    from repro.core.metrics import PhaseProfile
+    """WordCount with tracing and metrics attached."""
+    from repro.apps.wordcount import wordcount_plan
     from repro.datasets.words import uniform_text
     from repro.mpi.platforms import PLATFORMS
+    from repro.sched.executor import PlanRunner
 
     cluster = Cluster(PLATFORMS[platform], nprocs, keep_timeline=True)
     path = "report/words.txt"
     cluster.pfs.store(path, uniform_text(input_bytes, seed=seed))
     trace = Trace()
-    config = MimirConfig()
-    profiles: list[PhaseProfile] = []
 
     def rank_fn(env):
-        profile = PhaseProfile(env)
-        profiles.append(profile)
-        mimir = Mimir(env, config, profile=profile, trace=trace)
         with trace.span(env, "wordcount", rank=env.comm.rank):
-            kvs = mimir.map_text_file(path, wc_map)
-            out = mimir.reduce(kvs, wc_reduce, out_layout=config.layout)
-            unique = len(out)
-            total = sum(unpack_u64(v) for _, v in out.records())
-            out.free()
-        return unique, total
+            counted = wordcount_plan(
+                env, path, runner=partial(PlanRunner, env, trace=trace))
+        return counted.unique_words, counted.total_words
 
     result = cluster.run(rank_fn)
     unique = sum(u for u, _t in result.returns)
@@ -194,7 +170,7 @@ def run_wordcount_report(*, nprocs: int = 4, platform: str = "comet",
               f"{format_size(input_bytes)} input",
         job_lines=[f"{unique} unique words, {total} total, "
                    f"{result.elapsed:.4f}s virtual"],
-        phases=phase_rows_from_profiles(profiles),
+        phases=phase_rows(trace),
         peak_bytes=result.peak_bytes[hottest],
         composition=composition_at_peak(cluster.trackers[hottest]),
         metrics_text=cluster.metrics.render(),
@@ -230,7 +206,7 @@ def run_pipeline_report(apps: "list[str] | None" = None, *,
     return RunReport(
         title=title,
         job_lines=sched_report.render_log().splitlines(),
-        phases=phase_rows_from_trace(trace),
+        phases=phase_rows(trace),
         peak_bytes=max((t.peak for t in scheduler.trackers), default=0),
         composition=None,   # scheduler trackers skip the timeline
         metrics_text=cluster.metrics.render(),
@@ -252,7 +228,7 @@ def load_trace_report(path: str) -> RunReport:
         title=f"saved trace: {path} ({len(trace.events)} events)",
         job_lines=[f"{kind}: {count}" for kind, count
                    in sorted(trace.summary().items())],
-        phases=phase_rows_from_trace(trace),
+        phases=phase_rows(trace),
         lanes=render_job_lanes(trace) if has_sched else None,
         trace=trace,
     )

@@ -61,8 +61,7 @@ def make_job(app: str, paths: dict[str, str], *,
 
         def run_insitu(env, ctx):
             sim = ParticleSimulation(env, 512, seed=1)
-            analytics = InSituAnalytics(env, sim, use_plan=True,
-                                        cache=ctx.cache, trace=ctx.trace)
+            analytics = InSituAnalytics(env, sim, runner=ctx.runner)
             dense = 0
             for _step in range(3):
                 dense += len(analytics.analyse_step().dense_octants)

@@ -37,10 +37,9 @@ from repro.sched.plan import Dataset, Plan, Stage
 class PlanRunner:
     """Executes a plan's stages on one rank."""
 
-    def __init__(self, env: RankEnv, plan: Plan, *,
-                 cache=None, profile=None, trace=None, checkpoint=None,
-                 elastic=None, job: str | None = None,
-                 trace_offset: float = 0.0):
+    def __init__(self, env: RankEnv, plan: Plan, *, cache=None,
+                 trace=None, checkpoint=None, elastic=None,
+                 job: str | None = None, trace_offset: float = 0.0):
         self.env = env
         self.plan = plan
         self.cache = cache
@@ -53,7 +52,7 @@ class PlanRunner:
         #: duration feeds the straggler monitor.
         self.elastic = elastic
         self.job = job or plan.name
-        self.mimir = Mimir(env, plan.config, profile=profile, trace=trace)
+        self.mimir = Mimir(env, plan.config, trace=trace)
         self._speculated: set[str] = set()
         #: Times each stage *name* actually executed (restores and
         #: cache hits do not count) - the observable that recompute
@@ -109,10 +108,10 @@ class PlanRunner:
 
     # ----------------------------------------------------------- execute
 
-    def _input(self, parent: Stage) -> tuple[KVContainer, bool]:
-        """Materialized parent + whether it must be preserved."""
-        kvc = self.materialize(parent)
-        preserved = parent.cached and self.cache is not None
+    def _input(self, stage: Stage) -> tuple[KVContainer, bool]:
+        """Materialized stage + whether its reader must leave it intact."""
+        kvc = self.materialize(stage)
+        preserved = stage.cached and self.cache is not None
         return kvc, preserved
 
     def _execute(self, stage: Stage) -> KVContainer:
@@ -264,10 +263,11 @@ class PlanRunner:
     # ------------------------------------------------------------ results
 
     def stream(self, ds: Dataset) -> Iterator[tuple[bytes, bytes]]:
-        """This rank's records of a dataset; frees transient outputs."""
-        stage = ds.stage
-        kvc = self.materialize(ds)
-        if stage.cached and self.cache is not None:
+        """This rank's records of a dataset: a cache-resident stage is
+        read pinned and left intact, any other output is drained, its
+        pages freed as the reader advances."""
+        kvc, preserved = self._input(ds.stage)
+        if preserved:
             kvc.pin()
             try:
                 yield from kvc.records()
@@ -275,7 +275,7 @@ class PlanRunner:
                 kvc.unpin()
         else:
             try:
-                yield from kvc.records()
+                yield from kvc.consume()
             finally:
                 kvc.free()
 

@@ -20,10 +20,8 @@ caches, and requeues - so a misdeclared job costs a retry, never a
 crashed schedule.
 
 Footprints not declared up front are *learned*: the estimator seeds
-from input size and refines from each completed job's observed peak
-(the :class:`~repro.core.metrics.PhaseProfile` signals feed the same
-number), so the second submission of a workload is admitted on real
-data.
+from input size and refines from each completed job's observed peak,
+so the second submission of a workload is admitted on real data.
 
 One :class:`~repro.sched.cache.StageCache` per rank survives across
 rounds (the trackers are reused via ``Cluster.run(trackers=...)``), so
@@ -82,13 +80,13 @@ class JobContext:
     time_base: float = 0.0
     degraded: bool = False
 
-    def runner(self, plan: Plan, *, profile=None,
-               checkpoint=None, elastic=None) -> PlanRunner:
+    def runner(self, plan: Plan, *, checkpoint=None,
+               elastic=None) -> PlanRunner:
         """A :class:`PlanRunner` wired into the scheduler's services."""
         return PlanRunner(self.env, plan, cache=self.cache,
-                          profile=profile, trace=self.trace,
-                          checkpoint=checkpoint, elastic=elastic,
-                          job=self.name, trace_offset=self.time_base)
+                          trace=self.trace, checkpoint=checkpoint,
+                          elastic=elastic, job=self.name,
+                          trace_offset=self.time_base)
 
 
 class FootprintEstimator:

@@ -21,9 +21,11 @@ replay rebuilds exactly the job that was submitted.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any
 
 from repro.cluster import RankEnv
+from repro.sched.executor import PlanRunner
 from repro.sched.scheduler import SchedJob
 
 #: Apps a client may submit, with the params each accepts.
@@ -57,13 +59,19 @@ def run_app(app: str, env: RankEnv, path: str,
     ``ctx`` is the scheduler's :class:`~repro.sched.scheduler.
     JobContext` (None when run direct); ``checkpoint`` an optional
     :class:`~repro.ft.checkpoint.CheckpointManager` for the recovery
-    path.
+    path.  This is the one place that decides which services a plan
+    runs with: the scheduler's, or none beyond the checkpoint.
     """
+    if ctx is not None:
+        config, bare_runner = ctx.config, ctx.runner
+    else:
+        config, bare_runner = None, partial(PlanRunner, env)
+    runner = partial(bare_runner, checkpoint=checkpoint)
     if app == "wordcount":
         from repro.apps.wordcount import wordcount_plan
 
         result = wordcount_plan(
-            env, path, ctx=ctx, checkpoint=checkpoint,
+            env, path, config, runner=runner,
             hint=bool(params.get("hint", True)),
             partial=bool(params.get("partial", True)),
             compress=bool(params.get("compress", False)),
@@ -76,7 +84,7 @@ def run_app(app: str, env: RankEnv, path: str,
         from repro.apps.pagerank import pagerank_plan
 
         result = pagerank_plan(
-            env, path, ctx=ctx, checkpoint=checkpoint,
+            env, path, config, runner=runner,
             hint=bool(params.get("hint", True)),
             compress=bool(params.get("compress", False)),
             iterations=int(params.get("iterations", 5)))
@@ -88,8 +96,7 @@ def run_app(app: str, env: RankEnv, path: str,
         from repro.apps.kmeans import kmeans_plan
 
         result = kmeans_plan(
-            env, path, int(params.get("k", 4)), ctx=ctx,
-            checkpoint=checkpoint,
+            env, path, int(params.get("k", 4)), config, runner=runner,
             max_iterations=int(params.get("iterations", 10)),
             seed=int(params.get("seed", 0)))
         return {"iterations": result.iterations,
@@ -100,7 +107,8 @@ def run_app(app: str, env: RankEnv, path: str,
     if app == "bfs":
         from repro.apps.bfs import bfs_plan
 
-        result = bfs_plan(env, path, ctx=ctx, checkpoint=checkpoint)
+        result = bfs_plan(env, path, config, runner=runner,
+                          hint=bool(params.get("hint", False)))
         return {"root": result.root, "levels": result.levels,
                 "visited": result.visited_local}
     if app == "stream_wordcount":
@@ -130,10 +138,9 @@ def run_app(app: str, env: RankEnv, path: str,
         stream = StreamSource.from_payload_batches(
             "serve-docs", payload_batches, interval=window / 2.0)
         scenario = StreamWordCount(env)
-        runner = StreamRunner(env, scenario, stream,
-                              TumblingWindows(window), ctx=ctx,
-                              checkpoint=checkpoint, pace=False)
-        result = runner.run()
+        result = StreamRunner(env, scenario, stream,
+                              TumblingWindows(window), runner=bare_runner,
+                              checkpoint=checkpoint, pace=False).run()
         return {"counts": {k.decode("latin-1"): v
                            for k, v in result.final.items()},
                 "windows": result.closed,

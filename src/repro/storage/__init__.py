@@ -41,7 +41,6 @@ __all__ = [
     "ExternalSortBackend",
     "ExternalSortResult",
     "FileStats",
-    "PFSBackend",
     "ShardedKVBackend",
     "StorageBackend",
     "default_backend_name",
@@ -62,7 +61,6 @@ ENV_VAR = "REPRO_STORAGE_BACKEND"
 KV_SPEEDUP = 8.0
 
 _LAZY = {
-    "PFSBackend": "repro.storage.pfs",
     "ShardedKVBackend": "repro.storage.kv",
     "ExternalSortBackend": "repro.storage.extsort",
     "ExternalSortResult": "repro.storage.extsort",
@@ -114,9 +112,9 @@ def make_backend(spec: str | None = None, *,
     if model is None and platform is not None:
         model = platform.pfs
     if spec == "pfs":
-        from repro.storage.pfs import PFSBackend
+        from repro.io.pfs import ParallelFileSystem
 
-        return PFSBackend(model, sharers=sharers)
+        return ParallelFileSystem(model, sharers=sharers)
     if spec == "kv":
         from repro.storage.kv import ShardedKVBackend
 

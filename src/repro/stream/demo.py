@@ -10,13 +10,14 @@ and the tests all go through these entry points.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any
 
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets.graph500 import kronecker_edges
 from repro.mpi import COMET
-from repro.sched import StageCache
+from repro.sched import PlanRunner, StageCache
 from repro.stream.runner import StreamRunner
 from repro.stream.scenarios import (
     IncrementalPageRank,
@@ -146,7 +147,9 @@ def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
         from repro.ft.checkpoint import CheckpointManager
         checkpoint = CheckpointManager(env, checkpoint_job, nonce=nonce)
     runner = StreamRunner(env, scenario, stream, windows,
-                          lateness=lateness, cache=cache, trace=trace,
+                          lateness=lateness,
+                          runner=partial(PlanRunner, env, cache=cache,
+                                         trace=trace),
                           checkpoint=checkpoint, probe=probe, pace=pace)
     result = runner.run(stop_after_windows=stop_after_windows)
     return _job_summary(result, runner)

@@ -77,7 +77,7 @@ class StreamRunner:
 
     def __init__(self, env: RankEnv, scenario, stream: StreamSource,
                  windows, *, lateness: float = 0.0,
-                 cache=None, trace=None, checkpoint=None, ctx=None,
+                 runner=None, checkpoint=None,
                  probe: Callable[[str], None] | None = None,
                  pace: bool = True):
         self.env = env
@@ -89,11 +89,8 @@ class StreamRunner:
         self.probe = probe
         self.pace = pace
         self.plan = Plan(f"stream-{scenario.name}", scenario.config)
-        if ctx is not None:
-            self.runner: PlanRunner = ctx.runner(self.plan)
-        else:
-            self.runner = PlanRunner(env, self.plan, cache=cache,
-                                     trace=trace)
+        self.runner: PlanRunner = runner(self.plan) if runner else \
+            PlanRunner(env, self.plan)
         self._datasets: dict[int, Dataset] = {}
 
     # ------------------------------------------------------------ batches

@@ -8,6 +8,7 @@ from repro.apps.bfs import (
     BFS_HINT_LAYOUT,
     bfs_mimir,
     bfs_mrmpi,
+    bfs_plan,
     vertex_partitioner,
 )
 from repro.cluster import Cluster
@@ -169,3 +170,12 @@ class TestMemoryShape:
         plain_peak = sum(plain.peak_bytes)
         cps_peak = sum(compressed.peak_bytes)
         assert abs(plain_peak - cps_peak) <= 0.25 * plain_peak
+
+    def test_edge_pages_are_freed_while_the_adjacency_grows(self):
+        # Pinned from PR 13's direct driver; a Plan path that holds the
+        # edge container whole while the table builds peaks 22 % higher.
+        tiny = MimirConfig(page_size=512, comm_buffer_size=512,
+                           input_chunk_size=512)
+        *_, result = run_bfs(bfs_plan, kronecker_edges(6, 8, seed=0),
+                             config=tiny)
+        assert result.peak_bytes == [6456, 10744, 7416, 8128]

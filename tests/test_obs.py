@@ -414,7 +414,8 @@ class TestReports:
         trace = Trace()
         trace.emit_abs(0.0, -1, "submit", "wc", job="wc")
         trace.emit_abs(0.1, 0, "phase", "map+aggregate:start")
-        trace.emit_abs(0.4, 0, "phase", "map+aggregate:end")
+        trace.emit_abs(0.4, 0, "phase", "map+aggregate:end",
+                       batch_records=5, batch_pages=1)
         path = tmp_path / "trace.json"
         path.write_text(trace.to_json())
 
@@ -425,13 +426,15 @@ class TestReports:
         [row] = report.phases
         assert row.name == "map+aggregate"
         assert row.total == pytest.approx(0.3)
+        assert (row.batch_records, row.batch_pages) == (5, 1)
 
     def test_phase_rows_ignore_unpaired_events(self):
-        from repro.obs.report import phase_rows_from_trace
+        from repro.obs.report import phase_rows, render_phase_table
 
         trace = Trace()
+        assert render_phase_table(phase_rows(trace)) == "(no phase records)"
         trace.emit_abs(0.1, 0, "phase", "map+aggregate:end")  # no start
-        assert phase_rows_from_trace(trace) == []
+        assert phase_rows(trace) == []
 
 
 # ----------------------------------------------------------------- cli

@@ -249,3 +249,18 @@ class TestConsumeSemantics:
             assert len(list(kvs.consume())) > 0
 
         make_cluster(nprocs=1).run(job)
+
+    def test_stream_drains_uncached_stage_and_preserves_cached(self):
+        def job(env):
+            plan = Plan("wc", CFG)
+            words = plan.read_text("t.txt").map(wc_map, name="count")
+            cache = StageCache(env.comm.rank)
+            runner = PlanRunner(env, plan, cache=cache)
+            drained = [env.tracker.current for _ in runner.stream(words)]
+            words.cache()
+            pinned = [env.tracker.current for _ in runner.stream(words)]
+            return drained, pinned, len(cache.get(words.key))
+
+        [(drained, pinned, kept)] = make_cluster(nprocs=1).run(job).returns
+        assert drained[-1] <= drained[0] - 2 * CFG.page_size
+        assert len(set(pinned)) == 1 and kept == len(pinned) == len(drained)

@@ -185,8 +185,8 @@ class TestPipelines:
         def pr(env, ctx):
             from repro.apps.pagerank import pagerank_plan
 
-            return pagerank_plan(env, paths["pagerank"], ctx=ctx,
-                                 hint=True, iterations=2).ranks
+            return pagerank_plan(env, paths["pagerank"], ctx.config, hint=True,
+                                 iterations=2, runner=ctx.runner).ranks
 
         sched.submit(SchedJob("pr1", pr))
         first = sched.run()

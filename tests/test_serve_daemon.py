@@ -30,6 +30,17 @@ def reference_output(app, path, params, *, extra_inputs=()):
     return merge_output(app, result.returns)
 
 
+def test_bfs_hint_param_reaches_the_driver():
+    outputs, kv_bytes = [], []
+    for params in ({}, {"hint": True}):
+        cluster = make_cluster()
+        result = cluster.run(lambda env: run_direct(
+            "bfs", env, "demo/graph.bin", params))
+        outputs.append(merge_output("bfs", result.returns))
+        kv_bytes.append(cluster.metrics.totals()["core.map.kv_bytes"])
+    assert outputs[0] == outputs[1] and kv_bytes[1] < kv_bytes[0]
+
+
 def drain(daemon, limit=64):
     for _ in range(limit):
         busy = daemon.scheduler.queue_depth or any(

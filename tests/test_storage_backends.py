@@ -20,6 +20,7 @@ from repro.ft.chaos import chaos_wordcount, make_wordcount_cluster, \
     run_chaos_sweep
 from repro.ft.runner import run_with_recovery
 from repro.io.errors import PFSFileNotFoundError, TransientIOError, retrying
+from repro.io.pfs import ParallelFileSystem
 from repro.mpi import COMET
 from repro.sched import StageCache
 from repro.serve.catalog import merge_output, run_direct
@@ -27,7 +28,6 @@ from repro.serve.daemon import ServeDaemon
 from repro.storage import (
     BACKENDS,
     ExternalSortBackend,
-    PFSBackend,
     ShardedKVBackend,
     default_backend_name,
     external_sort_file,
@@ -152,7 +152,7 @@ class TestProtocolSemantics:
         assert totals[f"{prefix}.bytes_written"] == 4
 
     def test_factory_and_env_default(self, monkeypatch):
-        assert isinstance(make_backend("pfs"), PFSBackend)
+        assert type(make_backend("pfs")) is ParallelFileSystem
         assert isinstance(make_backend("kv"), ShardedKVBackend)
         assert isinstance(make_backend("extsort"), ExternalSortBackend)
         with pytest.raises(ValueError, match="unknown storage backend"):

@@ -7,13 +7,15 @@ checkpointed windows - every one validated bit-identical against the
 full-batch twin over the same total input.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.ft.faults import FaultPlan
 from repro.ft.runner import run_with_recovery
 from repro.mpi import COMET
-from repro.sched import StageCache
+from repro.sched import PlanRunner, StageCache
 from repro.stream import (
     GrowingWindows,
     MicroBatch,
@@ -146,9 +148,9 @@ class TestRunnerEdgeCases:
 
         def run(env):
             scenario = StreamWordCount(env, config=DEMO_CONFIG)
-            runner = StreamRunner(env, scenario, stream,
-                                  TumblingWindows(10.0),
-                                  cache=caches[env.comm.rank])
+            runner = StreamRunner(
+                env, scenario, stream, TumblingWindows(10.0),
+                runner=partial(PlanRunner, env, cache=caches[env.comm.rank]))
             result = runner.run()
             return result.final, result.windows, runner.stage_counts
 
