@@ -35,6 +35,7 @@ import json
 import sys
 from pathlib import Path
 
+from figutils import append_trajectory
 from repro.apps.pagerank import pagerank_mimir
 from repro.apps.terasort import generate_records, terasort_mimir
 from repro.apps.wordcount import wordcount_mimir
@@ -212,16 +213,6 @@ def run_backend_sweep(smoke: bool, verbose: bool = False):
 
 # ------------------------------------------------------------- trajectory
 
-def append_trajectory(path: Path, entry: dict) -> None:
-    if path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        doc = {"benchmark": "core-batch-throughput", "history": []}
-    entry["run"] = len(doc["history"]) + 1
-    doc["history"].append(entry)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def make_entry(smoke: bool) -> dict:
     apps = run_sweep(smoke, verbose=True)
     check_apps(apps)
@@ -350,7 +341,7 @@ def main(argv=None) -> int:
                           nbytes=1 << 14 if args.smoke else 1 << 16)
         print(f"perfetto trace written to {args.trace_out}")
     if not args.no_write:
-        append_trajectory(BENCH_PATH, entry)
+        append_trajectory(BENCH_PATH, entry, benchmark="core-batch-throughput")
         print(f"trajectory appended to {BENCH_PATH.name}")
     return 0
 

@@ -23,11 +23,11 @@ or standalone (``python benchmarks/bench_serve.py [--smoke]``).
 """
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
 
+from figutils import append_trajectory
 from repro.cluster import Cluster
 from repro.mpi import COMET
 from repro.sched.demo import stage_inputs
@@ -157,16 +157,6 @@ def check_rows(rows):
 
 # ------------------------------------------------------------- trajectory
 
-def append_trajectory(path: Path, entry: dict) -> None:
-    if path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        doc = {"benchmark": "serve-throughput-latency", "history": []}
-    entry["run"] = len(doc["history"]) + 1
-    doc["history"].append(entry)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def make_entry(nseeds: int, njobs: int, *, smoke: bool) -> dict:
     rows = run_sweep(nseeds, njobs, verbose=True)
     check_rows(rows)
@@ -226,7 +216,7 @@ def main(argv=None) -> int:
           f"{summary['worst_queue_latency_p99']:.3f} vseconds")
     print("all outputs bit-identical across crash generations")
     if not args.no_write:
-        append_trajectory(BENCH_PATH, entry)
+        append_trajectory(BENCH_PATH, entry, benchmark="serve-throughput-latency")
         print(f"trajectory appended to {BENCH_PATH.name}")
     return 0
 

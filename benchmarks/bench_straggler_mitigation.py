@@ -28,10 +28,10 @@ or standalone (``python benchmarks/bench_straggler_mitigation.py
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from figutils import append_trajectory
 from repro.ft.elastic import (
     ELASTIC_TAGS,
     ElasticPolicy,
@@ -174,18 +174,6 @@ def check_chaos(rows) -> None:
 
 # ------------------------------------------------------------- trajectory
 
-def append_trajectory(path: Path, entry: dict) -> None:
-    """Append one run's results to the BENCH trajectory file."""
-    if path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        doc = {"benchmark": "elastic-straggler-mitigation",
-               "bound": BOUND, "history": []}
-    entry["run"] = len(doc["history"]) + 1
-    doc["history"].append(entry)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def make_entry(nseeds: int, chaos_seeds: int, *, smoke: bool) -> dict:
     base_elapsed, rows = run_straggler_sweep(nseeds, verbose=True)
     check_sweep(rows)
@@ -261,7 +249,9 @@ def main(argv=None) -> int:
     print(f"worst nospec ratio : {summary['worst_nospec_ratio']:.3f}x")
     print("all outputs bit-identical to fault-free baseline")
     if not args.no_write:
-        append_trajectory(BENCH_PATH, entry)
+        append_trajectory(BENCH_PATH, entry,
+                          benchmark="elastic-straggler-mitigation",
+                          bound=BOUND)
         print(f"trajectory appended to {BENCH_PATH.name}")
     return 0
 

@@ -24,10 +24,10 @@ trajectory.  Runs standalone (``python benchmarks/bench_stream.py
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from figutils import append_trajectory
 from repro.stream.demo import demo_pagerank, demo_sessionize, demo_wordcount
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
@@ -87,16 +87,6 @@ def check_row(row: dict) -> None:
 
 
 # ------------------------------------------------------------- trajectory
-
-def append_trajectory(path: Path, entry: dict) -> None:
-    if path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        doc = {"benchmark": "stream-incremental", "history": []}
-    entry["run"] = len(doc["history"]) + 1
-    doc["history"].append(entry)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
 
 def make_entry(nseeds: int, *, smoke: bool, trace=None) -> dict:
     rows = [run_scenarios(seed, trace=trace if seed == 0 else None)
@@ -180,7 +170,7 @@ def main(argv=None) -> int:
         print(f"wrote Perfetto trace: {args.trace_out} "
               f"({len(data['traceEvents'])} events)")
     if not args.no_write:
-        append_trajectory(BENCH_PATH, entry)
+        append_trajectory(BENCH_PATH, entry, benchmark="stream-incremental")
         print(f"trajectory appended to {BENCH_PATH.name}")
     return 0
 

@@ -8,7 +8,9 @@ printed paper-style table.  Dataset sizes are quoted in *paper units*
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.bench import BenchScale, ExperimentSpec, Series, run_spec
 from repro.bench.tables import render_memory_time_table, render_scaling_table
@@ -130,3 +132,15 @@ def in_memory_reach(series: Series, config_name: str) -> int:
     """Index of the largest in-memory label for a config (-1 if none)."""
     label = series.max_in_memory_label(config_name)
     return series.labels.index(label) if label is not None else -1
+
+
+def append_trajectory(path: Path, entry: dict, **header) -> None:
+    """Append one run to a ``BENCH_*.json`` trajectory, numbering it;
+    ``header`` fills the top level of a file that does not exist yet."""
+    if path.exists():
+        doc = json.loads(path.read_text())
+    else:
+        doc = {**header, "history": []}
+    entry["run"] = len(doc["history"]) + 1
+    doc["history"].append(entry)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

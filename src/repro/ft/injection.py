@@ -18,18 +18,14 @@ at Mira/Comet scale:
   local (compute + I/O) virtual time via ``SimComm.advance``.
 
 Determinism: every rate-based decision hashes ``(seed, kind, rank,
-per-rank op index)`` - a pure function, independent of thread
-interleaving.  One caveat keeps full-run replay approximate: when a
-rank crashes, how many operations a *bystander* completes before the
-abort reaches it is scheduling-dependent (see "The rank runtime" in
-docs/architecture.md), so the set of decision points actually reached
-- and therefore the realized fault list - can vary slightly across
-executions of the same plan.  What never varies is the answer: the
-recovery guarantee under test is bit-identical output, not a
-bit-identical fault trace.  Each rate-based fault fires at most once
-per decision point (the plan carries fired-state across restarts, like
-:class:`FaultPlan`), and at most ``max_faults`` fire in total, so a
-chaotic run always converges given a restart budget.
+per-rank op index)`` - a pure function - and the rank runtime runs one
+rank at a time in an order fixed by the program (see "The rank
+runtime" in docs/architecture.md), so the decision points reached, the
+realized fault list and the recovered virtual time repeat exactly
+across executions of the same plan.  Each rate-based fault fires at
+most once per decision point (the plan carries fired-state across
+restarts, like :class:`FaultPlan`), and at most ``max_faults`` fire in
+total, so a chaotic run always converges given a restart budget.
 
 Hooks are consumed by :class:`~repro.io.pfs.ParallelFileSystem`
 (``chaos`` attribute) and :class:`~repro.cluster.Cluster`

@@ -4,10 +4,15 @@ Each rank runs as a thread against a shared :class:`CollectiveEngine`
 that implements the collective operations both MapReduce frameworks
 need (``alltoallv``, ``allreduce``, ``allgather``, ``bcast``,
 ``barrier``) with real blocking semantics: a collective completes only
-once every rank has entered it, exactly like MPI.  A virtual clock is
-synchronised at every collective using an alpha-beta network cost model
-parameterised per platform, which is what gives the benchmarks their
-shape-preserving "execution time" series.
+once every rank has entered it, exactly like MPI.  Collectives are the
+only blocking primitive, and exactly one rank is runnable at a time: a
+rank runs until it enters a collective, then the next rank in rank
+order takes its turn, so the interleaving - and with it every counter,
+fault trace and failure-path clock - is a function of the program, not
+of the thread scheduler.  A virtual clock is synchronised at every
+collective using an alpha-beta network cost model parameterised per
+platform, which is what gives the benchmarks their shape-preserving
+"execution time" series.
 """
 
 from repro.mpi.comm import SimComm

@@ -53,7 +53,6 @@ class SimComm:
         #: Optional per-rank metrics shard (see :mod:`repro.obs.
         #: registry`), installed by the cluster harness at launch.
         self.metrics = None
-        self._loopback: list[tuple[int, Any]] = []  # self-sends
 
     # ------------------------------------------------------------ plumbing
 
@@ -151,56 +150,10 @@ class SimComm:
             return [bytes(sends[0])]
         # Zero-copy: send parts may be memoryviews over live send
         # buffers.  The collective engine materialises them with
-        # ``bytes()`` inside the enter barrier - while every rank
-        # thread is blocked - so exactly one copy happens, race-free,
+        # ``bytes()`` in the last rank to arrive - while every other
+        # rank is parked - so exactly one copy happens, race-free,
         # and the caller may reuse its buffers as soon as this returns.
         return self._run("alltoallv", list(sends))
-
-    # ------------------------------------------------------ point-to-point
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Buffered send of a Python object to ``dest`` (non-blocking)."""
-        if not 0 <= dest < self.size:
-            raise ValueError(f"dest {dest} out of range for size {self.size}")
-        nbytes = self._payload_bytes(obj)
-        if self.metrics is not None:
-            self.metrics.inc("mpi.ptp.messages")
-            self.metrics.inc("mpi.ptp.bytes", nbytes)
-        if dest == self.rank or self.size == 1:
-            self._loopback.append((tag, obj))
-            return
-        assert self._engine is not None
-        cost = self._engine.network.ptp_cost(nbytes)
-        self._engine.mailbox.put(self.rank, dest, tag, obj,
-                                 self.clock.time + cost)
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        """Blocking receive of the next message from ``source``."""
-        if not 0 <= source < self.size:
-            raise ValueError(
-                f"source {source} out of range for size {self.size}")
-        if source == self.rank or self.size == 1:
-            for i, (msg_tag, obj) in enumerate(self._loopback):
-                if msg_tag == tag:
-                    del self._loopback[i]
-                    return obj
-            raise ValueError(f"no buffered self-message with tag {tag}")
-        assert self._engine is not None
-        obj, arrival = self._engine.mailbox.take(source, self.rank, tag)
-        # The message cannot be consumed before it arrived.
-        self.clock.time = max(self.clock.time, arrival)
-        return obj
-
-    @staticmethod
-    def _payload_bytes(obj: Any) -> int:
-        if isinstance(obj, (bytes, bytearray, memoryview)):
-            return len(obj)
-        import pickle
-
-        try:
-            return len(pickle.dumps(obj))
-        except Exception:
-            return 64
 
     # -------------------------------------------------------------- timing
 

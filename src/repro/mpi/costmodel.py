@@ -45,10 +45,6 @@ class NetworkModel:
         blend = intra_frac / self.intra_speedup + (1.0 - intra_frac)
         return self.latency * blend, self.bandwidth / blend
 
-    def ptp_cost(self, nbytes: int) -> float:
-        """One point-to-point message (inter-node rate)."""
-        return self.latency + nbytes / self.bandwidth
-
     def barrier_cost(self, nprocs: int, nnodes: int | None = None) -> float:
         """Dissemination barrier: ceil(log2(p)) rounds of latency."""
         if nprocs <= 1:

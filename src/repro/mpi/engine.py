@@ -1,11 +1,16 @@
 """The collective engine shared by all rank threads of one world.
 
-Every collective operation funnels through :meth:`CollectiveEngine.collective`:
-ranks deposit their operation name, payload, and virtual clock, meet at
-a barrier, one thread computes the exchange result and the synchronised
-clock, and a second barrier releases the slots for the next operation.
-Mismatched collectives are detected (rather than deadlocking) and a
-failing rank aborts the whole world so no bystander hangs.
+Exactly one rank runs at a time: the one holding the *baton*.  Every
+other rank is parked on its own gate (a closed lock).  A rank entering
+a collective through :meth:`CollectiveEngine.collective` deposits its
+operation name, payload and virtual clock, opens the gate of the lowest
+rank that can still run, and parks; the last rank to arrive computes
+the exchange result and the synchronised clock while every other rank
+is parked, and keeps running.  A rank that returns passes the baton on.
+The interleaving is therefore a function of the program alone.
+Mismatched collectives, and collectives that can never complete, are
+detected at once (rather than deadlocking), and a failing rank aborts
+the world: the others are woken one at a time to unwind.
 """
 
 from __future__ import annotations
@@ -23,55 +28,6 @@ from repro.mpi.errors import (
 #: Nominal payload size charged for object-valued control-plane
 #: collectives (allreduce/bcast/allgather of flags and counters).
 _CONTROL_BYTES = 64
-
-
-class Mailbox:
-    """Tagged point-to-point message queues between ranks.
-
-    ``put``/``take`` implement MPI's matched send/recv: messages of one
-    ``(source, dest, tag)`` channel are delivered in send order; sends
-    are buffered (non-blocking), receives block until a message
-    arrives or the world aborts.
-    """
-
-    def __init__(self, abort_check):
-        import queue
-
-        self._queues: dict[tuple[int, int, int], "queue.Queue"] = {}
-        self._lock = threading.Lock()
-        self._abort_check = abort_check
-        self._queue_cls = queue.Queue
-        self._empty_exc = queue.Empty
-
-    def _channel(self, source: int, dest: int, tag: int):
-        key = (source, dest, tag)
-        with self._lock:
-            chan = self._queues.get(key)
-            if chan is None:
-                chan = self._queues[key] = self._queue_cls()
-            return chan
-
-    def put(self, source: int, dest: int, tag: int, payload: Any,
-            arrival_clock: float) -> None:
-        self._channel(source, dest, tag).put((payload, arrival_clock))
-
-    def take(self, source: int, dest: int, tag: int,
-             timeout: float = 60.0) -> tuple[Any, float]:
-        chan = self._channel(source, dest, tag)
-        import time
-
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                return chan.get(timeout=0.05)
-            except self._empty_exc:
-                if self._abort_check():
-                    raise WorldAbortedError(
-                        "world aborted while waiting for a message") from None
-                if time.monotonic() > deadline:
-                    raise WorldAbortedError(
-                        f"recv(source={source}, tag={tag}) timed out "
-                        f"after {timeout}s") from None
 
 
 class CollectiveEngine:
@@ -94,29 +50,34 @@ class CollectiveEngine:
         self._root = 0
         self._new_clock = 0.0
         self._error: BaseException | None = None
-        self._finished: set[int] = set()
+        self._returned: set[int] = set()
         self._aborted = False
         self._abort_reason: BaseException | None = None
-        self._lock = threading.Lock()
-        self._enter = threading.Barrier(nprocs, action=self._compute)
-        self._exit = threading.Barrier(nprocs)
-        self.mailbox = Mailbox(lambda: self._aborted)
+        # A closed gate is a parked rank; rank 0 holds the baton first.
+        self._gates = [threading.Lock() for _ in range(nprocs)]
+        for gate in self._gates[1:]:
+            gate.acquire()
 
     # ------------------------------------------------------------------ API
+
+    def start(self, rank: int) -> None:
+        """Park until this rank is first handed the baton."""
+        self._gates[rank].acquire()
+        if self._aborted:
+            raise WorldAbortedError("world aborted before this rank ran")
 
     def collective(self, op: str, rank: int, payload: Any, clock: float, *,
                    reduce_fn: Callable[[Any, Any], Any] | None = None,
                    root: int = 0) -> tuple[Any, float]:
         """Run one collective; returns ``(result, synchronised_clock)``."""
-        with self._lock:
-            if self._aborted:
-                raise WorldAbortedError("world already aborted")
-            if self._finished:
-                reason = DeadlockError(
-                    f"rank {rank} entered {op!r} after rank(s) "
-                    f"{sorted(self._finished)} already returned")
-                self._do_abort(reason)
-                raise reason
+        if self._aborted:
+            raise WorldAbortedError("world already aborted")
+        if self._returned:
+            reason = DeadlockError(
+                f"rank {rank} entered {op!r} after rank(s) "
+                f"{sorted(self._returned)} already returned")
+            self.abort(reason)
+            raise reason
         self._ops[rank] = op
         self._payloads[rank] = payload
         self._clocks[rank] = clock
@@ -124,72 +85,60 @@ class CollectiveEngine:
             self._reduce_fn = reduce_fn
         if root:
             self._root = root
-        self._wait(self._enter)
-        result = self._results[rank]
-        new_clock = self._new_clock
-        error = self._error
-        self._wait(self._exit)
-        if error is not None:
-            raise error
-        return result, new_clock
+        if None in self._ops:
+            self._pass_baton()
+            self._gates[rank].acquire()
+        else:
+            self._compute()  # last to arrive: every other rank is parked
+        if self._error is not None:
+            raise self._error
+        if self._aborted:
+            # A deadlock is itself the root cause, not a side effect
+            # of another rank's failure.
+            raise self._abort_reason or WorldAbortedError(
+                "world aborted during a collective")
+        return self._results[rank], self._new_clock
 
     def rank_done(self, rank: int) -> None:
-        """A rank function returned; abort if others are mid-collective."""
-        with self._lock:
-            self._finished.add(rank)
-            waiting = self._enter.n_waiting > 0 or self._exit.n_waiting > 0
-            if waiting and not self._aborted:
-                # The waiting collective can never complete.
-                self._do_abort(DeadlockError(
-                    f"rank {rank} returned while other ranks wait in a "
-                    f"collective"))
+        """A rank function returned or unwound: pass the baton on."""
+        self._returned.add(rank)
+        blocked = ", ".join(f"rank {r} in {op!r}"
+                            for r, op in enumerate(self._ops) if op is not None)
+        if blocked and not self._aborted:
+            # The waiting collective can never complete.
+            self.abort(DeadlockError(
+                f"rank {rank} returned while other ranks wait in a "
+                f"collective ({blocked})"))
+        self._pass_baton()
 
-    def abort(self) -> None:
-        """Break both barriers so every blocked rank unwinds (failure path)."""
-        with self._lock:
-            self._do_abort(None)
-
-    def _do_abort(self, reason: BaseException | None) -> None:
-        """Must hold ``self._lock``."""
+    def abort(self, reason: BaseException | None = None) -> None:
+        """Mark the world dead: every rank woken from now on unwinds."""
         if not self._aborted:
             self._aborted = True
             self._abort_reason = reason
-        self._enter.abort()
-        self._exit.abort()
 
     # ------------------------------------------------------------ internals
 
-    def _wait(self, barrier: threading.Barrier) -> None:
-        try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            reason = self._abort_reason
-            if reason is not None:
-                # The abort is itself the root cause (deadlock), not a
-                # side effect of another rank's failure.
-                raise reason from None
-            raise WorldAbortedError("world aborted during a collective") from None
+    def _pass_baton(self) -> None:
+        """Wake the lowest rank that can run; once aborted, that is any
+        rank still alive, so blocked ranks unwind too."""
+        for rank, op in enumerate(self._ops):
+            if rank not in self._returned and (op is None or self._aborted):
+                self._gates[rank].release()
+                return
 
     def _compute(self) -> None:
-        """Barrier action: runs in exactly one thread per operation."""
+        """Runs in the last rank to arrive, exactly once per operation."""
+        ops, self._ops = self._ops, [None] * self.nprocs
         self._error = None
-        ops = {op for op in self._ops if op is not None}
-        if len(ops) != 1:
-            self._error = CollectiveMismatchError(
-                {r: op or "<none>" for r, op in enumerate(self._ops)})
-            self._results = [None] * self.nprocs
-            self._new_clock = max(self._clocks)
-            return
-        op = next(iter(ops))
-        start = max(self._clocks)
+        self._new_clock = max(self._clocks)
         try:
-            cost = self._dispatch(op)
-        except Exception as exc:  # defensive: surface, don't break barrier
+            if len(set(ops)) != 1:
+                raise CollectiveMismatchError(dict(enumerate(ops)))
+            self._new_clock += self._dispatch(ops[0])
+        except Exception as exc:  # every rank of the operation raises it
             self._error = exc
             self._results = [None] * self.nprocs
-            cost = 0.0
-        self._new_clock = start + cost
-        self._ops = [None] * self.nprocs
 
     def _dispatch(self, op: str) -> float:
         p = self.nprocs

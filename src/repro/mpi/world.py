@@ -1,14 +1,16 @@
 """Launch a simulated MPI world: one thread per rank.
 
-:class:`World` owns the collective engine and the rank threads.  A rank
-function has the signature ``fn(comm, *args) -> value``; per-rank
-return values, final clocks, and the elapsed virtual time (the maximum
-clock, i.e. job completion) are collected in :class:`WorldResult`.
+:class:`World` owns the collective engine and the rank threads, of
+which the engine lets exactly one run at a time.  A rank function has
+the signature ``fn(comm, *args) -> value``; per-rank return values,
+final clocks, and the elapsed virtual time (the maximum clock, i.e.
+job completion) are collected in :class:`WorldResult`.
 
 Failure semantics match an MPI job killed by its launcher: the first
 rank exception aborts the world, bystander ranks unwind with
-:class:`WorldAbortedError`, and :meth:`World.run` re-raises the
-original failure wrapped in :class:`RankFailedError`.
+:class:`WorldAbortedError` (one that never ran does not start), and
+:meth:`World.run` re-raises the original failure wrapped in
+:class:`RankFailedError`.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ class World:
     """A fixed-size group of simulated ranks."""
 
     def __init__(self, size: int, network: NetworkModel | None = None, *,
-                 nnodes: int | None = None, join_timeout: float = 600.0):
+                 nnodes: int | None = None):
         if size <= 0:
             raise ValueError(f"world size must be positive, got {size}")
         self.size = size
         self.network = network or DEFAULT_NETWORK
         self.nnodes = nnodes
-        self.join_timeout = join_timeout
 
     def run(self, fn: Callable[..., Any], *common_args: Any,
             rank_args: Sequence[Sequence[Any]] | None = None) -> WorldResult:
@@ -72,18 +73,17 @@ class World:
         returns: list[Any] = [None] * self.size
         clocks: list[float] = [0.0] * self.size
         errors: dict[int, BaseException] = {}
-        lock = threading.Lock()
 
         def runner(rank: int) -> None:
             comm = SimComm(rank, self.size, engine)
             extra = tuple(rank_args[rank]) if rank_args is not None else ()
             try:
+                engine.start(rank)
                 returns[rank] = fn(comm, *common_args, *extra)
             except WorldAbortedError:
                 pass  # bystander of another rank's failure
             except BaseException as exc:  # noqa: BLE001 - report any rank failure
-                with lock:
-                    errors[rank] = exc
+                errors[rank] = exc
                 engine.abort()
             finally:
                 clocks[rank] = comm.clock.time
@@ -97,12 +97,7 @@ class World:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(self.join_timeout)
-            if thread.is_alive():
-                engine.abort()
-                raise RuntimeError(
-                    f"simulated world deadlocked ({thread.name} still alive "
-                    f"after {self.join_timeout}s)")
+            thread.join()
 
         if errors:
             rank = min(errors)

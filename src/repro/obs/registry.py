@@ -129,10 +129,6 @@ register("mpi.alltoallv.rounds", COUNTER, "rounds", "repro.mpi.comm",
          "alltoallv data-plane exchanges")
 register("mpi.alltoallv.bytes", COUNTER, "bytes", "repro.mpi.comm",
          "payload bytes this rank sent through alltoallv")
-register("mpi.ptp.messages", COUNTER, "messages", "repro.mpi.comm",
-         "point-to-point sends")
-register("mpi.ptp.bytes", COUNTER, "bytes", "repro.mpi.comm",
-         "payload bytes sent point-to-point")
 
 register("io.pfs.reads", COUNTER, "calls", "repro.io.pfs",
          "costed PFS read operations")

@@ -16,6 +16,7 @@ from repro.ft import (
     run_with_recovery,
 )
 from repro.ft.chaos import (
+    CHAOS_TAGS,
     chaos_wordcount,
     make_wordcount_cluster,
     run_chaos_sweep,
@@ -490,6 +491,17 @@ class TestChaosSweep:
                          "corruption", "straggler"}
         # And faults cost time: some chaotic run is slower than clean.
         assert any(sweep.overhead(r) > 0 for r in sweep.records)
+
+    def test_one_schedule_repeats_exactly(self):
+        def realised():
+            plan = ChaosPlan.random(5, 4, tags=CHAOS_TAGS)
+            ft = run_with_recovery(make_wordcount_cluster(4), chaos_wordcount,
+                                   faults=plan, job_id="chaos",
+                                   max_restarts=12)
+            return plan.injected, ft.failure_log, ft.total_elapsed
+
+        first = realised()
+        assert first == realised() and len(first[1]) > 1
 
     def test_harness_job_matches_reference(self):
         ft = run_with_recovery(make_wordcount_cluster(2), chaos_wordcount)

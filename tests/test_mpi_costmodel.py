@@ -25,10 +25,6 @@ class TestNetworkModel:
         assert net.barrier_cost(2) < net.barrier_cost(16)
         assert net.barrier_cost(16) == pytest.approx(4 * net.latency)
 
-    def test_ptp_includes_latency_and_bandwidth(self, net):
-        cost = net.ptp_cost(1_000_000)
-        assert cost == pytest.approx(1e-6 + 1e-3)
-
     def test_alltoallv_scales_with_payload(self, net):
         small = net.alltoallv_cost(8, 1024)
         large = net.alltoallv_cost(8, 1024 * 1024)

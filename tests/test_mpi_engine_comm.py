@@ -1,11 +1,13 @@
 """Collective correctness, mismatch detection, and failure handling."""
 
 import operator
+import sys
 
 import pytest
 
 from repro.mpi import (
     CollectiveMismatchError,
+    DeadlockError,
     RankFailedError,
     World,
 )
@@ -177,7 +179,35 @@ class TestFailureModes:
 
         # Must not deadlock; the waiting ranks unwind.
         with pytest.raises(RankFailedError):
-            World(2, join_timeout=10.0).run(fn)
+            World(2).run(fn)
+
+    @pytest.mark.parametrize("early, message", [
+        (0, r"rank 1 entered 'allreduce' after rank\(s\) \[0\] already returned"),
+        (2, r"rank 2 returned while other ranks wait in a collective "
+            r"\(rank 0 in 'barrier', rank 1 in 'allreduce'\)"),
+    ])
+    def test_deadlock_names_what_each_rank_is_blocked_in(self, early, message):
+        def fn(comm):
+            if comm.rank != early:
+                comm.barrier() if comm.rank == 0 else comm.allreduce(1)
+
+        with pytest.raises(RankFailedError, match=message) as exc_info:
+            run(3, fn)
+        assert isinstance(exc_info.value.original, DeadlockError)
+
+    def test_abort_unwinds_in_rank_order_and_skips_unstarted_ranks(self):
+        ran = []
+
+        def fn(comm):
+            ran.append(comm.rank)
+            if comm.rank == 1:
+                raise ValueError("boom")
+            comm.barrier()
+
+        with pytest.raises(RankFailedError) as exc_info:
+            run(4, fn)
+        assert ran == [0, 1]  # ranks 2 and 3 never got the baton
+        assert exc_info.value.rank == 1 and len(exc_info.value.clocks) == 4
 
     def test_sequential_collectives_reuse_engine(self):
         def fn(comm):
@@ -189,6 +219,47 @@ class TestFailureModes:
         # 2 ranks, each adds 1 per round: totals follow t' = 2t + 2.
         result = run(2, fn)
         assert result.returns[0] == result.returns[1] > 0
+
+
+class TestBaton:
+    def test_at_most_one_rank_between_collectives(self):
+        running = []
+
+        def fn(comm):
+            for _ in range(5):
+                running.append(comm.rank)
+                for _ in range(20_000):
+                    pass
+                assert running == [comm.rank]
+                running.remove(comm.rank)
+                comm.barrier()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # free-running ranks would interleave mid-spin
+        try:
+            run(4, fn)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_program_gives_one_interleaving(self):
+        def interleaving():
+            log = []
+
+            def fn(comm):
+                for step, op in enumerate((comm.allsum, comm.allgather,
+                                           comm.scan, comm.allmax)):
+                    log.append((step, comm.rank, "pre"))
+                    op(comm.rank)
+                    log.append((step, comm.rank, "post"))
+
+            run(3, fn)
+            return log
+
+        first = interleaving()
+        assert first == interleaving() and len(first) == 24
+        # Rank order in; the last rank to arrive keeps the baton.
+        assert first[:6] == [(0, 0, "pre"), (0, 1, "pre"), (0, 2, "pre"),
+                             (0, 2, "post"), (1, 2, "pre"), (0, 0, "post")]
 
 
 class TestClockSync:

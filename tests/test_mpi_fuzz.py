@@ -40,7 +40,7 @@ def run_program(comm, program):
 @settings(max_examples=30, deadline=None)
 @given(programs, sizes)
 def test_symmetric_programs_never_deadlock(program, size):
-    result = World(size, join_timeout=60.0).run(run_program, program)
+    result = World(size).run(run_program, program)
     assert len(result.returns) == size
     # Collective results that must be rank-independent are.
     for step, op in enumerate(program):
@@ -70,7 +70,7 @@ def test_clocks_synchronised_after_any_program(program, size, skew_rank):
         comm.barrier()
         return comm.clock.time
 
-    result = World(size, join_timeout=60.0).run(fn, program)
+    result = World(size).run(fn, program)
     # The trailing barrier equalises all clocks at >= the straggler's.
     assert len(set(result.returns)) == 1
     assert result.returns[0] >= 3.0
@@ -95,7 +95,7 @@ def test_one_rank_failing_mid_program_always_unwinds(program, size, where):
         return True
 
     try:
-        World(size, join_timeout=60.0).run(fn, program)
+        World(size).run(fn, program)
     except RankFailedError as failure:
         assert isinstance(failure.original, ValueError)
     # Either outcome is fine (a failure after the last collective on a
