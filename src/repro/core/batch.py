@@ -1,14 +1,13 @@
 """Columnar batch views over packed KV runs.
 
-The per-record iterators (`KVContainer.records()` and friends)
-materialise two ``bytes`` objects per record and cross several Python
-frames per record - the dominant cost of every core benchmark.  A
-:class:`KVBatch` is the columnar alternative: one arena (the packed
-page or chunk, untouched) plus ``array('Q')`` offset columns produced
-by :meth:`~repro.core.records.KVLayout.scan`.  Fields are read as
-``memoryview`` slices of the arena, so iterating a whole page
-allocates no per-record objects until the caller explicitly asks for
-``bytes``.
+A :class:`KVBatch` is one packed run of records - a container page, a
+spilled chunk, an input chunk - held as ``bytes`` plus the int64 numpy
+offset columns produced by
+:meth:`~repro.core.records.KVLayout.scan`.  Fields are handed out a
+block of :data:`~repro.core.records.BLOCK` records at a time, as
+slices of that one ``bytes`` object: no Python frame and no
+``bytes()`` call per record, and never more than one block of offsets
+turned into Python ints.
 
 Kernels opt into whole-batch processing with the
 :func:`batch_kernel` decorator; the drivers always walk their input
@@ -18,9 +17,19 @@ loop over the batch, so user code never has to change.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
-from repro.core.records import KVLayout
+from repro.core.records import BLOCK, KVLayout
+
+
+def iter_slices(data: bytes | memoryview, start, stop) -> Iterator:
+    """``data[start[i]:stop[i]]`` for every ``i`` of two offset columns,
+    lazily, one :data:`BLOCK` of offsets at a time."""
+    return chain.from_iterable(
+        [data[a:b] for a, b in zip(start[lo : lo + BLOCK].tolist(),
+                                   stop[lo : lo + BLOCK].tolist())]
+        for lo in range(0, len(start), BLOCK))
 
 
 def batch_kernel(fn):
@@ -42,56 +51,54 @@ def is_batch_kernel(fn) -> bool:
 class KVBatch:
     """One packed run of KV records plus its offset columns.
 
-    A batch is a *view*: it borrows the underlying buffer (typically a
-    live container page), so it is only valid until the producing
-    iterator advances.  ``arena`` covers exactly the scanned records.
+    ``data`` is the run as ``bytes`` (copied once when the source is a
+    live page) and covers exactly the scanned records.  The columns are
+    the int64 numpy arrays of
+    :meth:`KVLayout.scan <repro.core.records.KVLayout.scan>`; some are
+    views of others, so treat them as read-only.
     """
 
-    __slots__ = ("arena", "roff", "koff", "kend", "voff", "vend")
+    __slots__ = ("data", "roff", "koff", "kend", "voff", "vend")
 
     def __init__(self, buf, layout: KVLayout, end: int | None = None):
-        roff, koff, kend, voff, vend = layout.scan(buf, end)
-        self.arena = memoryview(buf)[: roff[-1]]
-        self.roff = roff
-        self.koff = koff
-        self.kend = kend
-        self.voff = voff
-        self.vend = vend
+        if not isinstance(buf, bytes) or end not in (None, len(buf)):
+            buf = bytes(memoryview(buf)[:end])
+        self.data = buf
+        self.roff, self.koff, self.kend, self.voff, self.vend = \
+            layout.scan(buf)
 
     def __len__(self) -> int:
         return len(self.koff)
 
     @property
+    def arena(self) -> memoryview:
+        """``data`` as a ``memoryview``, for zero-copy field slices."""
+        return memoryview(self.data)
+
+    @property
     def nbytes(self) -> int:
         """Encoded bytes covered by this batch (headers included)."""
-        return self.roff[-1] if len(self.roff) else 0
+        return len(self.data)
 
     @property
     def payload_bytes(self) -> int:
         """Key plus value bytes, headers excluded - what the drivers
         charge compute for, without touching any record."""
-        return (sum(self.kend) - sum(self.koff) +
-                sum(self.vend) - sum(self.voff))
+        return int((self.kend - self.koff).sum() +
+                   (self.vend - self.voff).sum())
 
     # ------------------------------------------------------- zero-copy
 
     def keys(self) -> Iterator[memoryview]:
-        """Key fields as arena slices (no per-record allocation)."""
-        arena = self.arena
-        for start, stop in zip(self.koff, self.kend):
-            yield arena[start:stop]
+        """Key fields as arena slices."""
+        return iter_slices(self.arena, self.koff, self.kend)
 
     def values(self) -> Iterator[memoryview]:
-        arena = self.arena
-        for start, stop in zip(self.voff, self.vend):
-            yield arena[start:stop]
+        return iter_slices(self.arena, self.voff, self.vend)
 
     def pairs(self) -> Iterator[tuple[memoryview, memoryview]]:
         """``(key, value)`` as arena slices, in record order."""
-        arena = self.arena
-        for ks, ke, vs, ve in zip(self.koff, self.kend,
-                                  self.voff, self.vend):
-            yield arena[ks:ke], arena[vs:ve]
+        return zip(self.keys(), self.values())
 
     def record(self, i: int) -> memoryview:
         """The complete encoded record ``i`` (headers included)."""
@@ -100,27 +107,26 @@ class KVBatch:
     # ----------------------------------------------- materialised views
 
     def key_bytes(self, i: int) -> bytes:
-        return bytes(self.arena[self.koff[i] : self.kend[i]])
+        return self.data[self.koff[i] : self.kend[i]]
 
     def value_bytes(self, i: int) -> bytes:
-        return bytes(self.arena[self.voff[i] : self.vend[i]])
+        return self.data[self.voff[i] : self.vend[i]]
 
     def keys_bytes(self) -> Iterator[bytes]:
-        """Keys as ``bytes`` (hashable/orderable), one tight frame."""
-        arena = self.arena
-        for start, stop in zip(self.koff, self.kend):
-            yield bytes(arena[start:stop])
+        """Keys as ``bytes`` (hashable/orderable)."""
+        return iter_slices(self.data, self.koff, self.kend)
+
+    def values_bytes(self) -> Iterator[bytes]:
+        return iter_slices(self.data, self.voff, self.vend)
+
+    def records_bytes(self) -> Iterator[bytes]:
+        """Complete encoded records (headers included) as ``bytes``."""
+        return iter_slices(self.data, self.roff[:-1], self.roff[1:])
 
     def pairs_bytes(self) -> Iterator[tuple[bytes, bytes]]:
-        """``(key, value)`` as ``bytes``: the compatibility iterator.
-
-        Yields exactly what :meth:`KVLayout.iter_records` would for the
-        same buffer, but from precomputed offsets in a single frame.
-        """
-        arena = self.arena
-        for ks, ke, vs, ve in zip(self.koff, self.kend,
-                                  self.voff, self.vend):
-            yield bytes(arena[ks:ke]), bytes(arena[vs:ve])
+        """``(key, value)`` as ``bytes``: yields exactly what
+        :meth:`KVLayout.iter_records` would for the same buffer."""
+        return zip(self.keys_bytes(), self.values_bytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KVBatch(nrecords={len(self)}, nbytes={self.nbytes})"

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.memory.tracker import MemoryTracker
 
 
@@ -82,10 +84,24 @@ class AccountedBucket:
         self._data.clear()
 
 
+def first_seen_ids(index: dict[bytes, int], keys) -> tuple[list[bytes],
+                                                           np.ndarray]:
+    """Group ids of ``keys``, numbering unique keys in first-seen order.
+
+    ``index`` (key -> id) is extended in place; returns the keys new to
+    it and one id per key.  The one grouping primitive behind convert's
+    pass one and the out-of-core partition grouping.
+    """
+    new = [key for key in dict.fromkeys(keys) if key not in index]
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    return new, np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+
+
 class CountingBucket:
     """Per-unique-key counters for convert pass one.
 
-    Stores ``key -> (count, total_value_bytes)`` and charges the
+    Stores ``key -> (count, total_value_bytes)`` as a key -> group id
+    dict plus two int64 columns in first-seen order, and charges the
     tracker for the key bytes plus fixed per-entry bookkeeping.
     """
 
@@ -94,28 +110,56 @@ class CountingBucket:
         self.tracker = tracker
         self.entry_overhead = entry_overhead + 16  # two u64 counters
         self.tag = tag
-        self._data: dict[bytes, list[int]] = {}
+        self._ids: dict[bytes, int] = {}
+        # Capacity doubles; the first ``len(self)`` entries are live.
+        self._counts = self._totals = np.zeros(0, np.int64)
         self.accounted_bytes = 0
 
-    def add(self, key: bytes, value_bytes: int) -> None:
-        entry = self._data.get(key)
-        if entry is None:
-            delta = len(key) + self.entry_overhead
+    def add_run(self, keys, value_bytes) -> np.ndarray:
+        """Count one block of records (keys plus a column of value
+        lengths); returns each record's group id.  New keys are charged
+        in one allocation per block."""
+        new, ids = first_seen_ids(self._ids, keys)
+        if new:
+            delta = sum(map(len, new)) + len(new) * self.entry_overhead
             self.tracker.allocate(delta, self.tag)
             self.accounted_bytes += delta
-            self._data[key] = [1, value_bytes]
-        else:
-            entry[0] += 1
-            entry[1] += value_bytes
+            room = len(self._counts)
+            if len(self._ids) > room:
+                pad = np.zeros(max(len(self._ids), 2 * room) - room, np.int64)
+                self._counts = np.concatenate((self._counts, pad))
+                self._totals = np.concatenate((self._totals, pad))
+        np.add.at(self._counts, ids, 1)
+        np.add.at(self._totals, ids, value_bytes)
+        return ids
+
+    def add(self, key: bytes, value_bytes: int) -> None:
+        self.add_run((key,), value_bytes)
+
+    def keys(self) -> list[bytes]:
+        """Unique keys in first-seen (group id) order."""
+        return list(self._ids)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Values seen per group."""
+        return self._counts[: len(self._ids)]
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Value bytes seen per group."""
+        return self._totals[: len(self._ids)]
 
     def items(self) -> Iterator[tuple[bytes, list[int]]]:
-        return iter(self._data.items())
+        return zip(self._ids, map(list, zip(self.counts.tolist(),
+                                            self.totals.tolist())))
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._ids)
 
     def free(self) -> None:
         if self.accounted_bytes:
             self.tracker.free(self.accounted_bytes, self.tag)
         self.accounted_bytes = 0
-        self._data.clear()
+        self._ids.clear()
+        self._counts = self._totals = np.zeros(0, np.int64)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import zlib
 
+from repro.core.batch import KVBatch
 from repro.core.errors import ConfigError
 from repro.core.records import KVLayout
 
@@ -121,19 +122,17 @@ class KVDedupCodec(Codec):
         self.layout = layout
 
     def encode(self, data: bytes) -> bytes:
-        _roff, koff, kend, voff, vend = self.layout.scan(data)
         index: dict[bytes, int] = {}
         keys: list[bytes] = []
         body = bytearray()
-        for ks, ke, vs, ve in zip(koff, kend, voff, vend):
-            key = data[ks:ke]
+        for key, value in KVBatch(data, self.layout).pairs_bytes():
             slot = index.get(key)
             if slot is None:
                 slot = index[key] = len(keys)
                 keys.append(key)
             _write_varint(body, slot)
-            _write_varint(body, ve - vs)
-            body += data[vs:ve]
+            _write_varint(body, len(value))
+            body += value
         head = bytearray()
         _write_varint(head, len(keys))
         for key in keys:

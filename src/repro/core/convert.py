@@ -10,13 +10,19 @@ shrinks, instead of both being held in full as MR-MPI does.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
+import numpy as np
+
 from repro.cluster import RankEnv
-from repro.core.bucket import CountingBucket
+from repro.core.batch import KVBatch, iter_slices
+from repro.core.bucket import CountingBucket, first_seen_ids
 from repro.core.config import MimirConfig
 from repro.core.kmvcontainer import KMVContainer
 from repro.core.kvcontainer import KVContainer
+from repro.core.records import BLOCK
+from repro.core.shuffle import hash_partition
 
 
 def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
@@ -25,26 +31,43 @@ def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     sizes = CountingBucket(env.tracker, config.bucket_entry_overhead)
 
     # Pass 1: gather per-key sizes.
-    scanned = 0
-    for key, value in kvc.records():
-        sizes.add(key, len(value))
-        scanned += len(key) + len(value)
+    pages = [_count_page(sizes, batch) for batch in kvc.batches()]
+    pages.reverse()
 
     # Lay out one exactly sized slot per unique key, in first-seen order.
     kmvc = KMVContainer(env.tracker, kvc.layout, config.page_size, tag=tag)
-    slots: dict[bytes, int] = {
-        key: kmvc.reserve(key, count, total)
-        for key, (count, total) in sizes.items()
-    }
+    kmvc.reserve_run(sizes.keys(), sizes.counts, sizes.totals)
 
-    # Pass 2: fill values while releasing KV pages.
-    for key, value in kvc.consume():
-        kmvc.append_value(slots[key], value)
+    # Pass 2: fill values while releasing KV pages (and their columns).
+    scanned = 0
+    for chunk in kvc.consume_chunks():
+        payload, voff, vend, groups = pages.pop()
+        kmvc.fill_run(groups, iter_slices(chunk, voff, vend))
+        scanned += payload
     kmvc.finish_fill()
 
     sizes.free()
     env.charge_compute(2 * scanned)
     return kmvc
+
+
+def _count_page(sizes: CountingBucket, batch: KVBatch):
+    """Pass one over one page, a block of records per call.
+
+    Returns the page's payload bytes and what pass two needs of it, so
+    the page is never scanned again: where its values are and which
+    group (slot) each belongs to.
+    """
+    vlens = batch.vend - batch.voff
+    keys = batch.keys_bytes()
+    groups = np.empty(len(batch), np.intp)
+    for lo in range(0, len(batch), BLOCK):
+        groups[lo : lo + BLOCK] = sizes.add_run(
+            list(islice(keys, BLOCK)), vlens[lo : lo + BLOCK])
+    # Offsets within one run fit 32 bits unless the run is huge.
+    narrow = np.uint32 if batch.nbytes < 2 ** 32 else np.int64
+    return (batch.payload_bytes, batch.voff.astype(narrow),
+            batch.vend.astype(narrow), groups)
 
 
 def iter_grouped_batches(env: RankEnv, kvc: KVContainer, config: MimirConfig,
@@ -89,8 +112,6 @@ def _needs_partitioned_convert(env: RankEnv, kvc: KVContainer) -> bool:
 def _iter_partition_dicts(env: RankEnv, kvc: KVContainer,
                           config: MimirConfig,
                           ) -> "Iterator[dict[bytes, list[bytes]]]":
-    import zlib
-
     from repro.io.spill import SpillWriter
 
     available = env.tracker.available
@@ -107,25 +128,37 @@ def _iter_partition_dicts(env: RankEnv, kvc: KVContainer,
     staging: list[bytearray] = [bytearray() for _ in range(npart)]
     layout = kvc.layout
     scanned = 0
-    for key, value in kvc.consume():
-        scanned += len(key) + len(value)
-        part = zlib.crc32(key) % npart
-        staging[part] += layout.encode(key, value)
-        if len(staging[part]) >= config.page_size:
-            writers[part].write_chunk(staging[part])
-            staging[part] = bytearray()
+    for batch in kvc.consume_batches():
+        scanned += batch.payload_bytes
+        # Records move as slices of the page, routed by a hash column;
+        # a staged chunk is written after exactly the record that
+        # brings it to a page.
+        for part, record in zip(hash_partition(batch.keys_bytes(), npart),
+                                batch.records_bytes()):
+            staging[part] += record
+            if len(staging[part]) >= config.page_size:
+                writers[part].write_chunk(staging[part])
+                staging[part] = bytearray()
     for part, buf in enumerate(staging):
         if buf:
             writers[part].write_chunk(buf)
     env.charge_compute(scanned)
 
     for writer in writers:
-        groups: dict[bytes, list[bytes]] = {}
+        # The same first-seen-id grouping as convert's pass one.
+        index: dict[bytes, int] = {}
+        values: list[list[bytes]] = []
         grouped_bytes = 0
         for chunk in writer.reader():
-            for key, value in layout.iter_records(chunk):
-                groups.setdefault(key, []).append(value)
-                grouped_bytes += len(key) + len(value)
+            batch = KVBatch(chunk, layout)
+            grouped_bytes += batch.payload_bytes
+            keys, fields = batch.keys_bytes(), batch.values_bytes()
+            while block := list(islice(keys, BLOCK)):
+                new, ids = first_seen_ids(index, block)
+                values.extend([[] for _ in new])
+                for group, value in zip(ids.tolist(), fields):
+                    values[group].append(value)
+        groups = dict(zip(index, values))
         # The partition's working set is charged while it is live.
         env.tracker.allocate(grouped_bytes, "convert_partition")
         try:

@@ -17,10 +17,11 @@ in-situ sources).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import starmap
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster import RankEnv
-from repro.core.batch import is_batch_kernel
+from repro.core.batch import KVBatch, is_batch_kernel
 from repro.core.codec import get_codec
 from repro.core.combiner import CombineFn, Combiner
 from repro.core.config import MimirConfig
@@ -200,7 +201,7 @@ class Mimir:
             spill_env=self.env if self.config.out_of_core else None,
             spill_store=self._spill_store)
         for batch in kvc.batches():
-            scratch.extend_encoded(batch.arena)
+            scratch.extend_encoded(batch.data)
         self.env.charge_compute(scratch.nbytes)
         return scratch
 
@@ -376,7 +377,7 @@ class Mimir:
                         reduce_fn(ctx, key, values)
                 reduced_keys += len(groups)
                 reduced_bytes += sum(
-                    len(key) + sum(len(v) for v in values)
+                    len(key) + sum(map(len, values))
                     for key, values in groups)
             self.env.charge_compute(reduced_bytes)
             phase.update(
@@ -428,20 +429,16 @@ class Mimir:
         Rank-local, like MR-MPI's ``sort_keys``: the global order is
         the concatenation of per-rank sorted runs.
         """
+        from repro.core.sort import sorted_container
+
         if key_fn is not None:
-            sort_key = lambda kv: key_fn(kv[0], kv[1])  # noqa: E731
-        elif by_value:
-            sort_key = lambda kv: kv[1]  # noqa: E731
+            fields = lambda batch: starmap(  # noqa: E731
+                key_fn, batch.pairs_bytes())
         else:
-            sort_key = lambda kv: kv[0]  # noqa: E731
-        records = sorted(kvc.consume() if consume else kvc.records(),
-                         key=sort_key)
-        out = KVContainer(self.env.tracker, kvc.layout,
-                          self.config.page_size, tag=out_tag)
-        for key, value in records:
-            out.add(key, value)
-        self.env.charge_compute(out.nbytes)
-        return out
+            fields = KVBatch.values_bytes if by_value else KVBatch.keys_bytes
+        return sorted_container(
+            self.env, kvc.consume_batches() if consume else kvc.batches(),
+            fields, kvc.layout, self.config, out_tag)
 
     def global_sort(self, kvc: KVContainer, *, by_value: bool = False,
                     out_tag: str = "kv_gsorted") -> KVContainer:
@@ -478,7 +475,7 @@ class Mimir:
         and double the peak on large outputs.
         """
         for batch in kvc.batches():
-            yield b"".join(render(k, v) for k, v in batch.pairs_bytes())
+            yield b"".join(starmap(render, batch.pairs_bytes()))
 
     def write_output(self, kvc: KVContainer, path: str,
                      render: Callable[[bytes, bytes], bytes] | None = None,

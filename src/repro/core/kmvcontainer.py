@@ -9,10 +9,12 @@ pass two *fills* values into their slots as the source KVC is consumed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
-from repro.core.records import CSTRING, VARIABLE, KVLayout
+import numpy as np
+
+from repro.core.records import BLOCK, CSTRING, VARIABLE, KVLayout
 from repro.memory.pages import Page, PagePool
 from repro.memory.tracker import MemoryTracker
 
@@ -45,30 +47,54 @@ def encode_kmv_record(layout: KVLayout, key: bytes,
 def iter_kmv_buffer(layout: KVLayout,
                     buf: bytes) -> Iterator[tuple[bytes, list[bytes]]]:
     """Decode a packed run of KMV records."""
+    hint = layout.val_len
+    unpack = _U32.unpack_from
     offset = 0
     end = len(buf)
     while offset < end:
         key, offset = layout._decode_field(layout.key_len, buf, offset)
-        (nvalues,) = _U32.unpack_from(buf, offset)
+        if offset + 4 > end:
+            raise ValueError(f"truncated value count at offset {offset}")
+        nvalues = unpack(buf, offset)[0]
         offset += 4
-        values = []
-        for _ in range(nvalues):
-            value, offset = layout._decode_field(layout.val_len, buf, offset)
-            values.append(value)
+        if hint is VARIABLE:
+            # A tight header walk: one length read per value.
+            values = []
+            try:
+                for _ in range(nvalues):
+                    stop = offset + 4 + unpack(buf, offset)[0]
+                    values.append(buf[offset + 4 : stop])
+                    offset = stop
+            except struct.error:
+                raise ValueError(
+                    f"truncated length header at offset {offset}") from None
+        elif hint == CSTRING:
+            values = []
+            for _ in range(nvalues):
+                stop = buf.find(b"\0", offset)
+                if stop < 0:
+                    raise ValueError(
+                        f"unterminated NUL string at offset {offset}")
+                values.append(buf[offset:stop])
+                offset = stop + 1
+        else:
+            # Fixed-width values are arithmetic.
+            stop = offset + nvalues * hint
+            values = [buf[at : at + hint] for at in range(offset, stop, hint)]
+            offset = stop
+        if offset > end:
+            raise ValueError(f"truncated field at offset {offset}")
         yield key, values
 
 
-@dataclass
-class _Slot:
-    """Fill cursor for one reserved KMV record."""
-
-    page: Page
-    cursor: int
-    remaining: int
-
-
 class KMVContainer:
-    """Key-multivalue records in pool pages, built by reserve/fill."""
+    """Key-multivalue records in pool pages, built by reserve/fill.
+
+    Slots are columns (page index, fill cursor, end of slot; one entry
+    per reserved record, in reserve order).  Convert reserves and fills
+    a block of records per call; :meth:`reserve` and
+    :meth:`append_value` are the one-record forms of the same code.
+    """
 
     def __init__(self, tracker: MemoryTracker, layout: KVLayout | None = None,
                  page_size: int = 64 * 1024, tag: str = "kmvc"):
@@ -81,100 +107,133 @@ class KMVContainer:
         self.nrecords = 0
         self.nbytes = 0
         self.tag = tag
-        self._slots: list[_Slot] = []
+        self._slot_page = self._cursor = self._slot_end = \
+            np.zeros(0, np.int64)
 
     # ------------------------------------------------------------- sizing
-
-    def _value_extra(self) -> int:
-        """Per-value encoding overhead beyond the raw bytes."""
-        if self.layout.val_len is VARIABLE:
-            return 4
-        if self.layout.val_len == CSTRING:
-            return 1
-        return 0
 
     def record_size(self, key: bytes, nvalues: int,
                     total_value_bytes: int) -> int:
         """Exact encoded size of a KMV record."""
         key_part = self.layout.field_size(self.layout.key_len, key)
-        return key_part + 4 + total_value_bytes + nvalues * self._value_extra()
+        return key_part + 4 + total_value_bytes + \
+            nvalues * self.layout._vpad
 
     # ------------------------------------------------------------ reserve
 
+    def reserve_run(self, keys: list[bytes], counts, totals) -> int:
+        """Reserve one slot per unique key, in order; returns the first
+        slot id (the others follow it).
+
+        ``counts`` and ``totals`` are columns: values and value bytes
+        per key.  Keys and value counts are written immediately; values
+        are filled later with :meth:`fill_run` in any interleaving.
+        Page rules: a record never straddles pages; one larger than a
+        page gets a dedicated "jumbo" buffer in whole page units
+        (buffers are always fixed-size multiples, to stay
+        fragmentation-safe), whose slack later small records may use.
+        """
+        counts = np.asarray(counts, np.int64)
+        totals = np.asarray(totals, np.int64)
+        if len(counts) and counts.min() <= 0:
+            raise ValueError(f"nvalues must be positive, got {counts.min()}")
+        # A record's head is its key field followed by a u32 count.
+        head_layout = KVLayout(self.layout.key_len, 4)
+        unit = self.pool.page_size
+        columns = [(self._slot_page, self._cursor, self._slot_end)]
+        for lo in range(0, len(keys), BLOCK):
+            span = slice(lo, lo + BLOCK)
+            heads = head_layout.encode_run(
+                keys[span], list(map(_U32.pack, counts[span].tolist())))
+            head_lens = np.fromiter(map(len, heads), np.int64, len(heads))
+            sizes = head_lens + totals[span] + \
+                counts[span] * self.layout._vpad
+            ends = np.cumsum(sizes)
+            at = ends - sizes
+            on = np.empty_like(at)
+            slot = 0
+            while slot < len(heads):
+                size = int(sizes[slot])
+                if size > unit:
+                    charged = -(-size // unit) * unit
+                    self.pool.tracker.allocate(charged, self.tag)
+                    self.pages.append(Page(charged, self.tag))
+                    self._charges[id(self.pages[-1])] = charged
+                elif not self.pages or self.pages[-1].remaining < size:
+                    self.pages.append(self.pool.acquire())
+                page = self.pages[-1]
+                # Records up to ``last`` fit what this page has left.
+                begin = int(at[slot])
+                last = int(np.searchsorted(ends, begin + page.remaining,
+                                           "right"))
+                on[slot:last] = len(self.pages) - 1
+                at[slot:last] += page.used - begin
+                page.used += int(ends[last - 1]) - begin
+                slot = last
+            self._store(on, at, b"".join(heads), head_lens)
+            columns.append((on, at + head_lens, at + sizes))
+            self.nbytes += int(ends[-1])
+        first = len(self._cursor)
+        self._slot_page, self._cursor, self._slot_end = \
+            map(np.concatenate, zip(*columns))
+        self.nrecords += len(keys)
+        return first
+
     def reserve(self, key: bytes, nvalues: int,
                 total_value_bytes: int) -> int:
-        """Reserve a slot for one unique key; returns the slot id.
+        """Reserve a slot for one unique key; returns the slot id."""
+        return self.reserve_run([key], [nvalues], [total_value_bytes])
 
-        The key and the value count are written immediately; values are
-        filled later with :meth:`append_value` in any interleaving.
+    def fill_run(self, slots: np.ndarray, values) -> None:
+        """Fill the next value of ``slots[i]`` with ``values[i]``, for a
+        column of slot ids (repeats welcome) and as many values.
+
+        Per block: a stable sort by slot makes each slot's values one
+        contiguous run, which lands at the slot's cursor in one store.
         """
-        if nvalues <= 0:
-            raise ValueError(f"nvalues must be positive, got {nvalues}")
-        size = self.record_size(key, nvalues, total_value_bytes)
-        if size > self.pool.page_size:
-            # A single KMV larger than one page (heavy skew: one very
-            # frequent key).  Allocate a dedicated "jumbo" buffer in
-            # whole page units - buffers are always fixed-size multiples
-            # to stay fragmentation-safe.
-            unit = self.pool.page_size
-            charged = ((size + unit - 1) // unit) * unit
-            self.pool.tracker.allocate(charged, self.tag)
-            page = Page(charged, self.tag)
-            self.pages.append(page)
-            self._charges[id(page)] = charged
-        elif not self.pages or self.pages[-1].remaining < size:
-            self.pages.append(self.pool.acquire())
-        page = self.pages[-1]
-        cursor = page.used
-        page.used += size  # pre-claim the whole record
-
-        # Write the key part and the value count header.
-        if self.layout.key_len is VARIABLE:
-            page.data[cursor : cursor + 4] = _U32.pack(len(key))
-            cursor += 4
-        page.data[cursor : cursor + len(key)] = key
-        cursor += len(key)
-        if self.layout.key_len == CSTRING:
-            page.data[cursor] = 0
-            cursor += 1
-        page.data[cursor : cursor + 4] = _U32.pack(nvalues)
-        cursor += 4
-
-        self._slots.append(_Slot(page, cursor, nvalues))
-        self.nrecords += 1
-        self.nbytes += size
-        return len(self._slots) - 1
+        values = iter(values)
+        for lo in range(0, len(slots), BLOCK):
+            ids = slots[lo : lo + BLOCK]
+            block = list(islice(values, len(ids)))
+            encoded = list(map(b"".join, zip(*self.layout.field_columns(
+                self.layout.val_len, block, "value"))))
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            encoded = [encoded[i] for i in order.tolist()]
+            lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
+            # One run per distinct slot: where it starts in sorted order.
+            firsts = np.flatnonzero(np.diff(ids, prepend=-1))
+            ids, lens = ids[firsts], np.add.reduceat(lens, firsts)
+            at = self._cursor[ids]
+            full = at + lens > self._slot_end[ids]
+            if full.any():
+                raise ValueError(f"slot {ids[full][0]} already holds all "
+                                 f"its values")
+            self._cursor[ids] = at + lens
+            self._store(self._slot_page[ids], at, b"".join(encoded), lens)
 
     def append_value(self, slot_id: int, value: bytes) -> None:
         """Fill the next value of a reserved record."""
-        slot = self._slots[slot_id]
-        if slot.remaining <= 0:
-            raise ValueError(f"slot {slot_id} already holds all its values")
-        page, cursor = slot.page, slot.cursor
-        hint = self.layout.val_len
-        if hint is VARIABLE:
-            page.data[cursor : cursor + 4] = _U32.pack(len(value))
-            cursor += 4
-        elif hint == CSTRING:
-            if b"\0" in value:
-                raise ValueError("NUL byte in NUL-terminated value")
-        elif len(value) != hint:
-            raise ValueError(
-                f"value is {len(value)} bytes, layout fixes {hint}")
-        page.data[cursor : cursor + len(value)] = value
-        cursor += len(value)
-        if hint == CSTRING:
-            page.data[cursor] = 0
-            cursor += 1
-        slot.cursor = cursor
-        slot.remaining -= 1
+        self.fill_run(np.array([slot_id]), [value])
+
+    def _store(self, on, at, blob: bytes, lens) -> None:
+        """Cut ``blob`` into consecutive pieces of ``lens[i]`` bytes and
+        copy piece ``i`` to offset ``at[i]`` of page ``on[i]``."""
+        view = memoryview(blob)
+        datas = [page.data for page in self.pages]
+        cuts = np.cumsum(lens)
+        for page, start, stop, lo, hi in zip(
+                on.tolist(), at.tolist(), (at + lens).tolist(),
+                (cuts - lens).tolist(), cuts.tolist()):
+            datas[page][start:stop] = view[lo:hi]
 
     def finish_fill(self) -> None:
         """Assert every reserved slot was completely filled."""
-        unfilled = sum(1 for s in self._slots if s.remaining)
+        unfilled = int((self._cursor != self._slot_end).sum())
         if unfilled:
             raise ValueError(f"{unfilled} KMV slot(s) not completely filled")
-        self._slots.clear()
+        self._slot_page = self._cursor = self._slot_end = \
+            np.zeros(0, np.int64)
 
     # ------------------------------------------------------------ iterate
 
@@ -227,7 +286,8 @@ class KMVContainer:
             self._release_page(self.pages.pop())
         self.nrecords = 0
         self.nbytes = 0
-        self._slots.clear()
+        self._slot_page = self._cursor = self._slot_end = \
+            np.zeros(0, np.int64)
 
     @property
     def memory_bytes(self) -> int:

@@ -25,8 +25,10 @@ out-of-core machinery, already encoded.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from repro.core.batch import KVBatch
 from repro.core.errors import RecordTooLargeError
@@ -206,19 +208,18 @@ class KVContainer:
             buf = bytes(buf)
         roff = self.layout.scan(buf)[0]
         n = len(roff) - 1
-        if n <= 0:
-            return 0
         view = memoryview(buf)
         i = 0
         while i < n:
-            page = self._tail_page(roff[i + 1] - roff[i])
+            start = int(roff[i])
+            page = self._tail_page(int(roff[i + 1]) - start)
             # Largest j with roff[j] - roff[i] <= the page's free space:
             # every record i..j-1 lands on this page in one copy.
-            j = bisect_right(roff, roff[i] + page.remaining, i + 1, n + 1) - 1
-            page.write(view[roff[i] : roff[j]])
+            j = int(np.searchsorted(roff, start + page.remaining, "right")) - 1
+            page.write(view[start : roff[j]])
             i = j
         self.nrecords += n
-        self.nbytes += roff[-1]
+        self.nbytes += len(buf)
         return n
 
     def extend_pairs(self, pairs) -> int:
@@ -235,7 +236,7 @@ class KVContainer:
     def batches(self) -> Iterator[KVBatch]:
         """Non-destructive batch iteration: one :class:`KVBatch` per
         spilled chunk, frozen segment, or resident page, in record
-        order.  Each batch is valid until the iterator advances."""
+        order."""
         if self._spill_writer is not None:
             for chunk in self._spill_writer.reader():
                 yield KVBatch(chunk, self.layout)
@@ -251,37 +252,44 @@ class KVContainer:
         preserving insertion order.  Compatibility shim over
         :meth:`batches`.
         """
-        for batch in self.batches():
-            yield from batch.pairs_bytes()
+        return chain.from_iterable(map(KVBatch.pairs_bytes, self.batches()))
 
     def consume_batches(self) -> Iterator[KVBatch]:
         """Destructive batch iteration: backing storage is freed as
         each batch is left behind.  Refused while pinned."""
+        return (KVBatch(chunk, self.layout)
+                for chunk in self.consume_chunks())
+
+    def consume_chunks(self) -> Iterator[bytes]:
+        """Destructive iteration over the packed runs themselves (a
+        spilled chunk, a thawed segment or a page's records, as
+        ``bytes``), unscanned: for a reader that already knows the
+        record boundaries.  Storage is freed as each run is left
+        behind.  Refused while pinned."""
         if self.pins:
             raise RuntimeError(
                 f"cannot consume pinned container {self.tag!r} "
                 f"({self.pins} pins held)")
-        return self._consume_batches()
+        return self._consume_chunks()
 
-    def _consume_batches(self) -> Iterator[KVBatch]:
+    def _consume_chunks(self) -> Iterator[bytes]:
         if self._spill_writer is not None:
             reader = self._spill_writer.reader()
             try:
-                for chunk in reader:
-                    yield KVBatch(chunk, self.layout)
+                yield from reader
             finally:
                 self._spill_writer.discard()
                 self._spill_writer = None
         while self._frozen:
             segment = self._frozen.pop(0)
             try:
-                yield KVBatch(self._thaw(segment), self.layout)
+                yield self._thaw(segment)
             finally:
                 self.pool.tracker.free(len(segment.payload), self.tag)
         while self.pages:
             page = self.pages.pop(0)
             try:
-                yield KVBatch(page.data, self.layout, page.used)
+                yield bytes(page.view)
             finally:
                 consumed_bytes = page.used
                 self.pool.release(page)
@@ -296,15 +304,8 @@ class KVContainer:
         footprint while the KMV footprint grows, instead of holding
         both in full.  Refused while the container is pinned.
         """
-        if self.pins:
-            raise RuntimeError(
-                f"cannot consume pinned container {self.tag!r} "
-                f"({self.pins} pins held)")
-        return self._consume()
-
-    def _consume(self) -> Iterator[tuple[bytes, bytes]]:
-        for batch in self._consume_batches():
-            yield from batch.pairs_bytes()
+        return chain.from_iterable(
+            map(KVBatch.pairs_bytes, self.consume_batches()))
 
     # ------------------------------------------------------------- manage
 

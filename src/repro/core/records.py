@@ -14,7 +14,11 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Length hint: the field is variable-length and carries a u32 header.
 VARIABLE = None
@@ -22,9 +26,18 @@ VARIABLE = None
 #: one trailing NUL byte).  The paper reserves -1 for this.
 CSTRING = -1
 
+#: Records every column pass (route+encode, convert, field slicing)
+#: moves per call into C.  It bounds the per-block temporaries - int64
+#: columns, ``tolist()`` ints, sliced fields - whatever the input
+#: length, which is what keeps the host peak where the per-record
+#: loops had it; it is a constant, not a knob.
+BLOCK = 512
+
 _U32 = struct.Struct("<I")
 _U32x2 = struct.Struct("<II")
 _U64 = struct.Struct("<Q")
+#: Bytes a field carries beyond its data: a u32 header, a NUL, nothing.
+_PAD = {VARIABLE: 4, CSTRING: 1}
 
 
 def pack_u64(value: int) -> bytes:
@@ -33,7 +46,7 @@ def pack_u64(value: int) -> bytes:
 
 
 def unpack_u64(data: bytes | memoryview) -> int:
-    return _U64.unpack(bytes(data[:8]))[0]
+    return _U64.unpack_from(data)[0]
 
 
 def _check_hint(hint: int | None, name: str) -> None:
@@ -60,6 +73,9 @@ class KVLayout:
     def __post_init__(self):
         _check_hint(self.key_len, "key_len")
         _check_hint(self.val_len, "val_len")
+        # Header or terminator bytes each field carries beyond its data.
+        object.__setattr__(self, "_kpad", _PAD.get(self.key_len, 0))
+        object.__setattr__(self, "_vpad", _PAD.get(self.val_len, 0))
 
     # ------------------------------------------------------------- sizing
 
@@ -96,27 +112,60 @@ class KVLayout:
 
     def encode(self, key: bytes, value: bytes) -> bytes:
         """Encode one record."""
-        self._check_field(self.key_len, key, "key")
-        self._check_field(self.val_len, value, "value")
-        klen_hdr = self.key_len is VARIABLE
-        vlen_hdr = self.val_len is VARIABLE
-        if klen_hdr and vlen_hdr:
+        kl, vl = self.key_len, self.val_len
+        if kl is VARIABLE and vl is VARIABLE:
             return _U32x2.pack(len(key), len(value)) + key + value
+        # Inline field tests; ``_check_field`` only words the error.
+        if kl is not VARIABLE and \
+                (b"\0" in key if kl == CSTRING else len(key) != kl):
+            self._check_field(kl, key, "key")
+        if vl is not VARIABLE and \
+                (b"\0" in value if vl == CSTRING else len(value) != vl):
+            self._check_field(vl, value, "value")
         parts = []
-        if klen_hdr:
+        if kl is VARIABLE:
             parts.append(_U32.pack(len(key)))
         parts.append(key)
-        if self.key_len == CSTRING:
+        if kl == CSTRING:
             parts.append(b"\0")
-        if vlen_hdr:
+        if vl is VARIABLE:
             parts.append(_U32.pack(len(value)))
         parts.append(value)
-        if self.val_len == CSTRING:
+        if vl == CSTRING:
             parts.append(b"\0")
         return b"".join(parts)
 
+    def field_columns(self, hint: int | None, fields, name: str) -> list:
+        """The byte columns one field contributes to a block of encoded
+        records: length headers, the data itself, terminators.  A
+        malformed field raises :meth:`encode`'s error for the first
+        offender."""
+        lens = list(map(len, fields))
+        if hint is VARIABLE:
+            return [map(_U32.pack, lens), fields]
+        if b"\0" in b"".join(fields) if hint == CSTRING \
+                else lens.count(hint) != len(lens):
+            for data in fields:
+                self._check_field(hint, data, name)
+        return [fields, repeat(b"\0")] if hint == CSTRING else [fields]
+
+    def encode_run(self, keys, values) -> list[bytes]:
+        """Encode one block of records, a column at a time.
+
+        ``keys`` and ``values`` are equally long sequences; the result
+        holds :meth:`encode`'s bytes for each pair, and a malformed
+        field fails the whole block before anything is returned.
+        """
+        cols = self.field_columns(self.key_len, keys, "key") + \
+            self.field_columns(self.val_len, values, "value")
+        if self.key_len is VARIABLE and self.val_len is VARIABLE:
+            # The paper's layout leads with both lengths; two packed
+            # u32 are the bytes of one ``<II`` header.
+            cols[1], cols[2] = cols[2], cols[1]
+        return list(map(b"".join, zip(*cols)))
+
     def encode_into(self, buf: bytearray, offset: int, key: bytes,
-                    value: bytes) -> int:
+                    value: bytes, limit: int | None = None) -> int | None:
         """Encode one record directly at ``buf[offset:]``; returns the
         new offset.
 
@@ -124,56 +173,48 @@ class KVLayout:
         callback's record materialises straight inside the send-buffer
         partition, which is the design point the paper's Section III-B
         makes against MR-MPI's extra copies.  The caller guarantees
-        capacity (``encoded_size`` bytes).
+        capacity, or passes ``limit``: a record that would end past it
+        is not written and ``None`` is returned (like
+        :meth:`~repro.memory.pages.Page.write`).
         """
-        self._check_field(self.key_len, key, "key")
-        self._check_field(self.val_len, value, "value")
-        if self.key_len is VARIABLE and self.val_len is VARIABLE:
-            _U32x2.pack_into(buf, offset, len(key), len(value))
-            offset += 8
-            buf[offset : offset + len(key)] = key
-            offset += len(key)
-            buf[offset : offset + len(value)] = value
-            return offset + len(value)
-        if self.key_len is VARIABLE:
-            _U32.pack_into(buf, offset, len(key))
+        kl, vl = self.key_len, self.val_len
+        klen, vlen = len(key), len(value)
+        if kl is not VARIABLE and \
+                (b"\0" in key if kl == CSTRING else klen != kl):
+            self._check_field(kl, key, "key")
+        if vl is not VARIABLE and \
+                (b"\0" in value if vl == CSTRING else vlen != vl):
+            self._check_field(vl, value, "value")
+        end = offset + klen + vlen + self._kpad + self._vpad
+        if limit is not None and end > limit:
+            return None
+        if kl is VARIABLE and vl is VARIABLE:
+            _U32x2.pack_into(buf, offset, klen, vlen)
+            buf[offset + 8 : end - vlen] = key
+            buf[end - vlen : end] = value
+            return end
+        if kl is VARIABLE:
+            _U32.pack_into(buf, offset, klen)
             offset += 4
-        buf[offset : offset + len(key)] = key
-        offset += len(key)
-        if self.key_len == CSTRING:
+        buf[offset : offset + klen] = key
+        offset += klen
+        if kl == CSTRING:
             buf[offset] = 0
             offset += 1
-        if self.val_len is VARIABLE:
-            _U32.pack_into(buf, offset, len(value))
+        if vl is VARIABLE:
+            _U32.pack_into(buf, offset, vlen)
             offset += 4
-        buf[offset : offset + len(value)] = value
-        offset += len(value)
-        if self.val_len == CSTRING:
-            buf[offset] = 0
-            offset += 1
-        return offset
+        buf[offset : offset + vlen] = value
+        if vl == CSTRING:
+            buf[end - 1] = 0
+        return end
 
     # ----------------------------------------------------------- decoding
 
     def _decode_field(self, hint: int | None, buf: bytes,
                       offset: int) -> tuple[bytes, int]:
-        if hint is VARIABLE:
-            if offset + 4 > len(buf):
-                raise ValueError(f"truncated length header at offset {offset}")
-            (n,) = _U32.unpack_from(buf, offset)
-            start = offset + 4
-            if start + n > len(buf):
-                raise ValueError(f"truncated field at offset {offset}")
-            return bytes(buf[start : start + n]), start + n
-        if hint == CSTRING:
-            end = buf.find(b"\0", offset)
-            if end < 0:
-                raise ValueError(
-                    f"unterminated NUL string at offset {offset}")
-            return bytes(buf[offset:end]), end + 1
-        if offset + hint > len(buf):
-            raise ValueError(f"truncated fixed field at offset {offset}")
-        return bytes(buf[offset : offset + hint]), offset + hint
+        start, stop, offset = self._scan_field(hint, buf, offset, len(buf))
+        return bytes(buf[start:stop]), offset
 
     def decode(self, buf: bytes, offset: int = 0) -> tuple[bytes, bytes, int]:
         """Decode one record; returns ``(key, value, next_offset)``."""
@@ -195,10 +236,7 @@ class KVLayout:
 
     def _scan_field(self, hint: int | None, buf, offset: int,
                     end: int) -> tuple[int, int, int]:
-        """Like :meth:`_decode_field` but offsets-only (no bytes object).
-
-        Returns ``(data_start, data_end, next_offset)``.
-        """
+        """Bounds of one field: ``(data_start, data_end, next_offset)``."""
         if hint is VARIABLE:
             if offset + 4 > end:
                 raise ValueError(f"truncated length header at offset {offset}")
@@ -217,68 +255,70 @@ class KVLayout:
         return offset, offset + hint, offset + hint
 
     def scan(self, buf, end: int | None = None):
-        """Column-scan a packed run of records into offset arrays.
+        """Column-scan a packed run of records into offset columns.
 
-        Returns ``(roff, koff, kend, voff, vend)``: five ``array('Q')``
-        columns where record ``i`` occupies ``buf[roff[i]:roff[i+1]]``,
-        its key is ``buf[koff[i]:kend[i]]`` and its value
+        Returns ``(roff, koff, kend, voff, vend)``: int64 numpy columns
+        where record ``i`` occupies ``buf[roff[i]:roff[i+1]]``, its key
+        is ``buf[koff[i]:kend[i]]`` and its value
         ``buf[voff[i]:vend[i]]``.  ``roff`` has one extra trailing entry
         (the scan end), so it doubles as the record-boundary table the
-        bulk-copy paths split on.  No per-record bytes objects are
-        created.  ``buf`` must be ``bytes`` or ``bytearray`` (CSTRING
-        scanning needs ``find``); pass ``end`` to scan a valid prefix.
+        bulk-copy paths split on.  The walk reads one header per record
+        and appends one offset; every other column is derived from
+        ``roff`` and the key lengths in a few array operations (columns
+        may be views of one another: read them, do not write).  ``buf``
+        must be ``bytes`` or ``bytearray`` (CSTRING scanning needs
+        ``find``); pass ``end`` to scan a valid prefix.
         """
         if end is None:
             end = len(buf)
         kl, vl = self.key_len, self.val_len
-        if isinstance(kl, int) and kl > 0 and isinstance(vl, int) and vl > 0:
-            # Fixed/fixed: pure arithmetic, arrays built at C speed.
+        if not self._kpad and not self._vpad:
+            # Fixed/fixed: pure arithmetic, no walk.
             rec = kl + vl
             if end % rec:
                 raise ValueError(
                     f"buffer length {end} is not a multiple of the fixed "
                     f"record size {rec}")
-            return (array("Q", range(0, end + 1, rec)),
-                    array("Q", range(0, end, rec)),
-                    array("Q", range(kl, end + 1, rec)),
-                    array("Q", range(kl, end + 1, rec)),
-                    array("Q", range(rec, end + 1, rec)))
+            roff = np.arange(0, end + 1, rec)
+            return roff, roff[:-1], roff[:-1] + kl, roff[:-1] + kl, roff[1:]
         if isinstance(buf, memoryview):
             buf = bytes(buf)
-        roff = array("Q")
-        koff = array("Q")
-        kend = array("Q")
-        voff = array("Q")
-        vend = array("Q")
+        starts = array("q")
+        mark = starts.append
         offset = 0
         if kl is VARIABLE and vl is VARIABLE:
-            while offset < end:
-                if offset + 8 > end:
-                    raise ValueError(
-                        f"truncated record header at offset {offset}")
-                klen, vlen = _U32x2.unpack_from(buf, offset)
-                ks = offset + 8
-                vs = ks + klen
-                ve = vs + vlen
-                if ve > end:
-                    raise ValueError(f"truncated record at offset {offset}")
-                roff.append(offset)
-                koff.append(ks)
-                kend.append(vs)
-                voff.append(vs)
-                vend.append(ve)
-                offset = ve
+            unpack, last = _U32x2.unpack_from, end - 8
+            while offset <= last:
+                mark(offset)
+                klen, vlen = unpack(buf, offset)
+                offset += 8 + klen + vlen
+            if offset < end:
+                raise ValueError(f"truncated record header at offset {offset}")
+            if offset > end:
+                raise ValueError(f"truncated record at offset {starts[-1]}")
         else:
+            klens = array("q")
+            note, field = klens.append, self._scan_field
             while offset < end:
-                roff.append(offset)
-                ks, ke, offset = self._scan_field(kl, buf, offset, end)
-                vs, ve, offset = self._scan_field(vl, buf, offset, end)
-                koff.append(ks)
-                kend.append(ke)
-                voff.append(vs)
-                vend.append(ve)
-        roff.append(end)
-        return roff, koff, kend, voff, vend
+                mark(offset)
+                start, stop, offset = field(kl, buf, offset, end)
+                note(stop - start)
+                offset = field(vl, buf, offset, end)[2]
+        mark(end)
+        roff = np.frombuffer(starts, np.int64)
+        if len(roff) == 1:
+            return roff, roff[:0], roff[:0], roff[:0], roff[:0]
+        if kl is VARIABLE and vl is VARIABLE:
+            # Key lengths straight from the headers the walk visited.
+            heads = sliding_window_view(np.frombuffer(buf, np.uint8, end), 4)
+            koff = roff[:-1] + 8
+            kend = koff + heads[roff[:-1]].view("<u4")[:, 0]
+            return roff, koff, kend, kend, roff[1:]
+        # [u32 klen?] key [NUL?] [u32 vlen?] value [NUL?]
+        koff = roff[:-1] + (4 if kl is VARIABLE else 0)
+        kend = koff + np.frombuffer(klens, np.int64)
+        voff = kend + (kl == CSTRING) + (4 if vl is VARIABLE else 0)
+        return roff, koff, kend, voff, roff[1:] - (vl == CSTRING)
 
     def iter_records(self, buf: bytes | memoryview) -> Iterator[tuple[bytes, bytes]]:
         """Yield every record of a packed buffer."""

@@ -20,8 +20,11 @@ of done-flags decides whether the aggregate phase is over.
 from __future__ import annotations
 
 import zlib
-from itertools import repeat
+from itertools import islice, repeat, tee
+from operator import itemgetter
 from typing import Callable
+
+import numpy as np
 
 from repro.cluster import RankEnv
 from repro.core.batch import KVBatch
@@ -29,12 +32,18 @@ from repro.core.codec import get_codec, note_encode
 from repro.core.config import MimirConfig
 from repro.core.errors import RecordTooLargeError
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import KVLayout
+from repro.core.records import BLOCK, KVLayout
 
 
 def default_partitioner(key: bytes, nprocs: int) -> int:
     """Stable key-to-rank hash (crc32: deterministic across processes)."""
     return zlib.crc32(key) % nprocs
+
+
+def hash_partition(keys, nparts: int):
+    """:func:`default_partitioner` over a column of keys: a lazy
+    ``crc32(key) % nparts`` per key with no Python frame per key."""
+    return map(nparts.__rmod__, map(zlib.crc32, keys))
 
 
 class Shuffler:
@@ -73,70 +82,53 @@ class Shuffler:
         """Insert one KV directly into its destination partition.
 
         Zero staging copy: the record is encoded in place inside the
-        send-buffer partition (paper Section III-B).
+        send-buffer partition (paper Section III-B).  Synchronous on
+        purpose: a kernel may advance the clock between two emits, so
+        buffering them would reorder its reads against exchanges.
         """
-        n = self.layout.encoded_size(key, value)
         dest = self.partitioner(key, self.nprocs)
-        if n > self.part_size:
-            raise RecordTooLargeError(n, self.part_size,
-                                      "send-buffer partition")
-        if self._fill[dest] + n > self.part_size:
-            self.exchange(done=False)
-        base = dest * self.part_size + self._fill[dest]
-        self.layout.encode_into(self._send, base, key, value)
-        self._fill[dest] += n
-        self.records_sent += 1
-        self.bytes_sent += n
-
-    def emit_record(self, record: bytes | memoryview, dest: int) -> None:
-        """Insert a pre-encoded record bound for rank ``dest``."""
-        n = len(record)
-        if n > self.part_size:
-            raise RecordTooLargeError(n, self.part_size,
-                                      "send-buffer partition")
-        if self._fill[dest] + n > self.part_size:
+        base = dest * self.part_size
+        start = base + self._fill[dest]
+        end = self.layout.encode_into(self._send, start, key, value,
+                                      base + self.part_size)
+        if end is None:
+            n = self.layout.encoded_size(key, value)
+            if n > self.part_size:
+                raise RecordTooLargeError(n, self.part_size,
+                                          "send-buffer partition")
             # Partition full: suspend map, run one aggregate round.
             self.exchange(done=False)
-        base = dest * self.part_size + self._fill[dest]
-        self._send[base : base + n] = record
-        self._fill[dest] += n
+            start = base
+            end = self.layout.encode_into(self._send, base, key, value)
+        self._fill[dest] = end - base
         self.records_sent += 1
-        self.bytes_sent += n
+        self.bytes_sent += end - start
 
     # --------------------------------------------------------- bulk emits
     #
     # Partition fills, exchange trigger points, and the resulting byte
-    # streams are identical to repeated single emits.
+    # streams are identical to repeated single emits; only errors
+    # surface a block early (before the block's earlier records land).
 
     def emit_run(self, keys, value: bytes) -> int:
         """Emit ``(key, value)`` for every key, sharing one value."""
-        return self.emit_pairs(zip(keys, repeat(value)))
+        return self._emit_columns(iter(keys), repeat(value))
 
     def emit_pairs(self, pairs) -> int:
         """Emit an iterable of ``(key, value)`` pairs; returns its length."""
-        layout = self.layout
-        partitioner = self.partitioner
-        nprocs = self.nprocs
-        part_size = self.part_size
-        fill = self._fill
-        send = self._send
+        keys, values = tee(pairs)
+        return self._emit_columns(map(itemgetter(0), keys),
+                                  map(itemgetter(1), values))
+
+    def _emit_columns(self, keys, values) -> int:
+        """Encode and route two lazy columns, a block at a time."""
         count = 0
-        nbytes = 0
-        for key, value in pairs:
-            n = layout.encoded_size(key, value)
-            dest = partitioner(key, nprocs)
-            if n > part_size:
-                raise RecordTooLargeError(n, part_size,
-                                          "send-buffer partition")
-            if fill[dest] + n > part_size:
-                self.exchange(done=False)
-            base = dest * part_size + fill[dest]
-            layout.encode_into(send, base, key, value)
-            fill[dest] += n
-            count += 1
-            nbytes += n
-        self.records_sent += count
-        self.bytes_sent += nbytes
+        while block := list(islice(keys, BLOCK)):
+            self._route(
+                self.layout.encode_run(block,
+                                       list(islice(values, len(block)))),
+                self._dests(block))
+            count += len(block)
         self.batch_records += count
         self.batch_calls += 1
         return count
@@ -144,33 +136,75 @@ class Shuffler:
     def emit_batch(self, batch: KVBatch) -> None:
         """Route every record of a :class:`KVBatch` by its key hash.
 
-        Records are copied as arena slices straight into their
-        partitions - no per-record encode, no per-record bytes objects
-        (the default crc32 partitioner hashes the key slice in place).
+        Records move as slices of the batch, never re-encoded.
         """
-        partitioner = self.partitioner
-        nprocs = self.nprocs
-        arena = batch.arena
-        roff = batch.roff
-        for i, (ks, ke) in enumerate(zip(batch.koff, batch.kend)):
-            dest = partitioner(arena[ks:ke], nprocs)
-            self.emit_record(arena[roff[i] : roff[i + 1]], dest)
-        self.batch_records += len(batch)
-        self.batch_calls += 1
+        self._emit_encoded(batch, self._dests(batch.keys_bytes()))
 
-    def emit_keyed_batch(self, batch: KVBatch, dest_for) -> None:
-        """Route every record of a batch via ``dest_for(key_bytes)``.
+    def emit_keyed_batch(self, batch: KVBatch, dest_for,
+                         by_value: bool = False) -> None:
+        """Route every record of a batch via ``dest_for(key_bytes)``
+        (``dest_for(value_bytes)`` with ``by_value``).
 
         Used by the range partitioner of the global sort, whose
-        splitter comparison needs orderable ``bytes`` keys.
+        splitter comparison needs orderable ``bytes`` fields.
         """
-        arena = batch.arena
-        roff = batch.roff
-        for i, (ks, ke) in enumerate(zip(batch.koff, batch.kend)):
-            dest = dest_for(bytes(arena[ks:ke]))
-            self.emit_record(arena[roff[i] : roff[i + 1]], dest)
+        fields = batch.values_bytes() if by_value else batch.keys_bytes()
+        self._emit_encoded(batch, map(dest_for, fields))
+
+    def _emit_encoded(self, batch: KVBatch, dests) -> None:
+        records = batch.records_bytes()
+        while block := list(islice(records, BLOCK)):
+            self._route(block, dests)
         self.batch_records += len(batch)
         self.batch_calls += 1
+
+    def _dests(self, keys):
+        """Lazy destination rank per key."""
+        if self.partitioner is default_partitioner:
+            return hash_partition(keys, self.nprocs)
+        return map(self.partitioner, keys, repeat(self.nprocs))
+
+    def _route(self, records: list[bytes], dests) -> None:
+        """Place one block of encoded records, taking one destination
+        per record from ``dests``: the column router every bulk emit
+        ends in.
+
+        Per round: a stable sort by destination, a running sum per
+        destination to find the first record that does not fit its
+        partition, one join and one slice store per destination for
+        the records before it, an exchange, then on from that record.
+        """
+        n = len(records)
+        sizes = np.fromiter(map(len, records), np.int64, n)
+        dests = np.fromiter(islice(dests, n), np.int64, n)
+        part_size, fill, send = self.part_size, self._fill, self._send
+        if sizes.max() > part_size:
+            raise RecordTooLargeError(int(sizes[sizes > part_size][0]),
+                                      part_size, "send-buffer partition")
+        start = 0
+        while start < n:
+            order = np.argsort(dests[start:], kind="stable") + start
+            cuts = [0, *(np.flatnonzero(np.diff(dests[order])) + 1).tolist(),
+                    len(order)]
+            runs = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+            stop = n
+            for run in runs:
+                room = part_size - fill[dests[run[0]]]
+                fits = np.searchsorted(np.cumsum(sizes[run]), room, "right")
+                if fits < len(run):
+                    stop = min(stop, int(run[fits]))
+            for run in runs:
+                dest = int(dests[run[0]])
+                placed = run[: np.searchsorted(run, stop)].tolist()
+                chunk = b"".join([records[i] for i in placed])
+                base = dest * part_size + fill[dest]
+                send[base : base + len(chunk)] = chunk
+                fill[dest] += len(chunk)
+            if stop < n:
+                self.exchange(done=False)
+            start = stop
+        self.records_sent += n
+        self.bytes_sent += int(sizes.sum())
 
     # ---------------------------------------------------------- exchange
 
@@ -193,9 +227,9 @@ class Shuffler:
                 part = frame
             sends.append(part)
         received = self.env.comm.alltoallv(sends)
-        # Clear in place: the batch emits hold a local alias to this
-        # list across mid-batch exchanges, so rebinding would leave
-        # them counting against stale fills.
+        # Clear in place: the router holds a local alias to this list
+        # across mid-block exchanges, so rebinding would leave it
+        # counting against stale fills.
         for dest in range(self.nprocs):
             self._fill[dest] = 0
         self.rounds += 1

@@ -86,26 +86,25 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
 
     # ---------------------------------------------------- sampling pass
     if hot_keys is None:
-        counts = CountingBucket(env.tracker, config.bucket_entry_overhead,
-                                tag="skew_sample")
-        seen = 0
+        sampled: list[bytes] = []
 
         class _Stop(Exception):
             pass
 
         def sample_emit(key: bytes, value: bytes) -> None:
-            nonlocal seen
-            counts.add(key, 0)
-            seen += 1
-            if seen >= sample_records:
+            sampled.append(key)
+            if len(sampled) >= sample_records:
                 raise _Stop
 
         try:
             feed(sample_emit)
         except _Stop:
             pass
+        counts = CountingBucket(env.tracker, config.bucket_entry_overhead,
+                                tag="skew_sample")
+        counts.add_run(sampled, 0)
         hot_keys = find_hot_keys(
-            env, ((key, entry[0]) for key, entry in counts.items()),
+            env, zip(counts.keys(), counts.counts.tolist()),
             max_hot=max_hot, hot_fraction=hot_fraction)
         counts.free()
 

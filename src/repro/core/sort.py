@@ -14,11 +14,12 @@ bisection per record), and each rank sorts what it received.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter
 
 from repro.cluster import RankEnv
+from repro.core.batch import KVBatch
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
+from repro.core.records import BLOCK, KVLayout
 from repro.core.shuffle import Shuffler
 
 #: Samples each rank contributes per destination rank.
@@ -46,6 +47,32 @@ def range_partitioner(splitters: list[bytes]):
     return partition
 
 
+def sorted_container(env: RankEnv, batches, fields, layout: KVLayout,
+                     config: MimirConfig, tag: str) -> KVContainer:
+    """A new container holding the records of ``batches`` ordered by
+    ``fields(batch)`` (one sort field per record; stable).
+
+    Records move as the encoded slices they already are: joined in
+    sorted order they re-split into pages exactly as per-record
+    insertion would.
+    """
+    keys: list = []
+    records: list[bytes] = []
+    for batch in batches:
+        keys.extend(fields(batch))
+        records.extend(batch.records_bytes())
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    out = KVContainer(env.tracker, layout, config.page_size, tag=tag)
+    # Any cut of the sorted run at record boundaries re-splits into the
+    # same pages; a block at a time keeps the joined copy small.
+    for lo in range(0, len(order), BLOCK):
+        out.extend_encoded(b"".join(map(records.__getitem__,
+                                        order[lo : lo + BLOCK])))
+    env.charge_compute(out.nbytes)
+    return out
+
+
 def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
                 by_value: bool = False,
                 oversample: int = DEFAULT_OVERSAMPLE,
@@ -58,12 +85,10 @@ def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
     arena slices of their container pages, never re-encoded.
     """
     comm = env.comm
+    fields = KVBatch.values_bytes if by_value else KVBatch.keys_bytes
 
     # Sample this rank's sort fields at regular strides.
-    if by_value:
-        local = [bytes(v) for b in kvc.batches() for v in b.values()]
-    else:
-        local = [k for b in kvc.batches() for k in b.keys_bytes()]
+    local = [field for batch in kvc.batches() for field in fields(batch)]
     want = max(1, comm.size * oversample)
     stride = max(1, len(local) // want)
     sample = sorted(local)[::stride][:want] if local else []
@@ -77,18 +102,8 @@ def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
                       tag=out_tag)
     shuffler = Shuffler(env, config, out)
     for batch in kvc.consume_batches():
-        if by_value:
-            for i, value in enumerate(batch.values()):
-                shuffler.emit_record(batch.record(i), dest_for(bytes(value)))
-        else:
-            shuffler.emit_keyed_batch(batch, dest_for)
+        shuffler.emit_keyed_batch(batch, dest_for, by_value)
     shuffler.finish()
     env.charge_compute(shuffler.bytes_sent)
-
-    records = sorted(out.consume(), key=itemgetter(1 if by_value else 0))
-    result = KVContainer(env.tracker, out.layout, config.page_size,
-                         tag=out_tag)
-    for key, value in records:
-        result.add(key, value)
-    env.charge_compute(result.nbytes)
-    return result
+    return sorted_container(env, out.consume_batches(), fields, out.layout,
+                            config, out_tag)

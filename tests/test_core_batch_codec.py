@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from repro.apps.pagerank import pagerank_mimir
@@ -97,6 +98,93 @@ class TestScanColumns:
         for layout in LAYOUTS:
             roff, *_rest = layout.scan(b"")
             assert list(roff) == [0]
+
+
+# Every key/value hint combination; fixed/fixed is scanned by arithmetic,
+# the other eight by the header walk.
+ALL_LAYOUTS = [KVLayout(kl, vl) for kl, vl in
+               product((VARIABLE, CSTRING, 3), (VARIABLE, CSTRING, 5))]
+WALKED = [layout for layout in ALL_LAYOUTS if layout != KVLayout(3, 5)]
+
+
+def decode_walk(layout, buf):
+    """Reference for ``scan``: one ``decode`` per record, the loop the
+    column scan replaced.  Returns ``[roff, koff, kend, voff, vend]`` as
+    lists; raises what ``decode`` raises."""
+    both_variable = layout == KVLayout()
+    roff, koff, kend, voff, vend = columns = [[0], [], [], [], []]
+    offset = 0
+    while offset < len(buf):
+        key, value, after = layout.decode(buf, offset)
+        # The key sits behind its header (var/var: behind both), the
+        # value ends where the record does, less a NUL terminator.
+        koff.append(offset + (8 if both_variable else
+                              4 if layout.key_len is VARIABLE else 0))
+        kend.append(koff[-1] + len(key))
+        vend.append(after - (layout.val_len == CSTRING))
+        voff.append(vend[-1] - len(value))
+        roff.append(after)
+        offset = after
+    return columns
+
+
+class TestScanAgainstDecodeWalk:
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS)
+    def test_columns_equal_decode_walk(self, layout):
+        rng = random.Random(23)
+        # lo=0: zero-length keys and values are legal and must scan.
+        pairs = random_pairs(rng, layout, 700) + [
+            (random_field(rng, layout.key_len, hi=0),
+             random_field(rng, layout.val_len, hi=0))] * 3
+        buf = b"".join(layout.encode(k, v) for k, v in pairs)
+        expected = decode_walk(layout, buf)
+        for source in (buf, bytearray(buf), memoryview(buf)):
+            columns = layout.scan(source)
+            assert [column.tolist() for column in columns] == expected
+            assert all(column.dtype == np.int64 for column in columns)
+
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS)
+    def test_end_scans_a_prefix_of_a_larger_buffer(self, layout):
+        rng = random.Random(29)
+        pairs = random_pairs(rng, layout, 30)
+        encoded = [layout.encode(k, v) for k, v in pairs]
+        cut = len(b"".join(encoded[:17]))
+        page = bytearray(b"".join(encoded)) + bytearray(64)  # page slack
+        assert [c.tolist() for c in layout.scan(page, cut)] == \
+            decode_walk(layout, bytes(page[:cut]))
+
+    @pytest.mark.parametrize("layout", WALKED)
+    def test_truncation_errors_match_decode(self, layout):
+        rng = random.Random(31)
+        pairs = [(random_field(rng, layout.key_len, lo=2, hi=6),
+                  random_field(rng, layout.val_len, lo=2, hi=6))
+                 for _ in range(5)]
+        buf = b"".join(layout.encode(k, v) for k, v in pairs)
+        boundaries = set(decode_walk(layout, buf)[0])
+        # Every cut that is not a record boundary: inside a header,
+        # inside a field, before a terminator.
+        for cut in set(range(len(buf))) - boundaries:
+            with pytest.raises(ValueError) as walked:
+                decode_walk(layout, buf[:cut])
+            with pytest.raises(ValueError) as truncated:
+                layout.scan(buf[:cut])
+            with pytest.raises(ValueError) as bounded:
+                layout.scan(buf, end=cut)  # ``end`` inside a record
+            assert str(truncated.value) == str(bounded.value) \
+                == str(walked.value)
+
+    def test_batch_fields_are_slices_of_one_bytes_object(self):
+        layout = KVLayout()
+        pairs = random_pairs(random.Random(37), layout, 1300)  # > 2 blocks
+        page = bytearray(b"".join(layout.encode(k, v) for k, v in pairs))
+        batch = KVBatch(page + bytearray(32), layout, len(page))
+        assert isinstance(batch.data, bytes) and batch.nbytes == len(page)
+        assert list(batch.pairs_bytes()) == pairs
+        assert list(batch.keys_bytes()) == [k for k, _ in pairs]
+        assert list(batch.values_bytes()) == [v for _, v in pairs]
+        assert b"".join(batch.records_bytes()) == bytes(page)
+        assert [bytes(k) for k in batch.keys()] == [k for k, _ in pairs]
+        assert batch.payload_bytes == sum(len(k) + len(v) for k, v in pairs)
 
 
 # ---------------------------------------------------------------- KVBatch

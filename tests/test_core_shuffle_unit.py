@@ -1,11 +1,23 @@
 """Shuffler in isolation: partitions, rounds, buffers, routing."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import KVContainer, MimirConfig, RecordTooLargeError
+from repro.core import (
+    CSTRING,
+    VARIABLE,
+    KVBatch,
+    KVContainer,
+    KVLayout,
+    MimirConfig,
+    RecordTooLargeError,
+    pack_u64,
+)
+from repro.core.bucket import AccountedBucket
+from repro.core.records import BLOCK
 from repro.core.shuffle import Shuffler, default_partitioner
 from repro.mpi import COMET, RankFailedError
 
@@ -131,3 +143,138 @@ class TestRouting:
         for records, _ in results:
             merged.update(k for k, _ in records)
         assert sum(merged.values()) == 5 * 30
+
+
+# ----------------------------------------------- the column router's edges
+
+def failure_of(layout, drive, nprocs=2):
+    """``(type, message, records routed before it)`` of the error one
+    rank's ``drive(shuffler)`` raises."""
+    config = MimirConfig(page_size=1024, comm_buffer_size=256, layout=layout)
+    routed = []
+
+    def job(env):
+        out = KVContainer(env.tracker, layout, config.page_size)
+        shuffler = Shuffler(env, config, out)
+        try:
+            drive(shuffler)
+        finally:
+            routed.append(shuffler.records_sent)
+
+    with pytest.raises(RankFailedError) as exc_info:
+        Cluster(COMET, nprocs=nprocs, memory_limit=None).run(job)
+    error = exc_info.value.original
+    return type(error), str(error), routed[0]
+
+
+class TestBulkEmitErrors:
+    # (layout, a good record, the bad one): a NUL in a CSTRING field, a
+    # wrong fixed length, a record larger than a 128-byte partition.
+    CASES = [
+        (KVLayout(CSTRING, VARIABLE), (b"ok", b"v"), (b"a\0b", b"v")),
+        (KVLayout(VARIABLE, CSTRING), (b"ok", b"v"), (b"k", b"v\0")),
+        (KVLayout(4, VARIABLE), (b"good", b"v"), (b"toolong", b"v")),
+        (KVLayout(VARIABLE, 2), (b"ok", b"vv"), (b"k", b"v")),
+        (KVLayout(), (b"ok", b"v"), (b"k" * 200, b"v")),
+        (KVLayout(CSTRING, 8), (b"ok", b"8" * 8), (b"k" * 200, b"8" * 8)),
+    ]
+
+    @pytest.mark.parametrize("layout,good,bad", CASES)
+    def test_same_exception_as_emit(self, layout, good, bad):
+        pairs = [good] * 5 + [bad] + [good] * 5
+
+        def loop(shuffler):
+            for key, value in pairs:
+                shuffler.emit(key, value)
+
+        kind, message, routed = failure_of(layout, loop)
+        assert issubclass(kind, (ValueError, RecordTooLargeError))
+        assert routed == 5      # the per-record path fails on the spot
+        # The bulk paths raise the same error a block early: before the
+        # block's earlier records are routed.
+        assert failure_of(layout, lambda shuffler: shuffler.emit_pairs(
+            iter(pairs))) == (kind, message, 0)
+        if good[1] == bad[1]:
+            assert failure_of(layout, lambda shuffler: shuffler.emit_run(
+                [key for key, _ in pairs], good[1])) == (kind, message, 0)
+
+    def test_oversized_record_in_a_batch(self):
+        layout = KVLayout()
+        records = [layout.encode(b"ok", b"v")] * 3 + \
+            [layout.encode(b"k" * 200, b"v")]
+        batch = KVBatch(b"".join(records), layout)
+        kind, message, routed = failure_of(
+            layout, lambda shuffler: shuffler.emit_batch(batch))
+        assert kind is RecordTooLargeError and routed == 0
+        assert message == failure_of(
+            layout, lambda shuffler: shuffler.emit(b"k" * 200, b"v"))[1]
+
+
+class _CountingSink(KVContainer):
+    """Counts what arrives and keeps nothing, so a traced peak is the
+    emit path's own allocations and not the shuffled data."""
+
+    def extend_encoded(self, buf):
+        self.nbytes += len(buf)
+        return 0
+
+
+class TestBulkEmitHostMemory:
+    """The router works a block at a time: its temporaries do not grow
+    with the length of the run it is handed (a router that took the
+    whole run as columns would hold ~150 B per key here)."""
+
+    def emit_run_peak(self, nkeys):
+        config = MimirConfig()
+        keys = [b"key%05d" % (i % 5000) for i in range(nkeys)]
+
+        def job(env):
+            out = _CountingSink(env.tracker, config.layout, config.page_size)
+            shuffler = Shuffler(env, config, out)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert shuffler.emit_run(keys, pack_u64(1)) == nkeys
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            shuffler.finish()
+            assert out.nbytes == nkeys * config.layout.encoded_size(
+                keys[0], pack_u64(1))
+            return peak, shuffler.rounds
+
+        return Cluster(COMET, nprocs=1, memory_limit=None).run(job).returns[0]
+
+    def test_emit_run_peak_is_a_multiple_of_the_block(self):
+        short, _ = self.emit_run_peak(5_000)
+        long, rounds = self.emit_run_peak(50_000)
+        assert rounds > 10                  # exchanges cut the call
+        assert long < 512 * BLOCK           # 512 B per record of one block
+        assert long < 1.5 * short           # ten times the keys, same peak
+
+    def test_drain_is_consumed_a_block_at_a_time(self):
+        # ``emit_pairs(bucket.drain())`` must not list the drain: the
+        # bucket releases its accounting entry by entry as it goes.
+        config = MimirConfig()
+        ahead = []
+
+        def job(env):
+            out = _CountingSink(env.tracker, config.layout, config.page_size)
+            shuffler = Shuffler(env, config, out)
+            bucket = AccountedBucket(env.tracker)
+            for i in range(4 * BLOCK + 7):
+                bucket.set(b"key%05d" % i, pack_u64(i))
+
+            def watched():
+                for drawn, pair in enumerate(bucket.drain(), start=1):
+                    ahead.append(drawn - shuffler.records_sent)
+                    yield pair
+
+            shuffler.emit_pairs(watched())
+            shuffler.finish()
+            return shuffler.records_sent
+
+        sent = Cluster(COMET, nprocs=1, memory_limit=None).run(job).returns[0]
+        assert sent == 4 * BLOCK + 7
+        assert max(ahead) <= BLOCK

@@ -16,10 +16,22 @@ from hypothesis import strategies as st
 from repro.apps.components import components_mimir
 from repro.apps.wordcount import wordcount_mimir, wordcount_mrmpi
 from repro.cluster import Cluster
-from repro.core import CSTRING, KVLayout, Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import (
+    CSTRING,
+    VARIABLE,
+    KVBatch,
+    KVContainer,
+    KVLayout,
+    Mimir,
+    MimirConfig,
+    pack_u64,
+    unpack_u64,
+)
+from repro.core.shuffle import Shuffler
 from repro.datasets import edges_to_bytes
 from repro.mpi import COMET
 from repro.mrmpi import MRMPIConfig
+from tests.conftest import fit_field, small_blocks
 
 MIMIR_CFG = MimirConfig(page_size=1024, comm_buffer_size=1024,
                         input_chunk_size=128)
@@ -138,3 +150,70 @@ def test_shuffle_reduce_equals_groupby(pairs, nprocs):
     for key, value in pairs:
         expected[key] = expected.get(key, 0) + value
     assert merged == {k: v % (1 << 64) for k, v in expected.items()}
+
+
+# ------------------------------------------ column router == a loop of emit
+
+HINTS = (VARIABLE, CSTRING, 3)
+
+
+def shuffle_outcome(nprocs, layout, pairs, drive, part_size=48):
+    """All a rank can observe of one shuffle: the bytes of the pages it
+    received, the shuffler's counters, its clock and tracked peak."""
+    config = MimirConfig(page_size=128, comm_buffer_size=part_size * nprocs,
+                         layout=layout)
+
+    def job(env):
+        out = KVContainer(env.tracker, layout, config.page_size)
+        shuffler = Shuffler(env, config, out)
+        drive(shuffler, pairs[env.comm.rank :: env.comm.size])
+        shuffler.finish()
+        seen = ([bytes(page.view) for page in out.pages], shuffler.rounds,
+                shuffler.records_sent, shuffler.bytes_sent,
+                env.comm.clock.time, env.tracker.peak)
+        out.free()
+        return seen
+
+    return Cluster(COMET, nprocs=nprocs, memory_limit=None).run(job).returns
+
+
+def emit_loop(shuffler, mine):
+    """The scalar reference: the per-record path, one emit at a time."""
+    for key, value in mine:
+        shuffler.emit(key, value)
+
+
+def emit_as_batch(shuffler, mine):
+    layout = shuffler.layout
+    shuffler.emit_batch(KVBatch(
+        b"".join(layout.encode(key, value) for key, value in mine), layout))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HINTS), st.sampled_from(HINTS),
+       st.lists(st.tuples(st.binary(max_size=6), st.binary(max_size=6)),
+                max_size=70),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=9))
+def test_column_router_equals_a_loop_of_emit(key_hint, val_hint, raw, nprocs,
+                                             block):
+    """Partitions of 48 bytes hold two to five records, so every bulk
+    call is cut by exchanges - inside blocks and at their edges."""
+    layout = KVLayout(key_hint, val_hint)
+    pairs = [(fit_field(key_hint, k), fit_field(val_hint, v)) for k, v in raw]
+    expected = shuffle_outcome(nprocs, layout, pairs, emit_loop)
+    with small_blocks(block):
+        assert shuffle_outcome(
+            nprocs, layout, pairs,
+            lambda shuffler, mine: shuffler.emit_pairs(iter(mine))
+        ) == expected
+        assert shuffle_outcome(nprocs, layout, pairs,
+                               emit_as_batch) == expected
+        # One shared value, the WordCount shape.
+        value = fit_field(val_hint, b"one")
+        assert shuffle_outcome(
+            nprocs, layout, pairs,
+            lambda shuffler, mine: shuffler.emit_run(
+                [key for key, _ in mine], value)
+        ) == shuffle_outcome(
+            nprocs, layout, [(key, value) for key, _ in pairs], emit_loop)
