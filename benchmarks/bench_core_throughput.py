@@ -266,9 +266,8 @@ def write_batch_trace(path: str, *, nbytes: int) -> None:
     from functools import partial
 
     from repro.apps.wordcount import wordcount_plan
-    from repro.obs import write_chrome_trace
+    from repro.obs import Trace, write_chrome_trace
     from repro.sched import PlanRunner
-    from repro.tools.trace import Trace
 
     cluster = Cluster(COMET, nprocs=NPROCS)
     cluster.pfs.store("bench/words.txt", uniform_text(nbytes, seed=7))

@@ -13,9 +13,9 @@ from repro.apps.wordcount import wordcount_plan
 from repro.bench.runner import ExperimentSpec, stage_dataset
 from repro.cluster import Cluster
 from repro.core import MimirConfig
+from repro.obs import Trace
 from repro.obs.report import phase_rows
 from repro.sched import PlanRunner
-from repro.tools.trace import Trace
 
 DATASET = "2G"
 

@@ -24,10 +24,9 @@ from repro.cluster import Cluster
 from repro.datasets.graph500 import edges_to_bytes, kronecker_edges
 from repro.memory.limits import format_size
 from repro.mpi.platforms import PLATFORMS
+from repro.obs import Trace, render_job_lanes
 from repro.sched import PlanRunner, Scheduler, StageCache
 from repro.sched.demo import make_job, stage_inputs
-from repro.tools.timeline import render_job_lanes
-from repro.tools.trace import Trace
 
 NPROCS = 4
 GRAPH_SCALE = 7

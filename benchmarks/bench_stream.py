@@ -147,7 +147,7 @@ def main(argv=None) -> int:
 
     trace = None
     if args.trace_out:
-        from repro.tools.trace import Trace
+        from repro.obs import Trace
 
         trace = Trace()
     print(f"stream benchmark: {nseeds} seed(s), three scenarios")

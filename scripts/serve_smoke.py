@@ -12,7 +12,9 @@ API and asserts:
   duplicated or lost jobs.
 
 Artifacts for upload: the raw journal (``serve_journal.bin``) and the
-scheduler's Perfetto trace (``serve_trace.json``).
+scheduler's Perfetto trace (``serve_trace.json``), written only once
+the trace holds its invariant: per rank, event times never decrease in
+emission order, across rounds.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/serve_smoke.py``.
 """
@@ -92,6 +94,11 @@ def main() -> int:
 
     # -------- artifacts ----------------------------------------------
     nbytes = successor.journal.dump("serve_journal.bin")
+    latest: dict[int, float] = {}
+    for event in daemon.trace.events:        # emission order
+        assert event.time >= latest.get(event.rank, 0.0), \
+            f"rank {event.rank} goes back in time at {event}"
+        latest[event.rank] = event.time
     data = write_chrome_trace(daemon.trace, "serve_trace.json")
     validate_chrome_trace(data)
     print(f"  artifacts: serve_journal.bin ({nbytes} bytes), "

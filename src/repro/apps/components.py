@@ -36,11 +36,6 @@ class ComponentsResult:
     #: This rank's vertices mapped to their component label.
     labels: dict[int, int]
 
-    @property
-    def component_count_local(self) -> int:
-        return len({label for label in self.labels.values()
-                    if label in self.labels})
-
 
 def components_mimir(env: RankEnv, path: str,
                      config: MimirConfig | None = None, *,

@@ -45,10 +45,6 @@ class InvertedIndexResult:
     index: dict[bytes, list[int]]
     documents: dict[int, str]  # doc id -> path (same on every rank)
 
-    @property
-    def nwords_local(self) -> int:
-        return len(self.index)
-
 
 def inverted_index_mimir(env: RankEnv, prefix: str,
                          config: MimirConfig | None = None, *,

@@ -161,6 +161,7 @@ def cmd_serve(args) -> int:
     import time
 
     from repro.cluster import Cluster
+    from repro.sched import ScalingPolicy
     from repro.serve.daemon import ServeConfig, ServeDaemon
     from repro.serve.tenants import TenantManager, TenantQuota
 
@@ -182,16 +183,12 @@ def cmd_serve(args) -> int:
             print(f"error: bad --quota {spec!r} "
                   f"(want tenant=max_queued:max_concurrent)")
             return 2
-    scaling = None
-    if args.autoscale:
-        from repro.ft.elastic import ScalingPolicy
-
-        scaling = ScalingPolicy(max_ranks=args.autoscale_max)
     daemon = ServeDaemon(
         cluster,
         tenants=TenantManager(quotas, aging_rate=args.aging_rate),
         config=ServeConfig(lease_ttl=args.lease_ttl),
-        scaling=scaling)
+        scaling=(ScalingPolicy(max_ranks=args.autoscale_max)
+                 if args.autoscale else None))
     interrupted = daemon.recover()
     if interrupted:
         print(f"recovered {len(interrupted)} interrupted job(s): "

@@ -108,13 +108,6 @@ class Combiner:
         self.shuffler.emit_pairs(bucket.drain())
         return merged_bytes
 
-    @property
-    def compression_ratio(self) -> float:
-        """Input records per unique record (>= 1)."""
-        if not len(self.bucket):
-            return 1.0
-        return self.records_in / len(self.bucket)
-
     def finish(self) -> None:
         """Drain the bucket into the shuffler and run the aggregate."""
         # Merging work is proportional to the records that went through

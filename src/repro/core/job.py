@@ -98,7 +98,7 @@ class Mimir:
         #: substrate).
         self._spill_store = (env.storage_for(self.config.storage)
                              if self.config.storage else None)
-        #: Optional structured event sink (see :mod:`repro.tools.trace`),
+        #: Optional structured event sink (see :mod:`repro.obs.trace`),
         #: the one recorder of per-phase time and memory.
         self.trace = trace
         #: Statistics of the most recent map/aggregate phase:
@@ -115,9 +115,9 @@ class Mimir:
 
         The body fills the yielded dict: ``out`` (the output container),
         ``counters`` (registry counters to add), ``end`` (fields of the
-        trace's ``:end`` event) and, where they apply, ``batch_records``
-        and ``batch_pages``.  The ``:end`` event adds the rank's memory
-        around the phase and its peak so far, even if the body raises.
+        trace's closing ``phase`` event) and, where they apply,
+        ``batch_records`` and ``batch_pages``.  The closing event adds the
+        rank's memory around the phase and its peak, even if the body raises.
         """
         stats: dict[str, Any] = {"counters": {}, "end": {},
                                  "batch_records": 0, "batch_pages": 0}
@@ -125,14 +125,14 @@ class Mimir:
         started, mem_before = self.env.comm.clock.time, tracker.current
         spilled_bytes = 0
         if self.trace is not None:
-            self.trace.emit(self.env, "phase", f"{name}:start")
+            self.trace.emit(self.env, "phase", name, ph="B")
         try:
             yield stats
             spilled_bytes = stats["out"].spilled_bytes
         finally:
             if self.trace is not None:
                 self.trace.emit(
-                    self.env, "phase", f"{name}:end", **stats["end"],
+                    self.env, "phase", name, ph="E", **stats["end"],
                     mem_before=mem_before, mem_after=tracker.current,
                     peak=tracker.peak, spilled_bytes=spilled_bytes,
                     batch_records=stats["batch_records"],

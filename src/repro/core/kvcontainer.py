@@ -222,15 +222,6 @@ class KVContainer:
         self.nbytes += len(buf)
         return n
 
-    def extend_pairs(self, pairs) -> int:
-        """Append ``(key, value)`` pairs in one frame (batch rebuild)."""
-        encode = self.layout.encode
-        added = 0
-        for key, value in pairs:
-            self.add_record_bytes(encode(key, value))
-            added += 1
-        return added
-
     # ------------------------------------------------------------ iterate
 
     def batches(self) -> Iterator[KVBatch]:

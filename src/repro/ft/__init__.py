@@ -25,10 +25,9 @@ partial writes):
 - :func:`run_chaos_sweep` (``repro.ft.chaos``) sweeps seeded random
   fault schedules over WordCount and checks bit-identical convergence;
 - :mod:`repro.ft.elastic` adds the *reactive* layer: straggler
-  detection, speculative task re-execution, elastic gang membership
-  with checkpoint re-balancing, and a scaling policy
-  (:func:`run_elastic`, :class:`ElasticPolicy`,
-  :class:`ScalingPolicy`).
+  detection, speculative task re-execution, and elastic gang
+  membership with checkpoint re-balancing (:func:`run_elastic`,
+  :class:`ElasticPolicy`).
 """
 
 from repro.ft.checkpoint import (
@@ -49,9 +48,9 @@ from repro.ft.runner import (
 
 _ELASTIC_NAMES = frozenset((
     "ElasticContext", "ElasticPolicy", "ElasticResult",
-    "ElasticStageHooks", "MembershipChange", "ScalingPolicy",
-    "SpeculationReport", "StragglerEvicted", "StragglerMonitor",
-    "restore_rebalanced", "run_elastic", "speculative_map",
+    "ElasticStageHooks", "MembershipChange", "SpeculationReport",
+    "StragglerEvicted", "StragglerMonitor", "restore_rebalanced",
+    "run_elastic", "speculative_map",
 ))
 
 
@@ -87,7 +86,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "MembershipChange",
-    "ScalingPolicy",
     "SimulatedRankFailure",
     "SpeculationReport",
     "StragglerEvicted",

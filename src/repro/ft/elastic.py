@@ -5,7 +5,7 @@ fatal: tear the gang down, resubmit, replay from the last checkpoint.
 This module adds the *reactive* layer the paper's target machines
 (Mira, Comet) actually need at scale, where the common failure is not
 a crash but a slow rank, and where re-running the whole gang to shed
-one bad host is unaffordable.  Four mechanisms, one control loop:
+one bad host is unaffordable.  Three mechanisms, one control loop:
 
 - **Straggler detection** (:class:`StragglerMonitor`): per-phase
   progress comparison.  Every rank's busy time for a phase is
@@ -23,11 +23,11 @@ one bad host is unaffordable.  Four mechanisms, one control loop:
   grow the gang.  KV partitions checkpointed by the old gang are
   re-balanced onto the new one (:func:`restore_rebalanced`), and a
   partition lost with its rank is recomputed from lineage.
-- **Scaling policy** (:class:`ScalingPolicy`): grows/shrinks the gang
-  from scheduler queue depth and observed memory residency - the
-  sensor half comes from :mod:`repro.obs`, the actuator half is
-  :meth:`Cluster.resize` (see docs/architecture.md, "The elasticity
-  control loop").
+
+The autoscaler that drives :meth:`Cluster.resize` from queue depth and
+memory residency is the scheduler's own
+(:class:`repro.sched.scheduler.ScalingPolicy`; see
+docs/architecture.md, "The elasticity control loop").
 
 How speculation stays honest inside a virtual-time simulator: both
 attempts of a duplicated task *physically execute* (and must produce
@@ -39,13 +39,13 @@ physically accumulated clock with its scheduled completion time
 first-result-wins semantics would yield - a straggler stops being
 charged at the point its last attempt is killed.
 
-This module must not import :mod:`repro.sched` (the scheduler imports
-it lazily), keeping the dependency arrow one-way.
+This module must not import :mod:`repro.sched` (its ``PlanRunner``
+takes :class:`ElasticStageHooks` duck-typed), keeping the dependency
+arrow one-way.
 """
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -58,18 +58,20 @@ from repro.core.shuffle import default_partitioner
 from repro.ft.checkpoint import CheckpointManager
 from repro.ft.faults import FaultPlan, SimulatedRankFailure
 from repro.ft.runner import (
+    _RUN_SEQ,
     FailureRecord,
     FTResult,
-    classify_failure,
-    default_restart_caps,
+    restart_loop,
 )
 from repro.io.errors import retrying
 from repro.io.splits import split_range, split_text
 from repro.mpi.errors import RankFailedError
 
 #: Failure kinds :func:`run_elastic` converts into gang shrinks
-#: instead of same-size restarts (when policy and budget allow).
-_SHRINKABLE = ("rank-death", "membership-leave", "straggler-evict")
+#: instead of same-size restarts (when policy and budget allow), and
+#: the membership change each is logged as.
+_SHRINKABLE = {"rank-death": "death", "membership-leave": "leave",
+               "straggler-evict": "evict"}
 
 
 # --------------------------------------------------------------- policy
@@ -601,10 +603,9 @@ class ElasticContext:
         self.faults = faults
         self.reports: list[SpeculationReport] = []
         self.last_report: SpeculationReport | None = None
-        #: Eviction budget, decremented by :func:`run_elastic` as
-        #: membership changes accumulate.
+        #: Membership-change budget, decremented by :func:`run_elastic`
+        #: as changes accumulate.
         self.membership_left = policy.max_membership_changes
-        self.min_ranks = policy.min_ranks
         #: Absorbed-event sink shared with the driver's failure log, so
         #: transient map-read retries are classified like checkpoint
         #: retries.
@@ -639,7 +640,7 @@ class ElasticContext:
             return
         if self.membership_left <= 0:
             return
-        if env.comm.size - 1 < self.min_ranks:
+        if env.comm.size - 1 < self.policy.min_ranks:
             return
         victim = min(report.flagged)
         if env.comm.rank == victim:
@@ -669,101 +670,55 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
     plan = faults if faults is not None else FaultPlan()
     ctx = ElasticContext(policy, plan)
     if nonce is None:
-        from repro.ft.runner import _RUN_SEQ
         nonce = f"{job_id}/elastic/run{next(_RUN_SEQ)}"
-    caps = dict(default_restart_caps(max_restarts))
-    if restart_caps:
-        caps.update(restart_caps)
-
-    previous_chaos = cluster.chaos
-    if hasattr(plan, "on_write"):
-        cluster.chaos = plan
-
-    total_elapsed = 0.0
-    failures: list[str] = []
-    failure_log: list[FailureRecord] = ctx.failure_log
     membership_log: list[MembershipChange] = []
-    restarts_by_class: dict[str, int] = {}
-    last_clock = 0.0
 
-    def changes_left() -> int:
-        return policy.max_membership_changes - len(membership_log)
+    def can_shrink() -> bool:
+        return (policy.allow_leave and ctx.membership_left > 0
+                and cluster.nprocs > policy.min_ranks)
 
-    def shrink(attempt: int, kind: str, rank: int | None, at: float,
-               cause: str) -> None:
-        cluster.resize(cluster.nprocs - 1)
+    def resize(attempt: int, kind: str, rank: int | None, delta: int,
+               at: float, cause: str) -> None:
+        cluster.resize(cluster.nprocs + delta)
         if rank is not None and hasattr(plan, "remove_rank"):
             plan.remove_rank(rank)
         membership_log.append(MembershipChange(
             attempt, kind, rank, cluster.nprocs, at, cause))
-        ctx.membership_left = changes_left()
+        ctx.membership_left -= 1
         cluster.metrics.shard(-1).inc("ft.membership.changes")
 
-    def rank_fn(env: RankEnv) -> Any:
-        ckpt = CheckpointManager(env, job_id, nonce=nonce, faults=plan,
-                                 failure_log=failure_log)
-        return job(env, ckpt, ctx)
+    def sweep(attempt: int, last_clock: float) -> None:
+        # Launch-boundary membership sweep: joins grow the gang;
+        # leaves whose rank never reached a probe shrink it here.
+        if not hasattr(plan, "membership_due"):
+            return
+        for event in plan.membership_due(last_clock, nranks=cluster.nprocs):
+            if event.kind == "join":
+                if (policy.allow_join and ctx.membership_left > 0
+                        and cluster.nprocs < policy.max_ranks):
+                    resize(attempt, "join", None, +1, event.at,
+                           "scheduled join")
+            elif can_shrink():
+                resize(attempt, "leave", event.rank, -1, event.at,
+                       "scheduled leave (launch boundary)")
 
-    try:
-        for attempt in itertools.count(1):
-            # Launch-boundary membership sweep: joins grow the gang;
-            # leaves whose rank never reached a probe shrink it here.
-            if hasattr(plan, "membership_due"):
-                for event in plan.membership_due(last_clock,
-                                                nranks=cluster.nprocs):
-                    if event.kind == "join":
-                        if (policy.allow_join and changes_left() > 0
-                                and cluster.nprocs < policy.max_ranks):
-                            cluster.resize(cluster.nprocs + 1)
-                            membership_log.append(MembershipChange(
-                                attempt, "join", None, cluster.nprocs,
-                                event.at, "scheduled join"))
-                            ctx.membership_left = changes_left()
-                            cluster.metrics.shard(-1).inc(
-                                "ft.membership.changes")
-                    elif (policy.allow_leave and changes_left() > 0
-                            and cluster.nprocs > policy.min_ranks):
-                        shrink(attempt, "leave", event.rank, event.at,
-                               "scheduled leave (launch boundary)")
-            try:
-                result = cluster.run(rank_fn)
-            except RankFailedError as failure:
-                kind = classify_failure(failure.original)
-                lost_clocks = getattr(failure, "clocks", None) or [0.0]
-                lost = max(lost_clocks)
-                last_clock = max(last_clock, lost)
-                total_elapsed += lost
-                failures.append(str(failure.original))
-                failure_log.append(FailureRecord(
-                    attempt, failure.rank, kind,
-                    str(failure.original), lost))
-                promotable = (kind in _SHRINKABLE and policy.allow_leave
-                              and changes_left() > 0
-                              and cluster.nprocs > policy.min_ranks)
-                if promotable:
-                    change_kind = {"rank-death": "death",
-                                   "membership-leave": "leave",
-                                   "straggler-evict": "evict"}[kind]
-                    at = getattr(failure.original, "at", last_clock)
-                    shrink(attempt, change_kind, failure.rank, at,
-                           str(failure.original))
-                    continue
-                restarts_by_class[kind] = restarts_by_class.get(kind, 0) + 1
-                if (restarts_by_class[kind] > caps.get(kind, 0)
-                        or attempt > max_restarts + len(membership_log)):
-                    raise
-                cluster.metrics.shard(-1).inc("ft.restarts")
-                continue
-            total_elapsed += result.elapsed
-            return ElasticResult(result, attempt, total_elapsed, failures,
-                                 failure_log,
-                                 membership_log=membership_log,
-                                 speculation=list(ctx.reports),
-                                 final_nprocs=cluster.nprocs)
-        raise AssertionError("unreachable")
-    finally:
-        cluster.chaos = previous_chaos
-        cluster.pfs.chaos = previous_chaos
+    def promote(attempt: int, kind: str, failure: RankFailedError,
+                last_clock: float) -> bool:
+        if kind not in _SHRINKABLE or not can_shrink():
+            return False
+        resize(attempt, _SHRINKABLE[kind], failure.rank, -1,
+               getattr(failure.original, "at", last_clock),
+               str(failure.original))
+        return True
+
+    ft = restart_loop(
+        cluster, job, ctx, plan, job_id=job_id, nonce=nonce,
+        max_restarts=max_restarts, restart_caps=restart_caps,
+        failure_log=ctx.failure_log, membership_log=membership_log,
+        sweep=sweep, promote=promote)
+    return ElasticResult(**vars(ft), membership_log=membership_log,
+                         speculation=list(ctx.reports),
+                         final_nprocs=cluster.nprocs)
 
 
 # ----------------------------------------------------- scheduler bridge
@@ -816,60 +771,6 @@ class ElasticStageHooks:
             if env.comm.rank in flagged:
                 env.metrics.inc("ft.straggler.flagged")
         return flagged
-
-
-# -------------------------------------------------------------- scaling
-
-
-@dataclass(frozen=True)
-class ScalingPolicy:
-    """Grows/shrinks the gang from queue depth and memory residency.
-
-    The autoscaler half of the control loop, consumed by the dataflow
-    scheduler: ``decide`` maps the sensors (ready-queue depth from the
-    scheduler, peak memory residency from the trackers) to a target
-    gang size.  Residency dominates - an almost-full memory budget
-    grows the gang even when the queue is short, and shrinking is
-    refused until residency is comfortably low, so scale-downs never
-    cause the OOM they are supposed to be irrelevant to.
-    """
-
-    min_ranks: int = 1
-    max_ranks: int = 64
-    #: Target ready-queue jobs per rank; deeper queues grow the gang.
-    jobs_per_rank: float = 1.0
-    grow_residency: float = 0.80
-    shrink_residency: float = 0.30
-    step: int = 1
-
-    def __post_init__(self):
-        if self.min_ranks < 1:
-            raise ValueError(f"min_ranks must be >= 1, got {self.min_ranks}")
-        if self.max_ranks < self.min_ranks:
-            raise ValueError(
-                f"max_ranks {self.max_ranks} < min_ranks {self.min_ranks}")
-        if self.jobs_per_rank <= 0:
-            raise ValueError(
-                f"jobs_per_rank must be positive, got {self.jobs_per_rank}")
-        if not 0.0 <= self.shrink_residency <= self.grow_residency <= 1.0:
-            raise ValueError(
-                f"need 0 <= shrink_residency <= grow_residency <= 1, got "
-                f"{self.shrink_residency} / {self.grow_residency}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-
-    def decide(self, *, queue_depth: int, residency: float,
-               nprocs: int) -> int:
-        """Target gang size for the next scheduling round."""
-        wanted = -(-queue_depth // max(self.jobs_per_rank, 1e-9)) \
-            if queue_depth else 0
-        wanted = int(wanted)
-        target = nprocs
-        if residency >= self.grow_residency or wanted > nprocs:
-            target = nprocs + self.step
-        elif wanted < nprocs and residency <= self.shrink_residency:
-            target = nprocs - self.step
-        return max(self.min_ranks, min(self.max_ranks, target))
 
 
 # -------------------------------------------------------------- harness

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.cluster import Cluster, ClusterResult, RankEnv
 from repro.ft.checkpoint import CheckpointManager
@@ -126,6 +126,73 @@ class FTResult:
         return tally
 
 
+def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
+                 plan: Any, *, job_id: str, nonce: str, max_restarts: int,
+                 restart_caps: dict[str, int] | None,
+                 failure_log: list[FailureRecord],
+                 membership_log: Sequence[Any] = (),
+                 sweep: Callable[[int, float], None] = lambda *_: None,
+                 promote: Callable[..., bool] = lambda *_: False) -> FTResult:
+    """Launch ``job(env, ckpt, handle)`` until an attempt completes: the
+    one restart loop (see the module docstring), behind
+    :func:`run_with_recovery` and :func:`repro.ft.elastic.run_elastic`.
+
+    The elastic driver's two hooks: ``sweep(attempt, last_clock)`` runs
+    before each launch, and ``promote(attempt, kind, failure,
+    last_clock)`` may turn a logged failure into a membership change,
+    which costs no restart budget.  Every entry the hooks add to
+    ``membership_log`` extends the attempt cap by one.
+    """
+    caps = dict(default_restart_caps(max_restarts))
+    if restart_caps:
+        caps.update(restart_caps)
+
+    previous_chaos = cluster.chaos
+    if hasattr(plan, "on_write"):  # a ChaosPlan, duck-typed
+        cluster.chaos = plan
+
+    total_elapsed = 0.0
+    failures: list[str] = []
+    restarts_by_class: dict[str, int] = {}
+    last_clock = 0.0
+
+    def rank_fn(env: RankEnv) -> Any:
+        ckpt = CheckpointManager(env, job_id, nonce=nonce, faults=plan,
+                                 failure_log=failure_log)
+        return job(env, ckpt, handle)
+
+    try:
+        for attempt in itertools.count(1):
+            sweep(attempt, last_clock)
+            try:
+                result = cluster.run(rank_fn)
+            except RankFailedError as failure:
+                kind = classify_failure(failure.original)
+                # Virtual time burnt by the failed attempt still counts.
+                lost_clocks = getattr(failure, "clocks", None) or [0.0]
+                lost = max(lost_clocks)
+                last_clock = max(last_clock, lost)
+                total_elapsed += lost
+                failures.append(str(failure.original))
+                failure_log.append(FailureRecord(
+                    attempt, failure.rank, kind,
+                    str(failure.original), lost))
+                if promote(attempt, kind, failure, last_clock):
+                    continue
+                restarts_by_class[kind] = restarts_by_class.get(kind, 0) + 1
+                if (restarts_by_class[kind] > caps.get(kind, 0)
+                        or attempt > max_restarts + len(membership_log)):
+                    raise
+                cluster.metrics.shard(-1).inc("ft.restarts")
+                continue
+            return FTResult(result, attempt, total_elapsed + result.elapsed,
+                            failures, failure_log)
+        raise AssertionError("unreachable")
+    finally:
+        cluster.chaos = previous_chaos
+        cluster.pfs.chaos = previous_chaos
+
+
 def run_with_recovery(cluster: Cluster, job: FTJob, *,
                       faults: Any = None,
                       job_id: str = "job",
@@ -146,48 +213,6 @@ def run_with_recovery(cluster: Cluster, job: FTJob, *,
     plan = faults if faults is not None else FaultPlan()
     if nonce is None:
         nonce = f"{job_id}/{cluster.signature()}/run{next(_RUN_SEQ)}"
-    caps = dict(default_restart_caps(max_restarts))
-    if restart_caps:
-        caps.update(restart_caps)
-
-    previous_chaos = cluster.chaos
-    if hasattr(plan, "on_write"):  # a ChaosPlan, duck-typed
-        cluster.chaos = plan
-
-    total_elapsed = 0.0
-    failures: list[str] = []
-    failure_log: list[FailureRecord] = []
-    restarts_by_class: dict[str, int] = {}
-
-    def rank_fn(env: RankEnv) -> Any:
-        ckpt = CheckpointManager(env, job_id, nonce=nonce, faults=plan,
-                                 failure_log=failure_log)
-        return job(env, ckpt, plan)
-
-    try:
-        for attempt in itertools.count(1):
-            try:
-                result = cluster.run(rank_fn)
-            except RankFailedError as failure:
-                kind = classify_failure(failure.original)
-                # Virtual time burnt by the failed attempt still counts.
-                lost_clocks = getattr(failure, "clocks", None) or [0.0]
-                lost = max(lost_clocks)
-                total_elapsed += lost
-                failures.append(str(failure.original))
-                failure_log.append(FailureRecord(
-                    attempt, failure.rank, kind,
-                    str(failure.original), lost))
-                restarts_by_class[kind] = restarts_by_class.get(kind, 0) + 1
-                if (restarts_by_class[kind] > caps.get(kind, 0)
-                        or attempt > max_restarts):
-                    raise
-                cluster.metrics.shard(-1).inc("ft.restarts")
-                continue
-            total_elapsed += result.elapsed
-            return FTResult(result, attempt, total_elapsed, failures,
-                            failure_log)
-        raise AssertionError("unreachable")
-    finally:
-        cluster.chaos = previous_chaos
-        cluster.pfs.chaos = previous_chaos
+    return restart_loop(cluster, job, plan, plan, job_id=job_id, nonce=nonce,
+                        max_restarts=max_restarts,
+                        restart_caps=restart_caps, failure_log=[])

@@ -1,10 +1,10 @@
-"""Chrome/Perfetto ``trace_event`` export for :class:`repro.tools.trace.Trace`.
+"""Chrome/Perfetto ``trace_event`` export for :class:`repro.obs.trace.Trace`.
 
 Turns a trace's events into the JSON object format understood by
 ``chrome://tracing`` and https://ui.perfetto.dev: one process per
 event domain (job ranks, scheduler), one thread per rank, nested
-duration events (``B``/``E``) for spans and phase boundaries, instant
-events (``i``) for everything else.
+duration events (``B``/``E``) for every event carrying that ``ph``
+(spans, phases), instant events (``i``) for everything else.
 
 The exporter *guarantees* a schema-valid artifact even from a trace an
 abort truncated mid-span: per-thread ``B``/``E`` pairs are re-balanced
@@ -23,10 +23,6 @@ from typing import Any
 JOB_PID = 0
 SCHED_PID = 1
 
-#: Event kinds that open/close a duration: explicit spans, plus the
-#: legacy ``phase`` events whose labels end in ``:start``/``:end``.
-_SPAN_KIND = "span"
-
 
 def _locate(event) -> tuple[int, int]:
     """(pid, tid) for one trace event; scheduler events get their own
@@ -37,18 +33,9 @@ def _locate(event) -> tuple[int, int]:
 
 
 def _duration_edge(event) -> tuple[str, str] | None:
-    """(name, "B"|"E") when the event opens or closes a span."""
-    if event.kind == _SPAN_KIND:
-        ph = event.data.get("ph")
-        if ph in ("B", "E"):
-            return event.label, ph
-        return None
-    if event.kind == "phase":
-        if event.label.endswith(":start"):
-            return event.label[:-len(":start")], "B"
-        if event.label.endswith(":end"):
-            return event.label[:-len(":end")], "E"
-    return None
+    """(name, "B"|"E") when the event opens or closes a timed region."""
+    ph = event.data.get("ph")
+    return (event.label, ph) if ph in ("B", "E") else None
 
 
 def _args(data: dict[str, Any]) -> dict[str, Any]:
@@ -61,19 +48,16 @@ def to_chrome_trace(trace) -> dict[str, Any]:
     Every emitted event carries ``ph``, ``ts`` (microseconds), ``pid``
     and ``tid``; duration events are balanced and nested per thread.
     """
-    events = trace.events  # emission order: per-rank subsequences sorted
-    events = sorted(events, key=lambda e: e.time)  # stable: keeps order
+    # Stable: events sharing a timestamp keep their emission order (a
+    # zero-length region's B stays ahead of its E).
+    events = sorted(trace.events, key=lambda e: e.time)
     out: list[dict[str, Any]] = []
     seen: dict[tuple[int, int], float] = {}      # last ts per thread
-    stacks: dict[tuple[int, int], list[tuple[str, dict]]] = {}
+    stacks: dict[tuple[int, int], list[str]] = {}      # open regions
 
     def emit(ph: str, name: str, ts: float, pid: int, tid: int,
              cat: str, args: dict[str, Any]) -> None:
-        # Per-thread monotonicity: an offset-stamped event may arrive a
-        # hair before the thread's previous one; clamp forward.
-        key = (pid, tid)
-        ts = max(ts, seen.get(key, 0.0))
-        seen[key] = ts
+        seen[(pid, tid)] = ts
         record: dict[str, Any] = {"name": name, "cat": cat, "ph": ph,
                                   "ts": ts, "pid": pid, "tid": tid}
         if ph == "i":
@@ -93,14 +77,14 @@ def to_chrome_trace(trace) -> dict[str, Any]:
         name, ph = edge
         stack = stacks.setdefault((pid, tid), [])
         if ph == "B":
-            stack.append((name, _args(event.data)))
+            stack.append(name)
             emit("B", name, ts, pid, tid, event.kind, _args(event.data))
         else:
-            if not any(open_name == name for open_name, _ in stack):
+            if name not in stack:
                 continue  # stray end (opening half lost): drop it
             # Close inner spans a truncated trace left dangling so the
             # E we are about to emit matches its own B.
-            while stack and stack[-1][0] != name:
+            while stack[-1] != name:
                 stack.pop()
                 emit("E", "", ts, pid, tid, event.kind, {})
             stack.pop()
@@ -109,9 +93,7 @@ def to_chrome_trace(trace) -> dict[str, Any]:
     # Close anything still open at its thread's final timestamp.
     for (pid, tid), stack in stacks.items():
         while stack:
-            name, _ = stack.pop()
-            emit("E", name, seen.get((pid, tid), 0.0), pid, tid, _SPAN_KIND,
-                 {})
+            emit("E", stack.pop(), seen[pid, tid], pid, tid, "span", {})
 
     meta: list[dict[str, Any]] = []
     pids = {pid for pid, _tid in seen}

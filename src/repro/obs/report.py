@@ -3,8 +3,8 @@
 A :class:`RunReport` bundles the four views the paper's evaluation
 sections argue from - a per-phase time table, the memory composition
 at the global peak, the aggregated metric totals, and (for scheduled
-multi-job runs) per-job timeline lanes - plus the :class:`~repro.
-tools.trace.Trace` behind them, ready for Perfetto export.
+multi-job runs) per-job timeline lanes - plus the
+:class:`~repro.obs.trace.Trace` behind them, ready for Perfetto export.
 
 Three entry points:
 
@@ -27,8 +27,12 @@ from typing import Any
 
 from repro.cluster import Cluster
 from repro.memory.limits import format_size
-from repro.tools.timeline import composition_at_peak, render_job_lanes
-from repro.tools.trace import SCHED_EVENT_KINDS, Trace
+from repro.obs.timeline import (
+    SCHED_EVENT_KINDS,
+    composition_at_peak,
+    render_job_lanes,
+)
+from repro.obs.trace import Trace
 
 
 @dataclass
@@ -53,20 +57,19 @@ class PhaseRow:
 def phase_rows(trace: Trace) -> list[PhaseRow]:
     """Phase timings, read off the trace's ``phase`` events.
 
-    Per rank, each ``phase`` event whose label ends in ``:start`` opens
-    the phase and the matching ``:end`` - which carries the phase's
-    batch counts - closes it.  Unpaired halves are ignored.
+    Per rank, each ``phase`` event with ``ph`` ``"B"`` opens the phase
+    its label names and the matching ``"E"`` - which carries the
+    phase's batch counts - closes it.  Unpaired halves are ignored.
     """
     rows: dict[str, PhaseRow] = {}
     open_at: dict[tuple[int, str], list[float]] = {}
     for event in trace.merged():
         if event.kind != "phase":
             continue
-        if event.label.endswith(":start"):
-            name = event.label[:-len(":start")]
+        name, ph = event.label, event.data.get("ph")
+        if ph == "B":
             open_at.setdefault((event.rank, name), []).append(event.time)
-        elif event.label.endswith(":end"):
-            name = event.label[:-len(":end")]
+        elif ph == "E":
             stack = open_at.get((event.rank, name))
             if not stack:
                 continue
@@ -175,7 +178,6 @@ def run_wordcount_report(*, nprocs: int = 4, platform: str = "comet",
         composition=composition_at_peak(cluster.trackers[hottest]),
         metrics_text=cluster.metrics.render(),
         metric_totals=cluster.metrics.totals(),
-        lanes=None,
         trace=trace,
     )
 
@@ -187,18 +189,11 @@ def run_pipeline_report(apps: "list[str] | None" = None, *,
                         memory_limit: "int | str | None" = "512K",
                         ) -> RunReport:
     """Drain the multi-job scheduler demo and report the whole drain."""
-    from repro.mpi.platforms import PLATFORMS
-    from repro.sched.demo import make_job, stage_inputs
-    from repro.sched.scheduler import Scheduler
+    from repro.sched.demo import submit_demo
 
-    apps = list(apps) if apps else ["wordcount", "pagerank"]
-    cluster = Cluster(PLATFORMS[platform], nprocs,
-                      memory_limit=memory_limit)
-    paths = stage_inputs(cluster)
-    trace = Trace()
-    scheduler = Scheduler(cluster, trace=trace)
-    for i, app in enumerate(apps):
-        scheduler.submit(make_job(app, paths, priority=len(apps) - i))
+    apps, scheduler = submit_demo(apps, nprocs=nprocs, platform=platform,
+                                  memory_limit=memory_limit)
+    cluster, trace = scheduler.cluster, scheduler.trace
     sched_report = scheduler.run()
     title = f"pipeline ({' '.join(apps)}): {nprocs} ranks on {platform}"
     if cluster.memory_limit_per_rank is not None:

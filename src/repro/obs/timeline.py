@@ -1,14 +1,12 @@
-"""Memory-timeline analysis and rendering.
+"""Timeline analysis and rendering: memory profiles and job lanes.
 
-Works on a :class:`~repro.memory.tracker.MemoryTracker` created with
-``keep_timeline=True``: reconstructs what each tag held at the moment
-of the global peak (the breakdown behind "the aggregate phase's seven
-pages dominate") and renders the footprint as an ASCII profile.
-
-:func:`render_timeline` also accepts a :class:`~repro.tools.trace.
-Trace` carrying scheduler events, in which case it renders one lane
-per job id showing when each job was submitted, queued, admitted, and
-finished (see :func:`render_job_lanes`).
+The memory half works on a :class:`~repro.memory.tracker.MemoryTracker`
+created with ``keep_timeline=True``: :func:`composition_at_peak`
+reconstructs what each tag held at the moment of the global peak (the
+breakdown behind "the aggregate phase's seven pages dominate") and
+:func:`render_timeline` draws the footprint as an ASCII profile.
+:func:`render_job_lanes` draws the scheduler events of a
+:class:`~repro.obs.trace.Trace` as one lane per job id.
 """
 
 from __future__ import annotations
@@ -17,10 +15,15 @@ from repro.memory.tracker import MemoryTracker
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
-#: Lane marker per scheduler event kind, in increasing precedence: a
+#: The event kinds the multi-job scheduler (:mod:`repro.sched`) emits
+#: per job, each with its lane marker, in increasing precedence: a
 #: later entry wins when two events share one timeline cell.
-_LANE_MARKS = {"stage-done": "#", "evict": "e", "queue": "q",
-               "submit": "S", "admit": "A", "oom": "X"}
+#: ``submit``/``queue``/``admit``/``cancel`` track admission control,
+#: ``evict`` the intermediate cache, ``stage-done`` dataflow progress,
+#: and ``oom`` a job that blew its footprint estimate.
+LANE_MARKS = {"stage-done": "#", "evict": "e", "queue": "q",
+              "submit": "S", "admit": "A", "cancel": "c", "oom": "X"}
+SCHED_EVENT_KINDS = tuple(LANE_MARKS)
 
 
 def composition_at_peak(tracker: MemoryTracker) -> dict[str, int]:
@@ -49,16 +52,15 @@ def composition_at_peak(tracker: MemoryTracker) -> dict[str, int]:
 def render_job_lanes(trace, width: int = 60) -> str:
     """One character row per job id over a shared virtual-time axis.
 
-    Consumes the scheduler events of a :class:`~repro.tools.trace.
-    Trace` (those whose ``data`` carries a ``job`` entry): ``S`` the
-    job was submitted, ``q`` it had to wait in the queue, ``A`` it was
-    admitted onto the cluster, ``#`` a stage finished, ``e`` one of
-    its cached containers was evicted, ``X`` it ran out of memory.
+    Consumes the scheduler events of a :class:`~repro.obs.trace.Trace`
+    (those whose ``data`` carries a ``job`` entry): ``S`` the job was
+    submitted, ``q`` it had to wait in the queue, ``A`` it was admitted
+    onto the cluster, ``#`` a stage finished, ``e`` one of its cached
+    containers was evicted, ``c`` it was cancelled while queued, ``X``
+    it ran out of memory.
     """
-    from repro.tools.trace import SCHED_EVENT_KINDS
-
     events = [e for e in trace.merged()
-              if e.kind in SCHED_EVENT_KINDS and "job" in e.data]
+              if e.kind in LANE_MARKS and "job" in e.data]
     if not events:
         return "(no scheduler events)"
     jobs: dict[str, list] = {}
@@ -68,27 +70,24 @@ def render_job_lanes(trace, width: int = 60) -> str:
     t1 = max(e.time for e in events)
     span = (t1 - t0) or 1.0
     label_width = max(len(name) for name in jobs)
-    precedence = {mark: i for i, mark in enumerate(_LANE_MARKS.values())}
+    precedence = {mark: i for i, mark in enumerate(LANE_MARKS.values())}
     lines = []
     for name, lane_events in jobs.items():
         cells = ["·"] * width
         for event in lane_events:
             col = min(width - 1, int((event.time - t0) / span * width))
-            mark = _LANE_MARKS.get(event.kind, "?")
-            if precedence.get(cells[col], -1) <= precedence.get(mark, 0):
+            mark = LANE_MARKS[event.kind]
+            if precedence.get(cells[col], -1) <= precedence[mark]:
                 cells[col] = mark
         lines.append(f"{name:<{label_width}} |{''.join(cells)}|")
     lines.append(f"{'':<{label_width}}  t={t0:.3f}s .. {t1:.3f}s  "
-                 "(S submit, q queued, A admit, # stage, e evict, X oom)")
+                 "(S submit, q queued, A admit, # stage, e evict, "
+                 "c cancel, X oom)")
     return "\n".join(lines)
 
 
-def render_timeline(source, width: int = 60) -> str:
-    """ASCII profile of a tracker's footprint - or, given a
-    :class:`~repro.tools.trace.Trace`, per-job scheduler lanes."""
-    if not isinstance(source, MemoryTracker):
-        return render_job_lanes(source, width)
-    tracker = source
+def render_timeline(tracker: MemoryTracker, width: int = 60) -> str:
+    """ASCII profile of a tracker's footprint over its allocations."""
     if not tracker.keep_timeline:
         raise ValueError("tracker was not created with keep_timeline=True")
     samples = tracker.timeline

@@ -13,7 +13,8 @@ The subsystem layers three pieces over the single-job Mimir driver:
   queue with priorities and memory-aware admission control that
   gang-schedules batches of jobs whose combined declared footprints
   fit the per-rank budget; oversized jobs run degraded (out-of-core)
-  or wait instead of OOMing.
+  or wait instead of OOMing; a :class:`ScalingPolicy` may resize the
+  gang between rounds.
 
 ``python -m repro.sched`` runs a self-contained demo.
 """
@@ -25,6 +26,7 @@ from repro.sched.scheduler import (
     FootprintEstimator,
     JobContext,
     JobOutcome,
+    ScalingPolicy,
     SchedJob,
     Scheduler,
     SchedulerReport,
@@ -39,6 +41,7 @@ __all__ = [
     "JobOutcome",
     "Plan",
     "PlanRunner",
+    "ScalingPolicy",
     "SchedJob",
     "Scheduler",
     "SchedulerReport",

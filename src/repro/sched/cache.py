@@ -28,7 +28,7 @@ attached to an environment) must not append behind the stale bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.cluster import RankEnv
 from repro.core.kvcontainer import KVContainer
@@ -74,25 +74,25 @@ class StageCache:
         self.rank = rank
         self.entries: dict[str, CacheEntry] = {}
         self.env: RankEnv | None = None
-        #: Event sink installed by the scheduler for the current launch:
-        #: ``on_event(kind, label, **data)``.
-        self.on_event: Callable[..., None] | None = None
+        #: The current launch's trace (``evict`` events), or ``None``.
+        self.trace = None
         self.stats = CacheStats()
         self._tick = 0
 
     # ------------------------------------------------------------ wiring
 
-    def attach(self, env: RankEnv) -> None:
-        """Bind to the rank environment of the current launch."""
+    def attach(self, env: RankEnv, trace=None) -> None:
+        """Bind to the rank environment (and trace) of the current launch."""
         if env.comm.rank != self.rank:
             raise ValueError(
                 f"cache for rank {self.rank} attached to rank "
                 f"{env.comm.rank}")
         self.env = env
+        self.trace = trace
 
     def _emit(self, kind: str, label: str, **data: Any) -> None:
-        if self.on_event is not None:
-            self.on_event(kind, label, **data)
+        if self.trace is not None:
+            self.trace.emit(self.env, kind, label, **data)
 
     def _metric(self, name: str) -> None:
         # Only countable once attached; standalone unit-test caches

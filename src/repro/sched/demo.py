@@ -14,9 +14,8 @@ from repro.datasets.graph500 import edges_to_bytes, kronecker_edges
 from repro.datasets.points import normal_points, points_to_bytes
 from repro.datasets.words import uniform_text
 from repro.mpi.platforms import PLATFORMS
+from repro.obs import Trace, render_job_lanes
 from repro.sched.scheduler import SchedJob, Scheduler
-from repro.tools.timeline import render_job_lanes
-from repro.tools.trace import Trace
 
 #: Demo job names mapped to builders; see :func:`make_job`.
 DEMO_APPS = ("wordcount", "pagerank", "kmeans", "bfs", "insitu")
@@ -74,26 +73,32 @@ def make_job(app: str, paths: dict[str, str], *,
                     footprint=footprint)
 
 
-def run_demo(apps: "list[str] | None" = None, *, nprocs: int = 4,
-             platform: str = "comet",
-             memory_limit: "int | str | None" = "512K",
-             verbose: bool = True) -> int:
-    """Submit ``apps`` (default WordCount + PageRank) and drain them."""
+def submit_demo(apps: "list[str] | None" = None, *, nprocs: int = 4,
+                platform: str = "comet",
+                memory_limit: "int | str | None" = "512K",
+                ) -> tuple[list[str], Scheduler]:
+    """The demo cluster, inputs staged, and a traced scheduler holding
+    ``apps`` (default WordCount + PageRank) in priority order."""
     apps = list(apps) if apps else ["wordcount", "pagerank"]
     cluster = Cluster(PLATFORMS[platform], nprocs,
                       memory_limit=memory_limit)
     paths = stage_inputs(cluster)
-    trace = Trace()
-    scheduler = Scheduler(cluster, trace=trace)
+    scheduler = Scheduler(cluster, trace=Trace())
     for i, app in enumerate(apps):
         scheduler.submit(make_job(app, paths, priority=len(apps) - i))
+    return apps, scheduler
+
+
+def run_demo(apps: "list[str] | None" = None, *, nprocs: int = 4,
+             platform: str = "comet",
+             memory_limit: "int | str | None" = "512K",
+             verbose: bool = True) -> int:
+    """Submit ``apps`` (see :func:`submit_demo`) and drain them."""
+    _apps, scheduler = submit_demo(apps, nprocs=nprocs, platform=platform,
+                                   memory_limit=memory_limit)
     report = scheduler.run()
     if verbose:
         print(report.render_log())
         print()
-        print(render_job_lanes(trace))
+        print(render_job_lanes(scheduler.trace))
     return 0 if all(o.completed for o in report.outcomes) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(run_demo())

@@ -14,8 +14,8 @@ cross-cutting services hook in by stage key:
   output under its stage key, so a restarted attempt (see
   :func:`repro.ft.runner.run_with_recovery`) reloads completed stages
   and re-executes only from the failed one.
-- the **trace** receives a ``stage-done`` event per executed stage,
-  stamped with the scheduler's cumulative clock offset.
+- the **trace** receives a ``stage-done`` event per executed stage
+  (under the scheduler: the round's :meth:`~repro.obs.trace.Trace.at`).
 
 Cached inputs are *pinned* while a downstream stage reads them, so a
 concurrent cache eviction can never free pages under a live iterator,
@@ -39,13 +39,12 @@ class PlanRunner:
 
     def __init__(self, env: RankEnv, plan: Plan, *, cache=None,
                  trace=None, checkpoint=None, elastic=None,
-                 job: str | None = None, trace_offset: float = 0.0):
+                 job: str | None = None):
         self.env = env
         self.plan = plan
         self.cache = cache
         self.checkpoint = checkpoint
         self.trace = trace
-        self.trace_offset = trace_offset
         #: Optional reactive-fault hooks (duck-typed; see
         #: :class:`repro.ft.elastic.ElasticStageHooks`): text-input map
         #: stages run speculatively, and every other executed stage's
@@ -59,7 +58,7 @@ class PlanRunner:
         #: and stage-skip tests assert on.
         self.stage_counts: dict[str, int] = {}
         if cache is not None and cache.env is not env:
-            cache.attach(env)
+            cache.attach(env, trace)
 
     # -------------------------------------------------------- materialize
 
@@ -132,11 +131,9 @@ class PlanRunner:
             self.elastic.observe_stage(
                 self.env, stage, self.env.comm.clock.time - started)
         if self.trace is not None:
-            self.trace.emit_abs(
-                self.trace_offset + self.env.comm.clock.time,
-                self.env.comm.rank, "stage-done",
-                f"{self.job}:{stage.name}", job=self.job,
-                stage=stage.name, key=stage.key)
+            self.trace.emit(
+                self.env, "stage-done", f"{self.job}:{stage.name}",
+                job=self.job, stage=stage.name, key=stage.key)
         return out
 
     def _run_map(self, stage: Stage) -> KVContainer:

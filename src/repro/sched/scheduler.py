@@ -74,10 +74,9 @@ class JobContext:
     name: str
     config: MimirConfig
     cache: StageCache
+    #: This launch's view of the scheduler's trace (see
+    #: :meth:`repro.obs.trace.Trace.at`), or ``None``.
     trace: Any = None
-    #: Cumulative scheduler time at this round's launch; add the
-    #: rank's clock to place an event on the global timeline.
-    time_base: float = 0.0
     degraded: bool = False
 
     def runner(self, plan: Plan, *, checkpoint=None,
@@ -85,8 +84,7 @@ class JobContext:
         """A :class:`PlanRunner` wired into the scheduler's services."""
         return PlanRunner(self.env, plan, cache=self.cache,
                           trace=self.trace, checkpoint=checkpoint,
-                          elastic=elastic, job=self.name,
-                          trace_offset=self.time_base)
+                          elastic=elastic, job=self.name)
 
 
 class FootprintEstimator:
@@ -123,6 +121,57 @@ class FootprintEstimator:
     def observe(self, name: str, peak: int) -> None:
         """Refine from a completed run's observed per-rank peak."""
         self.observed[name] = max(peak, self.observed.get(name, 0))
+
+
+@dataclass(frozen=True)
+class ScalingPolicy:
+    """Grows/shrinks the gang from queue depth and memory residency.
+
+    The autoscaler half of the control loop (:class:`Scheduler`
+    consults it between rounds): ``decide`` maps the sensors (ready-queue
+    depth, peak memory residency from the trackers) to a target gang
+    size.  Residency dominates - an almost-full memory budget
+    grows the gang even when the queue is short, and shrinking is
+    refused until residency is comfortably low, so scale-downs never
+    cause the OOM they are supposed to be irrelevant to.
+    """
+
+    min_ranks: int = 1
+    max_ranks: int = 64
+    #: Target ready-queue jobs per rank; deeper queues grow the gang.
+    jobs_per_rank: float = 1.0
+    grow_residency: float = 0.80
+    shrink_residency: float = 0.30
+    step: int = 1
+
+    def __post_init__(self):
+        if self.min_ranks < 1:
+            raise ValueError(f"min_ranks must be >= 1, got {self.min_ranks}")
+        if self.max_ranks < self.min_ranks:
+            raise ValueError(
+                f"max_ranks {self.max_ranks} < min_ranks {self.min_ranks}")
+        if self.jobs_per_rank <= 0:
+            raise ValueError(
+                f"jobs_per_rank must be positive, got {self.jobs_per_rank}")
+        if not 0.0 <= self.shrink_residency <= self.grow_residency <= 1.0:
+            raise ValueError(
+                f"need 0 <= shrink_residency <= grow_residency <= 1, got "
+                f"{self.shrink_residency} / {self.grow_residency}")
+        if self.step < 1:
+            raise ValueError(f"step must be >= 1, got {self.step}")
+
+    def decide(self, *, queue_depth: int, residency: float,
+               nprocs: int) -> int:
+        """Target gang size for the next scheduling round."""
+        wanted = -(-queue_depth // max(self.jobs_per_rank, 1e-9)) \
+            if queue_depth else 0
+        wanted = int(wanted)
+        target = nprocs
+        if residency >= self.grow_residency or wanted > nprocs:
+            target = nprocs + self.step
+        elif wanted < nprocs and residency <= self.shrink_residency:
+            target = nprocs - self.step
+        return max(self.min_ranks, min(self.max_ranks, target))
 
 
 @dataclass
@@ -188,17 +237,17 @@ class Scheduler:
     """Admission-controlled multi-job queue over one cluster."""
 
     def __init__(self, cluster: Cluster, *, reserve: float = 0.1,
-                 trace=None, max_oom_retries: int = 1, scaling=None):
+                 trace=None, max_oom_retries: int = 1,
+                 scaling: ScalingPolicy | None = None):
         if not 0 <= reserve < 1:
             raise ValueError(f"reserve must be in [0, 1), got {reserve}")
         self.cluster = cluster
         self.reserve = reserve
         self.trace = trace
         self.max_oom_retries = max_oom_retries
-        #: Optional autoscaler (duck-typed; see
-        #: :class:`repro.ft.elastic.ScalingPolicy`): consulted between
-        #: rounds with the queue depth and observed memory residency,
-        #: and actuated through :meth:`Cluster.resize`.
+        #: Optional autoscaler: consulted between rounds with the queue
+        #: depth and observed memory residency, and actuated through
+        #: :meth:`Cluster.resize`.
         self.scaling = scaling
         self.scale_events: list[tuple[int, int]] = []
         self.estimator = FootprintEstimator(cluster.nprocs)
@@ -271,9 +320,6 @@ class Scheduler:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    def queued_names(self) -> list[str]:
-        return [q.job.name for q in self._queue]
 
     # ---------------------------------------------------------- admission
 
@@ -359,19 +405,13 @@ class Scheduler:
 
     def _launch(self, batch: list[_Queued]):
         """Run one admitted batch in a single cluster launch."""
-        base = self.clock
-        trace = self.trace
+        trace = None if self.trace is None else self.trace.at(self.clock)
         reservations = [(q.job.name, q.estimate) for q in batch] \
             if len(batch) > 1 else []
 
         def batch_fn(env: RankEnv):
             cache = self.caches[env.comm.rank]
-            cache.attach(env)
-            if trace is not None:
-                def on_event(kind, label, **data):
-                    trace.emit_abs(base + env.comm.clock.time,
-                                   env.comm.rank, kind, label, **data)
-                cache.on_event = on_event
+            cache.attach(env, trace)
             # Gang reservation: every admitted job's footprint is held
             # for the round, so combined over-admission fails here,
             # not in the middle of some unlucky job's shuffle.
@@ -390,12 +430,10 @@ class Scheduler:
                 start = env.tracker.current
                 ctx = JobContext(env=env, name=queued.job.name,
                                  config=queued.config, cache=cache,
-                                 trace=trace, time_base=base,
-                                 degraded=queued.degraded)
+                                 trace=trace, degraded=queued.degraded)
                 value = queued.job.fn(env, ctx)
                 results[queued.job.name] = (
                     value, env.tracker.peak - start, env.comm.clock.time)
-            cache.on_event = None
             return results
 
         return self.cluster.run(batch_fn, allow_oom=True,

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster import Cluster
-from repro.sched.scheduler import JobOutcome, Scheduler
+from repro.obs.trace import Trace
+from repro.sched.scheduler import JobOutcome, ScalingPolicy, Scheduler
 from repro.serve.catalog import (
     check_params,
     merge_output,
@@ -46,7 +47,6 @@ from repro.serve.catalog import (
 from repro.serve.journal import ServeJournal
 from repro.serve.leases import LeaseTable
 from repro.serve.tenants import TenantManager
-from repro.tools.trace import Trace
 
 #: Served-job lifecycle states.
 QUEUED = "queued"
@@ -143,7 +143,7 @@ class ServeDaemon:
                  config: ServeConfig | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  chaos: Any = None,
-                 scaling: Any = None,
+                 scaling: ScalingPolicy | None = None,
                  trace: Trace | None = None):
         self.cluster = cluster
         self.config = config or ServeConfig()
@@ -153,10 +153,6 @@ class ServeDaemon:
         self.tenants = tenants or TenantManager(
             aging_rate=self.config.aging_rate)
         self.tenants.metrics = self.metrics
-        #: Optional :class:`~repro.ft.elastic.ScalingPolicy`: the
-        #: scheduler consults it between rounds, and every decision it
-        #: takes surfaces as a ``serve.autoscale.events`` count.
-        self.scaling = scaling
         self.scheduler = Scheduler(cluster, trace=self.trace,
                                    scaling=scaling)
         self._scale_seen = 0

@@ -8,9 +8,9 @@ from repro.apps.wordcount import wordcount_plan
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig
 from repro.mpi import COMET
+from repro.obs import Trace
 from repro.obs.report import phase_rows, render_phase_table
 from repro.sched import PlanRunner
-from repro.tools.trace import Trace
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -29,11 +29,12 @@ def run_traced(partial_reduce=False):
 
 def closed_phases(trace, rank=0):
     """``(name, duration, end-event data)`` per phase of one rank;
-    phases never nest, so its events alternate start, end."""
-    events = [e for e in trace.for_rank(rank) if e.kind == "phase"]
-    assert all(e.label.endswith((":start", ":end")[i % 2])
-               for i, e in enumerate(events))
-    return [(end.label[:-len(":end")], end.time - start.time, end.data)
+    phases never nest, so its events alternate B, E."""
+    events = [e for e in trace.of_kind("phase") if e.rank == rank]
+    assert all(e.data["ph"] == "BE"[i % 2] for i, e in enumerate(events))
+    assert all(start.label == end.label
+               for start, end in zip(events[::2], events[1::2]))
+    return [(end.label, end.time - start.time, end.data)
             for start, end in zip(events[::2], events[1::2], strict=True)]
 
 

@@ -9,7 +9,7 @@ from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.core.skew import find_hot_keys, fold_by_key
 from repro.io.readers import iter_text_chunks
 from repro.mpi import COMET
-from repro.tools import ImbalanceReport
+from repro.obs import ImbalanceReport
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=4096,
                   input_chunk_size=512)

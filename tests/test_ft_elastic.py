@@ -8,7 +8,6 @@ from repro.ft import (
     CheckpointManager,
     ElasticPolicy,
     ElasticStageHooks,
-    ScalingPolicy,
     StragglerMonitor,
     run_elastic,
 )
@@ -26,7 +25,13 @@ from repro.ft.elastic import (
 )
 from repro.ft.injection import ChaosPlan, MembershipEvent
 from repro.mpi import COMET
-from repro.sched import Plan, PlanRunner, SchedJob, Scheduler
+from repro.sched import (
+    Plan,
+    PlanRunner,
+    ScalingPolicy,
+    SchedJob,
+    Scheduler,
+)
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)

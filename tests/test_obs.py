@@ -1,4 +1,5 @@
-"""Observability subsystem: registry, spans, Chrome export, reports."""
+"""Observability subsystem: registry, the one Trace and its clock rule,
+Chrome export, reports."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.mpi import COMET
+from repro.obs import Trace
 from repro.obs.chrome import to_chrome_trace, validate_chrome_trace
 from repro.obs.registry import (
     METRICS,
@@ -18,7 +20,6 @@ from repro.obs.registry import (
     reduce_metrics,
     register,
 )
-from repro.tools.trace import Trace
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=1024,
                   input_chunk_size=256)
@@ -276,13 +277,150 @@ class TestSpans:
 
     def test_trace_json_roundtrip_preserves_spans(self):
         trace = Trace()
-        trace.begin_abs(0.0, -1, "drain")
+        trace.emit_abs(0.0, -1, "span", "drain", ph="B")
         trace.emit_abs(0.5, -1, "submit", "wc", job="wc")
-        trace.end_abs(1.0, -1, "drain")
+        trace.emit_abs(1.0, -1, "span", "drain", ph="E")
         again = Trace.from_json(trace.to_json())
         assert [e.label for e in again.merged()] == \
             [e.label for e in trace.merged()]
         assert again.of_kind("span")[0].data["ph"] == "B"
+
+
+# ------------------------------------------------------ the clock rule
+
+def inversions(trace):
+    """Per rank, how many events are stamped earlier than the one the
+    same rank emitted just before it."""
+    last, count = {}, {}
+    for event in trace.events:               # emission order
+        if event.time < last.get(event.rank, 0.0):
+            count[event.rank] = count.get(event.rank, 0) + 1
+        last[event.rank] = event.time
+    return count
+
+
+class TestOneTimeline:
+    """Rank clocks restart at zero every launch; the launch's view of
+    the trace adds the base, so three rounds read as one timeline."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        from repro.obs.report import run_pipeline_report
+
+        report = run_pipeline_report(["wordcount", "pagerank", "kmeans"],
+                                     nprocs=2, memory_limit="300K")
+        assert report.job_lines[0].startswith("3 round(s)")
+        return report
+
+    @staticmethod
+    def windows(trace):
+        """job -> (admit, ``<job>:complete``): one job per round here."""
+        admits = {e.label: e.time for e in trace.of_kind("admit")}
+        return {e.data["job"]: (admits[e.data["job"]], e.time)
+                for e in trace.of_kind("stage-done") if e.rank == -1}
+
+    def test_time_never_decreases_in_emission_order(self, report):
+        assert inversions(report.trace) == {}
+
+    def test_phase_edges_lie_inside_their_jobs_window(self, report):
+        windows = self.windows(report.trace)
+        assert list(windows) == ["wordcount", "pagerank", "kmeans"]
+        edges = [e.time for e in report.trace.of_kind("phase")]
+        inside = dict.fromkeys(windows, 0)
+        for t in edges:     # a round ends where the next begins: first wins
+            inside[next(job for job, (lo, hi) in windows.items()
+                        if lo <= t <= hi)] += 1
+        assert inside == {"wordcount": 8, "pagerank": 52, "kmeans": 40}
+        last_stage = max(e.time for e in report.trace.of_kind("stage-done")
+                         if e.rank >= 0)
+        assert max(edges) == last_stage == pytest.approx(1.328877, abs=1e-6)
+
+    def test_cache_evictions_land_in_the_round_that_evicted(self, report):
+        # kmeans (round 3) pushes pagerank's cached adjacency out.
+        lo, hi = self.windows(report.trace)["kmeans"]
+        evicted = report.trace.of_kind("evict")
+        assert evicted and all(e.data["job"] == "pagerank" and lo <= e.time <= hi
+                               for e in evicted)
+
+    def test_export_needs_no_repair(self, report):
+        events = to_chrome_trace(report.trace)["traceEvents"]
+        assert not [e for e in events if e["ph"] == "E" and not e["name"]]
+
+    def test_phase_table_pairs_each_round_with_itself(self, report):
+        rows = {row.name: row for row in report.phases}
+        assert {name: row.count for name, row in rows.items()} == {
+            "map+aggregate": 26, "partial_reduce": 22, "convert+reduce": 2}
+        assert rows["map+aggregate"].total == pytest.approx(1.680958, abs=1e-6)
+        assert rows["partial_reduce"].total == pytest.approx(0.592585, abs=1e-6)
+        assert rows["convert+reduce"].total == pytest.approx(0.142650, abs=1e-6)
+        assert rows["partial_reduce"].slowest == \
+            pytest.approx(0.184334, abs=1e-6)
+
+    def test_daemon_rounds_share_the_timeline(self):
+        from repro.sched.demo import stage_inputs
+        from repro.serve.daemon import ServeDaemon
+
+        cluster = Cluster(COMET, nprocs=2)
+        stage_inputs(cluster)
+        daemon = ServeDaemon(cluster)
+        daemon.recover()                      # opens the journal
+        for _round in range(2):
+            for tenant in ("alice", "bob", "carol"):
+                daemon.submit(tenant, "wordcount", "demo/words.txt")
+            daemon.tick()
+        while daemon.scheduler.queue_depth:
+            daemon.tick()
+        assert daemon.scheduler.rounds_run >= 2
+        assert [job.state for job in daemon.jobs.values()] == ["done"] * 6
+        assert inversions(daemon.trace) == {}
+
+    def test_view_shares_events_and_adds_its_base(self):
+        trace = Trace()
+        cluster = Cluster(COMET, nprocs=1, memory_limit=None)
+
+        def job(env):
+            env.comm.advance(0.25)
+            trace.emit(env, "custom", "bare")
+            trace.at(10.0).emit(env, "custom", "based")
+
+        cluster.run(job)
+        assert [(e.label, e.time) for e in trace.events] == \
+            [("bare", 0.25), ("based", 10.25)]
+
+
+class TestFromJson:
+    GOOD = {"time": 1.0, "rank": 0, "kind": "custom", "label": "x"}
+
+    @pytest.mark.parametrize("document, complaint", [
+        ("7", "expected a JSON list"),
+        ('{"traceEvents": []}', "Chrome/Perfetto export"),
+        ("[1, 2]", "event 0: expected an object"),
+        ([GOOD, "nope"], "event 1: expected an object"),
+        ([{"time": 1.0, "rank": 0}], "event 0: 'kind'"),
+        ([GOOD, {**GOOD, "time": "soon"}], "event 1: 'time'"),
+        ([{**GOOD, "time": True}], "event 0: 'time'"),
+        ([{**GOOD, "rank": 0.5}], "event 0: 'rank'"),
+        ([{**GOOD, "label": None}], "event 0: 'label'"),
+        ([{**GOOD, "data": [1]}], "event 0: 'data'"),
+        ("[{", "Expecting"),                     # not JSON at all
+    ])
+    def test_malformed_documents_are_value_errors(self, document,
+                                                  complaint, tmp_path,
+                                                  capsys):
+        from repro.cli import main
+
+        text = document if isinstance(document, str) \
+            else json.dumps(document)
+        with pytest.raises(ValueError, match=complaint):
+            Trace.from_json(text)
+        saved = tmp_path / "bad.json"
+        saved.write_text(text)
+        assert main(["report", "--from-trace", str(saved)]) == 1
+        assert "error: cannot load" in capsys.readouterr().out
+
+    def test_data_is_optional(self):
+        [event] = Trace.from_json(json.dumps([self.GOOD])).events
+        assert event.data == {} and event.time == 1.0
 
 
 # ------------------------------------------------------- chrome export
@@ -340,13 +478,13 @@ class TestChromeExport:
 
     def test_dangling_begin_is_closed(self):
         trace = Trace()
-        trace.begin_abs(0.0, 0, "outer")
-        trace.begin_abs(1.0, 0, "inner")   # neither ever ends
+        trace.emit_abs(0.0, 0, "span", "outer", ph="B")
+        trace.emit_abs(1.0, 0, "span", "inner", ph="B")  # neither ends
         self.check(to_chrome_trace(trace))
 
     def test_stray_end_is_dropped(self):
         trace = Trace()
-        trace.end_abs(1.0, 0, "phantom")
+        trace.emit_abs(1.0, 0, "span", "phantom", ph="E")
         events = self.check(to_chrome_trace(trace))
         assert not [e for e in events if e["ph"] == "E"]
 
@@ -413,8 +551,8 @@ class TestReports:
     def test_load_trace_report(self, tmp_path):
         trace = Trace()
         trace.emit_abs(0.0, -1, "submit", "wc", job="wc")
-        trace.emit_abs(0.1, 0, "phase", "map+aggregate:start")
-        trace.emit_abs(0.4, 0, "phase", "map+aggregate:end",
+        trace.emit_abs(0.1, 0, "phase", "map+aggregate", ph="B")
+        trace.emit_abs(0.4, 0, "phase", "map+aggregate", ph="E",
                        batch_records=5, batch_pages=1)
         path = tmp_path / "trace.json"
         path.write_text(trace.to_json())
@@ -433,7 +571,7 @@ class TestReports:
 
         trace = Trace()
         assert render_phase_table(phase_rows(trace)) == "(no phase records)"
-        trace.emit_abs(0.1, 0, "phase", "map+aggregate:end")  # no start
+        trace.emit_abs(0.1, 0, "phase", "map+aggregate", ph="E")  # no B
         assert phase_rows(trace) == []
 
 

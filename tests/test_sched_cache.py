@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.mpi import COMET
+from repro.obs import Trace
 from repro.sched import Plan, PlanRunner, StageCache
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=1024,
@@ -57,13 +58,11 @@ class TestBasics:
 
 class TestSpillReload:
     def test_lru_spills_to_pfs_and_reloads(self):
-        events = []
+        trace = Trace()
 
         def job(env):
             cache = StageCache(0)
-            cache.attach(env)
-            cache.on_event = lambda kind, label, **d: \
-                events.append((kind, label))
+            cache.attach(env, trace)
             old = make_entry(env, cache, "old", tag=b"o")
             new = make_entry(env, cache, "new", tag=b"n")
             cache.get("new")  # "old" becomes the LRU victim
@@ -82,6 +81,7 @@ class TestSpillReload:
             assert sorted(cache.get("new").records()) == new
 
         run_single(job, memory_limit="64K")
+        events = [(e.kind, e.label) for e in trace.events]
         kinds = {kind for kind, _ in events}
         assert "evict" in kinds
         assert any(label.endswith(":spilled") for _, label in events)
@@ -117,7 +117,7 @@ class TestSpillReload:
 class TestDropAndRecompute:
     def test_drop_recomputes_bit_identical_from_lineage(self):
         caches = [StageCache(rank) for rank in range(3)]
-        events = []
+        trace = Trace()
 
         def wc_map(ctx, chunk):
             for word in chunk.split():
@@ -128,13 +128,11 @@ class TestDropAndRecompute:
 
         def job(env):
             cache = caches[env.comm.rank]
-            cache.on_event = lambda kind, label, **d: \
-                events.append((kind, label))
             plan = Plan("wc", CFG)
             counts = plan.read_text("t.txt", name="input") \
                 .map(wc_map, name="count") \
                 .reduce(wc_reduce, name="sum").cache()
-            runner = PlanRunner(env, plan, cache=cache)
+            runner = PlanRunner(env, plan, cache=cache, trace=trace)
             first = sorted(runner.stream(counts))
             # Every rank drops together (a recompute runs collectives).
             cache.drop(counts.key)
@@ -146,7 +144,7 @@ class TestDropAndRecompute:
         cluster = Cluster(COMET, nprocs=3, memory_limit=None)
         cluster.pfs.store("t.txt", TEXT)
         cluster.run(job)
-        assert any(label == "sum:dropped" for _, label in events)
+        assert any(e.label == "sum:dropped" for e in trace.of_kind("evict"))
         assert all(c.stats.drops == 1 for c in caches)
 
     def test_clear_drops_everything(self):

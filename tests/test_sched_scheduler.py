@@ -7,7 +7,7 @@ from repro.core import MimirConfig
 from repro.mpi import COMET
 from repro.sched import FootprintEstimator, SchedJob, Scheduler
 from repro.sched.demo import make_job, stage_inputs
-from repro.tools import SCHED_EVENT_KINDS, Trace, render_job_lanes
+from repro.obs import SCHED_EVENT_KINDS, Trace, render_job_lanes
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -172,6 +172,19 @@ class TestPipelines:
         assert all(e.kind in SCHED_EVENT_KINDS
                    for e in trace.events
                    if e.kind not in ("phase", "exchange", "spill"))
+
+    def test_cancelled_job_lane_ends_in_c(self):
+        trace = Trace()
+        sched = Scheduler(Cluster(COMET, nprocs=2, memory_limit=None),
+                          trace=trace)
+        sched.submit(SchedJob("a", lambda env, ctx: env.comm.advance(0.1)))
+        sched.submit(SchedJob("b", lambda env, ctx: None))
+        assert sched.cancel("b").name == "b"
+        assert sched.run().outcome("a").completed
+        assert "cancel" in SCHED_EVENT_KINDS
+        *lanes, legend = render_job_lanes(trace, width=6).splitlines()
+        # Cancelled in the cell it was submitted in: the later mark wins.
+        assert lanes[1] == "b |c·····|" and "c cancel" in legend
 
     def test_cache_shared_across_jobs_and_runs(self):
         # Two PageRank submissions - one per run() drain - build the

@@ -5,7 +5,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.ft.elastic import ScalingPolicy
+from repro.sched import ScalingPolicy
 from repro.mpi import COMET
 from repro.serve.api import ServeClient
 from repro.serve.catalog import merge_output, run_direct

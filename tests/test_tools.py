@@ -1,4 +1,5 @@
-"""Analysis tools: imbalance reports and memory timelines."""
+"""Post-mortem views in ``repro.obs``: imbalance reports, memory
+timelines, job lanes."""
 
 import pytest
 from hypothesis import given
@@ -8,9 +9,13 @@ from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64
 from repro.memory import MemoryTracker
 from repro.mpi import COMET
-from repro.tools import ImbalanceReport, composition_at_peak, render_timeline
-from repro.tools.timeline import render_job_lanes
-from repro.tools.trace import Trace
+from repro.obs import (
+    ImbalanceReport,
+    Trace,
+    composition_at_peak,
+    render_job_lanes,
+    render_timeline,
+)
 
 
 class TestImbalanceReport:
