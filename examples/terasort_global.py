@@ -3,7 +3,11 @@
 
 Demonstrates the sorting toolchain: sample-sort range partitioning
 (`global_sort`), MPI-IO-style offset writes (`write_output_global`),
-and TeraValidate-style output certification.
+and TeraValidate-style output certification.  The records are
+fixed-width, so with ``batch=True`` they travel as numpy rows from the
+input chunk to the output file (the sink's ``render=`` is a
+``@batch_kernel`` returning each sorted page as it is); the file and
+the virtual time are those of the per-record form.
 
 Run:  python examples/terasort_global.py
 """
@@ -29,7 +33,7 @@ def main():
     config = MimirConfig(page_size="32K", comm_buffer_size="32K")
     result = cluster.run(
         lambda env: terasort_mimir(env, "tera/input.bin",
-                                   "tera/output.bin", config))
+                                   "tera/output.bin", config, batch=True))
 
     output = cluster.pfs.fetch("tera/output.bin")
     problems = validate_output(data, output)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core import KVBatch, KVLayout, Mimir, MimirConfig
+from repro.core import KVBatch, KVLayout, Mimir, MimirConfig, batch_kernel
 
 #: Scaled-down TeraSort record: 4-byte key + 12-byte payload.
 KEY_SIZE = 4
@@ -56,9 +56,9 @@ def terasort_mimir(env: RankEnv, input_path: str, output_path: str,
 
     The on-PFS record format *is* the fixed/fixed KV encoding, so with
     ``batch=True`` the map wraps each input chunk in a :class:`KVBatch`
-    and routes the records as arena slices instead of slicing and
-    emitting them one by one.  The output file is byte-identical
-    either way.
+    and the sink writes each sorted page back as it is: no record is
+    sliced, emitted or rendered one by one on the way.  The output
+    file is byte-identical either way.
     """
     config = (config or MimirConfig()).with_layout(TS_LAYOUT)
     mimir = Mimir(env, config)
@@ -66,18 +66,24 @@ def terasort_mimir(env: RankEnv, input_path: str, output_path: str,
     if batch:
         def map_fn(ctx, chunk: bytes) -> None:
             ctx.emit_batch(KVBatch(chunk, TS_LAYOUT))
+
+        @batch_kernel
+        def render(page: KVBatch) -> bytes:
+            return page.data
     else:
         def map_fn(ctx, chunk: bytes) -> None:
             for off in range(0, len(chunk), RECORD_SIZE):
                 ctx.emit(chunk[off : off + KEY_SIZE],
                          chunk[off + KEY_SIZE : off + RECORD_SIZE])
 
+        def render(key: bytes, value: bytes) -> bytes:
+            return key + value
+
     kvs = mimir.map_binary_file(input_path, RECORD_SIZE, map_fn,
                                 layout=TS_LAYOUT)
     ordered = mimir.global_sort(kvs)
     nlocal = len(ordered)
-    mimir.write_output_global(ordered, output_path,
-                              render=lambda k, v: k + v)
+    mimir.write_output_global(ordered, output_path, render=render)
     ordered.free()
     return TeraSortResult(nlocal, output_path)
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator
 
+import numpy as np
+
 from repro.core.records import BLOCK, KVLayout
 
 
@@ -38,7 +40,8 @@ def batch_kernel(fn):
     A batch map kernel is called as ``fn(ctx, batch)`` per input chunk
     or :class:`KVBatch`; a batch reduce kernel as ``fn(ctx, groups)``
     per page of ``(key, values)`` groups; a batch partial-reduce
-    kernel as ``fn(bucket, batch)``.
+    kernel as ``fn(bucket, batch)``; a batch render as ``fn(batch)``
+    per page, returning the page's output bytes.
     """
     fn.is_batch_kernel = True
     return fn
@@ -56,14 +59,18 @@ class KVBatch:
     the int64 numpy arrays of
     :meth:`KVLayout.scan <repro.core.records.KVLayout.scan>`; some are
     views of others, so treat them as read-only.
+
+    With both lengths fixed the run is also a matrix: :attr:`rows` and
+    its sort fields, :meth:`column`, are read-only views of ``data``.
     """
 
-    __slots__ = ("data", "roff", "koff", "kend", "voff", "vend")
+    __slots__ = ("data", "layout", "roff", "koff", "kend", "voff", "vend")
 
     def __init__(self, buf, layout: KVLayout, end: int | None = None):
         if not isinstance(buf, bytes) or end not in (None, len(buf)):
             buf = bytes(memoryview(buf)[:end])
         self.data = buf
+        self.layout = layout
         self.roff, self.koff, self.kend, self.voff, self.vend = \
             layout.scan(buf)
 
@@ -86,6 +93,17 @@ class KVBatch:
         charge compute for, without touching any record."""
         return int((self.kend - self.koff).sum() +
                    (self.vend - self.voff).sum())
+
+    # ---------------------------------------------- fixed/fixed layouts
+
+    @property
+    def rows(self) -> np.ndarray:
+        """:meth:`KVLayout.rows` of ``data``: one record per row."""
+        return self.layout.rows(self.data)
+
+    def column(self, by_value: bool = False) -> np.ndarray:
+        """:meth:`KVLayout.column` of :attr:`rows`: all keys (values)."""
+        return self.layout.column(self.rows, by_value)
 
     # ------------------------------------------------------- zero-copy
 

@@ -21,7 +21,7 @@ from itertools import starmap
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster import RankEnv
-from repro.core.batch import KVBatch, is_batch_kernel
+from repro.core.batch import is_batch_kernel
 from repro.core.codec import get_codec
 from repro.core.combiner import CombineFn, Combiner
 from repro.core.config import MimirConfig
@@ -431,14 +431,9 @@ class Mimir:
         """
         from repro.core.sort import sorted_container
 
-        if key_fn is not None:
-            fields = lambda batch: starmap(  # noqa: E731
-                key_fn, batch.pairs_bytes())
-        else:
-            fields = KVBatch.values_bytes if by_value else KVBatch.keys_bytes
         return sorted_container(
             self.env, kvc.consume_batches() if consume else kvc.batches(),
-            fields, kvc.layout, self.config, out_tag)
+            kvc.layout, self.config, out_tag, by_value, key_fn)
 
     def global_sort(self, kvc: KVContainer, *, by_value: bool = False,
                     out_tag: str = "kv_gsorted") -> KVContainer:
@@ -474,8 +469,10 @@ class Mimir:
         would hold the entire rendered payload next to the container
         and double the peak on large outputs.
         """
+        batch_fn = is_batch_kernel(render)
         for batch in kvc.batches():
-            yield b"".join(starmap(render, batch.pairs_bytes()))
+            yield render(batch) if batch_fn else \
+                b"".join(starmap(render, batch.pairs_bytes()))
 
     def write_output(self, kvc: KVContainer, path: str,
                      render: Callable[[bytes, bytes], bytes] | None = None,
@@ -484,6 +481,8 @@ class Mimir:
 
         Output is rendered and written page by page, so peak memory
         stays one page of rendered payload above the container itself.
+        ``render(key, value) -> bytes`` runs per record; marked with
+        :func:`~repro.core.batch.batch_kernel`, ``render(batch)`` per page.
         """
         if render is None:
             render = lambda k, v: k + b"\t" + v + b"\n"  # noqa: E731
@@ -509,7 +508,8 @@ class Mimir:
         :meth:`global_sort` this produces one globally sorted file.
         Rendering runs twice (a sizing pass, then page-sized writes at
         advancing offsets) instead of joining the whole payload in
-        memory; ``render`` must therefore be deterministic.
+        memory; ``render`` (per record or per page, as for
+        :meth:`write_output`) must therefore be deterministic.
         """
         if render is None:
             render = lambda k, v: k + b"\t" + v + b"\n"  # noqa: E731

@@ -64,7 +64,8 @@ class KVLayout:
 
     ``key_len`` / ``val_len``: ``VARIABLE`` (u32 header), ``CSTRING``
     (NUL-terminated, no header), or a positive fixed byte length (no
-    header).
+    header).  With both fixed a packed run *is* an ``(n, row_width)``
+    byte matrix (:meth:`rows`); ``row_width`` is 0 otherwise.
     """
 
     key_len: int | None = VARIABLE
@@ -73,9 +74,12 @@ class KVLayout:
     def __post_init__(self):
         _check_hint(self.key_len, "key_len")
         _check_hint(self.val_len, "val_len")
-        # Header or terminator bytes each field carries beyond its data.
+        # Header or terminator bytes each field carries beyond its data,
+        # and the record width when neither carries any (else 0).
         object.__setattr__(self, "_kpad", _PAD.get(self.key_len, 0))
         object.__setattr__(self, "_vpad", _PAD.get(self.val_len, 0))
+        object.__setattr__(self, "row_width", 0 if self._kpad or self._vpad
+                           else self.key_len + self.val_len)
 
     # ------------------------------------------------------------- sizing
 
@@ -272,9 +276,8 @@ class KVLayout:
         if end is None:
             end = len(buf)
         kl, vl = self.key_len, self.val_len
-        if not self._kpad and not self._vpad:
+        if rec := self.row_width:
             # Fixed/fixed: pure arithmetic, no walk.
-            rec = kl + vl
             if end % rec:
                 raise ValueError(
                     f"buffer length {end} is not a multiple of the fixed "
@@ -296,6 +299,20 @@ class KVLayout:
                 raise ValueError(f"truncated record header at offset {offset}")
             if offset > end:
                 raise ValueError(f"truncated record at offset {starts[-1]}")
+        elif kl == CSTRING and not self._vpad:
+            # The WordCount hint shape, NUL-ended key and fixed value:
+            # one ``find`` per record, key lengths from the marks.
+            find, step = buf.find, 1 + vl
+            while offset < end:
+                mark(offset)
+                stop = find(b"\0", offset, end)
+                if stop < 0:
+                    raise ValueError(
+                        f"unterminated NUL string at offset {offset}")
+                offset = stop + step
+            if offset > end:
+                raise ValueError(
+                    f"truncated fixed field at offset {offset - vl}")
         else:
             klens = array("q")
             note, field = klens.append, self._scan_field
@@ -314,11 +331,30 @@ class KVLayout:
             koff = roff[:-1] + 8
             kend = koff + heads[roff[:-1]].view("<u4")[:, 0]
             return roff, koff, kend, kend, roff[1:]
+        if kl == CSTRING and not self._vpad:
+            kend = roff[1:] - (1 + vl)
+            return roff, roff[:-1], kend, kend + 1, roff[1:]
         # [u32 klen?] key [NUL?] [u32 vlen?] value [NUL?]
         koff = roff[:-1] + (4 if kl is VARIABLE else 0)
         kend = koff + np.frombuffer(klens, np.int64)
         voff = kend + (kl == CSTRING) + (4 if vl is VARIABLE else 0)
         return roff, koff, kend, voff, roff[1:] - (vl == CSTRING)
+
+    # ------------------------------------------------- fixed/fixed runs
+
+    def rows(self, buf) -> np.ndarray:
+        """A packed fixed/fixed run as an ``(n, row_width)`` uint8
+        matrix over ``buf`` (no copy), one record per row."""
+        return np.frombuffer(buf, np.uint8).reshape(-1, self.row_width)
+
+    def column(self, rows: np.ndarray, by_value: bool = False) -> np.ndarray:
+        """The key (value) of every row as one ``S<width>`` column, a
+        view.  numpy compares ``S`` items over the whole item, so the
+        column sorts and searches in ``bytes`` order, NULs included;
+        reading an item strips trailing NULs, so leave by ``tobytes``."""
+        field = rows[:, self.key_len :] if by_value \
+            else rows[:, : self.key_len]
+        return field.view(f"S{field.shape[1]}")[:, 0]
 
     def iter_records(self, buf: bytes | memoryview) -> Iterator[tuple[bytes, bytes]]:
         """Yield every record of a packed buffer."""

@@ -46,6 +46,21 @@ def hash_partition(keys, nparts: int):
     return map(nparts.__rmod__, map(zlib.crc32, keys))
 
 
+#: The byte-at-a-time CRC-32 table, read off zlib itself: the CRC of
+#: the single byte ``b`` is ``table[b ^ 0xFF] ^ 0xFF000000``.
+_CRC_TABLE = np.array([zlib.crc32(bytes([b ^ 0xFF])) ^ 0xFF000000
+                       for b in range(256)], np.uint32)
+
+
+def crc32_rows(keys: np.ndarray) -> np.ndarray:
+    """``zlib.crc32`` of every row of an ``(n, width)`` uint8 matrix:
+    the table-driven CRC, one byte column of all keys at a time."""
+    crc = np.full(len(keys), 0xFFFFFFFF, np.uint32)
+    for column in keys.T:
+        crc = _CRC_TABLE[(crc ^ column) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
+
+
 class Shuffler:
     """One map/aggregate phase's communication state for one rank."""
 
@@ -136,25 +151,45 @@ class Shuffler:
     def emit_batch(self, batch: KVBatch) -> None:
         """Route every record of a :class:`KVBatch` by its key hash.
 
-        Records move as slices of the batch, never re-encoded.
+        Records move as slices or rows of the batch, never re-encoded.
         """
-        self._emit_encoded(batch, self._dests(batch.keys_bytes()))
+        if not self.layout.row_width:
+            dests = self._dests(batch.keys_bytes())
+        elif self.partitioner is default_partitioner:
+            dests = crc32_rows(batch.rows[:, : self.layout.key_len]) \
+                % self.nprocs
+        else:
+            dests = np.fromiter(self._dests(batch.keys_bytes()), np.int64,
+                                len(batch))
+        self._emit_encoded(batch, dests)
 
     def emit_keyed_batch(self, batch: KVBatch, dest_for,
                          by_value: bool = False) -> None:
-        """Route every record of a batch via ``dest_for(key_bytes)``
-        (``dest_for(value_bytes)`` with ``by_value``).
-
-        Used by the range partitioner of the global sort, whose
-        splitter comparison needs orderable ``bytes`` fields.
-        """
-        fields = batch.values_bytes() if by_value else batch.keys_bytes()
-        self._emit_encoded(batch, map(dest_for, fields))
+        """Route every record of a batch to ``dest_for(column)``, called
+        once: the batch's keys (values with ``by_value``) in, an integer
+        array of one destination rank per record out.  The column is
+        :meth:`KVBatch.column` when the layout fixes both lengths, the
+        lazy ``keys_bytes()`` / ``values_bytes()`` otherwise (the range
+        partitioner of the global sort is the one caller)."""
+        if self.layout.row_width:
+            dests = dest_for(batch.column(by_value))
+        else:
+            dests = iter(dest_for(
+                batch.values_bytes() if by_value else batch.keys_bytes()))
+        self._emit_encoded(batch, dests)
 
     def _emit_encoded(self, batch: KVBatch, dests) -> None:
-        records = batch.records_bytes()
-        while block := list(islice(records, BLOCK)):
-            self._route(block, dests)
+        # ``dests``: an iterator drained a block of slices at a time, or
+        # (fixed/fixed) a column sliced along with the blocks of rows.
+        if self.layout.row_width:
+            rows = batch.rows
+            for lo in range(0, len(rows), BLOCK):
+                self._route(rows[lo : lo + BLOCK], dests[lo : lo + BLOCK],
+                            self.layout.row_width)
+        else:
+            records = batch.records_bytes()
+            while block := list(islice(records, BLOCK)):
+                self._route(block, dests)
         self.batch_records += len(batch)
         self.batch_calls += 1
 
@@ -164,10 +199,10 @@ class Shuffler:
             return hash_partition(keys, self.nprocs)
         return map(self.partitioner, keys, repeat(self.nprocs))
 
-    def _route(self, records: list[bytes], dests) -> None:
+    def _route(self, records, dests, width: int = 0) -> None:
         """Place one block of encoded records, taking one destination
         per record from ``dests``: the column router every bulk emit
-        ends in.
+        ends in (with ``width``: a matrix of such rows, a ``dests`` array).
 
         Per round: a stable sort by destination, a running sum per
         destination to find the first record that does not fit its
@@ -175,8 +210,11 @@ class Shuffler:
         the records before it, an exchange, then on from that record.
         """
         n = len(records)
-        sizes = np.fromiter(map(len, records), np.int64, n)
-        dests = np.fromiter(islice(dests, n), np.int64, n)
+        if width:
+            sizes = np.full(n, width)
+        else:
+            sizes = np.fromiter(map(len, records), np.int64, n)
+            dests = np.fromiter(islice(dests, n), np.int64, n)
         part_size, fill, send = self.part_size, self._fill, self._send
         if sizes.max() > part_size:
             raise RecordTooLargeError(int(sizes[sizes > part_size][0]),
@@ -195,8 +233,9 @@ class Shuffler:
                     stop = min(stop, int(run[fits]))
             for run in runs:
                 dest = int(dests[run[0]])
-                placed = run[: np.searchsorted(run, stop)].tolist()
-                chunk = b"".join([records[i] for i in placed])
+                placed = run[: np.searchsorted(run, stop)]
+                chunk = records[placed].tobytes() if width else \
+                    b"".join([records[i] for i in placed.tolist()])
                 base = dest * part_size + fill[dest]
                 send[base : base + len(chunk)] = chunk
                 fill[dest] += len(chunk)

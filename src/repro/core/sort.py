@@ -7,13 +7,21 @@ rank's records are locally sorted.
 
 Classic sample sort over the existing primitives: each rank publishes
 a sample of its keys (allgather), identical splitters are derived
-everywhere, records are shuffled with a range partitioner (one
-bisection per record), and each rank sorts what it received.
+everywhere, records are shuffled with a range partitioner (called
+once per page), and each rank sorts what it received.  Under a layout
+that fixes both lengths a page is a matrix and its sort field a numpy
+column: ``sort``, ``searchsorted`` and ``argsort`` over columns, rows
+gathered by index.  Any other layout orders ``bytes`` fields with
+``sorted`` and one C ``bisect_right`` per record.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
+from itertools import starmap
+
+import numpy as np
 
 from repro.cluster import RankEnv
 from repro.core.batch import KVBatch
@@ -47,30 +55,55 @@ def range_partitioner(splitters: list[bytes]):
     return partition
 
 
-def sorted_container(env: RankEnv, batches, fields, layout: KVLayout,
-                     config: MimirConfig, tag: str) -> KVContainer:
+def sorted_container(env: RankEnv, batches, layout: KVLayout,
+                     config: MimirConfig, tag: str, by_value: bool = False,
+                     key_fn=None) -> KVContainer:
     """A new container holding the records of ``batches`` ordered by
-    ``fields(batch)`` (one sort field per record; stable).
+    key, by value, or by ``key_fn(key, value)`` if given (stable).
 
-    Records move as the encoded slices they already are: joined in
+    Records move as the encoded bytes they already are: joined in
     sorted order they re-split into pages exactly as per-record
     insertion would.
     """
-    keys: list = []
-    records: list[bytes] = []
-    for batch in batches:
-        keys.extend(fields(batch))
-        records.extend(batch.records_bytes())
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    del keys
+    matrix = layout.row_width and key_fn is None
+    if matrix:
+        rows = layout.rows(b"".join([batch.data for batch in batches]))
+        order = np.argsort(layout.column(rows, by_value), kind="stable")
+    else:
+        keys, records = [], []
+        for batch in batches:
+            keys.extend(
+                starmap(key_fn, batch.pairs_bytes()) if key_fn is not None
+                else batch.values_bytes() if by_value else batch.keys_bytes())
+            records.extend(batch.records_bytes())
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
     out = KVContainer(env.tracker, layout, config.page_size, tag=tag)
     # Any cut of the sorted run at record boundaries re-splits into the
-    # same pages; a block at a time keeps the joined copy small.
+    # same pages; a block at a time keeps the gathered copy small.
     for lo in range(0, len(order), BLOCK):
-        out.extend_encoded(b"".join(map(records.__getitem__,
-                                        order[lo : lo + BLOCK])))
+        block = order[lo : lo + BLOCK]
+        out.extend_encoded(rows[block].tobytes() if matrix else
+                           b"".join(map(records.__getitem__, block)))
     env.charge_compute(out.nbytes)
     return out
+
+
+def _sample(kvc: KVContainer, by_value: bool, want: int) -> list[bytes]:
+    """Up to ``want`` of this rank's sort fields, taken at regular
+    strides of their sorted order (``kvc`` is left intact)."""
+    if not len(kvc):
+        return []
+    if kvc.layout.row_width:
+        local = np.sort(np.concatenate(
+            [batch.column(by_value) for batch in kvc.batches()]))
+        picked = local[:: max(1, len(local) // want)][:want].tobytes()
+        return [picked[i : i + local.itemsize]
+                for i in range(0, len(picked), local.itemsize)]
+    fields = KVBatch.values_bytes if by_value else KVBatch.keys_bytes
+    local = sorted([field for batch in kvc.batches()
+                    for field in fields(batch)])
+    return local[:: max(1, len(local) // want)][:want]
 
 
 def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
@@ -82,20 +115,23 @@ def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
     Returns this rank's slice of the total order.  Duplicate keys may
     land on either side of a splitter boundary but the global order is
     still correct (splitters compare with ``<=``).  Records move as
-    arena slices of their container pages, never re-encoded.
+    arena slices (rows) of their container pages, never re-encoded.
     """
     comm = env.comm
-    fields = KVBatch.values_bytes if by_value else KVBatch.keys_bytes
-
-    # Sample this rank's sort fields at regular strides.
-    local = [field for batch in kvc.batches() for field in fields(batch)]
-    want = max(1, comm.size * oversample)
-    stride = max(1, len(local) // want)
-    sample = sorted(local)[::stride][:want] if local else []
-
+    sample = _sample(kvc, by_value, max(1, comm.size * oversample))
     pooled = [key for part in comm.allgather(sample) for key in part]
-    partition = range_partitioner(choose_splitters(pooled, comm.size))
-    dest_for = lambda field: partition(field, comm.size)  # noqa: E731
+    splitters = choose_splitters(pooled, comm.size)
+    matrix = kvc.layout.row_width
+
+    def dest_for(column):
+        """:func:`range_partitioner` over a page's sort fields."""
+        if matrix:
+            ranks = np.searchsorted(np.array(splitters, column.dtype),
+                                    column, "right")
+        else:
+            ranks = np.fromiter(
+                map(partial(bisect_right, splitters), column), np.int64)
+        return np.minimum(ranks, comm.size - 1)
 
     # Range-shuffle, then order locally.
     out = KVContainer(env.tracker, kvc.layout, config.page_size,
@@ -105,5 +141,5 @@ def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
         shuffler.emit_keyed_batch(batch, dest_for, by_value)
     shuffler.finish()
     env.charge_compute(shuffler.bytes_sent)
-    return sorted_container(env, out.consume_batches(), fields, out.layout,
-                            config, out_tag)
+    return sorted_container(env, out.consume_batches(), out.layout, config,
+                            out_tag, by_value)

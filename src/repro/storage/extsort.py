@@ -29,6 +29,7 @@ and KV backends too; this backend just prices it realistically.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -139,17 +140,6 @@ def _sample_splitters(env, store, input_path, *, record_size, key_size,
             for i in range(1, comm.size)]
 
 
-def _partition(key: bytes, splitters: list[bytes]) -> int:
-    lo, hi = 0, len(splitters)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < splitters[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def external_sort_file(env, input_path: str, output_path: str, *,
                        record_size: int, key_size: int,
                        run_budget: int = 64 * 1024,
@@ -226,8 +216,8 @@ def external_sort_file(env, input_path: str, output_path: str, *,
             env.charge_compute(span)
             segments: list[list[bytes]] = [[] for _ in range(nparts)]
             for record in records:
-                segments[_partition(record[:key_size],
-                                    splitters)].append(record)
+                segments[bisect_right(splitters,
+                                      record[:key_size])].append(record)
             for part, segment in enumerate(segments):
                 if not segment:
                     continue

@@ -100,6 +100,29 @@ class TestTeraSort:
         assert validate_output(input_data, output_data) == []
 
 
+class TestBatchForm:
+    """``batch=True`` moves matrix rows from the input chunk to the
+    output file; ``batch=False`` slices, emits and renders one record
+    at a time.  Same file, same virtual time, same memory."""
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 3])
+    @pytest.mark.parametrize("nrecords", [0, 700])
+    def test_same_file_time_and_peaks_as_per_record(self, nprocs, nrecords):
+        def outcome(batch):
+            data = generate_records(nrecords, seed=9)
+            cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
+            cluster.pfs.store("tera/in.bin", data)
+            result = cluster.run(lambda env: terasort_mimir(
+                env, "tera/in.bin", "tera/out.bin", CFG, batch=batch))
+            output = cluster.pfs.fetch("tera/out.bin")
+            assert validate_output(data, output) == []
+            return (output, result.elapsed,
+                    [tracker.peak for tracker in cluster.trackers],
+                    [r.records_local for r in result.returns])
+
+        assert outcome(batch=True) == outcome(batch=False)
+
+
 class TestValidator:
     def test_detects_disorder(self):
         # Build two definitely out-of-order records by hand.

@@ -101,9 +101,11 @@ class TestScanColumns:
 
 
 # Every key/value hint combination; fixed/fixed is scanned by arithmetic,
-# the other eight by the header walk.
+# the other eight by a walk: var/var and CSTRING/fixed (the WordCount
+# hint, here also at its real width) inline, the rest field by field.
 ALL_LAYOUTS = [KVLayout(kl, vl) for kl, vl in
-               product((VARIABLE, CSTRING, 3), (VARIABLE, CSTRING, 5))]
+               product((VARIABLE, CSTRING, 3), (VARIABLE, CSTRING, 5))] + \
+    [KVLayout(CSTRING, 8)]
 WALKED = [layout for layout in ALL_LAYOUTS if layout != KVLayout(3, 5)]
 
 
@@ -492,3 +494,44 @@ class TestStreamingOutput:
         kvc = KVContainer(env.tracker, None, page_size=256)
         mimir.write_output(kvc, "out/empty")
         assert cluster.pfs.fetch("out/empty.0") == b""
+
+    @pytest.mark.parametrize("layout", [KVLayout(), KVLayout(5, 5)])
+    @pytest.mark.parametrize("nrecords", [0, 150])
+    def test_batch_render_writes_what_the_record_render_does(self, layout,
+                                                             nrecords):
+        """Both sinks take a ``@batch_kernel`` render, called once per
+        page, and write the same bytes at the same virtual time."""
+        def render(key, value):
+            return key + b"=" + value + b"\n"
+
+        pages_seen = []
+
+        @batch_kernel
+        def render_page(batch):
+            pages_seen.append(len(batch))
+            return b"".join(map(render, batch.keys_bytes(),
+                                batch.values_bytes()))
+
+        def written(render):
+            cluster = Cluster(COMET, nprocs=2)
+
+            def job(env):
+                mimir = Mimir(env, MimirConfig(page_size=256))
+                kvc = KVContainer(env.tracker, layout, page_size=256)
+                for i in range(env.comm.rank, nrecords, 2):
+                    kvc.add(b"k%04d" % i, b"v%04d" % i)
+                mimir.write_output(kvc, "out/local", render)
+                mimir.write_output_global(kvc, "out/global", render)
+                kvc.free()
+
+            elapsed = cluster.run(job).elapsed
+            return elapsed, {path: cluster.pfs.fetch(path)
+                             for path in cluster.pfs.listdir("out/")}
+
+        per_record = written(render)
+        assert len(per_record[1]) == 3
+        assert len(per_record[1]["out/global"]) == nrecords * 12
+        assert written(render_page) == per_record
+        # Per rank: one call per page for ``write_output``, two (sizing
+        # pass, write pass) for ``write_output_global``.
+        assert sum(pages_seen) == 3 * nrecords

@@ -1,7 +1,11 @@
 """KV record codec: default, fixed-length, and CSTRING layouts."""
 
+import random
+from bisect import bisect_right
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CSTRING, VARIABLE, KVLayout, pack_u64, unpack_u64
@@ -78,6 +82,63 @@ class TestFixedLayout:
         # 8-byte header replaced by a single NUL: saves 7 bytes.
         assert plain.encoded_size(key, value) - \
             hinted.encoded_size(key, value) == 7
+
+
+class TestFixedRunsAreMatrices:
+    """``rows`` / ``column``: a fixed/fixed run as numpy views whose
+    order is ``bytes`` order, NULs included."""
+
+    #: Embedded and trailing NULs are where an ``S`` column could part
+    #: ways with ``bytes``: numpy strips them when an item is read back.
+    nul_heavy = st.lists(st.sampled_from([b"\0", b"\0", b"\1", b"a", b"\xff"]),
+                         min_size=7, max_size=7).map(b"".join)
+
+    def test_views_of_the_buffer(self):
+        layout = KVLayout(2, 3)
+        buf = b"k0v00k1v11k2v22"
+        rows = layout.rows(buf)
+        assert rows.shape == (3, 5) and not rows.flags.writeable
+        assert np.shares_memory(rows, np.frombuffer(buf, np.uint8))
+        keys, values = layout.column(rows), layout.column(rows, True)
+        assert np.shares_memory(keys, rows) and keys.dtype == "S2"
+        assert keys.tobytes() == b"k0k1k2"
+        assert values.tobytes() == b"v00v11v22"
+        assert layout.rows(b"").shape == (0, 5)
+        assert len(layout.column(layout.rows(b""))) == 0
+
+    def test_row_width_is_zero_unless_both_lengths_are_fixed(self):
+        assert KVLayout(4, 12).row_width == 16
+        for hints in ((VARIABLE, 8), (8, VARIABLE), (CSTRING, 8),
+                      (8, CSTRING), (VARIABLE, VARIABLE)):
+            assert KVLayout(*hints).row_width == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(nul_heavy, nul_heavy), max_size=60),
+           st.lists(nul_heavy, max_size=5), st.booleans())
+    def test_column_order_is_bytes_order(self, pairs, probes, by_value):
+        layout = KVLayout(7, 7)
+        column = layout.column(
+            layout.rows(b"".join(k + v for k, v in pairs)), by_value)
+        fields = [pair[by_value] for pair in pairs]
+        ranked = sorted(range(len(fields)), key=fields.__getitem__)
+        assert np.argsort(column, kind="stable").tolist() == ranked
+        assert np.sort(column).tobytes() == b"".join(sorted(fields))
+        splitters = sorted(probes)
+        assert np.searchsorted(np.array(splitters, column.dtype), column,
+                               "right").tolist() == \
+            [bisect_right(splitters, field) for field in fields]
+
+    def test_nul_heavy_keys_by_the_thousand(self):
+        rng = random.Random(5)
+        keys = [bytes(rng.choice(b"\0\0\0\1\xff") for _ in range(6))
+                for _ in range(5000)]
+        layout = KVLayout(6, 1)
+        column = layout.column(layout.rows(b"".join(k + b"v" for k in keys)))
+        assert np.sort(column).tobytes() == b"".join(sorted(keys))
+        splitters = sorted(keys[::500])
+        assert np.searchsorted(np.array(splitters, "S6"), column,
+                               "right").tolist() == \
+            [bisect_right(splitters, key) for key in keys]
 
 
 class TestCStringLayout:

@@ -1,9 +1,13 @@
 """Shuffler in isolation: partitions, rounds, buffers, routing."""
 
 import tracemalloc
+import zlib
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core import (
@@ -18,7 +22,7 @@ from repro.core import (
 )
 from repro.core.bucket import AccountedBucket
 from repro.core.records import BLOCK
-from repro.core.shuffle import Shuffler, default_partitioner
+from repro.core.shuffle import Shuffler, crc32_rows, default_partitioner
 from repro.mpi import COMET, RankFailedError
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=512)
@@ -146,6 +150,26 @@ class TestRouting:
 
 
 # ----------------------------------------------- the column router's edges
+
+class TestColumnCrc:
+    """Fixed-width keys are hashed a byte column at a time; the ranks
+    they land on must be the ones ``zlib.crc32`` picks per key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=16).flatmap(
+        lambda width: st.lists(st.binary(min_size=width, max_size=width),
+                               max_size=40)))
+    def test_equals_zlib_crc32(self, keys):
+        width = len(keys[0]) if keys else 1
+        rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, width)
+        assert crc32_rows(rows).tolist() == [zlib.crc32(k) for k in keys]
+
+    def test_reads_keys_through_a_strided_view(self):
+        # What ``emit_batch`` passes: the key columns of a wider matrix.
+        rows = np.frombuffer(bytes(range(256)) * 3, np.uint8).reshape(-1, 16)
+        assert crc32_rows(rows[:, :5]).tolist() == \
+            [zlib.crc32(bytes(row[:5])) for row in rows]
+
 
 def failure_of(layout, drive, nprocs=2):
     """``(type, message, records routed before it)`` of the error one

@@ -7,6 +7,7 @@ suite.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 
 import networkx as nx
 import numpy as np
@@ -157,7 +158,8 @@ def test_shuffle_reduce_equals_groupby(pairs, nprocs):
 HINTS = (VARIABLE, CSTRING, 3)
 
 
-def shuffle_outcome(nprocs, layout, pairs, drive, part_size=48):
+def shuffle_outcome(nprocs, layout, pairs, drive, part_size=48,
+                    partitioner=None):
     """All a rank can observe of one shuffle: the bytes of the pages it
     received, the shuffler's counters, its clock and tracked peak."""
     config = MimirConfig(page_size=128, comm_buffer_size=part_size * nprocs,
@@ -165,7 +167,7 @@ def shuffle_outcome(nprocs, layout, pairs, drive, part_size=48):
 
     def job(env):
         out = KVContainer(env.tracker, layout, config.page_size)
-        shuffler = Shuffler(env, config, out)
+        shuffler = Shuffler(env, config, out, partitioner)
         drive(shuffler, pairs[env.comm.rank :: env.comm.size])
         shuffler.finish()
         seen = ([bytes(page.view) for page in out.pages], shuffler.rounds,
@@ -189,6 +191,27 @@ def emit_as_batch(shuffler, mine):
         b"".join(layout.encode(key, value) for key, value in mine), layout))
 
 
+@contextmanager
+def matrix_pages_stay_whole():
+    """Fail any rank that slices a fixed/fixed batch into records:
+    such a batch is routed as matrix rows."""
+    slices = KVBatch.records_bytes
+
+    def guarded(batch):
+        assert not batch.layout.row_width, "fixed/fixed batch sliced"
+        return slices(batch)
+
+    KVBatch.records_bytes = guarded
+    try:
+        yield
+    finally:
+        KVBatch.records_bytes = slices
+
+
+def by_byte_sum(key, nprocs):
+    return sum(key) % nprocs
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(HINTS), st.sampled_from(HINTS),
        st.lists(st.tuples(st.binary(max_size=6), st.binary(max_size=6)),
@@ -202,13 +225,18 @@ def test_column_router_equals_a_loop_of_emit(key_hint, val_hint, raw, nprocs,
     layout = KVLayout(key_hint, val_hint)
     pairs = [(fit_field(key_hint, k), fit_field(val_hint, v)) for k, v in raw]
     expected = shuffle_outcome(nprocs, layout, pairs, emit_loop)
-    with small_blocks(block):
+    with small_blocks(block), matrix_pages_stay_whole():
         assert shuffle_outcome(
             nprocs, layout, pairs,
             lambda shuffler, mine: shuffler.emit_pairs(iter(mine))
         ) == expected
         assert shuffle_outcome(nprocs, layout, pairs,
                                emit_as_batch) == expected
+        # A user partitioner still sees one ``bytes`` key at a time.
+        assert shuffle_outcome(
+            nprocs, layout, pairs, emit_as_batch, partitioner=by_byte_sum
+        ) == shuffle_outcome(nprocs, layout, pairs, emit_loop,
+                             partitioner=by_byte_sum)
         # One shared value, the WordCount shape.
         value = fit_field(val_hint, b"one")
         assert shuffle_outcome(
