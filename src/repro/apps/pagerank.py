@@ -51,22 +51,17 @@ def pr_combine(key: bytes, a: bytes, b: bytes) -> bytes:
 
 
 @batch_kernel
-def pr_fold_batch(bucket, batch) -> None:
-    """Batch partial-reduce fold: sum contributions over one KV page.
+def pr_fold_batch(acc, ids, rows) -> None:
+    """Batch form of :func:`pr_combine`, as combine and partial-reduce
+    fold alike: add each incoming contribution to its slot's.
 
-    Folds in record order with ``existing + incoming``, exactly like
-    the per-record :func:`pr_combine` path, so the float sums are
-    bitwise identical.
+    ``add.at`` is unbuffered: it folds in record order with
+    ``existing + incoming``, exactly like the per-record path, so the
+    float sums are bitwise identical (and like it says nothing of an
+    overflow to infinity or an ``inf - inf``).
     """
-    get = bucket.get
-    put = bucket.set
-    for key, value in batch.pairs_bytes():
-        existing = get(key)
-        if existing is None:
-            put(key, value)
-        else:
-            put(key, _F64.pack(_F64.unpack(existing)[0] +
-                               _F64.unpack(value)[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(acc.view("<f8")[:, 0], ids, rows.view("<f8")[:, 0])
 
 
 @dataclass
@@ -116,13 +111,16 @@ def pagerank_mimir(env: RankEnv, path: str,
     Vertices are every id that appears as a source or target; dangling
     vertices redistribute their mass uniformly, so the scores sum to 1.
     ``batch=True`` emits each vertex's contribution fan-out as one run
-    and folds with the batch kernel; scores are bitwise identical.
+    and, when the layout fixes the score at 8 bytes (the hint), folds
+    with the batch kernel; scores are bitwise identical.
     """
     config = config or MimirConfig()
     if hint:
         config = config.with_layout(PR_HINT_LAYOUT)
     mimir = Mimir(env, config)
     comm = env.comm
+    fold = pr_fold_batch if batch and config.layout.val_len == 8 \
+        else pr_combine
 
     adjacency = _build_adjacency(mimir, path)
     # Batch mode emits pre-packed target keys in one run per vertex.
@@ -167,9 +165,8 @@ def pagerank_mimir(env: RankEnv, path: str,
         contrib_kvs = mimir.map_items(
             [None], lambda ctx, _item: emit_contributions(ctx),
             partitioner=vertex_partitioner,
-            combine_fn=pr_combine if compress else None)
-        summed = mimir.partial_reduce(contrib_kvs,
-                                      pr_fold_batch if batch else pr_combine,
+            combine_fn=fold if compress else None)
+        summed = mimir.partial_reduce(contrib_kvs, fold,
                                       out_layout=config.layout)
 
         base = (1.0 - damping) / nvertices + \
@@ -210,6 +207,9 @@ def pagerank_plan(env: RankEnv, path: str,
     if hint:
         config = config.with_layout(PR_HINT_LAYOUT)
     comm = env.comm
+    # ``contrib`` emits per record, so only the partial reduction, which
+    # folds whole pages, takes the batch fold (fixed 8-byte scores only).
+    fold = pr_fold_batch if config.layout.val_len == 8 else pr_combine
     plan = Plan("pagerank", config)
 
     def dedup_targets(rctx, key: bytes, values: list[bytes]) -> None:
@@ -251,7 +251,7 @@ def pagerank_plan(env: RankEnv, path: str,
                   .map(contrib, partitioner=vertex_partitioner,
                        combine_fn=pr_combine if compress else None,
                        name="contrib")
-                  .partial_reduce(pr_combine, out_layout=config.layout,
+                  .partial_reduce(fold, out_layout=config.layout,
                                   name="scores"))
 
         base = (1.0 - damping) / nvertices + \

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster import RankEnv
 from repro.core import (
     CSTRING,
@@ -63,16 +65,10 @@ def wc_combine(key: bytes, a: bytes, b: bytes) -> bytes:
 
 
 @batch_kernel
-def wc_fold_batch(bucket, batch) -> None:
-    """Batch partial-reduce fold: sum counts over one KV page."""
-    get = bucket.get
-    put = bucket.set
-    for key, value in batch.pairs_bytes():
-        existing = get(key)
-        if existing is None:
-            put(key, value)
-        else:
-            put(key, pack_u64(unpack_u64(existing) + unpack_u64(value)))
+def wc_fold_batch(acc, ids, rows) -> None:
+    """Batch form of :func:`wc_combine`, as combine and partial-reduce
+    fold alike: add each incoming count to its slot's."""
+    np.add.at(acc.view("<u8")[:, 0], ids, rows.view("<u8")[:, 0])
 
 
 @dataclass
@@ -94,8 +90,10 @@ def wordcount_plan(env: RankEnv, path: str,
                    collect: bool = False, runner=None) -> WordCountResult:
     """WordCount as a dataflow Plan: the app's one pipeline.
 
-    ``batch=True`` swaps every kernel for its whole-page form; counts
-    and intermediate byte streams are identical either way.
+    ``batch=True`` swaps every kernel for its whole-page form (the
+    fold only when the layout fixes the count at 8 bytes, as the hint
+    does: a batch fold needs fixed-width values); counts and
+    intermediate byte streams are identical either way.
     ``runner(plan)`` builds the :class:`PlanRunner` that carries the
     services (stage cache, trace, checkpoint, scheduler context), e.g.
     ``ctx.runner`` or ``functools.partial(PlanRunner, env, cache=c)``;
@@ -105,12 +103,14 @@ def wordcount_plan(env: RankEnv, path: str,
     if hint:
         config = config.with_layout(WC_HINT_LAYOUT)
     plan = Plan("wordcount", config)
+    fold = wc_fold_batch if batch and config.layout.val_len == 8 \
+        else wc_combine
     words = plan.read_text(path, name="input").map(
         wc_map_batch if batch else wc_map,
-        combine_fn=wc_combine if compress else None, name="count-map")
+        combine_fn=fold if compress else None, name="count-map")
     if partial:
-        out = words.partial_reduce(wc_fold_batch if batch else wc_combine,
-                                   out_layout=config.layout, name="counts")
+        out = words.partial_reduce(fold, out_layout=config.layout,
+                                   name="counts")
     else:
         out = words.reduce(wc_reduce_batch if batch else wc_reduce,
                            out_layout=config.layout, name="counts")

@@ -39,9 +39,10 @@ def batch_kernel(fn):
 
     A batch map kernel is called as ``fn(ctx, batch)`` per input chunk
     or :class:`KVBatch`; a batch reduce kernel as ``fn(ctx, groups)``
-    per page of ``(key, values)`` groups; a batch partial-reduce
-    kernel as ``fn(bucket, batch)``; a batch render as ``fn(batch)``
-    per page, returning the page's output bytes.
+    per page of ``(key, values)`` groups; a batch fold (combiner or
+    partial reduction, fixed-width values) as ``fn(acc, ids, rows)``
+    per block (:class:`~repro.core.bucket.Bucket`); a batch render as
+    ``fn(batch)`` per page, returning the page's output bytes.
     """
     fn.is_batch_kernel = True
     return fn

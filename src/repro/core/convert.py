@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster import RankEnv
 from repro.core.batch import KVBatch, iter_slices
-from repro.core.bucket import CountingBucket, first_seen_ids
+from repro.core.bucket import Bucket, group_run
 from repro.core.config import MimirConfig
 from repro.core.kmvcontainer import KMVContainer
 from repro.core.kvcontainer import KVContainer
@@ -28,15 +28,21 @@ from repro.core.shuffle import hash_partition
 def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
                    tag: str = "kmvc") -> KMVContainer:
     """Convert ``kvc`` (consumed) into a new KMV container."""
-    sizes = CountingBucket(env.tracker, config.bucket_entry_overhead)
+    # Per entry: the key plus two u64 counters.
+    sizes = Bucket(env.tracker, config.bucket_entry_overhead + 16,
+                   "convert_bucket")
 
-    # Pass 1: gather per-key sizes.
-    pages = [_count_page(sizes, batch) for batch in kvc.batches()]
+    # Pass 1: group every page, then gather per-key sizes.
+    pages = [_group_page(sizes, batch) for batch in kvc.batches()]
+    counts, totals = np.zeros((2, len(sizes)), np.int64)
+    for _, voff, vend, groups in pages:
+        np.add.at(counts, groups, 1)
+        np.add.at(totals, groups, vend - voff)
     pages.reverse()
 
     # Lay out one exactly sized slot per unique key, in first-seen order.
     kmvc = KMVContainer(env.tracker, kvc.layout, config.page_size, tag=tag)
-    kmvc.reserve_run(sizes.keys(), sizes.counts, sizes.totals)
+    kmvc.reserve_run(list(sizes.index), counts, totals)
 
     # Pass 2: fill values while releasing KV pages (and their columns).
     scanned = 0
@@ -51,19 +57,17 @@ def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     return kmvc
 
 
-def _count_page(sizes: CountingBucket, batch: KVBatch):
+def _group_page(sizes: Bucket, batch: KVBatch):
     """Pass one over one page, a block of records per call.
 
     Returns the page's payload bytes and what pass two needs of it, so
     the page is never scanned again: where its values are and which
     group (slot) each belongs to.
     """
-    vlens = batch.vend - batch.voff
     keys = batch.keys_bytes()
     groups = np.empty(len(batch), np.intp)
     for lo in range(0, len(batch), BLOCK):
-        groups[lo : lo + BLOCK] = sizes.add_run(
-            list(islice(keys, BLOCK)), vlens[lo : lo + BLOCK])
+        groups[lo : lo + BLOCK] = sizes.enter_run(list(islice(keys, BLOCK)))
     # Offsets within one run fit 32 bits unless the run is huge.
     narrow = np.uint32 if batch.nbytes < 2 ** 32 else np.int64
     return (batch.payload_bytes, batch.voff.astype(narrow),
@@ -154,7 +158,7 @@ def _iter_partition_dicts(env: RankEnv, kvc: KVContainer,
             grouped_bytes += batch.payload_bytes
             keys, fields = batch.keys_bytes(), batch.values_bytes()
             while block := list(islice(keys, BLOCK)):
-                new, ids = first_seen_ids(index, block)
+                new, ids = group_run(index, block)
                 values.extend([[] for _ in new])
                 for group, value in zip(ids.tolist(), fields):
                     values[group].append(value)

@@ -155,13 +155,9 @@ class Mimir:
                  out_tag: str) -> KVContainer:
         """Shared skeleton: feed records through (combiner ->) shuffler."""
         stream_layout = layout or self.config.layout
-        out = KVContainer(
-            self.env.tracker, stream_layout,
-            self.config.page_size, tag=out_tag,
-            spill_env=self.env if self.config.out_of_core else None,
-            spill_store=self._spill_store,
-            codec=get_codec(self.config.codec, stream_layout),
-            codec_env=self.env)
+        out = self._container(
+            stream_layout, out_tag, codec_env=self.env,
+            codec=get_codec(self.config.codec, stream_layout))
         with self._phase("map+aggregate") as phase:
             shuffler = Shuffler(self.env, self.config, out, partitioner,
                                 trace=self.trace)
@@ -183,6 +179,21 @@ class Mimir:
                                    "core.map.rounds": shuffler.rounds})
         return out
 
+    def _container(self, layout: KVLayout, tag: str, **codec) -> KVContainer:
+        """A container of this job: spill-backed under ``out_of_core``."""
+        return KVContainer(
+            self.env.tracker, layout, self.config.page_size, tag=tag,
+            spill_env=self.env if self.config.out_of_core else None,
+            spill_store=self._spill_store, **codec)
+
+    def _map_each(self, items: Iterable[Any], map_fn, **stream) -> KVContainer:
+        """Map phase calling ``map_fn(ctx, item)`` per chunk or item."""
+        def feed(ctx: MapContext) -> None:
+            for item in items:
+                map_fn(ctx, item)
+
+        return self._run_map(feed, **stream)
+
     def _reusable(self, kvc: KVContainer, consume: bool,
                   tag: str) -> KVContainer:
         """The input for a consuming pipeline stage.
@@ -196,10 +207,7 @@ class Mimir:
         """
         if consume:
             return kvc
-        scratch = KVContainer(
-            self.env.tracker, kvc.layout, self.config.page_size, tag=tag,
-            spill_env=self.env if self.config.out_of_core else None,
-            spill_store=self._spill_store)
+        scratch = self._container(kvc.layout, tag)
         for batch in kvc.batches():
             scratch.extend_encoded(batch.data)
         self.env.charge_compute(scratch.nbytes)
@@ -219,14 +227,10 @@ class Mimir:
         ``config.input_chunk_size`` bytes, never splitting a word).
         """
 
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_text_chunks(self.env, path,
-                                          self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._map_each(
+            iter_text_chunks(self.env, path, self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_binary_file(self, path: str, record_size: int,
                         map_fn: Callable[[MapContext, bytes], None], *,
@@ -240,14 +244,11 @@ class Mimir:
         ``record_size``.
         """
 
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_binary_chunks(self.env, path, record_size,
-                                            self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._map_each(
+            iter_binary_chunks(self.env, path, record_size,
+                               self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_text_files(self, paths: "str | list[str]",
                        map_fn: Callable[[MapContext, bytes], None], *,
@@ -261,14 +262,11 @@ class Mimir:
         expands to every file under that prefix.
         """
 
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_text_chunks_multi(
-                    self.env, paths, self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._map_each(
+            iter_text_chunks_multi(self.env, paths,
+                                   self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_binary_files(self, paths: "str | list[str]", record_size: int,
                          map_fn: Callable[[MapContext, bytes], None], *,
@@ -278,15 +276,11 @@ class Mimir:
                          out_tag: str = "kv_shuffled") -> KVContainer:
         """Map over a multi-file binary input (directory prefix or list)."""
 
-        def feed(ctx: MapContext) -> None:
-            for chunk in iter_binary_chunks_multi(
-                    self.env, paths, record_size,
-                    self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._map_each(
+            iter_binary_chunks_multi(self.env, paths, record_size,
+                                     self.config.input_chunk_size),
+            map_fn, combine_fn=combine_fn, partitioner=partitioner,
+            layout=layout, out_tag=out_tag)
 
     def map_items(self, items: Iterable[Any],
                   map_fn: Callable[[MapContext, Any], None], *,
@@ -296,13 +290,9 @@ class Mimir:
                   out_tag: str = "kv_shuffled") -> KVContainer:
         """Map over an in-memory iterable (in-situ data source)."""
 
-        def feed(ctx: MapContext) -> None:
-            for item in items:
-                map_fn(ctx, item)
-
-        return self._run_map(feed, combine_fn=combine_fn,
-                             partitioner=partitioner, layout=layout,
-                             out_tag=out_tag)
+        return self._map_each(items, map_fn, combine_fn=combine_fn,
+                              partitioner=partitioner, layout=layout,
+                              out_tag=out_tag)
 
     def map_kvs(self, kvc: KVContainer,
                 map_fn: Callable[[MapContext, bytes, bytes], None], *,
@@ -359,11 +349,7 @@ class Mimir:
         self.env.comm.barrier()
         with self._phase("convert+reduce") as phase:
             source = self._reusable(kvc, consume, "kv_regroup")
-            out = KVContainer(
-                self.env.tracker, out_layout or KVLayout(),
-                self.config.page_size, tag=out_tag,
-                spill_env=self.env if self.config.out_of_core else None,
-                spill_store=self._spill_store)
+            out = self._container(out_layout or KVLayout(), out_tag)
             ctx = ReduceContext(out)
             reduced_bytes = 0
             reduced_keys = 0
@@ -397,8 +383,8 @@ class Mimir:
         """Streaming replacement for convert+reduce (needs invariance).
 
         A ``pr_fn`` marked with :func:`~repro.core.batch.batch_kernel`
-        folds one :class:`~repro.core.batch.KVBatch` per call as
-        ``pr_fn(bucket, batch)``.  ``seed`` pre-loads the fold bucket
+        folds a block of records per call as ``pr_fn(acc, ids, rows)``
+        (fixed-width values only).  ``seed`` pre-loads the fold bucket
         from an existing aggregate (the incremental-window hook used by
         :mod:`repro.stream`); pass ``seed_consume=False`` to read it
         non-destructively.
@@ -469,6 +455,8 @@ class Mimir:
         would hold the entire rendered payload next to the container
         and double the peak on large outputs.
         """
+        if render is None:
+            render = lambda k, v: k + b"\t" + v + b"\n"  # noqa: E731
         batch_fn = is_batch_kernel(render)
         for batch in kvc.batches():
             yield render(batch) if batch_fn else \
@@ -484,8 +472,6 @@ class Mimir:
         ``render(key, value) -> bytes`` runs per record; marked with
         :func:`~repro.core.batch.batch_kernel`, ``render(batch)`` per page.
         """
-        if render is None:
-            render = lambda k, v: k + b"\t" + v + b"\n"  # noqa: E731
         target = f"{path}.{self.env.comm.rank}"
         wrote = False
         for chunk in self._rendered_pages(kvc, render):
@@ -511,8 +497,6 @@ class Mimir:
         memory; ``render`` (per record or per page, as for
         :meth:`write_output`) must therefore be deterministic.
         """
-        if render is None:
-            render = lambda k, v: k + b"\t" + v + b"\n"  # noqa: E731
         nbytes = sum(len(chunk) for chunk in self._rendered_pages(kvc, render))
         offset = self.env.comm.exscan(nbytes)
         if nbytes == 0:

@@ -9,7 +9,7 @@ pass two *fills* values into their slots as the source KVC is consumed.
 from __future__ import annotations
 
 import struct
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -237,36 +237,27 @@ class KMVContainer:
 
     # ------------------------------------------------------------ iterate
 
-    def _iter_page(self, page: Page) -> Iterator[tuple[bytes, list[bytes]]]:
-        yield from iter_kmv_buffer(self.layout, bytes(page.view))
+    def _groups(self, page: Page) -> list[tuple[bytes, list[bytes]]]:
+        return list(iter_kmv_buffer(self.layout, bytes(page.view)))
 
     def records(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """Non-destructive iteration over ``(key, values)``."""
-        for page in self.pages:
-            yield from self._iter_page(page)
+        return chain.from_iterable(self.batches())
 
     def batches(self) -> Iterator[list[tuple[bytes, list[bytes]]]]:
         """Non-destructive iteration, one group-list per page."""
-        for page in self.pages:
-            yield list(self._iter_page(page))
+        return map(self._groups, self.pages)
 
     def consume(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """Destructive iteration freeing pages as they are read."""
-        while self.pages:
-            page = self.pages.pop(0)
-            try:
-                yield from self._iter_page(page)
-            finally:
-                self._release_page(page)
-        self.nrecords = 0
-        self.nbytes = 0
+        return chain.from_iterable(self.consume_batches())
 
     def consume_batches(self) -> Iterator[list[tuple[bytes, list[bytes]]]]:
         """Destructive iteration, one group-list per page."""
         while self.pages:
             page = self.pages.pop(0)
             try:
-                yield list(self._iter_page(page))
+                yield self._groups(page)
             finally:
                 self._release_page(page)
         self.nrecords = 0

@@ -196,17 +196,26 @@ class KVContainer:
         self.nrecords += 1
         self.nbytes += len(record)
 
-    def extend_encoded(self, buf: bytes | memoryview) -> int:
+    def add_run(self, keys, values) -> None:
+        """Encode and append one block of records: :meth:`add` for
+        every pair, in one copy per page."""
+        records = self.layout.encode_run(keys, values)
+        self.extend_encoded(b"".join(records),
+                            np.cumsum([0, *map(len, records)]))
+
+    def extend_encoded(self, buf: bytes | memoryview, roff=None) -> int:
         """Append a packed run of records (e.g. one received shuffle part).
 
-        One boundary scan plus bulk page-sized copies: records are
+        One boundary scan (unless the caller knows the record offsets
+        ``roff``, scan-style) plus bulk page-sized copies: records are
         re-split at page boundaries exactly as per-record insertion
         would (a record never straddles two pages), without decoding or
         re-encoding anything.  Returns the number of records added.
         """
         if isinstance(buf, memoryview):
             buf = bytes(buf)
-        roff = self.layout.scan(buf)[0]
+        if roff is None:
+            roff = self.layout.scan(buf)[0]
         n = len(roff) - 1
         view = memoryview(buf)
         i = 0

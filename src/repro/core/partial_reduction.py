@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.cluster import RankEnv
 from repro.core.batch import is_batch_kernel
-from repro.core.bucket import AccountedBucket
+from repro.core.bucket import Bucket
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
@@ -35,9 +35,10 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
 
     ``pr_fn`` is either a per-record fold (``pr_fn(key, a, b) -> value``)
     or, when marked with :func:`~repro.core.batch.batch_kernel`, a
-    whole-batch fold called as ``pr_fn(bucket, batch)`` once per
-    container page.  Both forms produce the same bucket contents (and
-    so the same output).
+    batch fold called as ``pr_fn(acc, ids, rows)`` once per block of
+    records over the bucket's value matrix (fixed-width values only, a
+    :class:`~repro.core.errors.ConfigError` otherwise).  Both forms
+    produce the same bucket contents (and so the same output).
 
     ``seed`` pre-loads the bucket from an existing aggregate *before*
     any new record folds in, so an incremental window fold (seed = the
@@ -45,44 +46,31 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
     old-then-new order as one uninterrupted pass over all records.
     """
     batch_fn = is_batch_kernel(pr_fn)
-    bucket = AccountedBucket(env.tracker, config.bucket_entry_overhead,
-                             tag="pr_bucket")
+    bucket = Bucket(env.tracker, config.bucket_entry_overhead, "pr_bucket",
+                    pr_fn, kvc.layout)
     scanned = 0
-    batch_records = 0
-    batch_pages = 0
+    nrecords, npages = len(kvc), 0
     if seed is not None:
+        seeded = 0
         for batch in (seed.consume_batches() if seed_consume
                       else seed.batches()):
             scanned += batch.payload_bytes
-            for key, value in batch.pairs_bytes():
-                existing = bucket.get(key)
-                if existing is None:
-                    bucket.set(key, value)
-                elif batch_fn:
-                    raise ValueError(
-                        "seed container has duplicate keys; batch-kernel "
-                        "folds need a unique-key (already reduced) seed")
-                else:
-                    bucket.set(key, pr_fn(key, existing, value))
+            seeded += bucket.fold_columns(batch.keys_bytes(),
+                                          batch.values_bytes())
+        if batch_fn and seeded != len(bucket):
+            raise ValueError(
+                "seed container has duplicate keys; batch-kernel "
+                "folds need a unique-key (already reduced) seed")
     for batch in kvc.consume_batches():
         scanned += batch.payload_bytes
-        if batch_fn:
-            pr_fn(bucket, batch)
-            batch_records += len(batch)
-            batch_pages += 1
-        else:
-            for key, value in batch.pairs_bytes():
-                existing = bucket.get(key)
-                if existing is None:
-                    bucket.set(key, value)
-                else:
-                    bucket.set(key, pr_fn(key, existing, value))
+        bucket.fold_columns(batch.keys_bytes(), batch.values_bytes())
+        npages += 1
 
     out = KVContainer(env.tracker, out_layout or kvc.layout,
                       config.page_size, tag=out_tag)
-    for key, value in bucket.drain():
-        out.add(key, value)
+    for keys, values in bucket.drain():
+        out.add_run(keys, values)
     env.charge_compute(scanned + out.nbytes)
-    if stats is not None:
-        stats.update(batch_records=batch_records, batch_pages=batch_pages)
+    if stats is not None and batch_fn:
+        stats.update(batch_records=nrecords, batch_pages=npages)
     return out

@@ -61,6 +61,12 @@ def crc32_rows(keys: np.ndarray) -> np.ndarray:
     return crc ^ 0xFFFFFFFF
 
 
+def pair_columns(pairs):
+    """An iterable of ``(key, value)`` pairs as two lazy columns."""
+    keys, values = tee(pairs)
+    return map(itemgetter(0), keys), map(itemgetter(1), values)
+
+
 class Shuffler:
     """One map/aggregate phase's communication state for one rank."""
 
@@ -131,9 +137,7 @@ class Shuffler:
 
     def emit_pairs(self, pairs) -> int:
         """Emit an iterable of ``(key, value)`` pairs; returns its length."""
-        keys, values = tee(pairs)
-        return self._emit_columns(map(itemgetter(0), keys),
-                                  map(itemgetter(1), values))
+        return self._emit_columns(*pair_columns(pairs))
 
     def _emit_columns(self, keys, values) -> int:
         """Encode and route two lazy columns, a block at a time."""

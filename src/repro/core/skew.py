@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.cluster import RankEnv
-from repro.core.bucket import CountingBucket
+from repro.core.bucket import Bucket
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
 from repro.core.partial_reduction import PartialReduceFn
@@ -100,12 +102,11 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
             feed(sample_emit)
         except _Stop:
             pass
-        counts = CountingBucket(env.tracker, config.bucket_entry_overhead,
-                                tag="skew_sample")
-        counts.add_run(sampled, 0)
-        hot_keys = find_hot_keys(
-            env, zip(counts.keys(), counts.counts.tolist()),
-            max_hot=max_hot, hot_fraction=hot_fraction)
+        counts = Bucket(env.tracker, config.bucket_entry_overhead + 16,
+                        "skew_sample")
+        seen = np.bincount(counts.enter_run(sampled)).tolist()
+        hot_keys = find_hot_keys(env, zip(counts.index, seen),
+                                 max_hot=max_hot, hot_fraction=hot_fraction)
         counts.free()
 
     # ------------------------------------------- stage 1: salted shuffle
@@ -127,21 +128,16 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
 
         feed(emit)
 
-    salted_fold = lambda key, a, b: fold_fn(key, a, b)  # noqa: E731
     kvs = mimir.map_items([None], stage1_map,
                           partitioner=stage1_partitioner)
-    partials = mimir.partial_reduce(kvs, salted_fold, out_tag="kv_partials")
+    partials = mimir.partial_reduce(kvs, fold_fn, out_tag="kv_partials")
 
     # --------------------------------------- stage 2: merge the partials
-    def stage2_partitioner(key: bytes, nprocs: int) -> int:
-        return default_partitioner(key, nprocs)
-
     def stage2_map(ctx, key: bytes, value: bytes) -> None:
         if key[:1] == _SALT:
             ctx.emit(key[2:], value)  # strip marker + salt byte
         else:
             ctx.emit(key[1:], value)
 
-    merged = mimir.map_kvs(partials, stage2_map,
-                           partitioner=stage2_partitioner)
+    merged = mimir.map_kvs(partials, stage2_map)
     return mimir.partial_reduce(merged, fold_fn, out_tag=out_tag)

@@ -6,7 +6,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import CSTRING, VARIABLE
-from repro.core import batch, convert, kmvcontainer, records, shuffle, sort
+from repro.core import batch, bucket, convert, kmvcontainer, records, \
+    shuffle, sort
 
 
 @pytest.fixture(autouse=True)
@@ -21,7 +22,7 @@ def no_rank_thread_outlives_its_test():
 def small_blocks(size):
     """Shrink the column passes' block so a few dozen records cross
     many block boundaries (every module binds the constant by name)."""
-    modules = (records, batch, shuffle, kmvcontainer, convert, sort)
+    modules = (records, batch, bucket, shuffle, kmvcontainer, convert, sort)
     saved = [module.BLOCK for module in modules]
     for module in modules:
         module.BLOCK = size

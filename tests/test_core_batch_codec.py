@@ -9,6 +9,7 @@ import pytest
 from repro.apps.pagerank import pagerank_mimir
 from repro.apps.terasort import generate_records, terasort_mimir
 from repro.apps.wordcount import (
+    WC_HINT_LAYOUT,
     wc_combine,
     wc_fold_batch,
     wc_map,
@@ -35,6 +36,7 @@ from repro.core import (
 from repro.datasets import edges_to_bytes, kronecker_edges, zipf_text
 from repro.memory import MemoryTracker
 from repro.mpi import COMET
+from repro.mpi.errors import RankFailedError
 
 LAYOUTS = [
     KVLayout(),                    # variable/variable
@@ -365,9 +367,12 @@ def wc_job(**flags):
         env, "eq/in", config, batch=batch, collect=True, **flags).counts
 
 
-def pagerank_job(env, batch, config):
-    result = pagerank_mimir(env, "eq/in", config, iterations=2, batch=batch)
-    return {v: score.hex() for v, score in result.ranks.items()}  # exact bits
+def pagerank_job(**flags):
+    def job(env, batch, config):
+        result = pagerank_mimir(env, "eq/in", config, iterations=2,
+                                batch=batch, **flags)
+        return {v: score.hex() for v, score in result.ranks.items()}  # bits
+    return job
 
 
 def terasort_job(env, batch, config):
@@ -408,8 +413,9 @@ def remap_job(env, batch, config):
 
 
 def seeded_fold_job(env, batch, config):
-    """``partial_reduce(seed=)``: a second pass folded onto the first."""
-    mimir = Mimir(env, config)
+    """``partial_reduce(seed=)``: a second pass folded onto the first
+    (under the hint: a batch fold needs the fixed-width count)."""
+    mimir = Mimir(env, config.with_layout(WC_HINT_LAYOUT))
     mapper, fold = (wc_map_batch, wc_fold_batch) if batch \
         else (wc_map, wc_combine)
     seed = mimir.partial_reduce(mimir.map_text_file("eq/in", mapper), fold)
@@ -420,8 +426,8 @@ def seeded_fold_job(env, batch, config):
 
 WORDS = zipf_text(6000, seed=21)
 WC = (WORDS, wc_job())
-PAGERANK = (edges_to_bytes(kronecker_edges(scale=4, edgefactor=6, seed=2)),
-            pagerank_job)
+EDGES = edges_to_bytes(kronecker_edges(scale=4, edgefactor=6, seed=2))
+PAGERANK = (EDGES, pagerank_job())
 TERASORT = (generate_records(200, seed=4), terasort_job)
 PAYLOAD = (b"", payload_job)
 FORMS_X_CODECS = list(product((False, True), (None, "dedup+zlib")))
@@ -431,8 +437,11 @@ class TestAppEquivalence:
     @pytest.mark.parametrize("data, job", [
         *[(WORDS, wc_job(hint=h, compress=c, partial=p))
           for h, c, p in product((False, True), repeat=3)],
-        PAGERANK, TERASORT, PAYLOAD, (WORDS, remap_job),
-        (WORDS, seeded_fold_job)])
+        # The batch fold runs only over fixed-width scores (the hint),
+        # as partial-reduce fold and, with compress, as combiner too.
+        PAGERANK, (EDGES, pagerank_job(hint=True)),
+        (EDGES, pagerank_job(hint=True, compress=True)),
+        TERASORT, PAYLOAD, (WORDS, remap_job), (WORDS, seeded_fold_job)])
     def test_kernel_forms_cost_and_produce_the_same(self, data, job):
         """Output, virtual time, tracked peak, shuffle rounds and every
         other metric are those of the plain-kernel run."""
@@ -458,6 +467,25 @@ class TestAppEquivalence:
         for (batch, codec), nprocs in product(FORMS_X_CODECS, (1, 4)):
             assert run(data, job, batch, codec, nprocs)[0] == baseline, \
                 (batch, codec, nprocs)
+
+    def test_batch_fold_on_variable_width_values_is_a_typed_error(self):
+        """At stage start, naming the layout: never a scalar fallback."""
+        def job(env, fold, as_combiner):
+            mimir = Mimir(env, MimirConfig())
+            if as_combiner:
+                return mimir.map_text_file("eq/in", wc_map_batch,
+                                           combine_fn=fold)
+            return mimir.partial_reduce(
+                mimir.map_text_file("eq/in", wc_map_batch), fold)
+
+        for as_combiner in (False, True):
+            cluster = Cluster(COMET, nprocs=2)
+            cluster.pfs.store("eq/in", WORDS)
+            with pytest.raises(RankFailedError) as failure:
+                cluster.run(job, wc_fold_batch, as_combiner)
+            assert isinstance(failure.value.__cause__, ConfigError)
+            assert "KVLayout(key_len=None, val_len=None)" in \
+                str(failure.value.__cause__)
 
     @pytest.mark.parametrize("nprocs", [1, 4])
     @pytest.mark.parametrize("data, job", [PAGERANK, PAYLOAD])

@@ -20,7 +20,7 @@ from repro.core import (
     RecordTooLargeError,
     pack_u64,
 )
-from repro.core.bucket import AccountedBucket
+from repro.core.bucket import Bucket
 from repro.core.records import BLOCK
 from repro.core.shuffle import Shuffler, crc32_rows, default_partitioner
 from repro.mpi import COMET, RankFailedError
@@ -278,22 +278,25 @@ class TestBulkEmitHostMemory:
         assert long < 1.5 * short           # ten times the keys, same peak
 
     def test_drain_is_consumed_a_block_at_a_time(self):
-        # ``emit_pairs(bucket.drain())`` must not list the drain: the
-        # bucket releases its accounting entry by entry as it goes.
+        # ``emit_pairs`` must not list the drain: the bucket releases
+        # its accounting block by block as the shuffler pulls.
         config = MimirConfig()
         ahead = []
 
         def job(env):
             out = _CountingSink(env.tracker, config.layout, config.page_size)
             shuffler = Shuffler(env, config, out)
-            bucket = AccountedBucket(env.tracker)
-            for i in range(4 * BLOCK + 7):
-                bucket.set(b"key%05d" % i, pack_u64(i))
+            bucket = Bucket(env.tracker, fold=lambda key, a, b: b)
+            bucket.fold_columns(
+                (b"key%05d" % i for i in range(4 * BLOCK + 7)),
+                map(pack_u64, range(4 * BLOCK + 7)))
 
             def watched():
-                for drawn, pair in enumerate(bucket.drain(), start=1):
+                drawn = 0
+                for keys, values in bucket.drain():
+                    drawn += len(keys)
                     ahead.append(drawn - shuffler.records_sent)
-                    yield pair
+                    yield from zip(keys, values)
 
             shuffler.emit_pairs(watched())
             shuffler.finish()
