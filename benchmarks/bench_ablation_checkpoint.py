@@ -10,7 +10,7 @@ from figutils import BCOMET, SCALE
 from repro.bench.runner import ExperimentSpec, stage_dataset
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
-from repro.ft import FaultPlan, run_with_recovery
+from repro.ft import ChaosPlan, run_with_recovery
 
 CFG = MimirConfig(page_size=BCOMET.default_page_size,
                   comm_buffer_size=BCOMET.default_page_size,
@@ -53,7 +53,7 @@ def run_case(checkpoint: bool, fail: bool):
     cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
                       memory_limit=None)
     cluster.pfs.store(path, data)
-    plan = FaultPlan()
+    plan = ChaosPlan()
     if fail:
         plan.fail_at("after_shuffle", 5)
     return run_with_recovery(cluster, make_job(checkpoint), faults=plan)

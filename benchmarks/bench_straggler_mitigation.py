@@ -32,16 +32,15 @@ import sys
 from pathlib import Path
 
 from figutils import append_trajectory
-from repro.ft.elastic import (
-    ELASTIC_TAGS,
-    ElasticPolicy,
+from repro.ft.chaos import (
+    CHAOS_TAGS,
     elastic_wordcount,
     global_counts,
     make_elastic_cluster,
-    run_elastic,
     straggler_plan,
     sweep_wordcount,
 )
+from repro.ft.elastic import ElasticPolicy, run_elastic
 from repro.ft.injection import ChaosPlan
 
 NPROCS = 4
@@ -138,7 +137,7 @@ def run_chaos_recovery(nseeds: int = CHAOS_SEEDS, *, nprocs: int = NPROCS,
 
     rows = []
     for seed in range(nseeds):
-        plan = ChaosPlan.random(seed, nprocs, tags=ELASTIC_TAGS,
+        plan = ChaosPlan.random(seed, nprocs, tags=CHAOS_TAGS,
                                 membership=True)
         res = run_elastic(make_elastic_cluster(nprocs), elastic_wordcount,
                           faults=plan, job_id="chaos-elastic",

@@ -13,7 +13,7 @@ Run:  python examples/fault_tolerant_wordcount.py
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.datasets import uniform_text
-from repro.ft import FaultPlan, run_with_recovery
+from repro.ft import ChaosPlan, run_with_recovery
 from repro.mpi import COMET
 
 CFG = MimirConfig(page_size="8K", comm_buffer_size="8K")
@@ -52,7 +52,7 @@ def main():
     cluster.pfs.store("input/words.txt",
                       uniform_text(200_000, vocab_size=500, seed=5))
 
-    plan = FaultPlan().fail_at("after_shuffle", 3)
+    plan = ChaosPlan().fail_at("after_shuffle", 3)
     print("running WordCount with an injected crash of rank 3 ...")
     ft = run_with_recovery(cluster, job, faults=plan)
 

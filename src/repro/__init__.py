@@ -5,7 +5,8 @@ Top-level convenience imports; see the subpackages for the full API:
 - :mod:`repro.core` - Mimir itself (the paper's contribution)
 - :mod:`repro.mrmpi` - the MR-MPI baseline
 - :mod:`repro.cluster` - the simulated cluster harness
-- :mod:`repro.mpi`, :mod:`repro.memory`, :mod:`repro.io` - substrates
+- :mod:`repro.mpi`, :mod:`repro.memory`, :mod:`repro.storage` - substrates
+  (:mod:`repro.io`: the engines' readers and spill streams over storage)
 - :mod:`repro.apps`, :mod:`repro.datasets` - evaluation workloads
 - :mod:`repro.bench` - figure-reproduction harness
 """

@@ -18,6 +18,7 @@ from repro.bench.runner import APPS
 from repro.bench.tables import render_memory_time_table
 from repro.memory.limits import format_size, parse_size
 from repro.mpi.platforms import PLATFORMS
+from repro.storage import BACKENDS
 
 
 def _parse_size_arg(scale: BenchScale, app: str, text: str) -> int:
@@ -239,6 +240,10 @@ def cmd_submit(args) -> int:
             print(f"error: bad --param {item!r} (want key=value)")
             return 2
         key, value = item.split("=", 1)
+        if value.lower() in ("true", "false"):
+            # The catalog takes bool() of a flag: "false" must not be truthy.
+            params[key] = value.lower() == "true"
+            continue
         try:
             params[key] = int(value)
         except ValueError:
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--nprocs", type=int, default=4)
     p_srv.add_argument("--memory", default="auto",
                        help='per-rank memory budget (e.g. "512K")')
-    p_srv.add_argument("--storage", choices=("pfs", "kv", "extsort"),
+    p_srv.add_argument("--storage", choices=BACKENDS,
                        default=None,
                        help="storage backend for the service substrate "
                             "(default: REPRO_STORAGE_BACKEND or pfs; "

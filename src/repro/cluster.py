@@ -4,10 +4,11 @@
 launches a :class:`~repro.mpi.world.World`, gives every rank a
 :class:`~repro.memory.tracker.MemoryTracker` bounded by the platform's
 per-process memory, and shares one storage backend with the platform's
-I/O cost model - by default the simulated :class:`ParallelFileSystem`,
-or any :class:`~repro.storage.base.StorageBackend` selected via the
-``storage`` spec / ``REPRO_STORAGE_BACKEND`` (see :mod:`repro.storage`
-and docs/storage.md).  Job functions receive a :class:`RankEnv`.
+I/O cost model - by default the simulated :class:`~repro.storage.pfs.
+ParallelFileSystem`, or any :class:`~repro.storage.base.
+StorageBackend` selected via the ``storage`` spec /
+``REPRO_STORAGE_BACKEND`` (see :mod:`repro.storage` and
+docs/storage.md).  Job functions receive a :class:`RankEnv`.
 
 ``run(..., allow_oom=True)`` converts a rank's
 :class:`~repro.memory.tracker.MemoryLimitExceeded` into a result with
@@ -20,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.io.pfs import ParallelFileSystem
 from repro.memory.limits import parse_size
-from repro.storage import StorageBackend, make_backend
 from repro.memory.tracker import MemoryLimitExceeded, MemoryTracker
 from repro.mpi.comm import SimComm
 from repro.mpi.errors import RankFailedError
 from repro.mpi.platforms import Platform
 from repro.mpi.world import World
 from repro.obs.registry import MetricShard, MetricsRegistry
+from repro.storage import StorageBackend, make_backend
 
 
 @dataclass
@@ -56,8 +56,8 @@ class RankEnv:
 
         ``None`` - and the substrate's own name - mean "stay on the
         cluster substrate"; any other spec resolves to a per-substrate
-        companion backend sharing the substrate's chaos and metrics
-        wiring (see :meth:`repro.storage.base.StorageBackend.companion`).
+        companion backend wired like the substrate (see
+        :meth:`repro.storage.base.StorageBackend.companion`).
         """
         return self.pfs.companion(spec)
 
@@ -118,9 +118,10 @@ class Cluster:
                                     sharers=sharers)
         self.keep_timeline = keep_timeline
         #: Optional chaos injector (duck-typed; see
-        #: :class:`repro.ft.injection.ChaosPlan`).  Wired into the PFS
-        #: and into every rank's clock at :meth:`run`, so any job can
-        #: be chaos-wrapped without code changes.
+        #: :class:`repro.ft.injection.ChaosPlan`).  Wired into the
+        #: storage substrate (companions included) and into every
+        #: rank's clock at :meth:`run`, so any job can be chaos-wrapped
+        #: without code changes.
         self.chaos = chaos
         #: Metrics registry shared by every launch on this cluster; the
         #: scheduler's multi-round drains accumulate into one registry,
@@ -190,8 +191,7 @@ class Cluster:
         world = World(self.nprocs, self.platform.network,
                       nnodes=self.nodes)
         chaos = self.chaos
-        self.pfs.chaos = chaos
-        self.pfs.metrics = self.metrics
+        self.pfs.wire(chaos, self.metrics)
 
         def rank_fn(comm: SimComm) -> Any:
             if chaos is not None:

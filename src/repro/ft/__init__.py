@@ -13,17 +13,17 @@ partial writes):
   length-framed, nonce-stamped records with collective completion
   markers - a torn, corrupt, or stale checkpoint is detected and
   recomputed, never silently replayed;
-- :class:`FaultPlan` / :class:`SimulatedRankFailure` inject
-  deterministic rank failures at named points;
-- :class:`ChaosPlan` generalizes injection to transient PFS errors,
-  torn writes, bit corruption, and straggler ranks, all seeded and
-  deterministic;
+- :class:`ChaosPlan` is the one fault plan: rank deaths at named
+  points (:class:`SimulatedRankFailure`), plus seeded rates for
+  transient storage errors, torn writes, bit corruption, and straggler
+  ranks, all deterministic;
 - :func:`run_with_recovery` restarts a failed job with per-class
   restart budgets and a structured failure log, letting it skip phases
   whose checkpoints completed - so work lost to a failure is bounded
   by one phase instead of the whole job;
-- :func:`run_chaos_sweep` (``repro.ft.chaos``) sweeps seeded random
-  fault schedules over WordCount and checks bit-identical convergence;
+- :func:`run_chaos_sweep` (``repro.ft.chaos``, the harness module:
+  its WordCount targets, plain and elastic, live there too) sweeps
+  seeded random fault schedules and checks bit-identical convergence;
 - :mod:`repro.ft.elastic` adds the *reactive* layer: straggler
   detection, speculative task re-execution, and elastic gang
   membership with checkpoint re-balancing (:func:`run_elastic`,
@@ -37,8 +37,12 @@ from repro.ft.checkpoint import (
     CheckpointNotFoundError,
     CheckpointStaleError,
 )
-from repro.ft.faults import FaultPlan, SimulatedRankFailure, TornWriteFailure
-from repro.ft.injection import ChaosPlan, InjectedFault
+from repro.ft.injection import (
+    ChaosPlan,
+    InjectedFault,
+    SimulatedRankFailure,
+    TornWriteFailure,
+)
 from repro.ft.runner import (
     FailureRecord,
     FTResult,
@@ -46,27 +50,19 @@ from repro.ft.runner import (
     run_with_recovery,
 )
 
-_ELASTIC_NAMES = frozenset((
-    "ElasticContext", "ElasticPolicy", "ElasticResult",
-    "ElasticStageHooks", "MembershipChange", "SpeculationReport",
-    "StragglerEvicted", "StragglerMonitor", "restore_rebalanced",
-    "run_elastic", "speculative_map",
-))
-
-
 def __getattr__(name: str):
-    # Lazy: the harnesses pull in app/benchmark machinery, and eager
-    # import would also trip runpy's double-import warning for
+    # Lazy: the harness pulls in the apps, most importers (the serve
+    # journal, for one) never touch the elastic layer, and eager import
+    # would also trip runpy's double-import warning for
     # ``python -m repro.ft.chaos``.
     if name in ("ChaosSweepResult", "ChaosRunRecord", "run_chaos_sweep"):
-        from repro.ft import chaos
-
-        return getattr(chaos, name)
-    if name in _ELASTIC_NAMES:
-        from repro.ft import elastic
-
-        return getattr(elastic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from repro.ft import chaos as module
+    elif name in __all__:   # whatever was not imported above is elastic's
+        from repro.ft import elastic as module
+    else:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 __all__ = [
@@ -83,7 +79,6 @@ __all__ = [
     "ElasticStageHooks",
     "FailureRecord",
     "FTResult",
-    "FaultPlan",
     "InjectedFault",
     "MembershipChange",
     "SimulatedRankFailure",

@@ -11,21 +11,30 @@ failing seed reproduces exactly.
 Run a quick sweep from the command line::
 
     PYTHONPATH=src python -m repro.ft.chaos --seeds 20
+
+The elastic targets (:func:`elastic_wordcount`, :func:`sweep_wordcount`;
+swept by ``benchmarks/bench_straggler_mitigation.py``) map through
+:func:`~repro.ft.elastic.speculative_map` and combine locally, so
+shuffle/checkpoint/reduce traffic is tiny relative to map I/O - the
+regime where speculation's bound is not drowned by fixed costs.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 from dataclasses import dataclass, field
 
 from repro.apps.wordcount import wc_combine, wc_map
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, unpack_u64
+from repro.ft.elastic import restore_rebalanced, speculative_map
 from repro.ft.injection import ChaosPlan
 from repro.ft.runner import FTResult, run_with_recovery
 from repro.mpi import COMET
+from repro.storage import BACKENDS
 
-#: Tags the harness job exposes; schedules may plant deaths at these.
+#: Tags the harness jobs expose; schedules may plant deaths at these.
 CHAOS_TAGS = ("start", "after_shuffle", "after_reduce",
               "ckpt:shuffle:precommit")
 
@@ -33,6 +42,16 @@ CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
 TEXT = b"oak elm ash fir oak elm oak yew ash oak pine fir cedar yew " * 40
 INPUT_PATH = "input/chaos_words.txt"
+ELASTIC_TEXT = (b"oak elm ash fir oak elm oak yew ash oak pine fir "
+                b"cedar yew larch teak ") * 7200
+ELASTIC_INPUT = "input/elastic_words.txt"
+
+
+def _sorted_counts(out) -> tuple:
+    """This rank's ``(word, count)`` share, sorted; frees ``out``."""
+    counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
+    out.free()
+    return counts
 
 
 def chaos_wordcount(env, ckpt, faults):
@@ -49,13 +68,73 @@ def chaos_wordcount(env, ckpt, faults):
 
     out = mimir.partial_reduce(kvs, wc_combine)
     faults.check("after_reduce", env.comm.rank)
-    counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
-    out.free()
-    return counts
+    return _sorted_counts(out)
 
 
-def make_wordcount_cluster(nprocs: int = 4,
-                           storage: str | None = None) -> Cluster:
+def elastic_wordcount(env, ckpt, ctx):
+    """Checkpointed speculative WordCount; the elastic chaos target.
+
+    Returns this rank's sorted ``(word, count)`` share; compare runs
+    with :func:`global_counts` - membership changes re-partition keys,
+    so only the merged multiset is invariant.
+    """
+    ctx.probe(env, "start")
+
+    kvs = restore_rebalanced(env, ckpt, "shuffle", layout=CFG.layout,
+                             page_size=CFG.page_size)
+    if kvs is None:
+        kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=CFG,
+                              policy=ctx.policy, stage_key="map",
+                              combine_fn=wc_combine, ctx=ctx)
+        ckpt.save_kvc("shuffle", kvs)
+        ctx.probe(env, "after_shuffle")
+        ctx.maybe_evict(env, "post-map")
+
+    out = Mimir(env, CFG).partial_reduce(kvs, wc_combine)
+    ctx.probe(env, "after_reduce")
+    return _sorted_counts(out)
+
+
+def sweep_wordcount(env, ckpt, ctx):
+    """The straggler-sweep target: speculative map + reduce, no
+    checkpoint.
+
+    Pure-straggler schedules never restart, so a checkpoint would be
+    dead weight on COMET's penalized writes; dropping it keeps the job
+    map-dominated, the regime the speculation bound is stated for.
+    """
+    ctx.probe(env, "start")
+    kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=CFG,
+                          policy=ctx.policy, stage_key="map",
+                          combine_fn=wc_combine, ctx=ctx)
+    out = Mimir(env, CFG).partial_reduce(kvs, wc_combine)
+    ctx.probe(env, "after_reduce")
+    return _sorted_counts(out)
+
+
+def global_counts(returns: list) -> tuple:
+    """Gang-size-independent fingerprint of the per-rank outputs."""
+    merged: dict[bytes, int] = {}
+    for part in returns:
+        for key, count in part or ():
+            merged[key] = merged.get(key, 0) + count
+    return tuple(sorted(merged.items()))
+
+
+def straggler_plan(seed: int, nprocs: int, *,
+                   factor_range: tuple[float, float] = (4.0, 8.0),
+                   ) -> ChaosPlan:
+    """A seeded one-straggler schedule (rank and factor drawn from
+    ``seed``)."""
+    rng = random.Random(seed)
+    rank = rng.randrange(nprocs)
+    factor = round(rng.uniform(*factor_range), 2)
+    return ChaosPlan(seed, stragglers={rank: factor})
+
+
+def make_wordcount_cluster(nprocs: int = 4, storage: str | None = None, *,
+                           path: str = INPUT_PATH,
+                           text: bytes = TEXT) -> Cluster:
     """A fresh cluster with the harness input staged (one per run -
     chaos mutates storage state, so runs must not share a substrate).
 
@@ -64,8 +143,14 @@ def make_wordcount_cluster(nprocs: int = 4,
     """
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None,
                       storage=storage)
-    cluster.pfs.store(INPUT_PATH, TEXT)
+    cluster.pfs.store(path, text)
     return cluster
+
+
+def make_elastic_cluster(nprocs: int = 4) -> Cluster:
+    """:func:`make_wordcount_cluster` with the elastic input staged."""
+    return make_wordcount_cluster(nprocs, path=ELASTIC_INPUT,
+                                  text=ELASTIC_TEXT)
 
 
 def _canonical(returns: list) -> bytes:
@@ -186,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="number of seeded schedules (default 20)")
     parser.add_argument("--procs", type=int, default=4)
     parser.add_argument("--intensity", type=float, default=1.0)
-    from repro.storage import BACKENDS
-
     parser.add_argument("--storage", choices=BACKENDS, default=None,
                         help="storage backend to sweep on "
                              "(default: REPRO_STORAGE_BACKEND or pfs)")

@@ -19,7 +19,7 @@ a previous run with a reused job id all fail validation; ``has()``
 then reports the phase incomplete and the job transparently recomputes
 it instead of silently replaying bad bytes.  Detections are reported
 through the attached failure log.  All PFS traffic goes through
-:func:`~repro.io.errors.retrying`, so transient I/O hiccups cost
+:func:`~repro.storage.errors.retrying`, so transient I/O hiccups cost
 virtual backoff time instead of killing the rank.
 """
 
@@ -32,7 +32,7 @@ import zlib
 from repro.cluster import RankEnv
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
-from repro.io.errors import retrying
+from repro.storage.errors import retrying
 
 #: On-disk format: magic, version, and the fixed header tails.
 CKPT_MAGIC = b"RCKP"

@@ -50,22 +50,21 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.apps.wordcount import wc_combine, wc_map
 from repro.cluster import Cluster, RankEnv
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
 from repro.core.shuffle import default_partitioner
 from repro.ft.checkpoint import CheckpointManager
-from repro.ft.faults import FaultPlan, SimulatedRankFailure
+from repro.ft.injection import ChaosPlan, SimulatedRankFailure
 from repro.ft.runner import (
     _RUN_SEQ,
     FailureRecord,
     FTResult,
     restart_loop,
 )
-from repro.io.errors import retrying
-from repro.io.splits import split_range, split_text
+from repro.io.splits import split_range, split_text_file
 from repro.mpi.errors import RankFailedError
+from repro.storage.errors import retrying
 
 #: Failure kinds :func:`run_elastic` converts into gang shrinks
 #: instead of same-size restarts (when policy and budget allow), and
@@ -94,8 +93,6 @@ class ElasticPolicy:
     speculate: bool = True
     backup_overhead: float = 0.05
     evict_stragglers: bool = True
-    allow_leave: bool = True
-    allow_join: bool = True
     max_membership_changes: int = 4
     min_ranks: int = 1
     max_ranks: int = 64
@@ -254,8 +251,7 @@ def speculative_map(env: RankEnv, path: str,
                     partitioner: Callable[[bytes, int], int] | None = None,
                     layout: KVLayout | None = None,
                     out_tag: str | None = None,
-                    ctx: Any = None,
-                    splits_per_rank: int | None = None) -> KVContainer:
+                    ctx: Any = None) -> KVContainer:
     """Task-pool map over a text file with speculative re-execution.
 
     The file is cut into ``nranks * splits_per_rank`` word-aligned
@@ -284,9 +280,8 @@ def speculative_map(env: RankEnv, path: str,
     layout = layout or (config.layout if config is not None else KVLayout())
     page_size = config.page_size if config is not None else 64 * 1024
     out_of_core = bool(config is not None and config.out_of_core)
-    splits = splits_per_rank or policy.splits_per_rank
     size = comm.size
-    ntasks = size * splits
+    ntasks = size * policy.splits_per_rank
     threshold = policy.straggler_threshold
     metrics = env.metrics
 
@@ -294,22 +289,19 @@ def speculative_map(env: RankEnv, path: str,
     origin = max(comm.allgather(comm.clock.time))
     comm.sync_time(origin)
 
-    # Metadata-only fetch for split geometry; the charged read happens
-    # per task below, so a re-executed task pays its input again.
-    data = env.pfs.fetch(path)
-
     failure_log = getattr(ctx, "failure_log", None)
 
     def on_retry(attempt: int, exc) -> None:
         if failure_log is not None:
-            from repro.ft.runner import FailureRecord
             failure_log.append(FailureRecord(
                 attempt=0, rank=comm.rank, kind="retry",
                 message=f"task read attempt {attempt}: {exc}"))
 
     def run_task(task: int) -> tuple[int, bytes, float]:
         started = comm.clock.time
-        lo, hi = split_text(data, task, ntasks)
+        # Uncharged boundary probes; the charged read happens per task,
+        # so a re-executed task pays its input again.
+        lo, hi = split_text_file(env.pfs, path, task, ntasks)
         chunk = retrying(
             comm, lambda: env.pfs.read(comm, path, lo, hi - lo),
             on_retry=on_retry) if hi > lo else b""
@@ -598,7 +590,7 @@ class ElasticContext:
     whose report flagged a straggler.
     """
 
-    def __init__(self, policy: ElasticPolicy, faults: Any):
+    def __init__(self, policy: ElasticPolicy, faults: ChaosPlan):
         self.policy = policy
         self.faults = faults
         self.reports: list[SpeculationReport] = []
@@ -614,8 +606,7 @@ class ElasticContext:
     def probe(self, env: RankEnv, tag: str) -> None:
         """A job checkpoint/phase boundary: faults may fire here."""
         self.faults.check(tag, env.comm.rank)
-        if hasattr(self.faults, "membership_check"):
-            self.faults.membership_check(env.comm, tag)
+        self.faults.membership_check(env.comm, tag)
 
     def record(self, report: SpeculationReport, env: RankEnv) -> None:
         """Collect a phase's speculation report (rank 0 appends)."""
@@ -636,7 +627,7 @@ class ElasticContext:
         report = self.last_report
         if report is None or not report.flagged:
             return
-        if not (self.policy.evict_stragglers and self.policy.allow_leave):
+        if not self.policy.evict_stragglers:
             return
         if self.membership_left <= 0:
             return
@@ -649,7 +640,7 @@ class ElasticContext:
 
 def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
                 policy: ElasticPolicy | None = None,
-                faults: Any = None,
+                faults: ChaosPlan | None = None,
                 job_id: str = "job",
                 max_restarts: int = 8,
                 restart_caps: dict[str, int] | None = None,
@@ -659,28 +650,27 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
     Like :func:`~repro.ft.runner.run_with_recovery`, with death
     *promoted*: a rank death, scheduled leave, or straggler eviction
     shrinks the gang (``Cluster.resize``) instead of burning restart
-    budget, as long as the policy allows leaves, the membership budget
-    is not spent, and the gang stays at or above ``policy.min_ranks``.
+    budget, as long as the membership budget is not spent and the gang
+    stays at or above ``policy.min_ranks``.
     Scheduled joins from the fault plan's membership schedule grow the
     gang at launch boundaries.  Checkpoints survive membership changes
     because the nonce is fixed for the whole run (not per gang size) -
     :func:`restore_rebalanced` does the re-sharding.
     """
     policy = policy or ElasticPolicy()
-    plan = faults if faults is not None else FaultPlan()
+    plan = faults if faults is not None else ChaosPlan()
     ctx = ElasticContext(policy, plan)
     if nonce is None:
         nonce = f"{job_id}/elastic/run{next(_RUN_SEQ)}"
     membership_log: list[MembershipChange] = []
 
     def can_shrink() -> bool:
-        return (policy.allow_leave and ctx.membership_left > 0
-                and cluster.nprocs > policy.min_ranks)
+        return ctx.membership_left > 0 and cluster.nprocs > policy.min_ranks
 
     def resize(attempt: int, kind: str, rank: int | None, delta: int,
                at: float, cause: str) -> None:
         cluster.resize(cluster.nprocs + delta)
-        if rank is not None and hasattr(plan, "remove_rank"):
+        if rank is not None:
             plan.remove_rank(rank)
         membership_log.append(MembershipChange(
             attempt, kind, rank, cluster.nprocs, at, cause))
@@ -690,12 +680,10 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
     def sweep(attempt: int, last_clock: float) -> None:
         # Launch-boundary membership sweep: joins grow the gang;
         # leaves whose rank never reached a probe shrink it here.
-        if not hasattr(plan, "membership_due"):
-            return
         for event in plan.membership_due(last_clock, nranks=cluster.nprocs):
             if event.kind == "join":
-                if (policy.allow_join and ctx.membership_left > 0
-                        and cluster.nprocs < policy.max_ranks):
+                if ctx.membership_left > 0 \
+                        and cluster.nprocs < policy.max_ranks:
                     resize(attempt, "join", None, +1, event.at,
                            "scheduled join")
             elif can_shrink():
@@ -712,7 +700,8 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
         return True
 
     ft = restart_loop(
-        cluster, job, ctx, plan, job_id=job_id, nonce=nonce,
+        cluster, job, ctx, plan, install=faults is not None,
+        job_id=job_id, nonce=nonce,
         max_restarts=max_restarts, restart_caps=restart_caps,
         failure_log=ctx.failure_log, membership_log=membership_log,
         sweep=sweep, promote=promote)
@@ -771,110 +760,3 @@ class ElasticStageHooks:
             if env.comm.rank in flagged:
                 env.metrics.inc("ft.straggler.flagged")
         return flagged
-
-
-# -------------------------------------------------------------- harness
-#
-# The elastic analog of :mod:`repro.ft.chaos`: a checkpointed
-# WordCount whose map runs through :func:`speculative_map`, used by
-# tests and ``benchmarks/bench_straggler_mitigation.py``.  The map
-# combines locally, so shuffle/checkpoint/reduce traffic is tiny
-# relative to map I/O - the regime where speculation's bound is
-# visible instead of drowned by fixed costs.
-
-ELASTIC_TAGS = ("start", "after_shuffle", "after_reduce",
-                "ckpt:shuffle:precommit")
-ELASTIC_CFG = None  # assigned below; MimirConfig import kept local
-ELASTIC_TEXT = (b"oak elm ash fir oak elm oak yew ash oak pine fir "
-                b"cedar yew larch teak ") * 7200
-ELASTIC_INPUT = "input/elastic_words.txt"
-
-
-def _elastic_cfg():
-    global ELASTIC_CFG
-    if ELASTIC_CFG is None:
-        from repro.core import MimirConfig
-        ELASTIC_CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
-                                  input_chunk_size=512)
-    return ELASTIC_CFG
-
-
-def make_elastic_cluster(nprocs: int = 4) -> Cluster:
-    """A fresh cluster with the harness input staged (one per run)."""
-    from repro.mpi import COMET
-    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
-    cluster.pfs.store(ELASTIC_INPUT, ELASTIC_TEXT)
-    return cluster
-
-
-def elastic_wordcount(env: RankEnv, ckpt: CheckpointManager,
-                      ctx: ElasticContext):
-    """Checkpointed speculative WordCount; the elastic chaos target.
-
-    Returns this rank's sorted ``(word, count)`` share; compare runs
-    with :func:`global_counts` - membership changes re-partition keys,
-    so only the merged multiset is invariant.
-    """
-    from repro.core import Mimir, unpack_u64
-    cfg = _elastic_cfg()
-    ctx.probe(env, "start")
-
-    kvs = restore_rebalanced(env, ckpt, "shuffle", layout=cfg.layout,
-                             page_size=cfg.page_size)
-    if kvs is None:
-        kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=cfg,
-                              policy=ctx.policy, stage_key="map",
-                              combine_fn=wc_combine, ctx=ctx)
-        ckpt.save_kvc("shuffle", kvs)
-        ctx.probe(env, "after_shuffle")
-        ctx.maybe_evict(env, "post-map")
-
-    out = Mimir(env, cfg).partial_reduce(kvs, wc_combine)
-    ctx.probe(env, "after_reduce")
-    counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
-    out.free()
-    return counts
-
-
-def sweep_wordcount(env: RankEnv, ckpt: CheckpointManager,
-                    ctx: ElasticContext):
-    """The straggler-sweep target: speculative map + reduce, no
-    checkpoint.
-
-    Pure-straggler schedules never restart, so a checkpoint would be
-    dead weight on COMET's penalized writes; dropping it keeps the job
-    map-dominated, the regime the speculation bound is stated for.
-    """
-    from repro.core import Mimir, unpack_u64
-    cfg = _elastic_cfg()
-    ctx.probe(env, "start")
-    kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=cfg,
-                          policy=ctx.policy, stage_key="map",
-                          combine_fn=wc_combine, ctx=ctx)
-    out = Mimir(env, cfg).partial_reduce(kvs, wc_combine)
-    ctx.probe(env, "after_reduce")
-    counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
-    out.free()
-    return counts
-
-
-def global_counts(returns: list) -> tuple:
-    """Gang-size-independent fingerprint of the per-rank outputs."""
-    merged: dict[bytes, int] = {}
-    for part in returns:
-        for key, count in part or ():
-            merged[key] = merged.get(key, 0) + count
-    return tuple(sorted(merged.items()))
-
-
-def straggler_plan(seed: int, nprocs: int, *,
-                   factor_range: tuple[float, float] = (4.0, 8.0)):
-    """A seeded one-straggler schedule (rank and factor drawn from
-    ``seed``)."""
-    import random
-
-    from repro.ft.injection import ChaosPlan
-    rng = random.Random(seed)
-    rank = rng.randrange(nprocs)
-    factor = round(rng.uniform(*factor_range), 2)
-    return ChaosPlan(seed, stragglers={rank: factor})

@@ -1,19 +1,19 @@
-"""Seeded, deterministic chaos injection across the whole stack.
+"""Seeded, deterministic fault injection across the whole stack.
 
-:class:`ChaosPlan` generalizes :class:`~repro.ft.faults.FaultPlan`
-beyond "a rank dies at a named tag" to the failure modes that dominate
-at Mira/Comet scale:
+A :class:`ChaosPlan` is the one fault plan.  With no rates set it names
+``(tag, rank)`` points at which a rank dies with
+:class:`SimulatedRankFailure` (``fail_at``); the rates add the failure
+modes that dominate at Mira/Comet scale:
 
 - **transient PFS errors** - any ``read``/``write``/``write_at``/
-  ``append`` may raise :class:`~repro.io.errors.TransientIOError`
+  ``append`` may raise :class:`~repro.storage.errors.TransientIOError`
   before taking effect (a Lustre/GPFS hiccup that succeeds on retry);
 - **torn writes** - a rank crashes mid-write, leaving a prefix of the
-  file on the PFS (:class:`~repro.ft.faults.TornWriteFailure`);
+  file on the PFS (:class:`TornWriteFailure`);
 - **silent bit corruption** of files under a configurable prefix
   (checkpoints by default - exactly the data that integrity framing
   must catch);
-- **rank death at tags**, both explicitly scheduled (``fail_at``, the
-  :class:`FaultPlan` surface) and rate-based;
+- **rank death at tags**, rate-based as well as explicitly scheduled;
 - **stragglers** - a per-rank clock-slowdown multiplier applied to all
   local (compute + I/O) virtual time via ``SimComm.advance``.
 
@@ -22,12 +22,14 @@ per-rank op index)`` - a pure function - and the rank runtime runs one
 rank at a time in an order fixed by the program (see "The rank
 runtime" in docs/architecture.md), so the decision points reached, the
 realized fault list and the recovered virtual time repeat exactly
-across executions of the same plan.  Each rate-based fault fires at
-most once per decision point (the plan carries fired-state across
-restarts, like :class:`FaultPlan`), and at most ``max_faults`` fire in
-total, so a chaotic run always converges given a restart budget.
+across executions of the same plan.  Every fault, scheduled or
+rate-based, fires at most once per decision point - the plan carries
+the fired-state across job restarts, mirroring a transient hardware
+fault that does not recur after recovery - and at most ``max_faults``
+rate-based ones fire in total, so a chaotic run always converges given
+a restart budget.
 
-Hooks are consumed by :class:`~repro.io.pfs.ParallelFileSystem`
+Hooks are consumed by :class:`~repro.storage.base.StorageBackend`
 (``chaos`` attribute) and :class:`~repro.cluster.Cluster`
 (``chaos=`` argument), so any existing job can be chaos-wrapped
 without code changes.
@@ -38,15 +40,40 @@ from __future__ import annotations
 import random
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.ft.faults import FaultPlan, SimulatedRankFailure, TornWriteFailure
-from repro.io.errors import TransientIOError
+from repro.storage.errors import TransientIOError
 
-#: Checkpoint-phase tags a chaos-wrapped job is expected to expose;
-#: :class:`ChaosPlan.random` schedules rate-based deaths against these
-#: plus whatever the job itself passes to ``check``.
 _HASH_SPACE = float(1 << 32)
+
+
+class SimulatedRankFailure(RuntimeError):
+    """An injected rank crash (stands in for a node/process fault)."""
+
+    def __init__(self, tag: str, rank: int):
+        self.tag = tag
+        self.rank = rank
+        super().__init__(f"injected failure of rank {rank} at {tag!r}")
+
+
+class TornWriteFailure(SimulatedRankFailure):
+    """A rank crash *mid-write*: only a prefix of the data landed.
+
+    The surviving file is torn - exactly the hazard that forces
+    checkpoints to be checksummed and length-framed rather than
+    trusted.  Recovery-wise it is a rank death (the allocation is torn
+    down and resubmitted), but it is classified separately so a failure
+    log can show which restarts left partial files behind.
+    """
+
+    def __init__(self, path: str, rank: int, kept: int, total: int):
+        self.path = path
+        self.kept = kept
+        self.total = total
+        super().__init__(f"torn write of {path!r}", rank)
+        # Overwrite the generic message with the torn-write specifics.
+        self.args = (f"injected torn write on rank {rank}: "
+                     f"{path!r} kept {kept}/{total} bytes",)
 
 
 @dataclass(frozen=True)
@@ -113,7 +140,7 @@ class MembershipEvent:
 
 
 class ChaosPlan:
-    """A seeded schedule of injectable faults; also a ``FaultPlan``.
+    """A schedule of injectable faults: explicit deaths plus seeded rates.
 
     All rates are per-operation probabilities in ``[0, 1]``.  Torn
     writes and corruption only target paths under
@@ -160,11 +187,12 @@ class ChaosPlan:
         self._membership_fired: set[MembershipEvent] = set()
         self.corruptible_prefix = corruptible_prefix
         self.max_faults = max_faults
-        self.deaths = FaultPlan()
         self._lock = threading.Lock()
+        self._deaths: set[tuple[str, int]] = set()      # from fail_at
+        self._deaths_fired: set[tuple[str, int]] = set()
         self._op_index: dict[int, int] = {}     # rank -> ops seen
         self._seen_tags: set[tuple[str, int]] = set()
-        self._fired = 0
+        self._rate_fired = 0
         self.injected: list[InjectedFault] = []
         for rank, factor in sorted(self.stragglers.items()):
             if factor < 1.0:
@@ -185,9 +213,9 @@ class ChaosPlan:
     def _fire(self, fault: InjectedFault) -> bool:
         """Record a rate-based fault unless the global cap is spent."""
         with self._lock:
-            if self._fired >= self.max_faults:
+            if self._rate_fired >= self.max_faults:
                 return False
-            self._fired += 1
+            self._rate_fired += 1
             self.injected.append(fault)
             return True
 
@@ -203,24 +231,22 @@ class ChaosPlan:
         if shard is not None:
             shard.inc("ft.faults.injected")
 
-    # -------------------------------------------- FaultPlan-compatible
+    # ------------------------------------------------------ rank deaths
 
     def fail_at(self, tag: str, rank: int) -> "ChaosPlan":
-        """Schedule one explicit rank death (FaultPlan surface)."""
-        self.deaths.fail_at(tag, rank)
+        """Schedule one explicit rank death; returns self for chaining."""
+        self._deaths.add((tag, rank))
         return self
 
     def check(self, tag: str, rank: int) -> None:
         """Maybe kill ``rank`` at ``tag`` (explicit or rate-based)."""
-        try:
-            self.deaths.check(tag, rank)
-        except SimulatedRankFailure:
-            with self._lock:
-                self.injected.append(
-                    InjectedFault("rank-death", rank, tag, "scheduled"))
-            raise
         point = (tag, rank)
         with self._lock:
+            if point in self._deaths and point not in self._deaths_fired:
+                self._deaths_fired.add(point)
+                self.injected.append(
+                    InjectedFault("rank-death", rank, tag, "scheduled"))
+                raise SimulatedRankFailure(tag, rank)
             if point in self._seen_tags:
                 return
             self._seen_tags.add(point)
@@ -229,13 +255,16 @@ class ChaosPlan:
                 raise SimulatedRankFailure(tag, rank)
 
     @property
-    def pending(self) -> set[tuple[str, int]]:
-        return self.deaths.pending
+    def fired(self) -> set[tuple[str, int]]:
+        """Explicitly scheduled deaths that have fired."""
+        with self._lock:
+            return set(self._deaths_fired)
 
     @property
-    def fired_count(self) -> int:
+    def pending(self) -> set[tuple[str, int]]:
+        """Explicitly scheduled deaths still armed."""
         with self._lock:
-            return self._fired + len(self.deaths.fired)
+            return self._deaths - self._deaths_fired
 
     def counts(self) -> dict[str, int]:
         """Injected-fault tally by kind (stragglers excluded)."""
@@ -418,4 +447,5 @@ class ChaosPlan:
                 f"torn={self.torn_write_rate}, "
                 f"corrupt={self.corruption_rate}, "
                 f"death={self.tag_death_rate}, "
-                f"stragglers={self.stragglers}, fired={self.fired_count})")
+                f"stragglers={self.stragglers}, "
+                f"injected={len(self.injected)})")

@@ -23,14 +23,14 @@ from typing import Any, Callable, Sequence
 
 from repro.cluster import Cluster, ClusterResult, RankEnv
 from repro.ft.checkpoint import CheckpointManager
-from repro.ft.faults import (
-    FaultPlan,
+from repro.ft.injection import (
+    ChaosPlan,
     SimulatedRankFailure,
     TornWriteFailure,
 )
-from repro.io.errors import RetriesExhaustedError, TransientIOError
 from repro.memory.tracker import MemoryLimitExceeded
 from repro.mpi.errors import RankFailedError
+from repro.storage.errors import RetriesExhaustedError, TransientIOError
 
 #: Job signature: ``fn(env, ckpt, faults) -> value``.
 FTJob = Callable[[RankEnv, CheckpointManager, Any], Any]
@@ -127,8 +127,8 @@ class FTResult:
 
 
 def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
-                 plan: Any, *, job_id: str, nonce: str, max_restarts: int,
-                 restart_caps: dict[str, int] | None,
+                 plan: ChaosPlan, *, install: bool, job_id: str, nonce: str,
+                 max_restarts: int, restart_caps: dict[str, int] | None,
                  failure_log: list[FailureRecord],
                  membership_log: Sequence[Any] = (),
                  sweep: Callable[[int, float], None] = lambda *_: None,
@@ -136,6 +136,11 @@ def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
     """Launch ``job(env, ckpt, handle)`` until an attempt completes: the
     one restart loop (see the module docstring), behind
     :func:`run_with_recovery` and :func:`repro.ft.elastic.run_elastic`.
+
+    ``install`` makes ``plan`` the cluster's chaos injector (storage
+    hooks + straggler clocks) for the duration of the loop.  The
+    drivers pass it exactly when their caller supplied the plan, so a
+    job run without ``faults=`` makes no injection call at all.
 
     The elastic driver's two hooks: ``sweep(attempt, last_clock)`` runs
     before each launch, and ``promote(attempt, kind, failure,
@@ -148,7 +153,7 @@ def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
         caps.update(restart_caps)
 
     previous_chaos = cluster.chaos
-    if hasattr(plan, "on_write"):  # a ChaosPlan, duck-typed
+    if install:
         cluster.chaos = plan
 
     total_elapsed = 0.0
@@ -190,29 +195,28 @@ def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
         raise AssertionError("unreachable")
     finally:
         cluster.chaos = previous_chaos
-        cluster.pfs.chaos = previous_chaos
 
 
 def run_with_recovery(cluster: Cluster, job: FTJob, *,
-                      faults: Any = None,
+                      faults: ChaosPlan | None = None,
                       job_id: str = "job",
                       max_restarts: int = 8,
                       restart_caps: dict[str, int] | None = None,
                       nonce: str | None = None) -> FTResult:
     """Run ``job`` to completion, restarting on classified failures.
 
-    ``faults`` may be a :class:`FaultPlan` or a
-    :class:`~repro.ft.injection.ChaosPlan`; a chaos plan is also wired
-    into the cluster (PFS hooks + straggler clocks) for the duration of
-    the call.  ``nonce`` defaults to a fresh per-call stamp derived
+    ``faults`` (a :class:`~repro.ft.injection.ChaosPlan`) is handed to
+    the job for its ``check`` probes and wired into the cluster
+    (storage hooks + straggler clocks) for the duration of the call.
+    ``nonce`` defaults to a fresh per-call stamp derived
     from the cluster configuration, so checkpoints left by a previous
     run that happens to reuse ``job_id`` are detected as stale and
     recomputed instead of silently restored; pass an explicit nonce to
     opt into cross-run checkpoint reuse.
     """
-    plan = faults if faults is not None else FaultPlan()
+    plan = faults if faults is not None else ChaosPlan()
     if nonce is None:
         nonce = f"{job_id}/{cluster.signature()}/run{next(_RUN_SEQ)}"
-    return restart_loop(cluster, job, plan, plan, job_id=job_id, nonce=nonce,
-                        max_restarts=max_restarts,
+    return restart_loop(cluster, job, plan, plan, install=faults is not None,
+                        job_id=job_id, nonce=nonce, max_restarts=max_restarts,
                         restart_caps=restart_caps, failure_log=[])

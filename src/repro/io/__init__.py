@@ -1,33 +1,18 @@
-"""I/O substrate: simulated parallel file system, spill files, input splits.
+"""Engine-side streams over the storage substrate.
 
-Large supercomputers have no node-local disk; everything - input data
-and any out-of-core spill - goes through a shared parallel file system
-(Lustre on Comet, GPFS behind I/O forwarding on Mira).  This package
-simulates that: a :class:`ParallelFileSystem` holds named blobs shared
-by all ranks and charges virtual time for every access, which is what
-makes MR-MPI's I/O spillover as catastrophically expensive here as in
-the paper's Figure 1.
+Large supercomputers have no node-local disk; input data and any
+out-of-core spill go through one shared substrate, which lives in
+:mod:`repro.storage` (the simulated parallel file system, the
+alternate backends, and the retry taxonomy).  This package holds only
+what the engines layer on top of it: rank-splitting input readers
+(:mod:`repro.io.readers`, :mod:`repro.io.splits`) and out-of-core
+spill streams (:mod:`repro.io.spill`).
 """
 
-from repro.io.errors import (
-    PFSError,
-    PFSFileNotFoundError,
-    RetriesExhaustedError,
-    TransientIOError,
-    retrying,
-)
-from repro.io.pfs import FileStats, ParallelFileSystem
 from repro.io.spill import SpillReader, SpillWriter
 from repro.io.splits import split_blocks, split_range, split_text
 
 __all__ = [
-    "FileStats",
-    "PFSError",
-    "PFSFileNotFoundError",
-    "ParallelFileSystem",
-    "RetriesExhaustedError",
-    "TransientIOError",
-    "retrying",
     "SpillReader",
     "SpillWriter",
     "split_blocks",

@@ -13,9 +13,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.cluster import RankEnv
-from repro.io.splits import split_blocks, split_text
-
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+from repro.io.splits import WHITESPACE, split_blocks, split_text_file
 
 
 def resolve_paths(env: RankEnv, paths: str | Sequence[str]) -> list[str]:
@@ -49,12 +47,9 @@ def iter_text_chunks_multi(env: RankEnv, paths: str | Sequence[str],
     :func:`iter_text_chunks` semantics for the single-file case).
     """
     resolved = resolve_paths(env, paths)
-    if len(resolved) >= env.comm.size:
-        for path in rank_files(env, resolved):
-            yield from _iter_whole_text(env, path, chunk_size)
-    else:
-        for path in resolved:
-            yield from iter_text_chunks(env, path, chunk_size)
+    whole = len(resolved) >= env.comm.size
+    for path in rank_files(env, resolved) if whole else resolved:
+        yield from iter_text_chunks(env, path, chunk_size, whole=whole)
 
 
 def iter_binary_chunks_multi(env: RankEnv, paths: str | Sequence[str],
@@ -62,56 +57,22 @@ def iter_binary_chunks_multi(env: RankEnv, paths: str | Sequence[str],
                              chunk_size: int) -> Iterator[bytes]:
     """Whole-record chunks of this rank's multi-file share."""
     resolved = resolve_paths(env, paths)
-    if len(resolved) >= env.comm.size:
-        for path in rank_files(env, resolved):
-            total = env.pfs.size(path)
-            if total % record_size:
-                raise ValueError(
-                    f"{path!r}: size {total} is not a multiple of "
-                    f"record size {record_size}")
-            step = max(record_size,
-                       (chunk_size // record_size) * record_size)
-            pos = 0
-            while pos < total:
-                want = min(step, total - pos)
-                yield env.pfs.read(env.comm, path, pos, want)
-                pos += want
-    else:
-        for path in resolved:
-            yield from iter_binary_chunks(env, path, record_size, chunk_size)
+    whole = len(resolved) >= env.comm.size
+    for path in rank_files(env, resolved) if whole else resolved:
+        yield from iter_binary_chunks(env, path, record_size, chunk_size,
+                                      whole=whole)
 
 
-def _iter_whole_text(env: RankEnv, path: str,
-                     chunk_size: int) -> Iterator[bytes]:
-    """One whole text file in word-safe chunks (no rank splitting)."""
-    total = env.pfs.size(path)
-    pos = 0
-    carry = b""
-    while pos < total:
-        want = min(chunk_size, total - pos)
-        block = env.pfs.read(env.comm, path, pos, want)
-        pos += len(block)
-        chunk = carry + block
-        if pos < total:
-            cut = len(chunk)
-            while cut > 0 and chunk[cut - 1] not in _WHITESPACE:
-                cut -= 1
-            carry = chunk[cut:]
-            chunk = chunk[:cut]
-        else:
-            carry = b""
-        if chunk:
-            yield chunk
-    if carry:
-        yield carry
+def iter_text_chunks(env: RankEnv, path: str, chunk_size: int, *,
+                     whole: bool = False) -> Iterator[bytes]:
+    """This rank's word-aligned span of a text file, in word-safe chunks.
 
-
-def iter_text_chunks(env: RankEnv, path: str,
-                     chunk_size: int) -> Iterator[bytes]:
-    """This rank's word-aligned span of a text file, in word-safe chunks."""
+    ``whole`` reads the file as a one-rank split: the multi-file
+    readers deal whole files to ranks.
+    """
     comm = env.comm
-    data = env.pfs.fetch(path)  # boundary discovery only (not charged)
-    start, end = split_text(data, comm.rank, comm.size)
+    rank, size = (0, 1) if whole else (comm.rank, comm.size)
+    start, end = split_text_file(env.pfs, path, rank, size)
     pos = start
     carry = b""
     while pos < end:
@@ -121,7 +82,7 @@ def iter_text_chunks(env: RankEnv, path: str,
         chunk = carry + block
         if pos < end:
             cut = len(chunk)
-            while cut > 0 and chunk[cut - 1] not in _WHITESPACE:
+            while cut > 0 and chunk[cut - 1] not in WHITESPACE:
                 cut -= 1
             carry = chunk[cut:]
             chunk = chunk[:cut]
@@ -134,11 +95,15 @@ def iter_text_chunks(env: RankEnv, path: str,
 
 
 def iter_binary_chunks(env: RankEnv, path: str, record_size: int,
-                       chunk_size: int) -> Iterator[bytes]:
-    """This rank's block-aligned span of a binary file, whole records."""
+                       chunk_size: int, *,
+                       whole: bool = False) -> Iterator[bytes]:
+    """This rank's block-aligned span of a binary file, whole records
+    (``whole``: the file as a one-rank split, see
+    :func:`iter_text_chunks`)."""
     comm = env.comm
+    rank, size = (0, 1) if whole else (comm.rank, comm.size)
     total = env.pfs.size(path)
-    start, end = split_blocks(total, record_size, comm.rank, comm.size)
+    start, end = split_blocks(total, record_size, rank, size)
     step = max(record_size, (chunk_size // record_size) * record_size)
     pos = start
     while pos < end:

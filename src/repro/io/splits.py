@@ -8,7 +8,16 @@ never straddle a split boundary.
 
 from __future__ import annotations
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from repro.storage.base import StorageBackend
+
+WHITESPACE = b" \t\n\r\x0b\x0c"
+
+#: Bytes one boundary probe looks at; a word longer than this costs
+#: one more probe per window, never a wrong boundary.
+PROBE_WINDOW = 256
 
 
 def split_range(total: int, rank: int, size: int) -> tuple[int, int]:
@@ -29,29 +38,44 @@ def split_range(total: int, rank: int, size: int) -> tuple[int, int]:
     return start, end
 
 
-def split_text(data: bytes, rank: int, size: int) -> tuple[int, int]:
-    """Byte range of ``data`` for ``rank``, snapped to word boundaries.
+def _split_words(total: int, rank: int, size: int,
+                 probe: Callable[[int], bytes]) -> tuple[int, int]:
+    """``rank``'s word-aligned range of a ``total``-byte text, read
+    only through ``probe(pos)``, a non-empty window starting at ``pos``.
 
     Each rank starts just after the first whitespace at-or-after its
     nominal offset (rank 0 starts at 0) and ends where the next rank
     starts, so every word belongs to exactly one rank.
     """
-    start, _ = split_range(len(data), rank, size)
-    _, nominal_end = split_range(len(data), rank, size)
 
     def snap(pos: int) -> int:
-        if pos == 0 or pos >= len(data):
-            return min(pos, len(data))
-        # Advance to the next whitespace, then past it.
-        while pos < len(data) and data[pos] not in _WHITESPACE:
-            pos += 1
-        return min(pos + 1, len(data)) if pos < len(data) else len(data)
+        if pos == 0:
+            return 0
+        while pos < total:
+            window = probe(pos)
+            for i, byte in enumerate(window):
+                if byte in WHITESPACE:
+                    return pos + i + 1
+            pos += len(window)
+        return total
 
-    snapped_start = snap(start)
-    snapped_end = snap(nominal_end)
-    if snapped_end < snapped_start:
-        snapped_end = snapped_start
-    return snapped_start, snapped_end
+    start, end = split_range(total, rank, size)
+    return snap(start), snap(end)
+
+
+def split_text(data: bytes, rank: int, size: int) -> tuple[int, int]:
+    """Byte range of ``data`` for ``rank``, snapped to word boundaries."""
+    return _split_words(len(data), rank, size,
+                        lambda pos: data[pos:pos + PROBE_WINDOW])
+
+
+def split_text_file(store: "StorageBackend", path: str, rank: int,
+                    size: int) -> tuple[int, int]:
+    """:func:`split_text` of a stored file, without holding the file:
+    its length plus a few uncharged :data:`PROBE_WINDOW`-byte probes
+    forward of the two nominal offsets."""
+    return _split_words(store.size(path), rank, size,
+                        lambda pos: store.fetch(path, pos, PROBE_WINDOW))
 
 
 def split_blocks(total_bytes: int, block_size: int, rank: int,

@@ -130,25 +130,16 @@ register("mpi.alltoallv.rounds", COUNTER, "rounds", "repro.mpi.comm",
 register("mpi.alltoallv.bytes", COUNTER, "bytes", "repro.mpi.comm",
          "payload bytes this rank sent through alltoallv")
 
-register("io.pfs.reads", COUNTER, "calls", "repro.io.pfs",
-         "costed PFS read operations")
-register("io.pfs.writes", COUNTER, "calls", "repro.io.pfs",
-         "costed PFS write/write_at/append operations")
-register("io.pfs.bytes_read", COUNTER, "bytes", "repro.io.pfs",
-         "bytes read through the costed PFS path")
-register("io.pfs.bytes_written", COUNTER, "bytes", "repro.io.pfs",
-         "bytes written through the costed PFS path")
-register("io.pfs.retries", COUNTER, "calls", "repro.io.errors",
-         "transient PFS errors absorbed by the retry/backoff wrapper")
-
 register("storage.reads", COUNTER, "calls", "repro.storage.base",
-         "costed read operations on non-PFS storage backends")
+         "costed read operations, on any storage backend")
 register("storage.writes", COUNTER, "calls", "repro.storage.base",
-         "costed write/write_at/append operations on non-PFS backends")
+         "costed write/write_at/append operations")
 register("storage.bytes_read", COUNTER, "bytes", "repro.storage.base",
-         "bytes read through the costed path of non-PFS backends")
+         "bytes read through the costed path")
 register("storage.bytes_written", COUNTER, "bytes", "repro.storage.base",
-         "bytes written through the costed path of non-PFS backends")
+         "bytes written through the costed path")
+register("storage.retries", COUNTER, "calls", "repro.storage.errors",
+         "transient storage errors absorbed by the retry/backoff wrapper")
 register("storage.extsort.runs", COUNTER, "runs", "repro.storage.extsort",
          "sorted runs formed by the external-sort driver")
 register("storage.extsort.merged_records", COUNTER, "records",

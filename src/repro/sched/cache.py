@@ -18,7 +18,7 @@ collectives, so drops must be performed on every rank together.
 
 Eviction and reload speak the :class:`~repro.storage.base.
 StorageBackend` protocol only: transient faults are absorbed by
-:func:`~repro.io.errors.retrying` (an eviction under chaos retries
+:func:`~repro.storage.errors.retrying` (an eviction under chaos retries
 instead of killing the launch), and the spill path is deleted before
 eviction writes to it - a recompute after a :meth:`drop` that left a
 stale spill file behind (e.g. a drop issued before the cache was
@@ -33,7 +33,7 @@ from typing import Any
 from repro.cluster import RankEnv
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
-from repro.io.errors import retrying
+from repro.storage.errors import retrying
 
 
 @dataclass

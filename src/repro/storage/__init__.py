@@ -4,7 +4,7 @@ Three implementations ship (see docs/storage.md for the operator's
 guide):
 
 - ``pfs`` - the simulated shared parallel file system, the default and
-  the reference implementation (:mod:`repro.io.pfs`).
+  the reference implementation (:mod:`repro.storage.pfs`).
 - ``kv`` - a sharded in-memory KV store with per-shard locks and
   deterministic ``crc32(path) % nshards`` placement
   (:mod:`repro.storage.kv`).
@@ -20,9 +20,8 @@ matrix sweeps the tier-1 subset); and finally ``pfs``.  Per-job spill
 redirection uses :attr:`repro.core.config.MimirConfig.storage`, which
 resolves through :meth:`StorageBackend.companion`.
 
-Implementation note: the concrete backends are imported lazily (PEP
-562) because the PFS backend lives in :mod:`repro.io.pfs`, whose import
-passes through this package - eager re-exports would cycle.
+The retry taxonomy every backend shares (``TransientIOError``,
+``retrying``, ...) lives in :mod:`repro.storage.errors`.
 """
 
 from __future__ import annotations
@@ -32,6 +31,13 @@ from typing import TYPE_CHECKING
 
 from repro.mpi.costmodel import PFSModel
 from repro.storage.base import FileStats, StorageBackend
+from repro.storage.extsort import (
+    ExternalSortBackend,
+    ExternalSortResult,
+    external_sort_file,
+)
+from repro.storage.kv import ShardedKVBackend
+from repro.storage.pfs import ParallelFileSystem
 
 if TYPE_CHECKING:
     from repro.mpi.platforms import Platform
@@ -41,6 +47,7 @@ __all__ = [
     "ExternalSortBackend",
     "ExternalSortResult",
     "FileStats",
+    "ParallelFileSystem",
     "ShardedKVBackend",
     "StorageBackend",
     "default_backend_name",
@@ -59,22 +66,6 @@ ENV_VAR = "REPRO_STORAGE_BACKEND"
 #: and the small-writer ``write_penalty`` do not apply to a symmetric
 #: in-memory store, so the derived model drops both.
 KV_SPEEDUP = 8.0
-
-_LAZY = {
-    "ShardedKVBackend": "repro.storage.kv",
-    "ExternalSortBackend": "repro.storage.extsort",
-    "ExternalSortResult": "repro.storage.extsort",
-    "external_sort_file": "repro.storage.extsort",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
 
 
 def default_backend_name() -> str:
@@ -112,16 +103,10 @@ def make_backend(spec: str | None = None, *,
     if model is None and platform is not None:
         model = platform.pfs
     if spec == "pfs":
-        from repro.io.pfs import ParallelFileSystem
-
         return ParallelFileSystem(model, sharers=sharers)
     if spec == "kv":
-        from repro.storage.kv import ShardedKVBackend
-
         return ShardedKVBackend(_kv_model(model))
     if spec == "extsort":
-        from repro.storage.extsort import ExternalSortBackend
-
         return ExternalSortBackend(model)
     raise ValueError(
         f"unknown storage backend {spec!r}; "

@@ -7,7 +7,7 @@ serve journal (:mod:`repro.serve.journal`) - flows through the narrow
 surface defined here.  Call sites never know which backend they are
 on: the same checkpoint manager that survives chaos on the simulated
 parallel file system survives it on the sharded KV store, because the
-retry taxonomy (:mod:`repro.io.errors`), the chaos hooks
+retry taxonomy (:mod:`repro.storage.errors`), the chaos hooks
 (:mod:`repro.ft.injection`), and the metric emission all live in this
 base class rather than in any one implementation.
 
@@ -39,8 +39,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.io.errors import PFSFileNotFoundError
 from repro.mpi.costmodel import PFSModel
+from repro.storage.errors import PFSFileNotFoundError
 
 
 @dataclass
@@ -51,21 +51,18 @@ class FileStats:
     bytes_written: int = 0
     reads: int = 0
     writes: int = 0
+    #: Bytes moved (either way) per top-level path component.
     by_prefix: dict[str, int] = field(default_factory=dict)
-
-    def _charge(self, path: str, nbytes: int) -> None:
-        prefix = path.split("/", 1)[0] if "/" in path else path
-        self.by_prefix[prefix] = self.by_prefix.get(prefix, 0) + nbytes
 
 
 class StorageBackend(abc.ABC):
     """Shared blob store with a cost model, chaos hooks, and metrics.
 
     **Atomicity/visibility contract** (every implementation, every
-    method): an operation that raises :class:`~repro.io.errors.
+    method): an operation that raises :class:`~repro.storage.errors.
     TransientIOError` has *not* taken effect - transient faults are
-    injected before the mutation, so a retry loop (:func:`~repro.io.
-    errors.retrying`) never double-applies.  A completed ``write``/
+    injected before the mutation, so a retry loop (:func:`~repro.
+    storage.errors.retrying`) never double-applies.  A completed ``write``/
     ``write_at``/``append`` is immediately visible to every rank (the
     store is globally shared, like a POSIX-consistent PFS).  Torn
     writes - a *prefix* of the payload landing before the writer dies
@@ -75,35 +72,35 @@ class StorageBackend(abc.ABC):
 
     Attributes ``chaos`` (a :class:`~repro.ft.injection.ChaosPlan`,
     duck-typed) and ``metrics`` (a :class:`~repro.obs.registry.
-    MetricsRegistry`) are installed by the cluster harness; both
-    default to ``None`` so backends stand alone in tests.
+    MetricsRegistry`) are installed by :meth:`wire`; both default to
+    ``None`` so backends stand alone in tests.
     """
 
     #: Spec string naming this backend in configs and CLIs.
     name: str = "abstract"
-
-    #: Metric names emitted by the costed path.  The PFS implementation
-    #: overrides these with its historical ``io.pfs.*`` names; every
-    #: other backend reports under the ``storage.*`` namespace.
-    METRIC_READS = "storage.reads"
-    METRIC_WRITES = "storage.writes"
-    METRIC_BYTES_READ = "storage.bytes_read"
-    METRIC_BYTES_WRITTEN = "storage.bytes_written"
 
     def __init__(self, model: PFSModel | None = None):
         #: Cost model for the costed half of the API.
         self.model = model or PFSModel(latency=0.0, bandwidth=float("inf"))
         self.stats = FileStats()
         self._stats_lock = threading.Lock()
-        #: Optional fault injector (see :class:`repro.ft.injection.
-        #: ChaosPlan`); duck-typed to keep the substrate dependency-free.
-        self.chaos: Any = None
-        #: Optional :class:`repro.obs.registry.MetricsRegistry` (duck-
-        #: typed) installed by the cluster harness; costed accesses are
-        #: then charged to the calling rank's metric shard.
-        self.metrics: Any = None
         self._companions: dict[str, "StorageBackend"] = {}
         self._companion_lock = threading.Lock()
+        self.wire(None, None)
+
+    def wire(self, chaos: Any, metrics: Any) -> None:
+        """Install a fault injector and a metrics registry (duck-typed,
+        either may be ``None``) on this backend and on every companion
+        it has; :meth:`companion` passes a new one through here at
+        birth, so the family injects and counts as one substrate.
+        Costed accesses consult ``chaos`` first and are charged to the
+        calling rank's shard of ``metrics``.
+        """
+        self.chaos = chaos
+        self.metrics = metrics
+        with self._companion_lock:
+            for backend in self._companions.values():
+                backend.wire(chaos, metrics)
 
     # ------------------------------------------------- blob primitives
 
@@ -122,17 +119,12 @@ class StorageBackend(abc.ABC):
         """Every stored path (unordered); must not require any bucket
         lock held by the caller."""
 
-    @abc.abstractmethod
     def _cost(self, path: str, nbytes: int, write: bool = False) -> float:
-        """Virtual seconds one costed access of ``nbytes`` takes."""
+        """Virtual seconds one costed access of ``nbytes`` takes: the
+        model's uncontended price unless a backend knows better."""
+        return self.model.access_cost(nbytes, write)
 
     # ----------------------------------------------------- shared glue
-
-    def _shard(self, comm):
-        """The calling rank's metric shard, or ``None`` untracked."""
-        if self.metrics is None:
-            return None
-        return self.metrics.shard(comm.rank)
 
     def _not_found(self, path: str) -> PFSFileNotFoundError:
         """A descriptive not-found error with a sibling-count hint."""
@@ -142,26 +134,29 @@ class StorageBackend(abc.ABC):
             if near else "no files under that directory"
         return PFSFileNotFoundError(path, hint)
 
-    def _account(self, path: str, nbytes: int, write: bool) -> None:
+    def _account(self, comm, path: str, nbytes: int,
+                 write: bool = False) -> None:
+        """Book one completed costed access: the backend's stats, the
+        calling rank's ``storage.*`` counters, then its virtual clock."""
+        stats = self.stats
+        prefix = path.split("/", 1)[0]
         with self._stats_lock:
             if write:
-                self.stats.bytes_written += nbytes
-                self.stats.writes += 1
+                stats.bytes_written += nbytes
+                stats.writes += 1
             else:
-                self.stats.bytes_read += nbytes
-                self.stats.reads += 1
-            self.stats._charge(path, nbytes)
-
-    def _emit(self, comm, nbytes: int, write: bool) -> None:
-        shard = self._shard(comm)
-        if shard is None:
-            return
-        if write:
-            shard.inc(self.METRIC_WRITES)
-            shard.inc(self.METRIC_BYTES_WRITTEN, nbytes)
-        else:
-            shard.inc(self.METRIC_READS)
-            shard.inc(self.METRIC_BYTES_READ, nbytes)
+                stats.bytes_read += nbytes
+                stats.reads += 1
+            stats.by_prefix[prefix] = stats.by_prefix.get(prefix, 0) + nbytes
+        if self.metrics is not None:
+            shard = self.metrics.shard(comm.rank)
+            if write:
+                shard.inc("storage.writes")
+                shard.inc("storage.bytes_written", nbytes)
+            else:
+                shard.inc("storage.reads")
+                shard.inc("storage.bytes_read", nbytes)
+        comm.advance(self._cost(path, nbytes, write))
 
     # -------------------------------------------------------- staging
 
@@ -175,17 +170,20 @@ class StorageBackend(abc.ABC):
         with lock:
             files[path] = bytearray(data)
 
-    def fetch(self, path: str) -> bytes:
-        """Read a whole file without charging time (result inspection).
+    def fetch(self, path: str, offset: int = 0,
+              size: int | None = None) -> bytes:
+        """Read a file, or ``size`` bytes of it at ``offset``, without
+        charging time (result inspection, split-boundary probes).
 
-        Raises :class:`~repro.io.errors.PFSFileNotFoundError` when the
-        path does not exist; never chaos-injected.
+        Raises :class:`~repro.storage.errors.PFSFileNotFoundError` when
+        the path does not exist; never chaos-injected.
         """
         lock, files = self._bucket(path)
         with lock:
             blob = files.get(path)
             if blob is not None:
-                return bytes(blob)
+                end = None if size is None else offset + size
+                return bytes(memoryview(blob)[offset:end])
         raise self._not_found(path)
 
     def exists(self, path: str) -> bool:
@@ -224,22 +222,12 @@ class StorageBackend(abc.ABC):
 
         Chaos hook: ``on_access`` fires *before* the read; a transient
         fault leaves the store untouched and the clock uncharged, so
-        :func:`~repro.io.errors.retrying` wrappers are safe.
+        :func:`~repro.storage.errors.retrying` wrappers are safe.
         """
         if self.chaos is not None:
             self.chaos.on_access(comm, "read", path)
-        lock, files = self._bucket(path)
-        with lock:
-            blob = files.get(path)
-            if blob is not None:
-                end = len(blob) if size is None \
-                    else min(offset + size, len(blob))
-                data = bytes(blob[offset:end])
-        if blob is None:
-            raise self._not_found(path)
-        self._account(path, len(data), write=False)
-        self._emit(comm, len(data), write=False)
-        comm.advance(self._cost(path, len(data)))
+        data = self.fetch(path, offset, size)
+        self._account(comm, path, len(data))
         return data
 
     def write(self, comm, path: str, data: bytes | bytearray) -> None:
@@ -258,9 +246,7 @@ class StorageBackend(abc.ABC):
         lock, files = self._bucket(path)
         with lock:
             files[path] = bytearray(data)
-        self._account(path, len(data), write=True)
-        self._emit(comm, len(data), write=True)
-        comm.advance(self._cost(path, len(data), write=True))
+        self._account(comm, path, len(data), write=True)
         if raise_after is not None:
             raise raise_after
 
@@ -286,9 +272,7 @@ class StorageBackend(abc.ABC):
             if len(blob) < end:
                 blob.extend(b"\0" * (end - len(blob)))
             blob[offset:end] = data
-        self._account(path, len(data), write=True)
-        self._emit(comm, len(data), write=True)
-        comm.advance(self._cost(path, len(data), write=True))
+        self._account(comm, path, len(data), write=True)
 
     def append(self, comm, path: str, data: bytes | bytearray) -> int:
         """Append ``data``; returns the offset it was written at.
@@ -306,15 +290,13 @@ class StorageBackend(abc.ABC):
             blob = files.setdefault(path, bytearray())
             offset = len(blob)
             blob.extend(data)
-        self._account(path, len(data), write=True)
-        self._emit(comm, len(data), write=True)
-        comm.advance(self._cost(path, len(data), write=True))
+        self._account(comm, path, len(data), write=True)
         return offset
 
     # ------------------------------------------------------ companions
 
     def companion(self, spec: str | None) -> "StorageBackend":
-        """A named backend sharing this substrate's chaos/metrics wiring.
+        """A named backend sharing this substrate's :meth:`wire`-ing.
 
         Resolves ``MimirConfig.storage``: ``None`` (or this backend's
         own name) returns ``self``; any other spec returns a
@@ -331,8 +313,7 @@ class StorageBackend(abc.ABC):
                 from repro.storage import make_backend
 
                 backend = make_backend(spec, model=self.model)
-                backend.metrics = self.metrics
-                backend.chaos = self.chaos
+                backend.wire(self.chaos, self.metrics)
                 self._companions[spec] = backend
         return backend
 

@@ -1,4 +1,4 @@
-"""Errors raised by the simulated parallel file system, plus retry glue.
+"""Errors raised by storage backends, plus retry glue.
 
 The paper's target machines (Comet/Lustre, Mira/GPFS behind I/O
 forwarding) fail in more ways than "a node died": metadata servers
@@ -107,7 +107,7 @@ def retrying(comm: Any, fn: Callable[[], T], *,
                 raise RetriesExhaustedError(attempts, exc) from exc
             shard = getattr(comm, "metrics", None)
             if shard is not None:
-                shard.inc("io.pfs.retries")
+                shard.inc("storage.retries")
             if on_retry is not None:
                 on_retry(attempt, exc)
             comm.advance(delay)

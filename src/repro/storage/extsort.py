@@ -77,9 +77,7 @@ class ExternalSortBackend(ShardedKVBackend):
     def _cost(self, path: str, nbytes: int, write: bool = False) -> float:
         model = self.local_model if path.startswith(LOCAL_PREFIXES) \
             else self.model
-        bw = model.effective_write_bandwidth if write else \
-            model.effective_bandwidth
-        return model.latency + nbytes / bw
+        return model.access_cost(nbytes, write)
 
 
 # ------------------------------------------------------------ the driver

@@ -78,11 +78,6 @@ class ShardedKVBackend(StorageBackend):
                 keys.extend(shard)
         return keys
 
-    def _cost(self, path: str, nbytes: int, write: bool = False) -> float:
-        bw = self.model.effective_write_bandwidth if write else \
-            self.model.effective_bandwidth
-        return self.model.latency + nbytes / bw
-
     # -------------------------------------------------------- inspection
 
     def shard_sizes(self) -> list[int]:

@@ -7,14 +7,11 @@ zero-cost staging hooks for test and benchmark setup (the equivalent
 of data already resident before the timed job starts is *not* free -
 input reads go through :meth:`read` - but generating the dataset is).
 
-Since the storage refactor the PFS is one implementation of the
-:class:`~repro.storage.base.StorageBackend` protocol - the *reference*
-implementation, whose cost math, stats accounting, chaos-hook call
-order, and metric names (the historical ``io.pfs.*`` namespace) are
-bit-identical to the pre-protocol behaviour.  Checkpoints, spill
-streams, the stage cache, and the serve journal all program against
-the protocol, so they run unchanged on the alternate backends in
-:mod:`repro.storage`.
+The PFS is the *reference* implementation of the
+:class:`~repro.storage.base.StorageBackend` protocol and the default
+substrate.  Checkpoints, spill streams, the stage cache, and the serve
+journal all program against the protocol, so they run unchanged on the
+alternate backends in :mod:`repro.storage`.
 """
 
 from __future__ import annotations
@@ -22,9 +19,7 @@ from __future__ import annotations
 import threading
 
 from repro.mpi.costmodel import PFSModel
-from repro.storage.base import FileStats, StorageBackend
-
-__all__ = ["FileStats", "ParallelFileSystem"]
+from repro.storage.base import StorageBackend
 
 
 class ParallelFileSystem(StorageBackend):
@@ -37,11 +32,6 @@ class ParallelFileSystem(StorageBackend):
     """
 
     name = "pfs"
-
-    METRIC_READS = "io.pfs.reads"
-    METRIC_WRITES = "io.pfs.writes"
-    METRIC_BYTES_READ = "io.pfs.bytes_read"
-    METRIC_BYTES_WRITTEN = "io.pfs.bytes_written"
 
     def __init__(self, model: PFSModel | None = None, sharers: int = 1):
         if sharers <= 0:
@@ -61,6 +51,4 @@ class ParallelFileSystem(StorageBackend):
             return list(self._files)
 
     def _cost(self, path: str, nbytes: int, write: bool = False) -> float:
-        bw = self.model.effective_write_bandwidth if write else \
-            self.model.effective_bandwidth
-        return self.model.latency + nbytes * self.sharers / bw
+        return self.model.access_cost(nbytes * self.sharers, write)

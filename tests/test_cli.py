@@ -77,6 +77,15 @@ class TestServeParser:
         assert args.port == 0 and args.lease_ttl == 60.0
         assert args.platform == "comet"
 
+    def test_serve_storage_choices_are_the_registered_backends(self):
+        from repro.storage import BACKENDS
+
+        for spec in BACKENDS:
+            args = build_parser().parse_args(["serve", "--storage", spec])
+            assert args.storage == spec
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--storage", "tape"])
+
     def test_serve_quota_specs(self):
         args = build_parser().parse_args(
             ["serve", "--quota", "alice=4:2", "--quota", "bob=1:1",
@@ -137,6 +146,16 @@ class TestServeCommands:
         assert main(["fetch", job_id, "--log", service,
                      "--tenant", "alice"]) == 0
         assert "submitted by alice" in capsys.readouterr().out
+
+    def test_submit_param_true_false_are_booleans(self, service, capsys):
+        import json
+
+        # "false" kept as a string is truthy under the catalog's bool().
+        assert main(["submit", "wordcount", "demo/words.txt", service,
+                     "--param", "hint=false", "--param", "partial=TRUE",
+                     "--param", "compress=0", "--wait"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params == {"hint": False, "partial": True, "compress": 0}
 
     def test_cancel_command(self, service, capsys):
         import json

@@ -7,8 +7,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.ft import (
+    ChaosPlan,
     CheckpointManager,
-    FaultPlan,
     SimulatedRankFailure,
     run_with_recovery,
 )
@@ -64,7 +64,7 @@ def merge(result):
 
 class TestFaultPlan:
     def test_fires_once(self):
-        plan = FaultPlan().fail_at("x", 0)
+        plan = ChaosPlan().fail_at("x", 0)
         with pytest.raises(SimulatedRankFailure):
             plan.check("x", 0)
         plan.check("x", 0)  # second call: no raise
@@ -72,7 +72,7 @@ class TestFaultPlan:
         assert plan.pending == set()
 
     def test_other_points_unaffected(self):
-        plan = FaultPlan().fail_at("x", 1)
+        plan = ChaosPlan().fail_at("x", 1)
         plan.check("x", 0)
         plan.check("y", 1)
         assert plan.pending == {("x", 1)}
@@ -152,7 +152,7 @@ class TestRecovery:
 
     def test_recovers_from_failure_after_shuffle(self):
         cluster = make_cluster(4)
-        plan = FaultPlan().fail_at("after_shuffle", 2)
+        plan = ChaosPlan().fail_at("after_shuffle", 2)
         ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
         assert ft.attempts == 2
         assert merge(ft.result) == EXPECTED
@@ -160,14 +160,14 @@ class TestRecovery:
 
     def test_recovers_from_failure_at_start(self):
         cluster = make_cluster(4)
-        plan = FaultPlan().fail_at("start", 0)
+        plan = ChaosPlan().fail_at("start", 0)
         ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
         assert ft.attempts == 2
         assert merge(ft.result) == EXPECTED
 
     def test_multiple_failures_multiple_restarts(self):
         cluster = make_cluster(4)
-        plan = (FaultPlan()
+        plan = (ChaosPlan()
                 .fail_at("start", 1)
                 .fail_at("after_shuffle", 3)
                 .fail_at("after_reduce", 0))
@@ -178,7 +178,7 @@ class TestRecovery:
 
     def test_restart_skips_completed_phase(self):
         cluster = make_cluster(4)
-        plan = FaultPlan().fail_at("after_shuffle", 2)
+        plan = ChaosPlan().fail_at("after_shuffle", 2)
         ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
         # The restarted attempt loaded the shuffle checkpoint instead of
         # re-reading and re-shuffling the input: the checkpoint data
@@ -191,7 +191,7 @@ class TestRecovery:
     def test_sequential_failures_on_one_rank(self):
         # Same rank fails at successive points: one restart per fault.
         cluster = make_cluster(2)
-        plan = (FaultPlan()
+        plan = (ChaosPlan()
                 .fail_at("start", 0)
                 .fail_at("after_shuffle", 0)
                 .fail_at("after_reduce", 0))
@@ -202,7 +202,7 @@ class TestRecovery:
 
     def test_budget_zero_reraises(self):
         cluster = make_cluster(2)
-        plan = FaultPlan().fail_at("start", 0)
+        plan = ChaosPlan().fail_at("start", 0)
         with pytest.raises(RankFailedError):
             run_with_recovery(cluster, checkpointed_wordcount, faults=plan,
                               max_restarts=0)

@@ -10,7 +10,7 @@ from repro.ft import (
     ChaosPlan,
     CheckpointManager,
     CheckpointNotFoundError,
-    FaultPlan,
+    SimulatedRankFailure,
     TornWriteFailure,
     classify_failure,
     run_with_recovery,
@@ -27,17 +27,16 @@ from repro.ft.checkpoint import (
     frame,
     unframe,
 )
-from repro.ft.faults import SimulatedRankFailure
-from repro.io.errors import (
+from repro.memory.tracker import MemoryLimitExceeded
+from repro.mpi import COMET, PFSModel, RankFailedError
+from repro.mpi.comm import SimComm
+from repro.storage.errors import (
     PFSFileNotFoundError,
     RetriesExhaustedError,
     TransientIOError,
     retrying,
 )
-from repro.io.pfs import ParallelFileSystem
-from repro.memory.tracker import MemoryLimitExceeded
-from repro.mpi import COMET, PFSModel, RankFailedError
-from repro.mpi.comm import SimComm
+from repro.storage.pfs import ParallelFileSystem
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -280,7 +279,7 @@ class TestMidCommitCrash:
         """Satellite: a fault between the data write and the marker
         write must leave ``has()`` false on restart -> recompute."""
         cluster = make_cluster(nprocs)
-        plan = FaultPlan().fail_at("ckpt:shuffle:precommit", victim)
+        plan = ChaosPlan().fail_at("ckpt:shuffle:precommit", victim)
         seen = []
 
         def job(env, ckpt, faults):
@@ -431,6 +430,39 @@ class TestChaosPlan:
         assert chaotic.returns[0] == ["retry"]
         assert chaotic.elapsed > clean.elapsed
 
+    def test_zero_rate_plan_installed_changes_nothing(self):
+        """``ChaosPlan()`` on a cluster is the old never-installed
+        ``FaultPlan``: same outputs, clocks and storage traffic as a
+        run with no plan at all."""
+
+        def run(faults):
+            cluster = make_wordcount_cluster(4)
+            ft = run_with_recovery(cluster, chaos_wordcount, faults=faults,
+                                   job_id="z", nonce="z")
+            totals = cluster.metrics.totals()
+            return (ft.result.returns, ft.result.elapsed, ft.total_elapsed,
+                    {name: value for name, value in totals.items()
+                     if name.startswith("storage.")})
+
+        plan = ChaosPlan()
+        assert run(plan) == run(None)
+        assert plan.injected == [] and plan.fired == set()
+
+    def test_restart_loop_installs_only_a_plan_the_caller_passed(self):
+        seen = []
+
+        def job(env, ckpt, faults):
+            seen.append((env.pfs.chaos, faults))
+
+        cluster = Cluster(COMET, nprocs=1, memory_limit=None)
+        run_with_recovery(cluster, job)
+        plan = ChaosPlan().fail_at("nowhere", 0)
+        run_with_recovery(cluster, job, faults=plan)
+        (wired, default), (wired_again, passed) = seen
+        assert wired is None and isinstance(default, ChaosPlan)
+        assert wired_again is passed is plan
+        assert cluster.chaos is None
+
     def test_straggler_slows_local_clock(self):
         comm = SimComm(0, 1)
         comm.advance(1.0)
@@ -448,7 +480,7 @@ class TestChaosPlan:
             cluster.pfs.store("t.txt", TEXT)
             return cluster.run(
                 lambda env: checkpointed_wordcount(
-                    env, CheckpointManager(env, "s"), FaultPlan()))
+                    env, CheckpointManager(env, "s"), ChaosPlan()))
 
         clean = run(None)
         slow = run(ChaosPlan(seed=0, stragglers={1: 4.0}))

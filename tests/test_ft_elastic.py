@@ -11,18 +11,16 @@ from repro.ft import (
     StragglerMonitor,
     run_elastic,
 )
-from repro.ft.elastic import (
-    ELASTIC_TAGS,
+from repro.ft.chaos import (
+    CHAOS_TAGS,
     ELASTIC_TEXT,
     elastic_wordcount,
     global_counts,
     make_elastic_cluster,
-    restore_rebalanced,
-    speculative_map,
     straggler_plan,
     sweep_wordcount,
-    _elastic_cfg,
 )
+from repro.ft.elastic import restore_rebalanced, speculative_map
 from repro.ft.injection import ChaosPlan, MembershipEvent
 from repro.mpi import COMET
 from repro.sched import (
@@ -224,7 +222,7 @@ class TestClusterResize:
 
 
 def spec_wc(env, policy=None):
-    cfg = _elastic_cfg()
+    cfg = CFG
     kvc = speculative_map(env, "input/elastic_words.txt", wc_map,
                           config=cfg, policy=policy, combine_fn=wc_combine)
     from repro.core.job import Mimir
@@ -281,7 +279,7 @@ class TestSpeculativeMap:
 
 class TestRestoreRebalanced:
     def save_with(self, pfs, nprocs, nonce="j"):
-        cfg = _elastic_cfg()
+        cfg = CFG
 
         def job(env):
             ckpt = CheckpointManager(env, "j", nonce=nonce)
@@ -297,7 +295,7 @@ class TestRestoreRebalanced:
         return cluster.pfs
 
     def restore_with(self, pfs, nprocs, nonce="j"):
-        cfg = _elastic_cfg()
+        cfg = CFG
 
         def job(env):
             ckpt = CheckpointManager(env, "j", nonce=nonce)
@@ -333,10 +331,8 @@ class TestRestoreRebalanced:
         # A 4-rank save that died between data and markers must not be
         # restorable by a smaller gang as a "complete" checkpoint, even
         # though a valid prefix of partitions exists.
-        from repro.ft.faults import FaultPlan
-
-        cfg = _elastic_cfg()
-        faults = FaultPlan().fail_at("ckpt:shuffle:precommit", 2)
+        cfg = CFG
+        faults = ChaosPlan().fail_at("ckpt:shuffle:precommit", 2)
 
         def dying_save(env):
             ckpt = CheckpointManager(env, "j", nonce="j", faults=faults)
@@ -434,7 +430,7 @@ class TestRunElastic:
     def test_chaos_membership_sweep_converges(self):
         expected = self.baseline()
         for seed in range(4):
-            plan = ChaosPlan.random(seed, 4, tags=ELASTIC_TAGS,
+            plan = ChaosPlan.random(seed, 4, tags=CHAOS_TAGS,
                                     membership=True)
             res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
                               faults=plan, job_id="chaos",

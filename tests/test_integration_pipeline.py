@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
-from repro.ft import CheckpointManager, FaultPlan, run_with_recovery
+from repro.ft import ChaosPlan, CheckpointManager, run_with_recovery
 from repro.mpi import COMET
 
 CFG = MimirConfig(page_size=4096, comm_buffer_size=4096,
@@ -34,7 +34,7 @@ def fold(key, a, b):
     return pack_u64(unpack_u64(a) + unpack_u64(b))
 
 
-def pipeline(env, ckpt: CheckpointManager, faults: FaultPlan):
+def pipeline(env, ckpt: CheckpointManager, faults: ChaosPlan):
     mimir = Mimir(env, CFG)
 
     # Stage 1: word counts over the document directory (compressed),
@@ -84,7 +84,7 @@ def test_pipeline_survives_mid_job_failure():
     cluster = Cluster(COMET, nprocs=4, memory_limit=None)
     for path, data in PARTS.items():
         cluster.pfs.store(path, data)
-    plan = FaultPlan().fail_at("after_stage1", 2)
+    plan = ChaosPlan().fail_at("after_stage1", 2)
     ft = run_with_recovery(cluster, pipeline, faults=plan)
     assert ft.attempts == 2
     assert cluster.pfs.fetch("out/histogram.txt") == expected_report()
@@ -96,7 +96,7 @@ def test_pipeline_leaves_no_memory_behind():
         cluster.pfs.store(path, data)
 
     def job(env):
-        pipeline(env, CheckpointManager(env, "leak"), FaultPlan())
+        pipeline(env, CheckpointManager(env, "leak"), ChaosPlan())
         return env.tracker.current
 
     assert cluster.run(job).returns == [0, 0, 0]

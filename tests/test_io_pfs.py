@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.io import ParallelFileSystem
+from repro.storage import ParallelFileSystem
 from repro.mpi import PFSModel, World
 from repro.mpi.comm import SimComm
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.io import ParallelFileSystem, SpillReader, SpillWriter
+from repro.io import SpillReader, SpillWriter
+from repro.storage import ParallelFileSystem
 from repro.mpi import PFSModel
 from repro.mpi.comm import SimComm
 

@@ -5,6 +5,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.io import split_blocks, split_range, split_text
+from repro.io.splits import PROBE_WINDOW, split_text_file
+from repro.storage import BACKENDS, make_backend
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def scalar_split_text(data, rank, size):
+    """The byte-at-a-time scan over the whole input that the windowed
+    probes replaced; kept as the reference."""
+    start, nominal_end = split_range(len(data), rank, size)
+
+    def snap(pos):
+        if pos == 0 or pos >= len(data):
+            return min(pos, len(data))
+        while pos < len(data) and data[pos] not in _WHITESPACE:
+            pos += 1
+        return min(pos + 1, len(data)) if pos < len(data) else len(data)
+
+    return snap(start), max(snap(start), snap(nominal_end))
+
+
+#: Text whose words run from empty to several probe windows long.
+texts = st.lists(
+    st.one_of(st.sampled_from([bytes([b]) for b in _WHITESPACE]),
+              st.binary(max_size=12),
+              st.integers(1, 3 * PROBE_WINDOW).map(lambda n: b"w" * n)),
+    max_size=12).map(b"".join)
 
 
 class TestSplitRange:
@@ -65,6 +92,49 @@ class TestSplitText:
             collected.append(data[s:e])
         # The single word must appear exactly once in total.
         assert b"".join(collected) == data
+
+
+class TestSplitsAgainstScalarReference:
+    @given(texts, st.integers(1, 9))
+    def test_in_memory_and_stored_splits_equal_the_scan(self, data, size):
+        store = make_backend("pfs")
+        store.store("in/t", data)
+        for rank in range(size):
+            want = scalar_split_text(data, rank, size)
+            assert split_text(data, rank, size) == want
+            assert split_text_file(store, "in/t", rank, size) == want
+
+    @pytest.mark.parametrize("spec", BACKENDS)
+    def test_probes_are_bounded_uncharged_and_unfaulted(self, spec):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"a split probe touched chaos.{name}")
+
+        store = make_backend(spec)
+        store.wire(Untouchable(), None)
+        data = b"w" * (2 * PROBE_WINDOW + 7) + b" tail " + b"v" * 900
+        store.store("in/t", data)
+        sizes = []
+        fetch = store.fetch
+
+        def spy(*args):
+            sizes.append(len(fetch(*args)))
+            return fetch(*args)
+
+        store.fetch = spy
+        spans = [split_text_file(store, "in/t", r, 3) for r in range(3)]
+        assert spans == [scalar_split_text(data, r, 3) for r in range(3)]
+        assert sizes and max(sizes) <= PROBE_WINDOW
+        assert store.stats.reads == 0 and store.stats.bytes_read == 0
+
+    def test_bounded_fetch_slices_like_read(self):
+        store = make_backend("pfs")
+        store.store("f", b"0123456789")
+        assert store.fetch("f") == b"0123456789"
+        assert store.fetch("f", 3) == b"3456789"
+        assert store.fetch("f", 3, 4) == b"3456"
+        assert store.fetch("f", 8, 100) == b"89"
+        assert store.fetch("f", 10, 4) == b""
 
 
 class TestSplitBlocks:

@@ -35,8 +35,9 @@ def wc_reduce(ctx, key, values):
     ctx.emit(key, pack_u64(sum(unpack_u64(v) for v in values)))
 
 
-def run_wordcount(nprocs=3, trace=None):
-    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
+def run_wordcount(nprocs=3, trace=None, storage=None):
+    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None,
+                      storage=storage)
     cluster.pfs.store("t.txt", TEXT)
 
     def job(env):
@@ -123,7 +124,9 @@ class TestRegistry:
 
 class TestWiring:
     def test_core_and_mpi_and_io_metrics_emitted(self):
-        cluster = run_wordcount(nprocs=3)
+        # The PFS reports under the one storage.* namespace too.
+        cluster = run_wordcount(nprocs=3, storage="pfs")
+        assert cluster.pfs.name == "pfs"
         totals = cluster.metrics.totals()
         assert totals["core.map.records"] == len(TEXT.split())
         assert totals["core.map.kv_bytes"] > 0
@@ -131,8 +134,8 @@ class TestWiring:
         assert totals["mpi.alltoallv.rounds"] >= 3   # one per rank
         assert totals["mpi.alltoallv.bytes"] > 0
         assert totals["mpi.collectives"] > 0
-        assert totals["io.pfs.reads"] >= 3  # >= one chunk read per rank
-        assert totals["io.pfs.bytes_read"] > 0
+        assert totals["storage.reads"] >= 3  # >= one chunk read per rank
+        assert totals["storage.bytes_read"] > 0
         assert totals["core.phase.seconds"]["count"] == 6  # 2 phases x 3
 
     def test_by_rank_breakdown(self):
@@ -198,16 +201,16 @@ class TestWiring:
         assert totals["ft.checkpoint.restores"] == 2
         assert totals["ft.faults.injected"] == 1
         # Every injected transient error was absorbed by a retry.
-        assert totals["io.pfs.retries"] >= totals["ft.faults.injected"]
-        assert totals["io.pfs.writes"] >= 4  # data + marker per rank
+        assert totals["storage.retries"] >= totals["ft.faults.injected"]
+        assert totals["storage.writes"] >= 4  # data + marker per rank
 
     def test_restart_metric(self):
-        from repro.ft.faults import FaultPlan
+        from repro.ft import ChaosPlan
         from repro.ft.runner import run_with_recovery
 
         cluster = Cluster(COMET, nprocs=2, memory_limit=None)
         cluster.pfs.store("t.txt", TEXT)
-        plan = FaultPlan().fail_at("mid", 1)
+        plan = ChaosPlan().fail_at("mid", 1)
 
         def job(env, ckpt, faults):
             mimir = Mimir(env, CFG)

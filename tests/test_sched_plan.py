@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import KVLayout, MimirConfig, pack_u64, unpack_u64
-from repro.ft import FaultPlan, run_with_recovery
+from repro.ft import ChaosPlan, run_with_recovery
 from repro.mpi import COMET
 from repro.sched import Plan, PlanRunner, StageCache
 
@@ -217,7 +217,7 @@ class TestStageCheckpoint:
             attempts.append((env.comm.rank, dict(runner.stage_counts)))
             return out
 
-        plan = FaultPlan().fail_at("after-sum", 1)
+        plan = ChaosPlan().fail_at("after-sum", 1)
         ft = run_with_recovery(make_cluster(), job, faults=plan,
                                job_id="sched-ckpt")
         assert ft.attempts == 2

@@ -5,7 +5,7 @@ bit-identically."""
 import pytest
 
 from repro.cluster import Cluster
-from repro.ft.faults import SimulatedRankFailure
+from repro.ft import SimulatedRankFailure
 from repro.ft.injection import ChaosPlan
 from repro.mpi import COMET, RankFailedError
 from repro.sched.demo import stage_inputs

@@ -19,8 +19,6 @@ from repro.core.errors import ConfigError
 from repro.ft.chaos import chaos_wordcount, make_wordcount_cluster, \
     run_chaos_sweep
 from repro.ft.runner import run_with_recovery
-from repro.io.errors import PFSFileNotFoundError, TransientIOError, retrying
-from repro.io.pfs import ParallelFileSystem
 from repro.mpi import COMET
 from repro.sched import StageCache
 from repro.serve.catalog import merge_output, run_direct
@@ -28,10 +26,16 @@ from repro.serve.daemon import ServeDaemon
 from repro.storage import (
     BACKENDS,
     ExternalSortBackend,
+    ParallelFileSystem,
     ShardedKVBackend,
     default_backend_name,
     external_sort_file,
     make_backend,
+)
+from repro.storage.errors import (
+    PFSFileNotFoundError,
+    TransientIOError,
+    retrying,
 )
 
 backend_param = pytest.mark.parametrize("spec", BACKENDS)
@@ -145,11 +149,10 @@ class TestProtocolSemantics:
         backend.write(comm, "f", b"data")
         backend.read(comm, "f")
         totals = backend.metrics.totals()
-        prefix = "io.pfs" if spec == "pfs" else "storage"
-        assert totals[f"{prefix}.reads"] == 1
-        assert totals[f"{prefix}.writes"] == 1
-        assert totals[f"{prefix}.bytes_read"] == 4
-        assert totals[f"{prefix}.bytes_written"] == 4
+        assert totals["storage.reads"] == 1
+        assert totals["storage.writes"] == 1
+        assert totals["storage.bytes_read"] == 4
+        assert totals["storage.bytes_written"] == 4
 
     def test_factory_and_env_default(self, monkeypatch):
         assert type(make_backend("pfs")) is ParallelFileSystem
@@ -423,6 +426,65 @@ class TestStageCacheStorage:
         cluster = Cluster(COMET, nprocs=1, memory_limit="64K",
                           storage=spec)
         cluster.run(job)
+
+
+class TestCompanionWiring:
+    """One ``wire`` call covers a backend and every companion, born
+    before or after it (both directions were stale before)."""
+
+    @staticmethod
+    def _append_on_kv(env, ckpt=None, faults=None):
+        kv = env.storage_for("kv")
+        try:
+            kv.append(env.comm, "spill/probe", b"x")
+        except TransientIOError:
+            return "injected"
+        return "clean"
+
+    def test_companion_follows_later_plans_and_their_removal(self):
+        from repro.ft.injection import ChaosPlan
+
+        cluster = Cluster(COMET, nprocs=1, memory_limit=None, storage="pfs")
+        # Born on a clean launch ...
+        assert cluster.run(self._append_on_kv).returns == ["clean"]
+        companion = cluster.pfs.companion("kv")
+        assert companion.metrics is cluster.metrics
+        # ... injected by a plan installed afterwards ...
+        plan = ChaosPlan(seed=1, io_error_rate=1.0, max_faults=1)
+        ft = run_with_recovery(cluster, self._append_on_kv, faults=plan)
+        assert ft.result.returns == ["injected"]
+        assert plan.counts() == {"transient-io": 1}
+        # ... and clean again once the loop has uninstalled it.
+        hot = ChaosPlan(seed=2, io_error_rate=1.0, max_faults=100)
+        run_with_recovery(cluster, self._append_on_kv, faults=hot)
+        assert cluster.run(self._append_on_kv).returns == ["clean"]
+        assert companion.chaos is None and cluster.pfs.chaos is None
+
+    def test_companion_born_under_a_plan_is_wired_at_birth(self):
+        from repro.ft.injection import ChaosPlan
+
+        plan = ChaosPlan(seed=1, io_error_rate=1.0, max_faults=1)
+        cluster = Cluster(COMET, nprocs=1, memory_limit=None,
+                          storage="pfs", chaos=plan)
+        assert cluster.run(self._append_on_kv).returns == ["injected"]
+        assert cluster.pfs.companion("kv").chaos is plan
+
+
+class TestImportOrder:
+    """The substrate is one package now: no module needs another to
+    have been imported first."""
+
+    @pytest.mark.parametrize("module", [
+        "repro.storage.pfs", "repro.io.readers", "repro.cluster",
+        "repro.ft", "repro.storage", "repro.io.spill"])
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPerJobSpillRedirect:

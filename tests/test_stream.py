@@ -12,7 +12,7 @@ from functools import partial
 import pytest
 
 from repro.cluster import Cluster
-from repro.ft.faults import FaultPlan
+from repro.ft import ChaosPlan
 from repro.ft.runner import run_with_recovery
 from repro.mpi import COMET
 from repro.sched import PlanRunner, StageCache
@@ -243,7 +243,7 @@ class TestKillResume:
         # checkpointed and continues - output matches the twin.
         stream = make_doc_stream(seed=2)
         cluster = make_cluster()
-        plan = FaultPlan().fail_at("batch3", 1)
+        plan = ChaosPlan().fail_at("batch3", 1)
 
         def job(env, ckpt, faults):
             scenario = StreamWordCount(env, config=DEMO_CONFIG)
