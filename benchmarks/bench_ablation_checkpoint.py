@@ -31,7 +31,8 @@ def make_job(checkpoint: bool):
     def job(env, ckpt, faults):
         mimir = Mimir(env, CFG)
         if checkpoint and ckpt.has("shuffle"):
-            kvs = ckpt.load_kvc("shuffle", CFG.layout, CFG.page_size)
+            kvs = ckpt.load_kvc(
+                "shuffle", mimir.container(CFG.layout, "kv_restored"))
         else:
             kvs = mimir.map_text_file("input/wc_uniform.txt", wc_map)
             if checkpoint:

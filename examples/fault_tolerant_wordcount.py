@@ -34,7 +34,10 @@ def job(env, ckpt, faults):
     if ckpt.has("shuffle"):
         if env.comm.rank == 0:
             print("  [restart] shuffle checkpoint found - skipping map")
-        kvs = ckpt.load_kvc("shuffle", CFG.layout, CFG.page_size)
+        # Refill a container this job made: it keeps the job's page
+        # size, spill store and out-of-core setting.
+        kvs = ckpt.load_kvc(
+            "shuffle", mimir.container(CFG.layout, "kv_restored"))
     else:
         kvs = mimir.map_text_file("input/words.txt", wc_map)
         ckpt.save_kvc("shuffle", kvs)

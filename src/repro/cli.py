@@ -244,10 +244,13 @@ def cmd_submit(args) -> int:
             # The catalog takes bool() of a flag: "false" must not be truthy.
             params[key] = value.lower() == "true"
             continue
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
+        params[key] = value
+        for number in (int, float):
+            try:
+                params[key] = number(value)
+                break
+            except ValueError:
+                pass
     client = _serve_client(args)
     doc = client.submit(args.app, args.input, params=params,
                         priority=args.priority, footprint=args.footprint)

@@ -155,7 +155,7 @@ class Mimir:
                  out_tag: str) -> KVContainer:
         """Shared skeleton: feed records through (combiner ->) shuffler."""
         stream_layout = layout or self.config.layout
-        out = self._container(
+        out = self.container(
             stream_layout, out_tag, codec_env=self.env,
             codec=get_codec(self.config.codec, stream_layout))
         with self._phase("map+aggregate") as phase:
@@ -179,8 +179,10 @@ class Mimir:
                                    "core.map.rounds": shuffler.rounds})
         return out
 
-    def _container(self, layout: KVLayout, tag: str, **codec) -> KVContainer:
-        """A container of this job: spill-backed under ``out_of_core``."""
+    def container(self, layout: KVLayout, tag: str, **codec) -> KVContainer:
+        """An empty container of this job: its page size, spill-backed
+        on its spill store under ``out_of_core``.  What a checkpoint
+        restore or any other refill of this job's data fills."""
         return KVContainer(
             self.env.tracker, layout, self.config.page_size, tag=tag,
             spill_env=self.env if self.config.out_of_core else None,
@@ -207,7 +209,7 @@ class Mimir:
         """
         if consume:
             return kvc
-        scratch = self._container(kvc.layout, tag)
+        scratch = self.container(kvc.layout, tag)
         for batch in kvc.batches():
             scratch.extend_encoded(batch.data)
         self.env.charge_compute(scratch.nbytes)
@@ -349,7 +351,7 @@ class Mimir:
         self.env.comm.barrier()
         with self._phase("convert+reduce") as phase:
             source = self._reusable(kvc, consume, "kv_regroup")
-            out = self._container(out_layout or KVLayout(), out_tag)
+            out = self.container(out_layout or KVLayout(), out_tag)
             ctx = ReduceContext(out)
             reduced_bytes = 0
             reduced_keys = 0

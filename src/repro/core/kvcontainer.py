@@ -245,6 +245,14 @@ class KVContainer:
         for page in self.pages:
             yield KVBatch(page.data, self.layout, page.used)
 
+    def chunks(self) -> Iterator[bytes]:
+        """Non-destructive twin of :meth:`consume_chunks`: every packed
+        run the container holds, whichever tier holds it, as ``bytes``
+        in record order.  The one way a container's records leave it
+        for storage (checkpoints, cache eviction); allowed while
+        pinned."""
+        return (batch.data for batch in self.batches())
+
     def records(self) -> Iterator[tuple[bytes, bytes]]:
         """Non-destructive iteration over all records.
 

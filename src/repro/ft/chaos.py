@@ -60,7 +60,8 @@ def chaos_wordcount(env, ckpt, faults):
     faults.check("start", env.comm.rank)
 
     if ckpt.has("shuffle"):
-        kvs = ckpt.load_kvc("shuffle", CFG.layout, CFG.page_size)
+        kvs = ckpt.load_kvc(
+            "shuffle", mimir.container(CFG.layout, "kv_restored"))
     else:
         kvs = mimir.map_text_file(INPUT_PATH, wc_map)
         ckpt.save_kvc("shuffle", kvs)
@@ -78,10 +79,11 @@ def elastic_wordcount(env, ckpt, ctx):
     with :func:`global_counts` - membership changes re-partition keys,
     so only the merged multiset is invariant.
     """
+    mimir = Mimir(env, CFG)
     ctx.probe(env, "start")
 
-    kvs = restore_rebalanced(env, ckpt, "shuffle", layout=CFG.layout,
-                             page_size=CFG.page_size)
+    kvs = restore_rebalanced(
+        env, ckpt, "shuffle", mimir.container(CFG.layout, "kv_rebalanced"))
     if kvs is None:
         kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=CFG,
                               policy=ctx.policy, stage_key="map",
@@ -90,7 +92,7 @@ def elastic_wordcount(env, ckpt, ctx):
         ctx.probe(env, "after_shuffle")
         ctx.maybe_evict(env, "post-map")
 
-    out = Mimir(env, CFG).partial_reduce(kvs, wc_combine)
+    out = mimir.partial_reduce(kvs, wc_combine)
     ctx.probe(env, "after_reduce")
     return _sorted_counts(out)
 

@@ -4,8 +4,8 @@ A checkpoint of a phase is the concatenated encoded records of each
 rank's output KVC, written to ``ckpt/<job>/<phase>.<rank>``, plus a
 per-rank completion marker written *after* a barrier - so a marker's
 existence proves every rank's data reached the PFS.  Loading a
-checkpoint replays the bytes into a fresh KVC (charging PFS reads),
-exactly what a restarted rank would do.
+checkpoint replays the bytes into an empty KVC the job made (charging
+PFS reads), exactly what a restarted rank would do.
 
 Checkpoints are **never trusted blindly**.  Every file (data and
 marker) is length-framed with a format-version header, stamped with
@@ -31,7 +31,6 @@ import zlib
 
 from repro.cluster import RankEnv
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import KVLayout
 from repro.storage.errors import retrying
 
 #: On-disk format: magic, version, and the fixed header tails.
@@ -314,7 +313,7 @@ class CheckpointManager:
         ``save_kvc`` returns *anywhere*, every marker is on the PFS -
         a later failure cannot leave a half-committed checkpoint.
         """
-        self._save(phase, b"".join(bytes(page.view) for page in kvc.pages))
+        self._save(phase, b"".join(kvc.chunks()))
 
     def save_state(self, phase: str, state: object) -> None:
         """Persist small picklable control state (e.g. loop counters)."""
@@ -330,14 +329,12 @@ class CheckpointManager:
         self.env.metrics.inc("ft.checkpoint.restores")
         return unframe(blob, self.nonce)
 
-    def load_kvc(self, phase: str, layout: KVLayout | None = None,
-                 page_size: int = 64 * 1024,
-                 tag: str = "kv_restored") -> KVContainer:
-        """Rebuild this rank's KVC from a completed checkpoint."""
-        data = self._load(phase)
-        kvc = KVContainer(self.env.tracker, layout, page_size, tag=tag)
-        kvc.extend_encoded(data)
-        return kvc
+    def load_kvc(self, phase: str, into: KVContainer) -> KVContainer:
+        """Refill ``into`` - an empty container its job made (see
+        :meth:`repro.core.job.Mimir.container`) - with this rank's
+        records of a completed checkpoint; returns it."""
+        into.extend_encoded(self._load(phase))
+        return into
 
     def load_state(self, phase: str) -> object:
         return pickle.loads(self._load(phase))

@@ -510,12 +510,12 @@ class StragglerEvicted(SimulatedRankFailure):
         self.args = (f"straggler rank {rank} evicted at {tag!r}",)
 
 
-def restore_rebalanced(env: RankEnv, ckpt: CheckpointManager, phase: str, *,
-                       layout: KVLayout | None = None,
-                       page_size: int = 64 * 1024,
+def restore_rebalanced(env: RankEnv, ckpt: CheckpointManager, phase: str,
+                       into: KVContainer, *,
                        partitioner: Callable[[bytes, int], int] | None = None,
-                       tag: str = "kv_rebalanced") -> KVContainer | None:
-    """Load a phase checkpoint across a membership change, or ``None``.
+                       ) -> KVContainer | None:
+    """Load a phase checkpoint across a membership change into ``into``
+    (an empty container the job made), or return ``None``.
 
     The shard re-balancing step: a checkpoint written by ``n`` ranks
     is discovered (:meth:`CheckpointManager.partition_count` - free
@@ -528,14 +528,14 @@ def restore_rebalanced(env: RankEnv, ckpt: CheckpointManager, phase: str, *,
     the markers committed) - the caller recomputes from lineage.
     """
     comm = env.comm
-    layout = layout or KVLayout()
+    layout = into.layout
     part_fn = partitioner or default_partitioner
     old_n = ckpt.partition_count(phase)
     agreed = comm.allreduce(old_n, min)
     if agreed == 0:
         return None
     if agreed == comm.size:
-        return ckpt.load_kvc(phase, layout, page_size, tag=tag)
+        return ckpt.load_kvc(phase, into)
 
     lo, hi = split_range(agreed, comm.rank, comm.size)
     sends = [bytearray() for _ in range(comm.size)]
@@ -547,12 +547,10 @@ def restore_rebalanced(env: RankEnv, ckpt: CheckpointManager, phase: str, *,
             sends[part_fn(key, comm.size)] += record
             moved += len(record)
     env.charge_compute(moved)
-    received = comm.alltoallv(sends)
-    out = KVContainer(env.tracker, layout, page_size, tag=tag)
-    for buf in received:
-        out.extend_encoded(buf)
+    for buf in comm.alltoallv(sends):
+        into.extend_encoded(buf)
     env.metrics.inc("ft.checkpoint.restores")
-    return out
+    return into
 
 
 @dataclass

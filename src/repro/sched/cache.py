@@ -16,23 +16,25 @@ collective coordination.  A *hard* :meth:`drop` discards an entry
 entirely; the runner then recomputes it from lineage, which involves
 collectives, so drops must be performed on every rank together.
 
-Eviction and reload speak the :class:`~repro.storage.base.
-StorageBackend` protocol only: transient faults are absorbed by
-:func:`~repro.storage.errors.retrying` (an eviction under chaos retries
-instead of killing the launch), and the spill path is deleted before
-eviction writes to it - a recompute after a :meth:`drop` that left a
-stale spill file behind (e.g. a drop issued before the cache was
-attached to an environment) must not append behind the stale bytes.
+Eviction reads the container through :meth:`~repro.core.kvcontainer.
+KVContainer.chunks` (every tier it holds) into a :class:`~repro.io.
+spill.SpillWriter` stream and reload refills the entry's *own* emptied
+container from that stream, so the cache knows neither where a
+container keeps its records nor how to build one.  Transient faults are
+absorbed per chunk by :func:`~repro.storage.errors.retrying` (an
+eviction under chaos retries instead of killing the launch), and a
+stale file at the deterministic spill path is discarded before eviction
+writes to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster import RankEnv
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import KVLayout
+from repro.io.spill import SpillWriter
 from repro.storage.errors import retrying
 
 
@@ -43,19 +45,16 @@ class CacheEntry:
     key: str
     name: str
     job: str
-    kvc: KVContainer | None
-    layout: KVLayout
-    page_size: int
-    tag: str
+    #: The stage's own container; emptied, never replaced, by eviction.
+    kvc: KVContainer
     tick: int = 0
     nbytes: int = 0
-    #: Storage location + chunk table when evicted from memory.
-    spill_path: str | None = None
-    spill_chunks: list[tuple[int, int]] = field(default_factory=list)
+    #: The spill stream holding the records while evicted from memory.
+    spill: SpillWriter | None = None
 
     @property
     def resident(self) -> bool:
-        return self.kvc is not None
+        return self.spill is None
 
 
 @dataclass
@@ -117,8 +116,7 @@ class StageCache:
 
     @property
     def resident_bytes(self) -> int:
-        return sum(e.kvc.memory_bytes for e in self.entries.values()
-                   if e.kvc is not None)
+        return sum(e.kvc.memory_bytes for e in self.entries.values())
 
     # ------------------------------------------------------------ access
 
@@ -126,8 +124,6 @@ class StageCache:
             job: str) -> None:
         """Adopt a materialized container (cache takes ownership)."""
         entry = CacheEntry(key=key, name=name, job=job, kvc=kvc,
-                           layout=kvc.layout,
-                           page_size=kvc.pool.page_size, tag=kvc.tag,
                            nbytes=kvc.nbytes)
         self._touch(entry)
         self.entries[key] = entry
@@ -139,7 +135,7 @@ class StageCache:
             self.stats.misses += 1
             raise KeyError(key)
         self._touch(entry)
-        if entry.kvc is None:
+        if entry.spill is not None:
             self._reload(entry)
         self.stats.hits += 1
         self._metric("sched.cache.hits")
@@ -147,36 +143,23 @@ class StageCache:
 
     # ---------------------------------------------------------- eviction
 
-    def _spill_path(self, entry: CacheEntry) -> str:
-        return f"spill/cache_{entry.key}.{self.rank}"
-
     def _evict(self, entry: CacheEntry) -> int:
-        """Write one resident entry's pages to storage and free them.
+        """Stream one resident entry's records to storage and empty it.
 
         The spill path is deterministic (stage key + rank), so a stale
-        file from an earlier incarnation of the same key - dropped
-        while spilled with no environment attached, or abandoned by a
-        killed launch - may still exist.  It is deleted first; the
-        chunk table must describe exactly the bytes written *now*, and
+        file from an earlier incarnation of the same key - abandoned by
+        a killed launch, say - may still exist.  It is discarded first:
         appending behind stale bytes would leak them forever.
         """
         env = self.env
-        assert env is not None and entry.kvc is not None
-        path = self._spill_path(entry)
-        env.pfs.delete(path)
-        chunks: list[tuple[int, int]] = []
-        for page in entry.kvc.pages:
-            payload = bytes(page.view)
-            if not payload:
-                continue
-            offset = retrying(
-                env.comm, lambda: env.pfs.append(env.comm, path, payload))
-            chunks.append((offset, len(payload)))
+        assert env is not None and entry.spill is None
+        spill = SpillWriter(env.pfs, env.comm, f"cache_{entry.key}")
+        spill.discard()
+        for chunk in entry.kvc.chunks():
+            retrying(env.comm, lambda: spill.write_chunk(chunk))
         freed = entry.kvc.memory_bytes
         entry.kvc.free()
-        entry.kvc = None
-        entry.spill_path = path
-        entry.spill_chunks = chunks
+        entry.spill = spill
         self.stats.evictions += 1
         self._metric("sched.cache.evictions")
         self._emit("evict", f"{entry.name}:spilled", job=entry.job,
@@ -184,21 +167,14 @@ class StageCache:
         return freed
 
     def _reload(self, entry: CacheEntry) -> None:
-        """Stream a spilled entry back into a fresh container."""
+        """Stream a spilled entry back into its own emptied container."""
         env = self.env
-        assert env is not None and entry.spill_path is not None
-        kvc = KVContainer(env.tracker, entry.layout, entry.page_size,
-                          tag=entry.tag)
-        for offset, length in entry.spill_chunks:
-            chunk = retrying(
-                env.comm,
-                lambda: env.pfs.read(env.comm, entry.spill_path,
-                                     offset, length))
-            kvc.extend_encoded(chunk)
-        env.pfs.delete(entry.spill_path)
-        entry.kvc = kvc
-        entry.spill_path = None
-        entry.spill_chunks = []
+        assert env is not None and entry.spill is not None
+        reader = entry.spill.reader()
+        while reader.remaining:
+            entry.kvc.extend_encoded(retrying(env.comm, reader.__next__))
+        entry.spill.discard()
+        entry.spill = None
         self.stats.reloads += 1
         self._metric("sched.cache.reloads")
 
@@ -214,7 +190,7 @@ class StageCache:
             return 0
         freed = 0
         victims = sorted((e for e in self.entries.values()
-                          if e.kvc is not None and not e.kvc.pins
+                          if e.spill is None and not e.kvc.pins
                           and not e.kvc.spilled),
                          key=lambda e: e.tick)
         for entry in victims:
@@ -232,13 +208,12 @@ class StageCache:
         entry = self.entries.pop(key, None)
         if entry is None:
             return
-        if entry.kvc is not None:
-            # An abandoned launch (OOM abort) can leave stale pins; a
-            # hard drop discards the entry regardless.
-            entry.kvc.pins = 0
-            entry.kvc.free()
-        elif entry.spill_path is not None and self.env is not None:
-            self.env.pfs.delete(entry.spill_path)
+        # An abandoned launch (OOM abort) can leave stale pins; a hard
+        # drop discards the entry regardless.
+        entry.kvc.pins = 0
+        entry.kvc.free()
+        if entry.spill is not None:
+            entry.spill.discard()
         self.stats.drops += 1
         self._emit("evict", f"{entry.name}:dropped", job=entry.job,
                    key=entry.key, nbytes=entry.nbytes)

@@ -25,6 +25,8 @@ consumer still finds them intact.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.cluster import RankEnv
@@ -56,7 +58,7 @@ class PlanRunner:
         #: Times each stage *name* actually executed (restores and
         #: cache hits do not count) - the observable that recompute
         #: and stage-skip tests assert on.
-        self.stage_counts: dict[str, int] = {}
+        self.stage_counts: Counter[str] = Counter()
         if cache is not None and cache.env is not env:
             cache.attach(env, trace)
 
@@ -83,9 +85,8 @@ class PlanRunner:
         kvc = None
         if self.checkpoint is not None and stage.checkpointed \
                 and self.checkpoint.has(key):
-            kvc = self.checkpoint.load_kvc(
-                key, self._layout_of(stage), self.plan.config.page_size,
-                tag=f"kv_{stage.name}")
+            kvc = self.checkpoint.load_kvc(key, self.mimir.container(
+                self._layout_of(stage), f"kv_{stage.name}"))
         if kvc is None:
             kvc = self._execute(stage)
             if self.checkpoint is not None and stage.checkpointed:
@@ -107,22 +108,30 @@ class PlanRunner:
 
     # ----------------------------------------------------------- execute
 
-    def _input(self, stage: Stage) -> tuple[KVContainer, bool]:
-        """Materialized stage + whether its reader must leave it intact."""
+    @contextmanager
+    def _reading(self, stage: Stage) -> Iterator[tuple[KVContainer, bool]]:
+        """Materialize ``stage`` for one reader: its container and
+        whether the reader may consume it.  A container the cache owns
+        stays pinned while it is read and must be left intact."""
         kvc = self.materialize(stage)
         preserved = stage.cached and self.cache is not None
-        return kvc, preserved
+        if preserved:
+            kvc.pin()
+        try:
+            yield kvc, not preserved
+        finally:
+            if preserved:
+                kvc.unpin()
 
     def _execute(self, stage: Stage) -> KVContainer:
         runner = getattr(self, f"_run_{stage.op}", None)
         if runner is None:
             raise ValueError(
-                f"stage {stage.name!r}: op {stage.op!r} cannot be "
-                "materialized directly (feed it to a map)")
+                f"stage {stage.name!r} ({stage.op}) is a raw input with "
+                "no KV output of its own - map it first")
         started = self.env.comm.clock.time
         out = runner(stage)
-        self.stage_counts[stage.name] = \
-            self.stage_counts.get(stage.name, 0) + 1
+        self.stage_counts[stage.name] += 1
         self.env.metrics.inc("sched.stages.executed")
         if self.elastic is not None and stage.key not in self._speculated:
             # Collective: every rank executes the same stage schedule,
@@ -167,84 +176,42 @@ class PlanRunner:
                                  len(batch.records))
             return self.mimir.map_items(batch.payloads(), stage.fn,
                                         **common)
-        kvc, preserved = self._input(parent)
-        if preserved:
-            kvc.pin()
-        try:
+        with self._reading(parent) as (kvc, consume):
             return self.mimir.map_kvs(kvc, stage.fn, **common,
-                                      consume=not preserved)
-        finally:
-            if preserved:
-                kvc.unpin()
-
-    def _kv_parent(self, stage: Stage) -> tuple[KVContainer, bool]:
-        parent = stage.parents[0]
-        if parent.op in ("read_text", "read_binary", "source",
-                         "source_stream"):
-            raise ValueError(
-                f"stage {stage.name!r} ({stage.op}) needs a KV parent; "
-                f"{parent.name!r} is a raw input - map it first")
-        return self._input(parent)
+                                      consume=consume)
 
     def _run_reduce(self, stage: Stage) -> KVContainer:
-        kvc, preserved = self._kv_parent(stage)
-        if preserved:
-            kvc.pin()
-        try:
+        with self._reading(stage.parents[0]) as (kvc, consume):
             return self.mimir.reduce(
                 kvc, stage.fn, out_layout=stage.params.get("out_layout"),
-                out_tag=f"kv_{stage.name}", consume=not preserved)
-        finally:
-            if preserved:
-                kvc.unpin()
+                out_tag=f"kv_{stage.name}", consume=consume)
 
     def _run_partial_reduce(self, stage: Stage) -> KVContainer:
-        kvc, preserved = self._kv_parent(stage)
-        if preserved:
-            kvc.pin()
-        try:
+        with self._reading(stage.parents[0]) as (kvc, consume):
             return self.mimir.partial_reduce(
                 kvc, stage.fn, out_layout=stage.params.get("out_layout"),
-                out_tag=f"kv_{stage.name}", consume=not preserved)
-        finally:
-            if preserved:
-                kvc.unpin()
+                out_tag=f"kv_{stage.name}", consume=consume)
 
     def _run_sort_local(self, stage: Stage) -> KVContainer:
-        kvc, preserved = self._kv_parent(stage)
-        if preserved:
-            kvc.pin()
-        try:
+        with self._reading(stage.parents[0]) as (kvc, consume):
             return self.mimir.sort_local(
                 kvc, by_value=stage.params.get("by_value", False),
                 key_fn=stage.params.get("key_fn"),
-                out_tag=f"kv_{stage.name}", consume=not preserved)
-        finally:
-            if preserved:
-                kvc.unpin()
+                out_tag=f"kv_{stage.name}", consume=consume)
 
     def _run_join(self, stage: Stage) -> KVContainer:
         """Co-group: tag each side, shuffle by key, split in the reduce."""
-        sides = []
-        for tag, parent in zip((b"L", b"R"), stage.parents):
-            kvc, preserved = self._input(parent)
-            sides.append((tag, kvc, preserved))
-            if preserved:
-                kvc.pin()
-        try:
-            def feed(ctx, side):
-                tag, kvc, preserved = side
-                records = kvc.records() if preserved else kvc.consume()
-                for key, value in records:
-                    ctx.emit(key, tag + value)
+        def feed(ctx, side):
+            tag, (kvc, consume) = side
+            for key, value in kvc.consume() if consume else kvc.records():
+                ctx.emit(key, tag + value)
 
+        left, right = stage.parents
+        with self._reading(left) as lhs, self._reading(right) as rhs:
             union = self.mimir.map_items(
-                sides, feed, partitioner=stage.params.get("partitioner"),
+                [(b"L", lhs), (b"R", rhs)], feed,
+                partitioner=stage.params.get("partitioner"),
                 layout=KVLayout(), out_tag=f"kv_{stage.name}_union")
-        finally:
-            for _tag, kvc, preserved in sides:
-                if preserved:
-                    kvc.unpin()
 
         join_fn = stage.fn
 
@@ -263,18 +230,12 @@ class PlanRunner:
         """This rank's records of a dataset: a cache-resident stage is
         read pinned and left intact, any other output is drained, its
         pages freed as the reader advances."""
-        kvc, preserved = self._input(ds.stage)
-        if preserved:
-            kvc.pin()
+        with self._reading(ds.stage) as (kvc, consume):
             try:
-                yield from kvc.records()
+                yield from kvc.consume() if consume else kvc.records()
             finally:
-                kvc.unpin()
-        else:
-            try:
-                yield from kvc.consume()
-            finally:
-                kvc.free()
+                if consume:
+                    kvc.free()
 
     def collect(self, ds: Dataset) -> list[tuple[bytes, bytes]]:
         return list(self.stream(ds))

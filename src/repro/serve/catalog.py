@@ -28,18 +28,22 @@ from repro.cluster import RankEnv
 from repro.sched.executor import PlanRunner
 from repro.sched.scheduler import SchedJob
 
-#: Apps a client may submit, with the params each accepts.
-SERVE_APPS: dict[str, tuple[str, ...]] = {
-    "wordcount": ("hint", "partial", "compress"),
-    "pagerank": ("hint", "iterations", "compress"),
-    "kmeans": ("k", "iterations", "seed"),
-    "bfs": ("hint",),
-    "stream_wordcount": ("window", "nbatches"),
+#: Apps a client may submit, with the type of each param they accept.
+SERVE_APPS: dict[str, dict[str, type]] = {
+    "wordcount": {"hint": bool, "partial": bool, "compress": bool},
+    "pagerank": {"hint": bool, "iterations": int, "compress": bool},
+    "kmeans": {"k": int, "iterations": int, "seed": int},
+    "bfs": {"hint": bool},
+    "stream_wordcount": {"window": float, "nbatches": int},
 }
 
 
 def check_params(app: str, params: dict[str, Any]) -> dict[str, Any]:
-    """Validate a submission's app + params; returns normalized params."""
+    """Validate a submission's app + params; returns a copy of them.
+
+    A value of the wrong type is refused, never coerced: ``"false"``
+    for a flag would be ``True`` by the time the app saw it.
+    """
     if app not in SERVE_APPS:
         raise ValueError(f"unknown app {app!r}; catalog: "
                          f"{', '.join(sorted(SERVE_APPS))}")
@@ -48,6 +52,14 @@ def check_params(app: str, params: dict[str, Any]) -> dict[str, Any]:
     if unknown:
         raise ValueError(f"unknown param(s) {unknown} for {app!r}; "
                          f"allowed: {list(allowed)}")
+    for name, value in params.items():
+        want = allowed[name]
+        # ``type() is``: a bool is an int to ``isinstance``.  A JSON
+        # integer may stand for a float, nothing else for anything else.
+        if type(value) is not want and \
+                not (want is float and type(value) is int):
+            raise ValueError(f"param {name!r} of {app!r} wants "
+                             f"{want.__name__}, got {value!r}")
     return dict(params)
 
 

@@ -153,9 +153,19 @@ class TestServeCommands:
         # "false" kept as a string is truthy under the catalog's bool().
         assert main(["submit", "wordcount", "demo/words.txt", service,
                      "--param", "hint=false", "--param", "partial=TRUE",
-                     "--param", "compress=0", "--wait"]) == 0
+                     "--param", "compress=False", "--wait"]) == 0
         params = json.loads(capsys.readouterr().out)["params"]
-        assert params == {"hint": False, "partial": True, "compress": 0}
+        assert params == {"hint": False, "partial": True, "compress": False}
+        # Numbers stay numbers (a float-typed param has no other spelling).
+        assert main(["submit", "stream_wordcount", "demo/words.txt", service,
+                     "--param", "window=2.5", "--param", "nbatches=2",
+                     "--wait"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params == {"window": 2.5, "nbatches": 2}
+        # A flag takes a boolean only: the service refuses a number.
+        assert main(["submit", "wordcount", "demo/words.txt", service,
+                     "--param", "compress=0"]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == 400
 
     def test_cancel_command(self, service, capsys):
         import json

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
 from repro.core import KMVContainer, KVContainer, KVLayout, RecordTooLargeError
 from repro.core.records import CSTRING
 from repro.memory import MemoryLimitExceeded, MemoryTracker
+from repro.mpi import COMET
+from tests.conftest import container_kinds, tiered_container
 
 
 def make_kvc(page_size=256, layout=None, limit=None):
@@ -228,3 +231,41 @@ def test_property_kvc_preserves_sequence(pairs, page_size):
     tracker = kvc.pool.tracker
     assert list(kvc.consume()) == pairs
     assert tracker.current == 0
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "add_run", "extend_encoded"]),
+              st.lists(st.tuples(st.binary(min_size=1, max_size=8),
+                                 st.binary(max_size=8)),
+                       min_size=1, max_size=12)),
+    max_size=12)
+
+
+@container_kinds
+@settings(max_examples=25, deadline=None)
+@given(ops=_OPS, page_size=st.sampled_from([64, 128]))
+def test_property_chunks_are_the_records_in_order(kind, ops, page_size):
+    """``chunks()`` is every tier, in insertion order, and reads only."""
+    env = Cluster(COMET, nprocs=1, memory_limit=None).run(
+        lambda env: env).returns[0]
+    kvc = tiered_container(env, kind, page_size=page_size)
+    layout, expected = kvc.layout, []
+    for op, pairs in ops:
+        keys, values = zip(*pairs)
+        if op == "add":
+            for key, value in pairs:
+                kvc.add(key, value)
+        elif op == "add_run":
+            kvc.add_run(keys, values)
+        else:
+            kvc.extend_encoded(b"".join(layout.encode_run(keys, values)))
+        expected += layout.encode_run(keys, values)
+    kvc.pin()  # a reader: allowed while pinned, unlike consume_chunks()
+    held = len(kvc), env.tracker.current, kvc.spilled_bytes
+    first = b"".join(kvc.chunks())
+    assert first == b"".join(expected)
+    assert b"".join(kvc.chunks()) == first
+    assert (len(kvc), env.tracker.current, kvc.spilled_bytes) == held
+    kvc.unpin()
+    assert b"".join(kvc.consume_chunks()) == first
+    assert env.tracker.current == 0

@@ -13,6 +13,7 @@ from repro.ft import (
     run_with_recovery,
 )
 from repro.mpi import COMET, RankFailedError
+from tests.conftest import container_kinds, filled_container
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -36,7 +37,8 @@ def checkpointed_wordcount(env, ckpt, faults):
     faults.check("start", env.comm.rank)
 
     if ckpt.has("shuffle"):
-        kvs = ckpt.load_kvc("shuffle", CFG.layout, CFG.page_size)
+        kvs = ckpt.load_kvc(
+            "shuffle", mimir.container(CFG.layout, "kv_restored"))
     else:
         kvs = mimir.map_text_file("t.txt", wc_map)
         ckpt.save_kvc("shuffle", kvs)
@@ -89,13 +91,35 @@ class TestCheckpointManager:
             before = list(kvs.records())
             ckpt.save_kvc("phase", kvs)
             assert ckpt.has("phase")
-            restored = ckpt.load_kvc("phase", CFG.layout, CFG.page_size)
+            restored = ckpt.load_kvc(
+                "phase", mimir.container(CFG.layout, "kv_restored"))
             after = list(restored.records())
             kvs.free()
             restored.free()
             return before == after
 
         assert all(cluster.run(job).returns)
+
+    @container_kinds
+    def test_kvc_roundtrip_every_container_kind(self, kind):
+        """A checkpoint holds every record, whichever tier held it, and
+        comes back into a container of the restoring job."""
+        cluster = make_cluster(2)
+
+        def job(env):
+            ckpt = CheckpointManager(env, "t1k")
+            kvs, pairs = filled_container(env, kind)
+            ckpt.save_kvc("phase", kvs)
+            assert list(kvs.records()) == pairs  # saving reads only
+            config = MimirConfig(page_size=512, out_of_core=True)
+            restored = ckpt.load_kvc(
+                "phase", Mimir(env, config).container(kvs.layout, "kv_back"))
+            assert restored.pool.page_size == 512
+            assert list(restored.consume()) == pairs
+            kvs.free()
+            return env.tracker.current
+
+        assert cluster.run(job).returns == [0, 0]
 
     def test_state_roundtrip(self):
         cluster = make_cluster(2)
@@ -115,7 +139,8 @@ class TestCheckpointManager:
             ckpt = CheckpointManager(env, "t3")
             assert not ckpt.has("nope")
             with pytest.raises(KeyError):
-                ckpt.load_kvc("nope")
+                ckpt.load_kvc(
+                    "nope", Mimir(env, CFG).container(CFG.layout, "kv"))
 
         cluster.run(job)
 

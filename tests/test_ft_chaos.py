@@ -1,6 +1,7 @@
 """Chaos injection, checksummed checkpoints, retrying I/O, classification."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.ft import (
     classify_failure,
     run_with_recovery,
 )
+from repro.ft import chaos
+from repro.ft.chaos import TEXT as CHAOS_TEXT
 from repro.ft.chaos import (
     CHAOS_TAGS,
     chaos_wordcount,
@@ -58,7 +61,8 @@ def checkpointed_wordcount(env, ckpt, faults):
     mimir = Mimir(env, CFG)
     faults.check("start", env.comm.rank)
     if ckpt.has("shuffle"):
-        kvs = ckpt.load_kvc("shuffle", CFG.layout, CFG.page_size)
+        kvs = ckpt.load_kvc(
+            "shuffle", mimir.container(CFG.layout, "kv_restored"))
     else:
         kvs = mimir.map_text_file("t.txt", wc_map)
         ckpt.save_kvc("shuffle", kvs)
@@ -540,5 +544,28 @@ class TestChaosSweep:
         counts = Counter()
         for part in ft.result.returns:
             counts.update(dict(part))
-        from repro.ft.chaos import TEXT as CHAOS_TEXT
         assert counts == Counter(CHAOS_TEXT.split())
+
+    @pytest.mark.parametrize("knobs,limit", [
+        ({"codec": "zlib"}, None),
+        ({"out_of_core": True}, "7K"),
+    ], ids=["codec", "out-of-core"])
+    def test_restart_restores_frozen_and_spilled_records(
+            self, knobs, limit, monkeypatch):
+        """A death after the shuffle checkpoint restores the whole map
+        output - frozen segments and spilled prefix included - into a
+        container that still spills, so the counts equal a clean run's."""
+        monkeypatch.setattr(chaos, "CFG", replace(chaos.CFG, **knobs))
+
+        def run(faults):
+            cluster = Cluster(COMET, nprocs=2, memory_limit=limit)
+            cluster.pfs.store(chaos.INPUT_PATH, CHAOS_TEXT)
+            return run_with_recovery(cluster, chaos_wordcount, faults=faults,
+                                     job_id="t")
+
+        clean = run(None)
+        ft = run(ChaosPlan().fail_at("after_shuffle", 1))
+        assert ft.restarts == 1
+        assert ft.result.returns == clean.result.returns
+        assert sum(count for part in ft.result.returns
+                   for _word, count in part) == len(CHAOS_TEXT.split()) == 560

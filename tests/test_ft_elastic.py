@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import MimirConfig, pack_u64, unpack_u64
+from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.ft import (
     CheckpointManager,
     ElasticPolicy,
@@ -299,9 +299,9 @@ class TestRestoreRebalanced:
 
         def job(env):
             ckpt = CheckpointManager(env, "j", nonce=nonce)
-            kvc = restore_rebalanced(env, ckpt, "shuffle",
-                                     layout=cfg.layout,
-                                     page_size=cfg.page_size)
+            kvc = restore_rebalanced(
+                env, ckpt, "shuffle",
+                Mimir(env, cfg).container(cfg.layout, "kv_rebalanced"))
             if kvc is None:
                 return None
             return sorted((k, unpack_u64(v)) for k, v in kvc.consume())

@@ -40,7 +40,8 @@ def pipeline(env, ckpt: CheckpointManager, faults: ChaosPlan):
     # Stage 1: word counts over the document directory (compressed),
     # checkpointed so a failure does not redo the shuffle.
     if ckpt.has("counts"):
-        counts = ckpt.load_kvc("counts", CFG.layout, CFG.page_size)
+        counts = ckpt.load_kvc(
+            "counts", mimir.container(CFG.layout, "kv_counts"))
     else:
         kvs = mimir.map_text_files("corpus/", wc_map, combine_fn=fold)
         counts = mimir.partial_reduce(kvs, fold)

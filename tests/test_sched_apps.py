@@ -1,6 +1,7 @@
 """Services change what an app's Plan costs, never what it computes."""
 
 import hashlib
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -81,6 +82,30 @@ class TestServicesIdentity:
                                             nonce="fixed")})[0]
             for _attempt in range(2))
         assert first == again == launch(cluster, app)[0]
+
+
+class TestEvictedBetweenJobs:
+    def test_codec_stage_reloads_whole_for_the_second_job(self):
+        """Admission evicts the cached, codec-frozen partition stage to
+        make room for the second job, which reloads every edge of it."""
+        cluster = Cluster(COMET, nprocs=2, memory_limit="256K")
+        stage_inputs(cluster, graph_scale=5)
+        scheduler = Scheduler(cluster, reserve=0.0)
+        config = replace(CFG, codec="zlib")
+
+        def bfs(env, ctx):
+            return view(APPS["bfs"](env, ctx.config, runner=ctx.runner))
+
+        scheduler.submit(SchedJob("first", bfs, config=config))
+        first = scheduler.run().outcome("first").returns
+        # A declared footprint of the whole budget: nothing may stay.
+        scheduler.submit(SchedJob("second", bfs, config=config,
+                                  footprint="256K"))
+        assert scheduler.run().outcome("second").returns == first
+        assert [(c.stats.evictions, c.stats.reloads)
+                for c in scheduler.caches] == [(1, 1), (1, 1)]
+        assert first == cluster.run(
+            lambda env: view(APPS["bfs"](env, config))).returns
 
 
 class TestPageRank:

@@ -7,6 +7,7 @@ from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.mpi import COMET
 from repro.obs import Trace
 from repro.sched import Plan, PlanRunner, StageCache
+from tests.conftest import container_kinds, filled_container
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=1024,
                   input_chunk_size=256)
@@ -85,6 +86,29 @@ class TestSpillReload:
         kinds = {kind for kind, _ in events}
         assert "evict" in kinds
         assert any(label.endswith(":spilled") for _, label in events)
+
+    @container_kinds
+    def test_evict_and_reload_every_container_kind(self, kind):
+        """Eviction streams out every tier of the container and reload
+        refills that same container (codec, spill store and all)."""
+        def job(env):
+            cache = StageCache(0)
+            cache.attach(env)
+            kvc, pairs = filled_container(env, kind)
+            cache.put("a", kvc, name="a", job="test")
+            # By hand: ensure_room leaves a self-spilling container be.
+            assert cache._evict(cache.entries["a"]) > 0
+            assert not cache.entries["a"].resident
+            assert cache.resident_bytes == env.tracker.current == 0
+            assert env.pfs.exists("spill/cache_a.0")
+            assert cache.get("a") is kvc
+            assert cache.entries["a"].resident
+            assert list(kvc.records()) == pairs
+            assert not env.pfs.exists("spill/cache_a.0")
+            cache.clear()
+            assert env.tracker.current == 0
+
+        run_single(job)
 
     def test_pinned_entry_survives_pressure(self):
         def job(env):

@@ -135,6 +135,29 @@ class TestHTTPEndToEnd:
                           params={"bogus": 1})
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("app,inp,params", [
+        ("bfs", "demo/graph.bin", {"hint": "false"}),          # bool
+        ("bfs", "demo/graph.bin", {"hint": 0}),
+        ("pagerank", "demo/graph.bin", {"iterations": "2"}),   # int
+        ("pagerank", "demo/graph.bin", {"iterations": True}),
+        ("kmeans", "demo/points.bin", {"k": 2.5}),
+        ("stream_wordcount", "demo/words.txt", {"window": "10"}),  # float
+        ("stream_wordcount", "demo/words.txt", {"window": False}),
+    ])
+    def test_wrong_typed_param_rejected_400(self, service, app, inp, params):
+        daemon, url = service
+        with pytest.raises(ServeAPIError) as exc:
+            ServeClient(url, tenant="alice").submit(app, inp, params=params)
+        assert exc.value.status == 400
+        assert "wants" in str(exc.value) and not daemon.jobs
+
+    def test_json_integer_is_a_float_param(self, service):
+        daemon, url = service
+        sub = ServeClient(url, tenant="alice").submit(
+            "stream_wordcount", "demo/words.txt",
+            params={"window": 10, "nbatches": 2})
+        assert daemon.jobs[sub["job_id"]].params["window"] == 10
+
     def test_missing_input_rejected_404(self, service):
         _daemon, url = service
         client = ServeClient(url, tenant="alice")

@@ -37,6 +37,7 @@ from repro.storage.errors import (
     TransientIOError,
     retrying,
 )
+from tests.conftest import container_kinds, filled_container
 
 backend_param = pytest.mark.parametrize("spec", BACKENDS)
 
@@ -374,58 +375,85 @@ def _fill_entry(env, cache, key, tag=b"k", n=64):
     return sorted(kvs.records())
 
 
+def _evict_old(env, cache, kind=None):
+    """Entries "old" (LRU; of ``kind``, or a plain map output) and
+    "new", then "old" evicted.  Returns "old"'s sorted records."""
+    if kind is None:
+        records = _fill_entry(env, cache, "old", tag=b"o")
+    else:
+        kvc, pairs = filled_container(env, kind, prefix=b"o")
+        cache.put("old", kvc, name="old", job="test")
+        records = sorted(pairs)
+    _fill_entry(env, cache, "new", tag=b"n")
+    cache.get("new")
+    # The stale file a pre-attach drop would leave behind.
+    env.pfs.store("spill/cache_old.0", b"\xde\xad" * 512)
+    if kind is None:
+        assert cache.ensure_room(env.tracker.limit) > 0
+    else:  # by hand: ensure_room leaves a self-spilling container be
+        assert cache._evict(cache.entries["old"]) > 0
+    assert not cache.entries["old"].resident
+    return records
+
+
 class TestStageCacheStorage:
     """Regressions for the protocol-routed eviction/reload path."""
+
+    @staticmethod
+    def _stale_spill_file(spec, kind=None):
+        def job(env):
+            cache = StageCache(0)
+            cache.attach(env)
+            records = _evict_old(env, cache, kind)
+            # The spill stream describes only the fresh bytes...
+            spill = cache.entries["old"].spill
+            assert env.pfs.size("spill/cache_old.0") == spill.total_bytes \
+                == sum(length for _, length in spill.chunks)
+            # ...and reload returns them bit for bit.
+            assert sorted(cache.get("old").records()) == records
+            assert not env.pfs.exists("spill/cache_old.0")
+
+        Cluster(COMET, nprocs=1, memory_limit="64K", storage=spec).run(job)
+
+    @staticmethod
+    def _transient_faults(spec, kind=None):
+        def job(env):
+            cache = StageCache(0)
+            cache.attach(env)
+            env.pfs.chaos = chaos = _TransientOnce("cache_old")
+            try:
+                records = _evict_old(env, cache, kind)
+                assert chaos.fired
+                chaos.fired.clear()  # ...and once more on the way back
+                assert sorted(cache.get("old").records()) == records
+                assert chaos.fired
+            finally:
+                env.pfs.chaos = None
+
+        Cluster(COMET, nprocs=1, memory_limit="64K", storage=spec).run(job)
 
     @backend_param
     def test_stale_spill_file_from_dropped_entry(self, spec):
         """A recompute after a drop that left a stale spill file behind
         must not read (or leak) the stale bytes: eviction deletes the
         path before writing, so reload returns exactly the new entry."""
+        self._stale_spill_file(spec)
 
-        def job(env):
-            cache = StageCache(0)
-            cache.attach(env)
-            records = _fill_entry(env, cache, "old", tag=b"o")
-            _fill_entry(env, cache, "new", tag=b"n")
-            cache.get("new")
-            # The stale file a pre-attach drop would leave behind.
-            env.pfs.store("spill/cache_old.0", b"\xde\xad" * 512)
-            assert cache.ensure_room(env.tracker.limit) > 0
-            assert not cache.entries["old"].resident
-            # The chunk table describes only the fresh bytes...
-            total = sum(length for _, length
-                        in cache.entries["old"].spill_chunks)
-            assert env.pfs.size("spill/cache_old.0") == total
-            # ...and reload returns them bit for bit.
-            assert sorted(cache.get("old").records()) == records
-            assert not env.pfs.exists("spill/cache_old.0")
-
-        cluster = Cluster(COMET, nprocs=1, memory_limit="64K",
-                          storage=spec)
-        cluster.run(job)
+    @backend_param
+    @container_kinds
+    def test_stale_spill_file_every_container_kind(self, spec, kind):
+        self._stale_spill_file(spec, kind)
 
     @backend_param
     def test_evict_and_reload_survive_transient_faults(self, spec):
         """Chaos on the cache's spill path is absorbed by the retry
         wrapper instead of killing the launch."""
+        self._transient_faults(spec)
 
-        def job(env):
-            cache = StageCache(0)
-            cache.attach(env)
-            records = _fill_entry(env, cache, "old", tag=b"o")
-            _fill_entry(env, cache, "new", tag=b"n")
-            cache.get("new")
-            env.pfs.chaos = _TransientOnce("cache_old")
-            try:
-                assert cache.ensure_room(env.tracker.limit) > 0
-                assert sorted(cache.get("old").records()) == records
-            finally:
-                env.pfs.chaos = None
-
-        cluster = Cluster(COMET, nprocs=1, memory_limit="64K",
-                          storage=spec)
-        cluster.run(job)
+    @backend_param
+    @container_kinds
+    def test_transient_faults_every_container_kind(self, spec, kind):
+        self._transient_faults(spec, kind)
 
 
 class TestCompanionWiring:
