@@ -179,14 +179,15 @@ class Mimir:
                                    "core.map.rounds": shuffler.rounds})
         return out
 
-    def container(self, layout: KVLayout, tag: str, **codec) -> KVContainer:
+    def container(self, layout: KVLayout, tag: str, **tiers) -> KVContainer:
         """An empty container of this job: its page size, spill-backed
-        on its spill store under ``out_of_core``.  What a checkpoint
-        restore or any other refill of this job's data fills."""
+        on its spill store under ``out_of_core``.  Every container of
+        the job's data is made here: phase outputs, checkpoint
+        restores, the elastic map's per-task outputs."""
         return KVContainer(
             self.env.tracker, layout, self.config.page_size, tag=tag,
             spill_env=self.env if self.config.out_of_core else None,
-            spill_store=self._spill_store, **codec)
+            spill_store=self._spill_store, **tiers)
 
     def _map_each(self, items: Iterable[Any], map_fn, **stream) -> KVContainer:
         """Map phase calling ``map_fn(ctx, item)`` per chunk or item."""
@@ -395,9 +396,10 @@ class Mimir:
         with self._phase("partial_reduce") as phase:
             source = self._reusable(kvc, consume, "kv_refold")
             # ``stats=phase``: the fold reports its batch counts itself.
-            out = partial_reduce(self.env, source, pr_fn, self.config,
-                                 out_layout, out_tag, stats=phase,
-                                 seed=seed, seed_consume=seed_consume)
+            out = partial_reduce(
+                self.env, source, pr_fn, self.config,
+                self.container(out_layout or kvc.layout, out_tag),
+                stats=phase, seed=seed, seed_consume=seed_consume)
             phase.update(
                 out=out, end={"records": len(out)},
                 counters={"core.partial_reduce.records": len(out)})
@@ -421,7 +423,7 @@ class Mimir:
 
         return sorted_container(
             self.env, kvc.consume_batches() if consume else kvc.batches(),
-            kvc.layout, self.config, out_tag, by_value, key_fn)
+            self.container(kvc.layout, out_tag), by_value, key_fn)
 
     def global_sort(self, kvc: KVContainer, *, by_value: bool = False,
                     out_tag: str = "kv_gsorted") -> KVContainer:
@@ -432,8 +434,10 @@ class Mimir:
         """
         from repro.core.sort import global_sort
 
-        return global_sort(self.env, kvc, self.config, by_value=by_value,
-                           out_tag=out_tag)
+        return global_sort(self.env, kvc, self.config,
+                           self.container(kvc.layout, out_tag),
+                           self.container(kvc.layout, out_tag),
+                           by_value=by_value)
 
     def gather(self, kvc: KVContainer, nranks: int = 1,
                out_tag: str = "kv_gathered") -> KVContainer:

@@ -19,7 +19,6 @@ from repro.core.batch import is_batch_kernel
 from repro.core.bucket import Bucket
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import KVLayout
 
 #: ``pr_fn(key, value_a, value_b) -> value`` - same contract as a
 #: combine callback: fold two values of one key into one.
@@ -27,11 +26,11 @@ PartialReduceFn = Callable[[bytes, bytes, bytes], bytes]
 
 
 def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
-                   config: MimirConfig, out_layout: KVLayout | None = None,
-                   out_tag: str = "kv_out",
+                   config: MimirConfig, out: KVContainer,
                    stats: dict | None = None, seed: KVContainer | None = None,
                    seed_consume: bool = True) -> KVContainer:
-    """Fold ``kvc`` (consumed) into one KV per unique key.
+    """Fold ``kvc`` (consumed) into one KV per unique key, appended to
+    ``out`` (an empty container the job made) and returned.
 
     ``pr_fn`` is either a per-record fold (``pr_fn(key, a, b) -> value``)
     or, when marked with :func:`~repro.core.batch.batch_kernel`, a
@@ -66,8 +65,6 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
         bucket.fold_columns(batch.keys_bytes(), batch.values_bytes())
         npages += 1
 
-    out = KVContainer(env.tracker, out_layout or kvc.layout,
-                      config.page_size, tag=out_tag)
     for keys, values in bucket.drain():
         out.add_run(keys, values)
     env.charge_compute(scanned + out.nbytes)

@@ -27,7 +27,7 @@ from repro.cluster import RankEnv
 from repro.core.batch import KVBatch
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import BLOCK, KVLayout
+from repro.core.records import BLOCK
 from repro.core.shuffle import Shuffler
 
 #: Samples each rank contributes per destination rank.
@@ -55,16 +55,17 @@ def range_partitioner(splitters: list[bytes]):
     return partition
 
 
-def sorted_container(env: RankEnv, batches, layout: KVLayout,
-                     config: MimirConfig, tag: str, by_value: bool = False,
-                     key_fn=None) -> KVContainer:
-    """A new container holding the records of ``batches`` ordered by
-    key, by value, or by ``key_fn(key, value)`` if given (stable).
+def sorted_container(env: RankEnv, batches, out: KVContainer,
+                     by_value: bool = False, key_fn=None) -> KVContainer:
+    """Fill ``out`` (an empty container the job made) with the records
+    of ``batches`` ordered by key, by value, or by ``key_fn(key, value)``
+    if given (stable); returns it.
 
     Records move as the encoded bytes they already are: joined in
     sorted order they re-split into pages exactly as per-record
     insertion would.
     """
+    layout = out.layout
     matrix = layout.row_width and key_fn is None
     if matrix:
         rows = layout.rows(b"".join([batch.data for batch in batches]))
@@ -78,7 +79,6 @@ def sorted_container(env: RankEnv, batches, layout: KVLayout,
             records.extend(batch.records_bytes())
         order = sorted(range(len(keys)), key=keys.__getitem__)
         del keys
-    out = KVContainer(env.tracker, layout, config.page_size, tag=tag)
     # Any cut of the sorted run at record boundaries re-splits into the
     # same pages; a block at a time keeps the gathered copy small.
     for lo in range(0, len(order), BLOCK):
@@ -106,16 +106,18 @@ def _sample(kvc: KVContainer, by_value: bool, want: int) -> list[bytes]:
     return local[:: max(1, len(local) // want)][:want]
 
 
-def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
+def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig,
+                mid: KVContainer, out: KVContainer, *,
                 by_value: bool = False,
-                oversample: int = DEFAULT_OVERSAMPLE,
-                out_tag: str = "kv_gsorted") -> KVContainer:
-    """Globally sort ``kvc`` (consumed) across all ranks.
+                oversample: int = DEFAULT_OVERSAMPLE) -> KVContainer:
+    """Globally sort ``kvc`` (consumed) across all ranks, through two
+    empty containers the job made: ``mid`` receives the range shuffle
+    and is drained into ``out``, this rank's slice of the total order.
 
-    Returns this rank's slice of the total order.  Duplicate keys may
-    land on either side of a splitter boundary but the global order is
-    still correct (splitters compare with ``<=``).  Records move as
-    arena slices (rows) of their container pages, never re-encoded.
+    Duplicate keys may land on either side of a splitter boundary but
+    the global order is still correct (splitters compare with ``<=``).
+    Records move as arena slices (rows) of their container pages, never
+    re-encoded.
     """
     comm = env.comm
     sample = _sample(kvc, by_value, max(1, comm.size * oversample))
@@ -134,12 +136,9 @@ def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig, *,
         return np.minimum(ranks, comm.size - 1)
 
     # Range-shuffle, then order locally.
-    out = KVContainer(env.tracker, kvc.layout, config.page_size,
-                      tag=out_tag)
-    shuffler = Shuffler(env, config, out)
+    shuffler = Shuffler(env, config, mid)
     for batch in kvc.consume_batches():
         shuffler.emit_keyed_batch(batch, dest_for, by_value)
     shuffler.finish()
     env.charge_compute(shuffler.bytes_sent)
-    return sorted_container(env, out.consume_batches(), out.layout, config,
-                            out_tag, by_value)
+    return sorted_container(env, mid.consume_batches(), out, by_value)

@@ -82,10 +82,10 @@ def elastic_wordcount(env, ckpt, ctx):
     mimir = Mimir(env, CFG)
     ctx.probe(env, "start")
 
-    kvs = restore_rebalanced(
-        env, ckpt, "shuffle", mimir.container(CFG.layout, "kv_rebalanced"))
+    kvs = restore_rebalanced(mimir, ckpt, "shuffle", CFG.layout,
+                             "kv_rebalanced")
     if kvs is None:
-        kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=CFG,
+        kvs = speculative_map(mimir, ELASTIC_INPUT, wc_map,
                               policy=ctx.policy, stage_key="map",
                               combine_fn=wc_combine, ctx=ctx)
         ckpt.save_kvc("shuffle", kvs)
@@ -105,11 +105,12 @@ def sweep_wordcount(env, ckpt, ctx):
     dead weight on COMET's penalized writes; dropping it keeps the job
     map-dominated, the regime the speculation bound is stated for.
     """
+    mimir = Mimir(env, CFG)
     ctx.probe(env, "start")
-    kvs = speculative_map(env, ELASTIC_INPUT, wc_map, config=CFG,
+    kvs = speculative_map(mimir, ELASTIC_INPUT, wc_map,
                           policy=ctx.policy, stage_key="map",
                           combine_fn=wc_combine, ctx=ctx)
-    out = Mimir(env, CFG).partial_reduce(kvs, wc_combine)
+    out = mimir.partial_reduce(kvs, wc_combine)
     ctx.probe(env, "after_reduce")
     return _sorted_counts(out)
 

@@ -48,12 +48,18 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import islice, repeat
+from statistics import median
 from typing import Any, Callable, Sequence
 
 from repro.cluster import Cluster, RankEnv
+from repro.core.batch import KVBatch
+from repro.core.combiner import CombineFn, Combiner
+from repro.core.job import MapContext, Mimir
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import KVLayout
-from repro.core.shuffle import default_partitioner
+from repro.core.records import BLOCK, KVLayout
+from repro.core.shuffle import pair_columns
 from repro.ft.checkpoint import CheckpointManager
 from repro.ft.injection import ChaosPlan, SimulatedRankFailure
 from repro.ft.runner import (
@@ -147,14 +153,6 @@ class StragglerMonitor:
         self.threshold = threshold
         self.min_gap = min_gap
 
-    @staticmethod
-    def _median(values: Sequence[float]) -> float:
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
-
     def flag(self, durations: "dict[int, float] | Sequence[float]",
              ) -> list[int]:
         """Ranks whose duration exceeds ``threshold`` x median.
@@ -169,12 +167,12 @@ class StragglerMonitor:
             items = list(enumerate(durations))
         if not items:
             return []
-        median = self._median([d for _, d in items])
-        if median <= 0.0:
+        middle = median(d for _, d in items)
+        if middle <= 0.0:
             return []
         return [rank for rank, d in items
-                if d > self.threshold * median
-                and (d - median) >= self.min_gap]
+                if d > self.threshold * middle
+                and (d - middle) >= self.min_gap]
 
     def flag_from_metrics(self, registry,
                           name: str = "core.phase.seconds") -> list[int]:
@@ -227,35 +225,57 @@ class SpeculationReport:
     attempts: list[TaskAttempt] = field(default_factory=list)
 
 
-class _TaskEmit:
-    """MapContext-compatible sink collecting one task's records."""
+class _TaskSink:
+    """Where one task's map output lands: the four emit verbs of a
+    :class:`~repro.core.shuffle.Shuffler`, appending to a container the
+    job made instead of routing, so a finished task's records are
+    tracked and (under ``out_of_core``) cold until the exchange."""
 
-    __slots__ = ("records", "nemitted")
-
-    def __init__(self):
-        self.records: list[tuple[bytes, bytes]] = []
-        self.nemitted = 0
+    def __init__(self, held: KVContainer):
+        self.held = held
+        self.layout = held.layout
 
     def emit(self, key: bytes, value: bytes) -> None:
-        self.records.append((key, value))
-        self.nemitted += 1
+        self.held.add(key, value)
+
+    def emit_run(self, keys, value: bytes) -> int:
+        return self._emit_columns(iter(keys), repeat(value))
+
+    def emit_pairs(self, pairs) -> int:
+        return self._emit_columns(*pair_columns(pairs))
+
+    def emit_batch(self, batch: KVBatch) -> None:
+        self.held.extend_encoded(batch.data, batch.roff)
+
+    def _emit_columns(self, keys, values) -> int:
+        count = 0
+        while block := list(islice(keys, BLOCK)):
+            self.held.add_run(block, list(islice(values, len(block))))
+            count += len(block)
+        return count
+
+    def finish(self) -> None:
+        """Nothing buffered: every emit already reached the container."""
 
 
-def speculative_map(env: RankEnv, path: str,
-                    map_fn: Callable[[Any, bytes], None], *,
-                    config=None,
+def speculative_map(mimir: Mimir, path: str,
+                    map_fn: Callable[[MapContext, bytes], None], *,
                     policy: ElasticPolicy | None = None,
                     stage_key: str = "map",
-                    combine_fn: Callable[[bytes, bytes, bytes], bytes]
-                    | None = None,
+                    combine_fn: CombineFn | None = None,
                     partitioner: Callable[[bytes, int], int] | None = None,
                     layout: KVLayout | None = None,
                     out_tag: str | None = None,
                     ctx: Any = None) -> KVContainer:
     """Task-pool map over a text file with speculative re-execution.
 
-    The file is cut into ``nranks * splits_per_rank`` word-aligned
-    tasks; rank ``r`` primarily owns tasks ``r, r+size, ...``.  Every
+    Three things: a task pool, a schedule, an exchange; the first and
+    the last are ``mimir``'s own map.  The file is cut into ``nranks *
+    splits_per_rank`` word-aligned tasks; rank ``r`` primarily owns
+    tasks ``r, r+size, ...``.  A task is a map whose sink is a
+    container of the job instead of the shuffle (``map_fn`` sees the
+    engine's :class:`~repro.core.job.MapContext`, ``combine_fn`` runs
+    in the engine's :class:`~repro.core.combiner.Combiner`).  Every
     rank runs its primaries physically, then the gang allgathers
     per-task durations and output CRCs.  If a rank's busy time exceeds
     the policy threshold over the median it is flagged; its tasks not
@@ -265,21 +285,22 @@ def speculative_map(env: RankEnv, path: str,
     ranks.  A replicated discrete-event schedule decides each race:
     first result wins, the losing attempt is killed and discarded
     (``ft.speculation.*`` metrics), and each rank's clock is replaced
-    by its scheduled completion time.  The winning attempt's bytes
-    feed the shuffle; since duplicates must agree CRC-for-CRC, output
-    is bit-identical to the unmitigated run.
+    by its scheduled completion time.  The winning attempts then feed
+    one more map phase of the job (:meth:`Mimir.map_items` re-emitting
+    their pages), which is the exchange: comm buffers, rounds, copy
+    charges, codec and spill store are the plain map's.  Since
+    duplicates must agree CRC-for-CRC, output is bit-identical to the
+    unmitigated run.
 
     Task keys ``{stage_key}/t{task}`` derive from the stage's lineage
     key, so attempts of the same logical task are identifiable across
     hosts and retries.  Returns the shuffled KVC (this rank's
     partition), exactly like ``Mimir.map_text_file``.
     """
+    env, config = mimir.env, mimir.config
     comm = env.comm
     policy = policy or ElasticPolicy()
-    part_fn = partitioner or default_partitioner
-    layout = layout or (config.layout if config is not None else KVLayout())
-    page_size = config.page_size if config is not None else 64 * 1024
-    out_of_core = bool(config is not None and config.out_of_core)
+    layout = layout or config.layout
     size = comm.size
     ntasks = size * policy.splits_per_rank
     threshold = policy.straggler_threshold
@@ -297,7 +318,11 @@ def speculative_map(env: RankEnv, path: str,
                 attempt=0, rank=comm.rank, kind="retry",
                 message=f"task read attempt {attempt}: {exc}"))
 
-    def run_task(task: int) -> tuple[int, bytes, float]:
+    #: Outputs of the tasks this rank ran (as primary or as backup; a
+    #: rank is never both for one task), by task.
+    held: dict[int, KVContainer] = {}
+
+    def run_task(task: int) -> tuple[int, float, int]:
         started = comm.clock.time
         # Uncharged boundary probes; the charged read happens per task,
         # so a re-executed task pays its input again.
@@ -305,33 +330,21 @@ def speculative_map(env: RankEnv, path: str,
         chunk = retrying(
             comm, lambda: env.pfs.read(comm, path, lo, hi - lo),
             on_retry=on_retry) if hi > lo else b""
-        sink = _TaskEmit()
-        map_fn(sink, chunk)
-        records = sink.records
-        if combine_fn is not None and records:
-            merged: dict[bytes, bytes] = {}
-            for key, value in records:
-                held = merged.get(key)
-                merged[key] = value if held is None \
-                    else combine_fn(key, held, value)
-            records = sorted(merged.items())
-        encoded = b"".join(layout.encode(k, v) for k, v in records)
-        env.charge_compute(len(encoded))
-        return sink.nemitted, encoded, comm.clock.time - started
-
-    primaries = list(range(comm.rank, ntasks, size))
-    prim_out: dict[int, bytes] = {}
-    emitted = 0
-    local_report: list[tuple[int, float, int]] = []
-    for task in primaries:
-        nemitted, encoded, duration = run_task(task)
-        emitted += nemitted
-        prim_out[task] = encoded
-        local_report.append((task, duration, zlib.crc32(encoded)))
+        out = held[task] = mimir.container(
+            layout, f"kv_{stage_key}_t{task}", resident_page_budget=1)
+        sink = _TaskSink(out)
+        if combine_fn is not None:
+            sink = Combiner(env, config, combine_fn, sink)
+        map_fn(MapContext(sink), chunk)
+        sink.finish()
+        env.charge_compute(out.nbytes)
+        crc = reduce(lambda crc, run: zlib.crc32(run, crc), out.chunks(), 0)
+        return task, comm.clock.time - started, crc
 
     # Progress exchange: every rank learns every task's duration and
     # output fingerprint, so detection and scheduling are replicated.
-    gathered = comm.allgather(local_report)
+    gathered = comm.allgather(
+        [run_task(task) for task in range(comm.rank, ntasks, size)])
     task_dur: dict[int, float] = {}
     task_crc: dict[int, int] = {}
     busy = [0.0] * size
@@ -341,10 +354,8 @@ def speculative_map(env: RankEnv, path: str,
             task_crc[task] = crc
             busy[rank] += duration
 
-    monitor = StragglerMonitor(threshold, policy.min_detect_seconds)
-    flagged = monitor.flag(busy)
-    if len(flagged) >= size:
-        flagged = []          # everyone "slow" means nobody is
+    flagged = StragglerMonitor(
+        threshold, policy.min_detect_seconds).flag(busy)
     report = SpeculationReport(stage_key=stage_key, nranks=size,
                                ntasks=ntasks, busy=list(busy),
                                flagged=list(flagged),
@@ -355,15 +366,13 @@ def speculative_map(env: RankEnv, path: str,
 
     owner = {task: task % size for task in range(ntasks)}
     finish = list(busy)
-    backup_out: dict[int, bytes] = {}
-    backup_hosts: dict[int, int] = {}
 
     if flagged and policy.speculate and size > 1:
         # Detection happens at per-*task* granularity: after
         # threshold x median task durations a healthy observer knows a
         # task is late.  This is what keeps the bound at a fraction of
         # the phase instead of a multiple of it.
-        detect_at = max(threshold * monitor._median(list(task_dur.values())),
+        detect_at = max(threshold * median(task_dur.values()),
                         policy.min_detect_seconds)
         report.detect_at = detect_at
         healthy = sorted((r for r in range(size) if r not in flagged),
@@ -386,16 +395,10 @@ def speculative_map(env: RankEnv, path: str,
 
         # Physically re-execute assigned backups (duplicate charge on
         # the backup host's real clock; rescheduled below).
-        my_backups: list[tuple[int, float, int]] = []
-        for task in needs_backup:
-            if assignment[task] != comm.rank:
-                continue
-            _, encoded, duration = run_task(task)
-            backup_out[task] = encoded
-            my_backups.append((task, duration, zlib.crc32(encoded)))
-        backup_gathered = comm.allgather(my_backups)
         backup_dur: dict[int, float] = {}
-        for report_part in backup_gathered:
+        for report_part in comm.allgather(
+                [run_task(task) for task in needs_backup
+                 if assignment[task] == comm.rank]):
             for task, duration, crc in report_part:
                 if crc != task_crc[task]:
                     raise RuntimeError(
@@ -430,22 +433,17 @@ def speculative_map(env: RankEnv, path: str,
             report.attempts.append(TaskAttempt(
                 task, f"{stage_key}/t{task}", task % size, prim_done[task],
                 host, end_b, "backup" if backup_won else "primary"))
+            report.discarded += 1
             if backup_won:
                 owner[task] = host
-                backup_hosts[task] = host
                 report.won += 1
-                report.discarded += 1
                 if comm.rank == host:
                     metrics.inc("ft.speculation.won")
-                if comm.rank == task % size:
-                    # The straggler's attempt is killed at the
-                    # backup's completion; its bytes are dropped.
-                    metrics.inc("ft.speculation.discarded")
-            else:
-                report.discarded += 1
-                if comm.rank == host:
-                    # The backup lost the race; its bytes are dropped.
-                    metrics.inc("ft.speculation.discarded")
+            # The straggler's attempt is killed at the backup's
+            # completion, or the backup lost the race: either way the
+            # loser's bytes are dropped.
+            if comm.rank == (task % size if backup_won else host):
+                metrics.inc("ft.speculation.discarded")
 
         for rank in healthy:
             finish[rank] = host_free[rank]
@@ -462,31 +460,27 @@ def speculative_map(env: RankEnv, path: str,
     # duplicate work and straggler slowdown already charged) becomes
     # the scheduled completion time.
     comm.sync_time(origin + finish[comm.rank])
+    metrics.observe("core.phase.seconds", finish[comm.rank])
 
-    # Shuffle the *winning* attempts' bytes.  The sender of a task's
-    # records is its final owner; record order within a destination is
-    # (source rank, task) - stable and replicated, though it differs
-    # from the unmitigated order, which is why harnesses compare
-    # *sorted* output.
-    sends = [bytearray() for _ in range(size)]
-    for task in sorted(owner):
-        if owner[task] != comm.rank:
-            continue
-        encoded = backup_out[task] if task in backup_hosts else prim_out[task]
-        for key, value in layout.iter_records(encoded):
-            sends[part_fn(key, size)] += layout.encode(key, value)
-    received = comm.alltoallv(sends)
+    # Exchange the *winning* attempts: one more map phase of the job,
+    # fed by the containers of the tasks this rank finally owns.  Record
+    # order within a destination is (source rank, task) - stable and
+    # replicated, though it differs from the unmitigated order, which is
+    # why harnesses compare *sorted* output.
+    winners = []
+    for task in sorted(held):
+        if owner[task] == comm.rank:
+            winners.append(held[task])
+        else:
+            held[task].free()
 
-    out = KVContainer(env.tracker, layout, page_size,
-                      tag=out_tag or f"kv_{stage_key}",
-                      spill_env=env if out_of_core else None)
-    for buf in received:
-        out.extend_encoded(buf)
+    def resend(mctx: MapContext, won: KVContainer) -> None:
+        for batch in won.consume_batches():
+            mctx.emit_batch(batch)
 
-    metrics.inc("core.map.records", emitted)
-    metrics.inc("core.map.kv_bytes", out.nbytes)
-    metrics.inc("core.map.rounds")
-    metrics.observe("core.phase.seconds", comm.clock.time - origin)
+    out = mimir.map_items(winners, resend, combine_fn=combine_fn,
+                          partitioner=partitioner, layout=layout,
+                          out_tag=out_tag or f"kv_{stage_key}")
     if ctx is not None:
         ctx.record(report, env)
     return out
@@ -510,47 +504,37 @@ class StragglerEvicted(SimulatedRankFailure):
         self.args = (f"straggler rank {rank} evicted at {tag!r}",)
 
 
-def restore_rebalanced(env: RankEnv, ckpt: CheckpointManager, phase: str,
-                       into: KVContainer, *,
+def restore_rebalanced(mimir: Mimir, ckpt: CheckpointManager, phase: str,
+                       layout: KVLayout, tag: str, *,
                        partitioner: Callable[[bytes, int], int] | None = None,
                        ) -> KVContainer | None:
-    """Load a phase checkpoint across a membership change into ``into``
-    (an empty container the job made), or return ``None``.
+    """Load a phase checkpoint across a membership change into a new
+    container of the job, or return ``None``.
 
     The shard re-balancing step: a checkpoint written by ``n`` ranks
     is discovered (:meth:`CheckpointManager.partition_count` - free
-    metadata scans, so every rank agrees without communicating), each
-    surviving rank reads a contiguous block of the old partitions, and
-    records are re-shuffled to their new homes by the same partitioner
-    the job uses.  When the gang size is unchanged this degrades to a
-    plain per-rank restore.  Returns ``None`` when the phase never
-    completed (including when a partition died with its rank before
-    the markers committed) - the caller recomputes from lineage.
+    metadata scans, so every rank agrees without communicating), and
+    the restore is a map over the old partitions: each surviving rank
+    reads a contiguous block of them and re-emits their records, which
+    the job's own shuffle sends to their new homes.  When the gang size
+    is unchanged this degrades to a plain per-rank restore.  Returns
+    ``None`` when the phase never completed (including when a partition
+    died with its rank before the markers committed) - the caller
+    recomputes from lineage.
     """
-    comm = env.comm
-    layout = into.layout
-    part_fn = partitioner or default_partitioner
-    old_n = ckpt.partition_count(phase)
-    agreed = comm.allreduce(old_n, min)
+    comm = mimir.env.comm
+    agreed = comm.allreduce(ckpt.partition_count(phase), min)
     if agreed == 0:
         return None
     if agreed == comm.size:
-        return ckpt.load_kvc(phase, into)
-
-    lo, hi = split_range(agreed, comm.rank, comm.size)
-    sends = [bytearray() for _ in range(comm.size)]
-    moved = 0
-    for part in range(lo, hi):
-        payload = ckpt.read_partition(phase, part)
-        for key, value in layout.iter_records(payload):
-            record = layout.encode(key, value)
-            sends[part_fn(key, comm.size)] += record
-            moved += len(record)
-    env.charge_compute(moved)
-    for buf in comm.alltoallv(sends):
-        into.extend_encoded(buf)
-    env.metrics.inc("ft.checkpoint.restores")
-    return into
+        return ckpt.load_kvc(phase, mimir.container(layout, tag))
+    out = mimir.map_items(
+        range(*split_range(agreed, comm.rank, comm.size)),
+        lambda mctx, part: mctx.emit_batch(
+            KVBatch(ckpt.read_partition(phase, part), layout)),
+        partitioner=partitioner, layout=layout, out_tag=tag)
+    mimir.env.metrics.inc("ft.checkpoint.restores")
+    return out
 
 
 @dataclass
@@ -578,7 +562,21 @@ class ElasticResult(FTResult):
         return len(self.membership_log)
 
 
-class ElasticContext:
+class SpeculationLog:
+    """The reports :func:`speculative_map` hands its ``ctx``: every
+    rank keeps the last one, rank 0 collects them all."""
+
+    def __init__(self):
+        self.reports: list[SpeculationReport] = []
+        self.last_report: SpeculationReport | None = None
+
+    def record(self, report: SpeculationReport, env: RankEnv) -> None:
+        self.last_report = report
+        if env.comm.rank == 0:
+            self.reports.append(report)
+
+
+class ElasticContext(SpeculationLog):
     """Per-run handle a job uses to talk to the elastic driver.
 
     Bundles the fault plan (probe points), the policy, and the
@@ -589,10 +587,9 @@ class ElasticContext:
     """
 
     def __init__(self, policy: ElasticPolicy, faults: ChaosPlan):
+        super().__init__()
         self.policy = policy
         self.faults = faults
-        self.reports: list[SpeculationReport] = []
-        self.last_report: SpeculationReport | None = None
         #: Membership-change budget, decremented by :func:`run_elastic`
         #: as changes accumulate.
         self.membership_left = policy.max_membership_changes
@@ -605,12 +602,6 @@ class ElasticContext:
         """A job checkpoint/phase boundary: faults may fire here."""
         self.faults.check(tag, env.comm.rank)
         self.faults.membership_check(env.comm, tag)
-
-    def record(self, report: SpeculationReport, env: RankEnv) -> None:
-        """Collect a phase's speculation report (rank 0 appends)."""
-        self.last_report = report
-        if env.comm.rank == 0:
-            self.reports.append(report)
 
     def maybe_evict(self, env: RankEnv, tag: str) -> None:
         """Turn a persistent straggler into a membership departure.
@@ -711,7 +702,7 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
 # ----------------------------------------------------- scheduler bridge
 
 
-class ElasticStageHooks:
+class ElasticStageHooks(SpeculationLog):
     """Wires the reactive layer into a :class:`~repro.sched.executor.
     PlanRunner`.
 
@@ -724,35 +715,27 @@ class ElasticStageHooks:
     """
 
     def __init__(self, policy: ElasticPolicy | None = None):
+        super().__init__()
         self.policy = policy or ElasticPolicy()
         self.monitor = StragglerMonitor(self.policy.straggler_threshold,
                                         self.policy.min_detect_seconds)
-        self.reports: list[SpeculationReport] = []
-        self.last_report: SpeculationReport | None = None
         #: Flagged ranks by stage name, from :meth:`observe_stage`.
         self.flags: dict[str, list[int]] = {}
 
-    def map_text(self, env: RankEnv, path: str, stage, config) -> KVContainer:
+    def map_text(self, mimir: Mimir, path: str, stage) -> KVContainer:
         """Run a text-input map stage speculatively."""
         params = stage.params
         return speculative_map(
-            env, path, stage.fn, config=config, policy=self.policy,
+            mimir, path, stage.fn, policy=self.policy,
             stage_key=stage.key, combine_fn=params.get("combine_fn"),
             partitioner=params.get("partitioner"),
             layout=params.get("layout"), out_tag=f"kv_{stage.name}",
             ctx=self)
 
-    def record(self, report: SpeculationReport, env: RankEnv) -> None:
-        self.last_report = report
-        if env.comm.rank == 0:
-            self.reports.append(report)
-
     def observe_stage(self, env: RankEnv, stage, seconds: float) -> list[int]:
         """Progress-monitor a non-speculative stage (collective call)."""
         durations = env.comm.allgather(seconds)
         flagged = self.monitor.flag(durations)
-        if len(flagged) >= env.comm.size:
-            flagged = []
         if flagged:
             self.flags[stage.name] = flagged
             if env.comm.rank in flagged:

@@ -109,10 +109,12 @@ class PlanRunner:
     # ----------------------------------------------------------- execute
 
     @contextmanager
-    def _reading(self, stage: Stage) -> Iterator[tuple[KVContainer, bool]]:
-        """Materialize ``stage`` for one reader: its container and
+    def reading(self, ds: "Dataset | Stage",
+                ) -> Iterator[tuple[KVContainer, bool]]:
+        """Materialize a stage for one reader: its container and
         whether the reader may consume it.  A container the cache owns
         stays pinned while it is read and must be left intact."""
+        stage = ds.stage if isinstance(ds, Dataset) else ds
         kvc = self.materialize(stage)
         preserved = stage.cached and self.cache is not None
         if preserved:
@@ -156,8 +158,7 @@ class PlanRunner:
             if self.elastic is not None:
                 self._speculated.add(stage.key)
                 return self.elastic.map_text(
-                    self.env, parent.params["path"], stage,
-                    self.plan.config)
+                    self.mimir, parent.params["path"], stage)
             return self.mimir.map_text_file(parent.params["path"], stage.fn,
                                             **common)
         if parent.op == "read_binary":
@@ -176,24 +177,24 @@ class PlanRunner:
                                  len(batch.records))
             return self.mimir.map_items(batch.payloads(), stage.fn,
                                         **common)
-        with self._reading(parent) as (kvc, consume):
+        with self.reading(parent) as (kvc, consume):
             return self.mimir.map_kvs(kvc, stage.fn, **common,
                                       consume=consume)
 
     def _run_reduce(self, stage: Stage) -> KVContainer:
-        with self._reading(stage.parents[0]) as (kvc, consume):
+        with self.reading(stage.parents[0]) as (kvc, consume):
             return self.mimir.reduce(
                 kvc, stage.fn, out_layout=stage.params.get("out_layout"),
                 out_tag=f"kv_{stage.name}", consume=consume)
 
     def _run_partial_reduce(self, stage: Stage) -> KVContainer:
-        with self._reading(stage.parents[0]) as (kvc, consume):
+        with self.reading(stage.parents[0]) as (kvc, consume):
             return self.mimir.partial_reduce(
                 kvc, stage.fn, out_layout=stage.params.get("out_layout"),
                 out_tag=f"kv_{stage.name}", consume=consume)
 
     def _run_sort_local(self, stage: Stage) -> KVContainer:
-        with self._reading(stage.parents[0]) as (kvc, consume):
+        with self.reading(stage.parents[0]) as (kvc, consume):
             return self.mimir.sort_local(
                 kvc, by_value=stage.params.get("by_value", False),
                 key_fn=stage.params.get("key_fn"),
@@ -207,7 +208,7 @@ class PlanRunner:
                 ctx.emit(key, tag + value)
 
         left, right = stage.parents
-        with self._reading(left) as lhs, self._reading(right) as rhs:
+        with self.reading(left) as lhs, self.reading(right) as rhs:
             union = self.mimir.map_items(
                 [(b"L", lhs), (b"R", rhs)], feed,
                 partitioner=stage.params.get("partitioner"),
@@ -230,7 +231,7 @@ class PlanRunner:
         """This rank's records of a dataset: a cache-resident stage is
         read pinned and left intact, any other output is drained, its
         pages freed as the reader advances."""
-        with self._reading(ds.stage) as (kvc, consume):
+        with self.reading(ds) as (kvc, consume):
             try:
                 yield from kvc.consume() if consume else kvc.records()
             finally:
@@ -254,14 +255,10 @@ class PlanRunner:
         cache every pass.  ``until`` must be deterministic from
         ``state`` (it is evaluated on every rank).
         """
-        base_salt = self.plan.salt
         iterations = 0
         for i in range(max_iters):
-            self.plan.salt = f"{base_salt}#i{i}"
-            try:
+            with self.plan.salted(f"{self.plan.salt}#i{i}"):
                 state = body(self, i, state)
-            finally:
-                self.plan.salt = base_salt
             iterations = i + 1
             if until is not None and until(state):
                 break

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Any, Callable, Iterable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.config import MimirConfig
 from repro.core.records import KVLayout
@@ -206,6 +207,16 @@ class Plan:
         self.config = config or MimirConfig()
         self.stages: list[Stage] = []
         self.salt = ""
+
+    @contextmanager
+    def salted(self, salt: str) -> Iterator[None]:
+        """Stages created inside the block carry ``salt`` in their
+        identity; the previous salt is restored on the way out."""
+        base, self.salt = self.salt, salt
+        try:
+            yield
+        finally:
+            self.salt = base
 
     # ------------------------------------------------------------ sources
 

@@ -54,7 +54,10 @@ class ServeHTTPServer:
         return self._server.server_address[1]
 
     def start(self) -> None:
+        # ``shutdown()`` waits out one poll: at the default 0.5 s every
+        # stop of the daemon (tests, the CLI) idles half a second.
         self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.01},
                                         name="serve-http", daemon=True)
         self._thread.start()
 

@@ -104,13 +104,9 @@ class StreamRunner:
         """
         ds = self._datasets.get(index)
         if ds is None:
-            base = self.plan.salt
-            self.plan.salt = ""
-            try:
+            with self.plan.salted(""):
                 ds = self.scenario.batch_stage(self.plan, self.stream,
                                                index)
-            finally:
-                self.plan.salt = base
             self._datasets[index] = ds
         return ds
 
@@ -197,13 +193,9 @@ class StreamRunner:
             return
         batches = [b for b in ingested
                    if any(window.contains(r.time) for r in b.records)]
-        base = self.plan.salt
-        rev = result.recomputed if repair else 0
-        self.plan.salt = f"w{wid}r{rev}" if repair else f"w{wid}"
-        try:
+        salt = f"w{wid}r{result.recomputed}" if repair else f"w{wid}"
+        with self.plan.salted(salt):
             payload = self.scenario.window_result(self, window, batches)
-        finally:
-            self.plan.salt = base
         result.windows[wid] = payload
         if repair:
             result.recomputed += 1
@@ -218,10 +210,6 @@ class StreamRunner:
             self.checkpoint.save_state(phase, payload)
 
     # ------------------------------------------------------------ queries
-
-    def materialize(self, index: int):
-        """The per-batch container (cache-backed); scenario helper."""
-        return self.runner.materialize(self.dataset(index))
 
     @property
     def stage_counts(self) -> dict[str, int]:

@@ -87,14 +87,11 @@ class StreamWordCount:
         for batch in batches:
             whole = all(window.contains(r.time) for r in batch.records)
             if whole:
-                kvc = runner.materialize(batch.index)
-                kvc.pin()
-                try:
+                with runner.runner.reading(
+                        runner.dataset(batch.index)) as (kvc, _):
                     agg = mimir.partial_reduce(
                         kvc, wc_combine, out_layout=self.config.layout,
                         consume=False, seed=agg)
-                finally:
-                    kvc.unpin()
             else:
                 # Straddler: only this window's slice of the batch.
                 payloads = [r.payload for r in batch.records
@@ -250,21 +247,14 @@ class IncrementalPageRank:
         """Union the cached per-delta fragments and vertex sets."""
         adjacency: dict[int, set[int]] = {}
         owned: set[int] = set()
+        reading = runner.runner.reading
         for batch in batches:
-            frag = runner.materialize(batch.index)
-            frag.pin()
-            try:
+            with reading(runner.dataset(batch.index)) as (frag, _):
                 for key, value in frag.records():
                     adjacency.setdefault(unpack_u64(key), set()).update(
                         np.frombuffer(value, dtype="<u8").tolist())
-            finally:
-                frag.unpin()
-            verts = runner.runner.materialize(self._verts[batch.index])
-            verts.pin()
-            try:
+            with reading(self._verts[batch.index]) as (verts, _):
                 owned.update(unpack_u64(k) for k, _ in verts.records())
-            finally:
-                verts.unpin()
         return ({v: sorted(t) for v, t in adjacency.items()},
                 sorted(owned))
 
@@ -355,15 +345,12 @@ class SessionizeClicks:
         lo = int(window.start * 1000)
         hi = int(window.end * 1000)
         for batch in batches:
-            kvc = runner.materialize(batch.index)
-            kvc.pin()
-            try:
+            with runner.runner.reading(
+                    runner.dataset(batch.index)) as (kvc, _):
                 for user, value in kvc.records():
                     event_ms, page = _CLICK.unpack(value)
                     if lo <= event_ms < hi:
                         events.setdefault(user, []).append((event_ms, page))
-            finally:
-                kvc.unpin()
         return {user: sorted(clicks) for user, clicks in events.items()}
 
     def _sessionize(self, clicks: list[tuple[int, int]]):

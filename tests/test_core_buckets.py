@@ -422,7 +422,9 @@ class TestAgainstScalarReference:
         scanned = sum(len(key) + len(value) for key, value in
                       records + (seed_records or []))
         with small_blocks(block):
-            out = partial_reduce(env, kvc, fold, config, seed=seed)
+            out = partial_reduce(
+                env, kvc, fold, config,
+                KVContainer(env.tracker, layout, config.page_size), seed=seed)
         assert list(out.records()) == list(expected.records())
         assert env.charged == [scanned + out.nbytes]
         assert env.tracker.current == reference.current == out.memory_bytes

@@ -20,7 +20,6 @@ from repro.core.shuffle import Shuffler
 from repro.core.sort import (
     DEFAULT_OVERSAMPLE,
     choose_splitters,
-    global_sort,
     range_partitioner,
 )
 from repro.mpi import COMET
@@ -242,8 +241,8 @@ def test_property_matrix_sorts_equal_the_scalar_loop(case, nprocs, block,
     with small_blocks(block):
         assert sort_outcomes(
             layout, pairs, nprocs,
-            lambda env, kvc, config: global_sort(
-                env, kvc, config, by_value=by_value)
+            lambda env, kvc, config: Mimir(env, config).global_sort(
+                kvc, by_value=by_value)
         ) == sort_outcomes(
             layout, pairs, nprocs,
             lambda env, kvc, config: scalar_global_sort(
@@ -273,7 +272,7 @@ def test_property_equal_sort_fields_keep_arrival_order(case, nprocs,
         # All on rank 0, so arrival order is insertion order.
         kvc = loaded(env, layout, config,
                      pairs if env.comm.rank == 0 else [])
-        out = global_sort(env, kvc, config, by_value=by_value)
+        out = Mimir(env, config).global_sort(kvc, by_value=by_value)
         records = list(out.records())
         out.free()
         return records

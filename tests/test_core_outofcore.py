@@ -145,3 +145,55 @@ class TestOutOfCoreJobs:
         fast = cluster.run(job)
         slow = self.run_wc(out_of_core=True)
         assert slow.elapsed > fast.elapsed
+
+
+class TestOutOfCoreStages:
+    """Every stage fills a container the job made, so under
+    ``out_of_core`` its output spills like the map's does.  The probe of
+    ISSUE 24 (1 MiB of zipf text over 200 words, 16K pages, a "500K"
+    limit, 2 ranks) at a quarter of every size."""
+
+    PAGE = 4 * 1024
+    LIMIT = "125K"
+
+    def run_stage(self, op, *, out_of_core):
+        from repro.datasets.words import zipf_text
+
+        config = MimirConfig(page_size=self.PAGE, comm_buffer_size=self.PAGE,
+                             input_chunk_size=self.PAGE,
+                             out_of_core=out_of_core)
+        cluster = Cluster(COMET, nprocs=2,
+                          memory_limit=self.LIMIT if out_of_core else None)
+        cluster.pfs.store("t.txt", zipf_text(256 * 1024, vocab_size=200))
+
+        def job(env):
+            mimir = Mimir(env, config)
+            kvs = mimir.map_text_file("t.txt", wc_map)
+            if op == "reduce":
+                out = mimir.reduce(
+                    kvs, lambda ctx, k, vs: ctx.emit(k, pack_u64(len(vs))))
+            elif op == "partial_reduce":
+                out = mimir.partial_reduce(kvs, wc_combine)
+            else:
+                out = getattr(mimir, op)(kvs)
+            records = list(out.records())
+            out.free()
+            # Out-of-core grouping visits keys partition by partition.
+            return records if "sort" in op else sorted(records)
+
+        return cluster.run(job, allow_oom=True)
+
+    @pytest.mark.parametrize("op", [
+        "reduce", "partial_reduce", "sort_local",
+        pytest.param("global_sort", marks=pytest.mark.xfail(
+            strict=True, reason=(
+                "MemoryLimitExceeded on 'kv_gsorted': the shuffled input "
+                "stays resident while the range shuffle fills `mid`, and "
+                "a container can only spill itself"))),
+    ])
+    def test_stage_completes_below_its_output_size(self, op):
+        spilled = self.run_stage(op, out_of_core=True)
+        assert not spilled.ran_out_of_memory
+        assert spilled.spilled_bytes > 0
+        assert spilled.returns == \
+            self.run_stage(op, out_of_core=False).returns

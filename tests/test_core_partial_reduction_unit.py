@@ -28,7 +28,7 @@ class TestPartialReduceUnit:
             out = partial_reduce(
                 env, kvc,
                 lambda k, a, b: pack_u64(unpack_u64(a) + unpack_u64(b)),
-                CFG)
+                CFG, KVContainer(env.tracker, page_size=1024))
             result = {k: unpack_u64(v) for k, v in out.records()}
             out.free()
             return result, env.tracker.current
@@ -43,7 +43,8 @@ class TestPartialReduceUnit:
             kvc = KVContainer(env.tracker, page_size=1024)
             for token in (b"a", b"b", b"c"):
                 kvc.add(b"k", token)
-            out = partial_reduce(env, kvc, lambda k, a, b: a + b, CFG)
+            out = partial_reduce(env, kvc, lambda k, a, b: a + b, CFG,
+                                 KVContainer(env.tracker, page_size=1024))
             result = dict(out.records())
             out.free()
             return result
@@ -57,7 +58,8 @@ class TestPartialReduceUnit:
             pairs = [(b"x%d" % i, b"v%d" % i) for i in range(5)]
             for k, v in pairs:
                 kvc.add(k, v)
-            out = partial_reduce(env, kvc, lambda k, a, b: a, CFG)
+            out = partial_reduce(env, kvc, lambda k, a, b: a, CFG,
+                                 KVContainer(env.tracker, page_size=1024))
             result = list(out.records())
             out.free()
             return result, pairs
@@ -68,7 +70,8 @@ class TestPartialReduceUnit:
     def test_empty_input(self):
         def job(env):
             kvc = KVContainer(env.tracker, page_size=1024)
-            out = partial_reduce(env, kvc, lambda k, a, b: a, CFG)
+            out = partial_reduce(env, kvc, lambda k, a, b: a, CFG,
+                                 KVContainer(env.tracker, page_size=1024))
             n = len(out)
             out.free()
             return n

@@ -1,7 +1,13 @@
 """Reactive fault handling: stragglers, speculation, elastic membership."""
 
-import pytest
+from dataclasses import replace
+from functools import partial
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.apps.wordcount import wordcount_plan
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.ft import (
@@ -21,6 +27,7 @@ from repro.ft.chaos import (
     sweep_wordcount,
 )
 from repro.ft.elastic import restore_rebalanced, speculative_map
+from repro.datasets.words import zipf_text
 from repro.ft.injection import ChaosPlan, MembershipEvent
 from repro.mpi import COMET
 from repro.sched import (
@@ -33,6 +40,9 @@ from repro.sched import (
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
+#: The tiers a container of the job can have: frozen pages, and spill
+#: that lands on a companion backend.
+TIERED = replace(CFG, codec="zlib", storage="kv", out_of_core=True)
 
 
 def wc_map(ctx, chunk):
@@ -115,6 +125,13 @@ class TestStragglerMonitor:
         mon = StragglerMonitor()
         assert mon.flag([]) == []
         assert mon.flag([0.0, 0.0]) == []
+
+    @given(st.lists(st.floats(0.0, 1e9), min_size=1),
+           st.floats(1.0, 16.0, exclude_min=True))
+    def test_never_flags_everyone(self, durations, threshold):
+        # The slowest healthy rank is never over the median.
+        assert len(StragglerMonitor(threshold).flag(durations)) \
+            < len(durations)
 
     def test_flag_from_metrics_uses_per_rank_phase_time(self):
         from repro.obs.registry import MetricsRegistry
@@ -222,11 +239,10 @@ class TestClusterResize:
 
 
 def spec_wc(env, policy=None):
-    cfg = CFG
-    kvc = speculative_map(env, "input/elastic_words.txt", wc_map,
-                          config=cfg, policy=policy, combine_fn=wc_combine)
-    from repro.core.job import Mimir
-    out = Mimir(env, cfg).partial_reduce(kvc, wc_combine)
+    mimir = Mimir(env, CFG)
+    kvc = speculative_map(mimir, "input/elastic_words.txt", wc_map,
+                          policy=policy, combine_fn=wc_combine)
+    out = mimir.partial_reduce(kvc, wc_combine)
     return sorted((k, unpack_u64(v)) for k, v in out.consume())
 
 
@@ -277,14 +293,88 @@ class TestSpeculativeMap:
             <= 2 * totals.get("ft.speculation.launched", 0)
 
 
-class TestRestoreRebalanced:
-    def save_with(self, pfs, nprocs, nonce="j"):
-        cfg = CFG
+    # ---- one map path: what the plain map does, the elastic map does
+
+    ZIPF = zipf_text(64 * 1024, vocab_size=200)
+
+    def mapped(self, config, *, elastic, combine_fn=None, limit=None,
+               nprocs=2, text=ZIPF, watch=None, map_fn=wc_map):
+        """Per rank ``(records held, memory_bytes, records shipped,
+        tracked peak)`` of one map of ``text``, elastic or plain."""
+        cluster = Cluster(COMET, nprocs=nprocs, memory_limit=limit,
+                          storage="pfs")
+        cluster.pfs.store("m.txt", text)
+
+        class Watched(Mimir):
+            def container(self, layout, tag, **tiers):
+                made = super().container(layout, tag, **tiers)
+                if watch is not None and "_t" in tag:
+                    watch.append(made)
+                return made
 
         def job(env):
+            mimir = Watched(env, config)
+            kvc = speculative_map(mimir, "m.txt", map_fn,
+                                  combine_fn=combine_fn) if elastic else \
+                mimir.map_text_file("m.txt", map_fn, combine_fn=combine_fn)
+            seen = (len(kvc), kvc.memory_bytes,
+                    mimir.last_map_stats["records"], env.tracker.peak)
+            kvc.free()
+            return seen
+
+        return cluster, cluster.run(job)
+
+    @pytest.mark.parametrize("elastic", [True, False])
+    def test_ships_one_record_per_word_and_pays_for_the_buffers(
+            self, elastic):
+        # Nine distinct words: the engine's combiner in front of the
+        # engine's shuffle ships nine records per rank (36-144 when the
+        # elastic map combined per task only), through both buffers.
+        _, result = self.mapped(CFG, elastic=elastic, nprocs=4,
+                                combine_fn=wc_combine, text=ELASTIC_TEXT)
+        for _, _, shipped, peak in result.returns:
+            assert shipped == 9
+            assert peak >= 2 * CFG.comm_buffer_size
+
+    def test_output_is_frozen_like_the_plain_maps(self):
+        cfg = replace(CFG, codec="zlib")
+        _, plain = self.mapped(cfg, elastic=False)
+        _, hooked = self.mapped(cfg, elastic=True)
+        for (n, mem, _, _), (pn, pmem, _, _) in zip(hooked.returns,
+                                                    plain.returns):
+            assert n == pn
+            assert abs(mem - pmem) <= cfg.page_size
+            assert mem < n * 8      # frozen: under a third of the raw pages
+
+    def test_spill_lands_where_the_plain_maps_does(self):
+        held, finished = [], []
+
+        def wc_map_watching(ctx, chunk):
+            # Called once per task: every earlier task is finished.
+            finished.extend((kvc.npages, kvc.spilled_bytes)
+                            for kvc in held[:-1])
+            wc_map(ctx, chunk)
+
+        cfg = replace(CFG, storage="kv", out_of_core=True)
+        _, plain = self.mapped(replace(cfg, storage=None), elastic=False,
+                               limit="50K")
+        cluster, hooked = self.mapped(cfg, elastic=True, limit="50K",
+                                      watch=held, map_fn=wc_map_watching)
+        assert [r[0] for r in hooked.returns] == \
+            [r[0] for r in plain.returns]
+        assert cluster.pfs.spilled_bytes == 0
+        assert cluster.pfs.companion("kv").spilled_bytes > 0
+        # A finished task's output is cold: one resident page at most.
+        assert max(npages for npages, _ in finished) <= 1
+        assert any(spilled for _, spilled in finished)
+
+
+class TestRestoreRebalanced:
+    def save_with(self, pfs, nprocs, nonce="j", cfg=CFG):
+        def job(env):
             ckpt = CheckpointManager(env, "j", nonce=nonce)
-            kvc = speculative_map(env, "input/elastic_words.txt", wc_map,
-                                  config=cfg, combine_fn=wc_combine)
+            kvc = speculative_map(Mimir(env, cfg), "input/elastic_words.txt",
+                                  wc_map, combine_fn=wc_combine)
             ckpt.save_kvc("shuffle", kvc)
 
         cluster = make_elastic_cluster(nprocs)
@@ -294,14 +384,11 @@ class TestRestoreRebalanced:
         cluster.run(job)
         return cluster.pfs
 
-    def restore_with(self, pfs, nprocs, nonce="j"):
-        cfg = CFG
-
+    def restore_with(self, pfs, nprocs, nonce="j", cfg=CFG):
         def job(env):
             ckpt = CheckpointManager(env, "j", nonce=nonce)
-            kvc = restore_rebalanced(
-                env, ckpt, "shuffle",
-                Mimir(env, cfg).container(cfg.layout, "kv_rebalanced"))
+            kvc = restore_rebalanced(Mimir(env, cfg), ckpt, "shuffle",
+                                     cfg.layout, "kv_rebalanced")
             if kvc is None:
                 return None
             return sorted((k, unpack_u64(v)) for k, v in kvc.consume())
@@ -316,6 +403,12 @@ class TestRestoreRebalanced:
         result = self.restore_with(pfs, new)
         expected = self.save_and_count()
         assert global_counts(result.returns) == expected
+
+    @pytest.mark.parametrize("old,new", [(4, 2), (2, 4), (4, 3)])
+    def test_rebalance_keeps_the_jobs_tiers(self, old, new):
+        pfs = self.save_with(None, old, cfg=TIERED)
+        result = self.restore_with(pfs, new, cfg=TIERED)
+        assert global_counts(result.returns) == self.save_and_count()
 
     def save_and_count(self):
         from collections import Counter
@@ -336,8 +429,8 @@ class TestRestoreRebalanced:
 
         def dying_save(env):
             ckpt = CheckpointManager(env, "j", nonce="j", faults=faults)
-            kvc = speculative_map(env, "input/elastic_words.txt", wc_map,
-                                  config=cfg, combine_fn=wc_combine)
+            kvc = speculative_map(Mimir(env, cfg), "input/elastic_words.txt",
+                                  wc_map, combine_fn=wc_combine)
             ckpt.save_kvc("shuffle", kvc)
 
         from repro.mpi import RankFailedError
@@ -480,6 +573,28 @@ class TestPlanRunnerHooks:
         plain = self.run_wc()
         hooked = self.run_wc(elastic=ElasticStageHooks())
         assert global_counts(hooked.returns) == global_counts(plain.returns)
+
+    @pytest.mark.parametrize("stack", [False, True],
+                             ids=["plain", "hint+compress"])
+    @pytest.mark.parametrize("batch", [False, True],
+                             ids=["per-record", "batch"])
+    def test_app_kernels_run_under_the_hooks(self, batch, stack):
+        """The app's own kernels, batch forms included, see the engine's
+        context and combiner under the hooks."""
+        def run(elastic):
+            cluster = Cluster(COMET, nprocs=4, memory_limit=None)
+            cluster.pfs.store("t.txt", self.TEXT)
+
+            def job(env):
+                found = wordcount_plan(
+                    env, "t.txt", CFG, hint=stack, compress=stack,
+                    batch=batch, collect=True,
+                    runner=partial(PlanRunner, env, elastic=elastic))
+                return tuple(sorted(found.counts.items()))
+
+            return global_counts(cluster.run(job).returns)
+
+        assert run(ElasticStageHooks()) == run(None)
 
     def test_straggler_under_plan_is_mitigated_and_reported(self):
         hooks = ElasticStageHooks(ElasticPolicy(splits_per_rank=8))
