@@ -8,7 +8,7 @@ ablation shows the plateau that choice sits on.
 """
 
 from figutils import BCOMET, SCALE
-from repro.apps.wordcount import wordcount_mimir
+from repro.apps.wordcount import wordcount_plan
 from repro.bench.runner import ExperimentSpec, stage_dataset
 from repro.cluster import Cluster
 from repro.core import MimirConfig
@@ -29,7 +29,7 @@ def _run(buffer_label: str):
                          comm_buffer_size=SCALE.size(buffer_label),
                          input_chunk_size=BCOMET.default_page_size)
     result = cluster.run(
-        lambda env: wordcount_mimir(env, path, config), allow_oom=True)
+        lambda env: wordcount_plan(env, path, config), allow_oom=True)
     return result
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 from figutils import append_trajectory
 from repro.apps.pagerank import pagerank_mimir
 from repro.apps.terasort import generate_records, terasort_mimir
-from repro.apps.wordcount import wordcount_mimir
+from repro.apps.wordcount import wordcount_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets import edges_to_bytes, kronecker_edges
@@ -88,7 +88,7 @@ def run_wordcount(batch, codec, *, nbytes, skewed, storage=None):
             else uniform_text(nbytes, seed=7))
     cluster.pfs.store("bench/words.txt", text)
     config = bench_config(codec)
-    result = cluster.run(lambda env: wordcount_mimir(
+    result = cluster.run(lambda env: wordcount_plan(
         env, "bench/words.txt", config, batch=(batch == "batch"),
         collect=True))
     counts = {}
@@ -265,7 +265,6 @@ def write_batch_trace(path: str, *, nbytes: int) -> None:
     """One batch WordCount with spans attached, exported for Perfetto."""
     from functools import partial
 
-    from repro.apps.wordcount import wordcount_plan
     from repro.obs import Trace, write_chrome_trace
     from repro.sched import PlanRunner
 

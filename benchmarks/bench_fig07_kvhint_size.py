@@ -6,7 +6,7 @@ the Wikipedia dataset.
 """
 
 from figutils import BCOMET, SCALE
-from repro.apps.wordcount import wordcount_mimir
+from repro.apps.wordcount import wordcount_plan
 from repro.bench.runner import ExperimentSpec, stage_dataset, _mimir_config
 from repro.cluster import Cluster
 
@@ -22,8 +22,8 @@ def _kv_bytes(label: str, hint: bool) -> int:
                       memory_limit=None)
     cluster.pfs.store(path, data)
     result = cluster.run(
-        lambda env: wordcount_mimir(env, path, _mimir_config(spec),
-                                    hint=hint).kv_bytes)
+        lambda env: wordcount_plan(env, path, _mimir_config(spec),
+                                   hint=hint).kv_bytes)
     return sum(result.returns)
 
 

@@ -11,7 +11,7 @@ Run:  python examples/bfs_graph500.py
 
 import networkx as nx
 
-from repro.apps.bfs import bfs_mimir
+from repro.apps.bfs import bfs_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets import edges_to_bytes, kronecker_edges
@@ -28,8 +28,8 @@ def main():
 
     config = MimirConfig(page_size="32K", comm_buffer_size="32K")
     result = cluster.run(
-        lambda env: bfs_mimir(env, "input/edges.bin", config,
-                              hint=True, compress=True))
+        lambda env: bfs_plan(env, "input/edges.bin", config,
+                             hint=True, compress=True))
 
     root = result.returns[0].root
     visited = sum(r.visited_local for r in result.returns)

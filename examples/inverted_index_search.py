@@ -8,7 +8,7 @@ queries against the distributed index.
 Run:  python examples/inverted_index_search.py
 """
 
-from repro.apps.inverted_index import inverted_index_mimir
+from repro.apps.inverted_index import inverted_index_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.mpi import COMET
@@ -38,8 +38,8 @@ def main():
 
     config = MimirConfig(page_size="8K", comm_buffer_size="8K")
     result = cluster.run(
-        lambda env: inverted_index_mimir(env, "library/", config,
-                                         compress=True))
+        lambda env: inverted_index_plan(env, "library/", config,
+                                        compress=True))
 
     # Each rank owns a slice of the index; merge for querying.
     index = {}

@@ -9,7 +9,7 @@ Run:  python examples/kmeans_clustering.py
 
 import numpy as np
 
-from repro.apps.kmeans import kmeans_mimir
+from repro.apps.kmeans import kmeans_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets import points_to_bytes
@@ -34,7 +34,7 @@ def main():
 
     config = MimirConfig(page_size="16K", comm_buffer_size="16K")
     result = cluster.run(
-        lambda env: kmeans_mimir(env, "pts.bin", K, config, seed=1))
+        lambda env: kmeans_plan(env, "pts.bin", K, config, seed=1))
     outcome = result.returns[0]
 
     print(f"k-means: {len(points)} points, k={K}, "

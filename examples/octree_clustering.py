@@ -9,7 +9,7 @@ at the deepest dense refinement level.
 Run:  python examples/octree_clustering.py
 """
 
-from repro.apps.octree import octree_mimir
+from repro.apps.octree import octree_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets import normal_points, points_to_bytes
@@ -37,9 +37,9 @@ def main():
 
     config = MimirConfig(page_size="16K", comm_buffer_size="16K")
     result = cluster.run(
-        lambda env: octree_mimir(env, "input/points.bin", config,
-                                 density=DENSITY, max_level=6,
-                                 hint=True, partial=True, compress=True))
+        lambda env: octree_plan(env, "input/points.bin", config,
+                                density=DENSITY, max_level=6,
+                                hint=True, partial=True, compress=True))
 
     clusters = sorted(c for r in result.returns for c in r.clusters)
     levels = result.returns[0].levels_run

@@ -8,7 +8,7 @@ execution time of each - a miniature of the paper's Figures 8 and 13.
 Run:  python examples/wordcount_cluster.py
 """
 
-from repro.apps.wordcount import wordcount_mimir, wordcount_mrmpi
+from repro.apps.wordcount import wordcount_plan, wordcount_mrmpi
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets import zipf_text
@@ -47,16 +47,16 @@ def main():
     run("MR-MPI",
         lambda env: wordcount_mrmpi(env, "input/words.txt", mrmpi_cfg))
     run("Mimir",
-        lambda env: wordcount_mimir(env, "input/words.txt", mimir_cfg))
+        lambda env: wordcount_plan(env, "input/words.txt", mimir_cfg))
     run("Mimir (hint)",
-        lambda env: wordcount_mimir(env, "input/words.txt", mimir_cfg,
-                                    hint=True))
+        lambda env: wordcount_plan(env, "input/words.txt", mimir_cfg,
+                                   hint=True))
     run("Mimir (hint+pr)",
-        lambda env: wordcount_mimir(env, "input/words.txt", mimir_cfg,
-                                    hint=True, partial=True))
+        lambda env: wordcount_plan(env, "input/words.txt", mimir_cfg,
+                                   hint=True, partial=True))
     run("Mimir (hint+pr+cps)",
-        lambda env: wordcount_mimir(env, "input/words.txt", mimir_cfg,
-                                    hint=True, partial=True, compress=True))
+        lambda env: wordcount_plan(env, "input/words.txt", mimir_cfg,
+                                   hint=True, partial=True, compress=True))
 
 
 if __name__ == "__main__":

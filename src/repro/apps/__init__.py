@@ -6,35 +6,39 @@
 - Breadth-first search (BFS): iterative map-only traversal of a
   Graph500 Kronecker graph.
 
-Every app exposes ``<name>_mimir(env, ...)`` and ``<name>_mrmpi(env,
-...)`` drivers that run the same logical algorithm through either
-framework, which is what the figure-reproduction benches sweep.
+Every Mimir app is one dataflow Plan, ``<name>_plan(env, ...,
+runner=None)``; the paper's three also keep ``<name>_mrmpi(env, ...)``,
+the same logical algorithm on the MR-MPI baseline, which is what the
+figure-reproduction benches sweep.  Two drivers stay outside the Plan
+API: ``terasort_mimir``, because ``global_sort`` is not a Plan op, and
+``pagerank_mimir``, because a bare runner recomputes PageRank's cached
+adjacency every iteration.
 
-Two further classic MapReduce workloads (PageRank and connected
-components) extend the suite beyond the paper's three benchmarks.
+Further classic MapReduce workloads (PageRank, k-means, connected
+components, the inverted index) extend the suite beyond the paper's
+three benchmarks; ``Plan.join`` is the equi-join.
 """
 
-from repro.apps.bfs import bfs_mimir, bfs_mrmpi
-from repro.apps.components import components_mimir
-from repro.apps.inverted_index import inverted_index_mimir
-from repro.apps.join import join_mimir
-from repro.apps.kmeans import kmeans_mimir
-from repro.apps.octree import octree_mimir, octree_mrmpi
-from repro.apps.pagerank import pagerank_mimir
+from repro.apps.bfs import bfs_mrmpi, bfs_plan
+from repro.apps.components import components_plan
+from repro.apps.inverted_index import inverted_index_plan
+from repro.apps.kmeans import kmeans_plan
+from repro.apps.octree import octree_mrmpi, octree_plan
+from repro.apps.pagerank import pagerank_mimir, pagerank_plan
 from repro.apps.terasort import terasort_mimir
-from repro.apps.wordcount import wordcount_mimir, wordcount_mrmpi
+from repro.apps.wordcount import wordcount_mrmpi, wordcount_plan
 
 __all__ = [
-    "bfs_mimir",
     "bfs_mrmpi",
-    "components_mimir",
-    "inverted_index_mimir",
-    "join_mimir",
-    "kmeans_mimir",
-    "octree_mimir",
+    "bfs_plan",
+    "components_plan",
+    "inverted_index_plan",
+    "kmeans_plan",
     "octree_mrmpi",
+    "octree_plan",
     "pagerank_mimir",
+    "pagerank_plan",
     "terasort_mimir",
-    "wordcount_mimir",
     "wordcount_mrmpi",
+    "wordcount_plan",
 ]

@@ -213,15 +213,6 @@ def bfs_plan(env: RankEnv, path: str,
     return result
 
 
-def bfs_mimir(env: RankEnv, path: str,
-              config: MimirConfig | None = None, *,
-              hint: bool = False, compress: bool = False,
-              keep_parents: bool = False) -> BFSResult:
-    """BFS through Mimir: :func:`bfs_plan`, no services."""
-    return bfs_plan(env, path, config, hint=hint, compress=compress,
-                    keep_parents=keep_parents)
-
-
 def bfs_mrmpi(env: RankEnv, path: str,
               config: MRMPIConfig | None = None, *,
               compress: bool = False,

@@ -15,8 +15,10 @@ import struct
 from dataclasses import dataclass
 
 from repro.cluster import RankEnv
-from repro.core import Mimir, MimirConfig
+from repro.core import MimirConfig
 from repro.io.readers import rank_files
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Plan
 
 _U32 = struct.Struct("<I")
 
@@ -46,12 +48,21 @@ class InvertedIndexResult:
     documents: dict[int, str]  # doc id -> path (same on every rank)
 
 
-def inverted_index_mimir(env: RankEnv, prefix: str,
-                         config: MimirConfig | None = None, *,
-                         compress: bool = False) -> InvertedIndexResult:
-    """Build an inverted index over every document under ``prefix``."""
-    config = config or MimirConfig()
-    mimir = Mimir(env, config)
+def _merge_reduce(ctx, key: bytes, values: list[bytes]) -> None:
+    docs: set[int] = set()
+    for value in values:
+        docs.update(unpack_postings(value))
+    ctx.emit(key, pack_postings(sorted(docs)))
+
+
+def inverted_index_plan(env: RankEnv, prefix: str,
+                        config: MimirConfig | None = None, *,
+                        compress: bool = False,
+                        runner=None) -> InvertedIndexResult:
+    """Build an inverted index over every document under ``prefix``;
+    ``runner`` as in :func:`repro.apps.wordcount.wordcount_plan`."""
+    plan = Plan("inverted_index", config)
+    runner = runner(plan) if runner else PlanRunner(env, plan)
 
     paths = env.pfs.listdir(prefix)
     if not paths:
@@ -59,23 +70,17 @@ def inverted_index_mimir(env: RankEnv, prefix: str,
     documents = dict(enumerate(paths))
     doc_of = {path: i for i, path in documents.items()}
 
-    def feed(ctx) -> None:
+    def feed(ctx, _item) -> None:
         for path in rank_files(env, paths):
             doc = _U32.pack(doc_of[path])
             data = env.pfs.read(env.comm, path)
             for word in data.split():
                 ctx.emit(word, doc)
 
-    kvs = mimir.map_items([None], lambda ctx, _item: feed(ctx),
-                          combine_fn=merge_postings if compress else None)
-
-    def reduce_fn(ctx, key: bytes, values: list[bytes]) -> None:
-        docs: set[int] = set()
-        for value in values:
-            docs.update(unpack_postings(value))
-        ctx.emit(key, pack_postings(sorted(docs)))
-
-    out = mimir.reduce(kvs, reduce_fn)
-    index = {word: unpack_postings(value) for word, value in out.records()}
-    out.free()
+    postings = (plan.source([None], name="documents")
+                .map(feed, combine_fn=merge_postings if compress else None,
+                     name="occurrences")
+                .reduce(_merge_reduce, name="postings"))
+    index = {word: unpack_postings(value)
+             for word, value in runner.stream(postings)}
     return InvertedIndexResult(index, documents)

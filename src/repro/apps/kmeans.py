@@ -184,14 +184,3 @@ def kmeans_plan(env: RankEnv, path: str, k: int,
     inertia = comm.allsum(local_inertia)
     env.tracker.free(points.nbytes, "kmeans_points")
     return KMeansResult(centroids, iterations, sizes, inertia)
-
-
-def kmeans_mimir(env: RankEnv, path: str, k: int,
-                 config: MimirConfig | None = None, *,
-                 max_iterations: int = 50, tolerance: float = 1e-6,
-                 hint: bool = True, compress: bool = True,
-                 seed: int = 0) -> KMeansResult:
-    """k-means through Mimir: :func:`kmeans_plan`, no services."""
-    return kmeans_plan(env, path, k, config, max_iterations=max_iterations,
-                       tolerance=tolerance, hint=hint, compress=compress,
-                       seed=seed)

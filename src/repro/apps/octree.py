@@ -22,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core import KVLayout, Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import KVLayout, MimirConfig, pack_u64, unpack_u64
 from repro.datasets.points import POINT_RECORD_SIZE
 from repro.mrmpi import MRMPI, MRMPIConfig
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Plan
 
 #: KV-hint layout for OC: 9-byte key (level + Morton), 8-byte count.
 OC_HINT_LAYOUT = KVLayout(key_len=9, val_len=8)
@@ -100,16 +102,23 @@ def _advance(comm, counts: list[tuple[bytes, bytes]], threshold: int,
     return {code for _, code, _ in all_dense}, False
 
 
-def octree_mimir(env: RankEnv, path: str,
-                 config: MimirConfig | None = None, *,
-                 density: float = 0.01, max_level: int = 8,
-                 hint: bool = False, compress: bool = False,
-                 partial: bool = False) -> OctreeResult:
-    """Run octree clustering through Mimir."""
+def _count_reduce(ctx, key: bytes, values: list[bytes]) -> None:
+    ctx.emit(key, pack_u64(sum(unpack_u64(v) for v in values)))
+
+
+def octree_plan(env: RankEnv, path: str,
+                config: MimirConfig | None = None, *,
+                density: float = 0.01, max_level: int = 8,
+                hint: bool = False, compress: bool = False,
+                partial: bool = False, runner=None) -> OctreeResult:
+    """Octree clustering: one salted ``read_binary -> map -> reduce``
+    (or ``partial_reduce``) block per level, whose dense octants steer
+    the next level's map.  ``runner`` as in ``wordcount_plan``."""
     config = config or MimirConfig()
     if hint:
         config = config.with_layout(OC_HINT_LAYOUT)
-    mimir = Mimir(env, config)
+    plan = Plan("octree", config)
+    runner = runner(plan) if runner else PlanRunner(env, plan)
     comm = env.comm
 
     total_points = env.pfs.size(path) // POINT_RECORD_SIZE
@@ -123,19 +132,18 @@ def octree_mimir(env: RankEnv, path: str,
         def map_fn(ctx, chunk, _level=level, _parents=parents):
             _map_level(ctx, chunk, _level, _parents)
 
-        kvs = mimir.map_binary_file(
-            path, POINT_RECORD_SIZE, map_fn,
-            combine_fn=oc_combine if compress else None)
-        if partial:
-            out = mimir.partial_reduce(kvs, oc_combine,
-                                       out_layout=config.layout)
-        else:
-            def count_reduce(ctx, key, values):
-                ctx.emit(key, pack_u64(sum(unpack_u64(v) for v in values)))
-
-            out = mimir.reduce(kvs, count_reduce, out_layout=config.layout)
-        pairs = list(out.records())
-        out.free()
+        with plan.salted(f"L{level}"):
+            octants = (plan.read_binary(path, POINT_RECORD_SIZE,
+                                        name="points")
+                       .map(map_fn, name="octants",
+                            combine_fn=oc_combine if compress else None))
+            if partial:
+                counts = octants.partial_reduce(
+                    oc_combine, out_layout=config.layout, name="counts")
+            else:
+                counts = octants.reduce(
+                    _count_reduce, out_layout=config.layout, name="counts")
+            pairs = runner.collect(counts)
         dense, finished = _advance(comm, pairs, threshold, clusters)
         if finished:
             level -= 1
@@ -169,8 +177,7 @@ def octree_mrmpi(env: RankEnv, path: str,
             mr.compress(oc_combine)
         mr.aggregate()
         mr.convert()
-        mr.reduce(lambda ctx, k, vs: ctx.emit(
-            k, pack_u64(sum(unpack_u64(v) for v in vs))))
+        mr.reduce(_count_reduce)
         pairs = mr.collect()
         mr.free()
         dense, finished = _advance(comm, pairs, threshold, clusters)

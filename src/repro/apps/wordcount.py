@@ -129,7 +129,11 @@ def wordcount_mimir(env: RankEnv, path: str,
                     hint: bool = False, compress: bool = False,
                     partial: bool = False, batch: bool = False,
                     collect: bool = False) -> WordCountResult:
-    """WordCount through Mimir: :func:`wordcount_plan`, no services."""
+    """WordCount through Mimir: :func:`wordcount_plan`, no services.
+
+    Kept by name only for the reference benchmark under ``perf/``;
+    everything else calls :func:`wordcount_plan`.
+    """
     return wordcount_plan(env, path, config, hint=hint, compress=compress,
                           partial=partial, batch=batch, collect=collect)
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.apps.bfs import bfs_mimir, bfs_mrmpi
-from repro.apps.octree import octree_mimir, octree_mrmpi
-from repro.apps.wordcount import wordcount_mimir, wordcount_mrmpi
+from repro.apps.bfs import bfs_mrmpi, bfs_plan
+from repro.apps.octree import octree_mrmpi, octree_plan
+from repro.apps.wordcount import wordcount_mrmpi, wordcount_plan
 from repro.bench.records import RunRecord
 from repro.cluster import Cluster
 from repro.core import MimirConfig
@@ -129,24 +129,24 @@ def _mrmpi_config(spec: ExperimentSpec) -> MRMPIConfig:
 def _job(env, spec: ExperimentSpec, path: str):
     if spec.app in ("wc_uniform", "wc_wiki"):
         if spec.framework == "mimir":
-            return wordcount_mimir(env, path, _mimir_config(spec),
-                                   hint=spec.hint, compress=spec.compress,
-                                   partial=spec.partial)
+            return wordcount_plan(env, path, _mimir_config(spec),
+                                  hint=spec.hint, compress=spec.compress,
+                                  partial=spec.partial)
         return wordcount_mrmpi(env, path, _mrmpi_config(spec),
                                compress=spec.compress)
     if spec.app == "oc":
         if spec.framework == "mimir":
-            return octree_mimir(env, path, _mimir_config(spec),
-                                density=spec.density,
-                                max_level=spec.max_level, hint=spec.hint,
-                                compress=spec.compress, partial=spec.partial)
+            return octree_plan(env, path, _mimir_config(spec),
+                               density=spec.density,
+                               max_level=spec.max_level, hint=spec.hint,
+                               compress=spec.compress, partial=spec.partial)
         return octree_mrmpi(env, path, _mrmpi_config(spec),
                             density=spec.density, max_level=spec.max_level,
                             compress=spec.compress)
     if spec.app == "bfs":
         if spec.framework == "mimir":
-            return bfs_mimir(env, path, _mimir_config(spec),
-                             hint=spec.hint, compress=spec.compress)
+            return bfs_plan(env, path, _mimir_config(spec),
+                            hint=spec.hint, compress=spec.compress)
         return bfs_mrmpi(env, path, _mrmpi_config(spec),
                          compress=spec.compress)
     raise AssertionError(spec.app)

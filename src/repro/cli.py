@@ -241,7 +241,7 @@ def cmd_submit(args) -> int:
             return 2
         key, value = item.split("=", 1)
         if value.lower() in ("true", "false"):
-            # The catalog takes bool() of a flag: "false" must not be truthy.
+            # The catalog wants a real bool for a flag, never the string.
             params[key] = value.lower() == "true"
             continue
         params[key] = value
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub = sub.add_parser("submit", help="submit a job to the service")
     client_common(p_sub)
     p_sub.add_argument("app", help="catalog app (wordcount pagerank "
-                                   "kmeans bfs stream_wordcount)")
+                                   "kmeans bfs octree stream_wordcount)")
     p_sub.add_argument("input", help="staged input name or shared PFS path")
     p_sub.add_argument("--param", action="append", metavar="K=V",
                        help="app parameter (repeatable)")

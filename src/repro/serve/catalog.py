@@ -2,17 +2,17 @@
 
 An HTTP client cannot ship a Python callable, so the service runs a
 closed catalog of named applications (the RPC-style "run job" shape:
-a mapper/reducer named by the request, inputs by path).  Each entry
-knows how to
-
-- build the per-rank job function the scheduler launches (``ctx``
-  flavour, wired into the stage cache / trace / admission services);
-- run *direct* on a bare :class:`~repro.cluster.RankEnv` (the
-  ``run_with_recovery`` flavour used when a crashed daemon re-admits
-  an interrupted job, and what tests compare against);
-- merge the per-rank return payloads into one deterministic output
-  artifact - the bytes ``fetch-output`` serves, bit-identical for
-  identical inputs no matter which path executed the job.
+a mapper/reducer named by the request, inputs by path).  The catalog
+is one table, :data:`SERVE_APPS`, one row per app: its params (each
+with a default, whose type it takes, and whether it must be positive), how
+to run it on one rank - under the scheduler (``ctx`` flavour, wired
+into the stage cache / trace / admission services) or *direct* on a
+bare :class:`~repro.cluster.RankEnv` (the ``run_with_recovery``
+flavour used when a crashed daemon re-admits an interrupted job, and
+what tests compare against) - how to merge the per-rank payloads into
+one deterministic output artifact (the bytes ``fetch-output`` serves,
+bit-identical for identical inputs no matter which path executed the
+job), and how to summarize a finished job.
 
 Entries are **pure functions of (app, input path, params)**: a journal
 replay rebuilds exactly the job that was submitted.
@@ -21,20 +21,206 @@ replay rebuilds exactly the job that was submitted.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster import RankEnv
 from repro.sched.executor import PlanRunner
 from repro.sched.scheduler import SchedJob
 
-#: Apps a client may submit, with the type of each param they accept.
-SERVE_APPS: dict[str, dict[str, type]] = {
-    "wordcount": {"hint": bool, "partial": bool, "compress": bool},
-    "pagerank": {"hint": bool, "iterations": int, "compress": bool},
-    "kmeans": {"k": int, "iterations": int, "seed": int},
-    "bfs": {"hint": bool},
-    "stream_wordcount": {"window": float, "nbatches": int},
+
+@dataclass(frozen=True)
+class Param:
+    """A param's default (its type is the default's) and whether a
+    submitted value must be ``> 0``."""
+
+    default: Any
+    positive: bool = False
+
+
+@dataclass(frozen=True)
+class ServeApp:
+    """One catalog row: ``run(env, path, config, runner, checkpoint,
+    **params)`` returns the rank's JSON payload (``runner`` builds a
+    :class:`PlanRunner` with the launch's services and ``checkpoint``);
+    ``merge`` and ``summarize`` fold the per-rank payloads."""
+
+    params: dict[str, Param]
+    run: Callable[..., Any]
+    merge: Callable[[list[Any]], bytes]
+    summarize: Callable[[list[Any]], dict[str, Any]]
+
+
+# ------------------------------------------------------------- run
+
+def _run_wordcount(env, path, config, runner, _checkpoint, **params):
+    from repro.apps.wordcount import wordcount_plan
+
+    result = wordcount_plan(env, path, config, runner=runner, collect=True,
+                            **params)
+    return {"counts": {k.decode("latin-1"): v
+                       for k, v in result.counts.items()},
+            "unique": result.unique_words,
+            "total": result.total_words}
+
+
+def _run_pagerank(env, path, config, runner, _checkpoint, **params):
+    from repro.apps.pagerank import pagerank_plan
+
+    result = pagerank_plan(env, path, config, runner=runner, **params)
+    return {"ranks": {str(node): score
+                      for node, score in result.ranks.items()},
+            "iterations": result.iterations,
+            "final_delta": result.final_delta}
+
+
+def _run_kmeans(env, path, config, runner, _checkpoint, *, k,
+                iterations, seed):
+    from repro.apps.kmeans import kmeans_plan
+
+    result = kmeans_plan(env, path, k, config, runner=runner,
+                         max_iterations=iterations, seed=seed)
+    return {"iterations": result.iterations,
+            "sizes": list(result.sizes),
+            "inertia": result.inertia,
+            "centroids": [[float(x) for x in row]
+                          for row in result.centroids]}
+
+
+def _run_bfs(env, path, config, runner, _checkpoint, **params):
+    from repro.apps.bfs import bfs_plan
+
+    result = bfs_plan(env, path, config, runner=runner, **params)
+    return {"root": result.root, "levels": result.levels,
+            "visited": result.visited_local}
+
+
+def _run_octree(env, path, config, runner, _checkpoint, **params):
+    from repro.apps.octree import octree_plan
+
+    result = octree_plan(env, path, config, runner=runner, **params)
+    return {"levels": result.levels_run, "clusters": result.clusters}
+
+
+def _run_stream_wordcount(env, path, config, runner, checkpoint, *,
+                          window, nbatches):
+    from repro.stream.runner import StreamRunner
+    from repro.stream.scenarios import StreamWordCount
+    from repro.stream.source import StreamSource
+    from repro.stream.windows import TumblingWindows
+
+    # Replay the staged text as a document trickle: the input lines
+    # split into ``nbatches`` micro-batches, one document per line,
+    # windowed over virtual event time.  Checkpointed window state
+    # flows through ``checkpoint`` on the recovery path, so a crashed
+    # daemon resumes the stream from the last completed window rather
+    # than batch zero; the window state is all it checkpoints.  A JSON
+    # integer ``window`` is still a float.
+    window = float(window)
+    lines = [ln for ln in env.pfs.read(env.comm, path).split(b"\n") if ln]
+    per = -(-len(lines) // nbatches) if lines else 1
+    payload_batches = []
+    index = 0
+    for i in range(nbatches):
+        chunk = lines[i * per:(i + 1) * per]
+        payload_batches.append(
+            [(index + j, doc) for j, doc in enumerate(chunk)])
+        index += len(chunk)
+    stream = StreamSource.from_payload_batches(
+        "serve-docs", payload_batches, interval=window / 2.0)
+    scenario = StreamWordCount(env)
+    result = StreamRunner(env, scenario, stream, TumblingWindows(window),
+                          runner=partial(runner, checkpoint=None),
+                          checkpoint=checkpoint,
+                          pace=False).run()
+    return {"counts": {k.decode("latin-1"): v
+                       for k, v in result.final.items()},
+            "windows": result.closed,
+            "resumed": result.resumed}
+
+
+# ----------------------------------------------------------- merge
+#
+# Deterministic and order-insensitive: keyed collections are
+# partitioned across ranks (disjoint), so a union then a sort gives the
+# same bytes for any gang size or execution path.  Floats are rendered
+# with ``repr`` - bit-identical scores stay bit-identical text.
+
+def _lines(rows) -> bytes:
+    return ("\n".join(rows) + "\n").encode()
+
+
+def _json(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+
+def _merge_counts(returns):
+    counts: dict[str, int] = {}
+    for payload in returns:
+        counts.update(payload["counts"])
+    return _lines([f"{word}\t{count}"
+                   for word, count in sorted(counts.items())])
+
+
+def _merge_pagerank(returns):
+    scores: dict[int, float] = {}
+    for payload in returns:
+        scores.update({int(n): s for n, s in payload["ranks"].items()})
+    return _lines([f"{node}\t{score!r}"
+                   for node, score in sorted(scores.items())])
+
+
+def _merge_bfs(returns):
+    return _json({"root": returns[0]["root"], "levels": returns[0]["levels"],
+                  "visited_total": sum(p["visited"] for p in returns)})
+
+
+def _merge_octree(returns):
+    return _json({"levels": returns[0]["levels"],
+                  "clusters": sorted(c for p in returns
+                                     for c in p["clusters"])})
+
+
+#: The catalog: every app a client may submit, one row each.
+SERVE_APPS: dict[str, ServeApp] = {
+    "wordcount": ServeApp(
+        {"hint": Param(True), "partial": Param(True),
+         "compress": Param(False)},
+        _run_wordcount, _merge_counts,
+        lambda returns: {"unique": sum(p["unique"] for p in returns),
+                         "total": sum(p["total"] for p in returns)}),
+    "pagerank": ServeApp(
+        {"hint": Param(True), "iterations": Param(5, positive=True),
+         "compress": Param(False)},
+        _run_pagerank, _merge_pagerank,
+        lambda returns: {"iterations": returns[0]["iterations"],
+                         "final_delta": returns[0]["final_delta"]}),
+    "kmeans": ServeApp(
+        {"k": Param(4, positive=True), "iterations": Param(10, positive=True),
+         "seed": Param(0)},
+        # Converged state is identical on every rank; rank 0 speaks.
+        _run_kmeans, lambda returns: _json(returns[0]),
+        lambda returns: {"iterations": returns[0]["iterations"],
+                         "inertia": returns[0]["inertia"]}),
+    "bfs": ServeApp(
+        {"hint": Param(False)},
+        _run_bfs, _merge_bfs,
+        lambda returns: {"levels": returns[0]["levels"],
+                         "visited": sum(p["visited"] for p in returns)}),
+    "octree": ServeApp(
+        {"hint": Param(True), "compress": Param(False),
+         "partial": Param(True)},
+        _run_octree, _merge_octree,
+        lambda returns: {"levels": returns[0]["levels"],
+                         "clusters": sum(len(p["clusters"])
+                                         for p in returns)}),
+    "stream_wordcount": ServeApp(
+        {"window": Param(10.0, positive=True), "nbatches": Param(4, positive=True)},
+        _run_stream_wordcount, _merge_counts,
+        lambda returns: {"unique": sum(len(p["counts"]) for p in returns),
+                         "windows": returns[0]["windows"],
+                         "resumed": sum(p["resumed"] for p in returns)}),
 }
 
 
@@ -42,24 +228,29 @@ def check_params(app: str, params: dict[str, Any]) -> dict[str, Any]:
     """Validate a submission's app + params; returns a copy of them.
 
     A value of the wrong type is refused, never coerced: ``"false"``
-    for a flag would be ``True`` by the time the app saw it.
+    for a flag would be ``True`` by the time the app saw it.  A value
+    ``<= 0`` for a positive param is refused too.
     """
     if app not in SERVE_APPS:
         raise ValueError(f"unknown app {app!r}; catalog: "
                          f"{', '.join(sorted(SERVE_APPS))}")
-    allowed = SERVE_APPS[app]
+    allowed = SERVE_APPS[app].params
     unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise ValueError(f"unknown param(s) {unknown} for {app!r}; "
                          f"allowed: {list(allowed)}")
     for name, value in params.items():
-        want = allowed[name]
+        spec = allowed[name]
+        want = type(spec.default)
         # ``type() is``: a bool is an int to ``isinstance``.  A JSON
         # integer may stand for a float, nothing else for anything else.
         if type(value) is not want and \
                 not (want is float and type(value) is int):
             raise ValueError(f"param {name!r} of {app!r} wants "
                              f"{want.__name__}, got {value!r}")
+        if spec.positive and value <= 0:
+            raise ValueError(f"param {name!r} of {app!r} must be > 0, "
+                             f"got {value!r}")
     return dict(params)
 
 
@@ -73,91 +264,17 @@ def run_app(app: str, env: RankEnv, path: str,
     :class:`~repro.ft.checkpoint.CheckpointManager` for the recovery
     path.  This is the one place that decides which services a plan
     runs with: the scheduler's, or none beyond the checkpoint.
+    The row's defaults fill in the params a submission left out.
     """
+    row = SERVE_APPS[app]
     if ctx is not None:
-        config, bare_runner = ctx.config, ctx.runner
+        config, runner = ctx.config, ctx.runner
     else:
-        config, bare_runner = None, partial(PlanRunner, env)
-    runner = partial(bare_runner, checkpoint=checkpoint)
-    if app == "wordcount":
-        from repro.apps.wordcount import wordcount_plan
-
-        result = wordcount_plan(
-            env, path, config, runner=runner,
-            hint=bool(params.get("hint", True)),
-            partial=bool(params.get("partial", True)),
-            compress=bool(params.get("compress", False)),
-            collect=True)
-        return {"counts": {k.decode("latin-1"): v
-                           for k, v in result.counts.items()},
-                "unique": result.unique_words,
-                "total": result.total_words}
-    if app == "pagerank":
-        from repro.apps.pagerank import pagerank_plan
-
-        result = pagerank_plan(
-            env, path, config, runner=runner,
-            hint=bool(params.get("hint", True)),
-            compress=bool(params.get("compress", False)),
-            iterations=int(params.get("iterations", 5)))
-        return {"ranks": {str(node): score
-                          for node, score in result.ranks.items()},
-                "iterations": result.iterations,
-                "final_delta": result.final_delta}
-    if app == "kmeans":
-        from repro.apps.kmeans import kmeans_plan
-
-        result = kmeans_plan(
-            env, path, int(params.get("k", 4)), config, runner=runner,
-            max_iterations=int(params.get("iterations", 10)),
-            seed=int(params.get("seed", 0)))
-        return {"iterations": result.iterations,
-                "sizes": list(result.sizes),
-                "inertia": result.inertia,
-                "centroids": [[float(x) for x in row]
-                              for row in result.centroids]}
-    if app == "bfs":
-        from repro.apps.bfs import bfs_plan
-
-        result = bfs_plan(env, path, config, runner=runner,
-                          hint=bool(params.get("hint", False)))
-        return {"root": result.root, "levels": result.levels,
-                "visited": result.visited_local}
-    if app == "stream_wordcount":
-        from repro.stream.runner import StreamRunner
-        from repro.stream.scenarios import StreamWordCount
-        from repro.stream.source import StreamSource
-        from repro.stream.windows import TumblingWindows
-
-        # Replay the staged text as a document trickle: the input
-        # lines split into ``nbatches`` micro-batches, one document
-        # per line, windowed over virtual event time.  Checkpointed
-        # window state flows through ``checkpoint`` on the recovery
-        # path, so a crashed daemon resumes the stream from the last
-        # completed window rather than batch zero.
-        window = float(params.get("window", 10.0))
-        nbatches = max(1, int(params.get("nbatches", 4)))
-        lines = [ln for ln in env.pfs.read(env.comm, path).split(b"\n")
-                 if ln]
-        per = -(-len(lines) // nbatches) if lines else 1
-        payload_batches = []
-        index = 0
-        for i in range(nbatches):
-            chunk = lines[i * per:(i + 1) * per]
-            payload_batches.append(
-                [(index + j, doc) for j, doc in enumerate(chunk)])
-            index += len(chunk)
-        stream = StreamSource.from_payload_batches(
-            "serve-docs", payload_batches, interval=window / 2.0)
-        scenario = StreamWordCount(env)
-        result = StreamRunner(env, scenario, stream,
-                              TumblingWindows(window), runner=bare_runner,
-                              checkpoint=checkpoint, pace=False).run()
-        return {"counts": {k.decode("latin-1"): v
-                           for k, v in result.final.items()},
-                "windows": result.closed,
-                "resumed": result.resumed}
-    raise ValueError(f"unknown app {app!r}")
+        config, runner = None, partial(PlanRunner, env)
+    values = {name: params.get(name, spec.default)
+              for name, spec in row.params.items()}
+    return row.run(env, path, config, partial(runner, checkpoint=checkpoint),
+                   checkpoint, **values)
 
 
 def run_direct(app: str, env: RankEnv, path: str,
@@ -186,55 +303,11 @@ def to_sched_job(app: str, job_id: str, path: str,
                     workload=f"serve:{app}", tenant=tenant)
 
 
-# ----------------------------------------------------------- output merge
-
 def merge_output(app: str, returns: "list[Any]") -> bytes:
-    """Fold per-rank payloads into the job's single output artifact.
-
-    Deterministic and order-insensitive: keyed collections are
-    partitioned across ranks (disjoint), so a union then a sort gives
-    the same bytes for any gang size or execution path.  Floats are
-    rendered with ``repr`` - bit-identical scores stay bit-identical
-    text.
-    """
-    if app in ("wordcount", "stream_wordcount"):
-        counts: dict[str, int] = {}
-        for payload in returns:
-            counts.update(payload["counts"])
-        lines = [f"{word}\t{count}" for word, count in sorted(counts.items())]
-        return ("\n".join(lines) + "\n").encode()
-    if app == "pagerank":
-        scores: dict[int, float] = {}
-        for payload in returns:
-            scores.update({int(n): s for n, s in payload["ranks"].items()})
-        lines = [f"{node}\t{score!r}" for node, score in sorted(scores.items())]
-        return ("\n".join(lines) + "\n").encode()
-    if app == "kmeans":
-        # Converged state is identical on every rank; rank 0 speaks.
-        return (json.dumps(returns[0], sort_keys=True) + "\n").encode()
-    if app == "bfs":
-        merged = {"root": returns[0]["root"], "levels": returns[0]["levels"],
-                  "visited_total": sum(p["visited"] for p in returns)}
-        return (json.dumps(merged, sort_keys=True) + "\n").encode()
-    raise ValueError(f"unknown app {app!r}")
+    """Fold per-rank payloads into the job's single output artifact."""
+    return SERVE_APPS[app].merge(returns)
 
 
 def summarize(app: str, returns: "list[Any]") -> dict[str, Any]:
     """Small status-endpoint summary of a finished job."""
-    if app == "wordcount":
-        return {"unique": sum(p["unique"] for p in returns),
-                "total": sum(p["total"] for p in returns)}
-    if app == "pagerank":
-        return {"iterations": returns[0]["iterations"],
-                "final_delta": returns[0]["final_delta"]}
-    if app == "kmeans":
-        return {"iterations": returns[0]["iterations"],
-                "inertia": returns[0]["inertia"]}
-    if app == "bfs":
-        return {"levels": returns[0]["levels"],
-                "visited": sum(p["visited"] for p in returns)}
-    if app == "stream_wordcount":
-        return {"unique": sum(len(p["counts"]) for p in returns),
-                "windows": returns[0]["windows"],
-                "resumed": sum(p["resumed"] for p in returns)}
-    return {}
+    return SERVE_APPS[app].summarize(returns)

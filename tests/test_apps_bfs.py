@@ -6,7 +6,6 @@ import pytest
 
 from repro.apps.bfs import (
     BFS_HINT_LAYOUT,
-    bfs_mimir,
     bfs_mrmpi,
     bfs_plan,
     vertex_partitioner,
@@ -57,7 +56,7 @@ def edges():
 class TestTraversalCorrectness:
     def test_mimir_visits_entire_component(self, edges):
         ref_root, ref_visited, ref_depth = reference_bfs(edges)
-        root, levels, parents, _ = run_bfs(bfs_mimir, edges,
+        root, levels, parents, _ = run_bfs(bfs_plan, edges,
                                            config=MIMIR_CFG)
         assert root == ref_root
         assert len(parents) == ref_visited
@@ -65,7 +64,7 @@ class TestTraversalCorrectness:
         assert levels == ref_depth + 1 or levels == ref_depth
 
     def test_mrmpi_matches_mimir(self, edges):
-        _, _, mimir_parents, _ = run_bfs(bfs_mimir, edges, config=MIMIR_CFG)
+        _, _, mimir_parents, _ = run_bfs(bfs_plan, edges, config=MIMIR_CFG)
         _, _, mrmpi_parents, _ = run_bfs(bfs_mrmpi, edges, config=MRMPI_CFG)
         assert set(mimir_parents) == set(mrmpi_parents)
 
@@ -74,7 +73,7 @@ class TestTraversalCorrectness:
         for u, v in edges.tolist():
             if u != v:
                 graph.add_edge(u, v)
-        root, _, parents, _ = run_bfs(bfs_mimir, edges, config=MIMIR_CFG)
+        root, _, parents, _ = run_bfs(bfs_plan, edges, config=MIMIR_CFG)
         assert parents[root] == root
         for vertex, parent in parents.items():
             if vertex != root:
@@ -89,7 +88,7 @@ class TestTraversalCorrectness:
     def test_mimir_optimizations_preserve_reachability(self, edges, opts):
         _, ref_visited, _ = reference_bfs(edges)[0], \
             reference_bfs(edges)[1], reference_bfs(edges)[2]
-        _, _, parents, _ = run_bfs(bfs_mimir, edges, config=MIMIR_CFG, **opts)
+        _, _, parents, _ = run_bfs(bfs_plan, edges, config=MIMIR_CFG, **opts)
         assert len(parents) == reference_bfs(edges)[1]
 
     def test_mrmpi_compress_preserves_reachability(self, edges):
@@ -98,15 +97,15 @@ class TestTraversalCorrectness:
         assert len(parents) == reference_bfs(edges)[1]
 
     def test_serial_equals_parallel(self, edges):
-        _, _, p1, _ = run_bfs(bfs_mimir, edges, nprocs=1, config=MIMIR_CFG)
-        _, _, p8, _ = run_bfs(bfs_mimir, edges, nprocs=8, config=MIMIR_CFG)
+        _, _, p1, _ = run_bfs(bfs_plan, edges, nprocs=1, config=MIMIR_CFG)
+        _, _, p8, _ = run_bfs(bfs_plan, edges, nprocs=8, config=MIMIR_CFG)
         assert set(p1) == set(p8)
 
 
 class TestSmallGraphs:
     def test_path_graph(self):
         edges = np.array([[0, 1], [1, 2], [2, 3]], dtype="<u8")
-        root, levels, parents, _ = run_bfs(bfs_mimir, edges, nprocs=2,
+        root, levels, parents, _ = run_bfs(bfs_plan, edges, nprocs=2,
                                            config=MIMIR_CFG)
         assert root == 0
         assert len(parents) == 4
@@ -114,13 +113,13 @@ class TestSmallGraphs:
 
     def test_two_components_only_roots_component(self):
         edges = np.array([[0, 1], [2, 3]], dtype="<u8")
-        _, _, parents, _ = run_bfs(bfs_mimir, edges, nprocs=2,
+        _, _, parents, _ = run_bfs(bfs_plan, edges, nprocs=2,
                                    config=MIMIR_CFG)
         assert set(parents) == {0, 1}
 
     def test_self_loops_ignored(self):
         edges = np.array([[0, 0], [0, 1]], dtype="<u8")
-        _, _, parents, _ = run_bfs(bfs_mimir, edges, nprocs=2,
+        _, _, parents, _ = run_bfs(bfs_plan, edges, nprocs=2,
                                    config=MIMIR_CFG)
         assert set(parents) == {0, 1}
 
@@ -130,8 +129,8 @@ class TestSmallGraphs:
         cluster.pfs.store("edges.bin", edges_to_bytes(edges))
         from repro.mpi import RankFailedError
         with pytest.raises(RankFailedError):
-            cluster.run(lambda env: bfs_mimir(env, "edges.bin",
-                                              config=MIMIR_CFG))
+            cluster.run(lambda env: bfs_plan(env, "edges.bin",
+                                             config=MIMIR_CFG))
 
 
 class TestPartitioner:
@@ -154,7 +153,7 @@ class TestMemoryShape:
 
         def job(env):
             peak_before = env.tracker.peak  # ~0
-            result = bfs_mimir(env, "edges.bin", MIMIR_CFG)
+            result = bfs_plan(env, "edges.bin", MIMIR_CFG)
             return peak_before, env.tracker.peak, result.visited_local
 
         plain = cluster.run(job)
@@ -162,8 +161,8 @@ class TestMemoryShape:
         cluster2 = Cluster(COMET, nprocs=4, memory_limit=None)
         cluster2.pfs.store("edges.bin", edges_to_bytes(edges))
         compressed = cluster2.run(
-            lambda env: bfs_mimir(env, "edges.bin", MIMIR_CFG,
-                                  compress=True) and env.tracker.peak)
+            lambda env: bfs_plan(env, "edges.bin", MIMIR_CFG,
+                                 compress=True) and env.tracker.peak)
         # Paper: "Mimir has the same memory usage with and without
         # compression" for BFS - the peak is in the partition phase,
         # which compression does not touch.

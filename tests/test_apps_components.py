@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.apps.components import CC_HINT_LAYOUT, cc_combine, components_mimir
+from repro.apps.components import CC_HINT_LAYOUT, cc_combine, components_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig, pack_u64, unpack_u64
 from repro.datasets import edges_to_bytes, kronecker_edges
@@ -18,7 +18,7 @@ def run_components(edges, nprocs=4, **kwargs):
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
     cluster.pfs.store("edges.bin", edges_to_bytes(edges))
     result = cluster.run(
-        lambda env: components_mimir(env, "edges.bin", CFG, **kwargs))
+        lambda env: components_plan(env, "edges.bin", CFG, **kwargs))
     labels = {}
     for r in result.returns:
         for v, label in r.labels.items():

@@ -1,19 +1,17 @@
-"""Inverted index and reduce-side join."""
-
-from collections import Counter
+"""Inverted index and the reduce-side equi-join (``Plan.join``)."""
 
 import pytest
 
 from repro.apps.inverted_index import (
-    inverted_index_mimir,
+    inverted_index_plan,
     merge_postings,
     pack_postings,
     unpack_postings,
 )
-from repro.apps.join import JoinResult, join_mimir, tag_value, untag_value
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.mpi import COMET, RankFailedError
+from repro.sched import Plan, PlanRunner
 
 CFG = MimirConfig(page_size=4096, comm_buffer_size=4096,
                   input_chunk_size=512)
@@ -41,7 +39,7 @@ def run_index(nprocs=3, **kwargs):
     for path, data in DOCS.items():
         cluster.pfs.store(path, data)
     result = cluster.run(
-        lambda env: inverted_index_mimir(env, "docs/", CFG, **kwargs))
+        lambda env: inverted_index_plan(env, "docs/", CFG, **kwargs))
     merged: dict[bytes, list[int]] = {}
     for part in result.returns:
         for word, postings in part.index.items():
@@ -76,7 +74,7 @@ class TestInvertedIndex:
     def test_empty_prefix_raises(self):
         cluster = Cluster(COMET, nprocs=2, memory_limit=None)
         with pytest.raises(RankFailedError):
-            cluster.run(lambda env: inverted_index_mimir(env, "none/", CFG))
+            cluster.run(lambda env: inverted_index_plan(env, "none/", CFG))
 
     def test_postings_codec(self):
         ids = [0, 3, 17, 2 ** 31]
@@ -90,26 +88,40 @@ LEFT = [(b"k1", b"a1"), (b"k2", b"a2"), (b"k2", b"a3"), (b"k4", b"a4")]
 RIGHT = [(b"k1", b"b1"), (b"k2", b"b2"), (b"k3", b"b3"), (b"k1", b"b4")]
 
 
-def brute_force_join():
+def brute_force_join(left=LEFT, right=RIGHT):
     rows = []
-    for lk, lv in LEFT:
-        for rk, rv in RIGHT:
+    for lk, lv in left:
+        for rk, rv in right:
             if lk == rk:
                 rows.append((lk, lv, rv))
     return sorted(rows)
 
 
+def emit_row(ctx, row):
+    ctx.emit(*row)
+
+
+def pair_rows(ctx, key, lvals, rvals):
+    """Emit every (left, right) pairing, the left payload length-prefixed."""
+    for lv in lvals:
+        for rv in rvals:
+            ctx.emit(key, bytes([len(lv)]) + lv + rv)
+
+
 class TestJoin:
-    def run_join(self, nprocs=3):
+    def run_join(self, nprocs=3, left=LEFT, right=RIGHT):
         cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
 
         def job(env):
             rank, size = env.comm.rank, env.comm.size
-            return join_mimir(env, LEFT[rank::size], RIGHT[rank::size],
-                              CFG).rows
+            plan = Plan("join", CFG)
+            lhs = plan.source(left[rank::size]).map(emit_row)
+            rhs = plan.source(right[rank::size]).map(emit_row)
+            return PlanRunner(env, plan).collect(lhs.join(rhs, pair_rows))
 
         result = cluster.run(job)
-        return sorted(row for part in result.returns for row in part)
+        return sorted((key, value[1:1 + value[0]], value[1 + value[0]:])
+                      for part in result.returns for key, value in part)
 
     def test_matches_brute_force(self):
         assert self.run_join() == brute_force_join()
@@ -131,5 +143,8 @@ class TestJoin:
         assert len(k1_rows) == 2  # one left x two rights
 
     def test_tagging_roundtrip(self):
-        side, payload = untag_value(tag_value(b"L", b"data"))
-        assert (side, payload) == (b"L", b"data")
+        """Payloads that look like the side tags, and empty ones, come
+        through the co-group untouched and on the right side."""
+        left = [(b"k", b"L"), (b"k", b"R"), (b"k", b""), (b"j", b"Rx")]
+        right = [(b"k", b"LL"), (b"k", b""), (b"j", b"")]
+        assert self.run_join(2, left, right) == brute_force_join(left, right)

@@ -5,8 +5,8 @@ import pytest
 
 from repro.apps.kmeans import (
     KM_HINT_LAYOUT,
-    kmeans_mimir,
     km_combine,
+    kmeans_plan,
     pack_agg,
     unpack_agg,
 )
@@ -34,7 +34,7 @@ def run_kmeans(points, k, nprocs=4, **kwargs):
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
     cluster.pfs.store("pts.bin", points_to_bytes(points))
     result = cluster.run(
-        lambda env: kmeans_mimir(env, "pts.bin", k, CFG, **kwargs))
+        lambda env: kmeans_plan(env, "pts.bin", k, CFG, **kwargs))
     # All ranks converge to identical centroids.
     reference = result.returns[0]
     for r in result.returns[1:]:
@@ -99,13 +99,13 @@ class TestKMeans:
         cluster = Cluster(COMET, nprocs=2, memory_limit=None)
         cluster.pfs.store("pts.bin", points_to_bytes(points))
         with pytest.raises(RankFailedError):
-            cluster.run(lambda env: kmeans_mimir(env, "pts.bin", 10, CFG))
+            cluster.run(lambda env: kmeans_plan(env, "pts.bin", 10, CFG))
 
     def test_invalid_k(self):
         cluster = Cluster(COMET, nprocs=1, memory_limit=None)
         cluster.pfs.store("pts.bin", b"")
         with pytest.raises(RankFailedError):
-            cluster.run(lambda env: kmeans_mimir(env, "pts.bin", 0, CFG))
+            cluster.run(lambda env: kmeans_plan(env, "pts.bin", 0, CFG))
 
     def test_memory_released(self):
         points, _ = three_blobs()
@@ -113,7 +113,7 @@ class TestKMeans:
         cluster.pfs.store("pts.bin", points_to_bytes(points))
 
         def job(env):
-            kmeans_mimir(env, "pts.bin", 3, CFG)
+            kmeans_plan(env, "pts.bin", 3, CFG)
             return env.tracker.current
 
         assert cluster.run(job).returns == [0, 0]

@@ -7,7 +7,7 @@ from repro.apps.octree import (
     OC_HINT_LAYOUT,
     make_key,
     morton_codes,
-    octree_mimir,
+    octree_plan,
     octree_mrmpi,
     parse_key,
 )
@@ -97,7 +97,7 @@ def points():
 
 class TestClusteringCorrectness:
     def test_mimir_matches_brute_force(self, points):
-        clusters, levels, _ = run_octree(octree_mimir, points,
+        clusters, levels, _ = run_octree(octree_plan, points,
                                          config=MIMIR_CFG)
         ref_levels, ref_clusters = brute_force_clusters(points, 0.01, 4)
         assert levels == ref_levels
@@ -117,7 +117,7 @@ class TestClusteringCorrectness:
         {"hint": True, "compress": True, "partial": True},
     ])
     def test_mimir_optimizations_preserve_answer(self, points, opts):
-        clusters, levels, _ = run_octree(octree_mimir, points,
+        clusters, levels, _ = run_octree(octree_plan, points,
                                          config=MIMIR_CFG, **opts)
         ref_levels, ref_clusters = brute_force_clusters(points, 0.01, 4)
         assert (levels, clusters) == (ref_levels, ref_clusters)
@@ -129,9 +129,9 @@ class TestClusteringCorrectness:
         assert (levels, clusters) == (ref_levels, ref_clusters)
 
     def test_serial_equals_parallel(self, points):
-        serial, l1, _ = run_octree(octree_mimir, points, nprocs=1,
+        serial, l1, _ = run_octree(octree_plan, points, nprocs=1,
                                    config=MIMIR_CFG)
-        parallel, l2, _ = run_octree(octree_mimir, points, nprocs=6,
+        parallel, l2, _ = run_octree(octree_plan, points, nprocs=6,
                                      config=MIMIR_CFG)
         assert (l1, serial) == (l2, parallel)
 
@@ -141,7 +141,7 @@ class TestClusteringBehaviour:
         rng = np.random.default_rng(0)
         pts = rng.random((2000, 3)).astype("<f4")
         # With 0.05 density and uniform data, refinement stops early.
-        clusters, levels, _ = run_octree(octree_mimir, pts, density=0.05,
+        clusters, levels, _ = run_octree(octree_plan, pts, density=0.05,
                                          max_level=6, config=MIMIR_CFG)
         ref_levels, ref_clusters = brute_force_clusters(pts, 0.05, 6)
         assert levels == ref_levels
@@ -151,10 +151,20 @@ class TestClusteringBehaviour:
         pts = (np.full((500, 3), 0.3) +
                np.random.default_rng(1).normal(0, 1e-4, (500, 3))
                ).astype("<f4")
-        clusters, levels, _ = run_octree(octree_mimir, pts, density=0.5,
+        clusters, levels, _ = run_octree(octree_plan, pts, density=0.5,
                                          max_level=3, config=MIMIR_CFG)
         assert levels == 3
         assert len(clusters) == 1
         level, code, count = clusters[0]
         assert level == 3
         assert count == 500
+
+
+class TestPinnedCost:
+    def test_plan_costs_what_the_direct_driver_cost(self, points):
+        # Pinned from the direct Mimir driver this Plan replaced: six
+        # paper figures run octree, so its cost must not drift.
+        *_, result = run_octree(octree_plan, points, config=MIMIR_CFG)
+        assert result.elapsed == pytest.approx(1.4501857013333335,
+                                               rel=1e-12)
+        assert result.peak_bytes == [50320, 48844, 48771, 50320]

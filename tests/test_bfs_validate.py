@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.bfs import bfs_mimir, bfs_mrmpi
+from repro.apps.bfs import bfs_mrmpi, bfs_plan
 from repro.apps.bfs_validate import validate_bfs
 from repro.cluster import Cluster
 from repro.core import MimirConfig
@@ -81,13 +81,13 @@ class TestCertifyOurBFS:
 
     def test_mimir_bfs_is_graph500_valid(self, edges):
         config = MimirConfig(page_size=8192, comm_buffer_size=8192)
-        root, parents = self._run(edges, bfs_mimir, config)
+        root, parents = self._run(edges, bfs_plan, config)
         report = validate_bfs(edges, root, parents)
         assert report.valid, report.violations
 
     def test_mimir_bfs_with_optimizations_valid(self, edges):
         config = MimirConfig(page_size=8192, comm_buffer_size=8192)
-        root, parents = self._run(edges, bfs_mimir, config,
+        root, parents = self._run(edges, bfs_plan, config,
                                   hint=True, compress=True)
         report = validate_bfs(edges, root, parents)
         assert report.valid, report.violations

@@ -150,7 +150,7 @@ class TestServeCommands:
     def test_submit_param_true_false_are_booleans(self, service, capsys):
         import json
 
-        # "false" kept as a string is truthy under the catalog's bool().
+        # "false" kept as a string would be refused by the catalog.
         assert main(["submit", "wordcount", "demo/words.txt", service,
                      "--param", "hint=false", "--param", "partial=TRUE",
                      "--param", "compress=False", "--wait"]) == 0

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.components import components_mimir
+from repro.apps.components import components_plan
 from repro.apps.wordcount import wordcount_mimir, wordcount_mrmpi
 from repro.cluster import Cluster
 from repro.core import (
@@ -105,7 +105,7 @@ def test_components_match_networkx(pairs, nprocs):
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
     cluster.pfs.store("e.bin", edges_to_bytes(edges))
     result = cluster.run(
-        lambda env: components_mimir(env, "e.bin", MIMIR_CFG))
+        lambda env: components_plan(env, "e.bin", MIMIR_CFG))
     labels = {}
     for r in result.returns:
         labels.update(r.labels)

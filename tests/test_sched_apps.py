@@ -7,7 +7,9 @@ from functools import partial
 import pytest
 
 from repro.apps.bfs import bfs_plan
+from repro.apps.components import components_plan
 from repro.apps.kmeans import kmeans_plan
+from repro.apps.octree import octree_plan
 from repro.apps.pagerank import pagerank_mimir, pagerank_plan
 from repro.apps.wordcount import wordcount_plan
 from repro.cluster import Cluster
@@ -30,6 +32,11 @@ APPS = {
         env, "demo/graph.bin", config, compress=True, keep_parents=True, **kw),
     "kmeans": lambda env, config, **kw: kmeans_plan(
         env, "demo/points.bin", 4, config, max_iterations=5, **kw),
+    "octree": lambda env, config, **kw: octree_plan(
+        env, "demo/points.bin", config, density=0.01, max_level=4,
+        hint=True, compress=True, partial=True, **kw),
+    "components": lambda env, config, **kw: components_plan(
+        env, "demo/graph.bin", config, compress=True, **kw),
 }
 
 
@@ -64,9 +71,10 @@ class TestServicesIdentity:
         cached, _ = launch(cluster, app,
                            lambda env: {"cache": caches[env.comm.rank]})
         assert cached == launch(cluster, app)[0]
-        # Only BFS marks a stage cacheable; it alone leaves one behind.
+        # BFS and components cache their partition stage; they alone
+        # leave one behind.
         assert [len(c.entries) for c in caches] == \
-            [int(app == "bfs")] * cluster.nprocs
+            [int(app in ("bfs", "components"))] * cluster.nprocs
 
     def test_under_scheduler_context(self, app):
         cluster = make_cluster()

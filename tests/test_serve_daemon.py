@@ -82,6 +82,7 @@ class TestHTTPEndToEnd:
              []),
             ("alice", "pagerank", "demo/graph.bin", {"iterations": 2}, []),
             ("carol", "wordcount", "demo/words.txt", {}, []),
+            ("bob", "octree", "demo/points.bin", {"compress": True}, []),
         ]:
             client = ServeClient(url, tenant=tenant)
             if extra:
@@ -150,6 +151,21 @@ class TestHTTPEndToEnd:
             ServeClient(url, tenant="alice").submit(app, inp, params=params)
         assert exc.value.status == 400
         assert "wants" in str(exc.value) and not daemon.jobs
+
+    @pytest.mark.parametrize("app,inp,params", [
+        ("kmeans", "demo/points.bin", {"k": 0}),
+        ("pagerank", "demo/graph.bin", {"iterations": -1}),
+        ("stream_wordcount", "demo/words.txt", {"nbatches": 0}),
+        ("stream_wordcount", "demo/words.txt", {"window": -1.0}),
+        ("stream_wordcount", "demo/words.txt", {"window": 0}),
+    ])
+    def test_out_of_range_param_rejected_400(self, service, app, inp,
+                                             params):
+        daemon, url = service
+        with pytest.raises(ServeAPIError) as exc:
+            ServeClient(url, tenant="alice").submit(app, inp, params=params)
+        assert exc.value.status == 400
+        assert "must be" in str(exc.value) and not daemon.jobs
 
     def test_json_integer_is_a_float_param(self, service):
         daemon, url = service
