@@ -5,7 +5,8 @@ PageRank, TeraSort) through every combination of
 
 - **kernel form** - ``batch`` (``@batch_kernel`` whole-page kernels,
   bulk emits) vs ``per_record`` (the paper's per-record callbacks);
-  one driver runs both, so this axis must change nothing;
+  one driver runs both, so this axis must change nothing (PageRank has
+  one kernel form, so both of its cells run the same job);
 - **codec** - off vs ``dedup+zlib`` (frozen container pages, framed
   spills and exchange parts).
 
@@ -36,7 +37,7 @@ import sys
 from pathlib import Path
 
 from figutils import append_trajectory
-from repro.apps.pagerank import pagerank_mimir
+from repro.apps.pagerank import pagerank_plan
 from repro.apps.terasort import generate_records, terasort_mimir
 from repro.apps.wordcount import wordcount_plan
 from repro.cluster import Cluster
@@ -99,14 +100,15 @@ def run_wordcount(batch, codec, *, nbytes, skewed, storage=None):
     return measure(cluster, result, hashlib.sha256(blob).hexdigest())
 
 
-def run_pagerank(batch, codec, *, scale, iterations):
+def run_pagerank(_batch, codec, *, scale, iterations):
+    # One kernel form: its pipeline folds with the batch kernel wherever
+    # the layout fixes the score's width.
     cluster = Cluster(COMET, nprocs=NPROCS)
     edges = kronecker_edges(scale=scale, edgefactor=8, seed=11)
     cluster.pfs.store("bench/graph.bin", edges_to_bytes(edges))
     config = bench_config(codec)
-    result = cluster.run(lambda env: pagerank_mimir(
-        env, "bench/graph.bin", config, iterations=iterations,
-        batch=(batch == "batch")))
+    result = cluster.run(lambda env: pagerank_plan(
+        env, "bench/graph.bin", config, iterations=iterations))
     scores = {}
     for rank_result in result.returns:
         scores.update(rank_result.ranks)

@@ -10,7 +10,7 @@ Run:  python examples/pagerank_graph.py
 
 import networkx as nx
 
-from repro.apps.pagerank import pagerank_mimir
+from repro.apps.pagerank import pagerank_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets import edges_to_bytes, kronecker_edges
@@ -26,9 +26,9 @@ def main():
     cluster.pfs.store("edges.bin", edges_to_bytes(edges))
 
     result = cluster.run(
-        lambda env: pagerank_mimir(env, "edges.bin", CFG, hint=True,
-                                   compress=True, iterations=100,
-                                   tolerance=1e-10))
+        lambda env: pagerank_plan(env, "edges.bin", CFG, hint=True,
+                                  compress=True, iterations=100,
+                                  tolerance=1e-10))
     scores = {}
     for part in result.returns:
         scores.update(part.ranks)

@@ -9,10 +9,8 @@
 Every Mimir app is one dataflow Plan, ``<name>_plan(env, ...,
 runner=None)``; the paper's three also keep ``<name>_mrmpi(env, ...)``,
 the same logical algorithm on the MR-MPI baseline, which is what the
-figure-reproduction benches sweep.  Two drivers stay outside the Plan
-API: ``terasort_mimir``, because ``global_sort`` is not a Plan op, and
-``pagerank_mimir``, because a bare runner recomputes PageRank's cached
-adjacency every iteration.
+figure-reproduction benches sweep.  One driver stays outside the Plan
+API: ``terasort_mimir``, because ``global_sort`` is not a Plan op.
 
 Further classic MapReduce workloads (PageRank, k-means, connected
 components, the inverted index) extend the suite beyond the paper's
@@ -24,7 +22,7 @@ from repro.apps.components import components_plan
 from repro.apps.inverted_index import inverted_index_plan
 from repro.apps.kmeans import kmeans_plan
 from repro.apps.octree import octree_mrmpi, octree_plan
-from repro.apps.pagerank import pagerank_mimir, pagerank_plan
+from repro.apps.pagerank import pagerank_plan
 from repro.apps.terasort import terasort_mimir
 from repro.apps.wordcount import wordcount_mrmpi, wordcount_plan
 
@@ -36,7 +34,6 @@ __all__ = [
     "kmeans_plan",
     "octree_mrmpi",
     "octree_plan",
-    "pagerank_mimir",
     "pagerank_plan",
     "terasort_mimir",
     "wordcount_mrmpi",

@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub = sub.add_parser("submit", help="submit a job to the service")
     client_common(p_sub)
     p_sub.add_argument("app", help="catalog app (wordcount pagerank "
-                                   "kmeans bfs octree stream_wordcount)")
+                                   "kmeans bfs octree components "
+                                   "inverted_index stream_wordcount)")
     p_sub.add_argument("input", help="staged input name or shared PFS path")
     p_sub.add_argument("--param", action="append", metavar="K=V",
                        help="app parameter (repeatable)")

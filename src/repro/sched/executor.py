@@ -21,6 +21,12 @@ Cached inputs are *pinned* while a downstream stage reads them, so a
 concurrent cache eviction can never free pages under a live iterator,
 and they are read non-destructively (``consume=False``) so the next
 consumer still finds them intact.
+
+A runner without a cache keeps a ``cache()``-annotated stage only
+where it knows the stage will be read again: inside :meth:`PlanRunner.
+iterate`, the first read keeps the container and later passes reuse it;
+the kept containers are freed when the loop ends.  Outside a loop such
+a stage is drained by its one reader, like any other.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.cluster import RankEnv
+from repro.core.codec import get_codec
 from repro.core.job import Mimir
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
@@ -59,6 +66,9 @@ class PlanRunner:
         #: cache hits do not count) - the observable that recompute
         #: and stage-skip tests assert on.
         self.stage_counts: Counter[str] = Counter()
+        #: Inside :meth:`iterate` without a cache: the ``cache()``d
+        #: stages read so far, by key; ``None`` outside a loop.
+        self._kept: dict[str, KVContainer] | None = None
         if cache is not None and cache.env is not env:
             cache.attach(env, trace)
 
@@ -69,12 +79,16 @@ class PlanRunner:
 
         Cache hit beats checkpoint restore beats execution; a cached
         stage that has to execute (or restore) is adopted into the
-        cache on the way out.
+        cache on the way out, or, inside a loop without a cache, kept
+        for the loop's later reads.
         """
         stage = ds.stage if isinstance(ds, Dataset) else ds
         key = stage.key
         comm = self.env.comm
         use_cache = stage.cached and self.cache is not None
+        keep = stage.cached and self._kept is not None
+        if keep and key in self._kept:
+            return self._kept[key]
         if use_cache:
             if comm.all_true(self.cache.has(key)):
                 return self.cache.get(key)
@@ -85,8 +99,13 @@ class PlanRunner:
         kvc = None
         if self.checkpoint is not None and stage.checkpointed \
                 and self.checkpoint.has(key):
+            # Into the kind of container executing the stage makes: a
+            # map output freezes its full pages with the job's codec.
+            layout = self._layout_of(stage)
             kvc = self.checkpoint.load_kvc(key, self.mimir.container(
-                self._layout_of(stage), f"kv_{stage.name}"))
+                layout, f"kv_{stage.name}", codec_env=self.env,
+                codec=get_codec(self.mimir.config.codec, layout)
+                if stage.op == "map" else None))
         if kvc is None:
             kvc = self._execute(stage)
             if self.checkpoint is not None and stage.checkpointed:
@@ -94,6 +113,8 @@ class PlanRunner:
         if use_cache:
             self.cache.put(key, kvc, name=stage.name, job=self.job)
             return self.cache.get(key)
+        if keep:
+            self._kept[key] = kvc
         return kvc
 
     def _layout_of(self, stage: Stage) -> KVLayout:
@@ -113,16 +134,18 @@ class PlanRunner:
                 ) -> Iterator[tuple[KVContainer, bool]]:
         """Materialize a stage for one reader: its container and
         whether the reader may consume it.  A container the cache owns
-        stays pinned while it is read and must be left intact."""
+        stays pinned while it is read; it and one the loop keeps must be
+        left intact."""
         stage = ds.stage if isinstance(ds, Dataset) else ds
         kvc = self.materialize(stage)
-        preserved = stage.cached and self.cache is not None
-        if preserved:
+        pinned = stage.cached and self.cache is not None
+        preserved = pinned or (stage.cached and self._kept is not None)
+        if pinned:
             kvc.pin()
         try:
             yield kvc, not preserved
         finally:
-            if preserved:
+            if pinned:
                 kvc.unpin()
 
     def _execute(self, stage: Stage) -> KVContainer:
@@ -252,14 +275,25 @@ class PlanRunner:
         Each pass salts the plan, so stages *created inside the body*
         get per-iteration identities (fresh cache/checkpoint keys)
         while stages built before the loop keep theirs and hit the
-        cache every pass.  ``until`` must be deterministic from
-        ``state`` (it is evaluated on every rank).
+        cache every pass.  Without a cache, a ``cache()``d stage the
+        body reads is kept from its first read until the loop returns
+        or raises.  ``until`` must be deterministic from ``state`` (it
+        is evaluated on every rank).
         """
-        iterations = 0
-        for i in range(max_iters):
-            with self.plan.salted(f"{self.plan.salt}#i{i}"):
-                state = body(self, i, state)
-            iterations = i + 1
-            if until is not None and until(state):
-                break
+        outer = self._kept
+        if self.cache is None and outer is None:
+            self._kept = {}
+        try:
+            iterations = 0
+            for i in range(max_iters):
+                with self.plan.salted(f"{self.plan.salt}#i{i}"):
+                    state = body(self, i, state)
+                iterations = i + 1
+                if until is not None and until(state):
+                    break
+        finally:
+            if self._kept is not outer:
+                for kvc in self._kept.values():
+                    kvc.free()
+                self._kept = outer
         return state, iterations

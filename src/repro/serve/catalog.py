@@ -103,6 +103,27 @@ def _run_octree(env, path, config, runner, _checkpoint, **params):
     return {"levels": result.levels_run, "clusters": result.clusters}
 
 
+def _run_components(env, path, config, runner, _checkpoint, *, iterations,
+                    **params):
+    from repro.apps.components import components_plan
+
+    result = components_plan(env, path, config, runner=runner,
+                             max_iterations=iterations, **params)
+    return {"labels": {str(v): label for v, label in result.labels.items()},
+            "iterations": result.iterations}
+
+
+def _run_inverted_index(env, path, config, runner, _checkpoint, **params):
+    from repro.apps.inverted_index import inverted_index_plan
+
+    # The input path is the document prefix.
+    result = inverted_index_plan(env, path, config, runner=runner, **params)
+    docs = result.documents
+    return {"index": {word.decode("latin-1"): ",".join(docs[d] for d in ids)
+                      for word, ids in result.index.items()},
+            "documents": len(docs)}
+
+
 def _run_stream_wordcount(env, path, config, runner, checkpoint, *,
                           window, nbatches):
     from repro.stream.runner import StreamRunner
@@ -144,8 +165,8 @@ def _run_stream_wordcount(env, path, config, runner, checkpoint, *,
 #
 # Deterministic and order-insensitive: keyed collections are
 # partitioned across ranks (disjoint), so a union then a sort gives the
-# same bytes for any gang size or execution path.  Floats are rendered
-# with ``repr`` - bit-identical scores stay bit-identical text.
+# same bytes for any gang size or execution path.  A float renders as
+# its ``repr`` - bit-identical scores stay bit-identical text.
 
 def _lines(rows) -> bytes:
     return ("\n".join(rows) + "\n").encode()
@@ -155,20 +176,16 @@ def _json(doc) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 
-def _merge_counts(returns):
-    counts: dict[str, int] = {}
-    for payload in returns:
-        counts.update(payload["counts"])
-    return _lines([f"{word}\t{count}"
-                   for word, count in sorted(counts.items())])
-
-
-def _merge_pagerank(returns):
-    scores: dict[int, float] = {}
-    for payload in returns:
-        scores.update({int(n): s for n, s in payload["ranks"].items()})
-    return _lines([f"{node}\t{score!r}"
-                   for node, score in sorted(scores.items())])
+def _merge_rows(field: str, vertices: bool = False):
+    """``key\\tvalue`` lines of the payloads' ``field`` dicts, sorted by
+    key (numerically for vertex ids)."""
+    def merge(returns):
+        rows = {}
+        for payload in returns:
+            rows.update({int(k): v for k, v in payload[field].items()}
+                        if vertices else payload[field])
+        return _lines([f"{k}\t{v}" for k, v in sorted(rows.items())])
+    return merge
 
 
 def _merge_bfs(returns):
@@ -187,13 +204,13 @@ SERVE_APPS: dict[str, ServeApp] = {
     "wordcount": ServeApp(
         {"hint": Param(True), "partial": Param(True),
          "compress": Param(False)},
-        _run_wordcount, _merge_counts,
+        _run_wordcount, _merge_rows("counts"),
         lambda returns: {"unique": sum(p["unique"] for p in returns),
                          "total": sum(p["total"] for p in returns)}),
     "pagerank": ServeApp(
         {"hint": Param(True), "iterations": Param(5, positive=True),
          "compress": Param(False)},
-        _run_pagerank, _merge_pagerank,
+        _run_pagerank, _merge_rows("ranks", vertices=True),
         lambda returns: {"iterations": returns[0]["iterations"],
                          "final_delta": returns[0]["final_delta"]}),
     "kmeans": ServeApp(
@@ -215,9 +232,21 @@ SERVE_APPS: dict[str, ServeApp] = {
         lambda returns: {"levels": returns[0]["levels"],
                          "clusters": sum(len(p["clusters"])
                                          for p in returns)}),
+    "components": ServeApp(
+        {"hint": Param(False), "compress": Param(False),
+         "iterations": Param(64, positive=True)},
+        _run_components, _merge_rows("labels", vertices=True),
+        lambda returns: {"iterations": returns[0]["iterations"],
+                         "components": len(set().union(
+                             *(p["labels"].values() for p in returns)))}),
+    "inverted_index": ServeApp(
+        {"compress": Param(False)},
+        _run_inverted_index, _merge_rows("index"),
+        lambda returns: {"words": sum(len(p["index"]) for p in returns),
+                         "documents": returns[0]["documents"]}),
     "stream_wordcount": ServeApp(
         {"window": Param(10.0, positive=True), "nbatches": Param(4, positive=True)},
-        _run_stream_wordcount, _merge_counts,
+        _run_stream_wordcount, _merge_rows("counts"),
         lambda returns: {"unique": sum(len(p["counts"]) for p in returns),
                          "windows": returns[0]["windows"],
                          "resumed": sum(p["resumed"] for p in returns)}),

@@ -1,4 +1,6 @@
-"""PageRank: convergence and agreement with networkx."""
+"""PageRank: convergence, agreement with networkx, and what a run costs."""
+
+import hashlib
 
 import networkx as nx
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from repro.apps.pagerank import (
     PR_HINT_LAYOUT,
     pack_f64,
-    pagerank_mimir,
+    pagerank_plan,
     pr_combine,
     unpack_f64,
 )
@@ -15,6 +17,7 @@ from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets import edges_to_bytes, kronecker_edges
 from repro.mpi import COMET
+from repro.sched import PlanRunner, StageCache
 
 CFG = MimirConfig(page_size=8192, comm_buffer_size=8192,
                   input_chunk_size=4096)
@@ -24,7 +27,7 @@ def run_pagerank(edges, nprocs=4, **kwargs):
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
     cluster.pfs.store("edges.bin", edges_to_bytes(edges))
     result = cluster.run(
-        lambda env: pagerank_mimir(env, "edges.bin", CFG, **kwargs))
+        lambda env: pagerank_plan(env, "edges.bin", CFG, **kwargs))
     merged = {}
     for r in result.returns:
         for v, score in r.ranks.items():
@@ -96,7 +99,54 @@ class TestStructure:
         cluster = Cluster(COMET, nprocs=2, memory_limit=None)
         cluster.pfs.store("edges.bin", b"")
         with pytest.raises(RankFailedError):
-            cluster.run(lambda env: pagerank_mimir(env, "edges.bin", CFG))
+            cluster.run(lambda env: pagerank_plan(env, "edges.bin", CFG))
+
+
+class TestPinned:
+    @pytest.mark.parametrize("opts, digest", [
+        ({}, "a6470c84c49f483e6cebf70c093bfca7f14383af"),
+        ({"hint": True, "compress": True},
+         "a69cb61a1ed655cad07b09f742ad134bf5be75f8"),
+    ])
+    def test_scores_match_the_retired_direct_driver(self, edges, opts,
+                                                   digest):
+        """``float.hex`` digests of the scores the dict-driven direct
+        driver PageRank used to have computed on this graph."""
+        def bits(env):
+            r = pagerank_plan(env, "edges.bin", CFG, iterations=30, **opts)
+            return (r.iterations, [(v, s.hex()) for v, s in r.ranks.items()],
+                    r.final_delta.hex())
+
+        cluster = Cluster(COMET, nprocs=4, memory_limit=None)
+        cluster.pfs.store("edges.bin", edges_to_bytes(edges))
+        returns = cluster.run(bits).returns
+        assert hashlib.sha1(repr(returns).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("iterations", [1, 4])
+    def test_bare_runner_shuffles_the_edges_once(self, edges, iterations):
+        """The adjacency is read only inside the loop, so a runner with
+        no stage cache keeps it: one edge shuffle per run, and no more
+        virtual time than a run with a cache."""
+        def run(cached):
+            cluster = Cluster(COMET, nprocs=4, memory_limit=None)
+            cluster.pfs.store("edges.bin", edges_to_bytes(edges))
+            runners = []
+
+            def build(env, plan):
+                runners.append(PlanRunner(
+                    env, plan,
+                    cache=StageCache(env.comm.rank) if cached else None))
+                return runners[-1]
+
+            result = cluster.run(lambda env: pagerank_plan(
+                env, "edges.bin", CFG, iterations=iterations, tolerance=0.0,
+                runner=lambda plan: build(env, plan)))
+            return result.elapsed, runners[0].stage_counts
+
+        bare, stages = run(cached=False)
+        assert stages["edge-shuffle"] == stages["adjacency-sorted"] == 1
+        assert stages["contrib"] == iterations
+        assert bare <= run(cached=True)[0]
 
 
 class TestHelpers:

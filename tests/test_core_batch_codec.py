@@ -1,12 +1,13 @@
 """Batch arenas, the shuffle/spill codec, and batch/per-record identity."""
 
+import hashlib
 import random
 from itertools import product
 
 import numpy as np
 import pytest
 
-from repro.apps.pagerank import pagerank_mimir
+from repro.apps.pagerank import pagerank_plan
 from repro.apps.terasort import generate_records, terasort_mimir
 from repro.apps.wordcount import (
     WC_HINT_LAYOUT,
@@ -357,6 +358,9 @@ def run(data, job, batch, codec=None, nprocs=2, **knobs):
     merged = {}
     for part in result.returns:
         merged.update(part)
+    if nprocs in getattr(job, "digests", {}):
+        assert hashlib.sha1(repr(sorted(merged.items())).encode()) \
+            .hexdigest() == job.digests[nprocs]
     totals = {name: value for name, value in cluster.metrics.totals().items()
               if not name.startswith("core.batch.")}
     return merged, (result.elapsed, result.node_peak_bytes, totals)
@@ -367,11 +371,15 @@ def wc_job(**flags):
         env, "eq/in", config, batch=batch, collect=True, **flags).counts
 
 
-def pagerank_job(**flags):
+def pagerank_job(digests, **flags):
+    """PageRank's one pipeline has no second kernel form, so both forms
+    run the same job.  ``digests`` (per rank count, over the sorted
+    ``float.hex`` scores) pin the scores both kernel forms of the direct
+    driver it replaced agreed on."""
     def job(env, batch, config):
-        result = pagerank_mimir(env, "eq/in", config, iterations=2,
-                                batch=batch, **flags)
+        result = pagerank_plan(env, "eq/in", config, iterations=2, **flags)
         return {v: score.hex() for v, score in result.ranks.items()}  # bits
+    job.digests = digests
     return job
 
 
@@ -427,7 +435,10 @@ def seeded_fold_job(env, batch, config):
 WORDS = zipf_text(6000, seed=21)
 WC = (WORDS, wc_job())
 EDGES = edges_to_bytes(kronecker_edges(scale=4, edgefactor=6, seed=2))
-PAGERANK = (EDGES, pagerank_job())
+PAGERANK = (EDGES, pagerank_job({
+    1: "a13df260c3f46a64b654a286c62a938d524787b5",
+    2: "0139f25bf736f737114ecd3c5b8fb4c2091f5c71",
+    4: "5e8c6e8243eb03d778bf314db9dcf20691e0ac53"}))
 TERASORT = (generate_records(200, seed=4), terasort_job)
 PAYLOAD = (b"", payload_job)
 FORMS_X_CODECS = list(product((False, True), (None, "dedup+zlib")))
@@ -437,10 +448,12 @@ class TestAppEquivalence:
     @pytest.mark.parametrize("data, job", [
         *[(WORDS, wc_job(hint=h, compress=c, partial=p))
           for h, c, p in product((False, True), repeat=3)],
-        # The batch fold runs only over fixed-width scores (the hint),
-        # as partial-reduce fold and, with compress, as combiner too.
-        PAGERANK, (EDGES, pagerank_job(hint=True)),
-        (EDGES, pagerank_job(hint=True, compress=True)),
+        PAGERANK,
+        (EDGES, pagerank_job(
+            {2: "0139f25bf736f737114ecd3c5b8fb4c2091f5c71"}, hint=True)),
+        (EDGES, pagerank_job(
+            {2: "0bea8cabace1f54232643a9c4a152235dbe2a918"},
+            hint=True, compress=True)),
         TERASORT, PAYLOAD, (WORDS, remap_job), (WORDS, seeded_fold_job)])
     def test_kernel_forms_cost_and_produce_the_same(self, data, job):
         """Output, virtual time, tracked peak, shuffle rounds and every

@@ -336,7 +336,7 @@ class TestOneTimeline:
         assert inside == {"wordcount": 8, "pagerank": 52, "kmeans": 40}
         last_stage = max(e.time for e in report.trace.of_kind("stage-done")
                          if e.rank >= 0)
-        assert max(edges) == last_stage == pytest.approx(1.328877, abs=1e-6)
+        assert max(edges) == last_stage == pytest.approx(1.3288637, abs=1e-6)
 
     def test_cache_evictions_land_in_the_round_that_evicted(self, report):
         # kmeans (round 3) pushes pagerank's cached adjacency out.
@@ -353,7 +353,7 @@ class TestOneTimeline:
         rows = {row.name: row for row in report.phases}
         assert {name: row.count for name, row in rows.items()} == {
             "map+aggregate": 26, "partial_reduce": 22, "convert+reduce": 2}
-        assert rows["map+aggregate"].total == pytest.approx(1.680958, abs=1e-6)
+        assert rows["map+aggregate"].total == pytest.approx(1.701410, abs=1e-6)
         assert rows["partial_reduce"].total == pytest.approx(0.592585, abs=1e-6)
         assert rows["convert+reduce"].total == pytest.approx(0.142650, abs=1e-6)
         assert rows["partial_reduce"].slowest == \

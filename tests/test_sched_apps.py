@@ -8,9 +8,10 @@ import pytest
 
 from repro.apps.bfs import bfs_plan
 from repro.apps.components import components_plan
+from repro.apps.inverted_index import inverted_index_plan
 from repro.apps.kmeans import kmeans_plan
 from repro.apps.octree import octree_plan
-from repro.apps.pagerank import pagerank_mimir, pagerank_plan
+from repro.apps.pagerank import pagerank_plan
 from repro.apps.wordcount import wordcount_plan
 from repro.cluster import Cluster
 from repro.core import MimirConfig
@@ -37,6 +38,8 @@ APPS = {
         hint=True, compress=True, partial=True, **kw),
     "components": lambda env, config, **kw: components_plan(
         env, "demo/graph.bin", config, compress=True, **kw),
+    "inverted_index": lambda env, config, **kw: inverted_index_plan(
+        env, "demo/docs/", config, compress=True, **kw),
 }
 
 
@@ -49,6 +52,9 @@ def view(result):
 def make_cluster(nprocs=3):
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
     stage_inputs(cluster, text_bytes=1 << 12, graph_scale=5, npoints=256)
+    text = cluster.pfs.fetch("demo/words.txt")
+    for i in range(5):
+        cluster.pfs.store(f"demo/docs/{i}.txt", text[i * 300:(i + 2) * 300])
     return cluster
 
 
@@ -116,20 +122,29 @@ class TestEvictedBetweenJobs:
             lambda env: view(APPS["bfs"](env, config))).returns
 
 
+def score_bits(result):
+    """A PageRank result with every float as ``float.hex``."""
+    return (result.iterations,
+            [(v, score.hex()) for v, score in result.ranks.items()],
+            result.final_delta.hex())
+
+
 class TestPageRank:
     @pytest.mark.parametrize("opts", [
         {}, {"hint": True}, {"hint": True, "compress": True},
     ])
     @pytest.mark.parametrize("cached", [True, False])
     def test_scores_bitwise_identical(self, opts, cached):
-        cluster = make_cluster()
-        direct = cluster.run(lambda env: view(pagerank_mimir(
-            env, "demo/graph.bin", CFG, iterations=3, **opts))).returns
-        planned = cluster.run(lambda env: view(pagerank_plan(
+        returns = make_cluster().run(lambda env: score_bits(pagerank_plan(
             env, "demo/graph.bin", CFG, iterations=3, **opts,
             runner=partial(PlanRunner, env, cache=StageCache(env.comm.rank))
             if cached else None))).returns
-        assert planned == direct  # exact float equality
+        # Recorded from the dict-driven direct driver PageRank used to
+        # have; the combiner changes the summation order.
+        assert hashlib.sha1(repr(returns).encode()).hexdigest() == (
+            "c736e7b5610213aa5367d4aedadf30d467fafa04"
+            if opts.get("compress") else
+            "a397cfd9d8fde5ab135a8d905615703a2ef14529")
 
 
 class TestInSitu:

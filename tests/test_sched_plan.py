@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import KVLayout, MimirConfig, pack_u64, unpack_u64
 from repro.ft import ChaosPlan, run_with_recovery
+from repro.ft.checkpoint import CheckpointManager
 from repro.mpi import COMET
 from repro.sched import Plan, PlanRunner, StageCache
 
@@ -189,6 +190,69 @@ class TestIterate:
             assert stages["count"] == 1 and stages["sum"] == 1
             assert stages["stamp"] == 3
 
+    def test_bare_runner_keeps_a_cached_stage_the_loop_reads(self):
+        """No cache: the first read in the loop executes the stage, the
+        later passes reuse it intact, and ``iterate`` frees it."""
+        def job(env):
+            plan = Plan("loop", CFG)
+            counts = wc_plan(plan).cache()
+            runner = PlanRunner(env, plan)
+            before = env.tracker.current
+
+            def body(r, _i, totals):
+                return totals + [sum(unpack_u64(v)
+                                     for _, v in r.stream(counts))]
+
+            totals, _iters = runner.iterate([], body, max_iters=3)
+            return totals, dict(runner.stage_counts), \
+                env.tracker.current - before
+
+        for totals, stages, left in make_cluster().run(job).returns:
+            assert len(set(totals)) == 1
+            assert stages == {"count": 1, "sum": 1}
+            assert left == 0
+
+    def test_bare_runner_drains_a_cached_stage_read_outside_a_loop(self):
+        def job(env):
+            plan = Plan("once", CFG)
+            counts = wc_plan(plan).cache()
+            runner = PlanRunner(env, plan)
+            before = env.tracker.current
+            held = [env.tracker.current - before
+                    for _ in runner.stream(counts)]
+            left = env.tracker.current - before
+            list(runner.stream(counts))
+            return held, left, dict(runner.stage_counts)
+
+        [(held, left, stages)] = make_cluster(nprocs=1).run(job).returns
+        assert held[0] > 0 and left == 0  # the reader freed its pages
+        assert stages == {"count": 2, "sum": 2}
+
+    def test_kept_stages_freed_when_the_body_raises(self):
+        def job(env):
+            plan = Plan("loop", CFG)
+            counts = wc_plan(plan).cache()
+            runner = PlanRunner(env, plan)
+            before = env.tracker.current
+
+            def body(r, i, state):
+                reader = r.stream(counts)
+                next(reader, None)
+                if i == 1:  # abandons the reader mid-stream
+                    raise KeyError("mid-read")
+                return state
+
+            with pytest.raises(KeyError, match="mid-read"):
+                runner.iterate(None, body, max_iters=3)
+            left = env.tracker.current - before
+            # The next loop starts over: the stage executes again.
+            runner.iterate(None, body, max_iters=1)
+            return left, dict(runner.stage_counts)
+
+        for left, stages in make_cluster().run(job).returns:
+            assert left == 0
+            assert stages == {"count": 2, "sum": 2}
+
     def test_until_stops_early(self):
         def job(env):
             runner = PlanRunner(env, Plan("loop", CFG))
@@ -231,6 +295,32 @@ class TestStageCheckpoint:
         # only the post-fault stage executed.
         final = [stages for _rank, stages in attempts[-3:]]
         assert all(stages == {"tail": 1} for stages in final)
+
+    def test_restored_map_stage_keeps_the_codec(self):
+        """A map output restored from its checkpoint is frozen with the
+        job's codec, as executing the stage leaves it."""
+        config = MimirConfig(page_size=512, comm_buffer_size=512,
+                             input_chunk_size=512, codec="zlib")
+
+        def job(env):
+            ckpt = CheckpointManager(env, "codec-restore", nonce="fixed")
+            held = []
+            for _attempt in range(2):
+                plan = Plan("wc", config)
+                words = plan.read_text("t.txt", name="input") \
+                    .map(wc_map, name="count").checkpoint()
+                runner = PlanRunner(env, plan, checkpoint=ckpt)
+                before = env.tracker.current
+                kvc = runner.materialize(words)
+                held.append((env.tracker.current - before, kvc.nbytes,
+                             dict(runner.stage_counts)))
+                kvc.free()
+            return held
+
+        for executed, restored in make_cluster(nprocs=1).run(job).returns:
+            assert executed[2] == {"count": 1} and restored[2] == {}
+            assert restored[:2] == executed[:2]
+            assert executed[0] < executed[1]  # full pages were compressed
 
 
 class TestConsumeSemantics:

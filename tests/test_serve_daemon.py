@@ -69,8 +69,8 @@ class TestHTTPEndToEnd:
         daemon.stop()
 
     def test_three_tenants_mixed_apps_match_direct_runs(self, service):
-        """The tentpole e2e: three tenants submit mixed wordcount /
-        pagerank jobs over HTTP; every output is bit-identical to the
+        """The tentpole e2e: three tenants submit mixed jobs of most
+        catalog apps over HTTP; every output is bit-identical to the
         same job run directly on a fresh cluster."""
         daemon, url = service
         jobs = []
@@ -83,6 +83,9 @@ class TestHTTPEndToEnd:
             ("alice", "pagerank", "demo/graph.bin", {"iterations": 2}, []),
             ("carol", "wordcount", "demo/words.txt", {}, []),
             ("bob", "octree", "demo/points.bin", {"compress": True}, []),
+            ("carol", "components", "demo/graph.bin", {"compress": True},
+             []),
+            ("alice", "inverted_index", "demo/words.txt", {}, []),
         ]:
             client = ServeClient(url, tenant=tenant)
             if extra:
@@ -155,6 +158,7 @@ class TestHTTPEndToEnd:
     @pytest.mark.parametrize("app,inp,params", [
         ("kmeans", "demo/points.bin", {"k": 0}),
         ("pagerank", "demo/graph.bin", {"iterations": -1}),
+        ("components", "demo/graph.bin", {"iterations": 0}),
         ("stream_wordcount", "demo/words.txt", {"nbatches": 0}),
         ("stream_wordcount", "demo/words.txt", {"window": -1.0}),
         ("stream_wordcount", "demo/words.txt", {"window": 0}),
