@@ -53,10 +53,15 @@ def wc_reduce(ctx, key: bytes, values: list[bytes]) -> None:
 
 
 @batch_kernel
-def wc_reduce_batch(ctx, groups) -> None:
-    """Batch form of :func:`wc_reduce`: one dispatch per KMV page."""
-    for key, values in groups:
-        ctx.emit(key, pack_u64(sum(unpack_u64(v) for v in values)))
+def wc_reduce_batch(ctx, kmv) -> None:
+    """Batch form of :func:`wc_reduce`: one dispatch per block of
+    groups, one ``reduceat`` over their counts.  The sums are uint64
+    and wrap at 2**64, where :func:`wc_reduce`'s ``pack_u64`` raises."""
+    counts = kmv.value_rows(8).view("<u8")[:, 0]
+    sums = np.add.reduceat(counts, np.cumsum(kmv.counts) - kmv.counts)
+    blob = sums.astype("<u8", copy=False).tobytes()
+    ctx.emit_pairs(zip(kmv.keys, [blob[at : at + 8]
+                                  for at in range(0, len(blob), 8)]))
 
 
 def wc_combine(key: bytes, a: bytes, b: bytes) -> bytes:

@@ -1,4 +1,4 @@
-"""Columnar batch views over packed KV runs.
+"""Columnar batch views over packed KV runs and grouped data.
 
 A :class:`KVBatch` is one packed run of records - a container page, a
 spilled chunk, an input chunk - held as ``bytes`` plus the int64 numpy
@@ -17,10 +17,11 @@ loop over the batch, so user code never has to change.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.records import BLOCK, KVLayout
 
@@ -34,14 +35,24 @@ def iter_slices(data: bytes | memoryview, start, stop) -> Iterator:
         for lo in range(0, len(start), BLOCK))
 
 
+def byte_ranges(starts, sizes) -> np.ndarray:
+    """int32 positions of the bytes of ranges ``starts[i] :+ sizes[i]``,
+    in order: one fancy index that gathers or scatters them all."""
+    sizes = np.asarray(sizes, np.int32)
+    ends = np.cumsum(sizes, dtype=np.int32)
+    positions = np.repeat(np.asarray(starts, np.int32) - ends + sizes, sizes)
+    positions += np.arange(len(positions), dtype=np.int32)
+    return positions
+
+
 def batch_kernel(fn):
     """Mark a callable as accepting whole batches instead of records.
 
     A batch map kernel is called as ``fn(ctx, batch)`` per input chunk
-    or :class:`KVBatch`; a batch reduce kernel as ``fn(ctx, groups)``
-    per page of ``(key, values)`` groups; a batch fold (combiner or
-    partial reduction, fixed-width values) as ``fn(acc, ids, rows)``
-    per block (:class:`~repro.core.bucket.Bucket`); a batch render as
+    or :class:`KVBatch`; a batch reduce kernel as ``fn(ctx, kmv)`` per
+    :class:`KMVBatch`; a batch fold (combiner or partial reduction,
+    fixed-width values) as ``fn(acc, ids, rows)`` per block
+    (:class:`~repro.core.bucket.Bucket`); a batch render as
     ``fn(batch)`` per page, returning the page's output bytes.
     """
     fn.is_batch_kernel = True
@@ -149,3 +160,40 @@ class KVBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KVBatch(nrecords={len(self)}, nbytes={self.nbytes})"
+
+
+class KMVBatch:
+    """Groups as columns: ``keys`` (``bytes``), ``counts`` (int64) and
+    the values, in group order, as ``data[voff[i]:vend[i]]`` of one
+    ``bytes``; iterating yields ``(key, [values])`` one group at a time."""
+
+    __slots__ = ("layout", "keys", "counts", "voff", "vend", "data")
+
+    def __init__(self, layout, keys, counts, voff, vend, data):
+        self.layout, self.keys, self.counts = layout, keys, counts
+        self.voff, self.vend, self.data = voff, vend, data
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def payload_bytes(self) -> int:
+        return sum(map(len, self.keys)) + int((self.vend - self.voff).sum())
+
+    def values_bytes(self) -> Iterator[bytes]:
+        return iter_slices(self.data, self.voff, self.vend)
+
+    def value_rows(self, width: int) -> np.ndarray:
+        """All values, in group order, as an ``(n, width)`` uint8 matrix."""
+        if ((self.vend - self.voff) != width).any():
+            raise ValueError(f"value rows need every value {width} bytes "
+                             f"wide; the stream's layout is {self.layout}")
+        if not len(self.voff):
+            return np.zeros((0, width), np.uint8)
+        return sliding_window_view(
+            np.frombuffer(self.data, np.uint8), width)[self.voff]
+
+    def __iter__(self) -> Iterator[tuple[bytes, list[bytes]]]:
+        values = self.values_bytes()
+        for key, count in zip(self.keys, self.counts.tolist()):
+            yield key, list(islice(values, count))

@@ -10,13 +10,13 @@ shrinks, instead of both being held in full as MR-MPI does.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core.batch import KVBatch, iter_slices
+from repro.core.batch import KMVBatch, KVBatch, byte_ranges
 from repro.core.bucket import Bucket, group_run
 from repro.core.config import MimirConfig
 from repro.core.kmvcontainer import KMVContainer
@@ -48,7 +48,7 @@ def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     scanned = 0
     for chunk in kvc.consume_chunks():
         payload, voff, vend, groups = pages.pop()
-        kmvc.fill_run(groups, iter_slices(chunk, voff, vend))
+        kmvc.fill_run(groups, chunk, voff, vend)
         scanned += payload
     kmvc.finish_fill()
 
@@ -68,16 +68,15 @@ def _group_page(sizes: Bucket, batch: KVBatch):
     groups = np.empty(len(batch), np.intp)
     for lo in range(0, len(batch), BLOCK):
         groups[lo : lo + BLOCK] = sizes.enter_run(list(islice(keys, BLOCK)))
-    # Offsets within one run fit 32 bits unless the run is huge.
-    narrow = np.uint32 if batch.nbytes < 2 ** 32 else np.int64
-    return (batch.payload_bytes, batch.voff.astype(narrow),
-            batch.vend.astype(narrow), groups)
+    # Offsets within one page fit 31 bits, as the fill's byte index
+    # needs.
+    return (batch.payload_bytes, batch.voff.astype(np.int32),
+            batch.vend.astype(np.int32), groups)
 
 
 def iter_grouped_batches(env: RankEnv, kvc: KVContainer, config: MimirConfig,
-                         ) -> "Iterator[list[tuple[bytes, list[bytes]]]]":
-    """Stream the ``(key, values)`` groups of ``kvc`` (consumed), one
-    group-list per KMV page.
+                         ) -> Iterator[KMVBatch]:
+    """Stream the groups of ``kvc`` (consumed) as ``KMVBatch`` blocks.
 
     The in-memory path materialises a KMV container (the paper's
     convert) and drains it.  With ``config.out_of_core`` and a KV set
@@ -87,18 +86,16 @@ def iter_grouped_batches(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     so the full KMV never exists at once.
     """
     if config.out_of_core and _needs_partitioned_convert(env, kvc):
-        for groups in _iter_partition_dicts(env, kvc, config):
-            yield list(groups.items())
+        yield from _iter_partitions(env, kvc, config)
         return
     kmvc = convert_to_kmv(env, kvc, config)
     yield from kmvc.consume_batches()
 
 
 def iter_grouped(env: RankEnv, kvc: KVContainer, config: MimirConfig,
-                 ) -> "Iterator[tuple[bytes, list[bytes]]]":
+                 ) -> Iterator[tuple[bytes, list[bytes]]]:
     """:func:`iter_grouped_batches`, flattened to one group at a time."""
-    for groups in iter_grouped_batches(env, kvc, config):
-        yield from groups
+    return chain.from_iterable(iter_grouped_batches(env, kvc, config))
 
 
 def _needs_partitioned_convert(env: RankEnv, kvc: KVContainer) -> bool:
@@ -113,9 +110,8 @@ def _needs_partitioned_convert(env: RankEnv, kvc: KVContainer) -> bool:
     return kvc.nbytes * 2 > available
 
 
-def _iter_partition_dicts(env: RankEnv, kvc: KVContainer,
-                          config: MimirConfig,
-                          ) -> "Iterator[dict[bytes, list[bytes]]]":
+def _iter_partitions(env: RankEnv, kvc: KVContainer, config: MimirConfig,
+                     ) -> Iterator[KMVBatch]:
     from repro.io.spill import SpillWriter
 
     available = env.tracker.available
@@ -149,25 +145,38 @@ def _iter_partition_dicts(env: RankEnv, kvc: KVContainer,
     env.charge_compute(scanned)
 
     for writer in writers:
-        # The same first-seen-id grouping as convert's pass one.
-        index: dict[bytes, int] = {}
-        values: list[list[bytes]] = []
-        grouped_bytes = 0
-        for chunk in writer.reader():
-            batch = KVBatch(chunk, layout)
-            grouped_bytes += batch.payload_bytes
-            keys, fields = batch.keys_bytes(), batch.values_bytes()
-            while block := list(islice(keys, BLOCK)):
-                new, ids = group_run(index, block)
-                values.extend([[] for _ in new])
-                for group, value in zip(ids.tolist(), fields):
-                    values[group].append(value)
-        groups = dict(zip(index, values))
+        kmv, grouped_bytes = _group_partition(layout, writer.reader())
         # The partition's working set is charged while it is live.
         env.tracker.allocate(grouped_bytes, "convert_partition")
         try:
-            yield groups
+            yield kmv
         finally:
             env.tracker.free(grouped_bytes, "convert_partition")
             writer.discard()
         env.charge_compute(grouped_bytes)
+
+
+def _group_partition(layout, chunks) -> tuple[KMVBatch, int]:
+    """One partition's groups and payload bytes: values stay in arrival
+    order, a stable sort of int32 first-seen group ids orders offsets."""
+    index, grouped_bytes = {}, 0
+    ids, lens, values = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], []
+    for chunk in chunks:
+        batch = KVBatch(chunk, layout)
+        grouped_bytes += batch.payload_bytes
+        keys, src = batch.keys_bytes(), np.frombuffer(batch.data, np.uint8)
+        for lo in range(0, len(batch), BLOCK):
+            ids.append(group_run(index, list(islice(keys, BLOCK)))[1]
+                       .astype(np.int32))
+            voff = batch.voff[lo : lo + BLOCK]
+            lens.append((batch.vend[lo : lo + BLOCK] - voff).astype(np.int32))
+            values.append(src[byte_ranges(voff, lens[-1])])
+    # Each column is freed as soon as the next is built: the peak is
+    # the charged payload plus about 16 B per record.
+    values = b"".join(values)
+    ids, lens = np.concatenate(ids), np.concatenate(lens)
+    counts = np.bincount(ids, minlength=len(index))
+    ids = np.argsort(ids, kind="stable")  # the order that sorts the ids
+    vend = np.cumsum(lens, dtype=np.int32)[ids]
+    return KMVBatch(layout, list(index), counts, vend - lens[ids], vend,
+                    values), grouped_bytes

@@ -17,7 +17,7 @@ in-situ sources).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import starmap
+from itertools import islice, starmap
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster import RankEnv
@@ -30,7 +30,7 @@ from repro.core.config import MimirConfig
 from repro.core.convert import iter_grouped, iter_grouped_batches  # noqa: F401
 from repro.core.kvcontainer import KVContainer
 from repro.core.partial_reduction import PartialReduceFn, partial_reduce
-from repro.core.records import KVLayout
+from repro.core.records import BLOCK, KVLayout
 from repro.core.shuffle import Shuffler
 from repro.io.readers import (
     iter_binary_chunks,
@@ -83,6 +83,13 @@ class ReduceContext:
     def emit(self, key: bytes, value: bytes) -> None:
         self._out.add(key, value)
         self.nemitted += 1
+
+    def emit_pairs(self, pairs) -> None:
+        """Emit an iterable of ``(key, value)`` pairs, a block per call."""
+        pairs = iter(pairs)
+        while block := list(islice(pairs, BLOCK)):
+            self._out.add_run(*zip(*block))
+            self.nemitted += len(block)
 
 
 class Mimir:
@@ -344,9 +351,9 @@ class Mimir:
         sides, as the MapReduce model requires.
 
         A ``reduce_fn`` marked with
-        :func:`~repro.core.batch.batch_kernel` is called once per KMV
-        page as ``reduce_fn(ctx, groups)`` with a list of
-        ``(key, values)`` groups instead of once per key.
+        :func:`~repro.core.batch.batch_kernel` is called as
+        ``reduce_fn(ctx, kmv)`` per :class:`~repro.core.batch.KMVBatch`
+        (a block of groups) instead of once per key.
         """
         batch_fn = is_batch_kernel(reduce_fn)
         self.env.comm.barrier()
@@ -357,17 +364,15 @@ class Mimir:
             reduced_bytes = 0
             reduced_keys = 0
             batch_pages = 0
-            for groups in iter_grouped_batches(self.env, source, self.config):
+            for kmv in iter_grouped_batches(self.env, source, self.config):
                 if batch_fn:
-                    reduce_fn(ctx, groups)
+                    reduce_fn(ctx, kmv)
                     batch_pages += 1
                 else:
-                    for key, values in groups:
+                    for key, values in kmv:
                         reduce_fn(ctx, key, values)
-                reduced_keys += len(groups)
-                reduced_bytes += sum(
-                    len(key) + sum(map(len, values))
-                    for key, values in groups)
+                reduced_keys += len(kmv)
+                reduced_bytes += kmv.payload_bytes
             self.env.charge_compute(reduced_bytes)
             phase.update(
                 out=out, end={"keys": reduced_keys},

@@ -4,16 +4,20 @@ Functionally identical to the KVC but for merged records.  Supports the
 two-pass conversion algorithm of the paper: pass one *reserves* an
 exactly sized slot per unique key (sizes gathered in a hash bucket),
 pass two *fills* values into their slots as the source KVC is consumed.
+
+A record is ``key field | u32 count | u32 length per value (VARIABLE
+only) | values (each NUL-ended for CSTRING)``, MR-MPI's own layout.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
+from repro.core.batch import KMVBatch, byte_ranges
 from repro.core.records import BLOCK, CSTRING, VARIABLE, KVLayout
 from repro.memory.pages import Page, PagePool
 from repro.memory.tracker import MemoryTracker
@@ -23,76 +27,85 @@ _U32 = struct.Struct("<I")
 
 def encode_kmv_record(layout: KVLayout, key: bytes,
                       values: list[bytes]) -> bytes:
-    """Encode one complete KMV record (used by the MR-MPI baseline).
-
-    Layout: key field (per ``layout.key_len``), u32 value count, then
-    each value (per ``layout.val_len``).
-    """
-    parts = []
-    if layout.key_len is VARIABLE:
-        parts.append(_U32.pack(len(key)))
-    parts.append(key)
-    if layout.key_len == CSTRING:
-        parts.append(b"\0")
-    parts.append(_U32.pack(len(values)))
-    for value in values:
-        if layout.val_len is VARIABLE:
-            parts.append(_U32.pack(len(value)))
-        parts.append(value)
-        if layout.val_len == CSTRING:
-            parts.append(b"\0")
-    return b"".join(parts)
+    """Encode one complete KMV record (used by the MR-MPI baseline)."""
+    sep = b"\0" if layout.val_len == CSTRING else b""
+    return b"".join([
+        _U32.pack(len(key)) if layout.key_len is VARIABLE else b"", key,
+        b"\0" if layout.key_len == CSTRING else b"", _U32.pack(len(values)),
+        np.fromiter(map(len, values), "<u4", len(values)).tobytes()
+        if layout.val_len is VARIABLE else b"",
+        sep.join(values), sep if values else b""])
 
 
-def iter_kmv_buffer(layout: KVLayout,
-                    buf: bytes) -> Iterator[tuple[bytes, list[bytes]]]:
-    """Decode a packed run of KMV records."""
-    hint = layout.val_len
-    unpack = _U32.unpack_from
-    offset = 0
-    end = len(buf)
+def iter_kmv_batches(layout: KVLayout, buf: bytes) -> Iterator[KMVBatch]:
+    """Decode packed KMV records, a :class:`KMVBatch` per :data:`BLOCK`
+    groups; a count the bytes left cannot hold (or 0) is a ValueError."""
+    hint, end, offset, view = layout.val_len, len(buf), 0, memoryview(buf)
+    nuls = np.flatnonzero(np.frombuffer(buf, np.uint8) == 0) \
+        if hint == CSTRING else None
     while offset < end:
-        key, offset = layout._decode_field(layout.key_len, buf, offset)
-        if offset + 4 > end:
-            raise ValueError(f"truncated value count at offset {offset}")
-        nvalues = unpack(buf, offset)[0]
-        offset += 4
-        if hint is VARIABLE:
-            # A tight header walk: one length read per value.
-            values = []
-            try:
-                for _ in range(nvalues):
-                    stop = offset + 4 + unpack(buf, offset)[0]
-                    values.append(buf[offset + 4 : stop])
-                    offset = stop
-            except struct.error:
-                raise ValueError(
-                    f"truncated length header at offset {offset}") from None
-        elif hint == CSTRING:
-            values = []
-            for _ in range(nvalues):
-                stop = buf.find(b"\0", offset)
-                if stop < 0:
-                    raise ValueError(
-                        f"unterminated NUL string at offset {offset}")
-                values.append(buf[offset:stop])
-                offset = stop + 1
-        else:
-            # Fixed-width values are arithmetic.
-            stop = offset + nvalues * hint
-            values = [buf[at : at + hint] for at in range(offset, stop, hint)]
-            offset = stop
-        if offset > end:
-            raise ValueError(f"truncated field at offset {offset}")
-        yield key, values
+        keys, counts, starts = [], [], []
+        while offset < end and len(keys) < BLOCK:
+            kstart, kstop, offset = layout._scan_field(
+                layout.key_len, buf, offset, end)
+            if offset + 4 > end:
+                raise ValueError(f"truncated value count at offset {offset}")
+            count = _U32.unpack_from(buf, offset)[0]
+            offset += 4
+            # A value takes at least its length, its NUL or its width.
+            if not 0 < count * (layout._vpad or hint) <= end - offset:
+                raise ValueError(f"bad value count {count} at offset {offset}")
+            keys.append(buf[kstart:kstop])
+            counts.append(count)
+            starts.append(offset)
+            if hint is VARIABLE:
+                # ``cast`` reads native order: the little-endian lengths
+                # assume a little-endian host.
+                offset += 4 * count + sum(
+                    view[offset : offset + 4 * count].cast("I"))
+            elif hint == CSTRING:
+                # Values hold no NUL: the group ends at its count-th.
+                first = int(nuls.searchsorted(offset))
+                if first + count > len(nuls):
+                    raise ValueError(f"unterminated NUL string at {offset}")
+                offset = int(nuls[first + count - 1]) + 1
+            else:
+                offset += count * hint
+            if offset > end:
+                raise ValueError(f"truncated values at offset {starts[-1]}")
+        yield KMVBatch(layout, keys, *_value_columns(
+            layout, buf, counts, starts, nuls), buf)
+
+
+def _value_columns(layout: KVLayout, buf: bytes, counts, starts, nuls):
+    """Counts and int32 value offsets of one decoded block of groups."""
+    counts, starts = np.array(counts, np.int64), np.array(starts, np.int64)
+    firsts = np.cumsum(counts) - counts
+    if layout.val_len == CSTRING:
+        vend = nuls[np.repeat(nuls.searchsorted(starts) - firsts, counts) +
+                    np.arange(firsts[-1] + counts[-1])].astype(np.int32)
+        voff = np.roll(vend, 1) + 1
+        voff[firsts] = starts
+        return counts, voff, vend
+    if layout.val_len is VARIABLE:
+        lens = np.frombuffer(buf, np.uint8)[byte_ranges(
+            starts, 4 * counts)].view("<u4").astype(np.int32)
+        starts += 4 * counts
+    else:
+        lens = np.full(firsts[-1] + counts[-1], layout.val_len, np.int32)
+    # A value starts where its group's values do, plus the lengths
+    # before it in the group.
+    voff = np.cumsum(lens, dtype=np.int32) - lens
+    voff += np.repeat((starts - voff[firsts]).astype(np.int32), counts)
+    return counts, voff, voff + lens
 
 
 class KMVContainer:
     """Key-multivalue records in pool pages, built by reserve/fill.
 
-    Slots are columns (page index, fill cursor, end of slot; one entry
-    per reserved record, in reserve order).  Convert reserves and fills
-    a block of records per call; :meth:`reserve` and
+    Slots are columns (page, next length, next value byte, end, values
+    to come; one entry per reserved record, in reserve order).  Convert
+    reserves and fills a block of records per call; :meth:`reserve` and
     :meth:`append_value` are the one-record forms of the same code.
     """
 
@@ -107,8 +120,11 @@ class KMVContainer:
         self.nrecords = 0
         self.nbytes = 0
         self.tag = tag
-        self._slot_page = self._cursor = self._slot_end = \
-            np.zeros(0, np.int64)
+        self._drop_slots()
+
+    def _drop_slots(self) -> None:
+        self._slot_page = self._lens = self._cursor = self._end = \
+            self._left = np.zeros(0, np.int64)
 
     # ------------------------------------------------------------- sizing
 
@@ -140,7 +156,8 @@ class KMVContainer:
         # A record's head is its key field followed by a u32 count.
         head_layout = KVLayout(self.layout.key_len, 4)
         unit = self.pool.page_size
-        columns = [(self._slot_page, self._cursor, self._slot_end)]
+        columns = [(self._slot_page, self._lens, self._cursor,
+                    self._end, self._left)]
         for lo in range(0, len(keys), BLOCK):
             span = slice(lo, lo + BLOCK)
             heads = head_layout.encode_run(
@@ -171,11 +188,13 @@ class KMVContainer:
                 page.used += int(ends[last - 1]) - begin
                 slot = last
             self._store(on, at, b"".join(heads), head_lens)
-            columns.append((on, at + head_lens, at + sizes))
+            lengths = at + head_lens
+            columns.append((on, lengths, lengths + 4 * counts[span] * (
+                self.layout.val_len is VARIABLE), at + sizes, counts[span]))
             self.nbytes += int(ends[-1])
         first = len(self._cursor)
-        self._slot_page, self._cursor, self._slot_end = \
-            map(np.concatenate, zip(*columns))
+        self._slot_page, self._lens, self._cursor, self._end, \
+            self._left = map(np.concatenate, zip(*columns))
         self.nrecords += len(keys)
         return first
 
@@ -184,80 +203,83 @@ class KMVContainer:
         """Reserve a slot for one unique key; returns the slot id."""
         return self.reserve_run([key], [nvalues], [total_value_bytes])
 
-    def fill_run(self, slots: np.ndarray, values) -> None:
-        """Fill the next value of ``slots[i]`` with ``values[i]``, for a
-        column of slot ids (repeats welcome) and as many values.
-
-        Per block: a stable sort by slot makes each slot's values one
-        contiguous run, which lands at the slot's cursor in one store.
-        """
-        values = iter(values)
+    def fill_run(self, slots: np.ndarray, buf: bytes, voff, vend) -> None:
+        """Fill the next value of ``slots[i]`` with ``buf[voff[i]:vend[i]]``
+        (and its NUL, for CSTRING).  Per block, a stable sort by slot
+        makes each slot's values one run for its cursors: the values in
+        one gather, the lengths (VARIABLE) as a u32 column per run."""
         for lo in range(0, len(slots), BLOCK):
-            ids = slots[lo : lo + BLOCK]
-            block = list(islice(values, len(ids)))
-            encoded = list(map(b"".join, zip(*self.layout.field_columns(
-                self.layout.val_len, block, "value"))))
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            encoded = [encoded[i] for i in order.tolist()]
-            lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
+            order = np.argsort(slots[lo : lo + BLOCK], kind="stable")
+            ids = slots[lo : lo + BLOCK][order]
+            starts = voff[lo : lo + BLOCK][order]
+            lens = (vend[lo : lo + BLOCK][order] - starts).astype(np.int32)
+            moved = lens + (self.layout.val_len == CSTRING)
             # One run per distinct slot: where it starts in sorted order.
             firsts = np.flatnonzero(np.diff(ids, prepend=-1))
-            ids, lens = ids[firsts], np.add.reduceat(lens, firsts)
-            at = self._cursor[ids]
-            full = at + lens > self._slot_end[ids]
+            ids, nvals = ids[firsts], np.diff(firsts, append=len(order))
+            at, size = self._cursor[ids], np.add.reduceat(moved, firsts)
+            full = (nvals > self._left[ids]) | (at + size > self._end[ids])
             if full.any():
-                raise ValueError(f"slot {ids[full][0]} already holds all "
-                                 f"its values")
-            self._cursor[ids] = at + lens
-            self._store(self._slot_page[ids], at, b"".join(encoded), lens)
+                raise ValueError(f"slot {ids[full][0]} is already full")
+            self._left[ids] -= nvals
+            self._cursor[ids] = at + size
+            # A value lands at its run's cursor plus the run's bytes
+            # before it.
+            before = np.cumsum(moved) - moved
+            pages = self._slot_page[ids]
+            values = np.frombuffer(buf, np.uint8)[byte_ranges(starts, moved)]
+            self._store(np.repeat(pages, nvals),
+                        before + np.repeat(at - before[firsts], nvals),
+                        values, moved)
+            if self.layout.val_len is VARIABLE:
+                self._store(pages, self._lens[ids], lens.astype("<u4"),
+                            4 * nvals)
+                self._lens[ids] += 4 * nvals
 
     def append_value(self, slot_id: int, value: bytes) -> None:
         """Fill the next value of a reserved record."""
-        self.fill_run(np.array([slot_id]), [value])
+        self.layout._check_field(self.layout.val_len, value, "value")
+        self.fill_run(np.array([slot_id]), value + b"\0", np.array([0]),
+                      np.array([len(value)]))
 
-    def _store(self, on, at, blob: bytes, lens) -> None:
-        """Cut ``blob`` into consecutive pieces of ``lens[i]`` bytes and
-        copy piece ``i`` to offset ``at[i]`` of page ``on[i]``."""
-        view = memoryview(blob)
-        datas = [page.data for page in self.pages]
-        cuts = np.cumsum(lens)
-        for page, start, stop, lo, hi in zip(
-                on.tolist(), at.tolist(), (at + lens).tolist(),
-                (cuts - lens).tolist(), cuts.tolist()):
-            datas[page][start:stop] = view[lo:hi]
+    def _store(self, on, at, blob, lens) -> None:
+        """Copy consecutive ``lens[i]``-byte pieces of ``blob`` to offset
+        ``at[i]`` of page ``on[i]``, one scatter per page (``on`` sorted)."""
+        src, dest = np.frombuffer(blob, np.uint8), byte_ranges(at, lens)
+        cuts = np.flatnonzero(np.diff(on)) + 1
+        bounds = [0, *np.cumsum(lens)[cuts - 1].tolist(), len(src)]
+        for page, lo, hi in zip(on[[0, *cuts]].tolist(), bounds, bounds[1:]):
+            np.frombuffer(self.pages[page].data, np.uint8)[dest[lo:hi]] = \
+                src[lo:hi]
 
     def finish_fill(self) -> None:
         """Assert every reserved slot was completely filled."""
-        unfilled = int((self._cursor != self._slot_end).sum())
+        unfilled = int(((self._cursor != self._end) | (self._left != 0)).sum())
         if unfilled:
             raise ValueError(f"{unfilled} KMV slot(s) not completely filled")
-        self._slot_page = self._cursor = self._slot_end = \
-            np.zeros(0, np.int64)
+        self._drop_slots()
 
     # ------------------------------------------------------------ iterate
-
-    def _groups(self, page: Page) -> list[tuple[bytes, list[bytes]]]:
-        return list(iter_kmv_buffer(self.layout, bytes(page.view)))
 
     def records(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """Non-destructive iteration over ``(key, values)``."""
         return chain.from_iterable(self.batches())
 
-    def batches(self) -> Iterator[list[tuple[bytes, list[bytes]]]]:
-        """Non-destructive iteration, one group-list per page."""
-        return map(self._groups, self.pages)
+    def batches(self) -> Iterator[KMVBatch]:
+        """Non-destructive iteration, a :class:`KMVBatch` per block."""
+        return chain.from_iterable(iter_kmv_batches(self.layout, bytes(
+            page.view)) for page in self.pages)
 
     def consume(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """Destructive iteration freeing pages as they are read."""
         return chain.from_iterable(self.consume_batches())
 
-    def consume_batches(self) -> Iterator[list[tuple[bytes, list[bytes]]]]:
-        """Destructive iteration, one group-list per page."""
+    def consume_batches(self) -> Iterator[KMVBatch]:
+        """Destructive iteration; a page is freed after its last block."""
         while self.pages:
             page = self.pages.pop(0)
             try:
-                yield self._groups(page)
+                yield from iter_kmv_batches(self.layout, bytes(page.view))
             finally:
                 self._release_page(page)
         self.nrecords = 0
@@ -277,8 +299,7 @@ class KMVContainer:
             self._release_page(self.pages.pop())
         self.nrecords = 0
         self.nbytes = 0
-        self._slot_page = self._cursor = self._slot_end = \
-            np.zeros(0, np.int64)
+        self._drop_slots()
 
     @property
     def memory_bytes(self) -> int:

@@ -215,11 +215,6 @@ class KVLayout:
 
     # ----------------------------------------------------------- decoding
 
-    def _decode_field(self, hint: int | None, buf: bytes,
-                      offset: int) -> tuple[bytes, int]:
-        start, stop, offset = self._scan_field(hint, buf, offset, len(buf))
-        return bytes(buf[start:stop]), offset
-
     def decode(self, buf: bytes, offset: int = 0) -> tuple[bytes, bytes, int]:
         """Decode one record; returns ``(key, value, next_offset)``."""
         if self.key_len is VARIABLE and self.val_len is VARIABLE:
@@ -234,9 +229,11 @@ class KVLayout:
                 raise ValueError(f"truncated record at offset {offset}")
             return (bytes(buf[start : start + klen]),
                     bytes(buf[start + klen : end]), end)
-        key, offset = self._decode_field(self.key_len, buf, offset)
-        value, offset = self._decode_field(self.val_len, buf, offset)
-        return key, value, offset
+        kstart, kstop, offset = self._scan_field(self.key_len, buf, offset,
+                                                 len(buf))
+        vstart, vstop, offset = self._scan_field(self.val_len, buf, offset,
+                                                 len(buf))
+        return bytes(buf[kstart:kstop]), bytes(buf[vstart:vstop]), offset
 
     def _scan_field(self, hint: int | None, buf, offset: int,
                     end: int) -> tuple[int, int, int]:

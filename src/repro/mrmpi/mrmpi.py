@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster import RankEnv
-from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_buffer
+from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_batches
 from repro.core.records import KVLayout
 from repro.io.readers import iter_binary_chunks, iter_text_chunks
 from repro.memory.pages import Page, PagePool
@@ -351,7 +351,8 @@ class MRMPI:
 
     def _iter_kmv(self, kmv: PagedObject) -> Iterator[tuple[bytes, list[bytes]]]:
         for chunk in kmv.chunks():
-            yield from iter_kmv_buffer(self.layout, chunk)
+            for batch in iter_kmv_batches(self.layout, chunk):
+                yield from batch
 
     # ----------------------------------------------- extended MR-MPI API
 

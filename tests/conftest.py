@@ -9,8 +9,8 @@ import pytest
 
 from repro.core import CODEC_SPECS, CSTRING, VARIABLE, KVContainer, \
     KVLayout, get_codec, pack_u64
-from repro.core import batch, bucket, convert, kmvcontainer, records, \
-    shuffle, sort
+from repro.core import batch, bucket, convert, job, kmvcontainer, \
+    records, shuffle, sort
 
 
 @pytest.fixture(autouse=True)
@@ -25,7 +25,8 @@ def no_rank_thread_outlives_its_test():
 def small_blocks(size):
     """Shrink the column passes' block so a few dozen records cross
     many block boundaries (every module binds the constant by name)."""
-    modules = (records, batch, bucket, shuffle, kmvcontainer, convert, sort)
+    modules = (records, batch, bucket, shuffle, kmvcontainer, convert, sort,
+               job)
     saved = [module.BLOCK for module in modules]
     for module in modules:
         module.BLOCK = size

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import time
 import tracemalloc
 from collections import Counter
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.wordcount import wc_map, wc_reduce, wc_reduce_batch
 from repro.cluster import Cluster
 from repro.core import (
     CSTRING,
@@ -19,14 +21,18 @@ from repro.core import (
     KVLayout,
     Mimir,
     MimirConfig,
+    ReduceContext,
     pack_u64,
     unpack_u64,
 )
+from repro.core import convert
 from repro.core.convert import (
+    _group_partition,
     _needs_partitioned_convert,
     convert_to_kmv,
     iter_grouped,
 )
+from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_batches
 from repro.core.records import BLOCK
 from repro.memory import MemoryTracker
 from repro.memory.pages import Page, PagePool
@@ -171,7 +177,9 @@ class ScalarConvert:
     here as their reference: pass one counts values and value bytes per
     unique key (one tracker charge per new key), one exactly sized slot
     is then reserved per key in first-seen order, and pass two copies
-    one value at a time to its slot's cursor while the KV pages drain.
+    one value at a time to its slot's cursors while the KV pages drain:
+    its length (VARIABLE values) into the lengths column after the
+    count, the value (and a NUL for CSTRING) after all the lengths.
     """
 
     def __init__(self, tracker, layout, page_size, entry_overhead=48):
@@ -180,7 +188,8 @@ class ScalarConvert:
         self.pool = PagePool(tracker, page_size, tag="kmvc")
         self.entry_overhead = entry_overhead + 16
         self.pages = []     # (Page, charged bytes)
-        self.cursor = {}    # key -> [page, offset of its next value]
+        # key -> [page, offset of its next length, of its next value]
+        self.cursor = {}
 
     def reserve(self, key, nvalues, total):
         layout, unit = self.layout, self.pool.page_size
@@ -201,16 +210,20 @@ class ScalarConvert:
             (b"\0" if layout.key_len == CSTRING else b"") + \
             struct.pack("<I", nvalues)
         page.data[page.used : page.used + len(head)] = head
-        self.cursor[key] = [page, page.used + len(head)]
+        lengths = page.used + len(head)
+        self.cursor[key] = [page, lengths, lengths + nvalues * (
+            4 if layout.val_len is VARIABLE else 0)]
         page.used += size
 
     def append_value(self, key, value):
-        page, at = self.cursor[key]
+        page, lengths, at = self.cursor[key]
         hint = self.layout.val_len
-        encoded = (struct.pack("<I", len(value)) if hint is VARIABLE
-                   else b"") + value + (b"\0" if hint == CSTRING else b"")
+        if hint is VARIABLE:
+            page.data[lengths : lengths + 4] = struct.pack("<I", len(value))
+            self.cursor[key][1] = lengths + 4
+        encoded = value + (b"\0" if hint == CSTRING else b"")
         page.data[at : at + len(encoded)] = encoded
-        self.cursor[key][1] = at + len(encoded)
+        self.cursor[key][2] = at + len(encoded)
 
     def run(self, kvc):
         sizes = {}
@@ -325,12 +338,194 @@ class TestColumnarConvertAgainstScalar:
                     list(groups), [len(vs) for vs in groups.values()],
                     [sum(map(len, vs)) for vs in groups.values()])
                 order = {key: first + i for i, key in enumerate(groups)}
+                ends = np.cumsum([len(value) for _, value in PAIRS])
                 kmvc.fill_run(np.array([order[key] for key, _ in PAIRS]),
-                              [value for _, value in PAIRS])
+                              b"".join(value for _, value in PAIRS),
+                              ends - [len(value) for _, value in PAIRS],
+                              ends)
             kmvc.finish_fill()
             built.append([bytes(page.view) for page in kmvc.pages])
             assert dict(kmvc.records()) == groups
         assert built[0] == built[1]
+
+
+# ------------------------------ the KMV decoder == a scalar walk, and hostile
+
+def scalar_walk(layout, buf):
+    """Every KMV record of ``buf``, one value at a time, as ``(key,
+    [(value start, value end), ...])``: the column decoder's reference."""
+    groups, at = [], 0
+    while at < len(buf):
+        if layout.key_len is VARIABLE:
+            (klen,) = struct.unpack_from("<I", buf, at)
+            key, at = buf[at + 4 : at + 4 + klen], at + 4 + klen
+        elif layout.key_len == CSTRING:
+            stop = buf.index(b"\0", at)
+            key, at = buf[at:stop], stop + 1
+        else:
+            key, at = buf[at : at + layout.key_len], at + layout.key_len
+        (count,) = struct.unpack_from("<I", buf, at)
+        at += 4
+        if layout.val_len is VARIABLE:
+            lengths = struct.unpack_from(f"<{count}I", buf, at)
+            at += 4 * count
+        spans = []
+        for i in range(count):
+            if layout.val_len is VARIABLE:
+                stop = at + lengths[i]
+            elif layout.val_len == CSTRING:
+                stop = buf.index(b"\0", at)
+            else:
+                stop = at + layout.val_len
+            spans.append((at, stop))
+            at = stop + (layout.val_len == CSTRING)
+        groups.append((key, spans))
+    return groups
+
+
+def column_walk(layout, buf):
+    """:func:`scalar_walk`, read off the decoder's ``KMVBatch`` columns."""
+    groups = []
+    for batch in iter_kmv_batches(layout, buf):
+        spans = iter(zip(batch.voff.tolist(), batch.vend.tolist()))
+        groups += [(key, [next(spans) for _ in range(count)])
+                   for key, count in zip(batch.keys, batch.counts.tolist())]
+        assert next(spans, None) is None
+    return groups
+
+
+def decoded_or_typed_error(layout, buf):
+    """Decode hostile bytes: the result must be a ``ValueError`` after a
+    valid prefix (the groups decoded so far re-encode to a prefix of
+    ``buf``) or groups that re-encode to all of it - never another
+    exception."""
+    groups, failed = [], False
+    try:
+        for batch in iter_kmv_batches(layout, buf):
+            groups += batch
+    except ValueError:
+        failed = True
+    again = b"".join(encode_kmv_record(layout, key, values)
+                     for key, values in groups)
+    assert buf.startswith(again) and (failed or again == buf)
+
+
+class TestKMVDecoder:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(CONVERT_LAYOUTS),
+           st.lists(st.tuples(st.integers(0, 12), st.binary(max_size=40)),
+                    max_size=120),
+           st.sampled_from([64, 128, 1024]),
+           st.integers(min_value=1, max_value=40))
+    def test_columns_equal_a_scalar_walk(self, layout, raw, page_size,
+                                         block):
+        pairs = [(fit_field(layout.key_len, b"%x" % key),
+                  fit_field(layout.val_len, value)) for key, value in raw]
+        pairs = [pair for pair in pairs
+                 if layout.encoded_size(*pair) <= page_size]
+        # One group too large for a page: it gets a jumbo page.
+        hot = fit_field(layout.key_len, b"hot")
+        pairs += [(hot, fit_field(layout.val_len, b"val%d" % i))
+                  for i in range(page_size // 2)]
+        config = MimirConfig(page_size=page_size, layout=layout)
+
+        def job(env):
+            kvc = fill(env, pairs, config)
+            with small_blocks(block):
+                kmvc = convert_to_kmv(env, kvc, config)
+                pages = [bytes(page.view) for page in kmvc.pages]
+                assert any(page.size > page_size for page in kmvc.pages)
+                assert [column_walk(layout, page) for page in pages] == \
+                    [scalar_walk(layout, page) for page in pages]
+                assert list(kmvc.records()) == list(groupby(pairs).items())
+
+        with_env(job)
+
+    @pytest.mark.parametrize("layout", CONVERT_LAYOUTS)
+    @pytest.mark.parametrize("count", [0, 0x00FFFFFF, 0xFFFFFFFF])
+    def test_a_count_past_the_end_fails_before_slicing(self, layout, count):
+        # 20 bytes that claim ``count`` values: rejected at once, not
+        # after one slice (or length read) per claimed value.
+        key = fit_field(layout.key_len, b"key")
+        buf = bytearray(encode_kmv_record(
+            layout, key, [fit_field(layout.val_len, b"v")]).ljust(20, b"\1"))
+        struct.pack_into("<I", buf, layout.field_size(layout.key_len, key),
+                         count)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="bad value count"):
+            list(iter_kmv_batches(layout, bytes(buf[:20])))
+        assert time.perf_counter() - started < 0.1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(CONVERT_LAYOUTS), st.binary(max_size=120))
+    def test_arbitrary_bytes(self, layout, buf):
+        with small_blocks(2):
+            decoded_or_typed_error(layout, buf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(CONVERT_LAYOUTS),
+           st.lists(st.tuples(st.binary(max_size=6),
+                              st.lists(st.binary(max_size=6), min_size=1,
+                                       max_size=5)),
+                    min_size=1, max_size=8),
+           st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+    def test_bit_flipped_records(self, layout, groups, flips):
+        buf = bytearray(b"".join(
+            encode_kmv_record(layout, fit_field(layout.key_len, key),
+                              [fit_field(layout.val_len, v) for v in values])
+            for key, values in groups))
+        for flip in flips:
+            buf[flip // 8 % len(buf)] ^= 1 << flip % 8
+        with small_blocks(2):
+            decoded_or_typed_error(layout, bytes(buf))
+
+    def test_value_rows_name_the_layout_they_cannot_serve(self):
+        layout = KVLayout()
+        [batch] = iter_kmv_batches(layout, encode_kmv_record(
+            layout, b"k", [b"12345678", b"123"]))
+        with pytest.raises(ValueError, match=r"layout is KVLayout\("):
+            batch.value_rows(8)
+
+
+class TestBatchReduce:
+    """``wc_reduce_batch`` (one ``reduceat`` per ``KMVBatch``) against the
+    paper-API ``wc_reduce``: the same output pages, clock and per-rank
+    peaks, through either convert."""
+
+    TEXT = b" ".join(b"w%03d" % (i * i % 40) for i in range(3000))
+
+    @pytest.mark.parametrize("block", [7, BLOCK])
+    @pytest.mark.parametrize("out_of_core", [False, True])
+    def test_same_pages_clock_and_peaks(self, out_of_core, block,
+                                        monkeypatch):
+        partitions = []
+        group = convert._group_partition
+        monkeypatch.setattr(convert, "_group_partition", lambda *args: (
+            partitions.append(args) or group(*args)))
+        config = MimirConfig(page_size=2048, comm_buffer_size=2048,
+                             input_chunk_size=512, out_of_core=out_of_core)
+        runs = []
+        for reduce_fn in (wc_reduce, wc_reduce_batch):
+            cluster = Cluster(COMET, nprocs=2, memory_limit=48 * 1024
+                              if out_of_core else None)
+            cluster.pfs.store("t.txt", self.TEXT)
+
+            def job(env):
+                mimir = Mimir(env, config)
+                out = mimir.reduce(mimir.map_text_file("t.txt", wc_map),
+                                   reduce_fn)
+                return b"".join(out.chunks())
+
+            with small_blocks(block):
+                result = cluster.run(job)
+            runs.append((result.returns, result.elapsed, result.peak_bytes))
+        assert runs[0] == runs[1]
+        assert bool(partitions) == out_of_core
+        counts = {}
+        for rank_bytes in runs[1][0]:
+            counts.update((key, unpack_u64(value)) for key, value in
+                          KVLayout().iter_records(rank_bytes))
+        assert counts == Counter(self.TEXT.split())
 
 
 class TestConvertHostMemory:
@@ -378,3 +573,71 @@ class TestConvertHostMemory:
         # ... and growing by the index alone: page-sized temporaries
         # (int64 columns, tolist() ints) would show up here.
         assert over_many - over_few < 20 * (many - few)
+
+    def drain_untracked_peak(self, page_size):
+        """Real bytes beyond the tracked ones, less the copy of the page
+        it reads, while a batch reduce drains KMV pages of ``page_size``."""
+        layout = CFG.layout
+        config = MimirConfig(page_size=page_size)
+
+        def job(env):
+            kvc = KVContainer(env.tracker, layout, config.page_size)
+            kvc.extend_encoded(b"".join(
+                layout.encode(b"key%05d" % (i % 12000), pack_u64(i))
+                for i in range(24000)))
+            kmvc = convert_to_kmv(env, kvc, config)
+            copied = max(page.used for page in kmvc.pages)
+            ctx = ReduceContext(KVContainer(env.tracker, layout, page_size))
+            env.tracker.reset_peak()
+            tracked_before = env.tracker.current
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for kmv in kmvc.consume_batches():
+                    wc_reduce_batch(ctx, kmv)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            return peak - (env.tracker.peak - tracked_before) - copied
+
+        return with_env(job)
+
+    def test_a_kmv_drain_is_bounded_by_the_block_not_the_page(self):
+        # A MiB page holds 12,000 groups and the drain decodes a block of
+        # them at a time: 0.24 MB here, where a page-at-a-time decode
+        # holds 2.6 MB.
+        assert self.drain_untracked_peak(1 << 20) < 1024 * BLOCK
+
+    def partition_untracked_peak(self, npages):
+        """``(records, real bytes beyond the charged ones)`` while one
+        out-of-core partition of ``npages`` KV pages is grouped and
+        reduced by a batch kernel."""
+        layout = CFG.layout
+        per_page = MimirConfig().page_size // len(
+            layout.encode(b"key00000", pack_u64(0)))
+        chunks = [b"".join(layout.encode(b"key%05d" % ((7 * i + page) % 1000),
+                                         pack_u64(i)) for i in range(per_page))
+                  for page in range(npages)]
+        out = KVContainer(MemoryTracker(), layout)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kmv, payload = _group_partition(layout, iter(chunks))
+            wc_reduce_batch(ReduceContext(out), kmv)
+            del kmv
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return npages * per_page, peak - payload - out.memory_bytes
+
+    def test_an_out_of_core_partition_is_bounded_by_the_block(self):
+        few, over_few = self.partition_untracked_peak(6)
+        many, over_many = self.partition_untracked_peak(20)
+        # Beyond its charged payload a partition holds int32 columns, 15 B
+        # per record here, plus temporaries bounded by the block; a
+        # ``bytes`` object and a list slot per value held 34 B.
+        assert over_few - 24 * few < 1024 * BLOCK
+        assert over_many - 24 * many < 1024 * BLOCK
+        assert over_many - over_few < 24 * (many - few)

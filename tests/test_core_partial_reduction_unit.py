@@ -6,12 +6,18 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core import KVContainer, KVLayout, MimirConfig, pack_u64, unpack_u64
-from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_buffer
+from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_batches
 from repro.core.partial_reduction import partial_reduce
 from repro.core.records import CSTRING
 from repro.mpi import COMET
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=1024)
+
+
+def iter_kmv_buffer(layout, buf):
+    """The groups of a packed KMV run, one at a time."""
+    for batch in iter_kmv_batches(layout, buf):
+        yield from batch
 
 
 def with_env(fn):
