@@ -35,16 +35,6 @@ def iter_slices(data: bytes | memoryview, start, stop) -> Iterator:
         for lo in range(0, len(start), BLOCK))
 
 
-def byte_ranges(starts, sizes) -> np.ndarray:
-    """int32 positions of the bytes of ranges ``starts[i] :+ sizes[i]``,
-    in order: one fancy index that gathers or scatters them all."""
-    sizes = np.asarray(sizes, np.int32)
-    ends = np.cumsum(sizes, dtype=np.int32)
-    positions = np.repeat(np.asarray(starts, np.int32) - ends + sizes, sizes)
-    positions += np.arange(len(positions), dtype=np.int32)
-    return positions
-
-
 def batch_kernel(fn):
     """Mark a callable as accepting whole batches instead of records.
 

@@ -7,10 +7,10 @@ encoding saves.  This module provides the pluggable codec layer behind
 
 - :class:`ZlibCodec` - general-purpose DEFLATE over the packed run.
 - :class:`KVDedupCodec` - key-dedup/varint framing: every unique key
-  is stored once in a first-seen dictionary and records become
-  ``(varint key-index, value)`` pairs, which is where skewed streams
-  collapse.  Decoding re-encodes each record through the layout, so
-  the round trip is byte-exact.
+  is stored once in a first-seen dictionary and records become columns
+  of varint key indexes, varint value lengths and value bytes, which is
+  where skewed streams collapse.  Both directions are column passes a
+  block of records at a time, and the round trip is byte-exact.
 - :class:`ChainCodec` - composition (``"dedup+zlib"`` runs the varint
   framing and then DEFLATE over the residue).
 
@@ -24,36 +24,68 @@ wire bytes on every rank.
 from __future__ import annotations
 
 import zlib
+from itertools import islice
+
+import numpy as np
 
 from repro.core.batch import KVBatch
+from repro.core.bucket import group_run
 from repro.core.errors import ConfigError
-from repro.core.records import KVLayout
+from repro.core.records import BLOCK, KVLayout, byte_ranges
 
 _RAW = b"\x00"
 _ENCODED = b"\x01"
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+#: A varint carries 7 bits per byte, low group first, with the high bit
+#: set on every byte but its last; values below 2**32 take <= 5 bytes.
+_SHIFTS = np.arange(0, 35, 7, dtype=np.uint32)
 
 
-def _read_varint(buf, offset: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = buf[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
+def _varints(column) -> bytes:
+    """The varints of a column of non-negative ints below 2**32."""
+    column = np.asarray(column, np.uint32)
+    top = int(column.max()) if len(column) else 0
+    if top < 0x80:                  # every varint is one byte
+        return column.astype(np.uint8).tobytes()
+    rest = column[:, None] >> _SHIFTS[: (top.bit_length() + 6) // 7]
+    groups = (rest & 0x7F | (rest > 0x7F) << 7).astype(np.uint8)
+    keep = rest != 0
+    keep[:, 0] = True
+    return groups[keep].tobytes()
+
+
+def _read_varints(data: bytes, offset: int, n: int) -> tuple[np.ndarray, int]:
+    """``n`` varints from ``data[offset:]`` as int64, and the offset
+    after them.  The column ends at its ``n``-th byte below 0x80, within
+    ``5 * n`` bytes: one search over that window, no walk."""
+    window = np.frombuffer(data, np.uint8, min(5 * n, len(data) - offset),
+                           offset)
+    ends = np.flatnonzero(window < 0x80)[:n]
+    if len(ends) < n:
+        raise ValueError(f"truncated varint column at offset {offset}")
+    stop = int(ends[-1]) + 1 if n else 0
+    if stop == n:                   # every varint is one byte
+        return window[:n].astype(np.int64), offset + n
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    width = ends + 1 - starts
+    if width.max() > 5:
+        raise ValueError(f"varint over 5 bytes in the column at offset "
+                         f"{offset}")
+    groups = (window[:stop] & 0x7F).astype(np.int64)
+    groups <<= 7 * (np.arange(stop) - np.repeat(starts, width))
+    return np.add.reduceat(groups, starts), offset + stop
+
+
+def _byte_column(lens: np.ndarray, offset: int,
+                 end: int) -> tuple[np.ndarray, int]:
+    """Start offsets of consecutive byte strings of ``lens`` from
+    ``offset``, and the offset after them (at most ``end``)."""
+    stops = offset + np.cumsum(lens)
+    stop = int(stops[-1]) if len(stops) else offset
+    if stop > end:
+        raise ValueError(f"truncated byte column at offset {offset}")
+    return stops - lens, stop
 
 
 class Codec:
@@ -102,18 +134,23 @@ class ZlibCodec(Codec):
         return zlib.compress(data, self.level)
 
     def decode(self, data: bytes) -> bytes:
-        return zlib.decompress(data)
+        try:
+            return zlib.decompress(data)
+        except zlib.error as error:
+            raise ValueError(f"bad zlib stream: {error}") from error
 
 
 class KVDedupCodec(Codec):
     """Key-dedup/varint framing for skewed key distributions.
 
-    Encoding: a first-seen key dictionary (varint count, then varint
-    length + key bytes each), followed by one ``(varint key-index,
-    varint value-length, value bytes)`` triple per record.  Decoding
-    re-encodes every record through the layout, so the output is the
-    exact original byte run (containers and the shuffle only ever
-    store ``layout.encode`` output).
+    The frame is columns: ``varint nkeys | nkeys varint key lengths |
+    key bytes | varint nrecords``, keys numbered in first-seen order,
+    then per :data:`~repro.core.records.BLOCK` records ``varint key
+    indexes | varint value lengths | value bytes``.  Each side is a few
+    column passes per block; decoding rebuilds the records with
+    :meth:`KVLayout.pack <repro.core.records.KVLayout.pack>`, so the
+    output is the exact original run (containers and the shuffle only
+    ever store ``layout.encode`` output).
     """
 
     name = "dedup"
@@ -122,40 +159,43 @@ class KVDedupCodec(Codec):
         self.layout = layout
 
     def encode(self, data: bytes) -> bytes:
+        batch = KVBatch(data, self.layout)
+        flat = np.frombuffer(batch.data, np.uint8)
         index: dict[bytes, int] = {}
-        keys: list[bytes] = []
-        body = bytearray()
-        for key, value in KVBatch(data, self.layout).pairs_bytes():
-            slot = index.get(key)
-            if slot is None:
-                slot = index[key] = len(keys)
-                keys.append(key)
-            _write_varint(body, slot)
-            _write_varint(body, len(value))
-            body += value
-        head = bytearray()
-        _write_varint(head, len(keys))
-        for key in keys:
-            _write_varint(head, len(key))
-            head += key
-        return bytes(head + body)
+        keys = batch.keys_bytes()
+        klens, kbytes, body = [], [], []
+        for lo in range(0, len(batch), BLOCK):
+            new, ids = group_run(index, list(islice(keys, BLOCK)))
+            klens.append(_varints(np.fromiter(map(len, new), np.int32,
+                                              len(new))))
+            kbytes.append(b"".join(new))
+            voff = batch.voff[lo : lo + BLOCK]
+            vlen = batch.vend[lo : lo + BLOCK] - voff
+            body += (_varints(ids), _varints(vlen),
+                     flat[byte_ranges(voff, vlen)].tobytes())
+        return b"".join([_varints([len(index)]), *klens, *kbytes,
+                         _varints([len(batch)]), *body])
 
     def decode(self, data: bytes) -> bytes:
-        nkeys, offset = _read_varint(data, 0)
-        keys: list[bytes] = []
-        for _ in range(nkeys):
-            klen, offset = _read_varint(data, offset)
-            keys.append(data[offset : offset + klen])
-            offset += klen
-        encode = self.layout.encode
-        out = bytearray()
         end = len(data)
-        while offset < end:
-            slot, offset = _read_varint(data, offset)
-            vlen, offset = _read_varint(data, offset)
-            out += encode(keys[slot], data[offset : offset + vlen])
-            offset += vlen
-        return bytes(out)
+        (nkeys,), offset = _read_varints(data, 0, 1)
+        klen, offset = _read_varints(data, offset, int(nkeys))
+        koff, offset = _byte_column(klen, offset, end)
+        (nrecords,), offset = _read_varints(data, offset, 1)
+        parts = []
+        for lo in range(0, int(nrecords), BLOCK):
+            ids, offset = _read_varints(data, offset, min(BLOCK, nrecords - lo))
+            if ids.max() >= nkeys:
+                raise ValueError(f"key index {ids.max()} in a frame of "
+                                 f"{nkeys} keys")
+            vlen, offset = _read_varints(data, offset, len(ids))
+            voff, offset = _byte_column(vlen, offset, end)
+            parts.append(self.layout.pack(data, koff[ids], klen[ids],
+                                          voff, vlen))
+        if offset != end:
+            raise ValueError(f"{end - offset} trailing bytes after the "
+                             f"last record")
+        return b"".join(parts)
 
 
 class ChainCodec(Codec):

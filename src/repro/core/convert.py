@@ -16,12 +16,12 @@ from typing import Iterator
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core.batch import KMVBatch, KVBatch, byte_ranges
+from repro.core.batch import KMVBatch, KVBatch
 from repro.core.bucket import Bucket, group_run
 from repro.core.config import MimirConfig
 from repro.core.kmvcontainer import KMVContainer
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import BLOCK
+from repro.core.records import BLOCK, byte_ranges
 from repro.core.shuffle import hash_partition
 
 

@@ -17,8 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.batch import KMVBatch, byte_ranges
-from repro.core.records import BLOCK, CSTRING, VARIABLE, KVLayout
+from repro.core.batch import KMVBatch
+from repro.core.records import BLOCK, CSTRING, VARIABLE, KVLayout, byte_ranges
 from repro.memory.pages import Page, PagePool
 from repro.memory.tracker import MemoryTracker
 

@@ -40,6 +40,16 @@ _U64 = struct.Struct("<Q")
 _PAD = {VARIABLE: 4, CSTRING: 1}
 
 
+def byte_ranges(starts, sizes) -> np.ndarray:
+    """int32 positions of the bytes of ranges ``starts[i] :+ sizes[i]``,
+    in order: one fancy index that gathers or scatters them all."""
+    sizes = np.asarray(sizes, np.int32)
+    ends = np.cumsum(sizes, dtype=np.int32)
+    positions = np.repeat(np.asarray(starts, np.int32) - ends + sizes, sizes)
+    positions += np.arange(len(positions), dtype=np.int32)
+    return positions
+
+
 def pack_u64(value: int) -> bytes:
     """Encode an integer value the way the benchmarks store counts."""
     return _U64.pack(value)
@@ -336,6 +346,51 @@ class KVLayout:
         kend = koff + np.frombuffer(klens, np.int64)
         voff = kend + (kl == CSTRING) + (4 if vl is VARIABLE else 0)
         return roff, koff, kend, voff, roff[1:] - (vl == CSTRING)
+
+    def pack(self, src, koff, klen, voff, vlen) -> bytes:
+        """Encode the records with keys ``src[koff[i]:][:klen[i]]`` and
+        values ``src[voff[i]:][:vlen[i]]``: the inverse of :meth:`scan`,
+        so ``pack(buf, koff, kend - koff, voff, vend - voff) == buf``.
+
+        A record is six segments - key header, key, NUL, value header,
+        value, NUL - each a column of lengths or a constant, so one
+        ``repeat`` labels every byte of the run with its segment.  The
+        headers are one masked write, the keys and the values one
+        ``byte_ranges`` gather and one masked write each, and the NULs
+        are the zeros the run starts as.  :meth:`encode`'s field checks
+        run over whole columns and raise its error for the first
+        offender.
+        """
+        flat = np.frombuffer(src, np.uint8)
+        kl, vl = self.key_len, self.val_len
+        both = kl is VARIABLE and vl is VARIABLE
+        fields = []
+        for hint, off, lens, name in ((kl, koff, klen, "key"),
+                                      (vl, voff, vlen, "value")):
+            lens = np.asarray(lens, np.int64)
+            data = flat[byte_ranges(off, lens)]
+            if hint is not VARIABLE and \
+                    (not data.all() if hint == CSTRING else (lens != hint).any()):
+                for start, size in zip(np.asarray(off).tolist(), lens.tolist()):
+                    self._check_field(hint, flat[start : start + size].tobytes(),
+                                      name)
+            fields += (lens, data)
+        klen, keys, vlen, values = fields
+        segments = np.empty((len(klen), 6), np.int64)
+        segments[:] = (8 if both else 4 * (kl is VARIABLE), 0, kl == CSTRING,
+                       4 * (vl is VARIABLE and not both), 0, vl == CSTRING)
+        segments[:, 1], segments[:, 4] = klen, vlen
+        label = np.repeat(np.tile(np.arange(6, dtype=np.uint8), len(klen)),
+                          segments.ravel())
+        out = np.zeros(len(label), np.uint8)
+        if self.header_size:
+            lens = np.stack((klen, vlen), 1) if both else \
+                (klen if kl is VARIABLE else vlen)[:, None]
+            out[label == (0 if kl is VARIABLE else 3)] = \
+                lens.astype("<u4").view(np.uint8).ravel()
+        out[label == 1] = keys
+        out[label == 4] = values
+        return out.tobytes()
 
     # ------------------------------------------------- fixed/fixed runs
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import CODEC_SPECS, CSTRING, VARIABLE, KVContainer, \
     KVLayout, get_codec, pack_u64
-from repro.core import batch, bucket, convert, job, kmvcontainer, \
+from repro.core import batch, bucket, codec, convert, job, kmvcontainer, \
     records, shuffle, sort
 
 
@@ -26,7 +26,7 @@ def small_blocks(size):
     """Shrink the column passes' block so a few dozen records cross
     many block boundaries (every module binds the constant by name)."""
     modules = (records, batch, bucket, shuffle, kmvcontainer, convert, sort,
-               job)
+               job, codec)
     saved = [module.BLOCK for module in modules]
     for module in modules:
         module.BLOCK = size
