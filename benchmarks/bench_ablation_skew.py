@@ -40,15 +40,17 @@ def _run(nodes: int, salted: bool):
 
     def job(env):
         if salted:
-            def feed(emit):
-                for chunk in iter_text_chunks(env, "t.txt",
-                                              config.input_chunk_size):
-                    for word in chunk.split():
-                        emit(word, pack_u64(1))
+            def chunks():
+                return iter_text_chunks(env, "t.txt",
+                                        config.input_chunk_size)
+
+            def count_words(emit, chunk):
+                for word in chunk.split():
+                    emit(word, pack_u64(1))
 
             # A lower hotness threshold salts the whole heavy head of
             # the Zipf distribution, not just its first word.
-            out = fold_by_key(env, config, feed, wc_fold,
+            out = fold_by_key(env, config, chunks, count_words, wc_fold,
                               hot_fraction=0.015, max_hot=24)
         else:
             mimir = Mimir(env, config)

@@ -48,6 +48,13 @@ class InvertedIndexResult:
     documents: dict[int, str]  # doc id -> path (same on every rank)
 
 
+def _emit_words(ctx, document: tuple[bytes, bytes]) -> None:
+    """Emit ``(word, doc id)`` for every word of one document."""
+    doc, data = document
+    for word in data.split():
+        ctx.emit(word, doc)
+
+
 def _merge_reduce(ctx, key: bytes, values: list[bytes]) -> None:
     docs: set[int] = set()
     for value in values:
@@ -70,15 +77,14 @@ def inverted_index_plan(env: RankEnv, prefix: str,
     documents = dict(enumerate(paths))
     doc_of = {path: i for i, path in documents.items()}
 
-    def feed(ctx, _item) -> None:
+    def read_documents():
+        # Read by the driver, between two kernel calls.
         for path in rank_files(env, paths):
-            doc = _U32.pack(doc_of[path])
-            data = env.pfs.read(env.comm, path)
-            for word in data.split():
-                ctx.emit(word, doc)
+            yield _U32.pack(doc_of[path]), env.pfs.read(env.comm, path)
 
-    postings = (plan.source([None], name="documents")
-                .map(feed, combine_fn=merge_postings if compress else None,
+    postings = (plan.source(read_documents, name="documents")
+                .map(_emit_words,
+                     combine_fn=merge_postings if compress else None,
                      name="occurrences")
                 .reduce(_merge_reduce, name="postings"))
     index = {word: unpack_postings(value)

@@ -96,11 +96,12 @@ class Bucket:
         into the slot's value, in record order, a block per pass."""
         count = 0
         while block := list(islice(keys, BLOCK)):
-            self._fold_block(block, list(islice(values, len(block))))
+            self.fold_block(block, list(islice(values, len(block))))
             count += len(block)
         return count
 
-    def _fold_block(self, keys: list, values: list) -> None:
+    def fold_block(self, keys: list, values: list) -> None:
+        """Fold one block: two equally long, non-empty lists."""
         new, ids = group_run(self.index, keys)
         nnew, slots, nslots = len(new), self.values, len(self.index)
         delta = sum(map(len, new)) + nnew * self.entry_overhead
@@ -143,23 +144,6 @@ class Bucket:
             if len(ids):
                 self.fold(slots[:nslots], ids, rows)
         self._charge(delta)
-
-    def fold_one(self, key: bytes, value: bytes) -> None:
-        """Scalar form of :meth:`fold_columns`, for the per-record
-        ``emit``: one dict probe, charged on the spot."""
-        slots = self.values
-        if not isinstance(slots, list):
-            return self._fold_block([key], [value])
-        slot = self.index.get(key)
-        if slot is None:
-            self.index[key] = len(slots)
-            slots.append(value)
-            self._charge(len(key) + len(value) + self.entry_overhead)
-        else:
-            old = slots[slot]
-            slots[slot] = new = self.fold(key, old, value)
-            if len(new) != len(old):
-                self._charge(len(new) - len(old))
 
     def drain(self) -> Iterator[tuple[list[bytes], list[bytes]]]:
         """Destructive iteration: the entries as ``(keys, values)``

@@ -55,10 +55,11 @@ class Combiner:
         """Records folded into an entry that was already there."""
         return self.records_in - self.records_out - len(self.bucket)
 
-    def emit(self, key: bytes, value: bytes) -> None:
-        """Insert one KV, merging with any bucketed duplicate."""
-        self.records_in += 1
-        self.bucket.fold_one(key, value)
+    def emit_block(self, keys: list, values: list) -> None:
+        """Merge one staged block of ``ctx.emit`` records (two equally
+        long lists, at most a block); not counted as a bulk emit."""
+        self.bucket.fold_block(keys, values)
+        self.records_in += len(keys)
         if self.bucket_budget is not None:
             self._keep_budget()
 
@@ -86,10 +87,10 @@ class Combiner:
         return count
 
     def _keep_budget(self) -> None:
-        """Checked once per emit call: over budget, drain the bucket
-        mid-map.  Compression restarts empty afterwards, trading some
-        compression ratio for a hard cap on the bucket's contribution
-        to the peak."""
+        """Checked once per emit call (a staged block is one): over
+        budget, drain the bucket mid-map.  Compression restarts empty
+        afterwards, trading some compression ratio for a hard cap on
+        the bucket's contribution to the peak."""
         if self.bucket.accounted_bytes > self.bucket_budget:
             self._flush()
             self.partial_flushes += 1

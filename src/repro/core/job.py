@@ -40,55 +40,87 @@ from repro.io.readers import (
 )
 
 
-class MapContext:
-    """Handed to map callbacks; ``emit`` routes into the shuffle.
+class _Staged:
+    """Per-record ``emit`` as staged blocks.
 
-    The bulk emits take a whole run of records in one call and produce
-    byte-identical shuffle traffic.
+    ``emit`` appends to a block of up to :data:`BLOCK` records, kept as
+    two lists (keys, values); a full block, and the driver wherever it
+    gets control back before the clock can move, hands the block to
+    ``write(keys, values)`` - the one column path the bulk emits also
+    end in.  The driver tests ``if ctx._keys:`` before ``_flush()``.
+    A subclass sets the fields itself (a shared ``__init__`` would be
+    one more call per phase on the counted hot path).
     """
 
-    __slots__ = ("_sink", "nemitted")
-
-    def __init__(self, sink):
-        self._sink = sink
-        self.nemitted = 0
+    __slots__ = ("_write", "_keys", "_values", "_room", "nemitted")
 
     def emit(self, key: bytes, value: bytes) -> None:
-        self._sink.emit(key, value)
-        self.nemitted += 1
+        self._keys.append(key)
+        self._values.append(value)
+        self._room -= 1
+        if not self._room:
+            self._flush()
+
+    def _flush(self) -> None:
+        keys, values = self._keys, self._values
+        self._keys, self._values, self._room = [], [], BLOCK
+        self._write(keys, values)
+        self.nemitted += len(keys)
+
+
+class MapContext(_Staged):
+    """Handed to map callbacks; ``emit`` stages into the shuffle.
+
+    A staged block goes to the sink's ``emit_block``; the bulk emits
+    route what is staged first, then take a whole run of records in one
+    call.  All of them produce byte-identical shuffle traffic.
+    """
+
+    __slots__ = ("_sink",)
+
+    def __init__(self, sink):
+        self._sink, self._write = sink, sink.emit_block
+        self._keys, self._values, self._room = [], [], BLOCK
+        self.nemitted = 0
 
     def emit_run(self, keys, value: bytes) -> None:
         """Emit ``(key, value)`` for every key, sharing one value."""
+        if self._keys:
+            self._flush()
         self.nemitted += self._sink.emit_run(keys, value)
 
     def emit_pairs(self, pairs) -> None:
         """Emit an iterable of ``(key, value)`` pairs in one call."""
+        if self._keys:
+            self._flush()
         self.nemitted += self._sink.emit_pairs(pairs)
 
     def emit_batch(self, batch) -> None:
         """Re-emit every record of a :class:`~repro.core.batch.KVBatch`."""
+        if self._keys:
+            self._flush()
         self._sink.emit_batch(batch)
         self.nemitted += len(batch)
 
 
-class ReduceContext:
-    """Handed to reduce callbacks; ``emit`` appends to the local output."""
+class ReduceContext(_Staged):
+    """Handed to reduce callbacks; ``emit`` stages into the local
+    output, a block per :meth:`KVContainer.add_run`."""
 
-    __slots__ = ("_out", "nemitted")
+    __slots__ = ()
 
     def __init__(self, out: KVContainer):
-        self._out = out
+        self._write = out.add_run
+        self._keys, self._values, self._room = [], [], BLOCK
         self.nemitted = 0
-
-    def emit(self, key: bytes, value: bytes) -> None:
-        self._out.add(key, value)
-        self.nemitted += 1
 
     def emit_pairs(self, pairs) -> None:
         """Emit an iterable of ``(key, value)`` pairs, a block per call."""
+        if self._keys:
+            self._flush()
         pairs = iter(pairs)
         while block := list(islice(pairs, BLOCK)):
-            self._out.add_run(*zip(*block))
+            self._write(*zip(*block))
             self.nemitted += len(block)
 
 
@@ -161,16 +193,16 @@ class Mimir:
                  layout: KVLayout | None,
                  out_tag: str) -> KVContainer:
         """Shared skeleton: feed records through (combiner ->) shuffler."""
-        stream_layout = layout or self.config.layout
-        out = self.container(
-            stream_layout, out_tag, codec_env=self.env,
-            codec=get_codec(self.config.codec, stream_layout))
+        out = self.map_output(layout or self.config.layout, out_tag)
         with self._phase("map+aggregate") as phase:
             shuffler = Shuffler(self.env, self.config, out, partitioner,
                                 trace=self.trace)
             sink = shuffler if combine_fn is None else \
                 Combiner(self.env, self.config, combine_fn, shuffler)
-            feed(MapContext(sink))
+            ctx = MapContext(sink)
+            feed(ctx)
+            if ctx._keys:
+                ctx._flush()
             sink.finish()
             self.env.charge_compute(shuffler.bytes_sent)
             self.last_map_stats = {
@@ -189,18 +221,33 @@ class Mimir:
     def container(self, layout: KVLayout, tag: str, **tiers) -> KVContainer:
         """An empty container of this job: its page size, spill-backed
         on its spill store under ``out_of_core``.  Every container of
-        the job's data is made here: phase outputs, checkpoint
-        restores, the elastic map's per-task outputs."""
+        the job's data is made here or in :meth:`map_output`: phase
+        outputs, checkpoint restores, the elastic map's per-task
+        outputs."""
         return KVContainer(
             self.env.tracker, layout, self.config.page_size, tag=tag,
             spill_env=self.env if self.config.out_of_core else None,
             spill_store=self._spill_store, **tiers)
+
+    def map_output(self, layout: KVLayout, tag: str) -> KVContainer:
+        """An empty map-output container: a :meth:`container` that
+        freezes its full pages with the job's codec.  Every map phase
+        writes into one, and every restore of a map output reads back
+        into one.  (Built here, not through :meth:`container`: one
+        call fewer per map phase.)"""
+        return KVContainer(
+            self.env.tracker, layout, self.config.page_size, tag=tag,
+            spill_env=self.env if self.config.out_of_core else None,
+            spill_store=self._spill_store, codec_env=self.env,
+            codec=get_codec(self.config.codec, layout))
 
     def _map_each(self, items: Iterable[Any], map_fn, **stream) -> KVContainer:
         """Map phase calling ``map_fn(ctx, item)`` per chunk or item."""
         def feed(ctx: MapContext) -> None:
             for item in items:
                 map_fn(ctx, item)
+                if ctx._keys:
+                    ctx._flush()
 
         return self._run_map(feed, **stream)
 
@@ -219,7 +266,7 @@ class Mimir:
             return kvc
         scratch = self.container(kvc.layout, tag)
         for batch in kvc.batches():
-            scratch.extend_encoded(batch.data)
+            scratch.extend_encoded(batch.data, batch.roff)
         self.env.charge_compute(scratch.nbytes)
         return scratch
 
@@ -331,6 +378,8 @@ class Mimir:
                 else:
                     for key, value in batch.pairs_bytes():
                         map_fn(ctx, key, value)
+                if ctx._keys:
+                    ctx._flush()
 
         return self._run_map(feed, combine_fn=combine_fn,
                              partitioner=partitioner, layout=layout,
@@ -371,6 +420,8 @@ class Mimir:
                 else:
                     for key, values in kmv:
                         reduce_fn(ctx, key, values)
+                if ctx._keys:
+                    ctx._flush()
                 reduced_keys += len(kmv)
                 reduced_bytes += kmv.payload_bytes
             self.env.charge_compute(reduced_bytes)

@@ -250,8 +250,13 @@ class KVContainer:
         run the container holds, whichever tier holds it, as ``bytes``
         in record order.  The one way a container's records leave it
         for storage (checkpoints, cache eviction); allowed while
-        pinned."""
-        return (batch.data for batch in self.batches())
+        pinned.  Nothing is scanned: the runs leave as they are held."""
+        if self._spill_writer is not None:
+            yield from self._spill_writer.reader()
+        for segment in self._frozen:
+            yield self._thaw(segment)
+        for page in self.pages:
+            yield bytes(page.view)
 
     def records(self) -> Iterator[tuple[bytes, bytes]]:
         """Non-destructive iteration over all records.

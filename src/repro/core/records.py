@@ -178,51 +178,6 @@ class KVLayout:
             cols[1], cols[2] = cols[2], cols[1]
         return list(map(b"".join, zip(*cols)))
 
-    def encode_into(self, buf: bytearray, offset: int, key: bytes,
-                    value: bytes, limit: int | None = None) -> int | None:
-        """Encode one record directly at ``buf[offset:]``; returns the
-        new offset.
-
-        The zero-staging-copy path used by the shuffle: the map
-        callback's record materialises straight inside the send-buffer
-        partition, which is the design point the paper's Section III-B
-        makes against MR-MPI's extra copies.  The caller guarantees
-        capacity, or passes ``limit``: a record that would end past it
-        is not written and ``None`` is returned (like
-        :meth:`~repro.memory.pages.Page.write`).
-        """
-        kl, vl = self.key_len, self.val_len
-        klen, vlen = len(key), len(value)
-        if kl is not VARIABLE and \
-                (b"\0" in key if kl == CSTRING else klen != kl):
-            self._check_field(kl, key, "key")
-        if vl is not VARIABLE and \
-                (b"\0" in value if vl == CSTRING else vlen != vl):
-            self._check_field(vl, value, "value")
-        end = offset + klen + vlen + self._kpad + self._vpad
-        if limit is not None and end > limit:
-            return None
-        if kl is VARIABLE and vl is VARIABLE:
-            _U32x2.pack_into(buf, offset, klen, vlen)
-            buf[offset + 8 : end - vlen] = key
-            buf[end - vlen : end] = value
-            return end
-        if kl is VARIABLE:
-            _U32.pack_into(buf, offset, klen)
-            offset += 4
-        buf[offset : offset + klen] = key
-        offset += klen
-        if kl == CSTRING:
-            buf[offset] = 0
-            offset += 1
-        if vl is VARIABLE:
-            _U32.pack_into(buf, offset, vlen)
-            offset += 4
-        buf[offset : offset + vlen] = value
-        if vl == CSTRING:
-            buf[end - 1] = 0
-        return end
-
     # ----------------------------------------------------------- decoding
 
     def decode(self, buf: bytes, offset: int = 0) -> tuple[bytes, bytes, int]:

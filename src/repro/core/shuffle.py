@@ -2,9 +2,11 @@
 
 The send buffer is one statically allocated block divided into ``p``
 equal partitions, one per destination rank.  The user-defined map
-callback inserts KVs *directly* into the partition chosen by hashing
-the key - there is no staging copy (paper Section III-B).  When a
-partition fills, the map phase is suspended and all ranks run one
+callback's KVs land in the partition chosen by hashing the key, a
+block of records at a time, each encoded once and copied once into
+its partition - there is no staging copy of the data (paper Section
+III-B; a staged block of ``ctx.emit`` records holds references only).
+When a partition fills, the map phase is suspended and all ranks run one
 ``MPI_Alltoallv`` round; received records flow into the output KVC and
 the map resumes.  Because each sender contributes at most one partition
 (``comm_buffer_size / p`` bytes) per destination per round, the total
@@ -99,37 +101,23 @@ class Shuffler:
 
     # -------------------------------------------------------------- emit
 
-    def emit(self, key: bytes, value: bytes) -> None:
-        """Insert one KV directly into its destination partition.
-
-        Zero staging copy: the record is encoded in place inside the
-        send-buffer partition (paper Section III-B).  Synchronous on
-        purpose: a kernel may advance the clock between two emits, so
-        buffering them would reorder its reads against exchanges.
-        """
-        dest = self.partitioner(key, self.nprocs)
-        base = dest * self.part_size
-        start = base + self._fill[dest]
-        end = self.layout.encode_into(self._send, start, key, value,
-                                      base + self.part_size)
-        if end is None:
-            n = self.layout.encoded_size(key, value)
-            if n > self.part_size:
-                raise RecordTooLargeError(n, self.part_size,
-                                          "send-buffer partition")
-            # Partition full: suspend map, run one aggregate round.
-            self.exchange(done=False)
-            start = base
-            end = self.layout.encode_into(self._send, base, key, value)
-        self._fill[dest] = end - base
-        self.records_sent += 1
-        self.bytes_sent += end - start
+    def emit_block(self, keys: list, values: list) -> None:
+        """Route one staged block of ``ctx.emit`` records (two equally
+        long lists, at most :data:`BLOCK` records, handed over): what a
+        loop of single emits would place, through the column router.
+        Not a bulk emit, so not counted in ``batch_records``."""
+        records = self.layout.encode_run(keys, values)
+        # Encoded, the values are dead weight through the exchanges the
+        # route may run, which is where the host peak is.
+        values.clear()
+        self._route(records, self._dests(keys))
 
     # --------------------------------------------------------- bulk emits
     #
     # Partition fills, exchange trigger points, and the resulting byte
-    # streams are identical to repeated single emits; only errors
-    # surface a block early (before the block's earlier records land).
+    # streams are identical to a record-at-a-time partition loop; only
+    # errors surface a block early (before the block's earlier records
+    # land).
 
     def emit_run(self, keys, value: bytes) -> int:
         """Emit ``(key, value)`` for every key, sharing one value."""

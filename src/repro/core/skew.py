@@ -23,7 +23,7 @@ reduction); only the distribution of memory and work changes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -68,18 +68,22 @@ def find_hot_keys(env: RankEnv, sample: Iterable[tuple[bytes, int]], *,
 
 
 def fold_by_key(env: RankEnv, config: MimirConfig,
-                feed: Callable[[Callable[[bytes, bytes], None]], None],
+                items: Callable[[], Iterable[Any]],
+                map_fn: Callable[[Callable[[bytes, bytes], None], Any], None],
                 fold_fn: PartialReduceFn, *,
                 hot_keys: set[bytes] | None = None,
                 sample_records: int = 4096,
                 max_hot: int = 8,
                 hot_fraction: float = 0.05,
                 out_tag: str = "kv_folded") -> KVContainer:
-    """Skew-tolerant fold of ``feed``'s emissions; returns owner-local KVs.
+    """Skew-tolerant fold of ``map_fn(emit, item)``'s emissions over
+    ``items()``; returns owner-local KVs.
 
-    ``feed(emit)`` must be callable twice (the sampling pass re-reads a
-    prefix of the input); ``fold_fn`` must be commutative/associative.
-    When ``hot_keys`` is None they are discovered by sampling.
+    ``items`` is called once per pass (the sampling pass re-reads a
+    prefix of the input), and every read it makes happens between two
+    ``map_fn`` calls, in the driver; ``fold_fn`` must be
+    commutative/associative.  When ``hot_keys`` is None they are
+    discovered by sampling.
     """
     from repro.core.job import Mimir
 
@@ -99,7 +103,8 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
                 raise _Stop
 
         try:
-            feed(sample_emit)
+            for item in items():
+                map_fn(sample_emit, item)
         except _Stop:
             pass
         counts = Bucket(env.tracker, config.bucket_entry_overhead + 16,
@@ -119,16 +124,16 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
             return key[1] % nprocs
         return default_partitioner(key[1:], nprocs)
 
-    def stage1_map(ctx, _item) -> None:
+    def stage1_map(ctx, item) -> None:
         def emit(key: bytes, value: bytes) -> None:
             if key in hot_keys:
                 ctx.emit(_SALT + my_salt + key, value)
             else:
                 ctx.emit(_PLAIN + key, value)
 
-        feed(emit)
+        map_fn(emit, item)
 
-    kvs = mimir.map_items([None], stage1_map,
+    kvs = mimir.map_items(items(), stage1_map,
                           partitioner=stage1_partitioner)
     partials = mimir.partial_reduce(kvs, fold_fn, out_tag="kv_partials")
 

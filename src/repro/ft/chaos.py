@@ -61,7 +61,7 @@ def chaos_wordcount(env, ckpt, faults):
 
     if ckpt.has("shuffle"):
         kvs = ckpt.load_kvc(
-            "shuffle", mimir.container(CFG.layout, "kv_restored"))
+            "shuffle", mimir.map_output(CFG.layout, "kv_restored"))
     else:
         kvs = mimir.map_text_file(INPUT_PATH, wc_map)
         ckpt.save_kvc("shuffle", kvs)

@@ -235,8 +235,8 @@ class _TaskSink:
         self.held = held
         self.layout = held.layout
 
-    def emit(self, key: bytes, value: bytes) -> None:
-        self.held.add(key, value)
+    def emit_block(self, keys: list, values: list) -> None:
+        self.held.add_run(keys, values)
 
     def emit_run(self, keys, value: bytes) -> int:
         return self._emit_columns(iter(keys), repeat(value))
@@ -335,7 +335,10 @@ def speculative_map(mimir: Mimir, path: str,
         sink = _TaskSink(out)
         if combine_fn is not None:
             sink = Combiner(env, config, combine_fn, sink)
-        map_fn(MapContext(sink), chunk)
+        mctx = MapContext(sink)
+        map_fn(mctx, chunk)
+        if mctx._keys:
+            mctx._flush()
         sink.finish()
         env.charge_compute(out.nbytes)
         crc = reduce(lambda crc, run: zlib.crc32(run, crc), out.chunks(), 0)
@@ -527,7 +530,7 @@ def restore_rebalanced(mimir: Mimir, ckpt: CheckpointManager, phase: str,
     if agreed == 0:
         return None
     if agreed == comm.size:
-        return ckpt.load_kvc(phase, mimir.container(layout, tag))
+        return ckpt.load_kvc(phase, mimir.map_output(layout, tag))
     out = mimir.map_items(
         range(*split_range(agreed, comm.rank, comm.size)),
         lambda mctx, part: mctx.emit_batch(

@@ -36,7 +36,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.cluster import RankEnv
-from repro.core.codec import get_codec
 from repro.core.job import Mimir
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
@@ -101,11 +100,10 @@ class PlanRunner:
                 and self.checkpoint.has(key):
             # Into the kind of container executing the stage makes: a
             # map output freezes its full pages with the job's codec.
-            layout = self._layout_of(stage)
-            kvc = self.checkpoint.load_kvc(key, self.mimir.container(
-                layout, f"kv_{stage.name}", codec_env=self.env,
-                codec=get_codec(self.mimir.config.codec, layout)
-                if stage.op == "map" else None))
+            make = self.mimir.map_output if stage.op == "map" \
+                else self.mimir.container
+            kvc = self.checkpoint.load_kvc(
+                key, make(self._layout_of(stage), f"kv_{stage.name}"))
         if kvc is None:
             kvc = self._execute(stage)
             if self.checkpoint is not None and stage.checkpointed:
@@ -227,8 +225,9 @@ class PlanRunner:
         """Co-group: tag each side, shuffle by key, split in the reduce."""
         def feed(ctx, side):
             tag, (kvc, consume) = side
-            for key, value in kvc.consume() if consume else kvc.records():
-                ctx.emit(key, tag + value)
+            for batch in kvc.consume_batches() if consume else kvc.batches():
+                ctx.emit_pairs(zip(batch.keys_bytes(),
+                                   map(tag.__add__, batch.values_bytes())))
 
         left, right = stage.parents
         with self.reading(left) as lhs, self.reading(right) as rhs:

@@ -37,6 +37,11 @@ def drained(bucket):
             for pair in zip(keys, values)]
 
 
+def fold_one(bucket, key, value):
+    """One record through ``fold_columns``: a one-record block."""
+    assert bucket.fold_columns(iter([key]), iter([value])) == 1
+
+
 def items(bucket):
     """The entries in slot order, without draining them."""
     values = bucket.values[: len(bucket)]
@@ -45,43 +50,43 @@ def items(bucket):
 
 
 class TestAccountedBucket:
-    """The scalar form (``fold_one``: what per-record ``emit`` uses)."""
+    """One record at a time: ``fold_columns`` over one-record blocks."""
 
     def test_set_and_get(self):
         b = Bucket(MemoryTracker(), fold=LAST)
-        b.fold_one(b"k", b"v")
+        fold_one(b, b"k", b"v")
         assert dict(items(b)) == {b"k": b"v"}
         assert len(b) == 1
 
     def test_insert_charges_tracker(self):
         t = MemoryTracker()
         b = Bucket(t, entry_overhead=10, fold=LAST)
-        b.fold_one(b"key", b"val")  # 3 + 3 + 10
+        fold_one(b, b"key", b"val")  # 3 + 3 + 10
         assert t.current == 16
         assert b.accounted_bytes == 16
 
     def test_replace_same_size_no_delta(self):
         t = MemoryTracker(keep_timeline=True)
         b = Bucket(t, entry_overhead=10, fold=LAST)
-        b.fold_one(b"k", b"aa")
-        b.fold_one(b"k", b"bb")
+        fold_one(b, b"k", b"aa")
+        fold_one(b, b"k", b"bb")
         assert len(t.timeline) == 1
         assert dict(items(b)) == {b"k": b"bb"}
 
     def test_replace_grows_and_shrinks(self):
         t = MemoryTracker()
         b = Bucket(t, entry_overhead=0, fold=LAST)
-        b.fold_one(b"k", b"a")
-        b.fold_one(b"k", b"aaaa")
+        fold_one(b, b"k", b"a")
+        fold_one(b, b"k", b"aaaa")
         assert t.current == 1 + 4
-        b.fold_one(b"k", b"")
+        fold_one(b, b"k", b"")
         assert t.current == 1
 
     def test_drain_yields_and_frees(self):
         t = MemoryTracker()
         b = Bucket(t, entry_overhead=5, fold=LAST)
-        b.fold_one(b"a", b"1")
-        b.fold_one(b"b", b"2")
+        fold_one(b, b"a", b"1")
+        fold_one(b, b"b", b"2")
         assert drained(b) == [(b"a", b"1"), (b"b", b"2")]
         assert t.current == 0
         assert len(b) == 0
@@ -90,7 +95,7 @@ class TestAccountedBucket:
         t = MemoryTracker()
         b = Bucket(t, entry_overhead=5, fold=LAST)
         for i in range(10):
-            b.fold_one(b"k%d" % i, b"v")
+            fold_one(b, b"k%d" % i, b"v")
         levels = [t.current]
         with small_blocks(3):
             for keys, _ in b.drain():
@@ -101,8 +106,8 @@ class TestAccountedBucket:
     def test_free_releases_all(self):
         t = MemoryTracker()
         b = Bucket(t, fold=LAST)
-        b.fold_one(b"a", b"1")
-        b.fold_one(b"b", b"2")
+        fold_one(b, b"a", b"1")
+        fold_one(b, b"b", b"2")
         b.free()
         assert t.current == 0
         assert len(b) == 0
@@ -111,14 +116,14 @@ class TestAccountedBucket:
     def test_respects_memory_limit(self):
         t = MemoryTracker(limit=100)
         b = Bucket(t, entry_overhead=40, fold=LAST)
-        b.fold_one(b"a", b"1")
+        fold_one(b, b"a", b"1")
         with pytest.raises(MemoryLimitExceeded):
-            b.fold_one(b"bbbbbbbbbb", b"1" * 30)
+            fold_one(b, b"bbbbbbbbbb", b"1" * 30)
 
     def test_insertion_order_preserved(self):
         b = Bucket(MemoryTracker(), fold=LAST)
         for i in (3, 1, 2):
-            b.fold_one(b"%d" % i, b"x")
+            fold_one(b, b"%d" % i, b"x")
         assert list(b.index) == [b"3", b"1", b"2"]
 
 
@@ -163,7 +168,7 @@ def test_property_bucket_matches_dict(pairs):
     b = Bucket(t, entry_overhead=7, fold=LAST)
     model = {}
     for k, v in pairs:
-        b.fold_one(k, v)
+        fold_one(b, k, v)
         model[k] = v
     assert dict(items(b)) == model
     expected = sum(len(k) + len(v) + 7 for k, v in model.items())
@@ -362,7 +367,8 @@ class TestAgainstScalarReference:
             combiner = Combiner(env, config, fold, sink)
             for (kind, pairs), expected in zip(calls, after):
                 if kind == "emit":
-                    combiner.emit(*pairs[0])
+                    (key, value), = pairs
+                    combiner.emit_block([key], [value])
                 elif kind == "run":
                     combiner.emit_run([key for key, _ in pairs],
                                       pairs[0][1] if pairs else b"")

@@ -120,8 +120,8 @@ class TestBoundedBucket:
             shuffler = Shuffler(env, config, out)
             combiner = Combiner(env, config, wc_combine, shuffler)
             for i in range(500):
-                combiner.emit(b"key%04d" % (i + 500 * env.comm.rank),
-                              pack_u64(1))
+                combiner.emit_block([b"key%04d" % (i + 500 * env.comm.rank)],
+                                    [pack_u64(1)])
             combiner.finish()
             return combiner.partial_flushes
 

@@ -23,6 +23,7 @@ from repro.core.sort import (
     range_partitioner,
 )
 from repro.mpi import COMET
+from tests import scalar_reference
 from tests.conftest import small_blocks
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
@@ -151,8 +152,9 @@ def test_property_global_sort_is_sorted_permutation(keys, nprocs):
 #
 # A layout that fixes both lengths is sorted as numpy rows and columns.
 # The reference below is the loop of slices that did the job before:
-# ``bytes`` fields, ``sorted``, ``range_partitioner``, one ``emit`` and
-# one ``add_record_bytes`` per record.
+# ``bytes`` fields, ``sorted``, ``range_partitioner``, one scalar
+# ``emit`` (``tests/scalar_reference.py``) and one ``add_record_bytes``
+# per record.
 
 #: NUL-heavy: embedded and trailing NULs are where a numpy ``S`` column
 #: could part ways with ``bytes`` order.
@@ -214,7 +216,7 @@ def scalar_global_sort(env, kvc, config, by_value):
                         partitioner=lambda _key, p: partition(field[0], p))
     for key, value in kvc.consume():
         field[:] = [value if by_value else key]
-        shuffler.emit(key, value)
+        scalar_reference.emit(shuffler, key, value)
     shuffler.finish()
     env.charge_compute(shuffler.bytes_sent)
     return scalar_sorted(env, out, config, by_value, "kv_gsorted")

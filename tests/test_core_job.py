@@ -282,3 +282,34 @@ class TestShuffleBalance:
                     f"{key!r} on ranks {seen[key]} and {rank}")
                 seen[key] = rank
         assert set(seen) == set(EXPECTED)
+
+
+class TestScansOnlyWhereColumnsAreRead:
+    def test_a_preserving_reduce_scans_each_page_once(self, monkeypatch):
+        """``consume=False`` copies every input page into a scratch
+        container and groups that: one scan per page of either, never a
+        re-scan of a page whose offsets are known."""
+        scans = []
+        scan = KVLayout.scan
+
+        def counted(layout, buf, end=None):
+            scans.append(len(buf))
+            return scan(layout, buf, end)
+
+        def job(env):
+            mimir = Mimir(env, SMALL)
+            kvs = mimir.map_text_file("input.txt", wc_map)
+            pages = kvs.npages
+            del scans[:]
+            monkeypatch.setattr(KVLayout, "scan", counted)
+            out = mimir.reduce(kvs, wc_reduce, consume=False)
+            monkeypatch.undo()
+            assert len(scans) == 2 * pages
+            counts = dict(out.records())
+            out.free()
+            kvs.free()
+            return len(counts)
+
+        cluster = Cluster(COMET, nprocs=1, memory_limit=None)
+        cluster.pfs.store("input.txt", TEXT * 4)
+        assert cluster.run(job).returns == [len(EXPECTED)]

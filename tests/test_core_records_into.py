@@ -1,10 +1,12 @@
-"""encode_into: the zero-staging-copy encoder matches encode()."""
+"""The scalar reference encoder (``tests/scalar_reference.py``, what the
+column router is checked against) matches ``KVLayout.encode``."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import CSTRING, KVLayout
+from tests.scalar_reference import encode_into
 
 
 LAYOUTS = [
@@ -38,7 +40,7 @@ class TestEncodeInto:
         key, value = fit(layout, b"hello", b"world!")
         expected = layout.encode(key, value)
         buf = bytearray(64)
-        end = layout.encode_into(buf, 0, key, value)
+        end = encode_into(layout, buf, 0, key, value)
         assert bytes(buf[:end]) == expected
         assert end == layout.encoded_size(key, value)
 
@@ -46,17 +48,17 @@ class TestEncodeInto:
     def test_offset_respected(self, layout):
         key, value = fit(layout, b"abc", b"defg")
         buf = bytearray(b"\xee" * 64)
-        end = layout.encode_into(buf, 10, key, value)
+        end = encode_into(layout, buf, 10, key, value)
         assert bytes(buf[:10]) == b"\xee" * 10  # prefix untouched
         assert bytes(buf[10:end]) == layout.encode(key, value)
 
     def test_validation_still_applies(self):
         layout = KVLayout(key_len=4)
         with pytest.raises(ValueError):
-            layout.encode_into(bytearray(32), 0, b"toolong", b"v")
+            encode_into(layout, bytearray(32), 0, b"toolong", b"v")
         layout2 = KVLayout(key_len=CSTRING)
         with pytest.raises(ValueError):
-            layout2.encode_into(bytearray(32), 0, b"a\0b", b"v")
+            encode_into(layout2, bytearray(32), 0, b"a\0b", b"v")
 
     def test_back_to_back_records_decode(self):
         layout = KVLayout()
@@ -64,7 +66,7 @@ class TestEncodeInto:
         pairs = [(b"a", b"1"), (b"bb", b"22"), (b"", b"")]
         offset = 0
         for key, value in pairs:
-            offset = layout.encode_into(buf, offset, key, value)
+            offset = encode_into(layout, buf, offset, key, value)
         assert list(layout.iter_records(bytes(buf[:offset]))) == pairs
 
 
@@ -73,7 +75,7 @@ class TestEncodeInto:
 def test_property_encode_into_equals_encode(key, value, offset):
     layout = KVLayout()
     buf = bytearray(offset + layout.encoded_size(key, value))
-    end = layout.encode_into(buf, offset, key, value)
+    end = encode_into(layout, buf, offset, key, value)
     assert bytes(buf[offset:end]) == layout.encode(key, value)
 
 

@@ -52,7 +52,7 @@ class TestPartitionSizing:
 
     def test_record_bigger_than_partition_rejected(self):
         def emit(env, shuffler):
-            shuffler.emit(b"k" * 200, b"v")  # > 128B partition
+            shuffler.emit_block([b"k" * 200], [b"v"])  # > 128B partition
 
         with pytest.raises(RankFailedError) as exc_info:
             run_shuffle(4, emit)
@@ -60,7 +60,7 @@ class TestPartitionSizing:
 
     def test_comm_buffers_freed_on_finish(self):
         def emit(env, shuffler):
-            shuffler.emit(b"k", b"v")
+            shuffler.emit_block([b"k"], [b"v"])
 
         for _records, (_r, _n, _b, leftover_minus_pages) in \
                 run_shuffle(2, emit):
@@ -71,7 +71,7 @@ class TestPartitionSizing:
         def job(env):
             out = KVContainer(env.tracker, CFG.layout, CFG.page_size)
             shuffler = Shuffler(env, CFG, out, None)
-            shuffler.emit(b"k", b"v")
+            shuffler.emit_block([b"k"], [b"v"])
             shuffler.finish()
             held = env.tracker.usage_by_tag()
             out.free()
@@ -86,7 +86,7 @@ class TestRounds:
     def test_single_round_for_small_data(self):
         def emit(env, shuffler):
             if env.comm.rank == 0:
-                shuffler.emit(b"a", b"1")
+                shuffler.emit_block([b"a"], [b"1"])
 
         results = run_shuffle(2, emit)
         rounds = {stats[0] for _, stats in results}
@@ -95,7 +95,7 @@ class TestRounds:
     def test_full_partition_forces_extra_rounds(self):
         def emit(env, shuffler):
             for i in range(100):  # ~17B x 100 per dest >> 128B partition
-                shuffler.emit(b"k%02d" % (i % 10), b"v")
+                shuffler.emit_block([b"k%02d" % (i % 10)], [b"v"])
 
         results = run_shuffle(4, emit)
         for _, (rounds, sent, _bytes, _cur) in results:
@@ -107,7 +107,7 @@ class TestRounds:
             # Only rank 0 emits a lot; everyone must follow its rounds.
             n = 200 if env.comm.rank == 0 else 1
             for i in range(n):
-                shuffler.emit(b"x%03d" % i, b"y")
+                shuffler.emit_block([b"x%03d" % i], [b"y"])
 
         results = run_shuffle(3, emit)
         assert len({stats[0] for _, stats in results}) == 1
@@ -122,7 +122,8 @@ class TestRouting:
     def test_records_arrive_at_hash_owner(self):
         def emit(env, shuffler):
             for i in range(40):
-                shuffler.emit(b"key%02d" % i, bytes([env.comm.rank]))
+                shuffler.emit_block([b"key%02d" % i],
+                                    [bytes([env.comm.rank])])
 
         results = run_shuffle(4, emit)
         for rank, (records, _stats) in enumerate(results):
@@ -131,7 +132,7 @@ class TestRouting:
 
     def test_custom_partitioner_routes_everything_to_zero(self):
         def emit(env, shuffler):
-            shuffler.emit(b"k%d" % env.comm.rank, b"v")
+            shuffler.emit_block([b"k%d" % env.comm.rank], [b"v"])
 
         results = run_shuffle(3, emit, partitioner=lambda k, p: 0)
         counts = [len(records) for records, _ in results]
@@ -140,7 +141,8 @@ class TestRouting:
     def test_multiset_preserved_end_to_end(self):
         def emit(env, shuffler):
             for i in range(30):
-                shuffler.emit(b"w%02d" % ((i + env.comm.rank) % 9), b"v")
+                shuffler.emit_block([b"w%02d" % ((i + env.comm.rank) % 9)],
+                                    [b"v"])
 
         results = run_shuffle(5, emit)
         merged = Counter()
@@ -209,7 +211,7 @@ class TestBulkEmitErrors:
 
         def loop(shuffler):
             for key, value in pairs:
-                shuffler.emit(key, value)
+                shuffler.emit_block([key], [value])
 
         kind, message, routed = failure_of(layout, loop)
         assert issubclass(kind, (ValueError, RecordTooLargeError))
@@ -231,7 +233,8 @@ class TestBulkEmitErrors:
             layout, lambda shuffler: shuffler.emit_batch(batch))
         assert kind is RecordTooLargeError and routed == 0
         assert message == failure_of(
-            layout, lambda shuffler: shuffler.emit(b"k" * 200, b"v"))[1]
+            layout,
+            lambda shuffler: shuffler.emit_block([b"k" * 200], [b"v"]))[1]
 
 
 class _CountingSink(KVContainer):

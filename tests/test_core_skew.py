@@ -24,13 +24,13 @@ def wc_fold(key, a, b):
     return pack_u64(unpack_u64(a) + unpack_u64(b))
 
 
-def make_feed(env):
-    def feed(emit):
-        for chunk in iter_text_chunks(env, "t.txt", CFG.input_chunk_size):
-            for word in chunk.split():
-                emit(word, pack_u64(1))
+def make_chunks(env):
+    return lambda: iter_text_chunks(env, "t.txt", CFG.input_chunk_size)
 
-    return feed
+
+def count_words(emit, chunk):
+    for word in chunk.split():
+        emit(word, pack_u64(1))
 
 
 def run_skew_fold(nprocs=4, **kwargs):
@@ -38,7 +38,8 @@ def run_skew_fold(nprocs=4, **kwargs):
     cluster.pfs.store("t.txt", SKEWED)
 
     def job(env):
-        out = fold_by_key(env, CFG, make_feed(env), wc_fold, **kwargs)
+        out = fold_by_key(env, CFG, make_chunks(env), count_words, wc_fold,
+                          **kwargs)
         counts = {k: unpack_u64(v) for k, v in out.records()}
         kv_peak = env.tracker.peak
         out.free()

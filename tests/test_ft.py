@@ -1,11 +1,12 @@
 """Fault tolerance: checkpoints, injection, and restart recovery."""
 
+import threading
 from collections import Counter
 
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import KVLayout, Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.ft import (
     ChaosPlan,
     CheckpointManager,
@@ -120,6 +121,30 @@ class TestCheckpointManager:
             return env.tracker.current
 
         assert cluster.run(job).returns == [0, 0]
+
+    @container_kinds
+    def test_saving_scans_no_record(self, kind, monkeypatch):
+        """A checkpoint copies each tier's packed runs as they are:
+        nothing reads their columns, so nothing scans them."""
+        saving, scans = set(), []
+        scan = KVLayout.scan
+
+        def counted(layout, buf, end=None):
+            if threading.current_thread().name in saving:
+                scans.append(len(buf))
+            return scan(layout, buf, end)
+
+        def job(env):
+            ckpt = CheckpointManager(env, "t1s")
+            kvs, _ = filled_container(env, kind)
+            saving.add(threading.current_thread().name)
+            ckpt.save_kvc("phase", kvs)
+            saving.discard(threading.current_thread().name)
+            kvs.free()
+
+        monkeypatch.setattr(KVLayout, "scan", counted)
+        make_cluster(2).run(job)
+        assert scans == []
 
     def test_state_roundtrip(self):
         cluster = make_cluster(2)

@@ -410,6 +410,29 @@ class TestRestoreRebalanced:
         result = self.restore_with(pfs, new, cfg=TIERED)
         assert global_counts(result.returns) == self.save_and_count()
 
+    def test_same_size_restore_keeps_the_jobs_codec(self):
+        # Restored into a map-output container, a zlib map output freezes
+        # its full pages again: same payload, same tracked bytes.
+        cfg = replace(CFG, codec="zlib")
+
+        def job(env):
+            mimir = Mimir(env, cfg)
+            ckpt = CheckpointManager(env, "j", nonce="codec")
+            kvc = mimir.map_text_file("input/elastic_words.txt", wc_map)
+            ckpt.save_kvc("shuffle", kvc)
+            restored = restore_rebalanced(mimir, ckpt, "shuffle",
+                                          cfg.layout, "kv_rebalanced")
+            seen = [(c.nbytes, c.memory_bytes, c.npages)
+                    for c in (kvc, restored)]
+            kvc.free()
+            restored.free()
+            return seen
+
+        for original, restored in make_elastic_cluster(2).run(job).returns:
+            assert restored == original
+            nbytes, held, npages = restored
+            assert held < npages * cfg.page_size  # frozen, not raw pages
+
     def save_and_count(self):
         from collections import Counter
 

@@ -28,11 +28,18 @@ from repro.core import (
     pack_u64,
     unpack_u64,
 )
+from repro.core.combiner import Combiner
+from repro.core.job import MapContext
 from repro.core.shuffle import Shuffler
 from repro.datasets import edges_to_bytes
+from repro.ft.elastic import _TaskSink
+from repro.memory import MemoryTracker
 from repro.mpi import COMET
 from repro.mrmpi import MRMPIConfig
+from tests import scalar_reference
 from tests.conftest import fit_field, small_blocks
+from tests.test_core_buckets import ListShuffler, StubEnv, fold_cases, \
+    scalar_combine
 
 MIMIR_CFG = MimirConfig(page_size=1024, comm_buffer_size=1024,
                         input_chunk_size=128)
@@ -180,9 +187,9 @@ def shuffle_outcome(nprocs, layout, pairs, drive, part_size=48,
 
 
 def emit_loop(shuffler, mine):
-    """The scalar reference: the per-record path, one emit at a time."""
+    """The scalar reference: one record at a time into its partition."""
     for key, value in mine:
-        shuffler.emit(key, value)
+        scalar_reference.emit(shuffler, key, value)
 
 
 def emit_as_batch(shuffler, mine):
@@ -245,3 +252,147 @@ def test_column_router_equals_a_loop_of_emit(key_hint, val_hint, raw, nprocs,
                 [key for key, _ in mine], value)
         ) == shuffle_outcome(
             nprocs, layout, [(key, value) for key, _ in pairs], emit_loop)
+
+
+# ----------------------- staged emits == one record at a time, every sink
+#
+# ``ctx.emit`` stages records and hands a sink a block at a time: when
+# the block is full, before a bulk emit, and wherever the driver gets
+# control back.  Interleave all of them at random across block edges.
+
+@st.composite
+def interleavings(draw, records):
+    """Cut a record stream into context calls: single emits, bulk
+    emits of every kind, and points where the driver takes control."""
+    calls, at = [], 0
+    while at < len(records):
+        kind = draw(st.sampled_from(
+            ["emit"] * 4 + ["pairs", "run", "batch", "driver"]))
+        size = {"emit": 1, "driver": 0}.get(kind)
+        if size is None:
+            size = draw(st.integers(0, 12))
+        pairs = records[at : at + size]
+        if kind == "run":
+            pairs = [(key, records[at][1]) for key, _ in pairs]
+        calls.append((kind, pairs))
+        at += size
+    return calls
+
+
+def drive_context(ctx, calls, layout):
+    for kind, pairs in calls:
+        if kind == "emit":
+            ctx.emit(*pairs[0])
+        elif kind == "pairs":
+            ctx.emit_pairs(iter(pairs))
+        elif kind == "run":
+            if pairs:
+                ctx.emit_run([key for key, _ in pairs], pairs[0][1])
+        elif kind == "batch":
+            ctx.emit_batch(KVBatch(
+                b"".join(layout.encode(*pair) for pair in pairs), layout))
+        elif ctx._keys:
+            ctx._flush()
+    if ctx._keys:
+        ctx._flush()
+
+
+def staged_calls(calls, block):
+    """The calls a sink receives: runs of single emits cut into blocks
+    at ``block`` records, at every bulk emit and every driver point."""
+    out, staged = [], []
+    for kind, pairs in calls + [("driver", [])]:
+        if kind == "emit":
+            staged += pairs
+            if len(staged) == block:
+                out.append(("block", staged))
+                staged = []
+            continue
+        if staged:
+            out.append(("block", staged))
+            staged = []
+        if kind != "driver":
+            out.append((kind, pairs))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HINTS), st.sampled_from(HINTS), st.data(),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=7))
+def test_staged_emits_route_like_the_scalar_router(key_hint, val_hint, data,
+                                                   nprocs, block):
+    """Pages, rounds, counters, clock and tracked peak of every rank."""
+    layout = KVLayout(key_hint, val_hint)
+    raw = data.draw(st.lists(st.tuples(st.binary(max_size=6),
+                                       st.binary(max_size=6)), max_size=70))
+    calls = data.draw(interleavings(
+        [(fit_field(key_hint, k), fit_field(val_hint, v)) for k, v in raw]))
+
+    def one_at_a_time(shuffler, mine):
+        emit_loop(shuffler, [pair for _, pairs in mine for pair in pairs])
+
+    expected = shuffle_outcome(nprocs, layout, calls, one_at_a_time)
+    with small_blocks(block):
+        assert shuffle_outcome(
+            nprocs, layout, calls, lambda shuffler, mine: drive_context(
+                MapContext(shuffler), mine, layout)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), fold_cases(), st.integers(1, 7),
+       st.one_of(st.none(), st.integers(1, 400)))
+def test_staged_emits_fold_like_the_scalar_combiner(data, case, block,
+                                                    budget):
+    """What the combiner drains, charges and peaks at, budget or not:
+    a staged block is one emit call, so one budget check."""
+    plain, fold, layout, records = case
+    calls = data.draw(interleavings(records))
+    config = MimirConfig(layout=layout, combiner_bucket_budget=budget)
+    stream, charged, _, merged, peak = scalar_combine(
+        staged_calls(calls, block), plain, config.bucket_entry_overhead,
+        budget, block)
+    env, sink = StubEnv(), ListShuffler(layout)
+    with small_blocks(block):
+        combiner = Combiner(env, config, fold, sink)
+        drive_context(MapContext(combiner), calls, layout)
+        combiner.finish()
+    assert sink.pairs == stream
+    assert env.charged == charged
+    assert combiner.records_merged == merged
+    assert env.tracker.peak == peak
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HINTS), st.sampled_from(HINTS), st.data(),
+       st.integers(min_value=1, max_value=7))
+def test_staged_emits_fill_a_task_container_like_add(key_hint, val_hint,
+                                                     data, block):
+    """The elastic map's task sink: the container's pages and the
+    tracker, against one ``add`` per record."""
+    layout = KVLayout(key_hint, val_hint)
+    raw = data.draw(st.lists(st.tuples(st.binary(max_size=6),
+                                       st.binary(max_size=6)), max_size=70))
+    calls = data.draw(interleavings(
+        [(fit_field(key_hint, k), fit_field(val_hint, v)) for k, v in raw]))
+
+    def filled(fill):
+        tracker = MemoryTracker()
+        held = KVContainer(tracker, layout, 64)
+        fill(held)
+        return ([bytes(page.view) for page in held.pages], len(held),
+                tracker.current, tracker.peak)
+
+    def one_at_a_time(held):
+        for _, pairs in calls:
+            for pair in pairs:
+                held.add(*pair)
+
+    def staged(held):
+        sink = _TaskSink(held)
+        drive_context(MapContext(sink), calls, layout)
+        sink.finish()
+
+    expected = filled(one_at_a_time)
+    with small_blocks(block):
+        assert filled(staged) == expected
