@@ -7,7 +7,7 @@ one it redoes everything.
 """
 
 from figutils import BCOMET, SCALE
-from repro.bench.runner import ExperimentSpec, stage_dataset
+from repro.bench.runner import stage_dataset
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.ft import ChaosPlan, run_with_recovery
@@ -47,10 +47,7 @@ def make_job(checkpoint: bool):
 
 
 def run_case(checkpoint: bool, fail: bool):
-    spec = ExperimentSpec(label=DATASET, config_name="x", platform=BCOMET,
-                          nprocs=BCOMET.procs_per_node, app="wc_uniform",
-                          framework="mimir", size=SCALE.size(DATASET))
-    path, data = stage_dataset(spec)
+    path, data = stage_dataset(SCALE.spec(BCOMET, "wc_uniform", DATASET))
     cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
                       memory_limit=None)
     cluster.pfs.store(path, data)

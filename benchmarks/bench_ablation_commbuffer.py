@@ -9,7 +9,7 @@ ablation shows the plateau that choice sits on.
 
 from figutils import BCOMET, SCALE
 from repro.apps.wordcount import wordcount_plan
-from repro.bench.runner import ExperimentSpec, stage_dataset
+from repro.bench.runner import stage_dataset
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 
@@ -18,11 +18,7 @@ DATASET = "4G"
 
 
 def _run(buffer_label: str):
-    spec = ExperimentSpec(label=DATASET, config_name=buffer_label,
-                          platform=BCOMET, nprocs=BCOMET.procs_per_node,
-                          app="wc_uniform", framework="mimir",
-                          size=SCALE.size(DATASET))
-    path, data = stage_dataset(spec)
+    path, data = stage_dataset(SCALE.spec(BCOMET, "wc_uniform", DATASET))
     cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node)
     cluster.pfs.store(path, data)
     config = MimirConfig(page_size=BCOMET.default_page_size,

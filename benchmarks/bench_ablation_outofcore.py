@@ -11,33 +11,19 @@ the overflow once instead of re-partitioning everything through the
 PFS.
 """
 
-from figutils import BCOMET, SCALE, mimir, mrmpi, print_memory_time, single_node_sweep, wc_sizes
-from repro.bench.runner import ExperimentSpec, run_spec
-from repro.bench.records import Series
+from figutils import BCOMET, print_memory_time, single_node_sweep
+from repro.bench import mimir, mrmpi
 
 LABELS = ["8G", "16G", "32G", "64G"]
-
-
-def _spec(label, name, **kwargs):
-    return ExperimentSpec(label=label, config_name=name, platform=BCOMET,
-                          nprocs=BCOMET.procs_per_node, app="wc_uniform",
-                          framework=kwargs.pop("framework", "mimir"),
-                          size=SCALE.size(label), **kwargs)
+CONFIGS = (mimir(), mimir("Mimir (ooc)", out_of_core=True), mrmpi("512M"))
 
 
 def test_ablation_out_of_core_mimir(benchmark):
-    def sweep():
-        series = Series("Ablation: out-of-core Mimir, WC(Uniform), Comet")
-        for label in LABELS:
-            series.add(run_spec(_spec(label, "Mimir")))
-            series.add(run_spec(_spec(label, "Mimir (ooc)",
-                                      out_of_core=True)))
-            series.add(run_spec(_spec(
-                label, "MR-MPI(512M)", framework="mrmpi",
-                mrmpi_page=BCOMET.max_page_size)))
-        return series
-
-    series = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    series = benchmark.pedantic(
+        lambda: single_node_sweep(
+            "Ablation: out-of-core Mimir, WC(Uniform), Comet", BCOMET,
+            "wc_uniform", LABELS, CONFIGS),
+        rounds=1, iterations=1)
     print_memory_time(series)
 
     # In-memory Mimir dies past its boundary; ooc Mimir keeps going.

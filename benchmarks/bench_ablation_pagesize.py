@@ -7,7 +7,8 @@ while Mimir needs no such tuning.  This ablation sweeps four page
 sizes to expose the whole frontier.
 """
 
-from figutils import BCOMET, in_memory_reach, mimir, mrmpi, print_memory_time, single_node_sweep, wc_sizes
+from figutils import BCOMET, in_memory_reach, print_memory_time, single_node_sweep
+from repro.bench import mimir, mrmpi
 
 PAGES = ["16M", "64M", "256M", "512M"]
 CONFIGS = tuple(mrmpi(page) for page in PAGES) + (mimir(),)
@@ -17,7 +18,7 @@ def test_ablation_mrmpi_page_size(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Ablation: MR-MPI page size, WC(Uniform), Comet", BCOMET,
-            "wc_uniform", wc_sizes(["256M", "1G", "4G", "16G"]), CONFIGS),
+            "wc_uniform", ["256M", "1G", "4G", "16G"], CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
 

@@ -10,9 +10,8 @@ penalty is an artefact of the storage architecture, not of spilling
 per se.
 """
 
-from figutils import SCALE, mrmpi, single_node_sweep, wc_sizes
-from repro.bench.records import Series
-from repro.bench.runner import ExperimentSpec, run_spec
+from figutils import SCALE
+from repro.bench import Series, mrmpi, run_spec
 from repro.bench.tables import render_time_table
 from repro.mpi.platforms import COMET, COMET_LOCAL_SSD
 
@@ -25,11 +24,8 @@ def _series():
                            (SCALE.platform(COMET_LOCAL_SSD),
                             "node-local SSD")):
         for label in LABELS:
-            series.add(run_spec(ExperimentSpec(
-                label=label, config_name=name, platform=platform,
-                nprocs=platform.procs_per_node, app="wc_uniform",
-                framework="mrmpi", size=SCALE.size(label),
-                mrmpi_page=platform.max_page_size)))
+            series.add(run_spec(SCALE.spec(
+                platform, "wc_uniform", label, mrmpi("512M", name=name))))
     return series
 
 

@@ -6,7 +6,8 @@ from 1 GB to 64 GB, because everything past what the fixed pages hold
 spills to the shared parallel file system.
 """
 
-from figutils import BCOMET, mrmpi, print_memory_time, single_node_sweep, wc_sizes
+from figutils import BCOMET, print_memory_time, single_node_sweep
+from repro.bench import mrmpi
 from repro.bench.tables import render_time_table
 
 LABELS = ["1G", "2G", "4G", "8G", "16G", "32G", "64G"]
@@ -16,7 +17,7 @@ def test_fig01_mrmpi_wordcount_degradation(benchmark):
     def sweep():
         return single_node_sweep(
             "Fig 1: WC(Uniform) with MR-MPI(512M), one Comet node",
-            BCOMET, "wc_uniform", wc_sizes(LABELS), (mrmpi("512M"),))
+            BCOMET, "wc_uniform", LABELS, (mrmpi("512M"),))
 
     series = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print(render_time_table(series))

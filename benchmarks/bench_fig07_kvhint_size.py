@@ -7,16 +7,14 @@ the Wikipedia dataset.
 
 from figutils import BCOMET, SCALE
 from repro.apps.wordcount import wordcount_plan
-from repro.bench.runner import ExperimentSpec, stage_dataset, _mimir_config
+from repro.bench.runner import stage_dataset, _mimir_config
 from repro.cluster import Cluster
 
 LABELS = ["8G", "16G", "32G"]
 
 
 def _kv_bytes(label: str, hint: bool) -> int:
-    spec = ExperimentSpec(label=label, config_name="mimir", platform=BCOMET,
-                          nprocs=BCOMET.procs_per_node, app="wc_wiki",
-                          framework="mimir", size=SCALE.size(label))
+    spec = SCALE.spec(BCOMET, "wc_wiki", label)
     path, data = stage_dataset(spec)
     cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
                       memory_limit=None)

@@ -11,14 +11,11 @@ import pytest
 
 from figutils import (
     BCOMET,
-    count_sizes,
     in_memory_reach,
-    mimir,
-    mrmpi,
     print_memory_time,
     single_node_sweep,
-    wc_sizes,
 )
+from repro.bench import mimir, mrmpi
 
 CONFIGS = (mimir(), mrmpi("64M"), mrmpi("512M"))
 
@@ -46,7 +43,7 @@ def test_fig08a_wc_uniform(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 8a: WC(Uniform), one Comet node", BCOMET, "wc_uniform",
-            wc_sizes(["256M", "512M", "1G", "2G", "4G", "8G", "16G"]),
+            ["256M", "512M", "1G", "2G", "4G", "8G", "16G"],
             CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -60,7 +57,7 @@ def test_fig08b_wc_wikipedia(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 8b: WC(Wikipedia), one Comet node", BCOMET, "wc_wiki",
-            wc_sizes(["256M", "512M", "1G", "2G", "4G", "8G", "16G"]),
+            ["256M", "512M", "1G", "2G", "4G", "8G", "16G"],
             CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -71,7 +68,7 @@ def test_fig08c_octree(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 8c: OC, one Comet node", BCOMET, "oc",
-            count_sizes([24, 25, 26, 27, 28, 29, 30]), CONFIGS,
+            [f"2^{k}" for k in range(24, 31)], CONFIGS,
             max_level=6),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -82,7 +79,7 @@ def test_fig08d_bfs(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 8d: BFS, one Comet node", BCOMET, "bfs",
-            count_sizes([19, 20, 21, 22, 23, 24, 25, 26]), CONFIGS),
+            [f"2^{k}" for k in range(19, 27)], CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
     _check_paper_shape(series, small_label="2^19")

@@ -10,14 +10,11 @@ OC and BFS.
 
 from figutils import (
     BMIRA,
-    count_sizes,
     in_memory_reach,
-    mimir,
-    mrmpi,
     print_memory_time,
     single_node_sweep,
-    wc_sizes,
 )
+from repro.bench import mimir, mrmpi
 
 CONFIGS = (mimir(), mrmpi("64M"), mrmpi("128M"))
 
@@ -35,7 +32,7 @@ def test_fig09a_wc_uniform(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 9a: WC(Uniform), one Mira node", BMIRA, "wc_uniform",
-            wc_sizes(["64M", "128M", "256M", "512M", "1G", "2G"]), CONFIGS),
+            ["64M", "128M", "256M", "512M", "1G", "2G"], CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
     _check_paper_shape(series, small_label="64M")
@@ -45,7 +42,7 @@ def test_fig09b_wc_wikipedia(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 9b: WC(Wikipedia), one Mira node", BMIRA, "wc_wiki",
-            wc_sizes(["64M", "128M", "256M", "512M", "1G", "2G"]), CONFIGS),
+            ["64M", "128M", "256M", "512M", "1G", "2G"], CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
     _check_paper_shape(series, small_label="64M")
@@ -55,7 +52,7 @@ def test_fig09c_octree(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 9c: OC, one Mira node", BMIRA, "oc",
-            count_sizes([22, 23, 24, 25, 26, 27]), CONFIGS, max_level=6),
+            [f"2^{k}" for k in range(22, 28)], CONFIGS, max_level=6),
         rounds=1, iterations=1)
     print_memory_time(series)
     _check_paper_shape(series, small_label="2^22")
@@ -65,7 +62,7 @@ def test_fig09d_bfs(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 9d: BFS, one Mira node", BMIRA, "bfs",
-            count_sizes([18, 19, 20, 21, 22]), CONFIGS),
+            [f"2^{k}" for k in range(18, 23)], CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
     _check_paper_shape(series, small_label="2^18")

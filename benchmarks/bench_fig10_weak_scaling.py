@@ -14,12 +14,10 @@ Weak scaling uses the representative-process model (see
 from figutils import (
     BCOMET,
     BMIRA,
-    SCALE,
-    mimir,
-    mrmpi,
     print_scaling,
     weak_scaling_sweep,
 )
+from repro.bench import mimir, mrmpi
 
 NODES = [2, 4, 8, 16, 32, 64]
 
@@ -53,7 +51,7 @@ def test_fig10a_wc_uniform_comet(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 10a: WC(Uniform) weak scaling, Comet, 512M/node",
-            BCOMET, "wc_uniform", "512M", SCALE.size("512M"), NODES,
+            BCOMET, "wc_uniform", "512M", NODES,
             (mimir(), mrmpi("64M"), mrmpi("512M"))),
         rounds=1, iterations=1)
     print_scaling(series)
@@ -65,7 +63,7 @@ def test_fig10b_wc_wikipedia_comet(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 10b: WC(Wikipedia) weak scaling, Comet, 512M/node",
-            BCOMET, "wc_wiki", "512M", SCALE.size("512M"), NODES,
+            BCOMET, "wc_wiki", "512M", NODES,
             (mimir(), mrmpi("64M"), mrmpi("512M"))),
         rounds=1, iterations=1)
     print_scaling(series)
@@ -80,7 +78,7 @@ def test_fig10c_wc_uniform_mira(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 10c: WC(Uniform) weak scaling, Mira, 256M/node",
-            BMIRA, "wc_uniform", "256M", SCALE.size("256M"), NODES,
+            BMIRA, "wc_uniform", "256M", NODES,
             (mimir(), mrmpi("64M"), mrmpi("128M"))),
         rounds=1, iterations=1)
     print_scaling(series)
@@ -91,7 +89,7 @@ def test_fig10d_wc_wikipedia_mira(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 10d: WC(Wikipedia) weak scaling, Mira, 256M/node",
-            BMIRA, "wc_wiki", "256M", SCALE.size("256M"), NODES,
+            BMIRA, "wc_wiki", "256M", NODES,
             (mimir(), mrmpi("64M"), mrmpi("128M"))),
         rounds=1, iterations=1)
     print_scaling(series)

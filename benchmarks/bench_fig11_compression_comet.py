@@ -12,14 +12,11 @@ its largest page (512M).  The paper's observations, all asserted here:
 
 from figutils import (
     BCOMET,
-    count_sizes,
     in_memory_reach,
-    mimir,
-    mrmpi,
     print_memory_time,
     single_node_sweep,
-    wc_sizes,
 )
+from repro.bench import mimir, mrmpi
 
 CONFIGS = (
     mimir("Mimir"),
@@ -47,7 +44,7 @@ def test_fig11a_wc_uniform(benchmark):
         lambda: single_node_sweep(
             "Fig 11a: KV compression, WC(Uniform), Comet", BCOMET,
             "wc_uniform",
-            wc_sizes(["512M", "1G", "2G", "4G", "8G", "16G", "32G", "64G"]),
+            ["512M", "1G", "2G", "4G", "8G", "16G", "32G", "64G"],
             CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -66,7 +63,7 @@ def test_fig11b_wc_wikipedia(benchmark):
         lambda: single_node_sweep(
             "Fig 11b: KV compression, WC(Wikipedia), Comet", BCOMET,
             "wc_wiki",
-            wc_sizes(["512M", "1G", "2G", "4G", "8G", "16G", "32G", "64G"]),
+            ["512M", "1G", "2G", "4G", "8G", "16G", "32G", "64G"],
             CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -79,7 +76,7 @@ def test_fig11c_octree(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 11c: KV compression, OC, Comet", BCOMET, "oc",
-            count_sizes([25, 26, 27, 28, 29, 30, 31, 32]), CONFIGS,
+            [f"2^{k}" for k in range(25, 33)], CONFIGS,
             max_level=6),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -92,7 +89,7 @@ def test_fig11d_bfs(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 11d: KV compression, BFS, Comet", BCOMET, "bfs",
-            count_sizes([20, 21, 22, 23, 24, 25, 26]), CONFIGS),
+            [f"2^{k}" for k in range(20, 27)], CONFIGS),
         rounds=1, iterations=1)
     print_memory_time(series)
     _common_checks(series, big_label="2^26")

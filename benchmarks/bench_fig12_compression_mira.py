@@ -9,14 +9,11 @@ datasets than MR-MPI.
 
 from figutils import (
     BMIRA,
-    count_sizes,
     in_memory_reach,
-    mimir,
-    mrmpi,
     print_memory_time,
     single_node_sweep,
-    wc_sizes,
 )
+from repro.bench import mimir, mrmpi
 
 
 def _configs(page: str):
@@ -33,7 +30,7 @@ def test_fig12a_wc_uniform(benchmark):
         lambda: single_node_sweep(
             "Fig 12a: KV compression, WC(Uniform), Mira", BMIRA,
             "wc_uniform",
-            wc_sizes(["256M", "512M", "1G", "2G", "4G", "8G"]),
+            ["256M", "512M", "1G", "2G", "4G", "8G"],
             _configs("128M")),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -46,7 +43,7 @@ def test_fig12b_wc_wikipedia(benchmark):
         lambda: single_node_sweep(
             "Fig 12b: KV compression, WC(Wikipedia), Mira", BMIRA,
             "wc_wiki",
-            wc_sizes(["256M", "512M", "1G", "2G", "4G", "8G"]),
+            ["256M", "512M", "1G", "2G", "4G", "8G"],
             _configs("128M")),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -58,7 +55,7 @@ def test_fig12c_octree(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 12c: KV compression, OC, Mira", BMIRA, "oc",
-            count_sizes([24, 25, 26, 27, 28, 29]), _configs("64M"),
+            [f"2^{k}" for k in range(24, 30)], _configs("64M"),
             max_level=6),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -70,7 +67,7 @@ def test_fig12d_bfs(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 12d: KV compression, BFS, Mira", BMIRA, "bfs",
-            count_sizes([18, 19, 20, 21, 22, 23]), _configs("64M")),
+            [f"2^{k}" for k in range(18, 24)], _configs("64M")),
         rounds=1, iterations=1)
     print_memory_time(series)
     assert in_memory_reach(series, "Mimir") > \

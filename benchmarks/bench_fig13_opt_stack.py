@@ -10,11 +10,9 @@ than the baseline.
 from figutils import (
     BMIRA,
     OPT_STACK,
-    count_sizes,
     in_memory_reach,
     print_memory_time,
     single_node_sweep,
-    wc_sizes,
 )
 
 STACK = [config.name for config in OPT_STACK]
@@ -43,7 +41,7 @@ def test_fig13a_wc_uniform(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 13a: optimization stack, WC(Uniform), Mira", BMIRA,
-            "wc_uniform", wc_sizes(["256M", "512M", "1G", "2G", "4G", "8G"]),
+            "wc_uniform", ["256M", "512M", "1G", "2G", "4G", "8G"],
             OPT_STACK),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -58,7 +56,7 @@ def test_fig13b_wc_wikipedia(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 13b: optimization stack, WC(Wikipedia), Mira", BMIRA,
-            "wc_wiki", wc_sizes(["256M", "512M", "1G", "2G", "4G", "8G"]),
+            "wc_wiki", ["256M", "512M", "1G", "2G", "4G", "8G"],
             OPT_STACK),
         rounds=1, iterations=1)
     print_memory_time(series)
@@ -72,7 +70,7 @@ def test_fig13c_octree(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 13c: optimization stack, OC, Mira", BMIRA, "oc",
-            count_sizes([24, 25, 26, 27, 28, 29]), OPT_STACK, max_level=6),
+            [f"2^{k}" for k in range(24, 30)], OPT_STACK, max_level=6),
         rounds=1, iterations=1)
     print_memory_time(series)
     _check_monotone_memory(series)
@@ -84,7 +82,7 @@ def test_fig13d_bfs(benchmark):
     series = benchmark.pedantic(
         lambda: single_node_sweep(
             "Fig 13d: optimization stack, BFS, Mira", BMIRA, "bfs",
-            count_sizes([18, 19, 20, 21, 22, 23]), OPT_STACK),
+            [f"2^{k}" for k in range(18, 24)], OPT_STACK),
         rounds=1, iterations=1)
     print_memory_time(series)
     # BFS: hint helps, pr is unsupported, cps does not move the peak.

@@ -13,7 +13,6 @@ ordering crossovers already appear.)
 from figutils import (
     BMIRA,
     OPT_STACK,
-    SCALE,
     print_scaling,
     weak_scaling_sweep,
 )
@@ -43,7 +42,7 @@ def test_fig14a_wc_uniform(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 14a: opt-stack weak scaling, WC(Uniform), 2G/node, Mira",
-            BMIRA, "wc_uniform", "2G", SCALE.size("2G"), NODES, OPT_STACK),
+            BMIRA, "wc_uniform", "2G", NODES, OPT_STACK),
         rounds=1, iterations=1)
     print_scaling(series)
     reaches = _check_stack_order(series)
@@ -55,7 +54,7 @@ def test_fig14b_wc_wikipedia(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 14b: opt-stack weak scaling, WC(Wikipedia), 2G/node, Mira",
-            BMIRA, "wc_wiki", "2G", SCALE.size("2G"), NODES, OPT_STACK),
+            BMIRA, "wc_wiki", "2G", NODES, OPT_STACK),
         rounds=1, iterations=1)
     print_scaling(series)
     reaches = _check_stack_order(series)
@@ -66,8 +65,7 @@ def test_fig14c_octree(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 14c: opt-stack weak scaling, OC, 2^27 points/node, Mira",
-            BMIRA, "oc", "2^27/node", SCALE.count(1 << 27), NODES,
-            OPT_STACK, max_level=6),
+            BMIRA, "oc", "2^27", NODES, OPT_STACK, max_level=6),
         rounds=1, iterations=1)
     print_scaling(series)
     _check_stack_order(series)
@@ -77,8 +75,7 @@ def test_fig14d_bfs(benchmark):
     series = benchmark.pedantic(
         lambda: weak_scaling_sweep(
             "Fig 14d: opt-stack weak scaling, BFS, 2^22 vertices/node, Mira",
-            BMIRA, "bfs", "2^22/node", SCALE.count(1 << 22), NODES,
-            OPT_STACK),
+            BMIRA, "bfs", "2^22", NODES, OPT_STACK),
         rounds=1, iterations=1)
     print_scaling(series)
     # BFS ignores pr; hint must not hurt the reach.

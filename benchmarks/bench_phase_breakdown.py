@@ -10,7 +10,7 @@ from functools import partial
 
 from figutils import BCOMET, SCALE
 from repro.apps.wordcount import wordcount_plan
-from repro.bench.runner import ExperimentSpec, stage_dataset
+from repro.bench.runner import stage_dataset
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.obs import Trace
@@ -28,10 +28,7 @@ VARIANTS = {
 
 
 def _run(opts):
-    spec = ExperimentSpec(label=DATASET, config_name="x", platform=BCOMET,
-                          nprocs=BCOMET.procs_per_node, app="wc_wiki",
-                          framework="mimir", size=SCALE.size(DATASET))
-    path, data = stage_dataset(spec)
+    path, data = stage_dataset(SCALE.spec(BCOMET, "wc_wiki", DATASET))
     cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
                       memory_limit=None)
     cluster.pfs.store(path, data)

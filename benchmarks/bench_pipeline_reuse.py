@@ -127,8 +127,8 @@ def check_schedule(report) -> None:
     # Declared footprints fit the 1M budget together: one gang round.
     assert wc.round == pr.round == 1, report.render_log()
     # WordCount owns words on every rank; PageRank actually iterated.
-    assert all(unique > 0 for unique in wc.returns), wc.returns
-    assert all(iters >= 1 for iters in pr.returns)
+    assert all(p["unique"] > 0 for p in wc.returns), wc.returns
+    assert all(p["iterations"] >= 1 for p in pr.returns)
 
 
 def test_concurrent_wordcount_pagerank(benchmark):

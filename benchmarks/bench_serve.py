@@ -37,25 +37,27 @@ from repro.serve.tenants import TenantManager, TenantQuota
 NPROCS = 4
 NJOBS = 24
 TENANTS = ("alice", "bob", "carol")
-#: The submission mix (app, input, params) a seeded workload draws from.
+#: The submission mix (app, params) a seeded workload draws from; each
+#: job reads its app's demo input.
 MIX = [
-    ("wordcount", "demo/words.txt", {}),
-    ("wordcount", "demo/words.txt", {"partial": False}),
-    ("pagerank", "demo/graph.bin", {"iterations": 2}),
-    ("bfs", "demo/graph.bin", {}),
+    ("wordcount", {}),
+    ("wordcount", {"partial": False}),
+    ("pagerank", {"iterations": 2}),
+    ("bfs", {}),
 ]
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 
 def make_daemon():
+    """A recovered daemon over the staged demo inputs, and those inputs."""
     cluster = Cluster(COMET, nprocs=NPROCS)
-    stage_inputs(cluster, seed=0)
+    inputs = stage_inputs(cluster, seed=0)
     daemon = ServeDaemon(cluster, tenants=TenantManager(
         {t: TenantQuota(max_queued=NJOBS, max_concurrent=2)
          for t in TENANTS}))
     daemon.recover()
-    return daemon
+    return daemon, inputs
 
 
 def workload(seed: int, njobs: int):
@@ -83,9 +85,9 @@ def percentile(values, q):
 def run_service_load(seed: int = 0, njobs: int = NJOBS, *,
                      crash_every_round: bool = False):
     """One seeded load; returns (stats, {job_id: output bytes})."""
-    daemon = make_daemon()
-    for tenant, app, inp, params in workload(seed, njobs):
-        daemon.submit(tenant, app, inp, params=dict(params))
+    daemon, inputs = make_daemon()
+    for tenant, app, params in workload(seed, njobs):
+        daemon.submit(tenant, app, inputs[app], params=dict(params))
     if crash_every_round:
         generations = 1
         while daemon.scheduler.queue_depth or any(

@@ -9,7 +9,7 @@ Mimir's proportional footprint + 4x reach.
 Run:  python examples/memory_comparison.py
 """
 
-from repro.bench import BenchScale, ExperimentSpec, Series, run_spec
+from repro.bench import BenchScale, Series, mimir, mrmpi, run_spec
 from repro.bench.tables import render_memory_time_table
 from repro.mpi import COMET
 
@@ -21,16 +21,9 @@ def main():
 
     series = Series("WordCount (Uniform): memory frontier")
     for label in ["256M", "512M", "1G", "2G", "4G", "8G", "16G"]:
-        for name, framework, page in [
-            ("Mimir", "mimir", None),
-            ("MR-MPI(64M)", "mrmpi", platform.default_page_size),
-            ("MR-MPI(512M)", "mrmpi", platform.max_page_size),
-        ]:
-            series.add(run_spec(ExperimentSpec(
-                label=label, config_name=name, platform=platform,
-                nprocs=platform.procs_per_node, app="wc_uniform",
-                framework=framework, size=scale.size(label),
-                mrmpi_page=page)))
+        for config in (mimir(), mrmpi("64M"), mrmpi("512M")):
+            series.add(run_spec(scale.spec(platform, "wc_uniform", label,
+                                           config)))
     print(render_memory_time_table(series))
     print("\n(* = spilled to the parallel file system; OOM = exceeded"
           "\n the per-rank memory budget, as in the paper's figures)")

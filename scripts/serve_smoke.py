@@ -37,7 +37,7 @@ NJOBS = 8
 
 def main() -> int:
     cluster = Cluster(COMET, nprocs=4)
-    stage_inputs(cluster)
+    inputs = stage_inputs(cluster)
     daemon = ServeDaemon(cluster, tenants=TenantManager(
         {"capped": TenantQuota(max_queued=2)}))
     port = daemon.start()
@@ -66,9 +66,9 @@ def main() -> int:
     daemon.scheduler.admission_filter = lambda job, batch: False
     capped = ServeClient(url, tenant="capped")
     for _ in range(2):
-        capped.submit("wordcount", "demo/words.txt")
+        capped.submit("wordcount", inputs["wordcount"])
     try:
-        capped.submit("wordcount", "demo/words.txt")
+        capped.submit("wordcount", inputs["wordcount"])
     except ServeAPIError as exc:
         assert exc.status == 429, exc.status
         assert exc.body["quota"] == "max_queued", exc.body

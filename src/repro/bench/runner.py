@@ -29,7 +29,10 @@ from repro.datasets import (
 from repro.mpi.platforms import Platform
 from repro.mrmpi import MRMPIConfig
 
-APPS = ("wc_uniform", "wc_wiki", "oc", "bfs")
+#: The apps a spec runs, each with its default paper size (what
+#: ``repro run`` uses without ``--size``): bytes for WordCount, a
+#: point or vertex count for OC and BFS.
+APPS = {"wc_uniform": "1G", "wc_wiki": "1G", "oc": "2^24", "bfs": "2^20"}
 FRAMEWORKS = ("mimir", "mrmpi")
 
 #: Dataset cache: staging is deterministic, so identical inputs are
@@ -70,6 +73,27 @@ class ExperimentSpec:
             raise ValueError(f"unknown framework {self.framework!r}")
         if self.size <= 0:
             raise ValueError(f"size must be positive, got {self.size}")
+
+
+@dataclass(frozen=True)
+class Config:
+    """One plotted series: a framework plus its options."""
+
+    name: str
+    framework: str            # "mimir" | "mrmpi"
+    mrmpi_page: str | None = None   # paper units, e.g. "512M"
+    hint: bool = False
+    compress: bool = False
+    partial: bool = False
+    out_of_core: bool = False
+
+
+def mimir(name: str = "Mimir", **opts) -> Config:
+    return Config(name, "mimir", **opts)
+
+
+def mrmpi(page: str, name: str | None = None, **opts) -> Config:
+    return Config(name or f"MR-MPI({page})", "mrmpi", page, **opts)
 
 
 # --------------------------------------------------------------- staging

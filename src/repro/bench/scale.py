@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.bench.runner import APPS, Config, ExperimentSpec, mimir
 from repro.memory.limits import parse_size
 from repro.mpi.platforms import SCALE_SHIFT, Platform
 
@@ -49,18 +50,31 @@ class BenchScale:
         return platform.rescaled(self.extra_shift)
 
     def size(self, paper_size: int | str) -> int:
-        """Scale a paper-quoted byte size (e.g. ``"4G"``) for a bench run."""
+        """Scale a paper-quoted byte size or count (``"4G"``, ``"2^22"``)
+        for a bench run.  Counts shrink by the same factor as bytes so
+        that per-rank record footprints keep their paper ratios."""
+        if isinstance(paper_size, str) and paper_size.startswith("2^"):
+            paper_size = 1 << int(paper_size[2:])
         return max(1, parse_size(paper_size) >> self.total_shift)
 
-    def count(self, paper_count: int) -> int:
-        """Scale a paper-quoted cardinality (points, vertices).
-
-        Counts shrink by the same factor as bytes so that per-rank
-        record footprints keep their paper ratios.
-        """
-        if paper_count < 0:
-            raise ValueError(f"count must be non-negative, got {paper_count}")
-        return max(1, paper_count >> self.total_shift)
+    def spec(self, platform: Platform, app: str, label: str | None = None,
+             config: Config = mimir(), *, size: int | None = None,
+             nprocs: int | None = None, **fields) -> ExperimentSpec:
+        """One data point: ``app`` at the paper size ``label`` (the app's
+        default when None) under ``config``, one rank per process of a
+        ``platform`` node unless ``nprocs`` says otherwise.  ``size``
+        overrides the size the label reads as; ``fields`` fill the
+        rest of the :class:`ExperimentSpec`."""
+        label = label or APPS[app]
+        page = None if config.mrmpi_page is None \
+            else self.size(config.mrmpi_page)
+        return ExperimentSpec(
+            label=label, config_name=config.name, platform=platform,
+            nprocs=nprocs or platform.procs_per_node, app=app,
+            framework=config.framework, size=size or self.size(label),
+            mrmpi_page=page, hint=config.hint, compress=config.compress,
+            partial=config.partial, out_of_core=config.out_of_core,
+            **fields)
 
     def describe(self) -> str:
         return (f"1/{1 << self.total_shift} of paper scale "

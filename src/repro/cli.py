@@ -13,34 +13,38 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import BenchScale, ExperimentSpec, Series, run_spec
+from repro.bench import BenchScale, Config, Series, mimir, mrmpi, run_spec
 from repro.bench.runner import APPS
 from repro.bench.tables import render_memory_time_table
-from repro.memory.limits import format_size, parse_size
+from repro.memory.limits import format_size
 from repro.mpi.platforms import PLATFORMS
+from repro.serve.catalog import SERVE_APPS
 from repro.storage import BACKENDS
 
 
-def _parse_size_arg(scale: BenchScale, app: str, text: str) -> int:
-    """Accept "4G" byte sizes for WC and "2^22" counts for OC/BFS."""
-    if text.startswith("2^"):
-        return scale.count(1 << int(text[2:]))
-    if app in ("wc_uniform", "wc_wiki"):
-        return scale.size(text)
-    return scale.count(int(text))
+def _size_label(text: str) -> str:
+    """A paper size label ("4G" bytes, "2^22" or "1000" a count)."""
+    try:
+        BenchScale(extra_shift=0).size(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad size {text!r}: {exc}")
+    return text
 
 
-def _spec_from_args(args, scale: BenchScale, config_name: str,
-                    framework: str, *, hint=False, pr=False, cps=False,
-                    mrmpi_page: int | None = None) -> ExperimentSpec:
+def _demo_app(name: str) -> str:
+    """A ``repro pipeline`` job: a catalog app or ``insitu``."""
+    if name not in SERVE_APPS and name != "insitu":
+        raise argparse.ArgumentTypeError(f"unknown app {name!r}")
+    return name
+
+
+def _specs(args, *configs: Config):
+    """``args.app`` at ``args.size`` under each config."""
+    scale = BenchScale(extra_shift=args.shift)
     platform = scale.platform(PLATFORMS[args.platform])
-    return ExperimentSpec(
-        label=args.size, config_name=config_name, platform=platform,
-        nprocs=args.nprocs or platform.procs_per_node,
-        app=args.app, framework=framework,
-        size=_parse_size_arg(scale, args.app, args.size),
-        mrmpi_page=mrmpi_page, hint=hint, partial=pr, compress=cps,
-        seed=args.seed)
+    return [scale.spec(platform, args.app, args.size, config,
+                       nprocs=args.nprocs, seed=args.seed)
+            for config in configs]
 
 
 def cmd_platforms(args) -> int:
@@ -72,30 +76,12 @@ def _print_record(record, nprocs: int) -> None:
 
 
 def cmd_run(args) -> int:
-    scale = BenchScale(extra_shift=args.shift)
-    opts = []
-    if args.hint:
-        opts.append("hint")
-    if args.pr:
-        opts.append("pr")
-    if args.cps:
-        opts.append("cps")
-    if getattr(args, "ooc", False):
-        opts.append("ooc")
+    opts = [opt for opt in ("hint", "pr", "cps", "ooc") if getattr(args, opt)]
     name = f"{args.framework}" + (f" ({';'.join(opts)})" if opts else "")
-    page = None
-    if args.framework == "mrmpi":
-        platform = scale.platform(PLATFORMS[args.platform])
-        page = max(1, parse_size(args.page) >> scale.total_shift) \
-            if args.page else platform.default_page_size
-    spec = _spec_from_args(args, scale, name, args.framework,
-                           hint=args.hint, pr=args.pr, cps=args.cps,
-                           mrmpi_page=page)
-    if getattr(args, "ooc", False):
-        from dataclasses import replace
-
-        spec = replace(spec, out_of_core=True)
-    print(f"running {args.app} ({args.size}) with {name} on "
+    spec, = _specs(args, Config(name, args.framework, args.page,
+                                hint=args.hint, partial=args.pr,
+                                compress=args.cps, out_of_core=args.ooc))
+    print(f"running {args.app} ({spec.label}) with {name} on "
           f"{args.platform}...")
     record = run_spec(spec)
     _print_record(record, spec.nprocs)
@@ -141,19 +127,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scale = BenchScale(extra_shift=args.shift)
-    platform = scale.platform(PLATFORMS[args.platform])
-    series = Series(f"{args.app} ({args.size}) on {args.platform}")
-    configs = [
-        ("Mimir", "mimir", {}, None),
-        ("Mimir (hint;pr;cps)", "mimir",
-         {"hint": True, "pr": True, "cps": True}, None),
-        ("MR-MPI (64M)", "mrmpi", {}, platform.default_page_size),
-        ("MR-MPI (max page)", "mrmpi", {}, platform.max_page_size),
-    ]
-    for name, framework, opts, page in configs:
-        series.add(run_spec(_spec_from_args(
-            args, scale, name, framework, mrmpi_page=page, **opts)))
+    # The largest page a node takes, in paper units (see platforms.py).
+    max_page = {"mira": "128M"}.get(args.platform, "512M")
+    specs = _specs(args, mimir(),
+                   mimir("Mimir (hint;pr;cps)", hint=True, partial=True,
+                         compress=True),
+                   mrmpi("64M", name="MR-MPI (64M)"),
+                   mrmpi(max_page, name="MR-MPI (max page)"))
+    series = Series(f"{args.app} ({specs[0].label}) on {args.platform}")
+    for spec in specs:
+        series.add(run_spec(spec))
     print(render_memory_time_table(series))
     return 0
 
@@ -317,10 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra benchmark shrink exponent")
     p_plat.set_defaults(fn=cmd_platforms)
 
+    default_sizes = ", ".join(f"{size} for {app}"
+                              for app, size in APPS.items())
+
     def common(p):
         p.add_argument("app", choices=APPS)
-        p.add_argument("--size", default="1G",
-                       help='dataset size: "4G" bytes or "2^22" count')
+        p.add_argument("--size", type=_size_label, default=None,
+                       help='dataset size: "4G" bytes or "2^22" count '
+                            f"(default: {default_sizes})")
         p.add_argument("--platform", choices=sorted(PLATFORMS),
                        default="comet")
         p.add_argument("--nprocs", type=int, default=None)
@@ -339,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable KV compression")
     p_run.add_argument("--ooc", action="store_true",
                        help="enable out-of-core KV containers (extension)")
-    p_run.add_argument("--page", default=None,
+    p_run.add_argument("--page", type=_size_label, default=None,
                        help='MR-MPI page size in paper units (e.g. "512M")')
     p_run.set_defaults(fn=cmd_run)
 
@@ -352,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline",
         help="run a multi-job dataflow pipeline through the scheduler")
     p_pipe.add_argument(
-        "apps", nargs="*",
-        help="jobs to submit (wordcount pagerank kmeans bfs insitu); "
+        "apps", nargs="*", type=_demo_app,
+        help=f"jobs to submit ({' '.join(SERVE_APPS)} insitu); "
              "default: wordcount pagerank")
     p_pipe.add_argument("--platform", choices=sorted(PLATFORMS),
                         default="comet")
@@ -431,9 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sub = sub.add_parser("submit", help="submit a job to the service")
     client_common(p_sub)
-    p_sub.add_argument("app", help="catalog app (wordcount pagerank "
-                                   "kmeans bfs octree components "
-                                   "inverted_index stream_wordcount)")
+    p_sub.add_argument("app", help=f"catalog app ({' '.join(SERVE_APPS)})")
     p_sub.add_argument("input", help="staged input name or shared PFS path")
     p_sub.add_argument("--param", action="append", metavar="K=V",
                        help="app parameter (repeatable)")

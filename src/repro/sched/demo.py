@@ -1,10 +1,11 @@
 """Self-contained scheduler demo (``python -m repro.sched``).
 
 Builds a small simulated cluster, stages synthetic inputs, submits a
-mix of jobs - WordCount, an iterative PageRank whose adjacency list is
-cached, and optionally k-means / BFS / an in-situ analysis - and
-drains the queue, printing the admission log and the per-job timeline
-lanes.  The same adapters back the ``repro pipeline`` CLI subcommand.
+mix of jobs - any catalog app (WordCount, an iterative PageRank whose
+adjacency list is cached, k-means, BFS, ...) or an in-situ analysis -
+and drains the queue, printing the admission log and the per-job
+timeline lanes.  The same adapters back the ``repro pipeline`` CLI
+subcommand.
 """
 
 from __future__ import annotations
@@ -16,60 +17,61 @@ from repro.datasets.words import uniform_text
 from repro.mpi.platforms import PLATFORMS
 from repro.obs import Trace, render_job_lanes
 from repro.sched.scheduler import SchedJob, Scheduler
-
-#: Demo job names mapped to builders; see :func:`make_job`.
-DEMO_APPS = ("wordcount", "pagerank", "kmeans", "bfs", "insitu")
+from repro.serve.catalog import (
+    DEMO_GRAPH,
+    DEMO_POINTS,
+    DEMO_TEXT,
+    SERVE_APPS,
+    to_sched_job,
+)
 
 
 def stage_inputs(cluster: Cluster, *, text_bytes: int = 1 << 15,
                  graph_scale: int = 7, npoints: int = 1 << 10,
                  seed: int = 0) -> dict[str, str]:
-    """Place the demo datasets on the cluster's PFS (cost-free)."""
-    cluster.pfs.store("demo/words.txt", uniform_text(text_bytes, seed=seed))
-    cluster.pfs.store("demo/graph.bin", edges_to_bytes(
+    """Place the demo datasets on the cluster's PFS (cost-free); returns
+    every catalog app's input, and ``insitu``'s (it reads none)."""
+    cluster.pfs.store(DEMO_TEXT, uniform_text(text_bytes, seed=seed))
+    cluster.pfs.store(DEMO_GRAPH, edges_to_bytes(
         kronecker_edges(graph_scale, edgefactor=8, seed=seed)))
-    cluster.pfs.store("demo/points.bin", points_to_bytes(
+    cluster.pfs.store(DEMO_POINTS, points_to_bytes(
         normal_points(npoints, seed=seed)))
-    return {"wordcount": "demo/words.txt", "pagerank": "demo/graph.bin",
-            "bfs": "demo/graph.bin", "kmeans": "demo/points.bin",
+    return {**{app: row.demo_input for app, row in SERVE_APPS.items()},
             "insitu": ""}
+
+
+#: Row params the demo overrides: k-means stops after 5 rounds (its row
+#: allows 10) to keep a demo drain short.  Every other row runs at its
+#: defaults, so components runs to convergence.
+DEMO_PARAMS = {"kmeans": {"iterations": 5}}
 
 
 def make_job(app: str, paths: dict[str, str], *,
              priority: int = 0, footprint=None,
-             iterations: int = 5) -> SchedJob:
-    """A :class:`SchedJob` adapter for one demo application."""
-    # Plan-driven apps run through the service catalog:
-    # app -> (catalog params, payload field the job returns).
-    catalog_jobs = {
-        "wordcount": ({"hint": True, "partial": True}, "unique"),
-        "pagerank": ({"hint": True, "iterations": iterations}, "iterations"),
-        "kmeans": ({"k": 4, "iterations": iterations}, "iterations"),
-        "bfs": ({}, "levels"),
-    }
-    if app in catalog_jobs:
-        params, field = catalog_jobs[app]
+             iterations: int | None = None) -> SchedJob:
+    """The scheduler job for one demo app: a catalog app at its row's
+    defaults and :data:`DEMO_PARAMS` (``iterations``, if given,
+    overrides both), or the in-situ analysis."""
+    if app in SERVE_APPS:
+        params = dict(DEMO_PARAMS.get(app, {}))
+        if iterations is not None:
+            params["iterations"] = iterations
+        return to_sched_job(app, app, paths[app], params,
+                            priority=priority, footprint=footprint)
+    if app != "insitu":
+        raise ValueError(f"unknown demo app {app!r}; pick from "
+                         f"{', '.join(SERVE_APPS)} or insitu")
+    from repro.insitu.pipeline import InSituAnalytics
+    from repro.insitu.simulation import ParticleSimulation
 
-        def fn(env, ctx):
-            from repro.serve.catalog import run_app
-
-            return run_app(app, env, paths[app], params, ctx=ctx)[field]
-    elif app == "insitu":
-        from repro.insitu.pipeline import InSituAnalytics
-        from repro.insitu.simulation import ParticleSimulation
-
-        def run_insitu(env, ctx):
-            sim = ParticleSimulation(env, 512, seed=1)
-            analytics = InSituAnalytics(env, sim, runner=ctx.runner)
-            dense = 0
-            for _step in range(3):
-                dense += len(analytics.analyse_step().dense_octants)
-            return dense
-        fn = run_insitu
-    else:
-        raise ValueError(f"unknown demo app {app!r}; "
-                         f"pick from {DEMO_APPS}")
-    return SchedJob(name=app, fn=fn, priority=priority,
+    def run_insitu(env, ctx):
+        sim = ParticleSimulation(env, 512, seed=1)
+        analytics = InSituAnalytics(env, sim, runner=ctx.runner)
+        dense = 0
+        for _step in range(3):
+            dense += len(analytics.analyse_step().dense_octants)
+        return dense
+    return SchedJob(name=app, fn=run_insitu, priority=priority,
                     footprint=footprint)
 
 

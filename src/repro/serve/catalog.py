@@ -1,16 +1,17 @@
 """The service's job catalog: apps a client may submit by name.
 
 An HTTP client cannot ship a Python callable, so the service runs a
-closed catalog of named applications (the RPC-style "run job" shape:
-a mapper/reducer named by the request, inputs by path).  The catalog
-is one table, :data:`SERVE_APPS`, one row per app: its params (each
-with a default, whose type it takes, and whether it must be positive), how
-to run it on one rank - under the scheduler (``ctx`` flavour, wired
-into the stage cache / trace / admission services) or *direct* on a
-bare :class:`~repro.cluster.RankEnv` (the ``run_with_recovery``
-flavour used when a crashed daemon re-admits an interrupted job, and
-what tests compare against) - how to merge the per-rank payloads into
-one deterministic output artifact (the bytes ``fetch-output`` serves,
+closed catalog of named applications (the RPC-style "run job" shape: a
+mapper/reducer named by the request, inputs by path).  The catalog is
+one table, :data:`SERVE_APPS`, one row per app: the demo dataset it
+runs on, its params (each with a default, whose type it takes, and
+whether it must be positive), how to run it on one rank - under the
+scheduler (``ctx`` flavour, wired into the stage cache / trace /
+admission services) or *direct* on a bare
+:class:`~repro.cluster.RankEnv` (the ``run_with_recovery`` flavour
+used when a crashed daemon re-admits an interrupted job, and what
+tests compare against) - how to merge the per-rank payloads into one
+deterministic output artifact (the bytes ``fetch-output`` serves,
 bit-identical for identical inputs no matter which path executed the
 job), and how to summarize a finished job.
 
@@ -39,13 +40,22 @@ class Param:
     positive: bool = False
 
 
+#: The demo datasets (``repro.sched.demo.stage_inputs``, ``repro serve
+#: --stage-demo``); every row names the one it runs on.
+DEMO_TEXT = "demo/words.txt"
+DEMO_GRAPH = "demo/graph.bin"
+DEMO_POINTS = "demo/points.bin"
+
+
 @dataclass(frozen=True)
 class ServeApp:
-    """One catalog row: ``run(env, path, config, runner, checkpoint,
-    **params)`` returns the rank's JSON payload (``runner`` builds a
-    :class:`PlanRunner` with the launch's services and ``checkpoint``);
-    ``merge`` and ``summarize`` fold the per-rank payloads."""
+    """One catalog row: ``demo_input`` is the demo dataset it runs on;
+    ``run(env, path, config, runner, checkpoint, **params)`` returns the
+    rank's JSON payload (``runner`` builds a :class:`PlanRunner` with
+    the launch's services and ``checkpoint``); ``merge`` and
+    ``summarize`` fold the per-rank payloads."""
 
+    demo_input: str
     params: dict[str, Param]
     run: Callable[..., Any]
     merge: Callable[[list[Any]], bytes]
@@ -202,18 +212,21 @@ def _merge_octree(returns):
 #: The catalog: every app a client may submit, one row each.
 SERVE_APPS: dict[str, ServeApp] = {
     "wordcount": ServeApp(
+        DEMO_TEXT,
         {"hint": Param(True), "partial": Param(True),
          "compress": Param(False)},
         _run_wordcount, _merge_rows("counts"),
         lambda returns: {"unique": sum(p["unique"] for p in returns),
                          "total": sum(p["total"] for p in returns)}),
     "pagerank": ServeApp(
+        DEMO_GRAPH,
         {"hint": Param(True), "iterations": Param(5, positive=True),
          "compress": Param(False)},
         _run_pagerank, _merge_rows("ranks", vertices=True),
         lambda returns: {"iterations": returns[0]["iterations"],
                          "final_delta": returns[0]["final_delta"]}),
     "kmeans": ServeApp(
+        DEMO_POINTS,
         {"k": Param(4, positive=True), "iterations": Param(10, positive=True),
          "seed": Param(0)},
         # Converged state is identical on every rank; rank 0 speaks.
@@ -221,11 +234,13 @@ SERVE_APPS: dict[str, ServeApp] = {
         lambda returns: {"iterations": returns[0]["iterations"],
                          "inertia": returns[0]["inertia"]}),
     "bfs": ServeApp(
+        DEMO_GRAPH,
         {"hint": Param(False)},
         _run_bfs, _merge_bfs,
         lambda returns: {"levels": returns[0]["levels"],
                          "visited": sum(p["visited"] for p in returns)}),
     "octree": ServeApp(
+        DEMO_POINTS,
         {"hint": Param(True), "compress": Param(False),
          "partial": Param(True)},
         _run_octree, _merge_octree,
@@ -233,6 +248,7 @@ SERVE_APPS: dict[str, ServeApp] = {
                          "clusters": sum(len(p["clusters"])
                                          for p in returns)}),
     "components": ServeApp(
+        DEMO_GRAPH,
         {"hint": Param(False), "compress": Param(False),
          "iterations": Param(64, positive=True)},
         _run_components, _merge_rows("labels", vertices=True),
@@ -240,12 +256,15 @@ SERVE_APPS: dict[str, ServeApp] = {
                          "components": len(set().union(
                              *(p["labels"].values() for p in returns)))}),
     "inverted_index": ServeApp(
+        DEMO_TEXT,
         {"compress": Param(False)},
         _run_inverted_index, _merge_rows("index"),
         lambda returns: {"words": sum(len(p["index"]) for p in returns),
                          "documents": returns[0]["documents"]}),
     "stream_wordcount": ServeApp(
-        {"window": Param(10.0, positive=True), "nbatches": Param(4, positive=True)},
+        DEMO_TEXT,
+        {"window": Param(10.0, positive=True),
+         "nbatches": Param(4, positive=True)},
         _run_stream_wordcount, _merge_rows("counts"),
         lambda returns: {"unique": sum(len(p["counts"]) for p in returns),
                          "windows": returns[0]["windows"],

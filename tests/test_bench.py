@@ -31,11 +31,11 @@ class TestBenchScale:
         assert scale.size("64M") == (64 << 20) >> scale.total_shift
 
     def test_count_scaling(self, scale):
-        assert scale.count(1 << 30) == 1 << (30 - scale.total_shift)
+        assert scale.size("2^30") == 1 << (30 - scale.total_shift)
 
     def test_minimum_one(self, scale):
         assert scale.size(1) == 1
-        assert scale.count(1) == 1
+        assert scale.size("2^0") == 1
 
     def test_platform_rescaled(self, scale, platform):
         assert platform.node_memory == COMET.node_memory // 64

@@ -55,6 +55,36 @@ class TestCommands:
                      "--nprocs", "4"])
         assert code == 0
 
+    @pytest.mark.parametrize("app, label", [("oc", "2^24"),
+                                            ("wc_wiki", "1G")])
+    def test_run_default_size_per_app(self, capsys, app, label):
+        code = main(["run", app, "--shift", "6", "--nprocs", "4"])
+        assert code == 0
+        assert f"running {app} ({label})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "wc_uniform", "--size", "4X"],
+        ["run", "oc", "--size", "2^x"],
+        ["compare", "bfs", "--size", "-1"],
+        ["run", "wc_uniform", "--framework", "mrmpi", "--page", "big"],
+    ])
+    def test_malformed_size_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "bad size" in capsys.readouterr().err
+
+    def test_pipeline_takes_any_catalog_app(self, capsys):
+        from repro.serve.catalog import SERVE_APPS
+
+        args = build_parser().parse_args(["pipeline", *SERVE_APPS, "insitu"])
+        assert args.apps == [*SERVE_APPS, "insitu"]
+        assert build_parser().parse_args(["pipeline"]).apps == []
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["pipeline", "sort"])
+        assert exc.value.code == 2
+        assert "unknown app 'sort'" in capsys.readouterr().err
+
     def test_run_oom_exit_code(self, capsys):
         code = main(["run", "wc_uniform", "--size", "1T", "--shift", "6",
                      "--nprocs", "2"])

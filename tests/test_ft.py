@@ -65,7 +65,7 @@ def merge(result):
     return merged
 
 
-class TestFaultPlan:
+class TestChaosPlan:
     def test_fires_once(self):
         plan = ChaosPlan().fail_at("x", 0)
         with pytest.raises(SimulatedRankFailure):

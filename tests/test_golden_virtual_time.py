@@ -15,7 +15,9 @@ are the ones where that could happen: the skew fold and the inverted
 index (kernels that used to read their input between two emits), the
 join (a spilled input read while its records are emitted), the
 elastic map (tasks into their own containers), a bounded combiner (a
-budget checked per call) and every served app.
+budget checked per call) and every served app.  The demo inputs the
+served apps (and the frozen benchmark's ``serve_mix``) run on are
+pinned by digest.
 
 Run this file as a script to print the observed values.
 """
@@ -157,11 +159,8 @@ def inverted_index_case():
 
 def served_app_case(app):
     cluster = Cluster(COMET, nprocs=3, memory_limit=None)
-    paths = stage_inputs(cluster, text_bytes=1 << 13, graph_scale=6,
-                         npoints=256)
-    path = {"octree": "demo/points.bin", "components": "demo/graph.bin",
-            "inverted_index": "demo/words.txt",
-            "stream_wordcount": "demo/words.txt"}.get(app) or paths[app]
+    path = stage_inputs(cluster, text_bytes=1 << 13, graph_scale=6,
+                        npoints=256)[app]
     return observe(cluster, partial(run_direct, app), path, {})
 
 
@@ -211,6 +210,47 @@ PINNED = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pinned(case):
     assert CASES[case]() == PINNED[case]
+
+
+#: ``stage_inputs`` sizes: its defaults, and the frozen benchmark's
+#: ``serve_mix`` workload's.
+DEMO_SIZES = {
+    "defaults": {},
+    "serve_mix": {"text_bytes": 1 << 14, "graph_scale": 6,
+                  "npoints": 1 << 9, "seed": 2017},
+}
+
+#: sha256 of every file ``stage_inputs`` stages, per size set.
+DEMO_DIGESTS = {
+    "defaults": {
+        "demo/graph.bin":
+            "45a080f9dc7570d8ecc588567a1830f27110f8641e2fc1bed96b95cbc6ee743d",
+        "demo/points.bin":
+            "cab58a1dfd78a5eae7a330eeb0eae0d9e52f5e7b349b16bcacad5d668b705512",
+        "demo/words.txt":
+            "f0962b5ea54f79f76bec1dcf7e1efd574e09d15482423651b6dc8b3aacf9b15e",
+    },
+    "serve_mix": {
+        "demo/graph.bin":
+            "f23dd624c66447d90133f75a7d0c4d708b6d44d0930665240881bd53224e13b7",
+        "demo/points.bin":
+            "895e3076a72f412b2ec165bc8b0eec8fca1a1fa91c1afec2aca3586f635dff1a",
+        "demo/words.txt":
+            "ff0db66c9dd534a89bbe9c240aea03eec6e6465fefb833576f69bfc22c3fcfef",
+    },
+}
+
+
+@pytest.mark.parametrize("sizes", sorted(DEMO_SIZES))
+def test_demo_inputs_pinned(sizes):
+    cluster = Cluster(COMET, nprocs=2)
+    inputs = stage_inputs(cluster, **DEMO_SIZES[sizes])
+    staged = {path: hashlib.sha256(cluster.pfs.fetch(path)).hexdigest()
+              for path in cluster.pfs.listdir()}
+    assert staged == DEMO_DIGESTS[sizes]
+    # Every catalog row runs on a staged file; insitu reads none.
+    assert inputs.keys() == {*SERVE_APPS, "insitu"}
+    assert {inputs[app] for app in SERVE_APPS} <= staged.keys()
 
 
 if __name__ == "__main__":

@@ -173,6 +173,29 @@ class TestPipelines:
                    for e in trace.events
                    if e.kind not in ("phase", "exchange", "spill"))
 
+    def test_demo_jobs_take_their_rows_defaults(self, monkeypatch):
+        # Only DEMO_PARAMS and an explicit ``iterations`` touch a row's
+        # params: components keeps its convergence cap.
+        import repro.sched.demo as demo
+        from repro.serve.catalog import SERVE_APPS
+
+        seen = {}
+
+        def capture(app, _job, _path, params, **_kw):
+            seen[app] = params
+            return params
+
+        monkeypatch.setattr(demo, "to_sched_job", capture)
+        paths = dict.fromkeys(SERVE_APPS, "in")
+        for app in SERVE_APPS:
+            make_job(app, paths)
+        assert seen == {**dict.fromkeys(SERVE_APPS, {}),
+                        "kmeans": {"iterations": 5}}
+        assert make_job("components", paths, iterations=2) == {
+            "iterations": 2}
+        with pytest.raises(ValueError, match="unknown demo app 'terasort'"):
+            make_job("terasort", paths)
+
     def test_cancelled_job_lane_ends_in_c(self):
         trace = Trace()
         sched = Scheduler(Cluster(COMET, nprocs=2, memory_limit=None),
