@@ -14,12 +14,13 @@ import statistics
 
 from repro.ft import ChaosPlan, run_with_recovery
 from repro.ft.chaos import (
-    chaos_wordcount,
     make_wordcount_cluster,
     verify_accounting,
+    wordcount_job,
 )
 
 NPROCS = 8
+JOB = wordcount_job()
 RATES = (0.0, 0.05, 0.15, 0.30)
 SEEDS = range(1, 6)
 
@@ -38,7 +39,7 @@ def run_rate(rate: float, expected: bytes):
     for seed in SEEDS:
         plan = make_plan(seed, rate)
         ft = run_with_recovery(make_wordcount_cluster(NPROCS),
-                               chaos_wordcount, faults=plan,
+                               JOB, faults=plan,
                                job_id="chaos-bench", max_restarts=12)
         assert pickle.dumps(ft.result.returns) == expected, \
             f"rate {rate} seed {seed} diverged from fault-free output"
@@ -50,7 +51,7 @@ def run_rate(rate: float, expected: bytes):
 
 def test_chaos_recovery_overhead_vs_fault_rate(benchmark):
     baseline = run_with_recovery(make_wordcount_cluster(NPROCS),
-                                 chaos_wordcount, job_id="chaos-baseline")
+                                 JOB, job_id="chaos-baseline")
     expected = pickle.dumps(baseline.result.returns)
 
     def sweep():

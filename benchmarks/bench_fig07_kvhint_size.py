@@ -19,10 +19,9 @@ def _kv_bytes(label: str, hint: bool) -> int:
     cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
                       memory_limit=None)
     cluster.pfs.store(path, data)
-    result = cluster.run(
-        lambda env: wordcount_plan(env, path, _mimir_config(spec),
-                                   hint=hint).kv_bytes)
-    return sum(result.returns)
+    cluster.run(lambda env: wordcount_plan(env, path, _mimir_config(spec),
+                                           hint=hint))
+    return cluster.metrics.totals()["core.map.kv_bytes"]
 
 
 def test_fig07_kvhint_kv_size(benchmark):

@@ -33,12 +33,11 @@ from pathlib import Path
 
 from figutils import append_trajectory
 from repro.ft.chaos import (
-    CHAOS_TAGS,
-    elastic_wordcount,
+    ELASTIC_TAGS,
     global_counts,
     make_elastic_cluster,
     straggler_plan,
-    sweep_wordcount,
+    wordcount_job,
 )
 from repro.ft.elastic import ElasticPolicy, run_elastic
 from repro.ft.injection import ChaosPlan
@@ -57,6 +56,11 @@ FACTOR_RANGE = (4.0, 8.0)
 SPEC_POLICY = ElasticPolicy(evict_stragglers=False, splits_per_rank=12)
 NOSPEC_POLICY = ElasticPolicy(speculate=False, evict_stragglers=False)
 
+#: The checkpointed elastic WordCount, and the straggler sweep's flavour
+#: without the checkpoint (pure-straggler schedules never restart).
+ELASTIC_JOB = wordcount_job(elastic=True)
+SWEEP_JOB = wordcount_job(elastic=True, checkpoint=False)
+
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_elastic.json"
 
 
@@ -65,7 +69,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_elastic.json"
 def run_straggler_sweep(nseeds: int = NSEEDS, *, nprocs: int = NPROCS,
                         factor_range=FACTOR_RANGE, verbose: bool = False):
     """Spec vs. no-spec over ``nseeds`` seeded straggler schedules."""
-    baseline = run_elastic(make_elastic_cluster(nprocs), sweep_wordcount,
+    baseline = run_elastic(make_elastic_cluster(nprocs), SWEEP_JOB,
                            job_id="straggler-baseline")
     expected = global_counts(baseline.result.returns)
 
@@ -73,9 +77,9 @@ def run_straggler_sweep(nseeds: int = NSEEDS, *, nprocs: int = NPROCS,
     for seed in range(nseeds):
         plan = straggler_plan(seed, nprocs, factor_range=factor_range)
         (rank, factor), = plan.stragglers.items()
-        spec = run_elastic(make_elastic_cluster(nprocs), sweep_wordcount,
+        spec = run_elastic(make_elastic_cluster(nprocs), SWEEP_JOB,
                            faults=plan, policy=SPEC_POLICY, job_id="spec")
-        nospec = run_elastic(make_elastic_cluster(nprocs), sweep_wordcount,
+        nospec = run_elastic(make_elastic_cluster(nprocs), SWEEP_JOB,
                              faults=straggler_plan(
                                  seed, nprocs, factor_range=factor_range),
                              policy=NOSPEC_POLICY, job_id="nospec")
@@ -131,15 +135,15 @@ def check_sweep(rows, *, bound: float = BOUND) -> None:
 def run_chaos_recovery(nseeds: int = CHAOS_SEEDS, *, nprocs: int = NPROCS,
                        verbose: bool = False):
     """Mixed-fault recovery time under the elastic membership driver."""
-    baseline = run_elastic(make_elastic_cluster(nprocs), elastic_wordcount,
+    baseline = run_elastic(make_elastic_cluster(nprocs), ELASTIC_JOB,
                            job_id="chaos-baseline")
     expected = global_counts(baseline.result.returns)
 
     rows = []
     for seed in range(nseeds):
-        plan = ChaosPlan.random(seed, nprocs, tags=CHAOS_TAGS,
+        plan = ChaosPlan.random(seed, nprocs, tags=ELASTIC_TAGS,
                                 membership=True)
-        res = run_elastic(make_elastic_cluster(nprocs), elastic_wordcount,
+        res = run_elastic(make_elastic_cluster(nprocs), ELASTIC_JOB,
                           faults=plan, job_id="chaos-elastic",
                           max_restarts=12)
         row = {

@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.mrmpi import MRMPI, MRMPIConfig
 from repro.sched.executor import PlanRunner
-from repro.sched.plan import Plan
+from repro.sched.plan import Dataset, Plan
 
 #: The paper's WordCount KV-hint: NUL-terminated key, 8-byte value.
 WC_HINT_LAYOUT = KVLayout(key_len=CSTRING, val_len=8)
@@ -83,9 +83,27 @@ class WordCountResult:
     unique_words: int
     total_words: int
     counts: dict[bytes, int] | None = None
-    #: Encoded KV bytes this rank shipped through the shuffle (the
-    #: paper's Figure 7 metric; 0 for the MR-MPI driver).
-    kv_bytes: int = 0
+
+
+def wordcount_dataset(path: str, config: MimirConfig | None = None, *,
+                      hint: bool = False, compress: bool = False,
+                      partial: bool = False, batch: bool = False) -> Dataset:
+    """:func:`wordcount_plan`'s stages, unrun; ``count-map`` is marked
+    ``.checkpoint()`` (a no-op for a runner without a checkpoint)."""
+    config = config or MimirConfig()
+    if hint:
+        config = config.with_layout(WC_HINT_LAYOUT)
+    plan = Plan("wordcount", config)
+    fold = wc_fold_batch if batch and config.layout.val_len == 8 \
+        else wc_combine
+    words = plan.read_text(path, name="input").map(
+        wc_map_batch if batch else wc_map,
+        combine_fn=fold if compress else None, name="count-map").checkpoint()
+    if partial:
+        return words.partial_reduce(fold, out_layout=config.layout,
+                                    name="counts")
+    return words.reduce(wc_reduce_batch if batch else wc_reduce,
+                        out_layout=config.layout, name="counts")
 
 
 def wordcount_plan(env: RankEnv, path: str,
@@ -104,29 +122,14 @@ def wordcount_plan(env: RankEnv, path: str,
     ``ctx.runner`` or ``functools.partial(PlanRunner, env, cache=c)``;
     without it the plan runs bare.
     """
-    config = config or MimirConfig()
-    if hint:
-        config = config.with_layout(WC_HINT_LAYOUT)
-    plan = Plan("wordcount", config)
-    fold = wc_fold_batch if batch and config.layout.val_len == 8 \
-        else wc_combine
-    words = plan.read_text(path, name="input").map(
-        wc_map_batch if batch else wc_map,
-        combine_fn=fold if compress else None, name="count-map")
-    if partial:
-        out = words.partial_reduce(fold, out_layout=config.layout,
-                                   name="counts")
-    else:
-        out = words.reduce(wc_reduce_batch if batch else wc_reduce,
-                           out_layout=config.layout, name="counts")
-    runner = runner(plan) if runner else PlanRunner(env, plan)
+    out = wordcount_dataset(path, config, hint=hint, compress=compress,
+                            partial=partial, batch=batch)
+    runner = runner(out.plan) if runner else PlanRunner(env, out.plan)
     pairs = runner.collect(out)
     unique = len(pairs)
     total = sum(unpack_u64(v) for _, v in pairs)
     counts = {k: unpack_u64(v) for k, v in pairs} if collect else None
-    return WordCountResult(unique, total, counts,
-                           kv_bytes=runner.mimir.last_map_stats.get(
-                               "kv_bytes", 0))
+    return WordCountResult(unique, total, counts)
 
 
 def wordcount_mimir(env: RankEnv, path: str,

@@ -12,7 +12,8 @@ partial writes):
   control state) to the parallel file system as CRC32-checksummed,
   length-framed, nonce-stamped records with collective completion
   markers - a torn, corrupt, or stale checkpoint is detected and
-  recomputed, never silently replayed;
+  recomputed, never silently replayed - and is where a job's fault
+  points fire (:meth:`CheckpointManager.probe`);
 - :class:`ChaosPlan` is the one fault plan: rank deaths at named
   points (:class:`SimulatedRankFailure`), plus seeded rates for
   transient storage errors, torn writes, bit corruption, and straggler
@@ -22,8 +23,8 @@ partial writes):
   whose checkpoints completed - so work lost to a failure is bounded
   by one phase instead of the whole job;
 - :func:`run_chaos_sweep` (``repro.ft.chaos``, the harness module:
-  its WordCount targets, plain and elastic, live there too) sweeps
-  seeded random fault schedules and checks bit-identical convergence;
+  its job is the WordCount Plan, plain and elastic) sweeps seeded
+  random fault schedules and checks bit-identical convergence;
 - :mod:`repro.ft.elastic` adds the *reactive* layer: straggler
   detection, speculative task re-execution, and elastic gang
   membership with checkpoint re-balancing (:func:`run_elastic`,
@@ -36,6 +37,7 @@ from repro.ft.checkpoint import (
     CheckpointManager,
     CheckpointNotFoundError,
     CheckpointStaleError,
+    restore_rebalanced,
 )
 from repro.ft.injection import (
     ChaosPlan,
@@ -73,7 +75,6 @@ __all__ = [
     "CheckpointManager",
     "CheckpointNotFoundError",
     "CheckpointStaleError",
-    "ElasticContext",
     "ElasticPolicy",
     "ElasticResult",
     "ElasticStageHooks",

@@ -12,9 +12,11 @@ Run a quick sweep from the command line::
 
     PYTHONPATH=src python -m repro.ft.chaos --seeds 20
 
-The elastic targets (:func:`elastic_wordcount`, :func:`sweep_wordcount`;
-swept by ``benchmarks/bench_straggler_mitigation.py``) map through
-:func:`~repro.ft.elastic.speculative_map` and combine locally, so
+The job is :func:`~repro.apps.wordcount.wordcount_plan` under a
+:class:`~repro.sched.executor.PlanRunner` carrying the run's checkpoint
+manager, so its fault points are the plan's boundaries.  The elastic
+flavour (swept by ``benchmarks/bench_straggler_mitigation.py``) adds the
+elastic hooks: its map runs speculatively and combines locally, so
 shuffle/checkpoint/reduce traffic is tiny relative to map I/O - the
 regime where speculation's bound is not drowned by fixed costs.
 """
@@ -24,19 +26,17 @@ from __future__ import annotations
 import pickle
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.apps.wordcount import wc_combine, wc_map
+from repro.apps.wordcount import wordcount_dataset, wordcount_plan
 from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig, unpack_u64
-from repro.ft.elastic import restore_rebalanced, speculative_map
+from repro.core import MimirConfig
 from repro.ft.injection import ChaosPlan
 from repro.ft.runner import FTResult, run_with_recovery
 from repro.mpi import COMET
+from repro.sched.executor import PlanRunner
+from repro.sched.plan import Dataset
 from repro.storage import BACKENDS
-
-#: Tags the harness jobs expose; schedules may plant deaths at these.
-CHAOS_TAGS = ("start", "after_shuffle", "after_reduce",
-              "ckpt:shuffle:precommit")
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -47,72 +47,42 @@ ELASTIC_TEXT = (b"oak elm ash fir oak elm oak yew ash oak pine fir "
 ELASTIC_INPUT = "input/elastic_words.txt"
 
 
-def _sorted_counts(out) -> tuple:
-    """This rank's ``(word, count)`` share, sorted; frees ``out``."""
-    counts = tuple(sorted((k, unpack_u64(v)) for k, v in out.records()))
-    out.free()
-    return counts
+def _boundaries(counts: Dataset) -> tuple[str, ...]:
+    """The fault points the harness plan ends in ``counts`` exposes, in
+    the order a run reaches them: the map checkpoint's commit point,
+    the map (after its checkpoint committed), the reduce."""
+    words = counts.stage.parents[0]
+    return (f"ckpt:{words.key}:precommit", words.name, counts.name)
 
 
-def chaos_wordcount(env, ckpt, faults):
-    """Two-phase checkpointed WordCount used as the chaos target."""
-    mimir = Mimir(env, CFG)
-    faults.check("start", env.comm.rank)
-
-    if ckpt.has("shuffle"):
-        kvs = ckpt.load_kvc(
-            "shuffle", mimir.map_output(CFG.layout, "kv_restored"))
-    else:
-        kvs = mimir.map_text_file(INPUT_PATH, wc_map)
-        ckpt.save_kvc("shuffle", kvs)
-    faults.check("after_shuffle", env.comm.rank)
-
-    out = mimir.partial_reduce(kvs, wc_combine)
-    faults.check("after_reduce", env.comm.rank)
-    return _sorted_counts(out)
+#: Tags the harness jobs expose (plain, elastic); schedules may plant
+#: deaths at these.
+CHAOS_TAGS = _boundaries(wordcount_dataset(INPUT_PATH, CFG, partial=True))
+ELASTIC_TAGS = _boundaries(wordcount_dataset(ELASTIC_INPUT, CFG,
+                                             compress=True, partial=True))
 
 
-def elastic_wordcount(env, ckpt, ctx):
-    """Checkpointed speculative WordCount; the elastic chaos target.
-
-    Returns this rank's sorted ``(word, count)`` share; compare runs
-    with :func:`global_counts` - membership changes re-partition keys,
-    so only the merged multiset is invariant.
+def wordcount_job(*, elastic: bool = False, checkpoint: bool = True):
+    """The harness job ``fn(env, ckpt, handle)``: :func:`wordcount_plan`
+    under a :class:`PlanRunner` carrying ``ckpt``, and with
+    ``elastic=True`` over the elastic input with the hooks
+    :func:`~repro.ft.elastic.run_elastic` passes as ``handle``.
+    ``checkpoint=False`` drops ``ckpt``: nothing is saved and no fault
+    point fires (a pure straggler sweep never restarts).  Returns this
+    rank's sorted ``(word, count)`` share; compare elastic runs with
+    :func:`global_counts`, as a membership change re-partitions keys.
     """
-    mimir = Mimir(env, CFG)
-    ctx.probe(env, "start")
+    path = ELASTIC_INPUT if elastic else INPUT_PATH
 
-    kvs = restore_rebalanced(mimir, ckpt, "shuffle", CFG.layout,
-                             "kv_rebalanced")
-    if kvs is None:
-        kvs = speculative_map(mimir, ELASTIC_INPUT, wc_map,
-                              policy=ctx.policy, stage_key="map",
-                              combine_fn=wc_combine, ctx=ctx)
-        ckpt.save_kvc("shuffle", kvs)
-        ctx.probe(env, "after_shuffle")
-        ctx.maybe_evict(env, "post-map")
+    def job(env, ckpt, handle):
+        runner = partial(PlanRunner, env,
+                         checkpoint=ckpt if checkpoint else None,
+                         elastic=handle if elastic else None)
+        found = wordcount_plan(env, path, CFG, compress=elastic,
+                               partial=True, collect=True, runner=runner)
+        return tuple(sorted(found.counts.items()))
 
-    out = mimir.partial_reduce(kvs, wc_combine)
-    ctx.probe(env, "after_reduce")
-    return _sorted_counts(out)
-
-
-def sweep_wordcount(env, ckpt, ctx):
-    """The straggler-sweep target: speculative map + reduce, no
-    checkpoint.
-
-    Pure-straggler schedules never restart, so a checkpoint would be
-    dead weight on COMET's penalized writes; dropping it keeps the job
-    map-dominated, the regime the speculation bound is stated for.
-    """
-    mimir = Mimir(env, CFG)
-    ctx.probe(env, "start")
-    kvs = speculative_map(mimir, ELASTIC_INPUT, wc_map,
-                          policy=ctx.policy, stage_key="map",
-                          combine_fn=wc_combine, ctx=ctx)
-    out = mimir.partial_reduce(kvs, wc_combine)
-    ctx.probe(env, "after_reduce")
-    return _sorted_counts(out)
+    return job
 
 
 def global_counts(returns: list) -> tuple:
@@ -238,8 +208,9 @@ def run_chaos_sweep(nseeds: int = 20, *, nprocs: int = 4,
                     storage: str | None = None,
                     verbose: bool = False) -> ChaosSweepResult:
     """Sweep ``nseeds`` seeded schedules; compare against a clean run."""
+    job = wordcount_job()
     baseline = run_with_recovery(make_wordcount_cluster(nprocs, storage),
-                                 chaos_wordcount, job_id="chaos-baseline")
+                                 job, job_id="chaos-baseline")
     expected = _canonical(baseline.result.returns)
 
     records: list[ChaosRunRecord] = []
@@ -247,7 +218,7 @@ def run_chaos_sweep(nseeds: int = 20, *, nprocs: int = 4,
         plan = ChaosPlan.random(seed, nprocs, tags=CHAOS_TAGS,
                                 intensity=intensity)
         ft = run_with_recovery(make_wordcount_cluster(nprocs, storage),
-                               chaos_wordcount, faults=plan,
+                               job, faults=plan,
                                job_id="chaos", max_restarts=max_restarts)
         record = ChaosRunRecord(
             seed=seed, ft=ft, plan=plan,

@@ -7,6 +7,10 @@ existence proves every rank's data reached the PFS.  Loading a
 checkpoint replays the bytes into an empty KVC the job made (charging
 PFS reads), exactly what a restarted rank would do.
 
+The manager is also the one place a job's fault points fire
+(:meth:`CheckpointManager.probe`, and ``ckpt:<phase>:precommit`` inside
+a save).
+
 Checkpoints are **never trusted blindly**.  Every file (data and
 marker) is length-framed with a format-version header, stamped with
 the run's *nonce*, and CRC32-checksummed::
@@ -28,9 +32,14 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
+from typing import Callable
 
 from repro.cluster import RankEnv
+from repro.core.batch import KVBatch
+from repro.core.job import Mimir
 from repro.core.kvcontainer import KVContainer
+from repro.core.records import KVLayout
+from repro.io.splits import split_range
 from repro.storage.errors import retrying
 
 #: On-disk format: magic, version, and the fixed header tails.
@@ -76,16 +85,23 @@ def _marker_nparts(payload: bytes) -> int:
     """Partition count a completion marker declares (``b"ok:<n>"``).
 
     The declared gang size is what lets :meth:`CheckpointManager.
-    partition_count` tell a *complete* ``k``-rank checkpoint apart
+    agreed_partitions` tell a *complete* ``k``-rank checkpoint apart
     from a *partial* ``n``-rank one (``n > k``) whose save died after
     ``k`` marker writes - the two leave identical valid-partition
     prefixes otherwise.  Raises :class:`CheckpointCorruptError` for
-    any other payload.
+    any other payload (a count of more than nine digits included: no
+    gang is that large, and ``int`` refuses very long digit strings).
     """
     head, _sep, count = payload.partition(b":")
-    if head != b"ok" or not count.isdigit():
+    if head != b"ok" or not count.isdigit() or len(count) > 9:
         raise CheckpointCorruptError(f"marker payload {payload!r}")
     return int(count)
+
+
+def _agree(a: int, b: int) -> int:
+    """Reduction for a count every rank must agree on: the common
+    value, or 0 when any two ranks differ."""
+    return a if a == b else 0
 
 
 def unframe(blob: bytes, nonce: str) -> bytes:
@@ -129,10 +145,10 @@ class CheckpointManager:
 
     ``nonce`` identifies the run (cluster configuration + launch) that
     owns these checkpoints; it defaults to ``job_id`` for standalone
-    use.  ``faults`` is an optional injection plan consulted at the
-    commit point between data and marker writes, and ``failure_log``
-    collects retry/validation events for :class:`repro.ft.runner.
-    FTResult`.
+    use.  ``faults`` is the run's optional fault plan, consulted at
+    :meth:`probe` and at the commit point between data and marker
+    writes, and ``failure_log`` collects retry/validation events for
+    :class:`repro.ft.runner.FTResult`.
     """
 
     def __init__(self, env: RankEnv, job_id: str, *,
@@ -169,6 +185,11 @@ class CheckpointManager:
             FailureRecord(attempt=0, rank=self.env.comm.rank,
                           kind=kind, message=message))
 
+    def _reject(self, path: str, exc: CheckpointError) -> None:
+        stale = isinstance(exc, CheckpointStaleError)
+        self._report("ckpt-stale" if stale else "ckpt-invalid",
+                     f"{path!r}: {exc}")
+
     def _retrying_write(self, path: str, payload: bytes) -> None:
         comm = self.env.comm
 
@@ -186,6 +207,15 @@ class CheckpointManager:
 
         return retrying(comm, lambda: self.env.pfs.read(comm, path),
                         on_retry=on_retry)
+
+    # ------------------------------------------------------- fault points
+
+    def probe(self, tag: str) -> None:
+        """A stage or batch boundary: a death at ``tag``, or a due
+        membership leave, fires here."""
+        if self.faults is not None:
+            self.faults.check(tag, self.env.comm.rank)
+            self.faults.membership_check(self.env.comm, tag)
 
     # ----------------------------------------------------------- queries
 
@@ -218,11 +248,8 @@ class CheckpointManager:
                             f"{path!r}: declares {declared} partitions, "
                             f"expected {nparts}")
                         return False
-            except CheckpointStaleError as exc:
-                self._report("ckpt-stale", f"{path!r}: {exc}")
-                return False
             except CheckpointError as exc:
-                self._report("ckpt-invalid", f"{path!r}: {exc}")
+                self._reject(path, exc)
                 return False
         return True
 
@@ -242,48 +269,48 @@ class CheckpointManager:
 
     # ----------------------------------------------- membership rebalance
 
-    def partition_count(self, phase: str) -> int:
-        """How many partitions a completed checkpoint was written with.
+    def agreed_partitions(self, phase: str) -> int:
+        """How many partitions a completed checkpoint was written with,
+        agreed by every rank (collective call); 0 when the phase never
+        completed.
 
         A checkpoint written by a gang of ``n`` ranks leaves valid
         data + marker pairs for partitions ``0..n-1``, every marker
-        declaring ``n``.  Partition 0's marker names the geometry;
-        validating all ``n`` declared partitions against it (pure
-        metadata scans against the shared PFS, so every rank computes
-        the same answer without communicating) recovers ``n`` even
-        after the gang size changed - the discovery step of shard
-        re-balancing on membership change.  Returns 0 when the phase
-        never completed: a missing partition, or a marker declaring a
-        different geometry (a save that died between its data and
-        marker barriers leaves the previous gang size's markers over
-        partitions ``0..k``, which must *not* pass for a complete
-        ``k+1``-rank checkpoint), invalidates the whole phase.
+        declaring ``n``; partition 0's marker names ``n`` even after the
+        gang size changed.  Each rank validates only the partitions it
+        will read - its ``split_range`` block of the ``n``, which is its
+        own partition at an unchanged size - so every partition is
+        validated by one rank, once, and one agreement covers them all.
+        A missing partition, or a marker declaring a different geometry
+        (a stale leftover of a save at another gang size), invalidates
+        the whole phase.
         """
+        comm = self.env.comm
+        nparts = self._declared_partitions(phase)
+        valid = nparts > 0 and all(
+            self._valid_local(phase, part, nparts=nparts)
+            for part in range(*split_range(nparts, comm.rank, comm.size)))
+        return comm.allreduce(nparts if valid else 0, _agree)
+
+    def _declared_partitions(self, phase: str) -> int:
+        """The partition count partition 0's marker declares; 0 when it
+        is missing or invalid (reported by rank 0 alone, which reads
+        partition 0)."""
         pfs = self.env.pfs
         marker0 = self._marker_path(phase, 0)
         if not pfs.exists(marker0):
             return 0
         try:
-            declared = _marker_nparts(unframe(pfs.fetch(marker0),
-                                              self.nonce))
+            return _marker_nparts(unframe(pfs.fetch(marker0), self.nonce))
         except CheckpointError as exc:
-            self._report("ckpt-invalid", f"{marker0!r}: {exc}")
+            if self.env.comm.rank == 0:
+                self._reject(marker0, exc)
             return 0
-        if declared <= 0:
-            return 0
-        if all(self._valid_local(phase, part, nparts=declared)
-               for part in range(declared)):
-            return declared
-        return 0
 
     def read_partition(self, phase: str, part: int) -> bytes:
-        """Validated payload of one partition, regardless of owner rank.
-
-        The restore side of re-balancing: after a membership change,
-        each surviving rank reads a contiguous block of the *old*
-        partitions (charged PFS reads, transient errors retried) and
-        re-shuffles their records to the new gang.
-        """
+        """Validated payload of one partition, regardless of owner rank:
+        a restore's charged read (transient errors retried), once the
+        ranks agreed the phase is complete."""
         blob = self._retrying_read(self._data_path(phase, part))
         self.bytes_read += len(blob)
         return unframe(blob, self.nonce)
@@ -292,6 +319,10 @@ class CheckpointManager:
 
     def _save(self, phase: str, payload: bytes) -> None:
         framed = frame(payload, self.nonce)
+        # Withdraw this rank's marker before its data changes: a save
+        # that dies from here on can never leave an earlier save's
+        # markers vouching for a mix of old and new partitions.
+        self.env.pfs.delete(self._marker_path(phase))
         self._retrying_write(self._data_path(phase), framed)
         self.bytes_written += len(framed)
         self.env.comm.barrier()
@@ -324,10 +355,9 @@ class CheckpointManager:
     def _load(self, phase: str) -> bytes:
         if not self.has(phase):
             raise CheckpointNotFoundError(phase)
-        blob = self._retrying_read(self._data_path(phase))
-        self.bytes_read += len(blob)
+        payload = self.read_partition(phase, self.env.comm.rank)
         self.env.metrics.inc("ft.checkpoint.restores")
-        return unframe(blob, self.nonce)
+        return payload
 
     def load_kvc(self, phase: str, into: KVContainer) -> KVContainer:
         """Refill ``into`` - an empty container its job made (see
@@ -355,3 +385,39 @@ class CheckpointManager:
             for path in self.env.pfs.listdir(f"ckpt/{self.job_id}/"):
                 self.env.pfs.delete(path)
         comm.barrier()
+
+
+def restore_rebalanced(mimir: Mimir, ckpt: CheckpointManager, phase: str,
+                       layout: KVLayout, tag: str, *,
+                       partitioner: Callable[[bytes, int], int] | None = None,
+                       map_output: bool = True) -> KVContainer | None:
+    """Restore a phase checkpoint into a new container of the job, at
+    the job's gang size whatever size wrote it; ``None`` on every rank
+    when it cannot be restored here (the caller recomputes).
+
+    The ranks agree on the partition count (:meth:`CheckpointManager.
+    agreed_partitions`, one collective), then read each partition once.
+    At the same size a rank reads its own into ``mimir.map_output``
+    (``mimir.container`` unless ``map_output``).  After a size change
+    only a map output comes back: ``partitioner`` placed its records,
+    so each rank re-emits a contiguous block of the old partitions
+    through the job's shuffle and that partitioner.  Any other output
+    returns ``None``: a reduce's keys were placed by an upstream
+    shuffle, and a local sort's order would not survive re-routing.
+    """
+    comm = mimir.env.comm
+    nparts = ckpt.agreed_partitions(phase)
+    if nparts == 0 or (nparts != comm.size and not map_output):
+        return None
+    if nparts == comm.size:
+        make = mimir.map_output if map_output else mimir.container
+        out = make(layout, tag)
+        out.extend_encoded(ckpt.read_partition(phase, comm.rank))
+    else:
+        out = mimir.map_items(
+            range(*split_range(nparts, comm.rank, comm.size)),
+            lambda mctx, part: mctx.emit_batch(
+                KVBatch(ckpt.read_partition(phase, part), layout)),
+            partitioner=partitioner, layout=layout, out_tag=tag)
+    mimir.env.metrics.inc("ft.checkpoint.restores")
+    return out

@@ -21,8 +21,9 @@ one bad host is unaffordable.  Three mechanisms, one control loop:
   :meth:`~repro.cluster.Cluster.resize`): a rank death or scheduled
   leave is *promoted* from a fatal restart to a gang shrink; joins
   grow the gang.  KV partitions checkpointed by the old gang are
-  re-balanced onto the new one (:func:`restore_rebalanced`), and a
-  partition lost with its rank is recomputed from lineage.
+  re-balanced onto the new one (:func:`~repro.ft.checkpoint.
+  restore_rebalanced`, the plan runner's restore), and a partition
+  lost with its rank is recomputed from lineage.
 
 The autoscaler that drives :meth:`Cluster.resize` from queue depth and
 memory residency is the scheduler's own
@@ -39,9 +40,11 @@ physically accumulated clock with its scheduled completion time
 first-result-wins semantics would yield - a straggler stops being
 charged at the point its last attempt is killed.
 
-This module must not import :mod:`repro.sched` (its ``PlanRunner``
-takes :class:`ElasticStageHooks` duck-typed), keeping the dependency
-arrow one-way.
+A job meets this layer through one handle, :class:`ElasticStageHooks`:
+:func:`run_elastic` hands it to the job, which passes it to its
+:class:`~repro.sched.executor.PlanRunner` (``elastic=``).  This module
+must not import :mod:`repro.sched` (the runner takes the hooks
+duck-typed), keeping the dependency arrow one-way.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from repro.core.job import MapContext, Mimir
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import BLOCK, KVLayout
 from repro.core.shuffle import pair_columns
-from repro.ft.checkpoint import CheckpointManager
 from repro.ft.injection import ChaosPlan, SimulatedRankFailure
 from repro.ft.runner import (
     _RUN_SEQ,
@@ -68,7 +70,7 @@ from repro.ft.runner import (
     FTResult,
     restart_loop,
 )
-from repro.io.splits import split_range, split_text_file
+from repro.io.splits import split_text_file
 from repro.mpi.errors import RankFailedError
 from repro.storage.errors import retrying
 
@@ -495,7 +497,7 @@ def speculative_map(mimir: Mimir, path: str,
 class StragglerEvicted(SimulatedRankFailure):
     """A flagged rank voluntarily leaves so the gang can shrink.
 
-    Raised at a job's eviction point by :meth:`ElasticContext.
+    Raised after a speculative stage by :meth:`ElasticStageHooks.
     maybe_evict`; :func:`run_elastic` promotes it to a membership
     change (the plain restart driver retries it like a death).
     """
@@ -505,39 +507,6 @@ class StragglerEvicted(SimulatedRankFailure):
     def __init__(self, tag: str, rank: int):
         super().__init__(tag, rank)
         self.args = (f"straggler rank {rank} evicted at {tag!r}",)
-
-
-def restore_rebalanced(mimir: Mimir, ckpt: CheckpointManager, phase: str,
-                       layout: KVLayout, tag: str, *,
-                       partitioner: Callable[[bytes, int], int] | None = None,
-                       ) -> KVContainer | None:
-    """Load a phase checkpoint across a membership change into a new
-    container of the job, or return ``None``.
-
-    The shard re-balancing step: a checkpoint written by ``n`` ranks
-    is discovered (:meth:`CheckpointManager.partition_count` - free
-    metadata scans, so every rank agrees without communicating), and
-    the restore is a map over the old partitions: each surviving rank
-    reads a contiguous block of them and re-emits their records, which
-    the job's own shuffle sends to their new homes.  When the gang size
-    is unchanged this degrades to a plain per-rank restore.  Returns
-    ``None`` when the phase never completed (including when a partition
-    died with its rank before the markers committed) - the caller
-    recomputes from lineage.
-    """
-    comm = mimir.env.comm
-    agreed = comm.allreduce(ckpt.partition_count(phase), min)
-    if agreed == 0:
-        return None
-    if agreed == comm.size:
-        return ckpt.load_kvc(phase, mimir.map_output(layout, tag))
-    out = mimir.map_items(
-        range(*split_range(agreed, comm.rank, comm.size)),
-        lambda mctx, part: mctx.emit_batch(
-            KVBatch(ckpt.read_partition(phase, part), layout)),
-        partitioner=partitioner, layout=layout, out_tag=tag)
-    mimir.env.metrics.inc("ft.checkpoint.restores")
-    return out
 
 
 @dataclass
@@ -565,69 +534,83 @@ class ElasticResult(FTResult):
         return len(self.membership_log)
 
 
-class SpeculationLog:
-    """The reports :func:`speculative_map` hands its ``ctx``: every
-    rank keeps the last one, rank 0 collects them all."""
+# ---------------------------------------------------- the elastic handle
 
-    def __init__(self):
+
+class ElasticStageHooks:
+    """The one elastic handle: wires the reactive layer into a
+    :class:`~repro.sched.executor.PlanRunner`.
+
+    Passed as ``runner(plan, elastic=...)``: map stages over text
+    inputs run through :func:`speculative_map` (task keys derive from
+    the stage's lineage key), every other executed stage's duration
+    feeds the straggler monitor via an allgather (:meth:`observe_stage`),
+    and after a speculative stage the runner offers :meth:`maybe_evict`.
+    :func:`run_elastic` hands one to its job, shared across attempts.
+    Kept duck-typed on the scheduler side so :mod:`repro.sched` never
+    imports this module at import time.
+    """
+
+    def __init__(self, policy: ElasticPolicy | None = None):
+        self.policy = policy or ElasticPolicy()
+        self.monitor = StragglerMonitor(self.policy.straggler_threshold,
+                                        self.policy.min_detect_seconds)
+        #: Flagged ranks by stage name, from :meth:`observe_stage`.
+        self.flags: dict[str, list[int]] = {}
+        #: Every speculative phase's report (rank 0 collects them), and
+        #: the last one (every rank keeps it).
         self.reports: list[SpeculationReport] = []
         self.last_report: SpeculationReport | None = None
+        #: Membership changes left to make.  :func:`run_elastic` arms it
+        #: with the policy's budget and spends it; a runner outside that
+        #: driver has nothing to absorb an eviction, so it never evicts.
+        self.membership_left = 0
+        #: Absorbed-event sink shared with the driver's failure log, so
+        #: transient map-read retries are classified like checkpoint
+        #: retries.
+        self.failure_log: list[FailureRecord] = []
+
+    def map_text(self, mimir: Mimir, path: str, stage) -> KVContainer:
+        """Run a text-input map stage speculatively."""
+        params = stage.params
+        return speculative_map(
+            mimir, path, stage.fn, policy=self.policy,
+            stage_key=stage.key, combine_fn=params.get("combine_fn"),
+            partitioner=params.get("partitioner"),
+            layout=params.get("layout"), out_tag=f"kv_{stage.name}",
+            ctx=self)
 
     def record(self, report: SpeculationReport, env: RankEnv) -> None:
         self.last_report = report
         if env.comm.rank == 0:
             self.reports.append(report)
 
-
-class ElasticContext(SpeculationLog):
-    """Per-run handle a job uses to talk to the elastic driver.
-
-    Bundles the fault plan (probe points), the policy, and the
-    speculation reports; shared across attempts so history survives
-    restarts.  Jobs call :meth:`probe` where chaos-wrapped jobs call
-    ``faults.check``, and may call :meth:`maybe_evict` after a phase
-    whose report flagged a straggler.
-    """
-
-    def __init__(self, policy: ElasticPolicy, faults: ChaosPlan):
-        super().__init__()
-        self.policy = policy
-        self.faults = faults
-        #: Membership-change budget, decremented by :func:`run_elastic`
-        #: as changes accumulate.
-        self.membership_left = policy.max_membership_changes
-        #: Absorbed-event sink shared with the driver's failure log, so
-        #: transient map-read retries are classified like checkpoint
-        #: retries.
-        self.failure_log: list[FailureRecord] = []
-
-    def probe(self, env: RankEnv, tag: str) -> None:
-        """A job checkpoint/phase boundary: faults may fire here."""
-        self.faults.check(tag, env.comm.rank)
-        self.faults.membership_check(env.comm, tag)
+    def observe_stage(self, env: RankEnv, stage, seconds: float) -> list[int]:
+        """Progress-monitor a non-speculative stage (collective call)."""
+        durations = env.comm.allgather(seconds)
+        flagged = self.monitor.flag(durations)
+        if flagged:
+            self.flags[stage.name] = flagged
+            if env.comm.rank in flagged:
+                env.metrics.inc("ft.straggler.flagged")
+        return flagged
 
     def maybe_evict(self, env: RankEnv, tag: str) -> None:
         """Turn a persistent straggler into a membership departure.
 
-        If the last phase flagged stragglers and policy + budget allow
-        shrinking, the lowest flagged rank raises
+        If the last speculative phase flagged stragglers and policy +
+        budget allow shrinking, the lowest flagged rank raises
         :class:`StragglerEvicted`; the driver shrinks the gang and the
         retry runs without the slow host.  Speculation already bounded
         the *current* phase; eviction keeps the slowness from taxing
         every future phase.
         """
         report = self.last_report
-        if report is None or not report.flagged:
-            return
-        if not self.policy.evict_stragglers:
-            return
-        if self.membership_left <= 0:
-            return
-        if env.comm.size - 1 < self.policy.min_ranks:
-            return
-        victim = min(report.flagged)
-        if env.comm.rank == victim:
-            raise StragglerEvicted(tag, victim)
+        allowed = self.policy.evict_stragglers and self.membership_left > 0 \
+            and env.comm.size > self.policy.min_ranks
+        if allowed and report is not None and report.flagged \
+                and env.comm.rank == min(report.flagged):
+            raise StragglerEvicted(tag, env.comm.rank)
 
 
 def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
@@ -637,27 +620,31 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
                 max_restarts: int = 8,
                 restart_caps: dict[str, int] | None = None,
                 nonce: str | None = None) -> ElasticResult:
-    """Run ``job(env, ckpt, ctx)`` under the elastic membership driver.
+    """Run ``job(env, ckpt, hooks)`` under the elastic membership driver;
+    ``hooks`` is the run's :class:`ElasticStageHooks`, for the job's
+    :class:`~repro.sched.executor.PlanRunner`.
 
     Like :func:`~repro.ft.runner.run_with_recovery`, with death
     *promoted*: a rank death, scheduled leave, or straggler eviction
     shrinks the gang (``Cluster.resize``) instead of burning restart
     budget, as long as the membership budget is not spent and the gang
-    stays at or above ``policy.min_ranks``.
-    Scheduled joins from the fault plan's membership schedule grow the
-    gang at launch boundaries.  Checkpoints survive membership changes
+    stays at or above ``policy.min_ranks``.  Scheduled joins from the
+    fault plan's membership schedule grow the gang at launch
+    boundaries.  Checkpoints survive membership changes
     because the nonce is fixed for the whole run (not per gang size) -
-    :func:`restore_rebalanced` does the re-sharding.
+    :func:`~repro.ft.checkpoint.restore_rebalanced` re-shards them.
     """
     policy = policy or ElasticPolicy()
     plan = faults if faults is not None else ChaosPlan()
-    ctx = ElasticContext(policy, plan)
+    hooks = ElasticStageHooks(policy)
+    hooks.membership_left = policy.max_membership_changes
     if nonce is None:
         nonce = f"{job_id}/elastic/run{next(_RUN_SEQ)}"
     membership_log: list[MembershipChange] = []
 
     def can_shrink() -> bool:
-        return ctx.membership_left > 0 and cluster.nprocs > policy.min_ranks
+        return hooks.membership_left > 0 \
+            and cluster.nprocs > policy.min_ranks
 
     def resize(attempt: int, kind: str, rank: int | None, delta: int,
                at: float, cause: str) -> None:
@@ -666,7 +653,7 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
             plan.remove_rank(rank)
         membership_log.append(MembershipChange(
             attempt, kind, rank, cluster.nprocs, at, cause))
-        ctx.membership_left -= 1
+        hooks.membership_left -= 1
         cluster.metrics.shard(-1).inc("ft.membership.changes")
 
     def sweep(attempt: int, last_clock: float) -> None:
@@ -674,7 +661,7 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
         # leaves whose rank never reached a probe shrink it here.
         for event in plan.membership_due(last_clock, nranks=cluster.nprocs):
             if event.kind == "join":
-                if ctx.membership_left > 0 \
+                if hooks.membership_left > 0 \
                         and cluster.nprocs < policy.max_ranks:
                     resize(attempt, "join", None, +1, event.at,
                            "scheduled join")
@@ -692,55 +679,11 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
         return True
 
     ft = restart_loop(
-        cluster, job, ctx, plan, install=faults is not None,
+        cluster, job, hooks, plan, install=faults is not None,
         job_id=job_id, nonce=nonce,
         max_restarts=max_restarts, restart_caps=restart_caps,
-        failure_log=ctx.failure_log, membership_log=membership_log,
+        failure_log=hooks.failure_log, membership_log=membership_log,
         sweep=sweep, promote=promote)
     return ElasticResult(**vars(ft), membership_log=membership_log,
-                         speculation=list(ctx.reports),
+                         speculation=list(hooks.reports),
                          final_nprocs=cluster.nprocs)
-
-
-# ----------------------------------------------------- scheduler bridge
-
-
-class ElasticStageHooks(SpeculationLog):
-    """Wires the reactive layer into a :class:`~repro.sched.executor.
-    PlanRunner`.
-
-    Passed as ``runner(plan, elastic=...)``: map stages over text
-    inputs run through :func:`speculative_map` (task keys derive from
-    the stage's lineage key), and every other executed stage's
-    duration feeds the straggler monitor via an allgather
-    (:meth:`observe_stage`).  Kept duck-typed on the scheduler side so
-    :mod:`repro.sched` never imports this module at import time.
-    """
-
-    def __init__(self, policy: ElasticPolicy | None = None):
-        super().__init__()
-        self.policy = policy or ElasticPolicy()
-        self.monitor = StragglerMonitor(self.policy.straggler_threshold,
-                                        self.policy.min_detect_seconds)
-        #: Flagged ranks by stage name, from :meth:`observe_stage`.
-        self.flags: dict[str, list[int]] = {}
-
-    def map_text(self, mimir: Mimir, path: str, stage) -> KVContainer:
-        """Run a text-input map stage speculatively."""
-        params = stage.params
-        return speculative_map(
-            mimir, path, stage.fn, policy=self.policy,
-            stage_key=stage.key, combine_fn=params.get("combine_fn"),
-            partitioner=params.get("partitioner"),
-            layout=params.get("layout"), out_tag=f"kv_{stage.name}",
-            ctx=self)
-
-    def observe_stage(self, env: RankEnv, stage, seconds: float) -> list[int]:
-        """Progress-monitor a non-speculative stage (collective call)."""
-        durations = env.comm.allgather(seconds)
-        flagged = self.monitor.flag(durations)
-        if flagged:
-            self.flags[stage.name] = flagged
-            if env.comm.rank in flagged:
-                env.metrics.inc("ft.straggler.flagged")
-        return flagged

@@ -205,8 +205,8 @@ def run_with_recovery(cluster: Cluster, job: FTJob, *,
                       nonce: str | None = None) -> FTResult:
     """Run ``job`` to completion, restarting on classified failures.
 
-    ``faults`` (a :class:`~repro.ft.injection.ChaosPlan`) is handed to
-    the job for its ``check`` probes and wired into the cluster
+    ``faults`` (a :class:`~repro.ft.injection.ChaosPlan`) fires at the
+    job's fault points (``ckpt.probe``) and is wired into the cluster
     (storage hooks + straggler clocks) for the duration of the call.
     ``nonce`` defaults to a fresh per-call stamp derived
     from the cluster configuration, so checkpoints left by a previous

@@ -11,9 +11,9 @@ cross-cutting services hook in by stage key:
   hit would skip - a rank-divergent decision would deadlock the job.
 - **stage-granular checkpoints** (:class:`~repro.ft.checkpoint.
   CheckpointManager`): a ``checkpoint()``-annotated stage saves its
-  output under its stage key, so a restarted attempt (see
-  :func:`repro.ft.runner.run_with_recovery`) reloads completed stages
-  and re-executes only from the failed one.
+  output under its stage key, so a restarted attempt - at any gang
+  size - reloads completed stages and re-executes only from the
+  failed one; each stage materialized is a fault point.
 - the **trace** receives a ``stage-done`` event per executed stage
   (under the scheduler: the round's :meth:`~repro.obs.trace.Trace.at`).
 
@@ -39,6 +39,7 @@ from repro.cluster import RankEnv
 from repro.core.job import Mimir
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
+from repro.ft.checkpoint import restore_rebalanced
 from repro.sched.plan import Dataset, Plan, Stage
 
 
@@ -79,41 +80,56 @@ class PlanRunner:
         Cache hit beats checkpoint restore beats execution; a cached
         stage that has to execute (or restore) is adopted into the
         cache on the way out, or, inside a loop without a cache, kept
-        for the loop's later reads.
+        for the loop's later reads.  Then the stage is a fault point
+        (``checkpoint.probe(stage.name)``), and a speculative stage
+        that executed may evict a straggler.
         """
         stage = ds.stage if isinstance(ds, Dataset) else ds
+        kvc, executed = self._obtain(stage)
+        if self.checkpoint is not None:
+            self.checkpoint.probe(stage.name)
+        if executed and stage.key in self._speculated:
+            self.elastic.maybe_evict(self.env, stage.name)
+        return kvc
+
+    def _obtain(self, stage: Stage) -> tuple[KVContainer, bool]:
+        """:meth:`materialize`'s container, and whether it executed."""
         key = stage.key
         comm = self.env.comm
         use_cache = stage.cached and self.cache is not None
         keep = stage.cached and self._kept is not None
         if keep and key in self._kept:
-            return self._kept[key]
+            return self._kept[key], False
         if use_cache:
             if comm.all_true(self.cache.has(key)):
-                return self.cache.get(key)
+                return self.cache.get(key), False
             # Some rank lost its copy: every rank drops and recomputes
             # together, keeping the collective schedule in lockstep.
             self.env.metrics.inc("sched.cache.misses")
             self.cache.drop(key)
+        ckpt = self.checkpoint if stage.checkpointed else None
         kvc = None
-        if self.checkpoint is not None and stage.checkpointed \
-                and self.checkpoint.has(key):
-            # Into the kind of container executing the stage makes: a
-            # map output freezes its full pages with the job's codec.
-            make = self.mimir.map_output if stage.op == "map" \
-                else self.mimir.container
-            kvc = self.checkpoint.load_kvc(
-                key, make(self._layout_of(stage), f"kv_{stage.name}"))
-        if kvc is None:
+        if ckpt is not None:
+            # Into the container kind executing the stage makes (a map
+            # output carries the job's codec).  After a resize only a
+            # map stage, whose own partitioner placed its records, is
+            # re-routed; any other stage is recomputed.
+            kvc = restore_rebalanced(
+                self.mimir, ckpt, key, self._layout_of(stage),
+                f"kv_{stage.name}",
+                partitioner=stage.params.get("partitioner"),
+                map_output=stage.op == "map")
+        executed = kvc is None
+        if executed:
             kvc = self._execute(stage)
-            if self.checkpoint is not None and stage.checkpointed:
-                self.checkpoint.save_kvc(key, kvc)
+            if ckpt is not None:
+                ckpt.save_kvc(key, kvc)
         if use_cache:
             self.cache.put(key, kvc, name=stage.name, job=self.job)
-            return self.cache.get(key)
+            return self.cache.get(key), executed
         if keep:
             self._kept[key] = kvc
-        return kvc
+        return kvc, executed
 
     def _layout_of(self, stage: Stage) -> KVLayout:
         """The record layout a stage's output was written with."""

@@ -130,7 +130,7 @@ def _job_summary(result, runner: StreamRunner) -> dict[str, Any]:
 
 def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
                  checkpoint_job: str | None = None,
-                 nonce: str | None = None, probe=None,
+                 nonce: str | None = None,
                  lateness: float = 0.0,
                  stop_after_windows: int | None = None, pace: bool = True,
                  trace=None, **scenario_kwargs) -> dict[str, Any]:
@@ -150,7 +150,7 @@ def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
                           lateness=lateness,
                           runner=partial(PlanRunner, env, cache=cache,
                                          trace=trace),
-                          checkpoint=checkpoint, probe=probe, pace=pace)
+                          checkpoint=checkpoint, pace=pace)
     result = runner.run(stop_after_windows=stop_after_windows)
     return _job_summary(result, runner)
 

@@ -21,6 +21,7 @@ own, in collective lockstep, exactly like any other job here):
 4. **Checkpoint.**  Every finalized window's payload goes through the
    :class:`~repro.ft.checkpoint.CheckpointManager`; a killed stream
    resumes by loading completed windows instead of recomputing them.
+   Each batch arrival is the manager's fault point ``batch<i>``.
 
 Watermark, lag, and window counts are emitted through the closed
 ``stream.*`` metric namespace (see ``docs/metrics-reference.md``).
@@ -29,9 +30,10 @@ Watermark, lag, and window counts are emitted through the closed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.cluster import RankEnv
+from repro.ft.checkpoint import CheckpointNotFoundError
 from repro.sched.executor import PlanRunner
 from repro.sched.plan import Dataset, Plan
 from repro.stream.source import MicroBatch, StreamSource
@@ -77,16 +79,13 @@ class StreamRunner:
 
     def __init__(self, env: RankEnv, scenario, stream: StreamSource,
                  windows, *, lateness: float = 0.0,
-                 runner=None, checkpoint=None,
-                 probe: Callable[[str], None] | None = None,
-                 pace: bool = True):
+                 runner=None, checkpoint=None, pace: bool = True):
         self.env = env
         self.scenario = scenario
         self.stream = stream
         self.windows = windows
         self.lateness = lateness
         self.checkpoint = checkpoint
-        self.probe = probe
         self.pace = pace
         self.plan = Plan(f"stream-{scenario.name}", scenario.config)
         self.runner: PlanRunner = runner(self.plan) if runner else \
@@ -136,8 +135,8 @@ class StreamRunner:
                 wait = batch.arrival - comm.clock.time
                 if wait > 0:
                     comm.advance(wait)
-            if self.probe is not None:
-                self.probe(f"batch{batch.index}")
+            if self.checkpoint is not None:
+                self.checkpoint.probe(f"batch{batch.index}")
 
             dirty: set[int] = set()
             late = 0
@@ -184,13 +183,16 @@ class StreamRunner:
         env = self.env
         window = self.windows.window(wid)
         phase = f"win{wid}"
-        if not repair and self.checkpoint is not None \
-                and self.checkpoint.has(phase):
-            result.windows[wid] = self.checkpoint.load_state(phase)
-            result.closed += 1
-            result.resumed += 1
-            env.metrics.inc("stream.windows.resumed")
-            return
+        if not repair and self.checkpoint is not None:
+            try:
+                result.windows[wid] = self.checkpoint.load_state(phase)
+            except CheckpointNotFoundError:
+                pass
+            else:
+                result.closed += 1
+                result.resumed += 1
+                env.metrics.inc("stream.windows.resumed")
+                return
         batches = [b for b in ingested
                    if any(window.contains(r.time) for r in b.records)]
         salt = f"w{wid}r{result.recomputed}" if repair else f"w{wid}"

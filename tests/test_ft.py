@@ -5,64 +5,31 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.core import KVLayout, Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.apps.wordcount import wc_map
+from repro.core import KVLayout, Mimir, MimirConfig
 from repro.ft import (
     ChaosPlan,
     CheckpointManager,
     SimulatedRankFailure,
     run_with_recovery,
 )
-from repro.mpi import COMET, RankFailedError
+from repro.ft.chaos import (
+    CFG,
+    CHAOS_TAGS,
+    INPUT_PATH,
+    TEXT,
+    global_counts,
+    wordcount_job,
+)
+from repro.ft.chaos import make_wordcount_cluster as make_cluster
+from repro.mpi import RankFailedError
 from tests.conftest import container_kinds, filled_container
 
-CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
-                  input_chunk_size=512)
-TEXT = b"oak elm ash fir oak elm oak yew ash oak " * 30
-EXPECTED = Counter(TEXT.split())
-
-
-def wc_map(ctx, chunk):
-    one = pack_u64(1)
-    for word in chunk.split():
-        ctx.emit(word, one)
-
-
-def wc_combine(key, a, b):
-    return pack_u64(unpack_u64(a) + unpack_u64(b))
-
-
-def checkpointed_wordcount(env, ckpt, faults):
-    """WordCount in two checkpointed phases: shuffle, then reduce."""
-    mimir = Mimir(env, CFG)
-    faults.check("start", env.comm.rank)
-
-    if ckpt.has("shuffle"):
-        kvs = ckpt.load_kvc(
-            "shuffle", mimir.container(CFG.layout, "kv_restored"))
-    else:
-        kvs = mimir.map_text_file("t.txt", wc_map)
-        ckpt.save_kvc("shuffle", kvs)
-    faults.check("after_shuffle", env.comm.rank)
-
-    out = mimir.partial_reduce(kvs, wc_combine)
-    faults.check("after_reduce", env.comm.rank)
-    counts = {k: unpack_u64(v) for k, v in out.records()}
-    out.free()
-    return counts
-
-
-def make_cluster(nprocs=4):
-    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
-    cluster.pfs.store("t.txt", TEXT)
-    return cluster
-
-
-def merge(result):
-    merged: Counter = Counter()
-    for part in result.returns:
-        merged.update(part)
-    return merged
+EXPECTED = tuple(sorted(Counter(TEXT.split()).items()))
+#: The harness plan's fault points: before the map's checkpoint
+#: commits, after it, and after the reduce.
+PRECOMMIT, AFTER_MAP, AFTER_REDUCE = CHAOS_TAGS
+JOB = wordcount_job()
 
 
 class TestChaosPlan:
@@ -88,7 +55,7 @@ class TestCheckpointManager:
         def job(env):
             ckpt = CheckpointManager(env, "t1")
             mimir = Mimir(env, CFG)
-            kvs = mimir.map_text_file("t.txt", wc_map)
+            kvs = mimir.map_text_file(INPUT_PATH, wc_map)
             before = list(kvs.records())
             ckpt.save_kvc("phase", kvs)
             assert ckpt.has("phase")
@@ -195,66 +162,66 @@ class TestCheckpointManager:
 class TestRecovery:
     def test_no_fault_single_attempt(self):
         cluster = make_cluster(4)
-        ft = run_with_recovery(cluster, checkpointed_wordcount)
+        ft = run_with_recovery(cluster, JOB)
         assert ft.attempts == 1
         assert ft.restarts == 0
-        assert merge(ft.result) == EXPECTED
+        assert global_counts(ft.result.returns) == EXPECTED
 
     def test_recovers_from_failure_after_shuffle(self):
         cluster = make_cluster(4)
-        plan = ChaosPlan().fail_at("after_shuffle", 2)
-        ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
+        plan = ChaosPlan().fail_at(AFTER_MAP, 2)
+        ft = run_with_recovery(cluster, JOB, faults=plan)
         assert ft.attempts == 2
-        assert merge(ft.result) == EXPECTED
+        assert global_counts(ft.result.returns) == EXPECTED
         assert plan.pending == set()
 
     def test_recovers_from_failure_at_start(self):
         cluster = make_cluster(4)
-        plan = ChaosPlan().fail_at("start", 0)
-        ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
+        plan = ChaosPlan().fail_at(PRECOMMIT, 0)
+        ft = run_with_recovery(cluster, JOB, faults=plan)
         assert ft.attempts == 2
-        assert merge(ft.result) == EXPECTED
+        assert global_counts(ft.result.returns) == EXPECTED
 
     def test_multiple_failures_multiple_restarts(self):
         cluster = make_cluster(4)
         plan = (ChaosPlan()
-                .fail_at("start", 1)
-                .fail_at("after_shuffle", 3)
-                .fail_at("after_reduce", 0))
-        ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
+                .fail_at(PRECOMMIT, 1)
+                .fail_at(AFTER_MAP, 3)
+                .fail_at(AFTER_REDUCE, 0))
+        ft = run_with_recovery(cluster, JOB, faults=plan)
         assert ft.attempts == 4
-        assert merge(ft.result) == EXPECTED
+        assert global_counts(ft.result.returns) == EXPECTED
         assert len(ft.failures) == 3
 
     def test_restart_skips_completed_phase(self):
         cluster = make_cluster(4)
-        plan = ChaosPlan().fail_at("after_shuffle", 2)
-        ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
-        # The restarted attempt loaded the shuffle checkpoint instead of
-        # re-reading and re-shuffling the input: the checkpoint data
-        # files were read back at least once.
-        reads = [p for p in cluster.pfs.listdir("ckpt/job/")
-                 if not p.split("/")[-1].startswith("shuffle.done")]
-        assert reads  # data files exist
+        plan = ChaosPlan().fail_at(AFTER_MAP, 2)
+        ft = run_with_recovery(cluster, JOB, faults=plan)
+        # The restarted attempt restored the map's checkpoint instead of
+        # re-reading and re-shuffling the input: one save and one
+        # restore per rank.
+        totals = cluster.metrics.totals()
+        assert totals["ft.checkpoint.saves"] == 4
+        assert totals["ft.checkpoint.restores"] == 4
         assert ft.total_elapsed > ft.result.elapsed  # lost time counted
 
     def test_sequential_failures_on_one_rank(self):
         # Same rank fails at successive points: one restart per fault.
         cluster = make_cluster(2)
         plan = (ChaosPlan()
-                .fail_at("start", 0)
-                .fail_at("after_shuffle", 0)
-                .fail_at("after_reduce", 0))
-        ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan,
+                .fail_at(PRECOMMIT, 0)
+                .fail_at(AFTER_MAP, 0)
+                .fail_at(AFTER_REDUCE, 0))
+        ft = run_with_recovery(cluster, JOB, faults=plan,
                                max_restarts=8)
         assert ft.attempts == 4
-        assert merge(ft.result) == EXPECTED
+        assert global_counts(ft.result.returns) == EXPECTED
 
     def test_budget_zero_reraises(self):
         cluster = make_cluster(2)
-        plan = ChaosPlan().fail_at("start", 0)
+        plan = ChaosPlan().fail_at(PRECOMMIT, 0)
         with pytest.raises(RankFailedError):
-            run_with_recovery(cluster, checkpointed_wordcount, faults=plan,
+            run_with_recovery(cluster, JOB, faults=plan,
                               max_restarts=0)
 
     def test_non_injected_errors_propagate(self):

@@ -4,9 +4,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from repro.apps.wordcount import wc_map
 from repro.cluster import Cluster
-from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
+from repro.core import Mimir
 from repro.ft import (
     ChaosPlan,
     CheckpointManager,
@@ -20,14 +23,19 @@ from repro.ft import chaos
 from repro.ft.chaos import TEXT as CHAOS_TEXT
 from repro.ft.chaos import (
     CHAOS_TAGS,
-    chaos_wordcount,
+    INPUT_PATH,
+    global_counts,
     make_wordcount_cluster,
     run_chaos_sweep,
+    wordcount_job,
 )
 from repro.ft.checkpoint import (
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointStaleError,
+    _marker_nparts,
     frame,
+    restore_rebalanced,
     unframe,
 )
 from repro.memory.tracker import MemoryLimitExceeded
@@ -41,49 +49,11 @@ from repro.storage.errors import (
 )
 from repro.storage.pfs import ParallelFileSystem
 
-CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
-                  input_chunk_size=512)
-TEXT = b"oak elm ash fir oak elm oak yew ash oak " * 30
-EXPECTED = Counter(TEXT.split())
-
-
-def wc_map(ctx, chunk):
-    one = pack_u64(1)
-    for word in chunk.split():
-        ctx.emit(word, one)
-
-
-def wc_combine(key, a, b):
-    return pack_u64(unpack_u64(a) + unpack_u64(b))
-
-
-def checkpointed_wordcount(env, ckpt, faults):
-    mimir = Mimir(env, CFG)
-    faults.check("start", env.comm.rank)
-    if ckpt.has("shuffle"):
-        kvs = ckpt.load_kvc(
-            "shuffle", mimir.container(CFG.layout, "kv_restored"))
-    else:
-        kvs = mimir.map_text_file("t.txt", wc_map)
-        ckpt.save_kvc("shuffle", kvs)
-    faults.check("after_shuffle", env.comm.rank)
-    out = mimir.partial_reduce(kvs, wc_combine)
-    counts = {k: unpack_u64(v) for k, v in out.records()}
-    out.free()
-    return counts
-
-
-def make_cluster(nprocs=4):
-    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
-    cluster.pfs.store("t.txt", TEXT)
-    return cluster
-
-
-def merge(result):
-    merged = Counter()
-    for part in result.returns:
-        merged.update(part)
-    return merged
+EXPECTED = tuple(sorted(Counter(CHAOS_TEXT.split()).items()))
+#: The harness plan's fault points: the map checkpoint's commit point
+#: (mid-commit) and the map stage, after its checkpoint committed.
+PRECOMMIT, AFTER_MAP, _AFTER_REDUCE = CHAOS_TAGS
+JOB = wordcount_job()
 
 
 # ---------------------------------------------------------------- PFS errors
@@ -189,12 +159,101 @@ class TestCheckpointFraming:
             unframe(blob[:4] + b"\xff\x7f" + blob[6:], "n")
 
 
+class TestHostileCheckpointBytes:
+    """Every decoder of the envelope ends in a typed ``CheckpointError``
+    or a recompute: never a crash, a hang, or a silent load."""
+
+    #: Arbitrary bytes also go behind a valid magic, version and nonce,
+    #: so every check of the envelope sees hostile input.
+    HEADS = [b"", b"RCKP", b"RCKP\x01\x00", b"RCKP\x01\x00\x01\x00n"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(HEADS).flatmap(
+        lambda head: st.binary(max_size=96).map(head.__add__)),
+           st.sampled_from(["n", "run-1", ""]))
+    def test_arbitrary_bytes(self, blob, nonce):
+        try:
+            payload = unframe(blob, nonce)
+        except CheckpointError:
+            return
+        assert frame(payload, nonce) == blob   # only a real frame loads
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64), st.sampled_from(["n", "run-1"]),
+           st.integers(min_value=0))
+    def test_bit_flipped_frames(self, payload, nonce, flip):
+        blob = bytearray(frame(payload, nonce))
+        blob[flip // 8 % len(blob)] ^= 1 << flip % 8
+        with pytest.raises(CheckpointError):
+            unframe(bytes(blob), nonce)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=16))
+    @example(b"ok:" + b"9" * 5000)   # past int()'s digit limit
+    @example(b"ok:-1")
+    def test_marker_payloads(self, payload):
+        try:
+            nparts = _marker_nparts(payload)
+        except CheckpointCorruptError:
+            return
+        assert payload[:3] == b"ok:" and int(payload[3:]) == nparts >= 0
+
+    @staticmethod
+    def restore_tampered(suffix: str, tamper) -> tuple:
+        """Save a map output on one rank, rewrite one of its files
+        (``suffix`` picks data or marker) with ``tamper(blob)``, then
+        restore it both ways; returns what the gang-size-aware restore
+        gave and the failure log's kinds."""
+        cluster = make_wordcount_cluster(1)
+        layout = chaos.CFG.layout
+
+        def job(env):
+            mimir = Mimir(env, chaos.CFG)
+            ckpt = CheckpointManager(env, "fuzz")
+            kvc = mimir.map_text_file(INPUT_PATH, wc_map)
+            ckpt.save_kvc("phase", kvc)
+            kvc.free()
+            path = f"ckpt/fuzz/phase{suffix}.0"
+            original = env.pfs.fetch(path)
+            tampered = tamper(original)
+            env.pfs.store(path, tampered)
+            restored = restore_rebalanced(mimir, ckpt, "phase", layout,
+                                          "kv_back")
+            with pytest.raises(CheckpointNotFoundError):
+                ckpt.load_kvc("phase", mimir.map_output(layout, "kv_again"))
+            return (tampered == original, restored,
+                    [r.kind for r in ckpt.failure_log])
+
+        return cluster.run(job).returns[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["", ".done"]), st.binary(max_size=64))
+    def test_restore_of_a_replaced_file_recomputes(self, suffix, junk):
+        same, restored, kinds = self.restore_tampered(suffix,
+                                                      lambda _blob: junk)
+        assume(not same)
+        assert restored is None
+        assert set(kinds) <= {"ckpt-invalid", "ckpt-stale"} and kinds
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["", ".done"]), st.integers(min_value=0))
+    def test_restore_of_a_bit_flipped_file_recomputes(self, suffix, flip):
+        def tamper(blob):
+            flipped = bytearray(blob)
+            flipped[flip // 8 % len(blob)] ^= 1 << flip % 8
+            return bytes(flipped)
+
+        _same, restored, kinds = self.restore_tampered(suffix, tamper)
+        assert restored is None
+        assert set(kinds) <= {"ckpt-invalid", "ckpt-stale"} and kinds
+
+
 # --------------------------------------------------- checkpoint validation
 
 
 class TestCheckpointIntegrity:
     def test_corrupt_checkpoint_never_silently_loaded(self):
-        cluster = make_cluster(1)
+        cluster = make_wordcount_cluster(1)
 
         def job(env):
             ckpt = CheckpointManager(env, "c1")
@@ -215,7 +274,7 @@ class TestCheckpointIntegrity:
         assert cluster.run(job).returns == [True]
 
     def test_torn_data_file_detected(self):
-        cluster = make_cluster(1)
+        cluster = make_wordcount_cluster(1)
 
         def job(env):
             ckpt = CheckpointManager(env, "c2")
@@ -228,7 +287,7 @@ class TestCheckpointIntegrity:
         assert cluster.run(job).returns == [False]
 
     def test_stale_nonce_invalidated(self):
-        cluster = make_cluster(1)
+        cluster = make_wordcount_cluster(1)
 
         def job(env):
             old = CheckpointManager(env, "c3", nonce="previous-run")
@@ -244,24 +303,21 @@ class TestCheckpointIntegrity:
         assert cluster.run(job).returns == [True]
 
     def test_reused_job_id_across_recovery_runs_recomputes(self):
-        cluster = make_cluster(2)
-        loaded = []
-
-        def job(env, ckpt, faults):
-            loaded.append(ckpt.has("shuffle"))
-            return checkpointed_wordcount(env, ckpt, faults)
-
-        first = run_with_recovery(cluster, job, job_id="same-id")
-        assert merge(first.result) == EXPECTED
+        cluster = make_wordcount_cluster(2)
+        first = run_with_recovery(cluster, JOB, job_id="same-id")
+        assert global_counts(first.result.returns) == EXPECTED
         # Checkpoints from the first run are still on the PFS...
         assert cluster.pfs.listdir("ckpt/same-id/")
-        second = run_with_recovery(cluster, job, job_id="same-id")
+        second = run_with_recovery(cluster, JOB, job_id="same-id")
         # ...but the new run's nonce invalidates them: never restored.
-        assert merge(second.result) == EXPECTED
-        assert not any(loaded)
+        assert global_counts(second.result.returns) == EXPECTED
+        totals = cluster.metrics.totals()
+        assert totals.get("ft.checkpoint.restores", 0) == 0
+        assert totals["ft.checkpoint.saves"] == 4    # 2 ranks, 2 runs
+        assert totals["ft.checkpoint.invalid"] >= 1  # the stale files
 
     def test_clear_is_collective(self):
-        cluster = make_cluster(4)
+        cluster = make_wordcount_cluster(4)
 
         def job(env):
             ckpt = CheckpointManager(env, "c4")
@@ -282,29 +338,23 @@ class TestMidCommitCrash:
     def test_crash_between_data_and_marker(self, nprocs, victim):
         """Satellite: a fault between the data write and the marker
         write must leave ``has()`` false on restart -> recompute."""
-        cluster = make_cluster(nprocs)
-        plan = ChaosPlan().fail_at("ckpt:shuffle:precommit", victim)
-        seen = []
-
-        def job(env, ckpt, faults):
-            complete = ckpt.has("shuffle")  # collective: all ranks call
-            if env.comm.rank == 0:
-                seen.append(complete)
-            return checkpointed_wordcount(env, ckpt, faults)
-
-        ft = run_with_recovery(cluster, job, faults=plan)
+        cluster = make_wordcount_cluster(nprocs)
+        plan = ChaosPlan().fail_at(PRECOMMIT, victim)
+        ft = run_with_recovery(cluster, JOB, faults=plan)
         assert ft.attempts == 2
         assert plan.pending == set()
-        # Attempt 1 and the restart both saw no completed checkpoint:
-        # the half-committed save was not trusted.
-        assert seen == [False, False]
-        assert merge(ft.result) == EXPECTED
+        # The restart saw no completed checkpoint - the half-committed
+        # save was not trusted - so it re-ran the map and saved it once.
+        totals = cluster.metrics.totals()
+        assert totals.get("ft.checkpoint.restores", 0) == 0
+        assert totals["ft.checkpoint.saves"] == nprocs
+        assert global_counts(ft.result.returns) == EXPECTED
 
     def test_torn_write_classified_and_recovered(self):
-        cluster = make_cluster(4)
+        cluster = make_wordcount_cluster(4)
         plan = ChaosPlan(seed=7, torn_write_rate=1.0, max_faults=1)
-        ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
-        assert merge(ft.result) == EXPECTED
+        ft = run_with_recovery(cluster, JOB, faults=plan)
+        assert global_counts(ft.result.returns) == EXPECTED
         assert ft.restarts == 1
         assert [r.kind for r in ft.failure_log if r.attempt] == ["torn-write"]
         assert plan.counts() == {"torn-write": 1}
@@ -328,36 +378,36 @@ class TestClassification:
         assert classify_failure(ValueError("x")) == "unknown"
 
     def test_transient_escalates_to_classified_restart(self):
-        cluster = make_cluster(2)
+        cluster = make_wordcount_cluster(2)
         fired = []
 
         def job(env, ckpt, faults):
             if env.comm.rank == 0 and not fired:
                 fired.append(True)
                 raise TransientIOError("read", "input/t.txt", 0)
-            return checkpointed_wordcount(env, ckpt, faults)
+            return JOB(env, ckpt, faults)
 
         ft = run_with_recovery(cluster, job)
         assert ft.attempts == 2
         assert [r.kind for r in ft.failure_log] == ["transient-io"]
-        assert merge(ft.result) == EXPECTED
+        assert global_counts(ft.result.returns) == EXPECTED
 
     def test_oom_gets_one_restart(self):
-        cluster = make_cluster(2)
+        cluster = make_wordcount_cluster(2)
         fired = []
 
         def job(env, ckpt, faults):
             if env.comm.rank == 1 and not fired:
                 fired.append(True)
                 raise MemoryLimitExceeded("kv", 10, 20, 16, {})
-            return checkpointed_wordcount(env, ckpt, faults)
+            return JOB(env, ckpt, faults)
 
         ft = run_with_recovery(cluster, job)
         assert ft.attempts == 2
         assert [r.kind for r in ft.failure_log] == ["oom"]
 
     def test_oom_cap_exhausted_reraises(self):
-        cluster = make_cluster(2)
+        cluster = make_wordcount_cluster(2)
 
         def job(env, ckpt, faults):
             raise MemoryLimitExceeded("kv", 10, 20, 16, {})
@@ -366,7 +416,7 @@ class TestClassification:
             run_with_recovery(cluster, job)
 
     def test_unknown_never_retried(self):
-        cluster = make_cluster(2)
+        cluster = make_wordcount_cluster(2)
         calls = []
 
         def job(env, ckpt, faults):
@@ -406,11 +456,10 @@ class TestChaosPlan:
     def test_same_seed_same_answer(self):
         outputs = []
         for _ in range(2):
-            plan = ChaosPlan.random(3, 4,
-                                    tags=("start", "after_shuffle"))
-            ft = run_with_recovery(make_cluster(4), checkpointed_wordcount,
+            plan = ChaosPlan.random(3, 4, tags=(PRECOMMIT, AFTER_MAP))
+            ft = run_with_recovery(make_wordcount_cluster(4), JOB,
                                    faults=plan, max_restarts=12)
-            outputs.append(sorted(merge(ft.result).items()))
+            outputs.append(global_counts(ft.result.returns))
         assert outputs[0] == outputs[1]
 
     def test_transient_retry_charges_virtual_time(self):
@@ -441,7 +490,7 @@ class TestChaosPlan:
 
         def run(faults):
             cluster = make_wordcount_cluster(4)
-            ft = run_with_recovery(cluster, chaos_wordcount, faults=faults,
+            ft = run_with_recovery(cluster, JOB, faults=faults,
                                    job_id="z", nonce="z")
             totals = cluster.metrics.totals()
             return (ft.result.returns, ft.result.elapsed, ft.total_elapsed,
@@ -481,24 +530,25 @@ class TestChaosPlan:
             cluster = Cluster(COMET, nprocs=2, memory_limit=None,
                               pfs=ParallelFileSystem(pfs_model),
                               chaos=chaos)
-            cluster.pfs.store("t.txt", TEXT)
+            cluster.pfs.store(INPUT_PATH, CHAOS_TEXT)
             return cluster.run(
-                lambda env: checkpointed_wordcount(
-                    env, CheckpointManager(env, "s"), ChaosPlan()))
+                lambda env: JOB(env, CheckpointManager(env, "s"),
+                                ChaosPlan()))
 
         clean = run(None)
         slow = run(ChaosPlan(seed=0, stragglers={1: 4.0}))
         assert slow.elapsed > clean.elapsed
-        assert merge(slow) == merge(clean) == EXPECTED
+        assert global_counts(slow.returns) \
+            == global_counts(clean.returns) == EXPECTED
 
     def test_corruption_detected_and_recomputed(self):
-        cluster = make_cluster(2)
+        cluster = make_wordcount_cluster(2)
         plan = ChaosPlan(seed=5, corruption_rate=1.0, max_faults=1)
         # Force a restart after the (corrupted) checkpoint was written,
         # so the restarted attempt must validate and reject it.
-        plan.fail_at("after_shuffle", 1)
-        ft = run_with_recovery(cluster, checkpointed_wordcount, faults=plan)
-        assert merge(ft.result) == EXPECTED
+        plan.fail_at(AFTER_MAP, 1)
+        ft = run_with_recovery(cluster, JOB, faults=plan)
+        assert global_counts(ft.result.returns) == EXPECTED
         kinds = ft.log_counts()
         assert kinds.get("ckpt-invalid", 0) >= 1
         assert plan.counts().get("corruption") == 1
@@ -531,7 +581,7 @@ class TestChaosSweep:
     def test_one_schedule_repeats_exactly(self):
         def realised():
             plan = ChaosPlan.random(5, 4, tags=CHAOS_TAGS)
-            ft = run_with_recovery(make_wordcount_cluster(4), chaos_wordcount,
+            ft = run_with_recovery(make_wordcount_cluster(4), JOB,
                                    faults=plan, job_id="chaos",
                                    max_restarts=12)
             return plan.injected, ft.failure_log, ft.total_elapsed
@@ -540,11 +590,8 @@ class TestChaosSweep:
         assert first == realised() and len(first[1]) > 1
 
     def test_harness_job_matches_reference(self):
-        ft = run_with_recovery(make_wordcount_cluster(2), chaos_wordcount)
-        counts = Counter()
-        for part in ft.result.returns:
-            counts.update(dict(part))
-        assert counts == Counter(CHAOS_TEXT.split())
+        ft = run_with_recovery(make_wordcount_cluster(2), JOB)
+        assert global_counts(ft.result.returns) == EXPECTED
 
     @pytest.mark.parametrize("knobs,limit", [
         ({"codec": "zlib"}, None),
@@ -559,12 +606,12 @@ class TestChaosSweep:
 
         def run(faults):
             cluster = Cluster(COMET, nprocs=2, memory_limit=limit)
-            cluster.pfs.store(chaos.INPUT_PATH, CHAOS_TEXT)
-            return run_with_recovery(cluster, chaos_wordcount, faults=faults,
+            cluster.pfs.store(INPUT_PATH, CHAOS_TEXT)
+            return run_with_recovery(cluster, JOB, faults=faults,
                                      job_id="t")
 
         clean = run(None)
-        ft = run(ChaosPlan().fail_at("after_shuffle", 1))
+        ft = run(ChaosPlan().fail_at(AFTER_MAP, 1))
         assert ft.restarts == 1
         assert ft.result.returns == clean.result.returns
         assert sum(count for part in ft.result.returns

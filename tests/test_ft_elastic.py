@@ -18,15 +18,15 @@ from repro.ft import (
     run_elastic,
 )
 from repro.ft.chaos import (
-    CHAOS_TAGS,
+    ELASTIC_TAGS,
     ELASTIC_TEXT,
-    elastic_wordcount,
     global_counts,
     make_elastic_cluster,
     straggler_plan,
-    sweep_wordcount,
+    wordcount_job,
 )
-from repro.ft.elastic import restore_rebalanced, speculative_map
+from repro.ft.checkpoint import restore_rebalanced
+from repro.ft.elastic import speculative_map
 from repro.datasets.words import zipf_text
 from repro.ft.injection import ChaosPlan, MembershipEvent
 from repro.mpi import COMET
@@ -43,6 +43,11 @@ CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
 #: The tiers a container of the job can have: frozen pages, and spill
 #: that lands on a companion backend.
 TIERED = replace(CFG, codec="zlib", storage="kv", out_of_core=True)
+#: The elastic harness job, and its straggler-sweep flavour (no
+#: checkpoint); the map stage is a fault point after its checkpoint.
+ELASTIC_JOB = wordcount_job(elastic=True)
+SWEEP_JOB = wordcount_job(elastic=True, checkpoint=False)
+_PRECOMMIT, AFTER_MAP, _AFTER_REDUCE = ELASTIC_TAGS
 
 
 def wc_map(ctx, chunk):
@@ -464,21 +469,58 @@ class TestRestoreRebalanced:
         result = self.restore_with(cluster.pfs, 2)
         assert result.returns == [None, None]
 
+    def test_a_resave_that_dies_never_mixes_with_the_old_save(self):
+        # A 4-rank checkpoint, then a 3-rank save of the same phase that
+        # died between its data and marker writes: the old markers must
+        # not vouch for the new partitions 0..2 beside the old 3.
+        from repro.mpi import RankFailedError
+
+        pfs = self.save_with(None, 4)
+        faults = ChaosPlan().fail_at("ckpt:shuffle:precommit", 1)
+
+        def dying_save(env):
+            ckpt = CheckpointManager(env, "j", nonce="j", faults=faults)
+            kvc = speculative_map(Mimir(env, CFG), "input/elastic_words.txt",
+                                  wc_map, combine_fn=wc_combine)
+            ckpt.save_kvc("shuffle", kvc)
+
+        cluster = make_elastic_cluster(3)
+        cluster.pfs = pfs
+        with pytest.raises(RankFailedError):
+            cluster.run(dying_save)
+        assert self.restore_with(pfs, 3).returns == [None] * 3
+
+    @pytest.mark.parametrize("new", [4, 2])
+    def test_each_partition_is_validated_by_one_rank(self, new):
+        # A corrupt partition is found by the one rank that would read
+        # it, and the agreement makes every rank recompute.
+        pfs = self.save_with(None, 4)
+        blob = bytearray(pfs.fetch("ckpt/j/shuffle.2"))
+        blob[-1] ^= 0x01
+        pfs.store("ckpt/j/shuffle.2", bytes(blob))
+        cluster = make_elastic_cluster(new)
+        cluster.pfs = pfs
+        restored = cluster.run(lambda env: restore_rebalanced(
+            Mimir(env, CFG), CheckpointManager(env, "j", nonce="j"),
+            "shuffle", CFG.layout, "kv_rebalanced"))
+        assert restored.returns == [None] * new
+        assert cluster.metrics.totals().get("ft.checkpoint.invalid") == 1
+
 
 # ------------------------------------------------------ the elastic driver
 
 
 class TestRunElastic:
     def baseline(self):
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
                           job_id="base")
         assert res.attempts == 1 and not res.membership_log
         return global_counts(res.result.returns)
 
     def test_death_shrinks_instead_of_restarting_at_size(self):
         expected = self.baseline()
-        plan = ChaosPlan(0).fail_at("after_shuffle", 1)
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        plan = ChaosPlan(0).fail_at(AFTER_MAP, 1)
+        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
                           faults=plan, job_id="death")
         assert res.final_nprocs == 3
         assert [m.kind for m in res.membership_log] == ["death"]
@@ -490,7 +532,7 @@ class TestRunElastic:
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=2),
             MembershipEvent(at=0.01, kind="join")])
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
                           faults=plan, job_id="members")
         kinds = [m.kind for m in res.membership_log]
         assert kinds == ["leave", "join"]
@@ -500,7 +542,7 @@ class TestRunElastic:
     def test_straggler_eviction_removes_slow_host(self):
         expected = self.baseline()
         plan = ChaosPlan(0, stragglers={1: 6.0})
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
                           faults=plan,
                           policy=ElasticPolicy(splits_per_rank=8),
                           job_id="evict")
@@ -515,7 +557,7 @@ class TestRunElastic:
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=0),
             MembershipEvent(at=0.002, kind="leave", rank=0)])
-        res = run_elastic(make_elastic_cluster(2), elastic_wordcount,
+        res = run_elastic(make_elastic_cluster(2), ELASTIC_JOB,
                           faults=plan,
                           policy=ElasticPolicy(min_ranks=1),
                           job_id="floor")
@@ -528,8 +570,8 @@ class TestRunElastic:
         log must classify every event."""
         expected = self.baseline()
         plan = ChaosPlan(0, stragglers={2: 5.0},
-                         io_error_rate=0.05).fail_at("after_shuffle", 1)
-        res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+                         io_error_rate=0.05).fail_at(AFTER_MAP, 1)
+        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
                           faults=plan,
                           policy=ElasticPolicy(evict_stragglers=False,
                                                splits_per_rank=8),
@@ -546,9 +588,9 @@ class TestRunElastic:
     def test_chaos_membership_sweep_converges(self):
         expected = self.baseline()
         for seed in range(4):
-            plan = ChaosPlan.random(seed, 4, tags=CHAOS_TAGS,
+            plan = ChaosPlan.random(seed, 4, tags=ELASTIC_TAGS,
                                     membership=True)
-            res = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+            res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
                               faults=plan, job_id="chaos",
                               max_restarts=12)
             assert global_counts(res.result.returns) == expected, \
@@ -558,16 +600,51 @@ class TestRunElastic:
         cluster = make_elastic_cluster(4)
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=1)])
-        run_elastic(cluster, elastic_wordcount, faults=plan, job_id="m")
+        run_elastic(cluster, ELASTIC_JOB, faults=plan, job_id="m")
         assert cluster.metrics.totals().get("ft.membership.changes") == 1
 
     def test_sweep_job_matches_checkpointed_job(self):
-        a = run_elastic(make_elastic_cluster(4), elastic_wordcount,
+        a = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
                         job_id="a")
-        b = run_elastic(make_elastic_cluster(4), sweep_wordcount,
+        b = run_elastic(make_elastic_cluster(4), SWEEP_JOB,
                         job_id="b")
         assert global_counts(a.result.returns) \
             == global_counts(b.result.returns)
+
+    def test_plan_restores_its_partitioned_stage_after_a_leave(self):
+        """Any Plan job survives a shrink: the checkpointed map stage
+        comes back from the 4-rank checkpoint on 3 ranks, re-routed by
+        its own partitioner, instead of executing again."""
+        def first_byte(key, nprocs):
+            return key[0] % nprocs
+
+        runners = []
+
+        def job(env, ckpt, hooks):
+            plan = Plan("wc-routed", CFG)
+            out = plan.read_text("input/elastic_words.txt", name="input") \
+                .map(wc_map, combine_fn=wc_combine, partitioner=first_byte,
+                     name="count").checkpoint() \
+                .partial_reduce(wc_combine, name="sum")
+            runner = PlanRunner(env, plan, checkpoint=ckpt, elastic=hooks)
+            runners.append(runner)
+            return sorted((k, unpack_u64(v))
+                          for k, v in runner.collect(out))
+
+        clean = run_elastic(make_elastic_cluster(4), job, job_id="routed")
+        plan = ChaosPlan(0, membership=[
+            MembershipEvent(at=0.001, kind="leave", rank=2)])
+        res = run_elastic(make_elastic_cluster(4), job, faults=plan,
+                          job_id="routed")
+        assert [m.kind for m in res.membership_log] == ["leave"]
+        assert res.final_nprocs == 3
+        retry = runners[-3:]
+        assert [r.stage_counts["count"] for r in retry] == [0, 0, 0]
+        assert [r.stage_counts["sum"] for r in retry] == [1, 1, 1]
+        assert global_counts(res.result.returns) \
+            == global_counts(clean.result.returns)
+        for rank, part in enumerate(res.result.returns):
+            assert all(first_byte(key, 3) == rank for key, _ in part)
 
 
 # ----------------------------------------------- scheduler integration

@@ -215,7 +215,7 @@ class TestWiring:
         def job(env, ckpt, faults):
             mimir = Mimir(env, CFG)
             kvs = mimir.map_text_file("t.txt", wc_map)
-            faults.check("mid", env.comm.rank)
+            ckpt.probe("mid")
             n = len(kvs)
             kvs.free()
             return n

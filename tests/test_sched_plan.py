@@ -274,14 +274,15 @@ class TestStageCheckpoint:
             counts = wc_plan(plan).checkpoint()
             runner = PlanRunner(env, plan, checkpoint=ckpt)
             out = {k: unpack_u64(v) for k, v in runner.stream(counts)}
-            faults.check("after-sum", env.comm.rank)
             probe = plan.source([None], name="probe").map(
                 lambda ctx, _x: ctx.emit(b"p", pack_u64(1)), name="tail")
             list(runner.stream(probe))
             attempts.append((env.comm.rank, dict(runner.stage_counts)))
             return out
 
-        plan = ChaosPlan().fail_at("after-sum", 1)
+        # The runner probes each stage it materializes: rank 1 dies
+        # once "sum" is checkpointed.
+        plan = ChaosPlan().fail_at("sum", 1)
         ft = run_with_recovery(make_cluster(), job, faults=plan,
                                job_id="sched-ckpt")
         assert ft.attempts == 2
@@ -321,6 +322,81 @@ class TestStageCheckpoint:
             assert executed[2] == {"count": 1} and restored[2] == {}
             assert restored[:2] == executed[:2]
             assert executed[0] < executed[1]  # full pages were compressed
+
+    def test_local_sort_recomputes_after_a_resize(self):
+        """A checkpointed local sort written by 4 ranks is recomputed on
+        3 from its re-balanced parent: re-routed, its records would lose
+        their order."""
+        cluster = make_cluster(nprocs=4)
+
+        def job(env):
+            ckpt = CheckpointManager(env, "resized", nonce="fixed")
+            plan = Plan("wc", CFG)
+            ordered = plan.read_text("t.txt", name="input") \
+                .map(wc_map, combine_fn=wc_combine, name="count") \
+                .checkpoint().sort_local(name="order").checkpoint()
+            runner = PlanRunner(env, plan, checkpoint=ckpt)
+            return runner.collect(ordered), dict(runner.stage_counts)
+
+        before = cluster.run(job).returns
+        cluster.resize(3)
+        after = cluster.run(job).returns
+        assert all(stages == {"count": 1, "order": 1} for _, stages in before)
+        for records, stages in after:
+            assert stages == {"order": 1}
+            assert [k for k, _ in records] == sorted(k for k, _ in records)
+        assert sorted(r for records, _ in after for r in records) \
+            == sorted(r for records, _ in before for r in records)
+
+    def test_reduce_after_a_partitioned_map_recomputes_after_a_resize(self):
+        """A checkpointed reduce's keys were placed by the shuffle of the
+        map before it: after a resize the map comes back re-routed by
+        its own partitioner and the reduce is recomputed from it, so
+        every key still lives on the rank that partitioner names."""
+        def first_byte(key, nprocs):
+            return key[0] % nprocs
+
+        cluster = make_cluster(nprocs=4)
+
+        def job(env):
+            ckpt = CheckpointManager(env, "placed", nonce="fixed")
+            plan = Plan("wc", CFG)
+            sums = plan.read_text("t.txt", name="input") \
+                .map(wc_map, partitioner=first_byte, name="count") \
+                .checkpoint().reduce(wc_reduce, name="sum").checkpoint()
+            runner = PlanRunner(env, plan, checkpoint=ckpt)
+            return runner.collect(sums), dict(runner.stage_counts)
+
+        before = cluster.run(job).returns
+        cluster.resize(3)
+        after = cluster.run(job).returns
+        assert all(stages == {"count": 1, "sum": 1} for _, stages in before)
+        for rank, (records, stages) in enumerate(after):
+            assert stages == {"sum": 1}
+            assert all(first_byte(key, 3) == rank for key, _ in records)
+        assert sorted(r for records, _ in after for r in records) \
+            == sorted(r for records, _ in before for r in records)
+
+    def test_one_restore_is_one_agreement(self):
+        """Restoring a checkpointed stage costs one collective, the
+        ranks' agreement on the partition count; the charged read after
+        it is validated by ``unframe``, not by a second agreement."""
+        def job(env):
+            ckpt = CheckpointManager(env, "agree-once", nonce="fixed")
+            spent = []
+            for _attempt in range(2):
+                plan = Plan("wc", CFG)
+                counts = wc_plan(plan).checkpoint()
+                runner = PlanRunner(env, plan, checkpoint=ckpt)
+                before = env.metrics.value("mpi.collectives")
+                runner.materialize(counts).free()
+                spent.append((env.metrics.value("mpi.collectives") - before,
+                              dict(runner.stage_counts)))
+            return spent
+
+        for executed, restored in make_cluster(nprocs=3).run(job).returns:
+            assert executed[1] == {"count": 1, "sum": 1}
+            assert restored == (1, {})
 
 
 class TestConsumeSemantics:

@@ -16,8 +16,8 @@ from repro.apps.terasort import (
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64
 from repro.core.errors import ConfigError
-from repro.ft.chaos import chaos_wordcount, make_wordcount_cluster, \
-    run_chaos_sweep
+from repro.ft.chaos import make_wordcount_cluster, run_chaos_sweep, \
+    wordcount_job
 from repro.ft.runner import run_with_recovery
 from repro.mpi import COMET
 from repro.sched import StageCache
@@ -198,7 +198,7 @@ class TestCrossBackendIdentity:
         outputs = {}
         for spec in BACKENDS:
             ft = run_with_recovery(make_wordcount_cluster(4, spec),
-                                   chaos_wordcount, job_id=f"wc-{spec}")
+                                   wordcount_job(), job_id=f"wc-{spec}")
             outputs[spec] = pickle.dumps(ft.result.returns)
         assert len(set(outputs.values())) == 1, outputs.keys()
 

@@ -249,8 +249,7 @@ class TestKillResume:
             scenario = StreamWordCount(env, config=DEMO_CONFIG)
             runner = StreamRunner(
                 env, scenario, stream, TumblingWindows(20.0),
-                checkpoint=ckpt,
-                probe=lambda tag: faults.check(tag, env.comm.rank))
+                checkpoint=ckpt)
             result = runner.run()
             return result.final, result.resumed
 
