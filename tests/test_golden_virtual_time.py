@@ -19,16 +19,35 @@ budget checked per call) and every served app.  The demo inputs the
 served apps (and the frozen benchmark's ``serve_mix``) run on are
 pinned by digest.
 
+The ``mrmpi_*`` cases pin the baseline every paper figure divides by,
+recorded while MR-MPI still appended, encoded, decoded, grouped and
+sorted one record at a time: its virtual time, pages and spill must
+not move when those loops run on core's block primitives.  Each rank
+also returns the ``total_spilled_bytes`` of every MR-MPI object it
+made.
+
 Run this file as a script to print the observed values.
 """
 
 import hashlib
 from functools import partial
+from unittest import mock
 
 import pytest
 
+import repro.apps.bfs
+import repro.apps.octree
+import repro.apps.wordcount
+
 from repro.apps.inverted_index import inverted_index_plan
-from repro.apps.wordcount import wc_combine, wc_map, wordcount_plan
+from repro.apps.bfs import bfs_mrmpi
+from repro.apps.octree import octree_mrmpi
+from repro.apps.wordcount import (
+    wc_combine,
+    wc_map,
+    wordcount_mrmpi,
+    wordcount_plan,
+)
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.core.skew import fold_by_key
@@ -37,6 +56,7 @@ from repro.ft.chaos import make_elastic_cluster, straggler_plan
 from repro.ft.elastic import ElasticPolicy, speculative_map
 from repro.io.readers import iter_text_chunks
 from repro.mpi import COMET
+from repro.mrmpi import MRMPI, MRMPIConfig
 from repro.sched import Plan, PlanRunner
 from repro.sched.demo import stage_inputs
 from repro.serve.catalog import SERVE_APPS, run_direct
@@ -164,6 +184,86 @@ def served_app_case(app):
     return observe(cluster, partial(run_direct, app), path, {})
 
 
+def mrmpi_case(run, config, nprocs=3):
+    """``run(env, cls, paths, config)`` over the demo inputs, where
+    ``cls`` is the MR-MPI class the apps see; every rank returns its
+    result and the ``total_spilled_bytes`` of each MR-MPI object it made
+    (the apps' own objects included)."""
+    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
+    paths = stage_inputs(cluster, text_bytes=1 << 13, graph_scale=6,
+                         npoints=512)
+    made = {}
+
+    class Recorded(MRMPI):
+        def __init__(self, env, *args, **kwargs):
+            super().__init__(env, *args, **kwargs)
+            made.setdefault(env.comm.rank, []).append(self)
+
+    def job(env):
+        result = run(env, Recorded, paths, config)
+        return result, [mr.total_spilled_bytes
+                        for mr in made.get(env.comm.rank, [])]
+
+    with mock.patch.object(repro.apps.wordcount, "MRMPI", Recorded), \
+            mock.patch.object(repro.apps.octree, "MRMPI", Recorded), \
+            mock.patch.object(repro.apps.bfs, "MRMPI", Recorded):
+        return observe(cluster, job)
+
+
+MRMPI_CFG = MRMPIConfig(page_size="4K", input_chunk_size=512)
+#: Small enough that the map output and the aggregated KVs spill, so
+#: ``convert`` takes its out-of-core path.
+MRMPI_TINY = MRMPIConfig(page_size=512, input_chunk_size=256)
+
+
+def mrmpi_wordcount(env, cls, paths, config, **opts):
+    return wordcount_mrmpi(env, paths["wordcount"], config, collect=True,
+                           **opts)
+
+
+def mrmpi_octree(env, cls, paths, config):
+    result = octree_mrmpi(env, paths["octree"], config, density=0.01,
+                          compress=True)
+    assert result.levels_run >= 2
+    return result
+
+
+def mrmpi_bfs(env, cls, paths, config):
+    return bfs_mrmpi(env, paths["bfs"], config, keep_parents=True)
+
+
+def mrmpi_sort_keys(env, cls, paths, config):
+    mr = cls(env, config)
+    mr.map_text_file(paths["wordcount"], wc_map)
+    assert mr.kv.spilled
+    mr.sort_keys()
+    pairs = mr.collect()
+    mr.free()
+    return pairs
+
+
+def mrmpi_gather(env, cls, paths, config):
+    mr = cls(env, config)
+    mr.map_text_file(paths["wordcount"], wc_map)
+    mr.gather(1)
+    pairs = mr.collect()
+    mr.free()
+    return pairs
+
+
+MRMPI_CASES = {
+    "mrmpi_wordcount": partial(mrmpi_case, mrmpi_wordcount, MRMPI_CFG),
+    "mrmpi_wordcount_spilled": partial(mrmpi_case, mrmpi_wordcount,
+                                       MRMPI_TINY),
+    "mrmpi_wordcount_compress": partial(
+        mrmpi_case, partial(mrmpi_wordcount, compress=True), MRMPI_TINY),
+    "mrmpi_octree_compress": partial(mrmpi_case, mrmpi_octree, MRMPI_TINY),
+    "mrmpi_bfs": partial(mrmpi_case, mrmpi_bfs, MRMPI_TINY),
+    "mrmpi_sort_keys": partial(mrmpi_case, mrmpi_sort_keys, MRMPI_TINY),
+    "mrmpi_gather": partial(mrmpi_case, mrmpi_gather, MRMPI_CFG),
+}
+
+
 CASES = {
     "fold_by_key": fold_by_key_case,
     "join": join_case,
@@ -171,6 +271,7 @@ CASES = {
     "inverted_index": inverted_index_case,
     "bounded_combiner": bounded_combiner_case,
     **{f"serve_{app}": partial(served_app_case, app) for app in SERVE_APPS},
+    **MRMPI_CASES,
 }
 
 # ----------------------------------------------------------- the pins
@@ -204,6 +305,20 @@ PINNED = {
         '0x1.b675df412f8c2p-4', 589824, 17550, 'd220d6aa2fe9efdc'),
     'speculative_map': (
         '0x1.58b31e2998eb8p-1', 54859, 531, '1d71a9ca313c2fde'),
+    # MR-MPI, recorded with one record appended, encoded and decoded at
+    # a time.
+    'mrmpi_bfs': ('0x1.ae5fbcd9c055ap+0', 24000, 46752, '374c53524b96bd23'),
+    'mrmpi_gather': (
+        '0x1.442063f4d1919p+0', 86016, 25740, '576217d22254b862'),
+    'mrmpi_octree_compress': (
+        '0x1.92266240599b9p+0', 10752, 15525, '94ea86866265b99b'),
+    'mrmpi_sort_keys': ('0x1.439e61c70c09cp+0', 6144, 0, 'f6aaa8c39553296e'),
+    'mrmpi_wordcount': (
+        '0x1.9630dcbde617fp+0', 86016, 25740, '6172d71378a09965'),
+    'mrmpi_wordcount_compress': (
+        '0x1.11658c2a6b7b9p+1', 10752, 24442, 'd6a3560fb4eae1e9'),
+    'mrmpi_wordcount_spilled': (
+        '0x1.cd12ffc73e9a4p+0', 10752, 25740, '50eda98e8d29a0dc'),
 }
 
 
