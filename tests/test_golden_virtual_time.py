@@ -210,6 +210,9 @@ def mrmpi_case(run, config, nprocs=3):
         return observe(cluster, job)
 
 
+#: Holds every rank's data in one page: nothing spills.
+MRMPI_BIG = MRMPIConfig(page_size="64K", input_chunk_size=512)
+#: Several one-page rounds per exchange.
 MRMPI_CFG = MRMPIConfig(page_size="4K", input_chunk_size=512)
 #: Small enough that the map output and the aggregated KVs spill, so
 #: ``convert`` takes its out-of-core path.
@@ -252,7 +255,7 @@ def mrmpi_gather(env, cls, paths, config):
 
 
 MRMPI_CASES = {
-    "mrmpi_wordcount": partial(mrmpi_case, mrmpi_wordcount, MRMPI_CFG),
+    "mrmpi_wordcount": partial(mrmpi_case, mrmpi_wordcount, MRMPI_BIG),
     "mrmpi_wordcount_spilled": partial(mrmpi_case, mrmpi_wordcount,
                                        MRMPI_TINY),
     "mrmpi_wordcount_compress": partial(
@@ -314,7 +317,7 @@ PINNED = {
         '0x1.92266240599b9p+0', 10752, 15525, '94ea86866265b99b'),
     'mrmpi_sort_keys': ('0x1.439e61c70c09cp+0', 6144, 0, 'f6aaa8c39553296e'),
     'mrmpi_wordcount': (
-        '0x1.9630dcbde617fp+0', 86016, 25740, '6172d71378a09965'),
+        '0x1.7ef5824322ee3p-3', 1376256, 25740, 'b4d29472a765c714'),
     'mrmpi_wordcount_compress': (
         '0x1.11658c2a6b7b9p+1', 10752, 24442, 'd6a3560fb4eae1e9'),
     'mrmpi_wordcount_spilled': (
