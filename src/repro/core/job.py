@@ -17,7 +17,7 @@ in-situ sources).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import islice, starmap
+from itertools import islice, repeat, starmap
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster import RankEnv
@@ -31,7 +31,7 @@ from repro.core.convert import iter_grouped, iter_grouped_batches  # noqa: F401
 from repro.core.kvcontainer import KVContainer
 from repro.core.partial_reduction import PartialReduceFn, partial_reduce
 from repro.core.records import BLOCK, KVLayout
-from repro.core.shuffle import Shuffler
+from repro.core.shuffle import Shuffler, pair_columns
 from repro.io.readers import (
     iter_binary_chunks,
     iter_binary_chunks_multi,
@@ -101,6 +101,40 @@ class MapContext(_Staged):
             self._flush()
         self._sink.emit_batch(batch)
         self.nemitted += len(batch)
+
+
+class ContainerSink:
+    """The four emit verbs of a :class:`~repro.core.shuffle.Shuffler`,
+    appending to a container instead of routing: ``held`` is anything
+    with ``layout``, ``add_run`` and ``extend_encoded`` (a
+    :class:`KVContainer`, an MR-MPI ``PagedObject``).  The elastic
+    map's tasks and MR-MPI's map phases write through one."""
+
+    def __init__(self, held):
+        self.held = held
+        self.layout = held.layout
+
+    def emit_block(self, keys: list, values: list) -> None:
+        self.held.add_run(keys, values)
+
+    def emit_run(self, keys, value: bytes) -> int:
+        return self._emit_columns(iter(keys), repeat(value))
+
+    def emit_pairs(self, pairs) -> int:
+        return self._emit_columns(*pair_columns(pairs))
+
+    def emit_batch(self, batch) -> None:
+        self.held.extend_encoded(batch.data, batch.roff)
+
+    def _emit_columns(self, keys, values) -> int:
+        count = 0
+        while block := list(islice(keys, BLOCK)):
+            self.held.add_run(block, list(islice(values, len(block))))
+            count += len(block)
+        return count
+
+    def finish(self) -> None:
+        """Nothing buffered: every emit already reached the container."""
 
 
 class ReduceContext(_Staged):

@@ -52,17 +52,14 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice, repeat
 from statistics import median
 from typing import Any, Callable, Sequence
 
 from repro.cluster import Cluster, RankEnv
-from repro.core.batch import KVBatch
 from repro.core.combiner import CombineFn, Combiner
-from repro.core.job import MapContext, Mimir
+from repro.core.job import ContainerSink, MapContext, Mimir
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import BLOCK, KVLayout
-from repro.core.shuffle import pair_columns
+from repro.core.records import KVLayout
 from repro.ft.injection import ChaosPlan, SimulatedRankFailure
 from repro.ft.runner import (
     _RUN_SEQ,
@@ -227,39 +224,6 @@ class SpeculationReport:
     attempts: list[TaskAttempt] = field(default_factory=list)
 
 
-class _TaskSink:
-    """Where one task's map output lands: the four emit verbs of a
-    :class:`~repro.core.shuffle.Shuffler`, appending to a container the
-    job made instead of routing, so a finished task's records are
-    tracked and (under ``out_of_core``) cold until the exchange."""
-
-    def __init__(self, held: KVContainer):
-        self.held = held
-        self.layout = held.layout
-
-    def emit_block(self, keys: list, values: list) -> None:
-        self.held.add_run(keys, values)
-
-    def emit_run(self, keys, value: bytes) -> int:
-        return self._emit_columns(iter(keys), repeat(value))
-
-    def emit_pairs(self, pairs) -> int:
-        return self._emit_columns(*pair_columns(pairs))
-
-    def emit_batch(self, batch: KVBatch) -> None:
-        self.held.extend_encoded(batch.data, batch.roff)
-
-    def _emit_columns(self, keys, values) -> int:
-        count = 0
-        while block := list(islice(keys, BLOCK)):
-            self.held.add_run(block, list(islice(values, len(block))))
-            count += len(block)
-        return count
-
-    def finish(self) -> None:
-        """Nothing buffered: every emit already reached the container."""
-
-
 def speculative_map(mimir: Mimir, path: str,
                     map_fn: Callable[[MapContext, bytes], None], *,
                     policy: ElasticPolicy | None = None,
@@ -334,7 +298,7 @@ def speculative_map(mimir: Mimir, path: str,
             on_retry=on_retry) if hi > lo else b""
         out = held[task] = mimir.container(
             layout, f"kv_{stage_key}_t{task}", resident_page_budget=1)
-        sink = _TaskSink(out)
+        sink = ContainerSink(out)
         if combine_fn is not None:
             sink = Combiner(env, config, combine_fn, sink)
         mctx = MapContext(sink)

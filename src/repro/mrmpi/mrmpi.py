@@ -15,40 +15,32 @@ The optional ``compress`` phase reproduces MR-MPI's KV compression: it
 shrinks the data that aggregate ships but - because the page complement
 is fixed - never shrinks the memory footprint (the paper's Figure 11
 observation).
+
+Callbacks get core's ``MapContext`` / ``ReduceContext``; pages are read
+as ``KVBatch`` columns and records move, group and sort as byte slices.
 """
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from repro.cluster import RankEnv
+from repro.core.batch import KMVBatch, KVBatch
+from repro.core.bucket import Bucket, group_run
+from repro.core.job import ContainerSink, MapContext, ReduceContext
 from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_batches
-from repro.core.records import KVLayout
+from repro.core.records import BLOCK, KVLayout, byte_ranges
+from repro.core.shuffle import default_partitioner, hash_partition
 from repro.io.readers import iter_binary_chunks, iter_text_chunks
+from repro.io.spill import SpillWriter
 from repro.memory.pages import Page, PagePool
+from repro.memory.tracker import MemoryTracker
 from repro.mrmpi.config import MRMPIConfig
 from repro.mrmpi.errors import PageOverflowError
 from repro.mrmpi.pages import PagedObject
-
-import zlib
-
-
-def default_partitioner(key: bytes, nprocs: int) -> int:
-    return zlib.crc32(key) % nprocs
-
-
-class _EmitContext:
-    """Map/reduce callback context appending to a PagedObject."""
-
-    __slots__ = ("_obj", "nemitted")
-
-    def __init__(self, obj: PagedObject):
-        self._obj = obj
-        self.nemitted = 0
-
-    def emit(self, key: bytes, value: bytes) -> None:
-        self._obj.append_kv(key, value)
-        self.nemitted += 1
 
 
 class MRMPI:
@@ -99,16 +91,20 @@ class MRMPI:
 
     # ---------------------------------------------------------- map phase
 
-    def _run_map(self, feed: Callable[[_EmitContext], None]) -> None:
-        """Map phase: one output page, records appended as emitted."""
+    def _map_each(self, items: Iterable[Any], map_fn) -> None:
+        """Map phase, ``map_fn(ctx, item)`` per chunk or item: one output
+        page, each call's emits appended before the next item is read."""
         self.env.comm.barrier()
         if self.kv is not None:
             raise RuntimeError("map called while a KV object exists; "
                                "aggregate/convert/reduce it or free() first")
         kv = self._new_object("kv")
-        ctx = _EmitContext(kv)
+        ctx = MapContext(ContainerSink(kv))
         try:
-            feed(ctx)
+            for item in items:
+                map_fn(ctx, item)
+                if ctx._keys:
+                    ctx._flush()
         except PageOverflowError:
             self._retire(kv)
             raise
@@ -117,39 +113,25 @@ class MRMPI:
         self.kv = kv
 
     def map_text_file(self, path: str,
-                      map_fn: Callable[[_EmitContext, bytes], None]) -> None:
+                      map_fn: Callable[[MapContext, bytes], None]) -> None:
         """Map over this rank's word-aligned split of a PFS text file."""
-
-        def feed(ctx: _EmitContext) -> None:
-            for chunk in iter_text_chunks(self.env, path,
-                                          self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        self._run_map(feed)
+        self._map_each(iter_text_chunks(self.env, path,
+                                        self.config.input_chunk_size), map_fn)
 
     def map_binary_file(self, path: str, record_size: int,
-                        map_fn: Callable[[_EmitContext, bytes], None]) -> None:
+                        map_fn: Callable[[MapContext, bytes], None]) -> None:
         """Map over this rank's block-aligned split of a binary file."""
-
-        def feed(ctx: _EmitContext) -> None:
-            for chunk in iter_binary_chunks(self.env, path, record_size,
-                                            self.config.input_chunk_size):
-                map_fn(ctx, chunk)
-
-        self._run_map(feed)
+        self._map_each(iter_binary_chunks(self.env, path, record_size,
+                                          self.config.input_chunk_size),
+                       map_fn)
 
     def map_items(self, items: Iterable[Any],
-                  map_fn: Callable[[_EmitContext, Any], None]) -> None:
+                  map_fn: Callable[[MapContext, Any], None]) -> None:
         """Map over an in-memory iterable."""
-
-        def feed(ctx: _EmitContext) -> None:
-            for item in items:
-                map_fn(ctx, item)
-
-        self._run_map(feed)
+        self._map_each(items, map_fn)
 
     def map_kvs(self,
-                map_fn: Callable[[_EmitContext, bytes, bytes], None]) -> None:
+                map_fn: Callable[[MapContext, bytes, bytes], None]) -> None:
         """Map over the current KV object (multistage/iterative jobs)."""
         self.env.comm.barrier()
         old = self.kv
@@ -157,9 +139,12 @@ class MRMPI:
             raise RuntimeError("map_kvs requires an existing KV object")
         self.kv = None
         kv = self._new_object("kv")
-        ctx = _EmitContext(kv)
-        for key, value in old.records():
-            map_fn(ctx, key, value)
+        ctx = MapContext(ContainerSink(kv))
+        for batch in old.batches():
+            for key, value in batch.pairs_bytes():
+                map_fn(ctx, key, value)
+            if ctx._keys:
+                ctx._flush()
         kv.finalize()
         self.env.charge_compute(old.nbytes + kv.nbytes)
         self._retire(old)
@@ -175,9 +160,9 @@ class MRMPI:
         if other.kv is None:
             raise RuntimeError("the source MR object has no KV data")
         copied = 0
-        for key, value in other.kv.records():
-            self.kv.append_kv(key, value)
-            copied += len(key) + len(value)
+        for batch in other.kv.batches():
+            self.kv.extend_encoded(batch.data, batch.roff)
+            copied += batch.payload_bytes
         self.env.charge_compute(copied)
 
     def add_kv(self, key: bytes, value: bytes) -> None:
@@ -194,7 +179,8 @@ class MRMPI:
 
         Uses the fixed page complement (bucket + output + temp pages on
         top of the held KV page), so the memory footprint does not
-        shrink even when the data does.
+        shrink even when the data does: core's bucket (first-seen keys,
+        values folded in arrival order) charges a tracker of its own.
         """
         self.env.comm.barrier()
         old = self.kv
@@ -202,15 +188,13 @@ class MRMPI:
             raise RuntimeError("compress requires an existing KV object")
         scratch = self._scratch(2, "mrmpi_compress_tmp")
         out = self._new_object("kv")
-        bucket: dict[bytes, bytes] = {}
+        bucket = Bucket(MemoryTracker(), fold=combine_fn, layout=self.layout)
         scanned = 0
-        for key, value in old.records():
-            scanned += len(key) + len(value)
-            existing = bucket.get(key)
-            bucket[key] = value if existing is None else \
-                combine_fn(key, existing, value)
-        for key, value in bucket.items():
-            out.append_kv(key, value)
+        for batch in old.batches():
+            bucket.fold_columns(batch.keys_bytes(), batch.values_bytes())
+            scanned += batch.payload_bytes
+        for keys, values in bucket.drain():
+            out.add_run(keys, values)
         out.finalize()
         self.env.charge_compute(scanned + out.nbytes)
         self._release(scratch)
@@ -231,16 +215,17 @@ class MRMPI:
         self.env.comm.barrier()
         if self.kv is None:
             raise RuntimeError("aggregate requires an existing KV object")
-        self._aggregate_rounds()
+        self._aggregate_rounds(self.env.comm.size)
 
     # ------------------------------------------------------- convert phase
 
     def convert(self) -> None:
         """Merge KVs into KMVs (four-page complement).
 
-        In-memory KVs convert with the two-pass count/group algorithm.
-        A spilled KV object is converted the way the real library does
-        it out-of-core: KVs are first *re-partitioned* into page-sized
+        In-memory KVs convert with the two-pass count/group algorithm
+        (a KMV leaves when its key's last value arrives).  A spilled KV
+        object is converted the way the real library does it
+        out-of-core: KVs are first *re-partitioned* into page-sized
         hash partitions on the PFS (one full read plus one full write),
         then each partition is read back and converted in memory.  The
         extra full rewrite of the dataset through the contended PFS is
@@ -258,7 +243,9 @@ class MRMPI:
         if old.spilled:
             scanned = self._convert_out_of_core(old, kmv)
         else:
-            scanned = self._convert_in_memory(old, kmv)
+            batch = KVBatch(b"".join(old.chunks()), self.layout)
+            self._append_kmvs(kmv, batch, by_last=True)
+            scanned = batch.payload_bytes
 
         kmv.finalize()
         self.env.charge_compute(2 * scanned)
@@ -267,67 +254,64 @@ class MRMPI:
         self._retire(old)
         self.kmv = kmv
 
-    def _convert_in_memory(self, old: PagedObject, kmv: PagedObject) -> int:
-        # Pass 1: per-key value counts.
-        counts: dict[bytes, int] = {}
-        scanned = 0
-        for key, value in old.records():
-            counts[key] = counts.get(key, 0) + 1
-            scanned += len(key) + len(value)
-
-        # Pass 2: group values; emit each KMV as soon as it completes.
-        groups: dict[bytes, list[bytes]] = {}
-        for key, value in old.records():
-            bucket = groups.setdefault(key, [])
-            bucket.append(value)
-            if len(bucket) == counts[key]:
-                kmv.append_record(encode_kmv_record(self.layout, key, bucket))
-                del groups[key]
-        if groups:
-            raise AssertionError("convert pass mismatch (leftover groups)")
-        return scanned
+    def _append_kmvs(self, kmv: PagedObject, batch: KVBatch,
+                     by_last: bool = False) -> None:
+        """Append one KMV per key of ``batch``, its values in arrival
+        order; keys in first-seen order, or ``by_last`` in the order of
+        each key's last record."""
+        index, keys = {}, batch.keys_bytes()
+        ids = np.concatenate([np.zeros(0, np.intp), *(
+            group_run(index, list(islice(keys, BLOCK)))[1]
+            for _ in range(0, len(batch), BLOCK))])
+        # Where each key's KMV goes: a key's last record is its first
+        # counted from the end.
+        place = -np.unique(ids[::-1], return_index=True)[1] if by_last \
+            else np.arange(len(index))
+        order, records = np.argsort(place), np.argsort(place[ids],
+                                                       kind="stable")
+        grouped = KMVBatch(self.layout,
+                           list(map(list(index).__getitem__, order.tolist())),
+                           np.bincount(ids, minlength=len(index))[order],
+                           batch.voff[records], batch.vend[records],
+                           batch.data)
+        kmvs = [encode_kmv_record(self.layout, key, values)
+                for key, values in grouped]
+        kmv.extend_encoded(b"".join(kmvs), np.cumsum([0, *map(len, kmvs)]))
 
     def _convert_out_of_core(self, old: PagedObject,
                              kmv: PagedObject) -> int:
-        from repro.io.spill import SpillWriter
-
         page_size = self.config.page_size
         nparts = max(1, -(-old.nbytes // page_size))
-        writers = [
-            SpillWriter(self.env.pfs, self.env.comm,
-                        f"{old.name}_part{i}")
-            for i in range(nparts)
-        ]
+        writers = [SpillWriter(self.env.pfs, self.env.comm,
+                               f"{old.name}_part{i}") for i in range(nparts)]
         # Stage records through a page-sized buffer per write (the
-        # scratch pages), appending each hash partition to the PFS.
+        # scratch pages), appending each hash partition to the PFS: a
+        # staged chunk is written after the record that brings it to a
+        # page.
         staging: list[bytearray] = [bytearray() for _ in range(nparts)]
         scanned = 0
-        for key, value in old.records():
-            scanned += len(key) + len(value)
-            part = zlib.crc32(key) % nparts
-            staging[part] += self.layout.encode(key, value)
-            if len(staging[part]) >= page_size:
-                writers[part].write_chunk(staging[part])
-                staging[part] = bytearray()
+        for batch in old.batches():
+            scanned += batch.payload_bytes
+            for part, record in zip(hash_partition(batch.keys_bytes(), nparts),
+                                    batch.records_bytes()):
+                staging[part] += record
+                if len(staging[part]) >= page_size:
+                    writers[part].write_chunk(staging[part])
+                    staging[part] = bytearray()
         for part, buf in enumerate(staging):
             if buf:
                 writers[part].write_chunk(buf)
 
         # Convert each partition in memory.
         for writer in writers:
-            groups: dict[bytes, list[bytes]] = {}
-            for chunk in writer.reader():
-                for key, value in self.layout.iter_records(chunk):
-                    groups.setdefault(key, []).append(value)
-            for key, values in groups.items():
-                kmv.append_record(
-                    encode_kmv_record(self.layout, key, values))
+            self._append_kmvs(kmv, KVBatch(b"".join(writer.reader()),
+                                           self.layout))
             writer.discard()
         return scanned
 
     # -------------------------------------------------------- reduce phase
 
-    def reduce(self, reduce_fn: Callable[[_EmitContext, bytes, list[bytes]],
+    def reduce(self, reduce_fn: Callable[[ReduceContext, bytes, list[bytes]],
                                          None]) -> None:
         """User reduce over the KMVs (three-page complement)."""
         self.env.comm.barrier()
@@ -337,11 +321,14 @@ class MRMPI:
 
         scratch = self._scratch(1, "mrmpi_red_tmp")
         out = self._new_object("kv")
-        ctx = _EmitContext(out)
+        ctx = ReduceContext(out)
         scanned = 0
-        for key, values in self._iter_kmv(kmv):
-            reduce_fn(ctx, key, values)
-            scanned += len(key) + sum(len(v) for v in values)
+        for batch in self._kmv_batches(kmv):
+            for key, values in batch:
+                reduce_fn(ctx, key, values)
+            if ctx._keys:
+                ctx._flush()
+            scanned += batch.payload_bytes
         out.finalize()
         self.env.charge_compute(scanned + out.nbytes)
         self._release(scratch)
@@ -349,10 +336,9 @@ class MRMPI:
         self._retire(kmv)
         self.kv = out
 
-    def _iter_kmv(self, kmv: PagedObject) -> Iterator[tuple[bytes, list[bytes]]]:
+    def _kmv_batches(self, kmv: PagedObject) -> Iterator[KMVBatch]:
         for chunk in kmv.chunks():
-            for batch in iter_kmv_batches(self.layout, chunk):
-                yield from batch
+            yield from iter_kmv_batches(self.layout, chunk)
 
     # ----------------------------------------------- extended MR-MPI API
 
@@ -367,9 +353,10 @@ class MRMPI:
         if self.kv is None:
             raise RuntimeError("scan requires an existing KV object")
         scanned = 0
-        for key, value in self.kv.records():
-            fn(key, value)
-            scanned += len(key) + len(value)
+        for batch in self.kv.batches():
+            for key, value in batch.pairs_bytes():
+                fn(key, value)
+            scanned += batch.payload_bytes
         self.env.charge_compute(scanned)
 
     def scan_kmv(self, fn: Callable[[bytes, list[bytes]], None]) -> None:
@@ -377,8 +364,9 @@ class MRMPI:
         self.env.comm.barrier()
         if self.kmv is None:
             raise RuntimeError("scan_kmv requires a KMV object")
-        for key, values in self._iter_kmv(self.kmv):
-            fn(key, values)
+        for batch in self._kmv_batches(self.kmv):
+            for key, values in batch:
+                fn(key, values)
 
     def gather(self, nranks: int) -> None:
         """Concentrate all KVs onto the lowest ``nranks`` ranks.
@@ -391,13 +379,7 @@ class MRMPI:
         if not 1 <= nranks <= self.env.comm.size:
             raise ValueError(
                 f"nranks must be in 1..{self.env.comm.size}, got {nranks}")
-        old_partitioner = self.partitioner
-        self.partitioner = lambda key, p: old_partitioner(key, nranks)
-        try:
-            # Reuse aggregate's round protocol for the data movement.
-            self._aggregate_rounds()
-        finally:
-            self.partitioner = old_partitioner
+        self._aggregate_rounds(nranks)
 
     def broadcast_kvs(self, root: int = 0) -> None:
         """Replicate the root rank's KVs on every rank."""
@@ -405,52 +387,93 @@ class MRMPI:
         comm.barrier()
         if self.kv is None:
             raise RuntimeError("broadcast_kvs requires an existing KV object")
-        payload = b"".join(self.kv.layout.encode(k, v)
-                           for k, v in self.kv.records()) \
-            if comm.rank == root else b""
+        payload = b"".join(self.kv.chunks()) if comm.rank == root else b""
         data = comm.bcast(payload, root=root)
         old = self.kv
         self.kv = None
         self._retire(old)
         fresh = self._new_object("kv")
-        for key, value in self.layout.iter_records(data):
-            fresh.append_kv(key, value)
+        fresh.extend_encoded(data)
         fresh.finalize()
         self.env.charge_compute(len(data))
         self.kv = fresh
 
     def sort_keys(self) -> None:
         """Sort this rank's KVs by key (external sort when spilled)."""
-        self._sort(lambda k, v: k)
+        self._sort(by_value=False)
 
     def sort_values(self) -> None:
         """Sort this rank's KVs by value."""
-        self._sort(lambda k, v: v)
+        self._sort(by_value=True)
 
-    def _sort(self, sort_key) -> None:
-        from repro.mrmpi.sort import external_sort
-
+    def _sort(self, by_value: bool) -> None:
+        """One stable sort of the KVs.  A spilled object sorts the
+        external way: each chunk is written to the PFS as a sorted run
+        and read back, and the stable sort of the runs, concatenated
+        in order, is their stable merge."""
         self.env.comm.barrier()
         old = self.kv
         if old is None:
             raise RuntimeError("sort requires an existing KV object")
         scratch = self._scratch(2, "mrmpi_sort_tmp")
         out = self._new_object("kv")
-        scanned = external_sort(self.env, old, out, sort_key)
+        if old.spilled:
+            runs = [self._sorted(batch, by_value) for batch in old.batches()]
+            writers = [SpillWriter(self.env.pfs, self.env.comm,
+                                   f"{old.name}_sortrun{i}")
+                       for i in range(len(runs))]
+            for writer, run in zip(writers, runs):
+                writer.write_chunk(run)
+            runs = [b"".join(writer.reader()) for writer in writers]
+            for writer in writers:
+                writer.discard()
+        else:
+            runs = old.chunks()
+        out.extend_encoded(self._sorted(
+            KVBatch(b"".join(runs), self.layout), by_value))
         out.finalize()
         self.env.charge_compute(
-            2 * scanned * max(1, (old.nbytes // self.config.page_size)
-                              .bit_length()))
+            2 * old.nbytes * max(1, (old.nbytes // self.config.page_size)
+                                 .bit_length()))
         self._release(scratch)
         self.kv = None
         self._retire(old)
         self.kv = out
 
-    def _aggregate_rounds(self) -> None:
-        """Shared data-movement core of ``aggregate`` and ``gather``."""
+    @staticmethod
+    def _sorted(batch: KVBatch, by_value: bool) -> bytes:
+        """The records of ``batch`` in stable key (value) order."""
+        fields = list(batch.values_bytes() if by_value
+                      else batch.keys_bytes())
+        records = list(batch.records_bytes())
+        return b"".join(map(records.__getitem__, sorted(
+            range(len(fields)), key=fields.__getitem__)))
+
+    def _dests(self, batch: KVBatch, nparts: int) -> np.ndarray:
+        keys = batch.keys_bytes()
+        return np.fromiter(
+            hash_partition(keys, nparts)
+            if self.partitioner is default_partitioner
+            else map(self.partitioner, keys, repeat(nparts)),
+            np.intp, len(batch))
+
+    def _aggregate_rounds(self, nparts: int) -> None:
+        """Shared data-movement core of ``aggregate`` and ``gather``:
+        records go to rank ``partitioner(key, nparts)``.
+
+        Each round ships at most one page: the records that fit it, in
+        order, as byte slices of their chunk grouped by destination.  A
+        record larger than a page could never be sent, so the rank
+        holding one fails before the first round.
+        """
         old = self.kv
         if old is None:
             raise RuntimeError("no KV object to move")
+        page_size = self.config.page_size
+        if old.oversized:
+            raise PageOverflowError(
+                f"{old.name} (a record of {old.oversized} bytes)", page_size,
+                "aggregate sends at most one page per round")
         comm = self.env.comm
         p = comm.size
 
@@ -459,38 +482,28 @@ class MRMPI:
         recv_pages = self._scratch(2, "mrmpi_agg_recv")
         received = self._new_object("kv")
 
-        page_size = self.config.page_size
-        stream = old.records()
-        pending: tuple[bytes, int] | None = None
-        exhausted = False
+        keyed = ((batch, self._dests(batch, nparts))
+                 for batch in old.batches())
+        (batch, dests), at = next(keyed, (None, None)), 0
         copied = 0
         while True:
             parts: list[list[bytes]] = [[] for _ in range(p)]
-            fill = 0
-            while not exhausted:
-                if pending is None:
-                    try:
-                        key, value = next(stream)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    record = self.layout.encode(key, value)
-                    pending = (record, self.partitioner(key, p))
-                record, dest = pending
-                if fill + len(record) > page_size:
+            room = page_size
+            while batch is not None:
+                roff = batch.roff
+                stop = int(np.searchsorted(roff, roff[at] + room, "right")) - 1
+                room -= int(roff[stop] - roff[at])
+                self._split(batch, dests, at, stop, parts)
+                at = stop
+                if at < len(batch):  # record ``at`` waits for a round
                     break
-                parts[dest].append(record)
-                fill += len(record)
-                pending = None
+                (batch, dests), at = next(keyed, (None, None)), 0
+            exhausted = batch is None
 
-            sends = [b"".join(chunk) for chunk in parts]
-            incoming = comm.alltoallv(sends)
-            copied += fill
-            for part in incoming:
-                if part:
-                    copied += len(part)
-                    for key, value in self.layout.iter_records(part):
-                        received.append_kv(key, value)
+            incoming = b"".join(comm.alltoallv([b"".join(chunk)
+                                                for chunk in parts]))
+            copied += page_size - room + len(incoming)
+            received.extend_encoded(incoming)
             if comm.all_true(exhausted):
                 break
 
@@ -502,6 +515,23 @@ class MRMPI:
         self.kv = None
         self._retire(old)
         self.kv = received
+
+    @staticmethod
+    def _split(batch: KVBatch, dests: np.ndarray, lo: int, hi: int,
+               parts: list[list[bytes]]) -> None:
+        """Append records ``lo:hi`` of ``batch`` to ``parts[dest]``, in
+        order: one stable sort by destination, one gather of bytes."""
+        order = np.argsort(dests[lo:hi], kind="stable") + lo
+        starts = batch.roff[order]
+        sizes = batch.roff[order + 1] - starts
+        data = np.frombuffer(batch.data, np.uint8)[
+            byte_ranges(starts, sizes)].tobytes()
+        # Where each destination's run of records starts.
+        firsts = np.flatnonzero(np.diff(dests[order], prepend=-1))
+        cuts = [*(np.cumsum(sizes)[firsts] - sizes[firsts]).tolist(),
+                len(data)]
+        for dest, a, b in zip(dests[order[firsts]].tolist(), cuts, cuts[1:]):
+            parts[dest].append(data[a:b])
 
     # -------------------------------------------------------------- output
 

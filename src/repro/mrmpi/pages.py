@@ -12,9 +12,13 @@ which is the mechanism behind the paper's Figure 1.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
+import numpy as np
+
 from repro.cluster import RankEnv
+from repro.core.batch import KVBatch
 from repro.core.records import KVLayout
 from repro.io.spill import SpillWriter
 from repro.memory.pages import Page, PagePool
@@ -37,48 +41,68 @@ class PagedObject:
         self.spill: SpillWriter | None = None
         self.nrecords = 0
         self.nbytes = 0
+        #: Size of the largest record that went to the spill file on
+        #: its own, being larger than a page (0: none).
+        self.oversized = 0
 
     # ------------------------------------------------------------- insert
 
-    def append_record(self, record: bytes) -> None:
-        """Append one encoded record, spilling the page when it fills."""
-        page = self._require_page()
-        if len(record) > page.size:
-            # One record (e.g. the KMV of a very frequent key) larger
-            # than a page: MR-MPI handles these out-of-core, chunking
-            # the record straight to the spill file.
-            if self.mode is OutOfCoreMode.ERROR:
-                raise PageOverflowError(
-                    f"{self.name} (single record of {len(record)} bytes)",
-                    page.size)
-            self._spill_page()
-            if self.spill is None:
-                self.spill = SpillWriter(self.env.pfs, self.env.comm,
-                                         self.name)
-            self.spill.write_chunk(record)
-        elif not page.write(record):
-            self._handle_full()
-            page.write(record)
-        self.nrecords += 1
-        self.nbytes += len(record)
+    def add_run(self, keys, values) -> None:
+        """Encode and append one block of records."""
+        records = self.layout.encode_run(keys, values)
+        self.extend_encoded(b"".join(records),
+                            np.cumsum([0, *map(len, records)]))
 
     def append_kv(self, key: bytes, value: bytes) -> None:
-        self.append_record(self.layout.encode(key, value))
+        self.add_run([key], [value])
 
-    def _handle_full(self) -> None:
-        page = self._require_page()
-        if self.mode is OutOfCoreMode.ERROR:
-            raise PageOverflowError(self.name, page.size)
-        self._spill_page()
+    def extend_encoded(self, data: bytes, roff=None) -> None:
+        """Append a packed run of records (``roff``: their offsets, as
+        :meth:`KVLayout.scan` gives them; scanned when not given).
+
+        Pages are cut where per-record appends cut them: a record that
+        does not fit the page's free space spills the page first, and
+        one larger than a page - e.g. the KMV of a very frequent key -
+        then goes straight to the spill file as its own chunk, as
+        MR-MPI handles it out of core.
+        """
+        if roff is None:
+            roff = self.layout.scan(data)[0]
+        page, view = self._require_page(), memoryview(data)
+        i, n = 0, len(roff) - 1
+        while i < n:
+            start = int(roff[i])
+            size = int(roff[i + 1]) - start
+            if size > page.remaining:
+                if self.mode is OutOfCoreMode.ERROR:
+                    raise PageOverflowError(self.name if size <= page.size
+                                            else f"{self.name} (single "
+                                            f"record of {size} bytes)",
+                                            page.size)
+                self._spill_page()
+            if size > page.size:
+                self._spill(view[start : start + size])
+                self.oversized = max(self.oversized, size)
+                j = i + 1
+            else:
+                # Every record up to ``j`` fits what the page has left.
+                j = int(np.searchsorted(roff, start + page.remaining,
+                                        "right")) - 1
+                page.write(view[start : int(roff[j])])
+            self.nrecords += j - i
+            self.nbytes += int(roff[j]) - start
+            i = j
+
+    def _spill(self, chunk) -> None:
+        if self.spill is None:
+            self.spill = SpillWriter(self.env.pfs, self.env.comm, self.name)
+        self.spill.write_chunk(chunk)
 
     def _spill_page(self) -> None:
         page = self._require_page()
-        if page.used == 0:
-            return
-        if self.spill is None:
-            self.spill = SpillWriter(self.env.pfs, self.env.comm, self.name)
-        self.spill.write_chunk(page.view)
-        page.clear()
+        if page.used:
+            self._spill(page.view)
+            page.clear()
 
     def finalize(self) -> None:
         """End of the producing phase (``ALWAYS`` mode flushes here)."""
@@ -103,10 +127,14 @@ class PagedObject:
         if page.used:
             yield bytes(page.view)
 
-    def records(self) -> Iterator[tuple[bytes, bytes]]:
-        """Decode every record in insertion order."""
+    def batches(self) -> Iterator[KVBatch]:
+        """:meth:`chunks` as :class:`KVBatch` columns."""
         for chunk in self.chunks():
-            yield from self.layout.iter_records(chunk)
+            yield KVBatch(chunk, self.layout)
+
+    def records(self) -> Iterator[tuple[bytes, bytes]]:
+        """Every record in insertion order."""
+        return chain.from_iterable(map(KVBatch.pairs_bytes, self.batches()))
 
     # ------------------------------------------------------------- manage
 
@@ -125,6 +153,7 @@ class PagedObject:
             self.spill = None
         self.nrecords = 0
         self.nbytes = 0
+        self.oversized = 0
 
     def __len__(self) -> int:
         return self.nrecords

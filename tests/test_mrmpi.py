@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
+from repro.apps.wordcount import wc_map_batch
 from repro.cluster import Cluster
-from repro.core import pack_u64, unpack_u64
+from repro.core import KVBatch, KVLayout, pack_u64, unpack_u64
 from repro.mpi import COMET, RankFailedError
 from repro.mrmpi import MRMPI, MRMPIConfig, OutOfCoreMode, PageOverflowError
 
@@ -229,3 +230,45 @@ class TestLifecycle:
     def test_collect_empty_when_no_kv(self):
         cluster = Cluster(COMET, nprocs=1, memory_limit=None)
         cluster.run(lambda env: MRMPI(env, BIG_PAGES).collect() == [])
+
+
+def emit_pairs_map(ctx, chunk):
+    ctx.emit_pairs((word, pack_u64(1)) for word in chunk.split())
+
+
+def emit_batch_map(ctx, chunk):
+    words = chunk.split()
+    layout = KVLayout()
+    ctx.emit_batch(KVBatch(
+        b"".join(layout.encode_run(words, [pack_u64(1)] * len(words))),
+        layout))
+
+
+class TestEmitForms:
+    """Map callbacks get core's ``MapContext``: every emit verb appends
+    the same records, so the pages, the spill and the clock are those of
+    one ``ctx.emit`` per record."""
+
+    CONFIG = MRMPIConfig(page_size=512, input_chunk_size=256)
+
+    def run(self, map_fn):
+        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
+        cluster.pfs.store("input.txt", TEXT)
+
+        def job(env):
+            mr = MRMPI(env, self.CONFIG)
+            mr.map_text_file("input.txt", map_fn)
+            pages = list(mr.kv.chunks())
+            spilled = mr.kv.spilled_bytes
+            mr.free()
+            return pages, spilled
+
+        result = cluster.run(job)
+        return result.returns, float.hex(result.elapsed)
+
+    @pytest.mark.parametrize("map_fn", [wc_map_batch, emit_pairs_map,
+                                        emit_batch_map])
+    def test_same_pages_spill_and_time_as_emit(self, map_fn):
+        expected = self.run(wc_map)
+        assert any(spilled for _, spilled in expected[0])
+        assert self.run(map_fn) == expected

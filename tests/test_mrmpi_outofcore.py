@@ -133,3 +133,34 @@ class TestSkewedConvert:
         merged, result, _ = run_job(config, nprocs=4, text=hot_text)
         assert merged[b"hot"] == 450
         assert sum(merged.values()) == 500
+
+
+class TestOversizedAggregate:
+    """A record larger than a page can never be sent in one round: the
+    rank that holds it fails before the first round (this used to loop
+    forever, every round sending nothing)."""
+
+    @pytest.mark.parametrize("move", ["aggregate", "gather"])
+    def test_record_larger_than_page_fails_fast(self, move):
+        from repro.mpi import RankFailedError
+        from repro.mrmpi import PageOverflowError
+
+        config = MRMPIConfig(page_size=256, input_chunk_size=128)
+        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
+
+        def job(env):
+            mr = MRMPI(env, config)
+            mr.map_items([1] if env.comm.rank == 1 else [],
+                         lambda ctx, i: ctx.emit(b"k", b"v" * 300))
+            if move == "aggregate":
+                mr.aggregate()
+            else:
+                mr.gather(1)
+
+        with pytest.raises(RankFailedError) as exc_info:
+            cluster.run(job)
+        error = exc_info.value.original
+        assert exc_info.value.rank == 1
+        assert isinstance(error, PageOverflowError)
+        assert error.page_size == 256
+        assert "309 bytes" in str(error) and "(256 bytes)" in str(error)

@@ -106,6 +106,34 @@ class TestPagedObject:
         assert nbytes == (8 + 5) + (8 + 1)
 
 
+class TestBlockAppend:
+    """One ``extend_encoded`` of a run cuts pages, spill chunks and
+    oversized records where one ``append_kv`` per record does."""
+
+    PAIRS = [(b"k%03d" % i, b"v" * (7 * i % 23 + (150 if i % 17 == 5 else 0)))
+             for i in range(60)]
+
+    @pytest.mark.parametrize("mode", [OutOfCoreMode.WHEN_FULL,
+                                      OutOfCoreMode.ALWAYS])
+    def test_same_cuts_as_one_record_at_a_time(self, mode):
+        def fill(env, block):
+            obj = make_obj(env, size=128, mode=mode)
+            if block:
+                obj.add_run(*zip(*self.PAIRS))
+            else:
+                for key, value in self.PAIRS:
+                    obj.append_kv(key, value)
+            obj.finalize()
+            seen = (list(obj.chunks()), obj.spill.chunks, len(obj),
+                    obj.nbytes, obj.oversized, env.comm.clock.time)
+            obj.free()
+            return seen
+
+        one_by_one, _ = with_env(lambda env: fill(env, False))
+        assert one_by_one[4] > 128  # an oversized record went through
+        assert with_env(lambda env: fill(env, True))[0] == one_by_one
+
+
 class TestWorldRankArgs:
     def test_per_rank_arguments(self):
         from repro.mpi import World

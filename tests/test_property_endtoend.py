@@ -29,10 +29,9 @@ from repro.core import (
     unpack_u64,
 )
 from repro.core.combiner import Combiner
-from repro.core.job import MapContext
+from repro.core.job import ContainerSink, MapContext
 from repro.core.shuffle import Shuffler
 from repro.datasets import edges_to_bytes
-from repro.ft.elastic import _TaskSink
 from repro.memory import MemoryTracker
 from repro.mpi import COMET
 from repro.mrmpi import MRMPIConfig
@@ -389,7 +388,7 @@ def test_staged_emits_fill_a_task_container_like_add(key_hint, val_hint,
                 held.add(*pair)
 
     def staged(held):
-        sink = _TaskSink(held)
+        sink = ContainerSink(held)
         drive_context(MapContext(sink), calls, layout)
         sink.finish()
 
