@@ -26,6 +26,11 @@ not move when those loops run on core's block primitives.  Each rank
 also returns the ``total_spilled_bytes`` of every MR-MPI object it
 made.
 
+The ``terasort_*`` and ``out_of_core_*`` cases pin what a sort that
+can run out of core must leave alone: TeraSort's in-memory global sort
+(both map forms) and the out-of-core reduce and partial reduce, whose
+ranks also return the bytes they wrote to storage (all of it spill).
+
 Run this file as a script to print the observed values.
 """
 
@@ -40,6 +45,7 @@ import repro.apps.octree
 import repro.apps.wordcount
 
 from repro.apps.inverted_index import inverted_index_plan
+from repro.apps.terasort import generate_records, terasort_mimir
 from repro.apps.bfs import bfs_mrmpi
 from repro.apps.octree import octree_mrmpi
 from repro.apps.wordcount import (
@@ -51,7 +57,7 @@ from repro.apps.wordcount import (
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.core.skew import fold_by_key
-from repro.datasets.words import uniform_text
+from repro.datasets.words import uniform_text, zipf_text
 from repro.ft.chaos import make_elastic_cluster, straggler_plan
 from repro.ft.elastic import ElasticPolicy, speculative_map
 from repro.io.readers import iter_text_chunks
@@ -184,6 +190,50 @@ def served_app_case(app):
     return observe(cluster, partial(run_direct, app), path, {})
 
 
+def terasort_case(batch):
+    # In memory, under a limit it stays below: the path a sort that can
+    # run out of core must leave call for call.
+    config = MimirConfig(page_size=2048, comm_buffer_size=2048,
+                         input_chunk_size=1024)
+    cluster = Cluster(COMET, nprocs=3, memory_limit="96K")
+    cluster.pfs.store("tera/in.bin", generate_records(3000, seed=5))
+
+    def job(env):
+        result = terasort_mimir(env, "tera/in.bin", "tera/out.bin", config,
+                                batch=batch)
+        return result.records_local, hashlib.sha256(
+            env.pfs.fetch("tera/out.bin")).hexdigest()[:16]
+
+    return observe(cluster, job)
+
+
+def out_of_core_stage(op):
+    """WordCount's ``op`` at ``TestOutOfCoreStages``' shape (2 ranks,
+    4K pages, a 125K limit, 256 KiB of zipf text): every rank returns
+    its records and the bytes it wrote to storage, which in this job
+    are all spill."""
+    config = MimirConfig(page_size="4K", comm_buffer_size="4K",
+                         input_chunk_size="4K", out_of_core=True)
+    cluster = Cluster(COMET, nprocs=2, memory_limit="125K")
+    cluster.pfs.store("t.txt", zipf_text(256 * 1024, vocab_size=200))
+
+    def job(env):
+        mimir = Mimir(env, config)
+        kvs = mimir.map_text_file("t.txt", wc_map)
+        if op == "reduce":
+            out = mimir.reduce(
+                kvs, lambda ctx, k, vs: ctx.emit(k, pack_u64(len(vs))))
+        elif op == "partial_reduce":
+            out = mimir.partial_reduce(kvs, wc_combine)
+        else:
+            out = getattr(mimir, op)(kvs)
+        records = list(out.records())
+        out.free()
+        return records, env.metrics.value("storage.bytes_written")
+
+    return observe(cluster, job)
+
+
 def mrmpi_case(run, config, nprocs=3):
     """``run(env, cls, paths, config)`` over the demo inputs, where
     ``cls`` is the MR-MPI class the apps see; every rank returns its
@@ -273,6 +323,11 @@ CASES = {
     "speculative_map": speculative_map_case,
     "inverted_index": inverted_index_case,
     "bounded_combiner": bounded_combiner_case,
+    "terasort_batch": partial(terasort_case, True),
+    "terasort_per_record": partial(terasort_case, False),
+    "out_of_core_reduce": partial(out_of_core_stage, "reduce"),
+    "out_of_core_partial_reduce": partial(out_of_core_stage,
+                                          "partial_reduce"),
     **{f"serve_{app}": partial(served_app_case, app) for app in SERVE_APPS},
     **MRMPI_CASES,
 }
@@ -308,6 +363,16 @@ PINNED = {
         '0x1.b675df412f8c2p-4', 589824, 17550, 'd220d6aa2fe9efdc'),
     'speculative_map': (
         '0x1.58b31e2998eb8p-1', 54859, 531, '1d71a9ca313c2fde'),
+    # Recorded before global_sort and sort_local could run out of core:
+    # the in-memory sort and the out-of-core stages that do not sort.
+    'terasort_batch': (
+        '0x1.fe4b54617b6a1p-1', 69632, 96000, '8e858a4308505ec0'),
+    'terasort_per_record': (
+        '0x1.fe4b54617b6a1p-1', 69632, 96000, '8e858a4308505ec0'),
+    'out_of_core_reduce': (
+        '0x1.de8fcbe402b23p+4', 253952, 866884, '70de15cdaac32cf8'),
+    'out_of_core_partial_reduce': (
+        '0x1.fb2d85d5a2eb2p+3', 253952, 866884, '5941290689e54cb7'),
     # MR-MPI, recorded with one record appended, encoded and decoded at
     # a time.
     'mrmpi_bfs': ('0x1.ae5fbcd9c055ap+0', 24000, 46752, '374c53524b96bd23'),
