@@ -51,16 +51,6 @@ class RankEnv:
         """Advance this rank's clock for processing ``nbytes`` of records."""
         self.comm.advance(nbytes / self.platform.compute_rate)
 
-    def storage_for(self, spec: str | None) -> StorageBackend:
-        """The backend a job's spill should use (``MimirConfig.storage``).
-
-        ``None`` - and the substrate's own name - mean "stay on the
-        cluster substrate"; any other spec resolves to a per-substrate
-        companion backend wired like the substrate (see
-        :meth:`repro.storage.base.StorageBackend.companion`).
-        """
-        return self.pfs.companion(spec)
-
 
 @dataclass
 class ClusterResult:
@@ -119,7 +109,7 @@ class Cluster:
         self.keep_timeline = keep_timeline
         #: Optional chaos injector (duck-typed; see
         #: :class:`repro.ft.injection.ChaosPlan`).  Wired into the
-        #: storage substrate (companions included) and into every
+        #: storage substrate and into every
         #: rank's clock at :meth:`run`, so any job can be chaos-wrapped
         #: without code changes.
         self.chaos = chaos

@@ -56,14 +56,6 @@ class MimirConfig:
     #: chunks are framed on the PFS, and exchange parts are framed on
     #: the wire - outputs stay byte-identical either way.
     codec: str | None = None
-    #: Storage backend spec for this job's spill traffic (``None``,
-    #: ``"pfs"``, ``"kv"``, or ``"extsort"``; see :mod:`repro.storage`).
-    #: ``None`` keeps spill on the cluster's substrate; a spec redirects
-    #: out-of-core container pages and intermediate conversions onto a
-    #: companion backend sharing the substrate's chaos/metrics wiring.
-    #: Inputs and outputs always stay on the cluster substrate so
-    #: results remain fetchable by whoever staged the input.
-    storage: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "page_size", parse_size(self.page_size))
@@ -96,13 +88,6 @@ class MimirConfig:
                 raise ConfigError(
                     f"unknown codec {self.codec!r}; expected one of "
                     f"{CODEC_SPECS} or None")
-        if self.storage is not None:
-            from repro.storage import BACKENDS
-
-            if self.storage not in BACKENDS:
-                raise ConfigError(
-                    f"unknown storage backend {self.storage!r}; expected "
-                    f"one of {BACKENDS} or None")
 
     def with_layout(self, layout: KVLayout) -> "MimirConfig":
         """A copy of this config with a different intermediate layout."""

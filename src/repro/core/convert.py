@@ -120,10 +120,7 @@ def _iter_partitions(env: RankEnv, kvc: KVContainer, config: MimirConfig,
                  else kvc.nbytes or config.page_size)
     npart = max(1, -(-max(kvc.nbytes, 1) // budget))
 
-    # Per-job spill redirection (MimirConfig.storage) applies to the
-    # partitioned-convert scratch files, same as container spill.
-    store = env.storage_for(config.storage) if config.storage else env.pfs
-    writers = [SpillWriter(store, env.comm, f"cvt_{kvc.tag}_part{i}")
+    writers = [SpillWriter(env.pfs, env.comm, f"cvt_{kvc.tag}_part{i}")
                for i in range(npart)]
     staging: list[bytearray] = [bytearray() for _ in range(npart)]
     layout = kvc.layout

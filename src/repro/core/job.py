@@ -165,12 +165,6 @@ class Mimir:
                  trace=None):
         self.env = env
         self.config = config or MimirConfig()
-        #: Backend this job's spill traffic lands on: the cluster
-        #: substrate unless ``config.storage`` redirects it to a
-        #: companion backend (inputs/outputs always stay on the
-        #: substrate).
-        self._spill_store = (env.storage_for(self.config.storage)
-                             if self.config.storage else None)
         #: Optional structured event sink (see :mod:`repro.obs.trace`),
         #: the one recorder of per-phase time and memory.
         self.trace = trace
@@ -254,14 +248,14 @@ class Mimir:
 
     def container(self, layout: KVLayout, tag: str, **tiers) -> KVContainer:
         """An empty container of this job: its page size, spill-backed
-        on its spill store under ``out_of_core``.  Every container of
+        on the cluster's storage under ``out_of_core``.  Every container of
         the job's data is made here or in :meth:`map_output`: phase
         outputs, checkpoint restores, the elastic map's per-task
         outputs."""
         return KVContainer(
             self.env.tracker, layout, self.config.page_size, tag=tag,
             spill_env=self.env if self.config.out_of_core else None,
-            spill_store=self._spill_store, **tiers)
+            **tiers)
 
     def map_output(self, layout: KVLayout, tag: str) -> KVContainer:
         """An empty map-output container: a :meth:`container` that
@@ -272,7 +266,7 @@ class Mimir:
         return KVContainer(
             self.env.tracker, layout, self.config.page_size, tag=tag,
             spill_env=self.env if self.config.out_of_core else None,
-            spill_store=self._spill_store, codec_env=self.env,
+            codec_env=self.env,
             codec=get_codec(self.config.codec, layout))
 
     def _map_each(self, items: Iterable[Any], map_fn, **stream) -> KVContainer:
@@ -507,13 +501,18 @@ class Mimir:
         ``key_fn(key, value)`` overrides the sort key (e.g. decode a
         little-endian id whose byte order is not its numeric order).
         Rank-local, like MR-MPI's ``sort_keys``: the global order is
-        the concatenation of per-rank sorted runs.
+        the concatenation of per-rank sorted runs.  Out of core, a
+        spilled input is spilled whole and sorted in runs.
         """
         from repro.core.sort import sorted_container
 
+        runs = None
+        if self.config.out_of_core and kvc.spilled:
+            kvc.spill()
+            runs = self.container
         return sorted_container(
             self.env, kvc.consume_batches() if consume else kvc.batches(),
-            self.container(kvc.layout, out_tag), by_value, key_fn)
+            self.container(kvc.layout, out_tag), by_value, key_fn, runs)
 
     def global_sort(self, kvc: KVContainer, *, by_value: bool = False,
                     out_tag: str = "kv_gsorted") -> KVContainer:
@@ -527,7 +526,7 @@ class Mimir:
         return global_sort(self.env, kvc, self.config,
                            self.container(kvc.layout, out_tag),
                            self.container(kvc.layout, out_tag),
-                           by_value=by_value)
+                           runs=self.container, by_value=by_value)
 
     def gather(self, kvc: KVContainer, nranks: int = 1,
                out_tag: str = "kv_gathered") -> KVContainer:

@@ -60,7 +60,6 @@ class KVContainer:
     def __init__(self, tracker: MemoryTracker, layout: KVLayout | None = None,
                  page_size: int = 64 * 1024, tag: str = "kvc", *,
                  spill_env: "RankEnv | None" = None,
-                 spill_store=None,
                  resident_page_budget: int | None = None,
                  codec: "Codec | None" = None,
                  codec_env: "RankEnv | None" = None):
@@ -74,11 +73,6 @@ class KVContainer:
         self.nbytes = 0  # payload bytes (not page capacity)
         self.tag = tag
         self._spill_env = spill_env
-        #: Storage backend spill pages land on; ``None`` means the spill
-        #: env's own substrate.  ``MimirConfig.storage`` redirects a
-        #: job's spill here (see :meth:`repro.cluster.RankEnv.
-        #: storage_for`).
-        self._spill_store = spill_store
         self._resident_budget = resident_page_budget
         self._spill_writer = None
         self._codec = codec
@@ -161,10 +155,8 @@ class KVContainer:
         assert env is not None
         if self._spill_writer is None:
             KVContainer._spill_seq += 1
-            store = self._spill_store if self._spill_store is not None \
-                else env.pfs
             self._spill_writer = SpillWriter(
-                store, env.comm, f"kvc_{self.tag}_{KVContainer._spill_seq}",
+                env.pfs, env.comm, f"kvc_{self.tag}_{KVContainer._spill_seq}",
                 codec=self._codec)
         if self._frozen:
             segment = self._frozen.pop(0)
@@ -174,6 +166,13 @@ class KVContainer:
             page = self.pages.pop(0)
             self._spill_writer.write_chunk(page.view)
             self.pool.release(page)
+
+    def spill(self) -> None:
+        """Move every resident page to the spill file, after the spilled
+        prefix, so record order is kept.  A no-op while pinned, like
+        the spills that make room."""
+        while not self.pins and (self._frozen or self.pages):
+            self._spill_front()
 
     @property
     def spilled(self) -> bool:

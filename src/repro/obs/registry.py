@@ -140,11 +140,6 @@ register("storage.bytes_written", COUNTER, "bytes", "repro.storage.base",
          "bytes written through the costed path")
 register("storage.retries", COUNTER, "calls", "repro.storage.errors",
          "transient storage errors absorbed by the retry/backoff wrapper")
-register("storage.extsort.runs", COUNTER, "runs", "repro.storage.extsort",
-         "sorted runs formed by the external-sort driver")
-register("storage.extsort.merged_records", COUNTER, "records",
-         "repro.storage.extsort",
-         "records streamed through the external-sort k-way merge")
 
 register("ft.faults.injected", COUNTER, "faults", "repro.ft.injection",
          "chaos faults that actually fired (errors, corruption, death)")

@@ -9,16 +9,15 @@ guide):
   deterministic ``crc32(path) % nshards`` placement
   (:mod:`repro.storage.kv`).
 - ``extsort`` - the KV store plus a cheap node-local ``spill/``
-  namespace and the external-sort driver that lets terasort-class
-  inputs exceed aggregate memory (:mod:`repro.storage.extsort`).
+  namespace, the price of the engine's out-of-core sort runs
+  (:mod:`repro.storage.extsort`).
 
 Selection points, in precedence order: an explicit backend object
 passed to :class:`~repro.cluster.Cluster`; a spec string
 (``Cluster(storage="kv")`` / ``repro serve --storage kv``); the
 ``REPRO_STORAGE_BACKEND`` environment variable (how the CI storage
-matrix sweeps the tier-1 subset); and finally ``pfs``.  Per-job spill
-redirection uses :attr:`repro.core.config.MimirConfig.storage`, which
-resolves through :meth:`StorageBackend.companion`.
+matrix sweeps the tier-1 subset); and finally ``pfs``.  A job's spill
+lands on its cluster's backend.
 
 The retry taxonomy every backend shares (``TransientIOError``,
 ``retrying``, ...) lives in :mod:`repro.storage.errors`.
@@ -31,11 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.mpi.costmodel import PFSModel
 from repro.storage.base import FileStats, StorageBackend
-from repro.storage.extsort import (
-    ExternalSortBackend,
-    ExternalSortResult,
-    external_sort_file,
-)
+from repro.storage.extsort import ExternalSortBackend
 from repro.storage.kv import ShardedKVBackend
 from repro.storage.pfs import ParallelFileSystem
 
@@ -45,13 +40,11 @@ if TYPE_CHECKING:
 __all__ = [
     "BACKENDS",
     "ExternalSortBackend",
-    "ExternalSortResult",
     "FileStats",
     "ParallelFileSystem",
     "ShardedKVBackend",
     "StorageBackend",
     "default_backend_name",
-    "external_sort_file",
     "make_backend",
 ]
 

@@ -84,23 +84,16 @@ class StorageBackend(abc.ABC):
         self.model = model or PFSModel(latency=0.0, bandwidth=float("inf"))
         self.stats = FileStats()
         self._stats_lock = threading.Lock()
-        self._companions: dict[str, "StorageBackend"] = {}
-        self._companion_lock = threading.Lock()
         self.wire(None, None)
 
     def wire(self, chaos: Any, metrics: Any) -> None:
         """Install a fault injector and a metrics registry (duck-typed,
-        either may be ``None``) on this backend and on every companion
-        it has; :meth:`companion` passes a new one through here at
-        birth, so the family injects and counts as one substrate.
-        Costed accesses consult ``chaos`` first and are charged to the
-        calling rank's shard of ``metrics``.
+        either may be ``None``) on this backend.  Costed accesses
+        consult ``chaos`` first and are charged to the calling rank's
+        shard of ``metrics``.
         """
         self.chaos = chaos
         self.metrics = metrics
-        with self._companion_lock:
-            for backend in self._companions.values():
-                backend.wire(chaos, metrics)
 
     # ------------------------------------------------- blob primitives
 
@@ -292,30 +285,6 @@ class StorageBackend(abc.ABC):
             blob.extend(data)
         self._account(comm, path, len(data), write=True)
         return offset
-
-    # ------------------------------------------------------ companions
-
-    def companion(self, spec: str | None) -> "StorageBackend":
-        """A named backend sharing this substrate's :meth:`wire`-ing.
-
-        Resolves ``MimirConfig.storage``: ``None`` (or this backend's
-        own name) returns ``self``; any other spec returns a
-        per-substrate singleton built by :func:`repro.storage.
-        make_backend`, so every rank of every job sees the *same*
-        companion object - the property that keeps a redirected spill
-        readable across ranks and launches.
-        """
-        if spec is None or spec == self.name:
-            return self
-        with self._companion_lock:
-            backend = self._companions.get(spec)
-            if backend is None:
-                from repro.storage import make_backend
-
-                backend = make_backend(spec, model=self.model)
-                backend.wire(self.chaos, self.metrics)
-                self._companions[spec] = backend
-        return backend
 
     # ------------------------------------------------------- reporting
 

@@ -184,16 +184,73 @@ class TestOutOfCoreStages:
         return cluster.run(job, allow_oom=True)
 
     @pytest.mark.parametrize("op", [
-        "reduce", "partial_reduce", "sort_local",
-        pytest.param("global_sort", marks=pytest.mark.xfail(
-            strict=True, reason=(
-                "MemoryLimitExceeded on 'kv_gsorted': the shuffled input "
-                "stays resident while the range shuffle fills `mid`, and "
-                "a container can only spill itself"))),
-    ])
+        "reduce", "partial_reduce", "sort_local", "global_sort"])
     def test_stage_completes_below_its_output_size(self, op):
         spilled = self.run_stage(op, out_of_core=True)
         assert not spilled.ran_out_of_memory
         assert spilled.spilled_bytes > 0
         assert spilled.returns == \
             self.run_stage(op, out_of_core=False).returns
+
+
+def reversed_value(key, value):
+    return value[::-1]
+
+
+class TestOutOfCoreSorts:
+    """Spilled records are sorted in runs and merged, within the limit
+    and leaving no spill behind.  ``sort_local`` is the in-memory
+    stable sort record for record, also when there are more runs than
+    the merge can open at once (2K: 72 runs through 6-way merges; 8K:
+    15 runs, one merge)."""
+
+    #: Duplicate keys with distinct values, so the tie order shows.
+    PAIRS = [(b"k%03d" % (i * 7919 % 211), b"v%05d" % i)
+             for i in range(3000)]
+
+    def run(self, limit, op, nprocs=1, **opts):
+        config = MimirConfig(page_size=256, comm_buffer_size=256 * nprocs,
+                             out_of_core=limit is not None)
+        cluster = Cluster(COMET, nprocs=nprocs, memory_limit=limit,
+                          keep_timeline=True)
+
+        def job(env):
+            mimir = Mimir(env, config)
+            kvs = mimir.map_items(self.PAIRS[env.comm.rank :: nprocs],
+                                  lambda ctx, kv: ctx.emit(*kv))
+            assert kvs.spilled == (limit is not None)
+            out = getattr(mimir, op)(kvs, **opts)
+            records = list(out.records())
+            out.free()
+            return records
+
+        result = cluster.run(job)
+        assert not cluster.pfs.listdir("spill/")
+        if limit is not None:
+            assert max(result.peak_bytes) <= cluster.memory_limit_per_rank
+        merges = [sum(1 for sample in tracker.timeline
+                      if sample.tag == "sort_merge" and sample.delta > 0)
+                  for tracker in cluster.trackers]
+        return result.returns, merges
+
+    @pytest.mark.parametrize("opts", [
+        {}, {"by_value": True}, {"key_fn": reversed_value}],
+        ids=["key", "value", "key_fn"])
+    @pytest.mark.parametrize("limit,one_merge", [("2K", False),
+                                                 ("8K", True)])
+    def test_sort_local_is_the_in_memory_stable_sort(self, opts, limit,
+                                                     one_merge):
+        (records,), (merges,) = self.run(limit, "sort_local", **opts)
+        assert (merges == 1) == one_merge
+        (expected,), _ = self.run(None, "sort_local", **opts)
+        assert records == expected
+
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_global_sort_keeps_the_order_and_the_records(self, by_value):
+        parts, _ = self.run("3K", "global_sort", nprocs=2,
+                            by_value=by_value)
+        field = (lambda kv: kv[1]) if by_value else (lambda kv: kv[0])
+        merged = [record for part in parts for record in part]
+        assert [field(kv) for kv in merged] == \
+            sorted(field(kv) for kv in self.PAIRS)
+        assert sorted(merged) == sorted(self.PAIRS)

@@ -146,6 +146,53 @@ class TestStorageDocs:
         assert f"`{DEFAULT_NSHARDS}`" in doc
         assert f"`{LOCAL_SPEEDUP}`" in doc
 
+    def test_backend_cost_row_matches_code(self):
+        """The matrix's cost formulas price one access on ``COMET``
+        exactly as ``make_backend(..., platform=COMET)`` does, reads and
+        writes, with the quoted 64 KiB write costs."""
+        from repro.mpi import COMET
+        from repro.storage import make_backend
+
+        class Clock:
+            rank, time = 0, 0.0
+
+            def advance(self, seconds):
+                self.time += seconds
+
+        doc = (ROOT / "docs" / "storage.md").read_text()
+        m, n = COMET.pfs, 64 * 1024
+
+        def pfs(write):     # sharers = 1
+            bandwidth = m.bandwidth / (m.write_penalty if write else 1)
+            return m.latency + n * m.io_ratio / bandwidth
+
+        rows = [
+            ("`latency + bytes * io_ratio * sharers / bandwidth`",
+             "pfs", "out/f", pfs, "0.672 s"),
+            ("`latency/8 + bytes / (8 * bandwidth)`", "kv", "out/f",
+             lambda write: m.latency / 8 + n / (8 * m.bandwidth),
+             "0.0071 s"),
+            ("shared paths as `pfs` with `sharers = 1`", "extsort",
+             "out/f", pfs, "0.672 s"),
+            ("`latency/4 + bytes * io_ratio / (4 * bandwidth)`", "extsort",
+             "spill/f",
+             lambda write: m.latency / 4 + n * m.io_ratio / (4 * m.bandwidth),
+             "0.0142 s"),
+        ]
+        for formula, spec, path, cost, quoted in rows:
+            assert formula in doc and quoted in doc, formula
+            backend = make_backend(spec, platform=COMET)
+            for write in (True, False):
+                clock = Clock()
+                if write:
+                    backend.write(clock, path, bytes(n))
+                else:
+                    backend.read(clock, path)
+                assert clock.time == pytest.approx(cost(write)), \
+                    (spec, path, write)
+            assert float(quoted.split()[0]) == \
+                pytest.approx(cost(True), rel=5e-3)
+
 
 class TestStreamingDocs:
     def test_streaming_example_executes(self, capsys):

@@ -30,6 +30,7 @@ from repro.ft.elastic import speculative_map
 from repro.datasets.words import zipf_text
 from repro.ft.injection import ChaosPlan, MembershipEvent
 from repro.mpi import COMET
+from repro.storage import make_backend
 from repro.sched import (
     Plan,
     PlanRunner,
@@ -41,8 +42,8 @@ from repro.sched import (
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
 #: The tiers a container of the job can have: frozen pages, and spill
-#: that lands on a companion backend.
-TIERED = replace(CFG, codec="zlib", storage="kv", out_of_core=True)
+#: (which lands on the cluster's backend).
+TIERED = replace(CFG, codec="zlib", out_of_core=True)
 #: The elastic harness job, and its straggler-sweep flavour (no
 #: checkpoint); the map stage is a fault point after its checkpoint.
 ELASTIC_JOB = wordcount_job(elastic=True)
@@ -303,11 +304,12 @@ class TestSpeculativeMap:
     ZIPF = zipf_text(64 * 1024, vocab_size=200)
 
     def mapped(self, config, *, elastic, combine_fn=None, limit=None,
-               nprocs=2, text=ZIPF, watch=None, map_fn=wc_map):
+               nprocs=2, text=ZIPF, watch=None, map_fn=wc_map,
+               storage="pfs"):
         """Per rank ``(records held, memory_bytes, records shipped,
         tracked peak)`` of one map of ``text``, elastic or plain."""
         cluster = Cluster(COMET, nprocs=nprocs, memory_limit=limit,
-                          storage="pfs")
+                          storage=storage)
         cluster.pfs.store("m.txt", text)
 
         class Watched(Mimir):
@@ -360,15 +362,16 @@ class TestSpeculativeMap:
                             for kvc in held[:-1])
             wc_map(ctx, chunk)
 
-        cfg = replace(CFG, storage="kv", out_of_core=True)
-        _, plain = self.mapped(replace(cfg, storage=None), elastic=False,
-                               limit="50K")
+        cfg = replace(CFG, out_of_core=True)
+        _, plain = self.mapped(cfg, elastic=False, limit="50K",
+                               storage="kv")
         cluster, hooked = self.mapped(cfg, elastic=True, limit="50K",
-                                      watch=held, map_fn=wc_map_watching)
+                                      watch=held, map_fn=wc_map_watching,
+                                      storage="kv")
         assert [r[0] for r in hooked.returns] == \
             [r[0] for r in plain.returns]
-        assert cluster.pfs.spilled_bytes == 0
-        assert cluster.pfs.companion("kv").spilled_bytes > 0
+        assert cluster.pfs.name == "kv"
+        assert cluster.pfs.spilled_bytes > 0
         # A finished task's output is cold: one resident page at most.
         assert max(npages for npages, _ in finished) <= 1
         assert any(spilled for _, spilled in finished)
@@ -411,7 +414,9 @@ class TestRestoreRebalanced:
 
     @pytest.mark.parametrize("old,new", [(4, 2), (2, 4), (4, 3)])
     def test_rebalance_keeps_the_jobs_tiers(self, old, new):
-        pfs = self.save_with(None, old, cfg=TIERED)
+        pfs = self.save_with(make_backend("kv", platform=COMET), old,
+                             cfg=TIERED)
+        assert pfs.name == "kv"
         result = self.restore_with(pfs, new, cfg=TIERED)
         assert global_counts(result.returns) == self.save_and_count()
 

@@ -3,6 +3,7 @@ external sort beyond the memory budget, and the stage-cache spill
 regressions."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -15,11 +16,10 @@ from repro.apps.terasort import (
 )
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64
-from repro.core.errors import ConfigError
 from repro.ft.chaos import make_wordcount_cluster, run_chaos_sweep, \
     wordcount_job
 from repro.ft.runner import run_with_recovery
-from repro.mpi import COMET
+from repro.mpi import COMET, RankFailedError
 from repro.sched import StageCache
 from repro.serve.catalog import merge_output, run_direct
 from repro.serve.daemon import ServeDaemon
@@ -29,7 +29,6 @@ from repro.storage import (
     ParallelFileSystem,
     ShardedKVBackend,
     default_backend_name,
-    external_sort_file,
     make_backend,
 )
 from repro.storage.errors import (
@@ -181,15 +180,6 @@ class TestProtocolSemantics:
         # More than one shard actually used (placement spreads).
         assert sum(1 for n in a.shard_sizes() if n) > 1
 
-    def test_companion_is_a_per_substrate_singleton(self):
-        substrate = make_backend("pfs", platform=COMET)
-        kv = substrate.companion("kv")
-        assert kv is substrate.companion("kv")
-        assert kv.name == "kv"
-        assert substrate.companion(None) is substrate
-        assert substrate.companion("pfs") is substrate
-
-
 class TestCrossBackendIdentity:
     """The same jobs, chaos storms, and services on every backend must
     produce bit-identical answers."""
@@ -258,33 +248,39 @@ class TestCrossBackendIdentity:
 
 
 class TestExternalSort:
-    def test_beyond_memory_budget(self):
-        """A dataset larger than the per-rank budget OOMs the in-memory
-        terasort but completes through the external-sort driver, with
-        identical sorted bytes."""
-        nrec = 4096
-        data = generate_records(nrec, seed=21)
-        limit = 16 * 1024  # far below the ~64K payload
-        config = MimirConfig(page_size=2048, comm_buffer_size=2048,
-                             input_chunk_size=2048)
+    """Beyond memory the engine sorts out of core: ``terasort_mimir``
+    under ``out_of_core`` on the node-local spill backend."""
 
-        in_memory = Cluster(COMET, nprocs=2, memory_limit=limit)
-        in_memory.pfs.store("tera/in.bin", data)
-        result = in_memory.run(
-            lambda env: terasort_mimir(env, "tera/in.bin", "tera/out.bin",
-                                       config),
-            allow_oom=True)
-        assert result.ran_out_of_memory
+    #: 1K pages and comm buffers: the 4x shape's config.
+    CONFIG = MimirConfig(page_size="1K", comm_buffer_size="1K",
+                         input_chunk_size="1K", out_of_core=True)
 
-        cluster = Cluster(COMET, nprocs=2, memory_limit=limit,
-                          storage="extsort")
+    @staticmethod
+    def terasort(data, config, *, nprocs=2, limit=None, storage="extsort"):
+        cluster = Cluster(COMET, nprocs=nprocs, memory_limit=limit,
+                          storage=storage)
         cluster.pfs.store("tera/in.bin", data)
-        # Merge footprint = one frame per open run + the output buffer:
-        # <= 16 runs x 512B frames + 4K = 12K, inside the 16K budget.
-        returns = cluster.run(lambda env: external_sort_file(
-            env, "tera/in.bin", "tera/out.bin",
-            record_size=RECORD_SIZE, key_size=TS_LAYOUT.key_len,
-            run_budget=4096, frame_bytes=512)).returns
+        result = cluster.run(
+            lambda env: terasort_mimir(env, "tera/in.bin", "tera/out.bin",
+                                       config, batch=True),
+            allow_oom=True)
+        return cluster, result
+
+    def test_beyond_memory_budget(self):
+        """At 4x aggregate memory (8,192 records, 2 ranks, 16K each) the
+        in-memory terasort OOMs; out of core it completes within the
+        limit on every rank and leaves no spill behind."""
+        nrec, limit = 8192, 16 * 1024
+        data = generate_records(nrec, seed=21)
+        assert len(data) == 4 * 2 * limit
+        _, in_memory = self.terasort(
+            data, replace(self.CONFIG, out_of_core=False), limit=limit)
+        assert in_memory.ran_out_of_memory
+
+        cluster, result = self.terasort(data, self.CONFIG, limit=limit)
+        assert not result.ran_out_of_memory
+        assert all(peak <= limit for peak in result.peak_bytes)
+        assert cluster.pfs.spilled_bytes > 0
         out = cluster.pfs.fetch("tera/out.bin")
         assert validate_output(data, out) == []
         expected = b"".join(sorted(
@@ -301,12 +297,13 @@ class TestExternalSort:
                       for o in range(0, len(out), RECORD_SIZE)) == \
             sorted(expected[o:o + RECORD_SIZE]
                    for o in range(0, len(expected), RECORD_SIZE))
-        assert sum(r.records_local for r in returns) == nrec
+        assert sum(r.records_local for r in result.returns) == nrec
         assert cluster.pfs.listdir("spill/") == []  # runs cleaned up
 
     def test_matches_in_memory_terasort_with_unique_keys(self):
         """With unique keys the full record order is deterministic, so
-        the external plan must match the in-memory plan byte for byte."""
+        the out-of-core sort must match the in-memory one byte for
+        byte."""
         nrec = 600
         rng_keys = sorted({(i * 2654435761 % (1 << 32)) for i in range(nrec)})
         assert len(rng_keys) == nrec
@@ -314,33 +311,21 @@ class TestExternalSort:
             int(k).to_bytes(4, "big") + bytes(12) for k in
             __import__("random").Random(3).sample(rng_keys, nrec))
 
-        reference = Cluster(COMET, nprocs=4, memory_limit=None)
-        reference.pfs.store("tera/in.bin", data)
-        reference.run(lambda env: terasort_mimir(
-            env, "tera/in.bin", "tera/out.bin",
-            MimirConfig(page_size=2048, comm_buffer_size=2048,
-                        input_chunk_size=1024)))
-        expected = reference.pfs.fetch("tera/out.bin")
-
-        cluster = Cluster(COMET, nprocs=4, memory_limit=None,
-                          storage="extsort")
-        cluster.pfs.store("tera/in.bin", data)
-        cluster.run(lambda env: external_sort_file(
-            env, "tera/in.bin", "tera/out.bin",
-            record_size=RECORD_SIZE, key_size=TS_LAYOUT.key_len,
-            run_budget=2048, frame_bytes=512))
-        assert cluster.pfs.fetch("tera/out.bin") == expected
+        reference, _ = self.terasort(
+            data, replace(self.CONFIG, out_of_core=False), nprocs=4,
+            storage="pfs")
+        cluster, result = self.terasort(data, self.CONFIG, nprocs=4,
+                                        limit="6K")
+        assert cluster.pfs.spilled_bytes > 0
+        assert cluster.pfs.fetch("tera/out.bin") == \
+            reference.pfs.fetch("tera/out.bin")
 
     def test_empty_and_single_rank_inputs(self):
         for nprocs, nrec in ((1, 0), (1, 37), (3, 0), (3, 1)):
-            cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None,
-                              storage="extsort")
             data = generate_records(nrec, seed=nrec)
-            cluster.pfs.store("in", data)
-            cluster.run(lambda env: external_sort_file(
-                env, "in", "out", record_size=RECORD_SIZE,
-                key_size=TS_LAYOUT.key_len, run_budget=512))
-            out = cluster.pfs.fetch("out")
+            cluster, _ = self.terasort(data, self.CONFIG, nprocs=nprocs,
+                                       limit="8K")
+            out = cluster.pfs.fetch("tera/out.bin")
             assert validate_output(data, out) == [], (nprocs, nrec)
 
     def test_local_spill_namespace_is_cheaper(self):
@@ -355,10 +340,10 @@ class TestExternalSort:
     def test_rejects_bad_geometry(self):
         cluster = Cluster(COMET, nprocs=1, storage="extsort")
         cluster.pfs.store("in", b"12345")  # not a record multiple
-        with pytest.raises(Exception, match="multiple|geometry"):
-            cluster.run(lambda env: external_sort_file(
-                env, "in", "out", record_size=RECORD_SIZE,
-                key_size=TS_LAYOUT.key_len))
+        with pytest.raises(RankFailedError, match="multiple") as failed:
+            cluster.run(lambda env: terasort_mimir(env, "in", "out",
+                                                   self.CONFIG))
+        assert isinstance(failed.value.original, ValueError)
 
 
 CACHE_CFG = MimirConfig(page_size=1024, comm_buffer_size=1024,
@@ -456,48 +441,6 @@ class TestStageCacheStorage:
         self._transient_faults(spec, kind)
 
 
-class TestCompanionWiring:
-    """One ``wire`` call covers a backend and every companion, born
-    before or after it (both directions were stale before)."""
-
-    @staticmethod
-    def _append_on_kv(env, ckpt=None, faults=None):
-        kv = env.storage_for("kv")
-        try:
-            kv.append(env.comm, "spill/probe", b"x")
-        except TransientIOError:
-            return "injected"
-        return "clean"
-
-    def test_companion_follows_later_plans_and_their_removal(self):
-        from repro.ft.injection import ChaosPlan
-
-        cluster = Cluster(COMET, nprocs=1, memory_limit=None, storage="pfs")
-        # Born on a clean launch ...
-        assert cluster.run(self._append_on_kv).returns == ["clean"]
-        companion = cluster.pfs.companion("kv")
-        assert companion.metrics is cluster.metrics
-        # ... injected by a plan installed afterwards ...
-        plan = ChaosPlan(seed=1, io_error_rate=1.0, max_faults=1)
-        ft = run_with_recovery(cluster, self._append_on_kv, faults=plan)
-        assert ft.result.returns == ["injected"]
-        assert plan.counts() == {"transient-io": 1}
-        # ... and clean again once the loop has uninstalled it.
-        hot = ChaosPlan(seed=2, io_error_rate=1.0, max_faults=100)
-        run_with_recovery(cluster, self._append_on_kv, faults=hot)
-        assert cluster.run(self._append_on_kv).returns == ["clean"]
-        assert companion.chaos is None and cluster.pfs.chaos is None
-
-    def test_companion_born_under_a_plan_is_wired_at_birth(self):
-        from repro.ft.injection import ChaosPlan
-
-        plan = ChaosPlan(seed=1, io_error_rate=1.0, max_faults=1)
-        cluster = Cluster(COMET, nprocs=1, memory_limit=None,
-                          storage="pfs", chaos=plan)
-        assert cluster.run(self._append_on_kv).returns == ["injected"]
-        assert cluster.pfs.companion("kv").chaos is plan
-
-
 class TestImportOrder:
     """The substrate is one package now: no module needs another to
     have been imported first."""
@@ -513,55 +456,3 @@ class TestImportOrder:
             [sys.executable, "-c", f"import {module}"],
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-
-
-class TestPerJobSpillRedirect:
-    def test_config_validates_storage_spec(self):
-        assert MimirConfig(storage="kv").storage == "kv"
-        assert MimirConfig().storage is None
-        with pytest.raises(ConfigError, match="storage backend"):
-            MimirConfig(storage="tape")
-
-    def test_out_of_core_spill_lands_on_companion(self):
-        """MimirConfig.storage moves spill traffic off the substrate
-        while inputs/outputs stay put and answers do not change."""
-        text = b"oak elm ash fir oak elm oak yew ash oak pine " * 200
-
-        def wc(env, storage):
-            cfg = MimirConfig(page_size=1024, comm_buffer_size=1024,
-                              input_chunk_size=512, out_of_core=True,
-                              storage=storage)
-            mimir = Mimir(env, cfg)
-
-            def wc_map(ctx, chunk):
-                for word in chunk.split():
-                    ctx.emit(word, pack_u64(1))
-
-            kvs = mimir.map_text_file("w.txt", wc_map)
-            out = mimir.partial_reduce(
-                kvs, lambda k, a, b: pack_u64(
-                    int.from_bytes(a, "little") +
-                    int.from_bytes(b, "little")))
-            counts = tuple(sorted(out.records()))
-            out.free()
-            return counts
-
-        def run(storage):
-            # Substrate pinned to pfs so the redirect target is always
-            # a distinct companion (REPRO_STORAGE_BACKEND-proof).
-            cluster = Cluster(COMET, nprocs=2, memory_limit="24K",
-                              storage="pfs")
-            cluster.pfs.store("w.txt", text)
-            result = cluster.run(wc, storage)
-            return cluster, result
-
-        base_cluster, base = run(None)
-        assert base_cluster.pfs.spilled_bytes > 0  # pressure is real
-
-        redirected_cluster, redirected = run("kv")
-        assert redirected.returns == base.returns
-        companion = redirected_cluster.pfs.companion("kv")
-        assert companion.spilled_bytes > 0
-        assert redirected_cluster.pfs.spilled_bytes == 0
-        # Inputs/outputs stayed on the substrate.
-        assert redirected_cluster.pfs.exists("w.txt")
