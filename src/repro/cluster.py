@@ -109,9 +109,9 @@ class Cluster:
         self.keep_timeline = keep_timeline
         #: Optional chaos injector (duck-typed; see
         #: :class:`repro.ft.injection.ChaosPlan`).  Wired into the
-        #: storage substrate and into every
-        #: rank's clock at :meth:`run`, so any job can be chaos-wrapped
-        #: without code changes.
+        #: storage substrate and into every rank's clock at
+        #: :meth:`run`, so any job can be chaos-wrapped without code
+        #: changes.
         self.chaos = chaos
         #: Metrics registry shared by every launch on this cluster; the
         #: scheduler's multi-round drains accumulate into one registry,

@@ -248,10 +248,10 @@ class Mimir:
 
     def container(self, layout: KVLayout, tag: str, **tiers) -> KVContainer:
         """An empty container of this job: its page size, spill-backed
-        on the cluster's storage under ``out_of_core``.  Every container of
-        the job's data is made here or in :meth:`map_output`: phase
-        outputs, checkpoint restores, the elastic map's per-task
-        outputs."""
+        on the cluster's storage under ``out_of_core``.  Every
+        container of the job's data is made here or in
+        :meth:`map_output`: phase outputs, checkpoint restores, the
+        elastic map's per-task outputs, sort runs."""
         return KVContainer(
             self.env.tracker, layout, self.config.page_size, tag=tag,
             spill_env=self.env if self.config.out_of_core else None,

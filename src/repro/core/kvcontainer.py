@@ -168,9 +168,7 @@ class KVContainer:
             self.pool.release(page)
 
     def spill(self) -> None:
-        """Move every resident page to the spill file, after the spilled
-        prefix, so record order is kept.  A no-op while pinned, like
-        the spills that make room."""
+        """Spill every resident page, in record order (not while pinned)."""
         while not self.pins and (self._frozen or self.pages):
             self._spill_front()
 

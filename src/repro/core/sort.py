@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from functools import partial
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 
 import numpy as np
 
@@ -115,27 +115,20 @@ def _sort_runs(env: RankEnv, batches, out: KVContainer, by_value: bool,
     """
     tracker, page = env.tracker, out.pool.page_size
     made, held, size = [], [], 0
-    for batch in batches:
-        nbytes = len(batch.data)
-        if held and not tracker.would_fit(2 * nbytes + page):
-            made.append(_spill_run(env, held, size, out, by_value, key_fn,
-                                   runs))
+    for batch in chain(batches, [None]):
+        if held and (batch is None or
+                     not tracker.would_fit(2 * len(batch.data) + page)):
+            run = sorted_container(env, held, runs(out.layout, "sort_run"),
+                                   by_value, key_fn)
+            run.spill()
+            tracker.free(2 * size, "sort_run")
+            made.append(run)
             held, size = [], 0
-        tracker.allocate(2 * nbytes, "sort_run")
-        held.append(batch)
-        size += nbytes
-    if held:
-        made.append(_spill_run(env, held, size, out, by_value, key_fn,
-                               runs))
+        if batch is not None:
+            tracker.allocate(2 * len(batch.data), "sort_run")
+            held.append(batch)
+            size += len(batch.data)
     return made
-
-
-def _spill_run(env, held, size, out, by_value, key_fn, runs) -> KVContainer:
-    run = sorted_container(env, held, runs(out.layout, "sort_run"),
-                           by_value, key_fn)
-    run.spill()
-    env.tracker.free(2 * size, "sort_run")
-    return run
 
 
 class _RunCursor:
@@ -173,9 +166,10 @@ def _merge(env: RankEnv, made: list[KVContainer], out: KVContainer,
 
     Each open run holds one page-sized batch and the output stages up
     to a page, all charged as ``"sort_merge"``; the fan-in is what the
-    tracker has room for, less a page for the target's tail.  With more runs than that, the first ones
-    merge into a new spilled run that takes their place, so run order
-    (the tiebreak) is kept and the result is the stable sort.
+    tracker has room for, less a page for the target's tail.  With more
+    runs than that, the first ones merge into a new spilled run that
+    takes their place, so run order (the tiebreak) is kept and the
+    result is the stable sort.
     """
     def field(batch, i):
         data = batch.data

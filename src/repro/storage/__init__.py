@@ -80,21 +80,19 @@ def _kv_model(model: PFSModel | None) -> PFSModel | None:
 
 def make_backend(spec: str | None = None, *,
                  platform: "Platform | None" = None,
-                 sharers: int = 1,
-                 model: PFSModel | None = None) -> StorageBackend:
+                 sharers: int = 1) -> StorageBackend:
     """Build the backend named by ``spec``.
 
     ``spec=None`` falls back to :func:`default_backend_name` (which
     honours ``REPRO_STORAGE_BACKEND``).  The cost model comes from
-    ``model`` if given, else from ``platform.pfs``, else each backend's
-    zero-cost default; ``kv`` and ``extsort`` derive their memory-speed
-    / node-local variants from it so virtual time stays meaningful on
-    every platform.  ``sharers`` only applies to ``pfs`` (per-node
-    bandwidth contention has no analogue on the sharded stores).
+    ``platform.pfs``, else each backend's zero-cost default; ``kv`` and
+    ``extsort`` derive their memory-speed / node-local variants from it
+    so virtual time stays meaningful on every platform.  ``sharers``
+    only applies to ``pfs`` (per-node bandwidth contention has no
+    analogue on the sharded stores).
     """
     spec = spec or default_backend_name()
-    if model is None and platform is not None:
-        model = platform.pfs
+    model = platform.pfs if platform is not None else None
     if spec == "pfs":
         return ParallelFileSystem(model, sharers=sharers)
     if spec == "kv":
