@@ -180,6 +180,7 @@ class TestProtocolSemantics:
         # More than one shard actually used (placement spreads).
         assert sum(1 for n in a.shard_sizes() if n) > 1
 
+
 class TestCrossBackendIdentity:
     """The same jobs, chaos storms, and services on every backend must
     produce bit-identical answers."""
@@ -302,21 +303,20 @@ class TestExternalSort:
 
     def test_matches_in_memory_terasort_with_unique_keys(self):
         """With unique keys the full record order is deterministic, so
-        the out-of-core sort must match the in-memory one byte for
-        byte."""
-        nrec = 600
-        rng_keys = sorted({(i * 2654435761 % (1 << 32)) for i in range(nrec)})
-        assert len(rng_keys) == nrec
-        data = b"".join(
-            int(k).to_bytes(4, "big") + bytes(12) for k in
-            __import__("random").Random(3).sample(rng_keys, nrec))
+        the out-of-core sort at 4x aggregate memory must match the
+        in-memory one (no limit) byte for byte."""
+        nrec, limit = 8192, 16 * 1024
+        # An odd multiplier is a bijection mod 2**32: unique keys.
+        keys = [i * 2654435761 % (1 << 32) for i in range(nrec)]
+        __import__("random").Random(3).shuffle(keys)
+        data = b"".join(key.to_bytes(4, "big") + i.to_bytes(12, "big")
+                        for i, key in enumerate(keys))
 
         reference, _ = self.terasort(
-            data, replace(self.CONFIG, out_of_core=False), nprocs=4,
-            storage="pfs")
-        cluster, result = self.terasort(data, self.CONFIG, nprocs=4,
-                                        limit="6K")
-        assert cluster.pfs.spilled_bytes > 0
+            data, replace(self.CONFIG, out_of_core=False), storage="pfs")
+        cluster, result = self.terasort(data, self.CONFIG, limit=limit)
+        assert not result.ran_out_of_memory
+        assert all(peak <= limit for peak in result.peak_bytes)
         assert cluster.pfs.fetch("tera/out.bin") == \
             reference.pfs.fetch("tera/out.bin")
 
