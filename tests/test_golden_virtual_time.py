@@ -29,7 +29,8 @@ made.
 The ``terasort_*`` and ``out_of_core_*`` cases pin what a sort that
 can run out of core must leave alone: TeraSort's in-memory global sort
 (both map forms) and the out-of-core reduce and partial reduce, whose
-ranks also return the bytes they wrote to storage (all of it spill).
+ranks also return the bytes they wrote to storage (all of it spill),
+the reduce also with its map output frozen under each codec.
 
 Run this file as a script to print the observed values.
 """
@@ -207,15 +208,16 @@ def terasort_case(batch):
     return observe(cluster, job)
 
 
-def out_of_core_stage(op):
+def out_of_core_stage(op, codec=None, text_bytes=256 * 1024):
     """WordCount's ``op`` at ``TestOutOfCoreStages``' shape (2 ranks,
-    4K pages, a 125K limit, 256 KiB of zipf text): every rank returns
-    its records and the bytes it wrote to storage, which in this job
-    are all spill."""
+    4K pages, a 125K limit, 256 KiB of zipf text), its map output
+    frozen with ``codec``: every rank returns its records and the bytes
+    it wrote to storage, which in this job are all spill."""
     config = MimirConfig(page_size="4K", comm_buffer_size="4K",
-                         input_chunk_size="4K", out_of_core=True)
+                         input_chunk_size="4K", out_of_core=True,
+                         codec=codec)
     cluster = Cluster(COMET, nprocs=2, memory_limit="125K")
-    cluster.pfs.store("t.txt", zipf_text(256 * 1024, vocab_size=200))
+    cluster.pfs.store("t.txt", zipf_text(text_bytes, vocab_size=200))
 
     def job(env):
         mimir = Mimir(env, config)
@@ -328,6 +330,10 @@ CASES = {
     "out_of_core_reduce": partial(out_of_core_stage, "reduce"),
     "out_of_core_partial_reduce": partial(out_of_core_stage,
                                           "partial_reduce"),
+    # 64 KiB: the size every codec's map holds in memory.
+    **{f"out_of_core_reduce_{codec}": partial(
+        out_of_core_stage, "reduce", codec, 64 * 1024)
+       for codec in ("zlib", "dedup", "dedup+zlib")},
     **{f"serve_{app}": partial(served_app_case, app) for app in SERVE_APPS},
     **MRMPI_CASES,
 }
@@ -373,6 +379,14 @@ PINNED = {
         '0x1.de8fcbe402b23p+4', 253952, 866884, '70de15cdaac32cf8'),
     'out_of_core_partial_reduce': (
         '0x1.fb2d85d5a2eb2p+3', 253952, 866884, '5941290689e54cb7'),
+    # Recorded while a full page under a codec was frozen before the
+    # container made room: the codec cases that held then.
+    'out_of_core_reduce_dedup': (
+        '0x1.b81f86666f58cp+2', 148561, 134353, '2866d218d4bdf81d'),
+    'out_of_core_reduce_dedup+zlib': (
+        '0x1.b797e8bf719a2p+2', 66737, 37611, '38f6d5d364b0fbf7'),
+    'out_of_core_reduce_zlib': (
+        '0x1.b79bea87788a4p+2', 67904, 43294, '38f6d5d364b0fbf7'),
     # MR-MPI, recorded with one record appended, encoded and decoded at
     # a time.
     'mrmpi_bfs': ('0x1.ae5fbcd9c055ap+0', 24000, 46752, '374c53524b96bd23'),
