@@ -12,6 +12,7 @@ stage re-read every iteration, fixed-length KV-hints (8-byte ids,
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -46,7 +47,10 @@ def unpack_f64(data: bytes) -> float:
 
 def pr_combine(key: bytes, a: bytes, b: bytes) -> bytes:
     """Sum two partial rank contributions."""
-    return _F64.pack(_F64.unpack(a)[0] + _F64.unpack(b)[0])
+    # A NaN sum is the one quiet NaN, whichever operand's the hardware
+    # (or CPython's specialised float add) would pass on.
+    total = _F64.unpack(a)[0] + _F64.unpack(b)[0]
+    return _F64.pack(total if total == total else math.nan)
 
 
 @batch_kernel
@@ -59,8 +63,11 @@ def pr_fold_batch(acc, ids, rows) -> None:
     float sums are bitwise identical (and like it says nothing of an
     overflow to infinity or an ``inf - inf``).
     """
+    sums = acc.view("<f8")[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(acc.view("<f8")[:, 0], ids, rows.view("<f8")[:, 0])
+        np.add.at(sums, ids, rows.view("<f8")[:, 0])
+    # A folded NaN is :func:`pr_combine`'s one quiet NaN.
+    sums[ids[np.isnan(sums[ids])]] = np.nan
 
 
 @dataclass

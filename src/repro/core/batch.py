@@ -126,12 +126,6 @@ class KVBatch:
 
     # ----------------------------------------------- materialised views
 
-    def key_bytes(self, i: int) -> bytes:
-        return self.data[self.koff[i] : self.kend[i]]
-
-    def value_bytes(self, i: int) -> bytes:
-        return self.data[self.voff[i] : self.vend[i]]
-
     def keys_bytes(self) -> Iterator[bytes]:
         """Keys as ``bytes`` (hashable/orderable)."""
         return iter_slices(self.data, self.koff, self.kend)
@@ -144,8 +138,7 @@ class KVBatch:
         return iter_slices(self.data, self.roff[:-1], self.roff[1:])
 
     def pairs_bytes(self) -> Iterator[tuple[bytes, bytes]]:
-        """``(key, value)`` as ``bytes``: yields exactly what
-        :meth:`KVLayout.iter_records` would for the same buffer."""
+        """``(key, value)`` as ``bytes``, in record order."""
         return zip(self.keys_bytes(), self.values_bytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -66,6 +66,9 @@ class KVContainer:
         self.layout = layout or KVLayout()
         self.pool = PagePool(tracker, page_size, tag=tag)
         self.pages: list[Page] = []
+        #: Pages holding records copied in unwalked -> the offset their
+        #: count stopped at (:meth:`_count`).
+        self._unwalked: dict[Page, int] = {}
         #: Codec-frozen full pages, between the spilled prefix and the
         #: live tail page(s) in record order.
         self._frozen: list[_FrozenSegment] = []
@@ -105,7 +108,11 @@ class KVContainer:
 
     def _freeze_tail(self) -> None:
         """Compress the filled tail page into an immutable segment."""
-        page = self.pages.pop()
+        # Charge the frame while the page is still held.  Out of core,
+        # older data spills first until the frame fits; when none is
+        # left, the page itself spills (framed on the way out).
+        page = self.pages[-1]
+        self._count(page)
         raw_len = page.used
         frame = self._codec.encode_frame(bytes(page.view))
         env = self._codec_env
@@ -114,11 +121,14 @@ class KVContainer:
 
             note_encode(env.metrics, raw_len, len(frame))
             env.charge_compute(raw_len)
-        # Charge the segment before releasing the page: if the tracker
-        # refuses, the container is still intact with the page live.
+        while self._spill_env is not None and not self.pins and \
+                not self.pool.tracker.would_fit(len(frame)):
+            self._spill_front()
+            if not self.pages:
+                return
         self.pool.tracker.allocate(len(frame), self.tag)
         self._frozen.append(_FrozenSegment(frame, raw_len))
-        self.pool.release(page)
+        self.pool.release(self.pages.pop())
 
     def _thaw(self, segment: _FrozenSegment) -> bytes:
         raw = self._codec.decode_frame(segment.payload)
@@ -164,6 +174,7 @@ class KVContainer:
             self.pool.tracker.free(len(segment.payload), self.tag)
         else:
             page = self.pages.pop(0)
+            self._count(page)
             self._spill_writer.write_chunk(page.view)
             self.pool.release(page)
 
@@ -183,15 +194,11 @@ class KVContainer:
 
     def add(self, key: bytes, value: bytes) -> None:
         """Encode and append one record."""
-        record = self.layout.encode(key, value)
-        self.add_record_bytes(record)
+        self.add_record_bytes(self.layout.encode(key, value))
 
     def add_record_bytes(self, record: bytes) -> None:
         """Append one pre-encoded record."""
-        page = self._tail_page(len(record))
-        page.write(record)
-        self.nrecords += 1
-        self.nbytes += len(record)
+        self.extend_encoded(record, (0, len(record)))
 
     def add_run(self, keys, values) -> None:
         """Encode and append one block of records: :meth:`add` for
@@ -200,33 +207,41 @@ class KVContainer:
         self.extend_encoded(b"".join(records),
                             np.cumsum([0, *map(len, records)]))
 
-    def extend_encoded(self, buf: bytes | memoryview, roff=None) -> int:
+    def extend_encoded(self, buf: bytes | memoryview, roff=None) -> None:
         """Append a packed run of records (e.g. one received shuffle part).
 
-        One boundary scan (unless the caller knows the record offsets
-        ``roff``, scan-style) plus bulk page-sized copies: records are
-        re-split at page boundaries exactly as per-record insertion
-        would (a record never straddles two pages), without decoding or
-        re-encoding anything.  Returns the number of records added.
-        """
+        Pages are cut where per-record insertion cuts them, in bulk
+        copies.  Only the records before a page split are walked
+        (:meth:`KVLayout.fit`, or a search of ``roff``, the record
+        offsets, if known); the rest is counted when first asked
+        (:meth:`_count`), so a reader (convert) walks it once."""
         if isinstance(buf, memoryview):
             buf = bytes(buf)
-        if roff is None:
-            roff = self.layout.scan(buf)[0]
-        n = len(roff) - 1
-        view = memoryview(buf)
-        i = 0
-        while i < n:
-            start = int(roff[i])
-            page = self._tail_page(int(roff[i + 1]) - start)
-            # Largest j with roff[j] - roff[i] <= the page's free space:
-            # every record i..j-1 lands on this page in one copy.
-            j = int(np.searchsorted(roff, start + page.remaining, "right")) - 1
-            page.write(view[start : roff[j]])
-            i = j
-        self.nrecords += n
-        self.nbytes += len(buf)
-        return n
+        layout, view, start, end = self.layout, memoryview(buf), 0, len(buf)
+        while start < end:
+            page = self.pages[-1] if self.pages else None
+            room = 0 if page is None else page.remaining
+            if end - start <= room and roff is None and not layout.row_width:
+                self._unwalked.setdefault(page, page.used)
+                page.write(view[start:])
+                break
+            stop, n = layout.fit(buf, start, room, roff)
+            if n:
+                page.write(view[start:stop])
+                if page not in self._unwalked:
+                    self.nrecords += n
+                start = stop
+            if start < end:
+                self._tail_page(layout.record_end(buf, start, roff) - start)
+        self.nbytes += end
+
+    def _count(self, page: Page) -> None:
+        """Count what was copied into ``page`` unwalked, if anything."""
+        if (mark := self._unwalked.pop(page, None)) is not None:
+            stop, n = self.layout.fit(page.data, mark, page.used - mark)
+            if stop != page.used:
+                raise ValueError(f"malformed record at page offset {stop}")
+            self.nrecords += n
 
     # ------------------------------------------------------------ iterate
 
@@ -303,6 +318,7 @@ class KVContainer:
             finally:
                 consumed_bytes = page.used
                 self.pool.release(page)
+                self._unwalked.pop(page, None)
                 self.nbytes = max(0, self.nbytes - consumed_bytes)
         self.nrecords = 0
         self.nbytes = 0
@@ -344,6 +360,7 @@ class KVContainer:
             self._spill_writer = None
         self.nrecords = 0
         self.nbytes = 0
+        self._unwalked.clear()
 
     @property
     def memory_bytes(self) -> int:
@@ -357,6 +374,9 @@ class KVContainer:
         return len(self.pages) + len(self._frozen)
 
     def __len__(self) -> int:
+        # Exact from memory alone: what left memory was counted then.
+        for page in list(self._unwalked):
+            self._count(page)
         return self.nrecords
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

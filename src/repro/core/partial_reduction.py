@@ -48,7 +48,7 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
     bucket = Bucket(env.tracker, config.bucket_entry_overhead, "pr_bucket",
                     pr_fn, kvc.layout)
     scanned = 0
-    nrecords, npages = len(kvc), 0
+    nrecords = npages = 0
     if seed is not None:
         seeded = 0
         for batch in (seed.consume_batches() if seed_consume
@@ -63,6 +63,7 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
     for batch in kvc.consume_batches():
         scanned += batch.payload_bytes
         bucket.fold_columns(batch.keys_bytes(), batch.values_bytes())
+        nrecords += len(batch)
         npages += 1
 
     for keys, values in bucket.drain():

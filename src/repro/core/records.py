@@ -15,7 +15,6 @@ import struct
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -227,8 +226,8 @@ class KVLayout:
         where record ``i`` occupies ``buf[roff[i]:roff[i+1]]``, its key
         is ``buf[koff[i]:kend[i]]`` and its value
         ``buf[voff[i]:vend[i]]``.  ``roff`` has one extra trailing entry
-        (the scan end), so it doubles as the record-boundary table the
-        bulk-copy paths split on.  The walk reads one header per record
+        (the scan end), so a caller that already holds it can cut pages
+        from it (:meth:`fit`).  The walk reads one header per record
         and appends one offset; every other column is derived from
         ``roff`` and the key lengths in a few array operations (columns
         may be views of one another: read them, do not write).  ``buf``
@@ -302,6 +301,48 @@ class KVLayout:
         voff = kend + (kl == CSTRING) + (4 if vl is VARIABLE else 0)
         return roff, koff, kend, voff, roff[1:] - (vl == CSTRING)
 
+    def fit(self, buf, start: int, room: int, roff=None) -> tuple[int, int]:
+        """``(end, count)`` of the longest run of whole records from
+        ``start`` that fits ``room`` bytes of ``buf``: a page's cut.
+        One header read per record, no column kept; arithmetic for
+        fixed/fixed rows, a search when the caller holds ``roff``.  A
+        record it cannot place, whole or malformed, ends the run."""
+        limit = min(start + room, len(buf))
+        if roff is not None:
+            i, j = (np.searchsorted(roff, (start, limit), "right") - 1).tolist()
+            return int(roff[j]), j - i
+        if rec := self.row_width:
+            n = (limit - start) // rec
+            return start + n * rec, n
+        offset, n = start, 0
+        if self.key_len is VARIABLE and self.val_len is VARIABLE:
+            unpack = _U32x2.unpack_from
+            while offset + 8 <= limit:
+                klen, vlen = unpack(buf, offset)
+                if offset + 8 + klen + vlen > limit:
+                    break
+                offset, n = offset + 8 + klen + vlen, n + 1
+        elif self.key_len == CSTRING and not self._vpad:
+            find, step = buf.find, 1 + self.val_len
+            while (stop := find(b"\0", offset, limit)) >= 0 and \
+                    stop + step <= limit:
+                offset, n = stop + step, n + 1
+        else:
+            try:
+                while offset < limit and \
+                        (stop := self.decode(buf, offset)[2]) <= limit:
+                    offset, n = stop, n + 1
+            except ValueError:
+                pass
+        return offset, n
+
+    def record_end(self, buf, offset: int, roff=None) -> int:
+        """End of the record at ``offset``: the next entry of ``roff``,
+        or one :meth:`decode` (``ValueError`` if ``buf`` truncates it)."""
+        if roff is None:
+            return self.decode(buf, offset)[2]
+        return int(roff[np.searchsorted(roff, offset) + 1])
+
     def pack(self, src, koff, klen, voff, vlen) -> bytes:
         """Encode the records with keys ``src[koff[i]:][:klen[i]]`` and
         values ``src[voff[i]:][:vlen[i]]``: the inverse of :meth:`scan`,
@@ -362,20 +403,3 @@ class KVLayout:
         field = rows[:, self.key_len :] if by_value \
             else rows[:, : self.key_len]
         return field.view(f"S{field.shape[1]}")[:, 0]
-
-    def iter_records(self, buf: bytes | memoryview) -> Iterator[tuple[bytes, bytes]]:
-        """Yield every record of a packed buffer."""
-        if isinstance(buf, memoryview):
-            buf = bytes(buf)
-        offset = 0
-        end = len(buf)
-        while offset < end:
-            key, value, offset = self.decode(buf, offset)
-            yield key, value
-
-    def count_records(self, buf: bytes | memoryview) -> int:
-        return sum(1 for _ in self.iter_records(buf))
-
-
-#: The default layout: both fields variable (8-byte header per record).
-DEFAULT_LAYOUT = KVLayout()

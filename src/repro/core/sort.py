@@ -201,11 +201,10 @@ def _merge(env: RankEnv, made: list[KVContainer], out: KVContainer,
                 heapq.heapreplace(heap, (cursor.head_key(), seq, cursor))
             staged.append(record)
             staged_bytes += len(record)
-            if staged_bytes >= page:
-                target.extend_encoded(b"".join(staged))
+            if staged_bytes >= page or not heap:
+                target.extend_encoded(b"".join(staged),
+                                      np.cumsum([0, *map(len, staged)]))
                 staged, staged_bytes = [], 0
-        if staged:
-            target.extend_encoded(b"".join(staged))
         tracker.free(charge, "sort_merge")
         env.charge_compute(target.nbytes)
         if not made:

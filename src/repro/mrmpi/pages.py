@@ -58,40 +58,36 @@ class PagedObject:
 
     def extend_encoded(self, data: bytes, roff=None) -> None:
         """Append a packed run of records (``roff``: their offsets, as
-        :meth:`KVLayout.scan` gives them; scanned when not given).
+        :meth:`KVLayout.scan` gives them, if the caller holds them).
 
-        Pages are cut where per-record appends cut them: a record that
-        does not fit the page's free space spills the page first, and
-        one larger than a page - e.g. the KMV of a very frequent key -
-        then goes straight to the spill file as its own chunk, as
-        MR-MPI handles it out of core.
+        Pages are cut where per-record appends cut them, by core's
+        page cutter (:meth:`KVLayout.fit`): a record that does not fit
+        the page's free space spills the page first, and one larger than
+        a page - e.g. the KMV of a very frequent key - then goes
+        straight to the spill file as its own chunk, as MR-MPI handles
+        it out of core.
         """
-        if roff is None:
-            roff = self.layout.scan(data)[0]
-        page, view = self._require_page(), memoryview(data)
-        i, n = 0, len(roff) - 1
-        while i < n:
-            start = int(roff[i])
-            size = int(roff[i + 1]) - start
-            if size > page.remaining:
+        page, view, start = self._require_page(), memoryview(data), 0
+        while start < len(data):
+            stop, n = self.layout.fit(data, start, page.remaining, roff)
+            if not n:
+                size = self.layout.record_end(data, start, roff) - start
                 if self.mode is OutOfCoreMode.ERROR:
                     raise PageOverflowError(self.name if size <= page.size
                                             else f"{self.name} (single "
                                             f"record of {size} bytes)",
                                             page.size)
                 self._spill_page()
-            if size > page.size:
-                self._spill(view[start : start + size])
+                if size <= page.size:
+                    continue
+                stop, n = start + size, 1
+                self._spill(view[start:stop])
                 self.oversized = max(self.oversized, size)
-                j = i + 1
             else:
-                # Every record up to ``j`` fits what the page has left.
-                j = int(np.searchsorted(roff, start + page.remaining,
-                                        "right")) - 1
-                page.write(view[start : int(roff[j])])
-            self.nrecords += j - i
-            self.nbytes += int(roff[j]) - start
-            i = j
+                page.write(view[start:stop])
+            self.nrecords += n
+            self.nbytes += stop - start
+            start = stop
 
     def _spill(self, chunk) -> None:
         if self.spill is None:

@@ -5,7 +5,9 @@ emit became a block: encode the record in place inside its destination
 partition, and when it does not fit, run one exchange round and write
 it at the start of the emptied partition.  The engine no longer has a
 per-record path; these two functions are the oracle the block paths
-must reproduce byte for byte, exchange for exchange.
+must reproduce byte for byte, exchange for exchange.  The reading side
+is :func:`iter_records`: one ``decode`` per record, what the column
+scan must agree with.
 """
 
 import struct
@@ -72,3 +74,11 @@ def emit(shuffler, key, value):
     shuffler._fill[dest] = end - base
     shuffler.records_sent += 1
     shuffler.bytes_sent += end - start
+
+
+def iter_records(layout, buf):
+    """Every ``(key, value)`` of a packed run, one ``decode`` at a time."""
+    offset = 0
+    while offset < len(buf):
+        key, value, offset = layout.decode(buf, offset)
+        yield key, value

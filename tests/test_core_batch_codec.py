@@ -218,8 +218,7 @@ class TestKVBatch:
         assert isinstance(key, memoryview)
         assert bytes(key) == b"key"
         assert isinstance(batch.record(0), memoryview)
-        assert batch.key_bytes(0) == b"key"
-        assert batch.value_bytes(0) == b"value"
+        assert next(batch.pairs_bytes()) == (b"key", b"value")
         assert batch.nbytes == layout.encoded_size(b"key", b"value")
 
     def test_extend_encoded_resplits_across_pages(self):

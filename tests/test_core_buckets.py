@@ -495,6 +495,8 @@ VERTICES = [pack_u64(v) for v in range(4)]
 @example([(VERTICES[0], x) for x in (1e16, 1.0, -1e16, 1.0)], 2)
 @example([(VERTICES[0], x) for x in (-0.0, -0.0, 0.0, -0.0)], 3)
 @example([(VERTICES[0], x) for x in (math.inf, -math.inf, 1.0)], 9)
+# The hardware passes on one operand's NaN, sign included.
+@example([(VERTICES[0], x) for x in (math.nan, -math.nan)], 1)
 def test_pr_fold_batch_is_bit_equal_to_pr_combine(contributions, block):
     """``add.at`` folds in record order, so not one bit differs."""
     buckets = [Bucket(MemoryTracker(), fold=fold, layout=PR_HINT_LAYOUT)
@@ -504,3 +506,13 @@ def test_pr_fold_batch_is_bit_equal_to_pr_combine(contributions, block):
             bucket.fold_columns((key for key, _ in contributions),
                                 (pack_f64(x) for _, x in contributions))
     assert items(buckets[0]) == items(buckets[1])
+
+
+def test_a_nan_sum_is_the_one_quiet_nan():
+    """Which NaN a float add passes on is the hardware's choice, and
+    CPython's specialised add (once ``pr_combine`` is warm) chooses the
+    other one: both fold forms give the one quiet NaN, cold or warm."""
+    nans = pack_f64(math.nan), pack_f64(-math.nan)
+    sums = {pr_combine(b"", *pair) for pair in (nans, nans[::-1])
+            for _ in range(64)}
+    assert sums == {pack_f64(math.nan)}

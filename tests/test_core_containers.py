@@ -1,12 +1,25 @@
 """KVContainer and KMVContainer: growth, consumption, accounting."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.wordcount import wc_map
 from repro.cluster import Cluster
-from repro.core import KMVContainer, KVContainer, KVLayout, RecordTooLargeError
-from repro.core.records import CSTRING
+from repro.core import (
+    KMVContainer,
+    KVContainer,
+    KVLayout,
+    Mimir,
+    MimirConfig,
+    RecordTooLargeError,
+)
+from repro.core.codec import get_codec
+from repro.core.convert import convert_to_kmv
+from repro.core.records import CSTRING, VARIABLE
+from repro.datasets.words import uniform_text
 from repro.memory import MemoryLimitExceeded, MemoryTracker
 from repro.mpi import COMET
 from tests.conftest import container_kinds, tiered_container
@@ -109,13 +122,14 @@ class TestKVContainerEncoded:
         layout = KVLayout()
         src = b"".join(layout.encode(b"w%d" % i, b"1") for i in range(40))
         kvc = make_kvc(page_size=64)
-        added = kvc.extend_encoded(src)
-        assert added == 40
+        kvc.extend_encoded(src)
+        assert len(kvc) == 40
         assert [k for k, _ in kvc.records()] == [b"w%d" % i for i in range(40)]
 
     def test_extend_empty(self):
         kvc = make_kvc()
-        assert kvc.extend_encoded(b"") == 0
+        kvc.extend_encoded(b"")
+        assert len(kvc) == 0 and not kvc.pages
 
     def test_add_record_bytes(self):
         layout = KVLayout(key_len=CSTRING, val_len=2)
@@ -269,3 +283,188 @@ def test_property_chunks_are_the_records_in_order(kind, ops, page_size):
     kvc.unpin()
     assert b"".join(kvc.consume_chunks()) == first
     assert env.tracker.current == 0
+
+
+# ------------------------------------------- receive without a second walk
+
+#: var/var, the WordCount hint, fixed/fixed rows, var/NUL-ended.
+LAYOUTS = [KVLayout(), KVLayout(CSTRING, 8), KVLayout(4, 8),
+           KVLayout(VARIABLE, CSTRING)]
+#: ``(codec, resident page budget)``: plain, spill-backed, frozen, both.
+RECEIVERS = [(None, None), (None, 2), ("zlib", None), ("dedup+zlib", 2)]
+
+
+def conform(field, hint):
+    """``field`` bent to ``hint``: cut or padded, or freed of NULs."""
+    if hint == CSTRING:
+        return field.replace(b"\0", b"n")
+    if hint is VARIABLE:
+        return field
+    return field[:hint].ljust(hint, b"p")
+
+
+def receiver(env, layout, kind, page_size):
+    codec, budget = kind
+    return KVContainer(env.tracker, layout, page_size, tag="recv",
+                       spill_env=env if budget else None,
+                       resident_page_budget=budget,
+                       codec=get_codec(codec, layout), codec_env=env)
+
+
+def one_rank_env():
+    return Cluster(COMET, nprocs=1, memory_limit=None).run(
+        lambda env: env).returns[0]
+
+
+def packed_pages(records, page_size):
+    """Where per-record insertion cuts pages, written out by hand."""
+    pages = []
+    for record in records:
+        if not pages or len(pages[-1]) + len(record) > page_size:
+            pages.append(b"")
+        pages[-1] += record
+    return pages
+
+
+_PARTS = st.lists(st.lists(st.tuples(st.binary(max_size=9),
+                                     st.binary(max_size=9)), max_size=14),
+                  max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=st.sampled_from(LAYOUTS), kind=st.sampled_from(RECEIVERS),
+       parts=_PARTS, page_size=st.integers(28, 160))
+# Fixed/fixed rows of 12 B fill a 48 B page exactly, twice, mid-part.
+@example(layout=KVLayout(4, 8), kind=(None, None), page_size=48,
+         parts=[[(b"a", b"b")] * 3, [(b"c", b"d")] * 6, []])
+# A part that exactly fills what the tail page has left.
+@example(layout=KVLayout(), kind=(None, None), page_size=40,
+         parts=[[(b"k", b"v")], [(b"key", b"value"), (b"", b"")], []])
+def test_extend_encoded_cuts_pages_as_per_record_add(layout, kind, parts,
+                                                     page_size):
+    """One ``extend_encoded`` per received part leaves the pages, the
+    spill, ``len()`` and ``nbytes`` that per-record ``add`` does."""
+    env = one_rank_env()
+    parts = [[(conform(k, layout.key_len), conform(v, layout.val_len))
+              for k, v in part] for part in parts]
+    bulk = receiver(env, layout, kind, page_size)
+    one_by_one = receiver(env, layout, kind, page_size)
+    records = []
+    for part in parts:
+        encoded = [layout.encode(k, v) for k, v in part]
+        bulk.extend_encoded(b"".join(encoded))
+        for k, v in part:
+            one_by_one.add(k, v)
+        records += encoded
+    assert list(bulk.chunks()) == list(one_by_one.chunks())
+    if kind == (None, None):
+        assert [bytes(page.view) for page in bulk.pages] == \
+            packed_pages(records, page_size)
+    assert len(bulk) == len(one_by_one) == len(records)
+    assert bulk.nbytes == one_by_one.nbytes == sum(map(len, records))
+    assert bulk.spilled_bytes == one_by_one.spilled_bytes
+    assert list(bulk.consume_chunks()) == list(one_by_one.consume_chunks())
+    assert len(bulk) == 0 and env.tracker.current == 0
+
+
+class TestReceiveContract:
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=str)
+    def test_malformed_part_raises_at_the_first_reader(self, layout):
+        """A part cut mid-record is copied unwalked when it fits the
+        tail page; whichever reads the page first - ``len()`` or a
+        batch scan - rejects it."""
+        part = b"".join(layout.encode(conform(b"key", layout.key_len),
+                                      conform(b"v", layout.val_len))
+                        for _ in range(3))[:-1]
+        for read in (len, lambda kvc: list(kvc.batches())):
+            kvc = make_kvc(page_size=256, layout=layout)
+            try:
+                kvc.extend_encoded(part)
+            except ValueError:
+                assert layout.row_width  # fixed rows are counted on entry
+                continue
+            with pytest.raises(ValueError):
+                read(kvc)
+
+    def test_malformed_part_across_a_split(self):
+        """Past the split the next record is sized from its header: a
+        lying header fails there (truncated, or too large a page)."""
+        layout = KVLayout()
+        head = b"".join(layout.encode(b"k%d" % i, b"v") for i in range(4))
+        for tail, error in ((layout.encode(b"key", b"value")[:-2],
+                             ValueError),
+                            (layout.encode(b"k" * 80, b"v"),
+                             RecordTooLargeError)):
+            with pytest.raises(error):
+                make_kvc(page_size=48).extend_encoded(head + tail)
+
+    def test_len_reads_no_storage_and_moves_no_clock(self):
+        env = one_rank_env()
+        layout = KVLayout()
+        kvc = receiver(env, layout, (None, 2), 64)
+        for i in range(40):
+            kvc.extend_encoded(b"".join(layout.encode_run(
+                [b"w%d" % i] * 3, [b"x" * (i % 7)] * 3)))
+        # Pages were counted as they left memory; only resident ones wait.
+        assert kvc.spilled and kvc._unwalked
+        assert set(kvc._unwalked) <= set(kvc.pages)
+        held = (env.metrics.value("storage.bytes_read"), env.comm.clock.time)
+        assert len(kvc) == 120
+        assert not kvc._unwalked
+        assert (env.metrics.value("storage.bytes_read"),
+                env.comm.clock.time) == held
+
+    def test_a_consumed_page_is_let_go_uncounted(self):
+        """Draining does not count pages, and does not hold on to the
+        ones it has drained until the end."""
+        layout = KVLayout()
+        kvc = make_kvc(page_size=64)
+        for i in range(12):  # two 31-32 B records per page
+            kvc.extend_encoded(layout.encode(b"k%d" % i, b"v" * 20))
+        assert len(kvc._unwalked) == len(kvc.pages) == 6
+        for _ in kvc.consume_chunks():
+            # All but the page just handed out.
+            assert len(kvc._unwalked) <= len(kvc.pages) + 1
+        assert not kvc._unwalked and len(kvc) == 0
+
+    @pytest.mark.parametrize("layout", LAYOUTS[:2], ids=str)
+    def test_wordcount_walks_each_received_record_about_once(self, layout):
+        """Between the exchange and the end of convert's pass one, a
+        received record's header is read once (by pass one) plus the few
+        a page split walks: at most 1.2 per record (2 when the receive
+        scanned every part)."""
+        walked = [0]
+        fit, scan, record_end = \
+            KVLayout.fit, KVLayout.scan, KVLayout.record_end
+
+        def counting_fit(self, *args):
+            stop, n = fit(self, *args)
+            walked[0] += n
+            return stop, n
+
+        def counting_scan(self, *args):
+            columns = scan(self, *args)
+            walked[0] += len(columns[0]) - 1
+            return columns
+
+        def counting_record_end(self, *args):
+            walked[0] += 1
+            return record_end(self, *args)
+
+        config = MimirConfig(layout=layout)  # the default buffer sizes
+        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
+        cluster.pfs.store("t.txt", uniform_text(256 * 1024))
+
+        def job(env):
+            mimir = Mimir(env, config)
+            kvs = mimir.map_text_file("t.txt", wc_map)
+            convert_to_kmv(env, kvs, config).free()
+            return mimir.last_map_stats["records"]
+
+        with mock.patch.object(KVLayout, "fit", counting_fit), \
+                mock.patch.object(KVLayout, "scan", counting_scan), \
+                mock.patch.object(KVLayout, "record_end",
+                                  counting_record_end):
+            received = sum(cluster.run(job).returns)
+        assert received > 5_000
+        assert walked[0] <= 1.2 * received, walked[0] / received

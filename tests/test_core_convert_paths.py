@@ -38,6 +38,7 @@ from repro.memory import MemoryTracker
 from repro.memory.pages import Page, PagePool
 from repro.mpi import COMET
 from tests.conftest import fit_field, small_blocks
+from tests.scalar_reference import iter_records
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=1024)
 OOC = MimirConfig(page_size=1024, comm_buffer_size=1024, out_of_core=True)
@@ -524,7 +525,7 @@ class TestBatchReduce:
         counts = {}
         for rank_bytes in runs[1][0]:
             counts.update((key, unpack_u64(value)) for key, value in
-                          KVLayout().iter_records(rank_bytes))
+                          iter_records(KVLayout(), rank_bytes))
         assert counts == Counter(self.TEXT.split())
 
 

@@ -193,6 +193,34 @@ class TestOutOfCoreStages:
             self.run_stage(op, out_of_core=False).returns
 
 
+@pytest.mark.parametrize("codec", ["zlib", "dedup", "dedup+zlib"])
+def test_codec_map_spills_under_a_limit(codec):
+    """A map output frozen under a codec makes room before it charges a
+    frame (16 KiB of zipf text, 2 ranks, 256 B pages and buffers, a
+    "3K" limit: without a codec the map holds; with one, charging the
+    frame first ran out of memory).  The counts match the raw map's."""
+    from repro.datasets.words import zipf_text
+
+    def run(codec, limit):
+        config = MimirConfig(page_size=256, comm_buffer_size=256,
+                             input_chunk_size=256, out_of_core=True,
+                             codec=codec)
+        cluster = Cluster(COMET, nprocs=2, memory_limit=limit)
+        cluster.pfs.store("t.txt", zipf_text(16 * 1024, vocab_size=200))
+
+        def job(env):
+            kvs = Mimir(env, config).map_text_file("t.txt", wc_map)
+            return Counter(key for key, _ in kvs.records()), \
+                kvs.spilled_bytes, env.tracker.peak
+
+        return cluster.run(job).returns
+
+    frozen = run(codec, "3K")
+    assert all(peak <= 3 * 1024 and spilled > 0
+               for _, spilled, peak in frozen)
+    assert [counts for counts, _, _ in frozen] == \
+        [counts for counts, _, _ in run(None, None)]
+
 def reversed_value(key, value):
     return value[::-1]
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import CSTRING, KVLayout
-from tests.scalar_reference import encode_into
+from tests.scalar_reference import encode_into, iter_records
 
 
 LAYOUTS = [
@@ -67,7 +67,7 @@ class TestEncodeInto:
         offset = 0
         for key, value in pairs:
             offset = encode_into(layout, buf, offset, key, value)
-        assert list(layout.iter_records(bytes(buf[:offset]))) == pairs
+        assert list(iter_records(layout, bytes(buf[:offset]))) == pairs
 
 
 @given(st.binary(max_size=20), st.binary(max_size=20),
