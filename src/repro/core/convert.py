@@ -122,27 +122,11 @@ def _iter_partitions(env: RankEnv, kvc: KVContainer, config: MimirConfig,
 
     writers = [SpillWriter(env.pfs, env.comm, f"cvt_{kvc.tag}_part{i}")
                for i in range(npart)]
-    staging: list[bytearray] = [bytearray() for _ in range(npart)]
-    layout = kvc.layout
-    scanned = 0
-    for batch in kvc.consume_batches():
-        scanned += batch.payload_bytes
-        # Records move as slices of the page, routed by a hash column;
-        # a staged chunk is written after exactly the record that
-        # brings it to a page.
-        for part, record in zip(hash_partition(batch.keys_bytes(), npart),
-                                batch.records_bytes()):
-            staging[part] += record
-            if len(staging[part]) >= config.page_size:
-                writers[part].write_chunk(staging[part])
-                staging[part] = bytearray()
-    for part, buf in enumerate(staging):
-        if buf:
-            writers[part].write_chunk(buf)
-    env.charge_compute(scanned)
+    env.charge_compute(spill_partitions(kvc.consume_batches(), writers,
+                                        config.page_size))
 
     for writer in writers:
-        kmv, grouped_bytes = _group_partition(layout, writer.reader())
+        kmv, grouped_bytes = _group_partition(kvc.layout, writer.reader())
         # The partition's working set is charged while it is live.
         env.tracker.allocate(grouped_bytes, "convert_partition")
         try:
@@ -151,6 +135,53 @@ def _iter_partitions(env: RankEnv, kvc: KVContainer, config: MimirConfig,
             env.tracker.free(grouped_bytes, "convert_partition")
             writer.discard()
         env.charge_compute(grouped_bytes)
+
+
+def split_by_dest(batch: KVBatch, dests: np.ndarray, lo: int):
+    """Records ``lo:lo + len(dests)`` of ``batch`` grouped by destination,
+    stably: ``(order, data, roff, runs)``, the gathered records' indexes,
+    bytes and offsets, and per destination ``(dest, first, stop)``."""
+    order = np.argsort(dests, kind="stable")
+    starts = batch.roff[order + lo]
+    sizes = batch.roff[order + lo + 1] - starts
+    data = np.frombuffer(batch.data, np.uint8)[
+        byte_ranges(starts, sizes)].tobytes()
+    firsts = np.flatnonzero(np.diff(dests[order], prepend=-1))
+    bounds = [*firsts.tolist(), len(order)]
+    return order, data, np.concatenate(([0], np.cumsum(sizes))), zip(
+        dests[order[firsts]].tolist(), bounds, bounds[1:])
+
+
+def spill_partitions(batches, writers, page_size: int) -> int:
+    """Route records to ``writers[crc32(key) % n]`` a block per call;
+    returns their payload bytes.  A partition's staged bytes are written
+    right after the record that brings them to a page, in record order
+    (``tests/scalar_reference.py`` has the record-at-a-time oracle)."""
+    staged, scanned = [bytearray() for _ in writers], 0
+    for batch in batches:
+        scanned += batch.payload_bytes
+        keys = batch.keys_bytes()
+        for lo in range(0, len(batch), BLOCK):
+            dests = np.fromiter(hash_partition(islice(keys, BLOCK),
+                                               len(writers)), np.intp)
+            order, data, roff, runs = split_by_dest(batch, dests, lo)
+            full = []
+            for part, first, stop in runs:
+                at, ends = roff[first], roff[first + 1 : stop + 1]
+                # Staged bytes sit before ``at``: the chunk is full at the
+                # first record end a page past where they start.
+                cut = ends.searchsorted(at - len(staged[part]) + page_size)
+                while cut < len(ends):
+                    full.append((order[first + cut], part,
+                                 staged[part] + data[at : ends[cut]]))
+                    staged[part], at = bytearray(), ends[cut]
+                    cut = ends.searchsorted(at + page_size)
+                staged[part] += data[at : ends[-1]]
+            for _, part, chunk in sorted(full):
+                writers[part].write_chunk(chunk)
+    for writer, chunk in zip(writers, staged):
+        writer.write_chunk(chunk)  # an empty chunk writes nothing
+    return scanned
 
 
 def _group_partition(layout, chunks) -> tuple[KMVBatch, int]:

@@ -25,16 +25,36 @@ from repro.memory.tracker import MemoryTracker
 _U32 = struct.Struct("<I")
 
 
-def encode_kmv_record(layout: KVLayout, key: bytes,
-                      values: list[bytes]) -> bytes:
-    """Encode one complete KMV record (used by the MR-MPI baseline)."""
-    sep = b"\0" if layout.val_len == CSTRING else b""
-    return b"".join([
-        _U32.pack(len(key)) if layout.key_len is VARIABLE else b"", key,
-        b"\0" if layout.key_len == CSTRING else b"", _U32.pack(len(values)),
-        np.fromiter(map(len, values), "<u4", len(values)).tobytes()
-        if layout.val_len is VARIABLE else b"",
-        sep.join(values), sep if values else b""])
+def encode_kmv_runs(kmv: KMVBatch, order: np.ndarray):
+    """Groups ``order`` of ``kmv`` as packed KMV records, a :data:`BLOCK`
+    of groups per ``(bytes, record offsets plus the end)``: the heads as
+    one encoded run, then one scatter each for value lengths and values."""
+    layout, starts = kmv.layout, np.cumsum(kmv.counts) - kmv.counts
+    for lo in range(0, len(order), BLOCK):
+        groups = order[lo : lo + BLOCK]
+        counts = kmv.counts[groups]
+        values = byte_ranges(starts[groups], counts)
+        voff, lens = kmv.voff[values], kmv.vend[values] - kmv.voff[values]
+        heads = KVLayout(layout.key_len, 4).encode_run(
+            list(map(kmv.keys.__getitem__, groups.tolist())),
+            list(map(_U32.pack, counts.tolist())))
+        head_lens = np.fromiter(map(len, heads), np.int64, len(heads))
+        # A value takes its bytes plus its u32 length or NUL (``_vpad``).
+        size, firsts = lens + layout._vpad, np.cumsum(counts) - counts
+        roff = np.cumsum([0, *head_lens + np.add.reduceat(size, firsts)])
+        out = np.zeros(roff[-1], np.uint8)  # the NULs are already there
+        out[byte_ranges(roff[:-1], head_lens)] = np.frombuffer(
+            b"".join(heads), np.uint8)
+        at = roff[:-1] + head_lens
+        if layout.val_len is VARIABLE:
+            out[byte_ranges(at, 4 * counts)] = \
+                lens.astype("<u4").view(np.uint8)
+            size, at = lens, at + 4 * counts
+        before = np.cumsum(size) - size
+        out[byte_ranges(np.repeat(at - before[firsts], counts) + before,
+                        lens)] = np.frombuffer(kmv.data, np.uint8)[
+            byte_ranges(voff, lens)]
+        yield out.tobytes(), roff
 
 
 def iter_kmv_batches(layout: KVLayout, buf: bytes) -> Iterator[KMVBatch]:
@@ -306,10 +326,6 @@ class KMVContainer:
         jumbo = sum(self._charges.values())
         normal = (len(self.pages) - len(self._charges)) * self.pool.page_size
         return normal + jumbo
-
-    @property
-    def npages(self) -> int:
-        return len(self.pages)
 
     def __len__(self) -> int:
         return self.nrecords

@@ -62,6 +62,21 @@ def range_partitioner(splitters: list[bytes]):
     return partition
 
 
+def sorted_records(batches, by_value: bool = False, key_fn=None,
+                   ) -> list[bytes]:
+    """The encoded records of ``batches`` in stable order of key, value,
+    or ``key_fn(key, value)`` if given; charges nothing."""
+    keys, records = [], []
+    for batch in batches:
+        keys.extend(
+            starmap(key_fn, batch.pairs_bytes()) if key_fn is not None
+            else batch.values_bytes() if by_value else batch.keys_bytes())
+        records.extend(batch.records_bytes())
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    return list(map(records.__getitem__, order))
+
+
 def sorted_container(env: RankEnv, batches, out: KVContainer,
                      by_value: bool = False, key_fn=None,
                      runs=None) -> KVContainer:
@@ -84,20 +99,12 @@ def sorted_container(env: RankEnv, batches, out: KVContainer,
         rows = layout.rows(b"".join([batch.data for batch in batches]))
         order = np.argsort(layout.column(rows, by_value), kind="stable")
     else:
-        keys, records = [], []
-        for batch in batches:
-            keys.extend(
-                starmap(key_fn, batch.pairs_bytes()) if key_fn is not None
-                else batch.values_bytes() if by_value else batch.keys_bytes())
-            records.extend(batch.records_bytes())
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        del keys
+        records = sorted_records(batches, by_value, key_fn)
     # Any cut of the sorted run at record boundaries re-splits into the
     # same pages; a block at a time keeps the gathered copy small.
-    for lo in range(0, len(order), BLOCK):
-        block = order[lo : lo + BLOCK]
-        out.extend_encoded(rows[block].tobytes() if matrix else
-                           b"".join(map(records.__getitem__, block)))
+    for lo in range(0, len(rows if matrix else records), BLOCK):
+        out.extend_encoded(rows[order[lo : lo + BLOCK]].tobytes() if matrix
+                           else b"".join(records[lo : lo + BLOCK]))
     env.charge_compute(out.nbytes)
     return out
 

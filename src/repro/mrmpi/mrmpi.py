@@ -16,23 +16,25 @@ shrinks the data that aggregate ships but - because the page complement
 is fixed - never shrinks the memory footprint (the paper's Figure 11
 observation).
 
-Callbacks get core's ``MapContext`` / ``ReduceContext``; pages are read
-as ``KVBatch`` columns and records move, group and sort as byte slices.
+Callbacks get core's ``MapContext`` / ``ReduceContext``; every regroup
+runs on core's block routines, the out-of-core convert's router included.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.cluster import RankEnv
 from repro.core.batch import KMVBatch, KVBatch
-from repro.core.bucket import Bucket, group_run
+from repro.core.bucket import Bucket
+from repro.core.convert import (_group_partition, spill_partitions,
+                                split_by_dest)
 from repro.core.job import ContainerSink, MapContext, ReduceContext
-from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_batches
-from repro.core.records import BLOCK, KVLayout, byte_ranges
+from repro.core.kmvcontainer import encode_kmv_runs, iter_kmv_batches
+from repro.core.records import KVLayout
 from repro.core.shuffle import default_partitioner, hash_partition
 from repro.io.readers import iter_binary_chunks, iter_text_chunks
 from repro.io.spill import SpillWriter
@@ -222,14 +224,13 @@ class MRMPI:
     def convert(self) -> None:
         """Merge KVs into KMVs (four-page complement).
 
-        In-memory KVs convert with the two-pass count/group algorithm
-        (a KMV leaves when its key's last value arrives).  A spilled KV
-        object is converted the way the real library does it
-        out-of-core: KVs are first *re-partitioned* into page-sized
-        hash partitions on the PFS (one full read plus one full write),
-        then each partition is read back and converted in memory.  The
-        extra full rewrite of the dataset through the contended PFS is
-        a large part of Figure 1's collapse.
+        KVs group as core's out-of-core partitions do and leave as KMV
+        records a block at a time (in memory, as their keys' last values
+        arrive).  A spilled KV object converts as the real library does
+        out of core: re-partitioned into page-sized hash partitions on
+        the PFS by core's router (one full read plus one full write),
+        then grouped a partition at a time.  That rewrite through the
+        contended PFS is a large part of Figure 1's collapse.
         """
         self.env.comm.barrier()
         old = self.kv
@@ -241,11 +242,26 @@ class MRMPI:
         kmv = self._new_object("kmv")
 
         if old.spilled:
-            scanned = self._convert_out_of_core(old, kmv)
+            page_size = self.config.page_size
+            writers = [SpillWriter(self.env.pfs, self.env.comm,
+                                   f"{old.name}_part{i}")
+                       for i in range(max(1, -(-old.nbytes // page_size)))]
+            scanned = spill_partitions(old.batches(), writers, page_size)
+            for writer in writers:
+                grouped, _ = _group_partition(self.layout, writer.reader())
+                for run in encode_kmv_runs(grouped, np.arange(len(grouped))):
+                    kmv.extend_encoded(*run)
+                writer.discard()
         else:
             batch = KVBatch(b"".join(old.chunks()), self.layout)
-            self._append_kmvs(kmv, batch, by_last=True)
-            scanned = batch.payload_bytes
+            grouped, scanned = _group_partition(self.layout, [batch.data])
+            # MR-MPI's KMVs leave in the order of their keys' last records.
+            index = dict(zip(grouped.keys, range(len(grouped))))
+            last = dict.fromkeys(map(index.__getitem__,
+                                     reversed([*batch.keys_bytes()])))
+            for run in encode_kmv_runs(grouped,
+                                       np.array([*last][::-1], np.intp)):
+                kmv.extend_encoded(*run)
 
         kmv.finalize()
         self.env.charge_compute(2 * scanned)
@@ -253,61 +269,6 @@ class MRMPI:
         self.kv = None
         self._retire(old)
         self.kmv = kmv
-
-    def _append_kmvs(self, kmv: PagedObject, batch: KVBatch,
-                     by_last: bool = False) -> None:
-        """Append one KMV per key of ``batch``, its values in arrival
-        order; keys in first-seen order, or ``by_last`` in the order of
-        each key's last record."""
-        index, keys = {}, batch.keys_bytes()
-        ids = np.concatenate([np.zeros(0, np.intp), *(
-            group_run(index, list(islice(keys, BLOCK)))[1]
-            for _ in range(0, len(batch), BLOCK))])
-        # Where each key's KMV goes: a key's last record is its first
-        # counted from the end.
-        place = -np.unique(ids[::-1], return_index=True)[1] if by_last \
-            else np.arange(len(index))
-        order, records = np.argsort(place), np.argsort(place[ids],
-                                                       kind="stable")
-        grouped = KMVBatch(self.layout,
-                           list(map(list(index).__getitem__, order.tolist())),
-                           np.bincount(ids, minlength=len(index))[order],
-                           batch.voff[records], batch.vend[records],
-                           batch.data)
-        kmvs = [encode_kmv_record(self.layout, key, values)
-                for key, values in grouped]
-        kmv.extend_encoded(b"".join(kmvs), np.cumsum([0, *map(len, kmvs)]))
-
-    def _convert_out_of_core(self, old: PagedObject,
-                             kmv: PagedObject) -> int:
-        page_size = self.config.page_size
-        nparts = max(1, -(-old.nbytes // page_size))
-        writers = [SpillWriter(self.env.pfs, self.env.comm,
-                               f"{old.name}_part{i}") for i in range(nparts)]
-        # Stage records through a page-sized buffer per write (the
-        # scratch pages), appending each hash partition to the PFS: a
-        # staged chunk is written after the record that brings it to a
-        # page.
-        staging: list[bytearray] = [bytearray() for _ in range(nparts)]
-        scanned = 0
-        for batch in old.batches():
-            scanned += batch.payload_bytes
-            for part, record in zip(hash_partition(batch.keys_bytes(), nparts),
-                                    batch.records_bytes()):
-                staging[part] += record
-                if len(staging[part]) >= page_size:
-                    writers[part].write_chunk(staging[part])
-                    staging[part] = bytearray()
-        for part, buf in enumerate(staging):
-            if buf:
-                writers[part].write_chunk(buf)
-
-        # Convert each partition in memory.
-        for writer in writers:
-            self._append_kmvs(kmv, KVBatch(b"".join(writer.reader()),
-                                           self.layout))
-            writer.discard()
-        return scanned
 
     # -------------------------------------------------------- reduce phase
 
@@ -411,26 +372,27 @@ class MRMPI:
         external way: each chunk is written to the PFS as a sorted run
         and read back, and the stable sort of the runs, concatenated
         in order, is their stable merge."""
+        from repro.core.sort import sorted_records  # on use, as in Mimir
+
         self.env.comm.barrier()
         old = self.kv
         if old is None:
             raise RuntimeError("sort requires an existing KV object")
         scratch = self._scratch(2, "mrmpi_sort_tmp")
         out = self._new_object("kv")
+        runs = old.batches()
         if old.spilled:
-            runs = [self._sorted(batch, by_value) for batch in old.batches()]
-            writers = [SpillWriter(self.env.pfs, self.env.comm,
-                                   f"{old.name}_sortrun{i}")
-                       for i in range(len(runs))]
-            for writer, run in zip(writers, runs):
-                writer.write_chunk(run)
-            runs = [b"".join(writer.reader()) for writer in writers]
+            writers = []
+            for i, batch in enumerate(list(runs)):
+                writers.append(SpillWriter(self.env.pfs, self.env.comm,
+                                           f"{old.name}_sortrun{i}"))
+                writers[-1].write_chunk(b"".join(sorted_records([batch],
+                                                                by_value)))
+            runs = [KVBatch(b"".join(writer.reader()), self.layout)
+                    for writer in writers]
             for writer in writers:
                 writer.discard()
-        else:
-            runs = old.chunks()
-        out.extend_encoded(self._sorted(
-            KVBatch(b"".join(runs), self.layout), by_value))
+        out.extend_encoded(b"".join(sorted_records(runs, by_value)))
         out.finalize()
         self.env.charge_compute(
             2 * old.nbytes * max(1, (old.nbytes // self.config.page_size)
@@ -439,15 +401,6 @@ class MRMPI:
         self.kv = None
         self._retire(old)
         self.kv = out
-
-    @staticmethod
-    def _sorted(batch: KVBatch, by_value: bool) -> bytes:
-        """The records of ``batch`` in stable key (value) order."""
-        fields = list(batch.values_bytes() if by_value
-                      else batch.keys_bytes())
-        records = list(batch.records_bytes())
-        return b"".join(map(records.__getitem__, sorted(
-            range(len(fields)), key=fields.__getitem__)))
 
     def _dests(self, batch: KVBatch, nparts: int) -> np.ndarray:
         keys = batch.keys_bytes()
@@ -493,7 +446,9 @@ class MRMPI:
                 roff = batch.roff
                 stop = int(np.searchsorted(roff, roff[at] + room, "right")) - 1
                 room -= int(roff[stop] - roff[at])
-                self._split(batch, dests, at, stop, parts)
+                _, data, offs, runs = split_by_dest(batch, dests[at:stop], at)
+                for dest, first, last in runs:
+                    parts[dest].append(data[offs[first] : offs[last]])
                 at = stop
                 if at < len(batch):  # record ``at`` waits for a round
                     break
@@ -515,23 +470,6 @@ class MRMPI:
         self.kv = None
         self._retire(old)
         self.kv = received
-
-    @staticmethod
-    def _split(batch: KVBatch, dests: np.ndarray, lo: int, hi: int,
-               parts: list[list[bytes]]) -> None:
-        """Append records ``lo:hi`` of ``batch`` to ``parts[dest]``, in
-        order: one stable sort by destination, one gather of bytes."""
-        order = np.argsort(dests[lo:hi], kind="stable") + lo
-        starts = batch.roff[order]
-        sizes = batch.roff[order + 1] - starts
-        data = np.frombuffer(batch.data, np.uint8)[
-            byte_ranges(starts, sizes)].tobytes()
-        # Where each destination's run of records starts.
-        firsts = np.flatnonzero(np.diff(dests[order], prepend=-1))
-        cuts = [*(np.cumsum(sizes)[firsts] - sizes[firsts]).tolist(),
-                len(data)]
-        for dest, a, b in zip(dests[order[firsts]].tolist(), cuts, cuts[1:]):
-            parts[dest].append(data[a:b])
 
     # -------------------------------------------------------------- output
 

@@ -7,13 +7,18 @@ it at the start of the emptied partition.  The engine no longer has a
 per-record path; these two functions are the oracle the block paths
 must reproduce byte for byte, exchange for exchange.  The reading side
 is :func:`iter_records`: one ``decode`` per record, what the column
-scan must agree with.
+scan must agree with.  The out-of-core regroup has its oracles here
+too: :func:`spill_partitions` stages one record at a time, and
+:func:`encode_kmv_record` encodes one KMV record per group.
 """
 
 import struct
 
+import numpy as np
+
 from repro.core.errors import RecordTooLargeError
 from repro.core.records import CSTRING, VARIABLE
+from repro.core.shuffle import hash_partition
 
 _U32 = struct.Struct("<I")
 
@@ -82,3 +87,37 @@ def iter_records(layout, buf):
     while offset < len(buf):
         key, value, offset = layout.decode(buf, offset)
         yield key, value
+
+
+def spill_partitions(batches, writers, page_size):
+    """Route each record to ``writers[crc32(key) % n]``, staging it in
+    its partition's buffer, which is written after exactly the record
+    that brings it to ``page_size``; the rest is written at the end, in
+    partition order.  Returns the payload bytes."""
+    staging = [bytearray() for _ in writers]
+    scanned = 0
+    for batch in batches:
+        scanned += batch.payload_bytes
+        for part, record in zip(hash_partition(batch.keys_bytes(),
+                                               len(writers)),
+                                batch.records_bytes()):
+            staging[part] += record
+            if len(staging[part]) >= page_size:
+                writers[part].write_chunk(staging[part])
+                staging[part] = bytearray()
+    for part, buf in enumerate(staging):
+        if buf:
+            writers[part].write_chunk(buf)
+    return scanned
+
+
+def encode_kmv_record(layout, key, values):
+    """One complete KMV record: ``key field | u32 count | u32 length per
+    value (VARIABLE only) | values (each NUL-ended for CSTRING)``."""
+    sep = b"\0" if layout.val_len == CSTRING else b""
+    return b"".join([
+        _U32.pack(len(key)) if layout.key_len is VARIABLE else b"", key,
+        b"\0" if layout.key_len == CSTRING else b"", _U32.pack(len(values)),
+        np.fromiter(map(len, values), "<u4", len(values)).tobytes()
+        if layout.val_len is VARIABLE else b"",
+        sep.join(values), sep if values else b""])

@@ -5,6 +5,7 @@ import struct
 import time
 import tracemalloc
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,19 +27,22 @@ from repro.core import (
     unpack_u64,
 )
 from repro.core import convert
+from repro.core.batch import KVBatch
 from repro.core.convert import (
     _group_partition,
     _needs_partitioned_convert,
     convert_to_kmv,
     iter_grouped,
+    spill_partitions,
 )
-from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_batches
+from repro.core.kmvcontainer import encode_kmv_runs, iter_kmv_batches
 from repro.core.records import BLOCK
 from repro.memory import MemoryTracker
 from repro.memory.pages import Page, PagePool
 from repro.mpi import COMET
 from tests.conftest import fit_field, small_blocks
-from tests.scalar_reference import iter_records
+from tests import scalar_reference
+from tests.scalar_reference import encode_kmv_record, iter_records
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=1024)
 OOC = MimirConfig(page_size=1024, comm_buffer_size=1024, out_of_core=True)
@@ -486,6 +490,85 @@ class TestKMVDecoder:
             layout, b"k", [b"12345678", b"123"]))
         with pytest.raises(ValueError, match=r"layout is KVLayout\("):
             batch.value_rows(8)
+
+
+class TestKMVEncoder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CONVERT_LAYOUTS),
+           st.lists(st.tuples(st.integers(0, 9), st.binary(max_size=12)),
+                    min_size=1, max_size=60),
+           st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_blocks_equal_one_record_per_group(self, layout, raw, rng,
+                                               block):
+        pairs = [(fit_field(layout.key_len, b"%x" % key),
+                  fit_field(layout.val_len, value)) for key, value in raw]
+        chunk = b"".join(layout.encode(*pair) for pair in pairs)
+        grouped, _ = _group_partition(layout, [chunk])
+        groups = list(range(len(grouped)))
+        rng.shuffle(groups)
+        with small_blocks(block):
+            runs = list(encode_kmv_runs(grouped, np.array(groups)))
+        records = [encode_kmv_record(layout, *list(grouped)[g])
+                   for g in groups]
+        assert [len(roff) - 1 for _, roff in runs] == \
+            [len(groups[lo : lo + block])
+             for lo in range(0, len(groups), block)]
+        assert b"".join(data for data, _ in runs) == b"".join(records)
+        assert [roff.tolist() for _, roff in runs] == [
+            np.cumsum([0, *map(len, records[lo : lo + block])]).tolist()
+            for lo in range(0, len(groups), block)]
+
+
+class _ChunkLog:
+    """A partition's spill writer that logs ``(partition, chunk)``; as
+    ``SpillWriter`` does, it writes nothing for an empty chunk."""
+
+    def __init__(self, log, part):
+        self.log, self.part = log, part
+
+    def write_chunk(self, data):
+        if data:
+            self.log.append((self.part, bytes(data)))
+
+
+class TestRouter:
+    """``spill_partitions`` (a block per call) writes the chunks of the
+    record-at-a-time staging loop, in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([KVLayout(), KVLayout(CSTRING, CSTRING)]),
+           st.integers(1, 5), st.integers(8, 160),
+           st.lists(st.tuples(st.binary(max_size=4),
+                              st.sampled_from(["short", "page", "over"]),
+                              st.binary(max_size=24)), max_size=80),
+           st.lists(st.integers(0, 80), max_size=4),
+           st.integers(1, 8))
+    def test_same_chunks_as_one_record_at_a_time(
+            self, layout, nparts, page_size, raw, cuts, block):
+        pairs = []
+        for key, size, value in raw:
+            key, value = (fit_field(layout.key_len, key),
+                          fit_field(layout.val_len, value))
+            head = layout.encoded_size(key, b"")
+            if size != "short" and head < page_size:
+                # A record of exactly a page, or larger than one.
+                value = b"v" * (page_size - head + (size == "over") * (
+                    len(value) + 1))
+            pairs.append((key, value))
+        records = [layout.encode(*pair) for pair in pairs]
+        bounds = [0, *sorted(min(cut, len(records)) for cut in cuts),
+                  len(records)]
+        runs = [b"".join(records[a:b]) for a, b in zip(bounds, bounds[1:])]
+        logs = []
+        for route in (spill_partitions, scalar_reference.spill_partitions):
+            log = []
+            writers = [_ChunkLog(log, part) for part in range(nparts)]
+            with small_blocks(block):
+                scanned = route((KVBatch(run, layout) for run in runs),
+                                writers, page_size)
+            logs.append((scanned, log))
+        assert logs[0] == logs[1]
+        assert logs[0][0] == sum(map(len, chain(*pairs)))
 
 
 class TestBatchReduce:

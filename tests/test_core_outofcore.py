@@ -221,6 +221,38 @@ def test_codec_map_spills_under_a_limit(codec):
     assert [counts for counts, _, _ in frozen] == \
         [counts for counts, _, _ in run(None, None)]
 
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "one group is larger than the limit: on rank 1 the key 'fmigx' holds "
+    "400 of 1,576 words, about 5.2 KB of partition payload, and the "
+    "convert charges a partition whole ('convert_partition', 5.1K), so no "
+    "partition count fits it under 3K (nor 4K or 6K; 8K completes). "
+    "Grouping that streams a group would make this pass."))
+def test_a_group_larger_than_memory_reduces_out_of_core():
+    """The 3K shape of the codec test above, without a codec, mapped and
+    then reduced."""
+    from repro.datasets.words import zipf_text
+
+    config = MimirConfig(page_size=256, comm_buffer_size=256,
+                         input_chunk_size=256, out_of_core=True)
+    text = zipf_text(16 * 1024, vocab_size=200)
+
+    def job(env):
+        mimir = Mimir(env, config)
+        out = mimir.reduce(mimir.map_text_file("t.txt", wc_map),
+                           lambda ctx, k, vs: ctx.emit(k, pack_u64(len(vs))))
+        return {key: unpack_u64(value) for key, value in out.records()}
+
+    cluster = Cluster(COMET, nprocs=2, memory_limit="3K")
+    cluster.pfs.store("t.txt", text)
+    result = cluster.run(job, allow_oom=True)
+    assert result.oom is None, result.oom
+    counts = {}
+    for part in result.returns:
+        counts.update(part)
+    assert counts == Counter(text.split())
+
+
 def reversed_value(key, value):
     return value[::-1]
 

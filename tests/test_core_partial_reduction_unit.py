@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core import KVContainer, KVLayout, MimirConfig, pack_u64, unpack_u64
-from repro.core.kmvcontainer import encode_kmv_record, iter_kmv_batches
+from repro.core.kmvcontainer import iter_kmv_batches
 from repro.core.partial_reduction import partial_reduce
 from repro.core.records import CSTRING
 from repro.mpi import COMET
+from tests.scalar_reference import encode_kmv_record
 
 CFG = MimirConfig(page_size=1024, comm_buffer_size=1024)
 
