@@ -39,7 +39,7 @@ from repro.ft.chaos import (
     straggler_plan,
     wordcount_job,
 )
-from repro.ft.elastic import ElasticPolicy, run_elastic
+from repro.ft.elastic import BACKUP_OVERHEAD, ElasticPolicy, run_elastic
 from repro.ft.injection import ChaosPlan
 
 NPROCS = 4
@@ -193,7 +193,7 @@ def make_entry(nseeds: int, chaos_seeds: int, *, smoke: bool) -> dict:
             "factor_range": list(FACTOR_RANGE),
             "threshold": SPEC_POLICY.straggler_threshold,
             "splits_per_rank": SPEC_POLICY.splits_per_rank,
-            "backup_overhead": SPEC_POLICY.backup_overhead,
+            "backup_overhead": BACKUP_OVERHEAD,
         },
         "baseline_elapsed": base_elapsed,
         "sweep": rows,

@@ -178,8 +178,7 @@ class Cluster:
         ]
         self._trackers = trackers
         self.launches += 1
-        world = World(self.nprocs, self.platform.network,
-                      nnodes=self.nodes)
+        world = World(self.nprocs, self.platform.network)
         chaos = self.chaos
         self.pfs.wire(chaos, self.metrics)
 

@@ -21,6 +21,12 @@ from repro.core.errors import ConfigError
 from repro.core.records import BLOCK, CSTRING, VARIABLE, KVLayout
 from repro.memory.tracker import MemoryTracker
 
+#: Bookkeeping bytes charged per hash-bucket entry on top of its key:
+#: the paper's "extra buffers to store the hash buckets".  An estimate,
+#: not a measurement; the convert and the skew sampler charge 16 more
+#: per entry for their counters.
+ENTRY_OVERHEAD = 48
+
 
 def group_run(index: dict[bytes, int], keys) -> tuple[list, np.ndarray]:
     """Group ids of ``keys``, numbering unique keys in first-seen order.
@@ -50,7 +56,8 @@ class Bucket:
     uint8 matrix, so the stream's ``layout`` must fix the value width.
     """
 
-    def __init__(self, tracker: MemoryTracker, entry_overhead: int = 48,
+    def __init__(self, tracker: MemoryTracker,
+                 entry_overhead: int = ENTRY_OVERHEAD,
                  tag: str = "bucket", fold=None,
                  layout: KVLayout | None = None):
         self.tracker = tracker

@@ -37,8 +37,8 @@ class Combiner:
                  combine_fn: CombineFn, shuffler: Shuffler):
         self.env = env
         self.shuffler = shuffler
-        self.bucket = Bucket(env.tracker, config.bucket_entry_overhead,
-                             "compress_bucket", combine_fn, shuffler.layout)
+        self.bucket = Bucket(env.tracker, tag="compress_bucket",
+                             fold=combine_fn, layout=shuffler.layout)
         #: None reproduces the paper (unbounded bucket, aggregate fully
         #: delayed); a byte budget enables the bounded-flush improvement
         #: the paper lists as future work.

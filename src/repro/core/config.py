@@ -32,10 +32,6 @@ class MimirConfig:
     page_size: int = 64 * 1024
     comm_buffer_size: int = 64 * 1024
     layout: KVLayout = field(default_factory=KVLayout)
-    #: Estimated bookkeeping bytes charged per hash-bucket entry, used
-    #: by KV compression and partial reduction (the paper's "extra
-    #: buffers to store the hash buckets").
-    bucket_entry_overhead: int = 48
     #: Read granularity for file inputs.
     input_chunk_size: int = 64 * 1024
     #: KV-compression bucket budget in bytes.  ``None`` reproduces the
@@ -68,8 +64,6 @@ class MimirConfig:
         if self.comm_buffer_size <= 0:
             raise ConfigError(
                 f"comm_buffer_size must be positive, got {self.comm_buffer_size}")
-        if self.bucket_entry_overhead < 0:
-            raise ConfigError("bucket_entry_overhead must be non-negative")
         if self.input_chunk_size <= 0:
             raise ConfigError("input_chunk_size must be positive")
         if not isinstance(self.layout, KVLayout):

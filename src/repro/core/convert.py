@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster import RankEnv
 from repro.core.batch import KMVBatch, KVBatch
-from repro.core.bucket import Bucket, group_run
+from repro.core.bucket import ENTRY_OVERHEAD, Bucket, group_run
 from repro.core.config import MimirConfig
 from repro.core.kmvcontainer import KMVContainer
 from repro.core.kvcontainer import KVContainer
@@ -29,8 +29,7 @@ def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
                    tag: str = "kmvc") -> KMVContainer:
     """Convert ``kvc`` (consumed) into a new KMV container."""
     # Per entry: the key plus two u64 counters.
-    sizes = Bucket(env.tracker, config.bucket_entry_overhead + 16,
-                   "convert_bucket")
+    sizes = Bucket(env.tracker, ENTRY_OVERHEAD + 16, "convert_bucket")
 
     # Pass 1: group every page, then gather per-key sizes.
     pages = [_group_page(sizes, batch) for batch in kvc.batches()]

@@ -481,7 +481,7 @@ class Mimir:
             source = self._reusable(kvc, consume, "kv_refold")
             # ``stats=phase``: the fold reports its batch counts itself.
             out = partial_reduce(
-                self.env, source, pr_fn, self.config,
+                self.env, source, pr_fn,
                 self.container(out_layout or kvc.layout, out_tag),
                 stats=phase, seed=seed, seed_consume=seed_consume)
             phase.update(

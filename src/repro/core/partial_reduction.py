@@ -17,7 +17,6 @@ from typing import Callable
 from repro.cluster import RankEnv
 from repro.core.batch import is_batch_kernel
 from repro.core.bucket import Bucket
-from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
 
 #: ``pr_fn(key, value_a, value_b) -> value`` - same contract as a
@@ -25,8 +24,7 @@ from repro.core.kvcontainer import KVContainer
 PartialReduceFn = Callable[[bytes, bytes, bytes], bytes]
 
 
-def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
-                   config: MimirConfig, out: KVContainer,
+def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn, out: KVContainer,
                    stats: dict | None = None, seed: KVContainer | None = None,
                    seed_consume: bool = True) -> KVContainer:
     """Fold ``kvc`` (consumed) into one KV per unique key, appended to
@@ -45,8 +43,8 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn,
     old-then-new order as one uninterrupted pass over all records.
     """
     batch_fn = is_batch_kernel(pr_fn)
-    bucket = Bucket(env.tracker, config.bucket_entry_overhead, "pr_bucket",
-                    pr_fn, kvc.layout)
+    bucket = Bucket(env.tracker, tag="pr_bucket", fold=pr_fn,
+                    layout=kvc.layout)
     scanned = 0
     nrecords = npages = 0
     if seed is not None:

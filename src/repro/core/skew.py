@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core.bucket import Bucket
+from repro.core.bucket import ENTRY_OVERHEAD, Bucket
 from repro.core.config import MimirConfig
 from repro.core.kvcontainer import KVContainer
 from repro.core.partial_reduction import PartialReduceFn
@@ -107,8 +107,7 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
                 map_fn(sample_emit, item)
         except _Stop:
             pass
-        counts = Bucket(env.tracker, config.bucket_entry_overhead + 16,
-                        "skew_sample")
+        counts = Bucket(env.tracker, ENTRY_OVERHEAD + 16, "skew_sample")
         seen = np.bincount(counts.enter_run(sampled)).tolist()
         hot_keys = find_hot_keys(env, zip(counts.index, seen),
                                  max_hot=max_hot, hot_fraction=hot_fraction)

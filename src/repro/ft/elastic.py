@@ -77,6 +77,10 @@ from repro.storage.errors import retrying
 _SHRINKABLE = {"rank-death": "death", "membership-leave": "leave",
                "straggler-evict": "evict"}
 
+#: Extra fraction of a task's duration a speculative duplicate costs:
+#: re-reading the task's input split on the backup host.
+BACKUP_OVERHEAD = 0.05
+
 
 # --------------------------------------------------------------- policy
 
@@ -86,17 +90,14 @@ class ElasticPolicy:
     """Knobs of the reactive layer; immutable and validated.
 
     ``straggler_threshold`` is the slowdown multiple over the median
-    at which a rank is flagged; ``backup_overhead`` models the cost of
-    re-reading a duplicated task's input split on the backup host.
-    ``splits_per_rank`` sets task-pool granularity - more tasks mean
-    earlier per-task detection and finer re-balancing, at more
-    scheduling overhead (the paper's usual tradeoff).
+    at which a rank is flagged.  ``splits_per_rank`` sets task-pool
+    granularity - more tasks mean earlier per-task detection and finer
+    re-balancing, at more scheduling overhead (the paper's usual
+    tradeoff).
     """
 
     straggler_threshold: float = 2.0
-    min_detect_seconds: float = 0.0
     speculate: bool = True
-    backup_overhead: float = 0.05
     evict_stragglers: bool = True
     max_membership_changes: int = 4
     min_ranks: int = 1
@@ -109,13 +110,6 @@ class ElasticPolicy:
                 f"straggler_threshold must be > 1 (a threshold at or "
                 f"below the median flags healthy ranks), got "
                 f"{self.straggler_threshold}")
-        if self.min_detect_seconds < 0:
-            raise ValueError(
-                f"min_detect_seconds must be >= 0, "
-                f"got {self.min_detect_seconds}")
-        if self.backup_overhead < 0:
-            raise ValueError(
-                f"backup_overhead must be >= 0, got {self.backup_overhead}")
         if self.max_membership_changes < 0:
             raise ValueError(
                 f"max_membership_changes must be >= 0, "
@@ -143,22 +137,18 @@ class StragglerMonitor:
     out-of-band.
     """
 
-    def __init__(self, threshold: float = 2.0, min_gap: float = 0.0):
+    def __init__(self, threshold: float = 2.0):
         if threshold <= 1.0:
             raise ValueError(
                 f"threshold must be > 1, got {threshold}")
-        if min_gap < 0:
-            raise ValueError(f"min_gap must be >= 0, got {min_gap}")
         self.threshold = threshold
-        self.min_gap = min_gap
 
     def flag(self, durations: "dict[int, float] | Sequence[float]",
              ) -> list[int]:
         """Ranks whose duration exceeds ``threshold`` x median.
 
-        ``min_gap`` suppresses flags when the absolute lag is noise
-        (phases measured in microseconds).  A non-positive median means
-        the phase did no measurable work anywhere - nothing to flag.
+        A non-positive median means the phase did no measurable work
+        anywhere - nothing to flag.
         """
         if isinstance(durations, dict):
             items = sorted(durations.items())
@@ -169,9 +159,7 @@ class StragglerMonitor:
         middle = median(d for _, d in items)
         if middle <= 0.0:
             return []
-        return [rank for rank, d in items
-                if d > self.threshold * middle
-                and (d - middle) >= self.min_gap]
+        return [rank for rank, d in items if d > self.threshold * middle]
 
     def flag_from_metrics(self, registry,
                           name: str = "core.phase.seconds") -> list[int]:
@@ -323,8 +311,7 @@ def speculative_map(mimir: Mimir, path: str,
             task_crc[task] = crc
             busy[rank] += duration
 
-    flagged = StragglerMonitor(
-        threshold, policy.min_detect_seconds).flag(busy)
+    flagged = StragglerMonitor(threshold).flag(busy)
     report = SpeculationReport(stage_key=stage_key, nranks=size,
                                ntasks=ntasks, busy=list(busy),
                                flagged=list(flagged),
@@ -341,8 +328,7 @@ def speculative_map(mimir: Mimir, path: str,
         # threshold x median task durations a healthy observer knows a
         # task is late.  This is what keeps the bound at a fraction of
         # the phase instead of a multiple of it.
-        detect_at = max(threshold * median(task_dur.values()),
-                        policy.min_detect_seconds)
+        detect_at = threshold * median(task_dur.values())
         report.detect_at = detect_at
         healthy = sorted((r for r in range(size) if r not in flagged),
                          key=lambda r: (busy[r], r))
@@ -392,7 +378,7 @@ def speculative_map(mimir: Mimir, path: str,
                     task, f"{stage_key}/t{task}", task % size,
                     prim_done[task], host, None, "primary"))
                 continue
-            end_b = start_b + backup_dur[task] * (1.0 + policy.backup_overhead)
+            end_b = start_b + backup_dur[task] * (1.0 + BACKUP_OVERHEAD)
             host_free[host] = end_b
             report.launched += 1
             if comm.rank == host:
@@ -517,8 +503,7 @@ class ElasticStageHooks:
 
     def __init__(self, policy: ElasticPolicy | None = None):
         self.policy = policy or ElasticPolicy()
-        self.monitor = StragglerMonitor(self.policy.straggler_threshold,
-                                        self.policy.min_detect_seconds)
+        self.monitor = StragglerMonitor(self.policy.straggler_threshold)
         #: Flagged ranks by stage name, from :meth:`observe_stage`.
         self.flags: dict[str, list[int]] = {}
         #: Every speculative phase's report (rank 0 collects them), and

@@ -17,69 +17,43 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Alpha-beta interconnect model, optionally topology-aware.
+    """Alpha-beta interconnect model.
 
     ``latency`` is the per-message software+wire latency in seconds;
     ``bandwidth`` is per-link bytes/second.  Collective estimates follow
     the standard log-tree formulations.
-
-    ``intra_speedup`` > 1 makes communication between ranks of one node
-    cheaper (shared memory vs the wire): cost helpers accept the number
-    of *nodes* the ranks span and blend the intra/inter rates by the
-    fraction of traffic that stays on-node.  The default of 1.0 keeps
-    the flat (topology-blind) model.
     """
 
     latency: float
     bandwidth: float
-    intra_speedup: float = 1.0
 
-    def _effective(self, nprocs: int, nnodes: int) -> tuple[float, float]:
-        """Blended (latency, bandwidth) for an nprocs/nnodes layout."""
-        if self.intra_speedup <= 1.0 or nprocs <= 1:
-            return self.latency, self.bandwidth
-        nnodes = max(1, min(nnodes, nprocs))
-        # Fraction of peer pairs that live on the same node.
-        per_node = nprocs / nnodes
-        intra_frac = max(0.0, min(1.0, (per_node - 1) / max(1, nprocs - 1)))
-        blend = intra_frac / self.intra_speedup + (1.0 - intra_frac)
-        return self.latency * blend, self.bandwidth / blend
-
-    def barrier_cost(self, nprocs: int, nnodes: int | None = None) -> float:
+    def barrier_cost(self, nprocs: int) -> float:
         """Dissemination barrier: ceil(log2(p)) rounds of latency."""
         if nprocs <= 1:
             return 0.0
-        lat, _bw = self._effective(nprocs, nnodes or nprocs)
-        return lat * math.ceil(math.log2(nprocs))
+        return self.latency * math.ceil(math.log2(nprocs))
 
-    def allreduce_cost(self, nprocs: int, nbytes: int,
-                       nnodes: int | None = None) -> float:
+    def allreduce_cost(self, nprocs: int, nbytes: int) -> float:
         """Recursive-doubling allreduce on a small payload."""
         if nprocs <= 1:
             return 0.0
-        lat, bw = self._effective(nprocs, nnodes or nprocs)
         rounds = math.ceil(math.log2(nprocs))
-        return rounds * (lat + nbytes / bw)
+        return rounds * (self.latency + nbytes / self.bandwidth)
 
-    def bcast_cost(self, nprocs: int, nbytes: int,
-                   nnodes: int | None = None) -> float:
+    def bcast_cost(self, nprocs: int, nbytes: int) -> float:
         """Binomial-tree broadcast."""
         if nprocs <= 1:
             return 0.0
-        lat, bw = self._effective(nprocs, nnodes or nprocs)
         rounds = math.ceil(math.log2(nprocs))
-        return rounds * (lat + nbytes / bw)
+        return rounds * (self.latency + nbytes / self.bandwidth)
 
-    def allgather_cost(self, nprocs: int, max_nbytes: int,
-                       nnodes: int | None = None) -> float:
+    def allgather_cost(self, nprocs: int, max_nbytes: int) -> float:
         """Ring allgather: p-1 steps of the largest contribution."""
         if nprocs <= 1:
             return 0.0
-        lat, bw = self._effective(nprocs, nnodes or nprocs)
-        return (nprocs - 1) * (lat + max_nbytes / bw)
+        return (nprocs - 1) * (self.latency + max_nbytes / self.bandwidth)
 
-    def alltoallv_cost(self, nprocs: int, max_send_bytes: int,
-                       nnodes: int | None = None) -> float:
+    def alltoallv_cost(self, nprocs: int, max_send_bytes: int) -> float:
         """Pairwise-exchange alltoallv.
 
         ``max_send_bytes`` is the largest total payload any single rank
@@ -88,9 +62,8 @@ class NetworkModel:
         """
         if nprocs <= 1:
             return 0.0
-        lat, bw = self._effective(nprocs, nnodes or nprocs)
         per_step = max_send_bytes / nprocs
-        return (nprocs - 1) * (lat + per_step / bw)
+        return (nprocs - 1) * (self.latency + per_step / self.bandwidth)
 
 
 @dataclass(frozen=True)

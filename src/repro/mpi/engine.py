@@ -33,14 +33,10 @@ _CONTROL_BYTES = 64
 class CollectiveEngine:
     """Sequences collective operations for ``nprocs`` rank threads."""
 
-    def __init__(self, nprocs: int, network: NetworkModel,
-                 nnodes: int | None = None):
+    def __init__(self, nprocs: int, network: NetworkModel):
         if nprocs <= 0:
             raise ValueError(f"nprocs must be positive, got {nprocs}")
-        if nnodes is not None and nnodes <= 0:
-            raise ValueError(f"nnodes must be positive, got {nnodes}")
         self.nprocs = nprocs
-        self.nnodes = nnodes or nprocs
         self.network = network
         self._ops: list[str | None] = [None] * nprocs
         self._payloads: list[Any] = [None] * nprocs
@@ -145,7 +141,7 @@ class CollectiveEngine:
         net = self.network
         if op == "barrier":
             self._results = [None] * p
-            return net.barrier_cost(p, self.nnodes)
+            return net.barrier_cost(p)
         if op == "allreduce":
             fn = self._reduce_fn
             if fn is None:
@@ -155,16 +151,16 @@ class CollectiveEngine:
                 acc = fn(acc, value)
             self._results = [acc] * p
             self._reduce_fn = None
-            return net.allreduce_cost(p, _CONTROL_BYTES, self.nnodes)
+            return net.allreduce_cost(p, _CONTROL_BYTES)
         if op == "allgather":
             gathered = list(self._payloads)
             self._results = [gathered] * p
-            return net.allgather_cost(p, _CONTROL_BYTES, self.nnodes)
+            return net.allgather_cost(p, _CONTROL_BYTES)
         if op == "bcast":
             value = self._payloads[self._root]
             self._results = [value] * p
             self._root = 0
-            return net.bcast_cost(p, _CONTROL_BYTES, self.nnodes)
+            return net.bcast_cost(p, _CONTROL_BYTES)
         if op == "scan":
             fn = self._reduce_fn
             if fn is None:
@@ -176,7 +172,7 @@ class CollectiveEngine:
                 results.append(acc)
             self._results = results
             self._reduce_fn = None
-            return net.allreduce_cost(p, _CONTROL_BYTES, self.nnodes)
+            return net.allreduce_cost(p, _CONTROL_BYTES)
         if op == "alltoallv":
             sends: Sequence[Sequence[bytes]] = self._payloads
             for r, parts in enumerate(sends):
@@ -189,5 +185,5 @@ class CollectiveEngine:
                 for dst in range(p)
             ]
             max_send = max(sum(len(part) for part in parts) for parts in sends)
-            return net.alltoallv_cost(p, max_send, self.nnodes)
+            return net.alltoallv_cost(p, max_send)
         raise ValueError(f"unknown collective {op!r}")

@@ -44,13 +44,11 @@ class WorldResult:
 class World:
     """A fixed-size group of simulated ranks."""
 
-    def __init__(self, size: int, network: NetworkModel | None = None, *,
-                 nnodes: int | None = None):
+    def __init__(self, size: int, network: NetworkModel | None = None):
         if size <= 0:
             raise ValueError(f"world size must be positive, got {size}")
         self.size = size
         self.network = network or DEFAULT_NETWORK
-        self.nnodes = nnodes
 
     def run(self, fn: Callable[..., Any], *common_args: Any,
             rank_args: Sequence[Sequence[Any]] | None = None) -> WorldResult:
@@ -69,7 +67,7 @@ class World:
                 raise RankFailedError(0, exc) from exc
             return WorldResult([value], [comm.clock.time])
 
-        engine = CollectiveEngine(self.size, self.network, self.nnodes)
+        engine = CollectiveEngine(self.size, self.network)
         returns: list[Any] = [None] * self.size
         clocks: list[float] = [0.0] * self.size
         errors: dict[int, BaseException] = {}

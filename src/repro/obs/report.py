@@ -203,7 +203,7 @@ def run_pipeline_report(apps: "list[str] | None" = None, *,
         job_lines=sched_report.render_log().splitlines(),
         phases=phase_rows(trace),
         peak_bytes=max((t.peak for t in scheduler.trackers), default=0),
-        composition=None,   # scheduler trackers skip the timeline
+        composition=None,   # the demo cluster keeps no timeline
         metrics_text=cluster.metrics.render(),
         metric_totals=cluster.metrics.totals(),
         lanes=render_job_lanes(trace),

@@ -41,6 +41,14 @@ from repro.sched.cache import StageCache
 from repro.sched.executor import PlanRunner
 from repro.sched.plan import Plan
 
+#: OOMs a job survives before it fails; each one at least doubles its
+#: footprint estimate before it is admitted again.
+MAX_OOM_RETRIES = 1
+#: Peak memory residency at or above which the autoscaler grows the
+#: gang, and at or below which it may shrink it, one rank at a time.
+GROW_RESIDENCY = 0.80
+SHRINK_RESIDENCY = 0.30
+
 
 @dataclass
 class SchedJob:
@@ -130,19 +138,17 @@ class ScalingPolicy:
     The autoscaler half of the control loop (:class:`Scheduler`
     consults it between rounds): ``decide`` maps the sensors (ready-queue
     depth, peak memory residency from the trackers) to a target gang
-    size.  Residency dominates - an almost-full memory budget
-    grows the gang even when the queue is short, and shrinking is
-    refused until residency is comfortably low, so scale-downs never
-    cause the OOM they are supposed to be irrelevant to.
+    size, one rank away from the current one.  Residency dominates - a
+    budget at least :data:`GROW_RESIDENCY` full grows the gang even
+    when the queue is short, and shrinking is refused until residency
+    is at most :data:`SHRINK_RESIDENCY`, so scale-downs never cause the
+    OOM they are supposed to be irrelevant to.
     """
 
     min_ranks: int = 1
     max_ranks: int = 64
     #: Target ready-queue jobs per rank; deeper queues grow the gang.
     jobs_per_rank: float = 1.0
-    grow_residency: float = 0.80
-    shrink_residency: float = 0.30
-    step: int = 1
 
     def __post_init__(self):
         if self.min_ranks < 1:
@@ -153,12 +159,6 @@ class ScalingPolicy:
         if self.jobs_per_rank <= 0:
             raise ValueError(
                 f"jobs_per_rank must be positive, got {self.jobs_per_rank}")
-        if not 0.0 <= self.shrink_residency <= self.grow_residency <= 1.0:
-            raise ValueError(
-                f"need 0 <= shrink_residency <= grow_residency <= 1, got "
-                f"{self.shrink_residency} / {self.grow_residency}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
 
     def decide(self, *, queue_depth: int, residency: float,
                nprocs: int) -> int:
@@ -167,10 +167,10 @@ class ScalingPolicy:
             if queue_depth else 0
         wanted = int(wanted)
         target = nprocs
-        if residency >= self.grow_residency or wanted > nprocs:
-            target = nprocs + self.step
-        elif wanted < nprocs and residency <= self.shrink_residency:
-            target = nprocs - self.step
+        if residency >= GROW_RESIDENCY or wanted > nprocs:
+            target = nprocs + 1
+        elif wanted < nprocs and residency <= SHRINK_RESIDENCY:
+            target = nprocs - 1
         return max(self.min_ranks, min(self.max_ranks, target))
 
 
@@ -237,14 +237,12 @@ class Scheduler:
     """Admission-controlled multi-job queue over one cluster."""
 
     def __init__(self, cluster: Cluster, *, reserve: float = 0.1,
-                 trace=None, max_oom_retries: int = 1,
-                 scaling: ScalingPolicy | None = None):
+                 trace=None, scaling: ScalingPolicy | None = None):
         if not 0 <= reserve < 1:
             raise ValueError(f"reserve must be in [0, 1), got {reserve}")
         self.cluster = cluster
         self.reserve = reserve
         self.trace = trace
-        self.max_oom_retries = max_oom_retries
         #: Optional autoscaler: consulted between rounds with the queue
         #: depth and observed memory residency, and actuated through
         #: :meth:`Cluster.resize`.
@@ -278,8 +276,10 @@ class Scheduler:
         self.on_admit: "Callable[[list[SchedJob], int], None] | None" = None
 
     def _fresh_trackers(self) -> list[MemoryTracker]:
-        limit = self.cluster.memory_limit_per_rank
-        return [MemoryTracker(limit) for _ in range(self.cluster.nprocs)]
+        cluster = self.cluster
+        return [MemoryTracker(cluster.memory_limit_per_rank,
+                              keep_timeline=cluster.keep_timeline)
+                for _ in range(cluster.nprocs)]
 
     def _emit(self, kind: str, label: str, *, at: float | None = None,
               **data: Any) -> None:
@@ -562,7 +562,7 @@ class Scheduler:
             bumped = max(queued.estimate * 2, blown,
                          self.estimator.observed.get(key, 0))
             self.estimator.observe(key, bumped)
-            if queued.oom_retries > self.max_oom_retries:
+            if queued.oom_retries > MAX_OOM_RETRIES:
                 self._queue.remove(queued)
                 outcomes.append(JobOutcome(
                     name=queued.job.name, round=round_no,

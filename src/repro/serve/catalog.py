@@ -22,6 +22,7 @@ replay rebuilds exactly the job that was submitted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
@@ -277,7 +278,8 @@ def check_params(app: str, params: dict[str, Any]) -> dict[str, Any]:
 
     A value of the wrong type is refused, never coerced: ``"false"``
     for a flag would be ``True`` by the time the app saw it.  A value
-    ``<= 0`` for a positive param is refused too.
+    ``<= 0`` for a positive param is refused too, and so is a float that
+    is not finite (``NaN`` and ``Infinity`` parse from a JSON body).
     """
     if app not in SERVE_APPS:
         raise ValueError(f"unknown app {app!r}; catalog: "
@@ -296,6 +298,9 @@ def check_params(app: str, params: dict[str, Any]) -> dict[str, Any]:
                 not (want is float and type(value) is int):
             raise ValueError(f"param {name!r} of {app!r} wants "
                              f"{want.__name__}, got {value!r}")
+        if want is float and not math.isfinite(value):
+            raise ValueError(f"param {name!r} of {app!r} must be finite, "
+                             f"got {value!r}")
         if spec.positive and value <= 0:
             raise ValueError(f"param {name!r} of {app!r} must be > 0, "
                              f"got {value!r}")

@@ -58,6 +58,8 @@ CANCELLED = "cancelled"
 EXPIRED = "expired"
 
 _TERMINAL = (DONE, FAILED, CANCELLED, EXPIRED)
+#: Worker sleep between idle ticks (real seconds).
+_IDLE_TICK = 0.01
 
 
 @dataclass
@@ -65,12 +67,9 @@ class ServeConfig:
     """Service-level knobs (scheduler knobs live on the cluster)."""
 
     lease_ttl: float = 60.0
-    aging_rate: float = 1.0
     journal_path: str = "serve/journal"
     input_prefix: str = "serve/in"
     output_prefix: str = "serve/out"
-    #: Worker sleep between idle ticks (real seconds).
-    tick_interval: float = 0.01
 
 
 @dataclass
@@ -150,8 +149,7 @@ class ServeDaemon:
         self.chaos = chaos
         self.trace = trace if trace is not None else Trace()
         self.metrics = cluster.metrics.shard(-1)
-        self.tenants = tenants or TenantManager(
-            aging_rate=self.config.aging_rate)
+        self.tenants = tenants or TenantManager()
         self.tenants.metrics = self.metrics
         self.scheduler = Scheduler(cluster, trace=self.trace,
                                    scaling=scaling)
@@ -572,7 +570,7 @@ class ServeDaemon:
                 self.crash_error = exc
                 return
             if not progressed:
-                self._stop.wait(self.config.tick_interval)
+                self._stop.wait(_IDLE_TICK)
             else:
                 # Yield so API threads waiting on the lock get a turn
                 # between rounds even under a full queue.

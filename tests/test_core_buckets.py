@@ -15,7 +15,7 @@ from repro.apps.pagerank import PR_HINT_LAYOUT, pack_f64, pr_combine, \
 from repro.apps.wordcount import wc_combine, wc_fold_batch
 from repro.core import ConfigError, KVBatch, KVContainer, KVLayout, \
     MimirConfig, pack_u64
-from repro.core.bucket import Bucket
+from repro.core.bucket import ENTRY_OVERHEAD, Bucket
 from repro.core.combiner import Combiner
 from repro.core.partial_reduction import partial_reduce
 from repro.core.records import BLOCK, CSTRING, VARIABLE
@@ -272,7 +272,7 @@ def scalar_combine(calls, fn, overhead, budget, block):
 
 
 def scalar_partial_reduce(tracker, kvc, fn, config, block, seed=None):
-    bucket = ScalarBucket(tracker, config.bucket_entry_overhead)
+    bucket = ScalarBucket(tracker, ENTRY_OVERHEAD)
     for source in (seed, kvc):
         if source is not None:
             for key, value in source.consume():
@@ -358,9 +358,8 @@ class TestAgainstScalarReference:
         plain, fold, layout, records = case
         calls = data.draw(emit_calls(records))
         config = MimirConfig(layout=layout, combiner_bucket_budget=budget)
-        overhead = config.bucket_entry_overhead
         stream, charged, after, merged, peak = scalar_combine(
-            calls, plain, overhead, budget, block)
+            calls, plain, ENTRY_OVERHEAD, budget, block)
 
         env, sink = StubEnv(), ListShuffler(layout)
         with small_blocks(block):
@@ -429,7 +428,7 @@ class TestAgainstScalarReference:
                       records + (seed_records or []))
         with small_blocks(block):
             out = partial_reduce(
-                env, kvc, fold, config,
+                env, kvc, fold,
                 KVContainer(env.tracker, layout, config.page_size), seed=seed)
         assert list(out.records()) == list(expected.records())
         assert env.charged == [scanned + out.nbytes]

@@ -28,6 +28,7 @@ from repro.core import (
 )
 from repro.core import convert
 from repro.core.batch import KVBatch
+from repro.core.bucket import ENTRY_OVERHEAD
 from repro.core.convert import (
     _group_partition,
     _needs_partitioned_convert,
@@ -187,7 +188,7 @@ class ScalarConvert:
     count, the value (and a NUL for CSTRING) after all the lengths.
     """
 
-    def __init__(self, tracker, layout, page_size, entry_overhead=48):
+    def __init__(self, tracker, layout, page_size, entry_overhead):
         self.tracker = tracker
         self.layout = layout
         self.pool = PagePool(tracker, page_size, tag="kmvc")
@@ -272,9 +273,8 @@ def convert_both_ways(layout, pairs, page_size):
                 assert len(kmvc) == len({key for key, _ in pairs})
                 assert kmvc.nbytes == sum(len(data) for data, _ in pages)
             else:
-                pages = ScalarConvert(
-                    tracker, layout, page_size,
-                    config.bucket_entry_overhead).run(kvc)
+                pages = ScalarConvert(tracker, layout, page_size,
+                                      ENTRY_OVERHEAD).run(kvc)
             outcomes.append((pages, tracker.peak, tracker.current))
 
     with_env(job)

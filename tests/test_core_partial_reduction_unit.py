@@ -5,14 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.core import KVContainer, KVLayout, MimirConfig, pack_u64, unpack_u64
+from repro.core import KVContainer, KVLayout, pack_u64, unpack_u64
 from repro.core.kmvcontainer import iter_kmv_batches
 from repro.core.partial_reduction import partial_reduce
 from repro.core.records import CSTRING
 from repro.mpi import COMET
 from tests.scalar_reference import encode_kmv_record
-
-CFG = MimirConfig(page_size=1024, comm_buffer_size=1024)
 
 
 def iter_kmv_buffer(layout, buf):
@@ -35,7 +33,7 @@ class TestPartialReduceUnit:
             out = partial_reduce(
                 env, kvc,
                 lambda k, a, b: pack_u64(unpack_u64(a) + unpack_u64(b)),
-                CFG, KVContainer(env.tracker, page_size=1024))
+                KVContainer(env.tracker, page_size=1024))
             result = {k: unpack_u64(v) for k, v in out.records()}
             out.free()
             return result, env.tracker.current
@@ -50,7 +48,7 @@ class TestPartialReduceUnit:
             kvc = KVContainer(env.tracker, page_size=1024)
             for token in (b"a", b"b", b"c"):
                 kvc.add(b"k", token)
-            out = partial_reduce(env, kvc, lambda k, a, b: a + b, CFG,
+            out = partial_reduce(env, kvc, lambda k, a, b: a + b,
                                  KVContainer(env.tracker, page_size=1024))
             result = dict(out.records())
             out.free()
@@ -65,7 +63,7 @@ class TestPartialReduceUnit:
             pairs = [(b"x%d" % i, b"v%d" % i) for i in range(5)]
             for k, v in pairs:
                 kvc.add(k, v)
-            out = partial_reduce(env, kvc, lambda k, a, b: a, CFG,
+            out = partial_reduce(env, kvc, lambda k, a, b: a,
                                  KVContainer(env.tracker, page_size=1024))
             result = list(out.records())
             out.free()
@@ -77,7 +75,7 @@ class TestPartialReduceUnit:
     def test_empty_input(self):
         def job(env):
             kvc = KVContainer(env.tracker, page_size=1024)
-            out = partial_reduce(env, kvc, lambda k, a, b: a, CFG,
+            out = partial_reduce(env, kvc, lambda k, a, b: a,
                                  KVContainer(env.tracker, page_size=1024))
             n = len(out)
             out.free()

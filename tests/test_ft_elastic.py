@@ -73,8 +73,6 @@ class TestPolicyValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(straggler_threshold=1.0),
         dict(straggler_threshold=0.5),
-        dict(min_detect_seconds=-1.0),
-        dict(backup_overhead=-0.1),
         dict(max_membership_changes=-1),
         dict(min_ranks=0),
         dict(max_ranks=0),
@@ -89,9 +87,6 @@ class TestPolicyValidation:
         dict(min_ranks=0),
         dict(min_ranks=8, max_ranks=4),
         dict(jobs_per_rank=0),
-        dict(grow_residency=1.5),
-        dict(shrink_residency=0.9, grow_residency=0.5),
-        dict(step=0),
     ])
     def test_bad_scaling_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -120,12 +115,6 @@ class TestStragglerMonitor:
         mon = StragglerMonitor(threshold=2.0)
         assert mon.flag([1.0, 1.0, 2.0]) == []
         assert mon.flag([1.0, 1.0, 2.01]) == [2]
-
-    def test_min_gap_suppresses_tiny_phases(self):
-        # 3x over median but only 2ms absolute: noise, not a straggler.
-        mon = StragglerMonitor(threshold=2.0, min_gap=0.01)
-        assert mon.flag([0.001, 0.001, 0.003]) == []
-        assert mon.flag([1.0, 1.0, 3.0]) == [2]
 
     def test_degenerate_inputs(self):
         mon = StragglerMonitor()

@@ -28,6 +28,7 @@ from repro.core import (
     pack_u64,
     unpack_u64,
 )
+from repro.core.bucket import ENTRY_OVERHEAD
 from repro.core.combiner import Combiner
 from repro.core.job import ContainerSink, MapContext
 from repro.core.shuffle import Shuffler
@@ -349,8 +350,7 @@ def test_staged_emits_fold_like_the_scalar_combiner(data, case, block,
     calls = data.draw(interleavings(records))
     config = MimirConfig(layout=layout, combiner_bucket_budget=budget)
     stream, charged, _, merged, peak = scalar_combine(
-        staged_calls(calls, block), plain, config.bucket_entry_overhead,
-        budget, block)
+        staged_calls(calls, block), plain, ENTRY_OVERHEAD, budget, block)
     env, sink = StubEnv(), ListShuffler(layout)
     with small_blocks(block):
         combiner = Combiner(env, config, fold, sink)

@@ -7,7 +7,12 @@ from repro.core import MimirConfig
 from repro.mpi import COMET
 from repro.sched import FootprintEstimator, SchedJob, Scheduler
 from repro.sched.demo import make_job, stage_inputs
-from repro.obs import SCHED_EVENT_KINDS, Trace, render_job_lanes
+from repro.obs import (
+    SCHED_EVENT_KINDS,
+    Trace,
+    composition_at_peak,
+    render_job_lanes,
+)
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -35,6 +40,17 @@ def make_scheduler(memory_limit="512K", nprocs=2, **kwargs):
 
 
 class TestAdmission:
+    def test_trackers_keep_the_clusters_timeline(self):
+        # The scheduler used to build its trackers without the
+        # cluster's keep_timeline, so composition_at_peak raised.
+        cluster = Cluster(COMET, nprocs=2, memory_limit="512K",
+                          keep_timeline=True)
+        sched = Scheduler(cluster)
+        sched.submit(SchedJob("a", alloc_job(50_000),
+                              footprint="100K", config=CFG))
+        assert sched.run().ooms == 0
+        assert composition_at_peak(sched.trackers[0]) == {"work": 50_000}
+
     def test_oversubscribed_jobs_serialize(self):
         # Budget: 512K * 0.9 = 460.8K; two 300K jobs cannot share it.
         sched, trace = make_scheduler()

@@ -162,6 +162,11 @@ class TestHTTPEndToEnd:
         ("stream_wordcount", "demo/words.txt", {"nbatches": 0}),
         ("stream_wordcount", "demo/words.txt", {"window": -1.0}),
         ("stream_wordcount", "demo/words.txt", {"window": 0}),
+        # The body holds NaN / Infinity / -Infinity, which Python's json
+        # parses; a NaN window used to run to "done" counting nothing.
+        ("stream_wordcount", "demo/words.txt", {"window": float("nan")}),
+        ("stream_wordcount", "demo/words.txt", {"window": float("inf")}),
+        ("stream_wordcount", "demo/words.txt", {"window": float("-inf")}),
     ])
     def test_out_of_range_param_rejected_400(self, service, app, inp,
                                              params):
