@@ -41,8 +41,8 @@ def make_scheduler(memory_limit="512K", nprocs=2, **kwargs):
 
 class TestAdmission:
     def test_trackers_keep_the_clusters_timeline(self):
-        # The scheduler used to build its trackers without the
-        # cluster's keep_timeline, so composition_at_peak raised.
+        # The scheduler's trackers keep a timeline when the cluster's
+        # do, so a drain can be broken down by tag.
         cluster = Cluster(COMET, nprocs=2, memory_limit="512K",
                           keep_timeline=True)
         sched = Scheduler(cluster)

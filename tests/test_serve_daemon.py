@@ -163,7 +163,7 @@ class TestHTTPEndToEnd:
         ("stream_wordcount", "demo/words.txt", {"window": -1.0}),
         ("stream_wordcount", "demo/words.txt", {"window": 0}),
         # The body holds NaN / Infinity / -Infinity, which Python's json
-        # parses; a NaN window used to run to "done" counting nothing.
+        # parses: a window that is not finite would count nothing.
         ("stream_wordcount", "demo/words.txt", {"window": float("nan")}),
         ("stream_wordcount", "demo/words.txt", {"window": float("inf")}),
         ("stream_wordcount", "demo/words.txt", {"window": float("-inf")}),
