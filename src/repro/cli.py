@@ -163,13 +163,19 @@ def cmd_serve(args) -> int:
             queued, concurrent = bounds.split(":", 1)
             quotas[tenant] = TenantQuota(max_queued=int(queued),
                                          max_concurrent=int(concurrent))
-        except ValueError:
-            print(f"error: bad --quota {spec!r} "
-                  f"(want tenant=max_queued:max_concurrent)")
+        except ValueError as exc:
+            print(f"error: bad --quota {spec!r}: {exc} "
+                  f"(want tenant=max_queued:max_concurrent, "
+                  f"max_concurrent >= 1)")
             return 2
+    try:
+        tenants = TenantManager(quotas, aging_rate=args.aging_rate)
+    except ValueError as exc:
+        print(f"error: bad --aging-rate: {exc}")
+        return 2
     daemon = ServeDaemon(
         cluster,
-        tenants=TenantManager(quotas, aging_rate=args.aging_rate),
+        tenants=tenants,
         config=ServeConfig(lease_ttl=args.lease_ttl),
         scaling=(ScalingPolicy(max_ranks=args.autoscale_max)
                  if args.autoscale else None))

@@ -3,11 +3,10 @@
 :class:`Cluster` is what benchmarks and examples run jobs on.  It
 launches a :class:`~repro.mpi.world.World`, gives every rank a
 :class:`~repro.memory.tracker.MemoryTracker` bounded by the platform's
-per-process memory, and shares one storage backend with the platform's
-I/O cost model - by default the simulated :class:`~repro.storage.pfs.
-ParallelFileSystem`, or any :class:`~repro.storage.base.
-StorageBackend` selected via the ``storage`` spec /
-``REPRO_STORAGE_BACKEND`` (see :mod:`repro.storage` and
+per-process memory, and shares one :class:`~repro.storage.base.
+StorageBackend` priced from the platform's I/O cost model - by default
+the simulated parallel file system (``pfs``), or the spec selected via
+``storage`` / ``REPRO_STORAGE_BACKEND`` (see :mod:`repro.storage` and
 docs/storage.md).  Job functions receive a :class:`RankEnv`.
 
 ``run(..., allow_oom=True)`` converts a rank's
@@ -37,9 +36,8 @@ class RankEnv:
 
     comm: SimComm
     tracker: MemoryTracker
-    #: The cluster's storage substrate.  Named ``pfs`` for history, but
-    #: typed as the protocol: any :class:`~repro.storage.base.
-    #: StorageBackend` slots in (see :mod:`repro.storage`).
+    #: The cluster's store.  Named ``pfs`` for history; it is priced as
+    #: the cluster's storage spec says (see :mod:`repro.storage`).
     pfs: StorageBackend
     platform: Platform
     #: This rank's metrics shard (see :mod:`repro.obs.registry`).  A

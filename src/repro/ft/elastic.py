@@ -49,6 +49,7 @@ duck-typed), keeping the dependency arrow one-way.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from functools import reduce
@@ -105,11 +106,11 @@ class ElasticPolicy:
     splits_per_rank: int = 4
 
     def __post_init__(self):
-        if self.straggler_threshold <= 1.0:
+        if not 1.0 < self.straggler_threshold < math.inf:
             raise ValueError(
-                f"straggler_threshold must be > 1 (a threshold at or "
-                f"below the median flags healthy ranks), got "
-                f"{self.straggler_threshold}")
+                f"straggler_threshold must be finite and > 1 (a "
+                f"threshold at or below the median flags healthy ranks), "
+                f"got {self.straggler_threshold}")
         if self.max_membership_changes < 0:
             raise ValueError(
                 f"max_membership_changes must be >= 0, "
@@ -138,9 +139,9 @@ class StragglerMonitor:
     """
 
     def __init__(self, threshold: float = 2.0):
-        if threshold <= 1.0:
+        if not 1.0 < threshold < math.inf:
             raise ValueError(
-                f"threshold must be > 1, got {threshold}")
+                f"threshold must be finite and > 1, got {threshold}")
         self.threshold = threshold
 
     def flag(self, durations: "dict[int, float] | Sequence[float]",

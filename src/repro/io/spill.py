@@ -5,10 +5,10 @@ to a per-rank spill stream and later read back one chunk at a time.
 Chunk boundaries are preserved so that record encodings (which never
 straddle a page) can be decoded chunk-by-chunk on the way back in.
 
-Spill streams program against the :class:`~repro.storage.base.
-StorageBackend` protocol (``append``/``read``/``delete``), so they run
-unchanged on any backend - the shared PFS, the sharded KV store, or
-the external-sort backend's node-local namespace.
+Spill streams use the :class:`~repro.storage.base.StorageBackend`
+surface (``append``/``read``/``delete``), so they run unchanged on
+every storage spec - priced as the shared PFS, the in-memory KV tier,
+or ``extsort``'s node-local ``spill/`` namespace.
 """
 
 from __future__ import annotations

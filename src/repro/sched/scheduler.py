@@ -30,6 +30,7 @@ a later job reuses containers an earlier job cached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -156,9 +157,9 @@ class ScalingPolicy:
         if self.max_ranks < self.min_ranks:
             raise ValueError(
                 f"max_ranks {self.max_ranks} < min_ranks {self.min_ranks}")
-        if self.jobs_per_rank <= 0:
-            raise ValueError(
-                f"jobs_per_rank must be positive, got {self.jobs_per_rank}")
+        if not 0 < self.jobs_per_rank < math.inf:
+            raise ValueError(f"jobs_per_rank must be finite and positive, "
+                             f"got {self.jobs_per_rank}")
 
     def decide(self, *, queue_depth: int, residency: float,
                nprocs: int) -> int:

@@ -23,6 +23,7 @@ of similar age.  The aging hook plugs into
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -63,6 +64,15 @@ class TenantQuota:
     #: Base priority weight added to every job's requested priority.
     base_priority: int = 0
 
+    def __post_init__(self):
+        # A tenant with no concurrent slot never leaves the queue.
+        if self.max_concurrent < 1:
+            raise ValueError(f"max_concurrent must be >= 1, "
+                             f"got {self.max_concurrent}")
+        if self.max_queued < 0:
+            raise ValueError(f"max_queued must be >= 0, "
+                             f"got {self.max_queued}")
+
     @property
     def memory_bytes(self) -> int | None:
         if self.memory_per_rank is None:
@@ -82,6 +92,8 @@ class TenantManager:
     def __init__(self, quotas: dict[str, TenantQuota] | None = None, *,
                  default: TenantQuota | None = TenantQuota(),
                  aging_rate: float = 1.0, metrics: Any = None):
+        if not math.isfinite(aging_rate):
+            raise ValueError(f"aging_rate must be finite, got {aging_rate}")
         self.quotas = dict(quotas or {})
         self.default = default
         #: Effective-priority gain per round spent queued.

@@ -1,26 +1,26 @@
-"""Pluggable storage backends behind the :class:`StorageBackend` protocol.
+"""Storage: one blob store, three price lists.
 
-Three implementations ship (see docs/storage.md for the operator's
-guide):
+:class:`StorageBackend` is the one store (see docs/storage.md for the
+operator's guide).  Each spec in :data:`BACKENDS` is a row of
+:func:`make_backend`'s price table over it:
 
-- ``pfs`` - the simulated shared parallel file system, the default and
-  the reference implementation (:mod:`repro.storage.pfs`).
-- ``kv`` - a sharded in-memory KV store with per-shard locks and
-  deterministic ``crc32(path) % nshards`` placement
-  (:mod:`repro.storage.kv`).
-- ``extsort`` - the KV store plus a cheap node-local ``spill/``
-  namespace, the price of the engine's out-of-core sort runs
-  (:mod:`repro.storage.extsort`).
+- ``pfs`` - the simulated shared parallel file system, the default:
+  the platform's PFS model, contended by the node's ``sharers``.
+- ``kv`` - an in-memory KV tier: the PFS model sped up by
+  :data:`KV_SPEEDUP`, no contention, no write penalty.
+- ``extsort`` - the platform's PFS model without contention, plus a
+  cheap node-local model (:data:`LOCAL_SPEEDUP`) for ``spill/``, the
+  price of the engine's out-of-core sort runs.
 
-Selection points, in precedence order: an explicit backend object
+Selection points, in precedence order: an explicit store object
 passed to :class:`~repro.cluster.Cluster`; a spec string
 (``Cluster(storage="kv")`` / ``repro serve --storage kv``); the
 ``REPRO_STORAGE_BACKEND`` environment variable (how the CI storage
 matrix sweeps the tier-1 subset); and finally ``pfs``.  A job's spill
-lands on its cluster's backend.
+lands on its cluster's store.
 
-The retry taxonomy every backend shares (``TransientIOError``,
-``retrying``, ...) lives in :mod:`repro.storage.errors`.
+The retry taxonomy (``TransientIOError``, ``retrying``, ...) lives in
+:mod:`repro.storage.errors`.
 """
 
 from __future__ import annotations
@@ -29,20 +29,16 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.mpi.costmodel import PFSModel
-from repro.storage.base import FileStats, StorageBackend
-from repro.storage.extsort import ExternalSortBackend
-from repro.storage.kv import ShardedKVBackend
-from repro.storage.pfs import ParallelFileSystem
+from repro.storage.base import FREE, LOCAL_PREFIXES, FileStats, \
+    StorageBackend
 
 if TYPE_CHECKING:
     from repro.mpi.platforms import Platform
 
 __all__ = [
     "BACKENDS",
-    "ExternalSortBackend",
     "FileStats",
-    "ParallelFileSystem",
-    "ShardedKVBackend",
+    "LOCAL_PREFIXES",
     "StorageBackend",
     "default_backend_name",
     "make_backend",
@@ -60,6 +56,12 @@ ENV_VAR = "REPRO_STORAGE_BACKEND"
 #: in-memory store, so the derived model drops both.
 KV_SPEEDUP = 8.0
 
+#: How much cheaper node-local scratch is than the shared store for
+#: ``extsort``'s ``spill/`` paths: latency divides by this, bandwidth
+#: multiplies, fan-in stays and the write penalty goes (a local
+#: NVMe/SSD vs. a contended PFS pipe).
+LOCAL_SPEEDUP = 4.0
+
 
 def default_backend_name() -> str:
     """The spec used when neither code nor CLI chose one."""
@@ -71,34 +73,34 @@ def default_backend_name() -> str:
     return spec
 
 
-def _kv_model(model: PFSModel | None) -> PFSModel | None:
-    if model is None:
-        return None
-    return PFSModel(latency=model.latency / KV_SPEEDUP,
-                    bandwidth=model.bandwidth * KV_SPEEDUP)
+def _sped_up(model: PFSModel, speedup: float,
+             io_ratio: float = 1.0) -> PFSModel:
+    return PFSModel(latency=model.latency / speedup,
+                    bandwidth=model.bandwidth * speedup, io_ratio=io_ratio)
 
 
 def make_backend(spec: str | None = None, *,
                  platform: "Platform | None" = None,
                  sharers: int = 1) -> StorageBackend:
-    """Build the backend named by ``spec``.
+    """Build the store named by ``spec``.
 
     ``spec=None`` falls back to :func:`default_backend_name` (which
-    honours ``REPRO_STORAGE_BACKEND``).  The cost model comes from
-    ``platform.pfs``, else each backend's zero-cost default; ``kv`` and
-    ``extsort`` derive their memory-speed / node-local variants from it
-    so virtual time stays meaningful on every platform.  ``sharers``
-    only applies to ``pfs`` (per-node bandwidth contention has no
-    analogue on the sharded stores).
+    honours ``REPRO_STORAGE_BACKEND``).  Each spec is one row of
+    prices derived from ``platform.pfs`` (with no platform, from
+    :data:`~repro.storage.base.FREE`: every access costs nothing).
+    ``sharers`` only applies to ``pfs`` (per-node bandwidth contention
+    has no analogue on the other two).
     """
     spec = spec or default_backend_name()
-    model = platform.pfs if platform is not None else None
+    model = platform.pfs if platform is not None else FREE
     if spec == "pfs":
-        return ParallelFileSystem(model, sharers=sharers)
+        return StorageBackend(model, sharers=sharers, name=spec)
     if spec == "kv":
-        return ShardedKVBackend(_kv_model(model))
+        return StorageBackend(_sped_up(model, KV_SPEEDUP), name=spec)
     if spec == "extsort":
-        return ExternalSortBackend(model)
+        return StorageBackend(
+            model, name=spec,
+            local_model=_sped_up(model, LOCAL_SPEEDUP, model.io_ratio))
     raise ValueError(
         f"unknown storage backend {spec!r}; "
         f"choose from {', '.join(BACKENDS)}")

@@ -122,6 +122,18 @@ class TestServeParser:
              "--port", "8123"])
         assert args.quota == ["alice=4:2", "bob=1:1"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--aging-rate", "nan"],
+        ["--quota", "t=8:0"],
+        ["--quota", "t=-1:2"],
+        ["--quota", "t"],
+    ])
+    def test_bad_tenant_settings_exit_2(self, argv, capsys):
+        # ``--duration`` bounds the daemon should a bad value get past.
+        assert main(["serve", "--nprocs", "1", "--duration", "0.1",
+                     *argv]) == 2
+        assert "error: bad" in capsys.readouterr().out
+
     def test_submit_options(self):
         args = build_parser().parse_args(
             ["submit", "pagerank", "demo/graph.bin",

@@ -137,13 +137,10 @@ class TestStorageDocs:
 
     def test_knob_defaults_match_code(self):
         """Documented knob defaults track the constants they describe."""
-        from repro.storage import KV_SPEEDUP
-        from repro.storage.extsort import LOCAL_SPEEDUP
-        from repro.storage.kv import DEFAULT_NSHARDS
+        from repro.storage import KV_SPEEDUP, LOCAL_SPEEDUP
 
         doc = (ROOT / "docs" / "storage.md").read_text()
         assert f"`{KV_SPEEDUP}`" in doc
-        assert f"`{DEFAULT_NSHARDS}`" in doc
         assert f"`{LOCAL_SPEEDUP}`" in doc
 
     def test_backend_cost_row_matches_code(self):

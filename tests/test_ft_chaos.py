@@ -41,13 +41,13 @@ from repro.ft.checkpoint import (
 from repro.memory.tracker import MemoryLimitExceeded
 from repro.mpi import COMET, PFSModel, RankFailedError
 from repro.mpi.comm import SimComm
+from repro.storage import StorageBackend
 from repro.storage.errors import (
     PFSFileNotFoundError,
     RetriesExhaustedError,
     TransientIOError,
     retrying,
 )
-from repro.storage.pfs import ParallelFileSystem
 
 EXPECTED = tuple(sorted(Counter(CHAOS_TEXT.split()).items()))
 #: The harness plan's fault points: the map checkpoint's commit point
@@ -61,14 +61,14 @@ JOB = wordcount_job()
 
 class TestPFSFileNotFound:
     def test_read_carries_path(self):
-        pfs = ParallelFileSystem()
+        pfs = StorageBackend()
         with pytest.raises(PFSFileNotFoundError) as exc_info:
             pfs.read(SimComm(0, 1), "ckpt/job/missing.0")
         assert exc_info.value.path == "ckpt/job/missing.0"
         assert "ckpt/job/missing.0" in str(exc_info.value)
 
     def test_fetch_and_size_raise_descriptive(self):
-        pfs = ParallelFileSystem()
+        pfs = StorageBackend()
         pfs.store("ckpt/job/phase.0", b"x")
         for call in (lambda: pfs.fetch("ckpt/job/phase.1"),
                      lambda: pfs.size("ckpt/job/phase.1")):
@@ -77,7 +77,7 @@ class TestPFSFileNotFound:
             assert "sibling" in str(exc_info.value)
 
     def test_still_a_keyerror(self):
-        pfs = ParallelFileSystem()
+        pfs = StorageBackend()
         with pytest.raises(KeyError):
             pfs.fetch("nope")
 
@@ -528,7 +528,7 @@ class TestChaosPlan:
 
         def run(chaos):
             cluster = Cluster(COMET, nprocs=2, memory_limit=None,
-                              pfs=ParallelFileSystem(pfs_model),
+                              pfs=StorageBackend(pfs_model),
                               chaos=chaos)
             cluster.pfs.store(INPUT_PATH, CHAOS_TEXT)
             return cluster.run(

@@ -104,6 +104,17 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             MembershipEvent(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, value):
+        # A NaN threshold flagged no straggler ever; a NaN queue target
+        # crashed ``decide`` converting NaN to a gang size.
+        with pytest.raises(ValueError, match="finite"):
+            ElasticPolicy(straggler_threshold=value)
+        with pytest.raises(ValueError, match="finite"):
+            StragglerMonitor(value)
+        with pytest.raises(ValueError, match="finite"):
+            ScalingPolicy(jobs_per_rank=value)
+
 
 class TestStragglerMonitor:
     def test_flags_outlier_over_threshold(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import ParallelFileSystem
+from repro.storage import StorageBackend
 from repro.mpi import PFSModel, World
 from repro.mpi.comm import SimComm
 
@@ -14,7 +14,7 @@ def comm():
 
 @pytest.fixture
 def pfs():
-    return ParallelFileSystem(PFSModel(latency=1e-3, bandwidth=1e6))
+    return StorageBackend(PFSModel(latency=1e-3, bandwidth=1e6))
 
 
 class TestStaging:
@@ -82,14 +82,14 @@ class TestCostedIO:
         assert pfs.stats.by_prefix["output"] == 50
 
     def test_default_model_is_free(self, comm):
-        pfs = ParallelFileSystem()
+        pfs = StorageBackend()
         pfs.write(comm, "f", b"z" * 10_000)
         assert comm.clock.time == 0.0
 
 
 class TestConcurrentAccess:
     def test_ranks_share_one_namespace(self):
-        pfs = ParallelFileSystem()
+        pfs = StorageBackend()
 
         def fn(comm):
             pfs.write(comm, f"part/{comm.rank}", bytes([comm.rank]) * 4)
@@ -100,7 +100,7 @@ class TestConcurrentAccess:
         assert result.returns[0] == [f"part/{r}" for r in range(4)]
 
     def test_concurrent_appends_all_land(self):
-        pfs = ParallelFileSystem()
+        pfs = StorageBackend()
 
         def fn(comm):
             for _ in range(50):

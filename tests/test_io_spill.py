@@ -3,14 +3,14 @@
 import pytest
 
 from repro.io import SpillReader, SpillWriter
-from repro.storage import ParallelFileSystem
+from repro.storage import StorageBackend
 from repro.mpi import PFSModel
 from repro.mpi.comm import SimComm
 
 
 @pytest.fixture
 def env():
-    pfs = ParallelFileSystem(PFSModel(latency=1e-4, bandwidth=1e6))
+    pfs = StorageBackend(PFSModel(latency=1e-4, bandwidth=1e6))
     comm = SimComm(0, 1)
     return pfs, comm
 
@@ -40,7 +40,7 @@ class TestSpillRoundtrip:
         assert w.total_bytes == 5
 
     def test_per_rank_paths(self):
-        pfs = ParallelFileSystem()
+        pfs = StorageBackend()
         w0 = SpillWriter(pfs, SimComm(0, 1), "kv")
         assert w0.path == "spill/kv.0"
 

@@ -62,6 +62,22 @@ class TestQuotas:
         assert shard.counts["serve.rejections.quota"] == 1
 
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_concurrent=0),     # admits none of its jobs, ever
+        dict(max_concurrent=-1),
+        dict(max_queued=-1),
+    ])
+    def test_quota_that_cannot_hold_a_job_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TenantQuota(**kwargs)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_aging_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            TenantManager(aging_rate=rate)
+
+
 class TestSchedulerHooks:
     def test_admission_filter_caps_per_round_share(self):
         manager = TenantManager({"t": TenantQuota(max_concurrent=2)})

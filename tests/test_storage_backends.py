@@ -25,9 +25,7 @@ from repro.serve.catalog import merge_output, run_direct
 from repro.serve.daemon import ServeDaemon
 from repro.storage import (
     BACKENDS,
-    ExternalSortBackend,
-    ParallelFileSystem,
-    ShardedKVBackend,
+    StorageBackend,
     default_backend_name,
     make_backend,
 )
@@ -155,9 +153,9 @@ class TestProtocolSemantics:
         assert totals["storage.bytes_written"] == 4
 
     def test_factory_and_env_default(self, monkeypatch):
-        assert type(make_backend("pfs")) is ParallelFileSystem
-        assert isinstance(make_backend("kv"), ShardedKVBackend)
-        assert isinstance(make_backend("extsort"), ExternalSortBackend)
+        for spec in BACKENDS:
+            backend = make_backend(spec)
+            assert type(backend) is StorageBackend and backend.name == spec
         with pytest.raises(ValueError, match="unknown storage backend"):
             make_backend("tape")
         monkeypatch.setenv("REPRO_STORAGE_BACKEND", "kv")
@@ -167,18 +165,6 @@ class TestProtocolSemantics:
         monkeypatch.setenv("REPRO_STORAGE_BACKEND", "floppy")
         with pytest.raises(ValueError, match="floppy"):
             Cluster(COMET, nprocs=2)
-
-    def test_kv_shard_assignment_is_deterministic(self):
-        a = ShardedKVBackend(nshards=8)
-        b = ShardedKVBackend(nshards=8)
-        paths = [f"spill/run_{i}.0" for i in range(64)]
-        assert [a.shard_of(p) for p in paths] == \
-            [b.shard_of(p) for p in paths]
-        for path in paths:
-            a.store(path, b"x")
-        assert sum(a.shard_sizes()) == len(paths)
-        # More than one shard actually used (placement spreads).
-        assert sum(1 for n in a.shard_sizes() if n) > 1
 
 
 class TestCrossBackendIdentity:
@@ -329,7 +315,7 @@ class TestExternalSort:
             assert validate_output(data, out) == [], (nprocs, nrec)
 
     def test_local_spill_namespace_is_cheaper(self):
-        backend = ExternalSortBackend(COMET.pfs)
+        backend = make_backend("extsort", platform=COMET)
         comm = _FakeComm()
         backend.write(comm, "shared/f", b"x" * 65536)
         shared_cost = comm.time
@@ -446,7 +432,7 @@ class TestImportOrder:
     have been imported first."""
 
     @pytest.mark.parametrize("module", [
-        "repro.storage.pfs", "repro.io.readers", "repro.cluster",
+        "repro.storage.base", "repro.io.readers", "repro.cluster",
         "repro.ft", "repro.storage", "repro.io.spill"])
     def test_imports_first_in_a_fresh_interpreter(self, module):
         import subprocess
