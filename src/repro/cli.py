@@ -164,9 +164,8 @@ def cmd_serve(args) -> int:
             quotas[tenant] = TenantQuota(max_queued=int(queued),
                                          max_concurrent=int(concurrent))
         except ValueError as exc:
-            print(f"error: bad --quota {spec!r}: {exc} "
-                  f"(want tenant=max_queued:max_concurrent, "
-                  f"max_concurrent >= 1)")
+            print(f"error: bad --quota {spec!r} "
+                  f"(want tenant=max_queued:max_concurrent): {exc}")
             return 2
     try:
         tenants = TenantManager(quotas, aging_rate=args.aging_rate)
