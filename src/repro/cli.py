@@ -149,13 +149,6 @@ def cmd_serve(args) -> int:
     from repro.serve.daemon import ServeConfig, ServeDaemon
     from repro.serve.tenants import TenantManager, TenantQuota
 
-    platform = PLATFORMS[args.platform]
-    cluster = Cluster(platform, nprocs=args.nprocs,
-                      memory_limit=args.memory, storage=args.storage)
-    if args.stage_demo:
-        from repro.sched.demo import stage_inputs
-
-        stage_inputs(cluster)
     quotas = {}
     for spec in args.quota or []:
         try:
@@ -172,6 +165,13 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: bad --aging-rate: {exc}")
         return 2
+    platform = PLATFORMS[args.platform]
+    cluster = Cluster(platform, nprocs=args.nprocs,
+                      memory_limit=args.memory, storage=args.storage)
+    if args.stage_demo:
+        from repro.sched.demo import stage_inputs
+
+        stage_inputs(cluster)
     daemon = ServeDaemon(
         cluster,
         tenants=tenants,
