@@ -9,7 +9,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.wordcount import wc_map, wc_reduce, wc_reduce_batch
@@ -325,6 +325,47 @@ class TestColumnarConvertAgainstScalar:
             columnar, scalar = convert_both_ways(layout, pairs, page_size)
         assert columnar == scalar
 
+    @pytest.mark.parametrize("layout", CONVERT_LAYOUTS)
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 120),
+                              st.one_of(st.none(), st.integers(0, 12))),
+                    min_size=1, max_size=4),
+           st.integers(1, 40), st.sampled_from([64, 128, 1024]),
+           st.integers(1, 40), st.booleans())
+    # Zero-width values (a VARIABLE value is its length alone).
+    @example([(80, 0)], 12, 64, 3, False)
+    # Values of one length: CSTRING ones are a NUL apart.
+    @example([(90, 5)], 9, 128, 7, False)
+    # A jumbo slot among small ones.
+    @example([(40, 4), (40, 4)], 6, 64, 5, True)
+    # A run's slots lie on several KMV pages.
+    @example([(120, 2)], 40, 64, 40, False)
+    # KV pages mixing widths: one width, then many, then another.
+    @example([(30, 3), (30, None), (30, 0)], 10, 128, 4, False)
+    def test_values_of_one_width(self, layout, segments, nkeys, page_size,
+                                 block, jumbo):
+        # A segment's values share one width (``None``: widths vary per
+        # record), so a KV page is all one width or mixes them.
+        pairs = []
+        for seg, (count, width) in enumerate(segments):
+            for i in range(count):
+                size = i % 9 if width is None else width
+                pairs.append((fit_field(layout.key_len,
+                                        b"%x" % ((7 * i + seg) % nkeys)),
+                              fit_field(layout.val_len,
+                                        (b"%d" % i).rjust(size, b"v")[:size])))
+        if jumbo:
+            hot = fit_field(layout.key_len, b"hot")
+            pairs[::3] = [(hot, value) for _, value in pairs[::3]]
+            pairs += [(hot, pairs[-1][1])] * page_size
+        pairs = [pair for pair in pairs
+                 if layout.encoded_size(*pair) <= page_size]
+        with small_blocks(block):
+            columnar, scalar = convert_both_ways(layout, pairs, page_size)
+        assert columnar == scalar
+        if jumbo:
+            assert any(charged > page_size for _, charged in columnar[0])
+
     def test_scalar_slot_api_is_the_column_code(self):
         # ``reserve``/``append_value`` are one-record calls of
         # ``reserve_run``/``fill_run``: same pages either way.
@@ -618,9 +659,10 @@ class TestConvertHostMemory:
     leaves for pass two, plus temporaries bounded by the block - not by
     the page and not by the input."""
 
-    def untracked_peak(self, npages):
+    def untracked_peak(self, npages, page_size=64 * 1024):
         layout = CFG.layout
-        config = MimirConfig()      # stock 64 KiB pages, ~2,700 records each
+        # Stock 64 KiB pages hold ~2,700 records each.
+        config = MimirConfig(page_size=page_size)
         per_page = config.page_size // len(layout.encode(b"key00000",
                                                          pack_u64(0)))
 
@@ -657,6 +699,13 @@ class TestConvertHostMemory:
         # ... and growing by the index alone: page-sized temporaries
         # (int64 columns, tolist() ints) would show up here.
         assert over_many - over_few < 20 * (many - few)
+
+    def test_a_mib_page_is_filled_in_bounded_runs(self):
+        # One 1 MiB page holds ~43,700 records.  Pass two takes them a
+        # bounded run at a time; temporaries sized by the whole page
+        # (about 2 MB more here) would break the bound.
+        n, over = self.untracked_peak(1, 1 << 20)
+        assert over - 16 * n < 3 * 1024 * BLOCK
 
     def drain_untracked_peak(self, page_size):
         """Real bytes beyond the tracked ones, less the copy of the page
