@@ -30,6 +30,8 @@ from repro.sched.plan import Dataset, Plan
 WC_HINT_LAYOUT = KVLayout(key_len=CSTRING, val_len=8)
 
 _ONE = pack_u64(1)
+#: The largest count a u64 holds.
+_U64_MAX = 2**64 - 1
 
 
 def wc_map(ctx, chunk: bytes) -> None:
@@ -55,10 +57,14 @@ def wc_reduce(ctx, key: bytes, values: list[bytes]) -> None:
 @batch_kernel
 def wc_reduce_batch(ctx, kmv) -> None:
     """Batch form of :func:`wc_reduce`: one dispatch per block of
-    groups, one ``reduceat`` over their counts.  The sums are uint64
-    and wrap at 2**64, where :func:`wc_reduce`'s ``pack_u64`` raises."""
+    groups, one ``reduceat`` over their counts.  A sum past 2**64 raises
+    :func:`wc_reduce`'s ``struct.error``; one comparison per block rules
+    that out for every other block."""
     counts = kmv.value_rows(8).view("<u8")[:, 0]
-    sums = np.add.reduceat(counts, np.cumsum(kmv.counts) - kmv.counts)
+    firsts = np.cumsum(kmv.counts) - kmv.counts
+    if np.maximum.reduce(counts, initial=0) > _U64_MAX // (counts.size or 1):
+        _pack_exact(np.add.reduceat(counts.astype(object), firsts))
+    sums = np.add.reduceat(counts, firsts)
     blob = sums.astype("<u8", copy=False).tobytes()
     ctx.emit_pairs(zip(kmv.keys, [blob[at : at + 8]
                                   for at in range(0, len(blob), 8)]))
@@ -72,8 +78,24 @@ def wc_combine(key: bytes, a: bytes, b: bytes) -> bytes:
 @batch_kernel
 def wc_fold_batch(acc, ids, rows) -> None:
     """Batch form of :func:`wc_combine`, as combine and partial-reduce
-    fold alike: add each incoming count to its slot's."""
-    np.add.at(acc.view("<u8")[:, 0], ids, rows.view("<u8")[:, 0])
+    fold alike: add each incoming count to its slot's.  A sum past 2**64
+    raises :func:`wc_combine`'s ``struct.error`` and leaves ``acc`` as it
+    was; one comparison per block rules that out for every other block."""
+    acc, rows = acc.view("<u8")[:, 0], rows.view("<u8")[:, 0]
+    if np.maximum.reduce((acc[ids], rows), None, initial=0) > \
+            _U64_MAX // (ids.size + 1):
+        touched, where = np.unique(ids, return_inverse=True)
+        sums = acc[touched].astype(object)
+        np.add.at(sums, where, rows.astype(object))
+        _pack_exact(sums)
+    np.add.at(acc, ids, rows)
+
+
+def _pack_exact(sums) -> None:
+    """``pack_u64`` each exact (Python int) sum: what the per-record
+    forms raise for the first one past a u64."""
+    for total in sums:
+        pack_u64(total)
 
 
 @dataclass

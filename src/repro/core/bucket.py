@@ -138,7 +138,7 @@ class Bucket:
                 # maximum of the ids passes the old slot count.
                 top = np.maximum.accumulate(
                     np.maximum(ids, nslots - nnew - 1))
-                first = np.empty(len(ids), bool)
+                first = np.empty(ids.size, bool)
                 first[0] = top[0] >= nslots - nnew
                 np.not_equal(top[1:], top[:-1], out=first[1:])
                 if nslots > len(slots):  # capacity at least doubles
@@ -148,7 +148,7 @@ class Bucket:
                 slots[nslots - nnew : nslots] = rows[first]
                 ids, rows = ids[~first], rows[~first]
                 delta += nnew * width
-            if len(ids):
+            if ids.size:
                 self.fold(slots[:nslots], ids, rows)
         self._charge(delta)
 

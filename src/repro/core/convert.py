@@ -2,10 +2,12 @@
 
 Pass one scans the KVC and gathers, per unique key, the value count and
 total value bytes in a hash bucket; that is enough to lay out every KMV
-record at its exact final position.  Pass two re-scans the KVC -
+record at its exact final position.  Pass two re-reads the KVC -
 destructively, freeing KV pages as they drain - and copies each value
-into its reserved slot.  The KMVC therefore grows while the KVC
-shrinks, instead of both being held in full as MR-MPI does.
+into its reserved slot, a KV page per call, from the 12 B per record
+index pass one left (int32 value bounds and slot ids).  The KMVC
+therefore grows while the KVC shrinks, instead of both being held in
+full as MR-MPI does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.bucket import ENTRY_OVERHEAD, Bucket, group_run
 from repro.core.config import MimirConfig
 from repro.core.kmvcontainer import KMVContainer
 from repro.core.kvcontainer import KVContainer
-from repro.core.records import BLOCK, byte_ranges
+from repro.core.records import BLOCK, Fields, byte_ranges
 from repro.core.shuffle import hash_partition
 
 
@@ -64,11 +66,11 @@ def _group_page(sizes: Bucket, batch: KVBatch):
     group (slot) each belongs to.
     """
     keys = batch.keys_bytes()
-    groups = np.empty(len(batch), np.intp)
+    groups = np.empty(len(batch), np.int32)
     for lo in range(0, len(batch), BLOCK):
         groups[lo : lo + BLOCK] = sizes.enter_run(list(islice(keys, BLOCK)))
-    # Offsets within one page fit 31 bits, as the fill's byte index
-    # needs.
+    # Offsets within one page, and slot ids, fit 31 bits: the index
+    # pass two needs is 12 B per record.
     return (batch.payload_bytes, batch.voff.astype(np.int32),
             batch.vend.astype(np.int32), groups)
 
@@ -185,21 +187,24 @@ def spill_partitions(batches, writers, page_size: int) -> int:
 
 def _group_partition(layout, chunks) -> tuple[KMVBatch, int]:
     """One partition's groups and payload bytes: values stay in arrival
-    order, a stable sort of int32 first-seen group ids orders offsets."""
+    order (one :class:`Fields` gather per chunk, rows when they are one
+    width), a stable sort of int32 first-seen group ids orders
+    offsets."""
     index, grouped_bytes = {}, 0
     ids, lens, values = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], []
     for chunk in chunks:
         batch = KVBatch(chunk, layout)
         grouped_bytes += batch.payload_bytes
-        keys, src = batch.keys_bytes(), np.frombuffer(batch.data, np.uint8)
+        keys = batch.keys_bytes()
         for lo in range(0, len(batch), BLOCK):
             ids.append(group_run(index, list(islice(keys, BLOCK)))[1]
                        .astype(np.int32))
-            voff = batch.voff[lo : lo + BLOCK]
-            lens.append((batch.vend[lo : lo + BLOCK] - voff).astype(np.int32))
-            values.append(src[byte_ranges(voff, lens[-1])])
+        lens.append((batch.vend - batch.voff).astype(np.int32))
+        values.append(Fields(np.frombuffer(batch.data, np.uint8),
+                             batch.voff, lens[-1]).flat())
     # Each column is freed as soon as the next is built: the peak is
-    # the charged payload plus about 16 B per record.
+    # the charged payload plus about 16 B per record (the int32 ids and
+    # lengths, then the order that sorts them).
     values = b"".join(values)
     ids, lens = np.concatenate(ids), np.concatenate(lens)
     counts = np.bincount(ids, minlength=len(index))

@@ -3,7 +3,9 @@
 Functionally identical to the KVC but for merged records.  Supports the
 two-pass conversion algorithm of the paper: pass one *reserves* an
 exactly sized slot per unique key (sizes gathered in a hash bucket),
-pass two *fills* values into their slots as the source KVC is consumed.
+pass two *fills* values into their slots as the source KVC is consumed,
+a KV page per call and one scatter per KMV page (values of one width
+move as rows, :class:`~repro.core.records.Fields`).
 
 A record is ``key field | u32 count | u32 length per value (VARIABLE
 only) | values (each NUL-ended for CSTRING)``, MR-MPI's own layout.
@@ -18,7 +20,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.batch import KMVBatch
-from repro.core.records import BLOCK, CSTRING, VARIABLE, KVLayout, byte_ranges
+from repro.core.records import (BLOCK, CSTRING, VARIABLE, Fields, KVLayout,
+                                byte_ranges, put_u32)
 from repro.memory.pages import Page, PagePool
 from repro.memory.tracker import MemoryTracker
 
@@ -28,7 +31,9 @@ _U32 = struct.Struct("<I")
 def encode_kmv_runs(kmv: KMVBatch, order: np.ndarray):
     """Groups ``order`` of ``kmv`` as packed KMV records, a :data:`BLOCK`
     of groups per ``(bytes, record offsets plus the end)``: the heads as
-    one encoded run, then one scatter each for value lengths and values."""
+    one encoded run, then one :func:`put_u32` write for the value lengths
+    and one :class:`Fields` scatter for the values (rows when they are
+    all one width)."""
     layout, starts = kmv.layout, np.cumsum(kmv.counts) - kmv.counts
     for lo in range(0, len(order), BLOCK):
         groups = order[lo : lo + BLOCK]
@@ -47,13 +52,12 @@ def encode_kmv_runs(kmv: KMVBatch, order: np.ndarray):
             b"".join(heads), np.uint8)
         at = roff[:-1] + head_lens
         if layout.val_len is VARIABLE:
-            out[byte_ranges(at, 4 * counts)] = \
-                lens.astype("<u4").view(np.uint8)
+            put_u32(out, np.repeat(at - 4 * firsts, counts) +
+                    np.arange(0, 4 * len(lens), 4), lens)
             size, at = lens, at + 4 * counts
         before = np.cumsum(size) - size
-        out[byte_ranges(np.repeat(at - before[firsts], counts) + before,
-                        lens)] = np.frombuffer(kmv.data, np.uint8)[
-            byte_ranges(voff, lens)]
+        Fields(np.frombuffer(kmv.data, np.uint8), voff, lens).scatter(
+            out, np.repeat(at - before[firsts], counts) + before)
         yield out.tobytes(), roff
 
 
@@ -124,9 +128,10 @@ class KMVContainer:
     """Key-multivalue records in pool pages, built by reserve/fill.
 
     Slots are columns (page, next length, next value byte, end, values
-    to come; one entry per reserved record, in reserve order).  Convert
-    reserves and fills a block of records per call; :meth:`reserve` and
-    :meth:`append_value` are the one-record forms of the same code.
+    to come; one entry per reserved record, in reserve order, so in
+    page order).  Convert reserves a block of keys and fills a KV page
+    of values per call; :meth:`reserve` and :meth:`append_value` are
+    the one-record forms of the same code.
     """
 
     def __init__(self, tracker: MemoryTracker, layout: KVLayout | None = None,
@@ -207,7 +212,8 @@ class KMVContainer:
                 at[slot:last] += page.used - begin
                 page.used += int(ends[last - 1]) - begin
                 slot = last
-            self._store(on, at, b"".join(heads), head_lens)
+            self._store(on, at, Fields(
+                np.frombuffer(b"".join(heads), np.uint8), None, head_lens))
             lengths = at + head_lens
             columns.append((on, lengths, lengths + 4 * counts[span] * (
                 self.layout.val_len is VARIABLE), at + sizes, counts[span]))
@@ -225,14 +231,21 @@ class KMVContainer:
 
     def fill_run(self, slots: np.ndarray, buf: bytes, voff, vend) -> None:
         """Fill the next value of ``slots[i]`` with ``buf[voff[i]:vend[i]]``
-        (and its NUL, for CSTRING).  Per block, a stable sort by slot
-        makes each slot's values one run for its cursors: the values in
-        one gather, the lengths (VARIABLE) as a u32 column per run."""
-        for lo in range(0, len(slots), BLOCK):
-            order = np.argsort(slots[lo : lo + BLOCK], kind="stable")
-            ids = slots[lo : lo + BLOCK][order]
-            starts = voff[lo : lo + BLOCK][order]
-            lens = (vend[lo : lo + BLOCK][order] - starts).astype(np.int32)
+        (and its NUL, for CSTRING).
+
+        Records are taken in runs of up to ``8 * BLOCK`` (one stock KV
+        page).  Per run, a stable sort by slot makes each slot's values
+        one run for its cursors, and one :class:`Fields` gather takes
+        the values.  Slots are numbered in page order, so a KMV page's
+        records are one run too: one scatter for its values and one
+        :func:`put_u32` write for its lengths (VARIABLE).
+        """
+        src = np.frombuffer(buf, np.uint8)
+        for lo in range(0, len(slots), 8 * BLOCK):
+            span = slice(lo, lo + 8 * BLOCK)
+            order = np.argsort(slots[span], kind="stable")
+            ids, starts = slots[span][order], voff[span][order]
+            lens = vend[span][order] - starts
             moved = lens + (self.layout.val_len == CSTRING)
             # One run per distinct slot: where it starts in sorted order.
             firsts = np.flatnonzero(np.diff(ids, prepend=-1))
@@ -244,17 +257,16 @@ class KMVContainer:
             self._left[ids] -= nvals
             self._cursor[ids] = at + size
             # A value lands at its run's cursor plus the run's bytes
-            # before it.
+            # before it; its length, 4 bytes per value before it.
             before = np.cumsum(moved) - moved
-            pages = self._slot_page[ids]
-            values = np.frombuffer(buf, np.uint8)[byte_ranges(starts, moved)]
-            self._store(np.repeat(pages, nvals),
-                        before + np.repeat(at - before[firsts], nvals),
-                        values, moved)
+            lengths = None
             if self.layout.val_len is VARIABLE:
-                self._store(pages, self._lens[ids], lens.astype("<u4"),
-                            4 * nvals)
+                lengths = (np.repeat(self._lens[ids] - 4 * firsts, nvals) +
+                           np.arange(0, 4 * len(order), 4), lens)
                 self._lens[ids] += 4 * nvals
+            self._store(np.repeat(self._slot_page[ids], nvals),
+                        before + np.repeat(at - before[firsts], nvals),
+                        Fields(src, starts, moved), lengths)
 
     def append_value(self, slot_id: int, value: bytes) -> None:
         """Fill the next value of a reserved record."""
@@ -262,15 +274,17 @@ class KMVContainer:
         self.fill_run(np.array([slot_id]), value + b"\0", np.array([0]),
                       np.array([len(value)]))
 
-    def _store(self, on, at, blob, lens) -> None:
-        """Copy consecutive ``lens[i]``-byte pieces of ``blob`` to offset
-        ``at[i]`` of page ``on[i]``, one scatter per page (``on`` sorted)."""
-        src, dest = np.frombuffer(blob, np.uint8), byte_ranges(at, lens)
-        cuts = np.flatnonzero(np.diff(on)) + 1
-        bounds = [0, *np.cumsum(lens)[cuts - 1].tolist(), len(src)]
-        for page, lo, hi in zip(on[[0, *cuts]].tolist(), bounds, bounds[1:]):
-            np.frombuffer(self.pages[page].data, np.uint8)[dest[lo:hi]] = \
-                src[lo:hi]
+    def _store(self, on, at, fields: Fields, lengths=None) -> None:
+        """Scatter ``fields`` to offset ``at[i]`` of page ``on[i]``, one
+        slice per page (``on`` sorted); ``lengths``, an ``(offsets,
+        values)`` pair per field, are written as u32 on the same pages."""
+        cuts = (np.flatnonzero(np.diff(on)) + 1).tolist()
+        for page, lo, hi in zip(on[[0, *cuts]].tolist(), [0, *cuts],
+                                [*cuts, len(on)]):
+            flat = np.frombuffer(self.pages[page].data, np.uint8)
+            fields.scatter(flat, at[lo:hi], lo, hi)
+            if lengths is not None:
+                put_u32(flat, lengths[0][lo:hi], lengths[1][lo:hi])
 
     def finish_fill(self) -> None:
         """Assert every reserved slot was completely filled."""

@@ -49,6 +49,66 @@ def byte_ranges(starts, sizes) -> np.ndarray:
     return positions
 
 
+def _windows(flat: np.ndarray, width: int, dtype=np.uint8) -> np.ndarray:
+    """Every ``width``-byte window of the uint8 array ``flat``, row ``i``
+    from byte ``i``: a view with byte strides ``(1, 1)``, read-only over
+    a read-only buffer.  A ``<u4`` ``dtype`` gives ``(n, 1)`` u32s at
+    every byte offset."""
+    itemsize = np.dtype(dtype).itemsize
+    return np.ndarray((len(flat) - width + 1, width // itemsize), dtype,
+                      flat, 0, (1, itemsize))
+
+
+class Fields:
+    """The byte fields ``src[starts[i]:][:sizes[i]]`` of a uint8 array
+    (``starts=None``: lying end to end from ``src[0]``), gathered in one
+    call and scattered a slice at a time.
+
+    Fields of one width move as rows: one fancy index into a window over
+    ``src`` (:func:`_windows`) gathers an ``(n, width)`` matrix, and one
+    into a writable window over the destination scatters a slice of it.
+    Mixed widths move as bytes, through a :func:`byte_ranges` index on
+    each side.  ``sizes`` is an integer array.
+    """
+
+    __slots__ = ("data", "sizes", "width", "ends")
+
+    def __init__(self, src: np.ndarray, starts, sizes: np.ndarray):
+        self.sizes, self.ends = sizes, None
+        self.width = width = sizes.max(initial=0)
+        if not width:
+            self.data = src[:0]
+        elif sizes.min() != width:
+            self.ends = np.cumsum(sizes)
+            self.data = src if starts is None \
+                else src[byte_ranges(starts, sizes)]
+        else:
+            self.data = src.reshape(-1, width) if starts is None \
+                else _windows(src, width)[starts]
+
+    def flat(self) -> np.ndarray:
+        """Every field's bytes, in order, as one uint8 array."""
+        return self.data.ravel()
+
+    def scatter(self, dest: np.ndarray, at, lo: int = 0,
+                hi: int | None = None) -> None:
+        """Write the non-empty slice ``lo:hi`` of the fields to
+        ``dest[at[0]:]``, ``dest[at[1]:]``, ...: one offset each."""
+        if self.ends is not None:
+            first = self.ends[lo - 1] if lo else 0
+            last = self.ends[-1 if hi is None else hi - 1]
+            dest[byte_ranges(at, self.sizes[lo:hi])] = self.data[first:last]
+        elif self.width:
+            _windows(dest, self.width)[at] = self.data[lo:hi]
+
+
+def put_u32(dest: np.ndarray, at, values) -> None:
+    """Write ``values`` as little-endian u32 at byte offsets ``at`` of the
+    uint8 array ``dest``, whatever their alignment: one write through a
+    byte-strided ``<u4`` window."""
+    _windows(dest, 4, "<u4")[at, 0] = values
+
+
 def pack_u64(value: int) -> bytes:
     """Encode an integer value the way the benchmarks store counts."""
     return _U64.pack(value)

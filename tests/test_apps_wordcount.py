@@ -1,16 +1,25 @@
 """WordCount app: Mimir and MR-MPI agree with each other and the truth."""
 
+import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.apps.wordcount import (
     WC_HINT_LAYOUT,
+    wc_combine,
+    wc_fold_batch,
+    wc_reduce,
+    wc_reduce_batch,
     wordcount_mimir,
     wordcount_mrmpi,
 )
 from repro.cluster import Cluster
-from repro.core import MimirConfig
+from repro.core import KVContainer, MimirConfig, ReduceContext, pack_u64, \
+    unpack_u64
+from repro.core.batch import KMVBatch
+from repro.memory import MemoryTracker
 from repro.datasets import uniform_text, zipf_text
 from repro.mpi import COMET
 from repro.mrmpi import MRMPIConfig
@@ -113,3 +122,48 @@ class TestMemoryShape:
         # WordCount's hint: NUL-terminated key + fixed 8-byte value.
         assert WC_HINT_LAYOUT.header_size == 0
         assert WC_HINT_LAYOUT.encoded_size(b"hello", b"x" * 8) == 5 + 1 + 8
+
+
+class TestCountOverflow:
+    """A count past 2**64 raises ``pack_u64``'s ``struct.error`` in the
+    batch kernels as in the per-record ones; a sum that fits is exact."""
+
+    def reduce(self, kernel, counts):
+        out = KVContainer(MemoryTracker(), WC_HINT_LAYOUT)
+        data = b"".join(map(pack_u64, counts))
+        voff = np.arange(0, len(data), 8)
+        kmv = KMVBatch(WC_HINT_LAYOUT, [b"k"], np.array([len(counts)]),
+                       voff, voff + 8, data)
+        ctx = ReduceContext(out)
+        if kernel is wc_reduce:
+            kernel(ctx, b"k", list(kmv)[0][1])
+            ctx._flush()    # what the driver does after the last group
+        else:
+            kernel(ctx, kmv)
+        return [unpack_u64(value) for _, value in out.records()]
+
+    @pytest.mark.parametrize("kernel", [wc_reduce, wc_reduce_batch])
+    def test_reduce_past_u64_raises(self, kernel):
+        with pytest.raises(struct.error, match="argument out of range"):
+            self.reduce(kernel, [2**63, 2**63])
+
+    @pytest.mark.parametrize("kernel", [wc_reduce, wc_reduce_batch])
+    def test_reduce_to_the_largest_u64_is_exact(self, kernel):
+        assert self.reduce(kernel, [2**63, 2**63 - 1]) == [2**64 - 1]
+        assert self.reduce(kernel, [1] * 600) == [600]
+
+    def test_fold_past_u64_raises_and_leaves_the_slots(self):
+        with pytest.raises(struct.error, match="argument out of range"):
+            wc_combine(b"k", pack_u64(2**63), pack_u64(2**63))
+        acc = np.array([[2**63, 5]], "<u8").view(np.uint8).reshape(2, 8)
+        before = acc.copy()
+        rows = np.array([1, 2**63], "<u8").view(np.uint8).reshape(2, 8)
+        with pytest.raises(struct.error, match="argument out of range"):
+            wc_fold_batch(acc, np.array([1, 0]), rows)
+        assert (acc == before).all()
+
+    def test_fold_to_the_largest_u64_is_exact(self):
+        acc = np.array([[2**63, 5]], "<u8").view(np.uint8).reshape(2, 8)
+        rows = np.array([2**63 - 1, 1, 1], "<u8").view(np.uint8).reshape(3, 8)
+        wc_fold_batch(acc, np.array([0, 1, 1]), rows)
+        assert acc.view("<u8")[:, 0].tolist() == [2**64 - 1, 7]

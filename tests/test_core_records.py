@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CSTRING, VARIABLE, KVLayout, pack_u64, unpack_u64
+from repro.core.records import Fields, put_u32
 from tests.scalar_reference import iter_records
 
 
@@ -222,3 +223,52 @@ def test_property_cstring_u64_roundtrip(word, count):
     k, v, _ = layout.decode(buf)
     assert k == word.encode()
     assert unpack_u64(v) == count
+
+
+class TestFields:
+    """``Fields`` (rows for one width, bytes for mixed widths) and
+    ``put_u32`` against a slice per field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(min_size=1, max_size=64),
+           st.lists(st.tuples(st.integers(0, 63), st.integers(0, 9)),
+                    max_size=12),
+           st.one_of(st.none(), st.integers(0, 9)),
+           st.randoms(use_true_random=False))
+    def test_gather_and_scatter_equal_slices(self, raw, spans, width, rng):
+        # ``width`` set: every field that wide (rows); else mixed.
+        spans = [(start % len(raw), width if width is not None else size)
+                 for start, size in spans]
+        spans = [(start, size) for start, size in spans
+                 if start + size <= len(raw)]
+        starts = np.array([start for start, _ in spans], np.int64)
+        sizes = np.array([size for _, size in spans], np.int64)
+        expected = [raw[start : start + size] for start, size in spans]
+        joined = b"".join(expected)
+        # Scatter to disjoint, shuffled places of a bigger page, in two
+        # slices of the fields.
+        order = list(range(len(spans)))
+        rng.shuffle(order)
+        at, end = np.zeros(len(spans), np.int64), 3
+        for i in order:
+            at[i], end = end, end + sizes[i] + rng.randrange(3)
+        want = bytearray(b"\xee" * (end + 2))
+        for where, field in zip(at.tolist(), expected):
+            want[where : where + len(field)] = field
+        cut = rng.randrange(len(spans) + 1)
+        # Gathered from ``raw``, or lying end to end already.
+        for fields in (Fields(np.frombuffer(raw, np.uint8), starts, sizes),
+                       Fields(np.frombuffer(joined, np.uint8), None, sizes)):
+            assert fields.flat().tobytes() == joined
+            page = bytearray(b"\xee" * (end + 2))
+            dest = np.frombuffer(page, np.uint8)
+            for lo, hi in ((0, cut), (cut, None)):
+                if len(at[lo:hi]):
+                    fields.scatter(dest, at[lo:hi], lo, hi)
+            assert page == want
+
+    def test_put_u32_writes_at_any_alignment(self):
+        page = bytearray(12)
+        put_u32(np.frombuffer(page, np.uint8), np.array([1, 7]),
+                np.array([0x04030201, 2**32 - 1], np.int64))
+        assert bytes(page) == b"\0\1\2\3\4\0\0\xff\xff\xff\xff\0"
