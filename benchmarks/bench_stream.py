@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from figutils import append_trajectory
-from repro.stream.demo import demo_pagerank, demo_sessionize, demo_wordcount
+from repro.stream.demo import run_demo
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 #: The --check gate on incremental PageRank's per-update speedup.
@@ -36,12 +36,12 @@ MIN_UPDATE_SPEEDUP = 2.0
 
 
 def run_scenarios(seed: int = 0, *, trace=None) -> dict:
-    wc = demo_wordcount(seed=seed, trace=trace)
+    wc = run_demo("wordcount", seed=seed, trace=trace)
     wc_run = wc["runs"][0]
-    pr = demo_pagerank(seed=seed)
+    pr = run_demo("pagerank", seed=seed)
     pr_hits = sum(r["cache_hits"] for r in pr["runs"])
     pr_misses = sum(r["cache_misses"] for r in pr["runs"])
-    sz = demo_sessionize(seed=seed)
+    sz = run_demo("sessionize", seed=seed)
     return {
         "seed": seed,
         "wordcount": {

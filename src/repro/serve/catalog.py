@@ -138,8 +138,7 @@ def _run_inverted_index(env, path, config, runner, _checkpoint, **params):
 def _run_stream_wordcount(env, path, config, runner, checkpoint, *,
                           window, nbatches):
     from repro.stream.runner import StreamRunner
-    from repro.stream.scenarios import StreamWordCount
-    from repro.stream.source import StreamSource
+    from repro.stream.scenarios import StreamWordCount, doc_stream
     from repro.stream.windows import TumblingWindows
 
     # Replay the staged text as a document trickle: the input lines
@@ -151,24 +150,14 @@ def _run_stream_wordcount(env, path, config, runner, checkpoint, *,
     # integer ``window`` is still a float.
     window = float(window)
     lines = [ln for ln in env.pfs.read(env.comm, path).split(b"\n") if ln]
-    per = -(-len(lines) // nbatches) if lines else 1
-    payload_batches = []
-    index = 0
-    for i in range(nbatches):
-        chunk = lines[i * per:(i + 1) * per]
-        payload_batches.append(
-            [(index + j, doc) for j, doc in enumerate(chunk)])
-        index += len(chunk)
-    stream = StreamSource.from_payload_batches(
-        "serve-docs", payload_batches, interval=window / 2.0)
-    scenario = StreamWordCount(env)
-    result = StreamRunner(env, scenario, stream, TumblingWindows(window),
+    stream = doc_stream("serve-docs", lines, nbatches=nbatches,
+                        interval=window / 2.0)
+    result = StreamRunner(env, StreamWordCount(env), stream,
+                          TumblingWindows(window),
                           runner=partial(runner, checkpoint=None),
                           checkpoint=checkpoint,
                           pace=False).run()
-    return {"counts": {k.decode("latin-1"): v
-                       for k, v in result.final.items()},
-            "windows": result.closed,
+    return {**result.final, "windows": result.closed,
             "resumed": result.resumed}
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.stream.demo import DEMOS
+from repro.stream.demo import DEMOS, run_demo
 
 
 def render_summary(summary: dict) -> str:
@@ -17,13 +17,11 @@ def render_summary(summary: dict) -> str:
     for wid, end, clock in run["timeline"]:
         lines.append(f"  window {wid} [end {end:.1f}s] closed at "
                      f"t={clock:.2f}s")
-    if "update_speedup" in summary:
-        lines.append(
-            f"stages: incremental={summary['stages_incremental']} "
-            f"full={summary['stages_full']}  "
-            f"cache hits: {summary['cache_hits']}")
-        lines.append(f"per-update speedup (full/incremental): "
-                     f"{summary['update_speedup']:.2f}x")
+    lines.append(f"stages: incremental={summary['stages_incremental']} "
+                 f"full={summary['stages_full']}  "
+                 f"cache hits: {summary['cache_hits']}")
+    lines.append(f"per-update speedup (full/incremental): "
+                 f"{summary['update_speedup']:.2f}x")
     verdict = "bit-identical" if summary["identical"] else "MISMATCH"
     lines.append(f"vs full-batch recompute: {verdict}")
     return "\n".join(lines)
@@ -48,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     names = list(DEMOS) if "all" in wanted else wanted
     ok = True
     for name in names:
-        summary = DEMOS[name](nprocs=args.nprocs, seed=args.seed)
+        summary = run_demo(name, nprocs=args.nprocs, seed=args.seed)
         print(render_summary(summary))
         print()
         ok = ok and summary["identical"]

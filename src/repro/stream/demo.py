@@ -1,31 +1,34 @@
-"""Seeded inputs and end-to-end drivers for the streaming demos.
+"""Seeded inputs, twins and the one driver of the streaming demos.
 
-Each ``demo_*`` function runs one scenario on a fresh simulated
-cluster, runs the full-batch twin over the same total input, and
-returns a summary dict whose ``identical`` field is the bit-compare of
-the two rendered outputs - the CLI, the docs example, the benchmark,
-and the tests all go through these entry points.
+Each :data:`DEMOS` row names a scenario, its seeded stream, windows,
+lateness allowance, pacing and batch twin.  :func:`run_demo` runs a
+row's stream twice on fresh simulated clusters - with a stage cache
+(incremental) and without (full recompute per window) - runs the twin
+over the same total input, and returns a summary whose ``identical``
+field is the bit-compare of the cached pass's rendered output with
+the twin's; the CLI, the benchmark and the tests all go through it.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.datasets.graph500 import kronecker_edges
 from repro.mpi import COMET
 from repro.sched import PlanRunner, StageCache
+from repro.serve.catalog import merge_output, run_direct
 from repro.stream.runner import StreamRunner
 from repro.stream.scenarios import (
     IncrementalPageRank,
     SessionizeClicks,
     StreamWordCount,
-    pagerank_reference,
+    doc_stream,
     sessionize_reference,
-    wordcount_reference,
 )
 from repro.stream.source import MicroBatch, StreamRecord, StreamSource
 from repro.stream.windows import GrowingWindows, TumblingWindows
@@ -44,18 +47,9 @@ def make_doc_stream(*, nbatches: int = 6, docs_per_batch: int = 4,
     """A trickle of documents; event time = arrival time."""
     rng = random.Random(seed)
     pool = [f"w{i:03d}".encode() for i in range(vocab)]
-    index = 0
-    batches = []
-    for _ in range(nbatches):
-        docs = []
-        for _ in range(docs_per_batch):
-            doc = b" ".join(rng.choice(pool)
-                            for _ in range(words_per_doc))
-            docs.append((index, doc))
-            index += 1
-        batches.append(docs)
-    return StreamSource.from_payload_batches("docs", batches,
-                                             interval=interval)
+    docs = [b" ".join(rng.choice(pool) for _ in range(words_per_doc))
+            for _ in range(nbatches * docs_per_batch)]
+    return doc_stream("docs", docs, nbatches=nbatches, interval=interval)
 
 
 def make_edge_stream(*, scale: int = 6, edgefactor: int = 6,
@@ -63,19 +57,11 @@ def make_edge_stream(*, scale: int = 6, edgefactor: int = 6,
                      seed: int = 0) -> StreamSource:
     """A Kronecker edge list arriving as ``nbatches`` insertion deltas."""
     edges = kronecker_edges(scale, edgefactor=edgefactor, seed=seed)
-    pairs = [(int(u), int(v)) for u, v in edges.tolist()]
-    per = max(1, len(pairs) // nbatches)
-    batches = []
-    index = 0
-    for i in range(nbatches):
-        chunk = pairs[i * per:(i + 1) * per] if i < nbatches - 1 \
-            else pairs[(nbatches - 1) * per:]
-        delta = []
-        for edge in chunk:
-            delta.append((index, edge))
-            index += 1
-        batches.append(delta)
-    return StreamSource.from_payload_batches("edges", batches,
+    indexed = list(enumerate((int(u), int(v)) for u, v in edges.tolist()))
+    per = max(1, len(indexed) // nbatches)
+    deltas = [indexed[i * per:(i + 1) * per] for i in range(nbatches - 1)]
+    deltas.append(indexed[(nbatches - 1) * per:])
+    return StreamSource.from_payload_batches("edges", deltas,
                                              interval=interval)
 
 
@@ -109,24 +95,33 @@ def make_click_stream(*, nusers: int = 6, nbatches: int = 6,
     return StreamSource("clicks", batches)
 
 
+# --------------------------------------------------------------- twins
+
+def _fresh_cluster(nprocs: int) -> Cluster:
+    return Cluster(COMET, nprocs=nprocs, memory_limit=None)
+
+
+def catalog_twin(scenario, stream: StreamSource, nprocs: int,
+                 **params) -> bytes:
+    """The batch twin of a scenario that streams a catalog app: its
+    row, run direct with ``params`` over the stream's total input
+    staged on a fresh cluster, and merged into the row's output."""
+    cluster = _fresh_cluster(nprocs)
+    path = f"stream/{stream.name}"
+    cluster.pfs.store(path, scenario.staged(stream))
+    returns = cluster.run(lambda env: run_direct(
+        scenario.name, env, path, params)).returns
+    return merge_output(scenario.name, returns)
+
+
+def sessionize_twin(stream: StreamSource, nprocs: int) -> bytes:
+    """:func:`sessionize_reference` on a fresh cluster, rendered."""
+    return SessionizeClicks.render(_fresh_cluster(nprocs).run(
+        lambda env: sessionize_reference(
+            env, stream, config=DEMO_CONFIG)).returns)
+
+
 # -------------------------------------------------------------- drivers
-
-def _job_summary(result, runner: StreamRunner) -> dict[str, Any]:
-    cache = runner.runner.cache
-    return {
-        "final": result.final,
-        "windows": result.windows,
-        "timeline": result.timeline,
-        "closed": result.closed,
-        "resumed": result.resumed,
-        "recomputed": result.recomputed,
-        "late": result.late_records,
-        "truncated": result.truncated,
-        "stages": runner.stages_executed(),
-        "cache_hits": cache.stats.hits if cache is not None else 0,
-        "cache_misses": cache.stats.misses if cache is not None else 0,
-    }
-
 
 def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
                  checkpoint_job: str | None = None,
@@ -152,123 +147,103 @@ def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
                                          trace=trace),
                           checkpoint=checkpoint, pace=pace)
     result = runner.run(stop_after_windows=stop_after_windows)
-    return _job_summary(result, runner)
-
-
-def _fresh_cluster(nprocs: int) -> Cluster:
-    return Cluster(COMET, nprocs=nprocs, memory_limit=None)
-
-
-def demo_wordcount(*, nprocs: int = 3, seed: int = 0,
-                   window: float = 20.0, trace=None) -> dict[str, Any]:
-    """Live wordcount over a document trickle, tumbling windows."""
-    stream = make_doc_stream(seed=seed)
-    cluster = _fresh_cluster(nprocs)
-    caches = [StageCache(rank) for rank in range(nprocs)]
-    res = cluster.run(lambda env: run_scenario(
-        env, StreamWordCount, stream, TumblingWindows(window),
-        caches=caches, trace=trace))
-    runs = res.returns
-    refs = cluster.run(lambda env: wordcount_reference(
-        env, stream, DEMO_CONFIG)).returns
-    streamed = StreamWordCount.render([r["final"] for r in runs])
-    batch = StreamWordCount.render(refs)
     return {
-        "scenario": "wordcount",
-        "identical": streamed == batch,
-        "output": streamed,
-        "runs": runs,
-        "virtual_time": res.elapsed,
-        "metrics": cluster.metrics.totals(),
+        "final": result.final,
+        "windows": result.windows,
+        "timeline": result.timeline,
+        "closed": result.closed,
+        "resumed": result.resumed,
+        "recomputed": result.recomputed,
+        "late": result.late_records,
+        "truncated": result.truncated,
+        "stages": runner.stages_executed(),
+        "cache_hits": cache.stats.hits if cache is not None else 0,
+        "cache_misses": cache.stats.misses if cache is not None else 0,
     }
 
 
-def demo_pagerank(*, nprocs: int = 3, seed: int = 0, nbatches: int = 8,
-                  iterations: int = 2, trace=None) -> dict[str, Any]:
-    """Incremental PageRank under edge insertions, growing windows.
+@dataclass(frozen=True)
+class Demo:
+    """One demo: ``stream(seed=, **kw)`` builds its input; ``render``
+    turns the streamed finals into bytes and ``twin(stream, nprocs,
+    **params)`` computes the bytes they must equal; ``params`` are the
+    scenario's keywords (its twin's too) and their defaults."""
 
-    Runs the stream twice - with the stage cache (incremental) and
-    without (full recompute per update) - plus the one-shot batch
-    reference, and reports the per-update speedup the cache buys.
+    scenario: type
+    stream: Callable[..., StreamSource]
+    windows: Any
+    render: Callable[[list], bytes]
+    twin: Callable[..., bytes]
+    lateness: float = 0.0
+    pace: bool = True
+    params: dict[str, Any] = field(default_factory=dict)
+
+
+def _catalog_demo(scenario, stream, windows, **kw) -> Demo:
+    """A demo of a scenario that streams a catalog app."""
+    return Demo(scenario, stream, windows,
+                partial(merge_output, scenario.name),
+                partial(catalog_twin, scenario), **kw)
+
+
+DEMOS: dict[str, Demo] = {
+    # Live wordcount over a document trickle, tumbling windows.
+    "wordcount": _catalog_demo(StreamWordCount, make_doc_stream,
+                               TumblingWindows(20.0)),
+    # PageRank after each edge insertion delta, growing windows.
+    "pagerank": _catalog_demo(IncrementalPageRank, make_edge_stream,
+                              GrowingWindows(10.0), pace=False,
+                              params={"iterations": 2}),
+    # Clickstream sessions with late arrivals and repairs.
+    "sessionize": Demo(SessionizeClicks, make_click_stream,
+                       TumblingWindows(30.0), SessionizeClicks.render,
+                       sessionize_twin, lateness=5.0),
+}
+
+
+def run_demo(name: str, *, nprocs: int = 3, seed: int = 0, trace=None,
+             **kw) -> dict[str, Any]:
+    """Run demo ``name``: the cached pass (traced into ``trace``), the
+    uncached pass and the twin, each on a fresh cluster.
+
+    A keyword the row's ``params`` names goes to the scenario and its
+    twin, any other to the stream builder.  The per-update speedup is
+    the uncached over the cached pass's virtual time between its last
+    two window closes (the steady state; update 0 has no prior close).
     """
-    interval = 10.0
-    stream = make_edge_stream(seed=seed, nbatches=nbatches,
-                              interval=interval)
-    windows = GrowingWindows(interval)
+    row = DEMOS[name]
+    params = {key: kw.pop(key, value) for key, value in row.params.items()}
+    stream = row.stream(seed=seed, **kw)
 
-    cluster = _fresh_cluster(nprocs)
-    caches = [StageCache(rank) for rank in range(nprocs)]
-    inc_res = cluster.run(lambda env: run_scenario(
-        env, IncrementalPageRank, stream, windows, caches=caches,
-        pace=False, trace=trace, iterations=iterations))
-    inc, inc_time = inc_res.returns, inc_res.elapsed
+    def stream_pass(caches, trace):
+        return _fresh_cluster(nprocs).run(lambda env: run_scenario(
+            env, row.scenario, stream, row.windows, caches=caches,
+            lateness=row.lateness, pace=row.pace, trace=trace, **params))
 
-    full_cluster = _fresh_cluster(nprocs)
-    full_res = full_cluster.run(lambda env: run_scenario(
-        env, IncrementalPageRank, stream, windows, caches=None,
-        pace=False, iterations=iterations))
-    full, full_time = full_res.returns, full_res.elapsed
+    inc = stream_pass([StageCache(r) for r in range(nprocs)], trace)
+    full = stream_pass(None, None)
+    batch = row.twin(stream, nprocs, **params)
+    streamed = row.render([r["final"] for r in inc.returns])
 
-    ref_cluster = _fresh_cluster(nprocs)
-    refs = ref_cluster.run(lambda env: pagerank_reference(
-        env, stream, iterations=iterations, config=DEMO_CONFIG)).returns
-
-    streamed = IncrementalPageRank.render([r["final"] for r in inc])
-    batch = IncrementalPageRank.render(refs)
-    # Per-update cost: virtual time between the last two window closes
-    # (update 0 has no prior close; later updates are the steady state).
-    def last_update(runs):
-        timeline = runs[0]["timeline"]
+    def last_update(res):
+        timeline = res.returns[0]["timeline"]
         return timeline[-1][2] - timeline[-2][2] if len(timeline) > 1 \
             else timeline[-1][2]
 
-    speedup = last_update(full) / last_update(inc)
+    run = inc.returns[0]
     return {
-        "scenario": "pagerank",
+        "scenario": name,
         "identical": streamed == batch,
-        "full_identical": IncrementalPageRank.render(
-            [r["final"] for r in full]) == batch,
+        "full_identical": row.render(
+            [r["final"] for r in full.returns]) == batch,
         "output": streamed,
-        "runs": inc,
-        "stages_incremental": sum(r["stages"] for r in inc),
-        "stages_full": sum(r["stages"] for r in full),
-        "cache_hits": sum(r["cache_hits"] for r in inc),
-        "time_incremental": inc_time,
-        "time_full": full_time,
-        "update_speedup": speedup,
-        "metrics": cluster.metrics.totals(),
+        "runs": inc.returns,
+        "late": run["late"],
+        "recomputed": run["recomputed"],
+        "stages_incremental": sum(r["stages"] for r in inc.returns),
+        "stages_full": sum(r["stages"] for r in full.returns),
+        "cache_hits": sum(r["cache_hits"] for r in inc.returns),
+        "virtual_time": inc.elapsed,
+        "time_full": full.elapsed,
+        "update_speedup": last_update(full) / last_update(inc),
     }
-
-
-def demo_sessionize(*, nprocs: int = 3, seed: int = 0,
-                    window: float = 30.0, lateness: float = 5.0,
-                    trace=None) -> dict[str, Any]:
-    """Clickstream sessionization with late arrivals and repairs."""
-    stream = make_click_stream(seed=seed, interval=window)
-    cluster = _fresh_cluster(nprocs)
-    caches = [StageCache(rank) for rank in range(nprocs)]
-    res = cluster.run(lambda env: run_scenario(
-        env, SessionizeClicks, stream, TumblingWindows(window),
-        caches=caches, lateness=lateness, trace=trace))
-    runs = res.returns
-    refs = cluster.run(lambda env: sessionize_reference(
-        env, stream, config=DEMO_CONFIG)).returns
-    streamed = SessionizeClicks.render([r["final"] for r in runs])
-    batch = SessionizeClicks.render(refs)
-    return {
-        "scenario": "sessionize",
-        "identical": streamed == batch,
-        "output": streamed,
-        "runs": runs,
-        "late": runs[0]["late"],
-        "recomputed": runs[0]["recomputed"],
-        "virtual_time": res.elapsed,
-        "metrics": cluster.metrics.totals(),
-    }
-
-
-DEMOS = {
-    "wordcount": demo_wordcount,
-    "pagerank": demo_pagerank,
-    "sessionize": demo_sessionize,
-}

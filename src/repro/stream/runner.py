@@ -29,6 +29,7 @@ Watermark, lag, and window counts are emitted through the closed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,6 +81,9 @@ class StreamRunner:
     def __init__(self, env: RankEnv, scenario, stream: StreamSource,
                  windows, *, lateness: float = 0.0,
                  runner=None, checkpoint=None, pace: bool = True):
+        if not (math.isfinite(lateness) and lateness >= 0):
+            raise ValueError(f"lateness must be finite and >= 0, "
+                             f"got {lateness!r}")
         self.env = env
         self.scenario = scenario
         self.stream = stream

@@ -1,19 +1,21 @@
-"""The three demo streaming scenarios, each with a full-batch twin.
+"""The three demo streaming scenarios.
 
 Every scenario is a duck-typed :class:`~repro.stream.runner.
-StreamRunner` client plus a ``*_reference`` function that computes the
-same answer over the same total input in one conventional batch pass.
-The acceptance bar is *bit identity*: ``render()`` over the streamed
-finals and over the batch references must produce identical bytes.
+StreamRunner` client.  :class:`StreamWordCount` and
+:class:`IncrementalPageRank` stream an app of the serve catalog: their
+``name`` is its row, ``staged(stream)`` is the stream's total input in
+the format that row reads, and ``merge`` returns the row's payload, so
+the row's own batch run over the staged input is their twin and the
+row's ``merge_output`` renders both
+(:func:`repro.stream.demo.catalog_twin`).  :class:`SessionizeClicks`
+has no row; :func:`sessionize_reference` is its twin.  The acceptance
+bar is *bit identity* of the rendered outputs.
 
 Sharding note: ``source_stream`` lowers onto ``map_items``, which
 iterates every payload on every rank, so each record payload carries a
 global index and the per-rank map closures emit only the records they
 own (``index % nprocs == rank``) - the same closure-sharding pattern
-``pagerank_plan`` uses for its per-iteration contribution map.  Stream
-and reference paths share one sharding rule (and, for PageRank, one
-iteration-loop helper), which is what makes their float folds
-bitwise identical.
+``pagerank_plan`` uses for its per-iteration contribution map.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.apps.pagerank import (
     pr_combine,
     unpack_f64,
 )
-from repro.apps.wordcount import WC_HINT_LAYOUT, wc_combine
+from repro.apps.wordcount import WC_HINT_LAYOUT, wc_combine, wc_map
 from repro.cluster import RankEnv
 from repro.core import (
     Mimir,
@@ -38,17 +40,28 @@ from repro.core import (
     unpack_u64,
 )
 from repro.core.records import KVLayout
-from repro.sched.executor import PlanRunner
+from repro.datasets.graph500 import edges_to_bytes
 from repro.sched.plan import Plan
 from repro.stream.source import StreamSource
 
-_ONE = pack_u64(1)
 _CLICK = struct.Struct("<qq")  # (event ms, page id)
 
 
 # ---------------------------------------------------------------------
 # live wordcount over a document trickle
 # ---------------------------------------------------------------------
+
+def doc_stream(name: str, docs: list[bytes], *, nbatches: int,
+               interval: float) -> StreamSource:
+    """``docs`` as ``nbatches`` micro-batches of ``ceil(len(docs) /
+    nbatches)`` documents (the last may be short or empty); a document's
+    payload is ``(index, doc)``, its index counted over the stream."""
+    per = -(-len(docs) // nbatches) or 1
+    indexed = list(enumerate(docs))
+    return StreamSource.from_payload_batches(
+        name, [indexed[i * per:(i + 1) * per] for i in range(nbatches)],
+        interval=interval)
+
 
 class StreamWordCount:
     """Tumbling-window word counts; payloads are ``(index, doc_bytes)``.
@@ -61,18 +74,24 @@ class StreamWordCount:
     source stage instead.
     """
 
+    name = "wordcount"
+
     def __init__(self, env: RankEnv, config: MimirConfig | None = None):
         self.env = env
         self.config = config or MimirConfig().with_layout(WC_HINT_LAYOUT)
-        self.name = "wordcount"
         self.rank = env.comm.rank
         self.nprocs = env.comm.size
+
+    @staticmethod
+    def staged(stream: StreamSource) -> bytes:
+        """The stream's total input as the row reads it: a line per
+        document."""
+        return b"".join(r.payload[1] + b"\n" for r in stream.records())
 
     def _shard_map(self, ctx, item) -> None:
         index, doc = item
         if index % self.nprocs == self.rank:
-            for word in doc.split():
-                ctx.emit(word, _ONE)
+            wc_map(ctx, doc)
 
     def batch_stage(self, plan: Plan, stream: StreamSource, index: int):
         return (plan.source_stream(stream, index)
@@ -108,33 +127,14 @@ class StreamWordCount:
             return {}
         return {key: unpack_u64(value) for key, value in agg.consume()}
 
-    def merge(self, results: dict[int, dict[bytes, int]]) -> dict[bytes, int]:
+    def merge(self, results: dict[int, dict[bytes, int]]) -> dict:
+        """The row's payload: every window's counts, summed."""
         totals: dict[bytes, int] = {}
         for wid in sorted(results):
             for word, count in results[wid].items():
                 totals[word] = totals.get(word, 0) + count
-        return totals
-
-    @staticmethod
-    def render(finals: list[dict[bytes, int]]) -> bytes:
-        merged: dict[bytes, int] = {}
-        for counts in finals:
-            for word, count in counts.items():
-                merged[word] = merged.get(word, 0) + count
-        lines = [b"%s\t%d" % (w, merged[w]) for w in sorted(merged)]
-        return b"\n".join(lines) + b"\n"
-
-
-def wordcount_reference(env: RankEnv, stream: StreamSource,
-                        config: MimirConfig | None = None) -> dict[bytes, int]:
-    """Full-batch twin: count every record of the stream in one pass."""
-    scenario = StreamWordCount(env, config)
-    mimir = Mimir(env, scenario.config)
-    kvs = mimir.map_items([r.payload for r in stream.records()],
-                          scenario._shard_map)
-    out = mimir.partial_reduce(kvs, wc_combine,
-                               out_layout=scenario.config.layout)
-    return {key: unpack_u64(value) for key, value in out.consume()}
+        return {"counts": {word.decode("latin-1"): count
+                           for word, count in totals.items()}}
 
 
 # ---------------------------------------------------------------------
@@ -157,51 +157,6 @@ def _dedup_targets(rctx, key: bytes, values: list[bytes]) -> None:
     rctx.emit(key, b"".join(pack_u64(t) for t in targets))
 
 
-def _pr_loop(env: RankEnv, prunner: PlanRunner,
-             adjacency: dict[int, list[int]], vertices: list[int], *,
-             damping: float, iterations: int) -> dict[int, float]:
-    """The shared PageRank power loop (stream and batch twins).
-
-    ``adjacency`` holds this rank's sources with *sorted* target
-    lists and ``vertices`` this rank's sorted owned universe, so the
-    contribution emission order - and therefore every float fold -
-    is identical no matter how the adjacency was accumulated.
-    """
-    comm = env.comm
-    nvertices = comm.allsum(len(vertices))
-    if nvertices == 0:
-        return {}
-    sources = sorted(adjacency)
-
-    def body(r, _i, scores):
-        dangling = comm.allsum(sum(score for v, score in scores.items()
-                                   if v not in adjacency))
-
-        def contrib(pctx, _item, _scores=scores):
-            for v in sources:
-                targets = adjacency[v]
-                if targets:
-                    share = _F64.pack(_scores[v] / len(targets))
-                    for t in targets:
-                        pctx.emit(pack_u64(t), share)
-
-        summed = (r.plan.source([None], name="pr-tick")
-                  .map(contrib, partitioner=vertex_partitioner,
-                       layout=PR_HINT_LAYOUT, name="pr-contrib")
-                  .partial_reduce(pr_combine, out_layout=PR_HINT_LAYOUT,
-                                  name="pr-scores"))
-        base = (1.0 - damping) / nvertices + \
-            damping * dangling / nvertices
-        new_scores = {v: base for v in vertices}
-        for key, value in r.stream(summed):
-            new_scores[unpack_u64(key)] = base + damping * unpack_f64(value)
-        return new_scores
-
-    initial = {v: 1.0 / nvertices for v in vertices}
-    scores, _ = prunner.iterate(initial, body, max_iters=iterations)
-    return scores
-
-
 class IncrementalPageRank:
     """Growing-window PageRank; payloads are ``(index, (u, v))`` edges.
 
@@ -212,17 +167,25 @@ class IncrementalPageRank:
     rank iterations over the combined graph.
     """
 
+    name = "pagerank"
+
     def __init__(self, env: RankEnv, *, damping: float = 0.85,
                  iterations: int = 2,
                  config: MimirConfig | None = None):
         self.env = env
         self.config = config or MimirConfig()
-        self.name = "pagerank"
         self.damping = damping
         self.iterations = iterations
         self.rank = env.comm.rank
         self.nprocs = env.comm.size
         self._verts = {}
+
+    @staticmethod
+    def staged(stream: StreamSource) -> bytes:
+        """The stream's total input as the row reads it: the edge
+        list, in arrival order."""
+        edges = [r.payload[1] for r in stream.records()]
+        return edges_to_bytes(np.array(edges, dtype="<u8").reshape(-1, 2))
 
     def _shard_edges(self, ctx, item) -> None:
         index, (u, v) = item
@@ -259,51 +222,55 @@ class IncrementalPageRank:
                 sorted(owned))
 
     def window_result(self, runner, window, batches) -> dict[int, float]:
+        """The power loop over deltas ``0..w``.
+
+        ``adjacency`` holds this rank's sources with *sorted* target
+        lists and ``vertices`` its sorted owned universe, so the
+        contribution emission order - and therefore every float fold -
+        is the one ``pagerank_plan`` makes over the same edges.
+        """
         adjacency, vertices = self._combined(runner, batches)
-        return _pr_loop(self.env, runner.runner, adjacency, vertices,
-                        damping=self.damping, iterations=self.iterations)
+        comm = self.env.comm
+        damping = self.damping
+        nvertices = comm.allsum(len(vertices))
+        if nvertices == 0:
+            return {}
+        sources = sorted(adjacency)
 
-    def merge(self, results: dict[int, dict[int, float]]) -> dict[int, float]:
-        """The stream's answer is the scores after the last delta."""
-        return results[max(results)] if results else {}
+        def body(r, _i, scores):
+            dangling = comm.allsum(sum(score for v, score in scores.items()
+                                       if v not in adjacency))
 
-    @staticmethod
-    def render(finals: list[dict[int, float]]) -> bytes:
-        merged: dict[int, float] = {}
-        for scores in finals:
-            merged.update(scores)
-        lines = [b"%d\t%s" % (v, repr(merged[v]).encode())
-                 for v in sorted(merged)]
-        return b"\n".join(lines) + b"\n"
+            def contrib(pctx, _item, _scores=scores):
+                for v in sources:
+                    targets = adjacency[v]
+                    if targets:
+                        share = _F64.pack(_scores[v] / len(targets))
+                        for t in targets:
+                            pctx.emit(pack_u64(t), share)
 
+            summed = (r.plan.source([None], name="pr-tick")
+                      .map(contrib, partitioner=vertex_partitioner,
+                           layout=PR_HINT_LAYOUT, name="pr-contrib")
+                      .partial_reduce(pr_combine, out_layout=PR_HINT_LAYOUT,
+                                      name="pr-scores"))
+            base = (1.0 - damping) / nvertices + \
+                damping * dangling / nvertices
+            new_scores = {v: base for v in vertices}
+            for key, value in r.stream(summed):
+                new_scores[unpack_u64(key)] = \
+                    base + damping * unpack_f64(value)
+            return new_scores
 
-def pagerank_reference(env: RankEnv, stream: StreamSource, *,
-                       damping: float = 0.85, iterations: int = 2,
-                       config: MimirConfig | None = None) -> dict[int, float]:
-    """Full-batch twin: one fragment over all edges, same power loop."""
-    scenario = IncrementalPageRank(env, damping=damping,
-                                   iterations=iterations, config=config)
-    plan = Plan("pagerank-batch", scenario.config)
-    prunner = PlanRunner(env, plan)
-    items = [r.payload for r in stream.records()]
-    frag = (plan.source(items, name="pr-batch-edges")
-            .map(scenario._shard_edges, partitioner=vertex_partitioner,
-                 name="pr-edges")
-            .reduce(_dedup_targets, out_layout=KVLayout(), name="pr-frag"))
-    adjacency: dict[int, list[int]] = {}
-    for key, value in prunner.stream(frag):
-        adjacency[unpack_u64(key)] = \
-            np.frombuffer(value, dtype="<u8").tolist()
-    verts = (plan.source(items, name="pr-batch-verts-src")
-             .map(scenario._shard_edges, partitioner=vertex_partitioner,
-                  name="pr-edges-for-verts")
-             .reduce(_dedup_targets, out_layout=KVLayout(),
-                     name="pr-frag-for-verts")
-             .map(_emit_frag_vertices, partitioner=vertex_partitioner,
-                  combine_fn=_first, name="pr-verts"))
-    vertices = sorted({unpack_u64(k) for k, _ in prunner.stream(verts)})
-    return _pr_loop(env, prunner, adjacency, vertices,
-                    damping=damping, iterations=iterations)
+        initial = {v: 1.0 / nvertices for v in vertices}
+        scores, _ = runner.runner.iterate(initial, body,
+                                          max_iters=self.iterations)
+        return scores
+
+    def merge(self, results: dict[int, dict[int, float]]) -> dict:
+        """The row's payload: the scores after the last delta."""
+        last = results[max(results)] if results else {}
+        return {"ranks": {str(v): score for v, score in last.items()}}
 
 
 # ---------------------------------------------------------------------
@@ -321,11 +288,12 @@ class SessionizeClicks:
     longer than ``gap_ms`` once windows merge.
     """
 
+    name = "sessionize"
+
     def __init__(self, env: RankEnv, *, gap_ms: int = 30_000,
                  config: MimirConfig | None = None):
         self.env = env
         self.config = config or MimirConfig()
-        self.name = "sessionize"
         self.gap_ms = gap_ms
         self.rank = env.comm.rank
         self.nprocs = env.comm.size

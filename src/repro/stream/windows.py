@@ -21,7 +21,17 @@ windows strictly in order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def _positive(what: str, value: float) -> float:
+    """``value`` if it is a positive finite number, else ``ValueError``
+    (a NaN or infinite size builds windows that hold no record)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"window {what} must be positive and finite, "
+                         f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -42,9 +52,7 @@ class TumblingWindows:
     kind = "tumbling"
 
     def __init__(self, size: float):
-        if size <= 0:
-            raise ValueError("window size must be positive")
-        self.size = size
+        self.size = _positive("size", size)
 
     def window(self, wid: int) -> Window:
         return Window(wid, wid * self.size, (wid + 1) * self.size)
@@ -63,13 +71,11 @@ class SlidingWindows:
     kind = "sliding"
 
     def __init__(self, size: float, step: float):
-        if size <= 0 or step <= 0:
-            raise ValueError("window size and step must be positive")
+        self.size = _positive("size", size)
+        self.step = _positive("step", step)
         if step > size:
             raise ValueError("step larger than size leaves gaps; use "
                              "tumbling windows instead")
-        self.size = size
-        self.step = step
 
     def window(self, wid: int) -> Window:
         return Window(wid, wid * self.step, wid * self.step + self.size)
@@ -92,9 +98,7 @@ class GrowingWindows:
     kind = "growing"
 
     def __init__(self, step: float):
-        if step <= 0:
-            raise ValueError("window step must be positive")
-        self.step = step
+        self.step = _positive("step", step)
 
     def window(self, wid: int) -> Window:
         return Window(wid, 0.0, (wid + 1) * self.step)

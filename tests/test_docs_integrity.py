@@ -40,16 +40,21 @@ class TestDesignInventory:
         modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", text))
         assert modules
         for dotted in sorted(modules):
-            # Strip attribute-style suffixes that are not modules.
+            # The longest importable prefix must hold the rest as
+            # attributes: a stale name under a live package fails too.
             parts = dotted.split(".")
             for depth in range(len(parts), 1, -1):
                 try:
-                    importlib.import_module(".".join(parts[:depth]))
+                    obj = importlib.import_module(".".join(parts[:depth]))
                     break
                 except ModuleNotFoundError:
                     continue
             else:
                 pytest.fail(f"DESIGN.md names missing module {dotted}")
+            for attr in parts[depth:]:
+                assert hasattr(obj, attr), \
+                    f"DESIGN.md names {dotted}: {attr!r} does not resolve"
+                obj = getattr(obj, attr)
 
     def test_every_named_bench_exists(self):
         text = (ROOT / "DESIGN.md").read_text()

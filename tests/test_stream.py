@@ -14,8 +14,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.ft import ChaosPlan
 from repro.ft.runner import run_with_recovery
-from repro.mpi import COMET
+from repro.mpi import COMET, RankFailedError
 from repro.sched import PlanRunner, StageCache
+from repro.serve.catalog import merge_output
 from repro.stream import (
     GrowingWindows,
     MicroBatch,
@@ -27,10 +28,11 @@ from repro.stream import (
 )
 from repro.stream.demo import (
     DEMO_CONFIG,
+    catalog_twin,
     make_doc_stream,
     run_scenario,
 )
-from repro.stream.scenarios import StreamWordCount, wordcount_reference
+from repro.stream.scenarios import StreamWordCount
 
 NPROCS = 3
 
@@ -40,14 +42,11 @@ def make_cluster():
 
 
 def render_run(runs):
-    return StreamWordCount.render([r["final"] for r in runs])
+    return merge_output("wordcount", [r["final"] for r in runs])
 
 
 def reference_render(stream):
-    cluster = make_cluster()
-    refs = cluster.run(
-        lambda env: wordcount_reference(env, stream, DEMO_CONFIG)).returns
-    return StreamWordCount.render(refs)
+    return catalog_twin(StreamWordCount, stream, NPROCS)
 
 
 # ---------------------------------------------------------------------
@@ -78,6 +77,19 @@ class TestWindows:
         w = GrowingWindows(10.0)
         assert w.window(2).start == 0.0 and w.window(2).end == 30.0
         assert w.window(2).contains(5.0)  # every window sees the origin
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("make", [
+        TumblingWindows, GrowingWindows,
+        lambda x: SlidingWindows(x, 5.0),
+        lambda x: SlidingWindows(10.0, x),
+    ], ids=["tumbling", "growing", "sliding-size", "sliding-step"])
+    def test_sizes_must_be_positive_and_finite(self, make, bad):
+        # A NaN or infinite size built windows like [nan, nan) that
+        # silently held no record.
+        with pytest.raises(ValueError, match="positive and finite"):
+            make(bad)
 
 
 class TestStreamSource:
@@ -164,7 +176,7 @@ class TestRunnerEdgeCases:
 
         assert window_keys(0) == {b"alpha", b"beta"}
         assert window_keys(1) == {b"beta", b"gamma"}
-        streamed = StreamWordCount.render([r[0] for r in returns])
+        streamed = merge_output("wordcount", [r[0] for r in returns])
         assert streamed == reference_render(stream)
 
     def test_late_record_repairs_closed_window(self):
@@ -200,6 +212,17 @@ class TestRunnerEdgeCases:
         assert runs[0]["late"] == 0
         assert runs[0]["recomputed"] == 0
         assert render_run(runs) == reference_render(stream)
+
+    @pytest.mark.parametrize("lateness", [float("nan"), float("inf"),
+                                          -1.0])
+    def test_lateness_must_be_finite_and_not_negative(self, lateness):
+        stream = manual_stream((0.0, [(1.0, (0, b"alpha"))]))
+        cluster = make_cluster()
+        with pytest.raises(RankFailedError, match="lateness") as failed:
+            cluster.run(lambda env: run_scenario(
+                env, StreamWordCount, stream, TumblingWindows(10.0),
+                lateness=lateness))
+        assert isinstance(failed.value.__cause__, ValueError)
 
     def test_stream_metrics_are_emitted(self):
         stream = make_doc_stream(seed=3)
@@ -258,7 +281,7 @@ class TestKillResume:
         finals = [r[0] for r in ft.result.returns]
         resumed = ft.result.returns[0][1]
         assert resumed >= 1
-        assert StreamWordCount.render(finals) == reference_render(stream)
+        assert merge_output("wordcount", finals) == reference_render(stream)
 
 
 # ---------------------------------------------------------------------
@@ -280,12 +303,3 @@ class TestIncrementalRecompute:
         assert warm[0]["cache_hits"] > cold[0]["cache_hits"]
         assert warm[0]["stages"] < cold[0]["stages"]
         assert render_run(warm) == render_run(cold)
-
-    def test_pagerank_incremental_beats_full(self):
-        from repro.stream.demo import demo_pagerank
-
-        summary = demo_pagerank(nbatches=4, iterations=1)
-        assert summary["identical"] and summary["full_identical"]
-        assert summary["stages_incremental"] < summary["stages_full"]
-        assert summary["cache_hits"] > 0
-        assert summary["update_speedup"] > 1.0

@@ -3,41 +3,55 @@
 Each demo's acceptance bar is *bit identity*: the streamed finals,
 rendered, must equal the rendered output of a one-shot full-batch run
 over the same total input - including when the stream saw late data
-and repaired closed windows.
+and repaired closed windows.  The wordcount and pagerank twins are
+their serve catalog rows.
 """
 
-from repro.stream.demo import (
-    demo_pagerank,
-    demo_sessionize,
-    demo_wordcount,
-)
+import pytest
+
+from repro.serve.catalog import SERVE_APPS
+from repro.stream.demo import DEMOS, run_demo
+
+
+class TestCatalogTwins:
+    @pytest.mark.parametrize("name", ["wordcount", "pagerank"])
+    def test_demo_row_matches_its_catalog_twin(self, name):
+        # The scenario names the catalog row its twin runs.
+        assert DEMOS[name].scenario.name == name and name in SERVE_APPS
+        summary = run_demo(name, seed=3)
+        assert summary["identical"], "cached stream diverged from the row"
+        assert summary["full_identical"], "uncached stream diverged"
+
+    def test_every_summary_has_the_same_keys(self):
+        keys = {name: set(run_demo(name, nbatches=2)) for name in DEMOS}
+        assert len(set(map(frozenset, keys.values()))) == 1, keys
 
 
 class TestWordCountDemo:
     def test_stream_matches_batch_bit_for_bit(self):
-        summary = demo_wordcount()
+        summary = run_demo("wordcount")
         assert summary["identical"]
         assert summary["runs"][0]["closed"] == 3
         assert summary["output"].endswith(b"\n")
 
     def test_different_seed_still_identical(self):
-        assert demo_wordcount(seed=7)["identical"]
+        assert run_demo("wordcount", seed=7)["identical"]
 
 
 class TestPageRankDemo:
-    def test_incremental_and_full_match_batch(self):
-        summary = demo_pagerank()
+    @pytest.mark.parametrize("nbatches,iterations", [(8, 2), (4, 1)])
+    def test_incremental_beats_full_and_matches_batch(self, nbatches,
+                                                      iterations):
+        summary = run_demo("pagerank", nbatches=nbatches,
+                           iterations=iterations)
         assert summary["identical"], "incremental stream diverged"
         assert summary["full_identical"], "uncached stream diverged"
-
-    def test_incremental_recomputes_strictly_fewer_stages(self):
-        summary = demo_pagerank()
         assert summary["stages_incremental"] < summary["stages_full"]
         assert summary["cache_hits"] > 0
         assert summary["update_speedup"] > 1.0
 
     def test_scores_parse_as_floats(self):
-        summary = demo_pagerank(nbatches=4, iterations=1)
+        summary = run_demo("pagerank", nbatches=4, iterations=1)
         total = 0.0
         for line in summary["output"].splitlines():
             _vertex, score = line.split(b"\t")
@@ -47,13 +61,13 @@ class TestPageRankDemo:
 
 class TestSessionizeDemo:
     def test_late_clicks_repair_and_match_batch(self):
-        summary = demo_sessionize()
+        summary = run_demo("sessionize")
         assert summary["identical"]
         assert summary["late"] > 0, "demo stream lost its late clicks"
         assert summary["recomputed"] > 0, "no window was repaired"
 
     def test_sessions_cover_every_click(self):
-        summary = demo_sessionize()
+        summary = run_demo("sessionize")
         clicks = sum(int(line.split(b"\t")[3])
                      for line in summary["output"].splitlines())
         # 6 batches x 10 clicks, every one sessionized exactly once.
