@@ -38,8 +38,26 @@ class TestWordCountDemo:
         assert run_demo("wordcount", seed=7)["identical"]
 
 
+@pytest.fixture(scope="class")
+def pagerank_summary():
+    return run_demo("pagerank")
+
+
 class TestPageRankDemo:
-    @pytest.mark.parametrize("nbatches,iterations", [(8, 2), (4, 1)])
+    def test_incremental_and_full_match_batch(self, pagerank_summary):
+        summary = pagerank_summary
+        assert summary["identical"], "incremental stream diverged"
+        assert summary["full_identical"], "uncached stream diverged"
+
+    def test_incremental_recomputes_strictly_fewer_stages(
+            self, pagerank_summary):
+        summary = pagerank_summary
+        assert summary["stages_incremental"] < summary["stages_full"]
+        assert summary["cache_hits"] > 0
+        assert summary["update_speedup"] > 1.0
+
+    # The smallest demo size: one iteration over four batches.
+    @pytest.mark.parametrize("nbatches,iterations", [(4, 1)])
     def test_incremental_beats_full_and_matches_batch(self, nbatches,
                                                       iterations):
         summary = run_demo("pagerank", nbatches=nbatches,
