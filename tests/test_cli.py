@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -26,6 +28,149 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+def rows(parser):
+    """``(dest, option strings, default, choices, nargs, action)`` for
+    each argument of ``parser`` but ``--help``, in declaration order."""
+    return [(a.dest, tuple(a.option_strings), a.default,
+             None if a.choices is None else list(a.choices), a.nargs,
+             type(a).__name__.strip("_").replace("Action", ""))
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)]
+
+
+def subcommands(parser):
+    """Subcommand name -> its parser."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+PLATFORM = ("platform", ("--platform",), "comet",
+            ["comet", "comet-ssd", "mira"], None, "Store")
+WORKLOAD = [
+    ("app", (), None, ["wc_uniform", "wc_wiki", "oc", "bfs"], None, "Store"),
+    ("size", ("--size",), None, None, None, "Store"),
+    PLATFORM,
+    ("nprocs", ("--nprocs",), None, None, None, "Store"),
+    ("seed", ("--seed",), 0, None, None, "Store"),
+    ("shift", ("--shift",), 3, None, None, "Store"),
+]
+DEMO = [
+    PLATFORM,
+    ("nprocs", ("--nprocs",), 4, None, None, "Store"),
+    ("memory", ("--memory",), "512K", None, None, "Store"),
+]
+CLIENT = [
+    ("url", ("--url",), "http://127.0.0.1:8123", None, None, "Store"),
+    ("tenant", ("--tenant",), "default", None, None, "Store"),
+]
+STORAGE = ("storage", ("--storage",), None, ["pfs", "kv", "extsort"],
+           None, "Store")
+JOB_ID = ("job_id", (), None, None, None, "Store")
+TIMEOUT = ("timeout", ("--timeout",), 120.0, None, None, "Store")
+
+#: The rows of the streaming demo and chaos sweep front ends.
+MODULE_ROWS = {
+    "stream": [
+        ("scenario", (), None, None, "*", "Store"),
+        ("nprocs", ("--nprocs",), 3, None, None, "Store"),
+        ("seed", ("--seed",), 0, None, None, "Store"),
+    ],
+    "chaos": [
+        ("seeds", ("--seeds",), 20, None, None, "Store"),
+        ("procs", ("--procs",), 4, None, None, "Store"),
+        ("intensity", ("--intensity",), 1.0, None, None, "Store"),
+        STORAGE,
+    ],
+}
+
+#: Every subcommand's arguments: a flag, default or choice that moves
+#: is a break for whoever scripts the command line.
+INVENTORY = {
+    "platforms": [("shift", ("--shift",), 3, None, None, "Store")],
+    "run": [
+        *WORKLOAD,
+        ("framework", ("--framework",), "mimir", ["mimir", "mrmpi"], None,
+         "Store"),
+        ("hint", ("--hint",), False, None, 0, "StoreTrue"),
+        ("pr", ("--pr",), False, None, 0, "StoreTrue"),
+        ("cps", ("--cps",), False, None, 0, "StoreTrue"),
+        ("ooc", ("--ooc",), False, None, 0, "StoreTrue"),
+        ("page", ("--page",), None, None, None, "Store"),
+    ],
+    "compare": WORKLOAD,
+    "pipeline": [("apps", (), None, None, "*", "Store"), *DEMO],
+    "report": [
+        ("app", (), "wordcount", ["wordcount", "pipeline"], "?", "Store"),
+        *DEMO,
+        ("trace_out", ("--trace-out",), None, None, None, "Store"),
+        ("from_trace", ("--from-trace",), None, None, None, "Store"),
+    ],
+    "serve": [
+        PLATFORM,
+        ("nprocs", ("--nprocs",), 4, None, None, "Store"),
+        ("memory", ("--memory",), "auto", None, None, "Store"),
+        STORAGE,
+        ("host", ("--host",), "127.0.0.1", None, None, "Store"),
+        ("port", ("--port",), 0, None, None, "Store"),
+        ("lease_ttl", ("--lease-ttl",), 60.0, None, None, "Store"),
+        ("aging_rate", ("--aging-rate",), 1.0, None, None, "Store"),
+        ("quota", ("--quota",), None, None, None, "Append"),
+        ("stage_demo", ("--stage-demo",), False, None, 0, "StoreTrue"),
+        ("autoscale", ("--autoscale",), False, None, 0, "StoreTrue"),
+        ("autoscale_max", ("--autoscale-max",), 16, None, None, "Store"),
+        ("duration", ("--duration",), None, None, None, "Store"),
+    ],
+    "put": [*CLIENT, ("name", (), None, None, None, "Store"),
+            ("file", (), None, None, None, "Store")],
+    "submit": [
+        *CLIENT,
+        ("app", (), None, None, None, "Store"),
+        ("input", (), None, None, None, "Store"),
+        ("param", ("--param",), None, None, None, "Append"),
+        ("priority", ("--priority",), 0, None, None, "Store"),
+        ("footprint", ("--footprint",), None, None, None, "Store"),
+        ("wait", ("--wait",), False, None, 0, "StoreTrue"),
+        TIMEOUT,
+    ],
+    "status": [*CLIENT, ("job_id", (), None, None, "?", "Store")],
+    "cancel": [*CLIENT, JOB_ID],
+    "logs": [
+        *CLIENT, JOB_ID,
+        ("follow", ("-f", "--follow"), False, None, 0, "StoreTrue"),
+        ("offset", ("--offset",), 0, None, None, "Store"),
+        TIMEOUT,
+    ],
+    "fetch": [
+        *CLIENT, JOB_ID,
+        ("output", ("-o", "--output"), None, None, None, "Store"),
+        ("log", ("--log",), False, None, 0, "StoreTrue"),
+    ],
+}
+
+
+class TestInventory:
+    def test_every_subcommand_argument_is_pinned(self):
+        found = {name: rows(parser)
+                 for name, parser in subcommands(build_parser()).items()}
+        assert found == INVENTORY
+
+    @pytest.mark.parametrize("name, module", [
+        ("stream", "repro.stream.__main__"), ("chaos", "repro.ft.chaos")])
+    def test_stream_and_chaos_rows(self, name, module, monkeypatch):
+        import importlib
+
+        class Built(Exception):
+            pass
+
+        def grab(parser, *args, **kwargs):
+            raise Built(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", grab)
+        with pytest.raises(Built) as built:
+            importlib.import_module(module).main([])
+        assert rows(built.value.args[0]) == MODULE_ROWS[name]
 
 
 class TestCommands:
