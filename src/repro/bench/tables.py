@@ -59,28 +59,6 @@ def render_scaling_table(series: Series) -> str:
     return _grid(series.title, header, rows)
 
 
-def render_markdown(series: Series, *, time_only: bool = False) -> str:
-    """GitHub-flavoured Markdown rendering of a series (for reports)."""
-    header = ["size"] + list(series.configs)
-    lines = [f"**{series.title}**", "",
-             "| " + " | ".join(header) + " |",
-             "|" + "---|" * len(header)]
-    for label in series.labels:
-        cells = [label]
-        for config in series.configs:
-            record = series.get(config, label)
-            if record is None:
-                cells.append("—")
-            elif record.oom:
-                cells.append("OOM")
-            elif time_only:
-                cells.append(record.time_cell())
-            else:
-                cells.append(f"{record.memory_cell()} / {record.time_cell()}")
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
 def render_time_table(series: Series) -> str:
     """Dataset size x config: execution-time-only cells (Fig 1)."""
     header = ["size"] + list(series.configs)

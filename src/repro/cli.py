@@ -1,4 +1,7 @@
-"""Command-line interface: run workloads and inspect platforms.
+"""Command-line interface: the one entry door to every harness.
+
+Each subcommand is a row of :data:`COMMANDS` (name, handler, help,
+argument rows); rows several subcommands share are written once.
 
 Examples::
 
@@ -6,6 +9,10 @@ Examples::
     python -m repro run wc_uniform --size 4G --framework mimir --hint --pr
     python -m repro run bfs --size 2^22 --platform mira --cps
     python -m repro compare wc_wiki --size 2G
+    python -m repro pipeline wordcount pagerank
+    python -m repro report wordcount pagerank --trace-out trace.json
+    python -m repro stream sessionize
+    python -m repro chaos --seeds 20 --storage kv
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from repro.memory.limits import format_size
 from repro.mpi.platforms import PLATFORMS
 from repro.serve.catalog import SERVE_APPS
 from repro.storage import BACKENDS
+from repro.stream.demo import DEMOS, run_demo
 
 
 def _size_label(text: str) -> str:
@@ -35,6 +43,15 @@ def _demo_app(name: str) -> str:
     """A ``repro pipeline`` job: a catalog app or ``insitu``."""
     if name not in SERVE_APPS and name != "insitu":
         raise argparse.ArgumentTypeError(f"unknown app {name!r}")
+    return name
+
+
+def _scenario(name: str) -> str:
+    """A ``repro stream`` demo: a :data:`DEMOS` row or ``all``."""
+    if name not in DEMOS and name != "all":
+        raise argparse.ArgumentTypeError(
+            f"unknown scenario {name!r} "
+            f"(choose from {', '.join([*DEMOS, 'all'])})")
     return name
 
 
@@ -89,19 +106,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from repro.sched.demo import run_demo
+    from repro.sched import demo
 
-    return run_demo(args.apps or None, nprocs=args.nprocs,
-                    platform=args.platform, memory_limit=args.memory)
+    return demo.run_demo(args.apps or None, nprocs=args.nprocs,
+                         platform=args.platform, memory_limit=args.memory)
 
 
 def cmd_report(args) -> int:
     from repro.obs.chrome import validate_chrome_trace, write_chrome_trace
-    from repro.obs.report import (
-        load_trace_report,
-        run_pipeline_report,
-        run_wordcount_report,
-    )
+    from repro.obs.report import load_trace_report, run_report
 
     if args.from_trace:
         try:
@@ -109,13 +122,10 @@ def cmd_report(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load {args.from_trace}: {exc}")
             return 1
-    elif args.app == "pipeline":
-        report = run_pipeline_report(nprocs=args.nprocs,
-                                     platform=args.platform,
-                                     memory_limit=args.memory)
     else:
-        report = run_wordcount_report(nprocs=args.nprocs,
-                                      platform=args.platform)
+        report = run_report(args.apps, nprocs=args.nprocs,
+                            platform=args.platform,
+                            memory_limit=args.memory)
     print(report.render())
     if args.trace_out:
         data = write_chrome_trace(report.trace, args.trace_out)
@@ -123,6 +133,62 @@ def cmd_report(args) -> int:
         print(f"\nwrote Perfetto trace: {args.trace_out} "
               f"({len(data['traceEvents'])} events) - open it at "
               "https://ui.perfetto.dev")
+    return 0
+
+
+def render_summary(summary: dict) -> str:
+    """One streaming demo's :func:`~repro.stream.demo.run_demo` summary."""
+    lines = [f"== stream demo: {summary['scenario']} =="]
+    run = summary["runs"][0]
+    lines.append(f"windows closed: {run['closed']}  "
+                 f"late records: {run['late']}  "
+                 f"repaired: {run['recomputed']}")
+    for wid, end, clock in run["timeline"]:
+        lines.append(f"  window {wid} [end {end:.1f}s] closed at "
+                     f"t={clock:.2f}s")
+    lines.append(f"stages: incremental={summary['stages_incremental']} "
+                 f"full={summary['stages_full']}  "
+                 f"cache hits: {summary['cache_hits']}")
+    lines.append(f"per-update speedup (full/incremental): "
+                 f"{summary['update_speedup']:.2f}x")
+    verdict = "bit-identical" if summary["identical"] else "MISMATCH"
+    lines.append(f"vs full-batch recompute: {verdict}")
+    return "\n".join(lines)
+
+
+def cmd_stream(args) -> int:
+    names = list(DEMOS) if "all" in (args.scenario or ["all"]) \
+        else args.scenario
+    ok = True
+    for name in names:
+        summary = run_demo(name, nprocs=args.nprocs, seed=args.seed)
+        print(render_summary(summary))
+        print()
+        ok = ok and summary["identical"]
+    if not ok:
+        print("FAILED: a streamed result diverged from its batch twin",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_chaos(args) -> int:
+    from repro.ft.chaos import run_chaos_sweep
+
+    print(f"chaos sweep: {args.seeds} schedules x {args.procs} ranks "
+          f"(intensity {args.intensity:g}, "
+          f"storage {args.storage or 'default'})")
+    sweep = run_chaos_sweep(args.seeds, nprocs=args.procs,
+                            intensity=args.intensity,
+                            storage=args.storage, verbose=True)
+    faulty = [r for r in sweep.records if r.plan.counts()]
+    print(f"baseline elapsed : {sweep.baseline_elapsed:.3f}s")
+    print(f"schedules with faults: {len(faulty)}/{len(sweep.records)}")
+    if not sweep.all_ok:
+        bad = [r.seed for r in sweep.records if not r.ok]
+        print(f"FAILED seeds: {bad}")
+        return 1
+    print("all schedules converged to bit-identical output")
     return 0
 
 
@@ -293,180 +359,171 @@ def cmd_fetch(args) -> int:
     return 0
 
 
+# ------------------------------------------------------------ the table
+
+def _arg(*flags: str, **kwargs):
+    """One argument row: ``add_argument``'s flags and keywords."""
+    return flags, kwargs
+
+
+def _but(row, **kwargs):
+    """``row`` with some keywords changed."""
+    flags, base = row
+    return flags, {**base, **kwargs}
+
+
+_DEFAULT_SIZES = ", ".join(f"{size} for {app}" for app, size in APPS.items())
+SHIFT = _arg("--shift", type=int, default=3,
+             help="extra benchmark shrink exponent")
+PLATFORM = _arg("--platform", choices=sorted(PLATFORMS), default="comet")
+NPROCS = _arg("--nprocs", type=int, default=4)
+MEMORY = _arg("--memory", default="512K",
+              help='per-rank memory budget (e.g. "512K")')
+STORAGE = _arg("--storage", choices=BACKENDS, default=None,
+               help="storage backend (default: REPRO_STORAGE_BACKEND or "
+                    "pfs; see docs/storage.md)")
+APP_LIST = _arg("apps", nargs="*", type=_demo_app,
+                help=f"jobs to submit ({' '.join(SERVE_APPS)} insitu); "
+                     "default: wordcount pagerank")
+SEED = _arg("--seed", type=int, default=0)
+WORKLOAD = [
+    _arg("app", choices=APPS),
+    _arg("--size", type=_size_label, default=None,
+         help=f'dataset size: "4G" bytes or "2^22" count '
+              f"(default: {_DEFAULT_SIZES})"),
+    PLATFORM,
+    _but(NPROCS, default=None),
+    SEED,
+    SHIFT,
+]
+CLIENT = [
+    _arg("--url", default="http://127.0.0.1:8123", help="service base URL"),
+    _arg("--tenant", default="default",
+         help="tenant identity (X-Tenant header)"),
+]
+JOB_ID = _arg("job_id")
+TIMEOUT = _arg("--timeout", type=float, default=120.0,
+               help="timeout in seconds (--wait / --follow)")
+
+#: ``(name, handler, help, argument rows)`` per subcommand.
+COMMANDS = [
+    ("platforms", cmd_platforms, "describe simulated platforms", [SHIFT]),
+    ("run", cmd_run, "run one workload configuration", [
+        *WORKLOAD,
+        _arg("--framework", choices=["mimir", "mrmpi"], default="mimir"),
+        _arg("--hint", action="store_true",
+             help="enable the KV-hint optimization"),
+        _arg("--pr", action="store_true", help="enable partial reduction"),
+        _arg("--cps", action="store_true", help="enable KV compression"),
+        _arg("--ooc", action="store_true",
+             help="enable out-of-core KV containers (extension)"),
+        _arg("--page", type=_size_label, default=None,
+             help='MR-MPI page size in paper units (e.g. "512M")'),
+    ]),
+    ("compare", cmd_compare, "compare frameworks on one workload", WORKLOAD),
+    ("pipeline", cmd_pipeline,
+     "run a multi-job dataflow pipeline through the scheduler",
+     [APP_LIST, PLATFORM, NPROCS, MEMORY]),
+    ("report", cmd_report,
+     "run jobs through the scheduler with full observability and "
+     "render the report", [
+         _but(APP_LIST, default=["wordcount"],
+              help=f"jobs to profile ({' '.join(SERVE_APPS)} insitu); "
+                   "default: wordcount"),
+         PLATFORM, NPROCS, MEMORY,
+         _arg("--trace-out", default=None, metavar="FILE",
+              help="also write Chrome/Perfetto trace_event JSON for "
+                   "ui.perfetto.dev"),
+         _arg("--from-trace", default=None, metavar="FILE",
+              help="skip running: rebuild the report from a "
+                   "Trace.to_json() file"),
+     ]),
+    ("stream", cmd_stream, "run the streaming & incremental MapReduce demos",
+     [_arg("scenario", nargs="*", type=_scenario,
+           help=f"which demo(s) to run: {', '.join([*DEMOS, 'all'])} "
+                "(default: all)"),
+      _but(NPROCS, default=3),
+      SEED]),
+    ("chaos", cmd_chaos, "seeded chaos sweep over checkpointed WordCount", [
+        _arg("--seeds", type=int, default=20,
+             help="number of seeded schedules (default 20)"),
+        _arg("--procs", type=int, default=4),
+        _arg("--intensity", type=float, default=1.0),
+        STORAGE,
+    ]),
+    ("serve", cmd_serve,
+     "run the multi-tenant job service daemon (HTTP/JSON API)", [
+         PLATFORM, NPROCS, _but(MEMORY, default="auto"), STORAGE,
+         _arg("--host", default="127.0.0.1"),
+         _arg("--port", type=int, default=0,
+              help="listen port (0 = ephemeral, printed)"),
+         _arg("--lease-ttl", type=float, default=60.0,
+              help="result lease TTL in seconds"),
+         _arg("--aging-rate", type=float, default=1.0,
+              help="fair-share priority gain per queued round"),
+         _arg("--quota", action="append", metavar="T=Q:C",
+              help="per-tenant quota tenant=max_queued:max_concurrent "
+                   "(repeatable)"),
+         _arg("--stage-demo", action="store_true",
+              help="stage the demo datasets on the PFS at boot"),
+         _arg("--autoscale", action="store_true",
+              help="let a ScalingPolicy resize the gang between rounds"),
+         _arg("--autoscale-max", type=int, default=16,
+              help="autoscaler rank ceiling (with --autoscale)"),
+         _arg("--duration", type=float, default=None,
+              help="exit after N seconds (CI smoke)"),
+     ]),
+    ("put", cmd_put, "stage an input file on the service", [
+        *CLIENT,
+        _arg("name", help="input name (referenced by submit)"),
+        _arg("file", help="local file to upload"),
+    ]),
+    ("submit", cmd_submit, "submit a job to the service", [
+        *CLIENT,
+        _arg("app", help=f"catalog app ({' '.join(SERVE_APPS)})"),
+        _arg("input", help="staged input name or shared PFS path"),
+        _arg("--param", action="append", metavar="K=V",
+             help="app parameter (repeatable)"),
+        _arg("--priority", type=int, default=0),
+        _arg("--footprint", default=None,
+             help='declared per-rank footprint (e.g. "64K")'),
+        _arg("--wait", action="store_true",
+             help="poll until the job reaches a terminal state"),
+        TIMEOUT,
+    ]),
+    ("status", cmd_status, "job status (or list all jobs)",
+     [*CLIENT, _but(JOB_ID, nargs="?", default=None)]),
+    ("cancel", cmd_cancel, "cancel a queued job", [*CLIENT, JOB_ID]),
+    ("logs", cmd_logs, "fetch (or follow) a job's service-side log", [
+        *CLIENT, JOB_ID,
+        _arg("-f", "--follow", action="store_true",
+             help="poll ?offset=N and stream new lines until the job is "
+                  "terminal"),
+        _arg("--offset", type=int, default=0,
+             help="start the cursor at line N"),
+        TIMEOUT,
+    ]),
+    ("fetch", cmd_fetch, "fetch a job's output artifact", [
+        *CLIENT, JOB_ID,
+        _arg("-o", "--output", default=None, metavar="FILE",
+             help="write to FILE instead of stdout"),
+        _arg("--log", action="store_true",
+             help="fetch the service-side job log instead"),
+    ]),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Mimir (IPDPS 2017) reproduction - simulated "
                     "MapReduce-over-MPI workloads")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_plat = sub.add_parser("platforms", help="describe simulated platforms")
-    p_plat.add_argument("--shift", type=int, default=3,
-                        help="extra benchmark shrink exponent")
-    p_plat.set_defaults(fn=cmd_platforms)
-
-    default_sizes = ", ".join(f"{size} for {app}"
-                              for app, size in APPS.items())
-
-    def common(p):
-        p.add_argument("app", choices=APPS)
-        p.add_argument("--size", type=_size_label, default=None,
-                       help='dataset size: "4G" bytes or "2^22" count '
-                            f"(default: {default_sizes})")
-        p.add_argument("--platform", choices=sorted(PLATFORMS),
-                       default="comet")
-        p.add_argument("--nprocs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--shift", type=int, default=3)
-
-    p_run = sub.add_parser("run", help="run one workload configuration")
-    common(p_run)
-    p_run.add_argument("--framework", choices=["mimir", "mrmpi"],
-                       default="mimir")
-    p_run.add_argument("--hint", action="store_true",
-                       help="enable the KV-hint optimization")
-    p_run.add_argument("--pr", action="store_true",
-                       help="enable partial reduction")
-    p_run.add_argument("--cps", action="store_true",
-                       help="enable KV compression")
-    p_run.add_argument("--ooc", action="store_true",
-                       help="enable out-of-core KV containers (extension)")
-    p_run.add_argument("--page", type=_size_label, default=None,
-                       help='MR-MPI page size in paper units (e.g. "512M")')
-    p_run.set_defaults(fn=cmd_run)
-
-    p_cmp = sub.add_parser("compare",
-                           help="compare frameworks on one workload")
-    common(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
-
-    p_pipe = sub.add_parser(
-        "pipeline",
-        help="run a multi-job dataflow pipeline through the scheduler")
-    p_pipe.add_argument(
-        "apps", nargs="*", type=_demo_app,
-        help=f"jobs to submit ({' '.join(SERVE_APPS)} insitu); "
-             "default: wordcount pagerank")
-    p_pipe.add_argument("--platform", choices=sorted(PLATFORMS),
-                        default="comet")
-    p_pipe.add_argument("--nprocs", type=int, default=4)
-    p_pipe.add_argument("--memory", default="512K",
-                        help='per-rank memory budget (e.g. "512K")')
-    p_pipe.set_defaults(fn=cmd_pipeline)
-
-    p_rep = sub.add_parser(
-        "report",
-        help="run a job with full observability and render the report")
-    p_rep.add_argument(
-        "app", nargs="?", choices=["wordcount", "pipeline"],
-        default="wordcount",
-        help="what to profile: the WordCount benchmark or the "
-             "multi-job scheduler demo (default: wordcount)")
-    p_rep.add_argument("--platform", choices=sorted(PLATFORMS),
-                       default="comet")
-    p_rep.add_argument("--nprocs", type=int, default=4)
-    p_rep.add_argument("--memory", default="512K",
-                       help='per-rank budget for the pipeline report')
-    p_rep.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="also write Chrome/Perfetto trace_event "
-                            "JSON for ui.perfetto.dev")
-    p_rep.add_argument("--from-trace", default=None, metavar="FILE",
-                       help="skip running: rebuild the report from a "
-                            "Trace.to_json() file")
-    p_rep.set_defaults(fn=cmd_report)
-
-    p_srv = sub.add_parser(
-        "serve",
-        help="run the multi-tenant job service daemon (HTTP/JSON API)")
-    p_srv.add_argument("--platform", choices=sorted(PLATFORMS),
-                       default="comet")
-    p_srv.add_argument("--nprocs", type=int, default=4)
-    p_srv.add_argument("--memory", default="auto",
-                       help='per-rank memory budget (e.g. "512K")')
-    p_srv.add_argument("--storage", choices=BACKENDS,
-                       default=None,
-                       help="storage backend for the service substrate "
-                            "(default: REPRO_STORAGE_BACKEND or pfs; "
-                            "see docs/storage.md)")
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=0,
-                       help="listen port (0 = ephemeral, printed)")
-    p_srv.add_argument("--lease-ttl", type=float, default=60.0,
-                       help="result lease TTL in seconds")
-    p_srv.add_argument("--aging-rate", type=float, default=1.0,
-                       help="fair-share priority gain per queued round")
-    p_srv.add_argument("--quota", action="append", metavar="T=Q:C",
-                       help="per-tenant quota tenant=max_queued:"
-                            "max_concurrent (repeatable)")
-    p_srv.add_argument("--stage-demo", action="store_true",
-                       help="stage the demo datasets on the PFS at boot")
-    p_srv.add_argument("--autoscale", action="store_true",
-                       help="let a ScalingPolicy resize the gang "
-                            "between rounds")
-    p_srv.add_argument("--autoscale-max", type=int, default=16,
-                       help="autoscaler rank ceiling (with --autoscale)")
-    p_srv.add_argument("--duration", type=float, default=None,
-                       help="exit after N seconds (CI smoke)")
-    p_srv.set_defaults(fn=cmd_serve)
-
-    def client_common(p):
-        p.add_argument("--url", default="http://127.0.0.1:8123",
-                       help="service base URL")
-        p.add_argument("--tenant", default="default",
-                       help="tenant identity (X-Tenant header)")
-
-    p_put = sub.add_parser("put", help="stage an input file on the service")
-    client_common(p_put)
-    p_put.add_argument("name", help="input name (referenced by submit)")
-    p_put.add_argument("file", help="local file to upload")
-    p_put.set_defaults(fn=cmd_put)
-
-    p_sub = sub.add_parser("submit", help="submit a job to the service")
-    client_common(p_sub)
-    p_sub.add_argument("app", help=f"catalog app ({' '.join(SERVE_APPS)})")
-    p_sub.add_argument("input", help="staged input name or shared PFS path")
-    p_sub.add_argument("--param", action="append", metavar="K=V",
-                       help="app parameter (repeatable)")
-    p_sub.add_argument("--priority", type=int, default=0)
-    p_sub.add_argument("--footprint", default=None,
-                       help='declared per-rank footprint (e.g. "64K")')
-    p_sub.add_argument("--wait", action="store_true",
-                       help="poll until the job reaches a terminal state")
-    p_sub.add_argument("--timeout", type=float, default=120.0,
-                       help="--wait timeout in seconds")
-    p_sub.set_defaults(fn=cmd_submit)
-
-    p_st = sub.add_parser("status", help="job status (or list all jobs)")
-    client_common(p_st)
-    p_st.add_argument("job_id", nargs="?", default=None)
-    p_st.set_defaults(fn=cmd_status)
-
-    p_cx = sub.add_parser("cancel", help="cancel a queued job")
-    client_common(p_cx)
-    p_cx.add_argument("job_id")
-    p_cx.set_defaults(fn=cmd_cancel)
-
-    p_lg = sub.add_parser(
-        "logs", help="fetch (or follow) a job's service-side log")
-    client_common(p_lg)
-    p_lg.add_argument("job_id")
-    p_lg.add_argument("-f", "--follow", action="store_true",
-                      help="poll ?offset=N and stream new lines until "
-                           "the job is terminal")
-    p_lg.add_argument("--offset", type=int, default=0,
-                      help="start the cursor at line N")
-    p_lg.add_argument("--timeout", type=float, default=120.0,
-                      help="--follow timeout in seconds")
-    p_lg.set_defaults(fn=cmd_logs)
-
-    p_ft = sub.add_parser("fetch", help="fetch a job's output artifact")
-    client_common(p_ft)
-    p_ft.add_argument("job_id")
-    p_ft.add_argument("-o", "--output", default=None, metavar="FILE",
-                      help="write to FILE instead of stdout")
-    p_ft.add_argument("--log", action="store_true",
-                      help="fetch the service-side job log instead")
-    p_ft.set_defaults(fn=cmd_fetch)
+    for name, fn, help_text, rows in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flags, kwargs in rows:
+            command.add_argument(*flags, **kwargs)
+        command.set_defaults(fn=fn)
     return parser
 
 

@@ -54,9 +54,7 @@ from repro.ft.runner import (
 
 def __getattr__(name: str):
     # Lazy: the harness pulls in the apps, most importers (the serve
-    # journal, for one) never touch the elastic layer, and eager import
-    # would also trip runpy's double-import warning for
-    # ``python -m repro.ft.chaos``.
+    # journal, for one) never touch the elastic layer.
     if name in ("ChaosSweepResult", "ChaosRunRecord", "run_chaos_sweep"):
         from repro.ft import chaos as module
     elif name in __all__:   # whatever was not imported above is elastic's

@@ -10,7 +10,7 @@ failing seed reproduces exactly.
 
 Run a quick sweep from the command line::
 
-    PYTHONPATH=src python -m repro.ft.chaos --seeds 20
+    PYTHONPATH=src python -m repro chaos --seeds 20
 
 The job is :func:`~repro.apps.wordcount.wordcount_plan` under a
 :class:`~repro.sched.executor.PlanRunner` carrying the run's checkpoint
@@ -36,7 +36,6 @@ from repro.ft.runner import FTResult, run_with_recovery
 from repro.mpi import COMET
 from repro.sched.executor import PlanRunner
 from repro.sched.plan import Dataset
-from repro.storage import BACKENDS
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -234,38 +233,3 @@ def run_chaos_sweep(nseeds: int = 20, *, nprocs: int = 4,
             for problem in record.problems:
                 print(f"           problem: {problem}")
     return ChaosSweepResult(baseline.total_elapsed, records)
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="seeded chaos sweep over checkpointed WordCount")
-    parser.add_argument("--seeds", type=int, default=20,
-                        help="number of seeded schedules (default 20)")
-    parser.add_argument("--procs", type=int, default=4)
-    parser.add_argument("--intensity", type=float, default=1.0)
-    parser.add_argument("--storage", choices=BACKENDS, default=None,
-                        help="storage backend to sweep on "
-                             "(default: REPRO_STORAGE_BACKEND or pfs)")
-    args = parser.parse_args(argv)
-
-    print(f"chaos sweep: {args.seeds} schedules x {args.procs} ranks "
-          f"(intensity {args.intensity:g}, "
-          f"storage {args.storage or 'default'})")
-    sweep = run_chaos_sweep(args.seeds, nprocs=args.procs,
-                            intensity=args.intensity,
-                            storage=args.storage, verbose=True)
-    faulty = [r for r in sweep.records if r.plan.counts()]
-    print(f"baseline elapsed : {sweep.baseline_elapsed:.3f}s")
-    print(f"schedules with faults: {len(faulty)}/{len(sweep.records)}")
-    if not sweep.all_ok:
-        bad = [r.seed for r in sweep.records if not r.ok]
-        print(f"FAILED seeds: {bad}")
-        return 1
-    print("all schedules converged to bit-identical output")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,26 +6,23 @@ at the global peak, the aggregated metric totals, and (for scheduled
 multi-job runs) per-job timeline lanes - plus the
 :class:`~repro.obs.trace.Trace` behind them, ready for Perfetto export.
 
-Three entry points:
+Two entry points:
 
-- :func:`run_wordcount_report` runs the paper's WordCount benchmark
-  on a small simulated cluster with tracing and metrics attached.
-- :func:`run_pipeline_report` drains the multi-job scheduler demo
-  (WordCount + PageRank by default) the same way.
+- :func:`run_report` drains catalog rows (or ``insitu``) through the
+  scheduler demo (:func:`repro.sched.demo.submit_demo`) with tracing,
+  metrics and the memory timeline attached.
 - :func:`load_trace_report` rebuilds the trace-derived views from a
   saved ``Trace.to_json()`` file without re-running anything.
 
-This module imports the cluster harness; it is deliberately **not**
+This module drives the cluster harness; it is deliberately **not**
 re-exported from ``repro.obs`` (which the harness itself imports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any
 
-from repro.cluster import Cluster
 from repro.memory.limits import format_size
 from repro.obs.timeline import (
     SCHED_EVENT_KINDS,
@@ -142,68 +139,28 @@ class RunReport:
         return "\n\n".join(sections)
 
 
-# ------------------------------------------------------------- wordcount
+# ------------------------------------------------------------------ run
 
-def run_wordcount_report(*, nprocs: int = 4, platform: str = "comet",
-                         input_bytes: int = 1 << 15,
-                         seed: int = 0) -> RunReport:
-    """WordCount with tracing and metrics attached."""
-    from repro.apps.wordcount import wordcount_plan
-    from repro.datasets.words import uniform_text
-    from repro.mpi.platforms import PLATFORMS
-    from repro.sched.executor import PlanRunner
-
-    cluster = Cluster(PLATFORMS[platform], nprocs, keep_timeline=True)
-    path = "report/words.txt"
-    cluster.pfs.store(path, uniform_text(input_bytes, seed=seed))
-    trace = Trace()
-
-    def rank_fn(env):
-        with trace.span(env, "wordcount", rank=env.comm.rank):
-            counted = wordcount_plan(
-                env, path, runner=partial(PlanRunner, env, trace=trace))
-        return counted.unique_words, counted.total_words
-
-    result = cluster.run(rank_fn)
-    unique = sum(u for u, _t in result.returns)
-    total = sum(t for _u, t in result.returns)
-    hottest = max(range(nprocs), key=lambda r: result.peak_bytes[r])
-    return RunReport(
-        title=f"wordcount: {nprocs} ranks on {platform}, "
-              f"{format_size(input_bytes)} input",
-        job_lines=[f"{unique} unique words, {total} total, "
-                   f"{result.elapsed:.4f}s virtual"],
-        phases=phase_rows(trace),
-        peak_bytes=result.peak_bytes[hottest],
-        composition=composition_at_peak(cluster.trackers[hottest]),
-        metrics_text=cluster.metrics.render(),
-        metric_totals=cluster.metrics.totals(),
-        trace=trace,
-    )
-
-
-# -------------------------------------------------------------- pipeline
-
-def run_pipeline_report(apps: "list[str] | None" = None, *,
-                        nprocs: int = 4, platform: str = "comet",
-                        memory_limit: "int | str | None" = "512K",
-                        ) -> RunReport:
-    """Drain the multi-job scheduler demo and report the whole drain."""
+def run_report(apps: list[str], *, nprocs: int = 4, platform: str = "comet",
+               memory_limit: "int | str | None" = "512K") -> RunReport:
+    """Drain ``apps`` through the scheduler demo and report the drain:
+    the memory section is the hottest rank's composition at its peak."""
     from repro.sched.demo import submit_demo
 
     apps, scheduler = submit_demo(apps, nprocs=nprocs, platform=platform,
                                   memory_limit=memory_limit)
     cluster, trace = scheduler.cluster, scheduler.trace
     sched_report = scheduler.run()
-    title = f"pipeline ({' '.join(apps)}): {nprocs} ranks on {platform}"
+    title = f"{' '.join(apps)}: {nprocs} ranks on {platform}"
     if cluster.memory_limit_per_rank is not None:
         title += f", {format_size(cluster.memory_limit_per_rank)}/rank"
+    hottest = max(scheduler.trackers, key=lambda tracker: tracker.peak)
     return RunReport(
         title=title,
         job_lines=sched_report.render_log().splitlines(),
         phases=phase_rows(trace),
-        peak_bytes=max((t.peak for t in scheduler.trackers), default=0),
-        composition=None,   # the demo cluster keeps no timeline
+        peak_bytes=hottest.peak,
+        composition=composition_at_peak(hottest),
         metrics_text=cluster.metrics.render(),
         metric_totals=cluster.metrics.totals(),
         lanes=render_job_lanes(trace),

@@ -16,7 +16,8 @@ The subsystem layers three pieces over the single-job Mimir driver:
   or wait instead of OOMing; a :class:`ScalingPolicy` may resize the
   gang between rounds.
 
-``python -m repro.sched`` runs a self-contained demo.
+``python -m repro pipeline`` runs a self-contained demo
+(:mod:`repro.sched.demo`).
 """
 
 from repro.sched.cache import CacheEntry, CacheStats, StageCache

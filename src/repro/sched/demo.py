@@ -1,11 +1,10 @@
-"""Self-contained scheduler demo (``python -m repro.sched``).
+"""Self-contained scheduler demo (``python -m repro pipeline``).
 
 Builds a small simulated cluster, stages synthetic inputs, submits a
 mix of jobs - any catalog app (WordCount, an iterative PageRank whose
 adjacency list is cached, k-means, BFS, ...) or an in-situ analysis -
 and drains the queue, printing the admission log and the per-job
-timeline lanes.  The same adapters back the ``repro pipeline`` CLI
-subcommand.
+timeline lanes.  ``repro report`` drains the same submissions.
 """
 
 from __future__ import annotations
@@ -79,11 +78,12 @@ def submit_demo(apps: "list[str] | None" = None, *, nprocs: int = 4,
                 platform: str = "comet",
                 memory_limit: "int | str | None" = "512K",
                 ) -> tuple[list[str], Scheduler]:
-    """The demo cluster, inputs staged, and a traced scheduler holding
-    ``apps`` (default WordCount + PageRank) in priority order."""
+    """The demo cluster (keeping its memory timeline), inputs staged,
+    and a traced scheduler holding ``apps`` (default WordCount +
+    PageRank) in priority order."""
     apps = list(apps) if apps else ["wordcount", "pagerank"]
     cluster = Cluster(PLATFORMS[platform], nprocs,
-                      memory_limit=memory_limit)
+                      memory_limit=memory_limit, keep_timeline=True)
     paths = stage_inputs(cluster)
     scheduler = Scheduler(cluster, trace=Trace())
     for i, app in enumerate(apps):

@@ -11,6 +11,7 @@ the twin's; the CLI, the benchmark and the tests all go through it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -151,6 +152,7 @@ def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
         "final": result.final,
         "windows": result.windows,
         "timeline": result.timeline,
+        "close_seconds": result.close_seconds,
         "closed": result.closed,
         "resumed": result.resumed,
         "recomputed": result.recomputed,
@@ -208,8 +210,10 @@ def run_demo(name: str, *, nprocs: int = 3, seed: int = 0, trace=None,
 
     A keyword the row's ``params`` names goes to the scenario and its
     twin, any other to the stream builder.  The per-update speedup is
-    the uncached over the cached pass's virtual time between its last
-    two window closes (the steady state; update 0 has no prior close).
+    the uncached over the cached pass's virtual seconds spent closing
+    the last window the watermark closed (the steady state; the
+    end-of-stream flush is left out, and with no watermark close the
+    speedup is NaN).
     """
     row = DEMOS[name]
     params = {key: kw.pop(key, value) for key, value in row.params.items()}
@@ -226,9 +230,8 @@ def run_demo(name: str, *, nprocs: int = 3, seed: int = 0, trace=None,
     streamed = row.render([r["final"] for r in inc.returns])
 
     def last_update(res):
-        timeline = res.returns[0]["timeline"]
-        return timeline[-1][2] - timeline[-2][2] if len(timeline) > 1 \
-            else timeline[-1][2]
+        closes = res.returns[0]["close_seconds"]
+        return closes[-1] if closes else math.nan
 
     run = inc.returns[0]
     return {

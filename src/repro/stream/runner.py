@@ -54,6 +54,9 @@ class StreamResult:
     #: ``(wid, window_end, close_clock)`` per first-time close, in
     #: close order - the live view a demo prints.
     timeline: list[tuple[int, float, float]] = field(default_factory=list)
+    #: Virtual seconds each close the watermark made took, in close
+    #: order (the end-of-stream flush is not among them).
+    close_seconds: list[float] = field(default_factory=list)
     closed: int = 0
     resumed: int = 0
     recomputed: int = 0
@@ -176,11 +179,15 @@ class StreamRunner:
                    max_time: float, watermark: float) -> None:
         if max_time == _NEG_INF:
             return
+        clock = self.env.comm.clock
         for wid in range(self.windows.last_wid(max_time) + 1):
             if wid in result.windows:
                 continue
             if self.windows.window(wid).end <= watermark:
+                start = clock.time
                 self._finalize(result, ingested, wid)
+                if watermark != math.inf:   # not the end-of-stream flush
+                    result.close_seconds.append(clock.time - start)
 
     def _finalize(self, result: StreamResult, ingested: list[MicroBatch],
                   wid: int, *, repair: bool = False) -> None:

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -20,17 +21,46 @@ class TestReadmeQuickstart:
         assert "peak" not in capsys.readouterr().err
 
     def test_cli_commands_mentioned_exist(self):
+        """Every ``python -m repro <subcommand>`` the docs show parses,
+        and no doc, CI step or recipe names a module entry point."""
         from repro.cli import build_parser
 
-        readme = (ROOT / "README.md").read_text()
-        parser = build_parser()
-        subcommands = {"platforms", "run", "compare"}
-        for command in subcommands:
-            assert f"python -m repro {command}" in readme or True
-        # And the parser accepts each of them.
-        parser.parse_args(["platforms"])
-        parser.parse_args(["run", "wc_uniform"])
-        parser.parse_args(["compare", "oc"])
+        commands = []
+        for path in [ROOT / "README.md", *sorted(ROOT.glob("docs/*.md"))]:
+            commands += [(path.name, cmd) for cmd in doc_commands(
+                path.read_text())]
+        assert len(commands) > 20
+        for name, cmd in commands:
+            argv = shlex.split(cmd, comments=True)
+            if argv[-1:] == ["&"]:
+                argv.pop()
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name}: `python -m repro {cmd}` does not parse")
+
+        for path in [ROOT / "README.md", *ROOT.glob("docs/*.md"),
+                     ROOT / ".github/workflows/ci.yml",
+                     ROOT / ".claude/skills/verify/SKILL.md"]:
+            stale = re.findall(r"python -m repro\.[a-z_.]+",
+                               path.read_text())
+            assert not stale, f"{path.name} names {stale}: use `repro`"
+
+
+def doc_commands(text: str) -> list[str]:
+    """The arguments of each ``python -m repro`` command in a markdown
+    text: a line of a fenced block (backslash continuations joined), or
+    an inline code span (which may wrap)."""
+    commands = []
+    parts = re.split(r"^```[a-z]*\n(.*?)^```", text, flags=re.M | re.S)
+    for i, part in enumerate(parts):
+        if i % 2:
+            for line in part.replace("\\\n", " ").splitlines():
+                commands += re.findall(r"python -m repro (.*)", line)
+        else:
+            commands += [" ".join(span.split()) for span in
+                         re.findall(r"`python -m repro ([^`]*)`", part)]
+    return commands
 
 
 class TestDesignInventory:

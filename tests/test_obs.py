@@ -308,10 +308,10 @@ class TestOneTimeline:
 
     @pytest.fixture(scope="class")
     def report(self):
-        from repro.obs.report import run_pipeline_report
+        from repro.obs.report import run_report
 
-        report = run_pipeline_report(["wordcount", "pagerank", "kmeans"],
-                                     nprocs=2, memory_limit="300K")
+        report = run_report(["wordcount", "pagerank", "kmeans"],
+                            nprocs=2, memory_limit="300K")
         assert report.job_lines[0].startswith("3 round(s)")
         return report
 
@@ -529,23 +529,26 @@ class TestChromeExport:
 
 class TestReports:
     def test_wordcount_report_sections(self):
-        from repro.obs.report import run_wordcount_report
+        from repro.obs.report import run_report
 
-        report = run_wordcount_report(nprocs=2, input_bytes=1 << 12)
+        # The catalog row: partial reduction stands in for the reduce.
+        report = run_report(["wordcount"], nprocs=2)
         text = report.render()
         assert "-- phases --" in text
-        assert "map+aggregate" in text and "convert+reduce" in text
+        assert "map+aggregate" in text and "partial_reduce" in text
         assert "-- memory --" in text and "send_buffer" in text
         assert "-- metrics --" in text and "core.map.records" in text
-        assert report.lanes is None
+        assert "-- job lanes --" in text
+        assert report.metric_totals["sched.admissions"] == 1
         validate_chrome_trace(to_chrome_trace(report.trace))
 
     def test_pipeline_report_sections(self):
-        from repro.obs.report import run_pipeline_report
+        from repro.obs.report import run_report
 
-        report = run_pipeline_report(nprocs=2)
+        report = run_report(["wordcount", "pagerank"], nprocs=2)
         text = report.render()
         assert "-- phases --" in text and "map+aggregate" in text
+        assert "-- memory --" in text and "kv_adjacency-sorted" in text
         assert "-- job lanes --" in text
         assert "wordcount" in text and "pagerank" in text
         assert report.metric_totals["sched.admissions"] == 2
@@ -616,4 +619,4 @@ class TestReportCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["report"])
-        assert args.app == "wordcount" and args.fn is not None
+        assert args.apps == ["wordcount"] and args.fn is not None

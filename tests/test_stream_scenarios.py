@@ -7,6 +7,8 @@ and repaired closed windows.  The wordcount and pagerank twins are
 their serve catalog rows.
 """
 
+import math
+
 import pytest
 
 from repro.serve.catalog import SERVE_APPS
@@ -90,3 +92,25 @@ class TestSessionizeDemo:
                      for line in summary["output"].splitlines())
         # 6 batches x 10 clicks, every one sessionized exactly once.
         assert clicks == 60
+
+
+class TestUpdateSpeedup:
+    """The speedup times the last close the watermark made, in the
+    uncached over the cached pass; the end-of-stream flush is not an
+    update."""
+
+    def test_flush_closes_are_not_timed(self):
+        run = run_demo("sessionize")["runs"][0]
+        # Window 5 closes only in the end-of-stream flush.
+        assert run["closed"] == 6 and len(run["close_seconds"]) == 5
+
+    def test_tumbling_windows_reuse_nothing(self):
+        # Each batch belongs to one window: the cache saves no close time.
+        summary = run_demo("wordcount")
+        assert summary["update_speedup"] == pytest.approx(1.0, abs=0.01)
+
+    def test_no_watermark_close_has_no_speedup(self):
+        # Two 10 s batches never carry the watermark past a 20 s window.
+        summary = run_demo("wordcount", nbatches=2)
+        assert summary["runs"][0]["close_seconds"] == []
+        assert math.isnan(summary["update_speedup"])
