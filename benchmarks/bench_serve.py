@@ -15,7 +15,9 @@ A second pass kills the daemon after every round and replays the
 journal into a successor, measuring **replay overhead** (journal
 records replayed per completed job) and asserting outputs stay
 bit-identical to the uninterrupted pass - crash recovery priced, not
-just claimed.
+just claimed.  Each successor must also carry on the virtual clock
+and round numbers its journal holds: no round number is journaled
+twice and no journaled clock goes back.
 
 Results append to ``BENCH_serve.json`` at the repo root as a tracked
 trajectory.  Runs under pytest (``pytest benchmarks/bench_serve.py``)
@@ -32,6 +34,7 @@ from repro.cluster import Cluster
 from repro.mpi import COMET
 from repro.sched.demo import stage_inputs
 from repro.serve.daemon import ServeDaemon
+from repro.serve.journal import ServeJournal
 from repro.serve.tenants import TenantManager, TenantQuota
 
 NPROCS = 4
@@ -76,6 +79,30 @@ def drain(daemon, limit=1000):
     raise AssertionError("daemon did not drain")
 
 
+def journal_records(daemon):
+    """The daemon's journal as a successor replays it."""
+    return ServeJournal(daemon.cluster.pfs,
+                        daemon.config.journal_path).open()
+
+
+def check_continuity(generations):
+    """``generations`` holds the records each daemon generation
+    journaled, in order: every round number is new and above the
+    earlier ones, and no journaled clock is below an earlier one."""
+    last_round, last_clock = 0, 0.0
+    for records in generations:
+        rounds = {r["round"] for r in records if r["type"] == "start"}
+        assert all(n > last_round for n in rounds), \
+            f"round(s) {sorted(rounds)} journaled after round {last_round}"
+        last_round = max(rounds, default=last_round)
+        for record in records:
+            for key in ("submit_clock", "start_clock", "done_clock"):
+                if key in record:
+                    assert record[key] >= last_clock, \
+                        f"{key} {record[key]} after clock {last_clock}"
+                    last_clock = record[key]
+
+
 def percentile(values, q):
     ordered = sorted(values)
     idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
@@ -90,14 +117,20 @@ def run_service_load(seed: int = 0, njobs: int = NJOBS, *,
         daemon.submit(tenant, app, inputs[app], params=dict(params))
     if crash_every_round:
         generations = 1
+        journaled = [journal_records(daemon)]
+        seen = len(journaled[0])
         while daemon.scheduler.queue_depth or any(
                 j.state == "running" for j in daemon.jobs.values()):
             daemon.tick()
             daemon.kill()
+            records = journal_records(daemon)
+            journaled.append(records[seen:])
+            seen = len(records)
             successor = ServeDaemon(daemon.cluster, tenants=daemon.tenants)
             successor.recover()
             daemon = successor
             generations += 1
+        check_continuity(journaled)
     else:
         generations = 1
         drain(daemon)

@@ -117,6 +117,10 @@ def cmd_report(args) -> int:
     from repro.obs.report import load_trace_report, run_report
 
     if args.from_trace:
+        if args.apps is not REPORT_APPS:
+            print(f"error: --from-trace rebuilds a saved report; the "
+                  f"app name(s) {' '.join(args.apps)} would be ignored")
+            return 2
         try:
             report = load_trace_report(args.from_trace)
         except (OSError, ValueError) as exc:
@@ -385,6 +389,9 @@ STORAGE = _arg("--storage", choices=BACKENDS, default=None,
 APP_LIST = _arg("apps", nargs="*", type=_demo_app,
                 help=f"jobs to submit ({' '.join(SERVE_APPS)} insitu); "
                      "default: wordcount pagerank")
+#: ``repro report``'s default jobs; ``cmd_report`` tells them from an
+#: app list the user typed by identity.
+REPORT_APPS = ["wordcount"]
 SEED = _arg("--seed", type=int, default=0)
 WORKLOAD = [
     _arg("app", choices=APPS),
@@ -427,7 +434,7 @@ COMMANDS = [
     ("report", cmd_report,
      "run jobs through the scheduler with full observability and "
      "render the report", [
-         _but(APP_LIST, default=["wordcount"],
+         _but(APP_LIST, default=REPORT_APPS,
               help=f"jobs to profile ({' '.join(SERVE_APPS)} insitu); "
                    "default: wordcount"),
          PLATFORM, NPROCS, MEMORY,

@@ -322,6 +322,9 @@ class Scheduler:
     def queue_depth(self) -> int:
         return len(self._queue)
 
+    def estimate(self, job: SchedJob) -> int:
+        return self.estimator.estimate(job, job.config or MimirConfig())
+
     # ---------------------------------------------------------- admission
 
     @property

@@ -7,17 +7,21 @@ what fits (tenant quotas and fair-share aging wired through the
 scheduler's external hooks), and results are retained while the
 client's lease stays renewed.
 
-Crash safety is journal-first: every externally visible transition
-(input registered, job submitted / admitted / finished / cancelled /
-collected) is appended to the :class:`~repro.serve.journal.
-ServeJournal` *before* it is acknowledged or acted on.  A daemon
-killed at any instant restarts by replaying the journal over the same
-PFS: finished jobs keep their outputs, queued jobs re-enter the
+Crash safety is journal-first, and the journal is the only way a
+job's state changes: every transition (input registered, job
+submitted / admitted / finished / cancelled / collected) is a record
+appended to the :class:`~repro.serve.journal.ServeJournal` *before*
+it is acknowledged or acted on, then handed to one function,
+:meth:`ServeDaemon._apply`, which makes the state change and writes
+the job's log line.  A daemon killed at any instant restarts by
+applying every journaled record through that same function over the
+same PFS, so job states, logs, the scheduler clock and the round
+numbers come back as they were.  Then queued jobs re-enter the
 admission queue in submission order, and jobs that were mid-run are
 re-admitted through :func:`~repro.ft.runner.run_with_recovery` - the
-same classified-restart driver chaos recovery uses - before serving
-resumes.  Identical inputs produce bit-identical outputs on either
-path, so a crash is invisible in the artifacts.
+same classified-restart driver chaos recovery uses - whose time
+advances the clock.  Identical inputs produce bit-identical outputs
+on either path, so a crash is invisible in the artifacts.
 
 The lifecycle follows the service-manager shape (register, health,
 route): :meth:`start` binds the HTTP front end and the worker thread,
@@ -177,67 +181,87 @@ class ServeDaemon:
         """Open the journal and replay to the pre-crash state.
 
         Must be called (directly or via :meth:`start`) before serving.
-        Returns the ids of interrupted mid-run jobs that were
-        re-admitted through ``run_with_recovery``.
+        Every record goes through :meth:`_apply`, the same function
+        that applied it live.  Returns the ids of interrupted mid-run
+        jobs that were re-admitted through ``run_with_recovery``.
         """
         with self._lock:
-            records = self.journal.open()
-            interrupted: list[ServedJob] = []
-            requeue: list[ServedJob] = []
-            for record in records:
-                kind = record["type"]
-                if kind == "input":
-                    self.inputs[f"{record['tenant']}/{record['name']}"] = \
-                        record["path"]
-                elif kind == "submit":
-                    self._seq = max(self._seq, int(record["seq"]))
-                    job = ServedJob(
-                        job_id=record["job_id"], tenant=record["tenant"],
-                        app=record["app"], input=record["input"],
-                        params=record["params"],
-                        priority=record.get("priority", 0),
-                        footprint=record.get("footprint"),
-                        submit_clock=record.get("submit_clock", 0.0))
-                    job.note("replay: submitted")
-                    self.jobs[job.job_id] = job
-                elif kind == "start":
-                    job = self.jobs[record["job_id"]]
-                    job.state = RUNNING
-                    job.round = record.get("round")
-                    job.start_clock = record.get("start_clock")
-                elif kind == "done":
-                    job = self.jobs[record["job_id"]]
-                    job.state = DONE
-                    job.summary = record.get("summary")
-                    job.output_path = record.get("output")
-                    job.done_clock = record.get("done_clock")
-                elif kind == "failed":
-                    job = self.jobs[record["job_id"]]
-                    job.state = FAILED
-                    job.error = record.get("error")
-                elif kind == "cancel":
-                    self.jobs[record["job_id"]].state = CANCELLED
-                elif kind == "gc":
-                    job = self.jobs[record["job_id"]]
-                    job.state = EXPIRED
-                    job.output_path = None
-            for job in sorted(self.jobs.values(),
-                              key=lambda j: j.job_id):
-                if job.state == RUNNING:
-                    interrupted.append(job)
-                elif job.state == QUEUED:
-                    requeue.append(job)
+            for record in self.journal.open():
+                self._apply(record)
+            jobs = sorted(self.jobs.values(), key=lambda j: j.job_id)
+            for job in jobs:
                 if not job.terminal or job.state == DONE:
                     self.leases.grant(job.job_id)
             # Interrupted jobs first: they were admitted before
             # anything still queued, and recovery must not reorder
             # effects a client already observed.
+            interrupted = [job for job in jobs if job.state == RUNNING]
             for job in interrupted:
                 self._recover_interrupted(job)
-            for job in requeue:
-                self._enqueue(job)
-                job.note("replay: requeued")
+            for job in jobs:
+                if job.state == QUEUED:
+                    self.scheduler.submit(self._sched_job(vars(job)))
+                    job.note("replay: requeued")
             return [job.job_id for job in interrupted]
+
+    def _commit(self, record: dict[str, Any]) -> "ServedJob | None":
+        """Journal ``record``, then apply it: the one live transition."""
+        self.journal.append(record)
+        return self._apply(record)
+
+    def _apply(self, record: dict[str, Any]) -> "ServedJob | None":
+        """Make one journal record's state change and log its line.
+
+        The only writer of a job's state, live (through :meth:`_commit`)
+        and on replay.  It also raises the scheduler's clock and round
+        count to the record's, which is a no-op live and restores them
+        on replay.  Returns the record's job (``None`` for an input).
+        """
+        kind = record["type"]
+        if kind == "input":
+            self.inputs[f"{record['tenant']}/{record['name']}"] = \
+                record["path"]
+            return None
+        if kind == "submit":
+            self._seq = max(self._seq, int(record["seq"]))
+            job = ServedJob(
+                job_id=record["job_id"], tenant=record["tenant"],
+                app=record["app"], input=record["input"],
+                params=record["params"],
+                priority=record.get("priority", 0),
+                footprint=record.get("footprint"),
+                submit_clock=record.get("submit_clock", 0.0))
+            self.jobs[job.job_id] = job
+            job.note(f"submitted by {job.tenant} (app={job.app}, "
+                     f"input={job.input})")
+        job = self.jobs[record["job_id"]]
+        if kind == "start":
+            job.state = RUNNING
+            job.round = record.get("round")
+            job.start_clock = record.get("start_clock")
+            job.note(f"admitted into round {job.round}")
+        elif kind == "done":
+            job.state = DONE
+            job.summary = record.get("summary")
+            job.output_path = record.get("output")
+            job.done_clock = record.get("done_clock")
+            job.note(f"done ({record.get('bytes', '?')} output bytes)")
+        elif kind == "failed":
+            job.state = FAILED
+            job.error = record.get("error")
+            job.note(f"failed: {job.error}")
+        elif kind == "cancel":
+            job.state = CANCELLED
+            job.note("cancelled by owner")
+        elif kind == "gc":
+            job.state = EXPIRED
+            job.output_path = None
+            job.note("output garbage-collected (lease expired)")
+        sched = self.scheduler
+        sched.clock = max(sched.clock, job.submit_clock,
+                          job.start_clock or 0.0, job.done_clock or 0.0)
+        sched.rounds_run = max(sched.rounds_run, job.round or 0)
+        return job
 
     def _recover_interrupted(self, job: ServedJob) -> None:
         """Finish a job the crash cut down mid-run.
@@ -249,16 +273,16 @@ class ServeDaemon:
         """
         from repro.ft.runner import run_with_recovery
 
-        app, path, params = job.app, job.input, job.params
         ft = run_with_recovery(
             self.cluster,
-            lambda env, ckpt, faults: run_direct(app, env, path, params,
-                                                 checkpoint=ckpt),
+            lambda env, ckpt, faults: run_direct(
+                job.app, env, job.input, job.params, checkpoint=ckpt),
             faults=self.chaos, job_id=job.job_id,
             nonce=f"serve:{job.job_id}")
         job.note(f"replay: re-admitted via run_with_recovery "
                  f"({ft.attempts} attempt(s))")
         self.recovered_jobs.append(job.job_id)
+        self.scheduler.clock += ft.total_elapsed
         self._complete(job, ft.result.returns)
 
     # ------------------------------------------------------------- inputs
@@ -272,10 +296,8 @@ class ServeDaemon:
         with self._lock:
             path = f"{self.config.input_prefix}/{tenant}/{name}"
             self.cluster.pfs.store(path, data)
-            self.journal.append({"type": "input", "tenant": tenant,
-                                 "name": name, "path": path,
-                                 "size": len(data)})
-            self.inputs[f"{tenant}/{name}"] = path
+            self._commit({"type": "input", "tenant": tenant, "name": name,
+                          "path": path, "size": len(data)})
         return path
 
     def _resolve_input(self, tenant: str, name: str) -> str:
@@ -291,23 +313,19 @@ class ServeDaemon:
 
     # ------------------------------------------------------------- submit
 
-    def _probe(self, tag: str) -> None:
-        if self.chaos is not None:
-            self.chaos.check(tag, -1)
-
-    def _enqueue(self, job: ServedJob) -> None:
+    def _sched_job(self, spec: dict[str, Any]):
+        """The scheduler job for one submission; ``spec`` is its submit
+        record or a replayed job's fields (the same names)."""
         probe = None
         if self.chaos is not None:
-            chaos = self.chaos
-            job_id = job.job_id
+            chaos, tag = self.chaos, f"serve:job:{spec['job_id']}"
             def probe(env):
-                chaos.check(f"serve:job:{job_id}", env.comm.rank)
-        self.scheduler.submit(to_sched_job(
-            job.app, job.job_id, job.input, job.params,
-            tenant=job.tenant, priority=job.priority,
-            footprint=job.footprint,
-            input_bytes=self.cluster.pfs.size(job.input),
-            probe=probe))
+                chaos.check(tag, env.comm.rank)
+        return to_sched_job(
+            spec["app"], spec["job_id"], spec["input"], spec["params"],
+            tenant=spec["tenant"], priority=spec["priority"],
+            footprint=spec["footprint"],
+            input_bytes=self.cluster.pfs.size(spec["input"]), probe=probe)
 
     def submit(self, tenant: str, app: str, input_name: str, *,
                params: dict[str, Any] | None = None, priority: int = 0,
@@ -325,29 +343,20 @@ class ServeDaemon:
             path = self._resolve_input(tenant, input_name)
             queued = sum(1 for j in self.jobs.values()
                          if j.tenant == tenant and j.state == QUEUED)
-            sched_job = to_sched_job(app, "quota-probe", path, params,
-                                     tenant=tenant, footprint=footprint,
-                                     input_bytes=self.cluster.pfs.size(path))
-            estimate = self.scheduler.estimator.estimate(
-                sched_job, sched_job.config or _default_config())
-            self.tenants.check_submit(tenant, queued=queued,
-                                      footprint=estimate)
-            self._seq += 1
-            job = ServedJob(job_id=f"job-{self._seq:04d}", tenant=tenant,
-                            app=app, input=path, params=params,
-                            priority=priority, footprint=footprint,
-                            submit_clock=self.scheduler.clock)
-            self.journal.append({
-                "type": "submit", "job_id": job.job_id, "seq": self._seq,
-                "tenant": tenant, "app": app, "input": path,
-                "params": params, "priority": priority,
-                "footprint": footprint,
-                "submit_clock": job.submit_clock})
-            self.jobs[job.job_id] = job
-            job.note(f"submitted by {tenant} (app={app}, input={path})")
-            # Mid-submit crash window: journaled but not yet enqueued.
-            self._probe(f"serve:submit:{job.job_id}")
-            self._enqueue(job)
+            seq = self._seq + 1
+            record = {"type": "submit", "job_id": f"job-{seq:04d}",
+                      "seq": seq, "tenant": tenant, "app": app,
+                      "input": path, "params": params,
+                      "priority": priority, "footprint": footprint,
+                      "submit_clock": self.scheduler.clock}
+            sched_job = self._sched_job(record)
+            self.tenants.check_submit(
+                tenant, queued=queued,
+                footprint=self.scheduler.estimate(sched_job))
+            job = self._commit(record)
+            if self.chaos is not None:  # journaled, not yet enqueued
+                self.chaos.check(f"serve:submit:{job.job_id}", -1)
+            self.scheduler.submit(sched_job)
             self.leases.grant(job.job_id, ttl)
             self.metrics.inc("serve.submissions")
         return job
@@ -357,16 +366,11 @@ class ServeDaemon:
     def _on_admit(self, jobs, round_no: int) -> None:
         """Scheduler hook: journal every admission before the launch."""
         for sched_job in jobs:
-            job = self.jobs.get(sched_job.name)
-            if job is None:     # library user sharing the scheduler
-                continue
-            job.state = RUNNING
-            job.round = round_no
-            job.start_clock = self.scheduler.clock
-            job.note(f"admitted into round {round_no}")
-            self.journal.append({"type": "start", "job_id": job.job_id,
-                                 "round": round_no,
-                                 "start_clock": job.start_clock})
+            if sched_job.name not in self.jobs:
+                continue        # library user sharing the scheduler
+            self._commit({"type": "start", "job_id": sched_job.name,
+                          "round": round_no,
+                          "start_clock": self.scheduler.clock})
             self.metrics.inc("serve.admissions")
 
     def _complete(self, job: ServedJob, returns: "list[Any]") -> None:
@@ -374,14 +378,10 @@ class ServeDaemon:
         output = merge_output(job.app, returns)
         path = f"{self.config.output_prefix}/{job.job_id}"
         self.cluster.pfs.store(path, output)
-        job.summary = summarize(job.app, returns)
-        job.output_path = path
-        job.done_clock = self.scheduler.clock
-        self.journal.append({"type": "done", "job_id": job.job_id,
-                             "output": path, "summary": job.summary,
-                             "done_clock": job.done_clock})
-        job.state = DONE
-        job.note(f"done ({len(output)} output bytes)")
+        self._commit({"type": "done", "job_id": job.job_id,
+                      "output": path, "summary": summarize(job.app, returns),
+                      "done_clock": self.scheduler.clock,
+                      "bytes": len(output)})
         self.metrics.inc("serve.completions")
         if not self.leases.alive(job.job_id):
             self._collect(job)
@@ -391,11 +391,8 @@ class ServeDaemon:
         if job is None:
             return
         if outcome.failed:
-            job.error = outcome.error
-            self.journal.append({"type": "failed", "job_id": job.job_id,
-                                 "error": outcome.error})
-            job.state = FAILED
-            job.note(f"failed: {outcome.error}")
+            self._commit({"type": "failed", "job_id": job.job_id,
+                          "error": outcome.error})
             self.metrics.inc("serve.completions")
             return
         self._complete(job, outcome.returns)
@@ -440,10 +437,7 @@ class ServeDaemon:
         """Garbage-collect one lease-expired output."""
         if job.output_path is not None:
             self.cluster.pfs.delete(job.output_path)
-        self.journal.append({"type": "gc", "job_id": job.job_id})
-        job.state = EXPIRED
-        job.output_path = None
-        job.note("output garbage-collected (lease expired)")
+        self._commit({"type": "gc", "job_id": job.job_id})
         self.metrics.inc("serve.gc.outputs")
 
     # ----------------------------------------------------------- queries
@@ -486,9 +480,7 @@ class ServeDaemon:
                     self.scheduler.cancel(job_id) is None:
                 raise ServeError(409, f"job {job_id!r} is {job.state}; "
                                       f"only queued jobs can be cancelled")
-            self.journal.append({"type": "cancel", "job_id": job.job_id})
-            job.state = CANCELLED
-            job.note("cancelled by owner")
+            self._commit({"type": "cancel", "job_id": job.job_id})
             self.metrics.inc("serve.cancellations")
             self.leases.drop(job_id)
             return {"job_id": job_id, "state": CANCELLED}
@@ -611,8 +603,3 @@ class ServeDaemon:
         """
         self.stop()
 
-
-def _default_config():
-    from repro.core.config import MimirConfig
-
-    return MimirConfig()

@@ -604,6 +604,21 @@ class TestReportCli:
         assert main(["report", "--from-trace", str(saved)]) == 0
         assert "saved trace" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("apps", [["pagerank"],
+                                      ["wordcount", "kmeans"]])
+    def test_report_from_trace_refuses_app_names(self, tmp_path, capsys,
+                                                 apps):
+        from repro.cli import main
+
+        trace = Trace()
+        trace.emit_abs(0.0, -1, "admit", "wc", job="wc")
+        saved = tmp_path / "saved.json"
+        saved.write_text(trace.to_json())
+        assert main(["report", *apps, "--from-trace", str(saved)]) == 2
+        printed = capsys.readouterr().out
+        assert f"app name(s) {' '.join(apps)} would be ignored" in printed
+        assert "saved trace" not in printed
+
     def test_report_from_chrome_export_fails_cleanly(self, tmp_path,
                                                      capsys):
         # Feeding the *other* file the CLI writes (the Perfetto export)

@@ -4,10 +4,12 @@ comes back, from its journal alone, as the same service."""
 import pytest
 
 from repro.cluster import Cluster
-from repro.mpi import COMET
+from repro.ft.injection import ChaosPlan
+from repro.mpi import COMET, RankFailedError
 from repro.sched.demo import stage_inputs
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.journal import ServeJournal
+from repro.serve.tenants import TenantManager, TenantQuota
 
 NPROCS = 2
 TTL = 10.0
@@ -107,3 +109,118 @@ def test_successor_serves_the_same_job_documents(kill_points):
             if doc["state"] == "running":
                 continue
             assert successor[job_id][0] == doc, (step, job_id)
+
+
+def journaled_clocks(records):
+    return [record[key] for record in records
+            for key in ("submit_clock", "start_clock", "done_clock")
+            if key in record]
+
+
+def assert_causal(doc):
+    if doc["queue_latency"] is not None:
+        assert doc["queue_latency"] >= 0, doc
+    if doc["done_clock"] is not None:
+        assert doc["done_clock"] >= doc["start_clock"], doc
+
+
+def assert_log_extends(killed_log, log):
+    """``log`` starts with the transition lines the killed daemon wrote
+    (its own ``replay:`` lines are not journaled) and adds only
+    ``replay:`` lines after them."""
+    written = [line for line in killed_log
+               if not line.startswith("replay: ")]
+    assert log[:len(written)] == written
+    assert all(line.startswith("replay: ") for line in log[len(written):])
+
+
+def test_successor_keeps_the_clock_and_round_numbers(kill_points):
+    for step, (_killed, successor, records) in zip(STEPS, kill_points):
+        assert successor["clock"] >= max(journaled_clocks(records)), step
+        rounds = [r["round"] for r in records if r["type"] == "start"]
+        # The next admission is round ``rounds + 1``.
+        assert successor["rounds"] >= max(rounds, default=0), step
+
+
+def test_successor_logs_extend_the_killed_daemons(kill_points):
+    for killed, successor, _records in kill_points:
+        for job_id, (_doc, log) in killed["jobs"].items():
+            assert_log_extends(log, successor["jobs"][job_id][1])
+
+
+@pytest.fixture(scope="module")
+def interrupted():
+    """A rank dies in round 2; the successor finishes the cut-down job
+    through ``run_with_recovery`` (whose time advances the clock) and
+    then runs the job that was queued behind it.  Returns the killed
+    daemon's snapshot, the journal it left, the successor's recovered
+    ids and clock, and the successor after one more tick."""
+    chaos = ChaosPlan(seed=11).fail_at("serve:job:job-0002", 1)
+    tenants = TenantManager({"alice": TenantQuota(max_concurrent=1)})
+    cluster = Cluster(COMET, nprocs=NPROCS)
+    stage_inputs(cluster, seed=0)
+    daemon = ServeDaemon(cluster, tenants=tenants, chaos=chaos)
+    daemon.recover()
+    daemon.submit("alice", "wordcount", "demo/words.txt")
+    daemon.tick()
+    daemon.submit("alice", "pagerank", "demo/graph.bin",
+                  params={"iterations": 2})
+    daemon.submit("alice", "wordcount", "demo/words.txt")
+    with pytest.raises(RankFailedError):
+        daemon.tick()
+    daemon.kill()
+    records = ServeJournal(cluster.pfs).open()
+    successor = ServeDaemon(cluster, tenants=tenants, chaos=chaos)
+    recovered = successor.recover()
+    clock = successor.scheduler.clock
+    successor.tick()
+    return snapshot(daemon), records, recovered, clock, successor
+
+
+def test_latencies_are_causal(kill_points, interrupted):
+    _killed, _records, _recovered, _clock, successor = interrupted
+    docs = [job.to_json() for job in successor.jobs.values()]
+    for killed, after, _records in kill_points:
+        docs += [doc for doc, _log in [*killed["jobs"].values(),
+                                       *after["jobs"].values()]]
+    for doc in docs:
+        assert_causal(doc)
+
+
+def test_interrupted_job_is_finished_after_the_journaled_clock(
+        interrupted):
+    killed, records, recovered, clock, successor = interrupted
+    assert killed["jobs"]["job-0002"][0]["state"] == "running"
+    assert recovered == ["job-0002"]
+    assert clock > max(journaled_clocks(records))
+    assert successor.jobs["job-0003"].round == 3
+    assert all(job.state == "done" for job in successor.jobs.values())
+    log = successor.jobs["job-0002"].log
+    assert_log_extends(killed["jobs"]["job-0002"][1], log[:-1])
+    assert log[-1].startswith("done (")
+
+
+def test_a_journal_in_the_older_record_shapes_replays():
+    """A ``done`` record without ``bytes`` (journals written before the
+    field existed) still replays, clock and round included."""
+    cluster = Cluster(COMET, nprocs=NPROCS)
+    journal = ServeJournal(cluster.pfs)
+    journal.open()
+    for record in [
+            {"type": "submit", "job_id": "job-0001", "seq": 1,
+             "tenant": "alice", "app": "wordcount",
+             "input": "demo/words.txt", "params": {}, "priority": 0,
+             "footprint": None, "submit_clock": 0.25},
+            {"type": "start", "job_id": "job-0001", "round": 4,
+             "start_clock": 0.25},
+            {"type": "done", "job_id": "job-0001",
+             "output": "serve/out/job-0001", "summary": {},
+             "done_clock": 0.5}]:
+        journal.append(record)
+    daemon = ServeDaemon(cluster)
+    assert daemon.recover() == []
+    assert daemon.jobs["job-0001"].state == "done"
+    assert daemon.jobs["job-0001"].log == [
+        "submitted by alice (app=wordcount, input=demo/words.txt)",
+        "admitted into round 4", "done (? output bytes)"]
+    assert (daemon.scheduler.clock, daemon.scheduler.rounds_run) == (0.5, 4)
