@@ -24,6 +24,13 @@ class TestCatalogTwins:
         assert summary["identical"], "cached stream diverged from the row"
         assert summary["full_identical"], "uncached stream diverged"
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["wordcount", "pagerank"])
+    def test_seeded_demo_matches_its_twin(self, name, seed):
+        summary = run_demo(name, seed=seed)
+        assert summary["identical"], "cached stream diverged from the row"
+        assert summary["full_identical"], "uncached stream diverged"
+
     def test_every_summary_has_the_same_keys(self):
         keys = {name: set(run_demo(name, nbatches=2)) for name in DEMOS}
         assert len(set(map(frozenset, keys.values()))) == 1, keys
