@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.datasets.graph500 import EDGE_RECORD_SIZE
 from repro.sched.executor import PlanRunner
-from repro.sched.plan import Plan
+from repro.sched.plan import Dataset, Plan
 
 #: KV-hint for PageRank: fixed 8-byte vertex id and 8-byte float64.
 PR_HINT_LAYOUT = KVLayout(key_len=8, val_len=8)
@@ -106,6 +106,17 @@ def _any_out(key: bytes, a: bytes, b: bytes) -> bytes:
     return max(a, b)
 
 
+def dedup_targets(rctx, key: bytes, values: list[bytes]) -> None:
+    """Reduce callback: a source's distinct targets, numerically sorted."""
+    targets = sorted({unpack_u64(v) for v in values})
+    rctx.emit(key, b"".join(pack_u64(t) for t in targets))
+
+
+def by_vertex(key: bytes, _value: bytes) -> int:
+    """Sort key of an adjacency record: its source id, numerically."""
+    return unpack_u64(key)
+
+
 def pagerank_plan(env: RankEnv, path: str,
                   config: MimirConfig | None = None, *,
                   damping: float = 0.85, iterations: int = 20,
@@ -129,29 +140,36 @@ def pagerank_plan(env: RankEnv, path: str,
     config = config or MimirConfig()
     if hint:
         config = config.with_layout(PR_HINT_LAYOUT)
-    comm = env.comm
-    # ``contrib`` emits per record, so only the partial reduction, which
-    # folds whole pages, takes the batch fold (fixed 8-byte scores only).
-    fold = pr_fold_batch if config.layout.val_len == 8 else pr_combine
     plan = Plan("pagerank", config)
-
-    def dedup_targets(rctx, key: bytes, values: list[bytes]) -> None:
-        targets = sorted({unpack_u64(v) for v in values})
-        rctx.emit(key, b"".join(pack_u64(t) for t in targets))
-
     edges = plan.read_binary(path, EDGE_RECORD_SIZE, name="edges")
     adjacency = (edges
                  .map(_emit_edges, partitioner=vertex_partitioner,
                       name="edge-shuffle")
                  .reduce(dedup_targets, out_layout=KVLayout(),
                          name="adjacency")
-                 .sort_local(key_fn=lambda k, v: unpack_u64(k),
-                             name="adjacency-sorted")
+                 .sort_local(key_fn=by_vertex, name="adjacency-sorted")
                  .cache())
     vertex_ds = edges.map(_emit_vertices, partitioner=vertex_partitioner,
                           combine_fn=_any_out, name="vertices")
-
     runner = runner(plan) if runner else PlanRunner(env, plan)
+    return power_iterate(runner, adjacency, vertex_ds, damping=damping,
+                         iterations=iterations, tolerance=tolerance,
+                         compress=compress)
+
+
+def power_iterate(runner: PlanRunner, adjacency: Dataset,
+                  vertex_ds: Dataset, *, damping: float = 0.85,
+                  iterations: int = 20, tolerance: float = 1e-9,
+                  compress: bool = False) -> PageRankResult:
+    """The power loop over ``adjacency`` (this rank's sources in
+    numeric order, each with its sorted distinct targets) and
+    ``vertex_ds`` (each owned vertex flagged, maybe more than once,
+    with whether it has an out-edge)."""
+    comm = runner.env.comm
+    config = runner.plan.config
+    # ``contrib`` emits per record, so only the partial reduction, which
+    # folds whole pages, takes the batch fold (fixed 8-byte scores only).
+    fold = pr_fold_batch if config.layout.val_len == 8 else pr_combine
 
     # This rank's vertices; each sender's flag for a vertex arrives
     # separately, so a vertex has an out-edge if any flag says so.

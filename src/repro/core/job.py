@@ -473,17 +473,17 @@ class Mimir:
         folds a block of records per call as ``pr_fn(acc, ids, rows)``
         (fixed-width values only).  ``seed`` pre-loads the fold bucket
         from an existing aggregate (the incremental-window hook used by
-        :mod:`repro.stream`); pass ``seed_consume=False`` to read it
-        non-destructively.
+        :mod:`repro.stream`).  ``consume=False`` (``seed_consume=False``
+        for the seed) folds the input in place and leaves it intact.
         """
         self.env.comm.barrier()
         with self._phase("partial_reduce") as phase:
-            source = self._reusable(kvc, consume, "kv_refold")
             # ``stats=phase``: the fold reports its batch counts itself.
             out = partial_reduce(
-                self.env, source, pr_fn,
+                self.env, kvc, pr_fn,
                 self.container(out_layout or kvc.layout, out_tag),
-                stats=phase, seed=seed, seed_consume=seed_consume)
+                stats=phase, seed=seed, seed_consume=seed_consume,
+                consume=consume)
             phase.update(
                 out=out, end={"records": len(out)},
                 counters={"core.partial_reduce.records": len(out)})

@@ -26,9 +26,11 @@ PartialReduceFn = Callable[[bytes, bytes, bytes], bytes]
 
 def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn, out: KVContainer,
                    stats: dict | None = None, seed: KVContainer | None = None,
-                   seed_consume: bool = True) -> KVContainer:
-    """Fold ``kvc`` (consumed) into one KV per unique key, appended to
-    ``out`` (an empty container the job made) and returned.
+                   seed_consume: bool = True,
+                   consume: bool = True) -> KVContainer:
+    """Fold ``kvc`` into one KV per unique key, appended to ``out`` (an
+    empty container the job made) and returned; ``consume=False`` folds
+    ``kvc`` in place and leaves it intact.
 
     ``pr_fn`` is either a per-record fold (``pr_fn(key, a, b) -> value``)
     or, when marked with :func:`~repro.core.batch.batch_kernel`, a
@@ -58,7 +60,7 @@ def partial_reduce(env: RankEnv, kvc: KVContainer, pr_fn, out: KVContainer,
             raise ValueError(
                 "seed container has duplicate keys; batch-kernel "
                 "folds need a unique-key (already reduced) seed")
-    for batch in kvc.consume_batches():
+    for batch in kvc.consume_batches() if consume else kvc.batches():
         scanned += batch.payload_bytes
         bucket.fold_columns(batch.keys_bytes(), batch.values_bytes())
         nrecords += len(batch)

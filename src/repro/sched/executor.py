@@ -32,7 +32,7 @@ a stage is drained by its one reader, like any other.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator
 
 from repro.cluster import RankEnv
@@ -225,10 +225,15 @@ class PlanRunner:
                 out_tag=f"kv_{stage.name}", consume=consume)
 
     def _run_partial_reduce(self, stage: Stage) -> KVContainer:
-        with self.reading(stage.parents[0]) as (kvc, consume):
+        source, *seed = stage.parents
+        # The seed is read first: it folds in first.
+        seeding = self.reading(seed[0]) if seed else nullcontext((None, True))
+        with seeding as (seed_kvc, seed_consume), \
+                self.reading(source) as (kvc, consume):
             return self.mimir.partial_reduce(
                 kvc, stage.fn, out_layout=stage.params.get("out_layout"),
-                out_tag=f"kv_{stage.name}", consume=consume)
+                out_tag=f"kv_{stage.name}", consume=consume,
+                seed=seed_kvc, seed_consume=seed_consume)
 
     def _run_sort_local(self, stage: Stage) -> KVContainer:
         with self.reading(stage.parents[0]) as (kvc, consume):

@@ -139,11 +139,15 @@ class Dataset:
                                  salt=salt, out_layout=out_layout)
 
     def partial_reduce(self, fn: Callable, *,
+                       seed: "Dataset | None" = None,
                        out_layout: KVLayout | None = None,
                        name: str | None = None,
                        salt: str | None = None) -> "Dataset":
-        """Streaming reduce for commutative/associative folds."""
-        return self.plan._derive("partial_reduce", (self.stage,), fn=fn,
+        """Streaming reduce for commutative/associative folds; a
+        ``seed`` dataset (a second parent) folds in first, so folding
+        each new batch onto the last fold is one pass over them all."""
+        parents = (self.stage,) if seed is None else (self.stage, seed.stage)
+        return self.plan._derive("partial_reduce", parents, fn=fn,
                                  name=name, salt=salt, out_layout=out_layout)
 
     def sort_local(self, *, by_value: bool = False,

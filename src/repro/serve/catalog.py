@@ -147,10 +147,13 @@ def _run_stream_wordcount(env, path, config, runner, checkpoint, *,
     # flows through ``checkpoint`` on the recovery path, so a crashed
     # daemon resumes the stream from the last completed window rather
     # than batch zero; the window state is all it checkpoints.  A JSON
-    # integer ``window`` is still a float.
+    # integer ``window`` is still a float.  A batch stage's identity is
+    # the stream's name plus its index, so the name carries everything
+    # a batch's records depend on: the input path (the daemon never
+    # rewrites one) and the batch count.
     window = float(window)
     lines = [ln for ln in env.pfs.read(env.comm, path).split(b"\n") if ln]
-    stream = doc_stream("serve-docs", lines, nbatches=nbatches,
+    stream = doc_stream(f"{path}@{nbatches}", lines, nbatches=nbatches,
                         interval=window / 2.0)
     result = StreamRunner(env, StreamWordCount(env), stream,
                           TumblingWindows(window),

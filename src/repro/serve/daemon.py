@@ -87,6 +87,8 @@ class ServedJob:
     params: dict[str, Any]
     priority: int = 0
     footprint: "int | str | None" = None
+    #: The lease TTL the submission asked for (``None``: the default).
+    ttl: "float | None" = None
     state: str = QUEUED
     #: Virtual (scheduler-clock) timestamps for the latency trajectory.
     submit_clock: float = 0.0
@@ -166,6 +168,7 @@ class ServeDaemon:
                                     metrics=self.metrics, chaos=chaos)
         self.jobs: dict[str, ServedJob] = {}
         self.inputs: dict[str, str] = {}      # "<tenant>/<name>" -> path
+        self._puts = 0                        # input records applied
         self._seq = 0
         self._lock = threading.RLock()
         self._stop = threading.Event()
@@ -191,7 +194,7 @@ class ServeDaemon:
             jobs = sorted(self.jobs.values(), key=lambda j: j.job_id)
             for job in jobs:
                 if not job.terminal or job.state == DONE:
-                    self.leases.grant(job.job_id)
+                    self.leases.grant(job.job_id, job.ttl)
             # Interrupted jobs first: they were admitted before
             # anything still queued, and recovery must not reorder
             # effects a client already observed.
@@ -221,6 +224,7 @@ class ServeDaemon:
         if kind == "input":
             self.inputs[f"{record['tenant']}/{record['name']}"] = \
                 record["path"]
+            self._puts += 1
             return None
         if kind == "submit":
             self._seq = max(self._seq, int(record["seq"]))
@@ -229,7 +233,7 @@ class ServeDaemon:
                 app=record["app"], input=record["input"],
                 params=record["params"],
                 priority=record.get("priority", 0),
-                footprint=record.get("footprint"),
+                footprint=record.get("footprint"), ttl=record.get("ttl"),
                 submit_clock=record.get("submit_clock", 0.0))
             self.jobs[job.job_id] = job
             job.note(f"submitted by {job.tenant} (app={job.app}, "
@@ -249,6 +253,7 @@ class ServeDaemon:
         elif kind == "failed":
             job.state = FAILED
             job.error = record.get("error")
+            job.done_clock = record.get("done_clock")
             job.note(f"failed: {job.error}")
         elif kind == "cancel":
             job.state = CANCELLED
@@ -288,13 +293,18 @@ class ServeDaemon:
     # ------------------------------------------------------------- inputs
 
     def put_input(self, tenant: str, name: str, data: bytes) -> str:
-        """Stage input bytes for ``tenant``; journaled, returns the path."""
+        """Stage input bytes for ``tenant``; journaled, returns the path.
+        A re-PUT writes a path no earlier PUT used: a path's bytes never
+        change under a job or a stage keyed by the path."""
         if not name or "/" in name or name.startswith("."):
             raise ServeError(400, f"invalid input name {name!r}")
         # Unknown tenants are rejected in closed mode.
         self.tenants.quota(tenant)
         with self._lock:
             path = f"{self.config.input_prefix}/{tenant}/{name}"
+            if f"{tenant}/{name}" in self.inputs:
+                path = f"{self.config.input_prefix}/{tenant}/" \
+                       f".{self._puts}/{name}"
             self.cluster.pfs.store(path, data)
             self._commit({"type": "input", "tenant": tenant, "name": name,
                           "path": path, "size": len(data)})
@@ -349,6 +359,8 @@ class ServeDaemon:
                       "input": path, "params": params,
                       "priority": priority, "footprint": footprint,
                       "submit_clock": self.scheduler.clock}
+            if ttl is not None:
+                record["ttl"] = ttl
             sched_job = self._sched_job(record)
             self.tenants.check_submit(
                 tenant, queued=queued,
@@ -357,7 +369,7 @@ class ServeDaemon:
             if self.chaos is not None:  # journaled, not yet enqueued
                 self.chaos.check(f"serve:submit:{job.job_id}", -1)
             self.scheduler.submit(sched_job)
-            self.leases.grant(job.job_id, ttl)
+            self.leases.grant(job.job_id, job.ttl)
             self.metrics.inc("serve.submissions")
         return job
 
@@ -392,7 +404,8 @@ class ServeDaemon:
             return
         if outcome.failed:
             self._commit({"type": "failed", "job_id": job.job_id,
-                          "error": outcome.error})
+                          "error": outcome.error,
+                          "done_clock": self.scheduler.clock})
             self.metrics.inc("serve.completions")
             return
         self._complete(job, outcome.returns)

@@ -11,11 +11,18 @@ row's ``merge_output`` renders both
 has no row; :func:`sessionize_reference` is its twin.  The acceptance
 bar is *bit identity* of the rendered outputs.
 
+A catalog scenario's window is a chain of plan stages over its cached
+batch stages: each batch folds onto the batches before it through a
+seeded partial reduce (``Dataset.partial_reduce(fn, seed=...)``, the
+partial-reduction invariance of the paper's Section III-C1), so every
+fold is counted, charged, traced and, where cached, reused.  The
+PageRank window then runs the row's own power loop,
+:func:`repro.apps.pagerank.power_iterate`.
+
 Sharding note: ``source_stream`` lowers onto ``map_items``, which
 iterates every payload on every rank, so each record payload carries a
 global index and the per-rank map closures emit only the records they
-own (``index % nprocs == rank``) - the same closure-sharding pattern
-``pagerank_plan`` uses for its per-iteration contribution map.
+own (``index % nprocs == rank``).
 """
 
 from __future__ import annotations
@@ -27,23 +34,22 @@ import numpy as np
 from repro.apps.bfs import vertex_partitioner
 from repro.apps.pagerank import (
     PR_HINT_LAYOUT,
-    _F64,
-    pr_combine,
-    unpack_f64,
+    _any_out,
+    _emit_edges,
+    _emit_vertices,
+    by_vertex,
+    dedup_targets,
+    power_iterate,
 )
 from repro.apps.wordcount import WC_HINT_LAYOUT, wc_combine, wc_map
 from repro.cluster import RankEnv
-from repro.core import (
-    Mimir,
-    MimirConfig,
-    pack_u64,
-    unpack_u64,
-)
+from repro.core import Mimir, MimirConfig, unpack_u64
 from repro.core.records import KVLayout
 from repro.datasets.graph500 import edges_to_bytes
 from repro.sched.plan import Plan
 from repro.stream.source import StreamSource
 
+_EDGE = struct.Struct("<QQ")  # one (source, target) edge record
 _CLICK = struct.Struct("<qq")  # (event ms, page id)
 
 
@@ -66,18 +72,17 @@ def doc_stream(name: str, docs: list[bytes], *, nbatches: int,
 class StreamWordCount:
     """Tumbling-window word counts; payloads are ``(index, doc_bytes)``.
 
-    Per-batch counts are one cached ``map -> partial_reduce`` chain;
-    a window folds the cached per-batch aggregates together through
-    the *seeded* partial reduce (the incremental-window hook).  A
-    batch straddling the window boundary cannot reuse its aggregate -
-    its in-window records are refiltered through a window-scoped
-    source stage instead.
+    Per-batch counts are one cached ``map -> partial_reduce`` chain.  A
+    window is a chain of seeded partial reduces: each of its batches
+    folds onto the batches before it.  A batch wholly inside the window
+    folds its cached counts; a batch straddling the window boundary
+    cannot, so its in-window records are refiltered through a
+    window-scoped source stage and folded instead.
     """
 
     name = "wordcount"
 
     def __init__(self, env: RankEnv, config: MimirConfig | None = None):
-        self.env = env
         self.config = config or MimirConfig().with_layout(WC_HINT_LAYOUT)
         self.rank = env.comm.rank
         self.nprocs = env.comm.size
@@ -101,31 +106,25 @@ class StreamWordCount:
                 .cache())
 
     def window_result(self, runner, window, batches) -> dict[bytes, int]:
-        mimir = runner.runner.mimir
-        agg = None
+        counts = None
         for batch in batches:
-            whole = all(window.contains(r.time) for r in batch.records)
-            if whole:
-                with runner.runner.reading(
-                        runner.dataset(batch.index)) as (kvc, _):
-                    agg = mimir.partial_reduce(
-                        kvc, wc_combine, out_layout=self.config.layout,
-                        consume=False, seed=agg)
+            if all(window.contains(r.time) for r in batch.records):
+                part = runner.dataset(batch.index)
             else:
                 # Straddler: only this window's slice of the batch.
                 payloads = [r.payload for r in batch.records
                             if window.contains(r.time)]
-                sliced = (runner.plan
-                          .source(lambda items=payloads: items,
-                                  name=f"wc-straddle-b{batch.index}")
-                          .map(self._shard_map, name="wc-straddle-map"))
-                kvc = runner.runner.materialize(sliced)
-                agg = mimir.partial_reduce(
-                    kvc, wc_combine, out_layout=self.config.layout,
-                    seed=agg)
-        if agg is None:
+                part = (runner.plan
+                        .source(lambda items=payloads: items,
+                                name=f"wc-straddle-b{batch.index}")
+                        .map(self._shard_map, name="wc-straddle-map"))
+            counts = part.partial_reduce(
+                wc_combine, seed=counts, out_layout=self.config.layout,
+                name="wc-window")
+        if counts is None:
             return {}
-        return {key: unpack_u64(value) for key, value in agg.consume()}
+        return {key: unpack_u64(value)
+                for key, value in runner.runner.stream(counts)}
 
     def merge(self, results: dict[int, dict[bytes, int]]) -> dict:
         """The row's payload: every window's counts, summed."""
@@ -141,44 +140,36 @@ class StreamWordCount:
 # incremental PageRank under edge insertions
 # ---------------------------------------------------------------------
 
-def _emit_frag_vertices(pctx, key: bytes, value: bytes) -> None:
-    """Every vertex an adjacency fragment mentions, keyed for dedup."""
-    pctx.emit(key, b"")
-    for target in np.frombuffer(value, dtype="<u8").tolist():
-        pctx.emit(pack_u64(target), b"")
-
-
-def _first(key: bytes, a: bytes, b: bytes) -> bytes:
-    return a
-
-
-def _dedup_targets(rctx, key: bytes, values: list[bytes]) -> None:
-    targets = sorted({unpack_u64(v) for v in values})
-    rctx.emit(key, b"".join(pack_u64(t) for t in targets))
+def _union_targets(key: bytes, a: bytes, b: bytes) -> bytes:
+    """Fold two sorted target lists of one source into their sorted
+    union."""
+    return np.union1d(np.frombuffer(a, dtype="<u8"),
+                      np.frombuffer(b, dtype="<u8")).astype("<u8").tobytes()
 
 
 class IncrementalPageRank:
     """Growing-window PageRank; payloads are ``(index, (u, v))`` edges.
 
-    Each micro-batch is an edge *delta*.  Its adjacency fragment and
-    vertex set are cached per batch; closing window ``w`` unions the
-    fragments of deltas ``0..w`` rank-locally (old deltas are cache
-    hits - only the newest delta's shuffle executes) and re-runs the
-    rank iterations over the combined graph.
+    Each micro-batch is an edge *delta*, and its stages are the
+    ``pagerank`` row's: its adjacency fragment (``dedup_targets``) and
+    its vertex flags, both cached.  Closing window ``w`` folds delta
+    ``w``'s fragment onto window ``w - 1``'s adjacency (a sorted union
+    of target lists, then sorted by source) and its flags onto window
+    ``w - 1``'s flags, then runs the row's power loop,
+    :func:`~repro.apps.pagerank.power_iterate`.  A fold's identity is
+    its batches' lineage, so window ``w - 1``'s adjacency and flags are
+    cache hits and only delta ``w``'s stages and folds execute.
     """
 
     name = "pagerank"
 
-    def __init__(self, env: RankEnv, *, damping: float = 0.85,
-                 iterations: int = 2,
+    def __init__(self, env: RankEnv, *, iterations: int = 2,
                  config: MimirConfig | None = None):
-        self.env = env
-        self.config = config or MimirConfig()
-        self.damping = damping
+        # The row's default ``hint``: fixed-width ids and scores.
+        self.config = (config or MimirConfig()).with_layout(PR_HINT_LAYOUT)
         self.iterations = iterations
         self.rank = env.comm.rank
         self.nprocs = env.comm.size
-        self._verts = {}
 
     @staticmethod
     def staged(stream: StreamSource) -> bytes:
@@ -187,85 +178,49 @@ class IncrementalPageRank:
         edges = [r.payload[1] for r in stream.records()]
         return edges_to_bytes(np.array(edges, dtype="<u8").reshape(-1, 2))
 
-    def _shard_edges(self, ctx, item) -> None:
-        index, (u, v) = item
-        if index % self.nprocs == self.rank:
-            ctx.emit(pack_u64(u), pack_u64(v))
+    def _sharded(self, emit):
+        """The row's map callback ``emit`` over the edges this rank
+        owns, each as a one-edge chunk."""
+        def shard(ctx, item) -> None:
+            index, edge = item
+            if index % self.nprocs == self.rank:
+                emit(ctx, _EDGE.pack(*edge))
+        return shard
 
     def batch_stage(self, plan: Plan, stream: StreamSource, index: int):
-        frag = (plan.source_stream(stream, index)
-                .map(self._shard_edges, partitioner=vertex_partitioner,
-                     name="pr-edges")
-                .reduce(_dedup_targets, out_layout=KVLayout(),
+        """Delta ``index``'s adjacency fragment and vertex flags."""
+        edges = plan.source_stream(stream, index)
+        frag = (edges
+                .map(self._sharded(_emit_edges),
+                     partitioner=vertex_partitioner, name="pr-edges")
+                .reduce(dedup_targets, out_layout=KVLayout(),
                         name="pr-frag")
                 .cache())
-        self._verts[index] = (frag
-                              .map(_emit_frag_vertices,
-                                   partitioner=vertex_partitioner,
-                                   combine_fn=_first, name="pr-verts")
-                              .cache())
-        return frag
-
-    def _combined(self, runner, batches):
-        """Union the cached per-delta fragments and vertex sets."""
-        adjacency: dict[int, set[int]] = {}
-        owned: set[int] = set()
-        reading = runner.runner.reading
-        for batch in batches:
-            with reading(runner.dataset(batch.index)) as (frag, _):
-                for key, value in frag.records():
-                    adjacency.setdefault(unpack_u64(key), set()).update(
-                        np.frombuffer(value, dtype="<u8").tolist())
-            with reading(self._verts[batch.index]) as (verts, _):
-                owned.update(unpack_u64(k) for k, _ in verts.records())
-        return ({v: sorted(t) for v, t in adjacency.items()},
-                sorted(owned))
+        flags = edges.map(self._sharded(_emit_vertices),
+                          partitioner=vertex_partitioner,
+                          combine_fn=_any_out, name="pr-verts").cache()
+        return frag, flags
 
     def window_result(self, runner, window, batches) -> dict[int, float]:
-        """The power loop over deltas ``0..w``.
-
-        ``adjacency`` holds this rank's sources with *sorted* target
-        lists and ``vertices`` its sorted owned universe, so the
-        contribution emission order - and therefore every float fold -
-        is the one ``pagerank_plan`` makes over the same edges.
-        """
-        adjacency, vertices = self._combined(runner, batches)
-        comm = self.env.comm
-        damping = self.damping
-        nvertices = comm.allsum(len(vertices))
-        if nvertices == 0:
+        if not batches:
             return {}
-        sources = sorted(adjacency)
-
-        def body(r, _i, scores):
-            dangling = comm.allsum(sum(score for v, score in scores.items()
-                                       if v not in adjacency))
-
-            def contrib(pctx, _item, _scores=scores):
-                for v in sources:
-                    targets = adjacency[v]
-                    if targets:
-                        share = _F64.pack(_scores[v] / len(targets))
-                        for t in targets:
-                            pctx.emit(pack_u64(t), share)
-
-            summed = (r.plan.source([None], name="pr-tick")
-                      .map(contrib, partitioner=vertex_partitioner,
-                           layout=PR_HINT_LAYOUT, name="pr-contrib")
-                      .partial_reduce(pr_combine, out_layout=PR_HINT_LAYOUT,
-                                      name="pr-scores"))
-            base = (1.0 - damping) / nvertices + \
-                damping * dangling / nvertices
-            new_scores = {v: base for v in vertices}
-            for key, value in r.stream(summed):
-                new_scores[unpack_u64(key)] = \
-                    base + damping * unpack_f64(value)
-            return new_scores
-
-        initial = {v: 1.0 / nvertices for v in vertices}
-        scores, _ = runner.runner.iterate(initial, body,
-                                          max_iters=self.iterations)
-        return scores
+        adjacency = flags = None
+        # A fold's identity is its batches' lineage, not the window's
+        # salt: window ``w``'s folds are window ``w + 1``'s seeds.
+        with runner.plan.salted(""):
+            for batch in batches:
+                frag, batch_flags = runner.dataset(batch.index)
+                adjacency = (frag
+                             .partial_reduce(_union_targets, seed=adjacency,
+                                             out_layout=KVLayout(),
+                                             name="pr-union")
+                             .sort_local(key_fn=by_vertex,
+                                         name="pr-adjacency")
+                             .cache())
+                flags = batch_flags.partial_reduce(
+                    _any_out, seed=flags, name="pr-flags").cache()
+        return power_iterate(runner.runner, adjacency, flags,
+                             iterations=self.iterations).ranks
 
     def merge(self, results: dict[int, dict[int, float]]) -> dict:
         """The row's payload: the scores after the last delta."""

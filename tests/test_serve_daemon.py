@@ -4,6 +4,7 @@ leases/GC, and cancellation."""
 import pytest
 
 from repro.cluster import Cluster
+from repro.datasets.graph500 import edges_to_bytes, kronecker_edges
 from repro.mpi import COMET
 from repro.sched.demo import stage_inputs
 from repro.serve.api import ServeAPIError, ServeClient
@@ -373,6 +374,75 @@ class TestLeasesAndGC:
         assert daemon.jobs[job.job_id].state == "expired"
         assert not daemon.cluster.pfs.exists(
             f"serve/out/{job.job_id}")
+
+
+    def test_replayed_job_keeps_its_ttl(self):
+        clock = FakeClock()
+        cluster = make_cluster()
+        config = ServeConfig(lease_ttl=60.0)
+        daemon = ServeDaemon(cluster, clock=clock, config=config)
+        daemon.recover()
+        job = daemon.submit("alice", "wordcount", "demo/words.txt", ttl=5.0)
+        daemon.kill()
+
+        successor = ServeDaemon(cluster, clock=clock, config=config)
+        successor.recover()
+        assert successor.leases.remaining(job.job_id) <= 5.0
+
+
+class TestFailedJob:
+    def test_failed_job_has_a_done_clock_live_and_replayed(self):
+        # Too little memory for a send buffer: every admission OOMs
+        # until the job runs out of retries and fails.
+        cluster = Cluster(COMET, nprocs=2, memory_limit="4K")
+        stage_inputs(cluster, seed=0)
+        daemon = ServeDaemon(cluster)
+        daemon.recover()
+        job = daemon.submit("alice", "wordcount", "demo/words.txt")
+        drain(daemon)
+        assert job.state == "failed"
+        assert job.done_clock is not None
+        assert job.done_clock >= job.start_clock
+        daemon.kill()
+
+        successor = ServeDaemon(cluster)
+        successor.recover()
+        assert successor.jobs[job.job_id].to_json() == job.to_json()
+
+
+class TestInputIsolation:
+    def test_reput_graph_serves_the_new_graph(self):
+        graphs = [edges_to_bytes(kronecker_edges(scale, seed=seed))
+                  for scale, seed in ((5, 1), (6, 2))]
+        cluster = make_cluster()
+        daemon = ServeDaemon(cluster)
+        daemon.recover()
+        paths, jobs = [], []
+        for graph in graphs:
+            paths.append(daemon.put_input("alice", "g.bin", graph))
+            jobs.append(daemon.submit("alice", "pagerank", "g.bin",
+                                      params={"iterations": 2}))
+            drain(daemon)
+        assert paths[0] == "serve/in/alice/g.bin" and paths[1] != paths[0]
+        assert [job.state for job in jobs] == ["done", "done"]
+        for path, graph, job in zip(paths, graphs, jobs):
+            assert daemon.output(job.job_id) == reference_output(
+                "pagerank", path, {"iterations": 2},
+                extra_inputs=[(path, graph)])
+
+    def test_reput_name_replays_to_its_latest_path(self):
+        cluster = make_cluster()
+        daemon = ServeDaemon(cluster)
+        daemon.recover()
+        daemon.put_input("alice", "words.txt", WORDS)
+        latest = daemon.put_input("alice", "words.txt", WORDS + WORDS)
+        daemon.kill()
+
+        successor = ServeDaemon(cluster)
+        successor.recover()
+        job = successor.submit("alice", "wordcount", "words.txt")
+        assert job.input == latest
+        assert cluster.pfs.fetch(latest) == WORDS + WORDS
 
 
 class TestCancellation:

@@ -161,6 +161,27 @@ class TestStreamWordCountApp:
             {"window": 10, "nbatches": 3}))
         assert merge_output("stream_wordcount", result.returns) == served
 
+    def test_each_tenant_streams_its_own_input(self):
+        # Both tenants' inputs are named "docs"; the stage cache must
+        # not serve bob the batch counts of alice's stream.
+        docs = {"alice": b"alpha beta\nalpha delta\nalpha gamma\n",
+                "bob": WORDS}
+        params = {"window": 10, "nbatches": 3}
+        cluster, daemon = make_daemon()
+        daemon.recover()
+        jobs = {}
+        for tenant, data in docs.items():
+            path = daemon.put_input(tenant, "docs", data)
+            jobs[tenant] = daemon.submit(tenant, "stream_wordcount", "docs",
+                                         params=params)
+            drain(daemon)
+        ref_cluster = Cluster(COMET, nprocs=NPROCS)
+        ref_cluster.pfs.store(path, docs["bob"])
+        result = ref_cluster.run(lambda env: run_direct(
+            "stream_wordcount", env, path, params))
+        assert daemon.output(jobs["bob"].job_id, "bob") == \
+            merge_output("stream_wordcount", result.returns)
+
     def test_unknown_param_rejected(self):
         cluster, daemon = make_daemon()
         daemon.recover()

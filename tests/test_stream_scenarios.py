@@ -77,6 +77,13 @@ class TestPageRankDemo:
         assert summary["cache_hits"] > 0
         assert summary["update_speedup"] > 1.0
 
+    def test_stream_stops_where_the_row_converges(self):
+        # The row stops after 21 of 25 iterations (L1 change < 1e-9):
+        # the stream runs the row's loop, tolerance included.
+        summary = run_demo("pagerank", iterations=25)
+        assert summary["identical"], "incremental stream diverged"
+        assert summary["full_identical"], "uncached stream diverged"
+
     def test_scores_parse_as_floats(self):
         summary = run_demo("pagerank", nbatches=4, iterations=1)
         total = 0.0
