@@ -369,7 +369,7 @@ class ServeDaemon:
             if self.chaos is not None:  # journaled, not yet enqueued
                 self.chaos.check(f"serve:submit:{job.job_id}", -1)
             self.scheduler.submit(sched_job)
-            self.leases.grant(job.job_id, job.ttl)
+            self.leases.grant(job.job_id, ttl)
             self.metrics.inc("serve.submissions")
         return job
 
