@@ -96,9 +96,10 @@ def main() -> int:
     nbytes = successor.journal.dump("serve_journal.bin")
     latest: dict[int, float] = {}
     for event in daemon.trace.events:        # emission order
-        assert event.time >= latest.get(event.rank, 0.0), \
+        end = event.time + (event.dur or 0.0)    # a region ends last
+        assert end >= latest.get(event.rank, 0.0), \
             f"rank {event.rank} goes back in time at {event}"
-        latest[event.rank] = event.time
+        latest[event.rank] = end
     data = write_chrome_trace(daemon.trace, "serve_trace.json")
     validate_chrome_trace(data)
     print(f"  artifacts: serve_journal.bin ({nbytes} bytes), "

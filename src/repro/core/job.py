@@ -182,24 +182,23 @@ class Mimir:
 
         The body fills the yielded dict: ``out`` (the output container),
         ``counters`` (registry counters to add), ``end`` (fields of the
-        trace's closing ``phase`` event) and, where they apply,
-        ``batch_records`` and ``batch_pages``.  The closing event adds the
-        rank's memory around the phase and its peak, even if the body raises.
+        trace's ``phase`` region) and, where they apply,
+        ``batch_records`` and ``batch_pages``.  The region adds the
+        rank's memory around the phase and its peak, and is recorded
+        even if the body raises.
         """
         stats: dict[str, Any] = {"counters": {}, "end": {},
                                  "batch_records": 0, "batch_pages": 0}
         tracker = self.env.tracker
         started, mem_before = self.env.comm.clock.time, tracker.current
         spilled_bytes = 0
-        if self.trace is not None:
-            self.trace.emit(self.env, "phase", name, ph="B")
         try:
             yield stats
             spilled_bytes = stats["out"].spilled_bytes
         finally:
             if self.trace is not None:
-                self.trace.emit(
-                    self.env, "phase", name, ph="E", **stats["end"],
+                self.trace.region(
+                    self.env, "phase", name, started, **stats["end"],
                     mem_before=mem_before, mem_after=tracker.current,
                     peak=tracker.peak, spilled_bytes=spilled_bytes,
                     batch_records=stats["batch_records"],

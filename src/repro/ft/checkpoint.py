@@ -104,30 +104,34 @@ def _agree(a: int, b: int) -> int:
     return a if a == b else 0
 
 
-def unframe(blob: bytes, nonce: str) -> bytes:
-    """Validate the envelope and return the payload.
+def unframe_at(blob: bytes, offset: int, nonce: str) -> tuple[bytes, int]:
+    """Validate the frame starting at ``offset``; ``(payload, size)``.
 
-    Raises :class:`CheckpointCorruptError` on any structural or
-    checksum failure and :class:`CheckpointStaleError` when the frame
-    was stamped by a different run (reused job id).
+    Frames are self-delimiting (the header names the nonce length, the
+    tail the payload length), so a journal of concatenated frames is
+    read by calling this at each frame's end.  Raises
+    :class:`CheckpointCorruptError` on any structural or checksum
+    failure and :class:`CheckpointStaleError` when the frame was
+    stamped by a different run (reused job id).
     """
     head_len = len(CKPT_MAGIC) + _HEAD.size
-    if len(blob) < head_len:
+    if len(blob) - offset < head_len:
         raise CheckpointCorruptError(
-            f"truncated header ({len(blob)} bytes)")
-    if blob[:len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise CheckpointCorruptError(
-            f"bad magic {blob[:len(CKPT_MAGIC)]!r}")
-    version, nonce_len = _HEAD.unpack_from(blob, len(CKPT_MAGIC))
+            f"truncated header ({len(blob) - offset} bytes)")
+    magic = blob[offset:offset + len(CKPT_MAGIC)]
+    if magic != CKPT_MAGIC:
+        raise CheckpointCorruptError(f"bad magic {magic!r}")
+    version, nonce_len = _HEAD.unpack_from(blob, offset + len(CKPT_MAGIC))
     if version != CKPT_VERSION:
         raise CheckpointCorruptError(
             f"unsupported format version {version}")
-    body = head_len + nonce_len
+    body = offset + head_len + nonce_len
     if len(blob) < body + _TAIL.size:
         raise CheckpointCorruptError("truncated frame")
-    stamped = blob[head_len:body].decode(errors="replace")
+    stamped = blob[offset + head_len:body].decode(errors="replace")
     payload_len, crc = _TAIL.unpack_from(blob, body)
-    payload = blob[body + _TAIL.size:]
+    start = body + _TAIL.size
+    payload = blob[start:start + payload_len]
     if len(payload) != payload_len:
         raise CheckpointCorruptError(
             f"payload length {len(payload)} != framed {payload_len} "
@@ -137,6 +141,16 @@ def unframe(blob: bytes, nonce: str) -> bytes:
     if stamped != nonce:
         raise CheckpointStaleError(
             f"checkpoint stamped by run {stamped!r}, expected {nonce!r}")
+    return payload, start + payload_len - offset
+
+
+def unframe(blob: bytes, nonce: str) -> bytes:
+    """The payload of ``blob``, which must be exactly one frame (see
+    :func:`unframe_at`; trailing bytes are corruption too)."""
+    payload, size = unframe_at(blob, 0, nonce)
+    if size != len(blob):
+        raise CheckpointCorruptError(
+            f"{len(blob) - size} bytes after the framed payload")
     return payload
 
 

@@ -285,6 +285,16 @@ class Histogram:
 
 # ---------------------------------------------------------------- shards
 
+def _refuse(name: str, kind: str) -> None:
+    """Raise for an emit of ``name`` as an undeclared ``kind`` (emit
+    sites check inline: the reference benchmark counts every call)."""
+    spec = METRICS.get(name)
+    if spec is None:
+        raise UnknownMetricError(name)
+    raise UnknownMetricError(
+        name, f"registered as a {spec.kind}, emitted as a {kind}")
+
+
 class MetricShard:
     """One rank's metric storage; lock-free (one writer thread)."""
 
@@ -294,26 +304,21 @@ class MetricShard:
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
 
-    def _check(self, name: str, kind: str) -> None:
-        spec = METRICS.get(name)
-        if spec is None:
-            raise UnknownMetricError(name)
-        if spec.kind != kind:
-            raise UnknownMetricError(
-                name, f"registered as a {spec.kind}, emitted as a {kind}")
-
     def inc(self, name: str, value: float = 1) -> None:
         """Add ``value`` to counter ``name``."""
-        self._check(name, COUNTER)
+        if name not in METRICS or METRICS[name].kind != COUNTER:
+            _refuse(name, COUNTER)
         self.counters[name] = self.counters.get(name, 0) + value
 
     def set_gauge(self, name: str, value: float) -> None:
-        self._check(name, GAUGE)
+        if name not in METRICS or METRICS[name].kind != GAUGE:
+            _refuse(name, GAUGE)
         self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name``."""
-        self._check(name, HISTOGRAM)
+        if name not in METRICS or METRICS[name].kind != HISTOGRAM:
+            _refuse(name, HISTOGRAM)
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram()

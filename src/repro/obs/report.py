@@ -52,33 +52,19 @@ class PhaseRow:
 
 
 def phase_rows(trace: Trace) -> list[PhaseRow]:
-    """Phase timings, read off the trace's ``phase`` events.
-
-    Per rank, each ``phase`` event with ``ph`` ``"B"`` opens the phase
-    its label names and the matching ``"E"`` - which carries the
-    phase's batch counts - closes it.  Unpaired halves are ignored.
-    """
+    """Phase timings, read off the trace's ``phase`` regions (each
+    carries its ``dur`` and the phase's batch counts)."""
     rows: dict[str, PhaseRow] = {}
-    open_at: dict[tuple[int, str], list[float]] = {}
     for event in trace.merged():
         if event.kind != "phase":
             continue
-        name, ph = event.label, event.data.get("ph")
-        if ph == "B":
-            open_at.setdefault((event.rank, name), []).append(event.time)
-        elif ph == "E":
-            stack = open_at.get((event.rank, name))
-            if not stack:
-                continue
-            duration = event.time - stack.pop()
-            row = rows.get(name)
-            if row is None:
-                row = rows[name] = PhaseRow(name, 0, 0.0, 0.0)
-            row.count += 1
-            row.total += duration
-            row.slowest = max(row.slowest, duration)
-            row.batch_records += event.data.get("batch_records", 0)
-            row.batch_pages += event.data.get("batch_pages", 0)
+        row = rows.setdefault(event.label,
+                              PhaseRow(event.label, 0, 0.0, 0.0))
+        row.count += 1
+        row.total += event.dur
+        row.slowest = max(row.slowest, event.dur)
+        row.batch_records += event.data.get("batch_records", 0)
+        row.batch_pages += event.data.get("batch_pages", 0)
     return list(rows.values())
 
 

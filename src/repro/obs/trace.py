@@ -9,12 +9,13 @@ tests; off by default everywhere.
 an event happened at the cumulative time its launch started at plus
 the rank's clock.  That base travels with the trace: whoever starts a
 launch hands its ranks :meth:`Trace.at` ``(base)`` and
-:meth:`Trace.emit` is the only place the two are added.
+:meth:`Trace.emit` and :meth:`Trace.region` are the only places the
+two are added.
 
-**One duration encoding.**  A timed region is a pair of events of one
-kind and label whose ``data["ph"]`` is ``"B"`` then ``"E"``
-(:meth:`Trace.span`, the job driver's ``phase`` events);
-:mod:`repro.obs.chrome` exports them as nested Perfetto durations.
+**One duration encoding.**  A timed region (:meth:`Trace.span`, the job
+driver's ``phase`` events) is one event that :meth:`Trace.region`
+records as it closes, at its start ``time`` with its ``dur``;
+:mod:`repro.obs.chrome` exports it as a Perfetto complete event.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ _EVENT_FIELDS = (("time", (int, float)), ("rank", int), ("kind", str),
 
 @dataclass(frozen=True)
 class Event:
-    """One traced occurrence on one rank."""
+    """One traced occurrence on one rank (a region when ``dur`` is set)."""
 
     time: float
     rank: int
     kind: str                     # "phase", "exchange", "stage-done", ...
     label: str
     data: dict[str, Any] = field(default_factory=dict)
+    dur: float | None = None      # virtual seconds; None for an instant
 
 
 class Trace:
@@ -64,33 +66,43 @@ class Trace:
         # call per event, and the reference benchmark counts them.
         event = Event(time=self._base + env.comm.clock.time,
                       rank=env.comm.rank, kind=kind, label=label,
-                      data=dict(data))
+                      data=data)
         with self._lock:
             self._events.append(event)
 
     def emit_abs(self, time: float, rank: int, kind: str, label: str,
-                 **data: Any) -> None:
-        """Record one event at an explicit cumulative virtual time (the
-        scheduler's global ``rank`` -1 decisions, synthetic traces)."""
+                 dur: float | None = None, **data: Any) -> None:
+        """Record one event (a region with ``dur``) at an explicit time:
+        the scheduler's global (``rank`` -1) decisions, synthetic traces."""
         event = Event(time=time, rank=rank, kind=kind, label=label,
-                      data=dict(data))
+                      data=data, dur=dur)
+        with self._lock:
+            self._events.append(event)
+
+    def region(self, env, kind: str, label: str, start: float,
+               **data: Any) -> None:
+        """Record the region that began at rank clock ``start`` and
+        closes now, with the ``data`` it closes with."""
+        begin = self._base + start
+        event = Event(time=begin, rank=env.comm.rank, kind=kind,
+                      label=label, data=data,
+                      dur=self._base + env.comm.clock.time - begin)
         with self._lock:
             self._events.append(event)
 
     @contextmanager
     def span(self, env, name: str, **data: Any) -> Iterator[None]:
-        """Context manager wrapping a region in a ``B``/``E`` pair.
+        """Context manager recording its body as a ``span`` region.
 
         Spans nest: opening a span inside another yields the parent/
-        child hierarchy the Perfetto flame view renders.  The end event
-        is emitted even when the body raises, so exported traces stay
-        balanced.
+        child hierarchy the Perfetto flame view renders.  The region is
+        recorded even when the body raises.
         """
-        self.emit(env, "span", name, ph="B", **data)
+        start = env.comm.clock.time
         try:
             yield
         finally:
-            self.emit(env, "span", name, ph="E")
+            self.region(env, "span", name, start, **data)
 
     # ------------------------------------------------------------ queries
 
@@ -109,7 +121,9 @@ class Trace:
     # ------------------------------------------------------------ exports
 
     def to_json(self) -> str:
-        return json.dumps([asdict(e) for e in self.merged()], indent=2)
+        return json.dumps([{k: v for k, v in asdict(e).items()
+                            if v is not None}       # an instant: no dur
+                           for e in self.merged()], indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
@@ -135,8 +149,16 @@ class Trace:
                 if not isinstance(value, types) or isinstance(value, bool):
                     raise ValueError(f"event {i}: {name!r} is missing or "
                                      f"mistyped ({value!r})")
+            dur = fields.get("dur")
+            if "dur" in fields and not (type(dur) in (int, float)
+                                        and 0 <= dur < float("inf")):
+                raise ValueError(f"event {i}: 'dur' must be a finite "
+                                 f"number >= 0 ({dur!r})")
+            if dur is None and fields["kind"] in ("phase", "span"):
+                raise ValueError(f"event {i}: a {fields['kind']!r} event "
+                                 f"has no 'dur' (saved as B/E pairs?)")
             trace._events.append(
-                Event(*(fields[name] for name, _ in _EVENT_FIELDS)))
+                Event(*(fields[name] for name, _ in _EVENT_FIELDS), dur))
         return trace
 
     def render(self, limit: int = 50) -> str:

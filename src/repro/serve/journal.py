@@ -8,7 +8,7 @@ instant can therefore be restarted over the same PFS and replayed to
 the exact pre-crash queue/running/done state.
 
 Records reuse the PR 1 checkpoint envelope (:func:`repro.ft.checkpoint.
-frame` / :func:`~repro.ft.checkpoint.unframe`): each record is a JSON
+frame` / :func:`~repro.ft.checkpoint.unframe_at`): each record is a JSON
 payload wrapped in the CRC32-checksummed, length-framed, nonce-stamped
 frame, and frames are simply concatenated.  The frame is
 self-delimiting, so replay scans the file sequentially; the first
@@ -38,7 +38,7 @@ from repro.ft.checkpoint import (
     CheckpointError,
     CheckpointStaleError,
     frame,
-    unframe,
+    unframe_at,
 )
 
 #: Nonce that stamps the journal's *header* record only; the header's
@@ -115,7 +115,7 @@ class ServeJournal:
         while offset < len(blob):
             nonce = BOOTSTRAP_NONCE if first else self.nonce
             try:
-                payload, consumed = self._unframe_at(blob, offset, nonce)
+                payload, consumed = unframe_at(blob, offset, nonce)
             except CheckpointStaleError as exc:
                 if first:
                     raise JournalError(
@@ -143,30 +143,6 @@ class ServeJournal:
                 first = False
             else:
                 yield record
-
-    @staticmethod
-    def _unframe_at(blob: bytes, offset: int,
-                    nonce: str) -> tuple[bytes, int]:
-        """Validate the frame starting at ``offset``; (payload, size).
-
-        Frames are self-delimiting: the header names the nonce length,
-        the tail the payload length.  Parsing beyond ``len(blob)``
-        raises through :func:`unframe`'s truncation checks.
-        """
-        from repro.ft.checkpoint import _HEAD, _TAIL, CKPT_MAGIC
-
-        head_len = len(CKPT_MAGIC) + _HEAD.size
-        if len(blob) - offset < head_len:
-            raise CheckpointError("truncated header")
-        _version, nonce_len = _HEAD.unpack_from(blob,
-                                                offset + len(CKPT_MAGIC))
-        body = head_len + nonce_len
-        if len(blob) - offset < body + _TAIL.size:
-            raise CheckpointError("truncated frame")
-        payload_len, _crc = _TAIL.unpack_from(blob, offset + body)
-        total = body + _TAIL.size + payload_len
-        payload = unframe(bytes(blob[offset:offset + total]), nonce)
-        return payload, total
 
     # ---------------------------------------------------------- appending
 

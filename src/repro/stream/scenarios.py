@@ -46,7 +46,7 @@ from repro.cluster import RankEnv
 from repro.core import Mimir, MimirConfig, unpack_u64
 from repro.core.records import KVLayout
 from repro.datasets.graph500 import edges_to_bytes
-from repro.sched.plan import Plan
+from repro.sched.plan import Dataset, Plan
 from repro.stream.source import StreamSource
 
 _EDGE = struct.Struct("<QQ")  # one (source, target) edge record
@@ -158,7 +158,9 @@ class IncrementalPageRank:
     ``w - 1``'s flags, then runs the row's power loop,
     :func:`~repro.apps.pagerank.power_iterate`.  A fold's identity is
     its batches' lineage, so window ``w - 1``'s adjacency and flags are
-    cache hits and only delta ``w``'s stages and folds execute.
+    cache hits and only delta ``w``'s stages and folds execute.  Once
+    window ``w``'s folds are cached nothing reads ``w - 1``'s again,
+    so they are dropped.
     """
 
     name = "pagerank"
@@ -170,6 +172,8 @@ class IncrementalPageRank:
         self.iterations = iterations
         self.rank = env.comm.rank
         self.nprocs = env.comm.size
+        #: The last closed window's cached folds (adjacency, flags).
+        self._folds: tuple[Dataset, ...] = ()
 
     @staticmethod
     def staged(stream: StreamSource) -> bytes:
@@ -219,8 +223,15 @@ class IncrementalPageRank:
                              .cache())
                 flags = batch_flags.partial_reduce(
                     _any_out, seed=flags, name="pr-flags").cache()
-        return power_iterate(runner.runner, adjacency, flags,
-                             iterations=self.iterations).ranks
+        ranks = power_iterate(runner.runner, adjacency, flags,
+                              iterations=self.iterations).ranks
+        cache = runner.runner.cache
+        if cache is not None:    # every rank closes, so drops, together
+            for fold in self._folds:
+                if fold.key not in (adjacency.key, flags.key):
+                    cache.drop(fold.key)
+        self._folds = (adjacency, flags)
+        return ranks
 
     def merge(self, results: dict[int, dict[int, float]]) -> dict:
         """The row's payload: the scores after the last delta."""

@@ -249,19 +249,23 @@ class TestSpans:
         cluster = Cluster(COMET, nprocs=2, memory_limit=None)
 
         def job(env):
-            with trace.span(env, "outer", job="t"):
+            with trace.span(env, "outer", job="t", rank=env.comm.rank):
                 env.comm.advance(0.1)
                 with trace.span(env, "inner"):
                     env.comm.advance(0.2)
 
         cluster.run(job)
         spans = trace.of_kind("span")
-        assert len(spans) == 8  # 2 ranks x 2 spans x B+E
+        assert len(spans) == 4  # 2 ranks x 2 spans, one event each
         for rank in (0, 1):
-            labels = [(e.label, e.data["ph"]) for e in spans
-                      if e.rank == rank]
-            assert labels == [("outer", "B"), ("inner", "B"),
-                              ("inner", "E"), ("outer", "E")]
+            # Recorded as each closes: the inner span first.
+            inner, outer = [e for e in spans if e.rank == rank]
+            assert (inner.label, outer.label) == ("inner", "outer")
+            assert outer.data == {"job": "t", "rank": rank}
+            assert inner.data == {}
+            assert outer.time <= inner.time
+            assert inner.time + inner.dur <= outer.time + outer.dur
+            assert (inner.dur, outer.dur) == pytest.approx((0.2, 0.3))
 
     def test_span_closes_on_exception(self):
         trace = Trace()
@@ -275,30 +279,31 @@ class TestSpans:
                 pass
 
         cluster.run(job)
-        phs = [e.data["ph"] for e in trace.of_kind("span")]
-        assert phs == ["B", "E"]
+        [span] = trace.of_kind("span")
+        assert (span.label, span.dur) == ("risky", 0.0)
 
     def test_trace_json_roundtrip_preserves_spans(self):
         trace = Trace()
-        trace.emit_abs(0.0, -1, "span", "drain", ph="B")
+        trace.emit_abs(0.0, -1, "span", "drain", dur=1.0)
         trace.emit_abs(0.5, -1, "submit", "wc", job="wc")
-        trace.emit_abs(1.0, -1, "span", "drain", ph="E")
         again = Trace.from_json(trace.to_json())
-        assert [e.label for e in again.merged()] == \
-            [e.label for e in trace.merged()]
-        assert again.of_kind("span")[0].data["ph"] == "B"
+        assert again.events == trace.merged()
+        assert again.of_kind("span")[0].dur == 1.0
+        assert again.of_kind("submit")[0].dur is None
 
 
 # ------------------------------------------------------ the clock rule
 
 def inversions(trace):
-    """Per rank, how many events are stamped earlier than the one the
-    same rank emitted just before it."""
+    """Per rank, how many events end earlier than the one the same rank
+    emitted just before it (a region is recorded when it ends, at
+    ``time + dur``; an instant at ``time``)."""
     last, count = {}, {}
     for event in trace.events:               # emission order
-        if event.time < last.get(event.rank, 0.0):
+        end = event.time + (event.dur or 0.0)
+        if end < last.get(event.rank, 0.0):
             count[event.rank] = count.get(event.rank, 0) + 1
-        last[event.rank] = event.time
+        last[event.rank] = end
     return count
 
 
@@ -328,7 +333,8 @@ class TestOneTimeline:
     def test_phase_edges_lie_inside_their_jobs_window(self, report):
         windows = self.windows(report.trace)
         assert list(windows) == ["wordcount", "pagerank", "kmeans"]
-        edges = [e.time for e in report.trace.of_kind("phase")]
+        edges = [t for e in report.trace.of_kind("phase")
+                 for t in (e.time, e.time + e.dur)]
         inside = dict.fromkeys(windows, 0)
         for t in edges:     # a round ends where the next begins: first wins
             inside[next(job for job, (lo, hi) in windows.items()
@@ -346,8 +352,10 @@ class TestOneTimeline:
                                for e in evicted)
 
     def test_export_needs_no_repair(self, report):
-        events = to_chrome_trace(report.trace)["traceEvents"]
-        assert not [e for e in events if e["ph"] == "E" and not e["name"]]
+        data = to_chrome_trace(report.trace)
+        validate_chrome_trace(data)
+        phs = {e["ph"] for e in data["traceEvents"]}
+        assert phs == {"M", "X", "i"}
 
     def test_phase_table_pairs_each_round_with_itself(self, report):
         rows = {row.name: row for row in report.phases}
@@ -406,6 +414,17 @@ class TestFromJson:
         ([{**GOOD, "label": None}], "event 0: 'label'"),
         ([{**GOOD, "data": [1]}], "event 0: 'data'"),
         ("[{", "Expecting"),                     # not JSON at all
+        ([{**GOOD, "kind": "phase", "dur": -1.0}], "event 0: 'dur' must"),
+        ([GOOD, {**GOOD, "dur": float("nan")}], "event 1: 'dur' must"),
+        ([{**GOOD, "dur": float("inf")}], "event 0: 'dur' must"),
+        ([{**GOOD, "dur": "0.5"}], "event 0: 'dur' must"),
+        ([{**GOOD, "dur": None}], "event 0: 'dur' must"),
+        ([{**GOOD, "dur": True}], "event 0: 'dur' must"),
+        # A trace saved as begin/end pairs: its regions have no dur.
+        ([{**GOOD, "kind": "phase", "data": {"ph": "B"}}],
+         "event 0: a 'phase' event has no 'dur'"),
+        ([GOOD, {**GOOD, "kind": "span", "data": {"ph": "E"}}],
+         "event 1: a 'span' event has no 'dur'"),
     ])
     def test_malformed_documents_are_value_errors(self, document,
                                                   complaint, tmp_path,
@@ -439,25 +458,22 @@ class TestChromeExport:
         events = self.check(to_chrome_trace(trace))
         assert all("ph" in e and "ts" in e and "pid" in e and "tid" in e
                    for e in events)
-        names = {e["name"] for e in events if e["ph"] == "B"}
+        names = {e["name"] for e in events if e["ph"] == "X"}
         assert "map+aggregate" in names
         assert "convert+reduce" in names
 
-    def test_phase_pairs_balanced_per_thread(self):
+    def test_phase_regions_follow_each_other_per_thread(self):
         trace = Trace()
         run_wordcount(nprocs=2, trace=trace)
         events = self.check(to_chrome_trace(trace))
         for tid in (0, 1):
-            depth = 0
-            for e in events:
-                if e["ph"] == "M" or e["tid"] != tid or e["pid"] != 0:
-                    continue
-                if e["ph"] == "B":
-                    depth += 1
-                elif e["ph"] == "E":
-                    depth -= 1
-                    assert depth >= 0
-            assert depth == 0
+            phases = [e for e in events if e["ph"] == "X" and
+                      (e["pid"], e["tid"], e["cat"]) == (0, tid, "phase")]
+            assert [e["name"] for e in phases] == \
+                ["map+aggregate", "convert+reduce"]
+            first, second = phases
+            assert 0 <= first["dur"] and 0 <= second["dur"]
+            assert first["ts"] + first["dur"] <= second["ts"]
 
     def test_timestamps_monotone_per_thread(self):
         trace = Trace()
@@ -471,6 +487,24 @@ class TestChromeExport:
             assert e["ts"] >= last.get(key, 0.0)
             last[key] = e["ts"]
 
+    def test_spans_closing_together_nest(self):
+        # Both spans end at one clock reading, but outer's ts + dur
+        # rounds below inner's: the validator's slack absorbs it.
+        trace = Trace()
+        cluster = Cluster(COMET, nprocs=1, memory_limit=None)
+
+        def job(env):
+            with trace.at(2.9).span(env, "outer"):
+                env.comm.advance(0.19)
+                with trace.at(2.9).span(env, "inner"):
+                    env.comm.advance(0.47)
+
+        cluster.run(job)
+        outer, inner = [e for e in self.check(to_chrome_trace(trace))
+                        if e["ph"] == "X"]
+        assert (outer["name"], inner["name"]) == ("outer", "inner")
+        assert outer["ts"] + outer["dur"] < inner["ts"] + inner["dur"]
+
     def test_instant_events_carry_scope(self):
         trace = Trace()
         trace.emit_abs(0.1, 0, "custom", "marker", detail=1)
@@ -479,17 +513,18 @@ class TestChromeExport:
         assert instants and instants[0]["s"] == "t"
         assert instants[0]["args"]["detail"] == 1
 
-    def test_dangling_begin_is_closed(self):
+    def test_regions_export_as_complete_events(self):
         trace = Trace()
-        trace.emit_abs(0.0, 0, "span", "outer", ph="B")
-        trace.emit_abs(1.0, 0, "span", "inner", ph="B")  # neither ends
-        self.check(to_chrome_trace(trace))
-
-    def test_stray_end_is_dropped(self):
-        trace = Trace()
-        trace.emit_abs(1.0, 0, "span", "phantom", ph="E")
-        events = self.check(to_chrome_trace(trace))
-        assert not [e for e in events if e["ph"] == "E"]
+        trace.emit_abs(0.0, 0, "span", "inner", dur=0.5)  # closes first
+        trace.emit_abs(0.0, 0, "span", "outer", dur=2.0, job="t")
+        trace.emit_abs(0.5, 0, "custom", "marker")
+        events = [e for e in self.check(to_chrome_trace(trace))
+                  if e["ph"] != "M"]
+        assert [(e["ph"], e["name"], e["ts"], e.get("dur"))
+                for e in events] == [("X", "outer", 0.0, 2e6),
+                                     ("X", "inner", 0.0, 5e5),
+                                     ("i", "marker", 5e5, None)]
+        assert events[0]["args"] == {"job": "t"}
 
     def test_scheduler_events_get_own_process(self):
         trace = Trace()
@@ -506,10 +541,23 @@ class TestChromeExport:
         tick = [e for e in events if e.get("name") == "tick"][0]
         assert tick["ts"] == pytest.approx(5e5)
 
-    def test_validator_catches_unbalanced(self):
-        bad = {"traceEvents": [
-            {"name": "x", "ph": "B", "ts": 0, "pid": 0, "tid": 0}]}
-        with pytest.raises(ValueError):
+    @staticmethod
+    def region(name, ts, dur):
+        return {"name": name, "ph": "X", "ts": ts, "dur": dur,
+                "pid": 0, "tid": 0}
+
+    def test_validator_catches_negative_dur(self):
+        bad = {"traceEvents": [self.region("x", 0, -1.0)]}
+        with pytest.raises(ValueError, match="dur"):
+            validate_chrome_trace(bad)
+
+    def test_validator_catches_overlap(self):
+        validate_chrome_trace({"traceEvents": [
+            self.region("outer", 0, 10), self.region("inner", 2, 8),
+            self.region("next", 10, 5)]})
+        bad = {"traceEvents": [self.region("outer", 0, 10),
+                               self.region("straddles", 5, 10)]}
+        with pytest.raises(ValueError, match="overlaps"):
             validate_chrome_trace(bad)
 
     def test_validator_catches_missing_fields(self):
@@ -557,8 +605,7 @@ class TestReports:
     def test_load_trace_report(self, tmp_path):
         trace = Trace()
         trace.emit_abs(0.0, -1, "submit", "wc", job="wc")
-        trace.emit_abs(0.1, 0, "phase", "map+aggregate", ph="B")
-        trace.emit_abs(0.4, 0, "phase", "map+aggregate", ph="E",
+        trace.emit_abs(0.1, 0, "phase", "map+aggregate", dur=0.3,
                        batch_records=5, batch_pages=1)
         path = tmp_path / "trace.json"
         path.write_text(trace.to_json())
@@ -572,13 +619,11 @@ class TestReports:
         assert row.total == pytest.approx(0.3)
         assert (row.batch_records, row.batch_pages) == (5, 1)
 
-    def test_phase_rows_ignore_unpaired_events(self):
+    def test_empty_trace_has_no_phase_rows(self):
         from repro.obs.report import phase_rows, render_phase_table
 
-        trace = Trace()
-        assert render_phase_table(phase_rows(trace)) == "(no phase records)"
-        trace.emit_abs(0.1, 0, "phase", "map+aggregate", ph="E")  # no B
-        assert phase_rows(trace) == []
+        assert render_phase_table(phase_rows(Trace())) == \
+            "(no phase records)"
 
 
 # ----------------------------------------------------------------- cli

@@ -35,10 +35,11 @@ def run_traced(nprocs=3):
 class TestTrace:
     def test_phase_events_per_rank(self):
         trace = run_traced(nprocs=3)
-        starts = [e for e in trace.of_kind("phase")
-                  if (e.label, e.data["ph"]) == ("map+aggregate", "B")]
-        assert len(starts) == 3
-        assert {e.rank for e in starts} == {0, 1, 2}
+        phases = [e for e in trace.of_kind("phase")
+                  if e.label == "map+aggregate"]
+        assert len(phases) == 3
+        assert {e.rank for e in phases} == {0, 1, 2}
+        assert all(e.dur >= 0 for e in phases)
 
     def test_exchange_rounds_recorded(self):
         trace = run_traced()
@@ -49,10 +50,10 @@ class TestTrace:
 
     def test_end_event_carries_stats(self):
         trace = run_traced()
-        ends = [e for e in trace.of_kind("phase")
-                if (e.label, e.data["ph"]) == ("map+aggregate", "E")]
-        assert all(e.data["records"] > 0 for e in ends)
-        assert all(e.data["kv_bytes"] > 0 for e in ends)
+        phases = [e for e in trace.of_kind("phase")
+                  if e.label == "map+aggregate"]
+        assert phases and all(e.data["records"] > 0 for e in phases)
+        assert all(e.data["kv_bytes"] > 0 for e in phases)
 
     def test_custom_events(self):
         trace = run_traced()
@@ -77,7 +78,7 @@ class TestTrace:
         text = trace.render(limit=5)
         assert "rank" in text and "more events" in text
         summary = trace.summary()
-        assert summary["phase"] == 6  # B+E on 3 ranks
+        assert summary["phase"] == 3  # one region on each of 3 ranks
         assert sum(summary.values()) == len(trace.events)
 
     def test_untraced_job_emits_nothing(self):

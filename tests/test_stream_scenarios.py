@@ -8,11 +8,15 @@ their serve catalog rows.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.mpi import COMET
+from repro.sched.cache import StageCache
 from repro.serve.catalog import SERVE_APPS
-from repro.stream.demo import DEMOS, run_demo
+from repro.stream.demo import DEMOS, run_demo, run_scenario
 
 
 class TestCatalogTwins:
@@ -83,6 +87,20 @@ class TestPageRankDemo:
         summary = run_demo("pagerank", iterations=25)
         assert summary["identical"], "incremental stream diverged"
         assert summary["full_identical"], "uncached stream diverged"
+
+    def test_only_the_last_windows_folds_stay_cached(self):
+        # Window w folds onto window w - 1's adjacency and flags, so
+        # nothing reads w - 1's once w's are cached.
+        row = DEMOS["pagerank"]
+        stream = row.stream(seed=0)
+        caches = [StageCache(r) for r in range(3)]
+        Cluster(COMET, nprocs=3, memory_limit=None).run(
+            lambda env: run_scenario(env, row.scenario, stream, row.windows,
+                                     caches=caches, pace=row.pace,
+                                     **row.params))
+        names = Counter(e.name for e in caches[0].entries.values())
+        assert (names["pr-adjacency"], names["pr-flags"]) == (1, 1)
+        assert names["pr-frag"] == names["pr-verts"] == 8
 
     def test_scores_parse_as_floats(self):
         summary = run_demo("pagerank", nbatches=4, iterations=1)
