@@ -37,7 +37,7 @@ def make_job(checkpoint: bool):
             kvs = mimir.map_text_file("input/wc_uniform.txt", wc_map)
             if checkpoint:
                 ckpt.save_kvc("shuffle", kvs)
-        ckpt.probe("after_shuffle")
+        env.probe("after_shuffle")
         out = mimir.partial_reduce(kvs, wc_combine)
         n = len(out)
         out.free()

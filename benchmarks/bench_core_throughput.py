@@ -265,20 +265,17 @@ def check_regression(path: Path, entry: dict, *,
 
 def write_batch_trace(path: str, *, nbytes: int) -> None:
     """One batch WordCount with spans attached, exported for Perfetto."""
-    from functools import partial
-
     from repro.obs import Trace, write_chrome_trace
-    from repro.sched import PlanRunner
 
-    cluster = Cluster(COMET, nprocs=NPROCS)
-    cluster.pfs.store("bench/words.txt", uniform_text(nbytes, seed=7))
     trace = Trace()
+    cluster = Cluster(COMET, nprocs=NPROCS, trace=trace)
+    cluster.pfs.store("bench/words.txt", uniform_text(nbytes, seed=7))
 
     def rank_fn(env):
-        with trace.span(env, "wordcount-batch", rank=env.comm.rank):
+        with env.trace.span(env, "wordcount-batch", rank=env.comm.rank):
             return wordcount_plan(
-                env, "bench/words.txt", bench_config(None), batch=True,
-                runner=partial(PlanRunner, env, trace=trace)).unique_words
+                env, "bench/words.txt", bench_config(None),
+                batch=True).unique_words
 
     cluster.run(rank_fn)
     write_chrome_trace(trace, path)

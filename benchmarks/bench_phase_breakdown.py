@@ -6,8 +6,6 @@ shifts it (partial reduction removes the convert; compression shrinks
 the aggregate; hints shave every byte-proportional stage).
 """
 
-from functools import partial
-
 from figutils import BCOMET, SCALE
 from repro.apps.wordcount import wordcount_plan
 from repro.bench.runner import stage_dataset
@@ -15,7 +13,6 @@ from repro.cluster import Cluster
 from repro.core import MimirConfig
 from repro.obs import Trace
 from repro.obs.report import phase_rows
-from repro.sched import PlanRunner
 
 DATASET = "2G"
 
@@ -29,16 +26,15 @@ VARIANTS = {
 
 def _run(opts):
     path, data = stage_dataset(SCALE.spec(BCOMET, "wc_wiki", DATASET))
+    trace = Trace()
     cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
-                      memory_limit=None)
+                      memory_limit=None, trace=trace)
     cluster.pfs.store(path, data)
     page = BCOMET.default_page_size
     config = MimirConfig(page_size=page, comm_buffer_size=page,
                          input_chunk_size=page)
-    trace = Trace()
-    result = cluster.run(lambda env: wordcount_plan(
-        env, path, config, runner=partial(PlanRunner, env, trace=trace),
-        **opts))
+    result = cluster.run(lambda env: wordcount_plan(env, path, config,
+                                                    **opts))
     # Slowest rank per phase (critical path); no phase repeats on a rank.
     return {row.name: row.slowest for row in phase_rows(trace)}, \
         result.elapsed

@@ -108,10 +108,11 @@ def test_pagerank_container_reuse(benchmark):
 
 def run_schedule(*, memory_limit: str = "1M", iterations: int = ITERATIONS):
     """WordCount + PageRank through one admission round; zero OOMs."""
-    cluster = Cluster(PLATFORMS["comet"], NPROCS, memory_limit=memory_limit)
-    paths = stage_inputs(cluster)
     trace = Trace()
-    scheduler = Scheduler(cluster, trace=trace)
+    cluster = Cluster(PLATFORMS["comet"], NPROCS, memory_limit=memory_limit,
+                      trace=trace)
+    paths = stage_inputs(cluster)
+    scheduler = Scheduler(cluster)
     scheduler.submit(make_job("wordcount", paths, priority=2,
                               footprint="256K"))
     scheduler.submit(make_job("pagerank", paths, priority=1,

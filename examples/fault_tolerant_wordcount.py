@@ -42,7 +42,7 @@ def job(env, ckpt, faults):
         kvs = mimir.map_text_file("input/words.txt", wc_map)
         ckpt.save_kvc("shuffle", kvs)
 
-    ckpt.probe("after_shuffle")
+    env.probe("after_shuffle")
 
     out = mimir.partial_reduce(kvs, wc_combine)
     result = {k: unpack_u64(v) for k, v in out.records()}

@@ -12,9 +12,9 @@ API and asserts:
   duplicated or lost jobs.
 
 Artifacts for upload: the raw journal (``serve_journal.bin``) and the
-scheduler's Perfetto trace (``serve_trace.json``), written only once
-the trace holds its invariant: per rank, event times never decrease in
-emission order, across rounds.
+cluster's Perfetto trace (``serve_trace.json``, both daemons' rounds),
+written only once the trace holds its invariant: per rank, event times
+never decrease in emission order, across rounds and the restart.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/serve_smoke.py``.
 """
@@ -25,6 +25,7 @@ import sys
 
 from repro.cluster import Cluster
 from repro.mpi import COMET
+from repro.obs import Trace
 from repro.obs.chrome import validate_chrome_trace, write_chrome_trace
 from repro.sched.demo import stage_inputs
 from repro.serve.api import ServeAPIError, ServeClient
@@ -36,7 +37,7 @@ NJOBS = 8
 
 
 def main() -> int:
-    cluster = Cluster(COMET, nprocs=4)
+    cluster = Cluster(COMET, nprocs=4, trace=Trace())
     inputs = stage_inputs(cluster)
     daemon = ServeDaemon(cluster, tenants=TenantManager(
         {"capped": TenantQuota(max_queued=2)}))
@@ -95,12 +96,12 @@ def main() -> int:
     # -------- artifacts ----------------------------------------------
     nbytes = successor.journal.dump("serve_journal.bin")
     latest: dict[int, float] = {}
-    for event in daemon.trace.events:        # emission order
+    for event in cluster.trace.events:       # emission order
         end = event.time + (event.dur or 0.0)    # a region ends last
         assert end >= latest.get(event.rank, 0.0), \
             f"rank {event.rank} goes back in time at {event}"
         latest[event.rank] = end
-    data = write_chrome_trace(daemon.trace, "serve_trace.json")
+    data = write_chrome_trace(cluster.trace, "serve_trace.json")
     validate_chrome_trace(data)
     print(f"  artifacts: serve_journal.bin ({nbytes} bytes), "
           f"serve_trace.json ({len(data['traceEvents'])} events)")

@@ -140,7 +140,7 @@ def wordcount_plan(env: RankEnv, path: str,
     does: a batch fold needs fixed-width values); counts and
     intermediate byte streams are identical either way.
     ``runner(plan)`` builds the :class:`PlanRunner` that carries the
-    services (stage cache, trace, checkpoint, scheduler context), e.g.
+    services (stage cache, checkpoint, scheduler context), e.g.
     ``ctx.runner`` or ``functools.partial(PlanRunner, env, cache=c)``;
     without it the plan runs bare.
     """

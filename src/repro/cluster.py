@@ -44,6 +44,16 @@ class RankEnv:
     #: cluster launch substitutes a registry-backed shard; the default
     #: standalone shard keeps directly constructed envs (tests) working.
     metrics: MetricShard = field(default_factory=MetricShard)
+    #: The cluster's :class:`~repro.obs.trace.Trace` as this launch
+    #: sees it (stamped at the launch's base), or ``None``: untraced.
+    trace: Any = None
+
+    def probe(self, tag: str) -> None:
+        """Fault point ``tag``: the cluster's plan fires a death or leave."""
+        chaos = self.pfs.chaos
+        if chaos is not None:
+            chaos.check(tag, self.comm.rank)
+            chaos.membership_check(self.comm, tag)
 
     def charge_compute(self, nbytes: int) -> None:
         """Advance this rank's clock for processing ``nbytes`` of records."""
@@ -84,7 +94,8 @@ class Cluster:
                  pfs: StorageBackend | None = None,
                  storage: str | None = None,
                  keep_timeline: bool = False,
-                 chaos: Any = None):
+                 chaos: Any = None,
+                 trace: Any = None):
         self.platform = platform
         self.nprocs = nprocs if nprocs is not None else platform.procs_per_node
         if self.nprocs <= 0:
@@ -105,21 +116,29 @@ class Cluster:
             self.pfs = make_backend(storage, platform=platform,
                                     sharers=sharers)
         self.keep_timeline = keep_timeline
-        #: Optional chaos injector (duck-typed; see
-        #: :class:`repro.ft.injection.ChaosPlan`).  Wired into the
-        #: storage substrate and into every rank's clock at
-        #: :meth:`run`, so any job can be chaos-wrapped without code
-        #: changes.
-        self.chaos = chaos
         #: Metrics registry shared by every launch on this cluster; the
         #: scheduler's multi-round drains accumulate into one registry,
         #: so ``metrics.totals()`` is the whole workload's story.
         self.metrics = MetricsRegistry()
+        self.chaos = chaos
+        #: Optional :class:`~repro.obs.trace.Trace` every launch records
+        #: into (``env.trace``); ``None`` records nothing.
+        self.trace = trace
         self._trackers: list[MemoryTracker] = []
         #: Monotonic launch counter; combined with the cluster shape it
         #: gives fault-tolerance runs a nonce that invalidates stale
         #: checkpoints from earlier, differently-configured runs.
         self.launches = 0
+
+    @property
+    def chaos(self) -> Any:
+        """The one fault plan; setting it wires it into the store."""
+        return self._chaos
+
+    @chaos.setter
+    def chaos(self, plan: Any) -> None:
+        self._chaos = plan
+        self.pfs.wire(plan, self.metrics)
 
     def _resolve_limit(self) -> int | None:
         spec = self._memory_limit_spec
@@ -159,13 +178,15 @@ class Cluster:
 
     def run(self, fn: Callable[..., Any], *args: Any,
             allow_oom: bool = False,
-            trackers: list[MemoryTracker] | None = None) -> ClusterResult:
+            trackers: list[MemoryTracker] | None = None,
+            base: float = 0.0) -> ClusterResult:
         """Run ``fn(env, *args)`` on every rank; gather the outcome.
 
         ``trackers`` (one per rank) lets a caller carry memory state
         across launches: the multi-job scheduler reuses one tracker set
         for every scheduling round so cached intermediate containers
         stay charged between rounds instead of leaking accounting.
+        ``env.trace`` stamps events at ``base`` plus the rank's clock.
         """
         if trackers is not None and len(trackers) != self.nprocs:
             raise ValueError(
@@ -177,8 +198,9 @@ class Cluster:
         self._trackers = trackers
         self.launches += 1
         world = World(self.nprocs, self.platform.network)
-        chaos = self.chaos
+        chaos = self._chaos
         self.pfs.wire(chaos, self.metrics)
+        trace = self.trace.at(base) if self.trace is not None else None
 
         def rank_fn(comm: SimComm) -> Any:
             if chaos is not None:
@@ -186,7 +208,7 @@ class Cluster:
             shard = self.metrics.shard(comm.rank)
             comm.metrics = shard
             env = RankEnv(comm, trackers[comm.rank], self.pfs, self.platform,
-                          metrics=shard)
+                          metrics=shard, trace=trace)
             return fn(env, *args)
 
         try:
@@ -194,9 +216,10 @@ class Cluster:
         except RankFailedError as failure:
             original = failure.original
             if allow_oom and isinstance(original, MemoryLimitExceeded):
+                # The aborted launch's time still passed.
                 return ClusterResult(
                     returns=[None] * self.nprocs,
-                    elapsed=0.0,
+                    elapsed=max(failure.clocks, default=0.0),
                     peak_bytes=[t.peak for t in trackers],
                     spilled_bytes=self.pfs.spilled_bytes,
                     oom=original,

@@ -161,13 +161,9 @@ class ReduceContext(_Staged):
 class Mimir:
     """MapReduce driver for one rank of a simulated job."""
 
-    def __init__(self, env: RankEnv, config: MimirConfig | None = None, *,
-                 trace=None):
+    def __init__(self, env: RankEnv, config: MimirConfig | None = None):
         self.env = env
         self.config = config or MimirConfig()
-        #: Optional structured event sink (see :mod:`repro.obs.trace`),
-        #: the one recorder of per-phase time and memory.
-        self.trace = trace
         #: Statistics of the most recent map/aggregate phase:
         #: ``{"records", "kv_bytes", "rounds"}``.  ``kv_bytes`` is the
         #: total encoded KV volume that crossed the wire - the metric
@@ -178,7 +174,7 @@ class Mimir:
 
     @contextmanager
     def _phase(self, name: str) -> Iterator[dict[str, Any]]:
-        """Time, trace and record one phase.
+        """Time, trace (into ``env.trace``) and record one phase.
 
         The body fills the yielded dict: ``out`` (the output container),
         ``counters`` (registry counters to add), ``end`` (fields of the
@@ -196,8 +192,8 @@ class Mimir:
             yield stats
             spilled_bytes = stats["out"].spilled_bytes
         finally:
-            if self.trace is not None:
-                self.trace.region(
+            if self.env.trace is not None:
+                self.env.trace.region(
                     self.env, "phase", name, started, **stats["end"],
                     mem_before=mem_before, mem_after=tracker.current,
                     peak=tracker.peak, spilled_bytes=spilled_bytes,
@@ -222,8 +218,7 @@ class Mimir:
         """Shared skeleton: feed records through (combiner ->) shuffler."""
         out = self.map_output(layout or self.config.layout, out_tag)
         with self._phase("map+aggregate") as phase:
-            shuffler = Shuffler(self.env, self.config, out, partitioner,
-                                trace=self.trace)
+            shuffler = Shuffler(self.env, self.config, out, partitioner)
             sink = shuffler if combine_fn is None else \
                 Combiner(self.env, self.config, combine_fn, shuffler)
             ctx = MapContext(sink)

@@ -74,12 +74,10 @@ class Shuffler:
 
     def __init__(self, env: RankEnv, config: MimirConfig,
                  out_kvc: KVContainer,
-                 partitioner: Callable[[bytes, int], int] | None = None,
-                 trace=None):
+                 partitioner: Callable[[bytes, int], int] | None = None):
         self.env = env
         self.config = config
         self.out_kvc = out_kvc
-        self.trace = trace
         self.layout: KVLayout = out_kvc.layout
         self.partitioner = partitioner or default_partitioner
         self.nprocs = env.comm.size
@@ -275,10 +273,10 @@ class Shuffler:
                 recv_total += len(part)
         # Copying out of the send buffer and into the KVC is local work.
         self.env.charge_compute(total + recv_total)
-        if self.trace is not None:
-            self.trace.emit(self.env, "exchange",
-                            f"round {self.rounds}",
-                            sent=total, received=recv_total, done=done)
+        if self.env.trace is not None:
+            self.env.trace.emit(self.env, "exchange",
+                                f"round {self.rounds}",
+                                sent=total, received=recv_total, done=done)
         return self.env.comm.all_true(done)
 
     def finish(self) -> None:

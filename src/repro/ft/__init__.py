@@ -12,8 +12,8 @@ partial writes):
   control state) to the parallel file system as CRC32-checksummed,
   length-framed, nonce-stamped records with collective completion
   markers - a torn, corrupt, or stale checkpoint is detected and
-  recomputed, never silently replayed - and is where a job's fault
-  points fire (:meth:`CheckpointManager.probe`);
+  recomputed, never silently replayed; a job's fault points fire
+  through :meth:`repro.cluster.RankEnv.probe`;
 - :class:`ChaosPlan` is the one fault plan: rank deaths at named
   points (:class:`SimulatedRankFailure`), plus seeded rates for
   transient storage errors, torn writes, bit corruption, and straggler

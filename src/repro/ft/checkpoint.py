@@ -7,9 +7,8 @@ existence proves every rank's data reached the PFS.  Loading a
 checkpoint replays the bytes into an empty KVC the job made (charging
 PFS reads), exactly what a restarted rank would do.
 
-The manager is also the one place a job's fault points fire
-(:meth:`CheckpointManager.probe`, and ``ckpt:<phase>:precommit`` inside
-a save).
+A save is also a fault point: a death scheduled at
+``ckpt:<phase>:precommit`` fires between its data and marker writes.
 
 Checkpoints are **never trusted blindly**.  Every file (data and
 marker) is length-framed with a format-version header, stamped with
@@ -159,20 +158,16 @@ class CheckpointManager:
 
     ``nonce`` identifies the run (cluster configuration + launch) that
     owns these checkpoints; it defaults to ``job_id`` for standalone
-    use.  ``faults`` is the run's optional fault plan, consulted at
-    :meth:`probe` and at the commit point between data and marker
-    writes, and ``failure_log`` collects retry/validation events for
+    use.  ``failure_log`` collects retry/validation events for
     :class:`repro.ft.runner.FTResult`.
     """
 
     def __init__(self, env: RankEnv, job_id: str, *,
                  nonce: str | None = None,
-                 faults=None,
                  failure_log: list | None = None):
         self.env = env
         self.job_id = job_id
         self.nonce = nonce if nonce is not None else job_id
-        self.faults = faults
         self.failure_log = failure_log if failure_log is not None else []
         self.bytes_written = 0
         self.bytes_read = 0
@@ -221,15 +216,6 @@ class CheckpointManager:
 
         return retrying(comm, lambda: self.env.pfs.read(comm, path),
                         on_retry=on_retry)
-
-    # ------------------------------------------------------- fault points
-
-    def probe(self, tag: str) -> None:
-        """A stage or batch boundary: a death at ``tag``, or a due
-        membership leave, fires here."""
-        if self.faults is not None:
-            self.faults.check(tag, self.env.comm.rank)
-            self.faults.membership_check(self.env.comm, tag)
 
     # ----------------------------------------------------------- queries
 
@@ -342,8 +328,11 @@ class CheckpointManager:
         self.env.comm.barrier()
         # The commit point: data is durable everywhere, markers are
         # not yet written.  A crash here must leave ``has()`` false.
-        if self.faults is not None:
-            self.faults.check(f"ckpt:{phase}:precommit", self.env.comm.rank)
+        # Only a death fires here (from the cluster's plan): a due
+        # membership leave waits for the stage boundary after the commit.
+        chaos = self.env.pfs.chaos
+        if chaos is not None:
+            chaos.check(f"ckpt:{phase}:precommit", self.env.comm.rank)
         self._retrying_write(
             self._marker_path(phase),
             frame(b"ok:%d" % self.env.comm.size, self.nonce))

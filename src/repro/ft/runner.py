@@ -162,7 +162,7 @@ def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
     last_clock = 0.0
 
     def rank_fn(env: RankEnv) -> Any:
-        ckpt = CheckpointManager(env, job_id, nonce=nonce, faults=plan,
+        ckpt = CheckpointManager(env, job_id, nonce=nonce,
                                  failure_log=failure_log)
         return job(env, ckpt, handle)
 
@@ -174,8 +174,7 @@ def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
             except RankFailedError as failure:
                 kind = classify_failure(failure.original)
                 # Virtual time burnt by the failed attempt still counts.
-                lost_clocks = getattr(failure, "clocks", None) or [0.0]
-                lost = max(lost_clocks)
+                lost = max(failure.clocks, default=0.0)
                 last_clock = max(last_clock, lost)
                 total_elapsed += lost
                 failures.append(str(failure.original))
@@ -206,7 +205,7 @@ def run_with_recovery(cluster: Cluster, job: FTJob, *,
     """Run ``job`` to completion, restarting on classified failures.
 
     ``faults`` (a :class:`~repro.ft.injection.ChaosPlan`) fires at the
-    job's fault points (``ckpt.probe``) and is wired into the cluster
+    job's fault points (``env.probe``) and is wired into the cluster
     (storage hooks + straggler clocks) for the duration of the call.
     ``nonce`` defaults to a fresh per-call stamp derived
     from the cluster configuration, so checkpoints left by a previous

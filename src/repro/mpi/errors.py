@@ -40,10 +40,13 @@ class WorldAbortedError(MPIError):
 class RankFailedError(MPIError):
     """Raised by :meth:`World.run` when a rank function raised.
 
-    Wraps the original exception (``__cause__``) and records the rank.
+    Wraps the original exception (``__cause__``) and records the rank
+    and every rank's clock at the abort (the time the attempt consumed).
     """
 
-    def __init__(self, rank: int, original: BaseException):
+    def __init__(self, rank: int, original: BaseException,
+                 clocks: "list[float] | None" = None):
         self.rank = rank
         self.original = original
+        self.clocks = clocks or []
         super().__init__(f"rank {rank} failed: {original!r}")

@@ -64,7 +64,7 @@ class World:
                 value = fn(comm, *common_args, *extra)
             except Exception as exc:
                 # Same failure surface as the threaded path.
-                raise RankFailedError(0, exc) from exc
+                raise RankFailedError(0, exc, [comm.clock.time]) from exc
             return WorldResult([value], [comm.clock.time])
 
         engine = CollectiveEngine(self.size, self.network)
@@ -99,9 +99,6 @@ class World:
 
         if errors:
             rank = min(errors)
-            failure = RankFailedError(rank, errors[rank])
-            # Expose the virtual time the failed attempt consumed, so
-            # fault-tolerance harnesses can charge lost work.
-            failure.clocks = list(clocks)
-            raise failure from errors[rank]
+            raise RankFailedError(rank, errors[rank], clocks) \
+                from errors[rank]
         return WorldResult(returns, clocks)

@@ -135,7 +135,7 @@ def run_report(apps: list[str], *, nprocs: int = 4, platform: str = "comet",
 
     apps, scheduler = submit_demo(apps, nprocs=nprocs, platform=platform,
                                   memory_limit=memory_limit)
-    cluster, trace = scheduler.cluster, scheduler.trace
+    cluster, trace = scheduler.cluster, scheduler.cluster.trace
     sched_report = scheduler.run()
     title = f"{' '.join(apps)}: {nprocs} ranks on {platform}"
     if cluster.memory_limit_per_rank is not None:

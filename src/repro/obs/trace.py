@@ -8,9 +8,11 @@ tests; off by default everywhere.
 **The clock rule.**  Rank clocks restart at zero in every launch, so
 an event happened at the cumulative time its launch started at plus
 the rank's clock.  That base travels with the trace: whoever starts a
-launch hands its ranks :meth:`Trace.at` ``(base)`` and
-:meth:`Trace.emit` and :meth:`Trace.region` are the only places the
-two are added.
+launch (:meth:`repro.cluster.Cluster.run`) hands its ranks
+:meth:`Trace.at` ``(base)`` as ``env.trace``, and :meth:`Trace.emit`
+and :meth:`Trace.region` are the only places the two are added.  A
+recording method takes its own parameters by position, so any keyword
+is event data.
 
 **One duration encoding.**  A timed region (:meth:`Trace.span`, the job
 driver's ``phase`` events) is one event that :meth:`Trace.region`
@@ -60,7 +62,7 @@ class Trace:
         view._base = base
         return view
 
-    def emit(self, env, kind: str, label: str, **data: Any) -> None:
+    def emit(self, env, kind: str, label: str, /, **data: Any) -> None:
         """Record one event stamped with the rank's virtual clock."""
         # Built here, not through emit_abs: every traced run pays one
         # call per event, and the reference benchmark counts them.
@@ -71,7 +73,7 @@ class Trace:
             self._events.append(event)
 
     def emit_abs(self, time: float, rank: int, kind: str, label: str,
-                 dur: float | None = None, **data: Any) -> None:
+                 dur: float | None = None, /, **data: Any) -> None:
         """Record one event (a region with ``dur``) at an explicit time:
         the scheduler's global (``rank`` -1) decisions, synthetic traces."""
         event = Event(time=time, rank=rank, kind=kind, label=label,
@@ -79,7 +81,7 @@ class Trace:
         with self._lock:
             self._events.append(event)
 
-    def region(self, env, kind: str, label: str, start: float,
+    def region(self, env, kind: str, label: str, start: float, /,
                **data: Any) -> None:
         """Record the region that began at rank clock ``start`` and
         closes now, with the ``data`` it closes with."""
@@ -91,7 +93,7 @@ class Trace:
             self._events.append(event)
 
     @contextmanager
-    def span(self, env, name: str, **data: Any) -> Iterator[None]:
+    def span(self, env, name: str, /, **data: Any) -> Iterator[None]:
         """Context manager recording its body as a ``span`` region.
 
         Spans nest: opening a span inside another yields the parent/
@@ -149,6 +151,9 @@ class Trace:
                 if not isinstance(value, types) or isinstance(value, bool):
                     raise ValueError(f"event {i}: {name!r} is missing or "
                                      f"mistyped ({value!r})")
+            if not abs(fields["time"]) < float("inf"):
+                raise ValueError(f"event {i}: 'time' must be finite "
+                                 f"({fields['time']!r})")
             dur = fields.get("dur")
             if "dur" in fields and not (type(dur) in (int, float)
                                         and 0 <= dur < float("inf")):

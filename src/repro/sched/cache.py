@@ -73,25 +73,23 @@ class StageCache:
         self.rank = rank
         self.entries: dict[str, CacheEntry] = {}
         self.env: RankEnv | None = None
-        #: The current launch's trace (``evict`` events), or ``None``.
-        self.trace = None
         self.stats = CacheStats()
         self._tick = 0
 
     # ------------------------------------------------------------ wiring
 
-    def attach(self, env: RankEnv, trace=None) -> None:
-        """Bind to the rank environment (and trace) of the current launch."""
+    def attach(self, env: RankEnv) -> None:
+        """Bind to the rank environment of the current launch."""
         if env.comm.rank != self.rank:
             raise ValueError(
                 f"cache for rank {self.rank} attached to rank "
                 f"{env.comm.rank}")
         self.env = env
-        self.trace = trace
 
     def _emit(self, kind: str, label: str, **data: Any) -> None:
-        if self.trace is not None:
-            self.trace.emit(self.env, kind, label, **data)
+        env = self.env
+        if env is not None and env.trace is not None:
+            env.trace.emit(env, kind, label, **data)
 
     def _metric(self, name: str) -> None:
         # Only countable once attached; standalone unit-test caches

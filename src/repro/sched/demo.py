@@ -78,14 +78,15 @@ def submit_demo(apps: "list[str] | None" = None, *, nprocs: int = 4,
                 platform: str = "comet",
                 memory_limit: "int | str | None" = "512K",
                 ) -> tuple[list[str], Scheduler]:
-    """The demo cluster (keeping its memory timeline), inputs staged,
-    and a traced scheduler holding ``apps`` (default WordCount +
+    """The demo cluster (keeping its memory timeline and a trace),
+    inputs staged, and a scheduler holding ``apps`` (default WordCount +
     PageRank) in priority order."""
     apps = list(apps) if apps else ["wordcount", "pagerank"]
     cluster = Cluster(PLATFORMS[platform], nprocs,
-                      memory_limit=memory_limit, keep_timeline=True)
+                      memory_limit=memory_limit, keep_timeline=True,
+                      trace=Trace())
     paths = stage_inputs(cluster)
-    scheduler = Scheduler(cluster, trace=Trace())
+    scheduler = Scheduler(cluster)
     for i, app in enumerate(apps):
         scheduler.submit(make_job(app, paths, priority=len(apps) - i))
     return apps, scheduler
@@ -102,5 +103,5 @@ def run_demo(apps: "list[str] | None" = None, *, nprocs: int = 4,
     if verbose:
         print(report.render_log())
         print()
-        print(render_job_lanes(scheduler.trace))
+        print(render_job_lanes(scheduler.cluster.trace))
     return 0 if all(o.completed for o in report.outcomes) else 1

@@ -14,8 +14,8 @@ cross-cutting services hook in by stage key:
   output under its stage key, so a restarted attempt - at any gang
   size - reloads completed stages and re-executes only from the
   failed one; each stage materialized is a fault point.
-- the **trace** receives a ``stage-done`` event per executed stage
-  (under the scheduler: the round's :meth:`~repro.obs.trace.Trace.at`).
+- the **trace** (``env.trace``, the cluster's) receives a
+  ``stage-done`` event per executed stage.
 
 Cached inputs are *pinned* while a downstream stage reads them, so a
 concurrent cache eviction can never free pages under a live iterator,
@@ -47,20 +47,18 @@ class PlanRunner:
     """Executes a plan's stages on one rank."""
 
     def __init__(self, env: RankEnv, plan: Plan, *, cache=None,
-                 trace=None, checkpoint=None, elastic=None,
-                 job: str | None = None):
+                 checkpoint=None, elastic=None, job: str | None = None):
         self.env = env
         self.plan = plan
         self.cache = cache
         self.checkpoint = checkpoint
-        self.trace = trace
         #: Optional reactive-fault hooks (duck-typed; see
         #: :class:`repro.ft.elastic.ElasticStageHooks`): text-input map
         #: stages run speculatively, and every other executed stage's
         #: duration feeds the straggler monitor.
         self.elastic = elastic
         self.job = job or plan.name
-        self.mimir = Mimir(env, plan.config, trace=trace)
+        self.mimir = Mimir(env, plan.config)
         self._speculated: set[str] = set()
         #: Times each stage *name* actually executed (restores and
         #: cache hits do not count) - the observable that recompute
@@ -70,7 +68,7 @@ class PlanRunner:
         #: stages read so far, by key; ``None`` outside a loop.
         self._kept: dict[str, KVContainer] | None = None
         if cache is not None and cache.env is not env:
-            cache.attach(env, trace)
+            cache.attach(env)
 
     # -------------------------------------------------------- materialize
 
@@ -80,14 +78,14 @@ class PlanRunner:
         Cache hit beats checkpoint restore beats execution; a cached
         stage that has to execute (or restore) is adopted into the
         cache on the way out, or, inside a loop without a cache, kept
-        for the loop's later reads.  Then the stage is a fault point
-        (``checkpoint.probe(stage.name)``), and a speculative stage
-        that executed may evict a straggler.
+        for the loop's later reads.  Then, with a checkpoint, the stage
+        is a fault point (``env.probe(stage.name)``), and a speculative
+        stage that executed may evict a straggler.
         """
         stage = ds.stage if isinstance(ds, Dataset) else ds
         kvc, executed = self._obtain(stage)
         if self.checkpoint is not None:
-            self.checkpoint.probe(stage.name)
+            self.env.probe(stage.name)
         if executed and stage.key in self._speculated:
             self.elastic.maybe_evict(self.env, stage.name)
         return kvc
@@ -178,8 +176,8 @@ class PlanRunner:
             # maps already monitored (and re-scheduled) themselves.
             self.elastic.observe_stage(
                 self.env, stage, self.env.comm.clock.time - started)
-        if self.trace is not None:
-            self.trace.emit(
+        if self.env.trace is not None:
+            self.env.trace.emit(
                 self.env, "stage-done", f"{self.job}:{stage.name}",
                 job=self.job, stage=stage.name, key=stage.key)
         return out

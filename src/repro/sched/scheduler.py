@@ -83,17 +83,14 @@ class JobContext:
     name: str
     config: MimirConfig
     cache: StageCache
-    #: This launch's view of the scheduler's trace (see
-    #: :meth:`repro.obs.trace.Trace.at`), or ``None``.
-    trace: Any = None
     degraded: bool = False
 
     def runner(self, plan: Plan, *, checkpoint=None,
                elastic=None) -> PlanRunner:
         """A :class:`PlanRunner` wired into the scheduler's services."""
         return PlanRunner(self.env, plan, cache=self.cache,
-                          trace=self.trace, checkpoint=checkpoint,
-                          elastic=elastic, job=self.name)
+                          checkpoint=checkpoint, elastic=elastic,
+                          job=self.name)
 
 
 class FootprintEstimator:
@@ -238,12 +235,11 @@ class Scheduler:
     """Admission-controlled multi-job queue over one cluster."""
 
     def __init__(self, cluster: Cluster, *, reserve: float = 0.1,
-                 trace=None, scaling: ScalingPolicy | None = None):
+                 scaling: ScalingPolicy | None = None):
         if not 0 <= reserve < 1:
             raise ValueError(f"reserve must be in [0, 1), got {reserve}")
         self.cluster = cluster
         self.reserve = reserve
-        self.trace = trace
         #: Optional autoscaler: consulted between rounds with the queue
         #: depth and observed memory residency, and actuated through
         #: :meth:`Cluster.resize`.
@@ -284,9 +280,10 @@ class Scheduler:
 
     def _emit(self, kind: str, label: str, *, at: float | None = None,
               **data: Any) -> None:
-        if self.trace is not None:
-            self.trace.emit_abs(self.clock if at is None else at, -1,
-                                kind, label, **data)
+        trace = self.cluster.trace
+        if trace is not None:
+            trace.emit_abs(self.clock if at is None else at, -1,
+                           kind, label, **data)
 
     # ------------------------------------------------------------- submit
 
@@ -409,13 +406,12 @@ class Scheduler:
 
     def _launch(self, batch: list[_Queued]):
         """Run one admitted batch in a single cluster launch."""
-        trace = None if self.trace is None else self.trace.at(self.clock)
         reservations = [(q.job.name, q.estimate) for q in batch] \
             if len(batch) > 1 else []
 
         def batch_fn(env: RankEnv):
             cache = self.caches[env.comm.rank]
-            cache.attach(env, trace)
+            cache.attach(env)
             # Gang reservation: every admitted job's footprint is held
             # for the round, so combined over-admission fails here,
             # not in the middle of some unlucky job's shuffle.
@@ -434,14 +430,14 @@ class Scheduler:
                 start = env.tracker.current
                 ctx = JobContext(env=env, name=queued.job.name,
                                  config=queued.config, cache=cache,
-                                 trace=trace, degraded=queued.degraded)
+                                 degraded=queued.degraded)
                 value = queued.job.fn(env, ctx)
                 results[queued.job.name] = (
                     value, env.tracker.peak - start, env.comm.clock.time)
             return results
 
         return self.cluster.run(batch_fn, allow_oom=True,
-                                trackers=self.trackers)
+                                trackers=self.trackers, base=self.clock)
 
     # ---------------------------------------------------------------- run
 
@@ -469,9 +465,10 @@ class Scheduler:
         if self.on_admit is not None:
             self.on_admit([q.job for q in batch], round_no)
         result = self._launch(batch)
+        # An aborted launch's time passed too: the retry starts after it.
+        self.clock += result.elapsed
         if result.ran_out_of_memory:
             return self._handle_oom(batch, result, round_no)
-        self.clock += result.elapsed
         outcomes: list[JobOutcome] = []
         for queued in batch:
             self._queue.remove(queued)

@@ -331,16 +331,15 @@ def run_direct(app: str, env: RankEnv, path: str,
 def to_sched_job(app: str, job_id: str, path: str,
                  params: dict[str, Any], *, tenant: str | None = None,
                  priority: int = 0, footprint: int | str | None = None,
-                 input_bytes: int = 0, probe: Any = None) -> SchedJob:
+                 input_bytes: int = 0) -> SchedJob:
     """Build the scheduler job for one submission.
 
-    ``probe`` is an optional ``fn(env)`` called on every rank before
-    the app runs - the chaos hook the serve tests use to schedule rank
-    deaths mid-run at a named point (``serve:job:<id>``).
+    Its start on every rank is the fault point ``serve:job:<id>``
+    (:meth:`~repro.cluster.RankEnv.probe`): a death the cluster's chaos
+    plan schedules there kills the job mid-run.
     """
     def fn(env: RankEnv, ctx) -> Any:
-        if probe is not None:
-            probe(env)
+        env.probe(f"serve:job:{job_id}")
         return run_app(app, env, path, params, ctx=ctx)
 
     return SchedJob(name=job_id, fn=fn, priority=priority,

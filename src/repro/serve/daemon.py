@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster import Cluster
-from repro.obs.trace import Trace
 from repro.sched.scheduler import JobOutcome, ScalingPolicy, Scheduler
 from repro.serve.catalog import (
     check_params,
@@ -136,36 +135,31 @@ class ServeError(Exception):
 class ServeDaemon:
     """Multi-tenant job service over ``cluster``; see module docstring.
 
-    ``clock`` feeds the lease table (injectable for tests); ``chaos``
-    is an optional :class:`~repro.ft.injection.ChaosPlan` consulted at
-    the daemon's own probe points (``serve:submit:<id>``,
-    ``serve:job:<id>``) and on journal appends, in addition to
-    whatever the cluster itself injects.
+    ``clock`` feeds the lease table (injectable for tests).  The
+    daemon records into the cluster's trace and is faulted by the
+    cluster's chaos plan: its own probe points (``serve:submit:<id>``
+    on the daemon, ``serve:job:<id>`` on every rank as a served job
+    starts) and its journal appends fire that one plan.
     """
 
     def __init__(self, cluster: Cluster, *,
                  tenants: TenantManager | None = None,
                  config: ServeConfig | None = None,
                  clock: Callable[[], float] = time.monotonic,
-                 chaos: Any = None,
-                 scaling: ScalingPolicy | None = None,
-                 trace: Trace | None = None):
+                 scaling: ScalingPolicy | None = None):
         self.cluster = cluster
         self.config = config or ServeConfig()
-        self.chaos = chaos
-        self.trace = trace if trace is not None else Trace()
         self.metrics = cluster.metrics.shard(-1)
         self.tenants = tenants or TenantManager()
         self.tenants.metrics = self.metrics
-        self.scheduler = Scheduler(cluster, trace=self.trace,
-                                   scaling=scaling)
+        self.scheduler = Scheduler(cluster, scaling=scaling)
         self._scale_seen = 0
         self.tenants.install(self.scheduler)
         self.scheduler.on_admit = self._on_admit
         self.leases = LeaseTable(self.config.lease_ttl, clock=clock,
                                  metrics=self.metrics)
         self.journal = ServeJournal(cluster.pfs, self.config.journal_path,
-                                    metrics=self.metrics, chaos=chaos)
+                                    metrics=self.metrics)
         self.jobs: dict[str, ServedJob] = {}
         self.inputs: dict[str, str] = {}      # "<tenant>/<name>" -> path
         self._puts = 0                        # input records applied
@@ -282,8 +276,7 @@ class ServeDaemon:
             self.cluster,
             lambda env, ckpt, faults: run_direct(
                 job.app, env, job.input, job.params, checkpoint=ckpt),
-            faults=self.chaos, job_id=job.job_id,
-            nonce=f"serve:{job.job_id}")
+            job_id=job.job_id, nonce=f"serve:{job.job_id}")
         job.note(f"replay: re-admitted via run_with_recovery "
                  f"({ft.attempts} attempt(s))")
         self.recovered_jobs.append(job.job_id)
@@ -326,16 +319,11 @@ class ServeDaemon:
     def _sched_job(self, spec: dict[str, Any]):
         """The scheduler job for one submission; ``spec`` is its submit
         record or a replayed job's fields (the same names)."""
-        probe = None
-        if self.chaos is not None:
-            chaos, tag = self.chaos, f"serve:job:{spec['job_id']}"
-            def probe(env):
-                chaos.check(tag, env.comm.rank)
         return to_sched_job(
             spec["app"], spec["job_id"], spec["input"], spec["params"],
             tenant=spec["tenant"], priority=spec["priority"],
             footprint=spec["footprint"],
-            input_bytes=self.cluster.pfs.size(spec["input"]), probe=probe)
+            input_bytes=self.cluster.pfs.size(spec["input"]))
 
     def submit(self, tenant: str, app: str, input_name: str, *,
                params: dict[str, Any] | None = None, priority: int = 0,
@@ -366,8 +354,9 @@ class ServeDaemon:
                 tenant, queued=queued,
                 footprint=self.scheduler.estimate(sched_job))
             job = self._commit(record)
-            if self.chaos is not None:  # journaled, not yet enqueued
-                self.chaos.check(f"serve:submit:{job.job_id}", -1)
+            chaos = self.cluster.chaos
+            if chaos is not None:  # journaled, not yet enqueued
+                chaos.check(f"serve:submit:{job.job_id}", -1)
             self.scheduler.submit(sched_job)
             self.leases.grant(job.job_id, ttl)
             self.metrics.inc("serve.submissions")

@@ -23,9 +23,9 @@ of being silently replayed.
 The journal lives on the PFS because the PFS models the storage that
 *survives* a daemon crash (exactly like checkpoints); writes go
 through the zero-cost staging path - the daemon is a driver process,
-not a rank, so it has no virtual clock to charge.  An optional chaos
-plan is consulted on every append through the same ``on_write`` hook
-the PFS uses, so torn journal appends are injectable.
+not a rank, so it has no virtual clock to charge.  The store's chaos
+plan (the cluster's) is consulted on every append through the same
+``on_write`` hook the PFS uses, so torn journal appends are injectable.
 """
 
 from __future__ import annotations
@@ -68,16 +68,15 @@ class ServeJournal:
     """One service's append-only journal at ``path`` on ``pfs``.
 
     ``metrics`` is an optional :class:`~repro.obs.registry.MetricShard`
-    (the driver shard); ``chaos`` an optional
-    :class:`~repro.ft.injection.ChaosPlan` consulted on appends.
+    (the driver shard).  Appends consult the store's chaos plan
+    (``pfs.chaos``, the cluster's one plan), if it has one.
     """
 
     def __init__(self, pfs, path: str = "serve/journal", *,
-                 metrics: Any = None, chaos: Any = None):
+                 metrics: Any = None):
         self.pfs = pfs
         self.path = path
         self.metrics = metrics
-        self.chaos = chaos
         self._comm = _DriverComm(metrics)
         self.nonce: str | None = None
         self.torn_tail_bytes = 0
@@ -160,9 +159,10 @@ class ServeJournal:
         framed = frame(json.dumps(record, sort_keys=True).encode(),
                        self.nonce)
         raise_after = None
-        if self.chaos is not None:
-            framed, raise_after = self.chaos.on_write(
-                self._comm, self.path, framed)
+        chaos = self.pfs.chaos
+        if chaos is not None:
+            framed, raise_after = chaos.on_write(self._comm, self.path,
+                                                 framed)
         blob = self.pfs.fetch(self.path) + framed
         self.pfs.store(self.path, blob)
         if raise_after is not None:

@@ -98,8 +98,8 @@ def make_click_stream(*, nusers: int = 6, nbatches: int = 6,
 
 # --------------------------------------------------------------- twins
 
-def _fresh_cluster(nprocs: int) -> Cluster:
-    return Cluster(COMET, nprocs=nprocs, memory_limit=None)
+def _fresh_cluster(nprocs: int, trace=None) -> Cluster:
+    return Cluster(COMET, nprocs=nprocs, memory_limit=None, trace=trace)
 
 
 def catalog_twin(scenario, stream: StreamSource, nprocs: int,
@@ -129,7 +129,7 @@ def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
                  nonce: str | None = None,
                  lateness: float = 0.0,
                  stop_after_windows: int | None = None, pace: bool = True,
-                 trace=None, **scenario_kwargs) -> dict[str, Any]:
+                 **scenario_kwargs) -> dict[str, Any]:
     """One rank's streaming run; returns the per-rank summary dict.
 
     ``checkpoint_job`` wires a :class:`~repro.ft.checkpoint.
@@ -144,8 +144,7 @@ def run_scenario(env, scenario_cls, stream, windows, *, caches=None,
         checkpoint = CheckpointManager(env, checkpoint_job, nonce=nonce)
     runner = StreamRunner(env, scenario, stream, windows,
                           lateness=lateness,
-                          runner=partial(PlanRunner, env, cache=cache,
-                                         trace=trace),
+                          runner=partial(PlanRunner, env, cache=cache),
                           checkpoint=checkpoint, pace=pace)
     result = runner.run(stop_after_windows=stop_after_windows)
     return {
@@ -220,9 +219,9 @@ def run_demo(name: str, *, nprocs: int = 3, seed: int = 0, trace=None,
     stream = row.stream(seed=seed, **kw)
 
     def stream_pass(caches, trace):
-        return _fresh_cluster(nprocs).run(lambda env: run_scenario(
+        return _fresh_cluster(nprocs, trace).run(lambda env: run_scenario(
             env, row.scenario, stream, row.windows, caches=caches,
-            lateness=row.lateness, pace=row.pace, trace=trace, **params))
+            lateness=row.lateness, pace=row.pace, **params))
 
     inc = stream_pass([StageCache(r) for r in range(nprocs)], trace)
     full = stream_pass(None, None)

@@ -143,7 +143,7 @@ class StreamRunner:
                 if wait > 0:
                     comm.advance(wait)
             if self.checkpoint is not None:
-                self.checkpoint.probe(f"batch{batch.index}")
+                env.probe(f"batch{batch.index}")
 
             dirty: set[int] = set()
             late = 0

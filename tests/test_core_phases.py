@@ -1,7 +1,5 @@
 """Per-phase time and memory, read from the Trace."""
 
-from functools import partial
-
 import pytest
 
 from repro.apps.wordcount import wordcount_plan
@@ -10,7 +8,6 @@ from repro.core import Mimir, MimirConfig
 from repro.mpi import COMET
 from repro.obs import Trace
 from repro.obs.report import phase_rows, render_phase_table
-from repro.sched import PlanRunner
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -18,12 +15,11 @@ TEXT = b"ash oak elm ash fir oak ash yew " * 25
 
 
 def run_traced(partial_reduce=False):
-    cluster = Cluster(COMET, nprocs=2, memory_limit=None)
-    cluster.pfs.store("t.txt", TEXT)
     trace = Trace()
-    cluster.run(lambda env: wordcount_plan(
-        env, "t.txt", CFG, partial=partial_reduce,
-        runner=partial(PlanRunner, env, trace=trace)))
+    cluster = Cluster(COMET, nprocs=2, memory_limit=None, trace=trace)
+    cluster.pfs.store("t.txt", TEXT)
+    cluster.run(lambda env: wordcount_plan(env, "t.txt", CFG,
+                                           partial=partial_reduce))
     return trace
 
 
@@ -70,9 +66,9 @@ class TestPhases:
 
         def job(env):
             with pytest.raises(ZeroDivisionError):
-                Mimir(env, CFG, trace=trace).map_items(
+                Mimir(env, CFG).map_items(
                     [0], lambda ctx, item: 1 / item)
 
-        Cluster(COMET, nprocs=1).run(job)
+        Cluster(COMET, nprocs=1, trace=trace).run(job)
         [(name, _, data)] = closed_phases(trace)
         assert name == "map+aggregate" and "mem_after" in data

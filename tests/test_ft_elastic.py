@@ -461,7 +461,7 @@ class TestRestoreRebalanced:
         faults = ChaosPlan().fail_at("ckpt:shuffle:precommit", 2)
 
         def dying_save(env):
-            ckpt = CheckpointManager(env, "j", nonce="j", faults=faults)
+            ckpt = CheckpointManager(env, "j", nonce="j")
             kvc = speculative_map(Mimir(env, cfg), "input/elastic_words.txt",
                                   wc_map, combine_fn=wc_combine)
             ckpt.save_kvc("shuffle", kvc)
@@ -469,6 +469,7 @@ class TestRestoreRebalanced:
         from repro.mpi import RankFailedError
 
         cluster = make_elastic_cluster(4)
+        cluster.chaos = faults
         with pytest.raises(RankFailedError):
             cluster.run(dying_save)
         result = self.restore_with(cluster.pfs, 2)
@@ -484,13 +485,14 @@ class TestRestoreRebalanced:
         faults = ChaosPlan().fail_at("ckpt:shuffle:precommit", 1)
 
         def dying_save(env):
-            ckpt = CheckpointManager(env, "j", nonce="j", faults=faults)
+            ckpt = CheckpointManager(env, "j", nonce="j")
             kvc = speculative_map(Mimir(env, CFG), "input/elastic_words.txt",
                                   wc_map, combine_fn=wc_combine)
             ckpt.save_kvc("shuffle", kvc)
 
         cluster = make_elastic_cluster(3)
         cluster.pfs = pfs
+        cluster.chaos = faults
         with pytest.raises(RankFailedError):
             cluster.run(dying_save)
         assert self.restore_with(pfs, 3).returns == [None] * 3

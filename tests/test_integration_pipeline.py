@@ -46,7 +46,7 @@ def pipeline(env, ckpt: CheckpointManager, faults: ChaosPlan):
         kvs = mimir.map_text_files("corpus/", wc_map, combine_fn=fold)
         counts = mimir.partial_reduce(kvs, fold)
         ckpt.save_kvc("counts", counts)
-    ckpt.probe("after_stage1")
+    env.probe("after_stage1")
 
     # Stage 2: histogram of count values (count -> number of words).
     stage2 = mimir.map_kvs(counts,

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
 from repro.mpi import COMET
-from repro.obs import Trace
+from repro.obs import Event, Trace
 from repro.obs.chrome import to_chrome_trace, validate_chrome_trace
 from repro.obs.registry import (
     METRICS,
@@ -37,11 +37,11 @@ def wc_reduce(ctx, key, values):
 
 def run_wordcount(nprocs=3, trace=None, storage=None):
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None,
-                      storage=storage)
+                      storage=storage, trace=trace)
     cluster.pfs.store("t.txt", TEXT)
 
     def job(env):
-        mimir = Mimir(env, CFG, trace=trace)
+        mimir = Mimir(env, CFG)
         kvs = mimir.map_text_file("t.txt", wc_map)
         out = mimir.reduce(kvs, wc_reduce)
         n = len(out)
@@ -191,7 +191,7 @@ class TestWiring:
         cluster = Cluster(COMET, nprocs=2, memory_limit=None, chaos=chaos)
 
         def job(env):
-            ckpt = CheckpointManager(env, "obs-job", faults=chaos)
+            ckpt = CheckpointManager(env, "obs-job")
             ckpt.save_state("phase", {"round": env.comm.rank})
             return ckpt.load_state("phase")
 
@@ -215,7 +215,7 @@ class TestWiring:
         def job(env, ckpt, faults):
             mimir = Mimir(env, CFG)
             kvs = mimir.map_text_file("t.txt", wc_map)
-            ckpt.probe("mid")
+            env.probe("mid")
             n = len(kvs)
             kvs.free()
             return n
@@ -284,12 +284,34 @@ class TestSpans:
 
     def test_trace_json_roundtrip_preserves_spans(self):
         trace = Trace()
-        trace.emit_abs(0.0, -1, "span", "drain", dur=1.0)
+        trace.emit_abs(0.0, -1, "span", "drain", 1.0)
         trace.emit_abs(0.5, -1, "submit", "wc", job="wc")
         again = Trace.from_json(trace.to_json())
         assert again.events == trace.merged()
         assert again.of_kind("span")[0].dur == 1.0
         assert again.of_kind("submit")[0].dur is None
+
+    def test_parameter_names_are_event_data(self):
+        """Every recording method takes its own parameters by position,
+        so a data key spelled like one of them is recorded as data."""
+        trace = Trace()
+        trace.emit_abs(0.5, -1, "custom", "abs", None, time=1, rank=2,
+                       kind="k", label="l", dur=3)
+
+        def job(env):
+            env.comm.advance(0.25)
+            env.trace.emit(env, "custom", "emit", env="e", rank=4)
+            env.trace.region(env, "phase", "region", 0.0, start=5, dur=6)
+            with env.trace.span(env, "span", name="n", rank=7):
+                pass
+
+        Cluster(COMET, nprocs=1, memory_limit=None, trace=trace).run(job)
+        assert [(e.rank, e.label, e.data, e.dur) for e in trace.events] == [
+            (-1, "abs", {"time": 1, "rank": 2, "kind": "k", "label": "l",
+                         "dur": 3}, None),
+            (0, "emit", {"env": "e", "rank": 4}, None),
+            (0, "region", {"start": 5, "dur": 6}, 0.25),
+            (0, "span", {"name": "n", "rank": 7}, 0.0)]
 
 
 # ------------------------------------------------------ the clock rule
@@ -371,7 +393,7 @@ class TestOneTimeline:
         from repro.sched.demo import stage_inputs
         from repro.serve.daemon import ServeDaemon
 
-        cluster = Cluster(COMET, nprocs=2)
+        cluster = Cluster(COMET, nprocs=2, trace=Trace())
         stage_inputs(cluster)
         daemon = ServeDaemon(cluster)
         daemon.recover()                      # opens the journal
@@ -383,7 +405,31 @@ class TestOneTimeline:
             daemon.tick()
         assert daemon.scheduler.rounds_run >= 2
         assert [job.state for job in daemon.jobs.values()] == ["done"] * 6
-        assert inversions(daemon.trace) == {}
+        assert inversions(cluster.trace) == {}
+
+    def test_untraced_daemon_records_nothing(self, monkeypatch):
+        """A daemon on a cluster built without a trace drains a mixed
+        queue without recording a single event anywhere."""
+        from repro.sched.demo import stage_inputs
+        from repro.serve.daemon import ServeDaemon
+
+        recorded = []
+        for method in ("emit", "emit_abs", "region"):
+            monkeypatch.setattr(Trace, method,
+                                lambda *args, **kw: recorded.append(args))
+        cluster = Cluster(COMET, nprocs=2)
+        stage_inputs(cluster)
+        daemon = ServeDaemon(cluster)
+        daemon.recover()
+        for tenant, app, path, params in (
+                ("alice", "wordcount", "demo/words.txt", {}),
+                ("bob", "pagerank", "demo/graph.bin", {"iterations": 2}),
+                ("carol", "bfs", "demo/graph.bin", {})):
+            daemon.submit(tenant, app, path, params=params)
+        while daemon.scheduler.queue_depth:
+            daemon.tick()
+        assert [job.state for job in daemon.jobs.values()] == ["done"] * 3
+        assert cluster.trace is None and recorded == []
 
     def test_view_shares_events_and_adds_its_base(self):
         trace = Trace()
@@ -425,6 +471,11 @@ class TestFromJson:
          "event 0: a 'phase' event has no 'dur'"),
         ([GOOD, {**GOOD, "kind": "span", "data": {"ph": "E"}}],
          "event 1: a 'span' event has no 'dur'"),
+        ([{**GOOD, "time": float("nan"), "kind": "phase", "dur": 1.0}],
+         "event 0: 'time' must be finite"),
+        ([GOOD, {**GOOD, "time": float("inf")}],
+         "event 1: 'time' must be finite"),
+        ([{**GOOD, "time": float("-inf")}], "event 0: 'time' must be finite"),
     ])
     def test_malformed_documents_are_value_errors(self, document,
                                                   complaint, tmp_path,
@@ -443,6 +494,31 @@ class TestFromJson:
     def test_data_is_optional(self):
         [event] = Trace.from_json(json.dumps([self.GOOD])).events
         assert event.data == {} and event.time == 1.0
+
+    def test_truncated_and_bit_flipped_saves(self):
+        """Every truncation and every single-bit flip of a saved trace
+        is a ``ValueError`` or loads exactly the events it parses to;
+        nothing else escapes."""
+        trace = Trace()
+        trace.emit_abs(0.5, 0, "phase", "map", 0.25, peak=7)
+        trace.emit_abs(1.0, -1, "submit", "wc", job="wc")
+        saved = trace.to_json().encode()
+        mutants = [saved[:n] for n in range(len(saved))] + [
+            saved[:i] + bytes([saved[i] ^ 1 << bit]) + saved[i + 1:]
+            for i in range(len(saved)) for bit in range(8)]
+        loads = 0
+        for blob in mutants:
+            text = blob.decode("latin-1")
+            try:
+                loaded = Trace.from_json(text)
+            except ValueError:
+                continue
+            loads += 1
+            assert loaded.events == [
+                Event(e["time"], e["rank"], e["kind"], e["label"],
+                      e.get("data", {}), e.get("dur"))
+                for e in json.loads(text)]
+        assert 0 < loads < len(mutants)
 
 
 # ------------------------------------------------------- chrome export
@@ -515,8 +591,8 @@ class TestChromeExport:
 
     def test_regions_export_as_complete_events(self):
         trace = Trace()
-        trace.emit_abs(0.0, 0, "span", "inner", dur=0.5)  # closes first
-        trace.emit_abs(0.0, 0, "span", "outer", dur=2.0, job="t")
+        trace.emit_abs(0.0, 0, "span", "inner", 0.5)  # closes first
+        trace.emit_abs(0.0, 0, "span", "outer", 2.0, job="t")
         trace.emit_abs(0.5, 0, "custom", "marker")
         events = [e for e in self.check(to_chrome_trace(trace))
                   if e["ph"] != "M"]
@@ -605,7 +681,7 @@ class TestReports:
     def test_load_trace_report(self, tmp_path):
         trace = Trace()
         trace.emit_abs(0.0, -1, "submit", "wc", job="wc")
-        trace.emit_abs(0.1, 0, "phase", "map+aggregate", dur=0.3,
+        trace.emit_abs(0.1, 0, "phase", "map+aggregate", 0.3,
                        batch_records=5, batch_pages=1)
         path = tmp_path / "trace.json"
         path.write_text(trace.to_json())

@@ -19,11 +19,11 @@ def wc_map(ctx, chunk):
 
 def run_traced(nprocs=3):
     trace = Trace()
-    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
+    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None, trace=trace)
     cluster.pfs.store("t.txt", TEXT)
 
     def job(env):
-        mimir = Mimir(env, CFG, trace=trace)
+        mimir = Mimir(env, CFG)
         kvs = mimir.map_text_file("t.txt", wc_map)
         trace.emit(env, "custom", "done", records=len(kvs))
         kvs.free()

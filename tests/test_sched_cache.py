@@ -27,8 +27,9 @@ def make_entry(env, cache, key, *, n=64, tag=b"k"):
     return sorted(kvs.records())
 
 
-def run_single(fn, memory_limit=None):
-    cluster = Cluster(COMET, nprocs=1, memory_limit=memory_limit)
+def run_single(fn, memory_limit=None, trace=None):
+    cluster = Cluster(COMET, nprocs=1, memory_limit=memory_limit,
+                      trace=trace)
     cluster.pfs.store("t.txt", TEXT)
     return cluster.run(fn)
 
@@ -63,7 +64,7 @@ class TestSpillReload:
 
         def job(env):
             cache = StageCache(0)
-            cache.attach(env, trace)
+            cache.attach(env)
             old = make_entry(env, cache, "old", tag=b"o")
             new = make_entry(env, cache, "new", tag=b"n")
             cache.get("new")  # "old" becomes the LRU victim
@@ -81,7 +82,7 @@ class TestSpillReload:
             assert not env.pfs.exists(spill_path)
             assert sorted(cache.get("new").records()) == new
 
-        run_single(job, memory_limit="64K")
+        run_single(job, memory_limit="64K", trace=trace)
         events = [(e.kind, e.label) for e in trace.events]
         kinds = {kind for kind, _ in events}
         assert "evict" in kinds
@@ -156,7 +157,7 @@ class TestDropAndRecompute:
             counts = plan.read_text("t.txt", name="input") \
                 .map(wc_map, name="count") \
                 .reduce(wc_reduce, name="sum").cache()
-            runner = PlanRunner(env, plan, cache=cache, trace=trace)
+            runner = PlanRunner(env, plan, cache=cache)
             first = sorted(runner.stream(counts))
             # Every rank drops together (a recompute runs collectives).
             cache.drop(counts.key)
@@ -165,7 +166,7 @@ class TestDropAndRecompute:
             assert runner.stage_counts["sum"] == 2
             return first
 
-        cluster = Cluster(COMET, nprocs=3, memory_limit=None)
+        cluster = Cluster(COMET, nprocs=3, memory_limit=None, trace=trace)
         cluster.pfs.store("t.txt", TEXT)
         cluster.run(job)
         assert any(e.label == "sum:dropped" for e in trace.of_kind("evict"))

@@ -12,6 +12,8 @@ from repro.obs import (
     Trace,
     composition_at_peak,
     render_job_lanes,
+    to_chrome_trace,
+    validate_chrome_trace,
 )
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
@@ -34,9 +36,10 @@ def alloc_job(nbytes, *, check_degraded=None):
 
 
 def make_scheduler(memory_limit="512K", nprocs=2, **kwargs):
-    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=memory_limit)
     trace = Trace()
-    return Scheduler(cluster, trace=trace, **kwargs), trace
+    cluster = Cluster(COMET, nprocs=nprocs, memory_limit=memory_limit,
+                      trace=trace)
+    return Scheduler(cluster, **kwargs), trace
 
 
 class TestAdmission:
@@ -167,13 +170,42 @@ class TestOOMRecovery:
         assert all(t.current == 0 for t in sched.trackers)
         assert all(not c.entries for c in sched.caches)
 
+    def test_retry_starts_after_the_aborted_launch(self):
+        # The liar's span closes as its launch aborts; each retry (the
+        # liar's, then the honest job's solo round) must start on the
+        # scheduler clock after that abort, not back at its base.
+        def spanned(lead, work, nbytes):
+            def fn(env, ctx):
+                env.comm.advance(lead)
+                with env.trace.span(env, "work", job=ctx.name):
+                    env.comm.advance(work)
+                    env.tracker.allocate(nbytes, "work")
+                    env.tracker.free(nbytes, "work")
+            return fn
+
+        sched, trace = make_scheduler(memory_limit="256K")
+        sched.submit(SchedJob("liar", spanned(0.0, 0.1, 300_000),
+                              priority=1, footprint="10K", config=CFG))
+        sched.submit(SchedJob("honest", spanned(0.05, 0.3, 1000),
+                              footprint="10K", config=CFG))
+        report = sched.run()
+        assert report.ooms == 2 and report.outcome("liar").failed
+        assert report.outcome("honest").completed
+        validate_chrome_trace(to_chrome_trace(trace))
+        rank = trace.of_kind("oom")[0].data["oom_rank"]
+        spans = [e for e in trace.of_kind("span") if e.rank == rank]
+        assert [e.data["job"] for e in spans] == ["liar", "liar", "honest"]
+        for aborted, retry in zip(spans, spans[1:]):
+            assert retry.time >= aborted.time + aborted.dur
+        assert sched.clock >= spans[-1].time + spans[-1].dur
+
 
 class TestPipelines:
     def test_concurrent_wordcount_pagerank_zero_oom(self):
-        cluster = Cluster(COMET, nprocs=2, memory_limit="1M")
-        paths = stage_inputs(cluster, text_bytes=1 << 12, graph_scale=5)
         trace = Trace()
-        sched = Scheduler(cluster, trace=trace)
+        cluster = Cluster(COMET, nprocs=2, memory_limit="1M", trace=trace)
+        paths = stage_inputs(cluster, text_bytes=1 << 12, graph_scale=5)
+        sched = Scheduler(cluster)
         sched.submit(make_job("wordcount", paths, priority=2,
                               footprint="256K"))
         sched.submit(make_job("pagerank", paths, priority=1,
@@ -214,8 +246,8 @@ class TestPipelines:
 
     def test_cancelled_job_lane_ends_in_c(self):
         trace = Trace()
-        sched = Scheduler(Cluster(COMET, nprocs=2, memory_limit=None),
-                          trace=trace)
+        sched = Scheduler(Cluster(COMET, nprocs=2, memory_limit=None,
+                                  trace=trace))
         sched.submit(SchedJob("a", lambda env, ctx: env.comm.advance(0.1)))
         sched.submit(SchedJob("b", lambda env, ctx: None))
         assert sched.cancel("b").name == "b"
@@ -229,10 +261,10 @@ class TestPipelines:
         # Two PageRank submissions - one per run() drain - build the
         # same adjacency stage; the second must reuse the cached
         # container instead of re-shuffling the edge list.
-        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
-        paths = stage_inputs(cluster, graph_scale=5)
         trace = Trace()
-        sched = Scheduler(cluster, trace=trace)
+        cluster = Cluster(COMET, nprocs=2, memory_limit=None, trace=trace)
+        paths = stage_inputs(cluster, graph_scale=5)
+        sched = Scheduler(cluster)
 
         def pr(env, ctx):
             from repro.apps.pagerank import pagerank_plan

@@ -16,8 +16,8 @@ NPROCS = 4
 WORDS = b"chaos monkey eats the cluster chaos wins chaos\n"
 
 
-def make_cluster():
-    cluster = Cluster(COMET, nprocs=NPROCS)
+def make_cluster(chaos=None):
+    cluster = Cluster(COMET, nprocs=NPROCS, chaos=chaos)
     stage_inputs(cluster, seed=0)
     return cluster
 
@@ -46,8 +46,8 @@ class TestMidSubmitKill:
         but the scheduler never heard of the job.  Replay must requeue
         and complete it - journal-first means the journal wins."""
         chaos = ChaosPlan(seed=3).fail_at("serve:submit:job-0002", -1)
-        cluster = make_cluster()
-        daemon = ServeDaemon(cluster, chaos=chaos)
+        cluster = make_cluster(chaos)
+        daemon = ServeDaemon(cluster)
         daemon.recover()
         daemon.put_input("alice", "words.txt", WORDS)
         first = daemon.submit("alice", "wordcount", "words.txt")
@@ -83,10 +83,11 @@ class TestMidSubmitKill:
         daemon.recover()
         ok = daemon.submit("alice", "wordcount", "demo/words.txt")
         # Arm chaos only now so the earlier submit landed cleanly.
-        daemon.journal.chaos = chaos
+        cluster.chaos = chaos
         with pytest.raises(SimulatedRankFailure):
             daemon.submit("alice", "wordcount", "demo/words.txt")
         daemon.kill()
+        cluster.chaos = None
 
         successor = ServeDaemon(cluster)
         successor.recover()
@@ -107,10 +108,10 @@ class TestMidRunKill:
         unfinished job in the journal and re-admits it through
         run_with_recovery; the final artifact matches the direct
         reference bit for bit."""
-        cluster = make_cluster()
         victim_tag = "serve:job:job-0001"
         chaos = ChaosPlan(seed=11).fail_at(victim_tag, 2)
-        daemon = ServeDaemon(cluster, chaos=chaos)
+        cluster = make_cluster(chaos)
+        daemon = ServeDaemon(cluster)
         daemon.recover()
         daemon.put_input("alice", "words.txt", WORDS)
         job = daemon.submit("alice", "wordcount", "words.txt")
@@ -119,9 +120,9 @@ class TestMidRunKill:
         assert daemon.jobs[job.job_id].state == "running"
         daemon.kill()
 
-        # Same chaos plan rides along: the scheduled death already
+        # The cluster keeps its chaos plan: the scheduled death already
         # fired, so recovery completes.
-        successor = ServeDaemon(cluster, chaos=chaos)
+        successor = ServeDaemon(cluster)
         interrupted = successor.recover()
         assert interrupted == [job.job_id]
         recovered = successor.jobs[job.job_id]
@@ -134,9 +135,9 @@ class TestMidRunKill:
     def test_mixed_queue_survives_mid_run_kill(self):
         """Kill during job 2 of 4; the successor completes all four
         with no duplicated or lost jobs."""
-        cluster = make_cluster()
         chaos = ChaosPlan(seed=13).fail_at("serve:job:job-0002", 1)
-        daemon = ServeDaemon(cluster, chaos=chaos)
+        cluster = make_cluster(chaos)
+        daemon = ServeDaemon(cluster)
         daemon.recover()
         daemon.put_input("t", "words.txt", WORDS)
         specs = [("wordcount", "words.txt", {}),
@@ -149,7 +150,7 @@ class TestMidRunKill:
             drain(daemon)
         daemon.kill()
 
-        successor = ServeDaemon(cluster, chaos=chaos)
+        successor = ServeDaemon(cluster)
         successor.recover()
         drain(successor)
         assert sorted(successor.jobs) == sorted(ids)
@@ -165,9 +166,8 @@ class TestMidRunKill:
         crashed instead of hanging or swallowing the failure."""
         import time
 
-        cluster = make_cluster()
         chaos = ChaosPlan(seed=17).fail_at("serve:job:job-0001", 0)
-        daemon = ServeDaemon(cluster, chaos=chaos)
+        daemon = ServeDaemon(make_cluster(chaos))
         daemon.start()
         try:
             daemon.submit("alice", "wordcount", "demo/words.txt")

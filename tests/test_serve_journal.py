@@ -135,10 +135,12 @@ class TestChaosAppend:
 
         chaos = ChaosPlan(seed=7, torn_write_rate=1.0,
                           corruptible_prefix="serve/")
-        torn = ServeJournal(pfs, chaos=chaos)
+        pfs.wire(chaos, None)           # the store's plan: every append
+        torn = ServeJournal(pfs)
         torn.nonce = journal.nonce
         with pytest.raises(Exception):
             torn.append({"type": "submit", "seq": 1})
+        pfs.wire(None, None)
 
         replay = ServeJournal(pfs)
         records = replay.open()

@@ -157,9 +157,9 @@ def interrupted():
     ids and clock, and the successor after one more tick."""
     chaos = ChaosPlan(seed=11).fail_at("serve:job:job-0002", 1)
     tenants = TenantManager({"alice": TenantQuota(max_concurrent=1)})
-    cluster = Cluster(COMET, nprocs=NPROCS)
+    cluster = Cluster(COMET, nprocs=NPROCS, chaos=chaos)
     stage_inputs(cluster, seed=0)
-    daemon = ServeDaemon(cluster, tenants=tenants, chaos=chaos)
+    daemon = ServeDaemon(cluster, tenants=tenants)
     daemon.recover()
     daemon.submit("alice", "wordcount", "demo/words.txt")
     daemon.tick()
@@ -170,7 +170,7 @@ def interrupted():
         daemon.tick()
     daemon.kill()
     records = ServeJournal(cluster.pfs).open()
-    successor = ServeDaemon(cluster, tenants=tenants, chaos=chaos)
+    successor = ServeDaemon(cluster, tenants=tenants)
     recovered = successor.recover()
     clock = successor.scheduler.clock
     successor.tick()

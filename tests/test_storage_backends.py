@@ -220,7 +220,8 @@ class TestCrossBackendIdentity:
 
         chaos = ChaosPlan(seed=11).fail_at("serve:job:job-0001", 2)
         cluster = make_cluster()
-        daemon = ServeDaemon(cluster, chaos=chaos)
+        cluster.chaos = chaos
+        daemon = ServeDaemon(cluster)
         daemon.recover()
         job = daemon.submit("alice", "wordcount", "demo/words.txt")
         with pytest.raises(RankFailedError):
@@ -228,7 +229,7 @@ class TestCrossBackendIdentity:
                 daemon.tick()
         daemon.kill()
 
-        successor = ServeDaemon(cluster, chaos=chaos)
+        successor = ServeDaemon(cluster)
         assert successor.recover() == [job.job_id]
         assert successor.jobs[job.job_id].state == "done"
         assert successor.output(job.job_id) == expected
