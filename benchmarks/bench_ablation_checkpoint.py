@@ -28,7 +28,7 @@ def wc_combine(key, a, b):
 
 
 def make_job(checkpoint: bool):
-    def job(env, ckpt, faults):
+    def job(env, ckpt):
         mimir = Mimir(env, CFG)
         if checkpoint and ckpt.has("shuffle"):
             kvs = ckpt.load_kvc(
@@ -48,13 +48,13 @@ def make_job(checkpoint: bool):
 
 def run_case(checkpoint: bool, fail: bool):
     path, data = stage_dataset(SCALE.spec(BCOMET, "wc_uniform", DATASET))
-    cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
-                      memory_limit=None)
-    cluster.pfs.store(path, data)
     plan = ChaosPlan()
     if fail:
         plan.fail_at("after_shuffle", 5)
-    return run_with_recovery(cluster, make_job(checkpoint), faults=plan)
+    cluster = Cluster(BCOMET, nprocs=BCOMET.procs_per_node,
+                      memory_limit=None, chaos=plan)
+    cluster.pfs.store(path, data)
+    return run_with_recovery(cluster, make_job(checkpoint))
 
 
 def test_ablation_checkpoint_overhead_and_recovery(benchmark):

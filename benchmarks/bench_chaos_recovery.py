@@ -38,9 +38,10 @@ def run_rate(rate: float, expected: bytes):
     outcomes = []
     for seed in SEEDS:
         plan = make_plan(seed, rate)
-        ft = run_with_recovery(make_wordcount_cluster(NPROCS),
-                               JOB, faults=plan,
-                               job_id="chaos-bench", max_restarts=12)
+        cluster = make_wordcount_cluster(NPROCS)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB, job_id="chaos-bench",
+                               max_restarts=12)
         assert pickle.dumps(ft.result.returns) == expected, \
             f"rate {rate} seed {seed} diverged from fault-free output"
         problems = verify_accounting(ft, plan)

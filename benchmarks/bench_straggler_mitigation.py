@@ -39,7 +39,12 @@ from repro.ft.chaos import (
     straggler_plan,
     wordcount_job,
 )
-from repro.ft.elastic import BACKUP_OVERHEAD, ElasticPolicy, run_elastic
+from repro.ft.elastic import (
+    BACKUP_OVERHEAD,
+    STRAGGLER_THRESHOLD,
+    ElasticPolicy,
+    run_elastic,
+)
 from repro.ft.injection import ChaosPlan
 
 NPROCS = 4
@@ -64,6 +69,13 @@ SWEEP_JOB = wordcount_job(elastic=True, checkpoint=False)
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_elastic.json"
 
 
+def armed(plan: ChaosPlan, nprocs: int):
+    """:func:`make_elastic_cluster` carrying ``plan`` as its fault plan."""
+    cluster = make_elastic_cluster(nprocs)
+    cluster.chaos = plan
+    return cluster
+
+
 # --------------------------------------------------------- straggler sweep
 
 def run_straggler_sweep(nseeds: int = NSEEDS, *, nprocs: int = NPROCS,
@@ -77,12 +89,12 @@ def run_straggler_sweep(nseeds: int = NSEEDS, *, nprocs: int = NPROCS,
     for seed in range(nseeds):
         plan = straggler_plan(seed, nprocs, factor_range=factor_range)
         (rank, factor), = plan.stragglers.items()
-        spec = run_elastic(make_elastic_cluster(nprocs), SWEEP_JOB,
-                           faults=plan, policy=SPEC_POLICY, job_id="spec")
-        nospec = run_elastic(make_elastic_cluster(nprocs), SWEEP_JOB,
-                             faults=straggler_plan(
-                                 seed, nprocs, factor_range=factor_range),
-                             policy=NOSPEC_POLICY, job_id="nospec")
+        spec = run_elastic(armed(plan, nprocs), SWEEP_JOB,
+                           policy=SPEC_POLICY, job_id="spec")
+        nospec = run_elastic(
+            armed(straggler_plan(seed, nprocs, factor_range=factor_range),
+                  nprocs),
+            SWEEP_JOB, policy=NOSPEC_POLICY, job_id="nospec")
         report = spec.speculation[0] if spec.speculation else None
         row = {
             "seed": seed,
@@ -143,9 +155,8 @@ def run_chaos_recovery(nseeds: int = CHAOS_SEEDS, *, nprocs: int = NPROCS,
     for seed in range(nseeds):
         plan = ChaosPlan.random(seed, nprocs, tags=ELASTIC_TAGS,
                                 membership=True)
-        res = run_elastic(make_elastic_cluster(nprocs), ELASTIC_JOB,
-                          faults=plan, job_id="chaos-elastic",
-                          max_restarts=12)
+        res = run_elastic(armed(plan, nprocs), ELASTIC_JOB,
+                          job_id="chaos-elastic", max_restarts=12)
         row = {
             "seed": seed,
             "elapsed": res.total_elapsed,
@@ -191,7 +202,7 @@ def make_entry(nseeds: int, chaos_seeds: int, *, smoke: bool) -> dict:
             "nseeds": nseeds,
             "chaos_seeds": chaos_seeds,
             "factor_range": list(FACTOR_RANGE),
-            "threshold": SPEC_POLICY.straggler_threshold,
+            "threshold": STRAGGLER_THRESHOLD,
             "splits_per_rank": SPEC_POLICY.splits_per_rank,
             "backup_overhead": BACKUP_OVERHEAD,
         },

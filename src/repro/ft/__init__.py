@@ -17,18 +17,20 @@ partial writes):
 - :class:`ChaosPlan` is the one fault plan: rank deaths at named
   points (:class:`SimulatedRankFailure`), plus seeded rates for
   transient storage errors, torn writes, bit corruption, and straggler
-  ranks, all deterministic;
-- :func:`run_with_recovery` restarts a failed job with per-class
-  restart budgets and a structured failure log, letting it skip phases
-  whose checkpoints completed - so work lost to a failure is bounded
-  by one phase instead of the whole job;
+  ranks, all deterministic; a run reads it from its cluster
+  (``Cluster(chaos=...)`` or ``cluster.chaos = plan``), never from a
+  driver argument;
+- :func:`run_with_recovery` restarts a failed job ``fn(env, ckpt)``
+  with per-class restart budgets and a structured failure log, letting
+  it skip phases whose checkpoints completed - so work lost to a
+  failure is bounded by one phase instead of the whole job;
 - :func:`run_chaos_sweep` (``repro.ft.chaos``, the harness module:
   its job is the WordCount Plan, plain and elastic) sweeps seeded
   random fault schedules and checks bit-identical convergence;
 - :mod:`repro.ft.elastic` adds the *reactive* layer: straggler
   detection, speculative task re-execution, and elastic gang
-  membership with checkpoint re-balancing (:func:`run_elastic`,
-  :class:`ElasticPolicy`).
+  membership with checkpoint re-balancing (:func:`run_elastic`, whose
+  job is ``fn(env, ckpt, hooks)``, and :class:`ElasticPolicy`).
 """
 
 from repro.ft.checkpoint import (
@@ -83,7 +85,6 @@ __all__ = [
     "SimulatedRankFailure",
     "SpeculationReport",
     "StragglerEvicted",
-    "StragglerMonitor",
     "TornWriteFailure",
     "classify_failure",
     "restore_rebalanced",

@@ -62,21 +62,22 @@ ELASTIC_TAGS = _boundaries(wordcount_dataset(ELASTIC_INPUT, CFG,
 
 
 def wordcount_job(*, elastic: bool = False, checkpoint: bool = True):
-    """The harness job ``fn(env, ckpt, handle)``: :func:`wordcount_plan`
-    under a :class:`PlanRunner` carrying ``ckpt``, and with
-    ``elastic=True`` over the elastic input with the hooks
-    :func:`~repro.ft.elastic.run_elastic` passes as ``handle``.
-    ``checkpoint=False`` drops ``ckpt``: nothing is saved and no fault
-    point fires (a pure straggler sweep never restarts).  Returns this
+    """The harness job ``fn(env, ckpt, hooks=None)``: :func:`wordcount_plan`
+    under a :class:`PlanRunner` carrying ``ckpt`` (and ``hooks``, the
+    :class:`~repro.ft.elastic.ElasticStageHooks` that
+    :func:`~repro.ft.elastic.run_elastic` passes); ``elastic=True``
+    reads the elastic input.  ``checkpoint=False`` drops ``ckpt``:
+    nothing is saved and no fault point fires (a pure straggler sweep
+    never restarts).  Returns this
     rank's sorted ``(word, count)`` share; compare elastic runs with
     :func:`global_counts`, as a membership change re-partitions keys.
     """
     path = ELASTIC_INPUT if elastic else INPUT_PATH
 
-    def job(env, ckpt, handle):
+    def job(env, ckpt, hooks=None):
         runner = partial(PlanRunner, env,
                          checkpoint=ckpt if checkpoint else None,
-                         elastic=handle if elastic else None)
+                         elastic=hooks)
         found = wordcount_plan(env, path, CFG, compress=elastic,
                                partial=True, collect=True, runner=runner)
         return tuple(sorted(found.counts.items()))
@@ -171,9 +172,10 @@ def verify_accounting(ft: FTResult, plan: ChaosPlan) -> list[str]:
     problems: list[str] = []
     injected = plan.counts()
     log = ft.log_counts()
-    if len(ft.failures) != ft.restarts:
+    fatal = sum(1 for record in ft.failure_log if record.attempt >= 1)
+    if fatal != ft.restarts:
         problems.append(
-            f"{ft.restarts} restarts but {len(ft.failures)} failures logged")
+            f"{ft.restarts} restarts but {fatal} failures logged")
     for kind in ("rank-death", "torn-write"):
         if log.get(kind, 0) > injected.get(kind, 0):
             problems.append(
@@ -216,9 +218,10 @@ def run_chaos_sweep(nseeds: int = 20, *, nprocs: int = 4,
     for seed in range(nseeds):
         plan = ChaosPlan.random(seed, nprocs, tags=CHAOS_TAGS,
                                 intensity=intensity)
-        ft = run_with_recovery(make_wordcount_cluster(nprocs, storage),
-                               job, faults=plan,
-                               job_id="chaos", max_restarts=max_restarts)
+        cluster = make_wordcount_cluster(nprocs, storage)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, job, job_id="chaos",
+                               max_restarts=max_restarts)
         record = ChaosRunRecord(
             seed=seed, ft=ft, plan=plan,
             identical=_canonical(ft.result.returns) == expected,

@@ -7,10 +7,10 @@ This module adds the *reactive* layer the paper's target machines
 a crash but a slow rank, and where re-running the whole gang to shed
 one bad host is unaffordable.  Three mechanisms, one control loop:
 
-- **Straggler detection** (:class:`StragglerMonitor`): per-phase
+- **Straggler detection** (:func:`flag_stragglers`): per-phase
   progress comparison.  Every rank's busy time for a phase is
-  allgathered and compared against the median; ranks beyond a
-  configurable slowdown threshold are flagged (``ft.straggler.
+  allgathered and compared against the median; ranks beyond
+  :data:`STRAGGLER_THRESHOLD` times it are flagged (``ft.straggler.
   flagged``).
 - **Speculative re-execution** (:func:`speculative_map`): the map
   phase runs as a task pool; tasks still owned by a flagged rank past
@@ -41,15 +41,15 @@ first-result-wins semantics would yield - a straggler stops being
 charged at the point its last attempt is killed.
 
 A job meets this layer through one handle, :class:`ElasticStageHooks`:
-:func:`run_elastic` hands it to the job, which passes it to its
-:class:`~repro.sched.executor.PlanRunner` (``elastic=``).  This module
-must not import :mod:`repro.sched` (the runner takes the hooks
-duck-typed), keeping the dependency arrow one-way.
+:func:`run_elastic` hands it to the job (``job(env, ckpt, hooks)``),
+which passes it to its :class:`~repro.sched.executor.PlanRunner`
+(``elastic=``).  This module must not import :mod:`repro.sched` (the
+runner takes the hooks duck-typed), keeping the dependency arrow
+one-way.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 from functools import reduce
@@ -61,7 +61,7 @@ from repro.core.combiner import CombineFn, Combiner
 from repro.core.job import ContainerSink, MapContext, Mimir
 from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
-from repro.ft.injection import ChaosPlan, SimulatedRankFailure
+from repro.ft.injection import SimulatedRankFailure
 from repro.ft.runner import (
     _RUN_SEQ,
     FailureRecord,
@@ -82,6 +82,15 @@ _SHRINKABLE = {"rank-death": "death", "membership-leave": "leave",
 #: re-reading the task's input split on the backup host.
 BACKUP_OVERHEAD = 0.05
 
+#: Slowdown multiple over the gang median at which a rank is flagged.
+STRAGGLER_THRESHOLD = 2.0
+
+#: Membership changes one :func:`run_elastic` call may make, and the
+#: gang sizes it keeps between.
+MAX_MEMBERSHIP_CHANGES = 4
+MIN_RANKS = 1
+MAX_RANKS = 64
+
 
 # --------------------------------------------------------------- policy
 
@@ -90,36 +99,16 @@ BACKUP_OVERHEAD = 0.05
 class ElasticPolicy:
     """Knobs of the reactive layer; immutable and validated.
 
-    ``straggler_threshold`` is the slowdown multiple over the median
-    at which a rank is flagged.  ``splits_per_rank`` sets task-pool
-    granularity - more tasks mean earlier per-task detection and finer
-    re-balancing, at more scheduling overhead (the paper's usual
-    tradeoff).
+    ``splits_per_rank`` sets task-pool granularity - more tasks mean
+    earlier per-task detection and finer re-balancing, at more
+    scheduling overhead (the paper's usual tradeoff).
     """
 
-    straggler_threshold: float = 2.0
     speculate: bool = True
     evict_stragglers: bool = True
-    max_membership_changes: int = 4
-    min_ranks: int = 1
-    max_ranks: int = 64
     splits_per_rank: int = 4
 
     def __post_init__(self):
-        if not 1.0 < self.straggler_threshold < math.inf:
-            raise ValueError(
-                f"straggler_threshold must be finite and > 1 (a "
-                f"threshold at or below the median flags healthy ranks), "
-                f"got {self.straggler_threshold}")
-        if self.max_membership_changes < 0:
-            raise ValueError(
-                f"max_membership_changes must be >= 0, "
-                f"got {self.max_membership_changes}")
-        if self.min_ranks < 1:
-            raise ValueError(f"min_ranks must be >= 1, got {self.min_ranks}")
-        if self.max_ranks < self.min_ranks:
-            raise ValueError(
-                f"max_ranks {self.max_ranks} < min_ranks {self.min_ranks}")
         if self.splits_per_rank < 1:
             raise ValueError(
                 f"splits_per_rank must be >= 1, got {self.splits_per_rank}")
@@ -128,55 +117,21 @@ class ElasticPolicy:
 # -------------------------------------------------------------- sensing
 
 
-class StragglerMonitor:
-    """Flags ranks whose phase progress lags the gang median.
+def flag_stragglers(durations: Sequence[float]) -> list[int]:
+    """Ranks whose duration exceeds :data:`STRAGGLER_THRESHOLD` x the
+    median: the sensor half of the control loop, over one phase's
+    allgathered per-rank busy times.
 
-    The sensor half of the control loop: durations come either from a
-    live allgather of per-rank busy times (``flag``) or from the
-    metrics registry's per-rank ``core.phase.seconds`` summaries
-    (``flag_from_metrics``) - the same signal, one in-band and one
-    out-of-band.
+    A non-positive median means the phase did no measurable work
+    anywhere - nothing to flag.
     """
-
-    def __init__(self, threshold: float = 2.0):
-        if not 1.0 < threshold < math.inf:
-            raise ValueError(
-                f"threshold must be finite and > 1, got {threshold}")
-        self.threshold = threshold
-
-    def flag(self, durations: "dict[int, float] | Sequence[float]",
-             ) -> list[int]:
-        """Ranks whose duration exceeds ``threshold`` x median.
-
-        A non-positive median means the phase did no measurable work
-        anywhere - nothing to flag.
-        """
-        if isinstance(durations, dict):
-            items = sorted(durations.items())
-        else:
-            items = list(enumerate(durations))
-        if not items:
-            return []
-        middle = median(d for _, d in items)
-        if middle <= 0.0:
-            return []
-        return [rank for rank, d in items if d > self.threshold * middle]
-
-    def flag_from_metrics(self, registry,
-                          name: str = "core.phase.seconds") -> list[int]:
-        """Flag from the observability registry's per-rank summaries.
-
-        ``registry.by_rank`` returns summary dicts per shard; the
-        cluster-wide shard (rank -1) is excluded - it never ran a
-        phase.
-        """
-        totals = {}
-        for rank, summary in registry.by_rank(name).items():
-            if rank < 0:
-                continue
-            totals[rank] = float(summary.get("total", 0.0)) \
-                if isinstance(summary, dict) else float(summary)
-        return self.flag(totals)
+    if not durations:
+        return []
+    middle = median(durations)
+    if middle <= 0.0:
+        return []
+    return [rank for rank, d in enumerate(durations)
+            if d > STRAGGLER_THRESHOLD * middle]
 
 
 # --------------------------------------------------- speculative tasks
@@ -232,9 +187,9 @@ def speculative_map(mimir: Mimir, path: str,
     engine's :class:`~repro.core.job.MapContext`, ``combine_fn`` runs
     in the engine's :class:`~repro.core.combiner.Combiner`).  Every
     rank runs its primaries physically, then the gang allgathers
-    per-task durations and output CRCs.  If a rank's busy time exceeds
-    the policy threshold over the median it is flagged; its tasks not
-    yet done at the detection point (``threshold`` x median *task*
+    per-task durations and output CRCs.  The tasks of a rank
+    :func:`flag_stragglers` flags that are not yet done at the
+    detection point (:data:`STRAGGLER_THRESHOLD` x median *task*
     duration - per-task granularity is what bounds the damage to a
     fraction of the phase) are re-executed on the least-loaded healthy
     ranks.  A replicated discrete-event schedule decides each race:
@@ -258,7 +213,6 @@ def speculative_map(mimir: Mimir, path: str,
     layout = layout or config.layout
     size = comm.size
     ntasks = size * policy.splits_per_rank
-    threshold = policy.straggler_threshold
     metrics = env.metrics
 
     comm.barrier()
@@ -312,7 +266,7 @@ def speculative_map(mimir: Mimir, path: str,
             task_crc[task] = crc
             busy[rank] += duration
 
-    flagged = StragglerMonitor(threshold).flag(busy)
+    flagged = flag_stragglers(busy)
     report = SpeculationReport(stage_key=stage_key, nranks=size,
                                ntasks=ntasks, busy=list(busy),
                                flagged=list(flagged),
@@ -329,7 +283,7 @@ def speculative_map(mimir: Mimir, path: str,
         # threshold x median task durations a healthy observer knows a
         # task is late.  This is what keeps the bound at a fraction of
         # the phase instead of a multiple of it.
-        detect_at = threshold * median(task_dur.values())
+        detect_at = STRAGGLER_THRESHOLD * median(task_dur.values())
         report.detect_at = detect_at
         healthy = sorted((r for r in range(size) if r not in flagged),
                          key=lambda r: (busy[r], r))
@@ -495,7 +449,7 @@ class ElasticStageHooks:
     Passed as ``runner(plan, elastic=...)``: map stages over text
     inputs run through :func:`speculative_map` (task keys derive from
     the stage's lineage key), every other executed stage's duration
-    feeds the straggler monitor via an allgather (:meth:`observe_stage`),
+    feeds :func:`flag_stragglers` via an allgather (:meth:`observe_stage`),
     and after a speculative stage the runner offers :meth:`maybe_evict`.
     :func:`run_elastic` hands one to its job, shared across attempts.
     Kept duck-typed on the scheduler side so :mod:`repro.sched` never
@@ -504,7 +458,6 @@ class ElasticStageHooks:
 
     def __init__(self, policy: ElasticPolicy | None = None):
         self.policy = policy or ElasticPolicy()
-        self.monitor = StragglerMonitor(self.policy.straggler_threshold)
         #: Flagged ranks by stage name, from :meth:`observe_stage`.
         self.flags: dict[str, list[int]] = {}
         #: Every speculative phase's report (rank 0 collects them), and
@@ -512,8 +465,9 @@ class ElasticStageHooks:
         self.reports: list[SpeculationReport] = []
         self.last_report: SpeculationReport | None = None
         #: Membership changes left to make.  :func:`run_elastic` arms it
-        #: with the policy's budget and spends it; a runner outside that
-        #: driver has nothing to absorb an eviction, so it never evicts.
+        #: with :data:`MAX_MEMBERSHIP_CHANGES` and spends it; a runner
+        #: outside that driver has nothing to absorb an eviction, so it
+        #: never evicts.
         self.membership_left = 0
         #: Absorbed-event sink shared with the driver's failure log, so
         #: transient map-read retries are classified like checkpoint
@@ -538,7 +492,7 @@ class ElasticStageHooks:
     def observe_stage(self, env: RankEnv, stage, seconds: float) -> list[int]:
         """Progress-monitor a non-speculative stage (collective call)."""
         durations = env.comm.allgather(seconds)
-        flagged = self.monitor.flag(durations)
+        flagged = flag_stragglers(durations)
         if flagged:
             self.flags[stage.name] = flagged
             if env.comm.rank in flagged:
@@ -557,7 +511,7 @@ class ElasticStageHooks:
         """
         report = self.last_report
         allowed = self.policy.evict_stragglers and self.membership_left > 0 \
-            and env.comm.size > self.policy.min_ranks
+            and env.comm.size > MIN_RANKS
         if allowed and report is not None and report.flagged \
                 and env.comm.rank == min(report.flagged):
             raise StragglerEvicted(tag, env.comm.rank)
@@ -565,10 +519,8 @@ class ElasticStageHooks:
 
 def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
                 policy: ElasticPolicy | None = None,
-                faults: ChaosPlan | None = None,
                 job_id: str = "job",
                 max_restarts: int = 8,
-                restart_caps: dict[str, int] | None = None,
                 nonce: str | None = None) -> ElasticResult:
     """Run ``job(env, ckpt, hooks)`` under the elastic membership driver;
     ``hooks`` is the run's :class:`ElasticStageHooks`, for the job's
@@ -577,30 +529,29 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
     Like :func:`~repro.ft.runner.run_with_recovery`, with death
     *promoted*: a rank death, scheduled leave, or straggler eviction
     shrinks the gang (``Cluster.resize``) instead of burning restart
-    budget, as long as the membership budget is not spent and the gang
-    stays at or above ``policy.min_ranks``.  Scheduled joins from the
-    fault plan's membership schedule grow the gang at launch
-    boundaries.  Checkpoints survive membership changes
-    because the nonce is fixed for the whole run (not per gang size) -
-    :func:`~repro.ft.checkpoint.restore_rebalanced` re-shards them.
+    budget, as long as :data:`MAX_MEMBERSHIP_CHANGES` is not spent and
+    the gang stays at or above :data:`MIN_RANKS`.  Scheduled joins from
+    the membership schedule of the cluster's plan (``cluster.chaos``)
+    grow the gang at launch boundaries, and a departed rank's
+    stragglers leave that plan with it.  Checkpoints survive membership
+    changes because the nonce is fixed for the whole run (not per gang
+    size) - :func:`~repro.ft.checkpoint.restore_rebalanced` re-shards
+    them.
     """
-    policy = policy or ElasticPolicy()
-    plan = faults if faults is not None else ChaosPlan()
     hooks = ElasticStageHooks(policy)
-    hooks.membership_left = policy.max_membership_changes
+    hooks.membership_left = MAX_MEMBERSHIP_CHANGES
     if nonce is None:
         nonce = f"{job_id}/elastic/run{next(_RUN_SEQ)}"
     membership_log: list[MembershipChange] = []
 
     def can_shrink() -> bool:
-        return hooks.membership_left > 0 \
-            and cluster.nprocs > policy.min_ranks
+        return hooks.membership_left > 0 and cluster.nprocs > MIN_RANKS
 
     def resize(attempt: int, kind: str, rank: int | None, delta: int,
                at: float, cause: str) -> None:
         cluster.resize(cluster.nprocs + delta)
-        if rank is not None:
-            plan.remove_rank(rank)
+        if rank is not None and cluster.chaos is not None:
+            cluster.chaos.remove_rank(rank)
         membership_log.append(MembershipChange(
             attempt, kind, rank, cluster.nprocs, at, cause))
         hooks.membership_left -= 1
@@ -609,10 +560,12 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
     def sweep(attempt: int, last_clock: float) -> None:
         # Launch-boundary membership sweep: joins grow the gang;
         # leaves whose rank never reached a probe shrink it here.
-        for event in plan.membership_due(last_clock, nranks=cluster.nprocs):
+        if cluster.chaos is None:
+            return
+        for event in cluster.chaos.membership_due(last_clock,
+                                                  nranks=cluster.nprocs):
             if event.kind == "join":
-                if hooks.membership_left > 0 \
-                        and cluster.nprocs < policy.max_ranks:
+                if hooks.membership_left > 0 and cluster.nprocs < MAX_RANKS:
                     resize(attempt, "join", None, +1, event.at,
                            "scheduled join")
             elif can_shrink():
@@ -629,9 +582,8 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
         return True
 
     ft = restart_loop(
-        cluster, job, hooks, plan, install=faults is not None,
-        job_id=job_id, nonce=nonce,
-        max_restarts=max_restarts, restart_caps=restart_caps,
+        cluster, lambda env, ckpt: job(env, ckpt, hooks),
+        job_id=job_id, nonce=nonce, max_restarts=max_restarts,
         failure_log=hooks.failure_log, membership_log=membership_log,
         sweep=sweep, promote=promote)
     return ElasticResult(**vars(ft), membership_log=membership_log,

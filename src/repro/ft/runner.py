@@ -23,17 +23,13 @@ from typing import Any, Callable, Sequence
 
 from repro.cluster import Cluster, ClusterResult, RankEnv
 from repro.ft.checkpoint import CheckpointManager
-from repro.ft.injection import (
-    ChaosPlan,
-    SimulatedRankFailure,
-    TornWriteFailure,
-)
+from repro.ft.injection import SimulatedRankFailure, TornWriteFailure
 from repro.memory.tracker import MemoryLimitExceeded
 from repro.mpi.errors import RankFailedError
 from repro.storage.errors import RetriesExhaustedError, TransientIOError
 
-#: Job signature: ``fn(env, ckpt, faults) -> value``.
-FTJob = Callable[[RankEnv, CheckpointManager, Any], Any]
+#: Job signature: ``fn(env, ckpt) -> value``.
+FTJob = Callable[[RankEnv, CheckpointManager], Any]
 
 #: Distinguishes runs for checkpoint stamping; never reset, so a stale
 #: checkpoint from an earlier launch can never satisfy a new nonce.
@@ -81,7 +77,7 @@ def classify_failure(exc: BaseException) -> str:
     return "unknown"
 
 
-def default_restart_caps(max_restarts: int) -> dict[str, int]:
+def restart_caps_for(max_restarts: int) -> dict[str, int]:
     """Per-class restart budgets.
 
     Injected faults (death, torn writes) and flaky I/O are worth the
@@ -111,7 +107,6 @@ class FTResult:
     result: ClusterResult
     attempts: int
     total_elapsed: float
-    failures: list[str] = field(default_factory=list)
     failure_log: list[FailureRecord] = field(default_factory=list)
 
     @property
@@ -126,21 +121,14 @@ class FTResult:
         return tally
 
 
-def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
-                 plan: ChaosPlan, *, install: bool, job_id: str, nonce: str,
-                 max_restarts: int, restart_caps: dict[str, int] | None,
-                 failure_log: list[FailureRecord],
+def restart_loop(cluster: Cluster, job: FTJob, *, job_id: str, nonce: str,
+                 max_restarts: int, failure_log: list[FailureRecord],
                  membership_log: Sequence[Any] = (),
                  sweep: Callable[[int, float], None] = lambda *_: None,
                  promote: Callable[..., bool] = lambda *_: False) -> FTResult:
-    """Launch ``job(env, ckpt, handle)`` until an attempt completes: the
-    one restart loop (see the module docstring), behind
+    """Launch ``job(env, ckpt)`` until an attempt completes: the one
+    restart loop (see the module docstring), behind
     :func:`run_with_recovery` and :func:`repro.ft.elastic.run_elastic`.
-
-    ``install`` makes ``plan`` the cluster's chaos injector (storage
-    hooks + straggler clocks) for the duration of the loop.  The
-    drivers pass it exactly when their caller supplied the plan, so a
-    job run without ``faults=`` makes no injection call at all.
 
     The elastic driver's two hooks: ``sweep(attempt, last_clock)`` runs
     before each launch, and ``promote(attempt, kind, failure,
@@ -148,74 +136,56 @@ def restart_loop(cluster: Cluster, job: Callable[..., Any], handle: Any,
     which costs no restart budget.  Every entry the hooks add to
     ``membership_log`` extends the attempt cap by one.
     """
-    caps = dict(default_restart_caps(max_restarts))
-    if restart_caps:
-        caps.update(restart_caps)
-
-    previous_chaos = cluster.chaos
-    if install:
-        cluster.chaos = plan
-
+    caps = restart_caps_for(max_restarts)
     total_elapsed = 0.0
-    failures: list[str] = []
     restarts_by_class: dict[str, int] = {}
     last_clock = 0.0
 
     def rank_fn(env: RankEnv) -> Any:
-        ckpt = CheckpointManager(env, job_id, nonce=nonce,
-                                 failure_log=failure_log)
-        return job(env, ckpt, handle)
+        return job(env, CheckpointManager(env, job_id, nonce=nonce,
+                                          failure_log=failure_log))
 
-    try:
-        for attempt in itertools.count(1):
-            sweep(attempt, last_clock)
-            try:
-                result = cluster.run(rank_fn)
-            except RankFailedError as failure:
-                kind = classify_failure(failure.original)
-                # Virtual time burnt by the failed attempt still counts.
-                lost = max(failure.clocks, default=0.0)
-                last_clock = max(last_clock, lost)
-                total_elapsed += lost
-                failures.append(str(failure.original))
-                failure_log.append(FailureRecord(
-                    attempt, failure.rank, kind,
-                    str(failure.original), lost))
-                if promote(attempt, kind, failure, last_clock):
-                    continue
-                restarts_by_class[kind] = restarts_by_class.get(kind, 0) + 1
-                if (restarts_by_class[kind] > caps.get(kind, 0)
-                        or attempt > max_restarts + len(membership_log)):
-                    raise
-                cluster.metrics.shard(-1).inc("ft.restarts")
+    for attempt in itertools.count(1):
+        sweep(attempt, last_clock)
+        try:
+            result = cluster.run(rank_fn)
+        except RankFailedError as failure:
+            kind = classify_failure(failure.original)
+            # Virtual time burnt by the failed attempt still counts.
+            lost = max(failure.clocks, default=0.0)
+            last_clock = max(last_clock, lost)
+            total_elapsed += lost
+            failure_log.append(FailureRecord(
+                attempt, failure.rank, kind, str(failure.original), lost))
+            if promote(attempt, kind, failure, last_clock):
                 continue
-            return FTResult(result, attempt, total_elapsed + result.elapsed,
-                            failures, failure_log)
-        raise AssertionError("unreachable")
-    finally:
-        cluster.chaos = previous_chaos
+            restarts_by_class[kind] = restarts_by_class.get(kind, 0) + 1
+            if (restarts_by_class[kind] > caps.get(kind, 0)
+                    or attempt > max_restarts + len(membership_log)):
+                raise
+            cluster.metrics.shard(-1).inc("ft.restarts")
+            continue
+        return FTResult(result, attempt, total_elapsed + result.elapsed,
+                        failure_log)
+    raise AssertionError("unreachable")
 
 
 def run_with_recovery(cluster: Cluster, job: FTJob, *,
-                      faults: ChaosPlan | None = None,
                       job_id: str = "job",
                       max_restarts: int = 8,
-                      restart_caps: dict[str, int] | None = None,
                       nonce: str | None = None) -> FTResult:
     """Run ``job`` to completion, restarting on classified failures.
 
-    ``faults`` (a :class:`~repro.ft.injection.ChaosPlan`) fires at the
-    job's fault points (``env.probe``) and is wired into the cluster
-    (storage hooks + straggler clocks) for the duration of the call.
-    ``nonce`` defaults to a fresh per-call stamp derived
+    Faults come from the cluster's one plan, ``cluster.chaos``: it
+    fires at the job's fault points (``env.probe``), in the storage
+    hooks and on the straggler clocks.  ``nonce`` defaults to a fresh
+    per-call stamp derived
     from the cluster configuration, so checkpoints left by a previous
     run that happens to reuse ``job_id`` are detected as stale and
     recomputed instead of silently restored; pass an explicit nonce to
     opt into cross-run checkpoint reuse.
     """
-    plan = faults if faults is not None else ChaosPlan()
     if nonce is None:
         nonce = f"{job_id}/{cluster.signature()}/run{next(_RUN_SEQ)}"
-    return restart_loop(cluster, job, plan, plan, install=faults is not None,
-                        job_id=job_id, nonce=nonce, max_restarts=max_restarts,
-                        restart_caps=restart_caps, failure_log=[])
+    return restart_loop(cluster, job, job_id=job_id, nonce=nonce,
+                        max_restarts=max_restarts, failure_log=[])

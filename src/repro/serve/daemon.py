@@ -274,7 +274,7 @@ class ServeDaemon:
 
         ft = run_with_recovery(
             self.cluster,
-            lambda env, ckpt, faults: run_direct(
+            lambda env, ckpt: run_direct(
                 job.app, env, job.input, job.params, checkpoint=ckpt),
             job_id=job.job_id, nonce=f"serve:{job.job_id}")
         job.note(f"replay: re-admitted via run_with_recovery "

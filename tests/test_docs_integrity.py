@@ -100,6 +100,90 @@ class TestDesignInventory:
             assert fig in text, f"{fig} missing from DESIGN.md"
 
 
+def api_call_rows():
+    """``(modules, name, argument list)`` for every call-form span
+    (`` `name(args)` ``) in the symbol cell of a docs/api.md row.
+    ``modules`` are where a bare name is looked up: the modules its
+    cell names, then the section's packages (``## Title (`repro.x`)``)."""
+    rows, section = [], ["repro"]
+    for line in (ROOT / "docs" / "api.md").read_text().splitlines():
+        if line.startswith("## "):
+            section = re.findall(r"`(repro(?:\.\w+)*)`", line) + ["repro"]
+            continue
+        if not line.startswith("| `"):
+            continue
+        cell = line.split(" | ")[0]
+        named = [prefix for path in re.findall(r"`(repro(?:\.\w+)+)", cell)
+                 for prefix in dotted_prefixes(path)]
+        for span in re.findall(r"`([^`]*)`", cell):
+            match = re.fullmatch(
+                r"((?:[A-Za-z_]\w*\.)*[A-Za-z_]\w*)\(([^()]*)\)", span)
+            if match:
+                rows.append((named + section, *match.groups()))
+    return rows
+
+
+def dotted_prefixes(dotted):
+    """``a.b.c``, ``a.b``, ``a``: longest first."""
+    parts = dotted.split(".")
+    return [".".join(parts[:depth]) for depth in range(len(parts), 0, -1)]
+
+
+def resolve_api_name(dotted, modules):
+    """The callable ``dotted`` names - a full ``repro.`` path, or a
+    name in one of ``modules`` or in one of their modules - or
+    ``None``."""
+    import pkgutil
+
+    parts = dotted.split(".")
+    if parts[0] == "repro":
+        roots = [(prefix, parts[prefix.count(".") + 1:])
+                 for prefix in dotted_prefixes(dotted)]
+    else:
+        roots = []
+        for name in modules:
+            roots.append((name, parts))
+            try:
+                path = getattr(importlib.import_module(name), "__path__", [])
+            except ModuleNotFoundError:
+                continue
+            roots += [(f"{name}.{info.name}", parts)
+                      for info in pkgutil.iter_modules(path)
+                      if not info.ispkg and info.name != "__main__"]
+    for module, attrs in roots:
+        try:
+            obj = importlib.import_module(module)
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except (ModuleNotFoundError, AttributeError):
+            continue
+        if callable(obj):
+            return obj
+    return None
+
+
+class TestApiReference:
+    def test_keyword_rows_name_only_real_parameters(self):
+        """A docs/api.md row `name(kw=, ...)` that resolves to a repro
+        callable names no keyword its signature lacks (a dropped
+        parameter leaves no stale row behind)."""
+        import inspect
+
+        resolved = 0
+        for modules, name, args in api_call_rows():
+            obj = resolve_api_name(name, modules)
+            if obj is None:
+                continue
+            resolved += 1
+            params = inspect.signature(obj).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            keywords = re.findall(r"(?:^|,)\s*(\w+)=", args)
+            stale = [kw for kw in keywords if kw not in params]
+            assert not stale, f"api.md: `{name}(...)` names {stale}"
+        assert resolved >= 50, f"only {resolved} api.md rows resolve"
+
+
 class TestObservabilityDocs:
     def test_observability_example_executes(self, capsys):
         """The first code block of docs/observability.md runs verbatim."""

@@ -170,7 +170,8 @@ class TestRecovery:
     def test_recovers_from_failure_after_shuffle(self):
         cluster = make_cluster(4)
         plan = ChaosPlan().fail_at(AFTER_MAP, 2)
-        ft = run_with_recovery(cluster, JOB, faults=plan)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB)
         assert ft.attempts == 2
         assert global_counts(ft.result.returns) == EXPECTED
         assert plan.pending == set()
@@ -178,7 +179,8 @@ class TestRecovery:
     def test_recovers_from_failure_at_start(self):
         cluster = make_cluster(4)
         plan = ChaosPlan().fail_at(PRECOMMIT, 0)
-        ft = run_with_recovery(cluster, JOB, faults=plan)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB)
         assert ft.attempts == 2
         assert global_counts(ft.result.returns) == EXPECTED
 
@@ -188,15 +190,20 @@ class TestRecovery:
                 .fail_at(PRECOMMIT, 1)
                 .fail_at(AFTER_MAP, 3)
                 .fail_at(AFTER_REDUCE, 0))
-        ft = run_with_recovery(cluster, JOB, faults=plan)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB)
         assert ft.attempts == 4
         assert global_counts(ft.result.returns) == EXPECTED
-        assert len(ft.failures) == 3
+        assert [r.message for r in ft.failure_log if r.attempt] == [
+            f"injected failure of rank {rank} at {tag!r}"
+            for tag, rank in ((PRECOMMIT, 1), (AFTER_MAP, 3),
+                              (AFTER_REDUCE, 0))]
 
     def test_restart_skips_completed_phase(self):
         cluster = make_cluster(4)
         plan = ChaosPlan().fail_at(AFTER_MAP, 2)
-        ft = run_with_recovery(cluster, JOB, faults=plan)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB)
         # The restarted attempt restored the map's checkpoint instead of
         # re-reading and re-shuffling the input: one save and one
         # restore per rank.
@@ -212,22 +219,22 @@ class TestRecovery:
                 .fail_at(PRECOMMIT, 0)
                 .fail_at(AFTER_MAP, 0)
                 .fail_at(AFTER_REDUCE, 0))
-        ft = run_with_recovery(cluster, JOB, faults=plan,
-                               max_restarts=8)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB, max_restarts=8)
         assert ft.attempts == 4
         assert global_counts(ft.result.returns) == EXPECTED
 
     def test_budget_zero_reraises(self):
         cluster = make_cluster(2)
         plan = ChaosPlan().fail_at(PRECOMMIT, 0)
+        cluster.chaos = plan
         with pytest.raises(RankFailedError):
-            run_with_recovery(cluster, JOB, faults=plan,
-                              max_restarts=0)
+            run_with_recovery(cluster, JOB, max_restarts=0)
 
     def test_non_injected_errors_propagate(self):
         cluster = make_cluster(2)
 
-        def bad_job(env, ckpt, faults):
+        def bad_job(env, ckpt):
             raise ValueError("real bug")
 
         with pytest.raises(RankFailedError) as exc_info:

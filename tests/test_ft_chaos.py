@@ -340,7 +340,8 @@ class TestMidCommitCrash:
         write must leave ``has()`` false on restart -> recompute."""
         cluster = make_wordcount_cluster(nprocs)
         plan = ChaosPlan().fail_at(PRECOMMIT, victim)
-        ft = run_with_recovery(cluster, JOB, faults=plan)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB)
         assert ft.attempts == 2
         assert plan.pending == set()
         # The restart saw no completed checkpoint - the half-committed
@@ -353,7 +354,8 @@ class TestMidCommitCrash:
     def test_torn_write_classified_and_recovered(self):
         cluster = make_wordcount_cluster(4)
         plan = ChaosPlan(seed=7, torn_write_rate=1.0, max_faults=1)
-        ft = run_with_recovery(cluster, JOB, faults=plan)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB)
         assert global_counts(ft.result.returns) == EXPECTED
         assert ft.restarts == 1
         assert [r.kind for r in ft.failure_log if r.attempt] == ["torn-write"]
@@ -381,11 +383,11 @@ class TestClassification:
         cluster = make_wordcount_cluster(2)
         fired = []
 
-        def job(env, ckpt, faults):
+        def job(env, ckpt):
             if env.comm.rank == 0 and not fired:
                 fired.append(True)
                 raise TransientIOError("read", "input/t.txt", 0)
-            return JOB(env, ckpt, faults)
+            return JOB(env, ckpt)
 
         ft = run_with_recovery(cluster, job)
         assert ft.attempts == 2
@@ -396,11 +398,11 @@ class TestClassification:
         cluster = make_wordcount_cluster(2)
         fired = []
 
-        def job(env, ckpt, faults):
+        def job(env, ckpt):
             if env.comm.rank == 1 and not fired:
                 fired.append(True)
                 raise MemoryLimitExceeded("kv", 10, 20, 16, {})
-            return JOB(env, ckpt, faults)
+            return JOB(env, ckpt)
 
         ft = run_with_recovery(cluster, job)
         assert ft.attempts == 2
@@ -409,7 +411,7 @@ class TestClassification:
     def test_oom_cap_exhausted_reraises(self):
         cluster = make_wordcount_cluster(2)
 
-        def job(env, ckpt, faults):
+        def job(env, ckpt):
             raise MemoryLimitExceeded("kv", 10, 20, 16, {})
 
         with pytest.raises(RankFailedError):
@@ -419,7 +421,7 @@ class TestClassification:
         cluster = make_wordcount_cluster(2)
         calls = []
 
-        def job(env, ckpt, faults):
+        def job(env, ckpt):
             if env.comm.rank == 0:
                 calls.append(1)
             raise ValueError("real bug")
@@ -456,9 +458,9 @@ class TestChaosPlan:
     def test_same_seed_same_answer(self):
         outputs = []
         for _ in range(2):
-            plan = ChaosPlan.random(3, 4, tags=(PRECOMMIT, AFTER_MAP))
-            ft = run_with_recovery(make_wordcount_cluster(4), JOB,
-                                   faults=plan, max_restarts=12)
+            cluster = make_wordcount_cluster(4)
+            cluster.chaos = ChaosPlan.random(3, 4, tags=(PRECOMMIT, AFTER_MAP))
+            ft = run_with_recovery(cluster, JOB, max_restarts=12)
             outputs.append(global_counts(ft.result.returns))
         assert outputs[0] == outputs[1]
 
@@ -490,8 +492,8 @@ class TestChaosPlan:
 
         def run(faults):
             cluster = make_wordcount_cluster(4)
-            ft = run_with_recovery(cluster, JOB, faults=faults,
-                                   job_id="z", nonce="z")
+            cluster.chaos = faults
+            ft = run_with_recovery(cluster, JOB, job_id="z", nonce="z")
             totals = cluster.metrics.totals()
             return (ft.result.returns, ft.result.elapsed, ft.total_elapsed,
                     {name: value for name, value in totals.items()
@@ -501,20 +503,26 @@ class TestChaosPlan:
         assert run(plan) == run(None)
         assert plan.injected == [] and plan.fired == set()
 
-    def test_restart_loop_installs_only_a_plan_the_caller_passed(self):
-        seen = []
+    def test_drivers_leave_the_clusters_plan_as_they_found_it(self):
+        """Both drivers read the cluster's plan and never swap it: the
+        job sees the cluster's plan on every attempt, and the cluster
+        holds that same plan - or no plan - afterwards."""
+        from repro.ft.elastic import run_elastic
 
-        def job(env, ckpt, faults):
-            seen.append((env.pfs.chaos, faults))
-
-        cluster = Cluster(COMET, nprocs=1, memory_limit=None)
-        run_with_recovery(cluster, job)
         plan = ChaosPlan().fail_at("nowhere", 0)
-        run_with_recovery(cluster, job, faults=plan)
-        (wired, default), (wired_again, passed) = seen
-        assert wired is None and isinstance(default, ChaosPlan)
-        assert wired_again is passed is plan
-        assert cluster.chaos is None
+        for driver in (run_with_recovery, run_elastic):
+            seen = []
+
+            def job(env, ckpt, hooks=None):
+                seen.append(env.pfs.chaos)
+
+            bare = Cluster(COMET, nprocs=1, memory_limit=None)
+            driver(bare, job)
+            assert bare.chaos is None and seen == [None]
+            armed = Cluster(COMET, nprocs=1, memory_limit=None, chaos=plan)
+            driver(armed, job)
+            assert armed.chaos is plan and armed.pfs.chaos is plan
+            assert seen == [None, plan]
 
     def test_straggler_slows_local_clock(self):
         comm = SimComm(0, 1)
@@ -532,8 +540,7 @@ class TestChaosPlan:
                               chaos=chaos)
             cluster.pfs.store(INPUT_PATH, CHAOS_TEXT)
             return cluster.run(
-                lambda env: JOB(env, CheckpointManager(env, "s"),
-                                ChaosPlan()))
+                lambda env: JOB(env, CheckpointManager(env, "s")))
 
         clean = run(None)
         slow = run(ChaosPlan(seed=0, stragglers={1: 4.0}))
@@ -547,7 +554,8 @@ class TestChaosPlan:
         # Force a restart after the (corrupted) checkpoint was written,
         # so the restarted attempt must validate and reject it.
         plan.fail_at(AFTER_MAP, 1)
-        ft = run_with_recovery(cluster, JOB, faults=plan)
+        cluster.chaos = plan
+        ft = run_with_recovery(cluster, JOB)
         assert global_counts(ft.result.returns) == EXPECTED
         kinds = ft.log_counts()
         assert kinds.get("ckpt-invalid", 0) >= 1
@@ -581,8 +589,9 @@ class TestChaosSweep:
     def test_one_schedule_repeats_exactly(self):
         def realised():
             plan = ChaosPlan.random(5, 4, tags=CHAOS_TAGS)
-            ft = run_with_recovery(make_wordcount_cluster(4), JOB,
-                                   faults=plan, job_id="chaos",
+            cluster = make_wordcount_cluster(4)
+            cluster.chaos = plan
+            ft = run_with_recovery(cluster, JOB, job_id="chaos",
                                    max_restarts=12)
             return plan.injected, ft.failure_log, ft.total_elapsed
 
@@ -607,8 +616,8 @@ class TestChaosSweep:
         def run(faults):
             cluster = Cluster(COMET, nprocs=2, memory_limit=limit)
             cluster.pfs.store(INPUT_PATH, CHAOS_TEXT)
-            return run_with_recovery(cluster, JOB, faults=faults,
-                                     job_id="t")
+            cluster.chaos = faults
+            return run_with_recovery(cluster, JOB, job_id="t")
 
         clean = run(None)
         ft = run(ChaosPlan().fail_at(AFTER_MAP, 1))

@@ -14,7 +14,6 @@ from repro.ft import (
     CheckpointManager,
     ElasticPolicy,
     ElasticStageHooks,
-    StragglerMonitor,
     run_elastic,
 )
 from repro.ft.chaos import (
@@ -26,7 +25,7 @@ from repro.ft.chaos import (
     wordcount_job,
 )
 from repro.ft.checkpoint import restore_rebalanced
-from repro.ft.elastic import speculative_map
+from repro.ft.elastic import flag_stragglers, speculative_map
 from repro.datasets.words import zipf_text
 from repro.ft.injection import ChaosPlan, MembershipEvent
 from repro.mpi import COMET
@@ -51,6 +50,13 @@ SWEEP_JOB = wordcount_job(elastic=True, checkpoint=False)
 _PRECOMMIT, AFTER_MAP, _AFTER_REDUCE = ELASTIC_TAGS
 
 
+def armed(plan, nprocs=4):
+    """:func:`make_elastic_cluster` carrying ``plan`` as its fault plan."""
+    cluster = make_elastic_cluster(nprocs)
+    cluster.chaos = plan
+    return cluster
+
+
 def wc_map(ctx, chunk):
     one = pack_u64(1)
     for word in chunk.split():
@@ -68,15 +74,8 @@ class TestPolicyValidation:
     def test_defaults_are_valid(self):
         ElasticPolicy()
         ScalingPolicy()
-        StragglerMonitor()
 
     @pytest.mark.parametrize("kwargs", [
-        dict(straggler_threshold=1.0),
-        dict(straggler_threshold=0.5),
-        dict(max_membership_changes=-1),
-        dict(min_ranks=0),
-        dict(max_ranks=0),
-        dict(min_ranks=8, max_ranks=4),
         dict(splits_per_rank=0),
     ])
     def test_bad_elastic_policy_rejected(self, kwargs):
@@ -106,46 +105,28 @@ class TestPolicyValidation:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, value):
-        # A NaN threshold flagged no straggler ever; a NaN queue target
-        # crashed ``decide`` converting NaN to a gang size.
-        with pytest.raises(ValueError, match="finite"):
-            ElasticPolicy(straggler_threshold=value)
-        with pytest.raises(ValueError, match="finite"):
-            StragglerMonitor(value)
+        # A NaN queue target crashed ``decide`` converting NaN to a
+        # gang size.
         with pytest.raises(ValueError, match="finite"):
             ScalingPolicy(jobs_per_rank=value)
 
 
 class TestStragglerMonitor:
     def test_flags_outlier_over_threshold(self):
-        mon = StragglerMonitor(threshold=2.0)
-        assert mon.flag([1.0, 1.1, 0.9, 5.0]) == [3]
-        assert mon.flag({0: 1.0, 2: 1.0, 5: 9.0}) == [5]
+        assert flag_stragglers([1.0, 1.1, 0.9, 5.0]) == [3]
 
     def test_threshold_is_strict(self):
-        mon = StragglerMonitor(threshold=2.0)
-        assert mon.flag([1.0, 1.0, 2.0]) == []
-        assert mon.flag([1.0, 1.0, 2.01]) == [2]
+        assert flag_stragglers([1.0, 1.0, 2.0]) == []
+        assert flag_stragglers([1.0, 1.0, 2.01]) == [2]
 
     def test_degenerate_inputs(self):
-        mon = StragglerMonitor()
-        assert mon.flag([]) == []
-        assert mon.flag([0.0, 0.0]) == []
+        assert flag_stragglers([]) == []
+        assert flag_stragglers([0.0, 0.0]) == []
 
-    @given(st.lists(st.floats(0.0, 1e9), min_size=1),
-           st.floats(1.0, 16.0, exclude_min=True))
-    def test_never_flags_everyone(self, durations, threshold):
+    @given(st.lists(st.floats(0.0, 1e9), min_size=1))
+    def test_never_flags_everyone(self, durations):
         # The slowest healthy rank is never over the median.
-        assert len(StragglerMonitor(threshold).flag(durations)) \
-            < len(durations)
-
-    def test_flag_from_metrics_uses_per_rank_phase_time(self):
-        from repro.obs.registry import MetricsRegistry
-
-        reg = MetricsRegistry()
-        for rank, secs in ((0, 1.0), (1, 1.1), (2, 6.0)):
-            reg.shard(rank).observe("core.phase.seconds", secs)
-        assert StragglerMonitor(2.0).flag_from_metrics(reg) == [2]
+        assert len(flag_stragglers(durations)) < len(durations)
 
 
 class TestScalingDecisions:
@@ -527,8 +508,7 @@ class TestRunElastic:
     def test_death_shrinks_instead_of_restarting_at_size(self):
         expected = self.baseline()
         plan = ChaosPlan(0).fail_at(AFTER_MAP, 1)
-        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
-                          faults=plan, job_id="death")
+        res = run_elastic(armed(plan), ELASTIC_JOB, job_id="death")
         assert res.final_nprocs == 3
         assert [m.kind for m in res.membership_log] == ["death"]
         assert res.log_counts() == {"rank-death": 1}
@@ -539,8 +519,7 @@ class TestRunElastic:
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=2),
             MembershipEvent(at=0.01, kind="join")])
-        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
-                          faults=plan, job_id="members")
+        res = run_elastic(armed(plan), ELASTIC_JOB, job_id="members")
         kinds = [m.kind for m in res.membership_log]
         assert kinds == ["leave", "join"]
         assert res.final_nprocs == 4
@@ -549,8 +528,7 @@ class TestRunElastic:
     def test_straggler_eviction_removes_slow_host(self):
         expected = self.baseline()
         plan = ChaosPlan(0, stragglers={1: 6.0})
-        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
-                          faults=plan,
+        res = run_elastic(armed(plan), ELASTIC_JOB,
                           policy=ElasticPolicy(splits_per_rank=8),
                           job_id="evict")
         assert [m.kind for m in res.membership_log] == ["evict"]
@@ -564,10 +542,7 @@ class TestRunElastic:
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=0),
             MembershipEvent(at=0.002, kind="leave", rank=0)])
-        res = run_elastic(make_elastic_cluster(2), ELASTIC_JOB,
-                          faults=plan,
-                          policy=ElasticPolicy(min_ranks=1),
-                          job_id="floor")
+        res = run_elastic(armed(plan, 2), ELASTIC_JOB, job_id="floor")
         assert res.final_nprocs == 1
         assert res.result is not None
 
@@ -578,8 +553,7 @@ class TestRunElastic:
         expected = self.baseline()
         plan = ChaosPlan(0, stragglers={2: 5.0},
                          io_error_rate=0.05).fail_at(AFTER_MAP, 1)
-        res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
-                          faults=plan,
+        res = run_elastic(armed(plan), ELASTIC_JOB,
                           policy=ElasticPolicy(evict_stragglers=False,
                                                splits_per_rank=8),
                           job_id="combined", max_restarts=10)
@@ -597,18 +571,46 @@ class TestRunElastic:
         for seed in range(4):
             plan = ChaosPlan.random(seed, 4, tags=ELASTIC_TAGS,
                                     membership=True)
-            res = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
-                              faults=plan, job_id="chaos",
+            res = run_elastic(armed(plan), ELASTIC_JOB, job_id="chaos",
                               max_restarts=12)
             assert global_counts(res.result.returns) == expected, \
                 f"seed {seed} diverged"
 
     def test_membership_metric_counted(self):
-        cluster = make_elastic_cluster(4)
-        plan = ChaosPlan(0, membership=[
-            MembershipEvent(at=0.001, kind="leave", rank=1)])
-        run_elastic(cluster, ELASTIC_JOB, faults=plan, job_id="m")
+        cluster = armed(ChaosPlan(0, membership=[
+            MembershipEvent(at=0.001, kind="leave", rank=1)]))
+        run_elastic(cluster, ELASTIC_JOB, job_id="m")
         assert cluster.metrics.totals().get("ft.membership.changes") == 1
+
+    def test_the_clusters_plan_drives_joins_and_evictions(self):
+        """The launch-boundary sweep and the straggler renumbering read
+        the cluster's plan: the join at t=0 grows the gang to 5, the
+        x4 straggler (rank 3) is evicted, and the run ends on 4 ranks at
+        the virtual time a plan installed for the call gave.  The nonce
+        is pinned: its length sets the checkpoint bytes, so the time."""
+        expected = self.baseline()
+        plan = ChaosPlan(membership=[(0.0, "join")], stragglers={3: 4.0})
+        res = run_elastic(armed(plan), ELASTIC_JOB, job_id="armed",
+                          nonce="armed/elastic1")
+        assert [(m.kind, m.rank, m.nprocs) for m in res.membership_log] \
+            == [("join", None, 5), ("evict", 3, 4)]
+        assert res.final_nprocs == 4
+        assert res.total_elapsed == 0.49692628906666675
+        assert not plan.stragglers
+        assert global_counts(res.result.returns) == expected
+
+    def test_a_leave_renumbers_the_clusters_stragglers(self):
+        # Rank 1 leaves at the first launch boundary: the straggler on
+        # rank 3 becomes rank 2 in the cluster's plan, and stays there.
+        plan = ChaosPlan(membership=[(0.0, "leave", 1)],
+                         stragglers={3: 4.0})
+        cluster = armed(plan)
+        res = run_elastic(cluster, ELASTIC_JOB, job_id="renumber",
+                          policy=ElasticPolicy(evict_stragglers=False))
+        assert [(m.kind, m.rank) for m in res.membership_log] \
+            == [("leave", 1)]
+        assert res.final_nprocs == 3
+        assert cluster.chaos is plan and plan.stragglers == {2: 4.0}
 
     def test_sweep_job_matches_checkpointed_job(self):
         a = run_elastic(make_elastic_cluster(4), ELASTIC_JOB,
@@ -641,8 +643,7 @@ class TestRunElastic:
         clean = run_elastic(make_elastic_cluster(4), job, job_id="routed")
         plan = ChaosPlan(0, membership=[
             MembershipEvent(at=0.001, kind="leave", rank=2)])
-        res = run_elastic(make_elastic_cluster(4), job, faults=plan,
-                          job_id="routed")
+        res = run_elastic(armed(plan), job, job_id="routed")
         assert [m.kind for m in res.membership_log] == ["leave"]
         assert res.final_nprocs == 3
         retry = runners[-3:]

@@ -34,7 +34,7 @@ def fold(key, a, b):
     return pack_u64(unpack_u64(a) + unpack_u64(b))
 
 
-def pipeline(env, ckpt: CheckpointManager, faults: ChaosPlan):
+def pipeline(env, ckpt: CheckpointManager):
     mimir = Mimir(env, CFG)
 
     # Stage 1: word counts over the document directory (compressed),
@@ -85,8 +85,8 @@ def test_pipeline_survives_mid_job_failure():
     cluster = Cluster(COMET, nprocs=4, memory_limit=None)
     for path, data in PARTS.items():
         cluster.pfs.store(path, data)
-    plan = ChaosPlan().fail_at("after_stage1", 2)
-    ft = run_with_recovery(cluster, pipeline, faults=plan)
+    cluster.chaos = ChaosPlan().fail_at("after_stage1", 2)
+    ft = run_with_recovery(cluster, pipeline)
     assert ft.attempts == 2
     assert cluster.pfs.fetch("out/histogram.txt") == expected_report()
 
@@ -97,7 +97,7 @@ def test_pipeline_leaves_no_memory_behind():
         cluster.pfs.store(path, data)
 
     def job(env):
-        pipeline(env, CheckpointManager(env, "leak"), ChaosPlan())
+        pipeline(env, CheckpointManager(env, "leak"))
         return env.tracker.current
 
     assert cluster.run(job).returns == [0, 0, 0]

@@ -208,11 +208,11 @@ class TestWiring:
         from repro.ft import ChaosPlan
         from repro.ft.runner import run_with_recovery
 
-        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
+        cluster = Cluster(COMET, nprocs=2, memory_limit=None,
+                          chaos=ChaosPlan().fail_at("mid", 1))
         cluster.pfs.store("t.txt", TEXT)
-        plan = ChaosPlan().fail_at("mid", 1)
 
-        def job(env, ckpt, faults):
+        def job(env, ckpt):
             mimir = Mimir(env, CFG)
             kvs = mimir.map_text_file("t.txt", wc_map)
             env.probe("mid")
@@ -220,7 +220,7 @@ class TestWiring:
             kvs.free()
             return n
 
-        ft = run_with_recovery(cluster, job, faults=plan)
+        ft = run_with_recovery(cluster, job)
         assert ft.restarts == 1
         assert cluster.metrics.totals()["ft.restarts"] == 1
 

@@ -269,7 +269,7 @@ class TestStageCheckpoint:
     def test_recovery_skips_checkpointed_stage(self):
         attempts = []
 
-        def job(env, ckpt, faults):
+        def job(env, ckpt):
             plan = Plan("wc", CFG)
             counts = wc_plan(plan).checkpoint()
             runner = PlanRunner(env, plan, checkpoint=ckpt)
@@ -282,9 +282,9 @@ class TestStageCheckpoint:
 
         # The runner probes each stage it materializes: rank 1 dies
         # once "sum" is checkpointed.
-        plan = ChaosPlan().fail_at("sum", 1)
-        ft = run_with_recovery(make_cluster(), job, faults=plan,
-                               job_id="sched-ckpt")
+        cluster = make_cluster()
+        cluster.chaos = ChaosPlan().fail_at("sum", 1)
+        ft = run_with_recovery(cluster, job, job_id="sched-ckpt")
         assert ft.attempts == 2
         merged = {}
         for part in ft.result.returns:

@@ -266,9 +266,9 @@ class TestKillResume:
         # checkpointed and continues - output matches the twin.
         stream = make_doc_stream(seed=2)
         cluster = make_cluster()
-        plan = ChaosPlan().fail_at("batch3", 1)
+        cluster.chaos = ChaosPlan().fail_at("batch3", 1)
 
-        def job(env, ckpt, faults):
+        def job(env, ckpt):
             scenario = StreamWordCount(env, config=DEMO_CONFIG)
             runner = StreamRunner(
                 env, scenario, stream, TumblingWindows(20.0),
@@ -276,7 +276,7 @@ class TestKillResume:
             result = runner.run()
             return result.final, result.resumed
 
-        ft = run_with_recovery(cluster, job, faults=plan, job_id="wc-ft")
+        ft = run_with_recovery(cluster, job, job_id="wc-ft")
         assert ft.attempts == 2
         finals = [r[0] for r in ft.result.returns]
         resumed = ft.result.returns[0][1]
