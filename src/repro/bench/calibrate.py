@@ -20,6 +20,10 @@ from repro.datasets import uniform_text
 from repro.io.spill import SpillWriter
 from repro.mpi.platforms import Platform
 
+#: Default pages of sample data behind each rate (four times that for
+#: the WordCount rate).
+SAMPLE_PAGES = 8
+
 
 @dataclass(frozen=True)
 class CalibrationReport:
@@ -115,10 +119,10 @@ def _measure_wordcount(platform: Platform, nbytes: int) -> float:
     return nbytes / result.elapsed if result.elapsed else float("inf")
 
 
-def calibrate(platform: Platform, *,
-              sample_bytes: int | None = None) -> CalibrationReport:
-    """Measure the effective rates of ``platform``."""
-    sample = sample_bytes or 8 * platform.default_page_size
+def calibrate(platform: Platform) -> CalibrationReport:
+    """Measure the effective rates of ``platform`` on
+    :data:`SAMPLE_PAGES` of its default pages."""
+    sample = SAMPLE_PAGES * platform.default_page_size
     spill_write, spill_read = _measure_spill(platform, sample)
     return CalibrationReport(
         platform=platform.name,

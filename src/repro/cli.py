@@ -235,6 +235,12 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: bad --aging-rate: {exc}")
         return 2
+    try:
+        scaling = ScalingPolicy(max_ranks=args.autoscale_max) \
+            if args.autoscale else None
+    except ValueError as exc:
+        print(f"error: bad --autoscale-max: {exc}")
+        return 2
     platform = PLATFORMS[args.platform]
     cluster = Cluster(platform, nprocs=args.nprocs,
                       memory_limit=args.memory, storage=args.storage)
@@ -246,8 +252,7 @@ def cmd_serve(args) -> int:
         cluster,
         tenants=tenants,
         config=ServeConfig(lease_ttl=args.lease_ttl),
-        scaling=(ScalingPolicy(max_ranks=args.autoscale_max)
-                 if args.autoscale else None))
+        scaling=scaling)
     interrupted = daemon.recover()
     if interrupted:
         print(f"recovered {len(interrupted)} interrupted job(s): "

@@ -125,10 +125,6 @@ class Cluster:
         #: into (``env.trace``); ``None`` records nothing.
         self.trace = trace
         self._trackers: list[MemoryTracker] = []
-        #: Monotonic launch counter; combined with the cluster shape it
-        #: gives fault-tolerance runs a nonce that invalidates stale
-        #: checkpoints from earlier, differently-configured runs.
-        self.launches = 0
 
     @property
     def chaos(self) -> Any:
@@ -196,7 +192,6 @@ class Cluster:
             for _ in range(self.nprocs)
         ]
         self._trackers = trackers
-        self.launches += 1
         world = World(self.nprocs, self.platform.network)
         chaos = self._chaos
         self.pfs.wire(chaos, self.metrics)

@@ -6,7 +6,9 @@ communication buffer size (send and receive buffers are equal by
 design), and the three optional optimizations - KV-hint (a
 :class:`~repro.core.records.KVLayout` on the intermediate stream),
 partial reduction, and KV compression (both enabled by supplying the
-corresponding callback to the job driver).
+corresponding callback to the job driver).  KV compression's bucket is
+unbounded, as in the paper: it drains once, when the map input is
+exhausted.
 """
 
 from __future__ import annotations
@@ -34,13 +36,6 @@ class MimirConfig:
     layout: KVLayout = field(default_factory=KVLayout)
     #: Read granularity for file inputs.
     input_chunk_size: int = 64 * 1024
-    #: KV-compression bucket budget in bytes.  ``None`` reproduces the
-    #: paper's published behaviour (the aggregate is delayed until the
-    #: whole map input is compressed, so the bucket is unbounded).  A
-    #: byte budget enables the improvement the paper flags as future
-    #: work: when the bucket reaches the budget it is drained through
-    #: the shuffle and compression restarts, bounding its footprint.
-    combiner_bucket_budget: int | str | None = None
     #: Out-of-core KV containers (the capability the authors added to
     #: Mimir after publication): when a shuffled KVC cannot grow within
     #: the rank's memory budget, its oldest pages spill to the PFS and
@@ -68,13 +63,6 @@ class MimirConfig:
             raise ConfigError("input_chunk_size must be positive")
         if not isinstance(self.layout, KVLayout):
             raise ConfigError(f"layout must be a KVLayout, got {self.layout!r}")
-        if self.combiner_bucket_budget is not None:
-            budget = parse_size(self.combiner_bucket_budget)
-            if budget <= 0:
-                raise ConfigError(
-                    "combiner_bucket_budget must be positive or None, "
-                    f"got {self.combiner_bucket_budget!r}")
-            object.__setattr__(self, "combiner_bucket_budget", budget)
         if self.codec is not None:
             from repro.core.codec import CODEC_SPECS
 

@@ -220,7 +220,7 @@ class Mimir:
         with self._phase("map+aggregate") as phase:
             shuffler = Shuffler(self.env, self.config, out, partitioner)
             sink = shuffler if combine_fn is None else \
-                Combiner(self.env, self.config, combine_fn, shuffler)
+                Combiner(self.env, combine_fn, shuffler)
             ctx = MapContext(sink)
             feed(ctx)
             if ctx._keys:

@@ -39,6 +39,8 @@ from repro.core.shuffle import default_partitioner
 #: keys once stripped symmetrically.
 _SALT = b"\x01"
 _PLAIN = b"\x00"
+#: Map emissions the sampling pass reads before it picks hot keys.
+SAMPLE_RECORDS = 4096
 
 
 def find_hot_keys(env: RankEnv, sample: Iterable[tuple[bytes, int]], *,
@@ -72,7 +74,6 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
                 map_fn: Callable[[Callable[[bytes, bytes], None], Any], None],
                 fold_fn: PartialReduceFn, *,
                 hot_keys: set[bytes] | None = None,
-                sample_records: int = 4096,
                 max_hot: int = 8,
                 hot_fraction: float = 0.05,
                 out_tag: str = "kv_folded") -> KVContainer:
@@ -99,7 +100,7 @@ def fold_by_key(env: RankEnv, config: MimirConfig,
 
         def sample_emit(key: bytes, value: bytes) -> None:
             sampled.append(key)
-            if len(sampled) >= sample_records:
+            if len(sampled) >= SAMPLE_RECORDS:
                 raise _Stop
 
         try:

@@ -250,8 +250,7 @@ def _sample(kvc: KVContainer, by_value: bool, want: int,
 
 def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig,
                 mid: KVContainer, out: KVContainer, *, runs,
-                by_value: bool = False,
-                oversample: int = DEFAULT_OVERSAMPLE) -> KVContainer:
+                by_value: bool = False) -> KVContainer:
     """Globally sort ``kvc`` (consumed) across all ranks, through two
     empty containers the job made: ``mid`` receives the range shuffle
     and is drained into ``out``, this rank's slice of the total order.
@@ -270,7 +269,7 @@ def global_sort(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     before ``mid`` takes pages, and ``mid`` spills as it grows.
     """
     comm = env.comm
-    want = max(1, comm.size * oversample)
+    want = max(1, comm.size * DEFAULT_OVERSAMPLE)
     if config.out_of_core and kvc.spilled:
         kvc.spill()
         kvc = sorted_container(env, kvc.consume_batches(),

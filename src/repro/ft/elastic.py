@@ -63,9 +63,9 @@ from repro.core.kvcontainer import KVContainer
 from repro.core.records import KVLayout
 from repro.ft.injection import SimulatedRankFailure
 from repro.ft.runner import (
-    _RUN_SEQ,
     FailureRecord,
     FTResult,
+    default_nonce,
     restart_loop,
 )
 from repro.io.splits import split_text_file
@@ -243,7 +243,7 @@ def speculative_map(mimir: Mimir, path: str,
             layout, f"kv_{stage_key}_t{task}", resident_page_budget=1)
         sink = ContainerSink(out)
         if combine_fn is not None:
-            sink = Combiner(env, config, combine_fn, sink)
+            sink = Combiner(env, combine_fn, sink)
         mctx = MapContext(sink)
         map_fn(mctx, chunk)
         if mctx._keys:
@@ -541,7 +541,7 @@ def run_elastic(cluster: Cluster, job: Callable[..., Any], *,
     hooks = ElasticStageHooks(policy)
     hooks.membership_left = MAX_MEMBERSHIP_CHANGES
     if nonce is None:
-        nonce = f"{job_id}/elastic/run{next(_RUN_SEQ)}"
+        nonce = default_nonce(cluster, f"{job_id}/elastic")
     membership_log: list[MembershipChange] = []
 
     def can_shrink() -> bool:

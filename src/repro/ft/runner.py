@@ -18,6 +18,7 @@ bad checkpoint lands in :attr:`FTResult.failure_log`.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -31,9 +32,19 @@ from repro.storage.errors import RetriesExhaustedError, TransientIOError
 #: Job signature: ``fn(env, ckpt) -> value``.
 FTJob = Callable[[RankEnv, CheckpointManager], Any]
 
-#: Distinguishes runs for checkpoint stamping; never reset, so a stale
-#: checkpoint from an earlier launch can never satisfy a new nonce.
-_RUN_SEQ = itertools.count(1)
+#: Runs stamped on each store (weakly keyed by the store), for the
+#: default nonce.  Never reset while the store lives, so a stale
+#: checkpoint from an earlier run on it can never satisfy a new nonce;
+#: runs on other stores in the process do not move the count (the
+#: nonce's bytes are checkpoint bytes, so they would move the clock).
+_RUNS: "weakref.WeakKeyDictionary[Any, itertools.count]" = \
+    weakref.WeakKeyDictionary()
+
+
+def default_nonce(cluster: Cluster, stem: str) -> str:
+    """``{stem}/run{n}`` for the ``n``-th run on ``cluster``'s store."""
+    runs = _RUNS.setdefault(cluster.pfs, itertools.count(1))
+    return f"{stem}/run{next(runs)}"
 
 
 @dataclass
@@ -179,13 +190,13 @@ def run_with_recovery(cluster: Cluster, job: FTJob, *,
     Faults come from the cluster's one plan, ``cluster.chaos``: it
     fires at the job's fault points (``env.probe``), in the storage
     hooks and on the straggler clocks.  ``nonce`` defaults to a fresh
-    per-call stamp derived
-    from the cluster configuration, so checkpoints left by a previous
+    stamp from the cluster configuration and the runs made on its
+    store (:func:`default_nonce`), so checkpoints left by a previous
     run that happens to reuse ``job_id`` are detected as stale and
     recomputed instead of silently restored; pass an explicit nonce to
     opt into cross-run checkpoint reuse.
     """
     if nonce is None:
-        nonce = f"{job_id}/{cluster.signature()}/run{next(_RUN_SEQ)}"
+        nonce = default_nonce(cluster, f"{job_id}/{cluster.signature()}")
     return restart_loop(cluster, job, job_id=job_id, nonce=nonce,
                         max_restarts=max_restarts, failure_log=[])

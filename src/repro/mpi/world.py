@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.mpi.comm import SimComm
 from repro.mpi.costmodel import NetworkModel
@@ -50,18 +50,12 @@ class World:
         self.size = size
         self.network = network or DEFAULT_NETWORK
 
-    def run(self, fn: Callable[..., Any], *common_args: Any,
-            rank_args: Sequence[Sequence[Any]] | None = None) -> WorldResult:
-        """Execute ``fn(comm, *common_args, *rank_args[rank])`` on every rank."""
-        if rank_args is not None and len(rank_args) != self.size:
-            raise ValueError(
-                f"rank_args has {len(rank_args)} entries for {self.size} ranks")
-
+    def run(self, fn: Callable[..., Any], *args: Any) -> WorldResult:
+        """Execute ``fn(comm, *args)`` on every rank."""
         if self.size == 1:
             comm = SimComm(0, 1)
-            extra = tuple(rank_args[0]) if rank_args is not None else ()
             try:
-                value = fn(comm, *common_args, *extra)
+                value = fn(comm, *args)
             except Exception as exc:
                 # Same failure surface as the threaded path.
                 raise RankFailedError(0, exc, [comm.clock.time]) from exc
@@ -74,10 +68,9 @@ class World:
 
         def runner(rank: int) -> None:
             comm = SimComm(rank, self.size, engine)
-            extra = tuple(rank_args[rank]) if rank_args is not None else ()
             try:
                 engine.start(rank)
-                returns[rank] = fn(comm, *common_args, *extra)
+                returns[rank] = fn(comm, *args)
             except WorldAbortedError:
                 pass  # bystander of another rank's failure
             except BaseException as exc:  # noqa: BLE001 - report any rank failure

@@ -100,8 +100,6 @@ register("core.combine.records_in", COUNTER, "records", "repro.core.combiner",
          "records routed through the map-side combiner bucket")
 register("core.combine.merged", COUNTER, "records", "repro.core.combiner",
          "combiner hits: records merged into an existing bucket entry")
-register("core.combine.flushes", COUNTER, "events", "repro.core.combiner",
-         "bounded-bucket partial flushes triggered by the byte budget")
 register("core.reduce.keys", COUNTER, "keys", "repro.core.job",
          "unique keys handed to the user reduce callback")
 register("core.reduce.bytes", COUNTER, "bytes", "repro.core.job",

@@ -4,10 +4,10 @@ Jobs are submitted with a priority and (optionally) a declared
 per-rank memory footprint; the scheduler gang-schedules batches of
 jobs onto the cluster's ranks in *rounds*.  A round admits jobs - in
 priority order - only while the sum of their footprints fits the
-per-rank memory budget (minus a safety reserve); the rest wait in the
-queue.  A job whose footprint alone exceeds the budget is admitted
-*degraded* (out-of-core spill enabled) if it allows it, instead of
-being allowed to OOM the rank.
+per-rank memory budget (minus a :data:`RESERVE` share); the rest wait
+in the queue.  A job whose footprint alone exceeds the budget is
+admitted *degraded* (out-of-core spill enabled) instead of being
+allowed to OOM the rank.
 
 Admission is enforced, not advisory: when a round carries several
 jobs, each job's footprint is **reserved** against the rank's
@@ -45,10 +45,14 @@ from repro.sched.plan import Plan
 #: OOMs a job survives before it fails; each one at least doubles its
 #: footprint estimate before it is admitted again.
 MAX_OOM_RETRIES = 1
+#: Share of each rank's memory limit admission keeps free.
+RESERVE = 0.1
 #: Peak memory residency at or above which the autoscaler grows the
 #: gang, and at or below which it may shrink it, one rank at a time.
 GROW_RESIDENCY = 0.80
 SHRINK_RESIDENCY = 0.30
+#: The autoscaler's floor.
+MIN_SCALE_RANKS = 1
 
 
 @dataclass
@@ -63,8 +67,6 @@ class SchedJob:
     footprint: int | str | None = None
     #: Total input bytes (seeds the estimate when no footprint given).
     input_bytes: int = 0
-    #: May this job run with out-of-core spill when it cannot fit?
-    degradable: bool = True
     config: MimirConfig | None = None
     #: Estimator key shared by repeated submissions of one workload
     #: (service jobs get unique names, so without this every
@@ -136,40 +138,31 @@ class ScalingPolicy:
     The autoscaler half of the control loop (:class:`Scheduler`
     consults it between rounds): ``decide`` maps the sensors (ready-queue
     depth, peak memory residency from the trackers) to a target gang
-    size, one rank away from the current one.  Residency dominates - a
-    budget at least :data:`GROW_RESIDENCY` full grows the gang even
+    size, one rank away from the current one, between
+    :data:`MIN_SCALE_RANKS` and ``max_ranks``.  A rank takes one queued
+    job: a queue longer than the gang grows it.  Residency dominates -
+    a budget at least :data:`GROW_RESIDENCY` full grows the gang even
     when the queue is short, and shrinking is refused until residency
     is at most :data:`SHRINK_RESIDENCY`, so scale-downs never cause the
     OOM they are supposed to be irrelevant to.
     """
 
-    min_ranks: int = 1
     max_ranks: int = 64
-    #: Target ready-queue jobs per rank; deeper queues grow the gang.
-    jobs_per_rank: float = 1.0
 
     def __post_init__(self):
-        if self.min_ranks < 1:
-            raise ValueError(f"min_ranks must be >= 1, got {self.min_ranks}")
-        if self.max_ranks < self.min_ranks:
-            raise ValueError(
-                f"max_ranks {self.max_ranks} < min_ranks {self.min_ranks}")
-        if not 0 < self.jobs_per_rank < math.inf:
-            raise ValueError(f"jobs_per_rank must be finite and positive, "
-                             f"got {self.jobs_per_rank}")
+        if not MIN_SCALE_RANKS <= self.max_ranks < math.inf:
+            raise ValueError(f"max_ranks must be finite and >= "
+                             f"{MIN_SCALE_RANKS}, got {self.max_ranks}")
 
     def decide(self, *, queue_depth: int, residency: float,
                nprocs: int) -> int:
         """Target gang size for the next scheduling round."""
-        wanted = -(-queue_depth // max(self.jobs_per_rank, 1e-9)) \
-            if queue_depth else 0
-        wanted = int(wanted)
         target = nprocs
-        if residency >= GROW_RESIDENCY or wanted > nprocs:
+        if residency >= GROW_RESIDENCY or queue_depth > nprocs:
             target = nprocs + 1
-        elif wanted < nprocs and residency <= SHRINK_RESIDENCY:
+        elif queue_depth < nprocs and residency <= SHRINK_RESIDENCY:
             target = nprocs - 1
-        return max(self.min_ranks, min(self.max_ranks, target))
+        return max(MIN_SCALE_RANKS, min(self.max_ranks, target))
 
 
 @dataclass
@@ -234,12 +227,9 @@ class _Queued:
 class Scheduler:
     """Admission-controlled multi-job queue over one cluster."""
 
-    def __init__(self, cluster: Cluster, *, reserve: float = 0.1,
+    def __init__(self, cluster: Cluster, *,
                  scaling: ScalingPolicy | None = None):
-        if not 0 <= reserve < 1:
-            raise ValueError(f"reserve must be in [0, 1), got {reserve}")
         self.cluster = cluster
-        self.reserve = reserve
         #: Optional autoscaler: consulted between rounds with the queue
         #: depth and observed memory residency, and actuated through
         #: :meth:`Cluster.resize`.
@@ -329,7 +319,7 @@ class Scheduler:
         limit = self.cluster.memory_limit_per_rank
         if limit is None:
             return None
-        return int(limit * (1.0 - self.reserve))
+        return int(limit * (1.0 - RESERVE))
 
     def _admit(self, round_no: int) -> list[_Queued]:
         """Pick this round's batch; emit queue events for the rest.
@@ -339,7 +329,7 @@ class Scheduler:
         the budget after persistent (cache) residency.  An oversized
         head-of-queue job is never starved: it gets a round to itself,
         degraded to out-of-core if its estimate exceeds even an empty
-        budget and it allows that.
+        budget.
 
         An installed :attr:`admission_filter` can veto candidates for
         this round (per-tenant concurrency caps); vetoed jobs stay
@@ -383,8 +373,7 @@ class Scheduler:
                     committed += queued.estimate
             if not admitted and eligible:
                 head = eligible[0]
-                if head.estimate > available and head.job.degradable \
-                        and head.estimate > budget:
+                if head.estimate > available and head.estimate > budget:
                     head.degraded = True
                     head.config = replace(head.config, out_of_core=True)
                 admitted = [head]

@@ -13,8 +13,8 @@ Quotas bound what any one tenant can take from the shared cluster:
   than its budget says, rejected at submit time.
 
 Fair share is *priority aging*: a job's effective admission priority
-is its tenant's base weight plus the requested priority, plus
-``aging_rate`` for every round it has already waited.  Any queued job
+is its requested priority plus ``aging_rate`` for every round it has
+already waited.  Any queued job
 therefore eventually outbids a stream of fresh higher-priority work -
 no tenant starves - while fresh priorities still win ties among jobs
 of similar age.  The aging hook plugs into
@@ -52,7 +52,7 @@ class QuotaExceeded(Exception):
 
 @dataclass(frozen=True)
 class TenantQuota:
-    """One tenant's resource bounds and scheduling weight."""
+    """One tenant's resource bounds."""
 
     #: Jobs allowed to wait in the admission queue at once.
     max_queued: int = 8
@@ -61,8 +61,6 @@ class TenantQuota:
     #: Ceiling on a job's declared/estimated per-rank footprint
     #: ("64K", bytes, or None for uncapped).
     memory_per_rank: int | str | None = None
-    #: Base priority weight added to every job's requested priority.
-    base_priority: int = 0
 
     def __post_init__(self):
         # A tenant with no concurrent slot never leaves the queue.
@@ -147,11 +145,8 @@ class TenantManager:
         return in_batch < self.quota(tenant).max_concurrent
 
     def priority_fn(self, job: SchedJob, queued_rounds: int) -> float:
-        """Scheduler hook: tenant weight + requested + aging."""
-        base = 0
-        if job.tenant is not None:
-            base = self.quota(job.tenant).base_priority
-        return base + job.priority + self.aging_rate * queued_rounds
+        """Scheduler hook: requested priority + aging."""
+        return job.priority + self.aging_rate * queued_rounds
 
     def install(self, scheduler) -> None:
         """Wire both hooks into a :class:`~repro.sched.scheduler.Scheduler`."""

@@ -18,7 +18,7 @@ from typing import Any, Callable, TypeVar
 
 T = TypeVar("T")
 
-#: Default retry policy for PFS operations (see :func:`retrying`).
+#: The retry policy for PFS operations (see :func:`retrying`).
 DEFAULT_RETRY_ATTEMPTS = 4
 DEFAULT_RETRY_BASE_DELAY = 1e-3
 DEFAULT_RETRY_FACTOR = 2.0
@@ -82,34 +82,31 @@ class RetriesExhaustedError(PFSError):
 
 
 def retrying(comm: Any, fn: Callable[[], T], *,
-             attempts: int = DEFAULT_RETRY_ATTEMPTS,
-             base_delay: float = DEFAULT_RETRY_BASE_DELAY,
-             factor: float = DEFAULT_RETRY_FACTOR,
              on_retry: Callable[[int, TransientIOError], None] | None = None,
              ) -> T:
-    """Call ``fn()`` retrying :class:`TransientIOError` with backoff.
+    """Call ``fn()`` retrying :class:`TransientIOError` with backoff,
+    at most :data:`DEFAULT_RETRY_ATTEMPTS` attempts in all.
 
-    The backoff delay (``base_delay * factor**k`` before attempt
-    ``k+2``) is charged to ``comm``'s virtual clock, so a fault-heavy
+    The backoff delay (:data:`DEFAULT_RETRY_BASE_DELAY` times
+    :data:`DEFAULT_RETRY_FACTOR` to the ``k`` before attempt ``k+2``)
+    is charged to ``comm``'s virtual clock, so a fault-heavy
     run is visibly slower than a clean one.  ``on_retry(attempt, exc)``
     fires for every *absorbed* error - the final, budget-exhausting
     error is not reported there; it escalates as
     :class:`RetriesExhaustedError` instead.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    delay = base_delay
-    for attempt in range(1, attempts + 1):
+    delay = DEFAULT_RETRY_BASE_DELAY
+    for attempt in range(1, DEFAULT_RETRY_ATTEMPTS + 1):
         try:
             return fn()
         except TransientIOError as exc:
-            if attempt == attempts:
-                raise RetriesExhaustedError(attempts, exc) from exc
+            if attempt == DEFAULT_RETRY_ATTEMPTS:
+                raise RetriesExhaustedError(attempt, exc) from exc
             shard = getattr(comm, "metrics", None)
             if shard is not None:
                 shard.inc("storage.retries")
             if on_retry is not None:
                 on_retry(attempt, exc)
             comm.advance(delay)
-            delay *= factor
+            delay *= DEFAULT_RETRY_FACTOR
     raise AssertionError("unreachable")

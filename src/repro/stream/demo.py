@@ -42,14 +42,23 @@ DEMO_CONFIG = MimirConfig(page_size=4096, comm_buffer_size=4096,
 
 # ------------------------------------------------------------- sources
 
-def make_doc_stream(*, nbatches: int = 6, docs_per_batch: int = 4,
-                    words_per_doc: int = 12, vocab: int = 40,
+#: Shape of the document stream: documents per batch, words per document.
+DOCS_PER_BATCH = 4
+WORDS_PER_DOC = 12
+#: Shape of the click stream: users, clicks per batch, and every how
+#: many clicks one is stamped in the past.
+CLICK_USERS = 6
+CLICKS_PER_BATCH = 10
+LATE_EVERY = 7
+
+
+def make_doc_stream(*, nbatches: int = 6, vocab: int = 40,
                     interval: float = 10.0, seed: int = 0) -> StreamSource:
     """A trickle of documents; event time = arrival time."""
     rng = random.Random(seed)
     pool = [f"w{i:03d}".encode() for i in range(vocab)]
-    docs = [b" ".join(rng.choice(pool) for _ in range(words_per_doc))
-            for _ in range(nbatches * docs_per_batch)]
+    docs = [b" ".join(rng.choice(pool) for _ in range(WORDS_PER_DOC))
+            for _ in range(nbatches * DOCS_PER_BATCH)]
     return doc_stream("docs", docs, nbatches=nbatches, interval=interval)
 
 
@@ -66,26 +75,25 @@ def make_edge_stream(*, scale: int = 6, edgefactor: int = 6,
                                              interval=interval)
 
 
-def make_click_stream(*, nusers: int = 6, nbatches: int = 6,
-                      clicks_per_batch: int = 10, interval: float = 30.0,
-                      late_every: int = 7, seed: int = 0) -> StreamSource:
+def make_click_stream(*, nbatches: int = 6, interval: float = 30.0,
+                      seed: int = 0) -> StreamSource:
     """Clickstream with genuinely late events.
 
     Most clicks carry an event time inside their batch's arrival
-    interval; every ``late_every``-th click is stamped one to two
+    interval; every :data:`LATE_EVERY`-th click is stamped one to two
     intervals in the past, landing behind the watermark once earlier
     windows have closed.
     """
     rng = random.Random(seed)
-    users = [f"user{i}".encode() for i in range(nusers)]
+    users = [f"user{i}".encode() for i in range(CLICK_USERS)]
     index = 0
     batches = []
     for i in range(nbatches):
         arrival = i * interval
         records = []
-        for j in range(clicks_per_batch):
+        for j in range(CLICKS_PER_BATCH):
             offset = rng.uniform(0.0, interval * 0.95)
-            if i >= 2 and late_every and (index + 1) % late_every == 0:
+            if i >= 2 and (index + 1) % LATE_EVERY == 0:
                 offset -= interval * rng.uniform(1.0, 2.0)
             event_ms = max(0, int((arrival + offset) * 1000))
             payload = (index, (rng.choice(users), event_ms,

@@ -277,6 +277,7 @@ class TestServeParser:
         ["--quota", "t=8:0"],
         ["--quota", "t=-1:2"],
         ["--quota", "t"],
+        ["--autoscale", "--autoscale-max", "0"],
     ])
     def test_bad_tenant_settings_exit_2(self, argv, capsys):
         # ``--duration`` bounds the daemon should a bad value get past.

@@ -348,11 +348,11 @@ class TestContainerCodec:
 # A scenario is ``(input bytes, job)``: ``job(env, batch, config)`` runs with
 # plain kernels or their ``@batch_kernel`` forms and returns one dict per rank.
 
-def run(data, job, batch, codec=None, nprocs=2, **knobs):
+def run(data, job, batch, codec=None, nprocs=2):
     """One run -> (rank-merged output, (elapsed, node peak, metric totals))."""
     cluster = Cluster(COMET, nprocs=nprocs)
     cluster.pfs.store("eq/in", data)
-    config = MimirConfig(page_size=2048, codec=codec, **knobs)
+    config = MimirConfig(page_size=2048, codec=codec)
     result = cluster.run(lambda env: job(env, batch, config))
     merged = {}
     for part in result.returns:
@@ -460,17 +460,6 @@ class TestAppEquivalence:
         plain = run(data, job, False)
         assert plain[0]
         assert run(data, job, True) == plain
-
-    def test_bucket_budget_flush_keeps_counts(self):
-        # The budget is checked once per emit *call*, so a bulk emit
-        # flushes at coarser points than the same records emitted one
-        # by one: counts match, the shuffle traffic need not.
-        job = wc_job(compress=True, partial=True)
-        unbounded = run(WORDS, job, False)[0]
-        for batch in (False, True):
-            counts, stats = run(WORDS, job, batch, combiner_bucket_budget=512)
-            assert counts == unbounded
-            assert stats[2]["core.combine.flushes"] > 0
 
     @pytest.mark.parametrize("data, job", [WC, TERASORT])
     def test_output_identical_across_forms_codecs_and_ranks(self, data, job):

@@ -248,26 +248,18 @@ class ScalarBucket:
             yield chunk
 
 
-def scalar_combine(calls, fn, overhead, budget, block):
+def scalar_combine(calls, fn, overhead, block):
     """The combiner, per record: what leaves for the shuffler, what is
     charged to the clock, and the bucket and tracker after every call."""
     tracker = MemoryTracker()
     bucket = ScalarBucket(tracker, overhead)
-    stream, charged, after = [], [], []
-
-    def flush():
-        charged.append(bucket.accounted_bytes
-                       - len(bucket.data) * overhead)
-        for chunk in bucket.drain(block):
-            stream.extend(chunk)
-
+    after = []
     for _, pairs in calls:
         for key, value in pairs:
             bucket.fold(key, value, fn)
-        if budget is not None and bucket.accounted_bytes > budget:
-            flush()
         after.append((tracker.current, list(bucket.data.items())))
-    flush()
+    charged = [bucket.accounted_bytes - len(bucket.data) * overhead]
+    stream = [pair for chunk in bucket.drain(block) for pair in chunk]
     return stream, charged, after, bucket.merged, tracker.peak
 
 
@@ -348,22 +340,20 @@ def emit_calls(draw, records):
 
 class TestAgainstScalarReference:
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), fold_cases(), st.integers(1, 9),
-           st.one_of(st.none(), st.integers(1, 400)))
-    def test_combiner(self, data, case, block, budget):
-        """Every emit kind x block boundaries x budget x fold form:
-        bucket contents and order and ``tracker.current`` after every
-        call, the drained stream, the compute charges, ``records_merged``,
-        the flush count and ``tracker.peak``."""
+    @given(st.data(), fold_cases(), st.integers(1, 9))
+    def test_combiner(self, data, case, block):
+        """Every emit kind x block boundaries x fold form: bucket
+        contents and order and ``tracker.current`` after every call,
+        the drained stream, the compute charge, ``records_merged`` and
+        ``tracker.peak``."""
         plain, fold, layout, records = case
         calls = data.draw(emit_calls(records))
-        config = MimirConfig(layout=layout, combiner_bucket_budget=budget)
         stream, charged, after, merged, peak = scalar_combine(
-            calls, plain, ENTRY_OVERHEAD, budget, block)
+            calls, plain, ENTRY_OVERHEAD, block)
 
         env, sink = StubEnv(), ListShuffler(layout)
         with small_blocks(block):
-            combiner = Combiner(env, config, fold, sink)
+            combiner = Combiner(env, fold, sink)
             for (kind, pairs), expected in zip(calls, after):
                 if kind == "emit":
                     (key, value), = pairs
@@ -385,7 +375,6 @@ class TestAgainstScalarReference:
         assert combiner.records_in == len(records)
         assert combiner.records_merged == merged == \
             env.counters["core.combine.merged"]
-        assert combiner.partial_flushes == len(charged) - 1
         assert env.tracker.peak == peak
         assert env.tracker.current == 0
 

@@ -65,9 +65,18 @@ def doc_commands(text: str) -> list[str]:
 
 class TestDesignInventory:
     def test_every_named_module_imports(self):
-        """Each `repro.x.y` dotted path named in DESIGN.md must exist."""
+        """Each `repro.x.y` dotted path named in DESIGN.md must exist,
+        and so must each `x.y` whose `x` is a repro subpackage (a
+        registered metric name such as `sched.rounds` is no module)."""
+        from repro.obs.registry import METRICS
+
         text = (ROOT / "DESIGN.md").read_text()
         modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", text))
+        packages = {path.parent.name
+                    for path in (ROOT / "src/repro").glob("*/__init__.py")}
+        modules |= {f"repro.{name}" for name in re.findall(
+            r"`([a-z_0-9]+(?:\.[a-z_0-9]+)+)`", text)
+            if name.split(".")[0] in packages and name not in METRICS}
         assert modules
         for dotted in sorted(modules):
             # The longest importable prefix must hold the rest as

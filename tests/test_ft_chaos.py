@@ -43,6 +43,9 @@ from repro.mpi import COMET, PFSModel, RankFailedError
 from repro.mpi.comm import SimComm
 from repro.storage import StorageBackend
 from repro.storage.errors import (
+    DEFAULT_RETRY_ATTEMPTS,
+    DEFAULT_RETRY_BASE_DELAY,
+    DEFAULT_RETRY_FACTOR,
     PFSFileNotFoundError,
     RetriesExhaustedError,
     TransientIOError,
@@ -97,12 +100,12 @@ class TestRetrying:
             return "ok"
 
         seen = []
-        value = retrying(comm, flaky, base_delay=0.5, factor=2.0,
-                         on_retry=lambda n, e: seen.append(n))
+        value = retrying(comm, flaky, on_retry=lambda n, e: seen.append(n))
         assert value == "ok"
         assert seen == [1, 2]
-        # Backoff 0.5 + 1.0 charged to the virtual clock.
-        assert comm.clock.time == pytest.approx(1.5)
+        # Two backoffs, the second one factor longer, on the clock.
+        assert comm.clock.time == pytest.approx(
+            DEFAULT_RETRY_BASE_DELAY * (1 + DEFAULT_RETRY_FACTOR))
 
     def test_exhaustion_escalates(self):
         comm = SimComm(0, 1)
@@ -111,8 +114,8 @@ class TestRetrying:
             raise TransientIOError("write", "f", 0)
 
         with pytest.raises(RetriesExhaustedError) as exc_info:
-            retrying(comm, always, attempts=3)
-        assert exc_info.value.attempts == 3
+            retrying(comm, always)
+        assert exc_info.value.attempts == DEFAULT_RETRY_ATTEMPTS
         # Not a TransientIOError: an outer retry must not swallow it.
         assert not isinstance(exc_info.value, TransientIOError)
 
@@ -315,6 +318,19 @@ class TestCheckpointIntegrity:
         assert totals.get("ft.checkpoint.restores", 0) == 0
         assert totals["ft.checkpoint.saves"] == 4    # 2 ranks, 2 runs
         assert totals["ft.checkpoint.invalid"] >= 1  # the stale files
+
+    def test_a_run_is_timed_as_if_alone_in_the_process(self):
+        """The default nonce's bytes are checkpoint bytes, so its run
+        number must count runs on the store, not in the process: the
+        same armed run on fresh clusters always reads what it reads in
+        a fresh process (pinned), whatever ran before it."""
+        elapsed = []
+        for _ in range(12):
+            cluster = make_wordcount_cluster(4)
+            cluster.chaos = ChaosPlan.random(8, 4, tags=CHAOS_TAGS)
+            elapsed.append(run_with_recovery(cluster, JOB, job_id="chaos",
+                                             max_restarts=12).total_elapsed)
+        assert elapsed == [1.3334395050666665] * 12
 
     def test_clear_is_collective(self):
         cluster = make_wordcount_cluster(4)

@@ -37,6 +37,7 @@ from repro.sched import (
     SchedJob,
     Scheduler,
 )
+from repro.sched.scheduler import MIN_SCALE_RANKS
 
 CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
@@ -83,9 +84,9 @@ class TestPolicyValidation:
             ElasticPolicy(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(min_ranks=0),
-        dict(min_ranks=8, max_ranks=4),
-        dict(jobs_per_rank=0),
+        dict(max_ranks=0),
+        dict(max_ranks=-1),
+        dict(max_ranks=0.5),
     ])
     def test_bad_scaling_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -105,10 +106,10 @@ class TestPolicyValidation:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, value):
-        # A NaN queue target crashed ``decide`` converting NaN to a
-        # gang size.
+        # With a NaN ceiling ``decide`` answered the floor however deep
+        # the queue (a 4-rank gang with 10 queued jobs shrank to 1).
         with pytest.raises(ValueError, match="finite"):
-            ScalingPolicy(jobs_per_rank=value)
+            ScalingPolicy(max_ranks=value)
 
 
 class TestStragglerMonitor:
@@ -144,9 +145,10 @@ class TestScalingDecisions:
         assert pol.decide(queue_depth=1, residency=0.1, nprocs=4) == 3
 
     def test_clamped_to_bounds(self):
-        pol = ScalingPolicy(min_ranks=2, max_ranks=4)
+        pol = ScalingPolicy(max_ranks=4)
         assert pol.decide(queue_depth=100, residency=0.9, nprocs=4) == 4
-        assert pol.decide(queue_depth=0, residency=0.0, nprocs=2) == 2
+        assert pol.decide(queue_depth=0, residency=0.0,
+                          nprocs=MIN_SCALE_RANKS) == MIN_SCALE_RANKS
 
 
 # --------------------------------------------------------- membership ops
@@ -734,26 +736,24 @@ class TestSchedulerScaling:
         return SchedJob(name, fn, footprint="300K", config=CFG)
 
     def test_deep_queue_grows_gang(self):
+        """One job a round: six queued jobs grow two ranks to the
+        ceiling, and the draining queue shrinks the gang a rank a round
+        down to the floor."""
         cluster = Cluster(COMET, nprocs=2, memory_limit="512K")
-        sched = Scheduler(cluster,
-                          scaling=ScalingPolicy(min_ranks=2, max_ranks=4,
-                                                jobs_per_rank=0.5))
-        for i in range(4):
+        sched = Scheduler(cluster, scaling=ScalingPolicy(max_ranks=4))
+        for i in range(6):
             sched.submit(self.make_job(f"j{i}"))
         report = sched.run()
-        assert all(report.outcome(f"j{i}").completed for i in range(4))
-        assert sched.scale_events, "queue pressure never scaled the gang"
-        assert all(2 <= n <= 4 for _, n in sched.scale_events)
-        assert cluster.nprocs > 2
-        # Jobs launched after the scale-up actually saw the wider gang.
-        sizes = {report.outcome(f"j{i}").returns[0] for i in range(4)}
-        assert max(sizes) > 2
+        assert all(report.outcome(f"j{i}").completed for i in range(6))
+        assert [n for _, n in sched.scale_events] == [3, 4, 3, 2, 1]
+        assert cluster.nprocs == MIN_SCALE_RANKS
+        # Each job ran on the gang its round was resized to.
+        assert [report.outcome(f"j{i}").returns[0]
+                for i in range(6)] == [3, 4, 4, 3, 2, 1]
 
     def test_scaling_counts_membership_metric(self):
         cluster = Cluster(COMET, nprocs=2, memory_limit="512K")
-        sched = Scheduler(cluster,
-                          scaling=ScalingPolicy(min_ranks=2, max_ranks=4,
-                                                jobs_per_rank=0.5))
+        sched = Scheduler(cluster, scaling=ScalingPolicy(max_ranks=4))
         for i in range(4):
             sched.submit(self.make_job(f"s{i}"))
         sched.run()

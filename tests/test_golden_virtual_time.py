@@ -53,7 +53,6 @@ from repro.apps.wordcount import (
     wc_combine,
     wc_map,
     wordcount_mrmpi,
-    wordcount_plan,
 )
 from repro.cluster import Cluster
 from repro.core import Mimir, MimirConfig, pack_u64, unpack_u64
@@ -150,20 +149,6 @@ def speculative_map_case():
         out = speculative_map(Mimir(env, config), "input/elastic_words.txt",
                               wc_map, policy=policy, combine_fn=wc_combine)
         return sorted(out.consume())
-
-    return observe(cluster, job)
-
-
-def bounded_combiner_case():
-    config = MimirConfig(page_size=2048, comm_buffer_size=2048,
-                         input_chunk_size=512, combiner_bucket_budget=1024)
-    cluster = Cluster(COMET, nprocs=3, memory_limit=None)
-    cluster.pfs.store("w.txt", uniform_text(1 << 14, vocab_size=300, seed=4))
-
-    def job(env):
-        result = wordcount_plan(env, "w.txt", config, compress=True,
-                                collect=True)
-        return sorted(result.counts.items())
 
     return observe(cluster, job)
 
@@ -324,7 +309,6 @@ CASES = {
     "join": join_case,
     "speculative_map": speculative_map_case,
     "inverted_index": inverted_index_case,
-    "bounded_combiner": bounded_combiner_case,
     "terasort_batch": partial(terasort_case, True),
     "terasort_per_record": partial(terasort_case, False),
     "out_of_core_reduce": partial(out_of_core_stage, "reduce"),
@@ -343,12 +327,6 @@ CASES = {
 #: ``(elapsed, summed tracked peak, alltoallv bytes, output digest)``,
 #: recorded with one emit routed at a time.
 PINNED = {
-    # The one case that moves, by design: the budget is checked once
-    # per emit call, and a staged block is one call.  One record per
-    # check gave ('0x1.67e8ca1f1c886p-2', 109064, 49742) and the
-    # same output.
-    'bounded_combiner': (
-        '0x1.566dbd44ec963p-2', 100872, 45738, '7760e230d8387071'),
     'fold_by_key': ('0x1.49801f836156cp-2', 94208, 83446, 'b64bc0c49a1d3e65'),
     'inverted_index': (
         '0x1.8acce79f05638p-2', 142106, 55494, '27aef264fc734cd0'),

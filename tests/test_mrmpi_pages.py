@@ -132,24 +132,3 @@ class TestBlockAppend:
         one_by_one, _ = with_env(lambda env: fill(env, False))
         assert one_by_one[4] > 128  # an oversized record went through
         assert with_env(lambda env: fill(env, True))[0] == one_by_one
-
-
-class TestWorldRankArgs:
-    def test_per_rank_arguments(self):
-        from repro.mpi import World
-
-        result = World(3).run(lambda comm, base, extra: base + extra,
-                              10, rank_args=[(1,), (2,), (3,)])
-        assert result.returns == [11, 12, 13]
-
-    def test_rank_args_length_checked(self):
-        from repro.mpi import World
-
-        with pytest.raises(ValueError):
-            World(3).run(lambda comm, x: x, rank_args=[(1,)])
-
-    def test_serial_rank_args(self):
-        from repro.mpi import World
-
-        result = World(1).run(lambda comm, x: x * 2, rank_args=[(21,)])
-        assert result.returns == [42]

@@ -340,20 +340,17 @@ def test_staged_emits_route_like_the_scalar_router(key_hint, val_hint, data,
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), fold_cases(), st.integers(1, 7),
-       st.one_of(st.none(), st.integers(1, 400)))
-def test_staged_emits_fold_like_the_scalar_combiner(data, case, block,
-                                                    budget):
-    """What the combiner drains, charges and peaks at, budget or not:
-    a staged block is one emit call, so one budget check."""
+@given(st.data(), fold_cases(), st.integers(1, 7))
+def test_staged_emits_fold_like_the_scalar_combiner(data, case, block):
+    """What the combiner drains, charges and peaks at when the map
+    context stages its emits in blocks."""
     plain, fold, layout, records = case
     calls = data.draw(interleavings(records))
-    config = MimirConfig(layout=layout, combiner_bucket_budget=budget)
     stream, charged, _, merged, peak = scalar_combine(
-        staged_calls(calls, block), plain, ENTRY_OVERHEAD, budget, block)
+        staged_calls(calls, block), plain, ENTRY_OVERHEAD, block)
     env, sink = StubEnv(), ListShuffler(layout)
     with small_blocks(block):
-        combiner = Combiner(env, config, fold, sink)
+        combiner = Combiner(env, fold, sink)
         drive_context(MapContext(combiner), calls, layout)
         combiner.finish()
     assert sink.pairs == stream

@@ -104,7 +104,7 @@ class TestEvictedBetweenJobs:
         make room for the second job, which reloads every edge of it."""
         cluster = Cluster(COMET, nprocs=2, memory_limit="256K")
         stage_inputs(cluster, graph_scale=5)
-        scheduler = Scheduler(cluster, reserve=0.0)
+        scheduler = Scheduler(cluster)
         config = replace(CFG, codec="zlib")
 
         def bfs(env, ctx):
@@ -112,10 +112,12 @@ class TestEvictedBetweenJobs:
 
         scheduler.submit(SchedJob("first", bfs, config=config))
         first = scheduler.run().outcome("first").returns
-        # A declared footprint of the whole budget: nothing may stay.
+        # A declared footprint of the whole limit: nothing may stay,
+        # and past the admission budget the job runs degraded.
         scheduler.submit(SchedJob("second", bfs, config=config,
                                   footprint="256K"))
-        assert scheduler.run().outcome("second").returns == first
+        second = scheduler.run().outcome("second")
+        assert second.degraded and second.returns == first
         assert [(c.stats.evictions, c.stats.reloads)
                 for c in scheduler.caches] == [(1, 1), (1, 1)]
         assert first == cluster.run(

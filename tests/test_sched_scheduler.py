@@ -99,15 +99,6 @@ class TestAdmission:
         assert outcome.completed and outcome.degraded
         assert report.ooms == 0
 
-    def test_non_degradable_oversized_job_runs_plain(self):
-        sched, _ = make_scheduler()
-        sched.submit(SchedJob("huge", alloc_job(1000, check_degraded=False),
-                              footprint="600K", degradable=False,
-                              config=CFG))
-        report = sched.run()
-        assert report.outcome("huge").completed
-        assert not report.outcome("huge").degraded
-
     def test_unlimited_memory_admits_everything(self):
         sched, _ = make_scheduler(memory_limit=None)
         for i in range(4):
@@ -308,8 +299,3 @@ class TestSubmission:
         sched.submit(lambda env, ctx: None, name="beta")
         log = sched.run().render_log()
         assert "alpha" in log and "beta" in log and "round" in log
-
-    def test_bad_reserve_rejected(self):
-        cluster = Cluster(COMET, nprocs=1, memory_limit="1M")
-        with pytest.raises(ValueError, match="reserve"):
-            Scheduler(cluster, reserve=1.0)

@@ -105,7 +105,7 @@ class TestFollowOverHTTP:
 class TestAutoscaling:
     def test_deep_queue_scales_the_gang_and_counts_events(self):
         cluster, daemon = make_daemon(
-            scaling=ScalingPolicy(max_ranks=8, jobs_per_rank=1.0))
+            scaling=ScalingPolicy(max_ranks=8))
         daemon.recover()
         daemon.put_input("t1", "words", WORDS)
         for _ in range(6):

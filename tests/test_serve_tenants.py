@@ -92,12 +92,6 @@ class TestSchedulerHooks:
         fresh_high = manager.priority_fn(job(priority=5), queued_rounds=0)
         assert old_low > fresh_high
 
-    def test_tenant_base_priority_weighs_in(self):
-        manager = TenantManager({"vip": TenantQuota(base_priority=10)})
-        vip = manager.priority_fn(job(tenant="vip"), queued_rounds=0)
-        pleb = manager.priority_fn(job(tenant="other"), queued_rounds=0)
-        assert vip - pleb == 10
-
     def test_install_wires_both_hooks(self):
         class FakeScheduler:
             admission_filter = None
