@@ -91,7 +91,6 @@ class Cluster:
     def __init__(self, platform: Platform, nprocs: int | None = None, *,
                  nodes: int = 1,
                  memory_limit: int | str | None = "auto",
-                 pfs: StorageBackend | None = None,
                  storage: str | None = None,
                  keep_timeline: bool = False,
                  chaos: Any = None,
@@ -107,14 +106,8 @@ class Cluster:
         self._limit = self._resolve_limit()
         # Ranks of one node contend for the node's PFS bandwidth.
         sharers = -(-self.nprocs // nodes)
-        if pfs is not None:
-            # An explicit backend object always wins (tests share one
-            # substrate across clusters this way).
-            self.pfs = pfs
-        else:
-            # ``storage`` spec, else REPRO_STORAGE_BACKEND, else "pfs".
-            self.pfs = make_backend(storage, platform=platform,
-                                    sharers=sharers)
+        # ``storage`` spec, else REPRO_STORAGE_BACKEND, else "pfs".
+        self.pfs = make_backend(storage, platform=platform, sharers=sharers)
         self.keep_timeline = keep_timeline
         #: Metrics registry shared by every launch on this cluster; the
         #: scheduler's multi-round drains accumulate into one registry,

@@ -37,6 +37,7 @@ without code changes.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import zlib
@@ -195,9 +196,9 @@ class ChaosPlan:
         self._rate_fired = 0
         self.injected: list[InjectedFault] = []
         for rank, factor in sorted(self.stragglers.items()):
-            if factor < 1.0:
-                raise ValueError(
-                    f"straggler factor must be >= 1, got {factor}")
+            if not 1.0 <= factor < math.inf:
+                raise ValueError(f"straggler factor of rank {rank} must be "
+                                 f"finite and >= 1, got {factor}")
             self.injected.append(InjectedFault(
                 "straggler", rank, "clock", f"x{factor:g}"))
 

@@ -22,13 +22,13 @@ runs on core's block routines, the out-of-core convert's router included.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator
+from itertools import chain, repeat
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core.batch import KMVBatch, KVBatch
+from repro.core.batch import KVBatch
 from repro.core.bucket import Bucket
 from repro.core.convert import (_group_partition, spill_partitions,
                                 split_by_dest)
@@ -132,47 +132,6 @@ class MRMPI:
         """Map over an in-memory iterable."""
         self._map_each(items, map_fn)
 
-    def map_kvs(self,
-                map_fn: Callable[[MapContext, bytes, bytes], None]) -> None:
-        """Map over the current KV object (multistage/iterative jobs)."""
-        self.env.comm.barrier()
-        old = self.kv
-        if old is None:
-            raise RuntimeError("map_kvs requires an existing KV object")
-        self.kv = None
-        kv = self._new_object("kv")
-        ctx = MapContext(ContainerSink(kv))
-        for batch in old.batches():
-            for key, value in batch.pairs_bytes():
-                map_fn(ctx, key, value)
-            if ctx._keys:
-                ctx._flush()
-        kv.finalize()
-        self.env.charge_compute(old.nbytes + kv.nbytes)
-        self._retire(old)
-        self.kv = kv
-
-    def add(self, other: "MRMPI") -> None:
-        """Append another MR object's KVs to this one (the library's
-        ``add``), used by multi-dataset workflows.  ``other`` keeps its
-        data."""
-        self.env.comm.barrier()
-        if self.kv is None:
-            raise RuntimeError("add requires an existing KV object")
-        if other.kv is None:
-            raise RuntimeError("the source MR object has no KV data")
-        copied = 0
-        for batch in other.kv.batches():
-            self.kv.extend_encoded(batch.data, batch.roff)
-            copied += batch.payload_bytes
-        self.env.charge_compute(copied)
-
-    def add_kv(self, key: bytes, value: bytes) -> None:
-        """Insert one KV directly (map-without-input workflows)."""
-        if self.kv is None:
-            self.kv = self._new_object("kv")
-        self.kv.append_kv(key, value)
-
     # ------------------------------------------------------ compress (cps)
 
     def compress(self, combine_fn: Callable[[bytes, bytes, bytes], bytes],
@@ -207,17 +166,78 @@ class MRMPI:
     # ----------------------------------------------------- aggregate phase
 
     def aggregate(self) -> None:
-        """All-to-all exchange with MR-MPI's seven-page staging.
+        """All-to-all exchange with MR-MPI's seven-page staging: records
+        go to rank ``partitioner(key, nprocs)``.
 
         Page complement: KV-out (held) + 2 partitioning temps + send +
         2 receive + convert-input (the new KV object) = 7.  The
         ``copied`` compute charge covers both redundant staging copies
         (map page -> send buffer, receive buffers -> new page).
+
+        Each round ships at most one page: the records that fit it, in
+        order, as byte slices of their chunk grouped by destination.  A
+        record larger than a page could never be sent, so the rank
+        holding one fails before the first round.
         """
-        self.env.comm.barrier()
-        if self.kv is None:
+        comm = self.env.comm
+        comm.barrier()
+        old = self.kv
+        if old is None:
             raise RuntimeError("aggregate requires an existing KV object")
-        self._aggregate_rounds(self.env.comm.size)
+        page_size = self.config.page_size
+        if old.oversized:
+            raise PageOverflowError(
+                f"{old.name} (a record of {old.oversized} bytes)", page_size,
+                "aggregate sends at most one page per round")
+        p = comm.size
+
+        temps = self._scratch(2, "mrmpi_agg_tmp")
+        send_pages = self._scratch(1, "mrmpi_agg_send")
+        recv_pages = self._scratch(2, "mrmpi_agg_recv")
+        received = self._new_object("kv")
+
+        keyed = ((batch, self._dests(batch, p)) for batch in old.batches())
+        (batch, dests), at = next(keyed, (None, None)), 0
+        copied = 0
+        while True:
+            parts: list[list[bytes]] = [[] for _ in range(p)]
+            room = page_size
+            while batch is not None:
+                roff = batch.roff
+                stop = int(np.searchsorted(roff, roff[at] + room, "right")) - 1
+                room -= int(roff[stop] - roff[at])
+                _, data, offs, runs = split_by_dest(batch, dests[at:stop], at)
+                for dest, first, last in runs:
+                    parts[dest].append(data[offs[first] : offs[last]])
+                at = stop
+                if at < len(batch):  # record ``at`` waits for a round
+                    break
+                (batch, dests), at = next(keyed, (None, None)), 0
+            exhausted = batch is None
+
+            incoming = b"".join(comm.alltoallv([b"".join(chunk)
+                                                for chunk in parts]))
+            copied += page_size - room + len(incoming)
+            received.extend_encoded(incoming)
+            if comm.all_true(exhausted):
+                break
+
+        received.finalize()
+        self.env.charge_compute(copied)
+        self._release(temps)
+        self._release(send_pages)
+        self._release(recv_pages)
+        self.kv = None
+        self._retire(old)
+        self.kv = received
+
+    def _dests(self, batch: KVBatch, nparts: int) -> np.ndarray:
+        keys = batch.keys_bytes()
+        return np.fromiter(
+            hash_partition(keys, nparts)
+            if self.partitioner is default_partitioner
+            else map(self.partitioner, keys, repeat(nparts)),
+            np.intp, len(batch))
 
     # ------------------------------------------------------- convert phase
 
@@ -284,7 +304,9 @@ class MRMPI:
         out = self._new_object("kv")
         ctx = ReduceContext(out)
         scanned = 0
-        for batch in self._kmv_batches(kmv):
+        batches = chain.from_iterable(iter_kmv_batches(self.layout, chunk)
+                                      for chunk in kmv.chunks())
+        for batch in batches:
             for key, values in batch:
                 reduce_fn(ctx, key, values)
             if ctx._keys:
@@ -296,180 +318,6 @@ class MRMPI:
         self.kmv = None
         self._retire(kmv)
         self.kv = out
-
-    def _kmv_batches(self, kmv: PagedObject) -> Iterator[KMVBatch]:
-        for chunk in kmv.chunks():
-            yield from iter_kmv_batches(self.layout, chunk)
-
-    # ----------------------------------------------- extended MR-MPI API
-
-    def collate(self) -> None:
-        """Aggregate followed by convert (the library's ``collate``)."""
-        self.aggregate()
-        self.convert()
-
-    def scan(self, fn: Callable[[bytes, bytes], None]) -> None:
-        """Apply ``fn`` to every KV without modifying the data."""
-        self.env.comm.barrier()
-        if self.kv is None:
-            raise RuntimeError("scan requires an existing KV object")
-        scanned = 0
-        for batch in self.kv.batches():
-            for key, value in batch.pairs_bytes():
-                fn(key, value)
-            scanned += batch.payload_bytes
-        self.env.charge_compute(scanned)
-
-    def scan_kmv(self, fn: Callable[[bytes, list[bytes]], None]) -> None:
-        """Apply ``fn`` to every KMV without modifying the data."""
-        self.env.comm.barrier()
-        if self.kmv is None:
-            raise RuntimeError("scan_kmv requires a KMV object")
-        for batch in self._kmv_batches(self.kmv):
-            for key, values in batch:
-                fn(key, values)
-
-    def gather(self, nranks: int) -> None:
-        """Concentrate all KVs onto the lowest ``nranks`` ranks.
-
-        MR-MPI's ``gather``: records move to rank ``hash % nranks`` so
-        a small group (often 1) holds everything, e.g. for final
-        output.  Uses the aggregate staging pages.
-        """
-        self.env.comm.barrier()
-        if not 1 <= nranks <= self.env.comm.size:
-            raise ValueError(
-                f"nranks must be in 1..{self.env.comm.size}, got {nranks}")
-        self._aggregate_rounds(nranks)
-
-    def broadcast_kvs(self, root: int = 0) -> None:
-        """Replicate the root rank's KVs on every rank."""
-        comm = self.env.comm
-        comm.barrier()
-        if self.kv is None:
-            raise RuntimeError("broadcast_kvs requires an existing KV object")
-        payload = b"".join(self.kv.chunks()) if comm.rank == root else b""
-        data = comm.bcast(payload, root=root)
-        old = self.kv
-        self.kv = None
-        self._retire(old)
-        fresh = self._new_object("kv")
-        fresh.extend_encoded(data)
-        fresh.finalize()
-        self.env.charge_compute(len(data))
-        self.kv = fresh
-
-    def sort_keys(self) -> None:
-        """Sort this rank's KVs by key (external sort when spilled)."""
-        self._sort(by_value=False)
-
-    def sort_values(self) -> None:
-        """Sort this rank's KVs by value."""
-        self._sort(by_value=True)
-
-    def _sort(self, by_value: bool) -> None:
-        """One stable sort of the KVs.  A spilled object sorts the
-        external way: each chunk is written to the PFS as a sorted run
-        and read back, and the stable sort of the runs, concatenated
-        in order, is their stable merge."""
-        from repro.core.sort import sorted_records  # on use, as in Mimir
-
-        self.env.comm.barrier()
-        old = self.kv
-        if old is None:
-            raise RuntimeError("sort requires an existing KV object")
-        scratch = self._scratch(2, "mrmpi_sort_tmp")
-        out = self._new_object("kv")
-        runs = old.batches()
-        if old.spilled:
-            writers = []
-            for i, batch in enumerate(list(runs)):
-                writers.append(SpillWriter(self.env.pfs, self.env.comm,
-                                           f"{old.name}_sortrun{i}"))
-                writers[-1].write_chunk(b"".join(sorted_records([batch],
-                                                                by_value)))
-            runs = [KVBatch(b"".join(writer.reader()), self.layout)
-                    for writer in writers]
-            for writer in writers:
-                writer.discard()
-        out.extend_encoded(b"".join(sorted_records(runs, by_value)))
-        out.finalize()
-        self.env.charge_compute(
-            2 * old.nbytes * max(1, (old.nbytes // self.config.page_size)
-                                 .bit_length()))
-        self._release(scratch)
-        self.kv = None
-        self._retire(old)
-        self.kv = out
-
-    def _dests(self, batch: KVBatch, nparts: int) -> np.ndarray:
-        keys = batch.keys_bytes()
-        return np.fromiter(
-            hash_partition(keys, nparts)
-            if self.partitioner is default_partitioner
-            else map(self.partitioner, keys, repeat(nparts)),
-            np.intp, len(batch))
-
-    def _aggregate_rounds(self, nparts: int) -> None:
-        """Shared data-movement core of ``aggregate`` and ``gather``:
-        records go to rank ``partitioner(key, nparts)``.
-
-        Each round ships at most one page: the records that fit it, in
-        order, as byte slices of their chunk grouped by destination.  A
-        record larger than a page could never be sent, so the rank
-        holding one fails before the first round.
-        """
-        old = self.kv
-        if old is None:
-            raise RuntimeError("no KV object to move")
-        page_size = self.config.page_size
-        if old.oversized:
-            raise PageOverflowError(
-                f"{old.name} (a record of {old.oversized} bytes)", page_size,
-                "aggregate sends at most one page per round")
-        comm = self.env.comm
-        p = comm.size
-
-        temps = self._scratch(2, "mrmpi_agg_tmp")
-        send_pages = self._scratch(1, "mrmpi_agg_send")
-        recv_pages = self._scratch(2, "mrmpi_agg_recv")
-        received = self._new_object("kv")
-
-        keyed = ((batch, self._dests(batch, nparts))
-                 for batch in old.batches())
-        (batch, dests), at = next(keyed, (None, None)), 0
-        copied = 0
-        while True:
-            parts: list[list[bytes]] = [[] for _ in range(p)]
-            room = page_size
-            while batch is not None:
-                roff = batch.roff
-                stop = int(np.searchsorted(roff, roff[at] + room, "right")) - 1
-                room -= int(roff[stop] - roff[at])
-                _, data, offs, runs = split_by_dest(batch, dests[at:stop], at)
-                for dest, first, last in runs:
-                    parts[dest].append(data[offs[first] : offs[last]])
-                at = stop
-                if at < len(batch):  # record ``at`` waits for a round
-                    break
-                (batch, dests), at = next(keyed, (None, None)), 0
-            exhausted = batch is None
-
-            incoming = b"".join(comm.alltoallv([b"".join(chunk)
-                                                for chunk in parts]))
-            copied += page_size - room + len(incoming)
-            received.extend_encoded(incoming)
-            if comm.all_true(exhausted):
-                break
-
-        received.finalize()
-        self.env.charge_compute(copied)
-        self._release(temps)
-        self._release(send_pages)
-        self._release(recv_pages)
-        self.kv = None
-        self._retire(old)
-        self.kv = received
 
     # -------------------------------------------------------------- output
 

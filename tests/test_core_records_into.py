@@ -77,44 +77,3 @@ def test_property_encode_into_equals_encode(key, value, offset):
     buf = bytearray(offset + layout.encoded_size(key, value))
     end = encode_into(layout, buf, offset, key, value)
     assert bytes(buf[offset:end]) == layout.encode(key, value)
-
-
-class TestMRMPIAdd:
-    def test_add_concatenates(self):
-        from repro.cluster import Cluster
-        from repro.mpi import COMET
-        from repro.mrmpi import MRMPI, MRMPIConfig
-
-        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
-        cfg = MRMPIConfig(page_size=8192)
-
-        def job(env):
-            a = MRMPI(env, cfg)
-            a.map_items([1, 2], lambda ctx, i: ctx.emit(b"a%d" % i, b"x"))
-            b = MRMPI(env, cfg)
-            b.map_items([3], lambda ctx, i: ctx.emit(b"b%d" % i, b"y"))
-            a.add(b)
-            keys = [k for k, _ in a.collect()]
-            a.free()
-            b.free()
-            return keys
-
-        result = cluster.run(job)
-        assert result.returns[0] == [b"a1", b"a2", b"b3"]
-
-    def test_add_kv_without_map(self):
-        from repro.cluster import Cluster
-        from repro.mpi import COMET
-        from repro.mrmpi import MRMPI, MRMPIConfig
-
-        cluster = Cluster(COMET, nprocs=1, memory_limit=None)
-
-        def job(env):
-            mr = MRMPI(env, MRMPIConfig(page_size=4096))
-            mr.add_kv(b"k", b"v")
-            mr.add_kv(b"k2", b"v2")
-            pairs = mr.collect()
-            mr.free()
-            return pairs
-
-        assert cluster.run(job).returns[0] == [(b"k", b"v"), (b"k2", b"v2")]

@@ -5,8 +5,9 @@ other caller used."""
 import pytest
 
 from repro.bench import calibrate
+from repro.cluster import Cluster
 from repro.core import skew, sort
-from repro.mpi import World
+from repro.mpi import COMET, World
 from repro.sched.scheduler import (
     MIN_SCALE_RANKS,
     RESERVE,
@@ -39,6 +40,7 @@ REMOVED = [
     (demo.make_click_stream, (), "late_every"),
     (skew.fold_by_key, (None,) * 5, "sample_records"),
     (calibrate.calibrate, (None,), "sample_bytes"),
+    (Cluster, (COMET, 1), "pfs"),
 ]
 
 

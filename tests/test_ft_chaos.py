@@ -39,7 +39,7 @@ from repro.ft.checkpoint import (
     unframe,
 )
 from repro.memory.tracker import MemoryLimitExceeded
-from repro.mpi import COMET, PFSModel, RankFailedError
+from repro.mpi import COMET, RankFailedError
 from repro.mpi.comm import SimComm
 from repro.storage import StorageBackend
 from repro.storage.errors import (
@@ -548,11 +548,8 @@ class TestChaosPlan:
         assert comm.clock.time == pytest.approx(4.0)
 
     def test_straggler_increases_job_elapsed(self):
-        pfs_model = PFSModel(latency=1e-4, bandwidth=1e6)
-
         def run(chaos):
             cluster = Cluster(COMET, nprocs=2, memory_limit=None,
-                              pfs=StorageBackend(pfs_model),
                               chaos=chaos)
             cluster.pfs.store(INPUT_PATH, CHAOS_TEXT)
             return cluster.run(
@@ -563,6 +560,13 @@ class TestChaosPlan:
         assert slow.elapsed > clean.elapsed
         assert global_counts(slow.returns) \
             == global_counts(clean.returns) == EXPECTED
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5])
+    def test_straggler_factor_must_be_finite_and_at_least_one(self, factor):
+        # A NaN factor passed ``factor < 1`` and made the whole job's
+        # elapsed NaN; an infinite one made it ``inf``.
+        with pytest.raises(ValueError, match=f"rank 1 .*got {factor}"):
+            ChaosPlan(stragglers={0: 2.0, 1: factor})
 
     def test_corruption_detected_and_recomputed(self):
         cluster = make_wordcount_cluster(2)

@@ -20,11 +20,10 @@ served apps (and the frozen benchmark's ``serve_mix``) run on are
 pinned by digest.
 
 The ``mrmpi_*`` cases pin the baseline every paper figure divides by,
-recorded while MR-MPI still appended, encoded, decoded, grouped and
-sorted one record at a time: its virtual time, pages and spill must
-not move when those loops run on core's block primitives.  Each rank
-also returns the ``total_spilled_bytes`` of every MR-MPI object it
-made.
+recorded while MR-MPI still appended, encoded, decoded and grouped one
+record at a time: its virtual time, pages and spill must not move when
+those loops run on core's block primitives.  Each rank also returns
+the ``total_spilled_bytes`` of every MR-MPI object it made.
 
 The ``terasort_*`` and ``out_of_core_*`` cases pin what a sort that
 can run out of core must leave alone: TeraSort's in-memory global sort
@@ -222,10 +221,9 @@ def out_of_core_stage(op, codec=None, text_bytes=256 * 1024):
 
 
 def mrmpi_case(run, config, nprocs=3):
-    """``run(env, cls, paths, config)`` over the demo inputs, where
-    ``cls`` is the MR-MPI class the apps see; every rank returns its
-    result and the ``total_spilled_bytes`` of each MR-MPI object it made
-    (the apps' own objects included)."""
+    """``run(env, paths, config)`` over the demo inputs; every rank
+    returns its result and the ``total_spilled_bytes`` of each MR-MPI
+    object the apps made."""
     cluster = Cluster(COMET, nprocs=nprocs, memory_limit=None)
     paths = stage_inputs(cluster, text_bytes=1 << 13, graph_scale=6,
                          npoints=512)
@@ -237,7 +235,7 @@ def mrmpi_case(run, config, nprocs=3):
             made.setdefault(env.comm.rank, []).append(self)
 
     def job(env):
-        result = run(env, Recorded, paths, config)
+        result = run(env, paths, config)
         return result, [mr.total_spilled_bytes
                         for mr in made.get(env.comm.rank, [])]
 
@@ -249,46 +247,25 @@ def mrmpi_case(run, config, nprocs=3):
 
 #: Holds every rank's data in one page: nothing spills.
 MRMPI_BIG = MRMPIConfig(page_size="64K", input_chunk_size=512)
-#: Several one-page rounds per exchange.
-MRMPI_CFG = MRMPIConfig(page_size="4K", input_chunk_size=512)
 #: Small enough that the map output and the aggregated KVs spill, so
 #: ``convert`` takes its out-of-core path.
 MRMPI_TINY = MRMPIConfig(page_size=512, input_chunk_size=256)
 
 
-def mrmpi_wordcount(env, cls, paths, config, **opts):
+def mrmpi_wordcount(env, paths, config, **opts):
     return wordcount_mrmpi(env, paths["wordcount"], config, collect=True,
                            **opts)
 
 
-def mrmpi_octree(env, cls, paths, config):
+def mrmpi_octree(env, paths, config):
     result = octree_mrmpi(env, paths["octree"], config, density=0.01,
                           compress=True)
     assert result.levels_run >= 2
     return result
 
 
-def mrmpi_bfs(env, cls, paths, config):
+def mrmpi_bfs(env, paths, config):
     return bfs_mrmpi(env, paths["bfs"], config, keep_parents=True)
-
-
-def mrmpi_sort_keys(env, cls, paths, config):
-    mr = cls(env, config)
-    mr.map_text_file(paths["wordcount"], wc_map)
-    assert mr.kv.spilled
-    mr.sort_keys()
-    pairs = mr.collect()
-    mr.free()
-    return pairs
-
-
-def mrmpi_gather(env, cls, paths, config):
-    mr = cls(env, config)
-    mr.map_text_file(paths["wordcount"], wc_map)
-    mr.gather(1)
-    pairs = mr.collect()
-    mr.free()
-    return pairs
 
 
 MRMPI_CASES = {
@@ -299,8 +276,6 @@ MRMPI_CASES = {
         mrmpi_case, partial(mrmpi_wordcount, compress=True), MRMPI_TINY),
     "mrmpi_octree_compress": partial(mrmpi_case, mrmpi_octree, MRMPI_TINY),
     "mrmpi_bfs": partial(mrmpi_case, mrmpi_bfs, MRMPI_TINY),
-    "mrmpi_sort_keys": partial(mrmpi_case, mrmpi_sort_keys, MRMPI_TINY),
-    "mrmpi_gather": partial(mrmpi_case, mrmpi_gather, MRMPI_CFG),
 }
 
 
@@ -370,11 +345,8 @@ PINNED = {
     # MR-MPI, recorded with one record appended, encoded and decoded at
     # a time.
     'mrmpi_bfs': ('0x1.ae5fbcd9c055ap+0', 24000, 46752, '374c53524b96bd23'),
-    'mrmpi_gather': (
-        '0x1.442063f4d1919p+0', 86016, 25740, '576217d22254b862'),
     'mrmpi_octree_compress': (
         '0x1.92266240599b9p+0', 10752, 15525, '94ea86866265b99b'),
-    'mrmpi_sort_keys': ('0x1.439e61c70c09cp+0', 6144, 0, 'f6aaa8c39553296e'),
     'mrmpi_wordcount': (
         '0x1.7ef5824322ee3p-3', 1376256, 25740, 'b4d29472a765c714'),
     'mrmpi_wordcount_compress': (

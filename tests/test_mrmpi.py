@@ -1,5 +1,6 @@
 """MR-MPI baseline: correctness, page discipline, spill modes."""
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -202,31 +203,6 @@ class TestLifecycle:
 
         cluster.run(job)
 
-    def test_map_kvs_multistage(self):
-        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
-        cluster.pfs.store("input.txt", TEXT)
-
-        def job(env):
-            mr = MRMPI(env, BIG_PAGES)
-            mr.map_text_file("input.txt", wc_map)
-            mr.aggregate()
-            mr.convert()
-            mr.reduce(wc_reduce)
-            # Second stage: histogram of counts.
-            mr.map_kvs(lambda ctx, k, v: ctx.emit(v, pack_u64(1)))
-            mr.aggregate()
-            mr.convert()
-            mr.reduce(wc_reduce)
-            out = {unpack_u64(k): unpack_u64(v) for k, v in mr.collect()}
-            mr.free()
-            return out
-
-        result = cluster.run(job)
-        merged = {}
-        for part in result.returns:
-            merged.update(part)
-        assert merged == dict(Counter(EXPECTED.values()))
-
     def test_collect_empty_when_no_kv(self):
         cluster = Cluster(COMET, nprocs=1, memory_limit=None)
         cluster.run(lambda env: MRMPI(env, BIG_PAGES).collect() == [])
@@ -272,3 +248,23 @@ class TestEmitForms:
         expected = self.run(wc_map)
         assert any(spilled for _, spilled in expected[0])
         assert self.run(map_fn) == expected
+
+
+class TestSurface:
+    """The baseline keeps the phases the paper's comparisons run
+    (WordCount, octree clustering and BFS): none of the C++ library's
+    other calls."""
+
+    PHASES = {"map_text_file", "map_binary_file", "map_items", "compress",
+              "aggregate", "convert", "reduce", "collect", "free"}
+    GONE = ("map_kvs", "add", "add_kv", "collate", "scan", "scan_kmv",
+            "gather", "broadcast_kvs", "sort_keys", "sort_values", "_sort")
+
+    def test_public_methods_are_the_compared_phases(self):
+        public = {name for name, _ in inspect.getmembers(
+            MRMPI, inspect.isfunction) if not name.startswith("_")}
+        assert public == self.PHASES
+
+    @pytest.mark.parametrize("name", GONE)
+    def test_extended_api_is_gone(self, name):
+        assert not hasattr(MRMPI, name)
