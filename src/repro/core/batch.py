@@ -18,7 +18,7 @@ loop over the batch, so user code never has to change.
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,6 +67,11 @@ class KVBatch:
     """
 
     __slots__ = ("data", "layout", "roff", "koff", "kend", "voff", "vend")
+
+    #: A :class:`FrameBatch`'s columns; ``None`` for a packed run.  An
+    #: attribute, not ``isinstance``, so telling the two apart costs a
+    #: reader no call.
+    frame = None
 
     def __init__(self, buf, layout: KVLayout, end: int | None = None):
         if not isinstance(buf, bytes) or end not in (None, len(buf)):
@@ -143,6 +148,63 @@ class KVBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KVBatch(nrecords={len(self)}, nbytes={self.nbytes})"
+
+
+class Frame(NamedTuple):
+    """A dedup frame read as columns (:meth:`KVDedupCodec.read
+    <repro.core.codec.KVDedupCodec.read>`): the key dictionary, in
+    first-seen order, as ``body[koff[k]:][:klen[k]]``, and record ``i``
+    as key ``ids[i]`` and value ``body[voff[i]:][:vlen[i]]``.  Every
+    column is int32 and ``body`` is the frame's decompressed bytes."""
+
+    body: bytes
+    koff: np.ndarray
+    klen: np.ndarray
+    ids: np.ndarray
+    voff: np.ndarray
+    vlen: np.ndarray
+
+
+class FrameBatch(KVBatch):
+    """A dedup-framed run held as its :class:`Frame`, unpacked.
+
+    A reader that knows the frame (convert) takes its columns and never
+    has the records built.  To any other reader it is the
+    :class:`KVBatch` of the run the frame encodes: the first read of
+    ``data`` packs the records with :meth:`KVLayout.pack
+    <repro.core.records.KVLayout.pack>` a block at a time, and the
+    first read of an offset column scans them.
+    """
+
+    __slots__ = ("frame",)
+
+    def __init__(self, frame: Frame, layout: KVLayout):
+        self.frame, self.layout = frame, layout
+
+    def __getattr__(self, name: str):
+        # Only reached while the slot ``name`` is unset.
+        if name == "data":
+            body, koff, klen, ids, voff, vlen = self.frame
+            self.data = b"".join([
+                self.layout.pack(body, koff[ids[lo : lo + BLOCK]],
+                                 klen[ids[lo : lo + BLOCK]],
+                                 voff[lo : lo + BLOCK], vlen[lo : lo + BLOCK])
+                for lo in range(0, len(ids), BLOCK)])
+        elif name in ("roff", "koff", "kend", "voff", "vend"):
+            self.roff, self.koff, self.kend, self.voff, self.vend = \
+                self.layout.scan(self.data)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self.frame.ids)
+
+    @property
+    def payload_bytes(self) -> int:
+        frame = self.frame
+        return int(frame.klen[frame.ids].sum(dtype=np.int64) +
+                   frame.vlen.sum(dtype=np.int64))
 
 
 class KMVBatch:

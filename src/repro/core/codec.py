@@ -28,13 +28,16 @@ from itertools import islice
 
 import numpy as np
 
-from repro.core.batch import KVBatch
+from repro.core.batch import Frame, FrameBatch, KVBatch
 from repro.core.bucket import group_run
 from repro.core.errors import ConfigError
 from repro.core.records import BLOCK, KVLayout, byte_ranges
 
 _RAW = b"\x00"
 _ENCODED = b"\x01"
+
+#: DEFLATE level of :class:`ZlibCodec`: zlib's default, a constant.
+ZLIB_LEVEL = 6
 
 
 #: A varint carries 7 bits per byte, low group first, with the high bit
@@ -94,22 +97,32 @@ class Codec:
     #: Registry spec; subclasses override.
     name = "identity"
 
-    def encode(self, data: bytes) -> bytes:  # pragma: no cover - abstract
+    def encode(self, data: bytes, scan=None) -> bytes:  # pragma: no cover
+        """Encode the run ``data``; ``scan()``, if given, is its
+        :class:`~repro.core.batch.KVBatch`, for a stage that reads the
+        run's offset columns (the caller counts records from it)."""
         raise NotImplementedError
 
     def decode(self, data: bytes) -> bytes:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def read(self, data: bytes) -> "bytes | FrameBatch":
+        """:meth:`decode`, except that a dedup stage's output stays its
+        :class:`~repro.core.batch.FrameBatch`, unpacked."""
+        return self.decode(data)
+
     # ------------------------------------------------------------ framing
 
-    def encode_frame(self, data: bytes) -> bytes:
+    def encode_frame(self, data: bytes, scan=None) -> bytes:
         """Encode with the skip-if-bigger guard; never grows by > 1 byte."""
-        body = self.encode(data)
+        body = self.encode(data, scan)
         if len(body) >= len(data):
             return _RAW + data
         return _ENCODED + body
 
-    def decode_frame(self, frame) -> bytes:
+    def read_frame(self, frame) -> "bytes | FrameBatch":
+        """The run a frame holds: packed records, or a dedup frame's
+        :class:`~repro.core.batch.FrameBatch` (:meth:`read`)."""
         if isinstance(frame, memoryview):
             frame = bytes(frame)
         if not frame:
@@ -118,20 +131,23 @@ class Codec:
         if flag == _RAW:
             return bytes(body)
         if flag == _ENCODED:
-            return self.decode(bytes(body))
+            return self.read(bytes(body))
         raise ValueError(f"bad codec frame flag {flag!r}")
+
+    def decode_frame(self, frame) -> bytes:
+        """The packed records a frame holds."""
+        run = self.read_frame(frame)
+        return run if run.__class__ is bytes else run.data
 
 
 class ZlibCodec(Codec):
-    """DEFLATE the packed run (the paper's general-purpose baseline)."""
+    """DEFLATE the packed run (the paper's general-purpose baseline),
+    at :data:`ZLIB_LEVEL`."""
 
     name = "zlib"
 
-    def __init__(self, level: int = 6):
-        self.level = level
-
-    def encode(self, data: bytes) -> bytes:
-        return zlib.compress(data, self.level)
+    def encode(self, data: bytes, scan=None) -> bytes:
+        return zlib.compress(data, ZLIB_LEVEL)
 
     def decode(self, data: bytes) -> bytes:
         try:
@@ -147,10 +163,11 @@ class KVDedupCodec(Codec):
     key bytes | varint nrecords``, keys numbered in first-seen order,
     then per :data:`~repro.core.records.BLOCK` records ``varint key
     indexes | varint value lengths | value bytes``.  Each side is a few
-    column passes per block; decoding rebuilds the records with
-    :meth:`KVLayout.pack <repro.core.records.KVLayout.pack>`, so the
-    output is the exact original run (containers and the shuffle only
-    ever store ``layout.encode`` output).
+    column passes per block.  :meth:`read` is the one frame parser: it
+    hands the frame out as int32 columns over its bytes, and decoding
+    is :meth:`KVLayout.pack <repro.core.records.KVLayout.pack>` over
+    them, so the output is the exact original run (containers and the
+    shuffle only ever store ``layout.encode`` output).
     """
 
     name = "dedup"
@@ -158,8 +175,8 @@ class KVDedupCodec(Codec):
     def __init__(self, layout: KVLayout):
         self.layout = layout
 
-    def encode(self, data: bytes) -> bytes:
-        batch = KVBatch(data, self.layout)
+    def encode(self, data: bytes, scan=None) -> bytes:
+        batch = KVBatch(data, self.layout) if scan is None else scan()
         flat = np.frombuffer(batch.data, np.uint8)
         index: dict[bytes, int] = {}
         keys = batch.keys_bytes()
@@ -176,26 +193,42 @@ class KVDedupCodec(Codec):
         return b"".join([_varints([len(index)]), *klens, *kbytes,
                          _varints([len(batch)]), *body])
 
-    def decode(self, data: bytes) -> bytes:
+    def read(self, data: bytes) -> FrameBatch:
+        """The frame ``data`` as a batch over its
+        :class:`~repro.core.batch.Frame`.  Its structure is checked here
+        (a typed ``ValueError``), its fields when they are packed.  It
+        is read a block at a time into int32 columns, so the
+        temporaries stay those of one block."""
         end = len(data)
         (nkeys,), offset = _read_varints(data, 0, 1)
         klen, offset = _read_varints(data, offset, int(nkeys))
         koff, offset = _byte_column(klen, offset, end)
         (nrecords,), offset = _read_varints(data, offset, 1)
-        parts = []
+        # A record takes at least a key index and a value length byte.
+        if 2 * nrecords > end - offset:
+            raise ValueError(f"truncated varint column at offset {offset}")
+        # Three arrays, not one: pass one of convert keeps ``voff``.
+        ids, voff, vlen = (np.empty(int(nrecords), np.int32)
+                           for _ in range(3))
         for lo in range(0, int(nrecords), BLOCK):
-            ids, offset = _read_varints(data, offset, min(BLOCK, nrecords - lo))
-            if ids.max() >= nkeys:
-                raise ValueError(f"key index {ids.max()} in a frame of "
+            hi = min(lo + BLOCK, int(nrecords))
+            block, offset = _read_varints(data, offset, hi - lo)
+            if block.max() >= nkeys:
+                raise ValueError(f"key index {block.max()} in a frame of "
                                  f"{nkeys} keys")
-            vlen, offset = _read_varints(data, offset, len(ids))
-            voff, offset = _byte_column(vlen, offset, end)
-            parts.append(self.layout.pack(data, koff[ids], klen[ids],
-                                          voff, vlen))
+            ids[lo:hi] = block
+            lens, offset = _read_varints(data, offset, hi - lo)
+            starts, offset = _byte_column(lens, offset, end)
+            voff[lo:hi], vlen[lo:hi] = starts, lens
         if offset != end:
             raise ValueError(f"{end - offset} trailing bytes after the "
                              f"last record")
-        return b"".join(parts)
+        return FrameBatch(Frame(data, koff.astype(np.int32),
+                                klen.astype(np.int32), ids, voff, vlen),
+                          self.layout)
+
+    def decode(self, data: bytes) -> bytes:
+        return self.read(data).data
 
 
 class ChainCodec(Codec):
@@ -207,8 +240,9 @@ class ChainCodec(Codec):
         self.stages = list(stages)
         self.name = "+".join(stage.name for stage in self.stages)
 
-    def encode(self, data: bytes) -> bytes:
-        for stage in self.stages:
+    def encode(self, data: bytes, scan=None) -> bytes:
+        data = self.stages[0].encode(data, scan)
+        for stage in self.stages[1:]:
             data = stage.encode(data)
         return data
 
@@ -216,6 +250,11 @@ class ChainCodec(Codec):
         for stage in reversed(self.stages):
             data = stage.decode(data)
         return data
+
+    def read(self, data: bytes) -> "bytes | FrameBatch":
+        for stage in reversed(self.stages[1:]):
+            data = stage.decode(data)
+        return self.stages[0].read(data)
 
 
 #: Specs accepted by ``MimirConfig.codec``.

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.cluster import RankEnv
-from repro.core.batch import KMVBatch, KVBatch
+from repro.core.batch import KMVBatch, KVBatch, iter_slices
 from repro.core.bucket import ENTRY_OVERHEAD, Bucket, group_run
 from repro.core.config import MimirConfig
 from repro.core.kmvcontainer import KMVContainer
@@ -45,7 +45,8 @@ def convert_to_kmv(env: RankEnv, kvc: KVContainer, config: MimirConfig,
     kmvc = KMVContainer(env.tracker, kvc.layout, config.page_size, tag=tag)
     kmvc.reserve_run(list(sizes.index), counts, totals)
 
-    # Pass 2: fill values while releasing KV pages (and their columns).
+    # Pass 2: fill values while releasing KV pages (and their columns),
+    # from the runs pass one indexed.
     scanned = 0
     for chunk in kvc.consume_chunks():
         payload, voff, vend, groups = pages.pop()
@@ -63,8 +64,16 @@ def _group_page(sizes: Bucket, batch: KVBatch):
 
     Returns the page's payload bytes and what pass two needs of it, so
     the page is never scanned again: where its values are and which
-    group (slot) each belongs to.
+    group (slot) each belongs to.  A frozen dedup page
+    (:class:`~repro.core.batch.FrameBatch`) enters its key dictionary
+    once, in first-seen order - the order its records bring the keys -
+    and its values are where the frame holds them.
     """
+    if (frame := batch.frame) is not None:
+        slots = sizes.enter_run(list(iter_slices(
+            frame.body, frame.koff, frame.koff + frame.klen)))
+        return (batch.payload_bytes, frame.voff, frame.voff + frame.vlen,
+                slots.astype(np.int32)[frame.ids])
     keys = batch.keys_bytes()
     groups = np.empty(len(batch), np.int32)
     for lo in range(0, len(batch), BLOCK):

@@ -230,8 +230,9 @@ class KMVContainer:
         return self.reserve_run([key], [nvalues], [total_value_bytes])
 
     def fill_run(self, slots: np.ndarray, buf: bytes, voff, vend) -> None:
-        """Fill the next value of ``slots[i]`` with ``buf[voff[i]:vend[i]]``
-        (and its NUL, for CSTRING).
+        """Fill the next value of ``slots[i]`` with ``buf[voff[i]:vend[i]]``;
+        a CSTRING value's NUL is the zero its page starts as, so ``buf``
+        need not hold one.
 
         Records are taken in runs of up to ``8 * BLOCK`` (one stock KV
         page).  Per run, a stable sort by slot makes each slot's values
@@ -266,7 +267,7 @@ class KMVContainer:
                 self._lens[ids] += 4 * nvals
             self._store(np.repeat(self._slot_page[ids], nvals),
                         before + np.repeat(at - before[firsts], nvals),
-                        Fields(src, starts, moved), lengths)
+                        Fields(src, starts, lens), lengths)
 
     def append_value(self, slot_id: int, value: bytes) -> None:
         """Fill the next value of a reserved record."""

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.core.batch import KVBatch
+from repro.core.batch import FrameBatch, KVBatch
 from repro.core.errors import RecordTooLargeError
 from repro.core.records import KVLayout
 from repro.memory.pages import Page, PagePool
@@ -110,11 +110,19 @@ class KVContainer:
         """Compress the filled tail page into an immutable segment."""
         # Charge the frame while the page is still held.  Out of core,
         # older data spills first until the frame fits; when none is
-        # left, the page itself spills (framed on the way out).
+        # left, the page itself spills as this frame.
         page = self.pages[-1]
-        self._count(page)
-        raw_len = page.used
-        frame = self._codec.encode_frame(bytes(page.view))
+        raw_len, data = page.used, bytes(page.view)
+
+        def scan() -> KVBatch:
+            # The page's one scan: it counts the page and is the
+            # codec's columns, dropped before any later stage runs.
+            batch = KVBatch(data, self.layout)
+            self._count(page, batch.roff)
+            return batch
+
+        frame = self._codec.encode_frame(data, scan)
+        self._count(page)  # when no stage scanned
         env = self._codec_env
         if env is not None:
             from repro.core.codec import note_encode
@@ -123,19 +131,24 @@ class KVContainer:
             env.charge_compute(raw_len)
         while self._spill_env is not None and not self.pins and \
                 not self.pool.tracker.would_fit(len(frame)):
-            self._spill_front()
-            if not self.pages:
+            if not self._frozen and self.pages[0] is page:
+                self._writer().write_encoded(frame)
+                self.pool.release(self.pages.pop())
                 return
+            self._spill_front()
         self.pool.tracker.allocate(len(frame), self.tag)
         self._frozen.append(_FrozenSegment(frame, raw_len))
         self.pool.release(self.pages.pop())
 
-    def _thaw(self, segment: _FrozenSegment) -> bytes:
-        raw = self._codec.decode_frame(segment.payload)
+    def _thaw(self, segment: _FrozenSegment) -> "bytes | FrameBatch":
+        """A segment's run (:meth:`Codec.read_frame
+        <repro.core.codec.Codec.read_frame>`): packed records, or a
+        dedup frame's columns."""
+        run = self._codec.read_frame(segment.payload)
         env = self._codec_env
         if env is not None:
             env.charge_compute(segment.raw_len)
-        return raw
+        return run
 
     # -------------------------------------------------------- out-of-core
 
@@ -158,24 +171,28 @@ class KVContainer:
                 (self._over_budget() or not self.pool.would_fit()):
             self._spill_front()
 
-    def _spill_front(self) -> None:
+    def _writer(self):
         from repro.io.spill import SpillWriter
 
-        env = self._spill_env
-        assert env is not None
         if self._spill_writer is None:
+            env = self._spill_env
             KVContainer._spill_seq += 1
             self._spill_writer = SpillWriter(
                 env.pfs, env.comm, f"kvc_{self.tag}_{KVContainer._spill_seq}",
                 codec=self._codec)
+        return self._spill_writer
+
+    def _spill_front(self) -> None:
+        assert self._spill_env is not None
+        writer = self._writer()
         if self._frozen:
             segment = self._frozen.pop(0)
-            self._spill_writer.write_encoded(segment.payload)
+            writer.write_encoded(segment.payload)
             self.pool.tracker.free(len(segment.payload), self.tag)
         else:
             page = self.pages.pop(0)
             self._count(page)
-            self._spill_writer.write_chunk(page.view)
+            writer.write_chunk(page.view)
             self.pool.release(page)
 
     def spill(self) -> None:
@@ -235,10 +252,12 @@ class KVContainer:
                 self._tail_page(layout.record_end(buf, start, roff) - start)
         self.nbytes += end
 
-    def _count(self, page: Page) -> None:
-        """Count what was copied into ``page`` unwalked, if anything."""
+    def _count(self, page: Page, roff=None) -> None:
+        """Count what was copied into ``page`` unwalked, if anything
+        (a search of ``roff``, its record offsets, if known)."""
         if (mark := self._unwalked.pop(page, None)) is not None:
-            stop, n = self.layout.fit(page.data, mark, page.used - mark)
+            stop, n = self.layout.fit(page.data, mark, page.used - mark,
+                                      roff)
             if stop != page.used:
                 raise ValueError(f"malformed record at page offset {stop}")
             self.nrecords += n
@@ -248,12 +267,15 @@ class KVContainer:
     def batches(self) -> Iterator[KVBatch]:
         """Non-destructive batch iteration: one :class:`KVBatch` per
         spilled chunk, frozen segment, or resident page, in record
-        order."""
+        order.  A dedup-framed segment comes as its
+        :class:`~repro.core.batch.FrameBatch`: unpacked, unscanned."""
         if self._spill_writer is not None:
             for chunk in self._spill_writer.reader():
                 yield KVBatch(chunk, self.layout)
         for segment in self._frozen:
-            yield KVBatch(self._thaw(segment), self.layout)
+            run = self._thaw(segment)
+            yield run if run.__class__ is FrameBatch else \
+                KVBatch(run, self.layout)
         for page in self.pages:
             yield KVBatch(page.data, self.layout, page.used)
 
@@ -262,11 +284,13 @@ class KVContainer:
         run the container holds, whichever tier holds it, as ``bytes``
         in record order.  The one way a container's records leave it
         for storage (checkpoints, cache eviction); allowed while
-        pinned.  Nothing is scanned: the runs leave as they are held."""
+        pinned.  Nothing is scanned: the runs leave as they are held,
+        a dedup-framed segment packed."""
         if self._spill_writer is not None:
             yield from self._spill_writer.reader()
         for segment in self._frozen:
-            yield self._thaw(segment)
+            run = self._thaw(segment)
+            yield run if run.__class__ is bytes else run.data
         for page in self.pages:
             yield bytes(page.view)
 
@@ -280,41 +304,54 @@ class KVContainer:
         return chain.from_iterable(map(KVBatch.pairs_bytes, self.batches()))
 
     def consume_batches(self) -> Iterator[KVBatch]:
-        """Destructive batch iteration: backing storage is freed as
-        each batch is left behind.  Refused while pinned."""
-        return (KVBatch(chunk, self.layout)
-                for chunk in self.consume_chunks())
+        """Destructive twin of :meth:`batches`: backing storage is freed
+        as each batch is left behind.  Refused while pinned."""
+        self._check_unpinned("consume")
+        return self._consume(True)
 
     def consume_chunks(self) -> Iterator[bytes]:
-        """Destructive iteration over the packed runs themselves (a
-        spilled chunk, a thawed segment or a page's records, as
-        ``bytes``), unscanned: for a reader that already knows the
-        record boundaries.  Storage is freed as each run is left
-        behind.  Refused while pinned."""
+        """Destructive iteration over the runs :meth:`batches` indexes,
+        as ``bytes`` and unscanned: a spilled chunk's or a page's
+        records, a frozen segment's thawed run - its packed records, or
+        a dedup frame's body, which the
+        :class:`~repro.core.batch.FrameBatch` of :meth:`batches`
+        indexes.  For a reader that already holds the offsets (convert).
+        Storage is freed as each run is left behind.  Refused while
+        pinned."""
+        self._check_unpinned("consume")
+        return self._consume(False)
+
+    def _check_unpinned(self, action: str) -> None:
         if self.pins:
             raise RuntimeError(
-                f"cannot consume pinned container {self.tag!r} "
+                f"cannot {action} pinned container {self.tag!r} "
                 f"({self.pins} pins held)")
-        return self._consume_chunks()
 
-    def _consume_chunks(self) -> Iterator[bytes]:
+    def _consume(self, batches: bool) -> Iterator:
+        layout = self.layout
         if self._spill_writer is not None:
             reader = self._spill_writer.reader()
             try:
-                yield from reader
+                for chunk in reader:
+                    yield KVBatch(chunk, layout) if batches else chunk
             finally:
                 self._spill_writer.discard()
                 self._spill_writer = None
         while self._frozen:
             segment = self._frozen.pop(0)
             try:
-                yield self._thaw(segment)
+                run = self._thaw(segment)
+                if run.__class__ is FrameBatch:
+                    yield run if batches else run.frame.body
+                else:
+                    yield KVBatch(run, layout) if batches else run
             finally:
                 self.pool.tracker.free(len(segment.payload), self.tag)
         while self.pages:
             page = self.pages.pop(0)
             try:
-                yield bytes(page.view)
+                yield KVBatch(page.data, layout, page.used) if batches \
+                    else bytes(page.view)
             finally:
                 consumed_bytes = page.used
                 self.pool.release(page)
@@ -346,10 +383,7 @@ class KVContainer:
 
     def free(self) -> None:
         """Release every page and any spill file.  Refused while pinned."""
-        if self.pins:
-            raise RuntimeError(
-                f"cannot free pinned container {self.tag!r} "
-                f"({self.pins} pins held)")
+        self._check_unpinned("free")
         while self.pages:
             self.pool.release(self.pages.pop())
         while self._frozen:

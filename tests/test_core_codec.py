@@ -7,12 +7,14 @@ import time
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CODEC_SPECS, CSTRING, VARIABLE, KVLayout, get_codec, \
     pack_u64
+from repro.core.batch import FrameBatch
 from repro.core.codec import _read_varints, _varints
 from repro.core.records import BLOCK
 from repro.datasets import zipf_text
@@ -158,12 +160,15 @@ def decoded_or_typed_error(spec, layout, frame):
     """Decode a hostile frame: a ``ValueError`` or a run, never another
     exception.  A dedup stage only decodes to records ``scan`` accepts;
     raw and DEFLATE payloads are opaque bytes, which ``scan`` accepts or
-    rejects with a ``ValueError`` of its own."""
+    rejects with a ``ValueError`` of its own.  The column read
+    (:func:`read_or_typed_error`) fails or succeeds with it."""
     try:
         run = get_codec(spec, layout).decode_frame(frame)
     except ValueError:
+        read_or_typed_error(spec, layout, frame, packs=False)
         return
     assert isinstance(run, bytes)
+    assert read_or_typed_error(spec, layout, frame) == run
     if frame[:1] == b"\x01" and spec != "zlib":
         layout.scan(run)
     else:
@@ -171,6 +176,34 @@ def decoded_or_typed_error(spec, layout, frame):
             layout.scan(run)
         except ValueError:
             pass
+
+
+def read_or_typed_error(spec, layout, frame, packs=True):
+    """Read a hostile frame as columns (``read_frame``): a
+    ``ValueError``, packed records, or a FrameBatch whose int32 columns
+    all lie inside its body; packed, that is the run ``decode_frame``
+    gives, or fails where it fails (``packs``)."""
+    try:
+        run = get_codec(spec, layout).read_frame(frame)
+    except ValueError:
+        assert not packs
+        return None
+    if isinstance(run, bytes):
+        assert packs
+        return run
+    assert isinstance(run, FrameBatch)
+    body, koff, klen, ids, voff, vlen = run.frame
+    assert {column.dtype for column in run.frame[1:]} == {np.dtype(np.int32)}
+    assert len(ids) == len(voff) == len(vlen) == len(run)
+    assert (koff + klen <= len(body)).all() and (voff + vlen <= len(body)).all()
+    assert ((0 <= ids) & (ids < len(koff))).all()
+    try:
+        data = run.data
+    except ValueError:
+        assert not packs
+        return None
+    assert packs
+    return data
 
 
 class TestHostileFrames:
@@ -183,22 +216,28 @@ class TestHostileFrames:
         (b"\x01\x01a\x01\x00\x00\x00", "1 trailing bytes"),
     ])
     def test_named_errors(self, body, message):
-        with pytest.raises(ValueError, match=message):
-            get_codec("dedup", KVLayout()).decode_frame(b"\x01" + body)
+        codec = get_codec("dedup", KVLayout())
+        for read in (codec.decode_frame, codec.read_frame):
+            with pytest.raises(ValueError, match=message):
+                read(b"\x01" + body)
 
     @pytest.mark.parametrize("spec", ["zlib", "dedup+zlib"])
     def test_a_bad_deflate_stream_is_a_value_error(self, spec):
-        with pytest.raises(ValueError, match="bad zlib stream"):
-            get_codec(spec, KVLayout()).decode_frame(b"\x01garbage")
+        codec = get_codec(spec, KVLayout())
+        for read in (codec.decode_frame, codec.read_frame):
+            with pytest.raises(ValueError, match="bad zlib stream"):
+                read(b"\x01garbage")
 
     @pytest.mark.parametrize("huge", [b"\xff\xff\xff\xff\x0f",   # 2**32 - 1
                                       b"\xff\xff\xff\xff\x7f"])  # 2**35 - 1
     def test_huge_counts_fail_fast(self, huge):
         # A few bytes that claim billions of keys or records.
         started = time.perf_counter()
+        codec = get_codec("dedup", KVLayout())
         for body in (huge + b"\x01\x02", b"\x01\x01a" + huge + b"\x00\x00"):
-            with pytest.raises(ValueError):
-                get_codec("dedup", KVLayout()).decode_frame(b"\x01" + body)
+            for read in (codec.decode_frame, codec.read_frame):
+                with pytest.raises(ValueError):
+                    read(b"\x01" + body)
         assert time.perf_counter() - started < 0.1
 
     @settings(max_examples=300, deadline=None)
@@ -242,9 +281,10 @@ def traced_peak(fn, arg):
 class TestCodecHostMemory:
     """One ``dedup+zlib`` frame of a 64 KiB ``wc_zipf_codec``-style page
     (2,874 records) costs host memory bounded by the block.  The bounds
-    are 5 % (encode) and 15 % (decode) over the peaks of the per-record
-    codec this one replaced, on the same page: 343,856 and 252,852 B.
-    Columns built over the whole frame fail them (0.51 and 0.64 MB)."""
+    are 5 % (encode) and 15 % (decode, and the column read) over the
+    peaks of the per-record codec this one replaced, on the same page:
+    343,856 and 252,852 B.  Columns built over the whole frame fail
+    them (0.51 and 0.64 MB)."""
 
     PER_RECORD_PEAKS = 343_856, 252_852
 
@@ -260,7 +300,9 @@ class TestCodecHostMemory:
         codec = get_codec("dedup+zlib", layout)
         frame, encode_peak = traced_peak(codec.encode_frame, run)
         decoded, decode_peak = traced_peak(codec.decode_frame, frame)
-        assert decoded == run and len(records) == 2874
+        columns, read_peak = traced_peak(codec.read_frame, frame)
+        assert decoded == run and len(records) == len(columns) == 2874
         encode_bound, decode_bound = self.PER_RECORD_PEAKS
         assert encode_peak <= 1.05 * encode_bound
         assert decode_peak <= 1.15 * decode_bound
+        assert read_peak <= 1.15 * decode_bound

@@ -1,5 +1,6 @@
 """KVContainer and KMVContainer: growth, consumption, accounting."""
 
+import zlib
 from unittest import mock
 
 import pytest
@@ -15,8 +16,9 @@ from repro.core import (
     Mimir,
     MimirConfig,
     RecordTooLargeError,
+    pack_u64,
 )
-from repro.core.codec import get_codec
+from repro.core.codec import Codec, get_codec
 from repro.core.convert import convert_to_kmv
 from repro.core.records import CSTRING, VARIABLE
 from repro.datasets.words import uniform_text
@@ -136,6 +138,36 @@ class TestKVContainerEncoded:
         kvc = make_kvc(layout=layout)
         kvc.add_record_bytes(layout.encode(b"hi", b"xy"))
         assert list(kvc.records()) == [(b"hi", b"xy")]
+
+
+class TestFrozenPageSpill:
+    def test_a_page_with_nothing_older_to_spill_leaves_as_its_frame(self):
+        """Out of core under a limit that holds one page and no frame,
+        every freeze finds nothing older to spill and the page leaves
+        as the frame the freeze made: one encode per frame, and the
+        spill the earlier double encode wrote, byte for byte."""
+        env = one_rank_env()
+        layout = KVLayout()
+        encoded, encode_frame = [], Codec.encode_frame
+
+        def counted(self, data, scan=None):
+            encoded.append(len(data))
+            return encode_frame(self, data, scan)
+
+        with mock.patch.object(Codec, "encode_frame", counted):
+            kvc = KVContainer(MemoryTracker(300), layout, 256, tag="once",
+                              spill_env=env, resident_page_budget=None,
+                              codec=get_codec("dedup+zlib", layout),
+                              codec_env=env)
+            for i in range(300):
+                kvc.add(b"w%d" % (i * 7 % 13), pack_u64(i))
+        writer = kvc._spill_writer
+        assert not kvc._frozen and writer.nchunks == len(encoded) == 21
+        spilled = b"".join(env.pfs.read(env.comm, writer.path, at, size)
+                           for at, size in writer.chunks)
+        assert (len(spilled), zlib.crc32(spilled)) == (1825, 3646425870)
+        assert list(kvc.records()) == [
+            (b"w%d" % (i * 7 % 13), pack_u64(i)) for i in range(300)]
 
 
 class TestKMVContainer:
@@ -280,8 +312,14 @@ def test_property_chunks_are_the_records_in_order(kind, ops, page_size):
     assert first == b"".join(expected)
     assert b"".join(kvc.chunks()) == first
     assert (len(kvc), env.tracker.current, kvc.spilled_bytes) == held
+    batches = list(kvc.batches())
+    assert b"".join(batch.data for batch in batches) == first
     kvc.unpin()
-    assert b"".join(kvc.consume_chunks()) == first
+    # The runs ``batches()`` indexes: a dedup frame's body, where its
+    # FrameBatch's columns point, and every other run's records.
+    assert list(kvc.consume_chunks()) == [
+        batch.data if batch.frame is None else batch.frame.body
+        for batch in batches]
     assert env.tracker.current == 0
 
 
@@ -433,38 +471,57 @@ class TestReceiveContract:
         received record's header is read once (by pass one) plus the few
         a page split walks: at most 1.2 per record (2 when the receive
         scanned every part)."""
-        walked = [0]
-        fit, scan, record_end = \
-            KVLayout.fit, KVLayout.scan, KVLayout.record_end
-
-        def counting_fit(self, *args):
-            stop, n = fit(self, *args)
-            walked[0] += n
-            return stop, n
-
-        def counting_scan(self, *args):
-            columns = scan(self, *args)
-            walked[0] += len(columns[0]) - 1
-            return columns
-
-        def counting_record_end(self, *args):
-            walked[0] += 1
-            return record_end(self, *args)
-
-        config = MimirConfig(layout=layout)  # the default buffer sizes
-        cluster = Cluster(COMET, nprocs=2, memory_limit=None)
-        cluster.pfs.store("t.txt", uniform_text(256 * 1024))
-
-        def job(env):
-            mimir = Mimir(env, config)
-            kvs = mimir.map_text_file("t.txt", wc_map)
-            convert_to_kmv(env, kvs, config).free()
-            return mimir.last_map_stats["records"]
-
-        with mock.patch.object(KVLayout, "fit", counting_fit), \
-                mock.patch.object(KVLayout, "scan", counting_scan), \
-                mock.patch.object(KVLayout, "record_end",
-                                  counting_record_end):
-            received = sum(cluster.run(job).returns)
+        walks, received = walks_per_received_record(MimirConfig(
+            layout=layout))  # the default buffer sizes
         assert received > 5_000
-        assert walked[0] <= 1.2 * received, walked[0] / received
+        assert walks <= 1.2 * received, walks / received
+
+    def test_a_frozen_page_is_walked_once(self):
+        """Under a dedup codec the sender's encode scans each exchange
+        part, and a received page is walked once more, by the scan its
+        freeze makes (which counts it too); convert's pass one reads it
+        as its frame's columns.  At most 2.2 walks per record (3.9 when
+        a freeze counted a page, then scanned it to encode, and pass one
+        scanned it packed again)."""
+        walks, received = walks_per_received_record(MimirConfig(
+            codec="dedup+zlib"))
+        assert received > 5_000
+        assert walks <= 2.2 * received, walks / received
+
+
+def walks_per_received_record(config):
+    """Record headers read (``fit``, ``scan``, ``record_end``) from a
+    two-rank WordCount map through convert's pass one, and the records
+    received.  A ``fit`` handed the record offsets searches them and
+    reads no header."""
+    walked = [0]
+    fit, scan, record_end = KVLayout.fit, KVLayout.scan, KVLayout.record_end
+
+    def counting_fit(self, buf, start, room, roff=None):
+        stop, n = fit(self, buf, start, room, roff)
+        walked[0] += n if roff is None else 0
+        return stop, n
+
+    def counting_scan(self, *args):
+        columns = scan(self, *args)
+        walked[0] += len(columns[0]) - 1
+        return columns
+
+    def counting_record_end(self, *args):
+        walked[0] += 1
+        return record_end(self, *args)
+
+    cluster = Cluster(COMET, nprocs=2, memory_limit=None)
+    cluster.pfs.store("t.txt", uniform_text(256 * 1024))
+
+    def job(env):
+        mimir = Mimir(env, config)
+        kvs = mimir.map_text_file("t.txt", wc_map)
+        convert_to_kmv(env, kvs, config).free()
+        return mimir.last_map_stats["records"]
+
+    with mock.patch.object(KVLayout, "fit", counting_fit), \
+            mock.patch.object(KVLayout, "scan", counting_scan), \
+            mock.patch.object(KVLayout, "record_end", counting_record_end):
+        received = sum(cluster.run(job).returns)
+    return walked[0], received

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench import calibrate
 from repro.cluster import Cluster
-from repro.core import skew, sort
+from repro.core import codec, skew, sort
 from repro.mpi import COMET, World
 from repro.sched.scheduler import (
     MIN_SCALE_RANKS,
@@ -51,6 +51,12 @@ def test_removed_keyword_is_refused(fn, args, keyword):
         fn(*args, **{keyword: 1})
 
 
+def test_zlib_codec_takes_no_level():
+    # Its one setting gone, the codec takes no arguments at all.
+    with pytest.raises(TypeError, match="ZlibCodec.. takes no arguments"):
+        codec.ZlibCodec(level=1)
+
+
 def test_constants_hold_the_old_defaults():
     assert (RESERVE, MIN_SCALE_RANKS) == (0.1, 1)
     assert (errors.DEFAULT_RETRY_ATTEMPTS, errors.DEFAULT_RETRY_BASE_DELAY,
@@ -61,3 +67,4 @@ def test_constants_hold_the_old_defaults():
             demo.LATE_EVERY) == (6, 10, 7)
     assert skew.SAMPLE_RECORDS == 4096
     assert calibrate.SAMPLE_PAGES == 8
+    assert codec.ZLIB_LEVEL == 6
