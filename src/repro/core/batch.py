@@ -18,7 +18,7 @@ loop over the batch, so user code never has to change.
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -150,23 +150,14 @@ class KVBatch:
         return f"KVBatch(nrecords={len(self)}, nbytes={self.nbytes})"
 
 
-class Frame(NamedTuple):
-    """A dedup frame read as columns (:meth:`KVDedupCodec.read
-    <repro.core.codec.KVDedupCodec.read>`): the key dictionary, in
-    first-seen order, as ``body[koff[k]:][:klen[k]]``, and record ``i``
-    as key ``ids[i]`` and value ``body[voff[i]:][:vlen[i]]``.  Every
-    column is int32 and ``body`` is the frame's decompressed bytes."""
-
-    body: bytes
-    koff: np.ndarray
-    klen: np.ndarray
-    ids: np.ndarray
-    voff: np.ndarray
-    vlen: np.ndarray
-
-
 class FrameBatch(KVBatch):
-    """A dedup-framed run held as its :class:`Frame`, unpacked.
+    """A dedup-framed run held unpacked, as its frame's columns
+    (:meth:`KVDedupCodec.read <repro.core.codec.KVDedupCodec.read>`):
+    ``frame`` is ``(body, koff, klen, ids, voff, vlen)``, where key
+    ``k`` of the first-seen dictionary is ``body[koff[k]:][:klen[k]]``
+    and record ``i`` is key ``ids[i]`` with value
+    ``body[voff[i]:][:vlen[i]]``; every column is int32 and ``body`` is
+    the frame's decompressed bytes.
 
     A reader that knows the frame (convert) takes its columns and never
     has the records built.  To any other reader it is the
@@ -178,7 +169,7 @@ class FrameBatch(KVBatch):
 
     __slots__ = ("frame",)
 
-    def __init__(self, frame: Frame, layout: KVLayout):
+    def __init__(self, frame: tuple, layout: KVLayout):
         self.frame, self.layout = frame, layout
 
     def __getattr__(self, name: str):
@@ -198,13 +189,12 @@ class FrameBatch(KVBatch):
         return getattr(self, name)
 
     def __len__(self) -> int:
-        return len(self.frame.ids)
+        return len(self.frame[3])
 
     @property
     def payload_bytes(self) -> int:
-        frame = self.frame
-        return int(frame.klen[frame.ids].sum(dtype=np.int64) +
-                   frame.vlen.sum(dtype=np.int64))
+        _, _, klen, ids, _, vlen = self.frame
+        return int(klen[ids].sum(dtype=np.int64) + vlen.sum(dtype=np.int64))
 
 
 class KMVBatch:

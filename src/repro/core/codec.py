@@ -28,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from repro.core.batch import Frame, FrameBatch, KVBatch
+from repro.core.batch import FrameBatch, KVBatch
 from repro.core.bucket import group_run
 from repro.core.errors import ConfigError
 from repro.core.records import BLOCK, KVLayout, byte_ranges
@@ -194,11 +194,11 @@ class KVDedupCodec(Codec):
                          _varints([len(batch)]), *body])
 
     def read(self, data: bytes) -> FrameBatch:
-        """The frame ``data`` as a batch over its
-        :class:`~repro.core.batch.Frame`.  Its structure is checked here
-        (a typed ``ValueError``), its fields when they are packed.  It
-        is read a block at a time into int32 columns, so the
-        temporaries stay those of one block."""
+        """The frame ``data`` as a batch over its columns
+        (:class:`~repro.core.batch.FrameBatch`).  Its structure is
+        checked here (a typed ``ValueError``), its fields when they are
+        packed.  It is read a block at a time into int32 columns, so
+        the temporaries stay those of one block."""
         end = len(data)
         (nkeys,), offset = _read_varints(data, 0, 1)
         klen, offset = _read_varints(data, offset, int(nkeys))
@@ -223,8 +223,8 @@ class KVDedupCodec(Codec):
         if offset != end:
             raise ValueError(f"{end - offset} trailing bytes after the "
                              f"last record")
-        return FrameBatch(Frame(data, koff.astype(np.int32),
-                                klen.astype(np.int32), ids, voff, vlen),
+        return FrameBatch((data, koff.astype(np.int32),
+                           klen.astype(np.int32), ids, voff, vlen),
                           self.layout)
 
     def decode(self, data: bytes) -> bytes:

@@ -69,11 +69,11 @@ def _group_page(sizes: Bucket, batch: KVBatch):
     once, in first-seen order - the order its records bring the keys -
     and its values are where the frame holds them.
     """
-    if (frame := batch.frame) is not None:
-        slots = sizes.enter_run(list(iter_slices(
-            frame.body, frame.koff, frame.koff + frame.klen)))
-        return (batch.payload_bytes, frame.voff, frame.voff + frame.vlen,
-                slots.astype(np.int32)[frame.ids])
+    if batch.frame is not None:
+        body, koff, klen, ids, voff, vlen = batch.frame
+        slots = sizes.enter_run(list(iter_slices(body, koff, koff + klen)))
+        return (batch.payload_bytes, voff, voff + vlen,
+                slots.astype(np.int32)[ids])
     keys = batch.keys_bytes()
     groups = np.empty(len(batch), np.int32)
     for lo in range(0, len(batch), BLOCK):

@@ -342,7 +342,7 @@ class KVContainer:
             try:
                 run = self._thaw(segment)
                 if run.__class__ is FrameBatch:
-                    yield run if batches else run.frame.body
+                    yield run if batches else run.frame[0]
                 else:
                     yield KVBatch(run, layout) if batches else run
             finally:

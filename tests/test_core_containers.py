@@ -318,7 +318,7 @@ def test_property_chunks_are_the_records_in_order(kind, ops, page_size):
     # The runs ``batches()`` indexes: a dedup frame's body, where its
     # FrameBatch's columns point, and every other run's records.
     assert list(kvc.consume_chunks()) == [
-        batch.data if batch.frame is None else batch.frame.body
+        batch.data if batch.frame is None else batch.frame[0]
         for batch in batches]
     assert env.tracker.current == 0
 
