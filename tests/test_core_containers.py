@@ -145,7 +145,7 @@ class TestFrozenPageSpill:
         """Out of core under a limit that holds one page and no frame,
         every freeze finds nothing older to spill and the page leaves
         as the frame the freeze made: one encode per frame, and the
-        spill the earlier double encode wrote, byte for byte."""
+        same spill bytes as encoding the page again would write."""
         env = one_rank_env()
         layout = KVLayout()
         encoded, encode_frame = [], Codec.encode_frame
@@ -156,7 +156,7 @@ class TestFrozenPageSpill:
 
         with mock.patch.object(Codec, "encode_frame", counted):
             kvc = KVContainer(MemoryTracker(300), layout, 256, tag="once",
-                              spill_env=env, resident_page_budget=None,
+                              spill_env=env,
                               codec=get_codec("dedup+zlib", layout),
                               codec_env=env)
             for i in range(300):
