@@ -1,13 +1,14 @@
 """Two-pass KV-to-KMV conversion (paper Section III-A, Figure 5).
 
-Pass one scans the KVC and gathers, per unique key, the value count and
-total value bytes in a hash bucket; that is enough to lay out every KMV
-record at its exact final position.  Pass two re-reads the KVC -
-destructively, freeing KV pages as they drain - and copies each value
-into its reserved slot, a KV page per call, from the 12 B per record
-index pass one left (int32 value bounds and slot ids).  The KMVC
-therefore grows while the KVC shrinks, instead of both being held in
-full as MR-MPI does.
+Pass one reads the KVC (a codec-frozen dedup page as its frame's
+columns, any other page by one scan) and gathers, per unique key, the
+value count and total value bytes in a hash bucket; that is enough to
+lay out every KMV record at its exact final position.  Pass two
+re-reads the KVC - destructively, freeing KV pages as they drain - and
+copies each value into its reserved slot, a KV page per call, from the
+12 B per record index pass one left (int32 value bounds and slot ids).
+The KMVC therefore grows while the KVC shrinks, instead of both being
+held in full as MR-MPI does.
 """
 
 from __future__ import annotations
