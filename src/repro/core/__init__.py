@@ -17,14 +17,7 @@ Public API:
 """
 
 from repro.core.batch import KVBatch, batch_kernel, is_batch_kernel
-from repro.core.codec import (
-    CODEC_SPECS,
-    ChainCodec,
-    Codec,
-    KVDedupCodec,
-    ZlibCodec,
-    get_codec,
-)
+from repro.core.codec import CODEC_SPEC, Codec, get_codec
 from repro.core.config import MimirConfig
 from repro.core.errors import ConfigError, RecordTooLargeError
 from repro.core.job import MapContext, Mimir, ReduceContext
@@ -39,15 +32,13 @@ from repro.core.records import (
 )
 
 __all__ = [
-    "CODEC_SPECS",
+    "CODEC_SPEC",
     "CSTRING",
-    "ChainCodec",
     "Codec",
     "ConfigError",
     "KMVContainer",
     "KVBatch",
     "KVContainer",
-    "KVDedupCodec",
     "KVLayout",
     "MapContext",
     "Mimir",
@@ -55,7 +46,6 @@ __all__ = [
     "RecordTooLargeError",
     "ReduceContext",
     "VARIABLE",
-    "ZlibCodec",
     "batch_kernel",
     "get_codec",
     "is_batch_kernel",

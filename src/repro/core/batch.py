@@ -151,13 +151,13 @@ class KVBatch:
 
 
 class FrameBatch(KVBatch):
-    """A dedup-framed run held unpacked, as its frame's columns
-    (:meth:`KVDedupCodec.read <repro.core.codec.KVDedupCodec.read>`):
+    """An encoded codec frame held unpacked, as its dedup columns
+    (:meth:`Codec.read <repro.core.codec.Codec.read>`):
     ``frame`` is ``(body, koff, klen, ids, voff, vlen)``, where key
     ``k`` of the first-seen dictionary is ``body[koff[k]:][:klen[k]]``
     and record ``i`` is key ``ids[i]`` with value
     ``body[voff[i]:][:vlen[i]]``; every column is int32 and ``body`` is
-    the frame's decompressed bytes.
+    the frame's inflated bytes.
 
     A reader that knows the frame (convert) takes its columns and never
     has the records built.  To any other reader it is the

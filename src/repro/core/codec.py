@@ -1,18 +1,14 @@
-"""Shuffle/spill codecs: the paper's KV-compression optimization.
+"""The shuffle/spill codec: a key-dedup frame, then DEFLATE.
 
 The paper's Figures 11-12 show compression wins that *grow with skew*:
 the more duplicate keys a KV stream carries, the more a key-aware
-encoding saves.  This module provides the pluggable codec layer behind
-``MimirConfig.codec``:
-
-- :class:`ZlibCodec` - general-purpose DEFLATE over the packed run.
-- :class:`KVDedupCodec` - key-dedup/varint framing: every unique key
-  is stored once in a first-seen dictionary and records become columns
-  of varint key indexes, varint value lengths and value bytes, which is
-  where skewed streams collapse.  Both directions are column passes a
-  block of records at a time, and the round trip is byte-exact.
-- :class:`ChainCodec` - composition (``"dedup+zlib"`` runs the varint
-  framing and then DEFLATE over the residue).
+encoding saves.  :class:`Codec` is the one codec behind
+``MimirConfig.codec`` (:data:`CODEC_SPEC`): every unique key of a run
+is stored once in a first-seen dictionary and records become columns
+of varint key indexes, varint value lengths and value bytes, which is
+where skewed streams collapse; DEFLATE then runs over those columns.
+Both directions are column passes a block of records at a time, and
+the round trip is byte-exact.
 
 Every encoded chunk is wrapped in a one-byte frame: ``0x00`` means the
 payload is stored raw (the codec would have grown it - incompressible
@@ -36,7 +32,7 @@ from repro.core.records import BLOCK, KVLayout, byte_ranges
 _RAW = b"\x00"
 _ENCODED = b"\x01"
 
-#: DEFLATE level of :class:`ZlibCodec`: zlib's default, a constant.
+#: DEFLATE level of :class:`Codec`: zlib's default, a constant.
 ZLIB_LEVEL = 6
 
 
@@ -92,90 +88,33 @@ def _byte_column(lens: np.ndarray, offset: int,
 
 
 class Codec:
-    """One reversible transform over a packed record run."""
+    """The dedup+zlib frame over a packed record run.
 
-    #: Registry spec; subclasses override.
-    name = "identity"
-
-    def encode(self, data: bytes, scan=None) -> bytes:  # pragma: no cover
-        """Encode the run ``data``; ``scan()``, if given, is its
-        :class:`~repro.core.batch.KVBatch`, for a stage that reads the
-        run's offset columns (the caller counts records from it)."""
-        raise NotImplementedError
-
-    def decode(self, data: bytes) -> bytes:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def read(self, data: bytes) -> "bytes | FrameBatch":
-        """:meth:`decode`, except that a dedup stage's output stays its
-        :class:`~repro.core.batch.FrameBatch`, unpacked."""
-        return self.decode(data)
-
-    # ------------------------------------------------------------ framing
-
-    def encode_frame(self, data: bytes, scan=None) -> bytes:
-        """Encode with the skip-if-bigger guard; never grows by > 1 byte."""
-        body = self.encode(data, scan)
-        if len(body) >= len(data):
-            return _RAW + data
-        return _ENCODED + body
-
-    def read_frame(self, frame) -> "bytes | FrameBatch":
-        """The run a frame holds: packed records, or a dedup frame's
-        :class:`~repro.core.batch.FrameBatch` (:meth:`read`)."""
-        if isinstance(frame, memoryview):
-            frame = bytes(frame)
-        if not frame:
-            return b""
-        flag, body = frame[:1], frame[1:]
-        if flag == _RAW:
-            return bytes(body)
-        if flag == _ENCODED:
-            return self.read(bytes(body))
-        raise ValueError(f"bad codec frame flag {flag!r}")
-
-    def decode_frame(self, frame) -> bytes:
-        """The packed records a frame holds."""
-        run = self.read_frame(frame)
-        return run if run.__class__ is bytes else run.data
-
-
-class ZlibCodec(Codec):
-    """DEFLATE the packed run (the paper's general-purpose baseline),
-    at :data:`ZLIB_LEVEL`."""
-
-    name = "zlib"
-
-    def encode(self, data: bytes, scan=None) -> bytes:
-        return zlib.compress(data, ZLIB_LEVEL)
-
-    def decode(self, data: bytes) -> bytes:
-        try:
-            return zlib.decompress(data)
-        except zlib.error as error:
-            raise ValueError(f"bad zlib stream: {error}") from error
-
-
-class KVDedupCodec(Codec):
-    """Key-dedup/varint framing for skewed key distributions.
-
-    The frame is columns: ``varint nkeys | nkeys varint key lengths |
+    The dedup columns are ``varint nkeys | nkeys varint key lengths |
     key bytes | varint nrecords``, keys numbered in first-seen order,
     then per :data:`~repro.core.records.BLOCK` records ``varint key
-    indexes | varint value lengths | value bytes``.  Each side is a few
+    indexes | varint value lengths | value bytes``; the encoded body is
+    those columns DEFLATEd at :data:`ZLIB_LEVEL`.  Each side is a few
     column passes per block.  :meth:`read` is the one frame parser: it
-    hands the frame out as int32 columns over its bytes, and decoding
-    is :meth:`KVLayout.pack <repro.core.records.KVLayout.pack>` over
-    them, so the output is the exact original run (containers and the
-    shuffle only ever store ``layout.encode`` output).
+    hands the frame out as int32 columns over the inflated body, and
+    decoding is :meth:`KVLayout.pack <repro.core.records.KVLayout.pack>`
+    over them, so the output is the exact original run (containers and
+    the shuffle only ever store ``layout.encode`` output).
     """
-
-    name = "dedup"
 
     def __init__(self, layout: KVLayout):
         self.layout = layout
 
     def encode(self, data: bytes, scan=None) -> bytes:
+        """Encode the run ``data``; ``scan()``, if given, is its
+        :class:`~repro.core.batch.KVBatch` (the caller counts records
+        from it)."""
+        # The columns are built in their own call, so their pieces are
+        # dropped before DEFLATE runs.
+        return zlib.compress(self._columns(data, scan), ZLIB_LEVEL)
+
+    def _columns(self, data: bytes, scan) -> bytes:
+        """The dedup columns of the run ``data``."""
         batch = KVBatch(data, self.layout) if scan is None else scan()
         flat = np.frombuffer(batch.data, np.uint8)
         index: dict[bytes, int] = {}
@@ -193,12 +132,16 @@ class KVDedupCodec(Codec):
         return b"".join([_varints([len(index)]), *klens, *kbytes,
                          _varints([len(batch)]), *body])
 
-    def read(self, data: bytes) -> FrameBatch:
-        """The frame ``data`` as a batch over its columns
+    def read(self, body: bytes) -> FrameBatch:
+        """The encoded body ``body`` as a batch over its columns
         (:class:`~repro.core.batch.FrameBatch`).  Its structure is
         checked here (a typed ``ValueError``), its fields when they are
         packed.  It is read a block at a time into int32 columns, so
         the temporaries stay those of one block."""
+        try:
+            data = zlib.decompress(body)
+        except zlib.error as error:
+            raise ValueError(f"bad zlib stream: {error}") from error
         end = len(data)
         (nkeys,), offset = _read_varints(data, 0, 1)
         klen, offset = _read_varints(data, offset, int(nkeys))
@@ -227,52 +170,47 @@ class KVDedupCodec(Codec):
                            klen.astype(np.int32), ids, voff, vlen),
                           self.layout)
 
-    def decode(self, data: bytes) -> bytes:
-        return self.read(data).data
+    # ------------------------------------------------------------ framing
+
+    def encode_frame(self, data: bytes, scan=None) -> bytes:
+        """Encode with the skip-if-bigger guard; never grows by > 1 byte."""
+        body = self.encode(data, scan)
+        if len(body) >= len(data):
+            return _RAW + data
+        return _ENCODED + body
+
+    def read_frame(self, frame) -> "bytes | FrameBatch":
+        """The run a frame holds: packed records if it is raw, else its
+        :class:`~repro.core.batch.FrameBatch` (:meth:`read`)."""
+        if isinstance(frame, memoryview):
+            frame = bytes(frame)
+        if not frame:
+            return b""
+        flag, body = frame[:1], frame[1:]
+        if flag == _RAW:
+            return bytes(body)
+        if flag == _ENCODED:
+            return self.read(bytes(body))
+        raise ValueError(f"bad codec frame flag {flag!r}")
+
+    def decode_frame(self, frame) -> bytes:
+        """The packed records a frame holds."""
+        run = self.read_frame(frame)
+        return run if run.__class__ is bytes else run.data
 
 
-class ChainCodec(Codec):
-    """Apply stages in order on encode, in reverse on decode."""
-
-    def __init__(self, stages: list[Codec]):
-        if not stages:
-            raise ValueError("ChainCodec needs at least one stage")
-        self.stages = list(stages)
-        self.name = "+".join(stage.name for stage in self.stages)
-
-    def encode(self, data: bytes, scan=None) -> bytes:
-        data = self.stages[0].encode(data, scan)
-        for stage in self.stages[1:]:
-            data = stage.encode(data)
-        return data
-
-    def decode(self, data: bytes) -> bytes:
-        for stage in reversed(self.stages):
-            data = stage.decode(data)
-        return data
-
-    def read(self, data: bytes) -> "bytes | FrameBatch":
-        for stage in reversed(self.stages[1:]):
-            data = stage.decode(data)
-        return self.stages[0].read(data)
-
-
-#: Specs accepted by ``MimirConfig.codec``.
-CODEC_SPECS = ("zlib", "dedup", "dedup+zlib")
+#: The one spec ``MimirConfig.codec`` accepts besides ``None``.
+CODEC_SPEC = "dedup+zlib"
 
 
 def get_codec(spec: str | None, layout: KVLayout) -> Codec | None:
     """Resolve a ``MimirConfig.codec`` spec against a KV layout."""
     if spec is None:
         return None
-    if spec == "zlib":
-        return ZlibCodec()
-    if spec == "dedup":
-        return KVDedupCodec(layout)
-    if spec == "dedup+zlib":
-        return ChainCodec([KVDedupCodec(layout), ZlibCodec()])
-    raise ConfigError(
-        f"unknown codec {spec!r}; expected one of {CODEC_SPECS}")
+    if spec != CODEC_SPEC:
+        raise ConfigError(
+            f"unknown codec {spec!r}; expected {CODEC_SPEC!r} or None")
+    return Codec(layout)
 
 
 def note_encode(metrics, raw_len: int, frame_len: int) -> None:

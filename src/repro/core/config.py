@@ -8,7 +8,8 @@ design), and the three optional optimizations - KV-hint (a
 partial reduction, and KV compression (both enabled by supplying the
 corresponding callback to the job driver).  KV compression's bucket is
 unbounded, as in the paper: it drains once, when the map input is
-exhausted.
+exhausted.  The shuffle/spill codec is this repository's own extension,
+and it is on or off: ``codec`` is ``None`` or ``"dedup+zlib"``.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ class MimirConfig:
     #: the rank's memory budget, its oldest pages spill to the PFS and
     #: the job degrades gracefully instead of failing with OOM.
     out_of_core: bool = False
-    #: Shuffle/spill codec spec (``None``, ``"zlib"``, ``"dedup"``, or
-    #: ``"dedup+zlib"``): the paper's KV-compression optimization.
-    #: Filled container pages freeze into compressed segments, spill
-    #: chunks are framed on the PFS, and exchange parts are framed on
-    #: the wire - outputs stay byte-identical either way.
+    #: Shuffle/spill codec: ``None``, or ``"dedup+zlib"``
+    #: (:data:`~repro.core.codec.CODEC_SPEC`, the key-dedup frame
+    #: DEFLATEd).  Filled container pages freeze into compressed
+    #: segments, spill chunks are framed on the PFS, and exchange
+    #: parts are framed on the wire - outputs stay byte-identical
+    #: either way.
     codec: str | None = None
 
     def __post_init__(self):
@@ -64,12 +66,9 @@ class MimirConfig:
         if not isinstance(self.layout, KVLayout):
             raise ConfigError(f"layout must be a KVLayout, got {self.layout!r}")
         if self.codec is not None:
-            from repro.core.codec import CODEC_SPECS
+            from repro.core.codec import get_codec
 
-            if self.codec not in CODEC_SPECS:
-                raise ConfigError(
-                    f"unknown codec {self.codec!r}; expected one of "
-                    f"{CODEC_SPECS} or None")
+            get_codec(self.codec, self.layout)
 
     def with_layout(self, layout: KVLayout) -> "MimirConfig":
         """A copy of this config with a different intermediate layout."""

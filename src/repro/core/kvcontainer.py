@@ -13,14 +13,16 @@ budget writes its oldest full pages to the parallel file system and
 keeps going.  Record order is preserved (spilled prefix, resident
 suffix) and readers stream the spilled chunks back at PFS cost.
 
-With a :mod:`~repro.core.codec` attached, every page that fills is
-*frozen*: compressed into an immutable segment charged to the tracker
-at its exact encoded size (immutable variable-size blobs are
+With the :mod:`~repro.core.codec` attached, every page that fills is
+*frozen*: encoded into an immutable dedup+zlib segment charged to the
+tracker at its exact encoded size (immutable variable-size blobs are
 fragmentation-safe, like the KMVC's jumbo pages).  Only the live tail
 page stays uncompressed, so the resident footprint of a skewed stream
 shrinks by roughly the compression ratio - the paper's Figs. 11-12
 memory win.  Frozen segments spill and stream back through the same
-out-of-core machinery, already encoded.
+out-of-core machinery, already encoded, and a spill freezes the live
+tail first: every spilled chunk is a frame, charged once to encode and
+once per read, like a resident one.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class KVContainer:
 
     def _thaw(self, segment: _FrozenSegment) -> "bytes | FrameBatch":
         """A segment's run (:meth:`Codec.read_frame
-        <repro.core.codec.Codec.read_frame>`): packed records, or a
-        dedup frame's columns."""
+        <repro.core.codec.Codec.read_frame>`): a raw frame's packed
+        records, or an encoded frame's columns."""
         run = self._codec.read_frame(segment.payload)
         env = self._codec_env
         if env is not None:
@@ -196,9 +198,24 @@ class KVContainer:
             self.pool.release(page)
 
     def spill(self) -> None:
-        """Spill every resident page, in record order (not while pinned)."""
-        while not self.pins and (self._frozen or self.pages):
+        """Spill every resident page, in record order (not while pinned).
+        With a codec, the live tail freezes first."""
+        if self.pins:
+            return
+        if self._codec is not None and self.pages and self.pages[-1].used:
+            self._freeze_tail()
+        while self._frozen or self.pages:
             self._spill_front()
+
+    def _spilled(self) -> Iterator[bytes]:
+        """The spilled tier's runs in record order; with a codec each
+        read charges its packed length, as :meth:`_thaw` charges a
+        frozen segment's."""
+        env = self._codec_env if self._codec is not None else None
+        for chunk in self._spill_writer.reader():
+            if env is not None:
+                env.charge_compute(len(chunk))
+            yield chunk
 
     @property
     def spilled(self) -> bool:
@@ -267,10 +284,10 @@ class KVContainer:
     def batches(self) -> Iterator[KVBatch]:
         """Non-destructive batch iteration: one :class:`KVBatch` per
         spilled chunk, frozen segment, or resident page, in record
-        order.  A dedup-framed segment comes as its
+        order.  An encoded segment comes as its
         :class:`~repro.core.batch.FrameBatch`: unpacked, unscanned."""
         if self._spill_writer is not None:
-            for chunk in self._spill_writer.reader():
+            for chunk in self._spilled():
                 yield KVBatch(chunk, self.layout)
         for segment in self._frozen:
             run = self._thaw(segment)
@@ -285,9 +302,9 @@ class KVContainer:
         in record order.  The one way a container's records leave it
         for storage (checkpoints, cache eviction); allowed while
         pinned.  Nothing is scanned: the runs leave as they are held,
-        a dedup-framed segment packed."""
+        an encoded segment packed."""
         if self._spill_writer is not None:
-            yield from self._spill_writer.reader()
+            yield from self._spilled()
         for segment in self._frozen:
             run = self._thaw(segment)
             yield run if run.__class__ is bytes else run.data
@@ -312,8 +329,8 @@ class KVContainer:
     def consume_chunks(self) -> Iterator[bytes]:
         """Destructive iteration over the runs :meth:`batches` indexes,
         as ``bytes`` and unscanned: a spilled chunk's or a page's
-        records, a frozen segment's thawed run - its packed records, or
-        a dedup frame's body, which the
+        records, a frozen segment's thawed run - a raw frame's packed
+        records, or an encoded frame's inflated body, which the
         :class:`~repro.core.batch.FrameBatch` of :meth:`batches`
         indexes.  For a reader that already holds the offsets (convert).
         Storage is freed as each run is left behind.  Refused while
@@ -330,9 +347,8 @@ class KVContainer:
     def _consume(self, batches: bool) -> Iterator:
         layout = self.layout
         if self._spill_writer is not None:
-            reader = self._spill_writer.reader()
             try:
-                for chunk in reader:
+                for chunk in self._spilled():
                     yield KVBatch(chunk, layout) if batches else chunk
             finally:
                 self._spill_writer.discard()

@@ -25,11 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SpillWriter:
     """Appends page-sized chunks to ``spill/<name>.<rank>``.
 
-    With a :mod:`~repro.core.codec` attached, each chunk is framed on
-    the way out and transparently decoded by the reader, so on-PFS
-    bytes (``total_bytes``, what the spill costs to write and read
-    back) shrink by the compression ratio while callers keep seeing
-    the original page payloads.
+    With the :mod:`~repro.core.codec` attached, the chunks arrive
+    already framed (:meth:`write_encoded`, a container's frozen pages)
+    and the reader decodes them, so on-PFS bytes (``total_bytes``,
+    what the spill costs to write and read back) shrink by the
+    compression ratio while callers keep seeing the original page
+    payloads.
     """
 
     def __init__(self, pfs: StorageBackend, comm: SimComm, name: str,
@@ -42,13 +43,10 @@ class SpillWriter:
         self.codec = codec
 
     def write_chunk(self, data: bytes | bytearray | memoryview) -> None:
-        """Spill one chunk (typically a full page) to the PFS."""
+        """Spill one chunk (typically a full page) to the PFS, as it is."""
         payload = bytes(data)
-        if not payload:
-            return
-        if self.codec is not None:
-            payload = self.codec.encode_frame(payload)
-        self._append(payload)
+        if payload:
+            self._append(payload)
 
     def write_encoded(self, frame: bytes) -> None:
         """Spill a chunk that is already codec-framed (a frozen page)."""

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from repro.core import CODEC_SPECS, CSTRING, VARIABLE, KVContainer, \
+from repro.core import CODEC_SPEC, CSTRING, VARIABLE, KVContainer, \
     KVLayout, get_codec, pack_u64
 from repro.core import batch, bucket, codec, convert, job, kmvcontainer, \
     records, shuffle, sort
@@ -47,7 +47,7 @@ def fit_field(hint, data):
 # Every way a container can hold its records: a codec freezes filled
 # pages into segments, ``resident_page_budget=2`` pushes a prefix out
 # to the spill stream, and the live tail page is always there.
-CONTAINER_KINDS = list(product((None, *CODEC_SPECS), (None, 2)))
+CONTAINER_KINDS = list(product((None, CODEC_SPEC), (None, 2)))
 container_kinds = pytest.mark.parametrize(
     "kind", CONTAINER_KINDS,
     ids=[f"{codec or 'plain'}-{'spilled' if budget else 'resident'}"

@@ -20,16 +20,13 @@ from repro.apps.wordcount import (
 from repro.cluster import Cluster
 from repro.core import (
     CSTRING,
-    ChainCodec,
     ConfigError,
     KVBatch,
     KVContainer,
-    KVDedupCodec,
     KVLayout,
     Mimir,
     MimirConfig,
     VARIABLE,
-    ZlibCodec,
     batch_kernel,
     get_codec,
     pack_u64,
@@ -264,49 +261,6 @@ class TestPinnedSpill:
 
 
 # ------------------------------------------------------------------ codec
-
-class TestCodecFrames:
-    def encoded_run(self, skew):
-        rng = random.Random(3)
-        layout = KVLayout()
-        keys = [b"hot-key-%d" % (i % (3 if skew else 500))
-                for i in range(400)]
-        rng.shuffle(keys)
-        return layout, b"".join(layout.encode(k, pack_u64(i))
-                                for i, k in enumerate(keys))
-
-    @pytest.mark.parametrize("spec", ["zlib", "dedup", "dedup+zlib"])
-    def test_roundtrip(self, spec):
-        layout, run = self.encoded_run(skew=True)
-        codec = get_codec(spec, layout)
-        frame = codec.encode_frame(run)
-        assert codec.decode_frame(frame) == run
-        assert len(frame) < len(run)       # skewed keys compress
-
-    def test_incompressible_stays_raw(self):
-        codec = ZlibCodec()
-        data = random.Random(1).randbytes(64)
-        frame = codec.encode_frame(data)
-        assert frame[:1] == b"\x00"        # raw passthrough flag
-        assert len(frame) == len(data) + 1
-        assert codec.decode_frame(frame) == data
-
-    def test_empty(self):
-        codec = ChainCodec([KVDedupCodec(KVLayout()), ZlibCodec()])
-        assert codec.decode_frame(codec.encode_frame(b"")) == b""
-
-    def test_get_codec_specs(self):
-        assert get_codec(None, KVLayout()) is None
-        with pytest.raises(ConfigError):
-            get_codec("lz77", KVLayout())
-        with pytest.raises(ConfigError):
-            MimirConfig(codec="lz77")
-
-    def test_dedup_is_byte_exact(self):
-        layout, run = self.encoded_run(skew=False)
-        codec = KVDedupCodec(layout)
-        assert codec.decode_frame(codec.encode_frame(run)) == run
-
 
 class TestContainerCodec:
     def skewed_pairs(self, n=400):

@@ -1,10 +1,11 @@
-"""The dedup codec's block-columnar frame: round trips over every layout,
-``KVLayout.pack`` as the inverse of ``scan``, typed errors on hostile
-frames, and the host memory one frame costs."""
+"""The codec's block-columnar frame: round trips over every layout,
+the raw frame, ``KVLayout.pack`` as the inverse of ``scan``, typed
+errors on hostile frames, and the host memory one frame costs."""
 
 import random
 import time
 import tracemalloc
+import zlib
 from itertools import product
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CODEC_SPECS, CSTRING, VARIABLE, KVLayout, get_codec, \
-    pack_u64
+from repro.core import CODEC_SPEC, CSTRING, VARIABLE, ConfigError, \
+    KVLayout, MimirConfig, get_codec, pack_u64
 from repro.core.batch import FrameBatch
 from repro.core.codec import _read_varints, _varints
 from repro.core.records import BLOCK
@@ -78,38 +79,66 @@ class TestVarintColumns:
         assert column.tolist() == values and end == len(data)
 
 
+def decoded(codec, run):
+    """``run`` through the codec's encode and back."""
+    return codec.read(codec.encode(run)).data
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("spec", CODEC_SPECS)
     @pytest.mark.parametrize("layout", LAYOUTS, ids=repr)
-    def test_every_run_comes_back_byte_for_byte(self, layout, spec):
-        codec = get_codec(spec, layout)
+    def test_every_run_comes_back_byte_for_byte(self, layout):
+        codec = get_codec(CODEC_SPEC, layout)
         for name, pairs in runs(layout):
             run = encoded(layout, pairs)
-            assert codec.decode(codec.encode(run)) == run, name
+            assert decoded(codec, run) == run, name
             assert codec.decode_frame(codec.encode_frame(run)) == run, name
 
     @pytest.mark.parametrize("layout", CONVERT_LAYOUTS, ids=repr)
     def test_block_boundaries(self, layout):
-        codec = get_codec("dedup", layout)
+        codec = get_codec(CODEC_SPEC, layout)
         for block in (1, 2, 7):
             with small_blocks(block):
                 for name, pairs in runs(layout):
                     run = encoded(layout, pairs[:300])
-                    assert codec.decode(codec.encode(run)) == run, \
-                        (name, block)
+                    assert decoded(codec, run) == run, (name, block)
 
     def test_frame_layout(self):
         """Keys once, in first-seen order, then per block the key
-        indexes, the value lengths and the value bytes."""
+        indexes, the value lengths and the value bytes, DEFLATEd."""
         layout = KVLayout()
+        codec = get_codec(CODEC_SPEC, layout)
         run = encoded(layout, [(b"bb", b"1"), (b"a", b"22"), (b"bb", b"")])
-        assert get_codec("dedup", layout).encode(run) == \
+        assert zlib.decompress(codec.encode(run)) == \
             b"\x02" b"\x02\x01" b"bba" b"\x03" b"\x00\x01\x00" \
             b"\x01\x02\x00" b"122"
         with small_blocks(2):
-            assert get_codec("dedup", layout).encode(run) == \
+            assert zlib.decompress(codec.encode(run)) == \
                 b"\x02" b"\x02\x01" b"bba" b"\x03" b"\x00\x01" b"\x01\x02" \
                 b"122" b"\x00" b"\x00" b""
+
+    def test_incompressible_stays_raw(self):
+        # Random 8/8 records: the frame would grow the run, so the run
+        # is stored as it is behind the raw flag.
+        layout = KVLayout(8, 8)
+        rng = random.Random(1)
+        run = encoded(layout, [(rng.randbytes(8), rng.randbytes(8))
+                               for _ in range(200)])
+        codec = get_codec(CODEC_SPEC, layout)
+        frame = codec.encode_frame(run)
+        assert frame[:1] == b"\x00" and frame[1:] == run
+        assert codec.read_frame(frame) == codec.decode_frame(frame) == run
+
+    def test_empty(self):
+        codec = get_codec(CODEC_SPEC, KVLayout())
+        assert codec.encode_frame(b"") == b"\x00"
+        assert codec.decode_frame(codec.encode_frame(b"")) == b""
+
+    def test_only_the_one_spec_resolves(self):
+        assert get_codec(None, KVLayout()) is None
+        with pytest.raises(ConfigError, match="'lz77'.*'dedup\\+zlib'"):
+            get_codec("lz77", KVLayout())
+        with pytest.raises(ConfigError, match="'lz77'.*'dedup\\+zlib'"):
+            MimirConfig(codec="lz77")
 
 
 class TestPack:
@@ -156,20 +185,20 @@ class TestPack:
 
 # ------------------------------------------------------------ hostile frames
 
-def decoded_or_typed_error(spec, layout, frame):
+def decoded_or_typed_error(layout, frame):
     """Decode a hostile frame: a ``ValueError`` or a run, never another
-    exception.  A dedup stage only decodes to records ``scan`` accepts;
-    raw and DEFLATE payloads are opaque bytes, which ``scan`` accepts or
+    exception.  An encoded frame only decodes to records ``scan``
+    accepts; a raw payload is opaque bytes, which ``scan`` accepts or
     rejects with a ``ValueError`` of its own.  The column read
     (:func:`read_or_typed_error`) fails or succeeds with it."""
     try:
-        run = get_codec(spec, layout).decode_frame(frame)
+        run = get_codec(CODEC_SPEC, layout).decode_frame(frame)
     except ValueError:
-        read_or_typed_error(spec, layout, frame, packs=False)
+        read_or_typed_error(layout, frame, packs=False)
         return
     assert isinstance(run, bytes)
-    assert read_or_typed_error(spec, layout, frame) == run
-    if frame[:1] == b"\x01" and spec != "zlib":
+    assert read_or_typed_error(layout, frame) == run
+    if frame[:1] == b"\x01":
         layout.scan(run)
     else:
         try:
@@ -178,13 +207,13 @@ def decoded_or_typed_error(spec, layout, frame):
             pass
 
 
-def read_or_typed_error(spec, layout, frame, packs=True):
+def read_or_typed_error(layout, frame, packs=True):
     """Read a hostile frame as columns (``read_frame``): a
     ``ValueError``, packed records, or a FrameBatch whose int32 columns
     all lie inside its body; packed, that is the run ``decode_frame``
     gives, or fails where it fails (``packs``)."""
     try:
-        run = get_codec(spec, layout).read_frame(frame)
+        run = get_codec(CODEC_SPEC, layout).read_frame(frame)
     except ValueError:
         assert not packs
         return None
@@ -206,6 +235,19 @@ def read_or_typed_error(spec, layout, frame, packs=True):
     return data
 
 
+def deflated(frame):
+    """``frame`` with its body DEFLATEd: a hostile column body behind a
+    good zlib stream."""
+    return frame[:1] + zlib.compress(frame[1:]) if frame else frame
+
+
+def inflated(frame):
+    """An encoded frame with its body inflated (the inverse of
+    :func:`deflated`); any other frame as it is."""
+    return frame[:1] + zlib.decompress(frame[1:]) \
+        if frame[:1] == b"\x01" else frame
+
+
 class TestHostileFrames:
     @pytest.mark.parametrize("body, message", [
         (b"\x02" b"\xff\xff\xff\xff\xff\xff\x01" b"\x01", "over 5 bytes"),
@@ -216,14 +258,13 @@ class TestHostileFrames:
         (b"\x01\x01a\x01\x00\x00\x00", "1 trailing bytes"),
     ])
     def test_named_errors(self, body, message):
-        codec = get_codec("dedup", KVLayout())
+        codec = get_codec(CODEC_SPEC, KVLayout())
         for read in (codec.decode_frame, codec.read_frame):
             with pytest.raises(ValueError, match=message):
-                read(b"\x01" + body)
+                read(deflated(b"\x01" + body))
 
-    @pytest.mark.parametrize("spec", ["zlib", "dedup+zlib"])
-    def test_a_bad_deflate_stream_is_a_value_error(self, spec):
-        codec = get_codec(spec, KVLayout())
+    def test_a_bad_deflate_stream_is_a_value_error(self):
+        codec = get_codec(CODEC_SPEC, KVLayout())
         for read in (codec.decode_frame, codec.read_frame):
             with pytest.raises(ValueError, match="bad zlib stream"):
                 read(b"\x01garbage")
@@ -233,35 +274,42 @@ class TestHostileFrames:
     def test_huge_counts_fail_fast(self, huge):
         # A few bytes that claim billions of keys or records.
         started = time.perf_counter()
-        codec = get_codec("dedup", KVLayout())
+        codec = get_codec(CODEC_SPEC, KVLayout())
         for body in (huge + b"\x01\x02", b"\x01\x01a" + huge + b"\x00\x00"):
             for read in (codec.decode_frame, codec.read_frame):
                 with pytest.raises(ValueError):
-                    read(b"\x01" + body)
+                    read(deflated(b"\x01" + body))
         assert time.perf_counter() - started < 0.1
 
+    # Hostile bytes either as the zlib stream or as the columns behind
+    # a good one, so the column parser meets them too.
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(CODEC_SPECS), st.sampled_from(CONVERT_LAYOUTS),
+    @given(st.sampled_from(CONVERT_LAYOUTS),
            st.sampled_from([b"", b"\x00", b"\x01", b"\x02"]),
-           st.binary(max_size=160))
-    def test_arbitrary_frames(self, spec, layout, flag, body):
+           st.binary(max_size=160), st.booleans())
+    def test_arbitrary_frames(self, layout, flag, body, columns):
+        frame = flag + body
         with small_blocks(2):
-            decoded_or_typed_error(spec, layout, flag + body)
+            decoded_or_typed_error(
+                layout, deflated(frame) if columns else frame)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(CODEC_SPECS), st.sampled_from(CONVERT_LAYOUTS),
+    @given(st.sampled_from(CONVERT_LAYOUTS),
            st.lists(st.tuples(st.integers(0, 5), st.binary(max_size=8)),
                     min_size=1, max_size=12),
-           st.lists(st.integers(min_value=0), min_size=1, max_size=4))
-    def test_bit_flipped_frames(self, spec, layout, raw, flips):
+           st.lists(st.integers(min_value=0), min_size=1, max_size=4),
+           st.booleans())
+    def test_bit_flipped_frames(self, layout, raw, flips, columns):
         pairs = [(fit_field(layout.key_len, b"k%d" % key),
                   fit_field(layout.val_len, value)) for key, value in raw]
         with small_blocks(2):
-            frame = bytearray(get_codec(spec, layout).encode_frame(
-                encoded(layout, pairs)))
+            frame = get_codec(CODEC_SPEC, layout).encode_frame(
+                encoded(layout, pairs))
+            frame = bytearray(inflated(frame) if columns else frame)
             for flip in flips:
                 frame[flip // 8 % len(frame)] ^= 1 << flip % 8
-            decoded_or_typed_error(spec, layout, bytes(frame))
+            decoded_or_typed_error(
+                layout, deflated(bytes(frame)) if columns else bytes(frame))
 
 
 # --------------------------------------------------------------- host memory
@@ -297,7 +345,7 @@ class TestCodecHostMemory:
             records.append(record)
             used += len(record)
         run = b"".join(records)
-        codec = get_codec("dedup+zlib", layout)
+        codec = get_codec(CODEC_SPEC, layout)
         frame, encode_peak = traced_peak(codec.encode_frame, run)
         decoded, decode_peak = traced_peak(codec.decode_frame, frame)
         columns, read_peak = traced_peak(codec.read_frame, frame)

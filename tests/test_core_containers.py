@@ -1,5 +1,6 @@
 """KVContainer and KMVContainer: growth, consumption, accounting."""
 
+import random
 import zlib
 from unittest import mock
 
@@ -24,7 +25,8 @@ from repro.core.records import CSTRING, VARIABLE
 from repro.datasets.words import uniform_text
 from repro.memory import MemoryLimitExceeded, MemoryTracker
 from repro.mpi import COMET
-from tests.conftest import container_kinds, tiered_container
+from tests.conftest import CONTAINER_KINDS, container_kinds, \
+    tiered_container
 
 
 def make_kvc(page_size=256, layout=None, limit=None):
@@ -168,6 +170,42 @@ class TestFrozenPageSpill:
         assert (len(spilled), zlib.crc32(spilled)) == (1825, 3646425870)
         assert list(kvc.records()) == [
             (b"w%d" % (i * 7 % 13), pack_u64(i)) for i in range(300)]
+
+
+    def test_a_spilled_frame_is_charged_like_a_resident_one(self):
+        """400 skewed records on 256 B pages: each page is encoded,
+        counted and charged once, and charged its packed length on
+        every read, whether its frame is resident or spilled.  The
+        spill freezes the live tail, so the spilled container holds
+        one frame more than the resident one, and nothing else."""
+        layout = KVLayout()
+        rng = random.Random(9)
+        pairs = [(b"popular-%d" % rng.randint(0, 4), pack_u64(i))
+                 for i in range(400)]
+
+        def charges(spill):
+            env, charged = one_rank_env(), []
+            env.charge_compute = charged.append
+            kvc = KVContainer(env.tracker, layout, 256, tag="frames",
+                              spill_env=env if spill else None,
+                              codec=get_codec("dedup+zlib", layout),
+                              codec_env=env)
+            for key, value in pairs:
+                kvc.add(key, value)
+            tail = kvc.pages[-1].used
+            if spill:
+                kvc.spill()
+                assert kvc.npages == 0
+            filled = sum(charged)
+            assert list(kvc.records()) == pairs
+            return (filled, sum(charged) - filled,
+                    env.metrics.value("core.codec.chunks"), tail)
+
+        resident, spilled = charges(False), charges(True)
+        filled, read, chunks, tail = resident
+        assert (filled, read, chunks) == (9750, 9750, 39)
+        assert spilled == (filled + tail, read + tail, chunks + 1, tail)
+        assert read + tail == sum(map(len, map(layout.encode, *zip(*pairs))))
 
 
 class TestKMVContainer:
@@ -328,8 +366,6 @@ def test_property_chunks_are_the_records_in_order(kind, ops, page_size):
 #: var/var, the WordCount hint, fixed/fixed rows, var/NUL-ended.
 LAYOUTS = [KVLayout(), KVLayout(CSTRING, 8), KVLayout(4, 8),
            KVLayout(VARIABLE, CSTRING)]
-#: ``(codec, resident page budget)``: plain, spill-backed, frozen, both.
-RECEIVERS = [(None, None), (None, 2), ("zlib", None), ("dedup+zlib", 2)]
 
 
 def conform(field, hint):
@@ -370,8 +406,9 @@ _PARTS = st.lists(st.lists(st.tuples(st.binary(max_size=9),
 
 
 @settings(max_examples=60, deadline=None)
-@given(layout=st.sampled_from(LAYOUTS), kind=st.sampled_from(RECEIVERS),
-       parts=_PARTS, page_size=st.integers(28, 160))
+@given(layout=st.sampled_from(LAYOUTS),
+       kind=st.sampled_from(CONTAINER_KINDS), parts=_PARTS,
+       page_size=st.integers(28, 160))
 # Fixed/fixed rows of 12 B fill a 48 B page exactly, twice, mid-part.
 @example(layout=KVLayout(4, 8), kind=(None, None), page_size=48,
          parts=[[(b"a", b"b")] * 3, [(b"c", b"d")] * 6, []])

@@ -65,20 +65,26 @@ def doc_commands(text: str) -> list[str]:
 
 class TestDesignInventory:
     def test_every_named_module_imports(self):
-        """Each `repro.x.y` dotted path named in DESIGN.md must exist,
-        and so must each `x.y` whose `x` is a repro subpackage (a
-        registered metric name such as `sched.rounds` is no module)."""
+        """Each `repro.x.y` dotted path named in DESIGN.md, README.md or
+        docs/*.md must exist, and so must each `x.y` whose `x` is a
+        repro subpackage (a registered metric name such as
+        `sched.rounds` is no module)."""
         from repro.obs.registry import METRICS
 
-        text = (ROOT / "DESIGN.md").read_text()
-        modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", text))
         packages = {path.parent.name
                     for path in (ROOT / "src/repro").glob("*/__init__.py")}
-        modules |= {f"repro.{name}" for name in re.findall(
-            r"`([a-z_0-9]+(?:\.[a-z_0-9]+)+)`", text)
-            if name.split(".")[0] in packages and name not in METRICS}
-        assert modules
-        for dotted in sorted(modules):
+        docs = [ROOT / "DESIGN.md", ROOT / "README.md",
+                *sorted((ROOT / "docs").glob("*.md"))]
+        named = set()
+        for doc in docs:
+            text = doc.read_text()
+            modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", text))
+            modules |= {f"repro.{name}" for name in re.findall(
+                r"`([a-z_0-9]+(?:\.[a-z_0-9]+)+)`", text)
+                if name.split(".")[0] in packages and name not in METRICS}
+            named |= {(doc.name, dotted) for dotted in modules}
+        assert {doc for doc, _ in named} >= {"DESIGN.md", "README.md"}
+        for doc, dotted in sorted(named):
             # The longest importable prefix must hold the rest as
             # attributes: a stale name under a live package fails too.
             parts = dotted.split(".")
@@ -89,10 +95,10 @@ class TestDesignInventory:
                 except ModuleNotFoundError:
                     continue
             else:
-                pytest.fail(f"DESIGN.md names missing module {dotted}")
+                pytest.fail(f"{doc} names missing module {dotted}")
             for attr in parts[depth:]:
                 assert hasattr(obj, attr), \
-                    f"DESIGN.md names {dotted}: {attr!r} does not resolve"
+                    f"{doc} names {dotted}: {attr!r} does not resolve"
                 obj = getattr(obj, attr)
 
     def test_every_named_bench_exists(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench import calibrate
 from repro.cluster import Cluster
-from repro.core import codec, skew, sort
+from repro.core import ConfigError, KVLayout, MimirConfig, codec, skew, sort
 from repro.mpi import COMET, World
 from repro.sched.scheduler import (
     MIN_SCALE_RANKS,
@@ -51,10 +51,21 @@ def test_removed_keyword_is_refused(fn, args, keyword):
         fn(*args, **{keyword: 1})
 
 
-def test_zlib_codec_takes_no_level():
-    # Its one setting gone, the codec takes no arguments at all.
-    with pytest.raises(TypeError, match="ZlibCodec.. takes no arguments"):
-        codec.ZlibCodec(level=1)
+#: ``(what takes a codec spec, removed spec)``: only tests set them,
+#: and each is refused, naming the one spec that is left.
+REMOVED_CODECS = [
+    (lambda spec: MimirConfig(codec=spec), "zlib"),
+    (lambda spec: MimirConfig(codec=spec), "dedup"),
+    (lambda spec: codec.get_codec(spec, KVLayout()), "zlib"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, spec", REMOVED_CODECS,
+    ids=["MimirConfig-zlib", "MimirConfig-dedup", "get_codec-zlib"])
+def test_removed_codec_spec_is_refused(make, spec):
+    with pytest.raises(ConfigError, match=r"dedup\+zlib"):
+        make(spec)
 
 
 def test_constants_hold_the_old_defaults():

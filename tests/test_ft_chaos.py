@@ -623,7 +623,7 @@ class TestChaosSweep:
         assert global_counts(ft.result.returns) == EXPECTED
 
     @pytest.mark.parametrize("knobs,limit", [
-        ({"codec": "zlib"}, None),
+        ({"codec": "dedup+zlib"}, None),
         ({"out_of_core": True}, "7K"),
     ], ids=["codec", "out-of-core"])
     def test_restart_restores_frozen_and_spilled_records(

@@ -43,7 +43,7 @@ CFG = MimirConfig(page_size=2048, comm_buffer_size=2048,
                   input_chunk_size=512)
 #: The tiers a container of the job can have: frozen pages, and spill
 #: (which lands on the cluster's backend).
-TIERED = replace(CFG, codec="zlib", out_of_core=True)
+TIERED = replace(CFG, codec="dedup+zlib", out_of_core=True)
 #: The elastic harness job, and its straggler-sweep flavour (no
 #: checkpoint); the map stage is a fault point after its checkpoint.
 ELASTIC_JOB = wordcount_job(elastic=True)
@@ -327,7 +327,7 @@ class TestSpeculativeMap:
             assert peak >= 2 * CFG.comm_buffer_size
 
     def test_output_is_frozen_like_the_plain_maps(self):
-        cfg = replace(CFG, codec="zlib")
+        cfg = replace(CFG, codec="dedup+zlib")
         _, plain = self.mapped(cfg, elastic=False)
         _, hooked = self.mapped(cfg, elastic=True)
         for (n, mem, _, _), (pn, pmem, _, _) in zip(hooked.returns,
@@ -406,7 +406,7 @@ class TestRestoreRebalanced:
     def test_same_size_restore_keeps_the_jobs_codec(self):
         # Restored into a map-output container, a zlib map output freezes
         # its full pages again: same payload, same tracked bytes.
-        cfg = replace(CFG, codec="zlib")
+        cfg = replace(CFG, codec="dedup+zlib")
 
         def job(env):
             mimir = Mimir(env, cfg)

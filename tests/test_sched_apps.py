@@ -105,7 +105,7 @@ class TestEvictedBetweenJobs:
         cluster = Cluster(COMET, nprocs=2, memory_limit="256K")
         stage_inputs(cluster, graph_scale=5)
         scheduler = Scheduler(cluster)
-        config = replace(CFG, codec="zlib")
+        config = replace(CFG, codec="dedup+zlib")
 
         def bfs(env, ctx):
             return view(APPS["bfs"](env, ctx.config, runner=ctx.runner))

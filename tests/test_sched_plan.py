@@ -301,7 +301,7 @@ class TestStageCheckpoint:
         """A map output restored from its checkpoint is frozen with the
         job's codec, as executing the stage leaves it."""
         config = MimirConfig(page_size=512, comm_buffer_size=512,
-                             input_chunk_size=512, codec="zlib")
+                             input_chunk_size=512, codec="dedup+zlib")
 
         def job(env):
             ckpt = CheckpointManager(env, "codec-restore", nonce="fixed")
