@@ -164,7 +164,8 @@ class FrameBatch(KVBatch):
     :class:`KVBatch` of the run the frame encodes: the first read of
     ``data`` packs the records with :meth:`KVLayout.pack
     <repro.core.records.KVLayout.pack>` a block at a time, and the
-    first read of an offset column scans them.
+    first read of an offset column scans them.  :attr:`nbytes`, the
+    packed run's length, comes from the columns and packs nothing.
     """
 
     __slots__ = ("frame",)
@@ -190,6 +191,13 @@ class FrameBatch(KVBatch):
 
     def __len__(self) -> int:
         return len(self.frame[3])
+
+    @property
+    def nbytes(self) -> int:
+        """The payload plus each record's header or terminator bytes."""
+        layout = self.layout
+        return self.payload_bytes + \
+            len(self.frame[3]) * (layout._kpad + layout._vpad)
 
     @property
     def payload_bytes(self) -> int:

@@ -14,15 +14,16 @@ keeps going.  Record order is preserved (spilled prefix, resident
 suffix) and readers stream the spilled chunks back at PFS cost.
 
 With the :mod:`~repro.core.codec` attached, every page that fills is
-*frozen*: encoded into an immutable dedup+zlib segment charged to the
-tracker at its exact encoded size (immutable variable-size blobs are
-fragmentation-safe, like the KMVC's jumbo pages).  Only the live tail
-page stays uncompressed, so the resident footprint of a skewed stream
-shrinks by roughly the compression ratio - the paper's Figs. 11-12
-memory win.  Frozen segments spill and stream back through the same
-out-of-core machinery, already encoded, and a spill freezes the live
-tail first: every spilled chunk is a frame, charged once to encode and
-once per read, like a resident one.
+*frozen*: encoded into an immutable dedup+zlib frame, held as its
+``bytes`` and charged to the tracker at its exact encoded size
+(immutable variable-size blobs are fragmentation-safe, like the KMVC's
+jumbo pages).  Only the live tail page stays uncompressed, so the
+resident footprint of a skewed stream shrinks by roughly the
+compression ratio - the paper's Figs. 11-12 memory win.  The container
+frames its pages and the spill stream carries bytes: frames spill as
+they are held, a spill freezes the live tail first, and every frame,
+resident or spilled, is read back one way (:meth:`KVContainer._thaw`),
+charged once to encode and its packed length once per read.
 """
 
 from __future__ import annotations
@@ -43,16 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.codec import Codec
 
 
-class _FrozenSegment:
-    """One filled page, codec-framed and charged at its exact size."""
-
-    __slots__ = ("payload", "raw_len")
-
-    def __init__(self, payload: bytes, raw_len: int):
-        self.payload = payload
-        self.raw_len = raw_len
-
-
 class KVContainer:
     """An ordered multiset of KV records stored in pool pages."""
 
@@ -71,9 +62,9 @@ class KVContainer:
         #: Pages holding records copied in unwalked -> the offset their
         #: count stopped at (:meth:`_count`).
         self._unwalked: dict[Page, int] = {}
-        #: Codec-frozen full pages, between the spilled prefix and the
-        #: live tail page(s) in record order.
-        self._frozen: list[_FrozenSegment] = []
+        #: The codec frames of full pages, between the spilled prefix
+        #: and the live tail page in record order.
+        self._frozen: list[bytes] = []
         self.nrecords = 0
         self.nbytes = 0  # payload bytes (not page capacity)
         self.tag = tag
@@ -109,7 +100,7 @@ class KVContainer:
     # --------------------------------------------------------- compression
 
     def _freeze_tail(self) -> None:
-        """Compress the filled tail page into an immutable segment."""
+        """Compress the filled tail page into an immutable frame."""
         # Charge the frame while the page is still held.  Out of core,
         # older data spills first until the frame fits; when none is
         # left, the page itself spills as this frame.
@@ -139,17 +130,20 @@ class KVContainer:
                 return
             self._spill_front()
         self.pool.tracker.allocate(len(frame), self.tag)
-        self._frozen.append(_FrozenSegment(frame, raw_len))
+        self._frozen.append(frame)
         self.pool.release(self.pages.pop())
 
-    def _thaw(self, segment: _FrozenSegment) -> "bytes | FrameBatch":
-        """A segment's run (:meth:`Codec.read_frame
-        <repro.core.codec.Codec.read_frame>`): a raw frame's packed
-        records, or an encoded frame's columns."""
-        run = self._codec.read_frame(segment.payload)
+    def _thaw(self, frame: bytes) -> "bytes | FrameBatch":
+        """A frame's run (:meth:`Codec.read_frame
+        <repro.core.codec.Codec.read_frame>`), whichever tier held the
+        frame: a raw frame's packed records, or an encoded frame's
+        columns.  Charged the run's packed length, which an encoded
+        frame's columns give unpacked (``FrameBatch.nbytes``)."""
+        run = self._codec.read_frame(frame)
         env = self._codec_env
         if env is not None:
-            env.charge_compute(segment.raw_len)
+            env.charge_compute(run.nbytes if run.__class__ is FrameBatch
+                               else len(run))
         return run
 
     # -------------------------------------------------------- out-of-core
@@ -180,17 +174,16 @@ class KVContainer:
             env = self._spill_env
             KVContainer._spill_seq += 1
             self._spill_writer = SpillWriter(
-                env.pfs, env.comm, f"kvc_{self.tag}_{KVContainer._spill_seq}",
-                codec=self._codec)
+                env.pfs, env.comm, f"kvc_{self.tag}_{KVContainer._spill_seq}")
         return self._spill_writer
 
     def _spill_front(self) -> None:
         assert self._spill_env is not None
         writer = self._writer()
         if self._frozen:
-            segment = self._frozen.pop(0)
-            writer.write_encoded(segment.payload)
-            self.pool.tracker.free(len(segment.payload), self.tag)
+            frame = self._frozen.pop(0)
+            writer.write_encoded(frame)
+            self.pool.tracker.free(len(frame), self.tag)
         else:
             page = self.pages.pop(0)
             self._count(page)
@@ -207,15 +200,25 @@ class KVContainer:
         while self._frozen or self.pages:
             self._spill_front()
 
-    def _spilled(self) -> Iterator[bytes]:
-        """The spilled tier's runs in record order; with a codec each
-        read charges its packed length, as :meth:`_thaw` charges a
-        frozen segment's."""
-        env = self._codec_env if self._codec is not None else None
-        for chunk in self._spill_writer.reader():
-            if env is not None:
-                env.charge_compute(len(chunk))
-            yield chunk
+    def _runs(self, frozen) -> Iterator:
+        """The spilled chunks, then the frames ``frozen`` gives, in
+        record order.  With a codec every chunk is a frame (a spill
+        freezes the live tail first), and each comes as its run
+        (:meth:`_thaw`); without one, the chunks are packed runs."""
+        spilled = self._spill_writer.reader() \
+            if self._spill_writer is not None else ()
+        if self._codec is None:
+            return spilled
+        return map(self._thaw, chain(spilled, frozen))
+
+    def _drained(self) -> Iterator[bytes]:
+        """The frozen frames, each freed once it is left behind."""
+        while self._frozen:
+            frame = self._frozen.pop(0)
+            try:
+                yield frame
+            finally:
+                self.pool.tracker.free(len(frame), self.tag)
 
     @property
     def spilled(self) -> bool:
@@ -283,18 +286,16 @@ class KVContainer:
 
     def batches(self) -> Iterator[KVBatch]:
         """Non-destructive batch iteration: one :class:`KVBatch` per
-        spilled chunk, frozen segment, or resident page, in record
-        order.  An encoded segment comes as its
+        spilled chunk, frozen frame, or resident page, in record order.
+        An encoded frame, spilled or resident, comes as its
         :class:`~repro.core.batch.FrameBatch`: unpacked, unscanned."""
-        if self._spill_writer is not None:
-            for chunk in self._spilled():
-                yield KVBatch(chunk, self.layout)
-        for segment in self._frozen:
-            run = self._thaw(segment)
-            yield run if run.__class__ is FrameBatch else \
-                KVBatch(run, self.layout)
+        layout = self.layout
+        if self._spill_writer is not None or self._frozen:
+            for run in self._runs(self._frozen):
+                yield run if run.__class__ is FrameBatch else \
+                    KVBatch(run, layout)
         for page in self.pages:
-            yield KVBatch(page.data, self.layout, page.used)
+            yield KVBatch(page.data, layout, page.used)
 
     def chunks(self) -> Iterator[bytes]:
         """Non-destructive twin of :meth:`consume_chunks`: every packed
@@ -302,12 +303,10 @@ class KVContainer:
         in record order.  The one way a container's records leave it
         for storage (checkpoints, cache eviction); allowed while
         pinned.  Nothing is scanned: the runs leave as they are held,
-        an encoded segment packed."""
-        if self._spill_writer is not None:
-            yield from self._spilled()
-        for segment in self._frozen:
-            run = self._thaw(segment)
-            yield run if run.__class__ is bytes else run.data
+        an encoded frame packed."""
+        if self._spill_writer is not None or self._frozen:
+            for run in self._runs(self._frozen):
+                yield run.data if run.__class__ is FrameBatch else run
         for page in self.pages:
             yield bytes(page.view)
 
@@ -328,8 +327,8 @@ class KVContainer:
 
     def consume_chunks(self) -> Iterator[bytes]:
         """Destructive iteration over the runs :meth:`batches` indexes,
-        as ``bytes`` and unscanned: a spilled chunk's or a page's
-        records, a frozen segment's thawed run - a raw frame's packed
+        as ``bytes`` and unscanned: a page's records, or a frame's
+        thawed run, spilled or resident - a raw frame's packed
         records, or an encoded frame's inflated body, which the
         :class:`~repro.core.batch.FrameBatch` of :meth:`batches`
         indexes.  For a reader that already holds the offsets (convert).
@@ -346,23 +345,17 @@ class KVContainer:
 
     def _consume(self, batches: bool) -> Iterator:
         layout = self.layout
-        if self._spill_writer is not None:
+        if self._spill_writer is not None or self._frozen:
             try:
-                for chunk in self._spilled():
-                    yield KVBatch(chunk, layout) if batches else chunk
+                for run in self._runs(self._drained()):
+                    if run.__class__ is FrameBatch:
+                        yield run if batches else run.frame[0]
+                    else:
+                        yield KVBatch(run, layout) if batches else run
             finally:
-                self._spill_writer.discard()
-                self._spill_writer = None
-        while self._frozen:
-            segment = self._frozen.pop(0)
-            try:
-                run = self._thaw(segment)
-                if run.__class__ is FrameBatch:
-                    yield run if batches else run.frame[0]
-                else:
-                    yield KVBatch(run, layout) if batches else run
-            finally:
-                self.pool.tracker.free(len(segment.payload), self.tag)
+                if self._spill_writer is not None:
+                    self._spill_writer.discard()
+                    self._spill_writer = None
         while self.pages:
             page = self.pages.pop(0)
             try:
@@ -403,8 +396,7 @@ class KVContainer:
         while self.pages:
             self.pool.release(self.pages.pop())
         while self._frozen:
-            segment = self._frozen.pop()
-            self.pool.tracker.free(len(segment.payload), self.tag)
+            self.pool.tracker.free(len(self._frozen.pop()), self.tag)
         if self._spill_writer is not None:
             self._spill_writer.discard()
             self._spill_writer = None
@@ -414,13 +406,13 @@ class KVContainer:
 
     @property
     def memory_bytes(self) -> int:
-        """Bytes of page capacity plus frozen-segment bytes held."""
+        """Bytes of page capacity plus frozen-frame bytes held."""
         return len(self.pages) * self.pool.page_size + \
-            sum(len(s.payload) for s in self._frozen)
+            sum(map(len, self._frozen))
 
     @property
     def npages(self) -> int:
-        """Resident storage units (live pages plus frozen segments)."""
+        """Resident storage units (live pages plus frozen frames)."""
         return len(self.pages) + len(self._frozen)
 
     def __len__(self) -> int:

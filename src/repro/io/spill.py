@@ -2,8 +2,11 @@
 
 When a framework's in-memory page fills, the page contents are written
 to a per-rank spill stream and later read back one chunk at a time.
-Chunk boundaries are preserved so that record encodings (which never
-straddle a page) can be decoded chunk-by-chunk on the way back in.
+A spill stream carries bytes: each chunk is stored and returned as it
+was written, and its boundaries are kept, so a record encoding (which
+never straddles a page) or a container's codec frame comes back whole.
+What a chunk holds is its writer's business: a container that frames
+its pages (:mod:`~repro.core.kvcontainer`) reads its frames back itself.
 
 Spill streams use the :class:`~repro.storage.base.StorageBackend`
 surface (``append``/``read``/``delete``), so they run unchanged on
@@ -13,34 +16,20 @@ or ``extsort``'s node-local ``spill/`` namespace.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.mpi.comm import SimComm
 from repro.storage.base import StorageBackend
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.codec import Codec
-
 
 class SpillWriter:
-    """Appends page-sized chunks to ``spill/<name>.<rank>``.
+    """Appends page-sized chunks to ``spill/<name>.<rank>``;
+    ``total_bytes`` is what the spill costs to write and read back."""
 
-    With the :mod:`~repro.core.codec` attached, the chunks arrive
-    already framed (:meth:`write_encoded`, a container's frozen pages)
-    and the reader decodes them, so on-PFS bytes (``total_bytes``,
-    what the spill costs to write and read back) shrink by the
-    compression ratio while callers keep seeing the original page
-    payloads.
-    """
-
-    def __init__(self, pfs: StorageBackend, comm: SimComm, name: str,
-                 *, codec: "Codec | None" = None):
+    def __init__(self, pfs: StorageBackend, comm: SimComm, name: str):
         self.pfs = pfs
         self.comm = comm
         self.path = f"spill/{name}.{comm.rank}"
         self.chunks: list[tuple[int, int]] = []  # (offset, length)
         self.total_bytes = 0
-        self.codec = codec
 
     def write_chunk(self, data: bytes | bytearray | memoryview) -> None:
         """Spill one chunk (typically a full page) to the PFS, as it is."""
@@ -49,7 +38,8 @@ class SpillWriter:
             self._append(payload)
 
     def write_encoded(self, frame: bytes) -> None:
-        """Spill a chunk that is already codec-framed (a frozen page)."""
+        """Spill a chunk already held as ``bytes`` (a container's frozen
+        page), without copying it."""
         if frame:
             self._append(frame)
 
@@ -63,8 +53,7 @@ class SpillWriter:
         return len(self.chunks)
 
     def reader(self) -> "SpillReader":
-        return SpillReader(self.pfs, self.comm, self.path, list(self.chunks),
-                           codec=self.codec)
+        return SpillReader(self.pfs, self.comm, self.path, list(self.chunks))
 
     def discard(self) -> None:
         """Remove the spill file (job teardown)."""
@@ -73,16 +62,15 @@ class SpillWriter:
 
 
 class SpillReader:
-    """Reads chunks back in write order, charging PFS read costs."""
+    """Reads chunks back in write order, as they were written, charging
+    PFS read costs."""
 
     def __init__(self, pfs: StorageBackend, comm: SimComm, path: str,
-                 chunks: list[tuple[int, int]], *,
-                 codec: "Codec | None" = None):
+                 chunks: list[tuple[int, int]]):
         self.pfs = pfs
         self.comm = comm
         self.path = path
         self.chunks = chunks
-        self.codec = codec
         self._next = 0
 
     def __iter__(self) -> "SpillReader":
@@ -93,8 +81,6 @@ class SpillReader:
             raise StopIteration
         offset, length = self.chunks[self._next]
         data = self.pfs.read(self.comm, self.path, offset, length)
-        if self.codec is not None:
-            data = self.codec.decode_frame(data)
         # Advance only after the read succeeds: a transient fault
         # surfaced to a retry wrapper must re-read this chunk, not
         # silently skip it.

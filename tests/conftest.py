@@ -45,7 +45,7 @@ def fit_field(hint, data):
 
 
 # Every way a container can hold its records: a codec freezes filled
-# pages into segments, ``resident_page_budget=2`` pushes a prefix out
+# pages into frames, ``resident_page_budget=2`` pushes a prefix out
 # to the spill stream, and the live tail page is always there.
 CONTAINER_KINDS = list(product((None, CODEC_SPEC), (None, 2)))
 container_kinds = pytest.mark.parametrize(

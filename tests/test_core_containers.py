@@ -2,6 +2,8 @@
 
 import random
 import zlib
+from contextlib import contextmanager
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -19,13 +21,14 @@ from repro.core import (
     RecordTooLargeError,
     pack_u64,
 )
-from repro.core.codec import Codec, get_codec
+from repro.core.batch import FrameBatch, KVBatch
+from repro.core.codec import CODEC_SPEC, Codec, get_codec
 from repro.core.convert import convert_to_kmv
 from repro.core.records import CSTRING, VARIABLE
 from repro.datasets.words import uniform_text
 from repro.memory import MemoryLimitExceeded, MemoryTracker
 from repro.mpi import COMET
-from tests.conftest import CONTAINER_KINDS, container_kinds, \
+from tests.conftest import CONTAINER_KINDS, container_kinds, fit_field, \
     tiered_container
 
 
@@ -142,6 +145,33 @@ class TestKVContainerEncoded:
         assert list(kvc.records()) == [(b"hi", b"xy")]
 
 
+#: A layout of each kind a frame packs to: a u32 length header, a NUL
+#: terminator or a fixed width, on either field.
+FRAME_LAYOUTS = [KVLayout(), KVLayout(CSTRING, 8), KVLayout(CSTRING, CSTRING),
+                 KVLayout(VARIABLE, 8)]
+
+
+def skewed_pairs(layout, n=400):
+    """``n`` records over five keys, fitted to ``layout``."""
+    rng = random.Random(9)
+    return [(b"popular-%d" % rng.randint(0, 4),
+             fit_field(layout.val_len, pack_u64(i))) for i in range(n)]
+
+
+@contextmanager
+def counted(cls, name):
+    """Patch ``cls.name`` to record each call's arguments in the list
+    this yields, and still run it."""
+    calls, method = [], getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return method(*args, **kwargs)
+
+    with mock.patch.object(cls, name, wrapper):
+        yield calls
+
+
 class TestFrozenPageSpill:
     def test_a_page_with_nothing_older_to_spill_leaves_as_its_frame(self):
         """Out of core under a limit that holds one page and no frame,
@@ -206,6 +236,92 @@ class TestFrozenPageSpill:
         assert (filled, read, chunks) == (9750, 9750, 39)
         assert spilled == (filled + tail, read + tail, chunks + 1, tail)
         assert read + tail == sum(map(len, map(layout.encode, *zip(*pairs))))
+
+    @pytest.mark.parametrize("layout", FRAME_LAYOUTS, ids=repr)
+    def test_a_spilled_frame_reads_like_a_resident_one(self, layout):
+        """400 skewed records on 256 B pages, read through
+        ``batches()``: after a spill every frame comes back as the
+        :class:`FrameBatch` a resident one is, with no record packed or
+        scanned, and the records are the resident container's."""
+        pairs = skewed_pairs(layout)
+
+        def read(spill):
+            env = one_rank_env()
+            kvc = KVContainer(env.tracker, layout, 256, tag="frames",
+                              spill_env=env if spill else None,
+                              codec=get_codec(CODEC_SPEC, layout),
+                              codec_env=env)
+            for key, value in pairs:
+                kvc.add(key, value)
+            if spill:
+                kvc.spill()
+                assert kvc.npages == 0
+            with counted(KVLayout, "pack") as packs, \
+                    counted(KVLayout, "scan") as scans:
+                batches = list(kvc.batches())
+            return batches, len(packs), len(scans)
+
+        resident, _, resident_scans = read(False)
+        spilled, packs, scans = read(True)
+        assert resident_scans == 1  # the live tail page
+        assert {batch.__class__ for batch in spilled} == {FrameBatch}
+        assert (packs, scans) == (0, 0)
+        assert [pair for batch in spilled for pair in batch.pairs_bytes()] \
+            == list(chain.from_iterable(map(KVBatch.pairs_bytes,
+                                            resident))) == pairs
+
+
+#: What a reader does with a container: every record it reads is
+#: built, so a hostile chunk meets every parser on the way.
+SPILL_READERS = {
+    "batches": lambda kvc: [list(batch.pairs_bytes())
+                            for batch in kvc.batches()],
+    "chunks": lambda kvc: list(kvc.chunks()),
+    "consume_chunks": lambda kvc: list(kvc.consume_chunks()),
+}
+
+
+class TestHostileSpill:
+    """A spilled chunk corrupted on the PFS - a bit flipped, a byte
+    zeroed, or the stream cut inside it - reads back as a typed
+    ``ValueError`` or as records, never as another exception or a
+    hang, whether the chunk is a codec frame or a raw page.  Spill
+    chunks carry no checksum, so some corruptions load other records
+    silently (the ``@example`` here is one)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FRAME_LAYOUTS), st.booleans(),
+           st.sampled_from(sorted(SPILL_READERS)), st.integers(0, 2 ** 16),
+           st.sampled_from(["flip", "zero", "cut"]), st.integers(0, 2 ** 16),
+           st.integers(0, 7))
+    # A raw page whose first value byte flips: it loads, one value off.
+    @example(KVLayout(), False, "batches", 0, "flip", 17, 0)
+    # A codec frame's flag byte zeroed: it reads as a raw page, which
+    # is no run of records.
+    @example(KVLayout(), True, "batches", 0, "zero", 0, 0)
+    def test_a_corrupt_chunk_is_a_value_error_or_a_load(
+            self, layout, codec, reader, which, how, at, bit):
+        env = one_rank_env()
+        kvc = KVContainer(env.tracker, layout, 256, tag="hostile",
+                          spill_env=env,
+                          codec=get_codec(CODEC_SPEC if codec else None,
+                                          layout), codec_env=env)
+        for key, value in skewed_pairs(layout, 100):
+            kvc.add(key, value)
+        kvc.spill()
+        writer = kvc._spill_writer
+        offset, length = writer.chunks[which % writer.nchunks]
+        at = offset + at % length
+        stream = bytearray(env.pfs.fetch(writer.path))
+        if how == "cut":
+            del stream[at:]
+        else:
+            stream[at] = stream[at] ^ 1 << bit if how == "flip" else 0
+        env.pfs.store(writer.path, stream)
+        try:
+            SPILL_READERS[reader](kvc)
+        except ValueError:
+            pass
 
 
 class TestKMVContainer:

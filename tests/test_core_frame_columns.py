@@ -70,7 +70,7 @@ def read(layout, spec, pairs, page_size, reader, packed=False):
                           codec=get_codec(spec, layout), codec_env=env)
         for key, value in pairs:
             kvc.add(key, value)
-        flags = {segment.payload[:1] for segment in kvc._frozen}
+        flags = {frame[:1] for frame in kvc._frozen}
         return READERS[reader](env, kvc, page_size), env.tracker.peak, flags
 
     if not packed:
@@ -118,3 +118,24 @@ def test_a_frozen_page_reads_as_its_records(layout, reader, raw,
 def test_a_raw_frozen_page_reads_as_its_records(reader):
     assert reads_as_its_records(KVLayout(8, 8), INCOMPRESSIBLE, 3200,
                                 reader) == {b"\x00"}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.binary(max_size=12)),
+                max_size=150))
+def test_a_frames_packed_length_needs_no_pack(layout, raw):
+    """``FrameBatch.nbytes``, what a container charges to read a frame
+    resident or spilled, is the length the frame's records pack to,
+    computed from the columns with no pack."""
+    pairs = [(fit_field(layout.key_len, b"key%d" % key),
+              fit_field(layout.val_len, value)) for key, value in raw]
+    run = b"".join(layout.encode(*pair) for pair in pairs)
+    codec = Codec(layout)
+    batch = codec.read(codec.encode(run))
+    with mock.patch.object(KVLayout, "pack",
+                           side_effect=AssertionError("packed")):
+        nbytes = batch.nbytes
+    body, koff, klen, ids, voff, vlen = batch.frame
+    assert nbytes == len(layout.pack(body, koff[ids], klen[ids], voff, vlen)) \
+        == len(run)

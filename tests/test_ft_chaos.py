@@ -629,7 +629,7 @@ class TestChaosSweep:
     def test_restart_restores_frozen_and_spilled_records(
             self, knobs, limit, monkeypatch):
         """A death after the shuffle checkpoint restores the whole map
-        output - frozen segments and spilled prefix included - into a
+        output - frozen frames and spilled prefix included - into a
         container that still spills, so the counts equal a clean run's."""
         monkeypatch.setattr(chaos, "CFG", replace(chaos.CFG, **knobs))
 
